@@ -38,6 +38,11 @@ echo "== tier-1: build + test =="
 cargo build --release
 cargo test -q
 
+echo "== benchmark/: the yardstick still compiles and its gate holds (all four workloads at --smoke size) =="
+# benchmark/ is its own workspace, so nothing above builds it; a library
+# API change would otherwise break it unnoticed.
+cargo test --release --manifest-path benchmark/Cargo.toml
+
 echo "== cross-validation: model vs sim vs server =="
 cargo test --release -q --test cross_validation
 

@@ -5,10 +5,12 @@
 //!
 //! * [`p_hit_ff`] — the paper's decomposition: within-partition hits
 //!   (Eqs. 3–8), per-partition jump hits (Eqs. 9–18, summed over the range
-//!   of Eq. 19 or its extension), and the FF-to-end term (Eq. 20). All
-//!   inner integrals over the viewer offset `s = V_f − V_c` are reduced to
-//!   closed forms in `G(y) = ∫₀^y F(αs) ds = H(αy)/α`, leaving only 1-D
-//!   quadrature over `V_c`.
+//!   of Eq. 19 or its extension), and the FF-to-end term (Eq. 20). The
+//!   inner integrals over the viewer offset `s = V_f − V_c` reduce to
+//!   closed forms in `G(y) = ∫₀^y F(αs) ds = H(αy)/α`, and the outer
+//!   integral over `V_c` has an exact antiderivative in `H` and
+//!   `HH = ∫H` in every region (DESIGN.md §3), so one evaluation is a
+//!   handful of `H`/`HH` calls per partition.
 //! * [`p_hit_ff_direct`] — a brute-force 2-D integration of the exact
 //!   conditional hit probability. Algebraically equal to the extended-mode
 //!   decomposition; used by tests and the ablation bench as an oracle.
@@ -20,6 +22,7 @@
 use vod_dist::quad::adaptive_simpson;
 use vod_dist::DurationDist;
 
+use crate::kernel::Kernel;
 use crate::{BoundaryMode, ModelOptions, SystemParams};
 
 /// Decomposed FF hit probability.
@@ -42,55 +45,21 @@ impl FfHit {
     }
 }
 
-/// Shared closed-form helpers over the duration distribution.
-struct Kernel<'a> {
-    dist: &'a dyn DurationDist,
-    alpha: f64,
-}
-
-impl Kernel<'_> {
-    fn f(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            0.0
-        } else {
-            self.dist.cdf(x)
-        }
-    }
-
-    /// `H(y) = ∫₀^y F(u) du`.
-    fn h(&self, y: f64) -> f64 {
-        if y <= 0.0 {
-            0.0
-        } else {
-            self.dist.cdf_integral(y)
-        }
-    }
-
-    /// `G(y) = ∫₀^y F(α s) ds = H(α y)/α`.
-    fn g(&self, y: f64) -> f64 {
-        if y <= 0.0 {
-            0.0
-        } else {
-            self.h(self.alpha * y) / self.alpha
-        }
-    }
-}
-
 /// `P(hit|FF)` via the paper's decomposition.
 pub fn p_hit_ff(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOptions) -> FfHit {
     let l = params.movie_len();
     let n = params.n();
     let b = params.partition_len();
     let alpha = params.rates().alpha();
-    let k = Kernel { dist, alpha };
+    let k = Kernel::new(dist);
 
-    // Eq. (20): P(end) = ∫₀^l (1 − F(l − V_c)) (1/l) dV_c = 1 − H(l)/l.
-    let end = 1.0 - k.h(l) / l;
+    // Eq. (20): P(end) = ∫₀^l (1 − F(l − V_c)) (1/l) dV_c = 1 − H(l)/l,
+    // and `k.h` is the deficit H(l) − l.
+    let end = -k.h(l) / l;
 
-    if b <= 0.0 {
-        // Pure batching: no partitions to resume into (paper §3.1:
-        // "the hit probability will always equal zero"); only the
-        // end-of-movie release remains.
+    if params.is_pure_batching() {
+        // No partitions to resume into (paper §3.1: "the hit probability
+        // will always equal zero"); only the end-of-movie release remains.
         return FfHit {
             within: 0.0,
             jumps: Vec::new(),
@@ -99,19 +68,8 @@ pub fn p_hit_ff(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOpti
     }
 
     // ---- Within-partition hits, Eqs. (4)–(8) ----------------------------
-    // Case a (Eq. 7): V_c ∈ [0, l − αB/n]; the inner unconditioning over
-    // V_f collapses to G(B/n), independent of V_c.
-    let p_a = (l - alpha * b).max(0.0) * k.g(b) / (b * l);
-    // Case b (Eq. 8): substituting u = l − V_c, with V_t − V_c = u/α:
-    //   P_b = (1/(bl)) ∫₀^{min(l, αb)} [ H(u)/α + (b − u/α) F(u) ] du.
-    let u_max = l.min(alpha * b);
-    let p_b = adaptive_simpson(
-        |u| k.h(u) / alpha + (b - u / alpha) * k.f(u),
-        0.0,
-        u_max,
-        opts.tol,
-    ) / (b * l);
-    let within = p_a + p_b;
+    // With u = l − V_c the viewer's distance to the movie end.
+    let within = k.within(l, b, alpha);
 
     // ---- Jump hits, Eqs. (9)–(19) ---------------------------------------
     let mut jumps = Vec::new();
@@ -138,7 +96,7 @@ pub fn p_hit_ff(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOpti
                 }
             }
         }
-        jumps.push(jump_term(&k, l, b, c, opts.tol));
+        jumps.push(jump_term(&k, alpha, l, b, c));
         i += 1;
         if i > params.n_streams() + 4 {
             // Defensive cap: i is geometrically bounded by n/α + B/l + 1 <
@@ -152,48 +110,46 @@ pub fn p_hit_ff(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOpti
 }
 
 /// `P(hit_j^i|FF)` for one partition ahead: Eqs. (15)–(18) with every
-/// `V_c` range clamped to `[0, l]`.
-fn jump_term(k: &Kernel<'_>, l: f64, b: f64, c: f64, tol: f64) -> f64 {
-    let alpha = k.alpha;
+/// `V_c` range clamped to `[0, l]`, integrated over `V_c` in closed form.
+///
+/// Substituting `u = l − V_c` (distance to the movie end), the farthest
+/// catchable viewer sits `u/α` ahead, so the region boundaries are the
+/// catch-up sweeps `α(c−b)`, `αc`, `α(c+b)` to the three window edges,
+/// clamped to `l`, and inside regions 2–4 the inner term is `G(u/α) =
+/// H(u)/α` whatever the partition index. The whole term is a combination
+/// of cdf differences, so `k` supplies the deficits (see [`Kernel`]).
+fn jump_term(k: &Kernel<'_>, alpha: f64, l: f64, b: f64, c: f64) -> f64 {
+    // At a window edge y minutes ahead: the catch-up sweep αy clamped to
+    // the movie end, H and HH there, the antiderivative uH − HH of uF(u),
+    // and G(y), which is not clamped.
+    let edge = |y: f64| {
+        let u = (alpha * y).clamp(0.0, l);
+        let (h, hh) = (k.h(u), k.hh(u));
+        (u, h, hh, u * h - hh, k.h(alpha * y) / alpha)
+    };
+    let (u0, h0, hh0, m0, g0) = edge(c - b);
+    let (u1, h1, hh1, m1, g1) = edge(c);
+    let (u2, h2, hh2, m2, g2) = edge(c + b);
 
-    // Region 1 (Eq. 15): complete hits for the full V_f range; the inner
-    // integral telescopes to G(c+b) − 2G(c) + G(c−b), independent of V_c.
-    let len1 = (l - alpha * (b + c)).clamp(0.0, l);
-    let inner1 = (k.g(c + b) - 2.0 * k.g(c) + k.g(c - b)) / b;
-    let p1 = len1 / l * inner1;
+    // Region 1 (Eq. 15), u ≥ α(c+b): complete hits for the full V_f range;
+    // the inner integral telescopes to G(c+b) − 2G(c) + G(c−b), independent
+    // of V_c.
+    let p1 = (l - u2) * (g2 - 2.0 * g1 + g0);
 
-    // Regions 2+3 (Eqs. 16, 17): V_c ∈ [A2, E2], where the farthest
-    // catchable viewer V_t lies inside the V_f range: m = V_t − V_c =
-    // (l − V_c)/α − c ∈ [0, b]. The two inner integrals combine to
-    //   G(c+m) − 2G(c) + G(c−b) + (b − m) F(l − V_c)
-    // (the G(c−b+m) cross terms cancel).
-    let a2 = (l - alpha * (b + c)).clamp(0.0, l);
-    let e2 = (l - alpha * c).clamp(0.0, l);
-    let p23 = adaptive_simpson(
-        |vc| {
-            let m = ((l - vc) / alpha - c).clamp(0.0, b);
-            (k.g(c + m) - 2.0 * k.g(c) + k.g(c - b) + (b - m) * k.f(l - vc)) / b
-        },
-        a2,
-        e2,
-        tol,
-    ) / l;
+    // Regions 2+3 (Eqs. 16, 17), u ∈ [αc, α(c+b)]: the farthest catchable
+    // viewer V_t lies inside the V_f range, m = V_t − V_c = u/α − c ∈
+    // [0, b]. The two inner integrals combine to
+    //   G(c+m) − 2G(c) + G(c−b) + (b − m) F(u)
+    // (the G(c−b+m) cross terms cancel), and c + m = u/α.
+    let p23 =
+        (hh2 - hh1) / alpha + (g0 - 2.0 * g1) * (u2 - u1) + (b + c) * (h2 - h1) - (m2 - m1) / alpha;
 
-    // Region 4 (Eq. 18): only partial hits remain; V_c ∈ [E2, E4] with
-    // m' = (l − V_c)/α − (c − b) ∈ [0, b]:
-    //   inner = m' F(l − V_c) − (G(c−b+m') − G(c−b)).
-    let e4 = (l - alpha * (c - b)).clamp(0.0, l);
-    let p4 = adaptive_simpson(
-        |vc| {
-            let mp = ((l - vc) / alpha - (c - b)).clamp(0.0, b);
-            (mp * k.f(l - vc) - (k.g(c - b + mp) - k.g(c - b))) / b
-        },
-        e2,
-        e4,
-        tol,
-    ) / l;
+    // Region 4 (Eq. 18), u ∈ [α(c−b), αc]: only partial hits remain; with
+    // m' = u/α − (c − b) ∈ [0, b]:
+    //   inner = m' F(u) − (G(c−b+m') − G(c−b)),   c − b + m' = u/α.
+    let p4 = (m1 - m0) / alpha - (c - b) * (h1 - h0) - (hh1 - hh0) / alpha + g0 * (u1 - u0);
 
-    p1 + p23 + p4
+    (p1 + p23 + p4) / (b * l)
 }
 
 /// Brute-force oracle: integrate the exact conditional hit probability
@@ -203,18 +159,19 @@ fn jump_term(k: &Kernel<'_>, l: f64, b: f64, c: f64, tol: f64) -> f64 {
 ///                   + (1 − F(e)),            e = l − V_c,
 /// ```
 ///
-/// over `s ~ U[0, B/n]`, `V_c ~ U[0, l]` by 2-D quadrature. Equals
-/// extended-mode [`p_hit_ff`] up to quadrature error.
-pub fn p_hit_ff_direct(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOptions) -> f64 {
+/// over `s ~ U[0, B/n]`, `V_c ~ U[0, l]` by 2-D adaptive quadrature at
+/// absolute tolerance `tol`. Converges onto extended-mode [`p_hit_ff`] as
+/// `tol → 0`.
+pub fn p_hit_ff_direct(params: &SystemParams, dist: &dyn DurationDist, tol: f64) -> f64 {
     let l = params.movie_len();
     let n = params.n();
     let b = params.partition_len();
     let alpha = params.rates().alpha();
-    let k = Kernel { dist, alpha };
+    let k = Kernel::new(dist);
 
     let conditional = |vc: f64, s: f64| -> f64 {
         let e = l - vc;
-        let mut total = k.f((alpha * s).min(e)) + (1.0 - k.f(e));
+        let mut total = k.cdf((alpha * s).min(e)) + (1.0 - k.cdf(e));
         let mut i = 1u32;
         loop {
             let c = i as f64 * l / n;
@@ -223,7 +180,7 @@ pub fn p_hit_ff_direct(params: &SystemParams, dist: &dyn DurationDist, opts: &Mo
                 break;
             }
             let hi = (alpha * (c + s)).min(e);
-            total += k.f(hi) - k.f(lo.max(0.0).min(e));
+            total += k.cdf(hi) - k.cdf(lo.max(0.0).min(e));
             i += 1;
             if i > params.n_streams() + 4 {
                 break;
@@ -232,14 +189,14 @@ pub fn p_hit_ff_direct(params: &SystemParams, dist: &dyn DurationDist, opts: &Mo
         total
     };
 
-    if b <= 0.0 {
-        return adaptive_simpson(|vc| 1.0 - k.f(l - vc), 0.0, l, opts.tol) / l;
+    if params.is_pure_batching() {
+        return adaptive_simpson(|vc| 1.0 - k.cdf(l - vc), 0.0, l, tol) / l;
     }
     adaptive_simpson(
-        |vc| adaptive_simpson(|s| conditional(vc, s), 0.0, b, opts.tol * b / l) / b,
+        |vc| adaptive_simpson(|s| conditional(vc, s), 0.0, b, tol * b / l) / b,
         0.0,
         l,
-        opts.tol,
+        tol,
     ) / l
 }
 
@@ -248,6 +205,9 @@ mod tests {
     use super::*;
     use crate::Rates;
     use vod_dist::kinds::{Deterministic, Exponential, Gamma, Uniform};
+
+    /// Absolute tolerance handed to the 2-D oracle.
+    const ORACLE_TOL: f64 = 1e-9;
 
     fn params(l: f64, b: f64, n: u32) -> SystemParams {
         SystemParams::new(l, b, n, Rates::paper()).unwrap()
@@ -284,10 +244,7 @@ mod tests {
         ] {
             for mode in [BoundaryMode::PaperEq19, BoundaryMode::Extended] {
                 let p = params(l, b, n);
-                let opts = ModelOptions {
-                    boundary: mode,
-                    ..Default::default()
-                };
+                let opts = ModelOptions { boundary: mode };
                 let hit = p_hit_ff(&p, &Gamma::paper_fig7(), &opts);
                 let t = hit.total();
                 assert!(
@@ -321,7 +278,7 @@ mod tests {
                 Box::new(Uniform::new(0.0, 16.0).unwrap()),
             ] {
                 let dec = p_hit_ff(&p, d.as_ref(), &opts).total();
-                let dir = p_hit_ff_direct(&p, d.as_ref(), &opts);
+                let dir = p_hit_ff_direct(&p, d.as_ref(), ORACLE_TOL);
                 assert!(
                     (dec - dir).abs() < 5e-4,
                     "l={l} B={b} n={n} {d:?}: decomposed {dec} vs direct {dir}"

@@ -36,6 +36,7 @@
 mod error;
 mod eval;
 mod ff;
+mod kernel;
 mod mix;
 mod options;
 mod params;

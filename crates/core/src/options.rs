@@ -17,23 +17,12 @@ pub enum BoundaryMode {
     Extended,
 }
 
-/// Numerical options for model evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Options for model evaluation. The model is closed-form (DESIGN.md §3),
+/// so there is no numerical knob — only the summation policy.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ModelOptions {
     /// Jump-summation range policy.
     pub boundary: BoundaryMode,
-    /// Absolute tolerance handed to the quadrature routines. The default
-    /// `1e-9` keeps model error far below simulation noise.
-    pub tol: f64,
-}
-
-impl Default for ModelOptions {
-    fn default() -> Self {
-        Self {
-            boundary: BoundaryMode::default(),
-            tol: 1e-9,
-        }
-    }
 }
 
 impl ModelOptions {
@@ -41,7 +30,6 @@ impl ModelOptions {
     pub fn paper() -> Self {
         Self {
             boundary: BoundaryMode::PaperEq19,
-            ..Self::default()
         }
     }
 }

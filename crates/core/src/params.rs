@@ -113,6 +113,10 @@ impl Rates {
     }
 }
 
+/// Buffers below this many movie minutes are the pure-batching case; see
+/// [`SystemParams::is_pure_batching`].
+const PURE_BATCHING_BUFFER: f64 = 1e-3;
+
 /// Static-partitioning configuration for one movie (§3.1).
 ///
 /// * `movie_len` — `l`, movie length in minutes.
@@ -240,9 +244,17 @@ impl SystemParams {
         (self.movie_len - self.buffer) / self.n()
     }
 
-    /// True for the pure-batching degenerate case `B = 0`.
+    /// True when the buffer cannot hold a partition, so the model evaluates
+    /// the exact pure-batching limit `B = 0` (paper §3.1: "the hit
+    /// probability will always equal zero").
+    ///
+    /// The cut is `B < 10⁻³` movie minutes — 60 ms, under two video frames.
+    /// It has to sit above zero because `B = l − n·w` (Eq. 2) leaves a
+    /// float residue of order `10⁻¹⁵` at `n = l/w`, and every hit term
+    /// divides by `b·l`: rounding noise over such a `b` is not a
+    /// probability (DESIGN.md §3 has the conditioning bound).
     pub fn is_pure_batching(&self) -> bool {
-        vod_dist::exact_zero(self.buffer)
+        self.buffer < PURE_BATCHING_BUFFER
     }
 }
 
@@ -292,6 +304,23 @@ mod tests {
         let p = SystemParams::from_wait(120.0, 2.0, 60, Rates::paper()).unwrap();
         assert!(p.is_pure_batching());
         assert_eq!(p.buffer(), 0.0);
+    }
+
+    #[test]
+    fn sub_resolution_buffer_is_pure_batching() {
+        // l − n·w at n = l/w leaves rounding residue, not a buffer.
+        let residue = 62.7 - 110.0 * 0.57;
+        assert!(residue > 0.0 && residue < 1e-9, "residue {residue}");
+        let r = Rates::paper();
+        assert!(SystemParams::new(62.7, residue, 110, r)
+            .unwrap()
+            .is_pure_batching());
+        assert!(SystemParams::new(62.7, 9.9e-4, 110, r)
+            .unwrap()
+            .is_pure_batching());
+        assert!(!SystemParams::new(62.7, 1e-3, 110, r)
+            .unwrap()
+            .is_pure_batching());
     }
 
     #[test]

@@ -30,86 +30,75 @@
 use vod_dist::quad::adaptive_simpson;
 use vod_dist::DurationDist;
 
+use crate::kernel::Kernel;
 use crate::{ModelOptions, SystemParams};
 
-/// `P(hit|PAU)`.
-pub fn p_hit_pause(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOptions) -> f64 {
-    let l = params.movie_len();
-    let b = params.partition_len();
-    if b <= 0.0 {
-        return 0.0;
-    }
-
-    // Factor the V_c dependence: the conditional depends on V_c only via
-    // β = min(b, l − V_c), so
-    //   P = ((l − b)/l)·I(b) + (1/l)·∫₀^b I(u) du,
-    // where I(β) is the s-averaged hit probability with usable window β.
-    // I(β) is closed-form (cheap), so adaptive quadrature on the O(b/l)
-    // correction term is affordable and handles atomic duration laws
-    // (whose I has kinks) exactly.
-    let inner = |beta: f64| inner_avg_closed_form(params, dist, beta);
-    ((l - b).max(0.0) * inner(b)
-        + adaptive_simpson(inner, 0.0, b.min(l), (opts.tol * l).max(1e-12)))
-        / l
-}
-
-/// `I(β)` in closed form.
+/// `P(hit|PAU)`. PAU has no boundary policy, so `_opts` is unused; it is
+/// taken for symmetry with [`crate::p_hit_ff`].
 ///
-/// The s-average of the per-wrap-count hit masses reduces to `H`
-/// differences (`H(y) = ∫₀^y F(u) du`):
+/// The conditional depends on `V_c` only via the usable window
+/// `β = min(b, l − V_c)`, so
 ///
-/// * `k = 0` (own window): the duration interval is `[0, β − s]`, giving
-///   `∫₀^β F_j(β − s) ds = H_j(β) − β F_j(0)` per fold `j`.
-/// * `1 ≤ k ≤ n`: the interval is `[kT − s, min(l, kT − s + β)]`. With
-///   `s* = clamp(kT + β − l, 0, b)` the upper limit is clamped to `l` for
-///   `s < s*`; both pieces integrate to `H` differences.
+/// ```text
+/// P = ((l − b)/l)·I(b) + (1/l)·∫₀^b I(β) dβ,
+/// ```
 ///
-/// Durations wrap mod `l` (§2.1), handled by folding the distribution:
-/// `F_j(x) = F(jl + x)` summed until the tail above `jl` vanishes.
-fn inner_avg_closed_form(params: &SystemParams, dist: &dyn DurationDist, beta: f64) -> f64 {
+/// where `I(β)` is the `s`-averaged hit probability with usable window `β`.
+/// Durations wrap mod `l` (§2.1), handled by folding the displacement law:
+/// `F_j(x) = F(jl + x)` summed until the tail above `jl` vanishes. Per fold
+/// (`base = jl`), `b·I(β)` is a sum of `H` differences:
+///
+/// * `k = 0` (own window): the displacement interval is `[0, β − s]`, giving
+///   `∫₀^β F_j(β − s) ds = H(base + β) − H(base) − β·F(base)`.
+/// * `1 ≤ k ≤ n` (k-th trailing window, `y = base + kT`): the interval is
+///   `[kT − s, min(l, kT − s + β)]`. With `s* = clamp(kT + β − l, 0, b)` the
+///   upper limit is clamped to `l` for `s < s*`; the two pieces sum to
+///   `s*·F(base + l) − H(y) + H(y + β − s*) − H(y + β − b) + H(y − b)`.
+///
+/// Each term integrates over `β ∈ [0, b]` exactly: `s*` leaves 0 at
+/// `β = gap = clamp(l − kT, 0, b)` (only the last window, `kT = l`, has
+/// `gap < b`), beyond which `y + β − s*` is pinned at `top = y + gap`; the
+/// `HH(y + gap − b)` terms of the two pieces cancel, leaving a second
+/// difference of `HH`, an `H` difference and a quadratic in `w = b − gap`.
+/// Every term is a combination of cdf differences, so it is evaluated on
+/// the deficits `F − 1`, `H − y`, `HH − y²/2` (DESIGN.md §3, "Deficit form").
+pub fn p_hit_pause(params: &SystemParams, dist: &dyn DurationDist, _opts: &ModelOptions) -> f64 {
     let l = params.movie_len();
     let b = params.partition_len();
     let t = params.restart_interval();
     let n = params.n_streams();
-    let pb = params.rates().playback();
-    // Displacement = pb · duration: evaluate F and H at displacement/pb.
-    // H_disp(y) = ∫₀^y F(u/pb) du = pb · H(y/pb).
-    let f = |x: f64| {
-        if x <= 0.0 {
-            0.0
-        } else {
-            dist.cdf(x / pb)
-        }
-    };
-    let h = |y: f64| {
-        if y <= 0.0 {
-            0.0
-        } else {
-            pb * dist.cdf_integral(y / pb)
-        }
-    };
+    if params.is_pure_batching() {
+        return 0.0;
+    }
+    let k = Kernel::scaled(dist, params.rates().playback());
 
-    let mut acc = 0.0;
+    let mut at_b = 0.0; // Σ folds of b·I(b)
+    let mut swept = 0.0; // Σ folds of b·∫₀^b I(β) dβ
     let mut base = 0.0; // j·l of the current fold
     for _ in 0..64 {
-        if 1.0 - f(base + 1e-12) <= 1e-14 && base > 0.0 {
+        if 1.0 - k.cdf(base + 1e-12) <= 1e-14 && base > 0.0 {
             break;
         }
         // k = 0.
-        acc += h(base + beta) - h(base) - beta * f(base);
+        let (f_base, h_base) = (k.f(base), k.h(base));
+        at_b += k.h(base + b) - h_base - b * f_base;
+        swept += k.hh(base + b) - k.hh(base) - b * h_base - 0.5 * b * b * f_base;
         // k = 1..n.
-        for k in 1..=n {
-            let kt = k as f64 * t;
-            let s_star = (kt + beta - l).clamp(0.0, b);
-            // Clamped piece: s ∈ [0, s*], interval [kT − s, l].
-            acc += s_star * f(base + l) - (h(base + kt) - h(base + kt - s_star));
-            // Unclamped piece: s ∈ [s*, b], interval [kT − s, kT − s + β].
-            acc += h(base + kt + beta - s_star) - h(base + kt + beta - b);
-            acc -= h(base + kt - s_star) - h(base + kt - b);
+        for kk in 1..=n {
+            let kt = kk as f64 * t;
+            let y = base + kt;
+            let gap = (l - kt).clamp(0.0, b);
+            let w = b - gap;
+            let top = y + gap;
+            let (h_lo, h_y, h_top, f_top) = (k.h(y - b), k.h(y), k.h(top), k.f(top));
+            at_b += w * f_top - 2.0 * h_y + h_top + h_lo;
+            swept += k.hh(top) - 2.0 * k.hh(y) + k.hh(y - b) - b * (h_y - h_lo)
+                + w * h_top
+                + 0.5 * w * w * f_top;
         }
         base += l;
     }
-    acc / b
+    ((l - b).max(0.0) * at_b + swept) / (b * l)
 }
 
 /// `P[(R_PB·x) mod l ∈ [lo, hi]]` for `0 ≤ lo ≤ hi ≤ l`: fold the
@@ -133,18 +122,14 @@ fn wrapped_mass(params: &SystemParams, dist: &dyn DurationDist, lo: f64, hi: f64
     acc
 }
 
-/// Brute-force oracle: 2-D quadrature over `(V_c, s)` without the
-/// `β`-factorization. Validates the factorized fast path.
-pub fn p_hit_pause_direct(
-    params: &SystemParams,
-    dist: &dyn DurationDist,
-    opts: &ModelOptions,
-) -> f64 {
+/// Brute-force oracle: 2-D quadrature over `(V_c, s)` at absolute tolerance
+/// `tol`, without the `β`-factorization. Validates the closed form.
+pub fn p_hit_pause_direct(params: &SystemParams, dist: &dyn DurationDist, tol: f64) -> f64 {
     let l = params.movie_len();
     let b = params.partition_len();
     let t = params.restart_interval();
     let n = params.n_streams();
-    if b <= 0.0 {
+    if params.is_pure_batching() {
         return 0.0;
     }
     adaptive_simpson(
@@ -162,12 +147,12 @@ pub fn p_hit_pause_direct(
                 },
                 0.0,
                 b,
-                opts.tol * b / l,
+                tol * b / l,
             ) / b
         },
         0.0,
         l,
-        opts.tol,
+        tol,
     ) / l
 }
 
@@ -216,7 +201,7 @@ mod tests {
                 Box::new(Uniform::new(0.0, 16.0).unwrap()),
             ] {
                 let fast = p_hit_pause(&p, d.as_ref(), &opts);
-                let slow = p_hit_pause_direct(&p, d.as_ref(), &opts);
+                let slow = p_hit_pause_direct(&p, d.as_ref(), 1e-9);
                 assert!(
                     (fast - slow).abs() < 5e-4,
                     "l={l} B={b} n={n} {d:?}: {fast} vs {slow}"

@@ -27,6 +27,7 @@
 use vod_dist::quad::adaptive_simpson;
 use vod_dist::DurationDist;
 
+use crate::kernel::Kernel;
 use crate::{ModelOptions, SystemParams};
 
 /// Decomposed RW hit probability.
@@ -45,36 +46,29 @@ impl RwHit {
     }
 }
 
-/// `P(hit|RW)` via the closed-form decomposition.
-pub fn p_hit_rw(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOptions) -> RwHit {
+/// `P(hit|RW)` via the closed-form decomposition. RW has no boundary
+/// policy (trailing partitions always exist), so `_opts` is unused; it is
+/// taken for symmetry with [`crate::p_hit_ff`].
+pub fn p_hit_rw(params: &SystemParams, dist: &dyn DurationDist, _opts: &ModelOptions) -> RwHit {
     let l = params.movie_len();
     let n = params.n();
     let b = params.partition_len();
     let gamma = params.rates().gamma();
 
-    if b <= 0.0 {
+    if params.is_pure_batching() {
         return RwHit {
             within: 0.0,
             jumps: Vec::new(),
         };
     }
 
-    let f = |x: f64| if x <= 0.0 { 0.0 } else { dist.cdf(x) };
-    let h = |y: f64| if y <= 0.0 { 0.0 } else { dist.cdf_integral(y) };
+    let k = Kernel::new(dist);
 
     // ---- Within-partition -----------------------------------------------
-    // P(hit_w|RW, V_c, s) = F(min(γ(b − s), V_c)). Unconditioning over
-    // s ~ U[0,b] (substituting r = b − s) and then V_c ~ U[0,l]:
-    //   for V_c ≥ γb the s-average is H(γb)/(γb);
-    //   for V_c < γb it is (H(V_c)/γ + (b − V_c/γ) F(V_c))/b.
-    let within = ((l - gamma * b).max(0.0) * h(gamma * b) / gamma
-        + adaptive_simpson(
-            |v| h(v) / gamma + (b - v / gamma) * f(v),
-            0.0,
-            l.min(gamma * b),
-            opts.tol,
-        ))
-        / (b * l);
+    // P(hit_w|RW, V_c, s) = F(min(γ(b − s), V_c)): the same double integral
+    // as FF's, with r = b − s and the movie start (distance V_c) as the
+    // boundary.
+    let within = k.within(l, b, gamma);
 
     // ---- Jumps to partitions behind ---------------------------------------
     // For the i-th partition behind (phase c = il/n), conditional on s the
@@ -82,7 +76,16 @@ pub fn p_hit_rw(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOpti
     // start clamps everything at V_c:
     //   ∫₀^l [F(min(lb+γb, V_c)) − F(min(lb, V_c))] dV_c = J(lb+γb) − J(lb),
     //   J(K) = H(min(K, l)) + (l − K)₊ F(K).
-    let j = |kk: f64| h(kk.min(l)) + (l - kk).max(0.0) * f(kk);
+    // Averaging over s ~ U[0,b] integrates J over two adjacent windows of
+    // width γb, i.e. a second difference of its antiderivative
+    //   JJ(K) = 2HH(K) + (l − K)H(K)        for K ≤ l,
+    //         = JJ(l) + (K − l)H(l)         beyond (J is constant there),
+    // evaluated on the deficits `k` supplies (JJ is linear at F ≡ 1, so its
+    // second difference is a combination of cdf differences).
+    let jj = |kk: f64| {
+        let u = kk.min(l);
+        2.0 * k.hh(u) + (l + kk - 2.0 * u) * k.h(u)
+    };
     let mut jumps = Vec::new();
     // The i-th partition contributes only while γ(il/n − b) < l, i.e.
     // i < n/γ + B/l. Unlike FF's α ≥ 1, γ = R_RW/(R_PB + R_RW) can be
@@ -97,16 +100,8 @@ pub fn p_hit_rw(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOpti
         if gamma * (c - b) >= l {
             break;
         }
-        let term = adaptive_simpson(
-            |s| {
-                let lb = gamma * (c - s);
-                j(lb + gamma * b) - j(lb)
-            },
-            0.0,
-            b,
-            opts.tol,
-        ) / (b * l);
-        jumps.push(term);
+        let second_diff = jj(gamma * (c + b)) - 2.0 * jj(gamma * c) + jj(gamma * (c - b));
+        jumps.push(second_diff / (gamma * b * l));
         i += 1;
         if i > i_cap {
             debug_assert!(false, "RW jump summation failed to terminate");
@@ -117,23 +112,24 @@ pub fn p_hit_rw(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOpti
     RwHit { within, jumps }
 }
 
-/// Brute-force 2-D oracle for `P(hit|RW)`; equals [`p_hit_rw`] up to
-/// quadrature error. Used by tests and the ablation bench.
-pub fn p_hit_rw_direct(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOptions) -> f64 {
+/// Brute-force 2-D oracle for `P(hit|RW)` at absolute quadrature tolerance
+/// `tol`; converges onto [`p_hit_rw`] as `tol → 0`. Used by tests and the
+/// ablation bench.
+pub fn p_hit_rw_direct(params: &SystemParams, dist: &dyn DurationDist, tol: f64) -> f64 {
     let l = params.movie_len();
     let n = params.n();
     let b = params.partition_len();
     let gamma = params.rates().gamma();
-    if b <= 0.0 {
+    if params.is_pure_batching() {
         return 0.0;
     }
-    let f = |x: f64| if x <= 0.0 { 0.0 } else { dist.cdf(x) };
+    let k = Kernel::new(dist);
     // Same 1/γ-scaled bound as in `p_hit_rw`: lb = γ(c − s) reaches vc ≤ l
     // no later than i = n/γ + B/l.
     let i_cap = ((n / gamma + (b * n) / l).ceil() + 4.0).min(u32::MAX as f64) as u32;
 
     let conditional = |vc: f64, s: f64| -> f64 {
-        let mut total = f((gamma * (b - s)).min(vc));
+        let mut total = k.cdf((gamma * (b - s)).min(vc));
         let mut i = 1u32;
         loop {
             let c = i as f64 * l / n;
@@ -141,7 +137,7 @@ pub fn p_hit_rw_direct(params: &SystemParams, dist: &dyn DurationDist, opts: &Mo
             if lb >= vc {
                 break;
             }
-            total += f((lb + gamma * b).min(vc)) - f(lb);
+            total += k.cdf((lb + gamma * b).min(vc)) - k.cdf(lb);
             i += 1;
             if i > i_cap {
                 break;
@@ -151,10 +147,10 @@ pub fn p_hit_rw_direct(params: &SystemParams, dist: &dyn DurationDist, opts: &Mo
     };
 
     adaptive_simpson(
-        |vc| adaptive_simpson(|s| conditional(vc, s), 0.0, b, opts.tol * b / l) / b,
+        |vc| adaptive_simpson(|s| conditional(vc, s), 0.0, b, tol * b / l) / b,
         0.0,
         l,
-        opts.tol,
+        tol,
     ) / l
 }
 
@@ -206,7 +202,7 @@ mod tests {
                 Box::new(Uniform::new(0.0, 16.0).unwrap()),
             ] {
                 let dec = p_hit_rw(&p, d.as_ref(), &opts).total();
-                let dir = p_hit_rw_direct(&p, d.as_ref(), &opts);
+                let dir = p_hit_rw_direct(&p, d.as_ref(), 1e-9);
                 assert!(
                     (dec - dir).abs() < 5e-4,
                     "l={l} B={b} n={n} {d:?}: decomposed {dec} vs direct {dir}"

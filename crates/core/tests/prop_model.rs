@@ -96,7 +96,7 @@ proptest! {
         let params = SystemParams::new(l, bfrac * l, n, Rates::paper()).unwrap();
         let opts = ModelOptions::default();
         let dec = p_hit_ff(&params, d.as_ref(), &opts).total();
-        let dir = p_hit_ff_direct(&params, d.as_ref(), &opts);
+        let dir = p_hit_ff_direct(&params, d.as_ref(), 1e-9);
         prop_assert!((dec - dir).abs() < 2e-3,
             "l={l} B={} n={n} {d:?}: {dec} vs {dir}", params.buffer());
     }
@@ -110,6 +110,36 @@ proptest! {
         prop_assert!(ff.jumps.is_empty());
         prop_assert_eq!(p_hit_rw(&params, d.as_ref(), &opts).total(), 0.0);
         prop_assert_eq!(p_hit_pause(&params, d.as_ref(), &opts), 0.0);
+    }
+
+    #[test]
+    fn every_stream_count_on_the_wait_line_is_a_probability(l in 60.0f64..150.0, w in 0.4f64..3.0,
+                                                            slow_rw in 0.25f64..3.0, d in any_dist()) {
+        // The sizing bisection walks B = (l − n·w)₊ over n ≤ ⌊l/w⌋; at the
+        // top of that range B is either a real sliver or the float residue
+        // of l − n·w, and both must evaluate to probabilities.
+        let rates = Rates::new(1.0, 3.0, slow_rw).unwrap();
+        let opts = ModelOptions::default();
+        let max_streams = (l / w).floor() as u32;
+        for n in 1..=max_streams {
+            let buffer = (l - n as f64 * w).max(0.0);
+            let params = SystemParams::new(l, buffer, n, rates).unwrap();
+            let parts = [
+                p_hit_ff(&params, d.as_ref(), &opts).total(),
+                p_hit_rw(&params, d.as_ref(), &opts).total(),
+                p_hit_pause(&params, d.as_ref(), &opts),
+            ];
+            for (name, p) in ["ff", "rw", "pause"].iter().zip(parts) {
+                prop_assert!((-1e-9..=1.0 + 1e-7).contains(&p),
+                    "{name} = {p} at l={l} w={w} n={n} B={buffer} ({d:?})");
+            }
+            if params.is_pure_batching() {
+                let zero = SystemParams::new(l, 0.0, n, rates).unwrap();
+                prop_assert_eq!(parts[0], p_hit_ff(&zero, d.as_ref(), &opts).total());
+                prop_assert_eq!(parts[1], 0.0);
+                prop_assert_eq!(parts[2], 0.0);
+            }
+        }
     }
 
     #[test]
@@ -193,4 +223,68 @@ fn regression_rw_jump_cap_slow_rewind() {
         "jump sum truncated at the old cap: {} terms",
         rw.jumps.len()
     );
+}
+
+/// The two geometries of the sub-resolution-buffer bug: `B = l − n·w` at
+/// `n = l/w` is float residue of order 1e-14, and dividing rounding noise
+/// by `b = B/n` gave P(hit|FF) = −2.31 (exponential) and P(hit|PAU) = −4.39
+/// (lognormal) at the second one. Every kind must evaluate the exact
+/// `B = 0` limit there.
+#[test]
+fn regression_sub_resolution_buffer_is_the_pure_batching_limit() {
+    use vod_dist::kinds::{
+        Deterministic, Empirical, LogNormal, Mixture, Pareto, Truncated, Weibull,
+    };
+    let kinds: Vec<Box<dyn DurationDist>> = vec![
+        Box::new(Exponential::with_mean(3.0).unwrap()),
+        Box::new(Gamma::with_shape_mean(2.0, 3.0).unwrap()),
+        Box::new(Weibull::new(1.5, 3.0).unwrap()),
+        Box::new(LogNormal::with_mean_cv(3.0, 0.7).unwrap()),
+        Box::new(Uniform::new(0.0, 6.0).unwrap()),
+        Box::new(Deterministic::new(3.0).unwrap()),
+        Box::new(Pareto::new(3.0, 6.0).unwrap()),
+        Box::new(
+            Mixture::new(vec![
+                (
+                    0.5,
+                    Box::new(Exponential::with_mean(1.0).unwrap()) as Box<dyn DurationDist>,
+                ),
+                (0.5, Box::new(Gamma::new(4.0, 2.0).unwrap())),
+            ])
+            .unwrap(),
+        ),
+        Box::new(Truncated::new(Exponential::with_mean(3.0).unwrap(), 0.5, 20.0).unwrap()),
+        Box::new(Empirical::from_samples(&[0.5, 1.0, 2.0, 3.0, 5.0, 9.0]).unwrap()),
+    ];
+    let opts = ModelOptions::default();
+    let mix = VcrMix::paper_fig7d();
+    for (l, w, n) in [(62.7, 0.57, 110u32), (61.2, 0.6, 102)] {
+        let residue: f64 = l - n as f64 * w;
+        assert!(
+            residue > 0.0 && residue < 1e-9,
+            "l={l} w={w}: residue {residue}"
+        );
+        let tiny = SystemParams::new(l, residue, n, Rates::paper()).unwrap();
+        let zero = SystemParams::new(l, 0.0, n, Rates::paper()).unwrap();
+        for d in &kinds {
+            let got = [
+                p_hit_ff(&tiny, d.as_ref(), &opts).total(),
+                p_hit_rw(&tiny, d.as_ref(), &opts).total(),
+                p_hit_pause(&tiny, d.as_ref(), &opts),
+                p_hit_single_dist(&tiny, d.as_ref(), &mix, &opts).total,
+            ];
+            let want = [
+                p_hit_ff(&zero, d.as_ref(), &opts).total(),
+                0.0,
+                0.0,
+                p_hit_single_dist(&zero, d.as_ref(), &mix, &opts).total,
+            ];
+            for (g, w) in got.iter().zip(want) {
+                assert!(
+                    (g - w).abs() <= 1e-4 && (0.0..=1.0).contains(g),
+                    "l={l} n={n} {d:?}: {g} vs B=0 value {w}"
+                );
+            }
+        }
+    }
 }

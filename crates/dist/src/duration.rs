@@ -5,9 +5,17 @@
 //! general: "we assume that the VCR behavior has a general distribution and
 //! construct a model which is able to handle a general probability
 //! distribution". Every probability in the model reduces to evaluations of
-//! the cdf `F` and of its running integral `H(y) = ∫₀^y F(u) du`, so the
-//! trait exposes both, along with sampling (for the simulator) and moments
-//! (for workload construction and tests).
+//! the cdf `F`, its running integral `H(y) = ∫₀^y F(u) du` and the second
+//! running integral `HH(y) = ∫₀^y H(u) du` (the model's outer integral
+//! over the viewer position `V_c` is then exact, see DESIGN.md §3).
+//!
+//! The trait's primitives are the *survival* integrals
+//! `A(y) = ∫₀^y (1 − F) = y − H(y)` and `AA(y) = ∫₀^y A = y²/2 − HH(y)`:
+//! they stay of order `mean` and `mean·y` where `H` and `HH` grow like `y`
+//! and `y²/2`, and the model differences them over windows much shorter
+//! than `y`. `H` and `HH` are provided from them. Sampling (for the
+//! simulator) and moments (for workload construction and tests) complete
+//! the trait.
 
 use rand::RngCore;
 
@@ -19,8 +27,15 @@ use crate::root::brent;
 ///
 /// Implementations must satisfy, for all `x ≤ y`:
 /// * `0 ≤ cdf(x) ≤ cdf(y) ≤ 1`, with `cdf(x) = 0` for `x ≤ 0`;
-/// * `cdf_integral(y) − cdf_integral(x) ∈ [0, y − x]` (it integrates a
-///   function bounded by 1);
+/// * `survival_integral(y) − survival_integral(x) ∈ [0, y − x]` (it
+///   integrates `1 − F ∈ [0, 1]`), with value 0 for `y ≤ 0`; hence
+///   `cdf_integral(y) − cdf_integral(x) ∈ [0, y − x]` too;
+/// * `survival_integral2(y) = 0` for `y ≤ 0` and
+///   `survival_integral2(y) − survival_integral2(x) ∈
+///   [(y − x)·survival_integral(x), (y − x)·survival_integral(y)]` (it
+///   integrates the non-decreasing `survival_integral`); hence
+///   `cdf_integral2(y) = 0` for `y ≤ 0`, it is convex, and
+///   `cdf_integral2(y) − cdf_integral2(x) ∈ [0, (y − x)·cdf_integral(y)]`;
 /// * `sample` draws from the same law as `cdf` describes.
 ///
 /// The trait is object-safe: the model and the simulator both work with
@@ -34,12 +49,43 @@ pub trait DurationDist: std::fmt::Debug + Send + Sync {
     /// Cumulative distribution function `F(x) = P[X ≤ x]`.
     fn cdf(&self, x: f64) -> f64;
 
-    /// `H(y) = ∫₀^y F(u) du`, the running integral of the cdf.
+    /// `A(y) = ∫₀^y (1 − F(u)) du = E[min(X, y)]`, the running integral of
+    /// the survival function (the limited expected value).
     ///
-    /// For `y ≤ 0` this is 0. Every built-in distribution implements this
-    /// in closed form; external implementations may fall back to
-    /// [`numeric_cdf_integral`].
-    fn cdf_integral(&self, y: f64) -> f64;
+    /// For `y ≤ 0` this is 0. In terms of the partial moment
+    /// `M₁(y) = E[X; X ≤ y]` it reads `y·(1 − F(y)) + M₁(y)`, a sum of
+    /// non-negative terms, which is how the built-in distributions evaluate
+    /// it in closed form.
+    fn survival_integral(&self, y: f64) -> f64;
+
+    /// `AA(y) = ∫₀^y A(u) du = y²/2 − ½·E[(y − X)₊²]`, the second running
+    /// integral of the survival function.
+    ///
+    /// For `y ≤ 0` this is 0. With the partial moments
+    /// `M_r(y) = E[X^r; X ≤ y]` it reads
+    /// `½[y²(1 − F(y)) + 2y·M₁(y) − M₂(y)]`; `M₂ ≤ y·M₁` keeps the one
+    /// subtraction benign.
+    fn survival_integral2(&self, y: f64) -> f64;
+
+    /// `H(y) = ∫₀^y F(u) du = y − A(y)`, the running integral of the cdf.
+    /// For `y ≤ 0` this is 0.
+    fn cdf_integral(&self, y: f64) -> f64 {
+        if y <= 0.0 {
+            0.0
+        } else {
+            y - self.survival_integral(y)
+        }
+    }
+
+    /// `HH(y) = ∫₀^y H(u) du = ½·E[(y − X)₊²] = y²/2 − AA(y)`, the second
+    /// running integral of the cdf. For `y ≤ 0` this is 0.
+    fn cdf_integral2(&self, y: f64) -> f64 {
+        if y <= 0.0 {
+            0.0
+        } else {
+            0.5 * y * y - self.survival_integral2(y)
+        }
+    }
 
     /// Mean of the distribution.
     fn mean(&self) -> f64;
@@ -89,14 +135,75 @@ pub trait DurationDist: std::fmt::Debug + Send + Sync {
     }
 }
 
-/// Numeric fallback for [`DurationDist::cdf_integral`]: adaptive Simpson on
+/// Numeric reference for [`DurationDist::cdf_integral`]: adaptive Simpson on
 /// the cdf. Cost is a few hundred cdf evaluations at `tol = 1e-10`; fine
-/// for one-off use, but model sweeps should prefer closed forms.
+/// for one-off use and for tests of a closed form.
 pub fn numeric_cdf_integral(dist: &dyn DurationDist, y: f64) -> f64 {
     if y <= 0.0 {
         return 0.0;
     }
     adaptive_simpson(|u| dist.cdf(u), 0.0, y, 1e-10)
+}
+
+/// Numeric reference for [`DurationDist::cdf_integral2`]: adaptive Simpson
+/// on `(y − u)·F(u)`, which equals `∫₀^y H` after exchanging the order of
+/// integration and needs only the cdf.
+pub fn numeric_cdf_integral2(dist: &dyn DurationDist, y: f64) -> f64 {
+    if y <= 0.0 {
+        return 0.0;
+    }
+    adaptive_simpson(|u| (y - u) * dist.cdf(u), 0.0, y, 1e-10)
+}
+
+/// Test helper shared by every kind: at each `y` the four integrals agree
+/// with the numeric references to `1e-6`, and central differences
+/// reproduce `HH' = H` and `AA' = A`.
+#[cfg(test)]
+pub(crate) fn assert_integrals_consistent(dist: &dyn DurationDist, ys: &[f64]) {
+    use crate::approx::exact_zero;
+    for y in [0.0, -1.0] {
+        assert!(
+            exact_zero(dist.survival_integral(y))
+                && exact_zero(dist.survival_integral2(y))
+                && exact_zero(dist.cdf_integral(y))
+                && exact_zero(dist.cdf_integral2(y)),
+            "{dist:?}: the integrals must vanish at y = {y}"
+        );
+    }
+    for &y in ys {
+        let (h, hh) = (
+            numeric_cdf_integral(dist, y),
+            numeric_cdf_integral2(dist, y),
+        );
+        for (name, analytic, numeric) in [
+            ("H", dist.cdf_integral(y), h),
+            ("HH", dist.cdf_integral2(y), hh),
+            ("A", dist.survival_integral(y), y - h),
+            ("AA", dist.survival_integral2(y), 0.5 * y * y - hh),
+        ] {
+            // 1e-6, plus the f64 resolution of the O(y²) values far out.
+            assert!(
+                (analytic - numeric).abs() <= 1e-6 + 4.0 * f64::EPSILON * y * y,
+                "{dist:?} y={y}: {name} analytic {analytic} vs numeric {numeric}"
+            );
+        }
+        // Central differences of C¹ functions with 1-Lipschitz derivative:
+        // error ≤ e, plus rounding ≈ eps·value/e.
+        let e = 1e-4 * (1.0 + y);
+        let hh_slope = (dist.cdf_integral2(y + e) - dist.cdf_integral2(y - e)) / (2.0 * e);
+        let aa_slope =
+            (dist.survival_integral2(y + e) - dist.survival_integral2(y - e)) / (2.0 * e);
+        assert!(
+            (hh_slope - dist.cdf_integral(y)).abs() <= 2.0 * e,
+            "{dist:?} y={y}: HH' {hh_slope} vs H {}",
+            dist.cdf_integral(y)
+        );
+        assert!(
+            (aa_slope - dist.survival_integral(y)).abs() <= 2.0 * e,
+            "{dist:?} y={y}: AA' {aa_slope} vs A {}",
+            dist.survival_integral(y)
+        );
+    }
 }
 
 /// Shared validation helper: check that a would-be parameter is finite and

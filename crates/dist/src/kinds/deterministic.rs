@@ -44,8 +44,14 @@ impl DurationDist for Deterministic {
         }
     }
 
-    fn cdf_integral(&self, y: f64) -> f64 {
-        (y - self.value).max(0.0)
+    fn survival_integral(&self, y: f64) -> f64 {
+        y.clamp(0.0, self.value)
+    }
+
+    fn survival_integral2(&self, y: f64) -> f64 {
+        // ∫₀^y min(u, v) du.
+        let inside = y.clamp(0.0, self.value);
+        0.5 * inside * inside + self.value * (y - self.value).max(0.0)
     }
 
     fn mean(&self) -> f64 {
@@ -77,6 +83,7 @@ impl DurationDist for Deterministic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::duration::assert_integrals_consistent;
     use crate::rng::seeded;
 
     #[test]
@@ -93,6 +100,13 @@ mod tests {
         assert_eq!(d.cdf_integral(2.0), 0.0);
         assert_eq!(d.cdf_integral(3.0), 0.0);
         assert_eq!(d.cdf_integral(5.0), 2.0);
+    }
+
+    #[test]
+    fn cdf_integral2_matches_numeric() {
+        let d = Deterministic::new(4.0).unwrap();
+        assert_eq!(d.cdf_integral2(10.0), 18.0);
+        assert_integrals_consistent(&d, &[2.0, 4.0, 5.0, 10.0, 30.0]);
     }
 
     #[test]

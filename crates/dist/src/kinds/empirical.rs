@@ -7,8 +7,9 @@
 //!
 //! Representation: a piecewise-*linear* cdf through the sample order
 //! statistics (equivalently, a histogram density between consecutive order
-//! statistics). The smoothing keeps `pdf` well-defined and makes
-//! `cdf_integral` exactly integrable in closed form piece by piece.
+//! statistics). The smoothing keeps `pdf` well-defined and makes the
+//! running integrals of the survival function exactly integrable in closed
+//! form piece by piece.
 
 use rand::RngCore;
 
@@ -23,8 +24,10 @@ pub struct Empirical {
     xs: Vec<f64>,
     /// cdf values at the breakpoints, `F(x₀) = 0 … F(x_k) = 1`.
     fs: Vec<f64>,
-    /// `H(xᵢ) = ∫₀^{xᵢ} F(u) du`, precomputed per breakpoint.
-    hs: Vec<f64>,
+    /// `A(xᵢ) = ∫₀^{xᵢ} (1 − F(u)) du`, precomputed per breakpoint.
+    a_s: Vec<f64>,
+    /// `AA(xᵢ) = ∫₀^{xᵢ} A(u) du`, precomputed per breakpoint.
+    aas: Vec<f64>,
     mean: f64,
     variance: f64,
 }
@@ -83,21 +86,29 @@ impl Empirical {
             bf[last] = 1.0;
         }
 
-        // Precompute H at breakpoints: on [xᵢ, xᵢ₊₁] the cdf is linear, so
-        // the integral is the trapezoid area; before x₀ the cdf is 0.
+        // Precompute A and AA at breakpoints: before x₀ the survival
+        // function is 1 (A = x, AA = x²/2); on [xᵢ, xᵢ₊₁] it is linear, so A
+        // grows by the trapezoid area and AA by the cubic
+        // A(xᵢ)Δ + S(xᵢ)Δ²/2 − ΔF·Δ²/6.
         // Simultaneously accumulate the moments of the *smoothed* law —
         // mean() and sample() must describe the same distribution as cdf(),
         // which is the piecewise-linear one, not the raw point masses.
-        let mut hs = Vec::with_capacity(bx.len());
-        let mut acc = 0.0;
+        let mut a_s = Vec::with_capacity(bx.len());
+        let mut aas = Vec::with_capacity(bx.len());
+        let mut acc = bx[0];
+        let mut acc2 = 0.5 * bx[0] * bx[0];
         let mut mean = 0.0;
         let mut ex2 = 0.0;
-        hs.push(0.0);
+        a_s.push(acc);
+        aas.push(acc2);
         for i in 1..bx.len() {
             let (x0, x1) = (bx[i - 1], bx[i]);
+            let dx = x1 - x0;
             let df = bf[i] - bf[i - 1];
-            acc += 0.5 * (bf[i] + bf[i - 1]) * (x1 - x0);
-            hs.push(acc);
+            acc2 += acc * dx + (0.5 * (1.0 - bf[i - 1]) - df / 6.0) * dx * dx;
+            aas.push(acc2);
+            acc += (1.0 - 0.5 * (bf[i] + bf[i - 1])) * dx;
+            a_s.push(acc);
             // Uniform density df/(x1−x0) on the segment:
             mean += df * 0.5 * (x0 + x1);
             ex2 += df * (x0 * x0 + x0 * x1 + x1 * x1) / 3.0;
@@ -107,7 +118,8 @@ impl Empirical {
         Ok(Self {
             xs: bx,
             fs: bf,
-            hs,
+            a_s,
+            aas,
             mean,
             variance,
         })
@@ -156,16 +168,32 @@ impl DurationDist for Empirical {
         self.fs[i] + t * (self.fs[i + 1] - self.fs[i])
     }
 
-    fn cdf_integral(&self, y: f64) -> f64 {
+    fn survival_integral(&self, y: f64) -> f64 {
         if y <= self.xs[0] {
-            return 0.0;
+            return y.max(0.0);
         }
         if y >= self.max_value() {
-            return self.hs[self.hs.len() - 1] + (y - self.max_value());
+            return self.a_s[self.a_s.len() - 1];
         }
         let i = self.segment(y);
-        // Trapezoid from xs[i] to y on a linear cdf segment.
-        self.hs[i] + 0.5 * (self.fs[i] + self.cdf(y)) * (y - self.xs[i])
+        // Trapezoid from xs[i] to y on a linear survival segment.
+        self.a_s[i] + (1.0 - 0.5 * (self.fs[i] + self.cdf(y))) * (y - self.xs[i])
+    }
+
+    fn survival_integral2(&self, y: f64) -> f64 {
+        if y <= self.xs[0] {
+            let y = y.max(0.0);
+            return 0.5 * y * y;
+        }
+        let last = self.xs.len() - 1;
+        if y >= self.max_value() {
+            return self.aas[last] + (y - self.max_value()) * self.a_s[last];
+        }
+        let i = self.segment(y);
+        // Cubic from xs[i] to y on a linear survival segment.
+        let d = y - self.xs[i];
+        let df = self.cdf(y) - self.fs[i];
+        self.aas[i] + d * self.a_s[i] + (0.5 * (1.0 - self.fs[i]) - df / 6.0) * d * d
     }
 
     fn mean(&self) -> f64 {
@@ -208,7 +236,7 @@ impl DurationDist for Empirical {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::numeric_cdf_integral;
+    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
     use crate::kinds::Gamma;
     use crate::rng::seeded;
 
@@ -253,6 +281,12 @@ mod tests {
                 "y={y}: {analytic} vs {numeric}"
             );
         }
+    }
+
+    #[test]
+    fn cdf_integral2_matches_numeric() {
+        let d = Empirical::from_samples(&[2.0, 4.0, 4.5, 8.0, 16.0]).unwrap();
+        assert_integrals_consistent(&d, &[1.0, 3.0, 4.2, 9.0, 20.0]);
     }
 
     #[test]

@@ -57,12 +57,20 @@ impl DurationDist for Exponential {
         }
     }
 
-    fn cdf_integral(&self, y: f64) -> f64 {
+    fn survival_integral(&self, y: f64) -> f64 {
         if y <= 0.0 {
             return 0.0;
         }
-        // ∫₀^y (1 − e^{−λu}) du = y − (1 − e^{−λy})/λ
-        y - self.cdf(y) / self.rate
+        // ∫₀^y e^{−λu} du = (1 − e^{−λy})/λ
+        self.cdf(y) / self.rate
+    }
+
+    fn survival_integral2(&self, y: f64) -> f64 {
+        if y <= 0.0 {
+            return 0.0;
+        }
+        // ∫₀^y (1 − e^{−λu})/λ du = (y − A(y))/λ
+        (y - self.survival_integral(y)) / self.rate
     }
 
     fn mean(&self) -> f64 {
@@ -95,7 +103,7 @@ impl DurationDist for Exponential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::numeric_cdf_integral;
+    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
     use crate::rng::seeded;
 
     #[test]
@@ -125,6 +133,13 @@ mod tests {
                 "y={y}: {analytic} vs {numeric}"
             );
         }
+    }
+
+    #[test]
+    fn cdf_integral2_matches_numeric() {
+        let d = Exponential::with_mean(8.0).unwrap();
+        // 500 lies beyond the 50-mean support hint.
+        assert_integrals_consistent(&d, &[0.5, 1.0, 7.7, 120.0, 500.0]);
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rand::RngCore;
 
 use crate::duration::{require_positive, DurationDist};
 use crate::rng::{std_normal, u01_open};
-use crate::special::{gamma_p, ln_gamma};
+use crate::special::{gamma_p, gamma_q, ln_gamma};
 use crate::DistError;
 
 /// Gamma distribution with shape `k` and scale `θ` (mean `kθ`).
@@ -71,15 +71,25 @@ impl DurationDist for Gamma {
         }
     }
 
-    fn cdf_integral(&self, y: f64) -> f64 {
+    fn survival_integral(&self, y: f64) -> f64 {
         if y <= 0.0 {
             return 0.0;
         }
-        // Integration by parts:
-        //   ∫₀^y F(u) du = y·F(y) − ∫₀^y u f(u) du
-        // and for Gamma(k, θ): ∫₀^y u f(u) du = kθ · P(k+1, y/θ).
+        // y·S(y) + M₁(y) with the partial moment M₁(y) = kθ·P(k+1, y/θ).
         let t = y / self.scale;
-        y * gamma_p(self.shape, t) - self.shape * self.scale * gamma_p(self.shape + 1.0, t)
+        y * gamma_q(self.shape, t) + self.shape * self.scale * gamma_p(self.shape + 1.0, t)
+    }
+
+    fn survival_integral2(&self, y: f64) -> f64 {
+        if y <= 0.0 {
+            return 0.0;
+        }
+        // ½[y²S(y) + 2y·M₁(y) − M₂(y)], M₂(y) = k(k+1)θ²·P(k+2, y/θ).
+        let (k, s) = (self.shape, self.scale);
+        let t = y / s;
+        let m1 = k * s * gamma_p(k + 1.0, t);
+        let m2 = k * (k + 1.0) * s * s * gamma_p(k + 2.0, t);
+        0.5 * (y * y * gamma_q(k, t) + 2.0 * y * m1 - m2)
     }
 
     fn mean(&self) -> f64 {
@@ -132,7 +142,7 @@ fn sample_standard_gamma(shape: f64, rng: &mut dyn RngCore) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::numeric_cdf_integral;
+    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
     use crate::rng::seeded;
 
     #[test]
@@ -182,6 +192,18 @@ mod tests {
                     "{dist:?} y={y}: {analytic} vs {numeric}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn cdf_integral2_matches_numeric() {
+        for dist in [
+            Gamma::new(2.0, 4.0).unwrap(),
+            Gamma::new(0.7, 3.0).unwrap(),
+            Gamma::new(5.0, 1.5).unwrap(),
+        ] {
+            // 400 lies beyond every support hint above.
+            assert_integrals_consistent(&dist, &[0.5, 2.0, 8.0, 120.0, 400.0]);
         }
     }
 

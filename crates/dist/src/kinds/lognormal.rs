@@ -71,16 +71,27 @@ impl DurationDist for LogNormal {
         }
     }
 
-    fn cdf_integral(&self, y: f64) -> f64 {
+    fn survival_integral(&self, y: f64) -> f64 {
         if y <= 0.0 {
             return 0.0;
         }
-        // ∫₀^y Φ((ln u − μ)/σ) du
-        //   = y Φ(z) − e^{μ+σ²/2} Φ(z − σ),  z = (ln y − μ)/σ.
-        // (Integration by parts; the second term is the partial expectation.)
+        // y·S(y) + M₁(y) with z = (ln y − μ)/σ, S = Φ(−z) and the partial
+        // expectation M₁(y) = e^{μ+σ²/2} Φ(z − σ).
         let z = (y.ln() - self.mu) / self.sigma;
-        y * std_normal_cdf(z)
-            - (self.mu + self.sigma * self.sigma / 2.0).exp() * std_normal_cdf(z - self.sigma)
+        y * std_normal_cdf(-z)
+            + (self.mu + self.sigma * self.sigma / 2.0).exp() * std_normal_cdf(z - self.sigma)
+    }
+
+    fn survival_integral2(&self, y: f64) -> f64 {
+        if y <= 0.0 {
+            return 0.0;
+        }
+        // ½[y²S(y) + 2y·M₁(y) − M₂(y)], M_r(y) = e^{rμ + r²σ²/2} Φ(z − rσ).
+        let (mu, s) = (self.mu, self.sigma);
+        let z = (y.ln() - mu) / s;
+        let m1 = (mu + s * s / 2.0).exp() * std_normal_cdf(z - s);
+        let m2 = (2.0 * mu + 2.0 * s * s).exp() * std_normal_cdf(z - 2.0 * s);
+        0.5 * (y * y * std_normal_cdf(-z) + 2.0 * y * m1 - m2)
     }
 
     fn mean(&self) -> f64 {
@@ -104,7 +115,7 @@ impl DurationDist for LogNormal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::numeric_cdf_integral;
+    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
     use crate::rng::seeded;
 
     #[test]
@@ -132,6 +143,13 @@ mod tests {
                 "y={y}: {analytic} vs {numeric}"
             );
         }
+    }
+
+    #[test]
+    fn cdf_integral2_matches_numeric() {
+        let d = LogNormal::with_mean_cv(8.0, 0.8).unwrap();
+        // e^{μ+12σ} ≈ 3e4 is the support hint; 1e5 lies beyond it.
+        assert_integrals_consistent(&d, &[0.5, 3.0, 8.0, 120.0, 1e5]);
     }
 
     #[test]

@@ -84,8 +84,12 @@ impl DurationDist for Mixture {
         self.weighted(|c| c.cdf(x))
     }
 
-    fn cdf_integral(&self, y: f64) -> f64 {
-        self.weighted(|c| c.cdf_integral(y))
+    fn survival_integral(&self, y: f64) -> f64 {
+        self.weighted(|c| c.survival_integral(y))
+    }
+
+    fn survival_integral2(&self, y: f64) -> f64 {
+        self.weighted(|c| c.survival_integral2(y))
     }
 
     fn mean(&self) -> f64 {
@@ -133,7 +137,7 @@ impl DurationDist for Mixture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::numeric_cdf_integral;
+    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
     use crate::kinds::{Deterministic, Exponential, Gamma};
     use crate::rng::seeded;
 
@@ -200,6 +204,12 @@ mod tests {
                 "y={y}: {analytic} vs {numeric}"
             );
         }
+    }
+
+    #[test]
+    fn cdf_integral2_matches_numeric() {
+        // 1000 lies beyond both components' support hints.
+        assert_integrals_consistent(&bimodal(), &[1.0, 8.0, 30.0, 80.0, 1000.0]);
     }
 
     #[test]

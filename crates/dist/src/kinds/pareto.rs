@@ -71,19 +71,39 @@ impl DurationDist for Pareto {
         }
     }
 
-    fn cdf_integral(&self, y: f64) -> f64 {
+    fn survival_integral(&self, y: f64) -> f64 {
         if y <= 0.0 {
             return 0.0;
         }
         let a = self.shape;
         let s = self.scale;
-        // ∫₀^y [1 − (1+u/σ)^{−α}] du
-        //   = y − σ/(1−α) [(1+y/σ)^{1−α} − 1]      for α ≠ 1,
-        //   = y − σ ln(1+y/σ)                      for α = 1.
+        // ∫₀^y (1+u/σ)^{−α} du
+        //   = σ/(1−α) [(1+y/σ)^{1−α} − 1]      for α ≠ 1,
+        //   = σ ln(1+y/σ)                      for α = 1.
         if (a - 1.0).abs() < 1e-12 {
-            y - s * (1.0 + y / s).ln()
+            s * (1.0 + y / s).ln()
         } else {
-            y - s / (1.0 - a) * ((1.0 + y / s).powf(1.0 - a) - 1.0)
+            s / (1.0 - a) * ((1.0 + y / s).powf(1.0 - a) - 1.0)
+        }
+    }
+
+    fn survival_integral2(&self, y: f64) -> f64 {
+        if y <= 0.0 {
+            return 0.0;
+        }
+        let a = self.shape;
+        let s = self.scale;
+        let r = 1.0 + y / s;
+        // ∫₀^y A(u) du:
+        //   σ[(σ+y) ln(1+y/σ) − y]                              (α = 1),
+        //   σ[y − σ ln(1+y/σ)]                                  (α = 2),
+        //   σ/(1−α) [σ/(2−α)((1+y/σ)^{2−α} − 1) − y]            otherwise.
+        if (a - 1.0).abs() < 1e-12 {
+            s * (s * r * r.ln() - y)
+        } else if (a - 2.0).abs() < 1e-12 {
+            s * (y - s * r.ln())
+        } else {
+            s / (1.0 - a) * (s / (2.0 - a) * (r.powf(2.0 - a) - 1.0) - y)
         }
     }
 
@@ -128,7 +148,7 @@ impl DurationDist for Pareto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::numeric_cdf_integral;
+    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
     use crate::rng::seeded;
 
     #[test]
@@ -154,6 +174,15 @@ mod tests {
                     "{d:?} y={y}: {analytic} vs {numeric}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn cdf_integral2_matches_numeric_including_alpha_one_and_two() {
+        for &a in &[0.7, 1.0, 1.5, 2.0, 3.5] {
+            let d = Pareto::new(a, 6.0).unwrap();
+            // The support is unbounded; 400 is far past the bulk.
+            assert_integrals_consistent(&d, &[0.5, 4.0, 20.0, 120.0, 400.0]);
         }
     }
 

@@ -20,6 +20,8 @@ pub struct Truncated<D> {
     hi: f64,
     /// F_base(lo)
     f_lo: f64,
+    /// 1 − F_base(hi)
+    s_hi: f64,
     /// Mass retained: F_base(hi) − F_base(lo).
     mass: f64,
     mean: f64,
@@ -34,7 +36,8 @@ impl<D: DurationDist> Truncated<D> {
             return Err(DistError::BadTruncation { lo, hi });
         }
         let f_lo = base.cdf(lo);
-        let mass = base.cdf(hi) - f_lo;
+        let f_hi = base.cdf(hi);
+        let mass = f_hi - f_lo;
         if mass <= 1e-12 {
             return Err(DistError::BadTruncation { lo, hi });
         }
@@ -51,6 +54,7 @@ impl<D: DurationDist> Truncated<D> {
             lo,
             hi,
             f_lo,
+            s_hi: 1.0 - f_hi,
             mass,
             mean,
             variance,
@@ -87,21 +91,38 @@ impl<D: DurationDist> DurationDist for Truncated<D> {
         }
     }
 
-    fn cdf_integral(&self, y: f64) -> f64 {
+    fn survival_integral(&self, y: f64) -> f64 {
         if y <= self.lo {
-            return 0.0;
+            return y.max(0.0);
+        }
+        let d = y.min(self.hi) - self.lo;
+        // On [lo, hi] the survival function is (S_base(u) − S_base(hi))/mass,
+        // before lo it is 1 and beyond hi it is 0.
+        self.lo
+            + (self.base.survival_integral(self.lo + d)
+                - self.base.survival_integral(self.lo)
+                - d * self.s_hi)
+                / self.mass
+    }
+
+    fn survival_integral2(&self, y: f64) -> f64 {
+        if y <= self.lo {
+            let y = y.max(0.0);
+            return 0.5 * y * y;
         }
         let y_in = y.min(self.hi);
-        // ∫_lo^y F_T = (H_base(y) − H_base(lo) − (y − lo) F_base(lo)) / mass
-        let inner = (self.base.cdf_integral(y_in)
-            - self.base.cdf_integral(self.lo)
-            - (y_in - self.lo) * self.f_lo)
-            / self.mass;
-        if y <= self.hi {
-            inner
-        } else {
-            inner + (y - self.hi)
-        }
+        let d = y_in - self.lo;
+        // ∫₀^y A_T: the quadratic up to lo, then the base's AA minus the
+        // quadratic that removes the base's own A(lo) and the mass above hi;
+        // beyond hi, A_T stays at the mean.
+        0.5 * self.lo * self.lo
+            + self.lo * d
+            + (self.base.survival_integral2(y_in)
+                - self.base.survival_integral2(self.lo)
+                - d * self.base.survival_integral(self.lo)
+                - 0.5 * d * d * self.s_hi)
+                / self.mass
+            + (y - y_in) * self.survival_integral(self.hi)
     }
 
     fn mean(&self) -> f64 {
@@ -127,7 +148,7 @@ impl<D: DurationDist> DurationDist for Truncated<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::numeric_cdf_integral;
+    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
     use crate::kinds::{Exponential, Gamma};
     use crate::rng::seeded;
 
@@ -174,6 +195,12 @@ mod tests {
                 "y={y}: {analytic} vs {numeric}"
             );
         }
+    }
+
+    #[test]
+    fn cdf_integral2_matches_numeric() {
+        let t = Truncated::new(Exponential::with_mean(6.0).unwrap(), 2.0, 20.0).unwrap();
+        assert_integrals_consistent(&t, &[1.0, 2.5, 10.0, 20.0, 35.0]);
     }
 
     #[test]

@@ -69,14 +69,31 @@ impl DurationDist for Uniform {
         }
     }
 
-    fn cdf_integral(&self, y: f64) -> f64 {
-        if y <= self.lo {
+    fn survival_integral(&self, y: f64) -> f64 {
+        if y <= 0.0 {
             0.0
+        } else if y <= self.lo {
+            y
         } else if y <= self.hi {
             let d = y - self.lo;
-            d * d / (2.0 * self.width())
+            y - d * d / (2.0 * self.width())
         } else {
-            self.width() / 2.0 + (y - self.hi)
+            self.mean()
+        }
+    }
+
+    fn survival_integral2(&self, y: f64) -> f64 {
+        let w = self.width();
+        if y <= 0.0 {
+            0.0
+        } else if y <= self.lo {
+            0.5 * y * y
+        } else if y <= self.hi {
+            let d = y - self.lo;
+            0.5 * y * y - d * d * d / (6.0 * w)
+        } else {
+            // AA(hi) = hi²/2 − w²/6, then A is the mean beyond the support.
+            0.5 * self.hi * self.hi - w * w / 6.0 + self.mean() * (y - self.hi)
         }
     }
 
@@ -106,7 +123,7 @@ impl DurationDist for Uniform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::numeric_cdf_integral;
+    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
     use crate::rng::seeded;
 
     #[test]
@@ -137,6 +154,12 @@ mod tests {
                 "y={y}: {analytic} vs {numeric}"
             );
         }
+    }
+
+    #[test]
+    fn cdf_integral2_matches_numeric() {
+        let d = Uniform::new(2.0, 10.0).unwrap();
+        assert_integrals_consistent(&d, &[1.0, 2.5, 6.0, 10.0, 25.0]);
     }
 
     #[test]

@@ -55,16 +55,30 @@ impl DurationDist for Weibull {
         }
     }
 
-    fn cdf_integral(&self, y: f64) -> f64 {
+    fn survival_integral(&self, y: f64) -> f64 {
         if y <= 0.0 {
             return 0.0;
         }
-        // ∫₀^y F = y − ∫₀^y exp(−(u/λ)^k) du; substituting t = (u/λ)^k gives
+        // ∫₀^y exp(−(u/λ)^k) du; substituting t = (u/λ)^k gives
         // (λ/k) γ(1/k, (y/λ)^k) = (λ/k) Γ(1/k) P(1/k, (y/λ)^k).
         let k = self.shape;
         let t = (y / self.scale).powf(k);
-        let survivor_integral = (self.scale / k) * ln_gamma(1.0 / k).exp() * gamma_p(1.0 / k, t);
-        y - survivor_integral
+        (self.scale / k) * ln_gamma(1.0 / k).exp() * gamma_p(1.0 / k, t)
+    }
+
+    fn survival_integral2(&self, y: f64) -> f64 {
+        if y <= 0.0 {
+            return 0.0;
+        }
+        // ½[y²S(y) + 2y·M₁(y) − M₂(y)]; substituting t = (u/λ)^k in
+        // ∫₀^y u^r dF(u) gives M_r(y) = λ^r Γ(1 + r/k) P(1 + r/k, (y/λ)^k).
+        let k = self.shape;
+        let t = (y / self.scale).powf(k);
+        let moment = |r: f64| {
+            let a = 1.0 + r / k;
+            self.scale.powf(r) * ln_gamma(a).exp() * gamma_p(a, t)
+        };
+        0.5 * (y * y * (-t).exp() + 2.0 * y * moment(1.0) - moment(2.0))
     }
 
     fn mean(&self) -> f64 {
@@ -98,7 +112,7 @@ impl DurationDist for Weibull {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::numeric_cdf_integral;
+    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
     use crate::rng::seeded;
 
     #[test]
@@ -129,6 +143,18 @@ mod tests {
                     "{dist:?} y={y}: {analytic} vs {numeric}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn cdf_integral2_matches_numeric() {
+        for dist in [
+            Weibull::new(1.0, 5.0).unwrap(),
+            Weibull::new(0.6, 3.0).unwrap(),
+            Weibull::new(2.5, 9.0).unwrap(),
+        ] {
+            // 4000 lies beyond every support hint above.
+            assert_integrals_consistent(&dist, &[0.5, 2.0, 8.0, 120.0, 4000.0]);
         }
     }
 

@@ -15,9 +15,9 @@
 //! * **Duration distributions** — [`DurationDist`] and the implementations
 //!   in [`kinds`]: Exponential, Gamma, Uniform, Deterministic, Weibull,
 //!   LogNormal, Mixture, Empirical (trace-fitted), and a Truncated
-//!   adapter. Each exposes the cdf `F` **and** its running integral
-//!   `H(y) = ∫₀^y F(u) du` in closed form — the two quantities the ICDE'97
-//!   model is built from.
+//!   adapter. Each exposes the cdf `F` **and** its first two running
+//!   integrals `H(y) = ∫₀^y F(u) du`, `HH(y) = ∫₀^y H(u) du` in closed form
+//!   — the three quantities the ICDE'97 model is built from.
 //! * **Specs** — [`spec`]: compact textual descriptions
 //!   (`"gamma:shape=2,scale=4"`) used by experiment configs.
 //!
@@ -51,7 +51,7 @@ pub mod spec;
 pub mod special;
 
 pub use approx::{approx_eq, approx_zero, exact_eq, exact_zero};
-pub use duration::{numeric_cdf_integral, DurationDist};
+pub use duration::{numeric_cdf_integral, numeric_cdf_integral2, DurationDist};
 pub use error::DistError;
 pub use spec::{parse_spec, DistSpec};
 
@@ -127,6 +127,27 @@ mod trait_tests {
                     (a - n).abs() < 1e-5 * (1.0 + n.abs()),
                     "{d:?} y={y}: analytic {a} vs numeric {n}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn cdf_integral2_is_convex_with_slope_below_cdf_integral() {
+        // HH' = H is non-decreasing, so on a grid the increments of HH are
+        // non-decreasing and bounded by step·H at the right end. (Agreement
+        // with the numeric integral is checked per kind.)
+        for d in all_kinds() {
+            let (mut prev, mut prev_inc) = (0.0, 0.0);
+            for i in 1..=400 {
+                let y = i as f64 * 0.5;
+                let hh = d.cdf_integral2(y);
+                let inc = hh - prev;
+                assert!(
+                    inc >= prev_inc - 1e-9 && inc <= 0.5 * d.cdf_integral(y) + 1e-9,
+                    "{d:?} HH increment {inc} (previous {prev_inc}) at y={y}"
+                );
+                prev = hh;
+                prev_inc = inc;
             }
         }
     }

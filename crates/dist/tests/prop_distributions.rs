@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use vod_dist::kinds::{Deterministic, Exponential, Gamma, LogNormal, Truncated, Uniform, Weibull};
 use vod_dist::rng::seeded;
-use vod_dist::{numeric_cdf_integral, DurationDist};
+use vod_dist::{numeric_cdf_integral, numeric_cdf_integral2, DurationDist};
 
 /// Strategy producing an arbitrary valid distribution (boxed).
 fn any_dist() -> impl Strategy<Value = Box<dyn DurationDist>> {
@@ -66,6 +66,23 @@ proptest! {
         prop_assert!(
             (analytic - numeric).abs() < 2e-5 * (1.0 + numeric.abs()),
             "{d:?} y={y}: analytic {analytic} vs numeric {numeric}"
+        );
+    }
+
+    #[test]
+    fn cdf_integral2_is_primitive_of_cdf_integral(d in any_dist(), y in 0.1f64..150.0, dy in 0.0f64..20.0) {
+        // HH' = H, and H is non-decreasing: increments of HH lie in
+        // [dy·H(y), dy·H(y + dy)].
+        let a = d.cdf_integral2(y);
+        let b = d.cdf_integral2(y + dy);
+        let slack = 1e-9 * (1.0 + b.abs());
+        prop_assert!(a >= -1e-12);
+        prop_assert!(b - a >= dy * d.cdf_integral(y) - slack, "{d:?}: HH grows slower than H(y)");
+        prop_assert!(b - a <= dy * d.cdf_integral(y + dy) + slack, "{d:?}: HH grows faster than H(y+dy)");
+        let numeric = numeric_cdf_integral2(d.as_ref(), y);
+        prop_assert!(
+            (a - numeric).abs() < 2e-5 * (1.0 + numeric.abs()),
+            "{d:?} y={y}: analytic {a} vs numeric {numeric}"
         );
     }
 

@@ -217,6 +217,35 @@ mod tests {
     }
 
     #[test]
+    fn float_residue_buffer_is_not_a_feasible_point() {
+        // l − n·w at n = ⌊l/w⌋ = 110 is 7e-15, not a buffer: the model must
+        // see pure batching there (P(hit) ≈ 0.01), so the bisection has to
+        // come down from max_streams to a point with a real partition.
+        use vod_dist::kinds::Gamma;
+        let m = MovieSpec::new(
+            "m",
+            62.7,
+            0.57,
+            0.5,
+            VcrMix::paper_fig7d(),
+            Arc::new(Gamma::with_shape_mean(2.0, 3.0).unwrap()),
+            Rates::paper(),
+        )
+        .unwrap();
+        let opts = ModelOptions::default();
+        let top = m.max_streams();
+        assert_eq!(top, 110);
+        let residue = m.buffer_for_streams(top);
+        assert!(residue > 0.0 && residue < 1e-9, "residue {residue}");
+        let p_top = m.hit_probability(top, &opts).unwrap();
+        assert!(p_top < 0.05, "P(hit) at the residue buffer = {p_top}");
+        let n_max = max_feasible_streams(&m, &opts).unwrap().unwrap();
+        assert!(n_max < top, "bisection stayed at max_streams = {top}");
+        assert!(m.buffer_for_streams(n_max) > 1.0);
+        assert!(m.hit_probability(n_max, &opts).unwrap() >= 0.5);
+    }
+
+    #[test]
     fn buffer_step_scan_covers_range() {
         let m = small_movie();
         let pts = scan_by_buffer_step(&m, 5.0, &ModelOptions::default()).unwrap();

@@ -374,6 +374,31 @@ mod tests {
     }
 
     #[test]
+    fn residue_buffer_does_not_yield_a_zero_buffer_plan() {
+        // 62.7 − 110·0.57 = 7e-15: the plan used to stop at 110 streams,
+        // "0.0" buffer minutes and a garbage P(hit) of 0.556.
+        let o = parse_args(&args(&[
+            "--movie",
+            "m;l=62.7;w=0.57;p=0.5;dist=gamma:shape=2,mean=3",
+        ]))
+        .unwrap();
+        let report = run(&o).unwrap();
+        let row: Vec<&str> = report
+            .lines()
+            .find(|line| line.starts_with("m "))
+            .unwrap_or_else(|| panic!("no plan row in {report}"))
+            .split_whitespace()
+            .collect();
+        let (streams, buffer, p_hit): (u32, f64, f64) = (
+            row[1].parse().unwrap(),
+            row[2].parse().unwrap(),
+            row[3].parse().unwrap(),
+        );
+        assert!(streams < 110 && buffer > 1.0, "{report}");
+        assert!((0.5..0.6).contains(&p_hit), "{report}");
+    }
+
+    #[test]
     fn end_to_end_plan_renders() {
         let o = parse_args(&args(&[
             "--movie",
