@@ -34,17 +34,29 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
   -p vod-runtime -p vod-sim -p vod-server -p vod-federation -p vod-bench \
   -p vod-lint
 
-echo "== tier-1: build + test =="
+echo "== tier-1: build + every test in the workspace =="
 cargo build --release
-cargo test -q
+# --workspace, not the root package alone: the proptests, the
+# scan/queue/backend equivalence suites, chaos_faults and the lint
+# fixtures gate here (532 tests in 1 m 09 s on 2 cores, debug build;
+# `cargo test -q` alone runs 18 of them).
+cargo test -q --workspace
 
 echo "== benchmark/: the yardstick still compiles and its gate holds (all four workloads at --smoke size) =="
 # benchmark/ is its own workspace, so nothing above builds it; a library
 # API change would otherwise break it unnoticed.
 cargo test --release --manifest-path benchmark/Cargo.toml
 
+# The three report bins below rewrite committed files in place; each must
+# regenerate byte for byte, so keep the committed bytes aside to compare.
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+cp results/CROSS_VALIDATION.json results/CHAOS_REPORT.json results/FEDERATION_REPORT.json "$scratch/"
+
 echo "== cross-validation: model vs sim vs server =="
 cargo test --release -q --test cross_validation
+cargo run --release -p vod-bench --bin cross_validate
+cmp results/CROSS_VALIDATION.json "$scratch/CROSS_VALIDATION.json"
 
 echo "== chaos: 3-backend fault matrix (determinism + conservation, see DESIGN.md §10/§13) =="
 cargo run --release -p vod-bench --bin chaos
@@ -57,6 +69,7 @@ test "$(grep -c '"seed"' results/CHAOS_REPORT.json)" -eq 54
 test "$(grep -c '"backend": "pyramid_broadcast"' results/CHAOS_REPORT.json)" -eq 18
 test "$(grep -c '"backend": "dedicated_stream"' results/CHAOS_REPORT.json)" -eq 18
 test "$(grep -c '"violations": 0' results/CHAOS_REPORT.json)" -eq 54
+cmp results/CHAOS_REPORT.json "$scratch/CHAOS_REPORT.json"
 
 echo "== federation: sharded-catalog chaos matrix (whole-shard outage failover, see DESIGN.md §15) =="
 cargo run --release -p vod-bench --bin federation
@@ -69,9 +82,13 @@ grep -q '"ok": true' results/FEDERATION_REPORT.json
 grep -q '"identity_ok": true' results/FEDERATION_REPORT.json
 test "$(grep -c '"seed"' results/FEDERATION_REPORT.json)" -eq 42
 test "$(grep -c '"violations": 0' results/FEDERATION_REPORT.json)" -eq 42
+cmp results/FEDERATION_REPORT.json "$scratch/FEDERATION_REPORT.json"
 
-echo "== scale: wheel+arena engine smoke (downscaled; the full run uses --sessions 1000000) =="
-cargo run --release -p vod-bench --bin scale -- --sessions 50000 --ticks 120
+echo "== scale: wheel+arena engine smoke (downscaled; the headline results/BENCH_scale.json is --sessions 1000000 --ticks 40) =="
+cargo run --release -p vod-bench --bin scale -- --sessions 50000 --ticks 120 --out "$scratch/BENCH_scale.json"
+echo "== scale --plan storm: all three backends under the pool-scaled fault plan, audit after every tick (the headline results/BENCH_scale_storm.json is --sessions 100000 --ticks 120) =="
+# The bin asserts zero violations and zero verify failures itself.
+cargo run --release -p vod-bench --bin scale -- --plan storm --sessions 20000 --ticks 120 --out "$scratch/BENCH_scale_storm.json"
 
 echo "== backend_compare: all three DeliveryBackends, reduced grid (see DESIGN.md §12) =="
 cargo run --release -p vod-bench --bin backend_compare -- --smoke

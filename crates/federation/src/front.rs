@@ -570,6 +570,12 @@ impl Federation {
                 self.displaced.len()
             ));
         }
+        let mut in_ledger = vec![false; self.sessions.len()];
+        for &i in &self.displaced {
+            if let Some(listed) = in_ledger.get_mut(i as usize) {
+                *listed = true;
+            }
+        }
         let mut displaced_states = 0u64;
         for (i, sess) in self.sessions.iter().enumerate() {
             match sess.state {
@@ -578,7 +584,7 @@ impl Federation {
                 }
                 FedState::Displaced { .. } => {
                     displaced_states += 1;
-                    if !self.displaced.contains(&(i as u32)) {
+                    if !in_ledger[i] {
                         v.push(format!("displaced session {i} missing from ledger"));
                     }
                 }
@@ -632,4 +638,166 @@ pub fn shards_from_split(
         })
         .collect();
     (specs, placement)
+}
+
+/// Audit-sensitivity tests: every string `check_invariants` can emit,
+/// provoked by corrupting exactly the state it certifies.
+#[cfg(test)]
+mod tests {
+    use vod_server::HostedMovie;
+    use vod_workload::Welford;
+
+    use super::*;
+
+    /// Two 2-stream unicast shards. Movie 0 lives on both (shard 0
+    /// first), movie 1 on shard 1 only. Two movie-1 viewers fill shard
+    /// 1, then shard 0 goes dark at `t = 2` under two movie-0 viewers:
+    /// both are displaced and nothing can adopt them.
+    fn dark_shard_with_two_displaced() -> Federation {
+        let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
+        let spec = ShardSpec {
+            backend: BackendKind::DedicatedStream,
+            server: ServerConfig {
+                disk_streams: 2,
+                piggyback: None,
+                ..ServerConfig::provisioned(vec![movie], 0)
+            },
+        };
+        let config = FederationConfig {
+            shards: vec![spec.clone(), spec],
+            placement: vec![
+                vec![(0, MovieId(0)), (1, MovieId(0))],
+                vec![(1, MovieId(0))],
+            ],
+            policy: DegradePolicy::default(),
+        };
+        let plan = FaultPlan::new(vec![FaultEvent {
+            at: 2,
+            kind: FaultKind::ShardOutage { shard: 0 },
+        }]);
+        let mut fed = Federation::new(config, plan);
+        for movie in [1, 1, 0, 0] {
+            fed.open_session(movie).unwrap();
+        }
+        for _ in 0..3 {
+            fed.tick();
+        }
+        assert_eq!(fed.displaced, [2, 3]);
+        assert_eq!(fed.check_invariants(), Vec::<String>::new());
+        fed
+    }
+
+    /// A shard whose own audit reports one violation; the front tier's
+    /// audit calls nothing else on it.
+    struct BrokenShard;
+
+    impl DeliveryBackend for BrokenShard {
+        fn check_invariants(&self) -> Vec<String> {
+            vec!["lease accounting broken".to_string()]
+        }
+        fn kind(&self) -> BackendKind {
+            unreachable!()
+        }
+        fn now(&self) -> u64 {
+            unreachable!()
+        }
+        fn open_session(&mut self, _: MovieId) -> Result<SessionId, ServerError> {
+            unreachable!()
+        }
+        fn request_vcr(&mut self, _: SessionId, _: VcrKind, _: u32) -> Result<(), ServerError> {
+            unreachable!()
+        }
+        fn session_status(&self, _: SessionId) -> Result<SessionStatus, ServerError> {
+            unreachable!()
+        }
+        fn session_position(&self, _: SessionId) -> Result<u32, ServerError> {
+            unreachable!()
+        }
+        fn adopt_session(
+            &mut self,
+            _: MovieId,
+            _: u32,
+        ) -> Result<(SessionId, Adoption), ServerError> {
+            unreachable!()
+        }
+        fn tick(&mut self) {
+            unreachable!()
+        }
+        fn reset_metrics(&mut self) {
+            unreachable!()
+        }
+        fn runtime_metrics(&self) -> RuntimeMetrics {
+            unreachable!()
+        }
+        fn startup_waits(&self) -> &Welford {
+            unreachable!()
+        }
+        fn inject_faults(&mut self, _: FaultPlan, _: DegradePolicy) {
+            unreachable!()
+        }
+        fn degraded_sessions(&self) -> u32 {
+            unreachable!()
+        }
+        fn sessions_finished(&self) -> u64 {
+            unreachable!()
+        }
+        fn verify_failures(&self) -> u64 {
+            unreachable!()
+        }
+        fn io_streams(&self) -> u32 {
+            unreachable!()
+        }
+        fn buffer_segments(&self) -> u64 {
+            unreachable!()
+        }
+    }
+
+    #[test]
+    fn audit_sees_ledger_drift() {
+        let mut fed = dark_shard_with_two_displaced();
+        // A displaced session left out of the ledger.
+        fed.displaced.pop();
+        assert_eq!(
+            fed.check_invariants(),
+            [
+                "displaced ledger out of balance: 2 displaced vs 0 resolved + 1 in flight",
+                "displaced session 3 missing from ledger",
+                "ledger lists 1 sessions but 2 are displaced",
+            ]
+        );
+        // ... and the other one listed twice: the ledger's length is
+        // right again, its contents are not.
+        fed.displaced.push(2);
+        assert_eq!(
+            fed.check_invariants(),
+            ["displaced session 3 missing from ledger"]
+        );
+        fed.displaced.push(3);
+        assert_eq!(
+            fed.check_invariants(),
+            [
+                "displaced ledger out of balance: 2 displaced vs 0 resolved + 3 in flight",
+                "ledger lists 3 sessions but 2 are displaced",
+            ]
+        );
+    }
+
+    #[test]
+    fn audit_sees_shard_and_outage_drift() {
+        let mut fed = dark_shard_with_two_displaced();
+        fed.shards[1] = Some(Box::new(BrokenShard));
+        assert_eq!(fed.check_invariants(), ["shard 1: lease accounting broken"]);
+        let mut fed = dark_shard_with_two_displaced();
+        let FedState::Live { local, .. } = fed.sessions[0].state else {
+            panic!("session 0 plays on shard 1");
+        };
+        fed.sessions[0].state = FedState::Live { shard: 0, local };
+        assert_eq!(fed.check_invariants(), ["session 0 live on dark shard 0"]);
+        let mut fed = dark_shard_with_two_displaced();
+        fed.metrics.shard_recoveries += 1;
+        assert_eq!(
+            fed.check_invariants(),
+            ["outage accounting: 1 outages + 0 baseline ≠ 1 recoveries + 1 down"]
+        );
+    }
 }

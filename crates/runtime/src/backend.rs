@@ -355,14 +355,26 @@ impl ReceptionFront {
         self.front
     }
 
-    /// Recompute the front from the raw bitmap. Audit seam: must always
-    /// equal [`front`](Self::front) (the incremental walk is exact).
+    /// Audit-sensitivity test hook for the backends that embed a front:
+    /// overwrite the incremental front, leaving the bitmap as it is.
+    #[doc(hidden)]
+    pub fn force_front(&mut self, front: u32) {
+        self.front = front;
+    }
+
+    /// Recompute the front from the raw bitmap, a word at a time. Audit
+    /// seam: must always equal [`front`](Self::front) (the incremental
+    /// walk is exact).
     pub fn audit_front(&self) -> u32 {
         let mut f = 0u32;
-        while f < self.length && self.has(f) {
-            f += 1;
+        for word in &self.bits {
+            let run = word.trailing_ones();
+            f += run;
+            if run < u64::BITS {
+                break;
+            }
         }
-        f
+        f.min(self.length)
     }
 }
 
@@ -534,6 +546,21 @@ mod tests {
             prev = rx.front();
         }
         assert_eq!(rx.front(), 64);
+    }
+
+    /// The audit must not go blind: clearing any bit below the front
+    /// (state no public call can produce) makes the from-scratch recount
+    /// stop exactly there, in either word and on the word boundary.
+    #[test]
+    fn audit_front_sees_a_cleared_bit_below_the_front() {
+        for hole in [0u32, 5, 63, 64, 65, 129] {
+            let mut rx = ReceptionFront::new(130);
+            (0..130).for_each(|m| rx.record(m));
+            assert_eq!((rx.front(), rx.audit_front()), (130, 130));
+            rx.bits[(hole / 64) as usize] &= !(1u64 << (hole % 64));
+            assert_eq!(rx.front(), 130, "the incremental front is now stale");
+            assert_eq!(rx.audit_front(), hole);
+        }
     }
 
     #[test]

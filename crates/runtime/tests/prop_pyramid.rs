@@ -176,4 +176,29 @@ proptest! {
             "every active tick is exactly one of consumed/stalled"
         );
     }
+
+    /// The from-scratch recount at and around the 64-bit word seams:
+    /// any length (multiples of 64 or not), every minute received except
+    /// one hole placed on, just before, or just after a word boundary.
+    /// `audit_front` must stop at the hole, agree with the incremental
+    /// front, and reach `length` exactly once the hole fills — trailing
+    /// bits of the last word never count.
+    #[test]
+    fn audit_front_is_exact_across_word_boundaries(
+        length in 1u32..400,
+        seam in 0u32..6,
+        offset in 0u32..3,
+    ) {
+        // Holes at 63/64/65, 127/128/129, ... clamped into the movie.
+        let hole = (seam * 64 + 63 + offset).min(length - 1);
+        let mut rx = ReceptionFront::new(length);
+        for m in (0..length).rev().filter(|&m| m != hole) {
+            rx.record(m);
+        }
+        prop_assert_eq!(rx.front(), hole);
+        prop_assert_eq!(rx.audit_front(), hole);
+        rx.record(hole);
+        prop_assert_eq!(rx.front(), length, "all bits set");
+        prop_assert_eq!(rx.audit_front(), length);
+    }
 }

@@ -244,11 +244,7 @@ impl DedicatedServer {
                         let Some(sess) = self.sessions.at_mut(idx) else {
                             continue;
                         };
-                        let dead = sess
-                            .lease
-                            .as_ref()
-                            .is_some_and(|l| revoked.contains(&l.id()));
-                        if dead {
+                        if sess.lease.as_ref().is_some_and(|l| l.revoked_in(&revoked)) {
                             sess.lease = None;
                             if !matches!(sess.state, DState::Done) {
                                 if matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
@@ -547,7 +543,6 @@ impl DeliveryBackend for DedicatedServer {
                         let sess = self.sessions.live_at(idx as usize);
                         self.config.movies[sess.movie_idx].geometry.length
                     };
-                    let now = self.now;
                     let sess = self.sessions.live_at_mut(idx as usize);
                     let DState::Vcr { kind, remaining } = &mut sess.state else {
                         unreachable!("state tag checked above");
@@ -584,7 +579,6 @@ impl DeliveryBackend for DedicatedServer {
                         self.metrics.runtime.record_resume(kind, false);
                         self.sessions.live_at_mut(idx as usize).state = DState::Playing;
                     }
-                    let _ = now;
                 }
                 2 => {
                     let sess = self.sessions.live_at_mut(idx as usize);
@@ -753,15 +747,7 @@ impl DeliveryBackend for DedicatedServer {
     fn check_invariants(&self) -> Vec<String> {
         let mut v = Vec::new();
         let disk = &self.disk;
-        if disk.in_use() + disk.available() + disk.failed() != disk.capacity() {
-            v.push(format!(
-                "disk conservation broken: in_use {} + free {} + failed {} != provisioned {}",
-                disk.in_use(),
-                disk.available(),
-                disk.failed(),
-                disk.capacity()
-            ));
-        }
+        v.extend(disk.conservation_violation());
         // The reserve accounts the *whole* pool here, so its failure
         // ledger must track the disk's exactly — this is the audit that
         // catches the fail-before-release ordering bug.
@@ -774,12 +760,19 @@ impl DeliveryBackend for DedicatedServer {
         }
         // Queue conservation: the FIFO and the active walk partition the
         // live population — every `Queued` session sits in the queue
-        // exactly once and holds no lease; nothing else queues.
-        let mut queued_seen = std::collections::BTreeMap::new();
+        // exactly once and holds no lease; nothing else queues. Entries
+        // are tallied per session slot; one past the arena (never in a
+        // healthy queue) is reported after the in-range ones.
+        let mut queued = vec![0u32; self.sessions.slot_count()];
+        let mut strays = BTreeMap::new();
         for &idx in &self.queue {
-            *queued_seen.entry(idx).or_insert(0u32) += 1;
+            match queued.get_mut(idx as usize) {
+                Some(count) => *count += 1,
+                None => *strays.entry(idx).or_insert(0u32) += 1,
+            }
         }
-        for (&idx, &count) in &queued_seen {
+        let in_range = queued.iter().enumerate().map(|(idx, &n)| (idx as u32, n));
+        for (idx, count) in in_range.filter(|&(_, n)| n > 0).chain(strays) {
             if count > 1 {
                 v.push(format!("session {idx} queued {count} times"));
             }
@@ -794,11 +787,11 @@ impl DeliveryBackend for DedicatedServer {
         }
         let mut held = 0u32;
         let mut starved = 0u32;
-        for idx in 0..self.sessions.slot_count() {
+        for (idx, &in_fifo) in queued.iter().enumerate() {
             let Some(sess) = self.sessions.at(idx) else {
                 continue;
             };
-            if matches!(sess.state, DState::Queued) && !queued_seen.contains_key(&(idx as u32)) {
+            if matches!(sess.state, DState::Queued) && in_fifo == 0 {
                 v.push(format!("queued session {idx} missing from the FIFO"));
             }
             if sess.lease.is_some() {
@@ -1012,5 +1005,95 @@ mod tests {
             s.runtime_metrics()
         };
         assert_eq!(run(), run());
+    }
+
+    /// A healthy two-stream server at `now = 1`: sessions 0 and 1 play,
+    /// session 2 waits in the FIFO.
+    fn busy() -> DedicatedServer {
+        let movie = HostedMovie::from_allocation(MovieId(0), 10, 2, 4.0);
+        let mut s = DedicatedServer::new(ServerConfig {
+            disk_streams: 2,
+            piggyback: None,
+            ..ServerConfig::provisioned(vec![movie], 0)
+        });
+        for _ in 0..3 {
+            s.open_session(MovieId(0)).unwrap();
+        }
+        s.tick();
+        assert_eq!(s.queue, [2]);
+        assert_eq!(s.check_invariants(), Vec::<String>::new());
+        s
+    }
+
+    /// Every string `check_invariants` can emit, provoked by corrupting
+    /// exactly the state it certifies.
+    #[test]
+    fn audit_sees_resource_drift() {
+        let mut s = busy();
+        s.disk.skew_failed(100);
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "disk conservation broken: in_use 2 + free 0 + failed 100 != provisioned 2",
+                "reserve failure accounting drifted from the disk: reserve 0 != disk 100",
+            ]
+        );
+        let mut s = busy();
+        // A session lease dropped without a release.
+        s.sessions.live_at_mut(1).lease = None;
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "session 1 is serving without a lease",
+                "lease accounting broken: sessions hold 1, disk says 2",
+                "reserve accounting broken: sessions hold 1, reserve says 2",
+            ]
+        );
+        let mut s = busy();
+        s.sessions.live_at_mut(1).state = DState::Paused { remaining: 3 };
+        assert_eq!(
+            s.check_invariants(),
+            ["session 1 holds a lease in a non-serving state"]
+        );
+        let mut s = busy();
+        s.starved_count += 1;
+        assert_eq!(
+            s.check_invariants(),
+            ["starved population drifted: counted 0, tracked 1"]
+        );
+    }
+
+    #[test]
+    fn audit_sees_queue_drift() {
+        let mut s = busy();
+        s.queue.push_back(2);
+        assert_eq!(s.check_invariants(), ["session 2 queued 2 times"]);
+        let mut s = busy();
+        s.queue.push_front(1);
+        s.queue.push_back(7);
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "queue entry 1 is not a queued session",
+                "queue entry 7 is not a queued session",
+            ]
+        );
+        let mut s = busy();
+        s.queue.clear();
+        assert_eq!(
+            s.check_invariants(),
+            ["queued session 2 missing from the FIFO"]
+        );
+        let mut s = busy();
+        let lease = s.sessions.live_at_mut(1).lease.take();
+        s.sessions.live_at_mut(1).state = DState::Paused { remaining: 3 };
+        s.sessions.live_at_mut(2).lease = lease;
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "queued session 2 holds a lease",
+                "session 2 holds a lease in a non-serving state",
+            ]
+        );
     }
 }

@@ -6,6 +6,8 @@
 //! stream lease, so exceeding provisioned bandwidth is a programming
 //! error surfaced at the call site rather than silent oversubscription.
 
+use std::collections::BTreeSet;
+
 use crate::content::{generate_segment, MovieId, Segment};
 
 /// Lease on one disk I/O stream.
@@ -18,6 +20,14 @@ impl StreamLease {
     /// Opaque lease id (diagnostics only).
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// Is this lease among `revoked`, the ids one
+    /// [`DiskSubsystem::fail_streams`] call returned? They come newest
+    /// first — strictly descending — so membership is a binary search and
+    /// a holder scan after a fault costs `O(holders · log revoked)`.
+    pub fn revoked_in(&self, revoked: &[u64]) -> bool {
+        revoked.binary_search_by(|r| self.id.cmp(r)).is_ok()
     }
 }
 
@@ -60,14 +70,17 @@ impl std::error::Error for DiskError {}
 #[derive(Debug)]
 pub struct DiskSubsystem {
     capacity: u32,
-    active: Vec<u64>,
+    /// Live lease ids. Ids are handed out in increasing order, so the
+    /// set's last element is always the newest lease.
+    active: BTreeSet<u64>,
     /// Streams removed from service by injected faults. Conservation —
     /// `in_use + available + failed == capacity` — holds at all times.
     failed: u32,
     next_lease: u64,
     reads: u64,
-    /// Known movie lengths for bounds checking, indexed by `MovieId`.
-    lengths: std::collections::BTreeMap<MovieId, u32>,
+    /// Known movie lengths for bounds checking, dense by `MovieId.0`
+    /// (catalog ids are small and contiguous); `None` = unregistered.
+    lengths: Vec<Option<u32>>,
 }
 
 impl DiskSubsystem {
@@ -75,17 +88,21 @@ impl DiskSubsystem {
     pub fn new(capacity: u32) -> Self {
         Self {
             capacity,
-            active: Vec::new(),
+            active: BTreeSet::new(),
             failed: 0,
             next_lease: 0,
             reads: 0,
-            lengths: std::collections::BTreeMap::new(),
+            lengths: Vec::new(),
         }
     }
 
     /// Register a movie (its length bounds reads).
     pub fn register_movie(&mut self, movie: MovieId, length_minutes: u32) {
-        self.lengths.insert(movie, length_minutes);
+        let slot = movie.0 as usize;
+        if slot >= self.lengths.len() {
+            self.lengths.resize(slot + 1, None);
+        }
+        self.lengths[slot] = Some(length_minutes);
     }
 
     /// Provisioned stream capacity.
@@ -115,6 +132,19 @@ impl DiskSubsystem {
         self.reads
     }
 
+    /// The pool's own conservation law, for the backends' audits: `None`
+    /// while `in_use + free + failed == provisioned`.
+    pub fn conservation_violation(&self) -> Option<String> {
+        let (in_use, free, failed) = (self.in_use(), self.available(), self.failed);
+        (in_use + free + failed != self.capacity).then(|| {
+            format!(
+                "disk conservation broken: in_use {in_use} + free {free} + failed {failed} != \
+                 provisioned {}",
+                self.capacity
+            )
+        })
+    }
+
     /// Acquire a stream lease.
     pub fn acquire(&mut self) -> Result<StreamLease, DiskError> {
         if self.in_use() + self.failed >= self.capacity {
@@ -123,7 +153,7 @@ impl DiskSubsystem {
             });
         }
         self.next_lease += 1;
-        self.active.push(self.next_lease);
+        self.active.insert(self.next_lease);
         Ok(StreamLease {
             id: self.next_lease,
         })
@@ -133,8 +163,10 @@ impl DiskSubsystem {
     /// streams fail first; any shortfall revokes in-use leases, newest
     /// lease first (a deterministic victim order — the most recently
     /// granted stream is the cheapest to lose). Returns the revoked lease
-    /// ids so the server can degrade their holders; reads through a
-    /// revoked lease fail with [`DiskError::StaleLease`] from here on.
+    /// ids — strictly descending, which [`StreamLease::revoked_in`]
+    /// searches on — so the server can degrade their holders; reads
+    /// through a revoked lease fail with [`DiskError::StaleLease`] from
+    /// here on.
     /// At most `capacity − failed` streams can fail in total.
     pub fn fail_streams(&mut self, count: u32) -> Vec<u64> {
         // Same total-order discipline as `StreamReserve`: every difference
@@ -150,10 +182,10 @@ impl DiskSubsystem {
         let to_revoke = total.saturating_sub(from_free) as usize;
         let mut revoked = Vec::with_capacity(to_revoke);
         for _ in 0..to_revoke {
-            let Some((pos, _)) = self.active.iter().enumerate().max_by_key(|(_, &id)| id) else {
+            let Some(newest) = self.active.pop_last() else {
                 break;
             };
-            revoked.push(self.active.swap_remove(pos));
+            revoked.push(newest);
             self.failed += 1;
         }
         revoked
@@ -167,11 +199,15 @@ impl DiskSubsystem {
         recovered
     }
 
-    /// Release a lease.
+    /// Release a lease. Releasing a lease [`fail_streams`] already
+    /// revoked is a silent no-op — its stream moved from `in_use` to
+    /// `failed` at revocation and must not be freed a second time. The
+    /// batching server relies on this when it retires a stream whose
+    /// lease a fault just took.
+    ///
+    /// [`fail_streams`]: DiskSubsystem::fail_streams
     pub fn release(&mut self, lease: StreamLease) {
-        if let Some(pos) = self.active.iter().position(|&id| id == lease.id) {
-            self.active.swap_remove(pos);
-        }
+        self.active.remove(&lease.id);
     }
 
     /// Read one segment through a lease.
@@ -184,7 +220,7 @@ impl DiskSubsystem {
         if !self.active.contains(&lease.id) {
             return Err(DiskError::StaleLease);
         }
-        if let Some(&len) = self.lengths.get(&movie) {
+        if let Some(&Some(len)) = self.lengths.get(movie.0 as usize) {
             if index >= len {
                 return Err(DiskError::OutOfRange { index, length: len });
             }
@@ -196,8 +232,18 @@ impl DiskSubsystem {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::content::verify_segment;
+
+    impl DiskSubsystem {
+        /// Hook for the backends' audit-sensitivity tests: miscount the
+        /// failed streams so `in_use + free + failed` stops adding up.
+        pub(crate) fn skew_failed(&mut self, by: u32) {
+            self.failed += by;
+        }
+    }
 
     #[test]
     fn capacity_enforced() {
@@ -327,5 +373,148 @@ mod tests {
             d.read(&id_copy, MovieId(1), 0),
             Err(DiskError::StaleLease)
         ));
+    }
+
+    /// `kill_stream` in the batching server releases the very lease
+    /// `fail_streams` just revoked. That release must be a no-op: the
+    /// stream already moved from `in_use` to `failed`, and counting it
+    /// again would free a stream the pool no longer has.
+    #[test]
+    fn release_of_a_revoked_lease_is_a_no_op() {
+        let mut d = DiskSubsystem::new(3);
+        let a = d.acquire().unwrap();
+        let b = d.acquire().unwrap();
+        assert_eq!(d.fail_streams(2), vec![b.id()], "one free, then newest");
+        let before = (d.in_use(), d.available(), d.failed());
+        assert_eq!(before, (1, 0, 2));
+        d.release(b);
+        assert_eq!((d.in_use(), d.available(), d.failed()), before);
+        d.release(a);
+        assert_eq!((d.in_use(), d.available(), d.failed()), (0, 1, 2));
+    }
+
+    /// The plain-`Vec` lease table the ordered set replaced, kept as the
+    /// reference model: same admission rule, newest-first victims.
+    #[derive(Default)]
+    struct VecModel {
+        active: Vec<u64>,
+        failed: u32,
+        next: u64,
+    }
+
+    impl VecModel {
+        fn fail(&mut self, capacity: u32, count: u32) -> Vec<u64> {
+            let total = count.min(capacity - self.failed);
+            let free = capacity - self.active.len() as u32 - self.failed;
+            let from_free = total.min(free);
+            self.failed += from_free;
+            self.active.sort_unstable();
+            let mut revoked = Vec::new();
+            for _ in 0..total - from_free {
+                revoked.extend(self.active.pop());
+                self.failed += 1;
+            }
+            revoked
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Acquire,
+        /// Release the held lease at this (wrapped) position.
+        Release(usize),
+        Fail(u32),
+        Recover(u32),
+        /// Read through the lease (live, released or revoked) at this
+        /// (wrapped) position in issue order.
+        Read(usize),
+    }
+
+    fn any_op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            Just(Op::Acquire),
+            Just(Op::Acquire),
+            (0usize..64).prop_map(Op::Release),
+            (0u32..6).prop_map(Op::Fail),
+            (0u32..6).prop_map(Op::Recover),
+            (0usize..64).prop_map(Op::Read),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random acquire/release/fail/recover/read sequences against the
+        /// `Vec` model: same `Result`s, same `in_use/available/failed`,
+        /// same *order* of revoked ids, `StaleLease` on every released or
+        /// revoked lease.
+        #[test]
+        fn lease_table_matches_vec_model(
+            capacity in 1u32..12,
+            ops in proptest::collection::vec(any_op(), 200),
+        ) {
+            let mut d = DiskSubsystem::new(capacity);
+            d.register_movie(MovieId(0), 10);
+            let mut m = VecModel::default();
+            // Every lease ever issued, by id, for stale reads.
+            let mut issued: Vec<u64> = Vec::new();
+            let mut held: Vec<StreamLease> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Acquire => {
+                        let full = m.active.len() as u32 + m.failed >= capacity;
+                        match d.acquire() {
+                            Ok(lease) => {
+                                prop_assert!(!full, "granted past capacity");
+                                m.next += 1;
+                                prop_assert_eq!(lease.id(), m.next);
+                                m.active.push(m.next);
+                                issued.push(m.next);
+                                held.push(lease);
+                            }
+                            Err(e) => {
+                                prop_assert!(full, "refused with room left");
+                                prop_assert_eq!(e, DiskError::Saturated { capacity });
+                            }
+                        }
+                    }
+                    Op::Release(k) if !held.is_empty() => {
+                        // May be a lease a fault already revoked: a no-op.
+                        let lease = held.swap_remove(k % held.len());
+                        m.active.retain(|&id| id != lease.id());
+                        d.release(lease);
+                    }
+                    Op::Fail(n) => {
+                        let revoked = d.fail_streams(n);
+                        prop_assert_eq!(&revoked, &m.fail(capacity, n));
+                        for lease in &held {
+                            let dead = revoked.contains(&lease.id());
+                            prop_assert_eq!(lease.revoked_in(&revoked), dead);
+                        }
+                    }
+                    Op::Recover(n) => {
+                        let recovered = n.min(m.failed);
+                        m.failed -= recovered;
+                        prop_assert_eq!(d.recover_streams(n), recovered);
+                    }
+                    Op::Read(k) if !issued.is_empty() => {
+                        let id = issued[k % issued.len()];
+                        let got = d.read(&StreamLease { id }, MovieId(0), (k % 12) as u32);
+                        if !m.active.contains(&id) {
+                            prop_assert_eq!(got, Err(DiskError::StaleLease));
+                        } else if k % 12 >= 10 {
+                            let out = DiskError::OutOfRange { index: (k % 12) as u32, length: 10 };
+                            prop_assert_eq!(got, Err(out));
+                        } else {
+                            prop_assert_eq!(got, Ok(generate_segment(MovieId(0), (k % 12) as u32)));
+                        }
+                    }
+                    Op::Release(_) | Op::Read(_) => {}
+                }
+                prop_assert_eq!(d.in_use(), m.active.len() as u32);
+                prop_assert_eq!(d.failed(), m.failed);
+                prop_assert_eq!(d.available(), capacity - m.active.len() as u32 - m.failed);
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@
 
 use rand::RngCore;
 use vod_dist::rng::{exponential, seeded};
-use vod_runtime::{BackendKind, DegradePolicy, FaultPlan, RuntimeMetrics};
+use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, RuntimeMetrics};
 use vod_workload::{BehaviorModel, VcrKind};
 
 use crate::backend::{make_backend, DeliveryBackend};
@@ -417,6 +417,58 @@ pub struct ScaleOutcome {
     pub metrics: RuntimeMetrics,
 }
 
+impl ScaleConfig {
+    /// The server a scale run provisions: `movies` copies of the harness
+    /// geometry (l = 120, n = 20, B = 100 — restarts every 6 ticks with
+    /// 5-tick enrollment windows, so a tick-0 cohort stays in lockstep
+    /// and the one-entry verify memo covers it) plus a VCR reserve sized
+    /// to the sprinkle.
+    pub fn server_config(&self) -> ServerConfig {
+        let movies = (0..self.movies)
+            .map(|m| HostedMovie::from_allocation(MovieId(m), 120, 20, 100.0))
+            .collect();
+        let vcr_reserve = self.vcr_per_tick.saturating_mul(4).clamp(8, 4096);
+        ServerConfig::provisioned(movies, vcr_reserve)
+    }
+}
+
+/// The `storm` fault plan, scaled to the pool so it hurts a server of
+/// any size alike: 15 events evenly spaced over `[ticks/8, ticks)`,
+/// cycling stream loss (pool/50), outage (pool/5 for ticks/8), slowdown
+/// (every 3rd tick serves, for ticks/10), buffer shrink and restore
+/// (budget/5). [`FaultPlan::generate`]'s one- and two-stream faults
+/// vanish in a pool of thousands.
+pub fn storm_plan(server: &ServerConfig, ticks: u64) -> FaultPlan {
+    const EVENTS: u64 = 15;
+    let pool = server.disk_streams;
+    let budget = u32::try_from(server.buffer_budget).unwrap_or(u32::MAX);
+    let first = ticks / 8;
+    FaultPlan::new(
+        (0..EVENTS)
+            .map(|i| FaultEvent {
+                at: first + i * (ticks - first) / EVENTS,
+                kind: match i % 5 {
+                    0 => FaultKind::DiskStreamLoss { count: pool / 50 },
+                    1 => FaultKind::DiskOutage {
+                        count: pool / 5,
+                        recover_after: (ticks / 8).max(1),
+                    },
+                    2 => FaultKind::DiskSlowdown {
+                        period: 3,
+                        duration: ticks / 10,
+                    },
+                    3 => FaultKind::BufferShrink {
+                        segments: budget / 5,
+                    },
+                    _ => FaultKind::BufferRestore {
+                        segments: budget / 5,
+                    },
+                },
+            })
+            .collect(),
+    )
+}
+
 /// Drive a [`VodServer`] with `cfg.sessions` concurrent sessions for
 /// `cfg.ticks` virtual minutes and return the event totals. Same seed,
 /// same config ⇒ bitwise-identical outcome, like every other driver in
@@ -426,20 +478,34 @@ pub struct ScaleOutcome {
 ///
 /// Panics if `cfg.sessions` or `cfg.movies` is zero.
 pub fn run_scale(cfg: &ScaleConfig, seed: u64) -> ScaleOutcome {
+    let (kind, plan) = (BackendKind::BatchingBuffering, FaultPlan::empty());
+    run_scale_on(cfg, kind, seed, &plan, &mut |server| server.tick())
+}
+
+/// [`run_scale`] against any delivery scheme, armed with `plan`. The
+/// caller owns the clock: `advance` must tick the backend exactly once
+/// per call, which is where the bench bin wraps the tick and a
+/// `check_invariants` audit in the wall-clock timers this crate may not
+/// hold.
+///
+/// # Panics
+///
+/// Panics if `cfg.sessions` or `cfg.movies` is zero.
+pub fn run_scale_on(
+    cfg: &ScaleConfig,
+    kind: BackendKind,
+    seed: u64,
+    plan: &FaultPlan,
+    advance: &mut dyn FnMut(&mut dyn DeliveryBackend),
+) -> ScaleOutcome {
     // vod-lint: allow(no-panic) — a zero-session or zero-movie scale run is a
     // caller bug; the driver cannot size a server around it.
     assert!(
         cfg.sessions > 0 && cfg.movies > 0,
         "scale run needs at least one session and one movie"
     );
-    // The harness geometry (l = 120, n = 20, B = 100): restarts every 6
-    // ticks with 5-tick enrollment windows, so a tick-0 cohort stays in
-    // lockstep and the one-entry verify memo covers it.
-    let movies: Vec<HostedMovie> = (0..cfg.movies)
-        .map(|m| HostedMovie::from_allocation(MovieId(m), 120, 20, 100.0))
-        .collect();
-    let vcr_reserve = cfg.vcr_per_tick.saturating_mul(4).clamp(8, 4096);
-    let mut server = VodServer::new(ServerConfig::provisioned(movies, vcr_reserve));
+    let mut server = make_backend(kind, &cfg.server_config());
+    server.inject_faults(plan.clone(), DegradePolicy::default());
     let mut rng = seeded(seed);
     // Contiguous block assignment: adjacent session indices share a
     // movie, so the per-tick delivery walk switches movies (and misses
@@ -466,19 +532,18 @@ pub fn run_scale(cfg: &ScaleConfig, seed: u64) -> ScaleOutcome {
                 vcr_accepted += 1;
             }
         }
-        server.tick();
+        advance(server.as_mut());
     }
     let metrics = server.runtime_metrics();
     let segments = (metrics.buffer_minutes + metrics.disk_minutes) as u64;
-    let done = server.metrics().sessions_done + server.metrics().sessions_closed_early;
     ScaleOutcome {
         sessions: cfg.sessions,
-        concurrent_at_end: cfg.sessions - done,
+        concurrent_at_end: cfg.sessions.saturating_sub(server.sessions_finished()),
         segments,
         vcr_accepted,
         events: cfg.sessions + segments + vcr_accepted,
         ticks: cfg.ticks,
-        verify_failures: server.metrics().verify_failures,
+        verify_failures: server.verify_failures(),
         metrics,
     }
 }
@@ -578,5 +643,44 @@ mod tests {
         assert!(a.segments > 0 && a.segments <= cfg.sessions * cfg.ticks);
         assert!(a.vcr_accepted > 0, "the VCR sprinkle never landed");
         assert_eq!(a.events, a.sessions + a.segments + a.vcr_accepted);
+    }
+
+    /// The scale bench's storm mode at test size: every backend rides
+    /// out the pool-scaled plan with a clean audit after every tick, the
+    /// faults actually bite, and the run reproduces bitwise.
+    #[test]
+    fn scale_storm_keeps_every_backend_conserved() {
+        let cfg = ScaleConfig {
+            sessions: 3000,
+            ticks: 120,
+            movies: 4,
+            vcr_per_tick: 20,
+        };
+        let plan = storm_plan(&cfg.server_config(), cfg.ticks);
+        assert_eq!(plan.len(), 15);
+        for kind in BackendKind::ALL {
+            let run = || {
+                let mut violations = Vec::new();
+                let out = run_scale_on(&cfg, kind, 42, &plan, &mut |server| {
+                    server.tick();
+                    violations.extend(server.check_invariants());
+                });
+                (out, violations)
+            };
+            let (out, violations) = run();
+            assert_eq!(violations, Vec::<String>::new(), "{kind}");
+            assert_eq!(out.verify_failures, 0, "{kind}");
+            assert_eq!(out.metrics.faults_injected, expected_faults(kind), "{kind}");
+            assert!(out.metrics.degraded_entries > 0, "{kind}: nothing degraded");
+            assert_eq!(run().0, out, "{kind}: storm run is not reproducible");
+        }
+    }
+
+    /// The unicast backend skips the six buffer events of the 15.
+    fn expected_faults(kind: BackendKind) -> u64 {
+        match kind {
+            BackendKind::DedicatedStream => 9,
+            BackendKind::BatchingBuffering | BackendKind::PyramidBroadcast => 15,
+        }
     }
 }

@@ -43,8 +43,8 @@ pub use content::{checksum, generate_segment, verify_segment, MovieId, Segment, 
 pub use dedicated::DedicatedServer;
 pub use disk::{DiskError, DiskSubsystem, StreamLease};
 pub use harness::{
-    run_chaos, run_chaos_backend, run_harness, run_harness_backend, run_scale, BackendRun,
-    ChaosOutcome, HarnessConfig, ScaleConfig, ScaleOutcome,
+    run_chaos, run_chaos_backend, run_harness, run_harness_backend, run_scale, run_scale_on,
+    storm_plan, BackendRun, ChaosOutcome, HarnessConfig, ScaleConfig, ScaleOutcome,
 };
 #[doc(hidden)]
 pub use harness::{run_chaos_reference, run_harness_reference};

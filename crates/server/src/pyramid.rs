@@ -291,7 +291,7 @@ impl PyramidServer {
                     let mut channels_lost: u32 = 0;
                     for m in &mut self.movies {
                         for lease in m.leases.iter_mut() {
-                            if lease.as_ref().is_some_and(|l| revoked.contains(&l.id())) {
+                            if lease.as_ref().is_some_and(|l| l.revoked_in(&revoked)) {
                                 *lease = None;
                                 channels_lost += 1;
                                 self.metrics.leases_revoked += 1;
@@ -307,11 +307,7 @@ impl PyramidServer {
                         let Some(sess) = self.sessions.at_mut(idx) else {
                             continue;
                         };
-                        let dead = sess
-                            .lease
-                            .as_ref()
-                            .is_some_and(|l| revoked.contains(&l.id()));
-                        if dead {
+                        if sess.lease.as_ref().is_some_and(|l| l.revoked_in(&revoked)) {
                             sess.lease = None;
                             if matches!(sess.state, PState::Vcr { .. }) {
                                 self.metrics.sweeps_aborted += 1;
@@ -547,10 +543,6 @@ impl DeliveryBackend for PyramidServer {
                     }
                 }
             }
-        }
-        if matches!(kind, VcrKind::FastForward) && position.saturating_add(magnitude) >= length {
-            // The sweep will run off the end; the lease (if any) rides
-            // along until `finish` releases it.
         }
         if matches!(kind, VcrKind::Rewind) && magnitude >= position {
             self.metrics.runtime.rw_truncated += 1;
@@ -1024,15 +1016,7 @@ impl DeliveryBackend for PyramidServer {
     fn check_invariants(&self) -> Vec<String> {
         let mut v = Vec::new();
         let disk = &self.disk;
-        if disk.in_use() + disk.available() + disk.failed() != disk.capacity() {
-            v.push(format!(
-                "disk conservation broken: in_use {} + free {} + failed {} != provisioned {}",
-                disk.in_use(),
-                disk.available(),
-                disk.failed(),
-                disk.capacity()
-            ));
-        }
+        v.extend(disk.conservation_violation());
         let channel_live: u32 = self
             .movies
             .iter()
@@ -1388,5 +1372,122 @@ mod tests {
             s.runtime_metrics()
         };
         assert_eq!(run(), run());
+    }
+
+    /// A healthy server at `now = 10`: session 0 receiving, session 1
+    /// sweeping beyond its front on a dedicated lease.
+    fn busy() -> PyramidServer {
+        let mut s = PyramidServer::new(config());
+        s.open_session(MovieId(0)).unwrap();
+        let sweeping = s.open_session(MovieId(0)).unwrap();
+        for _ in 0..9 {
+            s.tick();
+        }
+        s.request_vcr(sweeping, VcrKind::FastForward, 90).unwrap();
+        s.tick();
+        assert!(s.sessions.live_at(1).lease.is_some());
+        assert_eq!(s.check_invariants(), Vec::<String>::new());
+        s
+    }
+
+    /// Every string `check_invariants` can emit, provoked by corrupting
+    /// exactly the state it certifies.
+    #[test]
+    fn audit_sees_resource_drift() {
+        let mut s = busy();
+        s.disk.skew_failed(100);
+        assert_eq!(
+            s.check_invariants(),
+            ["disk conservation broken: in_use 8 + free 0 + failed 100 != provisioned 62"]
+        );
+        let mut s = busy();
+        let wrong = crate::content::generate_segment(MovieId(0), 119);
+        s.movies[0].slots[0].store(wrong);
+        assert_eq!(
+            s.check_invariants(),
+            ["movie 0 channel 0 staged minute 119 off the wheel phase (scheduled Some(0))"]
+        );
+        let mut s = busy();
+        s.reserve.fail_streams(1);
+        assert_eq!(
+            s.check_invariants(),
+            ["reserve failure accounting leads the disk: reserve 1 > disk 0"]
+        );
+        let mut s = busy();
+        s.movies[0].leases[3] = None;
+        assert_eq!(
+            s.check_invariants(),
+            ["lease accounting broken: channels 6 + sessions 1 != disk 8"]
+        );
+        let mut s = busy();
+        assert!(s.reserve.try_acquire(10.0));
+        assert_eq!(
+            s.check_invariants(),
+            ["reserve accounting broken: sessions hold 1, reserve says 2"]
+        );
+        let mut s = busy();
+        s.pool.release(1);
+        assert_eq!(
+            s.check_invariants(),
+            ["staging accounting broken: pool reserves 6, channels need 7"]
+        );
+    }
+
+    #[test]
+    fn audit_sees_session_drift() {
+        let mut s = busy();
+        // A session lease dropped without a release.
+        let lease = s.sessions.live_at_mut(1).lease.take();
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "lease accounting broken: channels 7 + sessions 0 != disk 8",
+                "reserve accounting broken: sessions hold 0, reserve says 1",
+            ]
+        );
+        s.sessions.live_at_mut(0).lease = lease;
+        assert_eq!(
+            s.check_invariants(),
+            ["session 0 holds a dedicated lease in a non-serving state"]
+        );
+        let mut s = busy();
+        s.sessions.live_at_mut(0).state = PState::CatchUp;
+        assert_eq!(
+            s.check_invariants(),
+            ["session 0 is catching up without a lease"]
+        );
+        let mut s = busy();
+        s.starved_count += 1;
+        assert_eq!(
+            s.check_invariants(),
+            ["starved population drifted: counted 0, tracked 1"]
+        );
+        let mut s = busy();
+        let front = s.sessions.live_at(0).rx.front();
+        s.sessions.live_at_mut(0).position = front + 2;
+        assert_eq!(
+            s.check_invariants(),
+            [format!(
+                "session 0 consumed to {} past its reception front {front}",
+                front + 2
+            )]
+        );
+        s.sessions.live_at_mut(0).position = 0;
+        s.sessions.live_at_mut(0).rx.force_front(front + 1);
+        assert_eq!(
+            s.check_invariants(),
+            [format!(
+                "session 0 reception front {} drifted from bitmap recount {front}",
+                front + 1
+            )]
+        );
+        s.sessions.live_at_mut(0).rx.force_front(121);
+        assert_eq!(
+            s.check_invariants(),
+            [
+                format!("session 0 reception front 121 drifted from bitmap recount {front}"),
+                "session 0 reception front 121 beyond movie length 120".to_string(),
+            ]
+        );
     }
 }

@@ -398,8 +398,10 @@ impl VodServer {
 
     /// Check the server's conservation invariants and return a
     /// human-readable description of every violation (empty when
-    /// healthy). The chaos harness calls this after every tick; the
-    /// checks are pure reads.
+    /// healthy). The chaos harness calls this after every tick. The
+    /// audit is a pure read that recounts everything from scratch and
+    /// keeps nothing between calls, in time linear in the state it reads:
+    /// one pass over the session slots, one over the streams.
     ///
     /// Invariants: stream conservation (`in_use + free + failed ==
     /// provisioned`, and every in-use stream is held by exactly one
@@ -409,27 +411,71 @@ impl VodServer {
     /// sessions pointing at each stream; no session slot is lost; the
     /// degraded population matches the states.
     pub fn check_invariants(&self) -> Vec<String> {
+        // Findings are gathered per pass, then reported in a fixed order:
+        // resources, streams, sessions, scheduler.
+        let wheel_mode = !self.reference_scan;
+        let mut session_leases = 0u32;
+        let mut degraded = 0u32;
+        let mut waiting = 0u64;
+        let mut readers = vec![0u32; self.streams.slot_count()];
+        let mut session_faults = Vec::new();
+        let mut scheduler_faults = Vec::new();
+        let mut listed = self.active.iter().copied().peekable();
+        for idx in 0..self.sessions.slot_count() {
+            let Some(sess) = self.sessions.at(idx) else {
+                session_faults.push(format!("session slot {idx} lost (empty)"));
+                continue;
+            };
+            session_leases += u32::from(sess.lease.is_some());
+            // The active list covers exactly the actionable sessions
+            // (entries may linger for sessions closed since the last
+            // tick — they drop at the next rebuild — but a `Waiting`
+            // entry is always wrong).
+            while listed.peek().is_some_and(|&a| (a as usize) < idx) {
+                listed.next();
+            }
+            let on_list = listed.peek().is_some_and(|&a| a as usize == idx);
+            match sess.state {
+                SessionState::Waiting { .. } => {
+                    waiting += 1;
+                    if on_list && wheel_mode {
+                        scheduler_faults.push(format!("waiting session {idx} on the active list"));
+                    }
+                    continue;
+                }
+                SessionState::Done => continue,
+                SessionState::Enrolled { stream } if self.streams.contains(stream.0) => {
+                    readers[stream.0.index()] += 1;
+                }
+                SessionState::Enrolled { stream } => session_faults.push(format!(
+                    "session {idx} enrolled in dead stream {}",
+                    stream.0.index()
+                )),
+                SessionState::Degraded { .. } => degraded += 1,
+                SessionState::Dedicated | SessionState::VcrActive { .. } => {}
+            }
+            if !on_list && wheel_mode {
+                scheduler_faults.push(format!("actionable session {idx} missing from active list"));
+            }
+        }
+        let mut stream_leases = 0u32;
+        let mut partition_segments = 0usize;
+        let mut stream_faults = Vec::new();
+        for (sid, s) in self.streams.iter() {
+            stream_leases += u32::from(s.lease.is_some());
+            partition_segments += s.partition.capacity();
+            let (i, readers) = (sid.index(), readers[sid.index()]);
+            if readers != s.enrolled {
+                stream_faults.push(format!(
+                    "enrollment drift on stream {i}: {readers} readers vs enrolled {}",
+                    s.enrolled
+                ));
+            }
+        }
+
         let mut v = Vec::new();
         let disk = &self.disk;
-        if disk.in_use() + disk.available() + disk.failed() != disk.capacity() {
-            v.push(format!(
-                "disk conservation broken: in_use {} + free {} + failed {} != provisioned {}",
-                disk.in_use(),
-                disk.available(),
-                disk.failed(),
-                disk.capacity()
-            ));
-        }
-        let stream_leases = self
-            .streams
-            .iter()
-            .filter(|(_, s)| s.lease.is_some())
-            .count() as u32;
-        let session_leases = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| s.lease.is_some())
-            .count() as u32;
+        v.extend(disk.conservation_violation());
         if stream_leases + session_leases != disk.in_use() {
             v.push(format!(
                 "lease conservation broken: streams hold {stream_leases}, sessions hold \
@@ -443,11 +489,6 @@ impl VodServer {
                 self.reserve.in_use()
             ));
         }
-        let partition_segments: usize = self
-            .streams
-            .iter()
-            .map(|(_, s)| s.partition.capacity())
-            .sum();
         if partition_segments != self.pool.used() {
             v.push(format!(
                 "buffer accounting broken: partitions total {partition_segments} segments, \
@@ -461,94 +502,32 @@ impl VodServer {
                 self.pool.overcommitted()
             ));
         }
-        for (sid, s) in self.streams.iter() {
-            let i = sid.index();
-            let readers = self
-                .sessions
-                .iter()
-                .filter(
-                    |(_, sess)| matches!(sess.state, SessionState::Enrolled { stream } if stream.0 == sid),
-                )
-                .count() as u32;
-            if readers != s.enrolled {
-                v.push(format!(
-                    "enrollment drift on stream {i}: {readers} readers vs enrolled {}",
-                    s.enrolled
-                ));
-            }
-        }
-        for idx in 0..self.sessions.slot_count() {
-            match self.sessions.at(idx) {
-                None => v.push(format!("session slot {idx} lost (empty)")),
-                Some(sess) => {
-                    if let SessionState::Enrolled { stream } = sess.state {
-                        if !self.streams.contains(stream.0) {
-                            v.push(format!(
-                                "session {idx} enrolled in dead stream {}",
-                                stream.0.index()
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        let degraded = self
-            .sessions
-            .iter()
-            .filter(|(_, s)| matches!(s.state, SessionState::Degraded { .. }))
-            .count() as u32;
+        v.append(&mut stream_faults);
+        v.append(&mut session_faults);
         if degraded != self.degraded_count {
             v.push(format!(
                 "degraded population drift: {degraded} sessions vs counter {}",
                 self.degraded_count
             ));
         }
-        if !self.reference_scan {
-            self.check_scheduler_invariants(&mut v);
+        // Coherence of the wheel-mode scheduler structures: the active
+        // list is strictly ascending and matches the actionable sessions,
+        // and the wheel holds one entry per waiting session plus the
+        // known stale ones.
+        if wheel_mode {
+            if !self.active.windows(2).all(|w| w[0] < w[1]) {
+                v.push("active list not strictly ascending".to_string());
+            }
+            v.append(&mut scheduler_faults);
+            if waiting + self.wheel_stale != self.wakeups.len() as u64 {
+                v.push(format!(
+                    "wheel population drift: {waiting} waiting + {} stale != {} scheduled",
+                    self.wheel_stale,
+                    self.wakeups.len()
+                ));
+            }
         }
         v
-    }
-
-    /// Coherence of the wheel-mode scheduler structures: the active list
-    /// is strictly ascending, covers exactly the actionable sessions
-    /// (entries may linger for sessions closed since the last tick — they
-    /// drop at the next rebuild — but a `Waiting` entry is always wrong),
-    /// and the wheel holds one entry per waiting session plus the known
-    /// stale ones.
-    fn check_scheduler_invariants(&self, v: &mut Vec<String>) {
-        if !self.active.windows(2).all(|w| w[0] < w[1]) {
-            v.push("active list not strictly ascending".to_string());
-        }
-        let mut cursor = self.active.iter().copied().peekable();
-        let mut waiting = 0u64;
-        for (id, sess) in self.sessions.iter() {
-            let idx = id.index() as u32;
-            while cursor.peek().is_some_and(|&a| a < idx) {
-                cursor.next();
-            }
-            let listed = cursor.peek() == Some(&idx);
-            match sess.state {
-                SessionState::Waiting { .. } => {
-                    waiting += 1;
-                    if listed {
-                        v.push(format!("waiting session {idx} on the active list"));
-                    }
-                }
-                SessionState::Done => {}
-                _ => {
-                    if !listed {
-                        v.push(format!("actionable session {idx} missing from active list"));
-                    }
-                }
-            }
-        }
-        if waiting + self.wheel_stale != self.wakeups.len() as u64 {
-            v.push(format!(
-                "wheel population drift: {waiting} waiting + {} stale != {} scheduled",
-                self.wheel_stale,
-                self.wakeups.len()
-            ));
-        }
     }
 
     /// Reset all counters and re-baseline the occupancy statistics at the
@@ -925,65 +904,30 @@ impl VodServer {
         // share shrinks before the playback pre-allocation does.
         self.reserve.fail_streams(newly_failed);
         self.metrics.leases_revoked += revoked.len() as u64;
-        for id in revoked {
-            self.strip_revoked_lease(t, id);
+        if revoked.is_empty() {
+            return newly_failed;
         }
+        // A playback stream that lost its lease loses its partition too.
+        let dead: Vec<ArenaId> = self
+            .streams
+            .iter()
+            .filter(|(_, s)| s.lease.as_ref().is_some_and(|l| l.revoked_in(&revoked)))
+            .map(|(sid, _)| sid)
+            .collect();
+        for sid in dead {
+            self.metrics.playback.add(t as f64, -1.0);
+            self.retire_stream(sid);
+        }
+        self.degrade_stranded(t, &revoked);
         newly_failed
     }
 
-    /// Find the holder of revoked lease `id`, drop the dead lease, and
-    /// degrade the holder. A playback stream loses its partition (its
-    /// enrolled readers degrade); a dedicated/VCR session loses its
-    /// stream and re-queues.
-    fn strip_revoked_lease(&mut self, t: u64, id: u64) {
-        for stream_idx in 0..self.streams.slot_count() {
-            let Some(sid) = self.streams.id_at(stream_idx) else {
-                continue;
-            };
-            let holds = self
-                .streams
-                .live(sid)
-                .lease
-                .as_ref()
-                .is_some_and(|l| l.id() == id);
-            if holds {
-                self.metrics.playback.add(t as f64, -1.0);
-                self.kill_stream(t, sid);
-                return;
-            }
-        }
-        for idx in 0..self.sessions.slot_count() {
-            let holds = self
-                .sessions
-                .at(idx)
-                .is_some_and(|s| s.lease.as_ref().is_some_and(|l| l.id() == id));
-            if holds {
-                let sess = self.sessions.live_at_mut(idx);
-                // The lease is already dead at the disk; drop it without a
-                // disk release, but return the hold to the reserve.
-                sess.lease = None;
-                self.reserve.release(t as f64);
-                if matches!(sess.state, SessionState::VcrActive { .. }) {
-                    self.metrics.sweeps_aborted += 1;
-                }
-                self.enter_degraded(t, idx);
-                return;
-            }
-        }
-    }
-
-    /// Retire stream `sid` immediately: degrade its enrolled readers,
-    /// release its partition, and free the slot. The caller has already
-    /// settled the disk lease (revoked or released).
-    fn kill_stream(&mut self, t: u64, sid: ArenaId) {
-        for idx in 0..self.sessions.slot_count() {
-            let enrolled_here = self.sessions.at(idx).is_some_and(
-                |s| matches!(s.state, SessionState::Enrolled { stream } if stream.0 == sid),
-            );
-            if enrolled_here {
-                self.enter_degraded(t, idx);
-            }
-        }
+    /// Retire stream `sid` immediately: release its partition and free
+    /// the slot (a lease a fault already revoked is a no-op at the disk).
+    /// Its enrolled readers are left pointing at a dead stream; the
+    /// caller follows up with [`Self::degrade_stranded`] once per fault
+    /// event, however many streams the event retired.
+    fn retire_stream(&mut self, sid: ArenaId) {
         if let Some(mut s) = self.streams.remove(sid) {
             if let Some(lease) = s.lease.take() {
                 self.disk.release(lease);
@@ -992,11 +936,42 @@ impl VodServer {
         }
     }
 
+    /// One pass over the sessions after a fault event: degrade every
+    /// reader whose stream was just retired and every holder of a lease
+    /// in `revoked` (a dedicated/VCR session loses its stream and
+    /// re-queues).
+    fn degrade_stranded(&mut self, t: u64, revoked: &[u64]) {
+        for idx in 0..self.sessions.slot_count() {
+            let Some(sess) = self.sessions.at_mut(idx) else {
+                continue;
+            };
+            let orphaned = match sess.state {
+                SessionState::Enrolled { stream } => !self.streams.contains(stream.0),
+                _ => false,
+            };
+            if sess.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
+                // The lease is already dead at the disk; drop it without a
+                // disk release, but return the hold to the reserve.
+                sess.lease = None;
+                self.reserve.release(t as f64);
+                if matches!(sess.state, SessionState::VcrActive { .. }) {
+                    self.metrics.sweeps_aborted += 1;
+                }
+                self.enter_degraded(t, idx);
+            } else if orphaned {
+                self.enter_degraded(t, idx);
+            }
+        }
+    }
+
     /// Evict whole partitions (victim order: fewest enrolled readers,
     /// then oldest start, then lowest slot — deterministic) until the
     /// pool is no longer overcommitted after a buffer shrink. Evicted
     /// streams release their disk lease normally; their readers degrade.
     fn evict_partitions_to_fit(&mut self, t: u64) {
+        if self.pool.overcommitted() == 0 {
+            return;
+        }
         while self.pool.overcommitted() > 0 {
             let victim = self
                 .streams
@@ -1009,8 +984,9 @@ impl VodServer {
                 self.metrics.playback.add(t as f64, -1.0);
             }
             self.metrics.partitions_evicted += 1;
-            self.kill_stream(t, sid);
+            self.retire_stream(sid);
         }
+        self.degrade_stranded(t, &[]);
     }
 
     /// Is disk service stalled at tick `t` by an active slowdown fault?
@@ -1779,5 +1755,148 @@ impl VodServer {
         }
         self.sessions.live_at_mut(idx).state = SessionState::Done;
         self.metrics.sessions_done += 1;
+    }
+}
+
+/// Audit-sensitivity tests: every string `check_invariants` can emit,
+/// provoked by corrupting exactly the state it certifies.
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A healthy server at `now = 6` with one session of each kind:
+    /// enrolled in stream 0, sweeping on a dedicated lease, and waiting
+    /// for the `t = 6` restart.
+    fn busy() -> (VodServer, [SessionId; 3]) {
+        let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
+        let mut s = VodServer::new(ServerConfig {
+            piggyback: None,
+            ..ServerConfig::provisioned(vec![movie], 40)
+        });
+        s.tick();
+        let enrolled = s.open_session(MovieId(0)).unwrap();
+        let sweeping = s.open_session(MovieId(0)).unwrap();
+        s.run(4);
+        s.request_vcr(sweeping, VcrKind::FastForward, 90).unwrap();
+        s.tick();
+        let waiting = s.open_session(MovieId(0)).unwrap();
+        assert_eq!(s.session_status(enrolled).unwrap(), SessionStatus::Shared);
+        assert_eq!(s.session_status(sweeping).unwrap(), SessionStatus::InVcr);
+        assert_eq!(
+            s.session_status(waiting).unwrap(),
+            SessionStatus::Waiting(6)
+        );
+        assert_eq!(s.check_invariants(), Vec::<String>::new());
+        (s, [enrolled, sweeping, waiting])
+    }
+
+    #[test]
+    fn audit_sees_disk_and_lease_drift() {
+        let (mut s, [_, sweeping, _]) = busy();
+        s.disk.skew_failed(100);
+        assert_eq!(
+            s.check_invariants(),
+            ["disk conservation broken: in_use 2 + free 0 + failed 100 != provisioned 62"]
+        );
+        let (mut s, _) = busy();
+        // A session lease dropped without a release: the disk and the
+        // reserve both still count it.
+        s.sessions.live_mut(sweeping.0).lease = None;
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "lease conservation broken: streams hold 1, sessions hold 0, disk says 2 in use",
+                "reserve drift: sessions hold 0 dedicated leases, reserve says 1",
+            ]
+        );
+    }
+
+    #[test]
+    fn audit_sees_buffer_drift() {
+        let (mut s, _) = busy();
+        s.pool.reserve(1).unwrap();
+        assert_eq!(
+            s.check_invariants(),
+            ["buffer accounting broken: partitions total 5 segments, pool says 6 used"]
+        );
+        let (mut s, _) = busy();
+        // One 5-segment partition is live; leave a 2-segment budget.
+        s.pool.shrink(s.pool.budget() - 2);
+        assert_eq!(
+            s.check_invariants(),
+            ["buffer overcommitted between ticks: 3 segments beyond budget"]
+        );
+    }
+
+    #[test]
+    fn audit_sees_enrollment_and_population_drift() {
+        let (mut s, [enrolled, _, _]) = busy();
+        let SessionState::Enrolled { stream } = s.sessions.live(enrolled.0).state else {
+            panic!("enrolled");
+        };
+        s.streams.live_mut(stream.0).enrolled += 1;
+        assert_eq!(
+            s.check_invariants(),
+            ["enrollment drift on stream 0: 1 readers vs enrolled 2"]
+        );
+        s.streams.live_mut(stream.0).enrolled -= 1;
+        // The same slot, one generation on: a retired stream.
+        let retired = ArenaId::from_parts(stream.0.index() as u32, stream.0.generation() + 1);
+        s.sessions.live_mut(enrolled.0).state = SessionState::Enrolled {
+            stream: StreamId(retired),
+        };
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "enrollment drift on stream 0: 0 readers vs enrolled 1",
+                "session 0 enrolled in dead stream 0",
+            ]
+        );
+        let (mut s, _) = busy();
+        s.degraded_count += 1;
+        assert_eq!(
+            s.check_invariants(),
+            ["degraded population drift: 0 sessions vs counter 1"]
+        );
+        let (mut s, [_, _, waiting]) = busy();
+        s.sessions.remove(waiting.0);
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "session slot 2 lost (empty)",
+                "wheel population drift: 0 waiting + 0 stale != 1 scheduled",
+            ]
+        );
+    }
+
+    #[test]
+    fn audit_sees_scheduler_drift() {
+        let (mut s, _) = busy();
+        s.active.swap(0, 1);
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "active list not strictly ascending",
+                "actionable session 0 missing from active list",
+            ]
+        );
+        let (mut s, _) = busy();
+        s.active.push(2);
+        assert_eq!(
+            s.check_invariants(),
+            ["waiting session 2 on the active list"]
+        );
+        let (mut s, _) = busy();
+        s.active.pop();
+        assert_eq!(
+            s.check_invariants(),
+            ["actionable session 1 missing from active list"]
+        );
+        let (mut s, _) = busy();
+        s.wheel_stale += 1;
+        assert_eq!(
+            s.check_invariants(),
+            ["wheel population drift: 1 waiting + 1 stale != 1 scheduled"]
+        );
     }
 }
