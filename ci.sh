@@ -47,10 +47,30 @@ echo "== benchmark/: the yardstick still compiles and its gate holds (all four w
 # API change would otherwise break it unnoticed.
 cargo test --release --manifest-path benchmark/Cargo.toml
 
-# The three report bins below rewrite committed files in place; each must
-# regenerate byte for byte, so keep the committed bytes aside to compare.
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
+
+echo "== benchmark digests: every segment of the four workloads at --smoke size, seeds 42 and 2026, bit for bit =="
+# `stats_digest` hashes everything a segment's run observed (see
+# benchmark/README.md "Correctness gate"), so an unchanged line is a
+# bitwise-unchanged run. results/SMOKE_DIGESTS.txt was taken from the
+# parent of PR 14; a PR that changes behaviour on purpose regenerates it
+# with this loop and says so.
+for seed in 42 2026; do
+  for workload in plan-catalog serve-vcr serve-storm federation; do
+    out="$scratch/smoke-$workload-$seed.json"
+    cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+      run --smoke --seed "$seed" --workload "$workload" --trace 0 --out "$out" >/dev/null
+    awk -v run="$seed $workload" '
+      /^        "[a-z]+": \{$/ { segment = $1; gsub(/[":]/, "", segment) }
+      /"digest": /           { digest = $2; gsub(/[",]/, "", digest); print run, segment, digest }
+    ' "$out"
+  done
+done >"$scratch/SMOKE_DIGESTS.txt"
+cmp "$scratch/SMOKE_DIGESTS.txt" results/SMOKE_DIGESTS.txt
+
+# The three report bins below rewrite committed files in place; each must
+# regenerate byte for byte, so keep the committed bytes aside to compare.
 cp results/CROSS_VALIDATION.json results/CHAOS_REPORT.json results/FEDERATION_REPORT.json "$scratch/"
 
 echo "== cross-validation: model vs sim vs server =="

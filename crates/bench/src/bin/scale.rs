@@ -17,7 +17,8 @@
 //! wall, the slowest tick a fault landed on, and the violation count
 //! (must be 0), and writes `results/BENCH_scale_storm.json`;
 //! `--previous PATH` copies each backend's row out of an earlier storm
-//! file so the new numbers sit beside the old ones.
+//! file (or, without a plan, the timing lines out of an earlier headline
+//! file) so the new numbers sit beside the old ones.
 //!
 //! ```sh
 //! cargo run --release -p vod-bench --bin scale -- \
@@ -90,19 +91,22 @@ fn main() {
          \"ticks\": {},\n  \"movies\": {},\n  \"vcr_per_tick\": {},\n",
         cfg.sessions, cfg.ticks, cfg.movies, cfg.vcr_per_tick
     );
+    let previous = previous.map(|path| {
+        std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            eprintln!("scale: cannot read {path}: {e}");
+            std::process::exit(1);
+        })
+    });
     let (default_out, json) = if storm {
-        let previous = previous.map(|path| {
-            std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("scale: cannot read {path}: {e}");
-                std::process::exit(1);
-            })
-        });
         (
             "results/BENCH_scale_storm.json",
             storm_report(&cfg, &header, previous.as_deref()),
         )
     } else {
-        ("results/BENCH_scale.json", headline_report(&cfg, &header))
+        (
+            "results/BENCH_scale.json",
+            headline_report(&cfg, &header, previous.as_deref()),
+        )
     };
     let out_path = out_path.unwrap_or_else(|| default_out.to_string());
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
@@ -115,8 +119,10 @@ fn main() {
     println!("wrote {out_path}");
 }
 
-/// The fault-free batching run behind `results/BENCH_scale.json`.
-fn headline_report(cfg: &ScaleConfig, header: &str) -> String {
+/// The fault-free batching run behind `results/BENCH_scale.json`, with
+/// the three measured lines of `previous` (top-level, one per line)
+/// repeated under `"previous"`.
+fn headline_report(cfg: &ScaleConfig, header: &str, previous: Option<&str>) -> String {
     let t0 = Instant::now();
     let out = run_scale(cfg, SEED);
     let elapsed = t0.elapsed().as_secs_f64();
@@ -133,11 +139,18 @@ fn headline_report(cfg: &ScaleConfig, header: &str) -> String {
         out.events,
         peak_rss_kb as f64 / 1024.0
     );
+    let old = previous.map_or(String::new(), |p| {
+        let measured = ["elapsed_sec", "events_per_sec", "peak_rss_kb"].map(|key| {
+            let line = p.lines().find(|l| l.starts_with(&format!("  \"{key}\":")));
+            line.unwrap_or("").trim().trim_end_matches(',')
+        });
+        format!(",\n  \"previous\": {{{}}}", measured.join(", "))
+    });
     format!(
         "{{\n  \"benchmark\": \"scale\",\n{header}  \"concurrent_at_end\": {},\n  \
          \"segments\": {},\n  \"vcr_accepted\": {},\n  \"events\": {},\n  \
          \"verify_failures\": {},\n  \"elapsed_sec\": {elapsed:.3},\n  \
-         \"events_per_sec\": {events_per_sec:.0},\n  \"peak_rss_kb\": {peak_rss_kb}\n}}\n",
+         \"events_per_sec\": {events_per_sec:.0},\n  \"peak_rss_kb\": {peak_rss_kb}{old}\n}}\n",
         out.concurrent_at_end, out.segments, out.vcr_accepted, out.events, out.verify_failures,
     )
 }

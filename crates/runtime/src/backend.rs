@@ -322,15 +322,41 @@ impl ReceptionFront {
 
     /// Record reception of `minute` (idempotent; out-of-range minutes
     /// are ignored) and advance the contiguous front over any newly
-    /// connected run of received minutes. Amortized O(1) per recorded
-    /// minute: the front walks each bit at most once.
+    /// connected run of received minutes.
     pub fn record(&mut self, minute: u32) {
         if minute >= self.length {
             return;
         }
         self.bits[(minute / 64) as usize] |= 1u64 << (minute % 64);
-        while self.front < self.length && self.has(self.front) {
-            self.front += 1;
+        self.advance_front();
+    }
+
+    /// [`record`](Self::record) for a whole tick's reception at once:
+    /// `mask` is a bitset over the movie's minutes (bit `m % 64` of word
+    /// `m / 64`), ORed in a word at a time; bits at or past the length
+    /// are ignored.
+    pub fn record_mask(&mut self, mask: &[u64]) {
+        for (word, &m) in self.bits.iter_mut().zip(mask) {
+            *word |= m;
+        }
+        if !self.length.is_multiple_of(64) {
+            if let Some(last) = self.bits.last_mut() {
+                *last &= (1u64 << (self.length % 64)) - 1;
+            }
+        }
+        self.advance_front();
+    }
+
+    /// Walk the front over the received run it now touches, a word's
+    /// run of ones at a time (no bit at or past the length is ever set,
+    /// so the walk stops there).
+    fn advance_front(&mut self) {
+        while self.front < self.length {
+            let run = (self.bits[(self.front / 64) as usize] >> (self.front % 64)).trailing_ones();
+            self.front += run;
+            if run == 0 || !self.front.is_multiple_of(64) {
+                break;
+            }
         }
     }
 

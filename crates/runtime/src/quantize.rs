@@ -1,5 +1,7 @@
 //! Integer-minute quantization of the paper's `(l, B, n)` geometry.
 
+use std::ops::RangeInclusive;
+
 /// The tick server's integer-minute view of one movie's schedule:
 /// restart interval `T`, partition capacity `b` (segments), movie length
 /// `l` (segments).
@@ -66,32 +68,35 @@ impl QuantizedGeometry {
         (self.length + self.partition_capacity) / self.restart_interval + 2
     }
 
-    /// Can a session at `position` join a live stream whose window is
-    /// currently `[front + 1 − filled, front]`?
+    /// The positions at which a session can join a live stream whose
+    /// window is currently `[front + 1 − filled, front]`; `None` for an
+    /// empty partition.
     ///
-    /// Joining means the session consumes `position` *after the stream's
-    /// next advance*, so membership is checked against the window one
-    /// advance ahead: a still-displaying stream's window shifts forward
-    /// by one (evicting its tail once the partition is full); a finished
-    /// stream's window is frozen. Checking the current window instead
-    /// would let a session join exactly at the trailing edge and underrun
-    /// one tick later.
-    pub fn stream_join_covers(&self, front: u32, filled: u32, position: u32) -> bool {
+    /// Joining means the session consumes its position *after the
+    /// stream's next advance*, so the range is the window one advance
+    /// ahead: a still-displaying stream's window shifts forward by one
+    /// (evicting its tail once the partition is full); a finished
+    /// stream's window is frozen. Using the current window instead would
+    /// let a session join exactly at the trailing edge and underrun one
+    /// tick later.
+    pub fn stream_join_range(&self, front: u32, filled: u32) -> Option<RangeInclusive<u32>> {
         if filled == 0 {
-            return false;
+            return None;
         }
         let tail = front + 1 - filled;
         let will_advance = front + 1 < self.length;
-        if will_advance {
-            let next_tail = if filled == self.partition_capacity {
-                tail + 1
-            } else {
-                tail
-            };
-            (next_tail..=front + 1).contains(&position)
+        Some(if will_advance {
+            let evicts = filled == self.partition_capacity;
+            tail + u32::from(evicts)..=front + 1
         } else {
-            (tail..=front).contains(&position)
-        }
+            tail..=front
+        })
+    }
+
+    /// Is `position` inside [`Self::stream_join_range`]?
+    pub fn stream_join_covers(&self, front: u32, filled: u32, position: u32) -> bool {
+        self.stream_join_range(front, filled)
+            .is_some_and(|joinable| joinable.contains(&position))
     }
 
     /// Is `position` joinable at tick `t` under the *ideal* schedule

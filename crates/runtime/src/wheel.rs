@@ -195,6 +195,13 @@ impl<T> TimerWheel<T> {
     /// `t + 1`; a `t` behind the cursor returns nothing and moves nothing.
     pub fn drain_tick(&mut self, t: u64) -> Vec<T> {
         let mut out = Vec::new();
+        self.drain_tick_into(t, &mut out);
+        out
+    }
+
+    /// [`TimerWheel::drain_tick`], appending to `out` so a per-tick
+    /// caller can keep one buffer's capacity.
+    pub fn drain_tick_into(&mut self, t: u64, out: &mut Vec<T>) {
         while self.now <= t {
             let base = self.now & !(SLOTS - 1);
             let cursor_bit = (self.now - base) as u32;
@@ -223,7 +230,6 @@ impl<T> TimerWheel<T> {
                 }
             }
         }
-        out
     }
 
     /// Earliest scheduled due tick, if any. `drain_tick(next_due())`

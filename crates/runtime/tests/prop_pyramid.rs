@@ -201,4 +201,40 @@ proptest! {
         prop_assert_eq!(rx.front(), length, "all bits set");
         prop_assert_eq!(rx.audit_front(), length);
     }
+
+    /// `record_mask` ≡ the same minutes fed one by one to `record`, for
+    /// any sequence of ticks: equal bitmap, `front` and `audit_front`.
+    /// Lengths include non-multiples of 64; masks are a word longer than
+    /// the bitmap and set bits at and past `length`; each case ends by
+    /// closing a hole at a word seam so the front jumps across words.
+    #[test]
+    fn record_mask_equals_minute_by_minute_record(
+        length in 1u32..=300,
+        ticks in proptest::collection::vec(proptest::collection::vec(0u32..384, 8), 16),
+        seam in 0u32..5,
+    ) {
+        let words = (length as usize).div_ceil(64) + 1;
+        let mask_of = |minutes: &[u32]| {
+            let mut mask = vec![0u64; words];
+            for &m in minutes.iter().filter(|&&m| (m as usize) < words * 64) {
+                mask[(m / 64) as usize] |= 1 << (m % 64);
+            }
+            mask
+        };
+        let mut by_mask = ReceptionFront::new(length);
+        let mut by_minute = ReceptionFront::new(length);
+        // Everything but one minute next to a word seam, then that minute.
+        let hole = (seam * 64 + 63).min(length - 1);
+        let rest: Vec<u32> = (0..length + 70).filter(|&m| m != hole).collect();
+        let tail = [rest, vec![hole]];
+        for minutes in ticks.iter().chain(&tail) {
+            by_mask.record_mask(&mask_of(minutes));
+            for &m in minutes {
+                by_minute.record(m);
+            }
+            prop_assert_eq!(&by_mask, &by_minute);
+            prop_assert_eq!(by_mask.audit_front(), by_mask.front());
+        }
+        prop_assert_eq!(by_mask.front(), length);
+    }
 }

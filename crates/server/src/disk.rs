@@ -220,10 +220,11 @@ impl DiskSubsystem {
         if !self.active.contains(&lease.id) {
             return Err(DiskError::StaleLease);
         }
-        if let Some(&Some(len)) = self.lengths.get(movie.0 as usize) {
-            if index >= len {
-                return Err(DiskError::OutOfRange { index, length: len });
-            }
+        // A movie never registered has no segments: length 0.
+        let slot = self.lengths.get(movie.0 as usize);
+        let length = slot.copied().flatten().unwrap_or(0);
+        if index >= length {
+            return Err(DiskError::OutOfRange { index, length });
         }
         self.reads += 1;
         Ok(generate_segment(movie, index))
@@ -278,6 +279,24 @@ mod tests {
             d.read(&lease, MovieId(7), 120),
             Err(DiskError::OutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn unregistered_movie_serves_nothing() {
+        let mut d = DiskSubsystem::new(1);
+        d.register_movie(MovieId(7), 120);
+        let lease = d.acquire().unwrap();
+        // Beyond the dense table, and a hole inside it.
+        for movie in [MovieId(8), MovieId(3)] {
+            assert_eq!(
+                d.read(&lease, movie, 0),
+                Err(DiskError::OutOfRange {
+                    index: 0,
+                    length: 0
+                })
+            );
+        }
+        assert_eq!(d.total_reads(), 0);
     }
 
     #[test]

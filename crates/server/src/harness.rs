@@ -421,8 +421,8 @@ impl ScaleConfig {
     /// The server a scale run provisions: `movies` copies of the harness
     /// geometry (l = 120, n = 20, B = 100 — restarts every 6 ticks with
     /// 5-tick enrollment windows, so a tick-0 cohort stays in lockstep
-    /// and the one-entry verify memo covers it) plus a VCR reserve sized
-    /// to the sprinkle.
+    /// on one ring entry per movie) plus a VCR reserve sized to the
+    /// sprinkle.
     pub fn server_config(&self) -> ServerConfig {
         let movies = (0..self.movies)
             .map(|m| HostedMovie::from_allocation(MovieId(m), 120, 20, 100.0))
@@ -508,8 +508,8 @@ pub fn run_scale_on(
     server.inject_faults(plan.clone(), DegradePolicy::default());
     let mut rng = seeded(seed);
     // Contiguous block assignment: adjacent session indices share a
-    // movie, so the per-tick delivery walk switches movies (and misses
-    // the verify memo) only `cfg.movies` times per tick.
+    // movie, so the per-tick delivery walk switches movies only
+    // `cfg.movies` times per tick.
     let ids: Vec<SessionId> = (0..cfg.sessions)
         .map(|i| {
             let movie = MovieId((i * u64::from(cfg.movies) / cfg.sessions) as u32);

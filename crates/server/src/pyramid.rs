@@ -79,6 +79,16 @@ struct PyramidMovie {
     /// unfunded staging slot). Phase-locked to the wheel: padding slots
     /// never count.
     channel_stall: Vec<u64>,
+    /// Bitset over the movie's minutes, rebuilt each tick: the minutes on
+    /// the air this tick — every receiving client's recorder ORs it in.
+    staged: Vec<u64>,
+    /// Bitsets over the movie's minutes, cleared each tick: the minutes
+    /// byte-verified for a delivery this tick, and those that failed.
+    /// What a minute is delivered from (its channel's staging slot or the
+    /// client's replay) is fixed for the tick, so its deliveries share
+    /// one verification and one recorded outcome.
+    verified: Vec<u64>,
+    failed: Vec<u64>,
 }
 
 /// Per-session state machine of the broadcast backend.
@@ -170,6 +180,10 @@ pub struct PyramidServer {
     /// first — recovery wins the same-tick race.
     recovered_at: Option<u64>,
     starved_count: u32,
+    /// Test hook: the `(movie, channel)` staging slot to corrupt between
+    /// the next tick's broadcast and its session phase.
+    #[cfg(test)]
+    corrupt_staged: Option<(usize, usize)>,
 }
 
 impl PyramidServer {
@@ -199,12 +213,16 @@ impl PyramidServer {
             }
             total_channels += geometry.channels();
             let channel_stall = vec![0; geometry.channels() as usize];
+            let words = (length as usize).div_ceil(64);
             movies.push(PyramidMovie {
                 movie: m.movie,
                 geometry,
                 leases,
                 slots,
                 channel_stall,
+                staged: vec![0; words],
+                verified: vec![0; words],
+                failed: vec![0; words],
             });
         }
         // Staging budget: exactly one segment per channel. This *is* the
@@ -234,6 +252,8 @@ impl PyramidServer {
             recovery_due: BTreeMap::new(),
             recovered_at: None,
             starved_count: 0,
+            #[cfg(test)]
+            corrupt_staged: None,
         }
     }
 
@@ -430,16 +450,24 @@ impl PyramidServer {
             let sess = self.sessions.live_at(idx as usize);
             (sess.movie_idx, sess.position)
         };
-        let m = &self.movies[movie_idx];
-        let channel = m.geometry.channel_of(position) as usize;
-        let verified = match m.slots.get(channel).and_then(|s| s.current()) {
-            Some(seg) if seg.index == position => verify_segment(seg),
-            _ => {
-                // Client-buffered replay: the segment was verified at
-                // reception; re-derive and re-verify the canonical bytes.
-                verify_segment(&crate::content::generate_segment(m.movie, position))
+        let m = &mut self.movies[movie_idx];
+        let (word, bit) = ((position / 64) as usize, 1u64 << (position % 64));
+        if m.verified[word] & bit == 0 {
+            let channel = m.geometry.channel_of(position) as usize;
+            let ok = match m.slots.get(channel).and_then(|s| s.current()) {
+                Some(seg) if seg.index == position => verify_segment(seg),
+                _ => {
+                    // Client-buffered replay: the segment was verified at
+                    // reception; re-derive and re-verify the canonical bytes.
+                    verify_segment(&crate::content::generate_segment(m.movie, position))
+                }
+            };
+            m.verified[word] |= bit;
+            if !ok {
+                m.failed[word] |= bit;
             }
-        };
+        }
+        let verified = m.failed[word] & bit == 0;
         let sess = self.sessions.live_at_mut(idx as usize);
         sess.stats.from_buffer += 1;
         if !verified {
@@ -635,6 +663,10 @@ impl DeliveryBackend for PyramidServer {
     fn tick(&mut self) {
         self.apply_faults();
         self.broadcast();
+        #[cfg(test)]
+        if let Some((movie, channel)) = self.corrupt_staged.take() {
+            self.movies[movie].slots[channel].corrupt();
+        }
         // Boundary joins: sessions whose segment-1 boundary is this tick
         // start receiving now.
         for idx in self.wakeups.drain_tick(self.now) {
@@ -648,21 +680,17 @@ impl DeliveryBackend for PyramidServer {
         // minutes staged this tick, so a bookkept front can never lead
         // the truly-broadcast one — channels a fault holds off the air
         // leave holes that fill on their next loop.
-        let staged: Vec<Vec<u32>> = self
-            .movies
-            .iter()
-            .map(|m| {
-                m.slots
-                    .iter()
-                    .filter_map(|s| s.current().map(|seg| seg.index))
-                    .collect()
-            })
-            .collect();
+        for m in &mut self.movies {
+            m.staged.fill(0);
+            m.verified.fill(0);
+            m.failed.fill(0);
+            for seg in m.slots.iter().filter_map(|s| s.current()) {
+                m.staged[(seg.index / 64) as usize] |= 1 << (seg.index % 64);
+            }
+        }
         for &idx in &self.active {
             let sess = self.sessions.live_at_mut(idx as usize);
-            for &minute in &staged[sess.movie_idx] {
-                sess.rx.record(minute);
-            }
+            sess.rx.record_mask(&self.movies[sess.movie_idx].staged);
         }
         let now = self.now;
         let policy = self.policy;
@@ -1172,6 +1200,40 @@ mod tests {
         let rt = s.runtime_metrics();
         assert_eq!(rt.buffer_minutes, 120.0, "all service from the broadcast");
         assert_eq!(rt.disk_minutes, 0.0);
+    }
+
+    /// Shared verification stores the outcome, never "assume ok": every
+    /// delivery of a corrupt staged minute counts, on the server and on
+    /// its session, and nothing carries into the next tick.
+    #[test]
+    fn every_delivery_of_a_corrupt_staged_minute_counts() {
+        let mut s = PyramidServer::new(config());
+        // d = 1: a session opened at tick t plays minute 0 on tick t, off
+        // channel 0's staging slot (which loops minute 0 alone).
+        let cohort: Vec<SessionId> = (0..3)
+            .map(|_| s.open_session(MovieId(0)).unwrap())
+            .collect();
+        s.corrupt_staged = Some((0, 0));
+        s.tick();
+        assert_eq!(s.verify_failures(), 3, "one per delivery");
+        for &id in &cohort {
+            assert_eq!(s.sessions.live(id.0).stats.verify_failures, 1);
+            assert_eq!(s.session_position(id).unwrap(), 1);
+        }
+        // Next tick the slot is restaged: a newcomer's minute 0 and the
+        // cohort's replayed minute 1 verify afresh, and pass.
+        let late = s.open_session(MovieId(0)).unwrap();
+        s.tick();
+        assert_eq!(s.session_position(late).unwrap(), 1);
+        assert_eq!(s.sessions.live(late.0).stats.verify_failures, 0);
+        assert_eq!(s.verify_failures(), 3);
+        // And a corrupt slot after a clean tick is seen.
+        let later = s.open_session(MovieId(0)).unwrap();
+        s.corrupt_staged = Some((0, 0));
+        s.tick();
+        assert_eq!(s.sessions.live(later.0).stats.verify_failures, 1);
+        assert_eq!(s.verify_failures(), 4);
+        assert!(s.check_invariants().is_empty());
     }
 
     #[test]

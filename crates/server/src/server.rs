@@ -20,6 +20,7 @@
 //!    count down; resumes are classified hit/miss against live windows.
 
 use std::collections::BTreeMap;
+use std::ops::RangeInclusive;
 
 use vod_runtime::{
     Arena, ArenaId, DegradePolicy, FaultKind, FaultPlan, QuantizedGeometry, ResumeClass,
@@ -179,6 +180,16 @@ struct ActiveStream {
     next_read: u32,
 }
 
+/// One live stream as the join rule sees it: the positions `lo..=hi` a
+/// session can join it at ([`QuantizedGeometry::stream_join_range`] of
+/// its partition after this tick's stream phase; `lo > hi`: none).
+#[derive(Clone, Copy)]
+struct JoinWindow {
+    lo: u32,
+    hi: u32,
+    stream: StreamId,
+}
+
 struct Session {
     movie_idx: usize,
     /// Next segment to consume.
@@ -224,11 +235,16 @@ pub struct VodServer {
     /// restart batch. Valid within one tick's session phase (streams do
     /// not start or retire there); reset by `advance_sessions`.
     restart_memo: Vec<Option<Option<StreamId>>>,
-    /// One-entry memo of the last `(stream, position) → verified` buffer
-    /// read this tick. Within a tick a partition is immutable, and a
-    /// restart batch shares one position, so cohort reads after the first
-    /// skip the segment re-generation in `verify_segment`.
-    verify_memo: Option<(ArenaId, u32, bool)>,
+    /// Per movie, every live stream's join window in ascending slot
+    /// order, rebuilt by `advance_streams`. Streams start, advance and
+    /// retire only in the stream phase and in `apply_faults`, both ahead
+    /// of it within a tick, so the table is exact for the session phase
+    /// and for every call between ticks.
+    join_table: Vec<Vec<JoinWindow>>,
+    /// Spare buffers of `advance_sessions` (this tick's wakeups; the
+    /// next active list), kept for their capacity.
+    due: Vec<u32>,
+    next_active: Vec<u32>,
     /// Test-only oracle mode: process sessions with the historical full
     /// 0..n scan (no wheel, no memos). Set at construction time via
     /// `set_reference_scan`; the equivalence suite pins wheel mode
@@ -304,7 +320,9 @@ impl VodServer {
             wakeups: TimerWheel::new(),
             wheel_stale: 0,
             restart_memo: vec![None; n_movies],
-            verify_memo: None,
+            join_table: vec![Vec::new(); n_movies],
+            due: Vec::new(),
+            next_active: Vec::new(),
             reference_scan: false,
             metrics: ServerMetrics::new(),
             movie_index,
@@ -1097,29 +1115,37 @@ impl VodServer {
 
     fn advance_streams(&mut self, t: u64) {
         let stalled = self.disk_stalled(t);
+        for windows in &mut self.join_table {
+            windows.clear();
+        }
         for i in 0..self.streams.slot_count() {
-            let Some(s) = self.streams.at_mut(i) else {
+            let Some(id) = self.streams.id_at(i) else {
                 continue;
             };
+            let s = self.streams.live_mut(id);
             let hosted = self.config.movies[s.movie_idx];
-            if s.next_read >= hosted.geometry.length {
-                continue;
+            // Disk slowdown: no stream reads this tick; `next_read` holds
+            // and enrolled readers at the front stall with it.
+            if s.next_read < hosted.geometry.length && !stalled {
+                // vod-lint: allow(no-panic) — retire_streams only drops the lease once
+                // next_read ≥ length, and the guard above skips exactly those streams.
+                let lease = s.lease.as_ref().expect("playing stream holds a lease");
+                let seg = self
+                    .disk
+                    .read(lease, hosted.movie, s.next_read)
+                    // vod-lint: allow(no-panic) — next_read < length above bounds the read.
+                    .expect("scheduled read is in range");
+                s.partition.advance(seg);
+                s.next_read += 1;
             }
-            if stalled {
-                // Disk slowdown: no stream reads this tick; `next_read`
-                // holds and enrolled readers at the front stall with it.
-                continue;
-            }
-            // vod-lint: allow(no-panic) — retire_streams only drops the lease once
-            // next_read ≥ length, and the guard above skips exactly those streams.
-            let lease = s.lease.as_ref().expect("playing stream holds a lease");
-            let seg = self
-                .disk
-                .read(lease, hosted.movie, s.next_read)
-                // vod-lint: allow(no-panic) — next_read < length above bounds the read.
-                .expect("scheduled read is in range");
-            s.partition.advance(seg);
-            s.next_read += 1;
+            let filled = s.partition.len() as u32;
+            let joinable = s
+                .partition
+                .front_index()
+                .and_then(|front| hosted.geometry.stream_join_range(front, filled));
+            let (lo, hi) = joinable.map_or((1, 0), RangeInclusive::into_inner);
+            let stream = StreamId(id);
+            self.join_table[s.movie_idx].push(JoinWindow { lo, hi, stream });
         }
     }
 
@@ -1137,17 +1163,19 @@ impl VodServer {
         for memo in self.restart_memo.iter_mut() {
             *memo = None;
         }
-        self.verify_memo = None;
         if self.reference_scan {
             for idx in 0..self.sessions.slot_count() {
                 self.advance_session(t, idx);
             }
             return;
         }
-        let mut due = self.wakeups.drain_tick(t);
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        self.wakeups.drain_tick_into(t, &mut due);
         due.sort_unstable();
         let prev_active = std::mem::take(&mut self.active);
-        let mut next_active = Vec::with_capacity(prev_active.len() + due.len());
+        let mut next_active = std::mem::take(&mut self.next_active);
+        next_active.clear();
         let (mut a, mut d) = (0usize, 0usize);
         loop {
             // A session is never in both sources: Waiting sessions are
@@ -1190,16 +1218,18 @@ impl VodServer {
             }
         }
         self.active = next_active;
+        self.next_active = prev_active;
+        self.due = due;
     }
 
     /// First live stream of `movie_idx` that restarted at tick `t`, in
     /// slot order (at most one exists: `start_due_streams` starts one
     /// stream per movie per due tick).
     fn find_restarted_stream(&self, movie_idx: usize, t: u64) -> Option<StreamId> {
-        self.streams
+        self.join_table[movie_idx]
             .iter()
-            .find(|(_, s)| s.movie_idx == movie_idx && s.started == t)
-            .map(|(id, _)| StreamId(id))
+            .map(|w| w.stream)
+            .find(|stream| self.streams.live(stream.0).started == t)
     }
 
     fn advance_session(&mut self, t: u64, idx: usize) {
@@ -1419,56 +1449,41 @@ impl VodServer {
             (stream.0, sess.position, sess.movie_idx)
         };
         let length = self.config.movies[movie_idx].geometry.length;
-        // A restart batch reads the same `(stream, position)` segment in
-        // one cohort; partitions are immutable during the session phase,
-        // so the verification outcome can be memoized across the cohort
-        // (wheel mode only — the reference oracle recomputes every read).
-        let memo = (!self.reference_scan)
-            .then_some(self.verify_memo)
-            .flatten()
-            .filter(|&(s, p, _)| s == stream_id && p == position)
-            .map(|(_, _, ok)| ok);
-        let verified = match memo {
+        // Partitions are immutable during the session phase, so every
+        // delivery of one ring entry this tick shares the entry's one
+        // verification (the reference oracle recomputes every read).
+        let partition = &mut self.streams.live_mut(stream_id).partition;
+        let outcome = if self.reference_scan {
+            partition.get(position).map(verify_segment)
+        } else {
+            partition.verify_once(position, t)
+        };
+        let verified = match outcome {
             Some(ok) => ok,
-            None => {
-                let stream = self.streams.live(stream_id);
-                match stream.partition.get(position) {
-                    Some(seg) => {
-                        let ok = verify_segment(seg);
-                        if !self.reference_scan {
-                            self.verify_memo = Some((stream_id, position, ok));
-                        }
-                        ok
-                    }
-                    None if self.fault_mode => {
-                        // Under faults an uncovered position has two honest
-                        // outcomes instead of a panic: the stream has not yet
-                        // produced the segment (disk slowdown — stall with it),
-                        // or the window moved past us (degraded re-wait).
-                        let ahead = stream
-                            .partition
-                            .front_index()
-                            .is_none_or(|front| position > front);
-                        if ahead {
-                            self.metrics.runtime.stall_minutes += 1.0;
-                        } else {
-                            self.enter_degraded(t, idx);
-                        }
-                        return;
-                    }
-                    None => {
-                        // vod-lint: allow(no-panic) — without injected faults an
-                        // underrun means the enrollment invariant is broken; serving
-                        // a wrong segment silently would corrupt the data path, so
-                        // abort loudly.
-                        panic!(
-                            "buffer underrun: session at {position} not covered by \
-                             partition [{:?}, {:?}] (enrollment invariant broken)",
-                            stream.partition.tail_index(),
-                            stream.partition.front_index()
-                        )
-                    }
+            None if self.fault_mode => {
+                // Under faults an uncovered position has two honest
+                // outcomes instead of a panic: the stream has not yet
+                // produced the segment (disk slowdown — stall with it),
+                // or the window moved past us (degraded re-wait).
+                let ahead = partition.front_index().is_none_or(|front| position > front);
+                if ahead {
+                    self.metrics.runtime.stall_minutes += 1.0;
+                } else {
+                    self.enter_degraded(t, idx);
                 }
+                return;
+            }
+            None => {
+                // vod-lint: allow(no-panic) — without injected faults an
+                // underrun means the enrollment invariant is broken; serving
+                // a wrong segment silently would corrupt the data path, so
+                // abort loudly.
+                panic!(
+                    "buffer underrun: session at {position} not covered by \
+                     partition [{:?}, {:?}] (enrollment invariant broken)",
+                    partition.tail_index(),
+                    partition.front_index()
+                )
             }
         };
         let sess = self.sessions.live_at_mut(idx);
@@ -1726,10 +1741,28 @@ impl VodServer {
         }
     }
 
-    /// Any live stream of `movie_idx` a session at `position` can join —
-    /// [`QuantizedGeometry::stream_join_covers`] applied to each live
-    /// partition's actual `(front, filled)` state, in slot order.
+    /// Any live stream of `movie_idx` a session at `position` can join:
+    /// the first window of the movie's join-table row that holds it — the
+    /// rule and the slot order of [`Self::joinable_stream_scan`], without
+    /// the walk over every other movie's streams.
     fn joinable_stream(&self, movie_idx: usize, position: u32) -> Option<StreamId> {
+        let found = self.join_table[movie_idx]
+            .iter()
+            .find(|w| (w.lo..=w.hi).contains(&position))
+            .map(|w| w.stream);
+        debug_assert_eq!(
+            found,
+            self.joinable_stream_scan(movie_idx, position),
+            "join table drifted from the stream arena"
+        );
+        found
+    }
+
+    /// [`QuantizedGeometry::stream_join_covers`] applied to each live
+    /// partition's actual `(front, filled)` state, in slot order, over
+    /// the whole stream arena: the debug-build oracle of
+    /// [`Self::joinable_stream`].
+    fn joinable_stream_scan(&self, movie_idx: usize, position: u32) -> Option<StreamId> {
         let geometry = self.config.movies[movie_idx].geometry;
         self.streams
             .iter()
@@ -1788,6 +1821,49 @@ mod tests {
         );
         assert_eq!(s.check_invariants(), Vec::<String>::new());
         (s, [enrolled, sweeping, waiting])
+    }
+
+    /// Shared verification stores the outcome, never "assume ok": every
+    /// delivery of a corrupt ring entry counts, on the server and on its
+    /// session, exactly as the recompute-everything reference scan
+    /// counts them, and no outcome outlives its tick.
+    #[test]
+    fn every_delivery_of_a_corrupt_ring_entry_counts() {
+        for reference in [false, true] {
+            let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
+            let mut s = VodServer::new(ServerConfig::provisioned(vec![movie], 4));
+            s.set_reference_scan(reference);
+            s.tick();
+            // Three viewers one segment behind the stream, one two behind.
+            let cohort: Vec<SessionId> = (0..3)
+                .map(|_| s.open_session(MovieId(0)).unwrap())
+                .collect();
+            s.tick();
+            let straggler = s.open_session(MovieId(0)).unwrap();
+            s.run(2);
+            let SessionState::Enrolled { stream } = s.sessions.live(straggler.0).state else {
+                panic!("enrolled");
+            };
+            assert_eq!(s.session_position(cohort[0]).unwrap(), 3);
+            assert_eq!(s.session_position(straggler).unwrap(), 2);
+            assert_eq!(s.metrics().verify_failures, 0);
+            // Entry 2 passed when the cohort read it last tick; it and
+            // entry 3 go bad now.
+            let partition = &mut s.streams.live_mut(stream.0).partition;
+            partition.corrupt(2);
+            partition.corrupt(3);
+            s.tick();
+            assert_eq!(s.metrics().verify_failures, 4, "one per delivery");
+            for &id in cohort.iter().chain([&straggler]) {
+                assert_eq!(s.session_stats(id).unwrap().verify_failures, 1);
+            }
+            // Entry 3 is repaired before the straggler reaches it: the
+            // cohort's failure on it is not carried over either.
+            s.streams.live_mut(stream.0).partition.corrupt(3);
+            s.tick();
+            assert_eq!(s.metrics().verify_failures, 4);
+            assert_eq!(s.session_stats(straggler).unwrap().from_buffer, 4);
+        }
     }
 
     #[test]

@@ -29,6 +29,7 @@ use vod_workload::{VcrKind, VcrTraceRecord, Welford};
 use crate::{CatalogConfig, CatalogReport, SimConfig, SimReport};
 
 /// Scheduled event. Ordered by time then sequence number (FIFO ties).
+/// At most 32 bytes (pinned by a test): every queue move copies one.
 struct Ev {
     time: f64,
     seq: u64,
@@ -43,19 +44,8 @@ enum EvKind {
     Start { viewer: ArenaId },
     /// A playing viewer issues a VCR operation.
     Vcr { viewer: ArenaId },
-    /// A VCR operation completes; the viewer resumes at `end_pos`.
-    VcrEnd {
-        viewer: ArenaId,
-        kind: VcrKind,
-        magnitude: f64,
-        issued_at: f64,
-        issued_pos: f64,
-        end_pos: f64,
-        /// FF ran off the end of the movie.
-        reached_end: bool,
-        /// RW was truncated at the movie start.
-        truncated_start: bool,
-    },
+    /// The viewer's VCR operation (its [`Viewer::sweep`]) completes.
+    VcrEnd { viewer: ArenaId },
     /// A viewer reaches the end of the movie in normal playback.
     Finish { viewer: ArenaId },
 }
@@ -81,6 +71,20 @@ impl Ord for Ev {
     }
 }
 
+/// A VCR operation in flight; the viewer resumes at `end_pos`.
+#[derive(Clone, Copy)]
+struct Sweep {
+    kind: VcrKind,
+    magnitude: f64,
+    issued_at: f64,
+    issued_pos: f64,
+    end_pos: f64,
+    /// FF ran off the end of the movie.
+    reached_end: bool,
+    /// RW was truncated at the movie start.
+    truncated_start: bool,
+}
+
 /// Per-viewer playback state. While playing, the position at time `t` is
 /// `pos_base + (t − t_base)`.
 struct Viewer {
@@ -96,6 +100,9 @@ struct Viewer {
     /// client's effective reception time is wall time minus the stall
     /// accrued since it joined (stall before the join is not its loss).
     stall_at_join: f64,
+    /// The VCR operation whose `VcrEnd` is queued; a viewer has at most
+    /// one in flight.
+    sweep: Option<Sweep>,
 }
 
 /// The engine's pending-event set.
@@ -104,24 +111,29 @@ struct Viewer {
 /// `(time, seq)` — so the engine's behavior is bitwise independent of
 /// which one drives it (pinned by `tests/queue_equivalence.rs`).
 ///
-/// The wheel variant buckets events by `floor(time)` minute: only the
-/// minute the cursor is on lives in a small [`BinaryHeap`]; everything
-/// later waits in a [`TimerWheel`] slot. Pushes into future minutes are
-/// O(1) instead of O(log pending), and an idle stretch fast-forwards
-/// through the wheel's occupancy bitmaps instead of popping through a
-/// million-entry heap. Ordering is preserved because every event in
-/// `current` has `floor(time) ≤ minute` while every event still in the
-/// wheel has `floor(time) > minute` — so `current`'s minimum is the
-/// global minimum — and within a minute the heap restores the global
-/// `(time, seq)` order over the wheel's FIFO drain.
+/// The wheel variant buckets events by `floor(time)` minute; everything
+/// past the minute the cursor is on waits in a [`TimerWheel`] slot.
+/// Pushes into future minutes are O(1) instead of O(log pending), and an
+/// idle stretch fast-forwards through the wheel's occupancy bitmaps
+/// instead of popping through a million-entry heap. On each minute change
+/// the drained bucket is sorted once into `run`; only events pushed into
+/// the minute already being played go through the small `late` heap.
+/// Ordering is preserved because every event in `run` or `late` has
+/// `floor(time) ≤ minute` while every event still in the wheel has
+/// `floor(time) > minute` — so the earlier of the two heads is the
+/// global minimum.
 enum EventQueue {
     /// The historical single global heap (reference scheduler).
     Heap(BinaryHeap<Ev>),
-    /// Minute-bucketed wheel + current-minute heap (the default).
+    /// Minute-bucketed wheel + sorted current minute (the default).
     Wheel {
         wheel: TimerWheel<Ev>,
-        current: BinaryHeap<Ev>,
-        /// The minute bucket `current` is drawn from.
+        /// The bucket of `minute`, latest first: `pop()` takes the
+        /// earliest off the back.
+        run: Vec<Ev>,
+        /// Events pushed into `minute` while it plays.
+        late: BinaryHeap<Ev>,
+        /// The minute bucket `run` was drained from.
         minute: u64,
     },
 }
@@ -133,7 +145,8 @@ impl EventQueue {
         } else {
             EventQueue::Wheel {
                 wheel: TimerWheel::new(),
-                current: BinaryHeap::new(),
+                run: Vec::new(),
+                late: BinaryHeap::new(),
                 minute: 0,
             }
         }
@@ -144,12 +157,13 @@ impl EventQueue {
             EventQueue::Heap(heap) => heap.push(ev),
             EventQueue::Wheel {
                 wheel,
-                current,
+                late,
                 minute,
+                ..
             } => {
                 let tick = TimerWheel::<Ev>::tick_of(ev.time);
                 if tick <= *minute {
-                    current.push(ev);
+                    late.push(ev);
                 } else {
                     wheel.schedule(tick, ev);
                 }
@@ -162,18 +176,24 @@ impl EventQueue {
             EventQueue::Heap(heap) => heap.pop(),
             EventQueue::Wheel {
                 wheel,
-                current,
+                run,
+                late,
                 minute,
-            } => loop {
-                if let Some(ev) = current.pop() {
-                    return Some(ev);
+            } => {
+                if run.is_empty() && late.is_empty() {
+                    let due = wheel.next_due()?;
+                    *minute = due;
+                    wheel.drain_tick_into(due, run);
+                    // `Ord for Ev` is inverted: ascending = latest first.
+                    run.sort_unstable();
                 }
-                let due = wheel.next_due()?;
-                *minute = due;
-                for ev in wheel.drain_tick(due) {
-                    current.push(ev);
+                // The greater head under the inverted order is the earlier.
+                if late.peek() > run.last() {
+                    late.pop()
+                } else {
+                    run.pop()
                 }
-            },
+            }
         }
     }
 }
@@ -295,26 +315,7 @@ impl<'a> Engine<'a> {
                 EvKind::Arrival { movie } => self.on_arrival(ev.time, movie),
                 EvKind::Start { viewer } => self.on_start(ev.time, viewer),
                 EvKind::Vcr { viewer } => self.on_vcr(ev.time, viewer),
-                EvKind::VcrEnd {
-                    viewer,
-                    kind,
-                    magnitude,
-                    issued_at,
-                    issued_pos,
-                    end_pos,
-                    reached_end,
-                    truncated_start,
-                } => self.on_vcr_end(
-                    ev.time,
-                    viewer,
-                    kind,
-                    magnitude,
-                    issued_at,
-                    issued_pos,
-                    end_pos,
-                    reached_end,
-                    truncated_start,
-                ),
+                EvKind::VcrEnd { viewer } => self.on_vcr_end(ev.time, viewer),
                 EvKind::Finish { viewer } => self.on_finish(ev.time, viewer),
             }
         }
@@ -630,6 +631,7 @@ impl<'a> Engine<'a> {
             holds_dedicated: false,
             joined_at: t,
             stall_at_join: self.pyr_stall_accum,
+            sweep: None,
         });
 
         match self.cfg.backend {
@@ -774,35 +776,35 @@ impl<'a> Engine<'a> {
             self.begin_playback(t, viewer, p);
             return;
         }
-        self.push(
-            t + plan.duration,
-            EvKind::VcrEnd {
-                viewer,
-                kind: req.kind,
-                magnitude: req.magnitude,
-                issued_at: t,
-                issued_pos: p,
-                end_pos: plan.end_pos,
-                reached_end: plan.reached_end,
-                truncated_start: plan.truncated_start,
-            },
-        );
+        self.viewers.live_mut(viewer).sweep = Some(Sweep {
+            kind: req.kind,
+            magnitude: req.magnitude,
+            issued_at: t,
+            issued_pos: p,
+            end_pos: plan.end_pos,
+            reached_end: plan.reached_end,
+            truncated_start: plan.truncated_start,
+        });
+        self.push(t + plan.duration, EvKind::VcrEnd { viewer });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_vcr_end(
-        &mut self,
-        t: f64,
-        viewer: ArenaId,
-        kind: VcrKind,
-        magnitude: f64,
-        issued_at: f64,
-        issued_pos: f64,
-        end_pos: f64,
-        reached_end: bool,
-        truncated_start: bool,
-    ) {
-        let movie = self.viewers.live(viewer).movie;
+    fn on_vcr_end(&mut self, t: f64, viewer: ArenaId) {
+        let v = self.viewers.live_mut(viewer);
+        let movie = v.movie;
+        let Sweep {
+            kind,
+            magnitude,
+            issued_at,
+            issued_pos,
+            end_pos,
+            reached_end,
+            truncated_start,
+        } = v
+            .sweep
+            .take()
+            // vod-lint: allow(no-panic) — `on_vcr` parks the sweep right before it
+            // queues the one `VcrEnd` that collects it.
+            .expect("VcrEnd without a sweep in flight");
         // A sweep is disk traffic only when a dedicated stream served it;
         // pyramid sweeps inside the reception prefix are client-local.
         if self.viewers.live(viewer).holds_dedicated
@@ -979,4 +981,14 @@ pub fn hit_ratio_over_replications(cfg: &SimConfig, base_seed: u64, replications
 #[doc(hidden)]
 pub fn partition_hit_for_tests(cfg: &SimConfig, t: f64, p: f64) -> bool {
     PartitionWindows::from_params(&cfg.params).covers(t, p)
+}
+
+#[cfg(test)]
+mod tests {
+    /// Every queue move copies an `Ev`; the sweep parameters ride in the
+    /// `Viewer`, not in the event.
+    #[test]
+    fn event_fits_half_a_cache_line() {
+        assert!(std::mem::size_of::<super::Ev>() <= 32);
+    }
 }
