@@ -36,11 +36,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet \
 
 echo "== tier-1: build + every test in the workspace =="
 cargo build --release
-# --workspace, not the root package alone: the proptests, the
-# scan/queue/backend equivalence suites, chaos_faults and the lint
-# fixtures gate here (532 tests in 1 m 09 s on 2 cores, debug build;
-# `cargo test -q` alone runs 18 of them).
-cargo test -q --workspace
+# The tier-1 command as ROADMAP.md gives it. The root manifest's
+# `default-members` makes it cover the whole workspace, not the root
+# package alone: the proptests, the scan/queue/backend equivalence
+# suites, chaos_faults and the lint fixtures gate here (535 tests in
+# 1 m 15 s on 2 cores, debug build).
+cargo test -q
 
 echo "== benchmark/: the yardstick still compiles and its gate holds (all four workloads at --smoke size) =="
 # benchmark/ is its own workspace, so nothing above builds it; a library

@@ -6,7 +6,7 @@
 //! stream lease, so exceeding provisioned bandwidth is a programming
 //! error surfaced at the call site rather than silent oversubscription.
 
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 use crate::content::{generate_segment, MovieId, Segment};
 
@@ -66,13 +66,90 @@ impl std::fmt::Display for DiskError {
 
 impl std::error::Error for DiskError {}
 
+/// The live lease ids. Ids are handed out in increasing order and old
+/// leases die, so the set is a bitmap over the id sequence with the dead
+/// ids at either end trimmed off: membership — asked once per read — is a
+/// shift and a mask, and the newest live lease is the highest bit of the
+/// last word.
+#[derive(Debug, Default)]
+struct LeaseSet {
+    /// Id of bit 0 of `words[0]`; a multiple of 64.
+    base: u64,
+    /// The first and the last word are nonzero (or there is none).
+    words: VecDeque<u64>,
+    live: u32,
+}
+
+impl LeaseSet {
+    /// Word index and bit mask of `id`; `None` below the trimmed prefix.
+    fn locate(&self, id: u64) -> Option<(usize, u64)> {
+        let offset = id.checked_sub(self.base)?;
+        Some(((offset / 64) as usize, 1 << (offset % 64)))
+    }
+
+    fn contains(&self, id: u64) -> bool {
+        self.locate(id)
+            .is_some_and(|(w, bit)| self.words.get(w).is_some_and(|word| word & bit != 0))
+    }
+
+    /// Add `id`, newer than every id added before.
+    fn insert(&mut self, id: u64) {
+        if self.words.is_empty() {
+            self.base = id - id % 64;
+        }
+        debug_assert!(id >= self.base, "lease ids only grow");
+        let w = ((id - self.base) / 64) as usize;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.words[w] |= 1 << (id % 64);
+        self.live += 1;
+    }
+
+    /// Remove `id`; `false` when it was not in the set.
+    fn remove(&mut self, id: u64) -> bool {
+        let Some((w, bit)) = self.locate(id) else {
+            return false;
+        };
+        match self.words.get_mut(w) {
+            Some(word) if *word & bit != 0 => *word &= !bit,
+            _ => return false,
+        }
+        debug_assert!(self.live > 0, "a set bit the count does not know");
+        self.live -= 1;
+        self.trim();
+        true
+    }
+
+    /// Remove and return the newest id.
+    fn pop_last(&mut self) -> Option<u64> {
+        let last = self.words.len().checked_sub(1)?;
+        let bit = u64::from(63 - self.words[last].leading_zeros());
+        let id = self.base + last as u64 * 64 + bit;
+        self.words[last] &= !(1 << bit);
+        debug_assert!(self.live > 0, "a set bit the count does not know");
+        self.live -= 1;
+        self.trim();
+        Some(id)
+    }
+
+    fn trim(&mut self) {
+        while self.words.back() == Some(&0) {
+            self.words.pop_back();
+        }
+        while self.words.front() == Some(&0) {
+            self.words.pop_front();
+            self.base += 64;
+        }
+    }
+}
+
 /// The disk subsystem.
 #[derive(Debug)]
 pub struct DiskSubsystem {
     capacity: u32,
-    /// Live lease ids. Ids are handed out in increasing order, so the
-    /// set's last element is always the newest lease.
-    active: BTreeSet<u64>,
+    /// Live lease ids.
+    active: LeaseSet,
     /// Streams removed from service by injected faults. Conservation —
     /// `in_use + available + failed == capacity` — holds at all times.
     failed: u32,
@@ -88,7 +165,7 @@ impl DiskSubsystem {
     pub fn new(capacity: u32) -> Self {
         Self {
             capacity,
-            active: BTreeSet::new(),
+            active: LeaseSet::default(),
             failed: 0,
             next_lease: 0,
             reads: 0,
@@ -112,7 +189,7 @@ impl DiskSubsystem {
 
     /// Streams currently leased.
     pub fn in_use(&self) -> u32 {
-        self.active.len() as u32
+        self.active.live
     }
 
     /// Streams currently free (capacity less in-use and failed).
@@ -207,7 +284,7 @@ impl DiskSubsystem {
     ///
     /// [`fail_streams`]: DiskSubsystem::fail_streams
     pub fn release(&mut self, lease: StreamLease) {
-        self.active.remove(&lease.id);
+        self.active.remove(lease.id);
     }
 
     /// Read one segment through a lease.
@@ -217,7 +294,7 @@ impl DiskSubsystem {
         movie: MovieId,
         index: u32,
     ) -> Result<Segment, DiskError> {
-        if !self.active.contains(&lease.id) {
+        if !self.active.contains(lease.id) {
             return Err(DiskError::StaleLease);
         }
         // A movie never registered has no segments: length 0.
@@ -412,8 +489,36 @@ mod tests {
         assert_eq!((d.in_use(), d.available(), d.failed()), (0, 1, 2));
     }
 
-    /// The plain-`Vec` lease table the ordered set replaced, kept as the
-    /// reference model: same admission rule, newest-first victims.
+    /// Dead ids fall off both ends of the bitmap, and an emptied set starts
+    /// over at the next id — which may share a word with ids long gone.
+    #[test]
+    fn lease_set_trims_dead_ids_at_both_ends() {
+        let mut set = LeaseSet::default();
+        for id in 1..=200 {
+            set.insert(id);
+        }
+        assert_eq!((set.base, set.words.len(), set.live), (0, 4, 200));
+        for id in 1..=130 {
+            assert!(set.remove(id));
+        }
+        assert!(!set.remove(7), "already gone");
+        assert_eq!((set.base, set.words.len(), set.live), (128, 2, 70));
+        assert!(!set.contains(130) && set.contains(131) && !set.contains(201));
+        for id in (192..=200).rev() {
+            assert_eq!(set.pop_last(), Some(id));
+        }
+        assert_eq!((set.base, set.words.len(), set.live), (128, 1, 61));
+        while set.pop_last().is_some() {}
+        assert_eq!((set.words.len(), set.live), (0, 0));
+        set.insert(201);
+        assert_eq!((set.base, set.words.len(), set.live), (192, 1, 1));
+        assert!(set.contains(201) && !set.contains(200) && !set.contains(131));
+        assert_eq!(set.pop_last(), Some(201));
+        assert_eq!(set.pop_last(), None);
+    }
+
+    /// The plain-`Vec` lease table, kept as the reference model: same
+    /// admission rule, newest-first victims.
     #[derive(Default)]
     struct VecModel {
         active: Vec<u64>,

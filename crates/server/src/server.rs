@@ -13,11 +13,14 @@
 //! 2. start streams scheduled at `t` (each acquires a disk lease and a
 //!    partition reservation);
 //! 3. every playing stream reads its next segment from disk into its
-//!    partition;
-//! 4. every session consumes: enrolled sessions read from their
-//!    partition, dedicated sessions read through their own lease,
-//!    VCR-active sessions sweep at the configured rate, paused sessions
-//!    count down; resumes are classified hit/miss against live windows.
+//!    partition, and the readers enrolled in the partition consume —
+//!    accounted per cohort (the readers at one ring offset), not per
+//!    session;
+//! 4. every session whose state can change this tick is visited:
+//!    dedicated sessions read through their own lease, sweeping sessions
+//!    sweep at the configured rate, and the wake-ups due now fire —
+//!    batches start, pauses end, enrolled viewers reach the end of the
+//!    movie; resumes are classified hit/miss against live windows.
 
 use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
@@ -174,6 +177,13 @@ struct ActiveStream {
     lease: Option<StreamLease>,
     partition: Partition,
     enrolled: u32,
+    /// The enrolled readers by how far they trail the read head:
+    /// `cohorts[d]` sessions are at position `next_read − d`. A reader
+    /// in lock-step with the stream sits at `d = 0` between ticks; the
+    /// deepest joinable offset is the partition capacity (the tail of a
+    /// finished stream's frozen window), hence `capacity + 1` entries.
+    /// Sums to `enrolled`.
+    cohorts: Box<[u32]>,
     /// Next segment index this stream reads from disk. Equal to the
     /// stream's age on every fault-free tick; a disk-slowdown fault lets
     /// it lag behind (the stream then serves only every k-th tick).
@@ -190,15 +200,138 @@ struct JoinWindow {
     stream: StreamId,
 }
 
+/// What one stream's enrolled readers did on one tick.
+struct Delivered {
+    /// Readers that took a segment from the partition.
+    consumed: u32,
+    /// Readers level with a read head that stood still.
+    stalled: u32,
+    /// Positions of the ring entries that failed verification (none, on
+    /// any run that is not a test of exactly this).
+    corrupt: Vec<u32>,
+}
+
+impl ActiveStream {
+    /// The enrolled readers consume tick `t`'s segments, a cohort at a
+    /// time. `old_head` is the read head before this tick's read; the
+    /// cohort `d` behind it takes position `old_head − d`, and the one
+    /// level with it (`d = 0`) takes the segment just read or, when the
+    /// stream stood still (`!reads`), stalls. With `verify`, each
+    /// occupied ring entry is verified once for all of its readers.
+    fn deliver(&mut self, t: u64, old_head: u32, reads: bool, verify: bool) -> Delivered {
+        let stalled = if reads { 0 } else { self.cohorts[0] };
+        let mut corrupt = Vec::new();
+        if verify {
+            for lag in usize::from(!reads)..self.cohorts.len() {
+                if self.cohorts[lag] == 0 {
+                    continue;
+                }
+                let position = old_head.checked_sub(lag as u32);
+                match position.and_then(|at| self.partition.verify_once(at, t)) {
+                    Some(true) => {}
+                    Some(false) => corrupt.extend(position),
+                    // vod-lint: allow(no-panic) — a cohort outside the window
+                    // means the enrollment invariant is broken; serving a
+                    // wrong segment silently would corrupt the data path, so
+                    // abort loudly.
+                    None => panic!(
+                        "buffer underrun: cohort {lag} behind head {old_head} not covered by \
+                         partition [{:?}, {:?}] (enrollment invariant broken)",
+                        self.partition.tail_index(),
+                        self.partition.front_index()
+                    ),
+                }
+            }
+        }
+        if !reads {
+            // The head stood still and everyone behind it moved up.
+            self.cohorts[0] += std::mem::take(&mut self.cohorts[1]);
+            self.cohorts[1..].rotate_left(1);
+        }
+        Delivered {
+            consumed: self.enrolled - stalled,
+            stalled,
+            corrupt,
+        }
+    }
+}
+
+/// Cold path of the cohort delivery: the ring entry at `position` of
+/// `stream` failed this tick's verification, with the read head at
+/// `old_head` when the readers took their positions. A failed delivery is
+/// charged to each reader and a cohort keeps no member list, so find them
+/// among all sessions — the ones whose position, brought up to tick `t`,
+/// is the entry's.
+fn charge_corrupt_entry(
+    sessions: &mut Arena<Session>,
+    metrics: &mut ServerMetrics,
+    stream: ArenaId,
+    position: u32,
+    old_head: u32,
+    t: u64,
+) {
+    for idx in 0..sessions.slot_count() {
+        let Some(sess) = sessions.at_mut(idx) else {
+            continue;
+        };
+        let reads_it = matches!(sess.state, SessionState::Enrolled { stream: s, .. } if s.0 == stream)
+            && sess.position + sess.owed(old_head, t) == position;
+        if reads_it {
+            sess.stats.verify_failures += 1;
+            metrics.verify_failures += 1;
+        }
+    }
+}
+
 struct Session {
     movie_idx: usize,
-    /// Next segment to consume.
+    /// Next segment to consume — for an `Enrolled` session, as of tick
+    /// `since` (see [`Session::owed`]).
     position: u32,
     state: SessionState,
     /// Dedicated disk lease, when holding one.
     lease: Option<StreamLease>,
     stats: DeliveryStats,
     piggyback_phase: u32,
+}
+
+/// Segments an enrolled reader that stood at `position` before tick
+/// `since` has consumed once `accounted` ticks are accounted, its stream's
+/// read head now at `head`. An enrolled reader takes one segment per tick
+/// unless it is level with the head, and the head moves at most one
+/// segment per tick, so after tick `t` it is at
+/// `min(p₀ + t + 1 − t₀, head(t))` — exact under a disk slowdown too.
+fn arrears(position: u32, since: u64, head: u32, accounted: u64) -> u32 {
+    let ahead = head.saturating_sub(position);
+    // Bounded by `ahead`, so the narrowing is lossless.
+    accounted.saturating_sub(since).min(u64::from(ahead)) as u32
+}
+
+impl Session {
+    /// The [`arrears`] of an enrolled session — what `position` and
+    /// `stats` do not show yet; zero for every other state.
+    fn owed(&self, head: u32, accounted: u64) -> u32 {
+        match self.state {
+            SessionState::Enrolled { since, .. } => arrears(self.position, since, head, accounted),
+            _ => 0,
+        }
+    }
+
+    /// Advance an enrolled session by the `k = accounted − since` ticks
+    /// it is behind: the one routine that moves an enrolled position.
+    /// Production calls it when something reads or changes the session
+    /// (`k` = whatever has elapsed); the reference scan calls it for
+    /// every session on every tick (`k = 1`). Returns the segments
+    /// consumed.
+    fn sync(&mut self, head: u32, accounted: u64) -> u32 {
+        let consumed = self.owed(head, accounted);
+        self.position += consumed;
+        self.stats.from_buffer += u64::from(consumed);
+        if let SessionState::Enrolled { since, .. } = &mut self.state {
+            *since = accounted;
+        }
+        consumed
+    }
 }
 
 /// The server.
@@ -218,18 +351,28 @@ pub struct VodServer {
     pool: BufferPool,
     streams: Arena<ActiveStream>,
     sessions: Arena<Session>,
-    /// Session indices in actionable states (Enrolled / Dedicated /
+    /// Session indices in the states that work every minute (Dedicated /
     /// VcrActive / Degraded), ascending. Rebuilt each tick by the merge
-    /// loop in `advance_sessions`; `Waiting` sessions live in `wakeups`
-    /// instead and `Done` sessions in neither, so a tick touches only
-    /// sessions that can act — the million-session hot path.
+    /// loop in `advance_sessions`; passive sessions (Waiting / Enrolled /
+    /// Paused) park one wake-up in `wakeups` instead and `Done` sessions
+    /// are in neither, so a tick touches only the sessions whose state
+    /// changes on it. An entry may linger for a session that went passive
+    /// between ticks; the next rebuild drops it.
     active: Vec<u32>,
-    /// Timer wheel of Waiting-session wakeups keyed by `start_at` tick.
+    /// Timer wheel of passive-session wake-ups: a `Waiting` session's
+    /// `start_at`, a `Paused` session's `until`, an `Enrolled` session's
+    /// `finish_at`.
     wakeups: TimerWheel<u32>,
-    /// Wheel entries known stale (their session closed while Waiting);
-    /// each fires once as a no-op and is dropped. Tracked so the
-    /// invariant check can reconcile `wakeups.len()` exactly.
+    /// Wheel entries known stale (their session left the state that
+    /// parked them — closed, issued a VCR request, or degraded — before
+    /// they fired); each fires once as a no-op and is dropped. Tracked
+    /// so the invariant check can reconcile `wakeups.len()` exactly.
     wheel_stale: u64,
+    /// Ticks whose cohort deliveries are accounted: `now` between ticks
+    /// and through the fault and stream phases, `now + 1` from the end of
+    /// the stream phase on. An enrolled session's stored position is
+    /// `accounted − since` ticks old.
+    accounted: u64,
     /// Per-movie memo of "the stream that restarted at this tick",
     /// replacing the per-waking-session stream scan with one scan per
     /// restart batch. Valid within one tick's session phase (streams do
@@ -246,7 +389,8 @@ pub struct VodServer {
     due: Vec<u32>,
     next_active: Vec<u32>,
     /// Test-only oracle mode: process sessions with the historical full
-    /// 0..n scan (no wheel, no memos). Set at construction time via
+    /// 0..n scan (no wheel, no memos, every enrolled session advanced and
+    /// accounted one tick at a time). Set at construction time via
     /// `set_reference_scan`; the equivalence suite pins wheel mode
     /// against it bit for bit.
     reference_scan: bool,
@@ -319,6 +463,7 @@ impl VodServer {
             active: Vec::new(),
             wakeups: TimerWheel::new(),
             wheel_stale: 0,
+            accounted: 0,
             restart_memo: vec![None; n_movies],
             join_table: vec![Vec::new(); n_movies],
             due: Vec::new(),
@@ -354,7 +499,8 @@ impl VodServer {
     }
 
     /// Test-only oracle switch: process sessions with the historical full
-    /// 0..n scan instead of the timer wheel + active list (memos off too).
+    /// 0..n scan instead of the timer wheel + active list (memos off too,
+    /// and every delivery accounted per session instead of per cohort).
     /// Flip it right after construction, before any session opens — the
     /// equivalence suite pins the two modes against each other bit for
     /// bit.
@@ -419,23 +565,33 @@ impl VodServer {
     /// healthy). The chaos harness calls this after every tick. The
     /// audit is a pure read that recounts everything from scratch and
     /// keeps nothing between calls, in time linear in the state it reads:
-    /// one pass over the session slots, one over the streams.
+    /// one pass over the session slots, two over the streams.
     ///
     /// Invariants: stream conservation (`in_use + free + failed ==
     /// provisioned`, and every in-use stream is held by exactly one
     /// lease); the VCR reserve's holds equal the session-held leases;
     /// buffer accounting (partition capacities sum to the pool's `used`,
-    /// never overcommitted between ticks); enrollment counts match the
-    /// sessions pointing at each stream; no session slot is lost; the
-    /// degraded population matches the states.
+    /// never overcommitted between ticks); every enrolled session's
+    /// (derived) position lies inside its stream's window, and each
+    /// stream's cohort table equals a recount of those positions; no
+    /// session slot is lost; the degraded population matches the states;
+    /// the wheel holds exactly the passive sessions' wake-ups.
     pub fn check_invariants(&self) -> Vec<String> {
         // Findings are gathered per pass, then reported in a fixed order:
         // resources, streams, sessions, scheduler.
         let wheel_mode = !self.reference_scan;
         let mut session_leases = 0u32;
         let mut degraded = 0u32;
-        let mut waiting = 0u64;
-        let mut readers = vec![0u32; self.streams.slot_count()];
+        let (mut waiting, mut paused, mut enrolled) = (0u64, 0u64, 0u64);
+        // The recount of every stream's cohort table, flattened: stream
+        // slot `i`'s offsets start at `first[i]`.
+        let mut first = Vec::with_capacity(self.streams.slot_count());
+        let mut offsets = 0usize;
+        for i in 0..self.streams.slot_count() {
+            first.push(offsets);
+            offsets += self.streams.at(i).map_or(0, |s| s.cohorts.len());
+        }
+        let mut readers = vec![0u32; offsets];
         let mut session_faults = Vec::new();
         let mut scheduler_faults = Vec::new();
         let mut listed = self.active.iter().copied().peekable();
@@ -445,10 +601,10 @@ impl VodServer {
                 continue;
             };
             session_leases += u32::from(sess.lease.is_some());
-            // The active list covers exactly the actionable sessions
-            // (entries may linger for sessions closed since the last
-            // tick — they drop at the next rebuild — but a `Waiting`
-            // entry is always wrong).
+            // The active list covers exactly the sessions that work every
+            // minute (entries may linger for sessions that closed or
+            // paused since the last tick — they drop at the next rebuild
+            // — but a `Waiting` entry is always wrong).
             while listed.peek().is_some_and(|&a| (a as usize) < idx) {
                 listed.next();
             }
@@ -461,14 +617,35 @@ impl VodServer {
                     }
                     continue;
                 }
-                SessionState::Done => continue,
-                SessionState::Enrolled { stream } if self.streams.contains(stream.0) => {
-                    readers[stream.0.index()] += 1;
+                SessionState::Paused { .. } => {
+                    paused += 1;
+                    continue;
                 }
-                SessionState::Enrolled { stream } => session_faults.push(format!(
-                    "session {idx} enrolled in dead stream {}",
-                    stream.0.index()
-                )),
+                SessionState::Done => continue,
+                SessionState::Enrolled { stream, .. } => {
+                    enrolled += 1;
+                    let slot = stream.0.index();
+                    match self.streams.get(stream.0) {
+                        Some(s) => {
+                            let head = s.next_read;
+                            let position = sess.position + sess.owed(head, self.accounted);
+                            let filled = s.partition.len() as u32;
+                            match head.checked_sub(position) {
+                                Some(lag) if lag <= filled => {
+                                    readers[first[slot] + lag as usize] += 1;
+                                }
+                                _ => session_faults.push(format!(
+                                    "session {idx} at {position} outside stream {slot}'s window \
+                                     [{}, {head}]",
+                                    head.saturating_sub(filled)
+                                )),
+                            }
+                        }
+                        None => session_faults
+                            .push(format!("session {idx} enrolled in dead stream {slot}")),
+                    }
+                    continue;
+                }
                 SessionState::Degraded { .. } => degraded += 1,
                 SessionState::Dedicated | SessionState::VcrActive { .. } => {}
             }
@@ -482,12 +659,29 @@ impl VodServer {
         for (sid, s) in self.streams.iter() {
             stream_leases += u32::from(s.lease.is_some());
             partition_segments += s.partition.capacity();
-            let (i, readers) = (sid.index(), readers[sid.index()]);
-            if readers != s.enrolled {
+            let i = sid.index();
+            let recount = &readers[first[i]..][..s.cohorts.len()];
+            let total: u32 = recount.iter().sum();
+            if total != s.enrolled {
                 stream_faults.push(format!(
-                    "enrollment drift on stream {i}: {readers} readers vs enrolled {}",
+                    "enrollment drift on stream {i}: {total} readers vs enrolled {}",
                     s.enrolled
                 ));
+            }
+            let tabled: u32 = s.cohorts.iter().sum();
+            if tabled != s.enrolled {
+                stream_faults.push(format!(
+                    "cohort drift on stream {i}: cohorts hold {tabled} readers vs enrolled {}",
+                    s.enrolled
+                ));
+            }
+            for (lag, (&found, &held)) in recount.iter().zip(s.cohorts.iter()).enumerate() {
+                if found != held {
+                    stream_faults.push(format!(
+                        "cohort drift on stream {i}: {found} readers {lag} behind the head vs \
+                         cohort of {held}"
+                    ));
+                }
             }
         }
 
@@ -529,17 +723,18 @@ impl VodServer {
             ));
         }
         // Coherence of the wheel-mode scheduler structures: the active
-        // list is strictly ascending and matches the actionable sessions,
-        // and the wheel holds one entry per waiting session plus the
-        // known stale ones.
+        // list is strictly ascending and holds every session that works
+        // each minute, and the wheel holds one entry per passive session
+        // plus the known stale ones.
         if wheel_mode {
             if !self.active.windows(2).all(|w| w[0] < w[1]) {
                 v.push("active list not strictly ascending".to_string());
             }
             v.append(&mut scheduler_faults);
-            if waiting + self.wheel_stale != self.wakeups.len() as u64 {
+            if waiting + paused + enrolled + self.wheel_stale != self.wakeups.len() as u64 {
                 v.push(format!(
-                    "wheel population drift: {waiting} waiting + {} stale != {} scheduled",
+                    "wheel population drift: {waiting} waiting + {paused} paused + {enrolled} \
+                     enrolled + {} stale != {} scheduled",
                     self.wheel_stale,
                     self.wakeups.len()
                 ));
@@ -587,37 +782,30 @@ impl VodServer {
         // A stream whose window will cover position 0 when this session
         // first consumes (the enrollment window of the paper's Figure 1).
         let join = self.joinable_stream(movie_idx, 0);
-        let (state, wake_at) = match join {
-            Some(stream) => {
-                self.streams.live_mut(stream.0).enrolled += 1;
-                self.startup_waits.push(0.0);
-                (SessionState::Enrolled { stream }, None)
-            }
-            None => {
-                // The next restart instant ≥ now. A stream scheduled at
-                // `now` has not started yet (ticks process start-of-minute
-                // events), so `start_at == now` is valid and the session
-                // enrolls during the coming tick.
-                let t = geometry.restart_interval as u64;
-                let start_at = self.now.div_ceil(t) * t;
-                self.startup_waits.push((start_at - self.now) as f64);
-                (SessionState::Waiting { start_at }, Some(start_at))
-            }
+        // The next restart instant ≥ now. A stream scheduled at `now` has
+        // not started yet (ticks process start-of-minute events), so
+        // `start_at == now` is valid and the session enrolls during the
+        // coming tick.
+        let t = geometry.restart_interval as u64;
+        let start_at = self.now.div_ceil(t) * t;
+        let wait = if join.is_some() {
+            0
+        } else {
+            start_at - self.now
         };
+        self.startup_waits.push(wait as f64);
         let id = SessionId(self.sessions.insert(Session {
             movie_idx,
             position: 0,
-            state,
+            state: SessionState::Waiting { start_at },
             lease: None,
             stats: DeliveryStats::default(),
             piggyback_phase: 0,
         }));
-        // Session slots are never reused, so the new index is maximal and
-        // the active list stays sorted by pushing.
-        let idx = id.0.index() as u32;
-        match wake_at {
-            Some(at) => self.wakeups.schedule(at, idx),
-            None => self.active.push(idx),
+        let idx = id.0.index();
+        match join {
+            Some(stream) => self.enrol(idx, stream, self.accounted),
+            None => self.wakeups.schedule(start_at, idx as u32),
         }
         Ok(id)
     }
@@ -643,13 +831,11 @@ impl VodServer {
         if position >= self.config.movies[movie_idx].geometry.length {
             return Err(ServerError::InvalidState { operation: "adopt" });
         }
-        let (state, lease) = match self.joinable_stream(movie_idx, position) {
-            Some(stream) => {
-                self.streams.live_mut(stream.0).enrolled += 1;
-                (SessionState::Enrolled { stream }, None)
-            }
+        let join = self.joinable_stream(movie_idx, position);
+        let lease = match join {
+            Some(_) => None,
             None => match self.try_vcr_lease() {
-                Some(lease) => (SessionState::Dedicated, Some(lease)),
+                Some(lease) => Some(lease),
                 None => {
                     self.metrics.runtime.vcr_denied += 1;
                     // The shard never observes the retry's resolution
@@ -662,23 +848,27 @@ impl VodServer {
                 }
             },
         };
-        let adoption = if lease.is_some() {
-            Adoption::DedicatedStream
-        } else {
-            Adoption::CohortJoin
-        };
         let id = SessionId(self.sessions.insert(Session {
             movie_idx,
             position,
-            state,
+            state: SessionState::Dedicated,
             lease,
             stats: DeliveryStats::default(),
             piggyback_phase: 0,
         }));
-        // Session slots are never reused, so the new index is maximal
-        // and the active list stays sorted by pushing.
-        self.active.push(id.0.index() as u32);
-        Ok((id, adoption))
+        let idx = id.0.index();
+        match join {
+            Some(stream) => {
+                self.enrol(idx, stream, self.accounted);
+                Ok((id, Adoption::CohortJoin))
+            }
+            None => {
+                // Session slots are never reused, so the new index is
+                // maximal and the active list stays sorted by pushing.
+                self.active.push(idx as u32);
+                Ok((id, Adoption::DedicatedStream))
+            }
+        }
     }
 
     /// Issue a VCR operation on a playing session. `magnitude` is the
@@ -689,20 +879,19 @@ impl VodServer {
         kind: VcrKind,
         magnitude: u32,
     ) -> Result<(), ServerError> {
-        let (movie_idx, position, has_lease, state_ok) = {
+        let (movie_idx, has_lease, enrolled) = {
             let sess = self
                 .sessions
                 .get(id.0)
                 .ok_or(ServerError::UnknownSession(id))?;
-            let ok = matches!(
-                sess.state,
-                SessionState::Enrolled { .. } | SessionState::Dedicated
-            );
-            (sess.movie_idx, sess.position, sess.lease.is_some(), ok)
+            let enrolled = match sess.state {
+                SessionState::Enrolled { .. } => true,
+                SessionState::Dedicated => false,
+                _ => return Err(ServerError::InvalidState { operation: "vcr" }),
+            };
+            (sess.movie_idx, sess.lease.is_some(), enrolled)
         };
-        if !state_ok {
-            return Err(ServerError::InvalidState { operation: "vcr" });
-        }
+        let idx = id.0.index();
         // FF/RW with viewing need a dedicated stream for phase 1.
         let needs_lease = matches!(kind, VcrKind::FastForward | VcrKind::Rewind);
         let new_lease = if needs_lease && !has_lease {
@@ -731,7 +920,13 @@ impl VodServer {
             None
         };
         let length = self.config.movies[movie_idx].geometry.length;
-        let sess = self.sessions.live_mut(id.0);
+        // Leave the partition, if enrolled: the position below is current
+        // from here on, and the finish wake-up goes stale.
+        if enrolled {
+            self.leave_cohort(idx);
+            self.wheel_stale += 1;
+        }
+        let sess = self.sessions.live_at_mut(idx);
         if let Some(lease) = new_lease {
             sess.lease = Some(lease);
         }
@@ -742,18 +937,28 @@ impl VodServer {
                 self.reserve.release(self.now as f64);
             }
         }
-        // Leave the partition, if enrolled.
-        if let SessionState::Enrolled { stream } = sess.state {
-            if let Some(s) = self.streams.get_mut(stream.0) {
-                s.enrolled -= 1;
-            }
-        }
+        let position = sess.position;
         if matches!(kind, VcrKind::Rewind) && magnitude >= position {
             self.metrics.runtime.rw_truncated += 1;
         }
         let remaining = vod_runtime::truncate_sweep(kind, magnitude, position, length);
-        let sess = self.sessions.live_mut(id.0);
-        sess.state = SessionState::VcrActive { kind, remaining };
+        if matches!(kind, VcrKind::Pause) {
+            // A pause of `d` minutes shifts the viewing pattern by `d`:
+            // the session skips the next `d` ticks and resumes on the one
+            // after.
+            let until = self.now + u64::from(remaining);
+            sess.state = SessionState::Paused { until };
+            self.wakeups.schedule(until, idx as u32);
+        } else {
+            sess.state = SessionState::VcrActive { kind, remaining };
+            if enrolled {
+                // Sweeping works every minute: onto the active list, in
+                // index order, between two ticks.
+                if let Err(at) = self.active.binary_search(&(idx as u32)) {
+                    self.active.insert(at, idx as u32);
+                }
+            }
+        }
         Ok(())
     }
 
@@ -762,40 +967,37 @@ impl VodServer {
     /// statistics, which remain queryable. Closing an already-finished
     /// session is a no-op; closing an unknown id is an error.
     pub fn close_session(&mut self, id: SessionId) -> Result<DeliveryStats, ServerError> {
-        let stats = {
-            let sess = self
-                .sessions
-                .get(id.0)
-                .ok_or(ServerError::UnknownSession(id))?;
-            sess.stats
-        };
+        let sess = self
+            .sessions
+            .get(id.0)
+            .ok_or(ServerError::UnknownSession(id))?;
         let idx = id.0.index();
-        let already_done = matches!(self.sessions.live_at(idx).state, SessionState::Done);
-        if !already_done {
+        if !matches!(sess.state, SessionState::Done) {
             // A degraded session that quits resolves its retry denials as
             // permanent (no retry ever succeeded) and leaves the degraded
             // population.
             let pending = self.exit_degraded(idx);
             self.reserve.record_denials(pending, false);
+            self.leave_cohort(idx);
             let sess = self.sessions.live_at_mut(idx);
-            if matches!(sess.state, SessionState::Waiting { .. }) {
+            if matches!(
+                sess.state,
+                SessionState::Waiting { .. }
+                    | SessionState::Enrolled { .. }
+                    | SessionState::Paused { .. }
+            ) {
                 // The wheel still holds this session's wakeup; it fires
                 // once as a no-op and is dropped then.
                 self.wheel_stale += 1;
             }
-            if let SessionState::Enrolled { stream } = sess.state {
-                if let Some(st) = self.streams.get_mut(stream.0) {
-                    st.enrolled -= 1;
-                }
-            }
-            let lease = self.sessions.live_at_mut(idx).lease.take();
+            let lease = sess.lease.take();
             if let Some(lease) = lease {
                 self.release_vcr_lease(lease);
             }
             self.sessions.live_at_mut(idx).state = SessionState::Done;
             self.metrics.sessions_closed_early += 1;
         }
-        Ok(stats)
+        Ok(self.sessions.live_at(idx).stats)
     }
 
     /// Status snapshot of a session.
@@ -808,7 +1010,7 @@ impl VodServer {
             SessionState::Waiting { start_at } => SessionStatus::Waiting(*start_at),
             SessionState::Enrolled { .. } => SessionStatus::Shared,
             SessionState::Dedicated => SessionStatus::Dedicated,
-            SessionState::VcrActive { .. } => SessionStatus::InVcr,
+            SessionState::VcrActive { .. } | SessionState::Paused { .. } => SessionStatus::InVcr,
             SessionState::Degraded { .. } => SessionStatus::Degraded,
             SessionState::Done => SessionStatus::Done,
         })
@@ -816,18 +1018,33 @@ impl VodServer {
 
     /// Delivery statistics of a session (available after completion too).
     pub fn session_stats(&self, id: SessionId) -> Result<DeliveryStats, ServerError> {
-        self.sessions
+        let sess = self
+            .sessions
             .get(id.0)
-            .map(|s| s.stats)
-            .ok_or(ServerError::UnknownSession(id))
+            .ok_or(ServerError::UnknownSession(id))?;
+        Ok(DeliveryStats {
+            from_buffer: sess.stats.from_buffer + u64::from(self.owed(sess)),
+            ..sess.stats
+        })
     }
 
     /// Session playback position (next segment to consume).
     pub fn session_position(&self, id: SessionId) -> Result<u32, ServerError> {
-        self.sessions
+        let sess = self
+            .sessions
             .get(id.0)
-            .map(|s| s.position)
-            .ok_or(ServerError::UnknownSession(id))
+            .ok_or(ServerError::UnknownSession(id))?;
+        Ok(sess.position + self.owed(sess))
+    }
+
+    /// [`Session::owed`] against the session's own stream.
+    fn owed(&self, sess: &Session) -> u32 {
+        match sess.state {
+            SessionState::Enrolled { stream, .. } => {
+                sess.owed(self.streams.live(stream.0).next_read, self.accounted)
+            }
+            _ => 0,
+        }
     }
 
     /// Advance one virtual minute.
@@ -932,11 +1149,12 @@ impl VodServer {
             .filter(|(_, s)| s.lease.as_ref().is_some_and(|l| l.revoked_in(&revoked)))
             .map(|(sid, _)| sid)
             .collect();
+        let mut final_heads = vec![None; self.streams.slot_count()];
         for sid in dead {
             self.metrics.playback.add(t as f64, -1.0);
-            self.retire_stream(sid);
+            final_heads[sid.index()] = self.retire_stream(sid);
         }
-        self.degrade_stranded(t, &revoked);
+        self.degrade_stranded(t, &revoked, &final_heads);
         newly_failed
     }
 
@@ -944,28 +1162,33 @@ impl VodServer {
     /// the slot (a lease a fault already revoked is a no-op at the disk).
     /// Its enrolled readers are left pointing at a dead stream; the
     /// caller follows up with [`Self::degrade_stranded`] once per fault
-    /// event, however many streams the event retired.
-    fn retire_stream(&mut self, sid: ArenaId) {
-        if let Some(mut s) = self.streams.remove(sid) {
-            if let Some(lease) = s.lease.take() {
-                self.disk.release(lease);
-            }
-            self.pool.release(s.partition.capacity());
+    /// event, however many streams the event retired, handing it the
+    /// read head returned here — the last thing needed to bring those
+    /// readers' positions up to date.
+    fn retire_stream(&mut self, sid: ArenaId) -> Option<u32> {
+        let mut s = self.streams.remove(sid)?;
+        if let Some(lease) = s.lease.take() {
+            self.disk.release(lease);
         }
+        self.pool.release(s.partition.capacity());
+        Some(s.next_read)
     }
 
     /// One pass over the sessions after a fault event: degrade every
-    /// reader whose stream was just retired and every holder of a lease
-    /// in `revoked` (a dedicated/VCR session loses its stream and
-    /// re-queues).
-    fn degrade_stranded(&mut self, t: u64, revoked: &[u64]) {
+    /// reader whose stream was just retired (`final_heads[slot]` is the
+    /// read head it died with) and every holder of a lease in `revoked`
+    /// (a dedicated/VCR session loses its stream and re-queues).
+    fn degrade_stranded(&mut self, t: u64, revoked: &[u64], final_heads: &[Option<u32>]) {
+        let listed = self.active.len();
         for idx in 0..self.sessions.slot_count() {
             let Some(sess) = self.sessions.at_mut(idx) else {
                 continue;
             };
-            let orphaned = match sess.state {
-                SessionState::Enrolled { stream } => !self.streams.contains(stream.0),
-                _ => false,
+            let orphaned_at = match sess.state {
+                SessionState::Enrolled { stream, .. } if !self.streams.contains(stream.0) => {
+                    final_heads[stream.0.index()]
+                }
+                _ => None,
             };
             if sess.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
                 // The lease is already dead at the disk; drop it without a
@@ -976,9 +1199,20 @@ impl VodServer {
                     self.metrics.sweeps_aborted += 1;
                 }
                 self.enter_degraded(t, idx);
-            } else if orphaned {
+            } else if let Some(head) = orphaned_at {
+                // The stream took its cohort table with it; what is left
+                // of the enrolment is the session's own arrears and its
+                // finish wake-up. Degraded, it works every minute.
+                sess.sync(head, self.accounted);
+                self.wheel_stale += 1;
+                self.active.push(idx as u32);
                 self.enter_degraded(t, idx);
             }
+        }
+        if self.active.len() > listed {
+            // The newcomers went on in index order behind a list already
+            // in index order: two runs to merge.
+            self.active.sort_unstable();
         }
     }
 
@@ -990,6 +1224,7 @@ impl VodServer {
         if self.pool.overcommitted() == 0 {
             return;
         }
+        let mut final_heads = vec![None; self.streams.slot_count()];
         while self.pool.overcommitted() > 0 {
             let victim = self
                 .streams
@@ -1002,9 +1237,9 @@ impl VodServer {
                 self.metrics.playback.add(t as f64, -1.0);
             }
             self.metrics.partitions_evicted += 1;
-            self.retire_stream(sid);
+            final_heads[sid.index()] = self.retire_stream(sid);
         }
-        self.degrade_stranded(t, &[]);
+        self.degrade_stranded(t, &[], &final_heads);
     }
 
     /// Is disk service stalled at tick `t` by an active slowdown fault?
@@ -1016,14 +1251,9 @@ impl VodServer {
     }
 
     /// Move session `idx` into the degraded re-wait state (it has already
-    /// been detached from any stream, partition, or lease).
+    /// been detached from any stream, partition, lease, or cohort).
     fn enter_degraded(&mut self, t: u64, idx: usize) {
         let sess = self.sessions.live_at_mut(idx);
-        if let SessionState::Enrolled { stream } = sess.state {
-            if let Some(s) = self.streams.get_mut(stream.0) {
-                s.enrolled -= 1;
-            }
-        }
         if matches!(
             sess.state,
             SessionState::Degraded { .. } | SessionState::Done
@@ -1105,6 +1335,7 @@ impl VodServer {
                 lease: Some(lease),
                 partition: Partition::new(hosted.movie, geometry.partition_capacity as usize),
                 enrolled: 0,
+                cohorts: vec![0; geometry.partition_capacity as usize + 1].into_boxed_slice(),
                 next_read: 0,
             };
             // Lowest-index-first slot reuse — the arena's insert order
@@ -1126,7 +1357,8 @@ impl VodServer {
             let hosted = self.config.movies[s.movie_idx];
             // Disk slowdown: no stream reads this tick; `next_read` holds
             // and enrolled readers at the front stall with it.
-            if s.next_read < hosted.geometry.length && !stalled {
+            let reads = s.next_read < hosted.geometry.length && !stalled;
+            if reads {
                 // vod-lint: allow(no-panic) — retire_streams only drops the lease once
                 // next_read ≥ length, and the guard above skips exactly those streams.
                 let lease = s.lease.as_ref().expect("playing stream holds a lease");
@@ -1138,6 +1370,36 @@ impl VodServer {
                 s.partition.advance(seg);
                 s.next_read += 1;
             }
+            if s.enrolled > 0 {
+                // Before the read, when the readers' positions are taken.
+                let old_head = s.next_read - u32::from(reads);
+                let verify = !self.reference_scan;
+                let delivered = s.deliver(t, old_head, reads, verify);
+                if verify {
+                    // The reference scan accounts each of these per session.
+                    // Whole numbers far below 2⁵³: adding a cohort's size
+                    // in one step is bit-identical to adding 1.0 per reader.
+                    self.metrics.runtime.buffer_minutes += f64::from(delivered.consumed);
+                    if delivered.stalled > 0 {
+                        // vod-lint: allow(no-panic) — only an injected disk
+                        // slowdown keeps a stream with lock-step readers from
+                        // reading; otherwise the enrollment invariant is
+                        // broken, and serving a wrong segment silently would
+                        // corrupt the data path, so abort loudly.
+                        assert!(
+                            self.fault_mode,
+                            "buffer underrun: {} readers level with a stream that read \
+                             nothing (enrollment invariant broken)",
+                            delivered.stalled
+                        );
+                        self.metrics.runtime.stall_minutes += f64::from(delivered.stalled);
+                    }
+                    for position in delivered.corrupt {
+                        let (sessions, metrics) = (&mut self.sessions, &mut self.metrics);
+                        charge_corrupt_entry(sessions, metrics, id, position, old_head, t);
+                    }
+                }
+            }
             let filled = s.partition.len() as u32;
             let joinable = s
                 .partition
@@ -1147,18 +1409,21 @@ impl VodServer {
             let stream = StreamId(id);
             self.join_table[s.movie_idx].push(JoinWindow { lo, hi, stream });
         }
+        self.accounted = t + 1;
     }
 
     // ---- sessions ----------------------------------------------------------
 
-    /// Process every session that can act at tick `t`.
+    /// Process every session whose state can change at tick `t`.
     ///
     /// Wheel mode walks the merged ascending-index stream of the active
     /// list and the wakeups due at `t` — the same relative order as the
     /// historical full `0..n` scan, which is bitwise-identical because
-    /// the skipped sessions (`Done`, not-yet-due `Waiting`) were strict
-    /// no-ops in that scan. Reference mode (`set_reference_scan`) still
-    /// runs the full scan as the equivalence oracle.
+    /// what the skipped sessions did in that scan either was a strict
+    /// no-op (`Done`, not-yet-due `Waiting` and `Paused`) or touched
+    /// nothing another session reads and is accounted per cohort in the
+    /// stream phase (`Enrolled`). Reference mode (`set_reference_scan`)
+    /// still runs the full scan as the equivalence oracle.
     fn advance_sessions(&mut self, t: u64) {
         for memo in self.restart_memo.iter_mut() {
             *memo = None;
@@ -1178,13 +1443,13 @@ impl VodServer {
         next_active.clear();
         let (mut a, mut d) = (0usize, 0usize);
         loop {
-            // A session is never in both sources: Waiting sessions are
-            // only on the wheel, everything actionable only on the list.
+            // A session in both sources went passive between ticks (its
+            // list entry lingers) or left a stale wake-up behind; either
+            // way at most one of the two entries acts. The list goes
+            // first, so a lingering entry is dropped before the wake-up
+            // that speaks for the session fires.
             let from_wheel = match (prev_active.get(a), due.get(d)) {
-                (Some(&act), Some(&wake)) => {
-                    debug_assert_ne!(act, wake, "session both active and waiting");
-                    wake < act
-                }
+                (Some(&act), Some(&wake)) => wake < act,
                 (None, Some(_)) => true,
                 (Some(_), None) => false,
                 (None, None) => break,
@@ -1198,23 +1463,22 @@ impl VodServer {
                 a += 1;
                 i
             };
-            if from_wheel
-                && matches!(
-                    self.sessions.live_at(idx as usize).state,
-                    SessionState::Done
-                )
-            {
-                // The session closed while waiting; its wakeup fires once
-                // as a no-op and the stale entry is accounted off.
-                debug_assert!(self.wheel_stale > 0, "stale wakeup with no accounted entry");
-                self.wheel_stale -= 1;
+            let state = &self.sessions.live_at(idx as usize).state;
+            if from_wheel {
+                if !state.wakes_at(t) {
+                    // The session left the state that parked this wake-up;
+                    // it fires once as a no-op and is accounted off.
+                    debug_assert!(self.wheel_stale > 0, "stale wakeup with no accounted entry");
+                    self.wheel_stale -= 1;
+                    continue;
+                }
+            } else if state.is_passive() {
                 continue;
             }
             self.advance_session(t, idx as usize);
-            match self.sessions.live_at(idx as usize).state {
-                SessionState::Done => {}
-                SessionState::Waiting { start_at } => self.wakeups.schedule(start_at, idx),
-                _ => next_active.push(idx),
+            // Whoever turned passive parked its own wake-up on the way.
+            if !self.sessions.live_at(idx as usize).state.is_passive() {
+                next_active.push(idx);
             }
         }
         self.active = next_active;
@@ -1239,6 +1503,7 @@ impl VodServer {
             Enrolled,
             Dedicated,
             Vcr(VcrKind),
+            EndPause,
             Degraded,
         }
         let act = {
@@ -1252,6 +1517,11 @@ impl VodServer {
                 SessionState::Enrolled { .. } => Act::Enrolled,
                 SessionState::Dedicated => Act::Dedicated,
                 SessionState::VcrActive { kind, .. } => Act::Vcr(kind),
+                // The full pause has elapsed: resuming on exactly `until`
+                // is what makes a pause of d minutes shift the pattern by
+                // d.
+                SessionState::Paused { until } if until == t => Act::EndPause,
+                SessionState::Paused { .. } => Act::Nothing,
                 SessionState::Degraded { .. } => Act::Degraded,
             }
         };
@@ -1285,17 +1555,22 @@ impl VodServer {
                     self.sessions.live_at_mut(idx).state = SessionState::Waiting {
                         start_at: t + t_int,
                     };
+                    self.wakeups.schedule(t + t_int, idx as u32);
                     return;
                 };
-                self.sessions.live_at_mut(idx).state = SessionState::Enrolled { stream };
-                self.streams.live_mut(stream.0).enrolled += 1;
+                // This tick's cohorts were accounted in the stream phase;
+                // the batch enrols as of `t` and takes its first minute on
+                // its own.
+                self.enrol(idx, stream, t);
                 self.consume_enrolled(t, idx);
             }
-            Act::Enrolled => self.consume_enrolled(t, idx),
+            Act::Enrolled if self.reference_scan => self.consume_enrolled(t, idx),
+            Act::Enrolled => self.finish_enrolled(t, idx),
             Act::Dedicated => self.consume_dedicated(t, idx),
             Act::Vcr(VcrKind::FastForward) => self.sweep_forward(t, idx),
             Act::Vcr(VcrKind::Rewind) => self.sweep_backward(t, idx),
-            Act::Vcr(VcrKind::Pause) => self.pause_countdown(t, idx),
+            Act::Vcr(VcrKind::Pause) => unreachable!("a pause is `Paused`, not a sweep"),
+            Act::EndPause => self.resume(t, idx, false, VcrKind::Pause),
             Act::Degraded => self.degraded_tick(t, idx),
         }
     }
@@ -1316,8 +1591,8 @@ impl VodServer {
             let pending = self.exit_degraded(idx);
             self.reserve.record_denials(pending, false);
             self.metrics.runtime.degraded_rejoined += 1;
-            self.sessions.live_at_mut(idx).state = SessionState::Enrolled { stream };
-            self.streams.live_mut(stream.0).enrolled += 1;
+            // Same-tick consumption, as for a starting batch.
+            self.enrol(idx, stream, t);
             self.consume_enrolled(t, idx);
             return;
         }
@@ -1439,63 +1714,120 @@ impl VodServer {
         pending_denials
     }
 
-    /// Consume the next segment from the enrolled partition.
-    fn consume_enrolled(&mut self, t: u64, idx: usize) {
-        let (stream_id, position, movie_idx) = {
-            let sess = self.sessions.live_at(idx);
-            let SessionState::Enrolled { stream } = sess.state else {
-                unreachable!("caller checked state")
-            };
-            (stream.0, sess.position, sess.movie_idx)
+    /// Enrol session `idx` in `stream`'s partition as of tick `since`:
+    /// `self.accounted` for a session that first consumes with the next
+    /// stream phase, the current tick `t` for one that enrols after this
+    /// tick's stream phase and still takes this tick's segment — a
+    /// starting batch, a degraded rejoin — which the caller follows with
+    /// [`Self::consume_enrolled`]. Parks the finish wake-up.
+    fn enrol(&mut self, idx: usize, stream: StreamId, since: u64) {
+        let sess = self.sessions.live_at_mut(idx);
+        let s = self.streams.live_mut(stream.0);
+        let length = self.config.movies[sess.movie_idx].geometry.length;
+        // Where the session stands once this tick's delivery, if it takes
+        // one (`since` a tick behind `accounted`), is counted: that is the
+        // cohort it is in from now on.
+        let position = sess.position + arrears(sess.position, since, s.next_read, self.accounted);
+        s.cohorts[(s.next_read - position) as usize] += 1;
+        s.enrolled += 1;
+        // One segment per tick from tick `accounted` on, the last of them
+        // on this tick (the tick before `accounted` — already past by the
+        // time the wheel sees it — when the delivery above was the last).
+        let finish_at = self.accounted + u64::from(length - position) - 1;
+        sess.state = SessionState::Enrolled {
+            stream,
+            since,
+            finish_at,
         };
-        let length = self.config.movies[movie_idx].geometry.length;
+        self.wakeups.schedule(finish_at, idx as u32);
+    }
+
+    /// Take session `idx`, if enrolled, out of its stream's cohort table,
+    /// position and statistics brought up to date first. The caller
+    /// changes the state (and accounts the finish wake-up as stale unless
+    /// it is the one firing).
+    fn leave_cohort(&mut self, idx: usize) {
+        let sess = self.sessions.live_at_mut(idx);
+        let SessionState::Enrolled { stream, .. } = sess.state else {
+            return;
+        };
+        let s = self.streams.live_mut(stream.0);
+        sess.sync(s.next_read, self.accounted);
+        s.cohorts[(s.next_read - sess.position) as usize] -= 1;
+        s.enrolled -= 1;
+    }
+
+    /// Deliver tick `t`'s segment to enrolled session `idx` on its own:
+    /// advance it the one tick it is behind and account that delivery the
+    /// way the stream phase accounts a cohort's. The reference scan does
+    /// this for every enrolled session on every tick; production only
+    /// for a session that enrolled as of `t` after the stream phase of
+    /// `t` had run.
+    fn consume_enrolled(&mut self, t: u64, idx: usize) {
+        let sess = self.sessions.live_at_mut(idx);
+        let SessionState::Enrolled { stream, since, .. } = sess.state else {
+            unreachable!("caller checked state")
+        };
+        debug_assert_eq!(since, t, "enrolled session not exactly one tick behind");
+        let length = self.config.movies[sess.movie_idx].geometry.length;
+        let s = self.streams.live_mut(stream.0);
+        let position = sess.position;
+        if sess.sync(s.next_read, self.accounted) == 0 {
+            // vod-lint: allow(no-panic) — only an injected disk slowdown keeps
+            // the stream from producing the segment (stall with it); without
+            // faults an underrun means the enrollment invariant is broken,
+            // and serving a wrong segment silently would corrupt the data
+            // path, so abort loudly.
+            assert!(
+                self.fault_mode,
+                "buffer underrun: session at {position} not covered by partition \
+                 [{:?}, {:?}] (enrollment invariant broken)",
+                s.partition.tail_index(),
+                s.partition.front_index()
+            );
+            self.metrics.runtime.stall_minutes += 1.0;
+            return;
+        }
         // Partitions are immutable during the session phase, so every
         // delivery of one ring entry this tick shares the entry's one
         // verification (the reference oracle recomputes every read).
-        let partition = &mut self.streams.live_mut(stream_id).partition;
         let outcome = if self.reference_scan {
-            partition.get(position).map(verify_segment)
+            s.partition.get(position).map(verify_segment)
         } else {
-            partition.verify_once(position, t)
+            s.partition.verify_once(position, t)
         };
-        let verified = match outcome {
-            Some(ok) => ok,
-            None if self.fault_mode => {
-                // Under faults an uncovered position has two honest
-                // outcomes instead of a panic: the stream has not yet
-                // produced the segment (disk slowdown — stall with it),
-                // or the window moved past us (degraded re-wait).
-                let ahead = partition.front_index().is_none_or(|front| position > front);
-                if ahead {
-                    self.metrics.runtime.stall_minutes += 1.0;
-                } else {
-                    self.enter_degraded(t, idx);
-                }
-                return;
-            }
-            None => {
-                // vod-lint: allow(no-panic) — without injected faults an
-                // underrun means the enrollment invariant is broken; serving
-                // a wrong segment silently would corrupt the data path, so
-                // abort loudly.
-                panic!(
-                    "buffer underrun: session at {position} not covered by \
-                     partition [{:?}, {:?}] (enrollment invariant broken)",
-                    partition.tail_index(),
-                    partition.front_index()
-                )
-            }
-        };
-        let sess = self.sessions.live_at_mut(idx);
-        sess.stats.from_buffer += 1;
+        // vod-lint: allow(no-panic) — the window never moves past a reader
+        // (it trails the head by at most what it joined with); see above.
+        let verified = outcome.expect("buffer underrun: window moved past an enrolled session");
         if !verified {
             sess.stats.verify_failures += 1;
             self.metrics.verify_failures += 1;
         }
         self.metrics.runtime.buffer_minutes += 1.0;
-        sess.position += 1;
+        if sess.position >= length {
+            // Not reached through the finish wake-up, which is still
+            // parked.
+            self.wheel_stale += 1;
+            self.finish_session(t, idx);
+        }
+    }
+
+    /// The finish wake-up of enrolled session `idx` fired: the movie is
+    /// over — unless a disk slowdown stalled the session at the head
+    /// since the wake-up was parked, in which case it is re-armed for the
+    /// new earliest finish.
+    fn finish_enrolled(&mut self, t: u64, idx: usize) {
+        let sess = self.sessions.live_at_mut(idx);
+        let SessionState::Enrolled { stream, .. } = sess.state else {
+            unreachable!("caller checked state")
+        };
+        let length = self.config.movies[sess.movie_idx].geometry.length;
+        sess.sync(self.streams.live(stream.0).next_read, self.accounted);
         if sess.position >= length {
             self.finish_session(t, idx);
+        } else {
+            self.leave_cohort(idx);
+            self.enrol(idx, stream, self.accounted);
         }
     }
 
@@ -1541,8 +1873,7 @@ impl VodServer {
                 self.release_vcr_lease(lease);
                 self.metrics.piggyback_merges += 1;
             }
-            self.sessions.live_at_mut(idx).state = SessionState::Enrolled { stream };
-            self.streams.live_mut(stream.0).enrolled += 1;
+            self.enrol(idx, stream, self.accounted);
         }
     }
 
@@ -1670,31 +2001,11 @@ impl VodServer {
         }
     }
 
-    fn pause_countdown(&mut self, t: u64, idx: usize) {
-        let resume_now = {
-            let sess = self.sessions.live_at_mut(idx);
-            let SessionState::VcrActive { remaining, .. } = &mut sess.state else {
-                unreachable!("caller checked state")
-            };
-            if *remaining == 0 {
-                // The full pause elapsed on previous ticks; resume now so
-                // a pause of d minutes really shifts the pattern by d.
-                true
-            } else {
-                *remaining -= 1;
-                false
-            }
-        };
-        if resume_now {
-            self.resume(t, idx, false, VcrKind::Pause);
-        }
-    }
-
     /// Resume to normal playback: join a covering partition (hit) or fall
     /// back to a dedicated stream (miss). The classification itself —
     /// covered ⇒ hit — is [`ResumeClass::classify`], shared with the
     /// simulator; the window probe is the live-stream join rule.
-    fn resume(&mut self, _t: u64, idx: usize, holds_lease: bool, kind: VcrKind) {
+    fn resume(&mut self, t: u64, idx: usize, holds_lease: bool, kind: VcrKind) {
         let (movie_idx, position) = {
             let sess = self.sessions.live_at(idx);
             (sess.movie_idx, sess.position)
@@ -1707,8 +2018,7 @@ impl VodServer {
             if let Some(lease) = lease {
                 self.release_vcr_lease(lease);
             }
-            self.sessions.live_at_mut(idx).state = SessionState::Enrolled { stream };
-            self.streams.live_mut(stream.0).enrolled += 1;
+            self.enrol(idx, stream, self.accounted);
             return;
         }
         // Miss: continue on a dedicated stream.
@@ -1721,8 +2031,8 @@ impl VodServer {
         }
         // Paused viewer resuming on a miss must acquire a stream now; if
         // none is free the resume is starved: the session stays paused and
-        // retries next tick (recovery policy — the simulator instead drops
-        // the viewer; the *event* counted is the same).
+        // retries the tick after next (recovery policy — the simulator
+        // instead drops the viewer; the *event* counted is the same).
         match self.try_vcr_lease() {
             Some(lease) => {
                 let sess = self.sessions.live_at_mut(idx);
@@ -1732,11 +2042,8 @@ impl VodServer {
             }
             None => {
                 self.metrics.runtime.resume_starved += 1;
-                let sess = self.sessions.live_at_mut(idx);
-                sess.state = SessionState::VcrActive {
-                    kind: VcrKind::Pause,
-                    remaining: 1,
-                };
+                self.sessions.live_at_mut(idx).state = SessionState::Paused { until: t + 2 };
+                self.wakeups.schedule(t + 2, idx as u32);
             }
         }
     }
@@ -1776,13 +2083,8 @@ impl VodServer {
     }
 
     fn finish_session(&mut self, _t: u64, idx: usize) {
-        let sess = self.sessions.live_at_mut(idx);
-        if let SessionState::Enrolled { stream } = sess.state {
-            if let Some(s) = self.streams.get_mut(stream.0) {
-                s.enrolled -= 1;
-            }
-        }
-        let lease = sess.lease.take();
+        self.leave_cohort(idx);
+        let lease = self.sessions.live_at_mut(idx).lease.take();
         if let Some(lease) = lease {
             self.release_vcr_lease(lease);
         }
@@ -1825,43 +2127,57 @@ mod tests {
 
     /// Shared verification stores the outcome, never "assume ok": every
     /// delivery of a corrupt ring entry counts, on the server and on its
-    /// session, exactly as the recompute-everything reference scan
-    /// counts them, and no outcome outlives its tick.
+    /// session, exactly as the recompute-everything, session-by-session
+    /// reference scan counts them — the cohort delivery finds the readers
+    /// of a failed entry, at whatever offset of whichever stream — and no
+    /// outcome outlives its tick.
     #[test]
     fn every_delivery_of_a_corrupt_ring_entry_counts() {
         for reference in [false, true] {
-            let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
-            let mut s = VodServer::new(ServerConfig::provisioned(vec![movie], 4));
+            let movies = [0, 1].map(|m| HostedMovie::from_allocation(MovieId(m), 120, 20, 100.0));
+            let mut s = VodServer::new(ServerConfig::provisioned(movies.to_vec(), 4));
             s.set_reference_scan(reference);
             s.tick();
-            // Three viewers one segment behind the stream, one two behind.
+            // Movie 0: three viewers one segment behind the stream, one
+            // two behind. Movie 1: one viewer at each of those offsets.
             let cohort: Vec<SessionId> = (0..3)
                 .map(|_| s.open_session(MovieId(0)).unwrap())
                 .collect();
+            let other = s.open_session(MovieId(1)).unwrap();
             s.tick();
             let straggler = s.open_session(MovieId(0)).unwrap();
+            let bystander = s.open_session(MovieId(1)).unwrap();
             s.run(2);
-            let SessionState::Enrolled { stream } = s.sessions.live(straggler.0).state else {
-                panic!("enrolled");
+            let stream_of = |s: &VodServer, id: SessionId| match s.sessions.live(id.0).state {
+                SessionState::Enrolled { stream, .. } => stream,
+                _ => panic!("enrolled"),
             };
-            assert_eq!(s.session_position(cohort[0]).unwrap(), 3);
-            assert_eq!(s.session_position(straggler).unwrap(), 2);
+            let (stream, other_stream) = (stream_of(&s, straggler), stream_of(&s, other));
+            assert_ne!(stream, other_stream);
+            for (id, position) in [(cohort[0], 3), (straggler, 2), (other, 3), (bystander, 2)] {
+                assert_eq!(s.session_position(id).unwrap(), position);
+            }
             assert_eq!(s.metrics().verify_failures, 0);
             // Entry 2 passed when the cohort read it last tick; it and
-            // entry 3 go bad now.
+            // entry 3 go bad now, and so does the other stream's entry 3.
             let partition = &mut s.streams.live_mut(stream.0).partition;
             partition.corrupt(2);
             partition.corrupt(3);
+            s.streams.live_mut(other_stream.0).partition.corrupt(3);
             s.tick();
-            assert_eq!(s.metrics().verify_failures, 4, "one per delivery");
-            for &id in cohort.iter().chain([&straggler]) {
-                assert_eq!(s.session_stats(id).unwrap().verify_failures, 1);
+            let failures = |s: &VodServer, id| s.session_stats(id).unwrap().verify_failures;
+            for &id in cohort.iter().chain([&straggler, &other]) {
+                assert_eq!(failures(&s, id), 1);
             }
-            // Entry 3 is repaired before the straggler reaches it: the
-            // cohort's failure on it is not carried over either.
+            assert_eq!(failures(&s, bystander), 0, "entry 2 of its stream is sound");
+            assert_eq!(s.metrics().verify_failures, 5, "one per delivery");
+            // Entry 3 is repaired before the stragglers reach it: the
+            // failures on it are not carried over either.
             s.streams.live_mut(stream.0).partition.corrupt(3);
+            s.streams.live_mut(other_stream.0).partition.corrupt(3);
             s.tick();
-            assert_eq!(s.metrics().verify_failures, 4);
+            assert_eq!(s.metrics().verify_failures, 5);
+            assert_eq!(failures(&s, bystander), 0);
             assert_eq!(s.session_stats(straggler).unwrap().from_buffer, 4);
         }
     }
@@ -1907,24 +2223,28 @@ mod tests {
     #[test]
     fn audit_sees_enrollment_and_population_drift() {
         let (mut s, [enrolled, _, _]) = busy();
-        let SessionState::Enrolled { stream } = s.sessions.live(enrolled.0).state else {
+        let SessionState::Enrolled { stream, .. } = s.sessions.live(enrolled.0).state else {
             panic!("enrolled");
         };
         s.streams.live_mut(stream.0).enrolled += 1;
         assert_eq!(
             s.check_invariants(),
-            ["enrollment drift on stream 0: 1 readers vs enrolled 2"]
+            [
+                "enrollment drift on stream 0: 1 readers vs enrolled 2",
+                "cohort drift on stream 0: cohorts hold 1 readers vs enrolled 2",
+            ]
         );
         s.streams.live_mut(stream.0).enrolled -= 1;
         // The same slot, one generation on: a retired stream.
         let retired = ArenaId::from_parts(stream.0.index() as u32, stream.0.generation() + 1);
-        s.sessions.live_mut(enrolled.0).state = SessionState::Enrolled {
-            stream: StreamId(retired),
-        };
+        if let SessionState::Enrolled { stream, .. } = &mut s.sessions.live_mut(enrolled.0).state {
+            *stream = StreamId(retired);
+        }
         assert_eq!(
             s.check_invariants(),
             [
                 "enrollment drift on stream 0: 0 readers vs enrolled 1",
+                "cohort drift on stream 0: 0 readers 1 behind the head vs cohort of 1",
                 "session 0 enrolled in dead stream 0",
             ]
         );
@@ -1940,20 +2260,75 @@ mod tests {
             s.check_invariants(),
             [
                 "session slot 2 lost (empty)",
-                "wheel population drift: 0 waiting + 0 stale != 1 scheduled",
+                "wheel population drift: 0 waiting + 0 paused + 1 enrolled + 1 stale != 3 scheduled",
             ]
         );
     }
 
+    /// The cohort table is what the stream phase delivers by; the audit
+    /// recounts it from the sessions' own (derived) positions.
+    #[test]
+    fn audit_sees_cohort_drift() {
+        let (mut s, [enrolled, _, _]) = busy();
+        let SessionState::Enrolled { stream, .. } = s.sessions.live(enrolled.0).state else {
+            panic!("enrolled");
+        };
+        // The one reader trails the head by one segment.
+        assert_eq!(s.session_position(enrolled).unwrap(), 5);
+        assert_eq!(*s.streams.live(stream.0).cohorts, [0, 1, 0, 0, 0, 0]);
+        s.streams.live_mut(stream.0).cohorts[3] += 1;
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "cohort drift on stream 0: cohorts hold 2 readers vs enrolled 1",
+                "cohort drift on stream 0: 0 readers 3 behind the head vs cohort of 1",
+            ]
+        );
+        // The right total at the wrong offset delivers the wrong segment.
+        s.streams.live_mut(stream.0).cohorts[1] -= 1;
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "cohort drift on stream 0: 1 readers 1 behind the head vs cohort of 0",
+                "cohort drift on stream 0: 0 readers 3 behind the head vs cohort of 1",
+            ]
+        );
+    }
+
+    /// Reader counts alone never showed that a partition actually covers
+    /// its readers.
+    #[test]
+    fn audit_sees_a_reader_outside_its_window() {
+        for (position, derived) in [(7, 7), (0, 0)] {
+            let (mut s, [enrolled, _, _]) = busy();
+            let sess = s.sessions.live_mut(enrolled.0);
+            sess.position = position;
+            if let SessionState::Enrolled { since, .. } = &mut sess.state {
+                *since = 6;
+            }
+            assert_eq!(
+                s.check_invariants(),
+                [
+                    "enrollment drift on stream 0: 0 readers vs enrolled 1".to_string(),
+                    "cohort drift on stream 0: 0 readers 1 behind the head vs cohort of 1"
+                        .to_string(),
+                    format!("session 0 at {derived} outside stream 0's window [1, 6]"),
+                ]
+            );
+        }
+    }
+
     #[test]
     fn audit_sees_scheduler_drift() {
+        // Only the sweeping session works every minute.
         let (mut s, _) = busy();
-        s.active.swap(0, 1);
+        assert_eq!(s.active, [1]);
+        s.active.insert(0, 9);
         assert_eq!(
             s.check_invariants(),
             [
                 "active list not strictly ascending",
-                "actionable session 0 missing from active list",
+                "actionable session 1 missing from active list",
             ]
         );
         let (mut s, _) = busy();
@@ -1968,11 +2343,22 @@ mod tests {
             s.check_invariants(),
             ["actionable session 1 missing from active list"]
         );
+        // The sweeping session's finish wake-up, parked while it was
+        // enrolled, is the one stale entry.
         let (mut s, _) = busy();
         s.wheel_stale += 1;
         assert_eq!(
             s.check_invariants(),
-            ["wheel population drift: 1 waiting + 1 stale != 1 scheduled"]
+            ["wheel population drift: 1 waiting + 0 paused + 1 enrolled + 2 stale != 3 scheduled"]
+        );
+        // A paused session's wake-up is one of the scheduled ones.
+        let (mut s, [enrolled, _, _]) = busy();
+        s.request_vcr(enrolled, VcrKind::Pause, 3).unwrap();
+        assert_eq!(s.check_invariants(), Vec::<String>::new());
+        s.wheel_stale -= 1;
+        assert_eq!(
+            s.check_invariants(),
+            ["wheel population drift: 1 waiting + 1 paused + 0 enrolled + 1 stale != 4 scheduled"]
         );
     }
 }

@@ -4,15 +4,26 @@
 //! integer minutes; one tick displays one segment at normal playback.
 //!
 //! ```text
-//! Waiting ──restart──▶ Enrolled(stream) ──VCR──▶ VcrActive ──resume hit──▶ Enrolled
-//!                         │                        │
-//!                         │                        └─resume miss──▶ Dedicated ──piggyback──▶ Enrolled
+//! Waiting ──restart──▶ Enrolled(stream) ──FF/RW──▶ VcrActive ──resume hit──▶ Enrolled
+//!                         │       │                    │
+//!                         │       └──PAU──▶ Paused ────┤
+//!                         │                            └─resume miss──▶ Dedicated ──piggyback──▶ Enrolled
 //!                         └──────────── end of movie ──▶ Done
 //!
 //! Enrolled/Dedicated/VcrActive ──fault (lost stream or partition)──▶ Degraded
 //!     Degraded ──window rejoin──▶ Enrolled      (bounded re-wait, the free path)
 //!     Degraded ──retry granted──▶ Dedicated     (backoff, stops at the timeout)
 //! ```
+//!
+//! `Waiting`, `Enrolled` and `Paused` are *passive*: nothing about such a
+//! session changes from one tick to the next except what the clock and
+//! its stream's read head already say, so the server does not visit it
+//! every tick. It parks one wake-up on the timer wheel — the restart
+//! instant, the tick the movie ends, the tick the pause ends — and an
+//! enrolled session's position and buffer count are worked out from
+//! `(position, since)` when somebody asks. `Dedicated`, `VcrActive`
+//! (a sweep) and `Degraded` sessions do work every minute and stay on
+//! the server's active list.
 //!
 //! `Degraded` only arises under an injected [`vod_runtime::FaultPlan`];
 //! a fault-free run never constructs it, so pre-fault behavior is
@@ -48,16 +59,29 @@ pub enum SessionState {
     Enrolled {
         /// The stream whose partition serves this session.
         stream: StreamId,
+        /// First tick whose delivery the session's stored position and
+        /// statistics do not include yet: since then it has consumed one
+        /// segment per tick the server has accounted, held back only by
+        /// the stream's read head.
+        since: u64,
+        /// Tick the session reaches the end of the movie if it never
+        /// stalls; its wheel wake-up is live only on this tick.
+        finish_at: u64,
     },
     /// Holding a dedicated disk stream (post-miss playback, possibly
     /// piggybacking its way back into a partition).
     Dedicated,
-    /// Mid-VCR operation.
+    /// Sweeping (FF or RW with viewing) on a dedicated stream.
     VcrActive {
-        /// Operation kind.
+        /// Sweep direction; never [`VcrKind::Pause`].
         kind: VcrKind,
-        /// Segments still to sweep (FF/RW) or ticks still to wait (PAU).
+        /// Segments still to sweep.
         remaining: u32,
+    },
+    /// Paused: consumes nothing and holds nothing.
+    Paused {
+        /// Tick at which playback resumes.
+        until: u64,
     },
     /// Lost its stream or partition to an injected fault; re-queued with
     /// bounded re-wait. Each tick the server first tries a free batch
@@ -81,6 +105,32 @@ pub enum SessionState {
     },
     /// Finished (reached the end of the movie).
     Done,
+}
+
+impl SessionState {
+    /// Does nothing about the session change until a wake-up or a
+    /// request? (See the module docs.)
+    pub(crate) fn is_passive(&self) -> bool {
+        matches!(
+            self,
+            SessionState::Waiting { .. }
+                | SessionState::Enrolled { .. }
+                | SessionState::Paused { .. }
+                | SessionState::Done
+        )
+    }
+
+    /// Is a wheel wake-up firing on tick `t` the one this state parked?
+    /// Anything else is a stale entry left behind by a state the session
+    /// has since left.
+    pub(crate) fn wakes_at(&self, t: u64) -> bool {
+        match *self {
+            SessionState::Waiting { start_at } => start_at == t,
+            SessionState::Enrolled { finish_at, .. } => finish_at == t,
+            SessionState::Paused { until } => until == t,
+            _ => false,
+        }
+    }
 }
 
 /// Per-session delivery accounting; the integration tests assert

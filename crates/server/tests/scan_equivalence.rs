@@ -1,19 +1,28 @@
-//! The wheel-scheduler equivalence gate: the timer-wheel + active-list
-//! session loop must be **bitwise identical** to the historical full
-//! `0..n` scan it replaced — same seeded workload, same metrics, same
-//! chaos outcome (violations included) — fault-free and under every
-//! fault family. The reference scan survives in the server behind
+//! The wheel-scheduler equivalence gate: the event-driven session phase
+//! — timer wheel + active list, enrolled viewers delivered per cohort
+//! and brought up to date only when read — must be **bitwise identical**
+//! to the historical full `0..n` scan it replaced, which visits every
+//! session on every tick and advances and accounts each enrolled one a
+//! tick at a time: same seeded workload, same metrics, same chaos outcome
+//! (violations included), and the same position, statistics and status
+//! of every session after every tick — fault-free and under every fault
+//! family. The reference scan survives in the server behind
 //! `set_reference_scan` exactly so this suite can hold that line.
 
+#![allow(clippy::unwrap_used)]
 use std::sync::Arc;
 
+use proptest::prelude::*;
+use rand::RngCore;
+
 use vod_dist::kinds::Gamma;
+use vod_dist::rng::{exponential, seeded};
 use vod_runtime::{DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
     run_chaos, run_chaos_reference, run_harness, run_harness_reference, HarnessConfig, HostedMovie,
-    MovieId, ServerConfig,
+    MovieId, ServerConfig, SessionId, SessionStatus, VodServer,
 };
-use vod_workload::BehaviorModel;
+use vod_workload::{BehaviorModel, VcrKind};
 
 fn config(piggyback: bool) -> HarnessConfig {
     let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
@@ -90,6 +99,22 @@ fn plans() -> Vec<(&'static str, FaultPlan)> {
                 },
             ]),
         ),
+        // Back-to-back slowdowns of different periods: viewers in
+        // lock-step with a stream stall at its front again and again
+        // (their finish wake-ups re-arm), while the ones trailing it keep
+        // moving and close the gap.
+        (
+            "stall-front",
+            FaultPlan::new(
+                [(300, 2, 40), (340, 4, 60), (400, 3, 45)]
+                    .into_iter()
+                    .map(|(at, period, duration)| FaultEvent {
+                        at,
+                        kind: FaultKind::DiskSlowdown { period, duration },
+                    })
+                    .collect(),
+            ),
+        ),
         ("storm", FaultPlan::generate(9, 1440, 8)),
     ]
 }
@@ -107,6 +132,199 @@ fn wheel_matches_reference_scan_under_faults() {
                 "chaos outcome diverged (plan {name}, seed {seed})"
             );
             assert_eq!(wheel.violation_count, 0, "plan {name} seed {seed}");
+        }
+    }
+}
+
+/// The production server and the reference scan, fed the same calls.
+struct Pair {
+    servers: [VodServer; 2],
+    sessions: Vec<SessionId>,
+}
+
+impl Pair {
+    fn new(server: &ServerConfig, plan: &FaultPlan) -> Self {
+        let servers = [false, true].map(|reference| {
+            let mut s = VodServer::new(server.clone());
+            s.set_reference_scan(reference);
+            s.inject_faults(plan.clone(), DegradePolicy::default());
+            s
+        });
+        Self {
+            servers,
+            sessions: Vec::new(),
+        }
+    }
+
+    /// Make the same call on both servers; the answers must agree.
+    fn both<T: PartialEq + std::fmt::Debug>(
+        &mut self,
+        what: &str,
+        mut call: impl FnMut(&mut VodServer) -> T,
+    ) -> T {
+        let [production, reference] = &mut self.servers;
+        let (got, expected) = (call(production), call(reference));
+        assert_eq!(got, expected, "{what} (production vs reference)");
+        got
+    }
+
+    fn open(&mut self, movie: MovieId) -> SessionId {
+        let id = self.both("open_session", |s| s.open_session(movie).unwrap());
+        self.sessions.push(id);
+        id
+    }
+
+    fn adopt(&mut self, movie: MovieId, position: u32) {
+        let adopted = self.both("adopt_session", |s| s.adopt_session(movie, position).ok());
+        self.sessions.extend(adopted.map(|(id, _)| id));
+    }
+
+    fn vcr(&mut self, id: SessionId, kind: VcrKind, magnitude: u32) {
+        self.both("request_vcr", |s| {
+            s.request_vcr(id, kind, magnitude).is_ok()
+        });
+    }
+
+    fn close(&mut self, id: SessionId) {
+        self.both("close_session", |s| s.close_session(id).unwrap());
+    }
+
+    fn status(&mut self, id: SessionId) -> SessionStatus {
+        self.both("session_status", |s| s.session_status(id).unwrap())
+    }
+
+    /// One tick on both, then everything observable about every session
+    /// ever opened, the mechanism counters, and a clean audit.
+    fn tick(&mut self) {
+        self.both("tick", |s| s.tick());
+        for i in 0..self.sessions.len() {
+            let id = self.sessions[i];
+            self.both("session after tick", |s| {
+                (
+                    id,
+                    s.now(),
+                    s.session_position(id).unwrap(),
+                    s.session_stats(id).unwrap(),
+                    s.session_status(id).unwrap(),
+                )
+            });
+        }
+        self.both("runtime_metrics", |s| s.runtime_metrics());
+        self.both("verify_failures", |s| s.metrics().verify_failures);
+        let violations = self.both("check_invariants", |s| s.check_invariants());
+        assert_eq!(violations, Vec::<String>::new());
+    }
+}
+
+/// The harness workload of `run_harness` (same RNG order), driven through
+/// both servers in lock-step.
+fn lockstep(cfg: &HarnessConfig, seed: u64, plan: &FaultPlan) {
+    let mut pair = Pair::new(&cfg.server, plan);
+    let mut rng = seeded(seed);
+    let mut next_arrival = exponential(&mut rng, cfg.mean_interarrival);
+    let mut pending: Vec<(SessionId, u64)> = Vec::new();
+    for minute in 0..cfg.warmup + cfg.measure {
+        if minute == cfg.warmup {
+            pair.both("reset_metrics", |s| s.reset_metrics());
+        }
+        while next_arrival < (minute + 1) as f64 {
+            let id = pair.open(cfg.movie);
+            let gap = cfg.behavior.next_interaction_gap(&mut rng);
+            pending.push((id, minute + (gap.ceil() as u64).max(1)));
+            next_arrival += exponential(&mut rng, cfg.mean_interarrival);
+        }
+        let mut i = 0;
+        while i < pending.len() {
+            let (id, due) = pending[i];
+            if due <= minute {
+                match pair.status(id) {
+                    SessionStatus::Done => {
+                        pending.swap_remove(i);
+                        continue;
+                    }
+                    SessionStatus::Shared | SessionStatus::Dedicated => {
+                        let req = cfg.behavior.sample_request(&mut rng);
+                        pair.vcr(id, req.kind, (req.magnitude.round() as u32).max(1));
+                        let gap = cfg.behavior.next_interaction_gap(&mut rng);
+                        pending[i].1 = minute + (gap.ceil() as u64).max(1);
+                    }
+                    _ => pending[i].1 = minute + 1,
+                }
+            }
+            i += 1;
+        }
+        pair.tick();
+    }
+}
+
+#[test]
+fn every_session_matches_the_reference_scan_after_every_tick() {
+    for piggyback in [false, true] {
+        lockstep(&config(piggyback), 7, &FaultPlan::empty());
+    }
+    let cfg = config(true);
+    for (_, plan) in plans() {
+        lockstep(&cfg, 23, &plan);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Arbitrary call sequences — opens, VCR requests, early closes and
+    /// adoptions between ticks, on two movies, with or without faults in
+    /// the middle — leave the production server and the reference scan
+    /// indistinguishable after every tick, with a clean audit.
+    #[test]
+    fn random_call_sequences_match_the_reference_scan(
+        ops in proptest::collection::vec(0u64..u64::MAX, 400),
+        piggyback in 0u32..2,
+        faults in 0u32..3,
+    ) {
+        let movies = vec![
+            HostedMovie::from_allocation(MovieId(0), 30, 6, 18.0),
+            HostedMovie::from_allocation(MovieId(1), 24, 3, 12.0),
+        ];
+        let base = ServerConfig::provisioned(movies, 3);
+        let server = ServerConfig {
+            piggyback: base.piggyback.filter(|_| piggyback == 1),
+            ..base
+        };
+        // Nothing; a slowdown; a slowdown with streams lost inside it, so
+        // degraded viewers rejoin stalled partitions.
+        let mut events = Vec::new();
+        if faults >= 1 {
+            events.push(FaultEvent {
+                at: 20,
+                kind: FaultKind::DiskSlowdown { period: 3, duration: 25 },
+            });
+        }
+        if faults == 2 {
+            events.push(FaultEvent {
+                at: 24,
+                kind: FaultKind::DiskStreamLoss { count: 4 },
+            });
+        }
+        let plan = FaultPlan::new(events);
+        let mut pair = Pair::new(&server, &plan);
+        for op in ops {
+            let mut bits = seeded(op);
+            let mut draw = |n: u64| bits.next_u64() % n;
+            let movie = MovieId(draw(2) as u32);
+            let known = pair.sessions.len() as u64;
+            match draw(10) {
+                0..=2 => {
+                    pair.open(movie);
+                }
+                3..=5 if known > 0 => {
+                    let id = pair.sessions[draw(known) as usize];
+                    let kind = [VcrKind::FastForward, VcrKind::Rewind, VcrKind::Pause][draw(3) as usize];
+                    pair.vcr(id, kind, draw(12) as u32);
+                }
+                6 if known > 0 => pair.close(pair.sessions[draw(known) as usize]),
+                7 => pair.adopt(movie, draw(32) as u32),
+                _ => pair.tick(),
+            }
         }
     }
 }
