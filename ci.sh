@@ -39,7 +39,7 @@ cargo build --release
 # The tier-1 command as ROADMAP.md gives it. The root manifest's
 # `default-members` makes it cover the whole workspace, not the root
 # package alone: the proptests, the scan/queue/backend equivalence
-# suites, chaos_faults and the lint fixtures gate here (535 tests in
+# suites, chaos_faults and the lint fixtures gate here (540 tests in
 # 1 m 15 s on 2 cores, debug build).
 cargo test -q
 

@@ -10,7 +10,7 @@ use rand::RngCore;
 use vod_dist::kinds::Gamma;
 use vod_dist::rng::seeded;
 use vod_model::{Rates, SystemParams};
-use vod_server::{HostedMovie, MovieId, ServerConfig, VodServer};
+use vod_server::{DeliveryBackend, HostedMovie, MovieId, ServerConfig, VodServer};
 use vod_sim::{run_seeded, SimConfig};
 use vod_workload::{BehaviorModel, VcrKind};
 

@@ -26,7 +26,7 @@ use vod_model::{
     p_hit_ff, p_hit_ff_direct, p_hit_pause, p_hit_pause_direct, p_hit_rw, p_hit_rw_direct,
     ModelOptions, Rates, SweepExecutor, SystemParams,
 };
-use vod_server::{HostedMovie, MovieId, ServerConfig, VodServer};
+use vod_server::{DeliveryBackend, HostedMovie, MovieId, ServerConfig, VodServer};
 use vod_workload::VcrKind;
 
 fn main() {

@@ -644,8 +644,7 @@ pub fn shards_from_split(
 /// provoked by corrupting exactly the state it certifies.
 #[cfg(test)]
 mod tests {
-    use vod_server::HostedMovie;
-    use vod_workload::Welford;
+    use vod_server::{HostedMovie, ServerCore};
 
     use super::*;
 
@@ -698,7 +697,10 @@ mod tests {
         fn kind(&self) -> BackendKind {
             unreachable!()
         }
-        fn now(&self) -> u64 {
+        fn core(&self) -> &ServerCore {
+            unreachable!()
+        }
+        fn core_mut(&mut self) -> &mut ServerCore {
             unreachable!()
         }
         fn open_session(&mut self, _: MovieId) -> Result<SessionId, ServerError> {
@@ -721,30 +723,6 @@ mod tests {
             unreachable!()
         }
         fn tick(&mut self) {
-            unreachable!()
-        }
-        fn reset_metrics(&mut self) {
-            unreachable!()
-        }
-        fn runtime_metrics(&self) -> RuntimeMetrics {
-            unreachable!()
-        }
-        fn startup_waits(&self) -> &Welford {
-            unreachable!()
-        }
-        fn inject_faults(&mut self, _: FaultPlan, _: DegradePolicy) {
-            unreachable!()
-        }
-        fn degraded_sessions(&self) -> u32 {
-            unreachable!()
-        }
-        fn sessions_finished(&self) -> u64 {
-            unreachable!()
-        }
-        fn verify_failures(&self) -> u64 {
-            unreachable!()
-        }
-        fn io_streams(&self) -> u32 {
             unreachable!()
         }
         fn buffer_segments(&self) -> u64 {

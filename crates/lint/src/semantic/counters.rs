@@ -10,9 +10,9 @@
 //!    together. Files that never reference `DiskSubsystem` (the sim
 //!    mirrors the reserve without a disk model) are exempt.
 //! 2. **degraded population** — `metrics.runtime.degraded_entries += ..`
-//!    must be accompanied by a mutation of the backend's live population
-//!    counter (`degraded_count`/`starved_count`) in the same fn; the
-//!    per-tick audits compare the two.
+//!    must be accompanied by a mutation of the live population counter
+//!    (`ServerCore::degraded_count`, the one every backend shares) in the
+//!    same fn; the per-tick audits compare the two.
 //! 3. **fault attribution** — `faults_injected += ..` may only happen in
 //!    a fn that actually handles `FaultKind` events.
 //!
@@ -30,8 +30,8 @@ use crate::tokenizer::{TokKind, Token};
 /// Stream-ledger methods whose reserve/disk sides must move together.
 const PAIRED_STREAM_METHODS: &[&str] = &["fail_streams", "recover_streams"];
 
-/// Live-population counters that mirror `degraded_entries`.
-const POPULATION_COUNTERS: &[&str] = &["degraded_count", "starved_count"];
+/// The live-population counter that mirrors `degraded_entries`.
+const POPULATION_COUNTERS: &[&str] = &["degraded_count"];
 
 /// Run the rule over every fn body in the file.
 pub fn check(
@@ -177,7 +177,7 @@ fn check_population(
                 line: w[0].line,
                 rule: Rule::CounterConservation,
                 message:
-                    "`degraded_entries` incremented without mutating the live population counter (degraded_count/starved_count) in the same fn — the per-tick audit compares the two"
+                    "`degraded_entries` incremented without mutating the live population counter (degraded_count) in the same fn — the per-tick audit compares the two"
                         .into(),
             });
         }

@@ -514,6 +514,112 @@ impl Default for DegradePolicy {
     }
 }
 
+/// What a degraded session's [`RetryLedger`] allows on one tick.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetryStep {
+    /// Nothing is due: the session is inside its re-wait bound or a
+    /// back-off interval, or its retries stopped for good.
+    Wait,
+    /// A dedicated-stream attempt is due. With `last_chance` the retry
+    /// timeout has already expired, but a capacity recovery landed on this
+    /// very tick and [`DegradePolicy::recovery_wins`]: the attempt is the
+    /// last one, and a refusal times the sequence out.
+    Attempt {
+        /// A refusal ends the retry sequence.
+        last_chance: bool,
+    },
+    /// The retry timeout expired: the sequence resolves as permanent.
+    TimedOut,
+}
+
+/// The retry ledger of one degraded session under a [`DegradePolicy`]:
+/// bounded re-wait, then dedicated-stream attempts under a back-off that
+/// doubles up to the cap, until the timeout. Refused attempts stay
+/// *pending* until the sequence resolves — transient when an attempt is
+/// finally granted, permanent when the session rejoins for free, quits or
+/// times out — and [`RetryLedger::resolve`] hands each of them out exactly
+/// once. Pure state: the driver owns the stream pool and the denial
+/// counters, the ledger only says what is due.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RetryLedger {
+    /// Tick the degradation began (timeout anchor).
+    since: u64,
+    /// Next tick an attempt is allowed.
+    next_retry: u64,
+    /// Current back-off interval in ticks.
+    backoff: u64,
+    /// Refused attempts awaiting resolution-time classification.
+    pending_denials: u64,
+    /// Past the timeout: no more attempts.
+    retries_exhausted: bool,
+}
+
+impl RetryLedger {
+    /// A session degraded at tick `now`, carrying `pending` refusals
+    /// already awaiting classification (1 when a refused acquisition
+    /// caused the degradation, 0 when a fault took the resource outright).
+    pub fn enter(now: u64, policy: &DegradePolicy, pending: u64) -> Self {
+        Self {
+            since: now,
+            next_retry: now + policy.rewait_bound.max(1),
+            backoff: policy.retry_backoff.max(1),
+            pending_denials: pending,
+            retries_exhausted: false,
+        }
+    }
+
+    /// What is due at tick `now`; `recovered_at` is the tick of the
+    /// driver's most recent capacity recovery.
+    pub fn step(&self, now: u64, policy: &DegradePolicy, recovered_at: Option<u64>) -> RetryStep {
+        if self.retries_exhausted || now < self.next_retry {
+            RetryStep::Wait
+        } else if now.saturating_sub(self.since) < policy.retry_timeout {
+            RetryStep::Attempt { last_chance: false }
+        } else if policy.recovery_wins && recovered_at == Some(now) {
+            RetryStep::Attempt { last_chance: true }
+        } else {
+            RetryStep::TimedOut
+        }
+    }
+
+    /// The attempt made at tick `now` was refused: one more pending
+    /// denial, and the back-off doubles (up to the cap) before the next.
+    pub fn refuse(&mut self, now: u64, policy: &DegradePolicy) {
+        self.backoff = (self.backoff * 2).min(policy.retry_backoff_cap.max(1));
+        self.next_retry = now + self.backoff;
+        self.pending_denials += 1;
+    }
+
+    /// The sequence resolved (granted, free rejoin, or the session quit):
+    /// the pending denials, for the caller to classify. They leave the
+    /// ledger, so none is ever counted twice.
+    pub fn resolve(&mut self) -> u64 {
+        std::mem::take(&mut self.pending_denials)
+    }
+
+    /// The sequence timed out: no attempt is due ever again. Returns the
+    /// pending denials like [`Self::resolve`].
+    pub fn time_out(&mut self) -> u64 {
+        self.retries_exhausted = true;
+        self.resolve()
+    }
+
+    /// Next tick an attempt is allowed.
+    pub fn next_retry(&self) -> u64 {
+        self.next_retry
+    }
+
+    /// Current back-off interval in ticks.
+    pub fn backoff(&self) -> u64 {
+        self.backoff
+    }
+
+    /// Refused attempts awaiting classification.
+    pub fn pending_denials(&self) -> u64 {
+        self.pending_denials
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -718,5 +824,72 @@ mod tests {
         let p = DegradePolicy::default();
         assert!(p.rewait_bound < p.retry_timeout);
         assert!(p.retry_backoff <= p.retry_backoff_cap);
+    }
+
+    /// The retry ledger's whole timeline under the default policy
+    /// (re-wait 2, back-off 1 doubling to 8, timeout 32), hand-worked:
+    /// what is due on every tick, with every attempt refused.
+    #[test]
+    fn retry_ledger_timeline() {
+        let policy = DegradePolicy::default();
+        let mut ledger = RetryLedger::enter(10, &policy, 0);
+        // (tick an attempt is due, back-off after its refusal)
+        let attempts = [(12, 2), (14, 4), (18, 8), (26, 8), (34, 8)];
+        let mut due = attempts.iter().copied().peekable();
+        for now in 10..42 {
+            match due.peek() {
+                Some(&(at, backoff)) if at == now => {
+                    let step = ledger.step(now, &policy, None);
+                    assert_eq!(step, RetryStep::Attempt { last_chance: false });
+                    ledger.refuse(now, &policy);
+                    assert_eq!(ledger.backoff(), backoff);
+                    assert_eq!(ledger.next_retry(), now + backoff);
+                    due.next();
+                }
+                _ => assert_eq!(
+                    ledger.step(now, &policy, None),
+                    RetryStep::Wait,
+                    "tick {now}"
+                ),
+            }
+        }
+        assert_eq!(ledger.pending_denials(), 5);
+        // Tick 42 = since + 32: the timeout, whatever recovered earlier.
+        assert_eq!(ledger.step(42, &policy, Some(41)), RetryStep::TimedOut);
+        assert_eq!(ledger.time_out(), 5, "every refusal resolves, once");
+        assert_eq!(ledger.resolve(), 0);
+        for now in 42..120 {
+            assert_eq!(ledger.step(now, &policy, Some(now)), RetryStep::Wait);
+        }
+    }
+
+    /// A recovery and the retry timeout on the same tick: the timeout
+    /// resolves first unless the policy says recovery wins, and then only
+    /// a recovery on that very tick buys the last chance.
+    #[test]
+    fn retry_ledger_same_tick_race() {
+        // (recovery_wins, recovered_at, what tick 34 = since + 32 allows)
+        let cases = [
+            (false, None, RetryStep::TimedOut),
+            (false, Some(34), RetryStep::TimedOut),
+            (true, None, RetryStep::TimedOut),
+            (true, Some(33), RetryStep::TimedOut),
+            (true, Some(34), RetryStep::Attempt { last_chance: true }),
+        ];
+        for (recovery_wins, recovered_at, expected) in cases {
+            let policy = DegradePolicy {
+                recovery_wins,
+                ..DegradePolicy::default()
+            };
+            // Entered with the refusal that caused the degradation pending.
+            let ledger = RetryLedger::enter(2, &policy, 1);
+            assert_eq!(ledger.pending_denials(), 1);
+            assert_eq!(
+                ledger.step(33, &policy, recovered_at),
+                RetryStep::Attempt { last_chance: false },
+                "one tick short of the timeout"
+            );
+            assert_eq!(ledger.step(34, &policy, recovered_at), expected);
+        }
     }
 }

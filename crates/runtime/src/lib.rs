@@ -60,7 +60,7 @@ mod windows;
 
 pub use arena::{Arena, ArenaId};
 pub use backend::{BackendKind, PyramidGeometry, ReceptionFront};
-pub use degrade::{DegradePolicy, FaultEvent, FaultKind, FaultPlan};
+pub use degrade::{DegradePolicy, FaultEvent, FaultKind, FaultPlan, RetryLedger, RetryStep};
 pub use metrics::{kind_index, FederationMetrics, RuntimeMetrics};
 pub use quantize::QuantizedGeometry;
 pub use reserve::StreamReserve;

@@ -4,24 +4,25 @@
 //! The harness/chaos driver, the fault plans, and the workload scripts
 //! only ever need a small surface from a server: open sessions, issue
 //! VCR operations, advance virtual time, and read the shared
-//! [`RuntimeMetrics`] vocabulary. This trait is that surface. The
-//! incumbent batching+buffering [`VodServer`] implements it by
-//! delegation (provably behavior-preserving — the `backend_equivalence`
-//! suite pins `run_harness` through the trait against the inherent API
-//! bitwise), and the two comparison backends implement it natively:
-//! [`PyramidServer`](crate::PyramidServer) (fast broadcasting) and
-//! [`DedicatedServer`](crate::DedicatedServer) (pure unicast).
+//! [`RuntimeMetrics`] vocabulary. This trait is that surface, and three
+//! schemes implement it: the paper's batching+buffering [`VodServer`],
+//! [`PyramidServer`] (fast broadcasting) and [`DedicatedServer`] (pure
+//! unicast).
 //!
 //! What each backend owns behind the trait: admission shaping (batch
 //! enrollment vs. boundary join vs. immediate grant), restart/segment
 //! scheduling on the `TimerWheel`, per-tick buffer occupancy, and the
 //! mapping of its internal states onto the shared [`SessionStatus`] and
-//! metrics vocabulary. See DESIGN.md §12 for the full contract.
+//! metrics vocabulary. What no scheme owns — the clock, the stream pool
+//! and its reserve, the counters, fault arming — lives in the
+//! [`ServerCore`] each backend carries, and the trait answers those
+//! questions from it. See DESIGN.md §12 for the full contract.
 
 use vod_runtime::{BackendKind, DegradePolicy, FaultPlan, RuntimeMetrics};
 use vod_workload::{VcrKind, Welford};
 
 use crate::content::MovieId;
+use crate::core::ServerCore;
 use crate::dedicated::DedicatedServer;
 use crate::pyramid::PyramidServer;
 use crate::server::{ServerConfig, ServerError, VodServer};
@@ -62,8 +63,11 @@ pub trait DeliveryBackend {
     /// Which scheme this is (names the row in comparison reports).
     fn kind(&self) -> BackendKind;
 
-    /// Current virtual time in minutes.
-    fn now(&self) -> u64;
+    /// The scheme-independent state this backend is built around.
+    fn core(&self) -> &ServerCore;
+
+    /// Mutable access to [`Self::core`].
+    fn core_mut(&mut self) -> &mut ServerCore;
 
     /// Open a session for `movie`; queues if playback cannot start now.
     fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError>;
@@ -103,123 +107,66 @@ pub trait DeliveryBackend {
     /// Advance one virtual minute.
     fn tick(&mut self);
 
-    /// Reset counters and re-baseline occupancy statistics (end of
-    /// warm-up).
-    fn reset_metrics(&mut self);
-
-    /// Snapshot of the shared mechanism counters.
-    fn runtime_metrics(&self) -> RuntimeMetrics;
-
-    /// Startup-wait samples since the last reset (one per session whose
-    /// playback start has been scheduled).
-    fn startup_waits(&self) -> &Welford;
-
-    /// Arm a deterministic fault schedule and degradation policy. An
-    /// empty plan must leave behavior bitwise identical to a never-armed
-    /// backend.
-    fn inject_faults(&mut self, plan: FaultPlan, policy: DegradePolicy);
-
     /// Conservation-invariant violations (empty when healthy).
     fn check_invariants(&self) -> Vec<String>;
-
-    /// Sessions currently in a degraded/starved re-wait state.
-    fn degraded_sessions(&self) -> u32;
-
-    /// Sessions that reached `Done` (finished or closed early).
-    fn sessions_finished(&self) -> u64;
-
-    /// Byte-verification failures on the delivery path (must stay 0).
-    fn verify_failures(&self) -> u64;
-
-    /// Provisioned I/O streams `Σn` — the stream term of the cost model
-    /// `C = C_n(φΣB + Σn)`.
-    fn io_streams(&self) -> u32;
 
     /// Provisioned server-side buffer `ΣB` in segments — the buffer term
     /// of the cost model.
     fn buffer_segments(&self) -> u64;
-}
 
-impl DeliveryBackend for VodServer {
-    fn kind(&self) -> BackendKind {
-        BackendKind::BatchingBuffering
-    }
-
+    /// Current virtual time in minutes.
     fn now(&self) -> u64 {
-        VodServer::now(self)
+        self.core().now
     }
 
-    fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError> {
-        VodServer::open_session(self, movie)
-    }
-
-    fn request_vcr(
-        &mut self,
-        id: SessionId,
-        kind: VcrKind,
-        magnitude: u32,
-    ) -> Result<(), ServerError> {
-        VodServer::request_vcr(self, id, kind, magnitude)
-    }
-
-    fn session_status(&self, id: SessionId) -> Result<SessionStatus, ServerError> {
-        VodServer::session_status(self, id)
-    }
-
-    fn session_position(&self, id: SessionId) -> Result<u32, ServerError> {
-        VodServer::session_position(self, id)
-    }
-
-    fn adopt_session(
-        &mut self,
-        movie: MovieId,
-        position: u32,
-    ) -> Result<(SessionId, Adoption), ServerError> {
-        VodServer::adopt_session(self, movie, position)
-    }
-
-    fn tick(&mut self) {
-        VodServer::tick(self)
-    }
-
+    /// Reset all counters and re-baseline the occupancy statistics at the
+    /// current instant, so measurements exclude warm-up (the same
+    /// discipline as `vod-sim`'s warm-up window).
     fn reset_metrics(&mut self) {
-        VodServer::reset_metrics(self)
+        self.core_mut().reset_metrics();
     }
 
+    /// Snapshot of the shared mechanism counters with the reserve's
+    /// occupancy statistics filled in — directly comparable (same fields,
+    /// same meanings) to a `vod-sim` report's runtime metrics.
     fn runtime_metrics(&self) -> RuntimeMetrics {
-        VodServer::runtime_metrics(self)
+        self.core().runtime_metrics()
     }
 
+    /// Startup-wait samples since the last reset (one per session whose
+    /// playback start has been scheduled).
     fn startup_waits(&self) -> &Welford {
-        VodServer::startup_waits(self)
+        &self.core().startup_waits
     }
 
+    /// Arm a deterministic fault schedule and degradation policy. Faults
+    /// apply at the top of each tick, before anything else moves. An
+    /// empty plan leaves behavior bitwise identical to a never-armed
+    /// backend.
     fn inject_faults(&mut self, plan: FaultPlan, policy: DegradePolicy) {
-        VodServer::inject_faults(self, plan, policy)
+        self.core_mut().inject_faults(plan, policy);
     }
 
-    fn check_invariants(&self) -> Vec<String> {
-        VodServer::check_invariants(self)
-    }
-
+    /// Sessions currently in a degraded/starved re-wait state.
     fn degraded_sessions(&self) -> u32 {
-        VodServer::degraded_sessions(self)
+        self.core().degraded_count
     }
 
+    /// Sessions that reached `Done` (finished or closed early).
     fn sessions_finished(&self) -> u64 {
-        self.metrics().sessions_done + self.metrics().sessions_closed_early
+        let metrics = &self.core().metrics;
+        metrics.sessions_done + metrics.sessions_closed_early
     }
 
+    /// Byte-verification failures on the delivery path (must stay 0).
     fn verify_failures(&self) -> u64 {
-        self.metrics().verify_failures
+        self.core().metrics.verify_failures
     }
 
+    /// Provisioned I/O streams `Σn` — the stream term of the cost model
+    /// `C = C_n(φΣB + Σn)`.
     fn io_streams(&self) -> u32 {
-        self.config().disk_streams
-    }
-
-    fn buffer_segments(&self) -> u64 {
-        self.config().buffer_budget as u64
+        self.core().config.disk_streams
     }
 }
 

@@ -11,36 +11,35 @@
 //! therefore pure reserve accounting (the arXiv:1706.06642 framing:
 //! interactions cost bandwidth, never buffer).
 //!
-//! Implemented natively against the same [`DiskSubsystem`] /
-//! [`StreamReserve`] substrate as the batching server so the accounting
-//! vocabulary (acquisitions, denials, starvation, occupancy) is
-//! field-for-field comparable.
+//! Built on the same [`ServerCore`] as the batching server — nothing is
+//! pre-allocated, so the core's reserve accounts the *whole* stream pool
+//! — which keeps the accounting vocabulary (acquisitions, denials,
+//! starvation, occupancy) field-for-field comparable.
 //!
 //! # Fault semantics (chaos-grade)
 //!
 //! Stream loss and outage revoke leases out of live viewings: the holder
-//! enters the [`DegradePolicy`] ledger (bounded re-wait, backoff
-//! retries, resolution-time denial classification) and, past the retry
-//! timeout, falls back to the FIFO admission queue — from there its
-//! waits are ordinary queueing, whose head-of-line refusals are
-//! *transient* denials (the mid-queue regression test
+//! enters the [`RetryLedger`] (bounded re-wait, backoff retries,
+//! resolution-time denial classification) and, past the retry timeout,
+//! falls back to the FIFO admission queue — from there its waits are
+//! ordinary queueing, whose head-of-line refusals are *transient*
+//! denials (the mid-queue regression test
 //! `mid_queue_stream_fail_keeps_denials_transient` pins that taxonomy).
 //! The reserve mirrors every disk failure exactly
 //! (`reserve.failed == disk.failed`, audited per tick): holders release
-//! their slots before the reserve marks them failed, so a full pool can
-//! no longer hide a failure from the accountant.
+//! their slots before the reserve marks them failed
+//! ([`FaultPolicy::RESERVE_FAILS_FIRST`] is off), so a full pool cannot
+//! hide a failure from the accountant.
 
 use std::collections::{BTreeMap, VecDeque};
 
-use vod_runtime::{
-    Arena, BackendKind, DegradePolicy, FaultKind, FaultPlan, RuntimeMetrics, StreamReserve,
-};
-use vod_workload::{TimeWeighted, VcrKind, Welford};
+use vod_runtime::{Arena, BackendKind, RetryLedger};
+use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
-use crate::content::{verify_segment, MovieId};
-use crate::disk::{DiskSubsystem, StreamLease};
-use crate::metrics::ServerMetrics;
+use crate::content::MovieId;
+use crate::core::{apply_faults, FaultPolicy, Retry, ServerCore};
+use crate::disk::StreamLease;
 use crate::server::{ServerConfig, ServerError};
 use crate::session::{DeliveryStats, SessionId, SessionStatus};
 
@@ -62,26 +61,11 @@ enum DState {
         /// Ticks until the viewer resumes.
         remaining: u32,
     },
-    /// Lost (or was refused) a stream mid-viewing. Follows the
-    /// [`DegradePolicy`] ledger: bounded re-wait, then acquisition
-    /// retries under exponential backoff whose refusals are classified at
-    /// resolution time (transient when a retry eventually succeeds,
-    /// permanent when the sequence times out); after the timeout the
-    /// session re-enters the FIFO admission queue, where further waits
-    /// are ordinary queueing (transient denials), not degradation.
-    Starved {
-        /// Tick the starvation began (timeout anchor).
-        since: u64,
-        /// Next tick an acquisition retry is allowed.
-        next_retry: u64,
-        /// Current backoff interval in ticks.
-        backoff: u64,
-        /// Refused acquisitions awaiting resolution-time classification.
-        pending_denials: u64,
-        /// Ledger-shape parity with the other backends; never set here —
-        /// the timeout re-queues the session instead of parking it.
-        retries_exhausted: bool,
-    },
+    /// Lost (or was refused) a stream mid-viewing and follows the retry
+    /// ledger. There is no shared window to rejoin, so the retry timeout
+    /// sends the session back to the FIFO admission queue, where further
+    /// waits are ordinary queueing (transient denials), not degradation.
+    Starved(RetryLedger),
     /// Finished.
     Done,
 }
@@ -99,217 +83,53 @@ struct DSession {
     stats: DeliveryStats,
 }
 
-/// Fresh `Starved` state under `policy`, carrying `pending` refusals
-/// already awaiting classification (1 when a refused acquisition caused
-/// the starvation, 0 when a fault revoked the lease outright).
-fn starved_state(now: u64, policy: &DegradePolicy, pending: u64) -> DState {
-    DState::Starved {
-        since: now,
-        next_retry: now + policy.rewait_bound.max(1),
-        backoff: policy.retry_backoff.max(1),
-        pending_denials: pending,
-        retries_exhausted: false,
-    }
-}
-
 /// The dedicated-stream (pure unicast) backend. See the module docs.
 pub struct DedicatedServer {
-    now: u64,
-    config: ServerConfig,
-    disk: DiskSubsystem,
-    /// Accountant over the *whole* stream pool: unlike the batching
-    /// server there is no pre-allocated restart schedule, so every
-    /// stream is "dedicated" in the reserve's sense.
-    reserve: StreamReserve,
+    core: ServerCore,
     sessions: Arena<DSession>,
     /// FIFO of queued session indices awaiting their first stream.
     queue: VecDeque<u32>,
     /// Indices of sessions past the queue and not yet `Done`, ascending
     /// (session slots are never reused, so push order is index order).
     active: Vec<u32>,
-    metrics: ServerMetrics,
-    movie_index: BTreeMap<MovieId, usize>,
-    startup_waits: Welford,
-    plan: FaultPlan,
-    fault_mode: bool,
-    policy: DegradePolicy,
-    /// Active disk slowdown `(period, until)`: leases serve only on
-    /// ticks divisible by `period`, through tick `until` exclusive.
-    slowdown: Option<(u32, u64)>,
-    /// Outage recoveries scheduled by tick.
-    recovery_due: BTreeMap<u64, u32>,
-    /// Tick of the most recent recovery that returned streams; a starved
-    /// retry timeout expiring on this exact tick attempts one last lease
-    /// first — recovery wins the same-tick race.
-    recovered_at: Option<u64>,
-    starved_count: u32,
 }
 
 impl DedicatedServer {
     /// Build the unicast backend over the same catalog and stream pool
     /// as `config` (the buffer budget is ignored: `ΣB = 0`).
     pub fn new(config: ServerConfig) -> Self {
-        let mut disk = DiskSubsystem::new(config.disk_streams);
-        let mut movie_index = BTreeMap::new();
-        for (i, m) in config.movies.iter().enumerate() {
-            disk.register_movie(m.movie, m.geometry.length);
-            movie_index.insert(m.movie, i);
-        }
-        let reserve = StreamReserve::with_capacity(config.disk_streams);
         Self {
-            now: 0,
-            config,
-            disk,
-            reserve,
+            core: ServerCore::new(config, 0),
             sessions: Arena::new(),
             queue: VecDeque::new(),
             active: Vec::new(),
-            metrics: ServerMetrics::new(),
-            movie_index,
-            startup_waits: Welford::default(),
-            plan: FaultPlan::empty(),
-            fault_mode: false,
-            policy: DegradePolicy::default(),
-            slowdown: None,
-            recovery_due: BTreeMap::new(),
-            recovered_at: None,
-            starved_count: 0,
         }
     }
 
-    /// Try to take one stream (reserve + disk in lockstep), counting the
-    /// attempt.
-    fn try_lease(&mut self) -> Option<StreamLease> {
-        self.metrics.runtime.acquisition_attempts += 1;
-        let now = self.now as f64;
-        if !self.reserve.try_acquire(now) {
-            return None;
-        }
-        match self.disk.acquire() {
-            Ok(lease) => Some(lease),
-            Err(_) => {
-                self.reserve.release(now);
-                None
-            }
-        }
-    }
-
-    fn release_lease(&mut self, lease: StreamLease) {
-        self.disk.release(lease);
-        self.reserve.release(self.now as f64);
-    }
-
-    /// Apply the fault events scheduled at the current tick. Buffer
-    /// faults are meaningless here (no buffer) and are skipped without
-    /// counting, the same way `vod-sim` skips tick-grid-only kinds.
-    fn apply_faults(&mut self) {
-        if !self.fault_mode {
-            return;
-        }
-        if let Some(streams) = self.recovery_due.remove(&self.now) {
-            let recovered = self.disk.recover_streams(streams);
-            self.reserve.recover_streams(recovered);
-            if recovered > 0 {
-                self.recovered_at = Some(self.now);
-            }
-        }
-        let events: Vec<FaultKind> = self
-            .plan
-            .events_at(self.now)
-            .iter()
-            .map(|e| e.kind)
-            .collect();
-        for kind in events {
-            match kind {
-                FaultKind::DiskStreamLoss { count } | FaultKind::DiskOutage { count, .. } => {
-                    let before = self.disk.failed();
-                    let revoked = self.disk.fail_streams(count);
-                    let applied = self.disk.failed().saturating_sub(before);
-                    if let FaultKind::DiskOutage { recover_after, .. } = kind {
-                        *self
-                            .recovery_due
-                            .entry(self.now + recover_after)
-                            .or_insert(0) += applied;
-                    }
-                    // Revoked leases strand their holders: into the
-                    // degrade ledger, lease gone. The holders release
-                    // *before* the reserve marks the failure — the
-                    // reserve only fails free streams, so the old
-                    // fail-first order silently under-failed it whenever
-                    // every stream was in use and left the reserve
-                    // claiming capacity the disk no longer had.
-                    let now = self.now;
-                    let policy = self.policy;
-                    for idx in 0..self.sessions.slot_count() {
-                        let Some(sess) = self.sessions.at_mut(idx) else {
-                            continue;
-                        };
-                        if sess.lease.as_ref().is_some_and(|l| l.revoked_in(&revoked)) {
-                            sess.lease = None;
-                            if !matches!(sess.state, DState::Done) {
-                                if matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
-                                    self.metrics.playback.add(self.now as f64, -1.0);
-                                }
-                                // Revocation, not a refused acquisition:
-                                // nothing pending to classify yet.
-                                sess.state = starved_state(now, &policy, 0);
-                                self.starved_count += 1;
-                                self.metrics.runtime.degraded_entries += 1;
-                            }
-                            self.metrics.leases_revoked += 1;
-                            self.reserve.release(self.now as f64);
-                        }
-                    }
-                    self.reserve.fail_streams(applied);
-                    self.metrics.runtime.faults_injected += 1;
-                }
-                FaultKind::DiskSlowdown { period, duration } => {
-                    self.slowdown = Some((period.max(1), self.now + duration));
-                    self.metrics.runtime.faults_injected += 1;
-                }
-                // Buffer faults are meaningless without a buffer; shard
-                // events belong to the federation front tier. Both are
-                // skipped without counting.
-                FaultKind::BufferShrink { .. }
-                | FaultKind::BufferRestore { .. }
-                | FaultKind::ShardOutage { .. }
-                | FaultKind::ShardRecovery { .. } => {}
-            }
-        }
-        if let Some((_, until)) = self.slowdown {
-            if self.now >= until {
-                self.slowdown = None;
-            }
-        }
-    }
-
-    /// Is the disk serving this tick (false only mid-slowdown on an
-    /// off-period tick)?
-    fn disk_serving(&self) -> bool {
-        match self.slowdown {
-            Some((period, until)) if self.now < until => self.now.is_multiple_of(u64::from(period)),
-            _ => true,
-        }
+    /// Session `idx` starts (or resumes) playing on `lease`.
+    fn play(&mut self, idx: u32, lease: StreamLease) {
+        let sess = self.sessions.live_at_mut(idx as usize);
+        sess.lease = Some(lease);
+        sess.state = DState::Playing;
+        self.core.metrics.playback.add(self.core.now as f64, 1.0);
     }
 
     /// Grant queued sessions in FIFO order while streams remain.
     fn drain_queue(&mut self) {
         while let Some(&idx) = self.queue.front() {
-            let Some(lease) = self.try_lease() else {
+            let Some(lease) = self.core.try_lease() else {
                 // Queued arrivals retry, so the denial is transient.
-                self.reserve.record_denials(1, true);
+                self.core.reserve.record_denials(1, true);
                 break;
             };
             self.queue.pop_front();
-            let now = self.now;
+            self.play(idx, lease);
             let sess = self.sessions.live_at_mut(idx as usize);
-            sess.lease = Some(lease);
-            sess.state = DState::Playing;
             if !sess.admitted {
                 sess.admitted = true;
-                self.startup_waits.push((now - sess.opened_at) as f64);
+                let waited = self.core.now - sess.opened_at;
+                self.core.startup_waits.push(waited as f64);
             }
-            self.metrics.playback.add(now as f64, 1.0);
             self.active.push(idx);
         }
     }
@@ -317,33 +137,15 @@ impl DedicatedServer {
     /// Deliver one segment to a playing session through its lease.
     /// Returns false when the movie ended (session finished).
     fn consume_one(&mut self, idx: u32) -> bool {
-        let (movie_idx, position, length) = {
-            let sess = self.sessions.live_at(idx as usize);
-            let length = self.config.movies[sess.movie_idx].geometry.length;
-            (sess.movie_idx, sess.position, length)
-        };
-        if position >= length {
-            self.finish(idx);
-            return false;
-        }
-        let movie = self.config.movies[movie_idx].movie;
         let sess = self.sessions.live_at_mut(idx as usize);
-        // vod-lint: allow(no-panic) — a Playing session holds a lease by
-        // construction; losing it without a state change is a backend bug.
-        let lease = sess.lease.as_ref().expect("playing session holds lease");
-        let verified = self
-            .disk
-            .read(lease, movie, position)
-            .map(|seg| verify_segment(&seg))
-            .unwrap_or(false);
-        let sess = self.sessions.live_at_mut(idx as usize);
-        sess.stats.from_disk += 1;
-        if !verified {
-            sess.stats.verify_failures += 1;
-            self.metrics.verify_failures += 1;
+        let hosted = self.core.config.movies[sess.movie_idx];
+        let length = hosted.geometry.length;
+        if sess.position < length {
+            let lease = sess.lease.as_ref();
+            self.core
+                .read_via_lease(lease, hosted.movie, sess.position, &mut sess.stats);
+            sess.position += 1;
         }
-        sess.position += 1;
-        self.metrics.runtime.disk_minutes += 1.0;
         if sess.position >= length {
             self.finish(idx);
             return false;
@@ -353,16 +155,43 @@ impl DedicatedServer {
 
     /// Retire a finished session: release its stream, close the books.
     fn finish(&mut self, idx: u32) {
-        let lease = {
-            let sess = self.sessions.live_at_mut(idx as usize);
-            sess.state = DState::Done;
-            sess.lease.take()
-        };
-        if let Some(lease) = lease {
-            self.release_lease(lease);
+        let sess = self.sessions.live_at_mut(idx as usize);
+        sess.state = DState::Done;
+        if let Some(lease) = sess.lease.take() {
+            self.core.release_lease(lease);
         }
-        self.metrics.playback.add(self.now as f64, -1.0);
-        self.metrics.sessions_done += 1;
+        self.core.metrics.playback.add(self.core.now as f64, -1.0);
+        self.core.metrics.sessions_done += 1;
+    }
+}
+
+impl FaultPolicy for DedicatedServer {
+    const RESERVE_FAILS_FIRST: bool = false;
+
+    fn leases_revoked(&mut self, revoked: &[u64]) -> u32 {
+        let now = self.core.now as f64;
+        for idx in 0..self.sessions.slot_count() {
+            let Some(sess) = self.sessions.at_mut(idx) else {
+                continue;
+            };
+            if sess.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
+                sess.lease = None;
+                if !matches!(sess.state, DState::Done) {
+                    if matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
+                        self.core.metrics.playback.add(now, -1.0);
+                    }
+                    // Revocation, not a refused acquisition: nothing
+                    // pending to classify yet.
+                    sess.state = DState::Starved(self.core.enter_degraded(0));
+                }
+                self.core.reserve.release(now);
+            }
+        }
+        0
+    }
+
+    fn buffer_resized(&mut self, _grow: bool, _segments: usize) -> bool {
+        false
     }
 }
 
@@ -371,19 +200,20 @@ impl DeliveryBackend for DedicatedServer {
         BackendKind::DedicatedStream
     }
 
-    fn now(&self) -> u64 {
-        self.now
+    fn core(&self) -> &ServerCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut ServerCore {
+        &mut self.core
     }
 
     fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError> {
-        let movie_idx = *self
-            .movie_index
-            .get(&movie)
-            .ok_or(ServerError::UnknownMovie(movie))?;
+        let movie_idx = self.core.movie_idx(movie)?;
         let id = SessionId(self.sessions.insert(DSession {
             movie_idx,
             position: 0,
-            opened_at: self.now,
+            opened_at: self.core.now,
             admitted: false,
             state: DState::Queued,
             lease: None,
@@ -391,17 +221,14 @@ impl DeliveryBackend for DedicatedServer {
         }));
         let idx = id.0.index() as u32;
         if self.queue.is_empty() {
-            if let Some(lease) = self.try_lease() {
-                let sess = self.sessions.live_at_mut(idx as usize);
-                sess.lease = Some(lease);
-                sess.state = DState::Playing;
-                sess.admitted = true;
-                self.startup_waits.push(0.0);
-                self.metrics.playback.add(self.now as f64, 1.0);
+            if let Some(lease) = self.core.try_lease() {
+                self.play(idx, lease);
+                self.sessions.live_at_mut(idx as usize).admitted = true;
+                self.core.startup_waits.push(0.0);
                 self.active.push(idx);
                 return Ok(id);
             }
-            self.reserve.record_denials(1, true);
+            self.core.reserve.record_denials(1, true);
         }
         self.queue.push_back(idx);
         Ok(id)
@@ -415,13 +242,11 @@ impl DeliveryBackend for DedicatedServer {
     ) -> Result<(), ServerError> {
         let sess = self
             .sessions
-            .get(id.0)
+            .get_mut(id.0)
             .ok_or(ServerError::UnknownSession(id))?;
         if !matches!(sess.state, DState::Playing) {
             return Err(ServerError::InvalidState { operation: "vcr" });
         }
-        let position = sess.position;
-        let sess = self.sessions.live_mut(id.0);
         match kind {
             VcrKind::Pause => {
                 // A paused viewer consumes nothing: the stream goes back
@@ -430,13 +255,13 @@ impl DeliveryBackend for DedicatedServer {
                     remaining: magnitude.max(1),
                 };
                 if let Some(lease) = sess.lease.take() {
-                    self.release_lease(lease);
+                    self.core.release_lease(lease);
                 }
-                self.metrics.playback.add(self.now as f64, -1.0);
+                self.core.metrics.playback.add(self.core.now as f64, -1.0);
             }
             VcrKind::FastForward | VcrKind::Rewind => {
-                if matches!(kind, VcrKind::Rewind) && magnitude >= position {
-                    self.metrics.runtime.rw_truncated += 1;
+                if matches!(kind, VcrKind::Rewind) && magnitude >= sess.position {
+                    self.core.metrics.runtime.rw_truncated += 1;
                 }
                 sess.state = DState::Vcr {
                     kind,
@@ -459,33 +284,31 @@ impl DeliveryBackend for DedicatedServer {
         movie: MovieId,
         position: u32,
     ) -> Result<(SessionId, Adoption), ServerError> {
-        let movie_idx = *self
-            .movie_index
-            .get(&movie)
-            .ok_or(ServerError::UnknownMovie(movie))?;
-        if position >= self.config.movies[movie_idx].geometry.length {
+        let movie_idx = self.core.movie_idx(movie)?;
+        if position >= self.core.config.movies[movie_idx].geometry.length {
             return Err(ServerError::InvalidState { operation: "adopt" });
         }
         // A migration places immediately or refuses: the FIFO queue is
         // for fresh admissions, and queueing a displaced session here
         // would hide it from the front tier's failover ledger.
-        let Some(lease) = self.try_lease() else {
+        let Some(lease) = self.core.try_lease() else {
             // Locally permanent — the ledger may resolve the displaced
             // session elsewhere; see `FederationMetrics`.
-            self.reserve.record_denials(1, false);
+            self.core.reserve.record_denials(1, false);
             return Err(ServerError::VcrDenied);
         };
         let id = SessionId(self.sessions.insert(DSession {
             movie_idx,
             position,
-            opened_at: self.now,
+            opened_at: self.core.now,
             admitted: true,
-            state: DState::Playing,
-            lease: Some(lease),
+            state: DState::Queued,
+            lease: None,
             stats: DeliveryStats::default(),
         }));
-        self.metrics.playback.add(self.now as f64, 1.0);
-        self.active.push(id.0.index() as u32);
+        let idx = id.0.index() as u32;
+        self.play(idx, lease);
+        self.active.push(idx);
         Ok((id, Adoption::DedicatedStream))
     }
 
@@ -495,269 +318,114 @@ impl DeliveryBackend for DedicatedServer {
             .get(id.0)
             .ok_or(ServerError::UnknownSession(id))?;
         Ok(match sess.state {
-            DState::Queued => SessionStatus::Waiting(self.now + 1),
+            DState::Queued => SessionStatus::Waiting(self.core.now + 1),
             DState::Playing => SessionStatus::Dedicated,
             DState::Vcr { .. } | DState::Paused { .. } => SessionStatus::InVcr,
-            DState::Starved { .. } => SessionStatus::Degraded,
+            DState::Starved(_) => SessionStatus::Degraded,
             DState::Done => SessionStatus::Done,
         })
     }
 
     fn tick(&mut self) {
-        self.apply_faults();
+        apply_faults(self);
         self.drain_queue();
-        let serving = self.disk_serving();
-        let now = self.now;
-        let policy = self.policy;
-        let vcr_rate = self.config.vcr_rate.max(1);
+        let stalled = self.core.disk_stalled();
+        let vcr_rate = self.core.config.vcr_rate.max(1);
         // Session slots are never reused and `active` is push-ordered, so
         // this walk is ascending-index — the same deterministic order as
         // the batching server's session phase.
         let mut i = 0;
         while i < self.active.len() {
             let idx = self.active[i];
-            let state_now = {
-                let sess = self.sessions.live_at(idx as usize);
-                match sess.state {
-                    DState::Playing => 0u8,
-                    DState::Vcr { .. } => 1,
-                    DState::Paused { .. } => 2,
-                    DState::Starved { .. } => 3,
-                    DState::Queued | DState::Done => 4,
+            let sess = self.sessions.live_at_mut(idx as usize);
+            // Does the session stay on the active walk?
+            let stays = match &mut sess.state {
+                DState::Playing if stalled => {
+                    self.core.metrics.runtime.stall_minutes += 1.0;
+                    true
                 }
-            };
-            match state_now {
-                0 => {
-                    if serving {
-                        if !self.consume_one(idx) {
-                            self.active.swap_remove(i);
-                            continue;
-                        }
-                    } else {
-                        self.metrics.runtime.stall_minutes += 1.0;
-                    }
-                }
-                1 => {
+                DState::Playing => self.consume_one(idx),
+                DState::Vcr { kind, remaining } => {
                     // Sweep at the VCR display rate on the held lease.
-                    let length = {
-                        let sess = self.sessions.live_at(idx as usize);
-                        self.config.movies[sess.movie_idx].geometry.length
-                    };
-                    let sess = self.sessions.live_at_mut(idx as usize);
-                    let DState::Vcr { kind, remaining } = &mut sess.state else {
-                        unreachable!("state tag checked above");
-                    };
+                    let length = self.core.config.movies[sess.movie_idx].geometry.length;
+                    let kind = *kind;
                     let step = vcr_rate.min(*remaining);
                     *remaining -= step;
-                    let kind = *kind;
                     let done = *remaining == 0;
-                    match kind {
-                        VcrKind::FastForward => {
-                            sess.position = sess.position.saturating_add(step).min(length);
-                        }
-                        VcrKind::Rewind => {
-                            sess.position = sess.position.saturating_sub(step);
-                        }
+                    sess.position = match kind {
+                        VcrKind::FastForward => sess.position.saturating_add(step).min(length),
+                        VcrKind::Rewind => sess.position.saturating_sub(step),
                         VcrKind::Pause => unreachable!("pause never enters Vcr"),
-                    }
-                    let reached_end = sess.position >= length;
-                    self.metrics.runtime.disk_minutes += 1.0;
-                    self.sessions.live_at_mut(idx as usize).stats.from_disk += 1;
-                    if reached_end {
+                    };
+                    self.core.metrics.runtime.disk_minutes += 1.0;
+                    sess.stats.from_disk += 1;
+                    if sess.position >= length {
                         // FF off the end releases the viewer: the model's
                         // P(end) path, counted as a hit for comparability.
-                        self.metrics.runtime.ff_end += 1;
-                        self.metrics.runtime.record_resume(kind, true);
+                        self.core.metrics.runtime.ff_end += 1;
+                        self.core.metrics.runtime.record_resume(kind, true);
                         self.finish(idx);
-                        self.active.swap_remove(i);
-                        continue;
-                    }
-                    if done {
-                        // No shared window can cover the resume: a miss by
-                        // construction, but the viewer already holds the
-                        // stream, so playback continues seamlessly.
-                        self.metrics.runtime.record_resume(kind, false);
-                        self.sessions.live_at_mut(idx as usize).state = DState::Playing;
+                        false
+                    } else {
+                        if done {
+                            // No shared window can cover the resume: a miss
+                            // by construction, but the viewer already holds
+                            // the stream, so playback continues seamlessly.
+                            self.core.metrics.runtime.record_resume(kind, false);
+                            sess.state = DState::Playing;
+                        }
+                        true
                     }
                 }
-                2 => {
-                    let sess = self.sessions.live_at_mut(idx as usize);
-                    let DState::Paused { remaining } = &mut sess.state else {
-                        unreachable!("state tag checked above");
-                    };
+                DState::Paused { remaining } => {
                     *remaining = remaining.saturating_sub(1);
                     if *remaining == 0 {
                         // Resume needs a fresh stream; no window exists, so
                         // the trial is a miss either way.
-                        self.metrics.runtime.record_resume(VcrKind::Pause, false);
-                        match self.try_lease() {
-                            Some(lease) => {
-                                let sess = self.sessions.live_at_mut(idx as usize);
-                                sess.lease = Some(lease);
-                                sess.state = DState::Playing;
-                                self.metrics.playback.add(self.now as f64, 1.0);
-                            }
-                            None => {
-                                // The refusal enters the degrade ledger
-                                // as pending; it is classified
-                                // transient/permanent at resolution.
-                                self.metrics.runtime.resume_starved += 1;
-                                self.sessions.live_at_mut(idx as usize).state =
-                                    starved_state(now, &policy, 1);
-                                self.starved_count += 1;
-                                self.metrics.runtime.degraded_entries += 1;
-                            }
+                        self.core
+                            .metrics
+                            .runtime
+                            .record_resume(VcrKind::Pause, false);
+                        match self.core.lease_or_degrade() {
+                            Ok(lease) => self.play(idx, lease),
+                            Err(ledger) => sess.state = DState::Starved(ledger),
                         }
                     }
+                    true
                 }
-                3 => {
-                    // Mirrors `VodServer::degraded_tick`, with one
-                    // backend-specific exit: there is no shared window to
-                    // rejoin, so the retry timeout resolves the pending
-                    // refusals permanent and sends the session back to
-                    // the FIFO admission queue — where later head-of-line
-                    // refusals are ordinary transient queueing denials.
-                    self.metrics.runtime.rewait_minutes += 1.0;
-                    let (since, next_retry, backoff, pending, exhausted) = {
-                        let sess = self.sessions.live_at(idx as usize);
-                        let DState::Starved {
-                            since,
-                            next_retry,
-                            backoff,
-                            pending_denials,
-                            retries_exhausted,
-                        } = sess.state
-                        else {
-                            unreachable!("state tag checked above");
-                        };
-                        (
-                            since,
-                            next_retry,
-                            backoff,
-                            pending_denials,
-                            retries_exhausted,
-                        )
-                    };
-                    if !exhausted && now >= next_retry {
-                        let timed_out = now.saturating_sub(since) >= self.policy.retry_timeout;
-                        // A recovery landing on the timeout tick wins the
-                        // race: the session gets one last lease attempt
-                        // before the timeout resolves its ledger.
-                        let last_chance = timed_out
-                            && self.policy.recovery_wins
-                            && self.recovered_at == Some(now);
-                        if timed_out && !last_chance {
-                            self.reserve.record_denials(pending, false);
-                            let sess = self.sessions.live_at_mut(idx as usize);
+                DState::Starved(ledger) => {
+                    self.core.metrics.runtime.rewait_minutes += 1.0;
+                    match self.core.retry_degraded(ledger) {
+                        Retry::Wait => true,
+                        Retry::Granted(lease) => {
+                            self.play(idx, lease);
+                            true
+                        }
+                        Retry::TimedOut => {
+                            // Nothing to rejoin for free: back to the FIFO
+                            // admission queue, where later head-of-line
+                            // refusals are ordinary transient queueing
+                            // denials.
+                            self.core.exit_degraded(ledger, false);
+                            self.core.metrics.runtime.degraded_rejoined += 1;
                             sess.state = DState::Queued;
                             self.queue.push_back(idx);
-                            debug_assert!(self.starved_count > 0, "starved session outside census");
-                            self.starved_count -= 1;
-                            self.metrics.runtime.degraded_rejoined += 1;
-                            self.active.swap_remove(i);
-                            continue;
-                        }
-                        match self.try_lease() {
-                            Some(lease) => {
-                                self.reserve.record_denials(pending, true);
-                                let sess = self.sessions.live_at_mut(idx as usize);
-                                sess.lease = Some(lease);
-                                sess.state = DState::Playing;
-                                debug_assert!(
-                                    self.starved_count > 0,
-                                    "starved session outside census"
-                                );
-                                self.starved_count -= 1;
-                                self.metrics.runtime.degraded_dedicated += 1;
-                                self.metrics.playback.add(self.now as f64, 1.0);
-                            }
-                            None if last_chance => {
-                                // Recovery was not enough after all: the
-                                // refused attempt joins the ledger and the
-                                // timeout proceeds as usual.
-                                self.reserve.record_denials(pending + 1, false);
-                                let sess = self.sessions.live_at_mut(idx as usize);
-                                sess.state = DState::Queued;
-                                self.queue.push_back(idx);
-                                debug_assert!(
-                                    self.starved_count > 0,
-                                    "starved session outside census"
-                                );
-                                self.starved_count -= 1;
-                                self.metrics.runtime.degraded_rejoined += 1;
-                                self.active.swap_remove(i);
-                                continue;
-                            }
-                            None => {
-                                let nb = (backoff * 2).min(self.policy.retry_backoff_cap.max(1));
-                                let sess = self.sessions.live_at_mut(idx as usize);
-                                if let DState::Starved {
-                                    next_retry,
-                                    backoff,
-                                    pending_denials,
-                                    ..
-                                } = &mut sess.state
-                                {
-                                    *pending_denials = pending + 1;
-                                    *next_retry = now + nb;
-                                    *backoff = nb;
-                                }
-                            }
+                            false
                         }
                     }
                 }
-                _ => {
-                    self.active.swap_remove(i);
-                    continue;
-                }
+                DState::Queued | DState::Done => false,
+            };
+            if stays {
+                i += 1;
+            } else {
+                self.active.swap_remove(i);
             }
-            i += 1;
         }
-        self.now += 1;
-    }
-
-    fn reset_metrics(&mut self) {
-        let now = self.now as f64;
-        let playing = self.metrics.playback.current();
-        self.metrics = ServerMetrics::new();
-        self.metrics.playback = TimeWeighted::new(now, playing);
-        self.reserve.rebaseline(now);
-        self.startup_waits = Welford::default();
-    }
-
-    fn runtime_metrics(&self) -> RuntimeMetrics {
-        let mut rt = self.metrics.runtime.clone();
-        rt.dedicated_avg = self.reserve.average(self.now as f64);
-        rt.dedicated_peak = self.reserve.peak();
-        rt.denied_transient = self.reserve.denied_transient();
-        rt.denied_permanent = self.reserve.denied_permanent();
-        rt
-    }
-
-    fn startup_waits(&self) -> &Welford {
-        &self.startup_waits
-    }
-
-    fn inject_faults(&mut self, plan: FaultPlan, policy: DegradePolicy) {
-        self.fault_mode = !plan.is_empty();
-        self.plan = plan;
-        self.policy = policy;
+        self.core.now += 1;
     }
 
     fn check_invariants(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let disk = &self.disk;
-        v.extend(disk.conservation_violation());
-        // The reserve accounts the *whole* pool here, so its failure
-        // ledger must track the disk's exactly — this is the audit that
-        // catches the fail-before-release ordering bug.
-        if self.reserve.failed() != disk.failed() {
-            v.push(format!(
-                "reserve failure accounting drifted from the disk: reserve {} != disk {}",
-                self.reserve.failed(),
-                disk.failed()
-            ));
-        }
         // Queue conservation: the FIFO and the active walk partition the
         // live population — every `Queued` session sits in the queue
         // exactly once and holds no lease; nothing else queues. Entries
@@ -771,18 +439,19 @@ impl DeliveryBackend for DedicatedServer {
                 None => *strays.entry(idx).or_insert(0u32) += 1,
             }
         }
+        let mut faults = Vec::new();
         let in_range = queued.iter().enumerate().map(|(idx, &n)| (idx as u32, n));
         for (idx, count) in in_range.filter(|&(_, n)| n > 0).chain(strays) {
             if count > 1 {
-                v.push(format!("session {idx} queued {count} times"));
+                faults.push(format!("session {idx} queued {count} times"));
             }
             match self.sessions.at(idx as usize) {
                 Some(sess) if matches!(sess.state, DState::Queued) => {
                     if sess.lease.is_some() {
-                        v.push(format!("queued session {idx} holds a lease"));
+                        faults.push(format!("queued session {idx} holds a lease"));
                     }
                 }
-                _ => v.push(format!("queue entry {idx} is not a queued session")),
+                _ => faults.push(format!("queue entry {idx} is not a queued session")),
             }
         }
         let mut held = 0u32;
@@ -792,57 +461,54 @@ impl DeliveryBackend for DedicatedServer {
                 continue;
             };
             if matches!(sess.state, DState::Queued) && in_fifo == 0 {
-                v.push(format!("queued session {idx} missing from the FIFO"));
+                faults.push(format!("queued session {idx} missing from the FIFO"));
             }
             if sess.lease.is_some() {
                 held += 1;
                 if !matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
-                    v.push(format!(
+                    faults.push(format!(
                         "session {idx} holds a lease in a non-serving state"
                     ));
                 }
             } else if matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
-                v.push(format!("session {idx} is serving without a lease"));
+                faults.push(format!("session {idx} is serving without a lease"));
             }
-            if matches!(sess.state, DState::Starved { .. }) {
+            if matches!(sess.state, DState::Starved(_)) {
                 starved += 1;
             }
         }
-        if held != disk.in_use() {
+        // Reported resources first, then the findings above, then what
+        // the recount says about the books.
+        let drift = self.core.resource_drift(0, held, starved);
+        let mut v = Vec::from_iter(drift.disk);
+        // The reserve accounts the *whole* pool here, so its failure
+        // ledger must track the disk's exactly — this is the audit that
+        // catches the fail-before-release ordering bug.
+        let (reserve, disk) = (&self.core.reserve, &self.core.disk);
+        if reserve.failed() != disk.failed() {
             v.push(format!(
-                "lease accounting broken: sessions hold {held}, disk says {}",
-                disk.in_use()
+                "reserve failure accounting drifted from the disk: reserve {} != disk {}",
+                reserve.failed(),
+                disk.failed()
             ));
         }
-        if held != self.reserve.in_use() {
+        v.append(&mut faults);
+        if let Some(in_use) = drift.leases {
             v.push(format!(
-                "reserve accounting broken: sessions hold {held}, reserve says {}",
-                self.reserve.in_use()
+                "lease accounting broken: sessions hold {held}, disk says {in_use}"
             ));
         }
-        if starved != self.starved_count {
+        if let Some(in_use) = drift.reserve {
             v.push(format!(
-                "starved population drifted: counted {starved}, tracked {}",
-                self.starved_count
+                "reserve accounting broken: sessions hold {held}, reserve says {in_use}"
+            ));
+        }
+        if let Some(tracked) = drift.population {
+            v.push(format!(
+                "starved population drifted: counted {starved}, tracked {tracked}"
             ));
         }
         v
-    }
-
-    fn degraded_sessions(&self) -> u32 {
-        self.starved_count
-    }
-
-    fn sessions_finished(&self) -> u64 {
-        self.metrics.sessions_done + self.metrics.sessions_closed_early
-    }
-
-    fn verify_failures(&self) -> u64 {
-        self.metrics.verify_failures
-    }
-
-    fn io_streams(&self) -> u32 {
-        self.config.disk_streams
     }
 
     fn buffer_segments(&self) -> u64 {
@@ -852,8 +518,23 @@ impl DeliveryBackend for DedicatedServer {
 
 #[cfg(test)]
 mod tests {
+    use vod_runtime::{DegradePolicy, FaultKind, FaultPlan};
+
     use super::*;
     use crate::server::HostedMovie;
+
+    impl DedicatedServer {
+        /// The audit's recount, for the cross-backend lease test:
+        /// `(pre-allocated leases, session-held leases, starved sessions)`.
+        pub(crate) fn holders(&self) -> (u32, u32, u32) {
+            let live = || (0..self.sessions.slot_count()).filter_map(|i| self.sessions.at(i));
+            let held = live().filter(|s| s.lease.is_some()).count();
+            let degraded = live()
+                .filter(|s| matches!(s.state, DState::Starved(_)))
+                .count();
+            (0, held as u32, degraded as u32)
+        }
+    }
 
     fn config() -> ServerConfig {
         let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
@@ -1030,7 +711,7 @@ mod tests {
     #[test]
     fn audit_sees_resource_drift() {
         let mut s = busy();
-        s.disk.skew_failed(100);
+        s.core.disk.skew_failed(100);
         assert_eq!(
             s.check_invariants(),
             [
@@ -1056,7 +737,7 @@ mod tests {
             ["session 1 holds a lease in a non-serving state"]
         );
         let mut s = busy();
-        s.starved_count += 1;
+        s.core.degraded_count += 1;
         assert_eq!(
             s.check_invariants(),
             ["starved population drifted: counted 0, tracked 1"]

@@ -8,7 +8,7 @@
 //! segment is verifiable — the data path checks itself.
 //!
 //! ```
-//! use vod_server::{HostedMovie, MovieId, ServerConfig, VodServer};
+//! use vod_server::{DeliveryBackend, HostedMovie, MovieId, ServerConfig, VodServer};
 //!
 //! let movie = HostedMovie::from_allocation(MovieId(0), 120, 10, 60.0);
 //! let mut server = VodServer::new(ServerConfig::provisioned(vec![movie], 4));
@@ -28,6 +28,7 @@ mod admission;
 mod backend;
 mod buffer;
 mod content;
+mod core;
 mod dedicated;
 mod disk;
 mod harness;
@@ -40,6 +41,7 @@ pub use admission::{config_from_plan, vcr_reserve_estimate};
 pub use backend::{make_backend, Adoption, DeliveryBackend};
 pub use buffer::{BroadcastSlot, BufferError, BufferPool, Partition};
 pub use content::{checksum, generate_segment, verify_segment, MovieId, Segment, SEGMENT_BYTES};
+pub use core::ServerCore;
 pub use dedicated::DedicatedServer;
 pub use disk::{DiskError, DiskSubsystem, StreamLease};
 pub use harness::{

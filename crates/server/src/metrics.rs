@@ -11,7 +11,7 @@ pub struct ServerMetrics {
     /// Shared mechanism counters (resume classifications, denials,
     /// starvation, service minutes). The occupancy fields
     /// (`dedicated_avg`/`dedicated_peak`) are filled by
-    /// [`crate::VodServer::runtime_metrics`], which snapshots the live
+    /// [`crate::DeliveryBackend::runtime_metrics`], which snapshots the live
     /// reserve; they stay 0 here.
     pub runtime: RuntimeMetrics,
     /// Byte-verification failures (must stay 0).

@@ -42,27 +42,22 @@
 //! `d − 1` after recovery; the regression test
 //! `recovered_front_never_leads_schedule` pins the fix). A session that
 //! outruns its front (fault stall or revoked catch-up lease) enters
-//! `Starved` and follows the [`DegradePolicy`] ledger: bounded re-wait,
+//! `Starved` and follows the [`RetryLedger`]: bounded re-wait,
 //! dedicated-stream retries under exponential backoff whose denials are
 //! classified at resolution time (transient when a retry eventually
 //! succeeds, permanent when the session rejoins free or times out), and
 //! after the retry timeout a plain wait for the looping broadcast front
 //! — which reaches every position once the channels are back.
 
-use std::collections::BTreeMap;
-
-use vod_runtime::{
-    Arena, BackendKind, DegradePolicy, FaultKind, FaultPlan, PyramidGeometry, ReceptionFront,
-    RuntimeMetrics, StreamReserve, TimerWheel,
-};
-use vod_workload::{TimeWeighted, VcrKind, Welford};
+use vod_runtime::{Arena, BackendKind, PyramidGeometry, ReceptionFront, RetryLedger, TimerWheel};
+use vod_workload::{TimeWeighted, VcrKind};
 
 use crate::backend::{Adoption, DeliveryBackend};
 use crate::buffer::{BroadcastSlot, BufferPool};
 use crate::content::{verify_segment, MovieId};
-use crate::disk::{DiskSubsystem, StreamLease};
-use crate::metrics::ServerMetrics;
-use crate::server::{ServerConfig, ServerError};
+use crate::core::{apply_faults, FaultPolicy, Retry, ServerCore};
+use crate::disk::StreamLease;
+use crate::server::{HostedMovie, ServerConfig, ServerError};
 use crate::session::{DeliveryStats, SessionId, SessionStatus};
 
 /// One hosted movie's broadcast apparatus.
@@ -106,23 +101,10 @@ enum PState {
     /// Playing beyond the front through a dedicated lease; merges back
     /// into the broadcast when the front catches up.
     CatchUp,
-    /// Outran the reception front with no dedicated stream. Follows the
-    /// [`DegradePolicy`] ledger: bounded re-wait, then backoff retries
-    /// with resolution-time denial classification, then (post-timeout) a
-    /// plain wait for the looping front. Rejoins free the moment the
-    /// front passes its position.
-    Starved {
-        /// Tick the starvation began (timeout anchor).
-        since: u64,
-        /// Next tick a dedicated retry is allowed.
-        next_retry: u64,
-        /// Current backoff interval in ticks.
-        backoff: u64,
-        /// Refused acquisitions awaiting resolution-time classification.
-        pending_denials: u64,
-        /// Past `retry_timeout`: no more dedicated retries.
-        retries_exhausted: bool,
-    },
+    /// Outran the reception front with no dedicated stream and follows
+    /// the retry ledger; past its timeout, a plain wait for the looping
+    /// front. Rejoins free the moment the front passes its position.
+    Starved(RetryLedger),
     /// Finished.
     Done,
 }
@@ -138,48 +120,19 @@ struct PSession {
     stats: DeliveryStats,
 }
 
-/// Fresh `Starved` state under `policy`, carrying `pending` denials
-/// already awaiting classification (1 when a refused acquisition caused
-/// the starvation, 0 when a fault revoked the lease outright).
-fn starved_state(now: u64, policy: &DegradePolicy, pending: u64) -> PState {
-    PState::Starved {
-        since: now,
-        next_retry: now + policy.rewait_bound.max(1),
-        backoff: policy.retry_backoff.max(1),
-        pending_denials: pending,
-        retries_exhausted: false,
-    }
-}
-
 /// The pyramid fast-broadcasting backend. See the module docs.
 pub struct PyramidServer {
-    now: u64,
-    config: ServerConfig,
-    disk: DiskSubsystem,
+    /// The core's reserve serves FF-beyond-front; its capacity is
+    /// whatever the channel pre-allocation leaves over, mirroring the
+    /// batching server's reserve derivation.
+    core: ServerCore,
     pool: BufferPool,
     movies: Vec<PyramidMovie>,
-    /// Dedicated-stream accountant for FF-beyond-front service; capacity
-    /// is whatever the channel pre-allocation leaves over, mirroring the
-    /// batching server's reserve derivation.
-    reserve: StreamReserve,
     sessions: Arena<PSession>,
     /// Waiting-session wakeups keyed by their boundary tick.
     wakeups: TimerWheel<u32>,
     /// Indices of sessions past Waiting and not yet Done, ascending.
     active: Vec<u32>,
-    metrics: ServerMetrics,
-    movie_index: BTreeMap<MovieId, usize>,
-    startup_waits: Welford,
-    plan: FaultPlan,
-    fault_mode: bool,
-    policy: DegradePolicy,
-    slowdown: Option<(u32, u64)>,
-    recovery_due: BTreeMap<u64, u32>,
-    /// Tick of the most recent recovery that returned streams; a starved
-    /// retry timeout expiring on this exact tick attempts one last lease
-    /// first — recovery wins the same-tick race.
-    recovered_at: Option<u64>,
-    starved_count: u32,
     /// Test hook: the `(movie, channel)` staging slot to corrupt between
     /// the next tick's broadcast and its session phase.
     #[cfg(test)]
@@ -192,34 +145,29 @@ impl PyramidServer {
     /// the movie's batching `max_wait` (same worst-case startup promise,
     /// different delivery mechanism).
     pub fn new(config: ServerConfig) -> Self {
-        let mut disk = DiskSubsystem::new(config.disk_streams);
-        let mut movie_index = BTreeMap::new();
-        let mut movies = Vec::with_capacity(config.movies.len());
-        let mut metrics = ServerMetrics::new();
-        let mut total_channels: u32 = 0;
-        for (i, m) in config.movies.iter().enumerate() {
-            let length = m.geometry.length;
-            disk.register_movie(m.movie, length);
-            movie_index.insert(m.movie, i);
-            let geometry = PyramidGeometry::for_target_wait(length, m.geometry.max_wait());
-            let mut leases = Vec::with_capacity(geometry.channels() as usize);
-            let mut slots = Vec::with_capacity(geometry.channels() as usize);
-            for _ in 0..geometry.channels() {
-                // A config whose stream pool cannot even cover the
-                // channel pre-allocation is a sizing bug; the channel
-                // stays down (the movie stalls) rather than panicking.
-                leases.push(disk.acquire().ok());
-                slots.push(BroadcastSlot::new(m.movie));
-            }
-            total_channels += geometry.channels();
-            let channel_stall = vec![0; geometry.channels() as usize];
-            let words = (length as usize).div_ceil(64);
+        let geometry_of = |m: &HostedMovie| {
+            PyramidGeometry::for_target_wait(m.geometry.length, m.geometry.max_wait())
+        };
+        let total_channels: u32 = config
+            .movies
+            .iter()
+            .map(|m| geometry_of(m).channels())
+            .sum();
+        let mut core = ServerCore::new(config, total_channels);
+        let mut movies = Vec::with_capacity(core.config.movies.len());
+        for m in &core.config.movies {
+            let geometry = geometry_of(m);
+            let channels = geometry.channels() as usize;
+            let words = (geometry.length() as usize).div_ceil(64);
             movies.push(PyramidMovie {
                 movie: m.movie,
                 geometry,
-                leases,
-                slots,
-                channel_stall,
+                // A config whose stream pool cannot even cover the
+                // channel pre-allocation is a sizing bug; the channel
+                // stays down (the movie stalls) rather than panicking.
+                leases: (0..channels).map(|_| core.disk.acquire().ok()).collect(),
+                slots: (0..channels).map(|_| BroadcastSlot::new(m.movie)).collect(),
+                channel_stall: vec![0; channels],
                 staged: vec![0; words],
                 verified: vec![0; words],
                 failed: vec![0; words],
@@ -229,152 +177,16 @@ impl PyramidServer {
         // backend's `ΣB`.
         let mut pool = BufferPool::new(total_channels as usize);
         let _ = pool.reserve(total_channels as usize);
-        metrics.playback = TimeWeighted::new(0.0, f64::from(disk.in_use()));
-        let reserve =
-            StreamReserve::with_capacity(config.disk_streams.saturating_sub(total_channels));
+        core.metrics.playback = TimeWeighted::new(0.0, f64::from(core.disk.in_use()));
         Self {
-            now: 0,
-            config,
-            disk,
+            core,
             pool,
             movies,
-            reserve,
             sessions: Arena::new(),
             wakeups: TimerWheel::new(),
             active: Vec::new(),
-            metrics,
-            movie_index,
-            startup_waits: Welford::default(),
-            plan: FaultPlan::empty(),
-            fault_mode: false,
-            policy: DegradePolicy::default(),
-            slowdown: None,
-            recovery_due: BTreeMap::new(),
-            recovered_at: None,
-            starved_count: 0,
             #[cfg(test)]
             corrupt_staged: None,
-        }
-    }
-
-    /// Acquire a dedicated (beyond-front) lease from the reserve.
-    fn try_dedicated_lease(&mut self) -> Option<StreamLease> {
-        self.metrics.runtime.acquisition_attempts += 1;
-        let now = self.now as f64;
-        if !self.reserve.try_acquire(now) {
-            return None;
-        }
-        match self.disk.acquire() {
-            Ok(lease) => Some(lease),
-            Err(_) => {
-                self.reserve.release(now);
-                None
-            }
-        }
-    }
-
-    fn release_dedicated_lease(&mut self, lease: StreamLease) {
-        self.disk.release(lease);
-        self.reserve.release(self.now as f64);
-    }
-
-    /// Apply fault events scheduled at the current tick.
-    fn apply_faults(&mut self) {
-        if !self.fault_mode {
-            return;
-        }
-        if let Some(streams) = self.recovery_due.remove(&self.now) {
-            let recovered = self.disk.recover_streams(streams);
-            self.reserve.recover_streams(recovered);
-            if recovered > 0 {
-                self.recovered_at = Some(self.now);
-            }
-        }
-        let events: Vec<FaultKind> = self
-            .plan
-            .events_at(self.now)
-            .iter()
-            .map(|e| e.kind)
-            .collect();
-        for kind in events {
-            match kind {
-                FaultKind::DiskStreamLoss { count } | FaultKind::DiskOutage { count, .. } => {
-                    let before = self.disk.failed();
-                    let revoked = self.disk.fail_streams(count);
-                    let applied = self.disk.failed().saturating_sub(before);
-                    if let FaultKind::DiskOutage { recover_after, .. } = kind {
-                        *self
-                            .recovery_due
-                            .entry(self.now + recover_after)
-                            .or_insert(0) += applied;
-                    }
-                    let mut channels_lost: u32 = 0;
-                    for m in &mut self.movies {
-                        for lease in m.leases.iter_mut() {
-                            if lease.as_ref().is_some_and(|l| l.revoked_in(&revoked)) {
-                                *lease = None;
-                                channels_lost += 1;
-                                self.metrics.leases_revoked += 1;
-                            }
-                        }
-                    }
-                    self.metrics
-                        .playback
-                        .add(self.now as f64, -f64::from(channels_lost));
-                    let now = self.now;
-                    let policy = self.policy;
-                    for idx in 0..self.sessions.slot_count() {
-                        let Some(sess) = self.sessions.at_mut(idx) else {
-                            continue;
-                        };
-                        if sess.lease.as_ref().is_some_and(|l| l.revoked_in(&revoked)) {
-                            sess.lease = None;
-                            if matches!(sess.state, PState::Vcr { .. }) {
-                                self.metrics.sweeps_aborted += 1;
-                            }
-                            if !matches!(sess.state, PState::Done) {
-                                // Revocation, not a refused acquisition:
-                                // nothing pending to classify yet.
-                                sess.state = starved_state(now, &policy, 0);
-                                self.starved_count += 1;
-                                self.metrics.runtime.degraded_entries += 1;
-                            }
-                            self.metrics.leases_revoked += 1;
-                            self.reserve.release(self.now as f64);
-                        }
-                    }
-                    self.reserve
-                        .fail_streams(applied.saturating_sub(channels_lost));
-                    self.metrics.runtime.faults_injected += 1;
-                }
-                FaultKind::DiskSlowdown { period, duration } => {
-                    self.slowdown = Some((period.max(1), self.now + duration));
-                    self.metrics.runtime.faults_injected += 1;
-                }
-                FaultKind::BufferShrink { segments } => {
-                    self.pool.shrink(segments as usize);
-                    self.metrics.runtime.faults_injected += 1;
-                }
-                FaultKind::BufferRestore { segments } => {
-                    self.pool.grow(segments as usize);
-                    self.metrics.runtime.faults_injected += 1;
-                }
-                // Whole-shard events belong to the federation front
-                // tier; below it they are inert and uncounted.
-                FaultKind::ShardOutage { .. } | FaultKind::ShardRecovery { .. } => {}
-            }
-        }
-        if let Some((_, until)) = self.slowdown {
-            if self.now >= until {
-                self.slowdown = None;
-            }
-        }
-    }
-
-    fn disk_serving(&self) -> bool {
-        match self.slowdown {
-            Some((period, until)) if self.now < until => self.now.is_multiple_of(u64::from(period)),
-            _ => true,
         }
     }
 
@@ -389,50 +201,44 @@ impl PyramidServer {
     /// boundary-aligned stall tick against that channel alone; padding
     /// minutes never count.
     fn broadcast(&mut self) {
-        let serving = self.disk_serving();
+        let core = &mut self.core;
+        let stalled = core.disk_stalled();
         let total: usize = self.movies.iter().map(|m| m.slots.len()).sum();
         let funded = total.saturating_sub(self.pool.overcommitted());
         let mut slot_index: usize = 0;
-        for mi in 0..self.movies.len() {
+        for m in &mut self.movies {
             let mut restored: u32 = 0;
-            for ci in 0..self.movies[mi].leases.len() {
-                if self.movies[mi].leases[ci].is_none() {
-                    if let Ok(lease) = self.disk.acquire() {
-                        self.movies[mi].leases[ci] = Some(lease);
-                        restored += 1;
-                    }
+            for lease in m.leases.iter_mut().filter(|l| l.is_none()) {
+                if let Ok(fresh) = core.disk.acquire() {
+                    *lease = Some(fresh);
+                    restored += 1;
                 }
             }
             if restored > 0 {
-                self.metrics
+                core.metrics
                     .playback
-                    .add(self.now as f64, f64::from(restored));
+                    .add(core.now as f64, f64::from(restored));
             }
-            let m = &mut self.movies[mi];
             for ci in 0..m.leases.len() {
                 let slot_funded = slot_index < funded;
                 slot_index += 1;
-                let Some(minute) = m.geometry.broadcast_minute(ci as u32, self.now) else {
+                let Some(minute) = m.geometry.broadcast_minute(ci as u32, core.now) else {
                     // Padding tick: nothing real was scheduled here.
                     m.slots[ci].clear();
                     continue;
                 };
-                if !serving || !slot_funded || m.leases[ci].is_none() {
-                    m.slots[ci].clear();
-                    m.channel_stall[ci] += 1;
-                    continue;
-                }
-                // vod-lint: allow(no-panic) — the on-air check above
-                // guarantees this channel's lease is live.
-                let lease = m.leases[ci].as_ref().expect("channel lease live");
-                match self.disk.read(lease, m.movie, minute) {
-                    Ok(seg) => {
+                let on_air = m.leases[ci]
+                    .as_ref()
+                    .filter(|_| !stalled && slot_funded)
+                    .and_then(|lease| core.disk.read(lease, m.movie, minute).ok());
+                match on_air {
+                    Some(seg) => {
                         if !verify_segment(&seg) {
-                            self.metrics.verify_failures += 1;
+                            core.metrics.verify_failures += 1;
                         }
                         m.slots[ci].store(seg);
                     }
-                    Err(_) => {
+                    None => {
                         m.slots[ci].clear();
                         m.channel_stall[ci] += 1;
                     }
@@ -446,11 +252,9 @@ impl PyramidServer {
     /// minute is on the air this tick, otherwise from the client's local
     /// prefix (canonical bytes, re-verified).
     fn consume_from_broadcast(&mut self, idx: u32) {
-        let (movie_idx, position) = {
-            let sess = self.sessions.live_at(idx as usize);
-            (sess.movie_idx, sess.position)
-        };
-        let m = &mut self.movies[movie_idx];
+        let sess = self.sessions.live_at_mut(idx as usize);
+        let position = sess.position;
+        let m = &mut self.movies[sess.movie_idx];
         let (word, bit) = ((position / 64) as usize, 1u64 << (position % 64));
         if m.verified[word] & bit == 0 {
             let channel = m.geometry.channel_of(position) as usize;
@@ -467,28 +271,93 @@ impl PyramidServer {
                 m.failed[word] |= bit;
             }
         }
-        let verified = m.failed[word] & bit == 0;
-        let sess = self.sessions.live_at_mut(idx as usize);
         sess.stats.from_buffer += 1;
-        if !verified {
+        if m.failed[word] & bit != 0 {
             sess.stats.verify_failures += 1;
-            self.metrics.verify_failures += 1;
+            self.core.metrics.verify_failures += 1;
         }
         sess.position += 1;
-        self.metrics.runtime.buffer_minutes += 1.0;
+        self.core.metrics.runtime.buffer_minutes += 1.0;
+    }
+
+    /// Session `idx` holds a dedicated lease it no longer needs: the
+    /// broadcast front covers its position again. Back into the
+    /// broadcast.
+    fn merge_back(&mut self, idx: u32) {
+        let sess = self.sessions.live_at_mut(idx as usize);
+        if let Some(lease) = sess.lease.take() {
+            self.core.release_lease(lease);
+        }
+        sess.state = PState::Receiving;
+    }
+
+    /// Session `idx` resumes beyond its front with no lease: catch up on
+    /// a dedicated stream, or starve.
+    fn resume_beyond_front(&mut self, idx: u32) {
+        let sess = self.sessions.live_at_mut(idx as usize);
+        match self.core.lease_or_degrade() {
+            Ok(lease) => {
+                sess.lease = Some(lease);
+                sess.state = PState::CatchUp;
+            }
+            Err(ledger) => sess.state = PState::Starved(ledger),
+        }
     }
 
     /// Retire a finished session.
     fn finish(&mut self, idx: u32) {
-        let lease = {
-            let sess = self.sessions.live_at_mut(idx as usize);
-            sess.state = PState::Done;
-            sess.lease.take()
-        };
-        if let Some(lease) = lease {
-            self.release_dedicated_lease(lease);
+        let sess = self.sessions.live_at_mut(idx as usize);
+        sess.state = PState::Done;
+        if let Some(lease) = sess.lease.take() {
+            self.core.release_lease(lease);
         }
-        self.metrics.sessions_done += 1;
+        self.core.metrics.sessions_done += 1;
+    }
+}
+
+impl FaultPolicy for PyramidServer {
+    const RESERVE_FAILS_FIRST: bool = false;
+
+    fn leases_revoked(&mut self, revoked: &[u64]) -> u32 {
+        let now = self.core.now as f64;
+        let mut channels_lost: u32 = 0;
+        for lease in self.movies.iter_mut().flat_map(|m| m.leases.iter_mut()) {
+            if lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
+                *lease = None;
+                channels_lost += 1;
+            }
+        }
+        self.core
+            .metrics
+            .playback
+            .add(now, -f64::from(channels_lost));
+        for idx in 0..self.sessions.slot_count() {
+            let Some(sess) = self.sessions.at_mut(idx) else {
+                continue;
+            };
+            if sess.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
+                sess.lease = None;
+                if matches!(sess.state, PState::Vcr { .. }) {
+                    self.core.metrics.sweeps_aborted += 1;
+                }
+                if !matches!(sess.state, PState::Done) {
+                    // Revocation, not a refused acquisition: nothing
+                    // pending to classify yet.
+                    sess.state = PState::Starved(self.core.enter_degraded(0));
+                }
+                self.core.reserve.release(now);
+            }
+        }
+        channels_lost
+    }
+
+    fn buffer_resized(&mut self, grow: bool, segments: usize) -> bool {
+        if grow {
+            self.pool.grow(segments);
+        } else {
+            self.pool.shrink(segments);
+        }
+        true
     }
 }
 
@@ -497,26 +366,26 @@ impl DeliveryBackend for PyramidServer {
         BackendKind::PyramidBroadcast
     }
 
-    fn now(&self) -> u64 {
-        self.now
+    fn core(&self) -> &ServerCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut ServerCore {
+        &mut self.core
     }
 
     fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError> {
-        let movie_idx = *self
-            .movie_index
-            .get(&movie)
-            .ok_or(ServerError::UnknownMovie(movie))?;
+        let movie_idx = self.core.movie_idx(movie)?;
+        let now = self.core.now;
         let geometry = self.movies[movie_idx].geometry;
-        let wait = geometry.startup_wait(self.now);
-        self.startup_waits.push(wait as f64);
-        let state = if wait == 0 {
-            PState::Receiving
-        } else {
-            PState::Waiting {
-                start_at: self.now + wait,
-            }
+        let wait = geometry.startup_wait(now);
+        self.core.startup_waits.push(wait as f64);
+        let state = match wait {
+            0 => PState::Receiving,
+            _ => PState::Waiting {
+                start_at: now + wait,
+            },
         };
-        let starts_now = wait == 0;
         let id = SessionId(self.sessions.insert(PSession {
             movie_idx,
             position: 0,
@@ -526,10 +395,10 @@ impl DeliveryBackend for PyramidServer {
             stats: DeliveryStats::default(),
         }));
         let idx = id.0.index() as u32;
-        if starts_now {
+        if wait == 0 {
             self.active.push(idx);
         } else {
-            self.wakeups.schedule(self.now + wait, idx);
+            self.wakeups.schedule(now + wait, idx);
         }
         Ok(id)
     }
@@ -540,42 +409,33 @@ impl DeliveryBackend for PyramidServer {
         kind: VcrKind,
         magnitude: u32,
     ) -> Result<(), ServerError> {
-        let (movie_idx, position, has_lease, state_ok) = {
-            let sess = self
-                .sessions
-                .get(id.0)
-                .ok_or(ServerError::UnknownSession(id))?;
-            let ok = matches!(sess.state, PState::Receiving | PState::CatchUp);
-            (sess.movie_idx, sess.position, sess.lease.is_some(), ok)
-        };
-        if !state_ok {
+        let sess = self
+            .sessions
+            .get_mut(id.0)
+            .ok_or(ServerError::UnknownSession(id))?;
+        if !matches!(sess.state, PState::Receiving | PState::CatchUp) {
             return Err(ServerError::InvalidState { operation: "vcr" });
         }
-        let geometry = self.movies[movie_idx].geometry;
-        let length = geometry.length();
+        let length = sess.rx.length();
         // FF beyond the reception front costs a dedicated stream
         // (interactive-bandwidth accounting); everything else plays from
         // the client's prefix for free.
-        if matches!(kind, VcrKind::FastForward) && !has_lease {
-            let target = position.saturating_add(magnitude).min(length);
-            let beyond_front = target < length && !self.sessions.live(id.0).rx.received(target);
-            if beyond_front {
-                match self.try_dedicated_lease() {
-                    Some(lease) => self.sessions.live_mut(id.0).lease = Some(lease),
-                    None => {
-                        self.metrics.runtime.vcr_denied += 1;
-                        // Issue-time Erlang loss: the viewer stays in the
-                        // broadcast and never retries this request.
-                        self.reserve.record_denials(1, false);
-                        return Err(ServerError::VcrDenied);
-                    }
-                }
+        if matches!(kind, VcrKind::FastForward) && sess.lease.is_none() {
+            let target = sess.position.saturating_add(magnitude).min(length);
+            if target < length && !sess.rx.received(target) {
+                let Some(lease) = self.core.try_lease() else {
+                    self.core.metrics.runtime.vcr_denied += 1;
+                    // Issue-time Erlang loss: the viewer stays in the
+                    // broadcast and never retries this request.
+                    self.core.reserve.record_denials(1, false);
+                    return Err(ServerError::VcrDenied);
+                };
+                sess.lease = Some(lease);
             }
         }
-        if matches!(kind, VcrKind::Rewind) && magnitude >= position {
-            self.metrics.runtime.rw_truncated += 1;
+        if matches!(kind, VcrKind::Rewind) && magnitude >= sess.position {
+            self.core.metrics.runtime.rw_truncated += 1;
         }
-        let sess = self.sessions.live_mut(id.0);
         match kind {
             VcrKind::Pause => {
                 sess.state = PState::Paused {
@@ -584,7 +444,7 @@ impl DeliveryBackend for PyramidServer {
                 // A paused viewer keeps receiving but consumes no
                 // dedicated bandwidth.
                 if let Some(lease) = sess.lease.take() {
-                    self.release_dedicated_lease(lease);
+                    self.core.release_lease(lease);
                 }
             }
             VcrKind::FastForward | VcrKind::Rewind => {
@@ -607,17 +467,16 @@ impl DeliveryBackend for PyramidServer {
             PState::Receiving => SessionStatus::Shared,
             PState::Vcr { .. } | PState::Paused { .. } => SessionStatus::InVcr,
             PState::CatchUp => SessionStatus::Dedicated,
-            PState::Starved { .. } => SessionStatus::Degraded,
+            PState::Starved(_) => SessionStatus::Degraded,
             PState::Done => SessionStatus::Done,
         })
     }
 
     fn session_position(&self, id: SessionId) -> Result<u32, ServerError> {
-        let sess = self
-            .sessions
+        self.sessions
             .get(id.0)
-            .ok_or(ServerError::UnknownSession(id))?;
-        Ok(sess.position)
+            .map(|s| s.position)
+            .ok_or(ServerError::UnknownSession(id))
     }
 
     fn adopt_session(
@@ -625,12 +484,9 @@ impl DeliveryBackend for PyramidServer {
         movie: MovieId,
         position: u32,
     ) -> Result<(SessionId, Adoption), ServerError> {
-        let movie_idx = *self
-            .movie_index
-            .get(&movie)
-            .ok_or(ServerError::UnknownMovie(movie))?;
-        let geometry = self.movies[movie_idx].geometry;
-        if position >= geometry.length() {
+        let movie_idx = self.core.movie_idx(movie)?;
+        let length = self.movies[movie_idx].geometry.length();
+        if position >= length {
             return Err(ServerError::InvalidState { operation: "adopt" });
         }
         // A broadcast client assembles its prefix from the channels it
@@ -640,18 +496,15 @@ impl DeliveryBackend for PyramidServer {
         // on the lease and merges into the broadcast once its (fresh)
         // reception front sweeps past its position — the looping
         // channels guarantee that eventually happens.
-        let lease = match self.try_dedicated_lease() {
-            Some(lease) => lease,
-            None => {
-                self.metrics.runtime.vcr_denied += 1;
-                self.reserve.record_denials(1, false);
-                return Err(ServerError::VcrDenied);
-            }
+        let Some(lease) = self.core.try_lease() else {
+            self.core.metrics.runtime.vcr_denied += 1;
+            self.core.reserve.record_denials(1, false);
+            return Err(ServerError::VcrDenied);
         };
         let id = SessionId(self.sessions.insert(PSession {
             movie_idx,
             position,
-            rx: ReceptionFront::new(geometry.length()),
+            rx: ReceptionFront::new(length),
             state: PState::CatchUp,
             lease: Some(lease),
             stats: DeliveryStats::default(),
@@ -661,7 +514,7 @@ impl DeliveryBackend for PyramidServer {
     }
 
     fn tick(&mut self) {
-        self.apply_faults();
+        apply_faults(self);
         self.broadcast();
         #[cfg(test)]
         if let Some((movie, channel)) = self.corrupt_staged.take() {
@@ -669,7 +522,7 @@ impl DeliveryBackend for PyramidServer {
         }
         // Boundary joins: sessions whose segment-1 boundary is this tick
         // start receiving now.
-        for idx in self.wakeups.drain_tick(self.now) {
+        for idx in self.wakeups.drain_tick(self.core.now) {
             let sess = self.sessions.live_at_mut(idx as usize);
             if matches!(sess.state, PState::Waiting { .. }) {
                 sess.state = PState::Receiving;
@@ -692,359 +545,143 @@ impl DeliveryBackend for PyramidServer {
             let sess = self.sessions.live_at_mut(idx as usize);
             sess.rx.record_mask(&self.movies[sess.movie_idx].staged);
         }
-        let now = self.now;
-        let policy = self.policy;
-        let vcr_rate = self.config.vcr_rate.max(1);
+        let stalled = self.core.disk_stalled();
+        let vcr_rate = self.core.config.vcr_rate.max(1);
         let mut i = 0;
         while i < self.active.len() {
             let idx = self.active[i];
-            let movie_idx = self.sessions.live_at(idx as usize).movie_idx;
-            let length = self.movies[movie_idx].geometry.length();
-            let state_tag = {
-                let sess = self.sessions.live_at(idx as usize);
-                match sess.state {
-                    PState::Receiving => 0u8,
-                    PState::Vcr { .. } => 1,
-                    PState::Paused { .. } => 2,
-                    PState::CatchUp => 3,
-                    PState::Starved { .. } => 4,
-                    PState::Waiting { .. } | PState::Done => 5,
+            let sess = self.sessions.live_at_mut(idx as usize);
+            let length = sess.rx.length();
+            // Does the session stay on the active walk?
+            let stays = match &mut sess.state {
+                // A catch-up lease reads nothing on a slowdown's
+                // off-period tick.
+                PState::CatchUp if stalled => {
+                    self.core.metrics.runtime.stall_minutes += 1.0;
+                    true
                 }
-            };
-            match state_tag {
-                0 => {
-                    let (position, playable) = {
-                        let sess = self.sessions.live_at(idx as usize);
-                        (sess.position, sess.rx.received(sess.position))
-                    };
-                    if position >= length {
+                PState::Receiving | PState::CatchUp if sess.position >= length => {
+                    self.finish(idx);
+                    false
+                }
+                PState::Receiving if sess.rx.received(sess.position) => {
+                    self.consume_from_broadcast(idx);
+                    let ended = self.sessions.live_at(idx as usize).position >= length;
+                    if ended {
                         self.finish(idx);
-                        self.active.swap_remove(i);
-                        continue;
                     }
-                    if playable {
-                        self.consume_from_broadcast(idx);
-                        if self.sessions.live_at(idx as usize).position >= length {
-                            self.finish(idx);
-                            self.active.swap_remove(i);
-                            continue;
-                        }
-                    } else {
-                        // The playout front crossed into a segment some
-                        // off-air channel still owes: only this session
-                        // stalls (unreachable fault-free, by
-                        // channel-transition invariance).
-                        self.metrics.runtime.stall_minutes += 1.0;
-                    }
+                    !ended
                 }
-                1 => {
-                    let sess = self.sessions.live_at_mut(idx as usize);
-                    let PState::Vcr { kind, remaining } = &mut sess.state else {
-                        unreachable!("state tag checked above");
-                    };
+                PState::Receiving => {
+                    // The playout front crossed into a segment some
+                    // off-air channel still owes: only this session stalls
+                    // (unreachable fault-free, by channel-transition
+                    // invariance).
+                    self.core.metrics.runtime.stall_minutes += 1.0;
+                    true
+                }
+                PState::CatchUp if sess.rx.received(sess.position) => {
+                    // The broadcast front caught up: merge back.
+                    self.core.metrics.piggyback_merges += 1;
+                    self.merge_back(idx);
+                    self.consume_from_broadcast(idx);
+                    true
+                }
+                PState::CatchUp => {
+                    let movie = self.movies[sess.movie_idx].movie;
+                    let lease = sess.lease.as_ref();
+                    self.core
+                        .read_via_lease(lease, movie, sess.position, &mut sess.stats);
+                    sess.position += 1;
+                    let ended = sess.position >= length;
+                    if ended {
+                        self.finish(idx);
+                    }
+                    !ended
+                }
+                PState::Vcr { kind, remaining } => {
                     let kind = *kind;
                     let step = vcr_rate.min(*remaining);
                     *remaining -= step;
                     let sweep_done = *remaining == 0;
-                    match kind {
-                        VcrKind::FastForward => {
-                            sess.position = sess.position.saturating_add(step).min(length);
-                        }
-                        VcrKind::Rewind => {
-                            sess.position = sess.position.saturating_sub(step);
-                        }
+                    sess.position = match kind {
+                        VcrKind::FastForward => sess.position.saturating_add(step).min(length),
+                        VcrKind::Rewind => sess.position.saturating_sub(step),
                         VcrKind::Pause => unreachable!("pause never enters Vcr"),
-                    }
-                    let has_lease = sess.lease.is_some();
-                    let reached_end = sess.position >= length;
-                    if has_lease {
+                    };
+                    if sess.lease.is_some() {
                         // The dedicated stream actively serves the sweep.
-                        self.metrics.runtime.disk_minutes += 1.0;
-                        self.sessions.live_at_mut(idx as usize).stats.from_disk += 1;
+                        self.core.metrics.runtime.disk_minutes += 1.0;
+                        sess.stats.from_disk += 1;
                     }
-                    if reached_end {
-                        self.metrics.runtime.ff_end += 1;
-                        self.metrics.runtime.record_resume(kind, true);
+                    let ended = sess.position >= length;
+                    if ended {
+                        self.core.metrics.runtime.ff_end += 1;
+                        self.core.metrics.runtime.record_resume(kind, true);
                         self.finish(idx);
-                        self.active.swap_remove(i);
-                        continue;
-                    }
-                    if sweep_done {
-                        let (hit, has_lease) = {
-                            let sess = self.sessions.live_at(idx as usize);
-                            (sess.rx.received(sess.position), sess.lease.is_some())
-                        };
-                        self.metrics.runtime.record_resume(kind, hit);
+                    } else if sweep_done {
+                        let hit = sess.rx.received(sess.position);
+                        self.core.metrics.runtime.record_resume(kind, hit);
                         if hit {
-                            let lease = self.sessions.live_at_mut(idx as usize).lease.take();
-                            if let Some(lease) = lease {
-                                self.release_dedicated_lease(lease);
-                                self.metrics.piggyback_merges += 1;
+                            if sess.lease.is_some() {
+                                self.core.metrics.piggyback_merges += 1;
                             }
-                            self.sessions.live_at_mut(idx as usize).state = PState::Receiving;
-                        } else if has_lease {
-                            self.sessions.live_at_mut(idx as usize).state = PState::CatchUp;
+                            self.merge_back(idx);
+                        } else if sess.lease.is_some() {
+                            sess.state = PState::CatchUp;
                         } else {
                             // Only reachable through fault stalls: the
                             // issue-time classification said the target
-                            // was received, the exact front now
-                            // disagrees.
-                            match self.try_dedicated_lease() {
-                                Some(lease) => {
-                                    let sess = self.sessions.live_at_mut(idx as usize);
-                                    sess.lease = Some(lease);
-                                    sess.state = PState::CatchUp;
-                                }
-                                None => {
-                                    // The refusal enters the degrade
-                                    // ledger as pending; it is classified
-                                    // transient/permanent at resolution.
-                                    self.metrics.runtime.resume_starved += 1;
-                                    self.sessions.live_at_mut(idx as usize).state =
-                                        starved_state(now, &policy, 1);
-                                    self.starved_count += 1;
-                                    self.metrics.runtime.degraded_entries += 1;
-                                }
-                            }
+                            // was received, the exact front now disagrees.
+                            self.resume_beyond_front(idx);
                         }
                     }
+                    !ended
                 }
-                2 => {
-                    let sess = self.sessions.live_at_mut(idx as usize);
-                    let PState::Paused { remaining } = &mut sess.state else {
-                        unreachable!("state tag checked above");
-                    };
+                PState::Paused { remaining } => {
                     *remaining = remaining.saturating_sub(1);
                     if *remaining == 0 {
                         // Reception continued throughout the pause, so the
                         // front moved past the resume position: free hit.
-                        let hit = {
-                            let sess = self.sessions.live_at(idx as usize);
-                            sess.position >= length || sess.rx.received(sess.position)
-                        };
-                        self.metrics.runtime.record_resume(VcrKind::Pause, hit);
+                        let hit = sess.position >= length || sess.rx.received(sess.position);
+                        self.core.metrics.runtime.record_resume(VcrKind::Pause, hit);
                         if hit {
-                            self.sessions.live_at_mut(idx as usize).state = PState::Receiving;
+                            sess.state = PState::Receiving;
                         } else {
-                            match self.try_dedicated_lease() {
-                                Some(lease) => {
-                                    let sess = self.sessions.live_at_mut(idx as usize);
-                                    sess.lease = Some(lease);
-                                    sess.state = PState::CatchUp;
-                                }
-                                None => {
-                                    self.metrics.runtime.resume_starved += 1;
-                                    self.sessions.live_at_mut(idx as usize).state =
-                                        starved_state(now, &policy, 1);
-                                    self.starved_count += 1;
-                                    self.metrics.runtime.degraded_entries += 1;
-                                }
-                            }
+                            self.resume_beyond_front(idx);
                         }
                     }
+                    true
                 }
-                3 => {
-                    if !self.disk_serving() {
-                        self.metrics.runtime.stall_minutes += 1.0;
-                    } else {
-                        let (position, caught_up) = {
-                            let sess = self.sessions.live_at(idx as usize);
-                            (sess.position, sess.rx.received(sess.position))
-                        };
-                        if position >= length {
-                            self.finish(idx);
-                            self.active.swap_remove(i);
-                            continue;
-                        }
-                        if caught_up {
-                            // The broadcast front caught up: merge back.
-                            let lease = self.sessions.live_at_mut(idx as usize).lease.take();
-                            if let Some(lease) = lease {
-                                self.release_dedicated_lease(lease);
-                            }
-                            self.metrics.piggyback_merges += 1;
-                            self.sessions.live_at_mut(idx as usize).state = PState::Receiving;
-                            self.consume_from_broadcast(idx);
-                        } else {
-                            let movie = self.movies[movie_idx].movie;
-                            let verified = {
-                                let sess = self.sessions.live_at(idx as usize);
-                                let lease = sess
-                                    .lease
-                                    .as_ref()
-                                    // vod-lint: allow(no-panic) — CatchUp holds
-                                    // a lease by construction (faults demote to
-                                    // Starved when revoking it).
-                                    .expect("catch-up session holds lease");
-                                self.disk
-                                    .read(lease, movie, position)
-                                    .map(|seg| verify_segment(&seg))
-                                    .unwrap_or(false)
-                            };
-                            let sess = self.sessions.live_at_mut(idx as usize);
-                            sess.stats.from_disk += 1;
-                            if !verified {
-                                sess.stats.verify_failures += 1;
-                                self.metrics.verify_failures += 1;
-                            }
-                            sess.position += 1;
-                            self.metrics.runtime.disk_minutes += 1.0;
-                            if self.sessions.live_at(idx as usize).position >= length {
-                                self.finish(idx);
-                                self.active.swap_remove(i);
-                                continue;
-                            }
-                        }
-                    }
-                }
-                4 => {
-                    // Mirrors `VodServer::degraded_tick`: free rejoin
-                    // resolves pending denials permanent; a granted retry
-                    // resolves them transient; the timeout resolves them
-                    // permanent and stops retrying (the looping broadcast
-                    // front still rejoins the session eventually).
-                    self.metrics.runtime.rewait_minutes += 1.0;
-                    let (free, since, next_retry, backoff, pending, exhausted) = {
-                        let sess = self.sessions.live_at(idx as usize);
-                        let PState::Starved {
-                            since,
-                            next_retry,
-                            backoff,
-                            pending_denials,
-                            retries_exhausted,
-                        } = sess.state
-                        else {
-                            unreachable!("state tag checked above");
-                        };
-                        let free = sess.position >= length || sess.rx.received(sess.position);
-                        (
-                            free,
-                            since,
-                            next_retry,
-                            backoff,
-                            pending_denials,
-                            retries_exhausted,
-                        )
-                    };
-                    if free {
+                PState::Starved(ledger) => {
+                    self.core.metrics.runtime.rewait_minutes += 1.0;
+                    if sess.position >= length || sess.rx.received(sess.position) {
                         // The front swept past the starved position.
-                        self.reserve.record_denials(pending, false);
-                        self.sessions.live_at_mut(idx as usize).state = PState::Receiving;
-                        debug_assert!(self.starved_count > 0, "starved session outside census");
-                        self.starved_count -= 1;
-                        self.metrics.runtime.degraded_rejoined += 1;
-                    } else if !exhausted && now >= next_retry {
-                        let timed_out = now.saturating_sub(since) >= self.policy.retry_timeout;
-                        // Recovery landing on the timeout tick wins the
-                        // race: one last lease attempt before the ledger
-                        // resolves permanent.
-                        let last_chance = timed_out
-                            && self.policy.recovery_wins
-                            && self.recovered_at == Some(now);
-                        if timed_out && !last_chance {
-                            self.reserve.record_denials(pending, false);
-                            let sess = self.sessions.live_at_mut(idx as usize);
-                            if let PState::Starved {
-                                pending_denials,
-                                retries_exhausted,
-                                ..
-                            } = &mut sess.state
-                            {
-                                *pending_denials = 0;
-                                *retries_exhausted = true;
-                            }
-                        } else {
-                            match self.try_dedicated_lease() {
-                                None if timed_out => {
-                                    // Recovery was not enough: the refused
-                                    // attempt joins the ledger and the
-                                    // timeout proceeds.
-                                    self.reserve.record_denials(pending + 1, false);
-                                    let sess = self.sessions.live_at_mut(idx as usize);
-                                    if let PState::Starved {
-                                        pending_denials,
-                                        retries_exhausted,
-                                        ..
-                                    } = &mut sess.state
-                                    {
-                                        *pending_denials = 0;
-                                        *retries_exhausted = true;
-                                    }
-                                }
-                                Some(lease) => {
-                                    self.reserve.record_denials(pending, true);
-                                    let sess = self.sessions.live_at_mut(idx as usize);
-                                    sess.lease = Some(lease);
-                                    sess.state = PState::CatchUp;
-                                    debug_assert!(
-                                        self.starved_count > 0,
-                                        "starved session outside census"
-                                    );
-                                    self.starved_count -= 1;
-                                    self.metrics.runtime.degraded_dedicated += 1;
-                                }
-                                None => {
-                                    let nb =
-                                        (backoff * 2).min(self.policy.retry_backoff_cap.max(1));
-                                    let sess = self.sessions.live_at_mut(idx as usize);
-                                    if let PState::Starved {
-                                        next_retry,
-                                        backoff,
-                                        pending_denials,
-                                        ..
-                                    } = &mut sess.state
-                                    {
-                                        *pending_denials = pending + 1;
-                                        *next_retry = now + nb;
-                                        *backoff = nb;
-                                    }
-                                }
-                            }
-                        }
+                        self.core.exit_degraded(ledger, false);
+                        self.core.metrics.runtime.degraded_rejoined += 1;
+                        sess.state = PState::Receiving;
+                    } else if let Retry::Granted(lease) = self.core.retry_degraded(ledger) {
+                        sess.lease = Some(lease);
+                        sess.state = PState::CatchUp;
                     }
+                    // Past the timeout the ledger attempts nothing more:
+                    // the session waits for the looping front.
+                    true
                 }
-                _ => {
-                    self.active.swap_remove(i);
-                    continue;
-                }
+                PState::Waiting { .. } | PState::Done => false,
+            };
+            if stays {
+                i += 1;
+            } else {
+                self.active.swap_remove(i);
             }
-            i += 1;
         }
-        self.now += 1;
-    }
-
-    fn reset_metrics(&mut self) {
-        let now = self.now as f64;
-        let playing = self.metrics.playback.current();
-        self.metrics = ServerMetrics::new();
-        self.metrics.playback = TimeWeighted::new(now, playing);
-        self.reserve.rebaseline(now);
-        self.startup_waits = Welford::default();
-    }
-
-    fn runtime_metrics(&self) -> RuntimeMetrics {
-        let mut rt = self.metrics.runtime.clone();
-        rt.dedicated_avg = self.reserve.average(self.now as f64);
-        rt.dedicated_peak = self.reserve.peak();
-        rt.denied_transient = self.reserve.denied_transient();
-        rt.denied_permanent = self.reserve.denied_permanent();
-        rt
-    }
-
-    fn startup_waits(&self) -> &Welford {
-        &self.startup_waits
-    }
-
-    fn inject_faults(&mut self, plan: FaultPlan, policy: DegradePolicy) {
-        self.fault_mode = !plan.is_empty();
-        self.plan = plan;
-        self.policy = policy;
+        self.core.now += 1;
     }
 
     fn check_invariants(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        let disk = &self.disk;
-        v.extend(disk.conservation_violation());
+        let now = self.core.now;
+        let mut faults = Vec::new();
         let channel_live: u32 = self
             .movies
             .iter()
@@ -1053,13 +690,13 @@ impl DeliveryBackend for PyramidServer {
         // Channel-wheel phase consistency: a staged slot always holds the
         // minute its channel's schedule called at the tick just played
         // (tick() advances `now` after staging).
-        if self.now > 0 {
+        if now > 0 {
             for (mi, m) in self.movies.iter().enumerate() {
                 for (ci, slot) in m.slots.iter().enumerate() {
                     if let Some(seg) = slot.current() {
-                        let scheduled = m.geometry.broadcast_minute(ci as u32, self.now - 1);
+                        let scheduled = m.geometry.broadcast_minute(ci as u32, now - 1);
                         if scheduled != Some(seg.index) {
-                            v.push(format!(
+                            faults.push(format!(
                                 "movie {mi} channel {ci} staged minute {} off the wheel phase \
                                  (scheduled {scheduled:?})",
                                 seg.index
@@ -1069,10 +706,11 @@ impl DeliveryBackend for PyramidServer {
                 }
             }
         }
-        if self.reserve.failed() > disk.failed() {
-            v.push(format!(
+        let (reserve, disk) = (&self.core.reserve, &self.core.disk);
+        if reserve.failed() > disk.failed() {
+            faults.push(format!(
                 "reserve failure accounting leads the disk: reserve {} > disk {}",
-                self.reserve.failed(),
+                reserve.failed(),
                 disk.failed()
             ));
         }
@@ -1085,14 +723,14 @@ impl DeliveryBackend for PyramidServer {
             if sess.lease.is_some() {
                 held += 1;
                 if !matches!(sess.state, PState::Vcr { .. } | PState::CatchUp) {
-                    v.push(format!(
+                    faults.push(format!(
                         "session {idx} holds a dedicated lease in a non-serving state"
                     ));
                 }
             } else if matches!(sess.state, PState::CatchUp) {
-                v.push(format!("session {idx} is catching up without a lease"));
+                faults.push(format!("session {idx} is catching up without a lease"));
             }
-            if matches!(sess.state, PState::Starved { .. }) {
+            if matches!(sess.state, PState::Starved(_)) {
                 starved += 1;
             }
             // Prefix-coverage audit: the incremental front must equal a
@@ -1100,13 +738,13 @@ impl DeliveryBackend for PyramidServer {
             // receiving session can never have consumed past it.
             let front = sess.rx.front();
             if front != sess.rx.audit_front() {
-                v.push(format!(
+                faults.push(format!(
                     "session {idx} reception front {front} drifted from bitmap recount {}",
                     sess.rx.audit_front()
                 ));
             }
             if front > sess.rx.length() {
-                v.push(format!(
+                faults.push(format!(
                     "session {idx} reception front {front} beyond movie length {}",
                     sess.rx.length()
                 ));
@@ -1115,22 +753,23 @@ impl DeliveryBackend for PyramidServer {
                 && sess.position < sess.rx.length()
                 && sess.position > front
             {
-                v.push(format!(
+                faults.push(format!(
                     "session {idx} consumed to {} past its reception front {front}",
                     sess.position
                 ));
             }
         }
-        if channel_live + held != disk.in_use() {
+        let drift = self.core.resource_drift(channel_live, held, starved);
+        let mut v = Vec::from_iter(drift.disk);
+        v.append(&mut faults);
+        if let Some(in_use) = drift.leases {
             v.push(format!(
-                "lease accounting broken: channels {channel_live} + sessions {held} != disk {}",
-                disk.in_use()
+                "lease accounting broken: channels {channel_live} + sessions {held} != disk {in_use}"
             ));
         }
-        if held != self.reserve.in_use() {
+        if let Some(in_use) = drift.reserve {
             v.push(format!(
-                "reserve accounting broken: sessions hold {held}, reserve says {}",
-                self.reserve.in_use()
+                "reserve accounting broken: sessions hold {held}, reserve says {in_use}"
             ));
         }
         let staging: usize = self.movies.iter().map(|m| m.slots.len()).sum();
@@ -1140,29 +779,12 @@ impl DeliveryBackend for PyramidServer {
                 self.pool.used()
             ));
         }
-        if starved != self.starved_count {
+        if let Some(tracked) = drift.population {
             v.push(format!(
-                "starved population drifted: counted {starved}, tracked {}",
-                self.starved_count
+                "starved population drifted: counted {starved}, tracked {tracked}"
             ));
         }
         v
-    }
-
-    fn degraded_sessions(&self) -> u32 {
-        self.starved_count
-    }
-
-    fn sessions_finished(&self) -> u64 {
-        self.metrics.sessions_done + self.metrics.sessions_closed_early
-    }
-
-    fn verify_failures(&self) -> u64 {
-        self.metrics.verify_failures
-    }
-
-    fn io_streams(&self) -> u32 {
-        self.config.disk_streams
     }
 
     fn buffer_segments(&self) -> u64 {
@@ -1172,8 +794,24 @@ impl DeliveryBackend for PyramidServer {
 
 #[cfg(test)]
 mod tests {
+    use vod_runtime::{DegradePolicy, FaultKind, FaultPlan};
+
     use super::*;
     use crate::server::HostedMovie;
+
+    impl PyramidServer {
+        /// The audit's recount, for the cross-backend lease test:
+        /// `(live channel leases, session-held leases, starved sessions)`.
+        pub(crate) fn holders(&self) -> (u32, u32, u32) {
+            let channels = self.movies.iter().flat_map(|m| &m.leases).flatten().count();
+            let live = || (0..self.sessions.slot_count()).filter_map(|i| self.sessions.at(i));
+            let held = live().filter(|s| s.lease.is_some()).count();
+            let degraded = live()
+                .filter(|s| matches!(s.state, PState::Starved(_)))
+                .count();
+            (channels as u32, held as u32, degraded as u32)
+        }
+    }
 
     fn config() -> ServerConfig {
         let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
@@ -1269,7 +907,7 @@ mod tests {
     fn server_resources_are_load_invariant() {
         let mut s = PyramidServer::new(config());
         let channels = s.movies[0].geometry.channels();
-        let base_in_use = s.disk.in_use();
+        let base_in_use = s.core.disk.in_use();
         assert_eq!(base_in_use, channels);
         for _ in 0..50 {
             s.open_session(MovieId(0)).unwrap();
@@ -1278,7 +916,7 @@ mod tests {
             s.tick();
         }
         assert_eq!(
-            s.disk.in_use(),
+            s.core.disk.in_use(),
             channels,
             "50 viewers cost zero extra streams"
         );
@@ -1315,10 +953,10 @@ mod tests {
         for _ in 0..5 {
             s.tick();
         }
-        let before = s.reserve.in_use();
+        let before = s.core.reserve.in_use();
         // Jump 60 minutes ahead — far beyond anything received by t=5.
         s.request_vcr(id, VcrKind::FastForward, 60).unwrap();
-        assert_eq!(s.reserve.in_use(), before + 1, "sweep holds a lease");
+        assert_eq!(s.core.reserve.in_use(), before + 1, "sweep holds a lease");
         // Drive until the sweep ends and the catch-up merges back.
         let mut merged = false;
         for _ in 0..120 {
@@ -1336,8 +974,8 @@ mod tests {
             merged,
             "catch-up session must merge back into the broadcast"
         );
-        assert_eq!(s.reserve.in_use(), before, "lease released at merge");
-        assert!(s.metrics.piggyback_merges >= 1);
+        assert_eq!(s.core.reserve.in_use(), before, "lease released at merge");
+        assert!(s.core.metrics.piggyback_merges >= 1);
         let rt = s.runtime_metrics();
         assert!(rt.disk_minutes > 0.0, "the sweep/catch-up was disk-served");
     }
@@ -1358,7 +996,7 @@ mod tests {
         // 2 channel streams + 10 reserve: a count-11 outage exhausts the
         // free reserve, then revokes the newest channel lease (channel 1,
         // the one carrying minutes 40..119).
-        assert_eq!(s.disk.available(), 10);
+        assert_eq!(s.core.disk.available(), 10);
         let plan = FaultPlan::new(vec![FaultEvent {
             at: 30,
             kind: FaultKind::DiskOutage {
@@ -1457,7 +1095,7 @@ mod tests {
     #[test]
     fn audit_sees_resource_drift() {
         let mut s = busy();
-        s.disk.skew_failed(100);
+        s.core.disk.skew_failed(100);
         assert_eq!(
             s.check_invariants(),
             ["disk conservation broken: in_use 8 + free 0 + failed 100 != provisioned 62"]
@@ -1470,7 +1108,7 @@ mod tests {
             ["movie 0 channel 0 staged minute 119 off the wheel phase (scheduled Some(0))"]
         );
         let mut s = busy();
-        s.reserve.fail_streams(1);
+        s.core.reserve.fail_streams(1);
         assert_eq!(
             s.check_invariants(),
             ["reserve failure accounting leads the disk: reserve 1 > disk 0"]
@@ -1482,7 +1120,7 @@ mod tests {
             ["lease accounting broken: channels 6 + sessions 1 != disk 8"]
         );
         let mut s = busy();
-        assert!(s.reserve.try_acquire(10.0));
+        assert!(s.core.reserve.try_acquire(10.0));
         assert_eq!(
             s.check_invariants(),
             ["reserve accounting broken: sessions hold 1, reserve says 2"]
@@ -1519,7 +1157,7 @@ mod tests {
             ["session 0 is catching up without a lease"]
         );
         let mut s = busy();
-        s.starved_count += 1;
+        s.core.degraded_count += 1;
         assert_eq!(
             s.check_invariants(),
             ["starved population drifted: counted 0, tracked 1"]

@@ -22,18 +22,15 @@
 //!    batches start, pauses end, enrolled viewers reach the end of the
 //!    movie; resumes are classified hit/miss against live windows.
 
-use std::collections::BTreeMap;
 use std::ops::RangeInclusive;
 
-use vod_runtime::{
-    Arena, ArenaId, DegradePolicy, FaultKind, FaultPlan, QuantizedGeometry, ResumeClass,
-    RuntimeMetrics, StreamReserve, TimerWheel,
-};
-use vod_workload::{TimeWeighted, VcrKind, Welford};
+use vod_runtime::{Arena, ArenaId, BackendKind, QuantizedGeometry, ResumeClass, TimerWheel};
+use vod_workload::VcrKind;
 
-use crate::backend::Adoption;
+use crate::backend::{Adoption, DeliveryBackend};
 use crate::buffer::{BufferPool, Partition};
 use crate::content::{verify_segment, MovieId};
+use crate::core::{apply_faults, FaultPolicy, Retry, ServerCore};
 use crate::disk::{DiskSubsystem, StreamLease};
 use crate::metrics::ServerMetrics;
 use crate::session::{DeliveryStats, SessionId, SessionState, SessionStatus, StreamId};
@@ -345,9 +342,12 @@ impl Session {
 /// order identical to the historical full-table scan. Stream slots *are*
 /// reused, lowest-index-first, matching the historical free-slot scan.
 pub struct VodServer {
-    now: u64,
-    config: ServerConfig,
-    disk: DiskSubsystem,
+    /// The clock, disk, counters and fault state every backend shares.
+    /// Its reserve is the VCR reserve: the disk streams left over once
+    /// the restart schedule's worst case is pre-allocated. That static
+    /// cap is equivalent to the dynamic check `available > reserved −
+    /// in_use` whenever the schedule stays within its pre-allocation.
+    core: ServerCore,
     pool: BufferPool,
     streams: Arena<ActiveStream>,
     sessions: Arena<Session>,
@@ -394,55 +394,11 @@ pub struct VodServer {
     /// `set_reference_scan`; the equivalence suite pins wheel mode
     /// against it bit for bit.
     reference_scan: bool,
-    metrics: ServerMetrics,
-    movie_index: BTreeMap<MovieId, usize>,
-    /// Dedicated-stream accountant for VCR service. Its capacity is the
-    /// disk streams left over once the restart schedule's worst case is
-    /// pre-allocated, so VCR service can never eat into the headroom a
-    /// scheduled restart needs (the paper's separation of pre-allocated
-    /// playback resources from the VCR reserve). This static cap is
-    /// equivalent to the dynamic check `available > reserved − in_use`
-    /// whenever the schedule stays within its pre-allocation.
-    reserve: StreamReserve,
-    /// Injected fault schedule (empty unless [`VodServer::inject_faults`]
-    /// was called — and then every fault-only code path below stays
-    /// unreachable, keeping fault-free runs bitwise identical).
-    plan: FaultPlan,
-    /// Degradation policy applied to sessions that lose their resources.
-    policy: DegradePolicy,
-    /// True once a non-empty plan is injected; gates the fault-tolerant
-    /// recovery paths (a fault-free server still fails loudly on
-    /// impossible states instead of silently re-queueing).
-    fault_mode: bool,
-    /// Active disk slowdown: `(period, until)` — streams serve only on
-    /// ticks divisible by `period`, through tick `until` exclusive.
-    slowdown: Option<(u32, u64)>,
-    /// Outage recoveries scheduled by tick: streams to return to service.
-    recovery_due: BTreeMap<u64, u32>,
-    /// Tick of the most recent outage recovery that actually returned
-    /// streams to service. Degraded sessions whose retry timeout expires
-    /// on exactly this tick get one last lease attempt before the
-    /// timeout resolves their denials as permanent — recovery wins the
-    /// same-tick race (see `degraded_tick`).
-    recovered_at: Option<u64>,
-    /// Sessions currently in the degraded re-wait state.
-    degraded_count: u32,
-    /// Startup waits (minutes from open to scheduled playback start),
-    /// one sample per opened session. Lives outside [`RuntimeMetrics`]
-    /// because that schema's JSON key order is pinned; backend-generic
-    /// drivers read it through `DeliveryBackend::startup_waits`.
-    startup_waits: Welford,
 }
 
 impl VodServer {
     /// Build a server from a configuration.
     pub fn new(config: ServerConfig) -> Self {
-        let mut disk = DiskSubsystem::new(config.disk_streams);
-        let mut movie_index = BTreeMap::new();
-        for (i, m) in config.movies.iter().enumerate() {
-            disk.register_movie(m.movie, m.geometry.length);
-            movie_index.insert(m.movie, i);
-        }
         let pool = BufferPool::new(config.buffer_budget);
         let playback_reserved = config
             .movies
@@ -450,13 +406,9 @@ impl VodServer {
             .map(|m| m.max_live_streams())
             .sum::<u32>()
             .min(config.disk_streams);
-        let reserve =
-            StreamReserve::with_capacity(config.disk_streams.saturating_sub(playback_reserved));
         let n_movies = config.movies.len();
         Self {
-            now: 0,
-            config,
-            disk,
+            core: ServerCore::new(config, playback_reserved),
             pool,
             streams: Arena::new(),
             sessions: Arena::new(),
@@ -469,33 +421,7 @@ impl VodServer {
             due: Vec::new(),
             next_active: Vec::new(),
             reference_scan: false,
-            metrics: ServerMetrics::new(),
-            movie_index,
-            reserve,
-            plan: FaultPlan::empty(),
-            policy: DegradePolicy::default(),
-            fault_mode: false,
-            slowdown: None,
-            recovery_due: BTreeMap::new(),
-            recovered_at: None,
-            degraded_count: 0,
-            startup_waits: Welford::default(),
         }
-    }
-
-    /// Arm the server with a fault schedule and a degradation policy.
-    /// Faults apply at the top of each tick, before streams retire, start
-    /// or advance. Injecting an empty plan leaves behavior bitwise
-    /// identical to a server never armed at all.
-    pub fn inject_faults(&mut self, plan: FaultPlan, policy: DegradePolicy) {
-        self.fault_mode = !plan.is_empty();
-        self.plan = plan;
-        self.policy = policy;
-    }
-
-    /// Sessions currently in the degraded re-wait state.
-    pub fn degraded_sessions(&self) -> u32 {
-        self.degraded_count
     }
 
     /// Test-only oracle switch: process sessions with the historical full
@@ -509,457 +435,24 @@ impl VodServer {
         self.reference_scan = on;
     }
 
-    /// Acquire a disk lease for VCR/dedicated service out of the VCR
-    /// reserve. Counts the attempt; `None` means the reserve (or, never
-    /// in a provisioned server, the disk itself) is exhausted.
-    fn try_vcr_lease(&mut self) -> Option<StreamLease> {
-        let now = self.now as f64;
-        self.metrics.runtime.acquisition_attempts += 1;
-        if !self.reserve.try_acquire(now) {
-            return None;
-        }
-        match self.disk.acquire() {
-            Ok(lease) => Some(lease),
-            Err(_) => {
-                self.reserve.release(now);
-                None
-            }
-        }
-    }
-
-    /// Release a dedicated lease back to disk and reserve.
-    fn release_vcr_lease(&mut self, lease: StreamLease) {
-        self.disk.release(lease);
-        self.reserve.release(self.now as f64);
-    }
-
-    /// Current virtual time in minutes.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
     /// The configuration this server was provisioned from.
     pub fn config(&self) -> &ServerConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Server metrics so far.
     pub fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
-    }
-
-    /// Snapshot of the shared mechanism counters with the reserve's
-    /// occupancy statistics filled in — directly comparable (same fields,
-    /// same meanings) to a `vod-sim` report's runtime metrics.
-    pub fn runtime_metrics(&self) -> RuntimeMetrics {
-        let mut rt = self.metrics.runtime.clone();
-        rt.dedicated_avg = self.reserve.average(self.now as f64);
-        rt.dedicated_peak = self.reserve.peak();
-        rt.denied_transient = self.reserve.denied_transient();
-        rt.denied_permanent = self.reserve.denied_permanent();
-        rt
-    }
-
-    /// Check the server's conservation invariants and return a
-    /// human-readable description of every violation (empty when
-    /// healthy). The chaos harness calls this after every tick. The
-    /// audit is a pure read that recounts everything from scratch and
-    /// keeps nothing between calls, in time linear in the state it reads:
-    /// one pass over the session slots, two over the streams.
-    ///
-    /// Invariants: stream conservation (`in_use + free + failed ==
-    /// provisioned`, and every in-use stream is held by exactly one
-    /// lease); the VCR reserve's holds equal the session-held leases;
-    /// buffer accounting (partition capacities sum to the pool's `used`,
-    /// never overcommitted between ticks); every enrolled session's
-    /// (derived) position lies inside its stream's window, and each
-    /// stream's cohort table equals a recount of those positions; no
-    /// session slot is lost; the degraded population matches the states;
-    /// the wheel holds exactly the passive sessions' wake-ups.
-    pub fn check_invariants(&self) -> Vec<String> {
-        // Findings are gathered per pass, then reported in a fixed order:
-        // resources, streams, sessions, scheduler.
-        let wheel_mode = !self.reference_scan;
-        let mut session_leases = 0u32;
-        let mut degraded = 0u32;
-        let (mut waiting, mut paused, mut enrolled) = (0u64, 0u64, 0u64);
-        // The recount of every stream's cohort table, flattened: stream
-        // slot `i`'s offsets start at `first[i]`.
-        let mut first = Vec::with_capacity(self.streams.slot_count());
-        let mut offsets = 0usize;
-        for i in 0..self.streams.slot_count() {
-            first.push(offsets);
-            offsets += self.streams.at(i).map_or(0, |s| s.cohorts.len());
-        }
-        let mut readers = vec![0u32; offsets];
-        let mut session_faults = Vec::new();
-        let mut scheduler_faults = Vec::new();
-        let mut listed = self.active.iter().copied().peekable();
-        for idx in 0..self.sessions.slot_count() {
-            let Some(sess) = self.sessions.at(idx) else {
-                session_faults.push(format!("session slot {idx} lost (empty)"));
-                continue;
-            };
-            session_leases += u32::from(sess.lease.is_some());
-            // The active list covers exactly the sessions that work every
-            // minute (entries may linger for sessions that closed or
-            // paused since the last tick — they drop at the next rebuild
-            // — but a `Waiting` entry is always wrong).
-            while listed.peek().is_some_and(|&a| (a as usize) < idx) {
-                listed.next();
-            }
-            let on_list = listed.peek().is_some_and(|&a| a as usize == idx);
-            match sess.state {
-                SessionState::Waiting { .. } => {
-                    waiting += 1;
-                    if on_list && wheel_mode {
-                        scheduler_faults.push(format!("waiting session {idx} on the active list"));
-                    }
-                    continue;
-                }
-                SessionState::Paused { .. } => {
-                    paused += 1;
-                    continue;
-                }
-                SessionState::Done => continue,
-                SessionState::Enrolled { stream, .. } => {
-                    enrolled += 1;
-                    let slot = stream.0.index();
-                    match self.streams.get(stream.0) {
-                        Some(s) => {
-                            let head = s.next_read;
-                            let position = sess.position + sess.owed(head, self.accounted);
-                            let filled = s.partition.len() as u32;
-                            match head.checked_sub(position) {
-                                Some(lag) if lag <= filled => {
-                                    readers[first[slot] + lag as usize] += 1;
-                                }
-                                _ => session_faults.push(format!(
-                                    "session {idx} at {position} outside stream {slot}'s window \
-                                     [{}, {head}]",
-                                    head.saturating_sub(filled)
-                                )),
-                            }
-                        }
-                        None => session_faults
-                            .push(format!("session {idx} enrolled in dead stream {slot}")),
-                    }
-                    continue;
-                }
-                SessionState::Degraded { .. } => degraded += 1,
-                SessionState::Dedicated | SessionState::VcrActive { .. } => {}
-            }
-            if !on_list && wheel_mode {
-                scheduler_faults.push(format!("actionable session {idx} missing from active list"));
-            }
-        }
-        let mut stream_leases = 0u32;
-        let mut partition_segments = 0usize;
-        let mut stream_faults = Vec::new();
-        for (sid, s) in self.streams.iter() {
-            stream_leases += u32::from(s.lease.is_some());
-            partition_segments += s.partition.capacity();
-            let i = sid.index();
-            let recount = &readers[first[i]..][..s.cohorts.len()];
-            let total: u32 = recount.iter().sum();
-            if total != s.enrolled {
-                stream_faults.push(format!(
-                    "enrollment drift on stream {i}: {total} readers vs enrolled {}",
-                    s.enrolled
-                ));
-            }
-            let tabled: u32 = s.cohorts.iter().sum();
-            if tabled != s.enrolled {
-                stream_faults.push(format!(
-                    "cohort drift on stream {i}: cohorts hold {tabled} readers vs enrolled {}",
-                    s.enrolled
-                ));
-            }
-            for (lag, (&found, &held)) in recount.iter().zip(s.cohorts.iter()).enumerate() {
-                if found != held {
-                    stream_faults.push(format!(
-                        "cohort drift on stream {i}: {found} readers {lag} behind the head vs \
-                         cohort of {held}"
-                    ));
-                }
-            }
-        }
-
-        let mut v = Vec::new();
-        let disk = &self.disk;
-        v.extend(disk.conservation_violation());
-        if stream_leases + session_leases != disk.in_use() {
-            v.push(format!(
-                "lease conservation broken: streams hold {stream_leases}, sessions hold \
-                 {session_leases}, disk says {} in use",
-                disk.in_use()
-            ));
-        }
-        if session_leases != self.reserve.in_use() {
-            v.push(format!(
-                "reserve drift: sessions hold {session_leases} dedicated leases, reserve says {}",
-                self.reserve.in_use()
-            ));
-        }
-        if partition_segments != self.pool.used() {
-            v.push(format!(
-                "buffer accounting broken: partitions total {partition_segments} segments, \
-                 pool says {} used",
-                self.pool.used()
-            ));
-        }
-        if self.pool.overcommitted() != 0 {
-            v.push(format!(
-                "buffer overcommitted between ticks: {} segments beyond budget",
-                self.pool.overcommitted()
-            ));
-        }
-        v.append(&mut stream_faults);
-        v.append(&mut session_faults);
-        if degraded != self.degraded_count {
-            v.push(format!(
-                "degraded population drift: {degraded} sessions vs counter {}",
-                self.degraded_count
-            ));
-        }
-        // Coherence of the wheel-mode scheduler structures: the active
-        // list is strictly ascending and holds every session that works
-        // each minute, and the wheel holds one entry per passive session
-        // plus the known stale ones.
-        if wheel_mode {
-            if !self.active.windows(2).all(|w| w[0] < w[1]) {
-                v.push("active list not strictly ascending".to_string());
-            }
-            v.append(&mut scheduler_faults);
-            if waiting + paused + enrolled + self.wheel_stale != self.wakeups.len() as u64 {
-                v.push(format!(
-                    "wheel population drift: {waiting} waiting + {paused} paused + {enrolled} \
-                     enrolled + {} stale != {} scheduled",
-                    self.wheel_stale,
-                    self.wakeups.len()
-                ));
-            }
-        }
-        v
-    }
-
-    /// Reset all counters and re-baseline the occupancy statistics at the
-    /// current instant, so measurements exclude warm-up (the same
-    /// discipline as `vod-sim`'s warm-up window).
-    pub fn reset_metrics(&mut self) {
-        let now = self.now as f64;
-        let playing = self.metrics.playback.current();
-        self.metrics = ServerMetrics::new();
-        self.metrics.playback = TimeWeighted::new(now, playing);
-        self.reserve.rebaseline(now);
-        self.startup_waits = Welford::default();
-    }
-
-    /// Startup-wait samples (minutes between `open_session` and the
-    /// session's scheduled playback start) since the last metrics reset.
-    pub fn startup_waits(&self) -> &Welford {
-        &self.startup_waits
+        &self.core.metrics
     }
 
     /// Disk subsystem state (for capacity assertions in tests).
     pub fn disk(&self) -> &DiskSubsystem {
-        &self.disk
+        &self.core.disk
     }
 
     /// Buffer pool state.
     pub fn buffer_pool(&self) -> &BufferPool {
         &self.pool
-    }
-
-    /// Open a session for `movie`. Joins the newest open enrollment window
-    /// (type-2 viewer) or queues for the next restart (type-1).
-    pub fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError> {
-        let movie_idx = *self
-            .movie_index
-            .get(&movie)
-            .ok_or(ServerError::UnknownMovie(movie))?;
-        let geometry = self.config.movies[movie_idx].geometry;
-        // A stream whose window will cover position 0 when this session
-        // first consumes (the enrollment window of the paper's Figure 1).
-        let join = self.joinable_stream(movie_idx, 0);
-        // The next restart instant ≥ now. A stream scheduled at `now` has
-        // not started yet (ticks process start-of-minute events), so
-        // `start_at == now` is valid and the session enrolls during the
-        // coming tick.
-        let t = geometry.restart_interval as u64;
-        let start_at = self.now.div_ceil(t) * t;
-        let wait = if join.is_some() {
-            0
-        } else {
-            start_at - self.now
-        };
-        self.startup_waits.push(wait as f64);
-        let id = SessionId(self.sessions.insert(Session {
-            movie_idx,
-            position: 0,
-            state: SessionState::Waiting { start_at },
-            lease: None,
-            stats: DeliveryStats::default(),
-            piggyback_phase: 0,
-        }));
-        let idx = id.0.index();
-        match join {
-            Some(stream) => self.enrol(idx, stream, self.accounted),
-            None => self.wakeups.schedule(start_at, idx as u32),
-        }
-        Ok(id)
-    }
-
-    /// Adopt a session displaced from another federation shard, resuming
-    /// `movie` at `position`. A migration, not an admission: no
-    /// startup-wait sample is recorded (the viewer already started
-    /// elsewhere), and placement is immediate or refused — an in-window
-    /// batch cohort when some live partition covers `position`
-    /// ([`Adoption::CohortJoin`]), else a dedicated stream from the VCR
-    /// reserve ([`Adoption::DedicatedStream`]), else
-    /// [`ServerError::VcrDenied`] so the front tier's failover ledger
-    /// backs off and retries.
-    pub fn adopt_session(
-        &mut self,
-        movie: MovieId,
-        position: u32,
-    ) -> Result<(SessionId, Adoption), ServerError> {
-        let movie_idx = *self
-            .movie_index
-            .get(&movie)
-            .ok_or(ServerError::UnknownMovie(movie))?;
-        if position >= self.config.movies[movie_idx].geometry.length {
-            return Err(ServerError::InvalidState { operation: "adopt" });
-        }
-        let join = self.joinable_stream(movie_idx, position);
-        let lease = match join {
-            Some(_) => None,
-            None => match self.try_vcr_lease() {
-                Some(lease) => Some(lease),
-                None => {
-                    self.metrics.runtime.vcr_denied += 1;
-                    // The shard never observes the retry's resolution
-                    // (the ledger may re-admit elsewhere), so locally
-                    // the refusal is permanent; transient/permanent
-                    // classification of the *displaced session* lives in
-                    // the front tier's `FederationMetrics`.
-                    self.reserve.record_denials(1, false);
-                    return Err(ServerError::VcrDenied);
-                }
-            },
-        };
-        let id = SessionId(self.sessions.insert(Session {
-            movie_idx,
-            position,
-            state: SessionState::Dedicated,
-            lease,
-            stats: DeliveryStats::default(),
-            piggyback_phase: 0,
-        }));
-        let idx = id.0.index();
-        match join {
-            Some(stream) => {
-                self.enrol(idx, stream, self.accounted);
-                Ok((id, Adoption::CohortJoin))
-            }
-            None => {
-                // Session slots are never reused, so the new index is
-                // maximal and the active list stays sorted by pushing.
-                self.active.push(idx as u32);
-                Ok((id, Adoption::DedicatedStream))
-            }
-        }
-    }
-
-    /// Issue a VCR operation on a playing session. `magnitude` is the
-    /// movie minutes to sweep (FF/RW) or the pause duration in minutes.
-    pub fn request_vcr(
-        &mut self,
-        id: SessionId,
-        kind: VcrKind,
-        magnitude: u32,
-    ) -> Result<(), ServerError> {
-        let (movie_idx, has_lease, enrolled) = {
-            let sess = self
-                .sessions
-                .get(id.0)
-                .ok_or(ServerError::UnknownSession(id))?;
-            let enrolled = match sess.state {
-                SessionState::Enrolled { .. } => true,
-                SessionState::Dedicated => false,
-                _ => return Err(ServerError::InvalidState { operation: "vcr" }),
-            };
-            (sess.movie_idx, sess.lease.is_some(), enrolled)
-        };
-        let idx = id.0.index();
-        // FF/RW with viewing need a dedicated stream for phase 1.
-        let needs_lease = matches!(kind, VcrKind::FastForward | VcrKind::Rewind);
-        let new_lease = if needs_lease && !has_lease {
-            // Starvation policy: while degraded sessions wait for streams
-            // or failed streams shrink the pool, new phase-1 grants are
-            // refused outright — playback (and recovery) has priority
-            // over fresh VCR service. Unreachable without injected
-            // faults, so fault-free denial behavior is unchanged.
-            if self.fault_mode && (self.degraded_count > 0 || self.disk.failed() > 0) {
-                self.metrics.runtime.vcr_denied += 1;
-                self.metrics.vcr_denied_degraded += 1;
-                self.reserve.record_denials(1, false);
-                return Err(ServerError::VcrDenied);
-            }
-            match self.try_vcr_lease() {
-                Some(lease) => Some(lease),
-                None => {
-                    self.metrics.runtime.vcr_denied += 1;
-                    // Issue-time Erlang loss: the viewer stays in the
-                    // batch and never retries this request — permanent.
-                    self.reserve.record_denials(1, false);
-                    return Err(ServerError::VcrDenied);
-                }
-            }
-        } else {
-            None
-        };
-        let length = self.config.movies[movie_idx].geometry.length;
-        // Leave the partition, if enrolled: the position below is current
-        // from here on, and the finish wake-up goes stale.
-        if enrolled {
-            self.leave_cohort(idx);
-            self.wheel_stale += 1;
-        }
-        let sess = self.sessions.live_at_mut(idx);
-        if let Some(lease) = new_lease {
-            sess.lease = Some(lease);
-        }
-        // A paused viewer consumes nothing: release any dedicated stream.
-        if matches!(kind, VcrKind::Pause) {
-            if let Some(lease) = sess.lease.take() {
-                self.disk.release(lease);
-                self.reserve.release(self.now as f64);
-            }
-        }
-        let position = sess.position;
-        if matches!(kind, VcrKind::Rewind) && magnitude >= position {
-            self.metrics.runtime.rw_truncated += 1;
-        }
-        let remaining = vod_runtime::truncate_sweep(kind, magnitude, position, length);
-        if matches!(kind, VcrKind::Pause) {
-            // A pause of `d` minutes shifts the viewing pattern by `d`:
-            // the session skips the next `d` ticks and resumes on the one
-            // after.
-            let until = self.now + u64::from(remaining);
-            sess.state = SessionState::Paused { until };
-            self.wakeups.schedule(until, idx as u32);
-        } else {
-            sess.state = SessionState::VcrActive { kind, remaining };
-            if enrolled {
-                // Sweeping works every minute: onto the active list, in
-                // index order, between two ticks.
-                if let Err(at) = self.active.binary_search(&(idx as u32)) {
-                    self.active.insert(at, idx as u32);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Close a session early (the viewer quits). Releases any dedicated
@@ -969,15 +462,16 @@ impl VodServer {
     pub fn close_session(&mut self, id: SessionId) -> Result<DeliveryStats, ServerError> {
         let sess = self
             .sessions
-            .get(id.0)
+            .get_mut(id.0)
             .ok_or(ServerError::UnknownSession(id))?;
         let idx = id.0.index();
         if !matches!(sess.state, SessionState::Done) {
             // A degraded session that quits resolves its retry denials as
             // permanent (no retry ever succeeded) and leaves the degraded
             // population.
-            let pending = self.exit_degraded(idx);
-            self.reserve.record_denials(pending, false);
+            if let SessionState::Degraded(ledger) = &mut sess.state {
+                self.core.exit_degraded(ledger, false);
+            }
             self.leave_cohort(idx);
             let sess = self.sessions.live_at_mut(idx);
             if matches!(
@@ -990,30 +484,13 @@ impl VodServer {
                 // once as a no-op and is dropped then.
                 self.wheel_stale += 1;
             }
-            let lease = sess.lease.take();
-            if let Some(lease) = lease {
-                self.release_vcr_lease(lease);
+            if let Some(lease) = sess.lease.take() {
+                self.core.release_lease(lease);
             }
-            self.sessions.live_at_mut(idx).state = SessionState::Done;
-            self.metrics.sessions_closed_early += 1;
+            sess.state = SessionState::Done;
+            self.core.metrics.sessions_closed_early += 1;
         }
         Ok(self.sessions.live_at(idx).stats)
-    }
-
-    /// Status snapshot of a session.
-    pub fn session_status(&self, id: SessionId) -> Result<SessionStatus, ServerError> {
-        let sess = self
-            .sessions
-            .get(id.0)
-            .ok_or(ServerError::UnknownSession(id))?;
-        Ok(match &sess.state {
-            SessionState::Waiting { start_at } => SessionStatus::Waiting(*start_at),
-            SessionState::Enrolled { .. } => SessionStatus::Shared,
-            SessionState::Dedicated => SessionStatus::Dedicated,
-            SessionState::VcrActive { .. } | SessionState::Paused { .. } => SessionStatus::InVcr,
-            SessionState::Degraded { .. } => SessionStatus::Degraded,
-            SessionState::Done => SessionStatus::Done,
-        })
     }
 
     /// Delivery statistics of a session (available after completion too).
@@ -1028,15 +505,6 @@ impl VodServer {
         })
     }
 
-    /// Session playback position (next segment to consume).
-    pub fn session_position(&self, id: SessionId) -> Result<u32, ServerError> {
-        let sess = self
-            .sessions
-            .get(id.0)
-            .ok_or(ServerError::UnknownSession(id))?;
-        Ok(sess.position + self.owed(sess))
-    }
-
     /// [`Session::owed`] against the session's own stream.
     fn owed(&self, sess: &Session) -> u32 {
         match sess.state {
@@ -1045,19 +513,6 @@ impl VodServer {
             }
             _ => 0,
         }
-    }
-
-    /// Advance one virtual minute.
-    pub fn tick(&mut self) {
-        let t = self.now;
-        if self.fault_mode {
-            self.apply_faults(t);
-        }
-        self.retire_streams();
-        self.start_due_streams(t);
-        self.advance_streams(t);
-        self.advance_sessions(t);
-        self.now = t + 1;
     }
 
     /// Run `minutes` ticks.
@@ -1069,95 +524,6 @@ impl VodServer {
 
     // ---- faults ------------------------------------------------------------
 
-    /// Apply scheduled recoveries and fault events for tick `t`.
-    /// Recoveries land first so an outage ending exactly when a new fault
-    /// strikes frees capacity before the new fault consumes it.
-    fn apply_faults(&mut self, t: u64) {
-        if let Some(count) = self.recovery_due.remove(&t) {
-            let recovered = self.disk.recover_streams(count);
-            self.reserve.recover_streams(recovered);
-            if recovered > 0 {
-                self.recovered_at = Some(t);
-            }
-        }
-        if let Some((_, until)) = self.slowdown {
-            if t >= until {
-                self.slowdown = None;
-            }
-        }
-        let due: Vec<FaultKind> = self.plan.events_at(t).iter().map(|e| e.kind).collect();
-        for kind in due {
-            match kind {
-                FaultKind::DiskStreamLoss { count } => {
-                    self.metrics.runtime.faults_injected += 1;
-                    self.fail_disk_streams(t, count);
-                }
-                FaultKind::DiskOutage {
-                    count,
-                    recover_after,
-                } => {
-                    self.metrics.runtime.faults_injected += 1;
-                    let failed = self.fail_disk_streams(t, count);
-                    if failed > 0 {
-                        let due = t + recover_after.max(1);
-                        *self.recovery_due.entry(due).or_insert(0) += failed;
-                    }
-                }
-                FaultKind::DiskSlowdown { period, duration } => {
-                    self.metrics.runtime.faults_injected += 1;
-                    if period > 1 {
-                        self.slowdown = Some((period, t + duration));
-                    }
-                }
-                FaultKind::BufferShrink { segments } => {
-                    self.metrics.runtime.faults_injected += 1;
-                    self.pool.shrink(segments as usize);
-                    self.evict_partitions_to_fit(t);
-                }
-                FaultKind::BufferRestore { segments } => {
-                    self.metrics.runtime.faults_injected += 1;
-                    self.pool.grow(segments as usize);
-                }
-                // Whole-shard events are interpreted by the federation
-                // front tier, never by a shard itself: below the front
-                // tier they are inert and uncounted.
-                FaultKind::ShardOutage { .. } | FaultKind::ShardRecovery { .. } => {}
-            }
-        }
-    }
-
-    /// Remove `count` disk streams from service, degrading every holder
-    /// of a revoked lease. Returns how many streams actually failed.
-    fn fail_disk_streams(&mut self, t: u64, count: u32) -> u32 {
-        let failed_before = self.disk.failed();
-        let revoked = self.disk.fail_streams(count);
-        // `fail_streams` only ever grows the failed count, but keep the
-        // difference total-order-safe anyway: a future recovery path
-        // interleaved here must shrink this delta, never wrap it.
-        let newly_failed = self.disk.failed().saturating_sub(failed_before);
-        // Mirror the capacity loss into the VCR reserve: the dedicated
-        // share shrinks before the playback pre-allocation does.
-        self.reserve.fail_streams(newly_failed);
-        self.metrics.leases_revoked += revoked.len() as u64;
-        if revoked.is_empty() {
-            return newly_failed;
-        }
-        // A playback stream that lost its lease loses its partition too.
-        let dead: Vec<ArenaId> = self
-            .streams
-            .iter()
-            .filter(|(_, s)| s.lease.as_ref().is_some_and(|l| l.revoked_in(&revoked)))
-            .map(|(sid, _)| sid)
-            .collect();
-        let mut final_heads = vec![None; self.streams.slot_count()];
-        for sid in dead {
-            self.metrics.playback.add(t as f64, -1.0);
-            final_heads[sid.index()] = self.retire_stream(sid);
-        }
-        self.degrade_stranded(t, &revoked, &final_heads);
-        newly_failed
-    }
-
     /// Retire stream `sid` immediately: release its partition and free
     /// the slot (a lease a fault already revoked is a no-op at the disk).
     /// Its enrolled readers are left pointing at a dead stream; the
@@ -1168,7 +534,7 @@ impl VodServer {
     fn retire_stream(&mut self, sid: ArenaId) -> Option<u32> {
         let mut s = self.streams.remove(sid)?;
         if let Some(lease) = s.lease.take() {
-            self.disk.release(lease);
+            self.core.disk.release(lease);
         }
         self.pool.release(s.partition.capacity());
         Some(s.next_read)
@@ -1178,7 +544,7 @@ impl VodServer {
     /// reader whose stream was just retired (`final_heads[slot]` is the
     /// read head it died with) and every holder of a lease in `revoked`
     /// (a dedicated/VCR session loses its stream and re-queues).
-    fn degrade_stranded(&mut self, t: u64, revoked: &[u64], final_heads: &[Option<u32>]) {
+    fn degrade_stranded(&mut self, revoked: &[u64], final_heads: &[Option<u32>]) {
         let listed = self.active.len();
         for idx in 0..self.sessions.slot_count() {
             let Some(sess) = self.sessions.at_mut(idx) else {
@@ -1194,11 +560,11 @@ impl VodServer {
                 // The lease is already dead at the disk; drop it without a
                 // disk release, but return the hold to the reserve.
                 sess.lease = None;
-                self.reserve.release(t as f64);
+                self.core.reserve.release(self.core.now as f64);
                 if matches!(sess.state, SessionState::VcrActive { .. }) {
-                    self.metrics.sweeps_aborted += 1;
+                    self.core.metrics.sweeps_aborted += 1;
                 }
-                self.enter_degraded(t, idx);
+                self.enter_degraded(idx);
             } else if let Some(head) = orphaned_at {
                 // The stream took its cohort table with it; what is left
                 // of the enrolment is the session's own arrears and its
@@ -1206,7 +572,7 @@ impl VodServer {
                 sess.sync(head, self.accounted);
                 self.wheel_stale += 1;
                 self.active.push(idx as u32);
-                self.enter_degraded(t, idx);
+                self.enter_degraded(idx);
             }
         }
         if self.active.len() > listed {
@@ -1220,7 +586,7 @@ impl VodServer {
     /// then oldest start, then lowest slot — deterministic) until the
     /// pool is no longer overcommitted after a buffer shrink. Evicted
     /// streams release their disk lease normally; their readers degrade.
-    fn evict_partitions_to_fit(&mut self, t: u64) {
+    fn evict_partitions_to_fit(&mut self) {
         if self.pool.overcommitted() == 0 {
             return;
         }
@@ -1234,42 +600,22 @@ impl VodServer {
             let Some(sid) = victim else { break };
             let held_lease = self.streams.get(sid).is_some_and(|s| s.lease.is_some());
             if held_lease {
-                self.metrics.playback.add(t as f64, -1.0);
+                self.core.metrics.playback.add(self.core.now as f64, -1.0);
             }
-            self.metrics.partitions_evicted += 1;
+            self.core.metrics.partitions_evicted += 1;
             final_heads[sid.index()] = self.retire_stream(sid);
         }
-        self.degrade_stranded(t, &[], &final_heads);
-    }
-
-    /// Is disk service stalled at tick `t` by an active slowdown fault?
-    fn disk_stalled(&self, t: u64) -> bool {
-        match self.slowdown {
-            Some((period, until)) => t < until && !t.is_multiple_of(period as u64),
-            None => false,
-        }
+        self.degrade_stranded(&[], &final_heads);
     }
 
     /// Move session `idx` into the degraded re-wait state (it has already
     /// been detached from any stream, partition, lease, or cohort).
-    fn enter_degraded(&mut self, t: u64, idx: usize) {
+    fn enter_degraded(&mut self, idx: usize) {
         let sess = self.sessions.live_at_mut(idx);
-        if matches!(
-            sess.state,
-            SessionState::Degraded { .. } | SessionState::Done
-        ) {
-            return;
+        if !matches!(sess.state, SessionState::Degraded(_) | SessionState::Done) {
+            sess.state = SessionState::Degraded(self.core.enter_degraded(0));
+            sess.piggyback_phase = 0;
         }
-        sess.state = SessionState::Degraded {
-            since: t,
-            next_retry: t + self.policy.rewait_bound.max(1),
-            backoff: self.policy.retry_backoff.max(1),
-            pending_denials: 0,
-            retries_exhausted: false,
-        };
-        sess.piggyback_phase = 0;
-        self.degraded_count += 1;
-        self.metrics.runtime.degraded_entries += 1;
     }
 
     // ---- streams -----------------------------------------------------------
@@ -1278,15 +624,15 @@ impl VodServer {
         for i in 0..self.streams.slot_count() {
             let retire = match self.streams.at_mut(i) {
                 Some(s) => {
-                    let geometry = self.config.movies[s.movie_idx].geometry;
+                    let geometry = self.core.config.movies[s.movie_idx].geometry;
                     // Displaying ends once every segment has been read —
                     // `next_read` equals the stream's age on fault-free
                     // ticks and lags it under a disk slowdown.
                     if s.next_read >= geometry.length {
                         // Release the disk lease as soon as displaying ends.
                         if let Some(lease) = s.lease.take() {
-                            self.disk.release(lease);
-                            self.metrics.playback.add(self.now as f64, -1.0);
+                            self.core.disk.release(lease);
+                            self.core.metrics.playback.add(self.core.now as f64, -1.0);
                         }
                         // Keep the frozen partition until its trailing
                         // readers finish.
@@ -1306,16 +652,16 @@ impl VodServer {
     }
 
     fn start_due_streams(&mut self, t: u64) {
-        for movie_idx in 0..self.config.movies.len() {
-            let hosted = self.config.movies[movie_idx];
+        for movie_idx in 0..self.core.config.movies.len() {
+            let hosted = self.core.config.movies[movie_idx];
             let geometry = hosted.geometry;
             if !t.is_multiple_of(geometry.restart_interval as u64) {
                 continue;
             }
-            let lease = match self.disk.acquire() {
+            let lease = match self.core.disk.acquire() {
                 Ok(l) => l,
                 Err(_) => {
-                    self.metrics.runtime.restart_failures += 1;
+                    self.core.metrics.runtime.restart_failures += 1;
                     continue;
                 }
             };
@@ -1324,11 +670,11 @@ impl VodServer {
                 .reserve(geometry.partition_capacity as usize)
                 .is_err()
             {
-                self.disk.release(lease);
-                self.metrics.runtime.restart_failures += 1;
+                self.core.disk.release(lease);
+                self.core.metrics.runtime.restart_failures += 1;
                 continue;
             }
-            self.metrics.playback.add(t as f64, 1.0);
+            self.core.metrics.playback.add(t as f64, 1.0);
             let stream = ActiveStream {
                 movie_idx,
                 started: t,
@@ -1345,7 +691,7 @@ impl VodServer {
     }
 
     fn advance_streams(&mut self, t: u64) {
-        let stalled = self.disk_stalled(t);
+        let stalled = self.core.disk_stalled();
         for windows in &mut self.join_table {
             windows.clear();
         }
@@ -1354,7 +700,7 @@ impl VodServer {
                 continue;
             };
             let s = self.streams.live_mut(id);
-            let hosted = self.config.movies[s.movie_idx];
+            let hosted = self.core.config.movies[s.movie_idx];
             // Disk slowdown: no stream reads this tick; `next_read` holds
             // and enrolled readers at the front stall with it.
             let reads = s.next_read < hosted.geometry.length && !stalled;
@@ -1363,6 +709,7 @@ impl VodServer {
                 // next_read ≥ length, and the guard above skips exactly those streams.
                 let lease = s.lease.as_ref().expect("playing stream holds a lease");
                 let seg = self
+                    .core
                     .disk
                     .read(lease, hosted.movie, s.next_read)
                     // vod-lint: allow(no-panic) — next_read < length above bounds the read.
@@ -1379,7 +726,7 @@ impl VodServer {
                     // The reference scan accounts each of these per session.
                     // Whole numbers far below 2⁵³: adding a cohort's size
                     // in one step is bit-identical to adding 1.0 per reader.
-                    self.metrics.runtime.buffer_minutes += f64::from(delivered.consumed);
+                    self.core.metrics.runtime.buffer_minutes += f64::from(delivered.consumed);
                     if delivered.stalled > 0 {
                         // vod-lint: allow(no-panic) — only an injected disk
                         // slowdown keeps a stream with lock-step readers from
@@ -1387,15 +734,15 @@ impl VodServer {
                         // broken, and serving a wrong segment silently would
                         // corrupt the data path, so abort loudly.
                         assert!(
-                            self.fault_mode,
+                            self.core.fault_mode,
                             "buffer underrun: {} readers level with a stream that read \
                              nothing (enrollment invariant broken)",
                             delivered.stalled
                         );
-                        self.metrics.runtime.stall_minutes += f64::from(delivered.stalled);
+                        self.core.metrics.runtime.stall_minutes += f64::from(delivered.stalled);
                     }
                     for position in delivered.corrupt {
-                        let (sessions, metrics) = (&mut self.sessions, &mut self.metrics);
+                        let (sessions, metrics) = (&mut self.sessions, &mut self.core.metrics);
                         charge_corrupt_entry(sessions, metrics, id, position, old_head, t);
                     }
                 }
@@ -1551,7 +898,7 @@ impl VodServer {
                     // disk or buffer, counted in `restart_failures`). The
                     // batch keeps waiting for the next restart instant
                     // instead of aborting the server.
-                    let t_int = self.config.movies[movie_idx].geometry.restart_interval as u64;
+                    let t_int = self.core.config.movies[movie_idx].geometry.restart_interval as u64;
                     self.sessions.live_at_mut(idx).state = SessionState::Waiting {
                         start_at: t + t_int,
                     };
@@ -1576,142 +923,30 @@ impl VodServer {
     }
 
     /// One degraded re-wait tick: free batch rejoin if a live window
-    /// covers the position; otherwise, past the re-wait bound, retry
-    /// dedicated acquisition with exponential backoff until the timeout,
-    /// after which only batch admission remains. See [`DegradePolicy`].
+    /// covers the position; otherwise whatever the retry ledger has due —
+    /// past the timeout nothing, and only batch admission remains. See
+    /// [`vod_runtime::DegradePolicy`].
     fn degraded_tick(&mut self, t: u64, idx: usize) {
-        self.metrics.runtime.rewait_minutes += 1.0;
-        let (movie_idx, position) = {
-            let sess = self.sessions.live_at(idx);
-            (sess.movie_idx, sess.position)
+        self.core.metrics.runtime.rewait_minutes += 1.0;
+        let sess = self.sessions.live_at(idx);
+        let joinable = self.joinable_stream(sess.movie_idx, sess.position);
+        let sess = self.sessions.live_at_mut(idx);
+        let SessionState::Degraded(ledger) = &mut sess.state else {
+            unreachable!("caller checked state")
         };
-        if let Some(stream) = self.joinable_stream(movie_idx, position) {
+        if let Some(stream) = joinable {
             // Rejoined the batch: the dedicated retries (if any) never
             // succeeded, so their denials resolve as permanent.
-            let pending = self.exit_degraded(idx);
-            self.reserve.record_denials(pending, false);
-            self.metrics.runtime.degraded_rejoined += 1;
+            self.core.exit_degraded(ledger, false);
+            self.core.metrics.runtime.degraded_rejoined += 1;
             // Same-tick consumption, as for a starting batch.
             self.enrol(idx, stream, t);
             self.consume_enrolled(t, idx);
-            return;
+        } else if let Retry::Granted(lease) = self.core.retry_degraded(ledger) {
+            sess.lease = Some(lease);
+            sess.state = SessionState::Dedicated;
+            sess.piggyback_phase = 0;
         }
-        let (since, next_retry, backoff, pending, exhausted) = {
-            let sess = self.sessions.live_at(idx);
-            let SessionState::Degraded {
-                since,
-                next_retry,
-                backoff,
-                pending_denials,
-                retries_exhausted,
-            } = sess.state
-            else {
-                unreachable!("caller checked state")
-            };
-            (
-                since,
-                next_retry,
-                backoff,
-                pending_denials,
-                retries_exhausted,
-            )
-        };
-        if exhausted || t < next_retry {
-            return;
-        }
-        if t.saturating_sub(since) >= self.policy.retry_timeout {
-            // Timeout — but when an outage recovery landed on this very
-            // tick, recovery wins the race: the streams it returned are
-            // exactly what the session has been retrying for, so give it
-            // one last lease attempt before the sequence resolves. Only
-            // if that attempt also fails does the timeout proceed.
-            if self.policy.recovery_wins
-                && self.recovered_at == Some(t)
-                && self.degraded_retry_lease(t, idx, pending, backoff)
-            {
-                return;
-            }
-            // Give up on dedicated service, classify the whole retry
-            // sequence as permanently denied, and fall back to batch
-            // admission (keep waiting for a window rejoin). A refused
-            // last-chance attempt above added one pending denial; read
-            // the live count so it resolves with the rest.
-            let pending = match self.sessions.live_at(idx).state {
-                SessionState::Degraded {
-                    pending_denials, ..
-                } => pending_denials,
-                _ => pending,
-            };
-            self.reserve.record_denials(pending, false);
-            let sess = self.sessions.live_at_mut(idx);
-            if let SessionState::Degraded {
-                pending_denials,
-                retries_exhausted,
-                ..
-            } = &mut sess.state
-            {
-                *pending_denials = 0;
-                *retries_exhausted = true;
-            }
-            return;
-        }
-        self.degraded_retry_lease(t, idx, pending, backoff);
-    }
-
-    /// One dedicated-stream retry for degraded session `idx`. On success
-    /// the session exits degraded into `Dedicated` (pending denials
-    /// resolve transient) and `true` returns; on refusal the backoff
-    /// ledger advances and `false` returns.
-    fn degraded_retry_lease(&mut self, t: u64, idx: usize, pending: u64, backoff: u64) -> bool {
-        match self.try_vcr_lease() {
-            Some(lease) => {
-                // Retry succeeded: earlier refusals in this sequence were
-                // transient denials.
-                let pending = self.exit_degraded(idx);
-                self.reserve.record_denials(pending, true);
-                self.metrics.runtime.degraded_dedicated += 1;
-                let sess = self.sessions.live_at_mut(idx);
-                sess.lease = Some(lease);
-                sess.state = SessionState::Dedicated;
-                sess.piggyback_phase = 0;
-                true
-            }
-            None => {
-                let next_backoff = (backoff * 2).min(self.policy.retry_backoff_cap.max(1));
-                let sess = self.sessions.live_at_mut(idx);
-                if let SessionState::Degraded {
-                    next_retry,
-                    backoff,
-                    pending_denials,
-                    ..
-                } = &mut sess.state
-                {
-                    *pending_denials = pending + 1;
-                    *next_retry = t + next_backoff;
-                    *backoff = next_backoff;
-                }
-                false
-            }
-        }
-    }
-
-    /// Leave the degraded state (recovery or close); returns the pending
-    /// denial count awaiting classification and fixes the population
-    /// counter. The caller sets the next state.
-    fn exit_degraded(&mut self, idx: usize) -> u64 {
-        let sess = self.sessions.live_at_mut(idx);
-        let SessionState::Degraded {
-            pending_denials, ..
-        } = sess.state
-        else {
-            return 0;
-        };
-        debug_assert!(
-            self.degraded_count > 0,
-            "degraded session outside the census"
-        );
-        self.degraded_count -= 1;
-        pending_denials
     }
 
     /// Enrol session `idx` in `stream`'s partition as of tick `since`:
@@ -1723,7 +958,7 @@ impl VodServer {
     fn enrol(&mut self, idx: usize, stream: StreamId, since: u64) {
         let sess = self.sessions.live_at_mut(idx);
         let s = self.streams.live_mut(stream.0);
-        let length = self.config.movies[sess.movie_idx].geometry.length;
+        let length = self.core.config.movies[sess.movie_idx].geometry.length;
         // Where the session stands once this tick's delivery, if it takes
         // one (`since` a tick behind `accounted`), is counted: that is the
         // cohort it is in from now on.
@@ -1769,7 +1004,7 @@ impl VodServer {
             unreachable!("caller checked state")
         };
         debug_assert_eq!(since, t, "enrolled session not exactly one tick behind");
-        let length = self.config.movies[sess.movie_idx].geometry.length;
+        let length = self.core.config.movies[sess.movie_idx].geometry.length;
         let s = self.streams.live_mut(stream.0);
         let position = sess.position;
         if sess.sync(s.next_read, self.accounted) == 0 {
@@ -1779,13 +1014,13 @@ impl VodServer {
             // and serving a wrong segment silently would corrupt the data
             // path, so abort loudly.
             assert!(
-                self.fault_mode,
+                self.core.fault_mode,
                 "buffer underrun: session at {position} not covered by partition \
                  [{:?}, {:?}] (enrollment invariant broken)",
                 s.partition.tail_index(),
                 s.partition.front_index()
             );
-            self.metrics.runtime.stall_minutes += 1.0;
+            self.core.metrics.runtime.stall_minutes += 1.0;
             return;
         }
         // Partitions are immutable during the session phase, so every
@@ -1801,9 +1036,9 @@ impl VodServer {
         let verified = outcome.expect("buffer underrun: window moved past an enrolled session");
         if !verified {
             sess.stats.verify_failures += 1;
-            self.metrics.verify_failures += 1;
+            self.core.metrics.verify_failures += 1;
         }
-        self.metrics.runtime.buffer_minutes += 1.0;
+        self.core.metrics.runtime.buffer_minutes += 1.0;
         if sess.position >= length {
             // Not reached through the finish wake-up, which is still
             // parked.
@@ -1821,7 +1056,7 @@ impl VodServer {
         let SessionState::Enrolled { stream, .. } = sess.state else {
             unreachable!("caller checked state")
         };
-        let length = self.config.movies[sess.movie_idx].geometry.length;
+        let length = self.core.config.movies[sess.movie_idx].geometry.length;
         sess.sync(self.streams.live(stream.0).next_read, self.accounted);
         if sess.position >= length {
             self.finish_session(t, idx);
@@ -1834,17 +1069,17 @@ impl VodServer {
     /// Consume via the session's dedicated lease; piggyback toward the
     /// preceding partition when enabled.
     fn consume_dedicated(&mut self, t: u64, idx: usize) {
-        if self.disk_stalled(t) {
-            self.metrics.runtime.stall_minutes += 1.0;
+        if self.core.disk_stalled() {
+            self.core.metrics.runtime.stall_minutes += 1.0;
             return;
         }
         let length = {
             let sess = self.sessions.live_at(idx);
-            self.config.movies[sess.movie_idx].geometry.length
+            self.core.config.movies[sess.movie_idx].geometry.length
         };
-        self.read_via_lease(idx);
+        self.read_forward(idx);
         // Optional piggyback catch-up segment.
-        if let Some(pb) = self.config.piggyback {
+        if let Some(pb) = self.core.config.piggyback {
             let due = {
                 let sess = self.sessions.live_at_mut(idx);
                 sess.piggyback_phase += 1;
@@ -1855,7 +1090,7 @@ impl VodServer {
             if due {
                 let sess = self.sessions.live_at_mut(idx);
                 sess.piggyback_phase = 0;
-                self.read_via_lease(idx);
+                self.read_forward(idx);
             }
         }
         let (movie_idx, position) = {
@@ -1870,72 +1105,52 @@ impl VodServer {
         if let Some(stream) = self.joinable_stream(movie_idx, position) {
             let lease = self.sessions.live_at_mut(idx).lease.take();
             if let Some(lease) = lease {
-                self.release_vcr_lease(lease);
-                self.metrics.piggyback_merges += 1;
+                self.core.release_lease(lease);
+                self.core.metrics.piggyback_merges += 1;
             }
             self.enrol(idx, stream, self.accounted);
         }
     }
 
-    /// Read `position` via the session's own lease and advance.
-    fn read_via_lease(&mut self, idx: usize) {
-        let (movie, position) = {
-            let sess = self.sessions.live_at(idx);
-            (self.config.movies[sess.movie_idx].movie, sess.position)
-        };
-        let seg = {
-            let sess = self.sessions.live_at(idx);
-            let lease = sess
-                .lease
-                .as_ref()
-                // vod-lint: allow(no-panic) — Dedicated/VcrActive states imply a
-                // held lease; the state machine never drops one while reading.
-                .expect("dedicated session holds a lease");
-            self.disk
-                .read(lease, movie, position)
-                // vod-lint: allow(no-panic) — callers check position < length
-                // before every dedicated read.
-                .expect("dedicated read in range")
-        };
-        let ok = verify_segment(&seg);
+    /// Read the session's next segment via its own lease and advance.
+    fn read_forward(&mut self, idx: usize) {
         let sess = self.sessions.live_at_mut(idx);
-        sess.stats.from_disk += 1;
-        if !ok {
-            sess.stats.verify_failures += 1;
-            self.metrics.verify_failures += 1;
-        }
-        self.metrics.runtime.disk_minutes += 1.0;
+        let movie = self.core.config.movies[sess.movie_idx].movie;
+        let lease = sess.lease.as_ref();
+        self.core
+            .read_via_lease(lease, movie, sess.position, &mut sess.stats);
         sess.position += 1;
     }
 
     fn sweep_forward(&mut self, t: u64, idx: usize) {
-        if self.disk_stalled(t) {
-            self.metrics.runtime.stall_minutes += 1.0;
+        if self.core.disk_stalled() {
+            self.core.metrics.runtime.stall_minutes += 1.0;
             return;
         }
         let length = {
             let sess = self.sessions.live_at(idx);
-            self.config.movies[sess.movie_idx].geometry.length
+            self.core.config.movies[sess.movie_idx].geometry.length
         };
         let steps = {
             let sess = self.sessions.live_at_mut(idx);
             let SessionState::VcrActive { remaining, .. } = &mut sess.state else {
                 unreachable!("caller checked state")
             };
-            let steps = (*remaining).min(self.config.vcr_rate);
+            let steps = (*remaining).min(self.core.config.vcr_rate);
             *remaining -= steps;
             steps
         };
         for _ in 0..steps {
-            self.read_via_lease(idx);
+            self.read_forward(idx);
         }
         let sess = self.sessions.live_at_mut(idx);
         if sess.position >= length {
             // FF ran to the end: the viewing is over (the model's P(end)).
             // Counted as a hit, matching the simulator's default
             // `count_ff_end_as_hit` convention.
-            self.metrics.runtime.ff_end += 1;
-            self.metrics
+            self.core.metrics.runtime.ff_end += 1;
+            self.core
+                .metrics
                 .runtime
                 .record_resume(VcrKind::FastForward, true);
             self.finish_session(t, idx);
@@ -1947,8 +1162,8 @@ impl VodServer {
     }
 
     fn sweep_backward(&mut self, t: u64, idx: usize) {
-        if self.disk_stalled(t) {
-            self.metrics.runtime.stall_minutes += 1.0;
+        if self.core.disk_stalled() {
+            self.core.metrics.runtime.stall_minutes += 1.0;
             return;
         }
         let steps = {
@@ -1956,7 +1171,9 @@ impl VodServer {
             let SessionState::VcrActive { remaining, .. } = &mut sess.state else {
                 unreachable!("caller checked state")
             };
-            let steps = (*remaining).min(self.config.vcr_rate).min(sess.position);
+            let steps = (*remaining)
+                .min(self.core.config.vcr_rate)
+                .min(sess.position);
             // Both differences clamp at zero: `steps` is bounded by both
             // operands today, but a rewind past the start must never wrap
             // the residual sweep into billions of segments.
@@ -1968,30 +1185,12 @@ impl VodServer {
         // Rewind with viewing displays segments in reverse order; each is
         // read through the dedicated lease.
         for _ in 0..steps {
-            let (movie, target) = {
-                let sess = self.sessions.live_at(idx);
-                (self.config.movies[sess.movie_idx].movie, sess.position - 1)
-            };
-            let seg = {
-                let sess = self.sessions.live_at(idx);
-                let lease = sess
-                    .lease
-                    .as_ref()
-                    // vod-lint: allow(no-panic) — a rewinding session acquired its
-                    // lease in request_vcr and keeps it until resume.
-                    .expect("rewinding session holds a lease");
-                // vod-lint: allow(no-panic) — target < position ≤ length bounds the read.
-                self.disk.read(lease, movie, target).expect("in range")
-            };
-            let ok = verify_segment(&seg);
             let sess = self.sessions.live_at_mut(idx);
-            sess.stats.from_disk += 1;
-            if !ok {
-                sess.stats.verify_failures += 1;
-                self.metrics.verify_failures += 1;
-            }
-            self.metrics.runtime.disk_minutes += 1.0;
+            let movie = self.core.config.movies[sess.movie_idx].movie;
             sess.position -= 1;
+            let lease = sess.lease.as_ref();
+            self.core
+                .read_via_lease(lease, movie, sess.position, &mut sess.stats);
         }
         let sess = self.sessions.live_at_mut(idx);
         let done = matches!(sess.state, SessionState::VcrActive { remaining: 0, .. })
@@ -2012,11 +1211,14 @@ impl VodServer {
         };
         let joinable = self.joinable_stream(movie_idx, position);
         let class = ResumeClass::classify(joinable.is_some());
-        self.metrics.runtime.record_resume(kind, class.is_hit());
+        self.core
+            .metrics
+            .runtime
+            .record_resume(kind, class.is_hit());
         if let Some(stream) = joinable {
             let lease = self.sessions.live_at_mut(idx).lease.take();
             if let Some(lease) = lease {
-                self.release_vcr_lease(lease);
+                self.core.release_lease(lease);
             }
             self.enrol(idx, stream, self.accounted);
             return;
@@ -2033,7 +1235,7 @@ impl VodServer {
         // none is free the resume is starved: the session stays paused and
         // retries the tick after next (recovery policy — the simulator
         // instead drops the viewer; the *event* counted is the same).
-        match self.try_vcr_lease() {
+        match self.core.try_lease() {
             Some(lease) => {
                 let sess = self.sessions.live_at_mut(idx);
                 sess.lease = Some(lease);
@@ -2041,7 +1243,7 @@ impl VodServer {
                 sess.piggyback_phase = 0;
             }
             None => {
-                self.metrics.runtime.resume_starved += 1;
+                self.core.metrics.runtime.resume_starved += 1;
                 self.sessions.live_at_mut(idx).state = SessionState::Paused { until: t + 2 };
                 self.wakeups.schedule(t + 2, idx as u32);
             }
@@ -2070,7 +1272,7 @@ impl VodServer {
     /// the whole stream arena: the debug-build oracle of
     /// [`Self::joinable_stream`].
     fn joinable_stream_scan(&self, movie_idx: usize, position: u32) -> Option<StreamId> {
-        let geometry = self.config.movies[movie_idx].geometry;
+        let geometry = self.core.config.movies[movie_idx].geometry;
         self.streams
             .iter()
             .find(|(_, s)| {
@@ -2086,10 +1288,464 @@ impl VodServer {
         self.leave_cohort(idx);
         let lease = self.sessions.live_at_mut(idx).lease.take();
         if let Some(lease) = lease {
-            self.release_vcr_lease(lease);
+            self.core.release_lease(lease);
         }
         self.sessions.live_at_mut(idx).state = SessionState::Done;
-        self.metrics.sessions_done += 1;
+        self.core.metrics.sessions_done += 1;
+    }
+}
+
+impl DeliveryBackend for VodServer {
+    fn kind(&self) -> BackendKind {
+        BackendKind::BatchingBuffering
+    }
+
+    fn core(&self) -> &ServerCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut ServerCore {
+        &mut self.core
+    }
+
+    /// Open a session for `movie`. Joins the newest open enrollment window
+    /// (type-2 viewer) or queues for the next restart (type-1).
+    fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError> {
+        let movie_idx = self.core.movie_idx(movie)?;
+        let geometry = self.core.config.movies[movie_idx].geometry;
+        // A stream whose window will cover position 0 when this session
+        // first consumes (the enrollment window of the paper's Figure 1).
+        let join = self.joinable_stream(movie_idx, 0);
+        // The next restart instant ≥ now. A stream scheduled at `now` has
+        // not started yet (ticks process start-of-minute events), so
+        // `start_at == now` is valid and the session enrolls during the
+        // coming tick.
+        let t = geometry.restart_interval as u64;
+        let start_at = self.core.now.div_ceil(t) * t;
+        let wait = if join.is_some() {
+            0
+        } else {
+            start_at - self.core.now
+        };
+        self.core.startup_waits.push(wait as f64);
+        let id = SessionId(self.sessions.insert(Session {
+            movie_idx,
+            position: 0,
+            state: SessionState::Waiting { start_at },
+            lease: None,
+            stats: DeliveryStats::default(),
+            piggyback_phase: 0,
+        }));
+        let idx = id.0.index();
+        match join {
+            Some(stream) => self.enrol(idx, stream, self.accounted),
+            None => self.wakeups.schedule(start_at, idx as u32),
+        }
+        Ok(id)
+    }
+
+    /// Adopt a session displaced from another federation shard, resuming
+    /// `movie` at `position`. A migration, not an admission: no
+    /// startup-wait sample is recorded (the viewer already started
+    /// elsewhere), and placement is immediate or refused — an in-window
+    /// batch cohort when some live partition covers `position`
+    /// ([`Adoption::CohortJoin`]), else a dedicated stream from the VCR
+    /// reserve ([`Adoption::DedicatedStream`]), else
+    /// [`ServerError::VcrDenied`] so the front tier's failover ledger
+    /// backs off and retries.
+    fn adopt_session(
+        &mut self,
+        movie: MovieId,
+        position: u32,
+    ) -> Result<(SessionId, Adoption), ServerError> {
+        let movie_idx = self.core.movie_idx(movie)?;
+        if position >= self.core.config.movies[movie_idx].geometry.length {
+            return Err(ServerError::InvalidState { operation: "adopt" });
+        }
+        let join = self.joinable_stream(movie_idx, position);
+        let lease = match join {
+            Some(_) => None,
+            None => match self.core.try_lease() {
+                Some(lease) => Some(lease),
+                None => {
+                    self.core.metrics.runtime.vcr_denied += 1;
+                    // The shard never observes the retry's resolution
+                    // (the ledger may re-admit elsewhere), so locally
+                    // the refusal is permanent; transient/permanent
+                    // classification of the *displaced session* lives in
+                    // the front tier's `FederationMetrics`.
+                    self.core.reserve.record_denials(1, false);
+                    return Err(ServerError::VcrDenied);
+                }
+            },
+        };
+        let id = SessionId(self.sessions.insert(Session {
+            movie_idx,
+            position,
+            state: SessionState::Dedicated,
+            lease,
+            stats: DeliveryStats::default(),
+            piggyback_phase: 0,
+        }));
+        let idx = id.0.index();
+        match join {
+            Some(stream) => {
+                self.enrol(idx, stream, self.accounted);
+                Ok((id, Adoption::CohortJoin))
+            }
+            None => {
+                // Session slots are never reused, so the new index is
+                // maximal and the active list stays sorted by pushing.
+                self.active.push(idx as u32);
+                Ok((id, Adoption::DedicatedStream))
+            }
+        }
+    }
+
+    /// Issue a VCR operation on a playing session. `magnitude` is the
+    /// movie minutes to sweep (FF/RW) or the pause duration in minutes.
+    fn request_vcr(
+        &mut self,
+        id: SessionId,
+        kind: VcrKind,
+        magnitude: u32,
+    ) -> Result<(), ServerError> {
+        let (movie_idx, has_lease, enrolled) = {
+            let sess = self
+                .sessions
+                .get(id.0)
+                .ok_or(ServerError::UnknownSession(id))?;
+            let enrolled = match sess.state {
+                SessionState::Enrolled { .. } => true,
+                SessionState::Dedicated => false,
+                _ => return Err(ServerError::InvalidState { operation: "vcr" }),
+            };
+            (sess.movie_idx, sess.lease.is_some(), enrolled)
+        };
+        let idx = id.0.index();
+        // FF/RW with viewing need a dedicated stream for phase 1.
+        let needs_lease = matches!(kind, VcrKind::FastForward | VcrKind::Rewind);
+        let new_lease = if needs_lease && !has_lease {
+            // Starvation policy: while degraded sessions wait for streams
+            // or failed streams shrink the pool, new phase-1 grants are
+            // refused outright — playback (and recovery) has priority
+            // over fresh VCR service. Unreachable without injected
+            // faults, so fault-free denial behavior is unchanged.
+            if self.core.fault_mode && (self.core.degraded_count > 0 || self.core.disk.failed() > 0)
+            {
+                self.core.metrics.runtime.vcr_denied += 1;
+                self.core.metrics.vcr_denied_degraded += 1;
+                self.core.reserve.record_denials(1, false);
+                return Err(ServerError::VcrDenied);
+            }
+            match self.core.try_lease() {
+                Some(lease) => Some(lease),
+                None => {
+                    self.core.metrics.runtime.vcr_denied += 1;
+                    // Issue-time Erlang loss: the viewer stays in the
+                    // batch and never retries this request — permanent.
+                    self.core.reserve.record_denials(1, false);
+                    return Err(ServerError::VcrDenied);
+                }
+            }
+        } else {
+            None
+        };
+        let length = self.core.config.movies[movie_idx].geometry.length;
+        // Leave the partition, if enrolled: the position below is current
+        // from here on, and the finish wake-up goes stale.
+        if enrolled {
+            self.leave_cohort(idx);
+            self.wheel_stale += 1;
+        }
+        let sess = self.sessions.live_at_mut(idx);
+        if let Some(lease) = new_lease {
+            sess.lease = Some(lease);
+        }
+        // A paused viewer consumes nothing: release any dedicated stream.
+        if matches!(kind, VcrKind::Pause) {
+            if let Some(lease) = sess.lease.take() {
+                self.core.release_lease(lease);
+            }
+        }
+        let position = sess.position;
+        if matches!(kind, VcrKind::Rewind) && magnitude >= position {
+            self.core.metrics.runtime.rw_truncated += 1;
+        }
+        let remaining = vod_runtime::truncate_sweep(kind, magnitude, position, length);
+        if matches!(kind, VcrKind::Pause) {
+            // A pause of `d` minutes shifts the viewing pattern by `d`:
+            // the session skips the next `d` ticks and resumes on the one
+            // after.
+            let until = self.core.now + u64::from(remaining);
+            sess.state = SessionState::Paused { until };
+            self.wakeups.schedule(until, idx as u32);
+        } else {
+            sess.state = SessionState::VcrActive { kind, remaining };
+            if enrolled {
+                // Sweeping works every minute: onto the active list, in
+                // index order, between two ticks.
+                if let Err(at) = self.active.binary_search(&(idx as u32)) {
+                    self.active.insert(at, idx as u32);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Status snapshot of a session.
+    fn session_status(&self, id: SessionId) -> Result<SessionStatus, ServerError> {
+        let sess = self
+            .sessions
+            .get(id.0)
+            .ok_or(ServerError::UnknownSession(id))?;
+        Ok(match &sess.state {
+            SessionState::Waiting { start_at } => SessionStatus::Waiting(*start_at),
+            SessionState::Enrolled { .. } => SessionStatus::Shared,
+            SessionState::Dedicated => SessionStatus::Dedicated,
+            SessionState::VcrActive { .. } | SessionState::Paused { .. } => SessionStatus::InVcr,
+            SessionState::Degraded(_) => SessionStatus::Degraded,
+            SessionState::Done => SessionStatus::Done,
+        })
+    }
+
+    /// Session playback position (next segment to consume).
+    fn session_position(&self, id: SessionId) -> Result<u32, ServerError> {
+        let sess = self
+            .sessions
+            .get(id.0)
+            .ok_or(ServerError::UnknownSession(id))?;
+        Ok(sess.position + self.owed(sess))
+    }
+
+    /// Advance one virtual minute.
+    fn tick(&mut self) {
+        let t = self.core.now;
+        apply_faults(self);
+        self.retire_streams();
+        self.start_due_streams(t);
+        self.advance_streams(t);
+        self.advance_sessions(t);
+        self.core.now = t + 1;
+    }
+
+    /// Check the server's conservation invariants and return a
+    /// human-readable description of every violation (empty when
+    /// healthy). The chaos harness calls this after every tick. The
+    /// audit is a pure read that recounts everything from scratch and
+    /// keeps nothing between calls, in time linear in the state it reads:
+    /// one pass over the session slots, two over the streams.
+    ///
+    /// Invariants: stream conservation (`in_use + free + failed ==
+    /// provisioned`, and every in-use stream is held by exactly one
+    /// lease); the VCR reserve's holds equal the session-held leases;
+    /// buffer accounting (partition capacities sum to the pool's `used`,
+    /// never overcommitted between ticks); every enrolled session's
+    /// (derived) position lies inside its stream's window, and each
+    /// stream's cohort table equals a recount of those positions; no
+    /// session slot is lost; the degraded population matches the states;
+    /// the wheel holds exactly the passive sessions' wake-ups.
+    fn check_invariants(&self) -> Vec<String> {
+        // Findings are gathered per pass, then reported in a fixed order:
+        // resources, streams, sessions, scheduler.
+        let wheel_mode = !self.reference_scan;
+        let mut session_leases = 0u32;
+        let mut degraded = 0u32;
+        let (mut waiting, mut paused, mut enrolled) = (0u64, 0u64, 0u64);
+        // The recount of every stream's cohort table, flattened: stream
+        // slot `i`'s offsets start at `first[i]`.
+        let mut first = Vec::with_capacity(self.streams.slot_count());
+        let mut offsets = 0usize;
+        for i in 0..self.streams.slot_count() {
+            first.push(offsets);
+            offsets += self.streams.at(i).map_or(0, |s| s.cohorts.len());
+        }
+        let mut readers = vec![0u32; offsets];
+        let mut session_faults = Vec::new();
+        let mut scheduler_faults = Vec::new();
+        let mut listed = self.active.iter().copied().peekable();
+        for idx in 0..self.sessions.slot_count() {
+            let Some(sess) = self.sessions.at(idx) else {
+                session_faults.push(format!("session slot {idx} lost (empty)"));
+                continue;
+            };
+            session_leases += u32::from(sess.lease.is_some());
+            // The active list covers exactly the sessions that work every
+            // minute (entries may linger for sessions that closed or
+            // paused since the last tick — they drop at the next rebuild
+            // — but a `Waiting` entry is always wrong).
+            while listed.peek().is_some_and(|&a| (a as usize) < idx) {
+                listed.next();
+            }
+            let on_list = listed.peek().is_some_and(|&a| a as usize == idx);
+            match sess.state {
+                SessionState::Waiting { .. } => {
+                    waiting += 1;
+                    if on_list && wheel_mode {
+                        scheduler_faults.push(format!("waiting session {idx} on the active list"));
+                    }
+                    continue;
+                }
+                SessionState::Paused { .. } => {
+                    paused += 1;
+                    continue;
+                }
+                SessionState::Done => continue,
+                SessionState::Enrolled { stream, .. } => {
+                    enrolled += 1;
+                    let slot = stream.0.index();
+                    match self.streams.get(stream.0) {
+                        Some(s) => {
+                            let head = s.next_read;
+                            let position = sess.position + sess.owed(head, self.accounted);
+                            let filled = s.partition.len() as u32;
+                            match head.checked_sub(position) {
+                                Some(lag) if lag <= filled => {
+                                    readers[first[slot] + lag as usize] += 1;
+                                }
+                                _ => session_faults.push(format!(
+                                    "session {idx} at {position} outside stream {slot}'s window \
+                                     [{}, {head}]",
+                                    head.saturating_sub(filled)
+                                )),
+                            }
+                        }
+                        None => session_faults
+                            .push(format!("session {idx} enrolled in dead stream {slot}")),
+                    }
+                    continue;
+                }
+                SessionState::Degraded(_) => degraded += 1,
+                SessionState::Dedicated | SessionState::VcrActive { .. } => {}
+            }
+            if !on_list && wheel_mode {
+                scheduler_faults.push(format!("actionable session {idx} missing from active list"));
+            }
+        }
+        let mut stream_leases = 0u32;
+        let mut partition_segments = 0usize;
+        let mut stream_faults = Vec::new();
+        for (sid, s) in self.streams.iter() {
+            stream_leases += u32::from(s.lease.is_some());
+            partition_segments += s.partition.capacity();
+            let i = sid.index();
+            let recount = &readers[first[i]..][..s.cohorts.len()];
+            let total: u32 = recount.iter().sum();
+            if total != s.enrolled {
+                stream_faults.push(format!(
+                    "enrollment drift on stream {i}: {total} readers vs enrolled {}",
+                    s.enrolled
+                ));
+            }
+            let tabled: u32 = s.cohorts.iter().sum();
+            if tabled != s.enrolled {
+                stream_faults.push(format!(
+                    "cohort drift on stream {i}: cohorts hold {tabled} readers vs enrolled {}",
+                    s.enrolled
+                ));
+            }
+            for (lag, (&found, &held)) in recount.iter().zip(s.cohorts.iter()).enumerate() {
+                if found != held {
+                    stream_faults.push(format!(
+                        "cohort drift on stream {i}: {found} readers {lag} behind the head vs \
+                         cohort of {held}"
+                    ));
+                }
+            }
+        }
+
+        let drift = self
+            .core
+            .resource_drift(stream_leases, session_leases, degraded);
+        let mut v = Vec::from_iter(drift.disk);
+        if let Some(in_use) = drift.leases {
+            v.push(format!(
+                "lease conservation broken: streams hold {stream_leases}, sessions hold \
+                 {session_leases}, disk says {in_use} in use"
+            ));
+        }
+        if let Some(in_use) = drift.reserve {
+            v.push(format!(
+                "reserve drift: sessions hold {session_leases} dedicated leases, reserve says \
+                 {in_use}"
+            ));
+        }
+        if partition_segments != self.pool.used() {
+            v.push(format!(
+                "buffer accounting broken: partitions total {partition_segments} segments, \
+                 pool says {} used",
+                self.pool.used()
+            ));
+        }
+        if self.pool.overcommitted() != 0 {
+            v.push(format!(
+                "buffer overcommitted between ticks: {} segments beyond budget",
+                self.pool.overcommitted()
+            ));
+        }
+        v.append(&mut stream_faults);
+        v.append(&mut session_faults);
+        if let Some(counter) = drift.population {
+            v.push(format!(
+                "degraded population drift: {degraded} sessions vs counter {counter}"
+            ));
+        }
+        // Coherence of the wheel-mode scheduler structures: the active
+        // list is strictly ascending and holds every session that works
+        // each minute, and the wheel holds one entry per passive session
+        // plus the known stale ones.
+        if wheel_mode {
+            if !self.active.windows(2).all(|w| w[0] < w[1]) {
+                v.push("active list not strictly ascending".to_string());
+            }
+            v.append(&mut scheduler_faults);
+            if waiting + paused + enrolled + self.wheel_stale != self.wakeups.len() as u64 {
+                v.push(format!(
+                    "wheel population drift: {waiting} waiting + {paused} paused + {enrolled} \
+                     enrolled + {} stale != {} scheduled",
+                    self.wheel_stale,
+                    self.wakeups.len()
+                ));
+            }
+        }
+        v
+    }
+
+    fn buffer_segments(&self) -> u64 {
+        self.core.config.buffer_budget as u64
+    }
+}
+
+impl FaultPolicy for VodServer {
+    /// Mirror a capacity loss into the VCR reserve at once: the dedicated
+    /// share shrinks before the playback pre-allocation does.
+    const RESERVE_FAILS_FIRST: bool = true;
+
+    fn leases_revoked(&mut self, revoked: &[u64]) -> u32 {
+        // A playback stream that lost its lease loses its partition too.
+        let dead: Vec<ArenaId> = self
+            .streams
+            .iter()
+            .filter(|(_, s)| s.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)))
+            .map(|(sid, _)| sid)
+            .collect();
+        let mut final_heads = vec![None; self.streams.slot_count()];
+        for &sid in &dead {
+            self.core.metrics.playback.add(self.core.now as f64, -1.0);
+            final_heads[sid.index()] = self.retire_stream(sid);
+        }
+        self.degrade_stranded(revoked, &final_heads);
+        dead.len() as u32
+    }
+
+    fn buffer_resized(&mut self, grow: bool, segments: usize) -> bool {
+        if grow {
+            self.pool.grow(segments);
+        } else {
+            self.pool.shrink(segments);
+            self.evict_partitions_to_fit();
+        }
+        true
     }
 }
 
@@ -2098,6 +1754,24 @@ impl VodServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl VodServer {
+        /// The audit's recount, for the cross-backend lease test:
+        /// `(stream leases, session-held leases, degraded sessions)`.
+        pub(crate) fn holders(&self) -> (u32, u32, u32) {
+            let streams = self
+                .streams
+                .iter()
+                .filter(|(_, s)| s.lease.is_some())
+                .count();
+            let live = || (0..self.sessions.slot_count()).filter_map(|i| self.sessions.at(i));
+            let held = live().filter(|s| s.lease.is_some()).count();
+            let degraded = live()
+                .filter(|s| matches!(s.state, SessionState::Degraded(_)))
+                .count();
+            (streams as u32, held as u32, degraded as u32)
+        }
+    }
 
     /// A healthy server at `now = 6` with one session of each kind:
     /// enrolled in stream 0, sweeping on a dedicated lease, and waiting
@@ -2185,7 +1859,7 @@ mod tests {
     #[test]
     fn audit_sees_disk_and_lease_drift() {
         let (mut s, [_, sweeping, _]) = busy();
-        s.disk.skew_failed(100);
+        s.core.disk.skew_failed(100);
         assert_eq!(
             s.check_invariants(),
             ["disk conservation broken: in_use 2 + free 0 + failed 100 != provisioned 62"]
@@ -2249,7 +1923,7 @@ mod tests {
             ]
         );
         let (mut s, _) = busy();
-        s.degraded_count += 1;
+        s.core.degraded_count += 1;
         assert_eq!(
             s.check_invariants(),
             ["degraded population drift: 0 sessions vs counter 1"]

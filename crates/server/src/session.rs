@@ -29,7 +29,7 @@
 //! a fault-free run never constructs it, so pre-fault behavior is
 //! bitwise unchanged.
 
-use vod_runtime::ArenaId;
+use vod_runtime::{ArenaId, RetryLedger};
 use vod_workload::VcrKind;
 
 /// Session identifier: a generational handle into the server's session
@@ -85,24 +85,12 @@ pub enum SessionState {
     },
     /// Lost its stream or partition to an injected fault; re-queued with
     /// bounded re-wait. Each tick the server first tries a free batch
-    /// rejoin (a live window covering the position), then — once past the
-    /// policy's re-wait bound — retries dedicated-stream acquisition with
-    /// exponential backoff until the retry timeout, after which the
-    /// session falls back to pure batch admission. Playback position is
+    /// rejoin (a live window covering the position), then follows the
+    /// retry ledger: past the policy's re-wait bound, dedicated-stream
+    /// attempts under exponential backoff until the retry timeout, after
+    /// which only batch admission remains. Playback position is
     /// preserved; the viewer is never dropped.
-    Degraded {
-        /// Tick at which degradation began.
-        since: u64,
-        /// Next tick a dedicated-stream retry is allowed.
-        next_retry: u64,
-        /// Current backoff in ticks (doubles per refusal, capped).
-        backoff: u64,
-        /// Dedicated-stream denials accumulated while degraded, awaiting
-        /// transient/permanent classification at recovery or timeout.
-        pending_denials: u64,
-        /// Retries stopped (timeout hit); only batch rejoin remains.
-        retries_exhausted: bool,
-    },
+    Degraded(RetryLedger),
     /// Finished (reached the end of the movie).
     Done,
 }

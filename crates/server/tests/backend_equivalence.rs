@@ -13,8 +13,8 @@ use vod_dist::kinds::Gamma;
 use vod_dist::rng::{exponential, seeded};
 use vod_runtime::{BackendKind, RuntimeMetrics};
 use vod_server::{
-    run_harness, run_harness_backend, HarnessConfig, HostedMovie, MovieId, ServerConfig, SessionId,
-    SessionStatus, VodServer,
+    run_harness, run_harness_backend, DeliveryBackend, HarnessConfig, HostedMovie, MovieId,
+    ServerConfig, SessionId, SessionStatus, VodServer,
 };
 use vod_workload::BehaviorModel;
 

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 use vod_dist::kinds::Gamma;
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
-    run_chaos, run_chaos_backend, run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig,
-    ServerError, SessionStatus, VodServer,
+    run_chaos, run_chaos_backend, run_harness, DeliveryBackend, HarnessConfig, HostedMovie,
+    MovieId, ServerConfig, ServerError, SessionStatus, VodServer,
 };
 use vod_workload::{BehaviorModel, VcrKind};
 

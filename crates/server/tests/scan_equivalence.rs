@@ -19,8 +19,8 @@ use vod_dist::kinds::Gamma;
 use vod_dist::rng::{exponential, seeded};
 use vod_runtime::{DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
-    run_chaos, run_chaos_reference, run_harness, run_harness_reference, HarnessConfig, HostedMovie,
-    MovieId, ServerConfig, SessionId, SessionStatus, VodServer,
+    run_chaos, run_chaos_reference, run_harness, run_harness_reference, DeliveryBackend,
+    HarnessConfig, HostedMovie, MovieId, ServerConfig, SessionId, SessionStatus, VodServer,
 };
 use vod_workload::{BehaviorModel, VcrKind};
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use vod_dist::kinds::Gamma;
 use vod_dist::rng::seeded;
-use vod_server::{HostedMovie, MovieId, ServerConfig, SessionId, VodServer};
+use vod_server::{DeliveryBackend, HostedMovie, MovieId, ServerConfig, SessionId, VodServer};
 use vod_workload::{generate_script, BehaviorModel, LoadAction, Poisson, Zipf};
 
 #[test]

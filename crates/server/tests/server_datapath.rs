@@ -5,7 +5,9 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use rand::RngCore;
 use vod_dist::rng::seeded;
-use vod_server::{HostedMovie, MovieId, ServerConfig, ServerError, SessionStatus, VodServer};
+use vod_server::{
+    DeliveryBackend, HostedMovie, MovieId, ServerConfig, ServerError, SessionStatus, VodServer,
+};
 use vod_workload::VcrKind;
 
 fn one_movie_server() -> VodServer {

@@ -9,7 +9,9 @@
 use rand::RngCore;
 use vod_prealloc::dist::rng::seeded;
 use vod_prealloc::model::{ModelOptions, VcrMix};
-use vod_prealloc::server::{config_from_plan, vcr_reserve_estimate, MovieId, VodServer};
+use vod_prealloc::server::{
+    config_from_plan, vcr_reserve_estimate, DeliveryBackend, MovieId, VodServer,
+};
 use vod_prealloc::sizing::{allocate_min_buffer, example1_movies, Budgets};
 use vod_prealloc::workload::VcrKind;
 
