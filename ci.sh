@@ -70,48 +70,51 @@ for seed in 42 2026; do
 done >"$scratch/SMOKE_DIGESTS.txt"
 cmp "$scratch/SMOKE_DIGESTS.txt" results/SMOKE_DIGESTS.txt
 
-# The three report bins below rewrite committed files in place; each must
-# regenerate byte for byte, so keep the committed bytes aside to compare.
-cp results/CROSS_VALIDATION.json results/CHAOS_REPORT.json results/FEDERATION_REPORT.json "$scratch/"
+# The four report bins below write to $scratch (`--out`); each must
+# regenerate its committed results/ file byte for byte.
 
 echo "== cross-validation: model vs sim vs server =="
 cargo test --release -q --test cross_validation
-cargo run --release -p vod-bench --bin cross_validate
-cmp results/CROSS_VALIDATION.json "$scratch/CROSS_VALIDATION.json"
+cargo run --release -p vod-bench --bin cross_validate -- --out "$scratch/CROSS_VALIDATION.json"
+cmp "$scratch/CROSS_VALIDATION.json" results/CROSS_VALIDATION.json
 
 echo "== chaos: 3-backend fault matrix (determinism + conservation, see DESIGN.md §10/§13) =="
-cargo run --release -p vod-bench --bin chaos
+cargo run --release -p vod-bench --bin chaos -- --out "$scratch/CHAOS_REPORT.json"
 # The bin exits non-zero on any violation; belt-and-braces the written
 # report too: schema v2, all 54 cells present, every backend clean, and
 # per-tick monotonicity/conservation recorded zero violations.
-grep -q '"schema": 2' results/CHAOS_REPORT.json
-grep -q '"ok": true' results/CHAOS_REPORT.json
-test "$(grep -c '"seed"' results/CHAOS_REPORT.json)" -eq 54
-test "$(grep -c '"backend": "pyramid_broadcast"' results/CHAOS_REPORT.json)" -eq 18
-test "$(grep -c '"backend": "dedicated_stream"' results/CHAOS_REPORT.json)" -eq 18
-test "$(grep -c '"violations": 0' results/CHAOS_REPORT.json)" -eq 54
-cmp results/CHAOS_REPORT.json "$scratch/CHAOS_REPORT.json"
+grep -q '"schema": 2' "$scratch/CHAOS_REPORT.json"
+grep -q '"ok": true' "$scratch/CHAOS_REPORT.json"
+test "$(grep -c '"seed"' "$scratch/CHAOS_REPORT.json")" -eq 54
+test "$(grep -c '"backend": "pyramid_broadcast"' "$scratch/CHAOS_REPORT.json")" -eq 18
+test "$(grep -c '"backend": "dedicated_stream"' "$scratch/CHAOS_REPORT.json")" -eq 18
+test "$(grep -c '"violations": 0' "$scratch/CHAOS_REPORT.json")" -eq 54
+cmp "$scratch/CHAOS_REPORT.json" results/CHAOS_REPORT.json
 
 echo "== federation: sharded-catalog chaos matrix (whole-shard outage failover, see DESIGN.md §15) =="
-cargo run --release -p vod-bench --bin federation
+cargo run --release -p vod-bench --bin federation -- --out "$scratch/FEDERATION_REPORT.json"
 # The bin exits non-zero on any violation or determinism break; verify
 # the written report too: schema v1, all 42 cells present, the 1-shard
 # empty-plan identity with run_harness held, and every cell's per-tick
 # conservation audit recorded zero violations.
-grep -q '"schema": 1' results/FEDERATION_REPORT.json
-grep -q '"ok": true' results/FEDERATION_REPORT.json
-grep -q '"identity_ok": true' results/FEDERATION_REPORT.json
-test "$(grep -c '"seed"' results/FEDERATION_REPORT.json)" -eq 42
-test "$(grep -c '"violations": 0' results/FEDERATION_REPORT.json)" -eq 42
-cmp results/FEDERATION_REPORT.json "$scratch/FEDERATION_REPORT.json"
+grep -q '"schema": 1' "$scratch/FEDERATION_REPORT.json"
+grep -q '"ok": true' "$scratch/FEDERATION_REPORT.json"
+grep -q '"identity_ok": true' "$scratch/FEDERATION_REPORT.json"
+test "$(grep -c '"seed"' "$scratch/FEDERATION_REPORT.json")" -eq 42
+test "$(grep -c '"violations": 0' "$scratch/FEDERATION_REPORT.json")" -eq 42
+cmp "$scratch/FEDERATION_REPORT.json" results/FEDERATION_REPORT.json
+
+echo "== backend_compare: all three DeliveryBackends over the full catalog × load grid (see DESIGN.md §12) =="
+# The bin exits non-zero on any violation or a cell with no startup waits.
+cargo run --release -p vod-bench --bin backend_compare -- --out "$scratch/BENCH_backend_compare.json"
+grep -q '"ok": true' "$scratch/BENCH_backend_compare.json"
+test "$(grep -c '"catalog"' "$scratch/BENCH_backend_compare.json")" -eq 36
+cmp "$scratch/BENCH_backend_compare.json" results/BENCH_backend_compare.json
 
 echo "== scale: wheel+arena engine smoke (downscaled; the headline results/BENCH_scale.json is --sessions 1000000 --ticks 40) =="
 cargo run --release -p vod-bench --bin scale -- --sessions 50000 --ticks 120 --out "$scratch/BENCH_scale.json"
 echo "== scale --plan storm: all three backends under the pool-scaled fault plan, audit after every tick (the headline results/BENCH_scale_storm.json is --sessions 100000 --ticks 120) =="
 # The bin asserts zero violations and zero verify failures itself.
 cargo run --release -p vod-bench --bin scale -- --plan storm --sessions 20000 --ticks 120 --out "$scratch/BENCH_scale_storm.json"
-
-echo "== backend_compare: all three DeliveryBackends, reduced grid (see DESIGN.md §12) =="
-cargo run --release -p vod-bench --bin backend_compare -- --smoke
 
 echo "CI OK"

@@ -9,67 +9,39 @@
 //! at the paper's Example 2 prices (φ ≈ 10.7), the resume hit
 //! probability `P(hit)`, and the mean startup wait. Identical seeds per
 //! cell make the columns directly comparable. Writes
-//! `results/BENCH_backend_compare.json`; `--smoke` runs a reduced grid
-//! with hard assertions and writes nothing (CI gate).
+//! `results/BENCH_backend_compare.json` (the whole grid takes well under
+//! a second, so the CI gate regenerates it and `cmp`s the bytes); exits
+//! non-zero on any invariant violation.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin backend_compare [-- --smoke]
+//! cargo run --release -p vod-bench --bin backend_compare [-- --out PATH]
 //! ```
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
+use vod_bench::report::{exit_code, fig7d_behavior, out_path, write_report};
 use vod_bench::table::{num, Table};
-use vod_dist::kinds::Gamma;
-use vod_runtime::BackendKind;
+use vod_runtime::{json_string_array, BackendKind, DegradePolicy, FaultPlan};
 use vod_server::{
-    run_harness_backend, BackendRun, HarnessConfig, HostedMovie, MovieId, ServerConfig,
+    run_backend, BackendRun, HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload,
 };
 use vod_sizing::HardwareSpec;
-use vod_workload::BehaviorModel;
 
 const MOVIE_LEN: u32 = 120;
 const STREAMS_PER_MOVIE: u32 = 20;
 const BUFFER_PER_MOVIE: f64 = 100.0;
 const VCR_RESERVE: u32 = 40;
-
-struct Grid {
-    catalogs: Vec<u32>,
-    interarrivals: Vec<f64>,
-    seeds: Vec<u64>,
-    warmup: u64,
-    measure: u64,
-}
-
-fn grid(smoke: bool) -> Grid {
-    if smoke {
-        Grid {
-            catalogs: vec![1],
-            interarrivals: vec![2.0],
-            seeds: vec![11],
-            warmup: 120,
-            measure: 360,
-        }
-    } else {
-        Grid {
-            catalogs: vec![1, 3],
-            interarrivals: vec![4.0, 2.0, 1.0],
-            seeds: vec![11, 2026],
-            warmup: 240,
-            measure: 1200,
-        }
-    }
-}
-
-fn behavior() -> BehaviorModel {
-    BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7()))
-}
+const CATALOGS: [u32; 2] = [1, 3];
+const INTERARRIVALS: [f64; 3] = [4.0, 2.0, 1.0];
+const SEEDS: [u64; 2] = [11, 2026];
+const WARMUP: u64 = 240;
+const MEASURE: u64 = 1200;
 
 /// The shared provisioning for a `catalog`-movie cell: every movie gets
 /// the harness geometry `(l = 120, n = 20, B = 100)`, one pool, one VCR
 /// reserve. `make_backend` re-derives each scheme's own envelope from
 /// this config, holding the catalog and wait promise fixed.
-fn harness_config(catalog: u32, interarrival: f64, g: &Grid) -> HarnessConfig {
+fn harness_config(catalog: u32, interarrival: f64) -> HarnessConfig {
     let movies: Vec<HostedMovie> = (0..catalog)
         .map(|m| {
             HostedMovie::from_allocation(MovieId(m), MOVIE_LEN, STREAMS_PER_MOVIE, BUFFER_PER_MOVIE)
@@ -80,12 +52,13 @@ fn harness_config(catalog: u32, interarrival: f64, g: &Grid) -> HarnessConfig {
             piggyback: None,
             ..ServerConfig::provisioned(movies, VCR_RESERVE)
         },
-        movie: MovieId(0),
-        extra_movies: (1..catalog).map(MovieId).collect(),
-        behavior: behavior(),
-        mean_interarrival: interarrival,
-        warmup: g.warmup,
-        measure: g.measure,
+        workload: Workload {
+            behavior: fig7d_behavior(),
+            mean_interarrival: interarrival,
+            warmup: WARMUP,
+            measure: MEASURE,
+            movies: (0..catalog).map(MovieId).collect(),
+        },
     }
 }
 
@@ -111,32 +84,23 @@ fn json_cell(catalog: u32, interarrival: f64, seed: u64, run: &BackendRun, cost:
 }
 
 fn main() -> ExitCode {
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            other => {
-                eprintln!("backend_compare: unknown argument `{other}` (expected --smoke)");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let g = grid(smoke);
+    let report_path = out_path("backend_compare", "results/BENCH_backend_compare.json");
     let prices = HardwareSpec::paper_example2()
         .resource_cost()
         .expect("paper prices are valid");
-    let mut failures: Vec<String> = Vec::new();
+    let mut failures = Vec::new();
     let mut cells: Vec<String> = Vec::new();
     let mut t = Table::new(vec![
         "catalog", "1/λ", "seed", "backend", "Σn", "ΣB", "cost $", "P(hit)", "wait μ", "opened",
         "done", "violat.",
     ]);
-    for &catalog in &g.catalogs {
-        for &interarrival in &g.interarrivals {
-            let cfg = harness_config(catalog, interarrival, &g);
-            for &seed in &g.seeds {
+    for catalog in CATALOGS {
+        for interarrival in INTERARRIVALS {
+            let cfg = harness_config(catalog, interarrival);
+            for seed in SEEDS {
                 for backend in BackendKind::ALL {
-                    let run = run_harness_backend(&cfg, backend, seed);
+                    let plan = FaultPlan::empty();
+                    let run = run_backend(&cfg, backend, seed, &plan, DegradePolicy::default());
                     let cost = prices.total(run.buffer_segments as f64, run.io_streams);
                     if run.outcome.violation_count > 0 {
                         failures.push(format!(
@@ -173,48 +137,22 @@ fn main() -> ExitCode {
     }
     println!(
         "# Backend comparison (l = {MOVIE_LEN}, n = {STREAMS_PER_MOVIE}, B = {BUFFER_PER_MOVIE} \
-         per movie, reserve {VCR_RESERVE}, φ = {:.2}, warmup {}, measure {}{})",
+         per movie, reserve {VCR_RESERVE}, φ = {:.2}, warmup {WARMUP}, measure {MEASURE})",
         prices.phi(),
-        g.warmup,
-        g.measure,
-        if smoke { ", SMOKE" } else { "" }
     );
     print!("{}", t.render());
     println!(
         "(cost = C_n(φ·ΣB + Σn) at Example 2 prices; wait μ = mean minutes from open to \
-         scheduled start; pyramid's client-side buffer is not priced)"
+         scheduled start; pyramid's client-side buffer is not priced)\n"
     );
 
-    let ok = failures.is_empty();
-    if smoke {
-        // CI gate: assert, print, and leave the canonical JSON alone.
-        if !ok {
-            for f in &failures {
-                eprintln!("BACKEND_COMPARE FAILURE: {f}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("smoke sweep passed (canonical JSON untouched)");
-        return ExitCode::SUCCESS;
-    }
     let json = format!(
-        "{{\n  \"ok\": {ok},\n  \"phi\": {:.6},\n  \"failures\": [{}],\n  \"cells\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"ok\": {},\n  \"phi\": {:.6},\n  \"failures\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
+        failures.is_empty(),
         prices.phi(),
-        failures
-            .iter()
-            .map(|f| format!("\"{}\"", f.replace('"', "'")))
-            .collect::<Vec<_>>()
-            .join(", "),
+        json_string_array(&failures),
         cells.join(",\n")
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/BENCH_backend_compare.json", json).expect("write json");
-    println!("\nwrote results/BENCH_backend_compare.json");
-    if !ok {
-        for f in &failures {
-            eprintln!("BACKEND_COMPARE FAILURE: {f}");
-        }
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    write_report("backend_compare", &report_path, &json);
+    exit_code("BACKEND_COMPARE", &failures)
 }

@@ -1,19 +1,18 @@
 //! Chaos matrix (schema v2): drive **all three delivery backends**
-//! through a seed × fault-plan grid — the incumbent batching server via
-//! [`vod_server::run_chaos`], pyramid broadcast and dedicated unicast
-//! via [`vod_server::run_chaos_backend`] — checking after **every
-//! tick** that
+//! through a seed × fault-plan grid via [`vod_server::run_backend`],
+//! checking after **every tick** that
 //!
 //! * no session is lost or double-counted,
 //! * streams are conserved (`in_use + free + failed == provisioned`,
 //!   plus each backend's own audits: channel-wheel phase and reception
 //!   fronts for pyramid, reserve/queue conservation for dedicated),
-//! * cumulative metrics never move backwards,
+//! * cumulative metrics never move backwards, and
 //! * identical `(seed, plan, backend)` inputs reproduce
-//!   bitwise-identical outcomes, and
-//! * the empty plan reproduces the plain harness exactly **per
-//!   backend** (graceful degradation must cost nothing when nothing
-//!   fails).
+//!   bitwise-identical outcomes.
+//!
+//! (That arming the empty plan costs nothing — the `baseline` cells are
+//! the never-armed harness — is pinned per backend by the
+//! `chaos_faults` and `backend_equivalence` suites.)
 //!
 //! Each plan also runs through the continuous-time simulator's fault
 //! mirror under the same backend so the hit-ratio impact is visible on
@@ -21,22 +20,19 @@
 //! 3 backends = 54 cells); exits non-zero on any violation.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin chaos
+//! cargo run --release -p vod-bench --bin chaos [-- --out PATH]
 //! ```
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
+use vod_bench::report::{chaos_cell_server, exit_code, fig7d_behavior, out_path, write_report};
 use vod_bench::table::{num, Table};
-use vod_dist::kinds::Gamma;
 use vod_model::{Rates, SystemParams};
-use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
-use vod_server::{
-    run_chaos, run_chaos_backend, run_harness, run_harness_backend, ChaosOutcome, HarnessConfig,
-    HostedMovie, MovieId, ServerConfig,
+use vod_runtime::{
+    json_string_array, BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan,
 };
+use vod_server::{run_backend, BackendRun, HarnessConfig, MovieId, Workload};
 use vod_sim::{run_seeded, SimConfig};
-use vod_workload::BehaviorModel;
 
 const MOVIE_LEN: f64 = 120.0;
 const STREAMS: u32 = 20;
@@ -44,26 +40,16 @@ const WARMUP: u64 = 240;
 const MEASURE: u64 = 1200;
 const SEEDS: [u64; 3] = [11, 2026, 77_777];
 
-fn behavior() -> BehaviorModel {
-    BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7()))
-}
-
 fn harness_config() -> HarnessConfig {
-    let params = SystemParams::from_wait(MOVIE_LEN, 1.0, STREAMS, Rates::paper())
-        .expect("valid configuration");
-    let movie =
-        HostedMovie::from_allocation(MovieId(0), MOVIE_LEN as u32, STREAMS, params.buffer());
     HarnessConfig {
-        server: ServerConfig {
-            piggyback: None,
-            ..ServerConfig::provisioned(vec![movie], 40)
+        server: chaos_cell_server(),
+        workload: Workload {
+            behavior: fig7d_behavior(),
+            mean_interarrival: 2.0,
+            warmup: WARMUP,
+            measure: MEASURE,
+            movies: vec![MovieId(0)],
         },
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: behavior(),
-        mean_interarrival: 2.0,
-        warmup: WARMUP,
-        measure: MEASURE,
     }
 }
 
@@ -121,7 +107,7 @@ fn plans() -> Vec<(&'static str, FaultPlan)> {
 fn sim_hit_ratio(plan: &FaultPlan, seed: u64, backend: BackendKind) -> f64 {
     let params = SystemParams::from_wait(MOVIE_LEN, 1.0, STREAMS, Rates::paper())
         .expect("valid configuration");
-    let mut cfg = SimConfig::new(params, behavior());
+    let mut cfg = SimConfig::new(params, fig7d_behavior());
     cfg.horizon = (WARMUP + MEASURE) as f64;
     cfg.warmup = WARMUP as f64;
     cfg.faults = plan.clone();
@@ -129,54 +115,23 @@ fn sim_hit_ratio(plan: &FaultPlan, seed: u64, backend: BackendKind) -> f64 {
     run_seeded(&cfg, seed).runtime.hit_ratio()
 }
 
-fn json_case(seed: u64, name: &str, plan: &FaultPlan, out: &ChaosOutcome, sim_hit: f64) -> String {
-    let violations: Vec<String> = out
-        .violations
-        .iter()
-        .map(|v| format!("\"{}\"", v.replace('"', "'")))
-        .collect();
+/// One report cell. The incumbent's cells keep the v1 shape — no
+/// `"backend"` key — so they stay byte-identical across reports; the
+/// other backends' cells carry the discriminator.
+fn json_case(seed: u64, name: &str, plan: &FaultPlan, run: &BackendRun, sim_hit: f64) -> String {
+    let backend = match run.kind {
+        BackendKind::BatchingBuffering => String::new(),
+        kind => format!("\"backend\": \"{}\", ", kind.name()),
+    };
+    let out = &run.outcome;
     format!(
-        "    {{\"seed\": {seed}, \"plan\": \"{name}\", \"plan_events\": {}, \
-         \"violations\": {}, \"violation_details\": [{}], \
+        "    {{\"seed\": {seed}, {backend}\"plan\": \"{name}\", \"plan_events\": {}, \
+         \"violations\": {}, \"violation_details\": {}, \
          \"sessions_opened\": {}, \"sessions_done\": {}, \"degraded_at_end\": {}, \
          \"sim_hit_ratio\": {:.6}, \"metrics\": {}}}",
         plan.to_json(),
         out.violation_count,
-        violations.join(", "),
-        out.sessions_opened,
-        out.sessions_done,
-        out.degraded_at_end,
-        sim_hit,
-        out.metrics.to_json(),
-    )
-}
-
-/// Schema-v2 cell for the non-incumbent backends: [`json_case`] plus a
-/// `"backend"` discriminator. The incumbent's cells keep the v1 shape
-/// (no `backend` key) so they stay byte-identical across reports.
-fn json_case_backend(
-    seed: u64,
-    backend: BackendKind,
-    name: &str,
-    plan: &FaultPlan,
-    out: &ChaosOutcome,
-    sim_hit: f64,
-) -> String {
-    let violations: Vec<String> = out
-        .violations
-        .iter()
-        .map(|v| format!("\"{}\"", v.replace('"', "'")))
-        .collect();
-    format!(
-        "    {{\"seed\": {seed}, \"backend\": \"{}\", \"plan\": \"{name}\", \
-         \"plan_events\": {}, \
-         \"violations\": {}, \"violation_details\": [{}], \
-         \"sessions_opened\": {}, \"sessions_done\": {}, \"degraded_at_end\": {}, \
-         \"sim_hit_ratio\": {:.6}, \"metrics\": {}}}",
-        backend.name(),
-        plan.to_json(),
-        out.violation_count,
-        violations.join(", "),
+        json_string_array(&out.violations),
         out.sessions_opened,
         out.sessions_done,
         out.degraded_at_end,
@@ -186,9 +141,10 @@ fn json_case_backend(
 }
 
 fn main() -> ExitCode {
+    let report_path = out_path("chaos", "results/CHAOS_REPORT.json");
     let cfg = harness_config();
     let policy = DegradePolicy::default();
-    let mut failures: Vec<String> = Vec::new();
+    let mut failures = Vec::new();
     let mut json_cases = Vec::new();
     let mut t = Table::new(vec![
         "seed",
@@ -205,70 +161,18 @@ fn main() -> ExitCode {
         "sim hit",
     ]);
     for seed in SEEDS {
-        // Incumbent batching/buffering leg: untouched v1 cells, pinned
-        // byte-identical across reports.
-        let fault_free = run_harness(&cfg, seed);
-        for (name, plan) in plans() {
-            let out = run_chaos(&cfg, seed, &plan, policy);
-            let again = run_chaos(&cfg, seed, &plan, policy);
-            if out != again {
-                failures.push(format!(
-                    "seed {seed} plan {name}: outcome not bitwise deterministic"
-                ));
-            }
-            if plan.is_empty() && out.metrics != fault_free {
-                failures.push(format!(
-                    "seed {seed} plan {name}: empty plan diverged from run_harness"
-                ));
-            }
-            if out.violation_count > 0 {
-                failures.push(format!(
-                    "seed {seed} plan {name}: {} invariant violation(s), first: {}",
-                    out.violation_count,
-                    out.violations.first().map_or("?", |v| v.as_str()),
-                ));
-            }
-            let sim_hit = sim_hit_ratio(&plan, seed, BackendKind::BatchingBuffering);
-            t.row(vec![
-                seed.to_string(),
-                "batching".to_string(),
-                name.to_string(),
-                out.metrics.faults_injected.to_string(),
-                out.violation_count.to_string(),
-                out.metrics.degraded_entries.to_string(),
-                out.metrics.degraded_rejoined.to_string(),
-                out.metrics.degraded_dedicated.to_string(),
-                out.metrics.denied_transient.to_string(),
-                out.metrics.denied_permanent.to_string(),
-                num(out.metrics.hit_ratio(), 3),
-                num(sim_hit, 3),
-            ]);
-            json_cases.push(json_case(seed, name, &plan, &out, sim_hit));
-        }
-        // Alternative backends: same grid through the backend-generic
-        // harness, with each backend's own invariant audits on.
-        for kind in [BackendKind::PyramidBroadcast, BackendKind::DedicatedStream] {
-            let bname = kind.name();
-            let fault_free = run_harness_backend(&cfg, kind, seed);
+        for kind in BackendKind::ALL {
             for (name, plan) in plans() {
-                let run = run_chaos_backend(&cfg, kind, seed, &plan, policy);
-                let again = run_chaos_backend(&cfg, kind, seed, &plan, policy);
-                if run != again {
+                let run = run_backend(&cfg, kind, seed, &plan, policy);
+                if run != run_backend(&cfg, kind, seed, &plan, policy) {
                     failures.push(format!(
-                        "seed {seed} backend {bname} plan {name}: \
-                         outcome not bitwise deterministic"
-                    ));
-                }
-                if plan.is_empty() && run != fault_free {
-                    failures.push(format!(
-                        "seed {seed} backend {bname} plan {name}: \
-                         empty plan diverged from the plain harness"
+                        "seed {seed} backend {kind} plan {name}: outcome not bitwise deterministic"
                     ));
                 }
                 let out = &run.outcome;
                 if out.violation_count > 0 {
                     failures.push(format!(
-                        "seed {seed} backend {bname} plan {name}: \
+                        "seed {seed} backend {kind} plan {name}: \
                          {} invariant violation(s), first: {}",
                         out.violation_count,
                         out.violations.first().map_or("?", |v| v.as_str()),
@@ -277,10 +181,7 @@ fn main() -> ExitCode {
                 let sim_hit = sim_hit_ratio(&plan, seed, kind);
                 t.row(vec![
                     seed.to_string(),
-                    match kind {
-                        BackendKind::PyramidBroadcast => "pyramid".to_string(),
-                        _ => "dedicated".to_string(),
-                    },
+                    kind.to_string(),
                     name.to_string(),
                     out.metrics.faults_injected.to_string(),
                     out.violation_count.to_string(),
@@ -292,7 +193,7 @@ fn main() -> ExitCode {
                     num(out.metrics.hit_ratio(), 3),
                     num(sim_hit, 3),
                 ]);
-                json_cases.push(json_case_backend(seed, kind, name, &plan, out, sim_hit));
+                json_cases.push(json_case(seed, name, &plan, &run, sim_hit));
             }
         }
     }
@@ -301,27 +202,17 @@ fn main() -> ExitCode {
          3 backends, warmup {WARMUP}, measure {MEASURE})"
     );
     print!("{}", t.render());
-    println!("(faults counted in the measured window; srv/sim hit = resume hit ratio)");
+    println!("(faults counted in the measured window; srv/sim hit = resume hit ratio)\n");
 
-    let ok = failures.is_empty();
     let json = format!(
-        "{{\n  \"schema\": 2,\n  \"ok\": {ok},\n  \"failures\": [{}],\n  \"cases\": [\n{}\n  ]\n}}\n",
-        failures
-            .iter()
-            .map(|f| format!("\"{}\"", f.replace('"', "'")))
-            .collect::<Vec<_>>()
-            .join(", "),
+        "{{\n  \"schema\": 2,\n  \"ok\": {},\n  \"failures\": {},\n  \"cases\": [\n{}\n  ]\n}}\n",
+        failures.is_empty(),
+        json_string_array(&failures),
         json_cases.join(",\n")
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/CHAOS_REPORT.json", json).expect("write json");
-    println!("\nwrote results/CHAOS_REPORT.json");
-    if !ok {
-        for f in &failures {
-            eprintln!("CHAOS FAILURE: {f}");
-        }
-        return ExitCode::FAILURE;
+    write_report("chaos", &report_path, &json);
+    if failures.is_empty() {
+        println!("all chaos invariants held");
     }
-    println!("all chaos invariants held");
-    ExitCode::SUCCESS
+    exit_code("CHAOS", &failures)
 }

@@ -11,17 +11,15 @@
 //! vocabulary, so the JSON objects are field-for-field comparable.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin cross_validate
+//! cargo run --release -p vod-bench --bin cross_validate [-- --out PATH]
 //! ```
 
-use std::sync::Arc;
-
+use vod_bench::report::{fig7d_behavior, out_path, write_report};
 use vod_bench::table::{num, Table};
 use vod_dist::kinds::Gamma;
 use vod_model::{p_hit_single_dist, ModelOptions, Rates, SystemParams, VcrMix};
-use vod_server::{HarnessConfig, HostedMovie, MovieId, ServerConfig};
+use vod_server::{HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload};
 use vod_sim::{run_seeded, SimConfig};
-use vod_workload::BehaviorModel;
 
 /// One validated configuration: Figure 7(d)'s mixed workload along the
 /// `w = 1` column.
@@ -33,11 +31,8 @@ struct Case {
 const MOVIE_LEN: f64 = 120.0;
 const SEED: u64 = 2026;
 
-fn behavior() -> BehaviorModel {
-    BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7()))
-}
-
 fn main() {
+    let report_path = out_path("cross_validate", "results/CROSS_VALIDATION.json");
     let cases = [
         Case { n: 20, wait: 1.0 },
         Case { n: 40, wait: 1.0 },
@@ -65,7 +60,7 @@ fn main() {
         )
         .total;
 
-        let mut sim_cfg = SimConfig::new(params, behavior());
+        let mut sim_cfg = SimConfig::new(params, fig7d_behavior());
         sim_cfg.horizon = 40.0 * MOVIE_LEN;
         sim_cfg.warmup = 2.0 * MOVIE_LEN;
         let sim = run_seeded(&sim_cfg, SEED);
@@ -77,12 +72,13 @@ fn main() {
                 piggyback: None,
                 ..ServerConfig::provisioned(vec![movie], 80)
             },
-            movie: MovieId(0),
-            extra_movies: vec![],
-            behavior: behavior(),
-            mean_interarrival: sim_cfg.mean_interarrival,
-            warmup: sim_cfg.warmup as u64,
-            measure: (sim_cfg.horizon - sim_cfg.warmup) as u64,
+            workload: Workload {
+                behavior: fig7d_behavior(),
+                mean_interarrival: sim_cfg.mean_interarrival,
+                warmup: sim_cfg.warmup as u64,
+                measure: (sim_cfg.horizon - sim_cfg.warmup) as u64,
+                movies: vec![MovieId(0)],
+            },
         };
         let server = vod_server::run_harness(&harness, SEED);
 
@@ -111,13 +107,11 @@ fn main() {
     }
     println!("# Three-way cross-validation (l = 120, w = 1, mix 0.2/0.2/0.6, seed {SEED})");
     print!("{}", t.render());
-    println!("(model: continuous time; sim: continuous time, one seed; server: integer ticks)");
+    println!("(model: continuous time; sim: continuous time, one seed; server: integer ticks)\n");
 
     let json = format!(
         "{{\n  \"seed\": {SEED},\n  \"cases\": [\n{}\n  ]\n}}\n",
         json_cases.join(",\n")
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/CROSS_VALIDATION.json", json).expect("write json");
-    println!("\nwrote results/CROSS_VALIDATION.json");
+    write_report("cross_validate", &report_path, &json);
 }

@@ -18,54 +18,37 @@
 //! any violation.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin federation
+//! cargo run --release -p vod-bench --bin federation [-- --out PATH]
 //! ```
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
+use vod_bench::report::{chaos_cell_server, exit_code, fig7d_behavior, out_path, write_report};
 use vod_bench::table::Table;
-use vod_dist::kinds::Gamma;
 use vod_federation::{
     run_federation, FederationConfig, FederationHarnessConfig, FederationOutcome, ShardSpec,
     WorkloadShape,
 };
-use vod_model::{Rates, SystemParams};
-use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
-use vod_server::{run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig};
-use vod_workload::BehaviorModel;
+use vod_runtime::{
+    json_string_array, BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan,
+};
+use vod_server::{run_harness, HarnessConfig, MovieId, Workload};
 
-const MOVIE_LEN: f64 = 120.0;
 const STREAMS: u32 = 20;
 const WARMUP: u64 = 240;
 const MEASURE: u64 = 1200;
 const SEEDS: [u64; 3] = [11, 2026, 77_777];
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn behavior() -> BehaviorModel {
-    BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7()))
-}
-
-/// The same single-movie server the chaos matrix drives (so the
-/// identity leg compares against the established harness baseline).
-fn shard_server() -> ServerConfig {
-    let params = SystemParams::from_wait(MOVIE_LEN, 1.0, STREAMS, Rates::paper())
-        .expect("valid configuration");
-    let movie =
-        HostedMovie::from_allocation(MovieId(0), MOVIE_LEN as u32, STREAMS, params.buffer());
-    ServerConfig {
-        piggyback: None,
-        ..ServerConfig::provisioned(vec![movie], 40)
-    }
-}
-
-/// A federation of `shards` replicas of the single-movie shard server.
+/// A federation of `shards` replicas of the chaos matrix's single-movie
+/// server (so the identity leg compares against the established harness
+/// baseline).
 fn federation_config(shards: usize) -> FederationConfig {
     FederationConfig {
         shards: (0..shards)
             .map(|_| ShardSpec {
                 backend: BackendKind::BatchingBuffering,
-                server: shard_server(),
+                server: chaos_cell_server(),
             })
             .collect(),
         placement: vec![(0..shards).map(|s| (s, MovieId(0))).collect()],
@@ -73,15 +56,16 @@ fn federation_config(shards: usize) -> FederationConfig {
     }
 }
 
-fn workload_config(shape: WorkloadShape) -> FederationHarnessConfig {
-    FederationHarnessConfig {
-        movie: 0,
-        extra_movies: vec![],
-        behavior: behavior(),
+/// The one workload of the matrix, over movie handle `movie`: a global
+/// index for the federation, a `MovieId` for the plain-harness identity
+/// leg.
+fn workload<M>(movie: M) -> Workload<M> {
+    Workload {
+        behavior: fig7d_behavior(),
         mean_interarrival: 2.0,
         warmup: WARMUP,
         measure: MEASURE,
-        workload: shape,
+        movies: vec![movie],
     }
 }
 
@@ -151,99 +135,58 @@ fn shape_name(shape: WorkloadShape) -> &'static str {
     }
 }
 
-fn json_cell(
-    seed: u64,
-    shards: usize,
-    plan_name: &str,
-    shape: WorkloadShape,
-    plan: &FaultPlan,
-    out: &FederationOutcome,
-) -> String {
-    format!(
-        "    {{\"seed\": {seed}, \"shards\": {shards}, \"plan\": \"{plan_name}\", \
-         \"workload\": \"{}\", \"plan_events\": {}, \"violations\": {}, \
-         \"sessions_opened\": {}, \"sessions_denied\": {}, \"sessions_done\": {}, \
-         \"degraded_at_end\": {}, \"displaced_in_flight\": {}, \"federation\": {}}}",
-        shape_name(shape),
-        plan.to_json(),
-        out.violation_count,
-        out.sessions_opened,
-        out.sessions_denied_admission,
-        out.sessions_done,
-        out.degraded_at_end,
-        out.displaced_in_flight,
-        out.fed.to_json(),
-    )
+/// The matrix so far: verdict, JSON cells and the printed table.
+struct Report {
+    failures: Vec<String>,
+    cells: Vec<String>,
+    table: Table,
 }
 
-/// Run one cell twice (determinism pin) and collect its failures.
-fn run_cell(
-    seed: u64,
-    shards: usize,
-    plan_name: &str,
-    plan: &FaultPlan,
-    shape: WorkloadShape,
-    failures: &mut Vec<String>,
-) -> FederationOutcome {
-    let cfg = workload_config(shape);
-    let out = run_federation(federation_config(shards), plan, &cfg, seed);
-    let again = run_federation(federation_config(shards), plan, &cfg, seed);
-    let tag = format!(
-        "seed {seed} shards {shards} plan {plan_name} workload {}",
-        shape_name(shape)
-    );
-    if out != again {
-        failures.push(format!("{tag}: outcome not bitwise deterministic"));
-    }
-    if out.violation_count > 0 {
-        failures.push(format!(
-            "{tag}: {} invariant violation(s), first: {}",
-            out.violation_count,
-            out.violations.first().map_or("?", |v| v.as_str()),
-        ));
-    }
-    let resolved = out.fed.readmitted_cohort
-        + out.fed.readmitted_dedicated
-        + out.fed.denied_transient
-        + out.fed.denied_permanent;
-    if out.fed.displaced_total != resolved + out.displaced_in_flight {
-        failures.push(format!(
-            "{tag}: displaced ledger out of balance ({} displaced, {} resolved, {} in flight)",
-            out.fed.displaced_total, resolved, out.displaced_in_flight
-        ));
-    }
-    out
-}
-
-fn main() -> ExitCode {
-    let mut failures: Vec<String> = Vec::new();
-    let mut cells = Vec::new();
-    let mut identity_ok = true;
-    let mut t = Table::new(vec![
-        "seed",
-        "shards",
-        "plan",
-        "workload",
-        "violat.",
-        "opened",
-        "denied",
-        "displaced",
-        "cohort",
-        "dedic.",
-        "den.trans",
-        "den.perm",
-    ]);
-    let push_row = |t: &mut Table,
-                    seed: u64,
-                    shards: usize,
-                    plan_name: &str,
-                    shape: WorkloadShape,
-                    out: &FederationOutcome| {
-        t.row(vec![
+impl Report {
+    /// Run one cell twice (determinism pin), check its ledger, and record
+    /// its failures, table row and JSON cell.
+    fn cell(
+        &mut self,
+        seed: u64,
+        shards: usize,
+        plan_name: &str,
+        plan: &FaultPlan,
+        shape: WorkloadShape,
+    ) -> FederationOutcome {
+        let cfg = FederationHarnessConfig {
+            workload: workload(0),
+            shape,
+        };
+        let out = run_federation(federation_config(shards), plan, &cfg, seed);
+        let again = run_federation(federation_config(shards), plan, &cfg, seed);
+        let shape = shape_name(shape);
+        let tag = format!("seed {seed} shards {shards} plan {plan_name} workload {shape}");
+        if out != again {
+            self.failures
+                .push(format!("{tag}: outcome not bitwise deterministic"));
+        }
+        if out.violation_count > 0 {
+            self.failures.push(format!(
+                "{tag}: {} invariant violation(s), first: {}",
+                out.violation_count,
+                out.violations.first().map_or("?", |v| v.as_str()),
+            ));
+        }
+        let resolved = out.fed.readmitted_cohort
+            + out.fed.readmitted_dedicated
+            + out.fed.denied_transient
+            + out.fed.denied_permanent;
+        if out.fed.displaced_total != resolved + out.displaced_in_flight {
+            self.failures.push(format!(
+                "{tag}: displaced ledger out of balance ({} displaced, {} resolved, {} in flight)",
+                out.fed.displaced_total, resolved, out.displaced_in_flight
+            ));
+        }
+        self.table.row(vec![
             seed.to_string(),
             shards.to_string(),
             plan_name.to_string(),
-            shape_name(shape).to_string(),
+            shape.to_string(),
             out.violation_count.to_string(),
             out.sessions_opened.to_string(),
             out.sessions_denied_admission.to_string(),
@@ -253,56 +196,64 @@ fn main() -> ExitCode {
             out.fed.denied_transient.to_string(),
             out.fed.denied_permanent.to_string(),
         ]);
+        self.cells.push(format!(
+            "    {{\"seed\": {seed}, \"shards\": {shards}, \"plan\": \"{plan_name}\", \
+             \"workload\": \"{shape}\", \"plan_events\": {}, \"violations\": {}, \
+             \"sessions_opened\": {}, \"sessions_denied\": {}, \"sessions_done\": {}, \
+             \"degraded_at_end\": {}, \"displaced_in_flight\": {}, \"federation\": {}}}",
+            plan.to_json(),
+            out.violation_count,
+            out.sessions_opened,
+            out.sessions_denied_admission,
+            out.sessions_done,
+            out.degraded_at_end,
+            out.displaced_in_flight,
+            out.fed.to_json(),
+        ));
+        out
+    }
+}
+
+fn main() -> ExitCode {
+    let report_path = out_path("federation", "results/FEDERATION_REPORT.json");
+    let mut identity_ok = true;
+    let mut report = Report {
+        failures: Vec::new(),
+        cells: Vec::new(),
+        table: Table::new(vec![
+            "seed",
+            "shards",
+            "plan",
+            "workload",
+            "violat.",
+            "opened",
+            "denied",
+            "displaced",
+            "cohort",
+            "dedic.",
+            "den.trans",
+            "den.perm",
+        ]),
     };
     for seed in SEEDS {
         // Identity leg: the 1-shard empty-plan federation must be
         // bitwise-identical to the plain harness.
         let plain = HarnessConfig {
-            server: shard_server(),
-            movie: MovieId(0),
-            extra_movies: vec![],
-            behavior: behavior(),
-            mean_interarrival: 2.0,
-            warmup: WARMUP,
-            measure: MEASURE,
+            server: chaos_cell_server(),
+            workload: workload(MovieId(0)),
         };
         let reference = run_harness(&plain, seed);
         for shards in SHARD_COUNTS {
             for (plan_name, plan) in plans(shards) {
-                let out = run_cell(
-                    seed,
-                    shards,
-                    plan_name,
-                    &plan,
-                    WorkloadShape::RoundRobin,
-                    &mut failures,
-                );
-                if shards == 1 && plan.is_empty() {
-                    let matches = out.per_shard[0].as_ref() == Some(&reference)
-                        && out.sessions_denied_admission == 0;
-                    if !matches {
-                        identity_ok = false;
-                        failures.push(format!(
-                            "seed {seed}: 1-shard empty-plan federation diverged from run_harness"
-                        ));
-                    }
+                let out = report.cell(seed, shards, plan_name, &plan, WorkloadShape::RoundRobin);
+                let identical = out.per_shard[0].as_ref() == Some(&reference)
+                    && out.sessions_denied_admission == 0;
+                if shards == 1 && plan.is_empty() && !identical {
+                    identity_ok = false;
+                    report.failures.push(format!(
+                        "seed {seed}: 1-shard empty-plan federation diverged from run_harness"
+                    ));
                 }
-                push_row(
-                    &mut t,
-                    seed,
-                    shards,
-                    plan_name,
-                    WorkloadShape::RoundRobin,
-                    &out,
-                );
-                cells.push(json_cell(
-                    seed,
-                    shards,
-                    plan_name,
-                    WorkloadShape::RoundRobin,
-                    &plan,
-                    &out,
-                ));
             }
         }
         // Shaped-load cells: drifting Zipf popularity and a flash crowd
@@ -320,44 +271,32 @@ fn main() -> ExitCode {
                 movie: 0,
             },
         ] {
-            let out = run_cell(seed, 2, plan_name, plan, shape, &mut failures);
-            push_row(&mut t, seed, 2, plan_name, shape, &out);
-            cells.push(json_cell(seed, 2, plan_name, shape, plan, &out));
+            report.cell(seed, 2, plan_name, plan, shape);
         }
     }
     println!(
         "# Federation chaos matrix (l = 120, n = {STREAMS}, seeds {SEEDS:?}, \
          shards {SHARD_COUNTS:?}, warmup {WARMUP}, measure {MEASURE})"
     );
-    print!("{}", t.render());
+    print!("{}", report.table.render());
     println!(
         "(displaced/cohort/dedicated/denied are front-tier ledger counters \
-         over the measured window)"
+         over the measured window)\n"
     );
 
-    let ok = failures.is_empty();
+    let Report {
+        failures, cells, ..
+    } = report;
     let json = format!(
-        "{{\n  \"schema\": 1,\n  \"ok\": {ok},\n  \"identity_ok\": {identity_ok},\n  \
-         \"failures\": [{}],\n  \"cells\": [\n{}\n  ]\n}}\n",
-        failures
-            .iter()
-            .map(|f| format!("\"{}\"", f.replace('"', "'")))
-            .collect::<Vec<_>>()
-            .join(", "),
+        "{{\n  \"schema\": 1,\n  \"ok\": {},\n  \"identity_ok\": {identity_ok},\n  \
+         \"failures\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
+        failures.is_empty(),
+        json_string_array(&failures),
         cells.join(",\n")
     );
-    std::fs::create_dir_all("results").expect("results dir");
-    std::fs::write("results/FEDERATION_REPORT.json", json).expect("write json");
-    println!(
-        "\nwrote results/FEDERATION_REPORT.json ({} cells)",
-        cells.len()
-    );
-    if !ok {
-        for f in &failures {
-            eprintln!("FEDERATION FAILURE: {f}");
-        }
-        return ExitCode::FAILURE;
+    write_report("federation", &report_path, &json);
+    if failures.is_empty() {
+        println!("all federation invariants held ({} cells)", cells.len());
     }
-    println!("all federation invariants held");
-    ExitCode::SUCCESS
+    exit_code("FEDERATION", &failures)
 }

@@ -109,14 +109,7 @@ fn main() {
         )
     };
     let out_path = out_path.unwrap_or_else(|| default_out.to_string());
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| {
-        eprintln!("scale: cannot write {out_path}: {e}");
-        std::process::exit(1);
-    });
-    println!("wrote {out_path}");
+    vod_bench::report::write_report("scale", &out_path, &json);
 }
 
 /// The fault-free batching run behind `results/BENCH_scale.json`, with

@@ -11,9 +11,9 @@
 //! | `example2` | §5 Example 2: hardware-derived C_b, C_n, φ |
 //! | `ablations` | design-choice ablations from DESIGN.md |
 //!
-//! The library half hosts the data-generation routines so the binaries
-//! and the Criterion micro-benches share one implementation, and so the
-//! integration tests can assert on the numbers that the binaries print.
+//! The library half hosts the data-generation routines so the
+//! integration tests can assert on the numbers that the binaries print,
+//! and what the report-writing bins share ([`report`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,4 +26,5 @@ pub mod ex2;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod report;
 pub mod table;

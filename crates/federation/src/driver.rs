@@ -1,22 +1,20 @@
-//! Seeded federation workload driver.
-//!
-//! [`run_federation`] replicates the `vod-server` harness `drive` loop
-//! — same RNG construction, same arrival process, same interaction
-//! dispatch, same per-tick invariant checks — on top of a
-//! [`Federation`] instead of a single backend. With one shard, an empty
-//! fault plan, and the [`WorkloadShape::RoundRobin`] shape, the RNG
-//! consumption sequence is *identical* to `run_harness`, so shard 0's
-//! measured [`RuntimeMetrics`] are bitwise equal to the plain harness
-//! on the same config/seed (pinned by the `federation_identity` test
-//! and asserted again by the bench gate).
+//! Seeded federation workload: [`run_federation`] steps the one
+//! `vod-server` [`Driver`] — the harness's own arrival / interaction
+//! loop — against a [`Federation`] through its [`Target`] impl. With one
+//! shard, an empty fault plan and the [`WorkloadShape::RoundRobin`]
+//! shape, shard 0's measured [`RuntimeMetrics`] are therefore bitwise
+//! equal to the plain harness on the same workload/seed (pinned by the
+//! `federation_identity` test and asserted again by the bench gate).
+//! What is the federation's own stays here: the Zipf-drift and
+//! flash-crowd [`WorkloadShape`]s, handed to the driver as its
+//! [`ArrivalShape`] hook.
 
 use rand::RngCore;
-use vod_dist::rng::{exponential, seeded};
 use vod_runtime::{FaultPlan, FederationMetrics, RuntimeMetrics};
-use vod_workload::BehaviorModel;
+use vod_server::{ArrivalShape, Driver, SessionStatus, Target, Workload};
+use vod_workload::VcrKind;
 
 use crate::front::{FedSessionId, Federation, FederationConfig};
-use vod_server::SessionStatus;
 
 /// How arrivals pick movies (and how the arrival rate moves) over the
 /// run. [`RoundRobin`](WorkloadShape::RoundRobin) consumes no extra
@@ -50,26 +48,14 @@ pub enum WorkloadShape {
     },
 }
 
-/// Workload configuration for [`run_federation`] (the federation
-/// analogue of the harness config: same fields, global movie indices
-/// instead of `MovieId`s, plus a [`WorkloadShape`]).
+/// Workload configuration for [`run_federation`]: the harness
+/// [`Workload`] over global movie indices, plus its [`WorkloadShape`].
 #[derive(Clone)]
 pub struct FederationHarnessConfig {
-    /// Primary movie (global index) every arrival requests first.
-    pub movie: usize,
-    /// Further movies arrivals cycle through after
-    /// [`movie`](Self::movie); empty keeps a single-movie workload.
-    pub extra_movies: Vec<usize>,
-    /// Viewer interaction behavior (same model the harness consumes).
-    pub behavior: BehaviorModel,
-    /// Mean minutes between viewer arrivals (Poisson process).
-    pub mean_interarrival: f64,
-    /// Warm-up ticks excluded from measurement.
-    pub warmup: u64,
-    /// Measured ticks after warm-up.
-    pub measure: u64,
+    /// The seeded workload; `movies` are global catalog indices.
+    pub workload: Workload<usize>,
     /// Movie-selection / arrival-rate shape.
-    pub workload: WorkloadShape,
+    pub shape: WorkloadShape,
 }
 
 /// Result of one [`run_federation`] run.
@@ -97,40 +83,45 @@ pub struct FederationOutcome {
     pub ticks: u64,
 }
 
-/// Cap on stored violation strings (mirrors the harness cap).
-const MAX_VIOLATION_REPORTS: usize = 16;
-
-/// Pick the movie for arrival number `arrivals` at tick `minute`.
-fn select_movie(
-    cfg: &FederationHarnessConfig,
-    arrivals: u64,
-    minute: u64,
-    horizon: u64,
-    rng: &mut dyn RngCore,
-) -> usize {
-    let catalog_len = 1 + cfg.extra_movies.len();
-    let round_robin = |arrivals: u64| {
-        // Same arithmetic as the harness driver: slot 0 is the primary.
-        let slot = (arrivals % catalog_len as u64) as usize;
-        if slot == 0 {
-            cfg.movie
-        } else {
-            cfg.extra_movies[slot - 1]
+impl WorkloadShape {
+    /// Whether `minute` falls inside this shape's flash-crowd window.
+    fn crowd_at(&self, minute: u64) -> Option<(f64, usize)> {
+        match *self {
+            WorkloadShape::FlashCrowd {
+                at,
+                duration,
+                factor,
+                movie,
+            } if minute >= at && minute < at.saturating_add(duration) => Some((factor, movie)),
+            _ => None,
         }
-    };
-    match cfg.workload {
-        WorkloadShape::RoundRobin => round_robin(arrivals),
-        WorkloadShape::ZipfDrift {
+    }
+}
+
+impl ArrivalShape<usize> for WorkloadShape {
+    fn pick_movie(
+        &self,
+        workload: &Workload<usize>,
+        arrival: u64,
+        minute: u64,
+        rng: &mut dyn RngCore,
+    ) -> usize {
+        if let Some((_, movie)) = self.crowd_at(minute) {
+            return movie;
+        }
+        if let WorkloadShape::ZipfDrift {
             start_skew,
             end_skew,
-        } => {
+        } = *self
+        {
+            let horizon = workload.horizon();
             let frac = if horizon == 0 {
                 0.0
             } else {
                 minute as f64 / horizon as f64
             };
             let skew = start_skew + (end_skew - start_skew) * frac;
-            let weights: Vec<f64> = (0..catalog_len)
+            let weights: Vec<f64> = (0..workload.movies.len())
                 .map(|r| 1.0 / ((r + 1) as f64).powf(skew))
                 .collect();
             let total: f64 = weights.iter().sum();
@@ -139,42 +130,59 @@ fn select_movie(
             for (r, w) in weights.iter().enumerate() {
                 acc += w;
                 if u < acc {
-                    return if r == 0 {
-                        cfg.movie
-                    } else {
-                        cfg.extra_movies[r - 1]
-                    };
+                    return workload.movies[r];
                 }
             }
-            round_robin(arrivals)
         }
-        WorkloadShape::FlashCrowd {
-            at,
-            duration,
-            movie,
-            ..
-        } => {
-            if minute >= at && minute < at.saturating_add(duration) {
-                movie
-            } else {
-                round_robin(arrivals)
-            }
+        workload.round_robin(arrival)
+    }
+
+    fn mean_interarrival(&self, workload: &Workload<usize>, minute: u64) -> f64 {
+        match self.crowd_at(minute) {
+            Some((factor, _)) => workload.mean_interarrival / factor.max(1.0),
+            None => workload.mean_interarrival,
         }
     }
 }
 
-/// Effective mean interarrival at `minute` under the workload shape.
-fn effective_mean(cfg: &FederationHarnessConfig, minute: u64) -> f64 {
-    match cfg.workload {
-        WorkloadShape::FlashCrowd {
-            at,
-            duration,
-            factor,
-            ..
-        } if minute >= at && minute < at.saturating_add(duration) => {
-            cfg.mean_interarrival / factor.max(1.0)
+impl Target for Federation {
+    type Movie = usize;
+    type Id = FedSessionId;
+    type Counters = FederationMetrics;
+
+    fn open(&mut self, movie: usize) -> Option<FedSessionId> {
+        self.open_session(movie)
+    }
+
+    fn status(&mut self, id: FedSessionId) -> SessionStatus {
+        self.session_status(id)
+    }
+
+    fn vcr(&mut self, id: FedSessionId, kind: VcrKind, magnitude: u32) {
+        let _ = self.request_vcr(id, kind, magnitude);
+    }
+
+    fn tick(&mut self) {
+        Federation::tick(self);
+    }
+
+    fn reset_metrics(&mut self) {
+        Federation::reset_metrics(self);
+    }
+
+    fn audit(&mut self, last: &mut Option<FederationMetrics>) -> Vec<String> {
+        let mut found = self.check_invariants();
+        let now = self.federation_metrics();
+        if let Some(last) = last {
+            let backwards = last.monotone_violations(&now);
+            found.extend(
+                backwards
+                    .iter()
+                    .map(|field| format!("federation counter `{field}` went backwards")),
+            );
         }
-        _ => cfg.mean_interarrival,
+        *last = Some(now);
+        found
     }
 }
 
@@ -190,91 +198,17 @@ pub fn run_federation(
     seed: u64,
 ) -> FederationOutcome {
     let mut fed = Federation::new(config, plan.clone());
-    let mut rng = seeded(seed);
-    let mut next_arrival = exponential(&mut rng, cfg.mean_interarrival);
-    // (session, tick at which its next interaction is due)
-    let mut pending: Vec<(FedSessionId, u64)> = Vec::new();
-    let horizon = cfg.warmup + cfg.measure;
-    let mut arrivals: u64 = 0;
-    let mut sessions_opened: u64 = 0;
-    let mut sessions_denied_admission: u64 = 0;
-    let mut violation_count: u64 = 0;
-    let mut violations: Vec<String> = Vec::new();
-    let mut prev_fed: Option<FederationMetrics> = None;
-    for minute in 0..horizon {
-        if minute == cfg.warmup {
-            fed.reset_metrics();
-            prev_fed = None;
-        }
-        while next_arrival < (minute + 1) as f64 {
-            let movie = select_movie(cfg, arrivals, minute, horizon, &mut rng);
-            let opened = fed.open_session(movie);
-            arrivals += 1;
-            // The gap draw happens whether or not admission succeeded, so
-            // the RNG stream stays aligned with the plain harness.
-            let gap = cfg.behavior.next_interaction_gap(&mut rng);
-            match opened {
-                Some(id) => {
-                    sessions_opened += 1;
-                    pending.push((id, minute + (gap.ceil() as u64).max(1)));
-                }
-                None => sessions_denied_admission += 1,
-            }
-            next_arrival += exponential(&mut rng, effective_mean(cfg, minute));
-        }
-        let mut i = 0;
-        while i < pending.len() {
-            let (id, due) = pending[i];
-            if due > minute {
-                i += 1;
-                continue;
-            }
-            match fed.session_status(id) {
-                SessionStatus::Done => {
-                    pending.swap_remove(i);
-                    continue;
-                }
-                SessionStatus::Shared | SessionStatus::Dedicated => {
-                    let req = cfg.behavior.sample_request(&mut rng);
-                    let magnitude = (req.magnitude.round() as u32).max(1);
-                    let _ = fed.request_vcr(id, req.kind, magnitude);
-                    let gap = cfg.behavior.next_interaction_gap(&mut rng);
-                    pending[i].1 = minute + (gap.ceil() as u64).max(1);
-                }
-                SessionStatus::Waiting(_) | SessionStatus::InVcr | SessionStatus::Degraded => {
-                    pending[i].1 = minute + 1;
-                }
-            }
-            i += 1;
-        }
-        fed.tick();
-        let mut record = |what: String| {
-            violation_count += 1;
-            if violations.len() < MAX_VIOLATION_REPORTS {
-                violations.push(format!("t={minute}: {what}"));
-            }
-        };
-        for what in fed.check_invariants() {
-            record(what);
-        }
-        let fm = fed.federation_metrics();
-        if let Some(prev) = &prev_fed {
-            for field in prev.monotone_violations(&fm) {
-                record(format!("federation counter `{field}` went backwards"));
-            }
-        }
-        prev_fed = Some(fm);
-    }
+    let tally = Driver::new(&cfg.workload, &cfg.shape, seed).run(&mut fed);
     FederationOutcome {
         fed: fed.federation_metrics(),
         per_shard: fed.per_shard_metrics(),
-        violation_count,
-        violations,
-        sessions_opened,
-        sessions_denied_admission,
+        violation_count: tally.violation_count,
+        violations: tally.violations,
+        sessions_opened: tally.opened,
+        sessions_denied_admission: tally.refused,
         sessions_done: fed.sessions_finished(),
         degraded_at_end: fed.degraded_sessions(),
         displaced_in_flight: fed.displaced_in_flight(),
-        ticks: horizon,
+        ticks: cfg.workload.horizon(),
     }
 }

@@ -23,10 +23,11 @@
 //!   denial. Every displaced session ends in exactly one bucket;
 //!   [`Federation::check_invariants`] audits the balance each tick.
 //!
-//! The [`run_federation`] driver replicates the single-server harness
-//! loop bit-for-bit, so a one-shard federation with an empty plan is
-//! bitwise-identical to `run_harness` — the federation layer provably
-//! adds zero behavior until shards or faults are added.
+//! [`run_federation`] steps the single-server harness's own
+//! [`Driver`](vod_server::Driver) against the [`Federation`], so a
+//! one-shard federation with an empty plan is bitwise-identical to
+//! `run_harness` — the federation layer provably adds zero behavior
+//! until shards or faults are added.
 //!
 //! [`DegradePolicy`]: vod_runtime::DegradePolicy
 

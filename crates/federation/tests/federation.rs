@@ -12,7 +12,7 @@ use vod_federation::{
     ShardSpec, WorkloadShape,
 };
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
-use vod_server::{run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig};
+use vod_server::{run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload};
 use vod_workload::BehaviorModel;
 
 fn behavior() -> BehaviorModel {
@@ -53,13 +53,14 @@ fn replicated_config_with_reserve(shards: usize, vcr_reserve: u32) -> Federation
 
 fn harness_cfg(warmup: u64, measure: u64) -> FederationHarnessConfig {
     FederationHarnessConfig {
-        movie: 0,
-        extra_movies: vec![],
-        behavior: behavior(),
-        mean_interarrival: 2.0,
-        warmup,
-        measure,
-        workload: WorkloadShape::RoundRobin,
+        workload: Workload {
+            behavior: behavior(),
+            mean_interarrival: 2.0,
+            warmup,
+            measure,
+            movies: vec![0],
+        },
+        shape: WorkloadShape::RoundRobin,
     }
 }
 
@@ -67,12 +68,13 @@ fn harness_cfg(warmup: u64, measure: u64) -> FederationHarnessConfig {
 fn single_shard_empty_plan_is_bitwise_identical_to_harness() {
     let plain = HarnessConfig {
         server: single_movie_server(),
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: behavior(),
-        mean_interarrival: 2.0,
-        warmup: 240,
-        measure: 1200,
+        workload: Workload {
+            behavior: behavior(),
+            mean_interarrival: 2.0,
+            warmup: 240,
+            measure: 1200,
+            movies: vec![MovieId(0)],
+        },
     };
     for seed in [7u64, 11, 2026] {
         let reference = run_harness(&plain, seed);
@@ -289,7 +291,7 @@ fn federation_chaos_storm_conserves_across_backends() {
 #[test]
 fn zipf_and_flash_crowd_shapes_stay_conserved() {
     let mut cfg = harness_cfg(0, 300);
-    cfg.extra_movies = vec![0]; // two slots over the same replicated movie
+    cfg.workload.movies = vec![0, 0]; // two slots over the same replicated movie
     let plan = FaultPlan::new(vec![
         FaultEvent {
             at: 80,
@@ -312,7 +314,7 @@ fn zipf_and_flash_crowd_shapes_stay_conserved() {
             movie: 0,
         },
     ] {
-        cfg.workload = shape;
+        cfg.shape = shape;
         let config = FederationConfig {
             shards: (0..2)
                 .map(|_| ShardSpec {
@@ -366,15 +368,8 @@ fn split_budget_wires_a_multi_movie_federation() {
     };
     let fed = Federation::new(config.clone(), FaultPlan::empty());
     assert_eq!(fed.shard_count(), 2);
-    let cfg = FederationHarnessConfig {
-        movie: 0,
-        extra_movies: (1..movies.len()).collect(),
-        behavior: behavior(),
-        mean_interarrival: 2.0,
-        warmup: 0,
-        measure: 200,
-        workload: WorkloadShape::RoundRobin,
-    };
+    let mut cfg = harness_cfg(0, 200);
+    cfg.workload.movies = (0..movies.len()).collect();
     let outcome = run_federation(config, &FaultPlan::empty(), &cfg, 3);
     assert_eq!(outcome.violation_count, 0, "{:?}", outcome.violations);
     assert!(outcome.sessions_opened > 0);

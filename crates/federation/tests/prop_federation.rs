@@ -15,7 +15,7 @@ use vod_federation::{
 };
 use vod_model::{Rates, SystemParams};
 use vod_runtime::{BackendKind, DegradePolicy, FaultPlan};
-use vod_server::{HostedMovie, MovieId, ServerConfig};
+use vod_server::{HostedMovie, MovieId, ServerConfig, Workload};
 use vod_workload::BehaviorModel;
 
 /// A small single-movie shard server (fast enough for many cases).
@@ -73,17 +73,18 @@ proptest! {
             },
         };
         let cfg = FederationHarnessConfig {
-            movie: 0,
-            extra_movies: vec![],
-            behavior: BehaviorModel::uniform_dist(
-                (0.2, 0.2, 0.6),
-                10.0,
-                Arc::new(Gamma::paper_fig7()),
-            ),
-            mean_interarrival: 2.0,
-            warmup: 40,
-            measure: 200,
-            workload: WorkloadShape::RoundRobin,
+            workload: Workload {
+                behavior: BehaviorModel::uniform_dist(
+                    (0.2, 0.2, 0.6),
+                    10.0,
+                    Arc::new(Gamma::paper_fig7()),
+                ),
+                mean_interarrival: 2.0,
+                warmup: 40,
+                measure: 200,
+                movies: vec![0],
+            },
+            shape: WorkloadShape::RoundRobin,
         };
         let plan = FaultPlan::generate_federation(plan_seed, 240, events, shards as u32);
         let out = run_federation(config, &plan, &cfg, run_seed);

@@ -61,7 +61,7 @@ mod windows;
 pub use arena::{Arena, ArenaId};
 pub use backend::{BackendKind, PyramidGeometry, ReceptionFront};
 pub use degrade::{DegradePolicy, FaultEvent, FaultKind, FaultPlan, RetryLedger, RetryStep};
-pub use metrics::{kind_index, FederationMetrics, RuntimeMetrics};
+pub use metrics::{escape_json, json_string_array, kind_index, FederationMetrics, RuntimeMetrics};
 pub use quantize::QuantizedGeometry;
 pub use reserve::StreamReserve;
 pub use vcr::{plan_vcr, truncate_sweep, ResumeClass, SweepPlan};

@@ -12,6 +12,35 @@ pub fn kind_index(kind: VcrKind) -> usize {
     }
 }
 
+/// Escape `s` for embedding in a JSON string literal — the one escaper
+/// every report writer uses for violation and failure text.
+pub fn escape_json(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                out.push_str(&format!("\\u{:04x}", c as u32));
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// `items` as a one-line JSON array of escaped string literals.
+pub fn json_string_array(items: &[String]) -> String {
+    let quoted: Vec<String> = items
+        .iter()
+        .map(|s| format!("\"{}\"", escape_json(s)))
+        .collect();
+    format!("[{}]", quoted.join(","))
+}
+
 /// Mechanism-level counters with **one meaning each**, measured
 /// identically by `vod-server` and `vod-sim` so their reports can be
 /// diffed field by field (and against the analytic model's `P(hit)`).
@@ -475,6 +504,24 @@ impl FederationMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every character a violation message can carry leaves the report
+    /// valid JSON: quote, backslash, newline and a raw control byte.
+    #[test]
+    fn escaper_handles_quote_backslash_newline_and_control_bytes() {
+        let nasty = "lease \"drift\" at C:\\pool\nnext\u{1}line\ttab\r";
+        assert_eq!(
+            escape_json(nasty),
+            "lease \\\"drift\\\" at C:\\\\pool\\nnext\\u0001line\\ttab\\r"
+        );
+        assert_eq!(escape_json("plain text"), "plain text");
+        assert_eq!(
+            json_string_array(&[nasty.to_string(), "ok".to_string()]),
+            format!("[\"{}\",\"ok\"]", escape_json(nasty))
+        );
+        assert_eq!(json_string_array(&[]), "[]");
+        assert!(!escape_json(nasty).chars().any(|c| (c as u32) < 0x20));
+    }
 
     #[test]
     fn federation_ledger_conservation() {

@@ -1,9 +1,11 @@
-//! Deterministic load harness: drives a [`DeliveryBackend`] (the
-//! batching [`VodServer`] by default) with the same statistical workload
-//! primitives the simulator uses (Poisson arrivals, a [`BehaviorModel`]
-//! VCR mix), under a fixed seed, and reports the shared
-//! [`RuntimeMetrics`] vocabulary. One `drive` loop serves every entry
-//! point — harness, chaos, and the backend comparison.
+//! Deterministic load harness: the one seeded workload [`Driver`] —
+//! Poisson arrivals and a [`BehaviorModel`] VCR mix, the statistical
+//! primitives the simulator uses — written once against the [`Target`]
+//! seam, and the entry points that run it against a [`DeliveryBackend`]
+//! and report the shared [`RuntimeMetrics`] vocabulary. The federation
+//! front tier and the scan-equivalence lock-step oracle step this same
+//! driver through their own `Target`s, so "the same workload" is a
+//! property of the code, not of three loops kept in step by hand.
 //!
 //! This is the server-side leg of the three-way cross-validation
 //! (analytic model ↔ event simulator ↔ tick server): the same `(l, B, n,
@@ -14,8 +16,10 @@
 //! (tolerances live in the cross-validation test).
 
 use rand::RngCore;
-use vod_dist::rng::{exponential, seeded};
-use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, RuntimeMetrics};
+use vod_dist::rng::{exponential, seeded, SeededRng};
+use vod_runtime::{
+    json_string_array, BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, RuntimeMetrics,
+};
 use vod_workload::{BehaviorModel, VcrKind};
 
 use crate::backend::{make_backend, DeliveryBackend};
@@ -23,17 +27,11 @@ use crate::content::MovieId;
 use crate::server::{HostedMovie, ServerConfig, VodServer};
 use crate::session::{SessionId, SessionStatus};
 
-/// Workload configuration for [`run_harness`].
+/// The seeded workload a [`Driver`] generates, over movie handles `M`
+/// (a [`MovieId`] for one backend, a global catalog index for a
+/// federation).
 #[derive(Clone)]
-pub struct HarnessConfig {
-    /// Server under test.
-    pub server: ServerConfig,
-    /// Movie every arrival requests (single-movie validation runs).
-    pub movie: MovieId,
-    /// Further hosted movies arrivals cycle through round-robin after
-    /// [`movie`](Self::movie). Empty keeps the historical single-movie
-    /// workload — same RNG stream, bitwise-identical metrics.
-    pub extra_movies: Vec<MovieId>,
+pub struct Workload<M> {
     /// Viewer interaction behavior (same model `vod-sim` consumes).
     pub behavior: BehaviorModel,
     /// Mean minutes between viewer arrivals (Poisson process).
@@ -42,13 +40,274 @@ pub struct HarnessConfig {
     pub warmup: u64,
     /// Measured ticks after warm-up.
     pub measure: u64,
+    /// Movies arrivals request, round-robin by arrival number (non-empty;
+    /// one entry is the single-movie validation workload).
+    pub movies: Vec<M>,
 }
 
-/// Result of one [`run_chaos`] run: the measured metrics plus everything
-/// the per-tick invariant checks observed.
+impl<M: Copy> Workload<M> {
+    /// Ticks a full run drives (warm-up + measured).
+    pub fn horizon(&self) -> u64 {
+        self.warmup + self.measure
+    }
+
+    /// The movie arrival number `arrival` requests under round-robin.
+    /// Indexed by *arrivals*, not admissions: a refused arrival still
+    /// takes its turn, so one refusal does not shift every later viewer
+    /// onto a different movie.
+    pub fn round_robin(&self, arrival: u64) -> M {
+        self.movies[(arrival % self.movies.len() as u64) as usize]
+    }
+}
+
+/// The driver's movie-pick / arrival-mean hook. The defaults are the
+/// harness workload — round-robin, constant rate, no extra randomness —
+/// which [`RoundRobin`] takes as they are.
+pub trait ArrivalShape<M: Copy> {
+    /// Movie requested by arrival number `arrival` at tick `minute`.
+    /// Randomness drawn here comes out of the driver's one stream.
+    fn pick_movie(
+        &self,
+        workload: &Workload<M>,
+        arrival: u64,
+        _minute: u64,
+        _rng: &mut dyn RngCore,
+    ) -> M {
+        workload.round_robin(arrival)
+    }
+
+    /// Mean minutes to the next arrival, drawn at tick `minute`.
+    fn mean_interarrival(&self, workload: &Workload<M>, _minute: u64) -> f64 {
+        workload.mean_interarrival
+    }
+}
+
+/// The plain harness shape: every [`ArrivalShape`] default.
+pub struct RoundRobin;
+
+impl<M: Copy> ArrivalShape<M> for RoundRobin {}
+
+/// Exactly what the workload loop calls on the system it drives. Every
+/// method takes `&mut self` so that a target may be several systems
+/// asked in lock-step (the scan-equivalence `Pair`).
+pub trait Target {
+    /// Handle arrivals request movies by.
+    type Movie: Copy;
+    /// Handle of an admitted session.
+    type Id: Copy;
+    /// Snapshot of the cumulative counters [`audit`](Self::audit) checks
+    /// for monotonicity.
+    type Counters;
+
+    /// Admit an arrival for `movie`; `None` when admission is refused.
+    fn open(&mut self, movie: Self::Movie) -> Option<Self::Id>;
+    /// Status of a session [`open`](Self::open) admitted.
+    fn status(&mut self, id: Self::Id) -> SessionStatus;
+    /// Issue a VCR operation; denials are the target's to count.
+    fn vcr(&mut self, id: Self::Id, kind: VcrKind, magnitude: u32);
+    /// Advance one virtual minute.
+    fn tick(&mut self);
+    /// Zero the counters at the end of warm-up.
+    fn reset_metrics(&mut self);
+    /// The per-tick audit: conservation violations, plus every cumulative
+    /// counter that moved backwards since the snapshot in `last` (which
+    /// this call replaces; the driver clears it on a reset).
+    fn audit(&mut self, last: &mut Option<Self::Counters>) -> Vec<String>;
+}
+
+impl Target for dyn DeliveryBackend + '_ {
+    type Movie = MovieId;
+    type Id = SessionId;
+    type Counters = RuntimeMetrics;
+
+    fn open(&mut self, movie: MovieId) -> Option<SessionId> {
+        // vod-lint: allow(no-panic) — HarnessConfig ties its movies to the
+        // ServerConfig hosting them; a miss is a harness-construction bug.
+        Some(self.open_session(movie).expect("movie hosted"))
+    }
+
+    fn status(&mut self, id: SessionId) -> SessionStatus {
+        // vod-lint: allow(no-panic) — ids come from open_session and stay
+        // queryable until the driver sees Done and drops them.
+        self.session_status(id).expect("session exists")
+    }
+
+    fn vcr(&mut self, id: SessionId, kind: VcrKind, magnitude: u32) {
+        let _ = self.request_vcr(id, kind, magnitude);
+    }
+
+    fn tick(&mut self) {
+        DeliveryBackend::tick(self);
+    }
+
+    fn reset_metrics(&mut self) {
+        DeliveryBackend::reset_metrics(self);
+    }
+
+    fn audit(&mut self, last: &mut Option<RuntimeMetrics>) -> Vec<String> {
+        let mut found = self.check_invariants();
+        let now = self.runtime_metrics();
+        if let Some(last) = last {
+            let backwards = last.monotone_violations(&now);
+            found.extend(
+                backwards
+                    .iter()
+                    .map(|field| format!("counter `{field}` went backwards")),
+            );
+        }
+        *last = Some(now);
+        found
+    }
+}
+
+/// What a [`Driver`] has counted so far.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Tally {
+    /// Arrivals the target admitted.
+    pub opened: u64,
+    /// Arrivals the target refused to admit.
+    pub refused: u64,
+    /// Total per-tick audit findings.
+    pub violation_count: u64,
+    /// First few findings, `"t=<tick>: <what>"` (capped so a badly
+    /// broken run cannot exhaust memory).
+    pub violations: Vec<String>,
+}
+
+/// Cap on stored violation strings in a [`Tally`].
+const MAX_VIOLATION_REPORTS: usize = 16;
+
+/// The seeded arrival / interaction loop, one virtual minute per
+/// [`step`](Self::step). The RNG consumption order depends only on the
+/// workload, the shape and the statuses the target reports — never on
+/// fault plans or audit findings — and the interaction-gap draw of an
+/// arrival happens whether or not it was admitted, so two targets that
+/// answer alike see bitwise the same workload.
+pub struct Driver<'w, T: Target + ?Sized> {
+    workload: &'w Workload<T::Movie>,
+    shape: &'w dyn ArrivalShape<T::Movie>,
+    rng: SeededRng,
+    next_arrival: f64,
+    /// (session, tick at which its next interaction is due)
+    pending: Vec<(T::Id, u64)>,
+    minute: u64,
+    last_counters: Option<T::Counters>,
+    tally: Tally,
+}
+
+impl<'w, T: Target + ?Sized> Driver<'w, T> {
+    /// A driver at tick 0 of `workload`, shaped by `shape`, on the RNG
+    /// stream of `seed`.
+    pub fn new(
+        workload: &'w Workload<T::Movie>,
+        shape: &'w dyn ArrivalShape<T::Movie>,
+        seed: u64,
+    ) -> Self {
+        let mut rng = seeded(seed);
+        let next_arrival = exponential(&mut rng, workload.mean_interarrival);
+        Self {
+            workload,
+            shape,
+            rng,
+            next_arrival,
+            pending: Vec::new(),
+            minute: 0,
+            last_counters: None,
+            tally: Tally::default(),
+        }
+    }
+
+    /// Step through the whole horizon and hand back the counts.
+    pub fn run(mut self, target: &mut T) -> Tally {
+        while self.minute < self.workload.horizon() {
+            self.step(target);
+        }
+        self.tally
+    }
+
+    /// One virtual minute: this minute's arrivals, every due interaction,
+    /// the target's tick, then its audit.
+    pub fn step(&mut self, target: &mut T) {
+        let (workload, minute) = (self.workload, self.minute);
+        if minute == workload.warmup {
+            target.reset_metrics();
+            // The reset legitimately zeroes counters; restart the
+            // monotonicity baseline with it.
+            self.last_counters = None;
+        }
+        while self.next_arrival < (minute + 1) as f64 {
+            let arrival = self.tally.opened + self.tally.refused;
+            let movie = self
+                .shape
+                .pick_movie(workload, arrival, minute, &mut self.rng);
+            let opened = target.open(movie);
+            let gap = workload.behavior.next_interaction_gap(&mut self.rng);
+            match opened {
+                Some(id) => {
+                    self.tally.opened += 1;
+                    self.pending.push((id, minute + (gap.ceil() as u64).max(1)));
+                }
+                None => self.tally.refused += 1,
+            }
+            let mean = self.shape.mean_interarrival(workload, minute);
+            self.next_arrival += exponential(&mut self.rng, mean);
+        }
+        let mut i = 0;
+        while i < self.pending.len() {
+            let (id, due) = self.pending[i];
+            if due > minute {
+                i += 1;
+                continue;
+            }
+            match target.status(id) {
+                SessionStatus::Done => {
+                    self.pending.swap_remove(i);
+                    continue;
+                }
+                SessionStatus::Shared | SessionStatus::Dedicated => {
+                    let req = workload.behavior.sample_request(&mut self.rng);
+                    let magnitude = (req.magnitude.round() as u32).max(1);
+                    // Denied ops are counted by the target; either way the
+                    // viewer's next interaction clock restarts now.
+                    target.vcr(id, req.kind, magnitude);
+                    let gap = workload.behavior.next_interaction_gap(&mut self.rng);
+                    self.pending[i].1 = minute + (gap.ceil() as u64).max(1);
+                }
+                // Waiting in the batch queue, mid-VCR, or degraded: the
+                // interaction clock only runs during playback — defer one
+                // tick.
+                SessionStatus::Waiting(_) | SessionStatus::InVcr | SessionStatus::Degraded => {
+                    self.pending[i].1 = minute + 1;
+                }
+            }
+            i += 1;
+        }
+        target.tick();
+        for what in target.audit(&mut self.last_counters) {
+            self.tally.violation_count += 1;
+            if self.tally.violations.len() < MAX_VIOLATION_REPORTS {
+                self.tally.violations.push(format!("t={minute}: {what}"));
+            }
+        }
+        self.minute += 1;
+    }
+}
+
+/// Harness configuration: the server under test and the workload its
+/// hosted movies are asked for.
+#[derive(Clone)]
+pub struct HarnessConfig {
+    /// Server under test.
+    pub server: ServerConfig,
+    /// The seeded workload, over `server`'s hosted movies.
+    pub workload: Workload<MovieId>,
+}
+
+/// What one harness run measured, plus everything the per-tick audit
+/// observed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosOutcome {
-    /// Measured [`RuntimeMetrics`] (same vocabulary as [`run_harness`]).
+    /// Measured [`RuntimeMetrics`] (what [`run_harness`] returns).
     pub metrics: RuntimeMetrics,
     /// Total per-tick invariant and monotonicity violations observed.
     pub violation_count: u64,
@@ -65,9 +324,6 @@ pub struct ChaosOutcome {
     pub ticks: u64,
 }
 
-/// Cap on stored violation strings in a [`ChaosOutcome`].
-const MAX_VIOLATION_REPORTS: usize = 16;
-
 impl ChaosOutcome {
     /// Outcome schema version; bump on any key change in
     /// [`to_json`](Self::to_json).
@@ -79,16 +335,11 @@ impl ChaosOutcome {
     /// `metrics`). The shape is frozen by the serde-stability suite:
     /// report consumers may parse positionally.
     pub fn to_json(&self) -> String {
-        let details: Vec<String> = self
-            .violations
-            .iter()
-            .map(|v| format!("\"{}\"", escape_json(v)))
-            .collect();
         format!(
             concat!(
                 "{{\"schema_version\":{},",
                 "\"violations\":{},",
-                "\"violation_details\":[{}],",
+                "\"violation_details\":{},",
                 "\"sessions_opened\":{},",
                 "\"sessions_done\":{},",
                 "\"degraded_at_end\":{},",
@@ -97,7 +348,7 @@ impl ChaosOutcome {
             ),
             Self::SCHEMA_VERSION,
             self.violation_count,
-            details.join(","),
+            json_string_array(&self.violations),
             self.sessions_opened,
             self.sessions_done,
             self.degraded_at_end,
@@ -107,84 +358,8 @@ impl ChaosOutcome {
     }
 }
 
-/// Escape a violation string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Drive the server with a seeded workload and return the measured
-/// [`RuntimeMetrics`]. Same seed, same config ⇒ bitwise-identical
-/// metrics (asserted by the cross-validation test).
-pub fn run_harness(cfg: &HarnessConfig, seed: u64) -> RuntimeMetrics {
-    run_driver(
-        cfg,
-        seed,
-        &FaultPlan::empty(),
-        DegradePolicy::default(),
-        false,
-        false,
-    )
-    .metrics
-}
-
-/// [`run_harness`] with the server in reference-scan mode (the historical
-/// full-table session loop instead of the timer wheel). Exists solely so
-/// the equivalence suite can pin the two schedulers against each other.
-#[doc(hidden)]
-pub fn run_harness_reference(cfg: &HarnessConfig, seed: u64) -> RuntimeMetrics {
-    run_driver(
-        cfg,
-        seed,
-        &FaultPlan::empty(),
-        DegradePolicy::default(),
-        false,
-        true,
-    )
-    .metrics
-}
-
-/// Drive the server with the same seeded workload as [`run_harness`]
-/// while injecting `plan`, checking conservation invariants and metrics
-/// monotonicity after **every tick**. With an empty plan this is
-/// [`run_harness`] plus checks: the same driver runs underneath, so the
-/// metrics are bitwise identical by construction.
-pub fn run_chaos(
-    cfg: &HarnessConfig,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: DegradePolicy,
-) -> ChaosOutcome {
-    run_driver(cfg, seed, plan, policy, true, false)
-}
-
-/// [`run_chaos`] against the reference-scan scheduler; see
-/// [`run_harness_reference`].
-#[doc(hidden)]
-pub fn run_chaos_reference(
-    cfg: &HarnessConfig,
-    seed: u64,
-    plan: &FaultPlan,
-    policy: DegradePolicy,
-) -> ChaosOutcome {
-    run_driver(cfg, seed, plan, policy, true, true)
-}
-
-/// One backend-generic harness run: the [`ChaosOutcome`] plus the
-/// provisioning and startup-wait observables the cost comparison needs.
+/// One [`run_backend`] run: the [`ChaosOutcome`] plus the provisioning
+/// and startup-wait observables the cost comparison needs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BackendRun {
     /// Which delivery scheme ran.
@@ -202,25 +377,25 @@ pub struct BackendRun {
     pub buffer_segments: u64,
 }
 
-/// Run the seeded harness workload against the delivery scheme `kind`,
-/// built from `cfg.server` via [`make_backend`](crate::make_backend),
-/// with per-tick invariant checks on. For
-/// [`BackendKind::BatchingBuffering`] the metrics are bitwise identical
-/// to [`run_harness`] on the same config/seed (pinned by the
-/// `backend_equivalence` suite).
-pub fn run_harness_backend(cfg: &HarnessConfig, kind: BackendKind, seed: u64) -> BackendRun {
-    run_chaos_backend(
-        cfg,
-        kind,
-        seed,
-        &FaultPlan::empty(),
-        DegradePolicy::default(),
-    )
+/// Drive the batching server with the seeded workload, fault-free, and
+/// return the measured [`RuntimeMetrics`]: the common case of
+/// [`run_backend`]. Same seed, same config ⇒ bitwise-identical metrics
+/// (asserted by the cross-validation test).
+pub fn run_harness(cfg: &HarnessConfig, seed: u64) -> RuntimeMetrics {
+    let (kind, plan) = (BackendKind::BatchingBuffering, FaultPlan::empty());
+    run_backend(cfg, kind, seed, &plan, DegradePolicy::default())
+        .outcome
+        .metrics
 }
 
-/// [`run_harness_backend`] with a fault plan: the backend-generic
-/// [`run_chaos`].
-pub fn run_chaos_backend(
+/// Run the seeded workload against the delivery scheme `kind`, built
+/// from `cfg.server` via [`make_backend`](crate::make_backend) and armed
+/// with `plan`, auditing conservation invariants and metrics
+/// monotonicity after **every tick**. The audit is a pure read and the
+/// workload never looks at the plan, so an empty plan costs nothing:
+/// batching's metrics are bitwise those of the frozen pre-trait loop
+/// (pinned by the `backend_equivalence` suite).
+pub fn run_backend(
     cfg: &HarnessConfig,
     kind: BackendKind,
     seed: u64,
@@ -228,8 +403,7 @@ pub fn run_chaos_backend(
     policy: DegradePolicy,
 ) -> BackendRun {
     let mut server = make_backend(kind, &cfg.server);
-    server.inject_faults(plan.clone(), policy);
-    let outcome = drive(server.as_mut(), cfg, seed, true);
+    let outcome = drive(server.as_mut(), cfg, seed, plan, policy);
     let waits = server.startup_waits();
     BackendRun {
         kind,
@@ -245,131 +419,41 @@ pub fn run_chaos_backend(
     }
 }
 
-/// The single driver underneath [`run_harness`] and [`run_chaos`]. The
-/// RNG consumption order never depends on `plan` or `check`, so the
-/// fault-free workload sequence is identical across both entry points.
-fn run_driver(
+/// [`run_backend`]'s outcome from the batching server in reference-scan
+/// mode (the historical full-table session loop instead of the timer
+/// wheel). Exists solely so the equivalence suite can pin the two
+/// schedulers against each other.
+#[doc(hidden)]
+pub fn run_reference_scan(
     cfg: &HarnessConfig,
     seed: u64,
     plan: &FaultPlan,
     policy: DegradePolicy,
-    check: bool,
-    reference: bool,
 ) -> ChaosOutcome {
     let mut server = VodServer::new(cfg.server.clone());
-    server.set_reference_scan(reference);
-    server.inject_faults(plan.clone(), policy);
-    drive(&mut server, cfg, seed, check)
+    server.set_reference_scan(true);
+    drive(&mut server, cfg, seed, plan, policy)
 }
 
-/// The workload loop itself, generic over the delivery scheme. Every
-/// entry point in this module funnels here, so no driver logic is
-/// duplicated between the harness, the chaos runs, and the backend
-/// comparison.
+/// Arm `server`, run the [`Driver`] over the whole horizon, read the
+/// outcome.
 fn drive(
     server: &mut dyn DeliveryBackend,
     cfg: &HarnessConfig,
     seed: u64,
-    check: bool,
+    plan: &FaultPlan,
+    policy: DegradePolicy,
 ) -> ChaosOutcome {
-    let mut rng = seeded(seed);
-    let mut next_arrival = exponential(&mut rng, cfg.mean_interarrival);
-    // (session, tick at which its next interaction is due)
-    let mut pending: Vec<(SessionId, u64)> = Vec::new();
-    let horizon = cfg.warmup + cfg.measure;
-    let mut sessions_opened: u64 = 0;
-    let mut violation_count: u64 = 0;
-    let mut violations: Vec<String> = Vec::new();
-    let mut prev_rt: Option<RuntimeMetrics> = None;
-    for minute in 0..horizon {
-        if minute == cfg.warmup {
-            server.reset_metrics();
-            // The reset legitimately zeroes counters; restart the
-            // monotonicity baseline with it.
-            prev_rt = None;
-        }
-        while next_arrival < (minute + 1) as f64 {
-            // Round-robin over the requested catalog; an empty
-            // `extra_movies` reduces to the historical single-movie
-            // workload with an untouched RNG stream.
-            let movie = if cfg.extra_movies.is_empty() {
-                cfg.movie
-            } else {
-                let slot = (sessions_opened % (1 + cfg.extra_movies.len() as u64)) as usize;
-                if slot == 0 {
-                    cfg.movie
-                } else {
-                    cfg.extra_movies[slot - 1]
-                }
-            };
-            // vod-lint: allow(no-panic) — HarnessConfig ties its movies to the
-            // ServerConfig hosting them; a miss is a harness-construction bug.
-            let id = server.open_session(movie).expect("movie hosted");
-            sessions_opened += 1;
-            let gap = cfg.behavior.next_interaction_gap(&mut rng);
-            pending.push((id, minute + (gap.ceil() as u64).max(1)));
-            next_arrival += exponential(&mut rng, cfg.mean_interarrival);
-        }
-        let mut i = 0;
-        while i < pending.len() {
-            let (id, due) = pending[i];
-            if due > minute {
-                i += 1;
-                continue;
-            }
-            // vod-lint: allow(no-panic) — ids come from open_session and stay
-            // queryable until this loop sees Done and drops them from pending.
-            match server.session_status(id).expect("session exists") {
-                SessionStatus::Done => {
-                    pending.swap_remove(i);
-                    continue;
-                }
-                SessionStatus::Shared | SessionStatus::Dedicated => {
-                    let req = cfg.behavior.sample_request(&mut rng);
-                    let magnitude = (req.magnitude.round() as u32).max(1);
-                    // Denied ops are counted by the server; either way the
-                    // viewer's next interaction clock restarts now.
-                    let _ = server.request_vcr(id, req.kind, magnitude);
-                    let gap = cfg.behavior.next_interaction_gap(&mut rng);
-                    pending[i].1 = minute + (gap.ceil() as u64).max(1);
-                }
-                // Waiting in the batch queue, mid-VCR, or degraded: the
-                // interaction clock only runs during playback — defer one
-                // tick.
-                SessionStatus::Waiting(_) | SessionStatus::InVcr | SessionStatus::Degraded => {
-                    pending[i].1 = minute + 1;
-                }
-            }
-            i += 1;
-        }
-        server.tick();
-        if check {
-            let mut record = |what: String| {
-                violation_count += 1;
-                if violations.len() < MAX_VIOLATION_REPORTS {
-                    violations.push(format!("t={minute}: {what}"));
-                }
-            };
-            for what in server.check_invariants() {
-                record(what);
-            }
-            let rt = server.runtime_metrics();
-            if let Some(prev) = &prev_rt {
-                for field in prev.monotone_violations(&rt) {
-                    record(format!("counter `{field}` went backwards"));
-                }
-            }
-            prev_rt = Some(rt);
-        }
-    }
+    server.inject_faults(plan.clone(), policy);
+    let tally = Driver::new(&cfg.workload, &RoundRobin, seed).run(server);
     ChaosOutcome {
         metrics: server.runtime_metrics(),
-        violation_count,
-        violations,
-        sessions_opened,
+        violation_count: tally.violation_count,
+        violations: tally.violations,
+        sessions_opened: tally.opened,
         sessions_done: server.sessions_finished(),
         degraded_at_end: server.degraded_sessions(),
-        ticks: horizon,
+        ticks: cfg.workload.horizon(),
     }
 }
 
@@ -563,16 +647,17 @@ mod tests {
                 piggyback: None,
                 ..ServerConfig::provisioned(vec![movie], 40)
             },
-            movie: MovieId(0),
-            extra_movies: vec![],
-            behavior: BehaviorModel::uniform_dist(
-                (0.2, 0.2, 0.6),
-                30.0,
-                Arc::new(Gamma::paper_fig7()),
-            ),
-            mean_interarrival: 2.0,
-            warmup: 240,
-            measure: 1200,
+            workload: Workload {
+                behavior: BehaviorModel::uniform_dist(
+                    (0.2, 0.2, 0.6),
+                    30.0,
+                    Arc::new(Gamma::paper_fig7()),
+                ),
+                mean_interarrival: 2.0,
+                warmup: 240,
+                measure: 1200,
+                movies: vec![MovieId(0)],
+            },
         }
     }
 

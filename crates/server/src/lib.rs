@@ -44,12 +44,13 @@ pub use content::{checksum, generate_segment, verify_segment, MovieId, Segment, 
 pub use core::ServerCore;
 pub use dedicated::DedicatedServer;
 pub use disk::{DiskError, DiskSubsystem, StreamLease};
-pub use harness::{
-    run_chaos, run_chaos_backend, run_harness, run_harness_backend, run_scale, run_scale_on,
-    storm_plan, BackendRun, ChaosOutcome, HarnessConfig, ScaleConfig, ScaleOutcome,
-};
 #[doc(hidden)]
-pub use harness::{run_chaos_reference, run_harness_reference};
+pub use harness::run_reference_scan;
+pub use harness::{
+    run_backend, run_harness, run_scale, run_scale_on, storm_plan, ArrivalShape, BackendRun,
+    ChaosOutcome, Driver, HarnessConfig, RoundRobin, ScaleConfig, ScaleOutcome, Tally, Target,
+    Workload,
+};
 pub use metrics::ServerMetrics;
 pub use pyramid::PyramidServer;
 pub use server::{HostedMovie, PiggybackConfig, ServerConfig, ServerError, VodServer};

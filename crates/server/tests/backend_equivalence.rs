@@ -1,9 +1,11 @@
 //! The `DeliveryBackend` refactor must be behavior-preserving for the
-//! incumbent scheme: `run_harness` (now routed through the trait-generic
-//! driver) is pinned bitwise against a frozen copy of the pre-refactor
-//! workload loop, and `run_harness_backend(BatchingBuffering)` is pinned
-//! bitwise against `run_harness`. The comparison backends get the same
-//! determinism and accounting-sanity treatment.
+//! incumbent scheme: `run_harness` (now the shared `Driver` stepping a
+//! `dyn DeliveryBackend`, audited every tick) is pinned bitwise against a
+//! frozen copy of the pre-refactor workload loop — the independent
+//! oracle, deliberately *not* ported onto the `Driver` — and
+//! `run_backend(BatchingBuffering)` is pinned bitwise against
+//! `run_harness`. The comparison backends get the same determinism and
+//! accounting-sanity treatment.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
@@ -11,10 +13,10 @@ use std::sync::Arc;
 
 use vod_dist::kinds::Gamma;
 use vod_dist::rng::{exponential, seeded};
-use vod_runtime::{BackendKind, RuntimeMetrics};
+use vod_runtime::{BackendKind, DegradePolicy, FaultPlan, RuntimeMetrics};
 use vod_server::{
-    run_harness, run_harness_backend, DeliveryBackend, HarnessConfig, HostedMovie, MovieId,
-    ServerConfig, SessionId, SessionStatus, VodServer,
+    run_backend, run_harness, BackendRun, DeliveryBackend, HarnessConfig, HostedMovie, MovieId,
+    ServerConfig, SessionId, SessionStatus, VodServer, Workload,
 };
 use vod_workload::BehaviorModel;
 
@@ -25,13 +27,24 @@ fn config() -> HarnessConfig {
             piggyback: None,
             ..ServerConfig::provisioned(vec![movie], 40)
         },
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7())),
-        mean_interarrival: 2.0,
-        warmup: 240,
-        measure: 1200,
+        workload: Workload {
+            behavior: BehaviorModel::uniform_dist(
+                (0.2, 0.2, 0.6),
+                30.0,
+                Arc::new(Gamma::paper_fig7()),
+            ),
+            mean_interarrival: 2.0,
+            warmup: 240,
+            measure: 1200,
+            movies: vec![MovieId(0)],
+        },
     }
+}
+
+/// The fault-free harness run of `kind`, audited every tick.
+fn run_harness_backend(cfg: &HarnessConfig, kind: BackendKind, seed: u64) -> BackendRun {
+    let plan = FaultPlan::empty();
+    run_backend(cfg, kind, seed, &plan, DegradePolicy::default())
 }
 
 /// A frozen, line-for-line copy of the workload loop as it was before
@@ -41,6 +54,7 @@ fn config() -> HarnessConfig {
 /// this copy and `run_harness` diverge bitwise.
 fn pre_refactor_harness(cfg: &HarnessConfig, seed: u64) -> RuntimeMetrics {
     let mut server = VodServer::new(cfg.server.clone());
+    let (movie, cfg) = (cfg.workload.movies[0], &cfg.workload);
     let mut rng = seeded(seed);
     let mut next_arrival = exponential(&mut rng, cfg.mean_interarrival);
     let mut pending: Vec<(SessionId, u64)> = Vec::new();
@@ -50,7 +64,7 @@ fn pre_refactor_harness(cfg: &HarnessConfig, seed: u64) -> RuntimeMetrics {
             server.reset_metrics();
         }
         while next_arrival < (minute + 1) as f64 {
-            let id = server.open_session(cfg.movie).unwrap();
+            let id = server.open_session(movie).unwrap();
             let gap = cfg.behavior.next_interaction_gap(&mut rng);
             pending.push((id, minute + (gap.ceil() as u64).max(1)));
             next_arrival += exponential(&mut rng, cfg.mean_interarrival);

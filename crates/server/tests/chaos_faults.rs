@@ -11,8 +11,9 @@ use proptest::prelude::*;
 use vod_dist::kinds::Gamma;
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
-    run_chaos, run_chaos_backend, run_harness, DeliveryBackend, HarnessConfig, HostedMovie,
-    MovieId, ServerConfig, ServerError, SessionStatus, VodServer,
+    make_backend, run_backend, run_harness, ChaosOutcome, DeliveryBackend, Driver, HarnessConfig,
+    HostedMovie, MovieId, RoundRobin, ServerConfig, ServerError, SessionStatus, VodServer,
+    Workload,
 };
 use vod_workload::{BehaviorModel, VcrKind};
 
@@ -367,6 +368,12 @@ fn starvation_policy_denies_new_vcr_grants() {
     assert_eq!(server.session_stats(viewer).unwrap().verify_failures, 0);
 }
 
+/// The batching server's outcome under `plan` (default policy).
+fn run_chaos(cfg: &HarnessConfig, seed: u64, plan: &FaultPlan) -> ChaosOutcome {
+    let kind = BackendKind::BatchingBuffering;
+    run_backend(cfg, kind, seed, plan, DegradePolicy::default()).outcome
+}
+
 fn harness_config() -> HarnessConfig {
     let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
     HarnessConfig {
@@ -374,23 +381,36 @@ fn harness_config() -> HarnessConfig {
             piggyback: None,
             ..ServerConfig::provisioned(vec![movie], 40)
         },
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7())),
-        mean_interarrival: 2.0,
-        warmup: 120,
-        measure: 600,
+        workload: Workload {
+            behavior: BehaviorModel::uniform_dist(
+                (0.2, 0.2, 0.6),
+                30.0,
+                Arc::new(Gamma::paper_fig7()),
+            ),
+            mean_interarrival: 2.0,
+            warmup: 120,
+            measure: 600,
+            movies: vec![MovieId(0)],
+        },
     }
 }
 
-/// The empty plan must reproduce `run_harness` bitwise — degradation
-/// machinery costs nothing when nothing fails.
+/// Arming the empty plan must cost nothing: every backend, armed and
+/// audited by `run_backend`, measures bitwise what a never-armed one
+/// does under the same `Driver` — and batching's is `run_harness`.
 #[test]
 fn empty_plan_is_bitwise_identical_to_harness() {
     let cfg = harness_config();
-    let chaos = run_chaos(&cfg, 7, &FaultPlan::empty(), DegradePolicy::default());
+    for kind in BackendKind::ALL {
+        let mut unarmed = make_backend(kind, &cfg.server);
+        Driver::new(&cfg.workload, &RoundRobin, 7).run(unarmed.as_mut());
+        let plan = FaultPlan::empty();
+        let chaos = run_backend(&cfg, kind, 7, &plan, DegradePolicy::default()).outcome;
+        assert_eq!(chaos.metrics, unarmed.runtime_metrics(), "{kind}");
+        assert_eq!(chaos.violation_count, 0, "{:?}", chaos.violations);
+    }
+    let chaos = run_chaos(&cfg, 7, &FaultPlan::empty());
     assert_eq!(chaos.metrics, run_harness(&cfg, 7));
-    assert_eq!(chaos.violation_count, 0, "{:?}", chaos.violations);
     assert_eq!(chaos.degraded_at_end, 0);
 }
 
@@ -400,10 +420,10 @@ fn empty_plan_is_bitwise_identical_to_harness() {
 #[test]
 fn generated_storm_is_deterministic_and_conserving() {
     let cfg = harness_config();
-    let plan = FaultPlan::generate(3, cfg.warmup + cfg.measure, 6);
+    let plan = FaultPlan::generate(3, cfg.workload.horizon(), 6);
     assert_eq!(plan.len(), 6);
-    let a = run_chaos(&cfg, 11, &plan, DegradePolicy::default());
-    let b = run_chaos(&cfg, 11, &plan, DegradePolicy::default());
+    let a = run_chaos(&cfg, 11, &plan);
+    let b = run_chaos(&cfg, 11, &plan);
     assert_eq!(a, b, "same (seed, plan) must reproduce bitwise");
     assert_eq!(a.violation_count, 0, "{:?}", a.violations);
     assert!(a.metrics.faults_injected > 0, "storm landed in the window");
@@ -419,12 +439,17 @@ fn tight_config() -> HarnessConfig {
             piggyback: None,
             ..ServerConfig::provisioned(vec![movie], 2)
         },
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7())),
-        mean_interarrival: 2.0,
-        warmup: 30,
-        measure: 150,
+        workload: Workload {
+            behavior: BehaviorModel::uniform_dist(
+                (0.2, 0.2, 0.6),
+                30.0,
+                Arc::new(Gamma::paper_fig7()),
+            ),
+            mean_interarrival: 2.0,
+            warmup: 30,
+            measure: 150,
+            movies: vec![MovieId(0)],
+        },
     }
 }
 
@@ -440,15 +465,15 @@ proptest! {
     #[test]
     fn dedicated_queue_conserved_under_seeded_storms(seed in 0u64..100_000) {
         let cfg = tight_config();
-        let plan = FaultPlan::generate(seed, cfg.warmup + cfg.measure, 5);
+        let plan = FaultPlan::generate(seed, cfg.workload.horizon(), 5);
         let policy = DegradePolicy::default();
-        let a = run_chaos_backend(&cfg, BackendKind::DedicatedStream, seed, &plan, policy);
+        let a = run_backend(&cfg, BackendKind::DedicatedStream, seed, &plan, policy);
         prop_assert_eq!(
             a.outcome.violation_count, 0,
             "violations: {:?}", a.outcome.violations
         );
         prop_assert!(a.outcome.sessions_done <= a.outcome.sessions_opened);
-        let b = run_chaos_backend(&cfg, BackendKind::DedicatedStream, seed, &plan, policy);
+        let b = run_backend(&cfg, BackendKind::DedicatedStream, seed, &plan, policy);
         prop_assert_eq!(a, b, "same (seed, plan) must reproduce bitwise");
     }
 
@@ -458,9 +483,9 @@ proptest! {
     #[test]
     fn pyramid_fronts_conserved_under_seeded_storms(seed in 0u64..100_000) {
         let cfg = tight_config();
-        let plan = FaultPlan::generate(seed, cfg.warmup + cfg.measure, 5);
+        let plan = FaultPlan::generate(seed, cfg.workload.horizon(), 5);
         let policy = DegradePolicy::default();
-        let a = run_chaos_backend(&cfg, BackendKind::PyramidBroadcast, seed, &plan, policy);
+        let a = run_backend(&cfg, BackendKind::PyramidBroadcast, seed, &plan, policy);
         prop_assert_eq!(
             a.outcome.violation_count, 0,
             "violations: {:?}", a.outcome.violations

@@ -16,11 +16,12 @@ use proptest::prelude::*;
 use rand::RngCore;
 
 use vod_dist::kinds::Gamma;
-use vod_dist::rng::{exponential, seeded};
-use vod_runtime::{DegradePolicy, FaultEvent, FaultKind, FaultPlan};
+use vod_dist::rng::seeded;
+use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
-    run_chaos, run_chaos_reference, run_harness, run_harness_reference, DeliveryBackend,
-    HarnessConfig, HostedMovie, MovieId, ServerConfig, SessionId, SessionStatus, VodServer,
+    run_backend, run_harness, run_reference_scan, DeliveryBackend, Driver, HarnessConfig,
+    HostedMovie, MovieId, RoundRobin, ServerConfig, SessionId, SessionStatus, Target, VodServer,
+    Workload,
 };
 use vod_workload::{BehaviorModel, VcrKind};
 
@@ -32,12 +33,17 @@ fn config(piggyback: bool) -> HarnessConfig {
             piggyback: base.piggyback.filter(|_| piggyback),
             ..base
         },
-        movie: MovieId(0),
-        extra_movies: vec![],
-        behavior: BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7())),
-        mean_interarrival: 2.0,
-        warmup: 240,
-        measure: 1200,
+        workload: Workload {
+            behavior: BehaviorModel::uniform_dist(
+                (0.2, 0.2, 0.6),
+                30.0,
+                Arc::new(Gamma::paper_fig7()),
+            ),
+            mean_interarrival: 2.0,
+            warmup: 240,
+            measure: 1200,
+            movies: vec![MovieId(0)],
+        },
     }
 }
 
@@ -47,7 +53,9 @@ fn wheel_matches_reference_scan_fault_free() {
         let cfg = config(piggyback);
         for seed in [1u64, 7, 23, 1901] {
             let wheel = run_harness(&cfg, seed);
-            let reference = run_harness_reference(&cfg, seed);
+            let reference =
+                run_reference_scan(&cfg, seed, &FaultPlan::empty(), DegradePolicy::default())
+                    .metrics;
             assert_eq!(
                 wheel, reference,
                 "schedulers diverged (seed {seed}, piggyback {piggyback})"
@@ -125,8 +133,9 @@ fn wheel_matches_reference_scan_under_faults() {
     let policy = DegradePolicy::default();
     for (name, plan) in plans() {
         for seed in [7u64, 23] {
-            let wheel = run_chaos(&cfg, seed, &plan, policy);
-            let reference = run_chaos_reference(&cfg, seed, &plan, policy);
+            let wheel =
+                run_backend(&cfg, BackendKind::BatchingBuffering, seed, &plan, policy).outcome;
+            let reference = run_reference_scan(&cfg, seed, &plan, policy);
             assert_eq!(
                 wheel, reference,
                 "chaos outcome diverged (plan {name}, seed {seed})"
@@ -216,44 +225,45 @@ impl Pair {
     }
 }
 
-/// The harness workload of `run_harness` (same RNG order), driven through
-/// both servers in lock-step.
+/// The pair as the shared [`Driver`]'s target: every call the workload
+/// makes lands on both servers, and `Pair::tick` is its own audit.
+impl Target for Pair {
+    type Movie = MovieId;
+    type Id = SessionId;
+    type Counters = ();
+
+    fn open(&mut self, movie: MovieId) -> Option<SessionId> {
+        Some(Pair::open(self, movie))
+    }
+
+    fn status(&mut self, id: SessionId) -> SessionStatus {
+        Pair::status(self, id)
+    }
+
+    fn vcr(&mut self, id: SessionId, kind: VcrKind, magnitude: u32) {
+        Pair::vcr(self, id, kind, magnitude);
+    }
+
+    fn tick(&mut self) {
+        Pair::tick(self);
+    }
+
+    fn reset_metrics(&mut self) {
+        self.both("reset_metrics", |s| s.reset_metrics());
+    }
+
+    fn audit(&mut self, _last: &mut Option<()>) -> Vec<String> {
+        Vec::new()
+    }
+}
+
+/// The harness workload — the very `Driver` `run_harness` runs — driven
+/// through both servers in lock-step.
 fn lockstep(cfg: &HarnessConfig, seed: u64, plan: &FaultPlan) {
     let mut pair = Pair::new(&cfg.server, plan);
-    let mut rng = seeded(seed);
-    let mut next_arrival = exponential(&mut rng, cfg.mean_interarrival);
-    let mut pending: Vec<(SessionId, u64)> = Vec::new();
-    for minute in 0..cfg.warmup + cfg.measure {
-        if minute == cfg.warmup {
-            pair.both("reset_metrics", |s| s.reset_metrics());
-        }
-        while next_arrival < (minute + 1) as f64 {
-            let id = pair.open(cfg.movie);
-            let gap = cfg.behavior.next_interaction_gap(&mut rng);
-            pending.push((id, minute + (gap.ceil() as u64).max(1)));
-            next_arrival += exponential(&mut rng, cfg.mean_interarrival);
-        }
-        let mut i = 0;
-        while i < pending.len() {
-            let (id, due) = pending[i];
-            if due <= minute {
-                match pair.status(id) {
-                    SessionStatus::Done => {
-                        pending.swap_remove(i);
-                        continue;
-                    }
-                    SessionStatus::Shared | SessionStatus::Dedicated => {
-                        let req = cfg.behavior.sample_request(&mut rng);
-                        pair.vcr(id, req.kind, (req.magnitude.round() as u32).max(1));
-                        let gap = cfg.behavior.next_interaction_gap(&mut rng);
-                        pending[i].1 = minute + (gap.ceil() as u64).max(1);
-                    }
-                    _ => pending[i].1 = minute + 1,
-                }
-            }
-            i += 1;
-        }
-        pair.tick();
+    let mut driver = Driver::new(&cfg.workload, &RoundRobin, seed);
+    for _ in 0..cfg.workload.horizon() {
+        driver.step(&mut pair);
     }
 }
 

@@ -129,6 +129,16 @@ pub fn parse_movie(spec: &str) -> Result<MovieSpec, CliError> {
         .map_err(|e| CliError(format!("movie `{spec}`: {e}")))
 }
 
+/// Streams the catalog needs under pure batching (`Σ ⌈l/w⌉`): the
+/// default budget and the baseline the report compares against. A total
+/// no `u32` holds is an error, not a wrapped budget.
+fn pure_batching_total(movies: &[MovieSpec]) -> Result<u32, CliError> {
+    movies
+        .iter()
+        .try_fold(0u32, |sum, m| sum.checked_add(m.pure_batching_streams()))
+        .ok_or_else(|| CliError("pure-batching stream total exceeds u32::MAX".into()))
+}
+
 /// Parse the full argument list (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut movies = Vec::new();
@@ -189,7 +199,10 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
     if movies.is_empty() {
         return err(format!("no movies given\n\n{USAGE}"));
     }
-    let streams = streams.unwrap_or_else(|| movies.iter().map(|m| m.pure_batching_streams()).sum());
+    let streams = match streams {
+        Some(n) => n,
+        None => pure_batching_total(&movies)?,
+    };
     Ok(Options {
         movies,
         streams,
@@ -218,7 +231,7 @@ pub fn run(opts: &Options) -> Result<String, CliError> {
     .map_err(|e| CliError(format!("allocation failed: {e}")))?;
 
     let mut out = String::new();
-    let pure: u32 = opts.movies.iter().map(|m| m.pure_batching_streams()).sum();
+    let pure = pure_batching_total(&opts.movies)?;
     let _ = writeln!(
         out,
         "catalog of {} movies; stream budget {}",

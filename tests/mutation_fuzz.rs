@@ -1,0 +1,154 @@
+//! Seeded mutation fuzz over the three places text from outside the
+//! program enters it: `FaultPlan::from_json`, the trace-CSV reader and
+//! `vodplan`'s `parse_args`. Each case takes a *valid* input, applies a
+//! few byte-level mutations (overwrite, bit flip, delete, insert,
+//! truncate, splice an over-long number) and requires an answer — `Err`,
+//! or an `Ok` that holds exactly what the text said — never a panic and
+//! never a counter that wrapped on the way in.
+
+#![allow(clippy::unwrap_used)]
+
+use proptest::prelude::*;
+use rand::RngCore;
+
+use vod_prealloc::cli::parse_args;
+use vod_prealloc::dist::rng::seeded;
+use vod_prealloc::runtime::FaultPlan;
+use vod_prealloc::workload::{read_csv, write_csv, TraceError, VcrKind, VcrTraceRecord};
+
+/// One to three seeded byte-level mutations of `input`.
+fn mutate(input: &[u8], seed: u64) -> Vec<u8> {
+    let mut rng = seeded(seed);
+    let mut out = input.to_vec();
+    for _ in 0..1 + rng.next_u64() % 3 {
+        let at = (rng.next_u64() % (out.len() as u64 + 1)) as usize;
+        let byte = rng.next_u64() as u8;
+        match rng.next_u64() % 6 {
+            0 if at < out.len() => out[at] = byte,
+            1 if at < out.len() => out[at] ^= 1 << (byte % 8),
+            2 if at < out.len() => drop(out.remove(at)),
+            3 => out.insert(at, byte),
+            4 => out.truncate(at),
+            // 2^64 + 4: a parser that wraps reads it as 4.
+            _ => drop(out.splice(at..at, *b"18446744073709551620")),
+        }
+    }
+    out
+}
+
+fn lossy(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+/// Longest run of ASCII digits in `text`.
+fn longest_digit_run(text: &str) -> usize {
+    text.split(|c: char| !c.is_ascii_digit())
+        .map(str::len)
+        .max()
+        .unwrap_or(0)
+}
+
+fn trace() -> Vec<u8> {
+    let records: Vec<VcrTraceRecord> = (0..12u32)
+        .map(|i| VcrTraceRecord {
+            issued_at: 3.25 * f64::from(i),
+            position: 1.5 * f64::from(i % 7),
+            kind: [VcrKind::FastForward, VcrKind::Rewind, VcrKind::Pause][i as usize % 3],
+            magnitude: 0.5 + f64::from(i),
+            hit: i % 2 == 0,
+        })
+        .collect();
+    let mut csv = Vec::new();
+    write_csv(&mut csv, &records).unwrap();
+    csv
+}
+
+fn vodplan_args() -> Vec<String> {
+    [
+        "--movie",
+        "a;l=60;w=1;p=0.5;dist=exp:mean=5",
+        "--movie",
+        "b;l=90;w=1.5;p=0.5;dist=gamma:shape=2,scale=4;mix=0.2,0.2,0.6",
+        "--streams",
+        "80",
+        "--buffer",
+        "200",
+        "--phi",
+        "10.7",
+        "--vcr-rate",
+        "1.5",
+        "--denial",
+        "0.02",
+        "--threads",
+        "2",
+    ]
+    .map(String::from)
+    .to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// A mutated plan is refused, or parses to a plan its own JSON gives
+    /// back; an integer no `u64` holds is always refused.
+    #[test]
+    fn fault_plan_json_survives_mutation(plan_seed in 0u64..64, seed in 0u64..u64::MAX) {
+        let valid = FaultPlan::generate_federation(plan_seed, 1440, 14, 4).to_json();
+        let text = lossy(&mutate(valid.as_bytes(), seed));
+        match FaultPlan::from_json(&text) {
+            Err(_) => {}
+            Ok(plan) => {
+                prop_assert!(longest_digit_run(&text) < 20, "overflow accepted: {}", text);
+                prop_assert_eq!(FaultPlan::from_json(&plan.to_json()), Ok(plan));
+            }
+        }
+    }
+
+    /// A mutated trace is refused with a line number inside the input,
+    /// or yields at most one record per data line.
+    #[test]
+    fn trace_csv_survives_mutation(seed in 0u64..u64::MAX) {
+        let bytes = mutate(&trace(), seed);
+        let lines = bytes.split(|&b| b == b'\n').count();
+        match read_csv(bytes.as_slice()) {
+            Ok(records) => prop_assert!(records.len() < lines.max(1)),
+            Err(TraceError::Parse { line, .. }) => prop_assert!((1..=lines).contains(&line)),
+            Err(TraceError::Io(_)) => {}
+        }
+    }
+
+    /// One mutated `vodplan` argument is refused, or parsed to exactly
+    /// the numbers it spells.
+    #[test]
+    fn vodplan_arguments_survive_mutation(which in 0usize..16, seed in 0u64..u64::MAX) {
+        let mut args = vodplan_args();
+        args[which] = lossy(&mutate(args[which].as_bytes(), seed));
+        if let Ok(opts) = parse_args(&args) {
+            prop_assert!(!opts.movies.is_empty() && opts.movies.len() <= 2);
+            let flag = |name: &str| args.iter().position(|a| a == name).map(|i| &args[i + 1]);
+            if let Some(text) = flag("--streams") {
+                prop_assert_eq!(text.parse::<u128>().ok(), Some(u128::from(opts.streams)));
+            }
+            if let Some(text) = flag("--threads") {
+                prop_assert_eq!(text.parse::<u128>().ok(), Some(opts.threads as u128));
+            }
+        }
+    }
+}
+
+/// Two movies whose pure-batching stream counts each saturate `u32`:
+/// without `--streams` their total is the default budget, and it must be
+/// refused rather than summed past `u32::MAX`.
+#[test]
+fn vodplan_default_stream_budget_cannot_wrap() {
+    let huge = "l=9e12;w=1;p=0.5;dist=exp:mean=5";
+    let args = [
+        "--movie",
+        &format!("a;{huge}"),
+        "--movie",
+        &format!("b;{huge}"),
+    ]
+    .map(String::from);
+    let refused = parse_args(&args).expect_err("a 2 × u32::MAX stream budget");
+    assert!(refused.0.contains("exceeds u32::MAX"), "{refused}");
+}
