@@ -14,8 +14,11 @@
 //! each of the three delivery backends under the pool-scaled
 //! [`vod_server::storm_plan`], with `check_invariants` after **every**
 //! tick. Per backend it reports events/sec, the audit's share of the
-//! wall, the slowest tick a fault landed on, and the violation count
-//! (must be 0), and writes `results/BENCH_scale_storm.json`;
+//! wall, the slowest tick a fault landed on, the sessions still live at
+//! the end beside the session slots still resident (with `--ticks` past
+//! the movie length most viewers have left, and their memory with them),
+//! and the violation count (must be 0), and writes
+//! `results/BENCH_scale_storm.json`;
 //! `--previous PATH` copies each backend's row out of an earlier storm
 //! file (or, without a plan, the timing lines out of an earlier headline
 //! file) so the new numbers sit beside the old ones.
@@ -175,13 +178,15 @@ fn storm_report(cfg: &ScaleConfig, header: &str, previous: Option<&str>) -> Stri
             "{{\"backend\": \"{kind}\", \"events\": {}, \"events_per_sec\": {:.0}, \
              \"elapsed_sec\": {elapsed:.3}, \"audit_share\": {:.3}, \
              \"worst_fault_tick_ms\": {:.3}, \"degraded_entries\": {}, \
-             \"concurrent_at_end\": {}, \"violations\": {violations}}}",
+             \"concurrent_at_end\": {}, \"resident_slots\": {}, \
+             \"violations\": {violations}}}",
             out.events,
             out.events as f64 / elapsed,
             audit_s / elapsed,
             worst_fault_tick_s * 1e3,
             out.metrics.degraded_entries,
             out.concurrent_at_end,
+            out.resident_slots,
         );
         println!("{row}");
         // Rows hold no nested objects, so the old row ends at its first `}`.

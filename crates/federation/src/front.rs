@@ -26,6 +26,20 @@
 //! after a whole-shard recovery the recovery-vs-timeout race is the
 //! norm, and recovery wins it.
 //!
+//! # Session lifetime
+//!
+//! The front tier keeps a row per session it still answers for — live on
+//! a shard, or waiting in the displaced ledger — in the same
+//! [`SessionStore`] the shards keep theirs in: ids are issued in
+//! admission order and never reused, and a row is retired (its memory
+//! given back) the tick its viewer finishes, which the front learns from
+//! each shard's [`DeliveryBackend::finished_this_tick`], or the tick its
+//! displacement resolves to a denial. A retired [`FedSessionId`] answers
+//! [`SessionStatus::Done`]; so does one the front never issued, and
+//! neither can alias a later admission. The audit, a shard outage and the
+//! ledger therefore cost `O(sessions in flight)`, not `O(sessions ever
+//! admitted)`.
+//!
 //! # Conservation
 //!
 //! Every displaced session ends in exactly one of {re-admitted,
@@ -35,11 +49,12 @@
 //! every tick, alongside each live shard's own conservation laws.
 
 use vod_runtime::{
-    BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, FederationMetrics, RuntimeMetrics,
+    BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, FederationMetrics,
+    RuntimeMetrics, SessionStore,
 };
 use vod_server::{
-    config_from_plan, make_backend, Adoption, DeliveryBackend, MovieId, ServerConfig, ServerError,
-    SessionId, SessionStatus,
+    config_from_plan, make_backend, Adoption, DeliveryBackend, DeliveryStats, MovieId,
+    ServerConfig, ServerError, SessionId, SessionStatus,
 };
 use vod_sizing::ShardPlan;
 use vod_workload::VcrKind;
@@ -70,17 +85,18 @@ pub struct FederationConfig {
 
 /// Handle to a federated session (stable across displacement and
 /// re-admission — the shard-local [`SessionId`] behind it changes).
+/// Issued in admission order and never reused; see the module docs for
+/// what a finished or never-issued id answers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FedSessionId(pub u32);
 
-/// Where a federated session currently lives.
+/// Where a federated session the front still answers for lives. One
+/// that finished, or whose displacement resolved to a denial, has no
+/// state: its row is retired.
 #[derive(Debug, Clone, Copy)]
 enum FedState {
     /// Playing (or queued) on an up shard.
     Live { shard: usize, local: SessionId },
-    /// Finished before (or observed finished at) its shard's outage; the
-    /// shard-local handle is gone but the completion was accounted.
-    Finished,
     /// In the displaced ledger, waiting for re-admission.
     Displaced {
         /// Playback position snapshotted when the shard went dark.
@@ -92,12 +108,9 @@ enum FedState {
         /// Current backoff (doubles per refused round, capped).
         backoff: u64,
     },
-    /// Timed out while the movie was still recoverable.
-    DeniedTransient,
-    /// Timed out with every hosting replica dark and no recovery ahead.
-    DeniedPermanent,
 }
 
+#[derive(Clone, Copy)]
 struct FedSession {
     /// Global movie index (into the placement map).
     movie: usize,
@@ -115,7 +128,14 @@ pub struct Federation {
     started_at: Vec<u64>,
     plan: FaultPlan,
     fault_mode: bool,
-    sessions: Vec<FedSession>,
+    sessions: SessionStore<FedSession>,
+    /// Per shard incarnation, shard-local session index → fed id: how a
+    /// finish the shard publishes finds its row. The shard admits
+    /// sessions only through the front, so this store and the shard's own
+    /// issue the same indices in the same order (audited).
+    routes: Vec<SessionStore<u32>>,
+    /// Final records the shards published this tick, under the fed ids.
+    finished: Vec<(FedSessionId, DeliveryStats)>,
     /// Fed ids currently displaced, in ledger (insertion) order.
     displaced: Vec<u32>,
     /// Finished-session counts retired from dead shard incarnations.
@@ -168,7 +188,9 @@ impl Federation {
             policy,
             plan,
             fault_mode,
-            sessions: Vec::new(),
+            sessions: SessionStore::new(),
+            routes: (0..n).map(|_| SessionStore::new()).collect(),
+            finished: Vec::new(),
             displaced: Vec::new(),
             retired_done: 0,
             baseline_down: 0,
@@ -226,6 +248,11 @@ impl Federation {
     /// map: the first up replica takes it. `None` means every replica is
     /// dark and the admission was denied (counted, no session tracked).
     pub fn open_session(&mut self, movie: usize) -> Option<FedSessionId> {
+        if self.sessions.is_full() {
+            // Fed ids are never reused; admission ends rather than wrap.
+            self.metrics.admissions_denied += 1;
+            return None;
+        }
         let mut skipped_dead = false;
         for &(s, local) in &self.placement[movie] {
             let Some(shard) = self.shards[s].as_mut() else {
@@ -239,27 +266,37 @@ impl Federation {
             if skipped_dead {
                 self.metrics.admissions_rerouted += 1;
             }
-            let fed = FedSessionId(self.sessions.len() as u32);
-            self.sessions.push(FedSession {
-                movie,
-                state: FedState::Live {
-                    shard: s,
-                    local: id,
-                },
-            });
-            return Some(fed);
+            let state = FedState::Live {
+                shard: s,
+                local: id,
+            };
+            let fed = self.sessions.insert(FedSession { movie, state })?;
+            self.route(s, id, fed);
+            return Some(FedSessionId(fed));
         }
         self.metrics.admissions_denied += 1;
         None
     }
 
+    /// Shard `s` admitted fed session `fed` as `local`: file it in the
+    /// shard's route table.
+    fn route(&mut self, s: usize, local: SessionId, fed: u32) {
+        let filed = self.routes[s].insert(fed);
+        debug_assert_eq!(
+            filed,
+            Some(local.0),
+            "shard {s} and its route table drifted"
+        );
+    }
+
     /// Session status in the shared vocabulary: live sessions report
     /// their shard's status, displaced sessions report
-    /// [`SessionStatus::Degraded`], and resolved (finished or denied)
-    /// sessions report [`SessionStatus::Done`].
+    /// [`SessionStatus::Degraded`], and everything else — resolved
+    /// (finished or denied) sessions, whose rows are retired, and ids the
+    /// front never issued — reports [`SessionStatus::Done`].
     pub fn session_status(&self, id: FedSessionId) -> SessionStatus {
-        match self.sessions[id.0 as usize].state {
-            FedState::Live { shard, local } => {
+        match self.sessions.get(id.0).map(|sess| sess.state) {
+            Some(FedState::Live { shard, local }) => {
                 // vod-lint: allow(no-panic) — a Live state always points at
                 // an up shard (audited by check_invariants every tick).
                 self.shards[shard]
@@ -270,24 +307,23 @@ impl Federation {
                     // vod-lint: allow(no-panic) — Live ⇒ shard owns the id
                     .expect("shard knows its session")
             }
-            FedState::Displaced { .. } => SessionStatus::Degraded,
-            FedState::Finished | FedState::DeniedTransient | FedState::DeniedPermanent => {
-                SessionStatus::Done
-            }
+            Some(FedState::Displaced { .. }) => SessionStatus::Degraded,
+            None => SessionStatus::Done,
         }
     }
 
     /// Forward a VCR request to the session's shard. Displaced or
     /// resolved sessions refuse with [`ServerError::VcrDenied`] (the
-    /// front tier has no stream to serve it from).
+    /// front tier has no stream to serve it from); an id the front never
+    /// issued is [`ServerError::UnknownSession`].
     pub fn request_vcr(
         &mut self,
         id: FedSessionId,
         kind: VcrKind,
         magnitude: u32,
     ) -> Result<(), ServerError> {
-        match self.sessions[id.0 as usize].state {
-            FedState::Live { shard, local } => {
+        match self.sessions.get(id.0).map(|sess| sess.state) {
+            Some(FedState::Live { shard, local }) => {
                 // vod-lint: allow(no-panic) — Live ⇒ shard up (see above).
                 self.shards[shard]
                     .as_mut()
@@ -295,15 +331,20 @@ impl Federation {
                     .expect("live session on up shard")
                     .request_vcr(local, kind, magnitude)
             }
-            _ => Err(ServerError::VcrDenied),
+            None if !self.sessions.was_issued(id.0) => {
+                Err(ServerError::UnknownSession(SessionId(id.0)))
+            }
+            Some(FedState::Displaced { .. }) | None => Err(ServerError::VcrDenied),
         }
     }
 
     /// Advance one virtual minute: apply whole-shard fault events due at
     /// the current tick (recoveries restart shards *before* the ledger
     /// runs, so a same-tick timeout loses the race to recovery), process
-    /// the displaced ledger, then tick every up shard.
+    /// the displaced ledger, then tick every up shard and retire the rows
+    /// of the sessions it reports finished.
     pub fn tick(&mut self) {
+        self.finished.clear();
         if self.fault_mode {
             let events: Vec<FaultKind> = self
                 .plan
@@ -326,44 +367,74 @@ impl Federation {
             }
         }
         self.drain_ledger();
-        for shard in self.shards.iter_mut().flatten() {
+        for (shard, routes) in self.shards.iter_mut().zip(&mut self.routes) {
+            let Some(shard) = shard else { continue };
             shard.tick();
+            for &(local, stats) in shard.finished_this_tick() {
+                if let Some(fed) = routes.retire(local.0) {
+                    self.sessions.retire(fed);
+                    self.finished.push((FedSessionId(fed), stats));
+                }
+            }
         }
         self.now += 1;
     }
 
+    /// The sessions that finished during the last [`tick`](Self::tick),
+    /// each with the final delivery record of the shard it finished on (a
+    /// viewer displaced on the way left the earlier part of its viewing
+    /// on the shard that went dark). Cleared by the next tick, like
+    /// [`DeliveryBackend::finished_this_tick`], which it relays.
+    pub fn finished_this_tick(&self) -> &[(FedSessionId, DeliveryStats)] {
+        &self.finished
+    }
+
+    /// Sessions the front tier still answers for: live on a shard or in
+    /// the displaced ledger.
+    pub fn live_sessions(&self) -> usize {
+        self.sessions.len()
+    }
+
+    /// Rows of the front tier's session table resident in memory; see
+    /// [`DeliveryBackend::session_slots`].
+    pub fn session_slots(&self) -> usize {
+        self.sessions.resident_slots()
+    }
+
     /// Take shard `s` down: retire its finished-session count, displace
-    /// every live session into the ledger, and drop the backend. A
-    /// second outage on an already-dark shard is a no-op (uncounted).
+    /// every session living on it into the ledger, in fed-id order, and
+    /// drop the backend. A second outage on an already-dark shard is a
+    /// no-op (uncounted).
     fn shard_outage(&mut self, s: usize) {
         let Some(shard) = self.shards[s].take() else {
             return;
         };
         self.metrics.shard_outages += 1;
         self.retired_done += shard.sessions_finished();
+        self.routes[s] = SessionStore::new();
         let now = self.now;
-        for i in 0..self.sessions.len() {
-            let FedState::Live { shard: home, local } = self.sessions[i].state else {
+        let backoff = self.policy.retry_backoff.max(1);
+        for (fed, sess) in self.sessions.iter_mut() {
+            let FedState::Live { shard: home, local } = sess.state else {
                 continue;
             };
             if home != s {
                 continue;
             }
-            let finished = matches!(shard.session_status(local), Ok(SessionStatus::Done));
-            if finished {
-                self.sessions[i].state = FedState::Finished;
+            // Every finish was relayed the tick it happened, so a row still
+            // pointing here has a position to resume from. Were one not to,
+            // it stays as it is and the audit reports it live on a dark
+            // shard.
+            let Ok(position) = shard.session_position(local) else {
                 continue;
-            }
-            // vod-lint: allow(no-panic) — a non-Done live session always
-            // has a queryable position on its (still-held) backend.
-            let position = shard.session_position(local).expect("live session");
-            self.sessions[i].state = FedState::Displaced {
+            };
+            sess.state = FedState::Displaced {
                 position,
                 since: now,
                 next_retry: now,
-                backoff: self.policy.retry_backoff.max(1),
+                backoff,
             };
-            self.displaced.push(i as u32);
+            self.displaced.push(fed);
             self.metrics.displaced_total += 1;
         }
     }
@@ -392,14 +463,14 @@ impl Federation {
         let now = self.now;
         let mut keep: Vec<u32> = Vec::with_capacity(self.displaced.len());
         for k in 0..self.displaced.len() {
-            let i = self.displaced[k] as usize;
-            let movie = self.sessions[i].movie;
+            let i = self.displaced[k];
+            let FedSession { movie, state } = *self.sessions.live(i);
             let FedState::Displaced {
                 position,
                 since,
                 next_retry,
                 backoff,
-            } = self.sessions[i].state
+            } = state
             else {
                 // vod-lint: allow(no-panic) — the ledger only lists
                 // Displaced sessions (audited by check_invariants).
@@ -422,10 +493,11 @@ impl Federation {
                     };
                     match shard.adopt_session(local, position) {
                         Ok((sid, how)) => {
-                            self.sessions[i].state = FedState::Live {
+                            self.sessions.live_mut(i).state = FedState::Live {
                                 shard: s,
                                 local: sid,
                             };
+                            self.route(s, sid, i);
                             match how {
                                 Adoption::CohortJoin => self.metrics.readmitted_cohort += 1,
                                 Adoption::DedicatedStream => self.metrics.readmitted_dedicated += 1,
@@ -441,25 +513,27 @@ impl Federation {
                 }
             }
             if timed_out {
+                // Resolved: transient while the movie could still be
+                // served later, permanent otherwise. Either way the front
+                // has nothing more to say about the session.
                 if self.movie_recoverable(movie) {
-                    self.sessions[i].state = FedState::DeniedTransient;
                     self.metrics.denied_transient += 1;
                 } else {
-                    self.sessions[i].state = FedState::DeniedPermanent;
                     self.metrics.denied_permanent += 1;
                 }
+                self.sessions.retire(i);
                 continue;
             }
             self.metrics.rewait_ticks += 1;
             if now >= next_retry {
-                self.sessions[i].state = FedState::Displaced {
+                self.sessions.live_mut(i).state = FedState::Displaced {
                     position,
                     since,
                     next_retry: now + backoff,
                     backoff: (backoff * 2).min(self.policy.retry_backoff_cap.max(1)),
                 };
             }
-            keep.push(i as u32);
+            keep.push(i);
         }
         self.displaced = keep;
     }
@@ -547,8 +621,9 @@ impl Federation {
     /// 1. every live shard's own invariants (tagged `shard <s>:`),
     /// 2. the displaced-session ledger balances
     ///    ([`FederationMetrics::conserved`] against in-flight),
-    /// 3. every `Live` session points at an up shard, and the ledger
-    ///    lists exactly the `Displaced` sessions,
+    /// 3. every `Live` session points at an up shard whose route table
+    ///    leads back to it, the route tables hold nobody else, and the
+    ///    ledger lists exactly the `Displaced` sessions,
     /// 4. the outage/recovery counters explain the dark-shard population.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut v = Vec::new();
@@ -570,26 +645,34 @@ impl Federation {
                 self.displaced.len()
             ));
         }
-        let mut in_ledger = vec![false; self.sessions.len()];
-        for &i in &self.displaced {
-            if let Some(listed) = in_ledger.get_mut(i as usize) {
-                *listed = true;
-            }
-        }
-        let mut displaced_states = 0u64;
-        for (i, sess) in self.sessions.iter().enumerate() {
+        let mut ledger = self.displaced.clone();
+        ledger.sort_unstable();
+        let (mut displaced_states, mut live_states) = (0u64, 0usize);
+        for (i, sess) in self.sessions.iter() {
             match sess.state {
-                FedState::Live { shard, .. } if self.shards[shard].is_none() => {
-                    v.push(format!("session {i} live on dark shard {shard}"));
+                FedState::Live { shard, local } => {
+                    live_states += 1;
+                    if self.shards[shard].is_none() {
+                        v.push(format!("session {i} live on dark shard {shard}"));
+                    } else if self.routes[shard].get(local.0) != Some(&i) {
+                        v.push(format!(
+                            "session {i} missing from shard {shard}'s route table"
+                        ));
+                    }
                 }
                 FedState::Displaced { .. } => {
                     displaced_states += 1;
-                    if !in_ledger[i] {
+                    if ledger.binary_search(&i).is_err() {
                         v.push(format!("displaced session {i} missing from ledger"));
                     }
                 }
-                _ => {}
             }
+        }
+        let routed: usize = self.routes.iter().map(SessionStore::len).sum();
+        if routed != live_states {
+            v.push(format!(
+                "route tables hold {routed} sessions but {live_states} are live"
+            ));
         }
         if displaced_states != self.displaced.len() as u64 {
             v.push(format!(
@@ -728,6 +811,12 @@ mod tests {
         fn buffer_segments(&self) -> u64 {
             unreachable!()
         }
+        fn live_sessions(&self) -> usize {
+            unreachable!()
+        }
+        fn session_slots(&self) -> usize {
+            unreachable!()
+        }
     }
 
     #[test]
@@ -766,16 +855,66 @@ mod tests {
         fed.shards[1] = Some(Box::new(BrokenShard));
         assert_eq!(fed.check_invariants(), ["shard 1: lease accounting broken"]);
         let mut fed = dark_shard_with_two_displaced();
-        let FedState::Live { local, .. } = fed.sessions[0].state else {
+        let FedState::Live { local, .. } = fed.sessions.live(0).state else {
             panic!("session 0 plays on shard 1");
         };
-        fed.sessions[0].state = FedState::Live { shard: 0, local };
+        fed.sessions.live_mut(0).state = FedState::Live { shard: 0, local };
         assert_eq!(fed.check_invariants(), ["session 0 live on dark shard 0"]);
+        // A finish the shard publishes could no longer find session 0.
+        let mut fed = dark_shard_with_two_displaced();
+        assert_eq!(fed.routes[1].retire(0), Some(0));
+        assert_eq!(
+            fed.check_invariants(),
+            [
+                "session 0 missing from shard 1's route table",
+                "route tables hold 1 sessions but 2 are live",
+            ]
+        );
         let mut fed = dark_shard_with_two_displaced();
         fed.metrics.shard_recoveries += 1;
         assert_eq!(
             fed.check_invariants(),
             ["outage accounting: 1 outages + 0 baseline ≠ 1 recoveries + 1 down"]
         );
+    }
+
+    /// `FedSessionId`'s field is public: an id the front never issued, and
+    /// one whose session is long gone, get an answer, not an abort — and
+    /// neither can come to mean somebody else.
+    #[test]
+    fn fabricated_and_resolved_ids_answer_done_and_refuse_vcr() {
+        let mut fed = dark_shard_with_two_displaced();
+        for raw in [4, 1 << 20, u32::MAX] {
+            let id = FedSessionId(raw);
+            assert_eq!(fed.session_status(id), SessionStatus::Done);
+            assert!(matches!(
+                fed.request_vcr(id, VcrKind::Pause, 3),
+                Err(ServerError::UnknownSession(_))
+            ));
+        }
+        // The two displaced viewers time out; the two on shard 1 play to
+        // the end. Every row is retired, every id still answers.
+        for _ in 0..200 {
+            fed.tick();
+            assert_eq!(fed.check_invariants(), Vec::<String>::new());
+        }
+        assert_eq!((fed.live_sessions(), fed.session_slots()), (0, 64));
+        assert_eq!(fed.sessions_finished(), 2);
+        for raw in 0..4 {
+            let id = FedSessionId(raw);
+            assert_eq!(fed.session_status(id), SessionStatus::Done);
+            assert!(matches!(
+                fed.request_vcr(id, VcrKind::Pause, 3),
+                Err(ServerError::VcrDenied)
+            ));
+        }
+        // Shard 0 never comes back; movie 1 still plays on shard 1, under
+        // an id of its own.
+        assert_eq!(fed.open_session(1), Some(FedSessionId(4)));
+        assert_eq!(
+            fed.session_status(FedSessionId(4)),
+            SessionStatus::Dedicated
+        );
+        assert_eq!(fed.session_status(FedSessionId(0)), SessionStatus::Done);
     }
 }

@@ -226,30 +226,6 @@ impl<T> Arena<T> {
         self.get_mut(id).expect("live arena id")
     }
 
-    /// Raw-index twin of [`Arena::live`] for hot paths that walk slots in
-    /// index order and have already established the slot is occupied.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slot `index` is vacant or out of range; see
-    /// [`Arena::live`] for the invariant.
-    pub fn live_at(&self, index: usize) -> &T {
-        // vod-lint: allow(no-panic) — same slot-liveness seam as `live`, keyed by
-        // raw index for the drivers' index-ordered walks.
-        self.at(index).expect("occupied arena slot")
-    }
-
-    /// Mutable twin of [`Arena::live_at`], same invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if slot `index` is vacant or out of range; see
-    /// [`Arena::live`].
-    pub fn live_at_mut(&mut self, index: usize) -> &mut T {
-        // vod-lint: allow(no-panic) — same slot-liveness seam as `live_at`.
-        self.at_mut(index).expect("occupied arena slot")
-    }
-
     /// Iterate live occupants in ascending slot order.
     pub fn iter(&self) -> impl Iterator<Item = (ArenaId, &T)> {
         self.slots.iter().enumerate().filter_map(|(i, s)| {

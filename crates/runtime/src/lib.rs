@@ -39,6 +39,11 @@
 //!   slot reuse matches a linear free-slot scan, so both drivers'
 //!   schedulers are O(1) per wakeup without perturbing a single bit of
 //!   the deterministic outputs.
+//! * [`SessionStore`] — where the servers and the federation front keep
+//!   their sessions: ids issued in admission order and never reused (so
+//!   every index-order argument holds), memory given back a chunk at a
+//!   time as sessions finish, and a finished id told apart from a
+//!   never-issued one without a tombstone.
 //!
 //! The drivers (`vod-server`, `vod-sim`) stay thin: they own event loops
 //! and data paths, never semantics.
@@ -54,6 +59,7 @@ mod degrade;
 mod metrics;
 mod quantize;
 mod reserve;
+mod store;
 mod vcr;
 mod wheel;
 mod windows;
@@ -64,6 +70,7 @@ pub use degrade::{DegradePolicy, FaultEvent, FaultKind, FaultPlan, RetryLedger, 
 pub use metrics::{escape_json, json_string_array, kind_index, FederationMetrics, RuntimeMetrics};
 pub use quantize::QuantizedGeometry;
 pub use reserve::StreamReserve;
+pub use store::{SessionStore, CHUNK as SESSION_CHUNK};
 pub use vcr::{plan_vcr, truncate_sweep, ResumeClass, SweepPlan};
 pub use wheel::TimerWheel;
 pub use windows::PartitionWindows;

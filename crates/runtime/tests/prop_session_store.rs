@@ -1,0 +1,131 @@
+//! Property tests for [`SessionStore`] against the obvious model, a
+//! `BTreeMap` keyed by the ids it issued: same contents, same (id) order,
+//! retired ids told apart from never-issued ones — and the one thing the
+//! model cannot say: memory is held for the chunks that hold a live
+//! session (plus the one under the cursor), never for the sessions that
+//! have passed through.
+
+#![allow(clippy::unwrap_used)]
+use std::collections::{BTreeMap, BTreeSet};
+
+use proptest::prelude::*;
+use vod_runtime::{SessionStore, SESSION_CHUNK};
+
+const CHUNK: u32 = SESSION_CHUNK as u32;
+
+/// Chunks the store may hold: one per chunk with a live id in it, and the
+/// chunk the issue cursor stands inside.
+fn chunks_needed(model: &BTreeMap<u32, u64>, issued: u32) -> usize {
+    let mut chunks: BTreeSet<u32> = model.keys().map(|id| id / CHUNK).collect();
+    if !issued.is_multiple_of(CHUNK) {
+        chunks.insert(issued / CHUNK);
+    }
+    chunks.len()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Random inserts, retirements (of the oldest, so chunks really empty,
+    /// or of anybody) and look-ups of arbitrary ids.
+    #[test]
+    fn store_matches_btreemap_model(script in proptest::collection::vec(0u32..u32::MAX, 600)) {
+        let mut store: SessionStore<u64> = SessionStore::new();
+        let mut model: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut issued = 0u32;
+        for step in script {
+            let pick = step / 8;
+            match step % 8 {
+                // Admissions outnumber any one kind of departure, so the
+                // population climbs through several chunks.
+                0..=3 => {
+                    let value = u64::from(step) << 8;
+                    prop_assert_eq!(store.insert(value), Some(issued), "ids are 0, 1, 2, …");
+                    model.insert(issued, value);
+                    issued += 1;
+                }
+                4 | 5 => {
+                    // The oldest live session leaves, as most viewers do.
+                    if let Some((&id, &value)) = model.iter().next() {
+                        prop_assert_eq!(store.retire(id), Some(value));
+                        model.remove(&id);
+                    }
+                }
+                6 => {
+                    // Somebody in the middle leaves early.
+                    if !model.is_empty() {
+                        let (&id, &value) = model.iter().nth(pick as usize % model.len()).unwrap();
+                        prop_assert_eq!(store.retire(id), Some(value));
+                        prop_assert_eq!(store.retire(id), None, "double retire must miss");
+                        model.remove(&id);
+                    }
+                }
+                _ => {
+                    // Any id at all: live, retired, or never issued.
+                    let id = pick % (issued + 2 * CHUNK);
+                    prop_assert_eq!(store.get(id), model.get(&id));
+                    prop_assert_eq!(store.was_issued(id), id < issued);
+                    if let Some(value) = store.get_mut(id) {
+                        *value += 1;
+                        *model.get_mut(&id).unwrap() += 1;
+                    }
+                }
+            }
+            prop_assert_eq!(store.len(), model.len());
+            prop_assert_eq!(store.issued(), u64::from(issued));
+            prop_assert_eq!(
+                store.resident_slots(),
+                chunks_needed(&model, issued) * SESSION_CHUNK,
+                "memory is held for live chunks and the open one, nothing else"
+            );
+        }
+        // The walk is the model's: every live session, once, in id order.
+        let walked: Vec<(u32, u64)> = store.iter().map(|(id, v)| (id, *v)).collect();
+        let expected: Vec<(u32, u64)> = model.iter().map(|(&id, &v)| (id, v)).collect();
+        prop_assert_eq!(&walked, &expected);
+        let walked_mut: Vec<u32> = store.iter_mut().map(|(id, _)| id).collect();
+        prop_assert_eq!(walked_mut, model.keys().copied().collect::<Vec<_>>());
+        // Every id ever issued is live or retired; nothing else is known.
+        for id in 0..issued + CHUNK {
+            prop_assert_eq!(store.get(id).is_some(), model.contains_key(&id));
+            prop_assert_eq!(store.was_issued(id), id < issued);
+        }
+    }
+
+    /// A few viewers pause for ever while everybody else comes and goes:
+    /// each pins its own chunk, not the window of ids behind it, and the
+    /// store stays within `live / CHUNK + pinned + 1` chunks however many
+    /// sessions pass through.
+    #[test]
+    fn a_pinned_session_pins_one_chunk(pins in proptest::collection::vec(0u32..40 * CHUNK, 5), waves in 3u32..12) {
+        let mut store: SessionStore<u32> = SessionStore::new();
+        let pinned: BTreeSet<u32> = pins.into_iter().collect();
+        let mut next_to_leave = 0u32;
+        for wave in 0..waves {
+            // A wave of arrivals, then everyone from the waves before the
+            // last leaves — except the pinned.
+            for _ in 0..10 * CHUNK {
+                store.insert(wave).unwrap();
+            }
+            let issued = u32::try_from(store.issued()).unwrap();
+            while next_to_leave + 10 * CHUNK < issued {
+                if !pinned.contains(&next_to_leave) {
+                    prop_assert!(store.retire(next_to_leave).is_some());
+                }
+                next_to_leave += 1;
+            }
+            let pinned_live = pinned.iter().filter(|&&id| id < next_to_leave).count();
+            prop_assert!(
+                store.resident_slots() / SESSION_CHUNK
+                    <= store.len() / SESSION_CHUNK + pinned_live + 2,
+                "{} chunks resident for {} live sessions, {} of them pinned",
+                store.resident_slots() / SESSION_CHUNK,
+                store.len(),
+                pinned_live
+            );
+        }
+        for &id in &pinned {
+            prop_assert_eq!(store.get(id).is_some(), u64::from(id) < store.issued());
+        }
+    }
+}

@@ -26,7 +26,7 @@ use crate::core::ServerCore;
 use crate::dedicated::DedicatedServer;
 use crate::pyramid::PyramidServer;
 use crate::server::{ServerConfig, ServerError, VodServer};
-use crate::session::{SessionId, SessionStatus};
+use crate::session::{DeliveryStats, SessionId, SessionStatus};
 
 /// How a backend re-admitted a displaced session
 /// ([`DeliveryBackend::adopt_session`]).
@@ -59,6 +59,15 @@ pub enum Adoption {
 /// * **Conservation** — `check_invariants` returns human-readable
 ///   violations of the backend's resource-conservation laws; it must be
 ///   a pure read, cheap enough to run after every tick.
+/// * **Session lifetime** — a session is *retired* the tick it finishes
+///   (or the moment it is closed): its memory is given back and its
+///   final record published once through `finished_this_tick`. Ids are
+///   issued in admission order and never reused, so from then on the id
+///   answers [`SessionStatus::Done`] to `session_status` and
+///   [`ServerError::SessionFinished`] to everything else, while an id
+///   the backend never issued is [`ServerError::UnknownSession`]. State,
+///   audits and fault handling cost `O(live sessions)`, never
+///   `O(sessions ever admitted)`.
 pub trait DeliveryBackend {
     /// Which scheme this is (names the row in comparison reports).
     fn kind(&self) -> BackendKind;
@@ -81,12 +90,13 @@ pub trait DeliveryBackend {
         magnitude: u32,
     ) -> Result<(), ServerError>;
 
-    /// Current session status in the shared vocabulary.
+    /// Current session status in the shared vocabulary; a retired id is
+    /// [`SessionStatus::Done`].
     fn session_status(&self, id: SessionId) -> Result<SessionStatus, ServerError>;
 
-    /// Playback position (whole minutes consumed) of a session. Valid
-    /// for any live or finished session; the federation front tier
-    /// snapshots it when draining a shard marked for outage.
+    /// Playback position (whole minutes consumed) of a live session; the
+    /// federation front tier snapshots it when draining a shard marked
+    /// for outage.
     fn session_position(&self, id: SessionId) -> Result<u32, ServerError>;
 
     /// Adopt a session displaced from another shard, resuming `movie` at
@@ -113,6 +123,26 @@ pub trait DeliveryBackend {
     /// Provisioned server-side buffer `ΣB` in segments — the buffer term
     /// of the cost model.
     fn buffer_segments(&self) -> u64;
+
+    /// Sessions admitted and not yet retired.
+    fn live_sessions(&self) -> usize;
+
+    /// Session slots resident in memory — at most `2 × live_sessions() +`
+    /// [`SESSION_CHUNK`](vod_runtime::SESSION_CHUNK) under arrivals that
+    /// finish roughly in the order they came, however many sessions have
+    /// passed through.
+    fn session_slots(&self) -> usize;
+
+    /// The sessions retired since the current tick began — finished in
+    /// it, or closed after it — with their final delivery records, in
+    /// retirement order. This is the one place a finished viewer's record
+    /// is published: the store keeps nothing per retired session, and the
+    /// next `tick` clears the list. A front tier reads it after each tick
+    /// to retire its own rows; a harness reads it to total what viewers
+    /// received.
+    fn finished_this_tick(&self) -> &[(SessionId, DeliveryStats)] {
+        self.core().finished_this_tick()
+    }
 
     /// Current virtual time in minutes.
     fn now(&self) -> u64 {
@@ -152,7 +182,8 @@ pub trait DeliveryBackend {
         self.core().degraded_count
     }
 
-    /// Sessions that reached `Done` (finished or closed early).
+    /// Sessions that reached `Done` (finished or closed early) since the
+    /// last metrics reset.
     fn sessions_finished(&self) -> u64 {
         let metrics = &self.core().metrics;
         metrics.sessions_done + metrics.sessions_closed_early

@@ -22,7 +22,7 @@ use crate::content::{verify_segment, MovieId};
 use crate::disk::{DiskSubsystem, StreamLease};
 use crate::metrics::ServerMetrics;
 use crate::server::{ServerConfig, ServerError};
-use crate::session::DeliveryStats;
+use crate::session::{DeliveryStats, SessionId};
 
 /// State and accounting common to every [`DeliveryBackend`]; see the
 /// module docs. Backends hand it out through
@@ -63,6 +63,19 @@ pub struct ServerCore {
     recovered_at: Option<u64>,
     /// Sessions currently in the degraded re-wait state.
     pub(crate) degraded_count: u32,
+    /// Sessions retired so far (finished or closed) and the `(buffer,
+    /// disk)` deliveries on their final records. A retired session leaves
+    /// nothing else behind, so this is what keeps the books closed: with
+    /// the live sessions' records it adds up to every delivery the
+    /// counters ever saw.
+    retired: u64,
+    retired_delivered: (u64, u64),
+    /// Deliveries `(buffer, disk)` the runtime counters had seen when
+    /// `reset_metrics` last zeroed them.
+    delivered_before_reset: (u64, u64),
+    /// Final records of the sessions retired since the current tick
+    /// began; see [`DeliveryBackend::finished_this_tick`].
+    finished: Vec<(SessionId, DeliveryStats)>,
 }
 
 /// What one retry-ledger tick of a degraded session came to.
@@ -120,7 +133,32 @@ impl ServerCore {
             recovery_due: BTreeMap::new(),
             recovered_at: None,
             degraded_count: 0,
+            retired: 0,
+            retired_delivered: (0, 0),
+            delivered_before_reset: (0, 0),
+            finished: Vec::new(),
         }
+    }
+
+    /// A tick begins: the finishes published during the last one have
+    /// had their one tick of visibility.
+    pub(crate) fn begin_tick(&mut self) {
+        self.finished.clear();
+    }
+
+    /// Close the books on a session its backend just took out of the
+    /// store — the one place a retirement is counted and the one place a
+    /// finished viewer's record is published.
+    pub(crate) fn retire(&mut self, id: SessionId, stats: DeliveryStats) {
+        self.retired += 1;
+        self.retired_delivered.0 += stats.from_buffer;
+        self.retired_delivered.1 += stats.from_disk;
+        self.finished.push((id, stats));
+    }
+
+    /// [`DeliveryBackend::finished_this_tick`].
+    pub(crate) fn finished_this_tick(&self) -> &[(SessionId, DeliveryStats)] {
+        &self.finished
     }
 
     /// Index of a hosted movie in `config.movies`.
@@ -262,9 +300,52 @@ impl ServerCore {
         }
     }
 
+    /// The population clauses of `check_invariants`, against a backend's
+    /// walk over its live sessions: every session the store ever `issued`
+    /// is one of the `live` ones or was retired through [`Self::retire`],
+    /// and the `(buffer, disk)` deliveries `on_record` for the live ones
+    /// plus the retired totals are the deliveries the counters saw. With
+    /// no slot kept per finished session, this is what "no session was
+    /// lost" means.
+    pub(crate) fn population_drift(
+        &self,
+        issued: u64,
+        live: u64,
+        on_record: (u64, u64),
+    ) -> Vec<String> {
+        let mut found = Vec::new();
+        if issued != live + self.retired {
+            found.push(format!(
+                "session population drift: {issued} admitted != {live} live + {} retired",
+                self.retired
+            ));
+        }
+        let rt = &self.metrics.runtime;
+        let recorded = (
+            on_record.0 + self.retired_delivered.0,
+            on_record.1 + self.retired_delivered.1,
+        );
+        // Whole numbers far below 2⁵³: the counters convert exactly.
+        let delivered = (
+            self.delivered_before_reset.0 + rt.buffer_minutes as u64,
+            self.delivered_before_reset.1 + rt.disk_minutes as u64,
+        );
+        if recorded != delivered {
+            found.push(format!(
+                "delivery record drift: sessions show {} buffer + {} disk segments (live and \
+                 retired), the counters {} + {}",
+                recorded.0, recorded.1, delivered.0, delivered.1
+            ));
+        }
+        found
+    }
+
     /// [`DeliveryBackend::reset_metrics`].
     pub(crate) fn reset_metrics(&mut self) {
         let now = self.now as f64;
+        let rt = &self.metrics.runtime;
+        self.delivered_before_reset.0 += rt.buffer_minutes as u64;
+        self.delivered_before_reset.1 += rt.disk_minutes as u64;
         let playing = self.metrics.playback.current();
         self.metrics = ServerMetrics::new();
         self.metrics.playback = TimeWeighted::new(now, playing);

@@ -31,9 +31,9 @@
 //! ([`FaultPolicy::RESERVE_FAILS_FIRST`] is off), so a full pool cannot
 //! hide a failure from the accountant.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-use vod_runtime::{Arena, BackendKind, RetryLedger};
+use vod_runtime::{BackendKind, RetryLedger, SessionStore};
 use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
@@ -41,7 +41,7 @@ use crate::content::MovieId;
 use crate::core::{apply_faults, FaultPolicy, Retry, ServerCore};
 use crate::disk::StreamLease;
 use crate::server::{ServerConfig, ServerError};
-use crate::session::{DeliveryStats, SessionId, SessionStatus};
+use crate::session::{resolve, status_of, DeliveryStats, SessionId, SessionStatus};
 
 /// Per-session state machine of the unicast backend.
 enum DState {
@@ -66,8 +66,6 @@ enum DState {
     /// sends the session back to the FIFO admission queue, where further
     /// waits are ordinary queueing (transient denials), not degradation.
     Starved(RetryLedger),
-    /// Finished.
-    Done,
 }
 
 struct DSession {
@@ -83,14 +81,26 @@ struct DSession {
     stats: DeliveryStats,
 }
 
+/// Deliver one segment to a playing session through its lease. Returns
+/// false when that was the last of the movie.
+fn consume_one(sess: &mut DSession, core: &mut ServerCore) -> bool {
+    let hosted = core.config.movies[sess.movie_idx];
+    let length = hosted.geometry.length;
+    if sess.position < length {
+        let lease = sess.lease.as_ref();
+        core.read_via_lease(lease, hosted.movie, sess.position, &mut sess.stats);
+        sess.position += 1;
+    }
+    sess.position < length
+}
+
 /// The dedicated-stream (pure unicast) backend. See the module docs.
 pub struct DedicatedServer {
     core: ServerCore,
-    sessions: Arena<DSession>,
+    sessions: SessionStore<DSession>,
     /// FIFO of queued session indices awaiting their first stream.
     queue: VecDeque<u32>,
-    /// Indices of sessions past the queue and not yet `Done`, ascending
-    /// (session slots are never reused, so push order is index order).
+    /// Indices of the sessions past the queue, in the order they left it.
     active: Vec<u32>,
 }
 
@@ -100,7 +110,7 @@ impl DedicatedServer {
     pub fn new(config: ServerConfig) -> Self {
         Self {
             core: ServerCore::new(config, 0),
-            sessions: Arena::new(),
+            sessions: SessionStore::new(),
             queue: VecDeque::new(),
             active: Vec::new(),
         }
@@ -108,7 +118,7 @@ impl DedicatedServer {
 
     /// Session `idx` starts (or resumes) playing on `lease`.
     fn play(&mut self, idx: u32, lease: StreamLease) {
-        let sess = self.sessions.live_at_mut(idx as usize);
+        let sess = self.sessions.live_mut(idx);
         sess.lease = Some(lease);
         sess.state = DState::Playing;
         self.core.metrics.playback.add(self.core.now as f64, 1.0);
@@ -124,7 +134,7 @@ impl DedicatedServer {
             };
             self.queue.pop_front();
             self.play(idx, lease);
-            let sess = self.sessions.live_at_mut(idx as usize);
+            let sess = self.sessions.live_mut(idx);
             if !sess.admitted {
                 sess.admitted = true;
                 let waited = self.core.now - sess.opened_at;
@@ -134,32 +144,17 @@ impl DedicatedServer {
         }
     }
 
-    /// Deliver one segment to a playing session through its lease.
-    /// Returns false when the movie ended (session finished).
-    fn consume_one(&mut self, idx: u32) -> bool {
-        let sess = self.sessions.live_at_mut(idx as usize);
-        let hosted = self.core.config.movies[sess.movie_idx];
-        let length = hosted.geometry.length;
-        if sess.position < length {
-            let lease = sess.lease.as_ref();
-            self.core
-                .read_via_lease(lease, hosted.movie, sess.position, &mut sess.stats);
-            sess.position += 1;
-        }
-        if sess.position >= length {
-            self.finish(idx);
-            return false;
-        }
-        true
-    }
-
-    /// Retire a finished session: release its stream, close the books.
+    /// Session `idx` reached the end of the movie: retire it — its
+    /// stream released, its slot given up, its final record booked and
+    /// published by the core.
     fn finish(&mut self, idx: u32) {
-        let sess = self.sessions.live_at_mut(idx as usize);
-        sess.state = DState::Done;
+        let Some(mut sess) = self.sessions.retire(idx) else {
+            unreachable!("the active walk holds live sessions only")
+        };
         if let Some(lease) = sess.lease.take() {
             self.core.release_lease(lease);
         }
+        self.core.retire(SessionId(idx), sess.stats);
         self.core.metrics.playback.add(self.core.now as f64, -1.0);
         self.core.metrics.sessions_done += 1;
     }
@@ -170,20 +165,15 @@ impl FaultPolicy for DedicatedServer {
 
     fn leases_revoked(&mut self, revoked: &[u64]) -> u32 {
         let now = self.core.now as f64;
-        for idx in 0..self.sessions.slot_count() {
-            let Some(sess) = self.sessions.at_mut(idx) else {
-                continue;
-            };
+        for (_, sess) in self.sessions.iter_mut() {
             if sess.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
                 sess.lease = None;
-                if !matches!(sess.state, DState::Done) {
-                    if matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
-                        self.core.metrics.playback.add(now, -1.0);
-                    }
-                    // Revocation, not a refused acquisition: nothing
-                    // pending to classify yet.
-                    sess.state = DState::Starved(self.core.enter_degraded(0));
+                if matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
+                    self.core.metrics.playback.add(now, -1.0);
                 }
+                // Revocation, not a refused acquisition: nothing pending
+                // to classify yet.
+                sess.state = DState::Starved(self.core.enter_degraded(0));
                 self.core.reserve.release(now);
             }
         }
@@ -210,20 +200,23 @@ impl DeliveryBackend for DedicatedServer {
 
     fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError> {
         let movie_idx = self.core.movie_idx(movie)?;
-        let id = SessionId(self.sessions.insert(DSession {
-            movie_idx,
-            position: 0,
-            opened_at: self.core.now,
-            admitted: false,
-            state: DState::Queued,
-            lease: None,
-            stats: DeliveryStats::default(),
-        }));
-        let idx = id.0.index() as u32;
+        let idx = self
+            .sessions
+            .insert(DSession {
+                movie_idx,
+                position: 0,
+                opened_at: self.core.now,
+                admitted: false,
+                state: DState::Queued,
+                lease: None,
+                stats: DeliveryStats::default(),
+            })
+            .ok_or(ServerError::SessionIdsExhausted)?;
+        let id = SessionId(idx);
         if self.queue.is_empty() {
             if let Some(lease) = self.core.try_lease() {
                 self.play(idx, lease);
-                self.sessions.live_at_mut(idx as usize).admitted = true;
+                self.sessions.live_mut(idx).admitted = true;
                 self.core.startup_waits.push(0.0);
                 self.active.push(idx);
                 return Ok(id);
@@ -240,10 +233,8 @@ impl DeliveryBackend for DedicatedServer {
         kind: VcrKind,
         magnitude: u32,
     ) -> Result<(), ServerError> {
-        let sess = self
-            .sessions
-            .get_mut(id.0)
-            .ok_or(ServerError::UnknownSession(id))?;
+        resolve(&self.sessions, id)?;
+        let sess = self.sessions.live_mut(id.0);
         if !matches!(sess.state, DState::Playing) {
             return Err(ServerError::InvalidState { operation: "vcr" });
         }
@@ -273,10 +264,7 @@ impl DeliveryBackend for DedicatedServer {
     }
 
     fn session_position(&self, id: SessionId) -> Result<u32, ServerError> {
-        self.sessions
-            .get(id.0)
-            .map(|s| s.position)
-            .ok_or(ServerError::UnknownSession(id))
+        resolve(&self.sessions, id).map(|sess| sess.position)
     }
 
     fn adopt_session(
@@ -288,6 +276,9 @@ impl DeliveryBackend for DedicatedServer {
         if position >= self.core.config.movies[movie_idx].geometry.length {
             return Err(ServerError::InvalidState { operation: "adopt" });
         }
+        if self.sessions.is_full() {
+            return Err(ServerError::SessionIdsExhausted);
+        }
         // A migration places immediately or refuses: the FIFO queue is
         // for fresh admissions, and queueing a displaced session here
         // would hide it from the front tier's failover ledger.
@@ -297,54 +288,55 @@ impl DeliveryBackend for DedicatedServer {
             self.core.reserve.record_denials(1, false);
             return Err(ServerError::VcrDenied);
         };
-        let id = SessionId(self.sessions.insert(DSession {
-            movie_idx,
-            position,
-            opened_at: self.core.now,
-            admitted: true,
-            state: DState::Queued,
-            lease: None,
-            stats: DeliveryStats::default(),
-        }));
-        let idx = id.0.index() as u32;
+        let idx = self
+            .sessions
+            .insert(DSession {
+                movie_idx,
+                position,
+                opened_at: self.core.now,
+                admitted: true,
+                state: DState::Queued,
+                lease: None,
+                stats: DeliveryStats::default(),
+            })
+            .ok_or(ServerError::SessionIdsExhausted)?;
         self.play(idx, lease);
         self.active.push(idx);
-        Ok((id, Adoption::DedicatedStream))
+        Ok((SessionId(idx), Adoption::DedicatedStream))
     }
 
     fn session_status(&self, id: SessionId) -> Result<SessionStatus, ServerError> {
-        let sess = self
-            .sessions
-            .get(id.0)
-            .ok_or(ServerError::UnknownSession(id))?;
-        Ok(match sess.state {
+        status_of(&self.sessions, id, |sess| match sess.state {
             DState::Queued => SessionStatus::Waiting(self.core.now + 1),
             DState::Playing => SessionStatus::Dedicated,
             DState::Vcr { .. } | DState::Paused { .. } => SessionStatus::InVcr,
             DState::Starved(_) => SessionStatus::Degraded,
-            DState::Done => SessionStatus::Done,
         })
     }
 
     fn tick(&mut self) {
+        self.core.begin_tick();
         apply_faults(self);
         self.drain_queue();
         let stalled = self.core.disk_stalled();
         let vcr_rate = self.core.config.vcr_rate.max(1);
-        // Session slots are never reused and `active` is push-ordered, so
-        // this walk is ascending-index — the same deterministic order as
-        // the batching server's session phase.
         let mut i = 0;
         while i < self.active.len() {
             let idx = self.active[i];
-            let sess = self.sessions.live_at_mut(idx as usize);
+            let sess = self.sessions.live_mut(idx);
             // Does the session stay on the active walk?
             let stays = match &mut sess.state {
                 DState::Playing if stalled => {
                     self.core.metrics.runtime.stall_minutes += 1.0;
                     true
                 }
-                DState::Playing => self.consume_one(idx),
+                DState::Playing => {
+                    let more = consume_one(sess, &mut self.core);
+                    if !more {
+                        self.finish(idx);
+                    }
+                    more
+                }
                 DState::Vcr { kind, remaining } => {
                     // Sweep at the VCR display rate on the held lease.
                     let length = self.core.config.movies[sess.movie_idx].geometry.length;
@@ -414,7 +406,7 @@ impl DeliveryBackend for DedicatedServer {
                         }
                     }
                 }
-                DState::Queued | DState::Done => false,
+                DState::Queued => false,
             };
             if stays {
                 i += 1;
@@ -428,40 +420,49 @@ impl DeliveryBackend for DedicatedServer {
     fn check_invariants(&self) -> Vec<String> {
         // Queue conservation: the FIFO and the active walk partition the
         // live population — every `Queued` session sits in the queue
-        // exactly once and holds no lease; nothing else queues. Entries
-        // are tallied per session slot; one past the arena (never in a
-        // healthy queue) is reported after the in-range ones.
-        let mut queued = vec![0u32; self.sessions.slot_count()];
-        let mut strays = BTreeMap::new();
-        for &idx in &self.queue {
-            match queued.get_mut(idx as usize) {
-                Some(count) => *count += 1,
-                None => *strays.entry(idx).or_insert(0u32) += 1,
-            }
-        }
-        let mut faults = Vec::new();
-        let in_range = queued.iter().enumerate().map(|(idx, &n)| (idx as u32, n));
-        for (idx, count) in in_range.filter(|&(_, n)| n > 0).chain(strays) {
+        // exactly once and holds no lease; nothing else queues. The
+        // entries are put in index order and matched against the sessions
+        // in one walk; what they say about the queue is reported ahead of
+        // what the walk says about the sessions.
+        let mut queued: Vec<u32> = self.queue.iter().copied().collect();
+        // Arrival order but for the few re-queued after starving: a handful
+        // of ascending runs, which the adaptive stable sort merges in one pass.
+        queued.sort();
+        let mut entries = queued
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len()))
+            .peekable();
+        let mut queue_faults = Vec::new();
+        let mut entry_found = |idx: u32, count: usize, sess: Option<&DSession>| {
             if count > 1 {
-                faults.push(format!("session {idx} queued {count} times"));
+                queue_faults.push(format!("session {idx} queued {count} times"));
             }
-            match self.sessions.at(idx as usize) {
+            match sess {
                 Some(sess) if matches!(sess.state, DState::Queued) => {
                     if sess.lease.is_some() {
-                        faults.push(format!("queued session {idx} holds a lease"));
+                        queue_faults.push(format!("queued session {idx} holds a lease"));
                     }
                 }
-                _ => faults.push(format!("queue entry {idx} is not a queued session")),
+                _ => queue_faults.push(format!("queue entry {idx} is not a queued session")),
             }
-        }
+        };
+        let mut faults = Vec::new();
         let mut held = 0u32;
         let mut starved = 0u32;
-        for (idx, &in_fifo) in queued.iter().enumerate() {
-            let Some(sess) = self.sessions.at(idx) else {
-                continue;
-            };
-            if matches!(sess.state, DState::Queued) && in_fifo == 0 {
-                faults.push(format!("queued session {idx} missing from the FIFO"));
+        let (mut live, mut from_disk) = (0u64, 0u64);
+        for (idx, sess) in self.sessions.iter() {
+            live += 1;
+            from_disk += sess.stats.from_disk;
+            // Entries below `idx` name nobody live.
+            while let Some((stray, count)) = entries.next_if(|&(entry, _)| entry < idx) {
+                entry_found(stray, count, None);
+            }
+            match entries.next_if(|&(entry, _)| entry == idx) {
+                Some((_, count)) => entry_found(idx, count, Some(sess)),
+                None if matches!(sess.state, DState::Queued) => {
+                    faults.push(format!("queued session {idx} missing from the FIFO"));
+                }
+                None => {}
             }
             if sess.lease.is_some() {
                 held += 1;
@@ -477,6 +478,11 @@ impl DeliveryBackend for DedicatedServer {
                 starved += 1;
             }
         }
+        for (stray, count) in entries {
+            entry_found(stray, count, None);
+        }
+        queue_faults.append(&mut faults);
+        let mut faults = queue_faults;
         // Reported resources first, then the findings above, then what
         // the recount says about the books.
         let drift = self.core.resource_drift(0, held, starved);
@@ -493,6 +499,10 @@ impl DeliveryBackend for DedicatedServer {
             ));
         }
         v.append(&mut faults);
+        v.extend(
+            self.core
+                .population_drift(self.sessions.issued(), live, (0, from_disk)),
+        );
         if let Some(in_use) = drift.leases {
             v.push(format!(
                 "lease accounting broken: sessions hold {held}, disk says {in_use}"
@@ -514,6 +524,14 @@ impl DeliveryBackend for DedicatedServer {
     fn buffer_segments(&self) -> u64 {
         0
     }
+
+    fn live_sessions(&self) -> usize {
+        self.sessions.len()
+    }
+
+    fn session_slots(&self) -> usize {
+        self.sessions.resident_slots()
+    }
 }
 
 #[cfg(test)]
@@ -527,7 +545,7 @@ mod tests {
         /// The audit's recount, for the cross-backend lease test:
         /// `(pre-allocated leases, session-held leases, starved sessions)`.
         pub(crate) fn holders(&self) -> (u32, u32, u32) {
-            let live = || (0..self.sessions.slot_count()).filter_map(|i| self.sessions.at(i));
+            let live = || self.sessions.iter().map(|(_, s)| s);
             let held = live().filter(|s| s.lease.is_some()).count();
             let degraded = live()
                 .filter(|s| matches!(s.state, DState::Starved(_)))
@@ -561,6 +579,26 @@ mod tests {
         assert_eq!(rt.disk_minutes, 120.0);
         assert_eq!(s.startup_waits().count(), 1);
         assert_eq!(s.startup_waits().mean(), 0.0);
+    }
+
+    /// The last session id is issued; the next admission is refused with
+    /// a typed error before it takes a stream.
+    #[test]
+    fn admission_ends_when_the_ids_run_out() {
+        let mut s = DedicatedServer::new(config());
+        s.sessions = SessionStore::starting_at(u32::MAX - 1);
+        assert_eq!(s.open_session(MovieId(0)).unwrap(), SessionId(u32::MAX - 1));
+        assert!(matches!(
+            s.open_session(MovieId(0)),
+            Err(ServerError::SessionIdsExhausted)
+        ));
+        assert!(matches!(
+            s.adopt_session(MovieId(0), 100),
+            Err(ServerError::SessionIdsExhausted)
+        ));
+        assert_eq!(s.core.reserve.in_use(), 1);
+        s.tick();
+        assert_eq!(s.check_invariants(), Vec::<String>::new());
     }
 
     #[test]
@@ -721,7 +759,7 @@ mod tests {
         );
         let mut s = busy();
         // A session lease dropped without a release.
-        s.sessions.live_at_mut(1).lease = None;
+        s.sessions.live_mut(1).lease = None;
         assert_eq!(
             s.check_invariants(),
             [
@@ -731,7 +769,7 @@ mod tests {
             ]
         );
         let mut s = busy();
-        s.sessions.live_at_mut(1).state = DState::Paused { remaining: 3 };
+        s.sessions.live_mut(1).state = DState::Paused { remaining: 3 };
         assert_eq!(
             s.check_invariants(),
             ["session 1 holds a lease in a non-serving state"]
@@ -766,9 +804,9 @@ mod tests {
             ["queued session 2 missing from the FIFO"]
         );
         let mut s = busy();
-        let lease = s.sessions.live_at_mut(1).lease.take();
-        s.sessions.live_at_mut(1).state = DState::Paused { remaining: 3 };
-        s.sessions.live_at_mut(2).lease = lease;
+        let lease = s.sessions.live_mut(1).lease.take();
+        s.sessions.live_mut(1).state = DState::Paused { remaining: 3 };
+        s.sessions.live_mut(2).lease = lease;
         assert_eq!(
             s.check_invariants(),
             [

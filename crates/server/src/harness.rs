@@ -486,6 +486,10 @@ pub struct ScaleOutcome {
     pub sessions: u64,
     /// Sessions still live (not `Done`) after the last tick.
     pub concurrent_at_end: u64,
+    /// Session slots the backend still holds in memory after the last
+    /// tick ([`DeliveryBackend::session_slots`]): a multiple of the live
+    /// population, not of `sessions`.
+    pub resident_slots: u64,
     /// Segments delivered (buffer + disk), byte-verified.
     pub segments: u64,
     /// VCR operations accepted by the server.
@@ -623,6 +627,7 @@ pub fn run_scale_on(
     ScaleOutcome {
         sessions: cfg.sessions,
         concurrent_at_end: cfg.sessions.saturating_sub(server.sessions_finished()),
+        resident_slots: server.session_slots() as u64,
         segments,
         vcr_accepted,
         events: cfg.sessions + segments + vcr_accepted,

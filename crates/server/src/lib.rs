@@ -13,10 +13,18 @@
 //! let movie = HostedMovie::from_allocation(MovieId(0), 120, 10, 60.0);
 //! let mut server = VodServer::new(ServerConfig::provisioned(vec![movie], 4));
 //! let session = server.open_session(MovieId(0)).unwrap();
-//! server.run(130);
-//! let stats = server.session_stats(session).unwrap();
+//! // A session is retired the tick it finishes: its memory goes back and
+//! // its final record is published once, on that tick.
+//! let mut published = Vec::new();
+//! for _ in 0..130 {
+//!     server.tick();
+//!     published.extend_from_slice(server.finished_this_tick());
+//! }
+//! let [(finished, stats)] = published[..] else { panic!("one viewer, one record") };
+//! assert_eq!(finished, session);
 //! assert_eq!(stats.verify_failures, 0);
 //! assert_eq!(stats.total(), 120); // every segment delivered exactly once
+//! assert_eq!(server.live_sessions(), 0);
 //! ```
 
 #![warn(missing_docs)]

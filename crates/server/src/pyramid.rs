@@ -49,7 +49,9 @@
 //! after the retry timeout a plain wait for the looping broadcast front
 //! — which reaches every position once the channels are back.
 
-use vod_runtime::{Arena, BackendKind, PyramidGeometry, ReceptionFront, RetryLedger, TimerWheel};
+use vod_runtime::{
+    BackendKind, PyramidGeometry, ReceptionFront, RetryLedger, SessionStore, TimerWheel,
+};
 use vod_workload::{TimeWeighted, VcrKind};
 
 use crate::backend::{Adoption, DeliveryBackend};
@@ -58,7 +60,7 @@ use crate::content::{verify_segment, MovieId};
 use crate::core::{apply_faults, FaultPolicy, Retry, ServerCore};
 use crate::disk::StreamLease;
 use crate::server::{HostedMovie, ServerConfig, ServerError};
-use crate::session::{DeliveryStats, SessionId, SessionStatus};
+use crate::session::{resolve, status_of, DeliveryStats, SessionId, SessionStatus};
 
 /// One hosted movie's broadcast apparatus.
 struct PyramidMovie {
@@ -105,8 +107,6 @@ enum PState {
     /// the retry ledger; past its timeout, a plain wait for the looping
     /// front. Rejoins free the moment the front passes its position.
     Starved(RetryLedger),
-    /// Finished.
-    Done,
 }
 
 struct PSession {
@@ -120,6 +120,63 @@ struct PSession {
     stats: DeliveryStats,
 }
 
+/// Deliver minute `sess.position` to a receiving session from the
+/// broadcast: byte-verify through the staging slot when that exact
+/// minute is on the air this tick, otherwise from the client's local
+/// prefix (canonical bytes, re-verified).
+fn consume_from_broadcast(sess: &mut PSession, movies: &mut [PyramidMovie], core: &mut ServerCore) {
+    let position = sess.position;
+    let m = &mut movies[sess.movie_idx];
+    let (word, bit) = ((position / 64) as usize, 1u64 << (position % 64));
+    if m.verified[word] & bit == 0 {
+        let ok = verify_delivery(m, position);
+        m.verified[word] |= bit;
+        if !ok {
+            m.failed[word] |= bit;
+        }
+    }
+    sess.stats.from_buffer += 1;
+    if m.failed[word] & bit != 0 {
+        sess.stats.verify_failures += 1;
+        core.metrics.verify_failures += 1;
+    }
+    sess.position += 1;
+    core.metrics.runtime.buffer_minutes += 1.0;
+}
+
+/// The one verification all of this tick's deliveries of minute
+/// `position` share.
+fn verify_delivery(m: &PyramidMovie, position: u32) -> bool {
+    let channel = m.geometry.channel_of(position) as usize;
+    match m.slots.get(channel).and_then(|s| s.current()) {
+        Some(seg) if seg.index == position => verify_segment(seg),
+        // Client-buffered replay: the segment was verified at reception;
+        // re-derive and re-verify the canonical bytes.
+        _ => verify_segment(&crate::content::generate_segment(m.movie, position)),
+    }
+}
+
+/// `sess` holds a dedicated lease it no longer needs: the broadcast front
+/// covers its position again. Back into the broadcast.
+fn merge_back(sess: &mut PSession, core: &mut ServerCore) {
+    if let Some(lease) = sess.lease.take() {
+        core.release_lease(lease);
+    }
+    sess.state = PState::Receiving;
+}
+
+/// `sess` resumes beyond its front with no lease: catch up on a dedicated
+/// stream, or starve.
+fn resume_beyond_front(sess: &mut PSession, core: &mut ServerCore) {
+    match core.lease_or_degrade() {
+        Ok(lease) => {
+            sess.lease = Some(lease);
+            sess.state = PState::CatchUp;
+        }
+        Err(ledger) => sess.state = PState::Starved(ledger),
+    }
+}
+
 /// The pyramid fast-broadcasting backend. See the module docs.
 pub struct PyramidServer {
     /// The core's reserve serves FF-beyond-front; its capacity is
@@ -128,10 +185,10 @@ pub struct PyramidServer {
     core: ServerCore,
     pool: BufferPool,
     movies: Vec<PyramidMovie>,
-    sessions: Arena<PSession>,
+    sessions: SessionStore<PSession>,
     /// Waiting-session wakeups keyed by their boundary tick.
     wakeups: TimerWheel<u32>,
-    /// Indices of sessions past Waiting and not yet Done, ascending.
+    /// Indices of the sessions past Waiting, in the order they got there.
     active: Vec<u32>,
     /// Test hook: the `(movie, channel)` staging slot to corrupt between
     /// the next tick's broadcast and its session phase.
@@ -182,7 +239,7 @@ impl PyramidServer {
             core,
             pool,
             movies,
-            sessions: Arena::new(),
+            sessions: SessionStore::new(),
             wakeups: TimerWheel::new(),
             active: Vec::new(),
             #[cfg(test)]
@@ -247,70 +304,17 @@ impl PyramidServer {
         }
     }
 
-    /// Deliver minute `position` to a receiving session from the
-    /// broadcast: byte-verify through the staging slot when that exact
-    /// minute is on the air this tick, otherwise from the client's local
-    /// prefix (canonical bytes, re-verified).
-    fn consume_from_broadcast(&mut self, idx: u32) {
-        let sess = self.sessions.live_at_mut(idx as usize);
-        let position = sess.position;
-        let m = &mut self.movies[sess.movie_idx];
-        let (word, bit) = ((position / 64) as usize, 1u64 << (position % 64));
-        if m.verified[word] & bit == 0 {
-            let channel = m.geometry.channel_of(position) as usize;
-            let ok = match m.slots.get(channel).and_then(|s| s.current()) {
-                Some(seg) if seg.index == position => verify_segment(seg),
-                _ => {
-                    // Client-buffered replay: the segment was verified at
-                    // reception; re-derive and re-verify the canonical bytes.
-                    verify_segment(&crate::content::generate_segment(m.movie, position))
-                }
-            };
-            m.verified[word] |= bit;
-            if !ok {
-                m.failed[word] |= bit;
-            }
-        }
-        sess.stats.from_buffer += 1;
-        if m.failed[word] & bit != 0 {
-            sess.stats.verify_failures += 1;
-            self.core.metrics.verify_failures += 1;
-        }
-        sess.position += 1;
-        self.core.metrics.runtime.buffer_minutes += 1.0;
-    }
-
-    /// Session `idx` holds a dedicated lease it no longer needs: the
-    /// broadcast front covers its position again. Back into the
-    /// broadcast.
-    fn merge_back(&mut self, idx: u32) {
-        let sess = self.sessions.live_at_mut(idx as usize);
-        if let Some(lease) = sess.lease.take() {
-            self.core.release_lease(lease);
-        }
-        sess.state = PState::Receiving;
-    }
-
-    /// Session `idx` resumes beyond its front with no lease: catch up on
-    /// a dedicated stream, or starve.
-    fn resume_beyond_front(&mut self, idx: u32) {
-        let sess = self.sessions.live_at_mut(idx as usize);
-        match self.core.lease_or_degrade() {
-            Ok(lease) => {
-                sess.lease = Some(lease);
-                sess.state = PState::CatchUp;
-            }
-            Err(ledger) => sess.state = PState::Starved(ledger),
-        }
-    }
-
-    /// Retire a finished session.
+    /// Session `idx` reached the end of the movie: retire it — its lease
+    /// handed back, its slot given up, its final record booked and
+    /// published by the core.
     fn finish(&mut self, idx: u32) {
-        let sess = self.sessions.live_at_mut(idx as usize);
-        sess.state = PState::Done;
+        let Some(mut sess) = self.sessions.retire(idx) else {
+            unreachable!("the active walk holds live sessions only")
+        };
         if let Some(lease) = sess.lease.take() {
             self.core.release_lease(lease);
         }
+        self.core.retire(SessionId(idx), sess.stats);
         self.core.metrics.sessions_done += 1;
     }
 }
@@ -331,20 +335,15 @@ impl FaultPolicy for PyramidServer {
             .metrics
             .playback
             .add(now, -f64::from(channels_lost));
-        for idx in 0..self.sessions.slot_count() {
-            let Some(sess) = self.sessions.at_mut(idx) else {
-                continue;
-            };
+        for (_, sess) in self.sessions.iter_mut() {
             if sess.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
                 sess.lease = None;
                 if matches!(sess.state, PState::Vcr { .. }) {
                     self.core.metrics.sweeps_aborted += 1;
                 }
-                if !matches!(sess.state, PState::Done) {
-                    // Revocation, not a refused acquisition: nothing
-                    // pending to classify yet.
-                    sess.state = PState::Starved(self.core.enter_degraded(0));
-                }
+                // Revocation, not a refused acquisition: nothing pending
+                // to classify yet.
+                sess.state = PState::Starved(self.core.enter_degraded(0));
                 self.core.reserve.release(now);
             }
         }
@@ -379,28 +378,30 @@ impl DeliveryBackend for PyramidServer {
         let now = self.core.now;
         let geometry = self.movies[movie_idx].geometry;
         let wait = geometry.startup_wait(now);
-        self.core.startup_waits.push(wait as f64);
         let state = match wait {
             0 => PState::Receiving,
             _ => PState::Waiting {
                 start_at: now + wait,
             },
         };
-        let id = SessionId(self.sessions.insert(PSession {
-            movie_idx,
-            position: 0,
-            rx: ReceptionFront::new(geometry.length()),
-            state,
-            lease: None,
-            stats: DeliveryStats::default(),
-        }));
-        let idx = id.0.index() as u32;
+        let idx = self
+            .sessions
+            .insert(PSession {
+                movie_idx,
+                position: 0,
+                rx: ReceptionFront::new(geometry.length()),
+                state,
+                lease: None,
+                stats: DeliveryStats::default(),
+            })
+            .ok_or(ServerError::SessionIdsExhausted)?;
+        self.core.startup_waits.push(wait as f64);
         if wait == 0 {
             self.active.push(idx);
         } else {
             self.wakeups.schedule(now + wait, idx);
         }
-        Ok(id)
+        Ok(SessionId(idx))
     }
 
     fn request_vcr(
@@ -409,10 +410,8 @@ impl DeliveryBackend for PyramidServer {
         kind: VcrKind,
         magnitude: u32,
     ) -> Result<(), ServerError> {
-        let sess = self
-            .sessions
-            .get_mut(id.0)
-            .ok_or(ServerError::UnknownSession(id))?;
+        resolve(&self.sessions, id)?;
+        let sess = self.sessions.live_mut(id.0);
         if !matches!(sess.state, PState::Receiving | PState::CatchUp) {
             return Err(ServerError::InvalidState { operation: "vcr" });
         }
@@ -458,25 +457,17 @@ impl DeliveryBackend for PyramidServer {
     }
 
     fn session_status(&self, id: SessionId) -> Result<SessionStatus, ServerError> {
-        let sess = self
-            .sessions
-            .get(id.0)
-            .ok_or(ServerError::UnknownSession(id))?;
-        Ok(match sess.state {
+        status_of(&self.sessions, id, |sess| match sess.state {
             PState::Waiting { start_at } => SessionStatus::Waiting(start_at),
             PState::Receiving => SessionStatus::Shared,
             PState::Vcr { .. } | PState::Paused { .. } => SessionStatus::InVcr,
             PState::CatchUp => SessionStatus::Dedicated,
             PState::Starved(_) => SessionStatus::Degraded,
-            PState::Done => SessionStatus::Done,
         })
     }
 
     fn session_position(&self, id: SessionId) -> Result<u32, ServerError> {
-        self.sessions
-            .get(id.0)
-            .map(|s| s.position)
-            .ok_or(ServerError::UnknownSession(id))
+        resolve(&self.sessions, id).map(|sess| sess.position)
     }
 
     fn adopt_session(
@@ -488,6 +479,9 @@ impl DeliveryBackend for PyramidServer {
         let length = self.movies[movie_idx].geometry.length();
         if position >= length {
             return Err(ServerError::InvalidState { operation: "adopt" });
+        }
+        if self.sessions.is_full() {
+            return Err(ServerError::SessionIdsExhausted);
         }
         // A broadcast client assembles its prefix from the channels it
         // has been recording since it joined; an adopted session arrives
@@ -501,19 +495,23 @@ impl DeliveryBackend for PyramidServer {
             self.core.reserve.record_denials(1, false);
             return Err(ServerError::VcrDenied);
         };
-        let id = SessionId(self.sessions.insert(PSession {
-            movie_idx,
-            position,
-            rx: ReceptionFront::new(length),
-            state: PState::CatchUp,
-            lease: Some(lease),
-            stats: DeliveryStats::default(),
-        }));
-        self.active.push(id.0.index() as u32);
-        Ok((id, Adoption::DedicatedStream))
+        let idx = self
+            .sessions
+            .insert(PSession {
+                movie_idx,
+                position,
+                rx: ReceptionFront::new(length),
+                state: PState::CatchUp,
+                lease: Some(lease),
+                stats: DeliveryStats::default(),
+            })
+            .ok_or(ServerError::SessionIdsExhausted)?;
+        self.active.push(idx);
+        Ok((SessionId(idx), Adoption::DedicatedStream))
     }
 
     fn tick(&mut self) {
+        self.core.begin_tick();
         apply_faults(self);
         self.broadcast();
         #[cfg(test)]
@@ -523,16 +521,12 @@ impl DeliveryBackend for PyramidServer {
         // Boundary joins: sessions whose segment-1 boundary is this tick
         // start receiving now.
         for idx in self.wakeups.drain_tick(self.core.now) {
-            let sess = self.sessions.live_at_mut(idx as usize);
+            let sess = self.sessions.live_mut(idx);
             if matches!(sess.state, PState::Waiting { .. }) {
                 sess.state = PState::Receiving;
                 self.active.push(idx);
             }
         }
-        // Reception: every active session's recorder sees exactly the
-        // minutes staged this tick, so a bookkept front can never lead
-        // the truly-broadcast one — channels a fault holds off the air
-        // leave holes that fill on their next loop.
         for m in &mut self.movies {
             m.staged.fill(0);
             m.verified.fill(0);
@@ -541,16 +535,19 @@ impl DeliveryBackend for PyramidServer {
                 m.staged[(seg.index / 64) as usize] |= 1 << (seg.index % 64);
             }
         }
-        for &idx in &self.active {
-            let sess = self.sessions.live_at_mut(idx as usize);
-            sess.rx.record_mask(&self.movies[sess.movie_idx].staged);
-        }
         let stalled = self.core.disk_stalled();
         let vcr_rate = self.core.config.vcr_rate.max(1);
         let mut i = 0;
         while i < self.active.len() {
             let idx = self.active[i];
-            let sess = self.sessions.live_at_mut(idx as usize);
+            let sess = self.sessions.live_mut(idx);
+            // Reception first: every active session's recorder sees
+            // exactly the minutes staged this tick, so a bookkept front
+            // can never lead the truly-broadcast one — channels a fault
+            // holds off the air leave holes that fill on their next loop.
+            // (Nobody's turn reads another's recorder, so each records as
+            // its own turn begins.)
+            sess.rx.record_mask(&self.movies[sess.movie_idx].staged);
             let length = sess.rx.length();
             // Does the session stay on the active walk?
             let stays = match &mut sess.state {
@@ -565,8 +562,8 @@ impl DeliveryBackend for PyramidServer {
                     false
                 }
                 PState::Receiving if sess.rx.received(sess.position) => {
-                    self.consume_from_broadcast(idx);
-                    let ended = self.sessions.live_at(idx as usize).position >= length;
+                    consume_from_broadcast(sess, &mut self.movies, &mut self.core);
+                    let ended = sess.position >= length;
                     if ended {
                         self.finish(idx);
                     }
@@ -583,8 +580,8 @@ impl DeliveryBackend for PyramidServer {
                 PState::CatchUp if sess.rx.received(sess.position) => {
                     // The broadcast front caught up: merge back.
                     self.core.metrics.piggyback_merges += 1;
-                    self.merge_back(idx);
-                    self.consume_from_broadcast(idx);
+                    merge_back(sess, &mut self.core);
+                    consume_from_broadcast(sess, &mut self.movies, &mut self.core);
                     true
                 }
                 PState::CatchUp => {
@@ -626,14 +623,14 @@ impl DeliveryBackend for PyramidServer {
                             if sess.lease.is_some() {
                                 self.core.metrics.piggyback_merges += 1;
                             }
-                            self.merge_back(idx);
+                            merge_back(sess, &mut self.core);
                         } else if sess.lease.is_some() {
                             sess.state = PState::CatchUp;
                         } else {
                             // Only reachable through fault stalls: the
                             // issue-time classification said the target
                             // was received, the exact front now disagrees.
-                            self.resume_beyond_front(idx);
+                            resume_beyond_front(sess, &mut self.core);
                         }
                     }
                     !ended
@@ -648,7 +645,7 @@ impl DeliveryBackend for PyramidServer {
                         if hit {
                             sess.state = PState::Receiving;
                         } else {
-                            self.resume_beyond_front(idx);
+                            resume_beyond_front(sess, &mut self.core);
                         }
                     }
                     true
@@ -668,7 +665,7 @@ impl DeliveryBackend for PyramidServer {
                     // the session waits for the looping front.
                     true
                 }
-                PState::Waiting { .. } | PState::Done => false,
+                PState::Waiting { .. } => false,
             };
             if stays {
                 i += 1;
@@ -716,10 +713,11 @@ impl DeliveryBackend for PyramidServer {
         }
         let mut held = 0u32;
         let mut starved = 0u32;
-        for idx in 0..self.sessions.slot_count() {
-            let Some(sess) = self.sessions.at(idx) else {
-                continue;
-            };
+        let (mut live, mut from_buffer, mut from_disk) = (0u64, 0u64, 0u64);
+        for (idx, sess) in self.sessions.iter() {
+            live += 1;
+            from_buffer += sess.stats.from_buffer;
+            from_disk += sess.stats.from_disk;
             if sess.lease.is_some() {
                 held += 1;
                 if !matches!(sess.state, PState::Vcr { .. } | PState::CatchUp) {
@@ -762,6 +760,11 @@ impl DeliveryBackend for PyramidServer {
         let drift = self.core.resource_drift(channel_live, held, starved);
         let mut v = Vec::from_iter(drift.disk);
         v.append(&mut faults);
+        v.extend(self.core.population_drift(
+            self.sessions.issued(),
+            live,
+            (from_buffer, from_disk),
+        ));
         if let Some(in_use) = drift.leases {
             v.push(format!(
                 "lease accounting broken: channels {channel_live} + sessions {held} != disk {in_use}"
@@ -790,6 +793,14 @@ impl DeliveryBackend for PyramidServer {
     fn buffer_segments(&self) -> u64 {
         self.pool.budget() as u64
     }
+
+    fn live_sessions(&self) -> usize {
+        self.sessions.len()
+    }
+
+    fn session_slots(&self) -> usize {
+        self.sessions.resident_slots()
+    }
 }
 
 #[cfg(test)]
@@ -804,7 +815,7 @@ mod tests {
         /// `(live channel leases, session-held leases, starved sessions)`.
         pub(crate) fn holders(&self) -> (u32, u32, u32) {
             let channels = self.movies.iter().flat_map(|m| &m.leases).flatten().count();
-            let live = || (0..self.sessions.slot_count()).filter_map(|i| self.sessions.at(i));
+            let live = || self.sessions.iter().map(|(_, s)| s);
             let held = live().filter(|s| s.lease.is_some()).count();
             let degraded = live()
                 .filter(|s| matches!(s.state, PState::Starved(_)))
@@ -872,6 +883,26 @@ mod tests {
         assert_eq!(s.sessions.live(later.0).stats.verify_failures, 1);
         assert_eq!(s.verify_failures(), 4);
         assert!(s.check_invariants().is_empty());
+    }
+
+    /// The last session id is issued; the next admission is refused with
+    /// a typed error before it takes a stream.
+    #[test]
+    fn admission_ends_when_the_ids_run_out() {
+        let mut s = PyramidServer::new(config());
+        s.sessions = SessionStore::starting_at(u32::MAX - 1);
+        assert_eq!(s.open_session(MovieId(0)).unwrap(), SessionId(u32::MAX - 1));
+        assert!(matches!(
+            s.open_session(MovieId(0)),
+            Err(ServerError::SessionIdsExhausted)
+        ));
+        assert!(matches!(
+            s.adopt_session(MovieId(0), 100),
+            Err(ServerError::SessionIdsExhausted)
+        ));
+        assert_eq!(s.core.reserve.in_use(), 0);
+        s.tick();
+        assert_eq!(s.check_invariants(), Vec::<String>::new());
     }
 
     #[test]
@@ -1085,7 +1116,7 @@ mod tests {
         }
         s.request_vcr(sweeping, VcrKind::FastForward, 90).unwrap();
         s.tick();
-        assert!(s.sessions.live_at(1).lease.is_some());
+        assert!(s.sessions.live(1).lease.is_some());
         assert_eq!(s.check_invariants(), Vec::<String>::new());
         s
     }
@@ -1137,7 +1168,7 @@ mod tests {
     fn audit_sees_session_drift() {
         let mut s = busy();
         // A session lease dropped without a release.
-        let lease = s.sessions.live_at_mut(1).lease.take();
+        let lease = s.sessions.live_mut(1).lease.take();
         assert_eq!(
             s.check_invariants(),
             [
@@ -1145,13 +1176,13 @@ mod tests {
                 "reserve accounting broken: sessions hold 0, reserve says 1",
             ]
         );
-        s.sessions.live_at_mut(0).lease = lease;
+        s.sessions.live_mut(0).lease = lease;
         assert_eq!(
             s.check_invariants(),
             ["session 0 holds a dedicated lease in a non-serving state"]
         );
         let mut s = busy();
-        s.sessions.live_at_mut(0).state = PState::CatchUp;
+        s.sessions.live_mut(0).state = PState::CatchUp;
         assert_eq!(
             s.check_invariants(),
             ["session 0 is catching up without a lease"]
@@ -1163,8 +1194,8 @@ mod tests {
             ["starved population drifted: counted 0, tracked 1"]
         );
         let mut s = busy();
-        let front = s.sessions.live_at(0).rx.front();
-        s.sessions.live_at_mut(0).position = front + 2;
+        let front = s.sessions.live(0).rx.front();
+        s.sessions.live_mut(0).position = front + 2;
         assert_eq!(
             s.check_invariants(),
             [format!(
@@ -1172,8 +1203,8 @@ mod tests {
                 front + 2
             )]
         );
-        s.sessions.live_at_mut(0).position = 0;
-        s.sessions.live_at_mut(0).rx.force_front(front + 1);
+        s.sessions.live_mut(0).position = 0;
+        s.sessions.live_mut(0).rx.force_front(front + 1);
         assert_eq!(
             s.check_invariants(),
             [format!(
@@ -1181,7 +1212,7 @@ mod tests {
                 front + 1
             )]
         );
-        s.sessions.live_at_mut(0).rx.force_front(121);
+        s.sessions.live_mut(0).rx.force_front(121);
         assert_eq!(
             s.check_invariants(),
             [

@@ -24,7 +24,9 @@
 
 use std::ops::RangeInclusive;
 
-use vod_runtime::{Arena, ArenaId, BackendKind, QuantizedGeometry, ResumeClass, TimerWheel};
+use vod_runtime::{
+    Arena, ArenaId, BackendKind, QuantizedGeometry, ResumeClass, SessionStore, TimerWheel,
+};
 use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
@@ -33,7 +35,9 @@ use crate::content::{verify_segment, MovieId};
 use crate::core::{apply_faults, FaultPolicy, Retry, ServerCore};
 use crate::disk::{DiskSubsystem, StreamLease};
 use crate::metrics::ServerMetrics;
-use crate::session::{DeliveryStats, SessionId, SessionState, SessionStatus, StreamId};
+use crate::session::{
+    resolve, status_of, DeliveryStats, SessionId, SessionState, SessionStatus, StreamId,
+};
 use crate::{BufferError, DiskError};
 
 /// One movie hosted under static partitioning: identity plus the
@@ -124,8 +128,17 @@ impl ServerConfig {
 pub enum ServerError {
     /// The movie is not hosted.
     UnknownMovie(MovieId),
-    /// No such session (or already closed).
+    /// The server never issued this session id.
     UnknownSession(SessionId),
+    /// The session finished or was closed; it has been retired and only
+    /// `session_status` (→ `Done`) still answers for its id. Its final
+    /// record was published through
+    /// [`DeliveryBackend::finished_this_tick`] (or returned by
+    /// `close_session`).
+    SessionFinished(SessionId),
+    /// Every session id this server can issue has been issued; ids are
+    /// never reused, so admission ends here rather than wrapping.
+    SessionIdsExhausted,
     /// The session cannot accept this request in its current state.
     InvalidState {
         /// What was attempted.
@@ -144,6 +157,8 @@ impl std::fmt::Display for ServerError {
         match self {
             ServerError::UnknownMovie(m) => write!(f, "movie {m:?} is not hosted"),
             ServerError::UnknownSession(s) => write!(f, "no such session {s:?}"),
+            ServerError::SessionFinished(s) => write!(f, "session {s:?} has finished"),
+            ServerError::SessionIdsExhausted => write!(f, "session ids exhausted"),
             ServerError::InvalidState { operation } => {
                 write!(f, "session state does not allow `{operation}`")
             }
@@ -260,17 +275,14 @@ impl ActiveStream {
 /// among all sessions — the ones whose position, brought up to tick `t`,
 /// is the entry's.
 fn charge_corrupt_entry(
-    sessions: &mut Arena<Session>,
+    sessions: &mut SessionStore<Session>,
     metrics: &mut ServerMetrics,
     stream: ArenaId,
     position: u32,
     old_head: u32,
     t: u64,
 ) {
-    for idx in 0..sessions.slot_count() {
-        let Some(sess) = sessions.at_mut(idx) else {
-            continue;
-        };
+    for (_, sess) in sessions.iter_mut() {
         let reads_it = matches!(sess.state, SessionState::Enrolled { stream: s, .. } if s.0 == stream)
             && sess.position + sess.owed(old_head, t) == position;
         if reads_it {
@@ -331,16 +343,62 @@ impl Session {
     }
 }
 
+/// What a session's state calls for on one tick.
+enum Act {
+    Nothing,
+    StartWaiting,
+    Enrolled,
+    Dedicated,
+    Vcr(VcrKind),
+    EndPause,
+    Degraded,
+}
+
+impl Act {
+    fn due(state: &SessionState, t: u64) -> Self {
+        match *state {
+            SessionState::Waiting { start_at } if start_at == t => Act::StartWaiting,
+            SessionState::Waiting { .. } => Act::Nothing,
+            SessionState::Enrolled { .. } => Act::Enrolled,
+            SessionState::Dedicated => Act::Dedicated,
+            SessionState::VcrActive { kind, .. } => Act::Vcr(kind),
+            // The full pause has elapsed: resuming on exactly `until` is
+            // what makes a pause of d minutes shift the pattern by d.
+            SessionState::Paused { until } if until == t => Act::EndPause,
+            SessionState::Paused { .. } => Act::Nothing,
+            SessionState::Degraded(_) => Act::Degraded,
+        }
+    }
+}
+
+/// Read `sess`'s next segment via its own lease and advance.
+fn read_forward(core: &mut ServerCore, sess: &mut Session) {
+    let movie = core.config.movies[sess.movie_idx].movie;
+    let lease = sess.lease.as_ref();
+    core.read_via_lease(lease, movie, sess.position, &mut sess.stats);
+    sess.position += 1;
+}
+
+/// Move `sess` into the degraded re-wait state (it has already been
+/// detached from any stream, partition, lease, or cohort).
+fn enter_degraded(core: &mut ServerCore, sess: &mut Session) {
+    if !matches!(sess.state, SessionState::Degraded(_)) {
+        sess.state = SessionState::Degraded(core.enter_degraded(0));
+        sess.piggyback_phase = 0;
+    }
+}
+
 /// The server.
 ///
-/// Session and stream populations live in generational [`Arena`]s (the
-/// liveness seam is [`Arena::live`]/[`Arena::live_mut`] and their
-/// raw-index twins: callers only dereference ids/indices they observed
-/// live earlier in the same call chain, and a miss aborts loudly).
-/// Session slots are never reused — ids stay queryable after `Done`, and
-/// session indices are append-only, which keeps the per-tick processing
-/// order identical to the historical full-table scan. Stream slots *are*
-/// reused, lowest-index-first, matching the historical free-slot scan.
+/// Sessions live in a [`SessionStore`], streams in a generational
+/// [`Arena`] (the liveness seam is `live`/`live_mut` on both: callers
+/// only dereference ids they observed live earlier in the same call
+/// chain, and a miss aborts loudly). Session indices are issued in
+/// admission order and never reused, which keeps the per-tick processing
+/// order identical to the historical full-table scan — and a session is
+/// retired the tick it finishes, so the table holds the live viewers
+/// only. Stream slots *are* reused, lowest-index-first, matching the
+/// historical free-slot scan.
 pub struct VodServer {
     /// The clock, disk, counters and fault state every backend shares.
     /// Its reserve is the VCR reserve: the disk streams left over once
@@ -350,23 +408,24 @@ pub struct VodServer {
     core: ServerCore,
     pool: BufferPool,
     streams: Arena<ActiveStream>,
-    sessions: Arena<Session>,
+    sessions: SessionStore<Session>,
     /// Session indices in the states that work every minute (Dedicated /
     /// VcrActive / Degraded), ascending. Rebuilt each tick by the merge
     /// loop in `advance_sessions`; passive sessions (Waiting / Enrolled /
-    /// Paused) park one wake-up in `wakeups` instead and `Done` sessions
-    /// are in neither, so a tick touches only the sessions whose state
-    /// changes on it. An entry may linger for a session that went passive
-    /// between ticks; the next rebuild drops it.
+    /// Paused) park one wake-up in `wakeups` instead, so a tick touches
+    /// only the sessions whose state changes on it. An entry may linger
+    /// for a session that went passive or was closed between ticks; the
+    /// next rebuild drops it.
     active: Vec<u32>,
     /// Timer wheel of passive-session wake-ups: a `Waiting` session's
     /// `start_at`, a `Paused` session's `until`, an `Enrolled` session's
     /// `finish_at`.
     wakeups: TimerWheel<u32>,
     /// Wheel entries known stale (their session left the state that
-    /// parked them — closed, issued a VCR request, or degraded — before
-    /// they fired); each fires once as a no-op and is dropped. Tracked
-    /// so the invariant check can reconcile `wakeups.len()` exactly.
+    /// parked them — closed, finished early, issued a VCR request, or
+    /// degraded — before they fired); each fires once as a no-op, for a
+    /// retired session too, and is dropped. Tracked so the invariant
+    /// check can reconcile `wakeups.len()` exactly.
     wheel_stale: u64,
     /// Ticks whose cohort deliveries are accounted: `now` between ticks
     /// and through the fault and stream phases, `now + 1` from the end of
@@ -411,7 +470,7 @@ impl VodServer {
             core: ServerCore::new(config, playback_reserved),
             pool,
             streams: Arena::new(),
-            sessions: Arena::new(),
+            sessions: SessionStore::new(),
             active: Vec::new(),
             wakeups: TimerWheel::new(),
             wheel_stale: 0,
@@ -455,50 +514,35 @@ impl VodServer {
         &self.pool
     }
 
-    /// Close a session early (the viewer quits). Releases any dedicated
-    /// lease, leaves the enrolled partition, and freezes the delivery
-    /// statistics, which remain queryable. Closing an already-finished
-    /// session is a no-op; closing an unknown id is an error.
+    /// Close a session early (the viewer quits): releases any dedicated
+    /// lease, leaves the enrolled partition, retires the session and
+    /// returns its final delivery record (also published through
+    /// [`DeliveryBackend::finished_this_tick`]). Closing a finished or
+    /// already-closed session is [`ServerError::SessionFinished`];
+    /// closing an id the server never issued is an error too.
     pub fn close_session(&mut self, id: SessionId) -> Result<DeliveryStats, ServerError> {
-        let sess = self
-            .sessions
-            .get_mut(id.0)
-            .ok_or(ServerError::UnknownSession(id))?;
-        let idx = id.0.index();
-        if !matches!(sess.state, SessionState::Done) {
-            // A degraded session that quits resolves its retry denials as
-            // permanent (no retry ever succeeded) and leaves the degraded
-            // population.
-            if let SessionState::Degraded(ledger) = &mut sess.state {
-                self.core.exit_degraded(ledger, false);
-            }
-            self.leave_cohort(idx);
-            let sess = self.sessions.live_at_mut(idx);
-            if matches!(
-                sess.state,
-                SessionState::Waiting { .. }
-                    | SessionState::Enrolled { .. }
-                    | SessionState::Paused { .. }
-            ) {
-                // The wheel still holds this session's wakeup; it fires
-                // once as a no-op and is dropped then.
-                self.wheel_stale += 1;
-            }
-            if let Some(lease) = sess.lease.take() {
-                self.core.release_lease(lease);
-            }
-            sess.state = SessionState::Done;
-            self.core.metrics.sessions_closed_early += 1;
+        resolve(&self.sessions, id)?;
+        let idx = id.0;
+        // A degraded session that quits resolves its retry denials as
+        // permanent (no retry ever succeeded) and leaves the degraded
+        // population.
+        if let SessionState::Degraded(ledger) = &mut self.sessions.live_mut(idx).state {
+            self.core.exit_degraded(ledger, false);
         }
-        Ok(self.sessions.live_at(idx).stats)
+        if self.sessions.live(idx).state.is_passive() {
+            // The wheel still holds this session's wakeup; it fires once
+            // as a no-op and is dropped then.
+            self.wheel_stale += 1;
+        }
+        self.core.metrics.sessions_closed_early += 1;
+        Ok(self.retire(idx))
     }
 
-    /// Delivery statistics of a session (available after completion too).
+    /// Delivery statistics of a live session. A finished session's final
+    /// record is published once, through
+    /// [`DeliveryBackend::finished_this_tick`].
     pub fn session_stats(&self, id: SessionId) -> Result<DeliveryStats, ServerError> {
-        let sess = self
-            .sessions
-            .get(id.0)
-            .ok_or(ServerError::UnknownSession(id))?;
+        let sess = resolve(&self.sessions, id)?;
         Ok(DeliveryStats {
             from_buffer: sess.stats.from_buffer + u64::from(self.owed(sess)),
             ..sess.stats
@@ -546,10 +590,7 @@ impl VodServer {
     /// (a dedicated/VCR session loses its stream and re-queues).
     fn degrade_stranded(&mut self, revoked: &[u64], final_heads: &[Option<u32>]) {
         let listed = self.active.len();
-        for idx in 0..self.sessions.slot_count() {
-            let Some(sess) = self.sessions.at_mut(idx) else {
-                continue;
-            };
+        for (idx, sess) in self.sessions.iter_mut() {
             let orphaned_at = match sess.state {
                 SessionState::Enrolled { stream, .. } if !self.streams.contains(stream.0) => {
                     final_heads[stream.0.index()]
@@ -564,15 +605,15 @@ impl VodServer {
                 if matches!(sess.state, SessionState::VcrActive { .. }) {
                     self.core.metrics.sweeps_aborted += 1;
                 }
-                self.enter_degraded(idx);
+                enter_degraded(&mut self.core, sess);
             } else if let Some(head) = orphaned_at {
                 // The stream took its cohort table with it; what is left
                 // of the enrolment is the session's own arrears and its
                 // finish wake-up. Degraded, it works every minute.
                 sess.sync(head, self.accounted);
                 self.wheel_stale += 1;
-                self.active.push(idx as u32);
-                self.enter_degraded(idx);
+                self.active.push(idx);
+                enter_degraded(&mut self.core, sess);
             }
         }
         if self.active.len() > listed {
@@ -606,16 +647,6 @@ impl VodServer {
             final_heads[sid.index()] = self.retire_stream(sid);
         }
         self.degrade_stranded(&[], &final_heads);
-    }
-
-    /// Move session `idx` into the degraded re-wait state (it has already
-    /// been detached from any stream, partition, lease, or cohort).
-    fn enter_degraded(&mut self, idx: usize) {
-        let sess = self.sessions.live_at_mut(idx);
-        if !matches!(sess.state, SessionState::Degraded(_) | SessionState::Done) {
-            sess.state = SessionState::Degraded(self.core.enter_degraded(0));
-            sess.piggyback_phase = 0;
-        }
     }
 
     // ---- streams -----------------------------------------------------------
@@ -767,7 +798,7 @@ impl VodServer {
     /// list and the wakeups due at `t` — the same relative order as the
     /// historical full `0..n` scan, which is bitwise-identical because
     /// what the skipped sessions did in that scan either was a strict
-    /// no-op (`Done`, not-yet-due `Waiting` and `Paused`) or touched
+    /// no-op (finished, not-yet-due `Waiting` and `Paused`) or touched
     /// nothing another session reads and is accounted per cohort in the
     /// stream phase (`Enrolled`). Reference mode (`set_reference_scan`)
     /// still runs the full scan as the equivalence oracle.
@@ -776,8 +807,14 @@ impl VodServer {
             *memo = None;
         }
         if self.reference_scan {
-            for idx in 0..self.sessions.slot_count() {
-                self.advance_session(t, idx);
+            // Nobody is admitted during a tick; whoever finishes drops
+            // out of the store, not out of this list.
+            let everyone: Vec<u32> = self.sessions.iter().map(|(idx, _)| idx).collect();
+            for idx in everyone {
+                if let Some(sess) = self.sessions.get(idx) {
+                    let act = Act::due(&sess.state, t);
+                    self.advance_session(t, idx, act);
+                }
             }
             return;
         }
@@ -810,21 +847,27 @@ impl VodServer {
                 a += 1;
                 i
             };
-            let state = &self.sessions.live_at(idx as usize).state;
-            if from_wheel {
-                if !state.wakes_at(t) {
-                    // The session left the state that parked this wake-up;
-                    // it fires once as a no-op and is accounted off.
+            // The wake-up must be the one the session's state parked; a
+            // list entry must still work every minute. Neither holds for
+            // a session retired since the entry was filed.
+            let state = self.sessions.get(idx).map(|sess| &sess.state);
+            let entry_speaks = |state: &&SessionState| match from_wheel {
+                true => state.wakes_at(t),
+                false => !state.is_passive(),
+            };
+            let Some(state) = state.filter(entry_speaks) else {
+                if from_wheel {
+                    // It fires once as a no-op and is accounted off.
                     debug_assert!(self.wheel_stale > 0, "stale wakeup with no accounted entry");
                     self.wheel_stale -= 1;
-                    continue;
                 }
-            } else if state.is_passive() {
                 continue;
-            }
-            self.advance_session(t, idx as usize);
-            // Whoever turned passive parked its own wake-up on the way.
-            if !self.sessions.live_at(idx as usize).state.is_passive() {
+            };
+            let act = Act::due(state, t);
+            self.advance_session(t, idx, act);
+            // Whoever turned passive parked its own wake-up on the way;
+            // whoever finished is gone.
+            if (self.sessions.get(idx)).is_some_and(|sess| !sess.state.is_passive()) {
                 next_active.push(idx);
             }
         }
@@ -843,35 +886,7 @@ impl VodServer {
             .find(|stream| self.streams.live(stream.0).started == t)
     }
 
-    fn advance_session(&mut self, t: u64, idx: usize) {
-        enum Act {
-            Nothing,
-            StartWaiting,
-            Enrolled,
-            Dedicated,
-            Vcr(VcrKind),
-            EndPause,
-            Degraded,
-        }
-        let act = {
-            let Some(sess) = self.sessions.at(idx) else {
-                return;
-            };
-            match sess.state {
-                SessionState::Done => Act::Nothing,
-                SessionState::Waiting { start_at } if start_at == t => Act::StartWaiting,
-                SessionState::Waiting { .. } => Act::Nothing,
-                SessionState::Enrolled { .. } => Act::Enrolled,
-                SessionState::Dedicated => Act::Dedicated,
-                SessionState::VcrActive { kind, .. } => Act::Vcr(kind),
-                // The full pause has elapsed: resuming on exactly `until`
-                // is what makes a pause of d minutes shift the pattern by
-                // d.
-                SessionState::Paused { until } if until == t => Act::EndPause,
-                SessionState::Paused { .. } => Act::Nothing,
-                SessionState::Degraded { .. } => Act::Degraded,
-            }
-        };
+    fn advance_session(&mut self, t: u64, idx: u32, act: Act) {
         match act {
             Act::Nothing => {}
             Act::StartWaiting => {
@@ -880,7 +895,7 @@ impl VodServer {
                 // answer, so wheel mode memoizes the scan per movie
                 // (streams neither start nor retire during the session
                 // phase, which keeps the memo valid for the entire tick).
-                let movie_idx = self.sessions.live_at(idx).movie_idx;
+                let movie_idx = self.sessions.live(idx).movie_idx;
                 let stream = if self.reference_scan {
                     self.find_restarted_stream(movie_idx, t)
                 } else {
@@ -899,10 +914,10 @@ impl VodServer {
                     // batch keeps waiting for the next restart instant
                     // instead of aborting the server.
                     let t_int = self.core.config.movies[movie_idx].geometry.restart_interval as u64;
-                    self.sessions.live_at_mut(idx).state = SessionState::Waiting {
+                    self.sessions.live_mut(idx).state = SessionState::Waiting {
                         start_at: t + t_int,
                     };
-                    self.wakeups.schedule(t + t_int, idx as u32);
+                    self.wakeups.schedule(t + t_int, idx);
                     return;
                 };
                 // This tick's cohorts were accounted in the stream phase;
@@ -912,8 +927,8 @@ impl VodServer {
                 self.consume_enrolled(t, idx);
             }
             Act::Enrolled if self.reference_scan => self.consume_enrolled(t, idx),
-            Act::Enrolled => self.finish_enrolled(t, idx),
-            Act::Dedicated => self.consume_dedicated(t, idx),
+            Act::Enrolled => self.finish_enrolled(idx),
+            Act::Dedicated => self.consume_dedicated(idx),
             Act::Vcr(VcrKind::FastForward) => self.sweep_forward(t, idx),
             Act::Vcr(VcrKind::Rewind) => self.sweep_backward(t, idx),
             Act::Vcr(VcrKind::Pause) => unreachable!("a pause is `Paused`, not a sweep"),
@@ -926,11 +941,11 @@ impl VodServer {
     /// covers the position; otherwise whatever the retry ledger has due —
     /// past the timeout nothing, and only batch admission remains. See
     /// [`vod_runtime::DegradePolicy`].
-    fn degraded_tick(&mut self, t: u64, idx: usize) {
+    fn degraded_tick(&mut self, t: u64, idx: u32) {
         self.core.metrics.runtime.rewait_minutes += 1.0;
-        let sess = self.sessions.live_at(idx);
+        let sess = self.sessions.live(idx);
         let joinable = self.joinable_stream(sess.movie_idx, sess.position);
-        let sess = self.sessions.live_at_mut(idx);
+        let sess = self.sessions.live_mut(idx);
         let SessionState::Degraded(ledger) = &mut sess.state else {
             unreachable!("caller checked state")
         };
@@ -955,8 +970,8 @@ impl VodServer {
     /// tick's stream phase and still takes this tick's segment — a
     /// starting batch, a degraded rejoin — which the caller follows with
     /// [`Self::consume_enrolled`]. Parks the finish wake-up.
-    fn enrol(&mut self, idx: usize, stream: StreamId, since: u64) {
-        let sess = self.sessions.live_at_mut(idx);
+    fn enrol(&mut self, idx: u32, stream: StreamId, since: u64) {
+        let sess = self.sessions.live_mut(idx);
         let s = self.streams.live_mut(stream.0);
         let length = self.core.config.movies[sess.movie_idx].geometry.length;
         // Where the session stands once this tick's delivery, if it takes
@@ -974,15 +989,15 @@ impl VodServer {
             since,
             finish_at,
         };
-        self.wakeups.schedule(finish_at, idx as u32);
+        self.wakeups.schedule(finish_at, idx);
     }
 
     /// Take session `idx`, if enrolled, out of its stream's cohort table,
     /// position and statistics brought up to date first. The caller
     /// changes the state (and accounts the finish wake-up as stale unless
     /// it is the one firing).
-    fn leave_cohort(&mut self, idx: usize) {
-        let sess = self.sessions.live_at_mut(idx);
+    fn leave_cohort(&mut self, idx: u32) {
+        let sess = self.sessions.live_mut(idx);
         let SessionState::Enrolled { stream, .. } = sess.state else {
             return;
         };
@@ -998,8 +1013,8 @@ impl VodServer {
     /// this for every enrolled session on every tick; production only
     /// for a session that enrolled as of `t` after the stream phase of
     /// `t` had run.
-    fn consume_enrolled(&mut self, t: u64, idx: usize) {
-        let sess = self.sessions.live_at_mut(idx);
+    fn consume_enrolled(&mut self, t: u64, idx: u32) {
+        let sess = self.sessions.live_mut(idx);
         let SessionState::Enrolled { stream, since, .. } = sess.state else {
             unreachable!("caller checked state")
         };
@@ -1043,7 +1058,7 @@ impl VodServer {
             // Not reached through the finish wake-up, which is still
             // parked.
             self.wheel_stale += 1;
-            self.finish_session(t, idx);
+            self.finish_session(idx);
         }
     }
 
@@ -1051,15 +1066,15 @@ impl VodServer {
     /// over — unless a disk slowdown stalled the session at the head
     /// since the wake-up was parked, in which case it is re-armed for the
     /// new earliest finish.
-    fn finish_enrolled(&mut self, t: u64, idx: usize) {
-        let sess = self.sessions.live_at_mut(idx);
+    fn finish_enrolled(&mut self, idx: u32) {
+        let sess = self.sessions.live_mut(idx);
         let SessionState::Enrolled { stream, .. } = sess.state else {
             unreachable!("caller checked state")
         };
         let length = self.core.config.movies[sess.movie_idx].geometry.length;
         sess.sync(self.streams.live(stream.0).next_read, self.accounted);
         if sess.position >= length {
-            self.finish_session(t, idx);
+            self.finish_session(idx);
         } else {
             self.leave_cohort(idx);
             self.enrol(idx, stream, self.accounted);
@@ -1068,42 +1083,33 @@ impl VodServer {
 
     /// Consume via the session's dedicated lease; piggyback toward the
     /// preceding partition when enabled.
-    fn consume_dedicated(&mut self, t: u64, idx: usize) {
+    fn consume_dedicated(&mut self, idx: u32) {
         if self.core.disk_stalled() {
             self.core.metrics.runtime.stall_minutes += 1.0;
             return;
         }
-        let length = {
-            let sess = self.sessions.live_at(idx);
-            self.core.config.movies[sess.movie_idx].geometry.length
-        };
-        self.read_forward(idx);
+        let sess = self.sessions.live_mut(idx);
+        let length = self.core.config.movies[sess.movie_idx].geometry.length;
+        read_forward(&mut self.core, sess);
         // Optional piggyback catch-up segment.
         if let Some(pb) = self.core.config.piggyback {
-            let due = {
-                let sess = self.sessions.live_at_mut(idx);
-                sess.piggyback_phase += 1;
-                sess.piggyback_phase >= pb.catchup_period
-                    && sess.position < length
-                    && matches!(sess.state, SessionState::Dedicated)
-            };
+            sess.piggyback_phase += 1;
+            let due = sess.piggyback_phase >= pb.catchup_period
+                && sess.position < length
+                && matches!(sess.state, SessionState::Dedicated);
             if due {
-                let sess = self.sessions.live_at_mut(idx);
                 sess.piggyback_phase = 0;
-                self.read_forward(idx);
+                read_forward(&mut self.core, sess);
             }
         }
-        let (movie_idx, position) = {
-            let sess = self.sessions.live_at(idx);
-            (sess.movie_idx, sess.position)
-        };
+        let (movie_idx, position) = (sess.movie_idx, sess.position);
         if position >= length {
-            self.finish_session(t, idx);
+            self.finish_session(idx);
             return;
         }
         // Merge back if a window now covers us (piggyback payoff).
         if let Some(stream) = self.joinable_stream(movie_idx, position) {
-            let lease = self.sessions.live_at_mut(idx).lease.take();
+            let lease = self.sessions.live_mut(idx).lease.take();
             if let Some(lease) = lease {
                 self.core.release_lease(lease);
                 self.core.metrics.piggyback_merges += 1;
@@ -1112,38 +1118,22 @@ impl VodServer {
         }
     }
 
-    /// Read the session's next segment via its own lease and advance.
-    fn read_forward(&mut self, idx: usize) {
-        let sess = self.sessions.live_at_mut(idx);
-        let movie = self.core.config.movies[sess.movie_idx].movie;
-        let lease = sess.lease.as_ref();
-        self.core
-            .read_via_lease(lease, movie, sess.position, &mut sess.stats);
-        sess.position += 1;
-    }
-
-    fn sweep_forward(&mut self, t: u64, idx: usize) {
+    fn sweep_forward(&mut self, t: u64, idx: u32) {
         if self.core.disk_stalled() {
             self.core.metrics.runtime.stall_minutes += 1.0;
             return;
         }
-        let length = {
-            let sess = self.sessions.live_at(idx);
-            self.core.config.movies[sess.movie_idx].geometry.length
+        let sess = self.sessions.live_mut(idx);
+        let length = self.core.config.movies[sess.movie_idx].geometry.length;
+        let SessionState::VcrActive { remaining, .. } = &mut sess.state else {
+            unreachable!("caller checked state")
         };
-        let steps = {
-            let sess = self.sessions.live_at_mut(idx);
-            let SessionState::VcrActive { remaining, .. } = &mut sess.state else {
-                unreachable!("caller checked state")
-            };
-            let steps = (*remaining).min(self.core.config.vcr_rate);
-            *remaining -= steps;
-            steps
-        };
+        let steps = (*remaining).min(self.core.config.vcr_rate);
+        *remaining -= steps;
+        let swept = *remaining == 0;
         for _ in 0..steps {
-            self.read_forward(idx);
+            read_forward(&mut self.core, sess);
         }
-        let sess = self.sessions.live_at_mut(idx);
         if sess.position >= length {
             // FF ran to the end: the viewing is over (the model's P(end)).
             // Counted as a hit, matching the simulator's default
@@ -1153,49 +1143,43 @@ impl VodServer {
                 .metrics
                 .runtime
                 .record_resume(VcrKind::FastForward, true);
-            self.finish_session(t, idx);
+            self.finish_session(idx);
             return;
         }
-        if matches!(sess.state, SessionState::VcrActive { remaining: 0, .. }) {
+        if swept {
             self.resume(t, idx, true, VcrKind::FastForward);
         }
     }
 
-    fn sweep_backward(&mut self, t: u64, idx: usize) {
+    fn sweep_backward(&mut self, t: u64, idx: u32) {
         if self.core.disk_stalled() {
             self.core.metrics.runtime.stall_minutes += 1.0;
             return;
         }
-        let steps = {
-            let sess = self.sessions.live_at_mut(idx);
-            let SessionState::VcrActive { remaining, .. } = &mut sess.state else {
-                unreachable!("caller checked state")
-            };
-            let steps = (*remaining)
-                .min(self.core.config.vcr_rate)
-                .min(sess.position);
-            // Both differences clamp at zero: `steps` is bounded by both
-            // operands today, but a rewind past the start must never wrap
-            // the residual sweep into billions of segments.
-            *remaining = remaining
-                .saturating_sub(steps)
-                .min(sess.position.saturating_sub(steps));
-            steps
+        let sess = self.sessions.live_mut(idx);
+        let movie = self.core.config.movies[sess.movie_idx].movie;
+        let SessionState::VcrActive { remaining, .. } = &mut sess.state else {
+            unreachable!("caller checked state")
         };
+        let steps = (*remaining)
+            .min(self.core.config.vcr_rate)
+            .min(sess.position);
+        // Both differences clamp at zero: `steps` is bounded by both
+        // operands today, but a rewind past the start must never wrap
+        // the residual sweep into billions of segments.
+        *remaining = remaining
+            .saturating_sub(steps)
+            .min(sess.position.saturating_sub(steps));
+        let swept = *remaining == 0;
         // Rewind with viewing displays segments in reverse order; each is
         // read through the dedicated lease.
         for _ in 0..steps {
-            let sess = self.sessions.live_at_mut(idx);
-            let movie = self.core.config.movies[sess.movie_idx].movie;
             sess.position -= 1;
             let lease = sess.lease.as_ref();
             self.core
                 .read_via_lease(lease, movie, sess.position, &mut sess.stats);
         }
-        let sess = self.sessions.live_at_mut(idx);
-        let done = matches!(sess.state, SessionState::VcrActive { remaining: 0, .. })
-            || sess.position == 0;
-        if done {
+        if swept || sess.position == 0 {
             self.resume(t, idx, true, VcrKind::Rewind);
         }
     }
@@ -1204,9 +1188,9 @@ impl VodServer {
     /// back to a dedicated stream (miss). The classification itself —
     /// covered ⇒ hit — is [`ResumeClass::classify`], shared with the
     /// simulator; the window probe is the live-stream join rule.
-    fn resume(&mut self, t: u64, idx: usize, holds_lease: bool, kind: VcrKind) {
+    fn resume(&mut self, t: u64, idx: u32, holds_lease: bool, kind: VcrKind) {
         let (movie_idx, position) = {
-            let sess = self.sessions.live_at(idx);
+            let sess = self.sessions.live(idx);
             (sess.movie_idx, sess.position)
         };
         let joinable = self.joinable_stream(movie_idx, position);
@@ -1216,7 +1200,7 @@ impl VodServer {
             .runtime
             .record_resume(kind, class.is_hit());
         if let Some(stream) = joinable {
-            let lease = self.sessions.live_at_mut(idx).lease.take();
+            let lease = self.sessions.live_mut(idx).lease.take();
             if let Some(lease) = lease {
                 self.core.release_lease(lease);
             }
@@ -1225,7 +1209,7 @@ impl VodServer {
         }
         // Miss: continue on a dedicated stream.
         if holds_lease {
-            let sess = self.sessions.live_at_mut(idx);
+            let sess = self.sessions.live_mut(idx);
             debug_assert!(sess.lease.is_some());
             sess.state = SessionState::Dedicated;
             sess.piggyback_phase = 0;
@@ -1237,15 +1221,15 @@ impl VodServer {
         // instead drops the viewer; the *event* counted is the same).
         match self.core.try_lease() {
             Some(lease) => {
-                let sess = self.sessions.live_at_mut(idx);
+                let sess = self.sessions.live_mut(idx);
                 sess.lease = Some(lease);
                 sess.state = SessionState::Dedicated;
                 sess.piggyback_phase = 0;
             }
             None => {
                 self.core.metrics.runtime.resume_starved += 1;
-                self.sessions.live_at_mut(idx).state = SessionState::Paused { until: t + 2 };
-                self.wakeups.schedule(t + 2, idx as u32);
+                self.sessions.live_mut(idx).state = SessionState::Paused { until: t + 2 };
+                self.wakeups.schedule(t + 2, idx);
             }
         }
     }
@@ -1284,14 +1268,25 @@ impl VodServer {
             .map(|(id, _)| StreamId(id))
     }
 
-    fn finish_session(&mut self, _t: u64, idx: usize) {
+    /// Session `idx` reached the end of the movie.
+    fn finish_session(&mut self, idx: u32) {
+        self.retire(idx);
+        self.core.metrics.sessions_done += 1;
+    }
+
+    /// The one way a session leaves the server: out of its cohort, its
+    /// lease handed back, its slot given up, its final record booked and
+    /// published by the core. Returns that record.
+    fn retire(&mut self, idx: u32) -> DeliveryStats {
         self.leave_cohort(idx);
-        let lease = self.sessions.live_at_mut(idx).lease.take();
-        if let Some(lease) = lease {
+        let Some(mut sess) = self.sessions.retire(idx) else {
+            unreachable!("leave_cohort saw session {idx} live")
+        };
+        if let Some(lease) = sess.lease.take() {
             self.core.release_lease(lease);
         }
-        self.sessions.live_at_mut(idx).state = SessionState::Done;
-        self.core.metrics.sessions_done += 1;
+        self.core.retire(SessionId(idx), sess.stats);
+        sess.stats
     }
 }
 
@@ -1327,21 +1322,23 @@ impl DeliveryBackend for VodServer {
         } else {
             start_at - self.core.now
         };
+        let idx = self
+            .sessions
+            .insert(Session {
+                movie_idx,
+                position: 0,
+                state: SessionState::Waiting { start_at },
+                lease: None,
+                stats: DeliveryStats::default(),
+                piggyback_phase: 0,
+            })
+            .ok_or(ServerError::SessionIdsExhausted)?;
         self.core.startup_waits.push(wait as f64);
-        let id = SessionId(self.sessions.insert(Session {
-            movie_idx,
-            position: 0,
-            state: SessionState::Waiting { start_at },
-            lease: None,
-            stats: DeliveryStats::default(),
-            piggyback_phase: 0,
-        }));
-        let idx = id.0.index();
         match join {
             Some(stream) => self.enrol(idx, stream, self.accounted),
-            None => self.wakeups.schedule(start_at, idx as u32),
+            None => self.wakeups.schedule(start_at, idx),
         }
-        Ok(id)
+        Ok(SessionId(idx))
     }
 
     /// Adopt a session displaced from another federation shard, resuming
@@ -1362,6 +1359,9 @@ impl DeliveryBackend for VodServer {
         if position >= self.core.config.movies[movie_idx].geometry.length {
             return Err(ServerError::InvalidState { operation: "adopt" });
         }
+        if self.sessions.is_full() {
+            return Err(ServerError::SessionIdsExhausted);
+        }
         let join = self.joinable_stream(movie_idx, position);
         let lease = match join {
             Some(_) => None,
@@ -1379,24 +1379,27 @@ impl DeliveryBackend for VodServer {
                 }
             },
         };
-        let id = SessionId(self.sessions.insert(Session {
-            movie_idx,
-            position,
-            state: SessionState::Dedicated,
-            lease,
-            stats: DeliveryStats::default(),
-            piggyback_phase: 0,
-        }));
-        let idx = id.0.index();
+        let idx = self
+            .sessions
+            .insert(Session {
+                movie_idx,
+                position,
+                state: SessionState::Dedicated,
+                lease,
+                stats: DeliveryStats::default(),
+                piggyback_phase: 0,
+            })
+            .ok_or(ServerError::SessionIdsExhausted)?;
+        let id = SessionId(idx);
         match join {
             Some(stream) => {
                 self.enrol(idx, stream, self.accounted);
                 Ok((id, Adoption::CohortJoin))
             }
             None => {
-                // Session slots are never reused, so the new index is
-                // maximal and the active list stays sorted by pushing.
-                self.active.push(idx as u32);
+                // Session indices only grow, so the new one is maximal
+                // and the active list stays sorted by pushing.
+                self.active.push(idx);
                 Ok((id, Adoption::DedicatedStream))
             }
         }
@@ -1411,10 +1414,7 @@ impl DeliveryBackend for VodServer {
         magnitude: u32,
     ) -> Result<(), ServerError> {
         let (movie_idx, has_lease, enrolled) = {
-            let sess = self
-                .sessions
-                .get(id.0)
-                .ok_or(ServerError::UnknownSession(id))?;
+            let sess = resolve(&self.sessions, id)?;
             let enrolled = match sess.state {
                 SessionState::Enrolled { .. } => true,
                 SessionState::Dedicated => false,
@@ -1422,7 +1422,7 @@ impl DeliveryBackend for VodServer {
             };
             (sess.movie_idx, sess.lease.is_some(), enrolled)
         };
-        let idx = id.0.index();
+        let idx = id.0;
         // FF/RW with viewing need a dedicated stream for phase 1.
         let needs_lease = matches!(kind, VcrKind::FastForward | VcrKind::Rewind);
         let new_lease = if needs_lease && !has_lease {
@@ -1458,7 +1458,7 @@ impl DeliveryBackend for VodServer {
             self.leave_cohort(idx);
             self.wheel_stale += 1;
         }
-        let sess = self.sessions.live_at_mut(idx);
+        let sess = self.sessions.live_mut(idx);
         if let Some(lease) = new_lease {
             sess.lease = Some(lease);
         }
@@ -1479,14 +1479,14 @@ impl DeliveryBackend for VodServer {
             // after.
             let until = self.core.now + u64::from(remaining);
             sess.state = SessionState::Paused { until };
-            self.wakeups.schedule(until, idx as u32);
+            self.wakeups.schedule(until, idx);
         } else {
             sess.state = SessionState::VcrActive { kind, remaining };
             if enrolled {
                 // Sweeping works every minute: onto the active list, in
                 // index order, between two ticks.
-                if let Err(at) = self.active.binary_search(&(idx as u32)) {
-                    self.active.insert(at, idx as u32);
+                if let Err(at) = self.active.binary_search(&(idx)) {
+                    self.active.insert(at, idx);
                 }
             }
         }
@@ -1495,32 +1495,25 @@ impl DeliveryBackend for VodServer {
 
     /// Status snapshot of a session.
     fn session_status(&self, id: SessionId) -> Result<SessionStatus, ServerError> {
-        let sess = self
-            .sessions
-            .get(id.0)
-            .ok_or(ServerError::UnknownSession(id))?;
-        Ok(match &sess.state {
+        status_of(&self.sessions, id, |sess| match &sess.state {
             SessionState::Waiting { start_at } => SessionStatus::Waiting(*start_at),
             SessionState::Enrolled { .. } => SessionStatus::Shared,
             SessionState::Dedicated => SessionStatus::Dedicated,
             SessionState::VcrActive { .. } | SessionState::Paused { .. } => SessionStatus::InVcr,
             SessionState::Degraded(_) => SessionStatus::Degraded,
-            SessionState::Done => SessionStatus::Done,
         })
     }
 
     /// Session playback position (next segment to consume).
     fn session_position(&self, id: SessionId) -> Result<u32, ServerError> {
-        let sess = self
-            .sessions
-            .get(id.0)
-            .ok_or(ServerError::UnknownSession(id))?;
+        let sess = resolve(&self.sessions, id)?;
         Ok(sess.position + self.owed(sess))
     }
 
     /// Advance one virtual minute.
     fn tick(&mut self) {
         let t = self.core.now;
+        self.core.begin_tick();
         apply_faults(self);
         self.retire_streams();
         self.start_due_streams(t);
@@ -1534,7 +1527,8 @@ impl DeliveryBackend for VodServer {
     /// healthy). The chaos harness calls this after every tick. The
     /// audit is a pure read that recounts everything from scratch and
     /// keeps nothing between calls, in time linear in the state it reads:
-    /// one pass over the session slots, two over the streams.
+    /// one pass over the live sessions, two over the streams — nothing
+    /// per session that has finished.
     ///
     /// Invariants: stream conservation (`in_use + free + failed ==
     /// provisioned`, and every in-use stream is held by exactly one
@@ -1543,8 +1537,10 @@ impl DeliveryBackend for VodServer {
     /// never overcommitted between ticks); every enrolled session's
     /// (derived) position lies inside its stream's window, and each
     /// stream's cohort table equals a recount of those positions; no
-    /// session slot is lost; the degraded population matches the states;
-    /// the wheel holds exactly the passive sessions' wake-ups.
+    /// session is lost (every one admitted is live or was retired, and
+    /// the live records plus the retired totals are the deliveries the
+    /// counters saw); the degraded population matches the states; the
+    /// wheel holds exactly the passive sessions' wake-ups.
     fn check_invariants(&self) -> Vec<String> {
         // Findings are gathered per pass, then reported in a fixed order:
         // resources, streams, sessions, scheduler.
@@ -1564,20 +1560,20 @@ impl DeliveryBackend for VodServer {
         let mut session_faults = Vec::new();
         let mut scheduler_faults = Vec::new();
         let mut listed = self.active.iter().copied().peekable();
-        for idx in 0..self.sessions.slot_count() {
-            let Some(sess) = self.sessions.at(idx) else {
-                session_faults.push(format!("session slot {idx} lost (empty)"));
-                continue;
-            };
+        let (mut live, mut from_buffer, mut from_disk) = (0u64, 0u64, 0u64);
+        for (idx, sess) in self.sessions.iter() {
+            live += 1;
+            from_buffer += sess.stats.from_buffer;
+            from_disk += sess.stats.from_disk;
             session_leases += u32::from(sess.lease.is_some());
             // The active list covers exactly the sessions that work every
             // minute (entries may linger for sessions that closed or
             // paused since the last tick — they drop at the next rebuild
             // — but a `Waiting` entry is always wrong).
-            while listed.peek().is_some_and(|&a| (a as usize) < idx) {
+            while listed.peek().is_some_and(|&a| a < idx) {
                 listed.next();
             }
-            let on_list = listed.peek().is_some_and(|&a| a as usize == idx);
+            let on_list = listed.peek().is_some_and(|&a| a == idx);
             match sess.state {
                 SessionState::Waiting { .. } => {
                     waiting += 1;
@@ -1590,14 +1586,15 @@ impl DeliveryBackend for VodServer {
                     paused += 1;
                     continue;
                 }
-                SessionState::Done => continue,
                 SessionState::Enrolled { stream, .. } => {
                     enrolled += 1;
                     let slot = stream.0.index();
                     match self.streams.get(stream.0) {
                         Some(s) => {
                             let head = s.next_read;
-                            let position = sess.position + sess.owed(head, self.accounted);
+                            let owed = sess.owed(head, self.accounted);
+                            from_buffer += u64::from(owed);
+                            let position = sess.position + owed;
                             let filled = s.partition.len() as u32;
                             match head.checked_sub(position) {
                                 Some(lag) if lag <= filled => {
@@ -1685,6 +1682,11 @@ impl DeliveryBackend for VodServer {
         }
         v.append(&mut stream_faults);
         v.append(&mut session_faults);
+        v.extend(self.core.population_drift(
+            self.sessions.issued(),
+            live,
+            (from_buffer, from_disk),
+        ));
         if let Some(counter) = drift.population {
             v.push(format!(
                 "degraded population drift: {degraded} sessions vs counter {counter}"
@@ -1713,6 +1715,14 @@ impl DeliveryBackend for VodServer {
 
     fn buffer_segments(&self) -> u64 {
         self.core.config.buffer_budget as u64
+    }
+
+    fn live_sessions(&self) -> usize {
+        self.sessions.len()
+    }
+
+    fn session_slots(&self) -> usize {
+        self.sessions.resident_slots()
     }
 }
 
@@ -1764,7 +1774,7 @@ mod tests {
                 .iter()
                 .filter(|(_, s)| s.lease.is_some())
                 .count();
-            let live = || (0..self.sessions.slot_count()).filter_map(|i| self.sessions.at(i));
+            let live = || self.sessions.iter().map(|(_, s)| s);
             let held = live().filter(|s| s.lease.is_some()).count();
             let degraded = live()
                 .filter(|s| matches!(s.state, SessionState::Degraded(_)))
@@ -1797,6 +1807,35 @@ mod tests {
         );
         assert_eq!(s.check_invariants(), Vec::<String>::new());
         (s, [enrolled, sweeping, waiting])
+    }
+
+    /// Session ids only grow, so they can run out: the last one is issued,
+    /// the next admission is refused with a typed error — before it takes
+    /// a stream — and nothing wraps round onto a live session.
+    #[test]
+    fn admission_ends_when_the_ids_run_out() {
+        let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
+        let mut s = VodServer::new(ServerConfig::provisioned(vec![movie], 4));
+        s.sessions = SessionStore::starting_at(u32::MAX - 1);
+        s.run(9);
+        let last = s.open_session(MovieId(0)).unwrap();
+        assert_eq!(last, SessionId(u32::MAX - 1));
+        assert!(matches!(
+            s.open_session(MovieId(0)),
+            Err(ServerError::SessionIdsExhausted)
+        ));
+        // Position 100 is in no window: an adoption would take a stream.
+        assert!(matches!(
+            s.adopt_session(MovieId(0), 100),
+            Err(ServerError::SessionIdsExhausted)
+        ));
+        assert_eq!(s.core.reserve.in_use(), 0);
+        assert_eq!(s.live_sessions(), 1);
+        assert!(matches!(
+            s.session_status(SessionId(u32::MAX)),
+            Err(ServerError::UnknownSession(_))
+        ));
+        assert_eq!(s.check_invariants(), Vec::<String>::new());
     }
 
     /// Shared verification stores the outcome, never "assume ok": every
@@ -1920,6 +1959,9 @@ mod tests {
                 "enrollment drift on stream 0: 0 readers vs enrolled 1",
                 "cohort drift on stream 0: 0 readers 1 behind the head vs cohort of 1",
                 "session 0 enrolled in dead stream 0",
+                // What it is owed cannot be worked out without the stream.
+                "delivery record drift: sessions show 4 buffer + 3 disk segments (live and \
+                 retired), the counters 9 + 3",
             ]
         );
         let (mut s, _) = busy();
@@ -1928,13 +1970,28 @@ mod tests {
             s.check_invariants(),
             ["degraded population drift: 0 sessions vs counter 1"]
         );
+        // A session dropped behind the books' back: nothing is kept per
+        // retired session, so the population clause is what sees it.
         let (mut s, [_, _, waiting]) = busy();
-        s.sessions.remove(waiting.0);
+        s.sessions.retire(waiting.0);
         assert_eq!(
             s.check_invariants(),
             [
-                "session slot 2 lost (empty)",
+                "session population drift: 3 admitted != 2 live + 0 retired",
                 "wheel population drift: 0 waiting + 0 paused + 1 enrolled + 1 stale != 3 scheduled",
+            ]
+        );
+        // ... and one whose record went missing with it.
+        let (mut s, [enrolled, _, _]) = busy();
+        s.wheel_stale += 1;
+        s.leave_cohort(enrolled.0);
+        s.sessions.retire(enrolled.0);
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "session population drift: 3 admitted != 2 live + 0 retired",
+                "delivery record drift: sessions show 4 buffer + 3 disk segments (live and \
+                 retired), the counters 9 + 3",
             ]
         );
     }
@@ -1987,6 +2044,10 @@ mod tests {
                     "cohort drift on stream 0: 0 readers 1 behind the head vs cohort of 1"
                         .to_string(),
                     format!("session 0 at {derived} outside stream 0's window [1, 6]"),
+                    // Re-dating the enrolment dropped the five segments owed.
+                    "delivery record drift: sessions show 4 buffer + 3 disk segments (live and \
+                     retired), the counters 9 + 3"
+                        .to_string(),
                 ]
             );
         }

@@ -8,7 +8,7 @@
 //!                         │       │                    │
 //!                         │       └──PAU──▶ Paused ────┤
 //!                         │                            └─resume miss──▶ Dedicated ──piggyback──▶ Enrolled
-//!                         └──────────── end of movie ──▶ Done
+//!                         └──────────── end of movie ──▶ retired
 //!
 //! Enrolled/Dedicated/VcrActive ──fault (lost stream or partition)──▶ Degraded
 //!     Degraded ──window rejoin──▶ Enrolled      (bounded re-wait, the free path)
@@ -29,15 +29,46 @@
 //! a fault-free run never constructs it, so pre-fault behavior is
 //! bitwise unchanged.
 
-use vod_runtime::{ArenaId, RetryLedger};
+use vod_runtime::{ArenaId, RetryLedger, SessionStore};
 use vod_workload::VcrKind;
 
-/// Session identifier: a generational handle into the server's session
-/// arena. Ids stay valid (and queryable) after the session finishes —
-/// session slots are never reused — but a fabricated or foreign id
-/// safely fails to resolve instead of aliasing another session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SessionId(pub ArenaId);
+use crate::server::ServerError;
+
+/// Session identifier: the session's index in its server's
+/// [`SessionStore`]. A server issues indices in admission order, `0, 1,
+/// 2, …`, and never reuses one, so every id is in one of three states for
+/// good: *live*; *retired* — the session finished or was closed, its
+/// memory is gone, and the id answers [`SessionStatus::Done`] and refuses
+/// everything else with [`ServerError::SessionFinished`]; or *never
+/// issued* ([`ServerError::UnknownSession`]). An id held past the end of
+/// its session can never alias a later admission.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct SessionId(pub u32);
+
+/// The live session behind `id`, or why there is none: it finished, or
+/// `sessions` never issued the id.
+pub(crate) fn resolve<T>(sessions: &SessionStore<T>, id: SessionId) -> Result<&T, ServerError> {
+    sessions.get(id.0).ok_or(if sessions.was_issued(id.0) {
+        ServerError::SessionFinished(id)
+    } else {
+        ServerError::UnknownSession(id)
+    })
+}
+
+/// [`DeliveryBackend::session_status`](crate::DeliveryBackend::session_status)
+/// over a store: `live` maps a live session's state onto the shared
+/// vocabulary, and a retired id is [`SessionStatus::Done`].
+pub(crate) fn status_of<T>(
+    sessions: &SessionStore<T>,
+    id: SessionId,
+    live: impl FnOnce(&T) -> SessionStatus,
+) -> Result<SessionStatus, ServerError> {
+    match resolve(sessions, id) {
+        Ok(sess) => Ok(live(sess)),
+        Err(ServerError::SessionFinished(_)) => Ok(SessionStatus::Done),
+        Err(unknown) => Err(unknown),
+    }
+}
 
 /// Identifier of an active stream within the server: a generational
 /// handle into the stream arena. Stream slots *are* reused as streams
@@ -91,8 +122,6 @@ pub enum SessionState {
     /// which only batch admission remains. Playback position is
     /// preserved; the viewer is never dropped.
     Degraded(RetryLedger),
-    /// Finished (reached the end of the movie).
-    Done,
 }
 
 impl SessionState {
@@ -104,7 +133,6 @@ impl SessionState {
             SessionState::Waiting { .. }
                 | SessionState::Enrolled { .. }
                 | SessionState::Paused { .. }
-                | SessionState::Done
         )
     }
 
@@ -164,6 +192,7 @@ pub enum SessionStatus {
     /// Re-queued after a fault took its stream or partition (degraded
     /// re-wait; playback resumes via window rejoin or a granted retry).
     Degraded,
-    /// Completed.
+    /// Completed (finished or closed early): the session has been
+    /// retired and only its id is left.
     Done,
 }

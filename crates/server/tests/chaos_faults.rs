@@ -11,9 +11,9 @@ use proptest::prelude::*;
 use vod_dist::kinds::Gamma;
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
-    make_backend, run_backend, run_harness, ChaosOutcome, DeliveryBackend, Driver, HarnessConfig,
-    HostedMovie, MovieId, RoundRobin, ServerConfig, ServerError, SessionStatus, VodServer,
-    Workload,
+    make_backend, run_backend, run_harness, ChaosOutcome, DeliveryBackend, DeliveryStats, Driver,
+    HarnessConfig, HostedMovie, MovieId, RoundRobin, ServerConfig, ServerError, SessionId,
+    SessionStatus, VodServer, Workload,
 };
 use vod_workload::{BehaviorModel, VcrKind};
 
@@ -28,6 +28,22 @@ fn run_checked(server: &mut VodServer, minutes: u64) {
     for _ in 0..minutes {
         checked_tick(server);
     }
+}
+
+/// [`run_checked`], returning the final record the server published for
+/// `viewer` on the tick it finished — the one place a finished session's
+/// statistics are to be had.
+fn run_to_finish(server: &mut VodServer, minutes: u64, viewer: SessionId) -> DeliveryStats {
+    let mut record = None;
+    for _ in 0..minutes {
+        checked_tick(server);
+        let published = server.finished_this_tick();
+        record = record.or(published
+            .iter()
+            .find(|(s, _)| *s == viewer)
+            .map(|&(_, r)| r));
+    }
+    record.expect("the viewer finished")
 }
 
 /// Satellite regression for the under-provisioned-restart re-wait path:
@@ -68,9 +84,8 @@ fn failed_restart_rewaits_batch_to_next_interval() {
         server.metrics().runtime.restart_failures >= 1,
         "the t = 5 restart failure must be counted"
     );
-    run_checked(&mut server, 20); // t = 10 restart succeeds; movie plays out
+    let stats = run_to_finish(&mut server, 20, viewer); // t = 10 restart succeeds; movie plays out
     assert_eq!(server.session_status(viewer).unwrap(), SessionStatus::Done);
-    let stats = server.session_stats(viewer).unwrap();
     assert_eq!(stats.total(), 10, "every segment delivered exactly once");
     assert_eq!(stats.verify_failures, 0);
 }
@@ -134,9 +149,8 @@ fn outage_revokes_leases_then_dedicated_retry_succeeds() {
         (rt.rewait_minutes - 9.0).abs() < 1e-9,
         "degraded ticks 12..=20"
     );
-    run_checked(&mut server, 30);
+    let stats = run_to_finish(&mut server, 30, viewer);
     assert_eq!(server.session_status(viewer).unwrap(), SessionStatus::Done);
-    let stats = server.session_stats(viewer).unwrap();
     assert_eq!(stats.total(), 30);
     assert_eq!(stats.verify_failures, 0);
 }
@@ -189,9 +203,8 @@ fn recovery_landing_on_the_timeout_tick_wins_the_race() {
         "the 14/16 refusals classify as transient once the last chance lands"
     );
     assert_eq!(rt.denied_permanent, 0);
-    run_checked(&mut server, 40);
+    let stats = run_to_finish(&mut server, 40, viewer);
     assert_eq!(server.session_status(viewer).unwrap(), SessionStatus::Done);
-    let stats = server.session_stats(viewer).unwrap();
     assert_eq!(stats.total(), 30);
     assert_eq!(stats.verify_failures, 0);
 }
@@ -236,11 +249,10 @@ fn default_policy_resolves_timeout_before_same_tick_recovery() {
         rt.denied_permanent, 2,
         "the 14/16 refusals resolve permanent at the timeout"
     );
-    run_checked(&mut server, 60); // a later restart's window covers position 12
+    let stats = run_to_finish(&mut server, 60, viewer); // a later restart's window covers position 12
     assert_eq!(server.session_status(viewer).unwrap(), SessionStatus::Done);
     let rt = server.runtime_metrics();
     assert_eq!(rt.degraded_rejoined, 1, "batch admission remains open");
-    let stats = server.session_stats(viewer).unwrap();
     assert_eq!(stats.total(), 30, "delayed, never dropped");
     assert_eq!(stats.verify_failures, 0);
 }
@@ -267,9 +279,8 @@ fn slowdown_stalls_playback_without_losing_segments() {
         DegradePolicy::default(),
     );
     let viewer = server.open_session(MovieId(0)).unwrap();
-    run_checked(&mut server, 30);
+    let stats = run_to_finish(&mut server, 30, viewer);
     assert_eq!(server.session_status(viewer).unwrap(), SessionStatus::Done);
-    let stats = server.session_stats(viewer).unwrap();
     assert_eq!(stats.total(), 10, "slowdown delays, never drops, segments");
     assert_eq!(stats.verify_failures, 0);
     let stalls = server.runtime_metrics().stall_minutes;
@@ -323,9 +334,8 @@ fn buffer_shrink_evicts_partitions_and_restore_heals() {
         SessionStatus::Degraded,
         "evicted partition degrades its enrolled viewer"
     );
-    run_checked(&mut server, 40);
+    let stats = run_to_finish(&mut server, 40, viewer);
     assert_eq!(server.session_status(viewer).unwrap(), SessionStatus::Done);
-    let stats = server.session_stats(viewer).unwrap();
     assert_eq!(stats.total(), 20);
     assert_eq!(stats.verify_failures, 0);
     assert!(
@@ -363,9 +373,9 @@ fn starvation_policy_denies_new_vcr_grants() {
     assert_eq!(server.metrics().vcr_denied_degraded, 1);
     assert_eq!(server.runtime_metrics().denied_permanent, 1);
     // Playback itself is untouched by the policy.
-    run_checked(&mut server, 30);
+    let stats = run_to_finish(&mut server, 30, viewer);
     assert_eq!(server.session_status(viewer).unwrap(), SessionStatus::Done);
-    assert_eq!(server.session_stats(viewer).unwrap().verify_failures, 0);
+    assert_eq!(stats.verify_failures, 0);
 }
 
 /// The batching server's outcome under `plan` (default policy).

@@ -195,7 +195,8 @@ impl Pair {
     }
 
     fn close(&mut self, id: SessionId) {
-        self.both("close_session", |s| s.close_session(id).unwrap());
+        // `None` on both: the session had already finished.
+        self.both("close_session", |s| s.close_session(id).ok());
     }
 
     fn status(&mut self, id: SessionId) -> SessionStatus {
@@ -203,20 +204,26 @@ impl Pair {
     }
 
     /// One tick on both, then everything observable about every session
-    /// ever opened, the mechanism counters, and a clean audit.
+    /// ever opened — position and statistics while it plays (`None` on
+    /// both once it is retired), its final record on the tick it
+    /// finishes, its status for ever — the mechanism counters, and a
+    /// clean audit.
     fn tick(&mut self) {
         self.both("tick", |s| s.tick());
+        self.both("finished_this_tick", |s| s.finished_this_tick().to_vec());
         for i in 0..self.sessions.len() {
             let id = self.sessions[i];
-            self.both("session after tick", |s| {
+            let (.., position, stats, status) = self.both("session after tick", |s| {
                 (
                     id,
                     s.now(),
-                    s.session_position(id).unwrap(),
-                    s.session_stats(id).unwrap(),
+                    s.session_position(id).ok(),
+                    s.session_stats(id).ok(),
                     s.session_status(id).unwrap(),
                 )
             });
+            let retired = status == SessionStatus::Done;
+            assert_eq!((position.is_none(), stats.is_none()), (retired, retired));
         }
         self.both("runtime_metrics", |s| s.runtime_metrics());
         self.both("verify_failures", |s| s.metrics().verify_failures);

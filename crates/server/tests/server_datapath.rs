@@ -6,7 +6,8 @@
 use rand::RngCore;
 use vod_dist::rng::seeded;
 use vod_server::{
-    DeliveryBackend, HostedMovie, MovieId, ServerConfig, ServerError, SessionStatus, VodServer,
+    DeliveryBackend, DeliveryStats, HostedMovie, MovieId, ServerConfig, ServerError, SessionId,
+    SessionStatus, VodServer,
 };
 use vod_workload::VcrKind;
 
@@ -18,12 +19,24 @@ fn one_movie_server() -> VodServer {
     VodServer::new(ServerConfig::provisioned(vec![movie], 6))
 }
 
+/// Run `minutes` ticks and return the final record the server published
+/// for `id` on the tick it finished — the one place a finished session's
+/// statistics are to be had (`None`: still playing).
+fn run_to_finish(server: &mut VodServer, minutes: u64, id: SessionId) -> Option<DeliveryStats> {
+    let mut record = None;
+    for _ in 0..minutes {
+        server.tick();
+        let published = server.finished_this_tick();
+        record = record.or(published.iter().find(|(s, _)| *s == id).map(|&(_, r)| r));
+    }
+    record
+}
+
 #[test]
 fn plain_viewing_is_byte_exact_and_buffer_served() {
     let mut server = one_movie_server();
     let s = server.open_session(MovieId(0)).unwrap();
-    server.run(140);
-    let stats = server.session_stats(s).unwrap();
+    let stats = run_to_finish(&mut server, 140, s).unwrap();
     assert_eq!(server.session_status(s).unwrap(), SessionStatus::Done);
     assert_eq!(stats.total(), 120, "every minute delivered exactly once");
     assert_eq!(stats.verify_failures, 0);
@@ -46,8 +59,7 @@ fn type1_viewer_waits_at_most_w() {
         }
         other => panic!("expected Waiting, got {other:?}"),
     }
-    server.run(130);
-    let stats = server.session_stats(s).unwrap();
+    let stats = run_to_finish(&mut server, 130, s).unwrap();
     assert_eq!(stats.total(), 120);
     assert_eq!(stats.verify_failures, 0);
 }
@@ -67,8 +79,7 @@ fn ff_resume_hit_rejoins_partition() {
         matches!(status, SessionStatus::Shared | SessionStatus::Dedicated),
         "resumed: {status:?}"
     );
-    server.run(150);
-    let stats = server.session_stats(s).unwrap();
+    let stats = run_to_finish(&mut server, 150, s).unwrap();
     assert_eq!(server.session_status(s).unwrap(), SessionStatus::Done);
     assert_eq!(stats.verify_failures, 0);
     // 30 minutes watched + 12 swept (read at FF) + the rest: total reads
@@ -92,8 +103,7 @@ fn pause_short_enough_hits_next_partition() {
     let m = server.metrics();
     assert_eq!(m.runtime.resumes.hits(), 1);
     assert_eq!(m.runtime.resumes.trials(), 1);
-    server.run(140);
-    let stats = server.session_stats(s).unwrap();
+    let stats = run_to_finish(&mut server, 140, s).unwrap();
     assert_eq!(stats.verify_failures, 0);
     assert_eq!(stats.total(), 120);
 }
@@ -113,9 +123,8 @@ fn long_pause_misses_and_piggyback_merges_back() {
     assert_eq!(server.metrics().runtime.resumes.hits(), 0);
     // Piggyback at one catch-up segment per 20 ticks must eventually
     // merge the session back into a partition (gap ≤ 6 minutes to close).
-    server.run(150);
+    let stats = run_to_finish(&mut server, 150, s).unwrap();
     assert_eq!(server.metrics().piggyback_merges, 1);
-    let stats = server.session_stats(s).unwrap();
     assert_eq!(server.session_status(s).unwrap(), SessionStatus::Done);
     assert_eq!(stats.verify_failures, 0);
 }
@@ -135,8 +144,8 @@ fn rewind_served_in_reverse_and_resumes() {
         "rewind reads 9 segments"
     );
     assert!(server.session_position(s).unwrap() <= 31);
-    server.run(200);
-    assert_eq!(server.session_stats(s).unwrap().verify_failures, 0);
+    let stats = run_to_finish(&mut server, 200, s).unwrap();
+    assert_eq!(stats.verify_failures, 0);
     assert_eq!(server.session_status(s).unwrap(), SessionStatus::Done);
 }
 
@@ -169,8 +178,7 @@ fn rewind_past_start_clamps_to_zero_and_resumes() {
     );
     assert_eq!(server.metrics().runtime.resumes.trials(), 1);
     // Replays the whole movie from the top without further incident.
-    server.run(140);
-    let stats = server.session_stats(s).unwrap();
+    let stats = run_to_finish(&mut server, 140, s).unwrap();
     assert_eq!(server.session_status(s).unwrap(), SessionStatus::Done);
     assert_eq!(stats.verify_failures, 0);
     assert!(stats.total() >= before.total() + 20 + 120);
@@ -260,9 +268,14 @@ fn multi_movie_isolation() {
     let mut server = VodServer::new(ServerConfig::provisioned(vec![movie_a, movie_b], 4));
     let sa = server.open_session(MovieId(0)).unwrap();
     let sb = server.open_session(MovieId(1)).unwrap();
-    server.run(70);
+    let mut published = Vec::new();
+    for _ in 0..70 {
+        server.tick();
+        published.extend_from_slice(server.finished_this_tick());
+    }
+    assert_eq!(published.len(), 2);
     for s in [sa, sb] {
-        let st = server.session_stats(s).unwrap();
+        let st = published.iter().find(|(id, _)| *id == s).unwrap().1;
         assert_eq!(st.total(), 60);
         assert_eq!(st.verify_failures, 0);
     }
@@ -276,11 +289,7 @@ fn unknown_ids_rejected() {
         Err(ServerError::UnknownMovie(_))
     ));
     assert!(matches!(
-        server.request_vcr(
-            vod_server::SessionId(vod_runtime::ArenaId::from_parts(9, 0)),
-            VcrKind::Pause,
-            1
-        ),
+        server.request_vcr(SessionId(9), VcrKind::Pause, 1),
         Err(ServerError::UnknownSession(_))
     ));
 }
@@ -311,9 +320,17 @@ fn close_session_releases_resources() {
     assert_eq!(server.session_status(s).unwrap(), SessionStatus::Done);
     assert_eq!(server.disk().in_use(), in_use_before - 1, "lease released");
     assert_eq!(server.metrics().sessions_closed_early, 1);
-    // Idempotent: closing again is a no-op and stats remain queryable.
-    let again = server.close_session(s).unwrap();
-    assert_eq!(again.total(), stats.total());
+    // The close retired the session and published the record it returned;
+    // closing again changes nothing and says why.
+    assert_eq!(server.finished_this_tick(), [(s, stats)]);
+    assert!(matches!(
+        server.close_session(s),
+        Err(ServerError::SessionFinished(_))
+    ));
+    assert!(matches!(
+        server.session_stats(s),
+        Err(ServerError::SessionFinished(_))
+    ));
     assert_eq!(server.metrics().sessions_closed_early, 1);
     // The server keeps running cleanly afterwards.
     server.run(200);
@@ -334,9 +351,7 @@ fn close_enrolled_session_frees_partition_eventually() {
     assert_eq!(server.metrics().runtime.restart_failures, 0);
     assert!(server.buffer_pool().used() <= server.buffer_pool().budget());
     assert!(matches!(
-        server.close_session(vod_server::SessionId(vod_runtime::ArenaId::from_parts(
-            99, 0
-        ))),
+        server.close_session(SessionId(99)),
         Err(ServerError::UnknownSession(_))
     ));
 }
