@@ -18,10 +18,10 @@ cargo clippy --workspace --all-targets -- ${CLIPPY_FLAGS}
 echo "== vod-lint (workspace semantic analyzer, see DESIGN.md §9/§14) =="
 mkdir -p results
 # The binary prints the per-rule summary table and exits non-zero on any
-# unsuppressed finding; the gate is exact — schema v2, zero findings, no
-# baseline slack.
+# unsuppressed finding; the gate is exact — schema v3, zero findings, no
+# baseline to ratchet against.
 cargo run -p vod-lint --release -- --workspace --json results/LINT_REPORT.json
-grep -q '"version": 2' results/LINT_REPORT.json
+grep -q '"version": 3' results/LINT_REPORT.json
 grep -q '"findings": \[\]' results/LINT_REPORT.json
 # Dogfood: the linter's own sources pass the same gate standalone.
 cargo run -p vod-lint --release -- --root . crates/lint/src

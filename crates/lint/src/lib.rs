@@ -21,9 +21,9 @@
 //! | `time-domain` | no tick/minute/segment cross-domain arithmetic without explicit conversion (PR 2 class) |
 //!
 //! Findings print as `file:line rule message`, a machine-readable JSON
-//! report (schema v2: per-rule counts + analyzer wall time) is written
-//! with `--json`, and the binary exits nonzero on any unsuppressed,
-//! un-baselined finding. The CI gate requires exactly zero findings.
+//! report (schema v3: per-rule counts + analyzer wall time) is written
+//! with `--json`, and the binary exits nonzero on any unsuppressed
+//! finding. The CI gate requires exactly zero findings.
 //! Suppress a single site with a comment on (or directly above) the
 //! offending line:
 //!
@@ -46,7 +46,7 @@ pub mod tokenizer;
 pub mod walk;
 
 pub use index::WorkspaceIndex;
-pub use report::{Baseline, Report};
+pub use report::Report;
 pub use rules::{lint_source, lint_source_indexed, FileClass, FileLint, Finding, Rule};
 
 use std::path::Path;

@@ -1,10 +1,10 @@
 //! `vod-lint` CLI: the CI lint gate.
 //!
 //! ```text
-//! vod-lint --workspace [--root DIR] [--json REPORT] [--baseline REPORT] [PATH...]
+//! vod-lint --workspace [--root DIR] [--json REPORT] [PATH...]
 //! ```
 //!
-//! Exit codes: 0 clean (or all findings baselined/suppressed), 1 findings,
+//! Exit codes: 0 clean (or all findings suppressed), 1 findings,
 //! 2 usage or IO error.
 
 #![forbid(unsafe_code)]
@@ -13,13 +13,12 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use vod_lint::{lint_source, walk, Baseline, Report};
+use vod_lint::{lint_source, walk, Report};
 
 struct Args {
     workspace: bool,
     root: PathBuf,
     json: Option<PathBuf>,
-    baseline: Option<PathBuf>,
     paths: Vec<PathBuf>,
 }
 
@@ -28,7 +27,6 @@ fn parse_args() -> Result<Args, String> {
         workspace: false,
         root: PathBuf::from("."),
         json: None,
-        baseline: None,
         paths: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
@@ -37,11 +35,10 @@ fn parse_args() -> Result<Args, String> {
             "--workspace" => args.workspace = true,
             "--root" => args.root = PathBuf::from(it.next().ok_or("--root needs a path")?),
             "--json" => args.json = Some(PathBuf::from(it.next().ok_or("--json needs a path")?)),
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?))
-            }
             "--help" | "-h" => {
-                return Err("usage: vod-lint --workspace [--root DIR] [--json REPORT] [--baseline REPORT] [PATH...]".into())
+                return Err(
+                    "usage: vod-lint --workspace [--root DIR] [--json REPORT] [PATH...]".into(),
+                )
             }
             p if !p.starts_with('-') => args.paths.push(PathBuf::from(p)),
             other => return Err(format!("unknown flag `{other}` (try --help)")),
@@ -80,17 +77,6 @@ fn run() -> Result<Report, String> {
         report.files_scanned += 1;
     }
     report.sort();
-
-    // Baseline ratchet: previously recorded findings don't fail the gate.
-    if let Some(bl_path) = &args.baseline {
-        let text = std::fs::read_to_string(bl_path)
-            .map_err(|e| format!("reading baseline {}: {e}", bl_path.display()))?;
-        let mut baseline = Baseline::parse(&text)?;
-        let (old, fresh): (Vec<_>, Vec<_>) =
-            report.findings.drain(..).partition(|f| baseline.absorb(f));
-        report.baselined = old.len();
-        report.findings = fresh;
-    }
     report.wall_time_ms = started.elapsed().as_millis() as u64;
 
     if let Some(json_path) = &args.json {
@@ -112,17 +98,16 @@ fn main() -> ExitCode {
             for f in &report.findings {
                 println!("{}", f.render());
             }
-            // Per-rule summary table (schema v2 `rule_counts`).
+            // Per-rule summary table (the report's `rule_counts`).
             eprintln!("vod-lint: rule                  findings");
             for (name, count) in report.rule_counts() {
                 eprintln!("vod-lint:   {name:<20} {count:>8}");
             }
             eprintln!(
-                "vod-lint: {} file(s), {} finding(s), {} suppressed, {} baselined, {} ms",
+                "vod-lint: {} file(s), {} finding(s), {} suppressed, {} ms",
                 report.files_scanned,
                 report.findings.len(),
                 report.suppressed,
-                report.baselined,
                 report.wall_time_ms
             );
             if report.findings.is_empty() {

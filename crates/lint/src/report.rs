@@ -1,8 +1,8 @@
-//! Machine-readable report: JSON serialization and baseline ratcheting.
+//! Machine-readable report: JSON serialization.
 //!
 //! The JSON is hand-rolled (the workspace is vendored-offline, and the
-//! shape is four scalar fields plus a flat findings array), with full
-//! string escaping so arbitrary matched text round-trips.
+//! shape is a few scalar fields plus a flat findings array), with full
+//! string escaping so arbitrary matched text is embedded intact.
 
 use crate::rules::{Finding, Rule};
 
@@ -15,9 +15,6 @@ pub struct Report {
     pub suppressed: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Findings matched against the `--baseline` report (reported but
-    /// not counted toward the exit code).
-    pub baselined: usize,
     /// Analyzer wall time in milliseconds, stamped by the CLI. Zero in
     /// library use (tests pin the schema, not the timing).
     pub wall_time_ms: u64,
@@ -45,14 +42,13 @@ impl Report {
             .collect()
     }
 
-    /// Render the JSON report (schema v2: per-rule counts and analyzer
+    /// Render the JSON report (schema v3: per-rule counts and analyzer
     /// wall time on top of the v1 scalars; see DESIGN.md §14).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        s.push_str("{\n  \"version\": 2,\n");
+        s.push_str("{\n  \"version\": 3,\n");
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         s.push_str(&format!("  \"suppressed\": {},\n", self.suppressed));
-        s.push_str(&format!("  \"baselined\": {},\n", self.baselined));
         s.push_str(&format!("  \"wall_time_ms\": {},\n", self.wall_time_ms));
         s.push_str("  \"rule_counts\": {");
         for (i, (name, count)) in self.rule_counts().iter().enumerate() {
@@ -98,98 +94,6 @@ fn escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// A baseline loaded from a previous JSON report. Matching is by
-/// `(file, rule, message)` — line numbers drift across edits — and is
-/// count-bounded: a baseline with N entries for a key forgives at most N
-/// findings with that key, so new instances of an old defect still fail.
-#[derive(Debug, Default)]
-pub struct Baseline {
-    entries: Vec<(String, String, String, usize)>, // (file, rule, message, remaining)
-}
-
-impl Baseline {
-    /// Parse a baseline from the JSON produced by [`Report::to_json`].
-    /// The parser is a minimal scanner for that exact shape; unknown
-    /// fields are ignored, malformed input yields an error string.
-    pub fn parse(json: &str) -> Result<Baseline, String> {
-        let mut entries: Vec<(String, String, String, usize)> = Vec::new();
-        // Scan for finding objects by their "file" keys; each object is
-        // emitted on one line by `to_json`, so line-wise parsing is exact
-        // for our own output and tolerant of reformatting that keeps one
-        // object per line.
-        for line in json.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if !line.starts_with('{') || !line.contains("\"file\"") {
-                continue;
-            }
-            let file = extract_str(line, "file").ok_or("finding object missing \"file\"")?;
-            let rule = extract_str(line, "rule").ok_or("finding object missing \"rule\"")?;
-            let message =
-                extract_str(line, "message").ok_or("finding object missing \"message\"")?;
-            if let Some(e) = entries
-                .iter_mut()
-                .find(|e| e.0 == file && e.1 == rule && e.2 == message)
-            {
-                e.3 += 1;
-            } else {
-                entries.push((file, rule, message, 1));
-            }
-        }
-        Ok(Baseline { entries })
-    }
-
-    /// Consume one budget slot for this finding if the baseline covers it.
-    pub fn absorb(&mut self, f: &Finding) -> bool {
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.0 == f.file && e.1 == f.rule.name() && e.2 == f.message && e.3 > 0)
-        {
-            e.3 -= 1;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Pull the string value of `"key": "..."` out of a single-line JSON
-/// object, undoing the escapes [`escape`] produces.
-fn extract_str(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\": \"");
-    let start = line.find(&pat)? + pat.len();
-    let bytes: Vec<char> = line[start..].chars().collect();
-    let mut out = String::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            '"' => return Some(out),
-            '\\' => {
-                let next = *bytes.get(i + 1)?;
-                match next {
-                    'n' => out.push('\n'),
-                    't' => out.push('\t'),
-                    'r' => out.push('\r'),
-                    'u' => {
-                        // \uXXXX
-                        let hex: String = bytes.get(i + 2..i + 6)?.iter().collect();
-                        let v = u32::from_str_radix(&hex, 16).ok()?;
-                        out.push(char::from_u32(v)?);
-                        i += 4;
-                    }
-                    c => out.push(c),
-                }
-                i += 2;
-            }
-            c => {
-                out.push(c);
-                i += 1;
-            }
-        }
-    }
-    None
 }
 
 /// Re-export used by tests to assert rule identity from parsed names.

@@ -11,7 +11,7 @@ use crate::parse::parse_items;
 use crate::tokenizer::{tokenize, Comment, TokKind, Token, TokenStream};
 
 /// The rule catalog. Names are stable: they appear in findings, reports,
-/// baselines, and suppression directives.
+/// and suppression directives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
     /// `==`/`!=` with a float-literal operand outside `#[cfg(test)]`.

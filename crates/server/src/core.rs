@@ -9,20 +9,27 @@
 //! what "position is covered" means, what a tick broadcasts, and where a
 //! timed-out session goes. What the schemes do differently under a fault
 //! is the [`FaultPolicy`] they implement, not a second copy of the loop.
+//!
+//! The viewer life-cycle is shared the same way (see [`crate::session`]
+//! for the record and the states): the steps that do not depend on the
+//! scheme — the adoption refusals, the tail of a VCR request, the
+//! position-only sweep, the resume onto a stream of one's own, the finish,
+//! the revoked-lease walk and the per-session half of the audit — are
+//! [`ServerCore`] methods over any scheme's [`Session`].
 
 use std::collections::BTreeMap;
 
 use vod_runtime::{
     DegradePolicy, FaultKind, FaultPlan, RetryLedger, RetryStep, RuntimeMetrics, StreamReserve,
 };
-use vod_workload::{TimeWeighted, Welford};
+use vod_workload::{TimeWeighted, VcrKind, Welford};
 
 use crate::backend::DeliveryBackend;
 use crate::content::{verify_segment, MovieId};
 use crate::disk::{DiskSubsystem, StreamLease};
 use crate::metrics::ServerMetrics;
 use crate::server::{ServerConfig, ServerError};
-use crate::session::{DeliveryStats, SessionId};
+use crate::session::{DeliveryStats, Session, SessionId, SessionState, Sessions};
 
 /// State and accounting common to every [`DeliveryBackend`]; see the
 /// module docs. Backends hand it out through
@@ -91,25 +98,83 @@ pub(crate) enum Retry {
     TimedOut,
 }
 
-/// Where a backend's audit recount disagrees with the core's books; every
-/// `None` is a conserved quantity.
-pub(crate) struct ResourceDrift {
-    /// [`DiskSubsystem::conservation_violation`].
-    pub disk: Option<String>,
-    /// The disk's in-use count, when the leases held (pre-allocated plus
-    /// session-held) do not add up to it.
-    pub leases: Option<u32>,
-    /// The reserve's in-use count, when the session-held leases differ.
-    pub reserve: Option<u32>,
-    /// The tracked degraded population, when the recount differs.
-    pub population: Option<u32>,
+/// What one tick of a position-only sweep came to
+/// ([`ServerCore::sweep_position`]).
+pub(crate) enum Swept {
+    /// Still sweeping.
+    Going,
+    /// The sweep is over short of the end: the viewer resumes here.
+    Landed(VcrKind),
+    /// Fast-forwarded off the end of the movie: the viewing is over.
+    OffTheEnd,
+}
+
+/// The per-session half of every backend's audit: a from-scratch recount
+/// over the live sessions, which [`ServerCore::audit`] holds against the
+/// books. Counters only — what is wrong with a session by itself goes to
+/// a list of its own, so these stay in registers over the walk.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct Recount {
+    /// Sessions holding a dedicated lease.
+    pub held: u32,
+    /// Sessions in the degraded re-wait state.
+    pub degraded: u32,
+    pub live: u64,
+    /// `(buffer, disk)` deliveries on the live sessions' records.
+    pub delivered: (u64, u64),
+}
+
+impl Recount {
+    /// Count live session `idx`, and file under `faults` a lease that
+    /// contradicts its state: one is held exactly in the serving states —
+    /// always `Dedicated`, and a sweep unless the scheme has `free_sweeps`
+    /// (inside what the viewer has already received).
+    #[inline]
+    pub(crate) fn see<E, X>(
+        &mut self,
+        idx: u32,
+        sess: &Session<E, X>,
+        free_sweeps: bool,
+        faults: &mut Vec<String>,
+    ) {
+        self.live += 1;
+        self.delivered.0 += sess.stats.from_buffer;
+        self.delivered.1 += sess.stats.from_disk;
+        if sess.lease.is_some() {
+            self.held += 1;
+            if !matches!(
+                sess.state,
+                SessionState::Dedicated | SessionState::Vcr { .. }
+            ) {
+                found(faults, idx, "holds a lease in a non-serving state");
+            }
+        } else if matches!(sess.state, SessionState::Dedicated)
+            || (!free_sweeps && matches!(sess.state, SessionState::Vcr { .. }))
+        {
+            found(faults, idx, "is serving without a lease");
+        }
+        if matches!(sess.state, SessionState::Degraded(_)) {
+            self.degraded += 1;
+        }
+    }
+}
+
+/// Out of line: the walk that calls it runs once per live session per tick
+/// and never comes here on a healthy server.
+#[cold]
+#[inline(never)]
+fn found(faults: &mut Vec<String>, idx: u32, fault: &str) {
+    faults.push(format!("session {idx} {fault}"));
 }
 
 impl ServerCore {
     /// Core over `config`'s catalog and stream pool, with `preallocated`
     /// of the streams set aside for the scheme's normal playback and the
     /// rest forming the dedicated reserve.
-    pub(crate) fn new(config: ServerConfig, preallocated: u32) -> Self {
+    pub(crate) fn new(mut config: ServerConfig, preallocated: u32) -> Self {
+        // A sweep that moves nothing would never end: a zero rate is
+        // served as 1, here, where the config enters.
+        config.vcr_rate = config.vcr_rate.max(1);
         let mut disk = DiskSubsystem::new(config.disk_streams);
         let mut movie_index = BTreeMap::new();
         for (i, m) in config.movies.iter().enumerate() {
@@ -146,14 +211,33 @@ impl ServerCore {
         self.finished.clear();
     }
 
-    /// Close the books on a session its backend just took out of the
-    /// store — the one place a retirement is counted and the one place a
-    /// finished viewer's record is published.
-    pub(crate) fn retire(&mut self, id: SessionId, stats: DeliveryStats) {
+    /// Session `idx`'s viewing is over — the end of the movie, or a
+    /// fast-forward off it: the one function that retires a finished
+    /// session.
+    pub(crate) fn finish<E, X>(&mut self, sessions: &mut Sessions<E, X>, idx: u32) {
+        self.retire(sessions, idx);
+        self.metrics.sessions_done += 1;
+    }
+
+    /// The one way a session leaves a server, finished or closed: its slot
+    /// given up, its lease handed back, its final record booked — the one
+    /// place a retirement is counted — and published. Returns that record.
+    pub(crate) fn retire<E, X>(
+        &mut self,
+        sessions: &mut Sessions<E, X>,
+        idx: u32,
+    ) -> DeliveryStats {
+        let Some(mut sess) = sessions.retire(idx) else {
+            unreachable!("only a live session is retired")
+        };
+        if let Some(lease) = sess.lease.take() {
+            self.release_lease(lease);
+        }
         self.retired += 1;
-        self.retired_delivered.0 += stats.from_buffer;
-        self.retired_delivered.1 += stats.from_disk;
-        self.finished.push((id, stats));
+        self.retired_delivered.0 += sess.stats.from_buffer;
+        self.retired_delivered.1 += sess.stats.from_disk;
+        self.finished.push((SessionId(idx), sess.stats));
+        sess.stats
     }
 
     /// [`DeliveryBackend::finished_this_tick`].
@@ -220,13 +304,18 @@ impl ServerCore {
         self.reserve.record_denials(ledger.resolve(), transient);
     }
 
-    /// A resuming session needs a dedicated stream now: the lease, or —
-    /// refused — the ledger it enters with that refusal pending.
-    pub(crate) fn lease_or_degrade(&mut self) -> Result<StreamLease, RetryLedger> {
-        self.try_lease().ok_or_else(|| {
+    /// `sess` resumes where nothing shared covers its position, holding no
+    /// stream: onto a dedicated stream of its own (`true`) or — refused —
+    /// into the degraded re-wait, that refusal pending.
+    pub(crate) fn resume_on_own_stream<E, X>(&mut self, sess: &mut Session<E, X>) -> bool {
+        sess.lease = self.try_lease();
+        sess.state = if sess.lease.is_some() {
+            SessionState::Dedicated
+        } else {
             self.metrics.runtime.resume_starved += 1;
-            self.enter_degraded(1)
-        })
+            SessionState::Degraded(self.enter_degraded(1))
+        };
+        sess.lease.is_some()
     }
 
     /// One retry-ledger tick of a degraded session the scheme could not
@@ -281,39 +370,151 @@ impl ServerCore {
         self.metrics.runtime.disk_minutes += 1.0;
     }
 
-    /// The resource clauses of `check_invariants`, against a backend's
-    /// from-scratch recount: `preallocated` leases held by the scheme's
-    /// own streams or channels, `sessions` held by sessions, `degraded`
-    /// sessions in the re-wait state.
-    pub(crate) fn resource_drift(
+    /// The refusals every scheme's `adopt_session` opens with — a movie
+    /// not hosted, a position past its end, no session id left — or the
+    /// movie's index.
+    pub(crate) fn adoptable<E, X>(
         &self,
-        preallocated: u32,
-        sessions: u32,
-        degraded: u32,
-    ) -> ResourceDrift {
-        let disagrees = |counted: u32, booked: u32| (counted != booked).then_some(booked);
-        ResourceDrift {
-            disk: self.disk.conservation_violation(),
-            leases: disagrees(preallocated + sessions, self.disk.in_use()),
-            reserve: disagrees(sessions, self.reserve.in_use()),
-            population: disagrees(degraded, self.degraded_count),
+        sessions: &Sessions<E, X>,
+        movie: MovieId,
+        position: u32,
+    ) -> Result<usize, ServerError> {
+        let movie_idx = self.movie_idx(movie)?;
+        if position >= self.config.movies[movie_idx].geometry.length {
+            return Err(ServerError::InvalidState { operation: "adopt" });
+        }
+        if sessions.is_full() {
+            return Err(ServerError::SessionIdsExhausted);
+        }
+        Ok(movie_idx)
+    }
+
+    /// No stream for a VCR request or an adoption. Whoever asked never
+    /// retries it here — a viewer stays where it plays; a displaced
+    /// session's retry resolves in the front tier's ledger, maybe on
+    /// another shard — so locally the refusal is permanent.
+    pub(crate) fn deny_vcr(&mut self) -> ServerError {
+        self.metrics.runtime.vcr_denied += 1;
+        self.reserve.record_denials(1, false);
+        ServerError::VcrDenied
+    }
+
+    /// The tail of every scheme's `request_vcr`, once the request is
+    /// accepted and `sess` holds whatever stream it needs: a rewind the
+    /// start of the movie cuts short is counted, a pausing viewer gives
+    /// its stream back (it consumes nothing, and fights for one again at
+    /// resume), and the state to enter is named — a sweep of `span`
+    /// segments, or a pause that ends on tick `now + span`.
+    pub(crate) fn begin_vcr<E, X>(
+        &mut self,
+        sess: &mut Session<E, X>,
+        kind: VcrKind,
+        magnitude: u32,
+        span: u32,
+    ) -> SessionState<E> {
+        if matches!(kind, VcrKind::Rewind) && magnitude >= sess.position {
+            self.metrics.runtime.rw_truncated += 1;
+        }
+        if !matches!(kind, VcrKind::Pause) {
+            return SessionState::Vcr {
+                kind,
+                remaining: span,
+            };
+        }
+        if let Some(lease) = sess.lease.take() {
+            self.release_lease(lease);
+        }
+        SessionState::Paused {
+            until: self.now + u64::from(span),
         }
     }
 
-    /// The population clauses of `check_invariants`, against a backend's
-    /// walk over its live sessions: every session the store ever `issued`
-    /// is one of the `live` ones or was retired through [`Self::retire`],
-    /// and the `(buffer, disk)` deliveries `on_record` for the live ones
-    /// plus the retired totals are the deliveries the counters saw. With
-    /// no slot kept per finished session, this is what "no session was
-    /// lost" means.
-    pub(crate) fn population_drift(
+    /// One tick of a sweep that moves the playhead without reading what it
+    /// passes (pyramid, dedicated): `vcr_rate` segments, clamped to the
+    /// movie, and a minute of disk service if a lease carries it. FF off
+    /// the end releases the viewer — the model's P(end) path, counted as
+    /// a hit for comparability.
+    pub(crate) fn sweep_position<E, X>(&mut self, sess: &mut Session<E, X>, length: u32) -> Swept {
+        let SessionState::Vcr { kind, remaining } = &mut sess.state else {
+            unreachable!("caller checked state")
+        };
+        let kind = *kind;
+        let step = self.config.vcr_rate.min(*remaining);
+        *remaining -= step;
+        let landed = *remaining == 0;
+        sess.position = match kind {
+            VcrKind::FastForward => sess.position.saturating_add(step).min(length),
+            VcrKind::Rewind => sess.position.saturating_sub(step),
+            VcrKind::Pause => unreachable!("a pause is `Paused`, not a sweep"),
+        };
+        if sess.lease.is_some() {
+            self.metrics.runtime.disk_minutes += 1.0;
+            sess.stats.from_disk += 1;
+        }
+        if sess.position >= length {
+            self.metrics.runtime.ff_end += 1;
+            self.metrics.runtime.record_resume(kind, true);
+            Swept::OffTheEnd
+        } else if landed {
+            Swept::Landed(kind)
+        } else {
+            Swept::Going
+        }
+    }
+
+    /// The one walk that strips revoked session leases: every session
+    /// holding a lease in `revoked` (ids, strictly descending) loses it —
+    /// dead at the disk already, so only the reserve gets its slot back —
+    /// and degrades; a sweep it was carrying is aborted. Returns how many
+    /// sessions that was.
+    pub(crate) fn revoke_session_leases<E, X>(
+        &mut self,
+        sessions: &mut Sessions<E, X>,
+        revoked: &[u64],
+    ) -> u32 {
+        let mut stripped = 0;
+        for (_, sess) in sessions.iter_mut() {
+            if sess.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
+                sess.lease = None;
+                self.reserve.release(self.now as f64);
+                if matches!(sess.state, SessionState::Vcr { .. }) {
+                    self.metrics.sweeps_aborted += 1;
+                }
+                // Revocation, not a refused acquisition: nothing pending
+                // to classify yet.
+                sess.state = SessionState::Degraded(self.enter_degraded(0));
+                stripped += 1;
+            }
+        }
+        stripped
+    }
+
+    /// Assemble a backend's `check_invariants`: the disk's own law, the
+    /// scheme's `findings` (its own clauses and what it found session by
+    /// session, in its own order), then — worded once for every scheme —
+    /// the `recount` against the books. With `preallocated` leases
+    /// held by the scheme's own streams or channels, the leases held add
+    /// up to the disk's and the session-held ones to the reserve's; the
+    /// degraded census matches; every session the store ever `issued` is
+    /// live or was retired through [`Self::retire`]; and the deliveries on
+    /// the live records plus the retired totals are the deliveries the
+    /// counters saw. With no slot kept per finished session, the last two
+    /// are what "no session was lost" means.
+    pub(crate) fn audit(
         &self,
+        preallocated: u32,
         issued: u64,
-        live: u64,
-        on_record: (u64, u64),
+        recount: Recount,
+        mut findings: Vec<String>,
     ) -> Vec<String> {
-        let mut found = Vec::new();
+        let Recount {
+            held,
+            degraded,
+            live,
+            delivered,
+        } = recount;
+        let mut found = Vec::from_iter(self.disk.conservation_violation());
+        found.append(&mut findings);
         if issued != live + self.retired {
             found.push(format!(
                 "session population drift: {issued} admitted != {live} live + {} retired",
@@ -322,19 +523,37 @@ impl ServerCore {
         }
         let rt = &self.metrics.runtime;
         let recorded = (
-            on_record.0 + self.retired_delivered.0,
-            on_record.1 + self.retired_delivered.1,
+            delivered.0 + self.retired_delivered.0,
+            delivered.1 + self.retired_delivered.1,
         );
         // Whole numbers far below 2⁵³: the counters convert exactly.
-        let delivered = (
+        let counted = (
             self.delivered_before_reset.0 + rt.buffer_minutes as u64,
             self.delivered_before_reset.1 + rt.disk_minutes as u64,
         );
-        if recorded != delivered {
+        if recorded != counted {
             found.push(format!(
                 "delivery record drift: sessions show {} buffer + {} disk segments (live and \
                  retired), the counters {} + {}",
-                recorded.0, recorded.1, delivered.0, delivered.1
+                recorded.0, recorded.1, counted.0, counted.1
+            ));
+        }
+        let (disk, reserve) = (self.disk.in_use(), self.reserve.in_use());
+        if preallocated + held != disk {
+            found.push(format!(
+                "lease accounting broken: {preallocated} pre-allocated + {held} session-held != \
+                 disk {disk}"
+            ));
+        }
+        if held != reserve {
+            found.push(format!(
+                "reserve accounting broken: sessions hold {held}, reserve says {reserve}"
+            ));
+        }
+        if degraded != self.degraded_count {
+            found.push(format!(
+                "degraded population drift: counted {degraded}, tracked {}",
+                self.degraded_count
             ));
         }
         found
@@ -479,11 +698,11 @@ pub(crate) fn apply_faults<B: FaultPolicy>(backend: &mut B) {
 #[cfg(test)]
 mod tests {
     use vod_runtime::{BackendKind, FaultEvent};
-    use vod_workload::VcrKind;
 
     use super::*;
-    use crate::backend::make_backend;
+    use crate::backend::{make_backend, Adoption};
     use crate::server::HostedMovie;
+    use crate::session::SessionStatus;
     use crate::{DedicatedServer, PyramidServer, VodServer};
 
     fn config() -> ServerConfig {
@@ -494,12 +713,6 @@ mod tests {
         }
     }
 
-    const KINDS: [BackendKind; 3] = [
-        BackendKind::BatchingBuffering,
-        BackendKind::PyramidBroadcast,
-        BackendKind::DedicatedStream,
-    ];
-
     /// An outage that recovers "after 0 ticks" — `FaultPlan::from_json`
     /// accepts it — recovers on the next tick, on every backend. Filed
     /// under the fault's own tick it would never fire (pyramid and
@@ -509,7 +722,7 @@ mod tests {
         let plan =
             FaultPlan::from_json(r#"[{"at":3,"kind":"disk_outage","count":2,"recover_after":0}]"#)
                 .unwrap();
-        for kind in KINDS {
+        for kind in BackendKind::ALL {
             let mut backend = make_backend(kind, &config());
             backend.inject_faults(plan.clone(), DegradePolicy::default());
             for _ in 0..4 {
@@ -532,10 +745,10 @@ mod tests {
     /// Exhaust the reserve, lose more streams than the free pool holds
     /// (so live leases are revoked), ride out an outage and its recovery:
     /// on every tick the leases the backend's own recount finds are the
-    /// leases the disk and the reserve have booked. Asked of the shared
-    /// audit function itself — the fail-before-release class (PR 8) at
-    /// the one site it can still occur.
-    fn lease_cycle<B: FaultPolicy>(mut backend: B, holders: fn(&B) -> (u32, u32, u32)) {
+    /// leases the disk and the reserve have booked — the shared tail of
+    /// every audit, the fail-before-release class (PR 8) at the one site
+    /// it can still occur.
+    fn lease_cycle<B: FaultPolicy>(mut backend: B) {
         let kind = backend.kind();
         let ids: Vec<_> = (0..40)
             .map(|_| backend.open_session(MovieId(0)).unwrap())
@@ -567,14 +780,6 @@ mod tests {
         backend.inject_faults(plan, DegradePolicy::default());
         for _ in 0..60 {
             backend.tick();
-            let (preallocated, sessions, degraded) = holders(&backend);
-            let drift = backend
-                .core()
-                .resource_drift(preallocated, sessions, degraded);
-            assert_eq!(drift.disk, None, "{kind:?}");
-            assert_eq!(drift.leases, None, "{kind:?}: held != disk.in_use()");
-            assert_eq!(drift.reserve, None, "{kind:?}: held != reserve.in_use()");
-            assert_eq!(drift.population, None, "{kind:?}");
             assert_eq!(backend.check_invariants(), Vec::<String>::new(), "{kind:?}");
         }
         let core = backend.core();
@@ -592,8 +797,294 @@ mod tests {
 
     #[test]
     fn held_leases_match_disk_and_reserve_through_revocation_and_recovery() {
-        lease_cycle(VodServer::new(config()), VodServer::holders);
-        lease_cycle(PyramidServer::new(config()), PyramidServer::holders);
-        lease_cycle(DedicatedServer::new(config()), DedicatedServer::holders);
+        lease_cycle(VodServer::new(config()));
+        lease_cycle(PyramidServer::new(config()));
+        lease_cycle(DedicatedServer::new(config()));
+        // A lease revoked out from under an FF sweep: the one shared walk
+        // counts the aborted sweep once, whatever the scheme (dedicated's
+        // own copy of the walk never did), degrades the holder the same
+        // tick and gives the reserve its slot back.
+        for kind in BackendKind::ALL {
+            let mut walk = Walk::new(kind, &fast(config()), 0);
+            walk.run(DegradePolicy::default(), &sweeping());
+            let lost = Do::Lose {
+                recover_after: None,
+            };
+            let revoked = ("revoked", lost, [SessionStatus::Degraded; 3], [false; 3]);
+            walk.run(DegradePolicy::default(), &[revoked]);
+            let metrics = &walk.backend.core().metrics;
+            assert_eq!(metrics.sweeps_aborted, 1, "{kind:?}");
+            assert_eq!(metrics.leases_revoked, 1, "{kind:?}");
+        }
+    }
+
+    /// One backend under a script: every tick is audited, and the one
+    /// session the script follows holds a stream exactly when it should.
+    struct Walk {
+        backend: Box<dyn DeliveryBackend>,
+        /// Which column of a `[batching, pyramid, dedicated]` row applies.
+        column: usize,
+        id: SessionId,
+    }
+
+    /// A row of a life-cycle script: what it is, the step, and after it
+    /// the session's status and whether it is served through a stream of
+    /// its own — on batching, pyramid, dedicated.
+    type Row = (&'static str, Do, [SessionStatus; 3], [bool; 3]);
+
+    /// `config` with sweeps fast enough to leave every window and front
+    /// far behind in two ticks.
+    fn fast(config: ServerConfig) -> ServerConfig {
+        ServerConfig {
+            vcr_rate: 25,
+            ..config
+        }
+    }
+
+    /// A session sweeping on a stream of its own, so far ahead (under
+    /// [`fast`]) that nothing lets it straight back in if it loses it.
+    fn sweeping() -> [Row; 4] {
+        use SessionStatus::{Dedicated, InVcr, Shared, Waiting};
+        let (on, off) = (true, false);
+        #[rustfmt::skip]
+        let script = [
+            ("admit", Do::Open, [Waiting(0), Shared, Dedicated], [off, off, on]),
+            ("playback", Do::Tick(2), [Shared, Shared, Dedicated], [off, off, on]),
+            ("FF", Do::Vcr(VcrKind::FastForward, [100; 3]), [InVcr; 3], [on; 3]),
+            ("sweep", Do::Tick(2), [InVcr; 3], [on; 3]),
+        ];
+        script
+    }
+
+    /// One step of a life-cycle script.
+    enum Do {
+        Open,
+        Tick(u32),
+        /// Request the operation, with the magnitude of the scheme's column.
+        Vcr(VcrKind, [u32; 3]),
+        /// Tick until the status is no longer the column's, at most this
+        /// many times.
+        Leave([SessionStatus; 3], u32),
+        /// Strike now: every free stream and the newest lease with it.
+        Lose {
+            recover_after: Option<u64>,
+        },
+    }
+
+    impl Walk {
+        fn new(kind: BackendKind, config: &ServerConfig, warm_up: u32) -> Self {
+            let column = BackendKind::ALL.iter().position(|&k| k == kind).unwrap();
+            let backend = make_backend(kind, config);
+            let mut walk = Walk {
+                backend,
+                column,
+                id: SessionId(u32::MAX),
+            };
+            walk.tick(warm_up);
+            walk
+        }
+
+        fn tick(&mut self, ticks: u32) {
+            for _ in 0..ticks {
+                self.backend.tick();
+                assert_eq!(self.backend.check_invariants(), Vec::<String>::new());
+            }
+        }
+
+        fn status(&self) -> SessionStatus {
+            match self.backend.session_status(self.id).unwrap() {
+                // When is the scheme's own business.
+                SessionStatus::Waiting(_) => SessionStatus::Waiting(0),
+                status => status,
+            }
+        }
+
+        /// Run `script`; after each step the session is in the row's
+        /// state, holds a stream iff the row says it is served through
+        /// one, and the audit is clean.
+        fn run(&mut self, policy: DegradePolicy, script: &[Row]) {
+            for (what, step, status, serving) in script {
+                match *step {
+                    Do::Open => self.id = self.backend.open_session(MovieId(0)).unwrap(),
+                    Do::Tick(ticks) => self.tick(ticks),
+                    Do::Vcr(kind, magnitude) => self
+                        .backend
+                        .request_vcr(self.id, kind, magnitude[self.column])
+                        .unwrap(),
+                    Do::Leave(leaves, bound) => {
+                        let mut left = bound;
+                        while self.status() == leaves[self.column] && left > 0 {
+                            self.tick(1);
+                            left -= 1;
+                        }
+                    }
+                    Do::Lose { recover_after } => {
+                        let core = self.backend.core();
+                        let count = core.disk.available() + 1;
+                        let kind = match recover_after {
+                            Some(recover_after) => FaultKind::DiskOutage {
+                                count,
+                                recover_after,
+                            },
+                            None => FaultKind::DiskStreamLoss { count },
+                        };
+                        let plan = FaultPlan::new(vec![FaultEvent { at: core.now, kind }]);
+                        self.backend.inject_faults(plan, policy);
+                        self.tick(1);
+                    }
+                }
+                let column = BackendKind::ALL[self.column];
+                assert_eq!(self.status(), status[self.column], "{column:?}: {what}");
+                let held = self.backend.core().reserve.in_use();
+                assert_eq!(held, u32::from(serving[self.column]), "{column:?}: {what}");
+                assert_eq!(self.backend.check_invariants(), Vec::<String>::new());
+            }
+        }
+    }
+
+    /// The life-cycle is one table: a session walks every edge of the
+    /// shared state vocabulary on every scheme, and each row says what the
+    /// scheme makes of the step — batching, pyramid, dedicated.
+    #[test]
+    fn the_life_cycle_is_one_table() {
+        use SessionStatus::{Dedicated, Degraded, Done, InVcr, Shared, Waiting};
+        use VcrKind::{FastForward, Pause, Rewind};
+        let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
+        let config = ServerConfig::provisioned(vec![movie], 3);
+        let (on, off) = (true, false);
+        for kind in BackendKind::ALL {
+            // A healthy viewing, admitted 17 ticks in: batching has three
+            // streams up and no window over position 0.
+            let mut walk = Walk::new(kind, &config, 17);
+            #[rustfmt::skip]
+            walk.run(DegradePolicy::default(), &[
+                ("admit", Do::Open, [Waiting(0), Shared, Dedicated], [off, off, on]),
+                ("shared playback", Do::Tick(4), [Shared, Shared, Dedicated], [off, off, on]),
+                // Into the window of the stream ahead; inside the received prefix.
+                ("FF", Do::Vcr(FastForward, [6, 2, 6]), [InVcr; 3], [on, off, on]),
+                ("FF hit", Do::Leave([InVcr; 3], 3), [Shared, Shared, Dedicated], [off, off, on]),
+                // Into the one-segment gap between two windows; beyond the front.
+                ("FF", Do::Vcr(FastForward, [5, 60, 5]), [InVcr; 3], [on; 3]),
+                ("FF miss", Do::Leave([InVcr; 3], 25), [Dedicated; 3], [on; 3]),
+                ("merge back", Do::Leave([Dedicated, Dedicated, Done], 70), [Shared, Shared, Dedicated], [off, off, on]),
+                ("RW", Do::Vcr(Rewind, [500; 3]), [InVcr; 3], [on, off, on]),
+                ("RW to the start", Do::Leave([InVcr; 3], 170), [Shared, Shared, Dedicated], [off, off, on]),
+                ("PAU", Do::Vcr(Pause, [3; 3]), [InVcr; 3], [off; 3]),
+                ("resume", Do::Leave([InVcr; 3], 5), [Shared, Shared, Dedicated], [off, off, on]),
+                ("FF", Do::Vcr(FastForward, [500; 3]), [InVcr; 3], [on, off, on]),
+                ("FF off the end", Do::Leave([InVcr; 3], 45), [Done; 3], [off; 3]),
+            ]);
+            let rt = walk.backend.runtime_metrics();
+            assert_eq!((rt.rw_truncated, rt.ff_end), (1, 1), "{kind:?}");
+            assert_eq!(walk.backend.sessions_finished(), 1, "{kind:?}");
+            let merged = [1, 1, 0][walk.column];
+            assert_eq!(
+                walk.backend.core().metrics.piggyback_merges,
+                merged,
+                "{kind:?}"
+            );
+
+            // A fault takes the stream from under a sweep — far past
+            // every window and front, so nothing lets the holder straight
+            // back in. While the outage lasts it re-waits; the first retry
+            // after the recovery is granted.
+            let fast = fast(config.clone());
+            let policy = DegradePolicy {
+                retry_timeout: 8,
+                ..DegradePolicy::default()
+            };
+            let mut walk = Walk::new(kind, &fast, 0);
+            walk.run(policy, &sweeping());
+            #[rustfmt::skip]
+            walk.run(policy, &[
+                ("revoked lease", Do::Lose { recover_after: Some(3) }, [Degraded; 3], [off; 3]),
+                ("granted retry", Do::Leave([Degraded; 3], 6), [Dedicated; 3], [on; 3]),
+            ]);
+            assert_eq!(
+                walk.backend.runtime_metrics().degraded_dedicated,
+                1,
+                "{kind:?}"
+            );
+
+            // The streams never come back: past the retry timeout the
+            // shared resource is all that is left — the window or the front
+            // that reaches the position, or, with nothing shared, the FIFO.
+            let mut walk = Walk::new(kind, &fast, 0);
+            walk.run(policy, &sweeping());
+            #[rustfmt::skip]
+            walk.run(policy, &[
+                ("revoked lease", Do::Lose { recover_after: None }, [Degraded; 3], [off; 3]),
+                ("timeout", Do::Tick(9), [Degraded, Degraded, Waiting(0)], [off; 3]),
+                ("free rejoin", Do::Leave([Degraded, Degraded, Done], 50), [Shared, Shared, Waiting(0)], [off; 3]),
+            ]);
+            let rt = walk.backend.runtime_metrics();
+            assert_eq!(rt.degraded_rejoined, 1, "{kind:?}");
+            assert!(rt.denied_permanent > 0, "{kind:?}: the retries resolved");
+
+            // Adoption places at once or refuses: into a window that covers
+            // the position (batching alone has one to offer a newcomer),
+            // else onto a stream of the reserve, while it has one.
+            let mut walk = Walk::new(kind, &config, 17);
+            let (joined, how) = walk.backend.adopt_session(MovieId(0), 10).unwrap();
+            let cohort = [
+                Adoption::CohortJoin,
+                Adoption::DedicatedStream,
+                Adoption::DedicatedStream,
+            ];
+            assert_eq!(how, cohort[walk.column], "{kind:?}");
+            while walk.backend.core().reserve.free() != Some(0) {
+                let (_, how) = walk.backend.adopt_session(MovieId(0), 6).unwrap();
+                assert_eq!(how, Adoption::DedicatedStream, "{kind:?}");
+            }
+            let mut adopt = |movie, at| walk.backend.adopt_session(MovieId(movie), at);
+            assert!(
+                matches!(adopt(0, 6), Err(ServerError::VcrDenied)),
+                "{kind:?}"
+            );
+            let past_the_end = adopt(0, 120);
+            assert!(
+                matches!(past_the_end, Err(ServerError::InvalidState { .. })),
+                "{kind:?}"
+            );
+            assert!(
+                matches!(adopt(9, 6), Err(ServerError::UnknownMovie(_))),
+                "{kind:?}"
+            );
+            walk.tick(3);
+            walk.id = joined;
+            assert_eq!(
+                walk.status(),
+                [Shared, Dedicated, Dedicated][walk.column],
+                "{kind:?}"
+            );
+        }
+    }
+
+    /// `vcr_rate` is a public field: a zero there is served as 1 (a sweep
+    /// that moves nothing would hold its stream for ever — batching's did).
+    /// An accepted FF and an accepted RW both leave `InVcr` within
+    /// `magnitude` ticks and the viewing runs to its end.
+    #[test]
+    fn a_zero_vcr_rate_is_served_as_one() {
+        use SessionStatus::{Dedicated, Done, InVcr, Shared};
+        let config = ServerConfig {
+            vcr_rate: 0,
+            ..config()
+        };
+        let (on, off) = (true, false);
+        for kind in BackendKind::ALL {
+            let mut walk = Walk::new(kind, &config, 0);
+            #[rustfmt::skip]
+            walk.run(DegradePolicy::default(), &[
+                ("playback", Do::Open, [SessionStatus::Waiting(0), Shared, Dedicated], [off, off, on]),
+                ("playback", Do::Tick(10), [Shared, Shared, Dedicated], [off, off, on]),
+                ("FF", Do::Vcr(VcrKind::FastForward, [5; 3]), [InVcr; 3], [on, off, on]),
+                ("FF lands", Do::Leave([InVcr; 3], 5), [Shared, Shared, Dedicated], [off, off, on]),
+                ("RW", Do::Vcr(VcrKind::Rewind, [4; 3]), [InVcr; 3], [on, off, on]),
+                ("RW lands", Do::Leave([InVcr; 3], 4), [Shared, Shared, Dedicated], [off, off, on]),
+                ("the end", Do::Leave([Shared, Shared, Dedicated], 400), [Done; 3], [off; 3]),
+            ]);
+            assert_eq!(walk.backend.degraded_sessions(), 0, "{kind:?}");
+        }
     }
 }

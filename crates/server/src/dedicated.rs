@@ -19,7 +19,7 @@
 //! # Fault semantics (chaos-grade)
 //!
 //! Stream loss and outage revoke leases out of live viewings: the holder
-//! enters the [`RetryLedger`] (bounded re-wait, backoff retries,
+//! enters the [`RetryLedger`](vod_runtime::RetryLedger) (bounded re-wait, backoff retries,
 //! resolution-time denial classification) and, past the retry timeout,
 //! falls back to the FIFO admission queue — from there its waits are
 //! ordinary queueing, whose head-of-line refusals are *transient*
@@ -32,58 +32,43 @@
 //! hide a failure from the accountant.
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 
-use vod_runtime::{BackendKind, RetryLedger, SessionStore};
+use vod_runtime::{BackendKind, SessionStore};
 use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
 use crate::content::MovieId;
-use crate::core::{apply_faults, FaultPolicy, Retry, ServerCore};
+use crate::core::{apply_faults, FaultPolicy, Recount, Retry, ServerCore, Swept};
 use crate::disk::StreamLease;
 use crate::server::{ServerConfig, ServerError};
-use crate::session::{resolve, status_of, DeliveryStats, SessionId, SessionStatus};
+use crate::session::{
+    admit, resolve, status_of, Session, SessionId, SessionState, SessionStatus, Sessions,
+};
 
-/// Per-session state machine of the unicast backend.
-enum DState {
-    /// Waiting for a free stream (FIFO).
-    Queued,
-    /// Consuming one segment per tick through its own lease.
-    Playing,
-    /// Mid FF/RW sweep at the configured VCR rate.
-    Vcr {
-        kind: VcrKind,
-        /// Movie minutes left to sweep.
-        remaining: u32,
-    },
-    /// Paused; the lease was released (a paused viewer consumes no
-    /// bandwidth — same policy as the batching server).
-    Paused {
-        /// Ticks until the viewer resumes.
-        remaining: u32,
-    },
-    /// Lost (or was refused) a stream mid-viewing and follows the retry
-    /// ledger. There is no shared window to rejoin, so the retry timeout
-    /// sends the session back to the FIFO admission queue, where further
-    /// waits are ordinary queueing (transient denials), not degradation.
-    Starved(RetryLedger),
-}
+/// A unicast viewer. There is nothing to be `Shared` in: `Waiting` is the
+/// FIFO queue for a free stream, `Dedicated` the whole viewing, and
+/// `Degraded` has no window to rejoin, so its retry timeout sends the
+/// session back to the queue, where further waits are ordinary queueing
+/// (transient denials), not degradation. The scheme's own field is the
+/// admission stamp ([`Admission`]).
+type UnicastSession = Session<Infallible, Admission>;
 
-struct DSession {
-    movie_idx: usize,
-    position: u32,
+struct Admission {
+    /// The tick the session opened, until its first admission is recorded
+    /// in `startup_waits`; [`COUNTED`] from then on — a session that falls
+    /// back to the queue after starving must not count a second startup
+    /// wait, and an adopted one counts none. (An `Option<u64>` would say
+    /// it better and cost every record 8 bytes the audit walks each tick.)
     opened_at: u64,
-    /// First admission already recorded in `startup_waits`: a session
-    /// that falls back to the queue after starving must not count a
-    /// second startup wait.
-    admitted: bool,
-    state: DState,
-    lease: Option<StreamLease>,
-    stats: DeliveryStats,
 }
+
+/// No tick: see [`Admission::opened_at`].
+const COUNTED: u64 = u64::MAX;
 
 /// Deliver one segment to a playing session through its lease. Returns
 /// false when that was the last of the movie.
-fn consume_one(sess: &mut DSession, core: &mut ServerCore) -> bool {
+fn consume_one(sess: &mut UnicastSession, core: &mut ServerCore) -> bool {
     let hosted = core.config.movies[sess.movie_idx];
     let length = hosted.geometry.length;
     if sess.position < length {
@@ -97,8 +82,8 @@ fn consume_one(sess: &mut DSession, core: &mut ServerCore) -> bool {
 /// The dedicated-stream (pure unicast) backend. See the module docs.
 pub struct DedicatedServer {
     core: ServerCore,
-    sessions: SessionStore<DSession>,
-    /// FIFO of queued session indices awaiting their first stream.
+    sessions: Sessions<Infallible, Admission>,
+    /// FIFO of queued session indices awaiting a stream.
     queue: VecDeque<u32>,
     /// Indices of the sessions past the queue, in the order they left it.
     active: Vec<u32>,
@@ -116,11 +101,12 @@ impl DedicatedServer {
         }
     }
 
-    /// Session `idx` starts (or resumes) playing on `lease`.
+    /// Session `idx` starts (or resumes) playing on `lease`: one more
+    /// playing stream.
     fn play(&mut self, idx: u32, lease: StreamLease) {
         let sess = self.sessions.live_mut(idx);
         sess.lease = Some(lease);
-        sess.state = DState::Playing;
+        sess.state = SessionState::Dedicated;
         self.core.metrics.playback.add(self.core.now as f64, 1.0);
     }
 
@@ -134,29 +120,20 @@ impl DedicatedServer {
             };
             self.queue.pop_front();
             self.play(idx, lease);
-            let sess = self.sessions.live_mut(idx);
-            if !sess.admitted {
-                sess.admitted = true;
-                let waited = self.core.now - sess.opened_at;
+            let stamp = &mut self.sessions.live_mut(idx).scheme.opened_at;
+            if *stamp != COUNTED {
+                let waited = self.core.now - std::mem::replace(stamp, COUNTED);
                 self.core.startup_waits.push(waited as f64);
             }
             self.active.push(idx);
         }
     }
 
-    /// Session `idx` reached the end of the movie: retire it — its
-    /// stream released, its slot given up, its final record booked and
-    /// published by the core.
+    /// Session `idx` reached the end of the movie: retired by the core,
+    /// and one playing stream fewer.
     fn finish(&mut self, idx: u32) {
-        let Some(mut sess) = self.sessions.retire(idx) else {
-            unreachable!("the active walk holds live sessions only")
-        };
-        if let Some(lease) = sess.lease.take() {
-            self.core.release_lease(lease);
-        }
-        self.core.retire(SessionId(idx), sess.stats);
+        self.core.finish(&mut self.sessions, idx);
         self.core.metrics.playback.add(self.core.now as f64, -1.0);
-        self.core.metrics.sessions_done += 1;
     }
 }
 
@@ -164,19 +141,10 @@ impl FaultPolicy for DedicatedServer {
     const RESERVE_FAILS_FIRST: bool = false;
 
     fn leases_revoked(&mut self, revoked: &[u64]) -> u32 {
+        // Every lease is a playing session's.
+        let stripped = self.core.revoke_session_leases(&mut self.sessions, revoked);
         let now = self.core.now as f64;
-        for (_, sess) in self.sessions.iter_mut() {
-            if sess.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
-                sess.lease = None;
-                if matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
-                    self.core.metrics.playback.add(now, -1.0);
-                }
-                // Revocation, not a refused acquisition: nothing pending
-                // to classify yet.
-                sess.state = DState::Starved(self.core.enter_degraded(0));
-                self.core.reserve.release(now);
-            }
-        }
+        self.core.metrics.playback.add(now, -f64::from(stripped));
         0
     }
 
@@ -200,31 +168,16 @@ impl DeliveryBackend for DedicatedServer {
 
     fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError> {
         let movie_idx = self.core.movie_idx(movie)?;
-        let idx = self
-            .sessions
-            .insert(DSession {
-                movie_idx,
-                position: 0,
-                opened_at: self.core.now,
-                admitted: false,
-                state: DState::Queued,
-                lease: None,
-                stats: DeliveryStats::default(),
-            })
-            .ok_or(ServerError::SessionIdsExhausted)?;
-        let id = SessionId(idx);
-        if self.queue.is_empty() {
-            if let Some(lease) = self.core.try_lease() {
-                self.play(idx, lease);
-                self.sessions.live_mut(idx).admitted = true;
-                self.core.startup_waits.push(0.0);
-                self.active.push(idx);
-                return Ok(id);
-            }
-            self.core.reserve.record_denials(1, true);
-        }
+        let now = self.core.now;
+        let queued = SessionState::Waiting { start_at: now + 1 };
+        let stamp = Admission { opened_at: now };
+        let idx = admit(&mut self.sessions, movie_idx, 0, queued, stamp)?;
         self.queue.push_back(idx);
-        Ok(id)
+        if self.queue.len() == 1 {
+            // Nobody ahead: straight onto a stream if one is free.
+            self.drain_queue();
+        }
+        Ok(SessionId(idx))
     }
 
     fn request_vcr(
@@ -235,31 +188,14 @@ impl DeliveryBackend for DedicatedServer {
     ) -> Result<(), ServerError> {
         resolve(&self.sessions, id)?;
         let sess = self.sessions.live_mut(id.0);
-        if !matches!(sess.state, DState::Playing) {
+        if !matches!(sess.state, SessionState::Dedicated) {
             return Err(ServerError::InvalidState { operation: "vcr" });
         }
-        match kind {
-            VcrKind::Pause => {
-                // A paused viewer consumes nothing: the stream goes back
-                // to the pool (and is fought for again at resume).
-                sess.state = DState::Paused {
-                    remaining: magnitude.max(1),
-                };
-                if let Some(lease) = sess.lease.take() {
-                    self.core.release_lease(lease);
-                }
-                self.core.metrics.playback.add(self.core.now as f64, -1.0);
-            }
-            VcrKind::FastForward | VcrKind::Rewind => {
-                if matches!(kind, VcrKind::Rewind) && magnitude >= sess.position {
-                    self.core.metrics.runtime.rw_truncated += 1;
-                }
-                sess.state = DState::Vcr {
-                    kind,
-                    remaining: magnitude.max(1),
-                };
-            }
+        if matches!(kind, VcrKind::Pause) {
+            self.core.metrics.playback.add(self.core.now as f64, -1.0);
         }
+        // A sweep rides the stream the viewing already holds.
+        sess.state = self.core.begin_vcr(sess, kind, magnitude, magnitude.max(1));
         Ok(())
     }
 
@@ -272,13 +208,7 @@ impl DeliveryBackend for DedicatedServer {
         movie: MovieId,
         position: u32,
     ) -> Result<(SessionId, Adoption), ServerError> {
-        let movie_idx = self.core.movie_idx(movie)?;
-        if position >= self.core.config.movies[movie_idx].geometry.length {
-            return Err(ServerError::InvalidState { operation: "adopt" });
-        }
-        if self.sessions.is_full() {
-            return Err(ServerError::SessionIdsExhausted);
-        }
+        let movie_idx = self.core.adoptable(&self.sessions, movie, position)?;
         // A migration places immediately or refuses: the FIFO queue is
         // for fresh admissions, and queueing a displaced session here
         // would hide it from the front tier's failover ledger.
@@ -288,30 +218,16 @@ impl DeliveryBackend for DedicatedServer {
             self.core.reserve.record_denials(1, false);
             return Err(ServerError::VcrDenied);
         };
-        let idx = self
-            .sessions
-            .insert(DSession {
-                movie_idx,
-                position,
-                opened_at: self.core.now,
-                admitted: true,
-                state: DState::Queued,
-                lease: None,
-                stats: DeliveryStats::default(),
-            })
-            .ok_or(ServerError::SessionIdsExhausted)?;
+        let state = SessionState::Dedicated;
+        let stamp = Admission { opened_at: COUNTED };
+        let idx = admit(&mut self.sessions, movie_idx, position, state, stamp)?;
         self.play(idx, lease);
         self.active.push(idx);
         Ok((SessionId(idx), Adoption::DedicatedStream))
     }
 
     fn session_status(&self, id: SessionId) -> Result<SessionStatus, ServerError> {
-        status_of(&self.sessions, id, |sess| match sess.state {
-            DState::Queued => SessionStatus::Waiting(self.core.now + 1),
-            DState::Playing => SessionStatus::Dedicated,
-            DState::Vcr { .. } | DState::Paused { .. } => SessionStatus::InVcr,
-            DState::Starved(_) => SessionStatus::Degraded,
-        })
+        status_of(&self.sessions, id, self.core.now)
     }
 
     fn tick(&mut self) {
@@ -319,73 +235,56 @@ impl DeliveryBackend for DedicatedServer {
         apply_faults(self);
         self.drain_queue();
         let stalled = self.core.disk_stalled();
-        let vcr_rate = self.core.config.vcr_rate.max(1);
         let mut i = 0;
         while i < self.active.len() {
             let idx = self.active[i];
             let sess = self.sessions.live_mut(idx);
             // Does the session stay on the active walk?
             let stays = match &mut sess.state {
-                DState::Playing if stalled => {
+                SessionState::Dedicated if stalled => {
                     self.core.metrics.runtime.stall_minutes += 1.0;
                     true
                 }
-                DState::Playing => {
+                SessionState::Dedicated => {
                     let more = consume_one(sess, &mut self.core);
                     if !more {
                         self.finish(idx);
                     }
                     more
                 }
-                DState::Vcr { kind, remaining } => {
-                    // Sweep at the VCR display rate on the held lease.
+                SessionState::Vcr { .. } => {
                     let length = self.core.config.movies[sess.movie_idx].geometry.length;
-                    let kind = *kind;
-                    let step = vcr_rate.min(*remaining);
-                    *remaining -= step;
-                    let done = *remaining == 0;
-                    sess.position = match kind {
-                        VcrKind::FastForward => sess.position.saturating_add(step).min(length),
-                        VcrKind::Rewind => sess.position.saturating_sub(step),
-                        VcrKind::Pause => unreachable!("pause never enters Vcr"),
-                    };
-                    self.core.metrics.runtime.disk_minutes += 1.0;
-                    sess.stats.from_disk += 1;
-                    if sess.position >= length {
-                        // FF off the end releases the viewer: the model's
-                        // P(end) path, counted as a hit for comparability.
-                        self.core.metrics.runtime.ff_end += 1;
-                        self.core.metrics.runtime.record_resume(kind, true);
-                        self.finish(idx);
-                        false
-                    } else {
-                        if done {
+                    match self.core.sweep_position(sess, length) {
+                        Swept::Going => true,
+                        Swept::OffTheEnd => {
+                            self.finish(idx);
+                            false
+                        }
+                        Swept::Landed(kind) => {
                             // No shared window can cover the resume: a miss
                             // by construction, but the viewer already holds
                             // the stream, so playback continues seamlessly.
                             self.core.metrics.runtime.record_resume(kind, false);
-                            sess.state = DState::Playing;
+                            sess.state = SessionState::Dedicated;
+                            true
                         }
-                        true
                     }
                 }
-                DState::Paused { remaining } => {
-                    *remaining = remaining.saturating_sub(1);
-                    if *remaining == 0 {
-                        // Resume needs a fresh stream; no window exists, so
-                        // the trial is a miss either way.
-                        self.core
-                            .metrics
-                            .runtime
-                            .record_resume(VcrKind::Pause, false);
-                        match self.core.lease_or_degrade() {
-                            Ok(lease) => self.play(idx, lease),
-                            Err(ledger) => sess.state = DState::Starved(ledger),
-                        }
+                // The pause runs through the tick before `until`.
+                SessionState::Paused { until } if self.core.now + 1 < *until => true,
+                SessionState::Paused { .. } => {
+                    // Resume needs a fresh stream; no window exists, so
+                    // the trial is a miss either way.
+                    self.core
+                        .metrics
+                        .runtime
+                        .record_resume(VcrKind::Pause, false);
+                    if self.core.resume_on_own_stream(sess) {
+                        self.core.metrics.playback.add(self.core.now as f64, 1.0);
                     }
                     true
                 }
-                DState::Starved(ledger) => {
+                SessionState::Degraded(ledger) => {
                     self.core.metrics.runtime.rewait_minutes += 1.0;
                     match self.core.retry_degraded(ledger) {
                         Retry::Wait => true,
@@ -400,13 +299,15 @@ impl DeliveryBackend for DedicatedServer {
                             // denials.
                             self.core.exit_degraded(ledger, false);
                             self.core.metrics.runtime.degraded_rejoined += 1;
-                            sess.state = DState::Queued;
+                            let start_at = self.core.now + 1;
+                            sess.state = SessionState::Waiting { start_at };
                             self.queue.push_back(idx);
                             false
                         }
                     }
                 }
-                DState::Queued => false,
+                SessionState::Waiting { .. } => false,
+                SessionState::Shared(never) => match *never {},
             };
             if stays {
                 i += 1;
@@ -419,7 +320,7 @@ impl DeliveryBackend for DedicatedServer {
 
     fn check_invariants(&self) -> Vec<String> {
         // Queue conservation: the FIFO and the active walk partition the
-        // live population — every `Queued` session sits in the queue
+        // live population — every `Waiting` session sits in the queue
         // exactly once and holds no lease; nothing else queues. The
         // entries are put in index order and matched against the sessions
         // in one walk; what they say about the queue is reported ahead of
@@ -432,93 +333,53 @@ impl DeliveryBackend for DedicatedServer {
             .chunk_by(|a, b| a == b)
             .map(|run| (run[0], run.len()))
             .peekable();
-        let mut queue_faults = Vec::new();
-        let mut entry_found = |idx: u32, count: usize, sess: Option<&DSession>| {
+        let mut findings = Vec::new();
+        // The reserve accounts the *whole* pool here, so its failure
+        // ledger must track the disk's exactly — this is the audit that
+        // catches the fail-before-release ordering bug.
+        let (reserve, disk) = (&self.core.reserve, &self.core.disk);
+        if reserve.failed() != disk.failed() {
+            findings.push(format!(
+                "reserve failure accounting drifted from the disk: reserve {} != disk {}",
+                reserve.failed(),
+                disk.failed()
+            ));
+        }
+        let mut entry_found = |idx: u32, count: usize, sess: Option<&UnicastSession>| {
             if count > 1 {
-                queue_faults.push(format!("session {idx} queued {count} times"));
+                findings.push(format!("session {idx} queued {count} times"));
             }
             match sess {
-                Some(sess) if matches!(sess.state, DState::Queued) => {
+                Some(sess) if matches!(sess.state, SessionState::Waiting { .. }) => {
                     if sess.lease.is_some() {
-                        queue_faults.push(format!("queued session {idx} holds a lease"));
+                        findings.push(format!("queued session {idx} holds a lease"));
                     }
                 }
-                _ => queue_faults.push(format!("queue entry {idx} is not a queued session")),
+                _ => findings.push(format!("queue entry {idx} is not a queued session")),
             }
         };
+        let mut recount = Recount::default();
         let mut faults = Vec::new();
-        let mut held = 0u32;
-        let mut starved = 0u32;
-        let (mut live, mut from_disk) = (0u64, 0u64);
         for (idx, sess) in self.sessions.iter() {
-            live += 1;
-            from_disk += sess.stats.from_disk;
             // Entries below `idx` name nobody live.
             while let Some((stray, count)) = entries.next_if(|&(entry, _)| entry < idx) {
                 entry_found(stray, count, None);
             }
             match entries.next_if(|&(entry, _)| entry == idx) {
                 Some((_, count)) => entry_found(idx, count, Some(sess)),
-                None if matches!(sess.state, DState::Queued) => {
+                None if matches!(sess.state, SessionState::Waiting { .. }) => {
                     faults.push(format!("queued session {idx} missing from the FIFO"));
                 }
                 None => {}
             }
-            if sess.lease.is_some() {
-                held += 1;
-                if !matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
-                    faults.push(format!(
-                        "session {idx} holds a lease in a non-serving state"
-                    ));
-                }
-            } else if matches!(sess.state, DState::Playing | DState::Vcr { .. }) {
-                faults.push(format!("session {idx} is serving without a lease"));
-            }
-            if matches!(sess.state, DState::Starved(_)) {
-                starved += 1;
-            }
+            recount.see(idx, sess, false, &mut faults);
         }
         for (stray, count) in entries {
             entry_found(stray, count, None);
         }
-        queue_faults.append(&mut faults);
-        let mut faults = queue_faults;
-        // Reported resources first, then the findings above, then what
-        // the recount says about the books.
-        let drift = self.core.resource_drift(0, held, starved);
-        let mut v = Vec::from_iter(drift.disk);
-        // The reserve accounts the *whole* pool here, so its failure
-        // ledger must track the disk's exactly — this is the audit that
-        // catches the fail-before-release ordering bug.
-        let (reserve, disk) = (&self.core.reserve, &self.core.disk);
-        if reserve.failed() != disk.failed() {
-            v.push(format!(
-                "reserve failure accounting drifted from the disk: reserve {} != disk {}",
-                reserve.failed(),
-                disk.failed()
-            ));
-        }
-        v.append(&mut faults);
-        v.extend(
-            self.core
-                .population_drift(self.sessions.issued(), live, (0, from_disk)),
-        );
-        if let Some(in_use) = drift.leases {
-            v.push(format!(
-                "lease accounting broken: sessions hold {held}, disk says {in_use}"
-            ));
-        }
-        if let Some(in_use) = drift.reserve {
-            v.push(format!(
-                "reserve accounting broken: sessions hold {held}, reserve says {in_use}"
-            ));
-        }
-        if let Some(tracked) = drift.population {
-            v.push(format!(
-                "starved population drifted: counted {starved}, tracked {tracked}"
-            ));
-        }
-        v
+        findings.append(&mut faults);
+        self.core
+            .audit(0, self.sessions.issued(), recount, findings)
     }
 
     fn buffer_segments(&self) -> u64 {
@@ -540,19 +401,6 @@ mod tests {
 
     use super::*;
     use crate::server::HostedMovie;
-
-    impl DedicatedServer {
-        /// The audit's recount, for the cross-backend lease test:
-        /// `(pre-allocated leases, session-held leases, starved sessions)`.
-        pub(crate) fn holders(&self) -> (u32, u32, u32) {
-            let live = || self.sessions.iter().map(|(_, s)| s);
-            let held = live().filter(|s| s.lease.is_some()).count();
-            let degraded = live()
-                .filter(|s| matches!(s.state, DState::Starved(_)))
-                .count();
-            (0, held as u32, degraded as u32)
-        }
-    }
 
     fn config() -> ServerConfig {
         let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
@@ -764,12 +612,12 @@ mod tests {
             s.check_invariants(),
             [
                 "session 1 is serving without a lease",
-                "lease accounting broken: sessions hold 1, disk says 2",
+                "lease accounting broken: 0 pre-allocated + 1 session-held != disk 2",
                 "reserve accounting broken: sessions hold 1, reserve says 2",
             ]
         );
         let mut s = busy();
-        s.sessions.live_mut(1).state = DState::Paused { remaining: 3 };
+        s.sessions.live_mut(1).state = SessionState::Paused { until: 4 };
         assert_eq!(
             s.check_invariants(),
             ["session 1 holds a lease in a non-serving state"]
@@ -778,7 +626,7 @@ mod tests {
         s.core.degraded_count += 1;
         assert_eq!(
             s.check_invariants(),
-            ["starved population drifted: counted 0, tracked 1"]
+            ["degraded population drift: counted 0, tracked 1"]
         );
     }
 
@@ -805,7 +653,7 @@ mod tests {
         );
         let mut s = busy();
         let lease = s.sessions.live_mut(1).lease.take();
-        s.sessions.live_mut(1).state = DState::Paused { remaining: 3 };
+        s.sessions.live_mut(1).state = SessionState::Paused { until: 4 };
         s.sessions.live_mut(2).lease = lease;
         assert_eq!(
             s.check_invariants(),

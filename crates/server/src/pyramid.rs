@@ -42,25 +42,25 @@
 //! `d − 1` after recovery; the regression test
 //! `recovered_front_never_leads_schedule` pins the fix). A session that
 //! outruns its front (fault stall or revoked catch-up lease) enters
-//! `Starved` and follows the [`RetryLedger`]: bounded re-wait,
+//! `Degraded` and follows the [`RetryLedger`](vod_runtime::RetryLedger): bounded re-wait,
 //! dedicated-stream retries under exponential backoff whose denials are
 //! classified at resolution time (transient when a retry eventually
 //! succeeds, permanent when the session rejoins free or times out), and
 //! after the retry timeout a plain wait for the looping broadcast front
 //! — which reaches every position once the channels are back.
 
-use vod_runtime::{
-    BackendKind, PyramidGeometry, ReceptionFront, RetryLedger, SessionStore, TimerWheel,
-};
+use vod_runtime::{BackendKind, PyramidGeometry, ReceptionFront, SessionStore, TimerWheel};
 use vod_workload::{TimeWeighted, VcrKind};
 
 use crate::backend::{Adoption, DeliveryBackend};
 use crate::buffer::{BroadcastSlot, BufferPool};
 use crate::content::{verify_segment, MovieId};
-use crate::core::{apply_faults, FaultPolicy, Retry, ServerCore};
+use crate::core::{apply_faults, FaultPolicy, Recount, Retry, ServerCore, Swept};
 use crate::disk::StreamLease;
 use crate::server::{HostedMovie, ServerConfig, ServerError};
-use crate::session::{resolve, status_of, DeliveryStats, SessionId, SessionStatus};
+use crate::session::{
+    admit, resolve, status_of, Session, SessionId, SessionState, SessionStatus, Sessions,
+};
 
 /// One hosted movie's broadcast apparatus.
 struct PyramidMovie {
@@ -88,43 +88,28 @@ struct PyramidMovie {
     failed: Vec<u64>,
 }
 
-/// Per-session state machine of the broadcast backend.
-enum PState {
-    /// Scheduled to start receiving at the next segment-1 boundary.
-    Waiting { start_at: u64 },
-    /// Receiving all channels; consuming one minute per tick from the
-    /// local prefix.
-    Receiving,
-    /// Mid FF/RW sweep at the configured VCR rate. Holds a dedicated
-    /// lease only when the sweep runs beyond the reception front.
-    Vcr { kind: VcrKind, remaining: u32 },
-    /// Paused; reception continues (the front keeps growing).
-    Paused { remaining: u32 },
-    /// Playing beyond the front through a dedicated lease; merges back
-    /// into the broadcast when the front catches up.
-    CatchUp,
-    /// Outran the reception front with no dedicated stream and follows
-    /// the retry ledger; past its timeout, a plain wait for the looping
-    /// front. Rejoins free the moment the front passes its position.
-    Starved(RetryLedger),
-}
-
-struct PSession {
-    movie_idx: usize,
-    position: u32,
-    /// Exact reception bookkeeping: every minute this client's recorder
-    /// actually saw staged, and the contiguous front derived from it.
-    rx: ReceptionFront,
-    state: PState,
-    lease: Option<StreamLease>,
-    stats: DeliveryStats,
-}
+/// A broadcast client. `Waiting` is for the next segment-1 boundary;
+/// `Shared` is receiving all channels and consuming one minute per tick
+/// from the local prefix; a sweep or a pause keeps receiving, and a sweep
+/// holds a lease only when it runs beyond the reception front;
+/// `Dedicated` is catching up beyond the front on a lease until the
+/// broadcast covers the position again; `Degraded` outran the front with
+/// no stream and rejoins free the moment the front passes its position —
+/// past the retry timeout, a plain wait for the looping front. The
+/// scheme's own field is the exact reception bookkeeping: every minute
+/// this client's recorder actually saw staged, and the contiguous front
+/// derived from it.
+type BroadcastSession = Session<(), ReceptionFront>;
 
 /// Deliver minute `sess.position` to a receiving session from the
 /// broadcast: byte-verify through the staging slot when that exact
 /// minute is on the air this tick, otherwise from the client's local
 /// prefix (canonical bytes, re-verified).
-fn consume_from_broadcast(sess: &mut PSession, movies: &mut [PyramidMovie], core: &mut ServerCore) {
+fn consume_from_broadcast(
+    sess: &mut BroadcastSession,
+    movies: &mut [PyramidMovie],
+    core: &mut ServerCore,
+) {
     let position = sess.position;
     let m = &mut movies[sess.movie_idx];
     let (word, bit) = ((position / 64) as usize, 1u64 << (position % 64));
@@ -158,23 +143,11 @@ fn verify_delivery(m: &PyramidMovie, position: u32) -> bool {
 
 /// `sess` holds a dedicated lease it no longer needs: the broadcast front
 /// covers its position again. Back into the broadcast.
-fn merge_back(sess: &mut PSession, core: &mut ServerCore) {
+fn merge_back(sess: &mut BroadcastSession, core: &mut ServerCore) {
     if let Some(lease) = sess.lease.take() {
         core.release_lease(lease);
     }
-    sess.state = PState::Receiving;
-}
-
-/// `sess` resumes beyond its front with no lease: catch up on a dedicated
-/// stream, or starve.
-fn resume_beyond_front(sess: &mut PSession, core: &mut ServerCore) {
-    match core.lease_or_degrade() {
-        Ok(lease) => {
-            sess.lease = Some(lease);
-            sess.state = PState::CatchUp;
-        }
-        Err(ledger) => sess.state = PState::Starved(ledger),
-    }
+    sess.state = SessionState::Shared(());
 }
 
 /// The pyramid fast-broadcasting backend. See the module docs.
@@ -185,7 +158,7 @@ pub struct PyramidServer {
     core: ServerCore,
     pool: BufferPool,
     movies: Vec<PyramidMovie>,
-    sessions: SessionStore<PSession>,
+    sessions: Sessions<(), ReceptionFront>,
     /// Waiting-session wakeups keyed by their boundary tick.
     wakeups: TimerWheel<u32>,
     /// Indices of the sessions past Waiting, in the order they got there.
@@ -303,20 +276,6 @@ impl PyramidServer {
             }
         }
     }
-
-    /// Session `idx` reached the end of the movie: retire it — its lease
-    /// handed back, its slot given up, its final record booked and
-    /// published by the core.
-    fn finish(&mut self, idx: u32) {
-        let Some(mut sess) = self.sessions.retire(idx) else {
-            unreachable!("the active walk holds live sessions only")
-        };
-        if let Some(lease) = sess.lease.take() {
-            self.core.release_lease(lease);
-        }
-        self.core.retire(SessionId(idx), sess.stats);
-        self.core.metrics.sessions_done += 1;
-    }
 }
 
 impl FaultPolicy for PyramidServer {
@@ -335,18 +294,7 @@ impl FaultPolicy for PyramidServer {
             .metrics
             .playback
             .add(now, -f64::from(channels_lost));
-        for (_, sess) in self.sessions.iter_mut() {
-            if sess.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
-                sess.lease = None;
-                if matches!(sess.state, PState::Vcr { .. }) {
-                    self.core.metrics.sweeps_aborted += 1;
-                }
-                // Revocation, not a refused acquisition: nothing pending
-                // to classify yet.
-                sess.state = PState::Starved(self.core.enter_degraded(0));
-                self.core.reserve.release(now);
-            }
-        }
+        self.core.revoke_session_leases(&mut self.sessions, revoked);
         channels_lost
     }
 
@@ -379,22 +327,13 @@ impl DeliveryBackend for PyramidServer {
         let geometry = self.movies[movie_idx].geometry;
         let wait = geometry.startup_wait(now);
         let state = match wait {
-            0 => PState::Receiving,
-            _ => PState::Waiting {
+            0 => SessionState::Shared(()),
+            _ => SessionState::Waiting {
                 start_at: now + wait,
             },
         };
-        let idx = self
-            .sessions
-            .insert(PSession {
-                movie_idx,
-                position: 0,
-                rx: ReceptionFront::new(geometry.length()),
-                state,
-                lease: None,
-                stats: DeliveryStats::default(),
-            })
-            .ok_or(ServerError::SessionIdsExhausted)?;
+        let rx = ReceptionFront::new(geometry.length());
+        let idx = admit(&mut self.sessions, movie_idx, 0, state, rx)?;
         self.core.startup_waits.push(wait as f64);
         if wait == 0 {
             self.active.push(idx);
@@ -412,58 +351,31 @@ impl DeliveryBackend for PyramidServer {
     ) -> Result<(), ServerError> {
         resolve(&self.sessions, id)?;
         let sess = self.sessions.live_mut(id.0);
-        if !matches!(sess.state, PState::Receiving | PState::CatchUp) {
+        if !matches!(
+            sess.state,
+            SessionState::Shared(()) | SessionState::Dedicated
+        ) {
             return Err(ServerError::InvalidState { operation: "vcr" });
         }
-        let length = sess.rx.length();
+        let length = sess.scheme.length();
         // FF beyond the reception front costs a dedicated stream
         // (interactive-bandwidth accounting); everything else plays from
-        // the client's prefix for free.
+        // the client's prefix for free, and a paused viewer keeps
+        // receiving.
         if matches!(kind, VcrKind::FastForward) && sess.lease.is_none() {
             let target = sess.position.saturating_add(magnitude).min(length);
-            if target < length && !sess.rx.received(target) {
-                let Some(lease) = self.core.try_lease() else {
-                    self.core.metrics.runtime.vcr_denied += 1;
-                    // Issue-time Erlang loss: the viewer stays in the
-                    // broadcast and never retries this request.
-                    self.core.reserve.record_denials(1, false);
-                    return Err(ServerError::VcrDenied);
-                };
-                sess.lease = Some(lease);
+            if target < length && !sess.scheme.received(target) {
+                // Issue-time Erlang loss: the viewer stays in the
+                // broadcast and never retries this request.
+                sess.lease = Some(self.core.try_lease().ok_or_else(|| self.core.deny_vcr())?);
             }
         }
-        if matches!(kind, VcrKind::Rewind) && magnitude >= sess.position {
-            self.core.metrics.runtime.rw_truncated += 1;
-        }
-        match kind {
-            VcrKind::Pause => {
-                sess.state = PState::Paused {
-                    remaining: magnitude.max(1),
-                };
-                // A paused viewer keeps receiving but consumes no
-                // dedicated bandwidth.
-                if let Some(lease) = sess.lease.take() {
-                    self.core.release_lease(lease);
-                }
-            }
-            VcrKind::FastForward | VcrKind::Rewind => {
-                sess.state = PState::Vcr {
-                    kind,
-                    remaining: magnitude.max(1),
-                };
-            }
-        }
+        sess.state = self.core.begin_vcr(sess, kind, magnitude, magnitude.max(1));
         Ok(())
     }
 
     fn session_status(&self, id: SessionId) -> Result<SessionStatus, ServerError> {
-        status_of(&self.sessions, id, |sess| match sess.state {
-            PState::Waiting { start_at } => SessionStatus::Waiting(start_at),
-            PState::Receiving => SessionStatus::Shared,
-            PState::Vcr { .. } | PState::Paused { .. } => SessionStatus::InVcr,
-            PState::CatchUp => SessionStatus::Dedicated,
-            PState::Starved(_) => SessionStatus::Degraded,
-        })
+        status_of(&self.sessions, id, self.core.now)
     }
 
     fn session_position(&self, id: SessionId) -> Result<u32, ServerError> {
@@ -475,14 +387,7 @@ impl DeliveryBackend for PyramidServer {
         movie: MovieId,
         position: u32,
     ) -> Result<(SessionId, Adoption), ServerError> {
-        let movie_idx = self.core.movie_idx(movie)?;
-        let length = self.movies[movie_idx].geometry.length();
-        if position >= length {
-            return Err(ServerError::InvalidState { operation: "adopt" });
-        }
-        if self.sessions.is_full() {
-            return Err(ServerError::SessionIdsExhausted);
-        }
+        let movie_idx = self.core.adoptable(&self.sessions, movie, position)?;
         // A broadcast client assembles its prefix from the channels it
         // has been recording since it joined; an adopted session arrives
         // with an empty local prefix, so mid-movie playback can only be
@@ -490,22 +395,16 @@ impl DeliveryBackend for PyramidServer {
         // on the lease and merges into the broadcast once its (fresh)
         // reception front sweeps past its position — the looping
         // channels guarantee that eventually happens.
-        let Some(lease) = self.core.try_lease() else {
-            self.core.metrics.runtime.vcr_denied += 1;
-            self.core.reserve.record_denials(1, false);
-            return Err(ServerError::VcrDenied);
-        };
-        let idx = self
-            .sessions
-            .insert(PSession {
-                movie_idx,
-                position,
-                rx: ReceptionFront::new(length),
-                state: PState::CatchUp,
-                lease: Some(lease),
-                stats: DeliveryStats::default(),
-            })
-            .ok_or(ServerError::SessionIdsExhausted)?;
+        let lease = self.core.try_lease().ok_or_else(|| self.core.deny_vcr())?;
+        let rx = ReceptionFront::new(self.movies[movie_idx].geometry.length());
+        let idx = admit(
+            &mut self.sessions,
+            movie_idx,
+            position,
+            SessionState::Dedicated,
+            rx,
+        )?;
+        self.sessions.live_mut(idx).lease = Some(lease);
         self.active.push(idx);
         Ok((SessionId(idx), Adoption::DedicatedStream))
     }
@@ -522,8 +421,8 @@ impl DeliveryBackend for PyramidServer {
         // start receiving now.
         for idx in self.wakeups.drain_tick(self.core.now) {
             let sess = self.sessions.live_mut(idx);
-            if matches!(sess.state, PState::Waiting { .. }) {
-                sess.state = PState::Receiving;
+            if matches!(sess.state, SessionState::Waiting { .. }) {
+                sess.state = SessionState::Shared(());
                 self.active.push(idx);
             }
         }
@@ -536,7 +435,6 @@ impl DeliveryBackend for PyramidServer {
             }
         }
         let stalled = self.core.disk_stalled();
-        let vcr_rate = self.core.config.vcr_rate.max(1);
         let mut i = 0;
         while i < self.active.len() {
             let idx = self.active[i];
@@ -547,29 +445,29 @@ impl DeliveryBackend for PyramidServer {
             // holds off the air leave holes that fill on their next loop.
             // (Nobody's turn reads another's recorder, so each records as
             // its own turn begins.)
-            sess.rx.record_mask(&self.movies[sess.movie_idx].staged);
-            let length = sess.rx.length();
+            sess.scheme.record_mask(&self.movies[sess.movie_idx].staged);
+            let length = sess.scheme.length();
             // Does the session stay on the active walk?
             let stays = match &mut sess.state {
                 // A catch-up lease reads nothing on a slowdown's
                 // off-period tick.
-                PState::CatchUp if stalled => {
+                SessionState::Dedicated if stalled => {
                     self.core.metrics.runtime.stall_minutes += 1.0;
                     true
                 }
-                PState::Receiving | PState::CatchUp if sess.position >= length => {
-                    self.finish(idx);
+                SessionState::Shared(()) | SessionState::Dedicated if sess.position >= length => {
+                    self.core.finish(&mut self.sessions, idx);
                     false
                 }
-                PState::Receiving if sess.rx.received(sess.position) => {
+                SessionState::Shared(()) if sess.scheme.received(sess.position) => {
                     consume_from_broadcast(sess, &mut self.movies, &mut self.core);
                     let ended = sess.position >= length;
                     if ended {
-                        self.finish(idx);
+                        self.core.finish(&mut self.sessions, idx);
                     }
                     !ended
                 }
-                PState::Receiving => {
+                SessionState::Shared(()) => {
                     // The playout front crossed into a segment some
                     // off-air channel still owes: only this session stalls
                     // (unreachable fault-free, by channel-transition
@@ -577,14 +475,14 @@ impl DeliveryBackend for PyramidServer {
                     self.core.metrics.runtime.stall_minutes += 1.0;
                     true
                 }
-                PState::CatchUp if sess.rx.received(sess.position) => {
+                SessionState::Dedicated if sess.scheme.received(sess.position) => {
                     // The broadcast front caught up: merge back.
                     self.core.metrics.piggyback_merges += 1;
                     merge_back(sess, &mut self.core);
                     consume_from_broadcast(sess, &mut self.movies, &mut self.core);
                     true
                 }
-                PState::CatchUp => {
+                SessionState::Dedicated => {
                     let movie = self.movies[sess.movie_idx].movie;
                     let lease = sess.lease.as_ref();
                     self.core
@@ -592,32 +490,18 @@ impl DeliveryBackend for PyramidServer {
                     sess.position += 1;
                     let ended = sess.position >= length;
                     if ended {
-                        self.finish(idx);
+                        self.core.finish(&mut self.sessions, idx);
                     }
                     !ended
                 }
-                PState::Vcr { kind, remaining } => {
-                    let kind = *kind;
-                    let step = vcr_rate.min(*remaining);
-                    *remaining -= step;
-                    let sweep_done = *remaining == 0;
-                    sess.position = match kind {
-                        VcrKind::FastForward => sess.position.saturating_add(step).min(length),
-                        VcrKind::Rewind => sess.position.saturating_sub(step),
-                        VcrKind::Pause => unreachable!("pause never enters Vcr"),
-                    };
-                    if sess.lease.is_some() {
-                        // The dedicated stream actively serves the sweep.
-                        self.core.metrics.runtime.disk_minutes += 1.0;
-                        sess.stats.from_disk += 1;
+                SessionState::Vcr { .. } => match self.core.sweep_position(sess, length) {
+                    Swept::Going => true,
+                    Swept::OffTheEnd => {
+                        self.core.finish(&mut self.sessions, idx);
+                        false
                     }
-                    let ended = sess.position >= length;
-                    if ended {
-                        self.core.metrics.runtime.ff_end += 1;
-                        self.core.metrics.runtime.record_resume(kind, true);
-                        self.finish(idx);
-                    } else if sweep_done {
-                        let hit = sess.rx.received(sess.position);
+                    Swept::Landed(kind) => {
+                        let hit = sess.scheme.received(sess.position);
                         self.core.metrics.runtime.record_resume(kind, hit);
                         if hit {
                             if sess.lease.is_some() {
@@ -625,47 +509,46 @@ impl DeliveryBackend for PyramidServer {
                             }
                             merge_back(sess, &mut self.core);
                         } else if sess.lease.is_some() {
-                            sess.state = PState::CatchUp;
+                            sess.state = SessionState::Dedicated;
                         } else {
                             // Only reachable through fault stalls: the
                             // issue-time classification said the target
                             // was received, the exact front now disagrees.
-                            resume_beyond_front(sess, &mut self.core);
+                            self.core.resume_on_own_stream(sess);
                         }
+                        true
                     }
-                    !ended
-                }
-                PState::Paused { remaining } => {
-                    *remaining = remaining.saturating_sub(1);
-                    if *remaining == 0 {
-                        // Reception continued throughout the pause, so the
-                        // front moved past the resume position: free hit.
-                        let hit = sess.position >= length || sess.rx.received(sess.position);
-                        self.core.metrics.runtime.record_resume(VcrKind::Pause, hit);
-                        if hit {
-                            sess.state = PState::Receiving;
-                        } else {
-                            resume_beyond_front(sess, &mut self.core);
-                        }
+                },
+                // The pause runs through the tick before `until`.
+                SessionState::Paused { until } if self.core.now + 1 < *until => true,
+                SessionState::Paused { .. } => {
+                    // Reception continued throughout the pause, so the
+                    // front moved past the resume position: free hit.
+                    let hit = sess.position >= length || sess.scheme.received(sess.position);
+                    self.core.metrics.runtime.record_resume(VcrKind::Pause, hit);
+                    if hit {
+                        sess.state = SessionState::Shared(());
+                    } else {
+                        self.core.resume_on_own_stream(sess);
                     }
                     true
                 }
-                PState::Starved(ledger) => {
+                SessionState::Degraded(ledger) => {
                     self.core.metrics.runtime.rewait_minutes += 1.0;
-                    if sess.position >= length || sess.rx.received(sess.position) {
+                    if sess.position >= length || sess.scheme.received(sess.position) {
                         // The front swept past the starved position.
                         self.core.exit_degraded(ledger, false);
                         self.core.metrics.runtime.degraded_rejoined += 1;
-                        sess.state = PState::Receiving;
+                        sess.state = SessionState::Shared(());
                     } else if let Retry::Granted(lease) = self.core.retry_degraded(ledger) {
                         sess.lease = Some(lease);
-                        sess.state = PState::CatchUp;
+                        sess.state = SessionState::Dedicated;
                     }
                     // Past the timeout the ledger attempts nothing more:
                     // the session waits for the looping front.
                     true
                 }
-                PState::Waiting { .. } => false,
+                SessionState::Waiting { .. } => false,
             };
             if stays {
                 i += 1;
@@ -678,7 +561,7 @@ impl DeliveryBackend for PyramidServer {
 
     fn check_invariants(&self) -> Vec<String> {
         let now = self.core.now;
-        let mut faults = Vec::new();
+        let mut findings = Vec::new();
         let channel_live: u32 = self
             .movies
             .iter()
@@ -693,7 +576,7 @@ impl DeliveryBackend for PyramidServer {
                     if let Some(seg) = slot.current() {
                         let scheduled = m.geometry.broadcast_minute(ci as u32, now - 1);
                         if scheduled != Some(seg.index) {
-                            faults.push(format!(
+                            findings.push(format!(
                                 "movie {mi} channel {ci} staged minute {} off the wheel phase \
                                  (scheduled {scheduled:?})",
                                 seg.index
@@ -705,50 +588,41 @@ impl DeliveryBackend for PyramidServer {
         }
         let (reserve, disk) = (&self.core.reserve, &self.core.disk);
         if reserve.failed() > disk.failed() {
-            faults.push(format!(
+            findings.push(format!(
                 "reserve failure accounting leads the disk: reserve {} > disk {}",
                 reserve.failed(),
                 disk.failed()
             ));
         }
-        let mut held = 0u32;
-        let mut starved = 0u32;
-        let (mut live, mut from_buffer, mut from_disk) = (0u64, 0u64, 0u64);
+        let staging: usize = self.movies.iter().map(|m| m.slots.len()).sum();
+        if self.pool.used() != staging {
+            findings.push(format!(
+                "staging accounting broken: pool reserves {}, channels need {staging}",
+                self.pool.used()
+            ));
+        }
+        let mut recount = Recount::default();
+        let mut faults = Vec::new();
         for (idx, sess) in self.sessions.iter() {
-            live += 1;
-            from_buffer += sess.stats.from_buffer;
-            from_disk += sess.stats.from_disk;
-            if sess.lease.is_some() {
-                held += 1;
-                if !matches!(sess.state, PState::Vcr { .. } | PState::CatchUp) {
-                    faults.push(format!(
-                        "session {idx} holds a dedicated lease in a non-serving state"
-                    ));
-                }
-            } else if matches!(sess.state, PState::CatchUp) {
-                faults.push(format!("session {idx} is catching up without a lease"));
-            }
-            if matches!(sess.state, PState::Starved(_)) {
-                starved += 1;
-            }
+            // A sweep inside the received prefix rides free.
+            recount.see(idx, sess, true, &mut faults);
             // Prefix-coverage audit: the incremental front must equal a
             // from-scratch recount of the reception bitmap, and a
             // receiving session can never have consumed past it.
-            let front = sess.rx.front();
-            if front != sess.rx.audit_front() {
+            let (front, length) = (sess.scheme.front(), sess.scheme.length());
+            if front != sess.scheme.audit_front() {
                 faults.push(format!(
                     "session {idx} reception front {front} drifted from bitmap recount {}",
-                    sess.rx.audit_front()
+                    sess.scheme.audit_front()
                 ));
             }
-            if front > sess.rx.length() {
+            if front > length {
                 faults.push(format!(
-                    "session {idx} reception front {front} beyond movie length {}",
-                    sess.rx.length()
+                    "session {idx} reception front {front} beyond movie length {length}"
                 ));
             }
-            if matches!(sess.state, PState::Receiving)
-                && sess.position < sess.rx.length()
+            if matches!(sess.state, SessionState::Shared(()))
+                && sess.position < length
                 && sess.position > front
             {
                 faults.push(format!(
@@ -757,37 +631,9 @@ impl DeliveryBackend for PyramidServer {
                 ));
             }
         }
-        let drift = self.core.resource_drift(channel_live, held, starved);
-        let mut v = Vec::from_iter(drift.disk);
-        v.append(&mut faults);
-        v.extend(self.core.population_drift(
-            self.sessions.issued(),
-            live,
-            (from_buffer, from_disk),
-        ));
-        if let Some(in_use) = drift.leases {
-            v.push(format!(
-                "lease accounting broken: channels {channel_live} + sessions {held} != disk {in_use}"
-            ));
-        }
-        if let Some(in_use) = drift.reserve {
-            v.push(format!(
-                "reserve accounting broken: sessions hold {held}, reserve says {in_use}"
-            ));
-        }
-        let staging: usize = self.movies.iter().map(|m| m.slots.len()).sum();
-        if self.pool.used() != staging {
-            v.push(format!(
-                "staging accounting broken: pool reserves {}, channels need {staging}",
-                self.pool.used()
-            ));
-        }
-        if let Some(tracked) = drift.population {
-            v.push(format!(
-                "starved population drifted: counted {starved}, tracked {tracked}"
-            ));
-        }
-        v
+        findings.append(&mut faults);
+        self.core
+            .audit(channel_live, self.sessions.issued(), recount, findings)
     }
 
     fn buffer_segments(&self) -> u64 {
@@ -809,20 +655,6 @@ mod tests {
 
     use super::*;
     use crate::server::HostedMovie;
-
-    impl PyramidServer {
-        /// The audit's recount, for the cross-backend lease test:
-        /// `(live channel leases, session-held leases, starved sessions)`.
-        pub(crate) fn holders(&self) -> (u32, u32, u32) {
-            let channels = self.movies.iter().flat_map(|m| &m.leases).flatten().count();
-            let live = || self.sessions.iter().map(|(_, s)| s);
-            let held = live().filter(|s| s.lease.is_some()).count();
-            let degraded = live()
-                .filter(|s| matches!(s.state, PState::Starved(_)))
-                .count();
-            (channels as u32, held as u32, degraded as u32)
-        }
-    }
 
     fn config() -> ServerConfig {
         let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
@@ -1053,17 +885,17 @@ mod tests {
             }
             let sess = s.sessions.get(id.0).unwrap();
             assert!(
-                sess.rx.front() <= truth.front(),
+                sess.scheme.front() <= truth.front(),
                 "bookkept front {} leads the truly-staged front {}",
-                sess.rx.front(),
+                sess.scheme.front(),
                 truth.front()
             );
             assert_eq!(
-                sess.rx.front(),
+                sess.scheme.front(),
                 truth.front(),
                 "recovery resync must re-anchor the bookkept front exactly"
             );
-            if sess.position < sess.rx.front() || sess.position >= 120 {
+            if sess.position < sess.scheme.front() || sess.position >= 120 {
                 // playable or finished
             } else {
                 stalled_ticks += 1;
@@ -1148,7 +980,7 @@ mod tests {
         s.movies[0].leases[3] = None;
         assert_eq!(
             s.check_invariants(),
-            ["lease accounting broken: channels 6 + sessions 1 != disk 8"]
+            ["lease accounting broken: 6 pre-allocated + 1 session-held != disk 8"]
         );
         let mut s = busy();
         assert!(s.core.reserve.try_acquire(10.0));
@@ -1172,29 +1004,29 @@ mod tests {
         assert_eq!(
             s.check_invariants(),
             [
-                "lease accounting broken: channels 7 + sessions 0 != disk 8",
+                "lease accounting broken: 7 pre-allocated + 0 session-held != disk 8",
                 "reserve accounting broken: sessions hold 0, reserve says 1",
             ]
         );
         s.sessions.live_mut(0).lease = lease;
         assert_eq!(
             s.check_invariants(),
-            ["session 0 holds a dedicated lease in a non-serving state"]
+            ["session 0 holds a lease in a non-serving state"]
         );
         let mut s = busy();
-        s.sessions.live_mut(0).state = PState::CatchUp;
+        s.sessions.live_mut(0).state = SessionState::Dedicated;
         assert_eq!(
             s.check_invariants(),
-            ["session 0 is catching up without a lease"]
+            ["session 0 is serving without a lease"]
         );
         let mut s = busy();
         s.core.degraded_count += 1;
         assert_eq!(
             s.check_invariants(),
-            ["starved population drifted: counted 0, tracked 1"]
+            ["degraded population drift: counted 0, tracked 1"]
         );
         let mut s = busy();
-        let front = s.sessions.live(0).rx.front();
+        let front = s.sessions.live(0).scheme.front();
         s.sessions.live_mut(0).position = front + 2;
         assert_eq!(
             s.check_invariants(),
@@ -1204,7 +1036,7 @@ mod tests {
             )]
         );
         s.sessions.live_mut(0).position = 0;
-        s.sessions.live_mut(0).rx.force_front(front + 1);
+        s.sessions.live_mut(0).scheme.force_front(front + 1);
         assert_eq!(
             s.check_invariants(),
             [format!(
@@ -1212,7 +1044,7 @@ mod tests {
                 front + 1
             )]
         );
-        s.sessions.live_mut(0).rx.force_front(121);
+        s.sessions.live_mut(0).scheme.force_front(121);
         assert_eq!(
             s.check_invariants(),
             [

@@ -32,11 +32,12 @@ use vod_workload::VcrKind;
 use crate::backend::{Adoption, DeliveryBackend};
 use crate::buffer::{BufferPool, Partition};
 use crate::content::{verify_segment, MovieId};
-use crate::core::{apply_faults, FaultPolicy, Retry, ServerCore};
+use crate::core::{apply_faults, FaultPolicy, Recount, Retry, ServerCore};
 use crate::disk::{DiskSubsystem, StreamLease};
 use crate::metrics::ServerMetrics;
 use crate::session::{
-    resolve, status_of, DeliveryStats, SessionId, SessionState, SessionStatus, StreamId,
+    admit, resolve, status_of, DeliveryStats, Session, SessionId, SessionState, SessionStatus,
+    Sessions, StreamId,
 };
 use crate::{BufferError, DiskError};
 
@@ -275,7 +276,7 @@ impl ActiveStream {
 /// among all sessions — the ones whose position, brought up to tick `t`,
 /// is the entry's.
 fn charge_corrupt_entry(
-    sessions: &mut SessionStore<Session>,
+    sessions: &mut Sessions<Enrolment, Piggyback>,
     metrics: &mut ServerMetrics,
     stream: ArenaId,
     position: u32,
@@ -283,7 +284,7 @@ fn charge_corrupt_entry(
     t: u64,
 ) {
     for (_, sess) in sessions.iter_mut() {
-        let reads_it = matches!(sess.state, SessionState::Enrolled { stream: s, .. } if s.0 == stream)
+        let reads_it = matches!(sess.state, SessionState::Shared(Enrolment { stream: s, .. }) if s.0 == stream)
             && sess.position + sess.owed(old_head, t) == position;
         if reads_it {
             sess.stats.verify_failures += 1;
@@ -292,16 +293,54 @@ fn charge_corrupt_entry(
     }
 }
 
-struct Session {
-    movie_idx: usize,
-    /// Next segment to consume — for an `Enrolled` session, as of tick
-    /// `since` (see [`Session::owed`]).
-    position: u32,
-    state: SessionState,
-    /// Dedicated disk lease, when holding one.
-    lease: Option<StreamLease>,
-    stats: DeliveryStats,
-    piggyback_phase: u32,
+/// What a batching session is enrolled in while it plays `Shared`: a
+/// stream's buffer partition.
+#[derive(Debug, Clone, Copy)]
+struct Enrolment {
+    /// The stream whose partition serves the session.
+    stream: StreamId,
+    /// First tick whose delivery the session's stored position and
+    /// statistics do not include yet: since then it has consumed one
+    /// segment per tick the server has accounted, held back only by the
+    /// stream's read head (see [`BatchSession::owed`]).
+    since: u64,
+    /// Tick the session reaches the end of the movie if it never stalls;
+    /// its wheel wake-up is live only on this tick.
+    finish_at: u64,
+}
+
+/// A batching viewer. `Waiting` is for the next restart of the movie
+/// (type-1), `Shared` reading from a batch stream's partition (type-2 or a
+/// post-resume hit), `Dedicated` post-miss playback, possibly piggybacking
+/// its way back into a partition, which is the scheme's own field
+/// ([`Piggyback`]).
+///
+/// `Waiting`, `Shared` and `Paused` are *passive*: nothing about such a
+/// session changes from one tick to the next except what the clock and
+/// its stream's read head already say, so the server does not visit it
+/// every tick. It parks one wake-up on the timer wheel
+/// ([`wake_at`]) and a `Shared` session's position and buffer count are
+/// worked out from `(position, since)` when somebody asks. `Dedicated`,
+/// sweeping and `Degraded` sessions do work every minute and stay on the
+/// server's active list.
+type BatchSession = Session<Enrolment, Piggyback>;
+
+/// Ticks on the dedicated stream since the last catch-up segment.
+#[derive(Default)]
+struct Piggyback {
+    phase: u32,
+}
+
+/// The tick a passive state's wake-up is parked on — the restart instant,
+/// the tick the movie ends, the tick the pause ends; `None` for a state
+/// that works every minute.
+fn wake_at(state: &SessionState<Enrolment>) -> Option<u64> {
+    match *state {
+        SessionState::Waiting { start_at } => Some(start_at),
+        SessionState::Shared(Enrolment { finish_at, .. }) => Some(finish_at),
+        SessionState::Paused { until } => Some(until),
+        _ => None,
+    }
 }
 
 /// Segments an enrolled reader that stood at `position` before tick
@@ -316,12 +355,14 @@ fn arrears(position: u32, since: u64, head: u32, accounted: u64) -> u32 {
     accounted.saturating_sub(since).min(u64::from(ahead)) as u32
 }
 
-impl Session {
+impl BatchSession {
     /// The [`arrears`] of an enrolled session — what `position` and
     /// `stats` do not show yet; zero for every other state.
     fn owed(&self, head: u32, accounted: u64) -> u32 {
         match self.state {
-            SessionState::Enrolled { since, .. } => arrears(self.position, since, head, accounted),
+            SessionState::Shared(Enrolment { since, .. }) => {
+                arrears(self.position, since, head, accounted)
+            }
             _ => 0,
         }
     }
@@ -336,7 +377,7 @@ impl Session {
         let consumed = self.owed(head, accounted);
         self.position += consumed;
         self.stats.from_buffer += u64::from(consumed);
-        if let SessionState::Enrolled { since, .. } = &mut self.state {
+        if let SessionState::Shared(Enrolment { since, .. }) = &mut self.state {
             *since = accounted;
         }
         consumed
@@ -355,13 +396,13 @@ enum Act {
 }
 
 impl Act {
-    fn due(state: &SessionState, t: u64) -> Self {
+    fn due(state: &SessionState<Enrolment>, t: u64) -> Self {
         match *state {
             SessionState::Waiting { start_at } if start_at == t => Act::StartWaiting,
             SessionState::Waiting { .. } => Act::Nothing,
-            SessionState::Enrolled { .. } => Act::Enrolled,
+            SessionState::Shared(_) => Act::Enrolled,
             SessionState::Dedicated => Act::Dedicated,
-            SessionState::VcrActive { kind, .. } => Act::Vcr(kind),
+            SessionState::Vcr { kind, .. } => Act::Vcr(kind),
             // The full pause has elapsed: resuming on exactly `until` is
             // what makes a pause of d minutes shift the pattern by d.
             SessionState::Paused { until } if until == t => Act::EndPause,
@@ -372,20 +413,11 @@ impl Act {
 }
 
 /// Read `sess`'s next segment via its own lease and advance.
-fn read_forward(core: &mut ServerCore, sess: &mut Session) {
+fn read_forward(core: &mut ServerCore, sess: &mut BatchSession) {
     let movie = core.config.movies[sess.movie_idx].movie;
     let lease = sess.lease.as_ref();
     core.read_via_lease(lease, movie, sess.position, &mut sess.stats);
     sess.position += 1;
-}
-
-/// Move `sess` into the degraded re-wait state (it has already been
-/// detached from any stream, partition, lease, or cohort).
-fn enter_degraded(core: &mut ServerCore, sess: &mut Session) {
-    if !matches!(sess.state, SessionState::Degraded(_)) {
-        sess.state = SessionState::Degraded(core.enter_degraded(0));
-        sess.piggyback_phase = 0;
-    }
 }
 
 /// The server.
@@ -408,25 +440,27 @@ pub struct VodServer {
     core: ServerCore,
     pool: BufferPool,
     streams: Arena<ActiveStream>,
-    sessions: SessionStore<Session>,
+    sessions: Sessions<Enrolment, Piggyback>,
     /// Session indices in the states that work every minute (Dedicated /
-    /// VcrActive / Degraded), ascending. Rebuilt each tick by the merge
-    /// loop in `advance_sessions`; passive sessions (Waiting / Enrolled /
-    /// Paused) park one wake-up in `wakeups` instead, so a tick touches
-    /// only the sessions whose state changes on it. An entry may linger
-    /// for a session that went passive or was closed between ticks; the
-    /// next rebuild drops it.
+    /// Vcr / Degraded), ascending. Rebuilt each tick by the merge loop in
+    /// `advance_sessions` and added to by [`Self::place`]; passive
+    /// sessions (Waiting / Shared / Paused) park one wake-up in `wakeups`
+    /// instead, so a tick touches only the sessions whose state changes
+    /// on it. An entry may linger for a session that went passive or was
+    /// closed between ticks; the next rebuild drops it.
     active: Vec<u32>,
-    /// Timer wheel of passive-session wake-ups: a `Waiting` session's
-    /// `start_at`, a `Paused` session's `until`, an `Enrolled` session's
-    /// `finish_at`.
+    /// Timer wheel of passive-session wake-ups ([`wake_at`]).
     wakeups: TimerWheel<u32>,
     /// Wheel entries known stale (their session left the state that
     /// parked them — closed, finished early, issued a VCR request, or
-    /// degraded — before they fired); each fires once as a no-op, for a
-    /// retired session too, and is dropped. Tracked so the invariant
-    /// check can reconcile `wakeups.len()` exactly.
+    /// degraded — before they fired; [`Self::unpark`] counts them); each
+    /// fires once as a no-op, for a retired session too, and is dropped.
+    /// Tracked so the invariant check can reconcile `wakeups.len()`
+    /// exactly.
     wheel_stale: u64,
+    /// The session whose parked wake-up is firing, until the state that
+    /// parked it is left: that one departure leaves no stale entry.
+    firing: Option<u32>,
     /// Ticks whose cohort deliveries are accounted: `now` between ticks
     /// and through the fault and stream phases, `now + 1` from the end of
     /// the stream phase on. An enrolled session's stored position is
@@ -474,6 +508,7 @@ impl VodServer {
             active: Vec::new(),
             wakeups: TimerWheel::new(),
             wheel_stale: 0,
+            firing: None,
             accounted: 0,
             restart_memo: vec![None; n_movies],
             join_table: vec![Vec::new(); n_movies],
@@ -529,13 +564,9 @@ impl VodServer {
         if let SessionState::Degraded(ledger) = &mut self.sessions.live_mut(idx).state {
             self.core.exit_degraded(ledger, false);
         }
-        if self.sessions.live(idx).state.is_passive() {
-            // The wheel still holds this session's wakeup; it fires once
-            // as a no-op and is dropped then.
-            self.wheel_stale += 1;
-        }
+        self.detach(idx);
         self.core.metrics.sessions_closed_early += 1;
-        Ok(self.retire(idx))
+        Ok(self.core.retire(&mut self.sessions, idx))
     }
 
     /// Delivery statistics of a live session. A finished session's final
@@ -549,10 +580,10 @@ impl VodServer {
         })
     }
 
-    /// [`Session::owed`] against the session's own stream.
-    fn owed(&self, sess: &Session) -> u32 {
+    /// [`BatchSession::owed`] against the session's own stream.
+    fn owed(&self, sess: &BatchSession) -> u32 {
         match sess.state {
-            SessionState::Enrolled { stream, .. } => {
+            SessionState::Shared(Enrolment { stream, .. }) => {
                 sess.owed(self.streams.live(stream.0).next_read, self.accounted)
             }
             _ => 0,
@@ -571,7 +602,7 @@ impl VodServer {
     /// Retire stream `sid` immediately: release its partition and free
     /// the slot (a lease a fault already revoked is a no-op at the disk).
     /// Its enrolled readers are left pointing at a dead stream; the
-    /// caller follows up with [`Self::degrade_stranded`] once per fault
+    /// caller follows up with [`Self::degrade_orphans`] once per fault
     /// event, however many streams the event retired, handing it the
     /// read head returned here — the last thing needed to bring those
     /// readers' positions up to date.
@@ -584,43 +615,30 @@ impl VodServer {
         Some(s.next_read)
     }
 
-    /// One pass over the sessions after a fault event: degrade every
-    /// reader whose stream was just retired (`final_heads[slot]` is the
-    /// read head it died with) and every holder of a lease in `revoked`
-    /// (a dedicated/VCR session loses its stream and re-queues).
-    fn degrade_stranded(&mut self, revoked: &[u64], final_heads: &[Option<u32>]) {
-        let listed = self.active.len();
-        for (idx, sess) in self.sessions.iter_mut() {
-            let orphaned_at = match sess.state {
-                SessionState::Enrolled { stream, .. } if !self.streams.contains(stream.0) => {
-                    final_heads[stream.0.index()]
-                }
-                _ => None,
-            };
-            if sess.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
-                // The lease is already dead at the disk; drop it without a
-                // disk release, but return the hold to the reserve.
-                sess.lease = None;
-                self.core.reserve.release(self.core.now as f64);
-                if matches!(sess.state, SessionState::VcrActive { .. }) {
-                    self.core.metrics.sweeps_aborted += 1;
-                }
-                enter_degraded(&mut self.core, sess);
-            } else if let Some(head) = orphaned_at {
-                // The stream took its cohort table with it; what is left
-                // of the enrolment is the session's own arrears and its
-                // finish wake-up. Degraded, it works every minute.
-                sess.sync(head, self.accounted);
-                self.wheel_stale += 1;
-                self.active.push(idx);
-                enter_degraded(&mut self.core, sess);
+    /// One pass over the sessions after a fault event retired streams:
+    /// degrade every reader whose stream is gone (`final_heads[slot]` is
+    /// the read head it died with).
+    fn degrade_orphans(&mut self, final_heads: &[Option<u32>]) {
+        let orphaned = |(idx, sess): (u32, &BatchSession)| match sess.state {
+            SessionState::Shared(Enrolment { stream, .. }) if !self.streams.contains(stream.0) => {
+                final_heads[stream.0.index()].map(|head| (idx, head))
             }
+            _ => None,
+        };
+        let orphans: Vec<(u32, u32)> = self.sessions.iter().filter_map(orphaned).collect();
+        // The fault pass's bulk merge: the newcomers go on a list of their
+        // own, in index order, and the two sorted runs are merged once.
+        let mut listed = std::mem::take(&mut self.active);
+        for (idx, head) in orphans {
+            // The stream took its cohort table with it; what is left of
+            // the enrolment is the session's own arrears and its finish
+            // wake-up. Degraded, it works every minute.
+            self.sessions.live_mut(idx).sync(head, self.accounted);
+            let ledger = self.core.enter_degraded(0);
+            self.transition(idx, SessionState::Degraded(ledger));
         }
-        if self.active.len() > listed {
-            // The newcomers went on in index order behind a list already
-            // in index order: two runs to merge.
-            self.active.sort_unstable();
-        }
+        self.active.append(&mut listed);
+        self.active.sort_unstable();
     }
 
     /// Evict whole partitions (victim order: fewest enrolled readers,
@@ -646,7 +664,7 @@ impl VodServer {
             self.core.metrics.partitions_evicted += 1;
             final_heads[sid.index()] = self.retire_stream(sid);
         }
-        self.degrade_stranded(&[], &final_heads);
+        self.degrade_orphans(&final_heads);
     }
 
     // ---- streams -----------------------------------------------------------
@@ -851,9 +869,9 @@ impl VodServer {
             // list entry must still work every minute. Neither holds for
             // a session retired since the entry was filed.
             let state = self.sessions.get(idx).map(|sess| &sess.state);
-            let entry_speaks = |state: &&SessionState| match from_wheel {
-                true => state.wakes_at(t),
-                false => !state.is_passive(),
+            let entry_speaks = |state: &&SessionState<Enrolment>| match from_wheel {
+                true => wake_at(state) == Some(t),
+                false => wake_at(state).is_none(),
             };
             let Some(state) = state.filter(entry_speaks) else {
                 if from_wheel {
@@ -864,10 +882,12 @@ impl VodServer {
                 continue;
             };
             let act = Act::due(state, t);
+            self.firing = from_wheel.then_some(idx);
             self.advance_session(t, idx, act);
+            debug_assert!(self.firing.is_none(), "a fired wake-up left its state");
             // Whoever turned passive parked its own wake-up on the way;
             // whoever finished is gone.
-            if (self.sessions.get(idx)).is_some_and(|sess| !sess.state.is_passive()) {
+            if (self.sessions.get(idx)).is_some_and(|sess| wake_at(&sess.state).is_none()) {
                 next_active.push(idx);
             }
         }
@@ -914,10 +934,8 @@ impl VodServer {
                     // batch keeps waiting for the next restart instant
                     // instead of aborting the server.
                     let t_int = self.core.config.movies[movie_idx].geometry.restart_interval as u64;
-                    self.sessions.live_mut(idx).state = SessionState::Waiting {
-                        start_at: t + t_int,
-                    };
-                    self.wakeups.schedule(t + t_int, idx);
+                    let start_at = t + t_int;
+                    self.transition(idx, SessionState::Waiting { start_at });
                     return;
                 };
                 // This tick's cohorts were accounted in the stream phase;
@@ -932,7 +950,7 @@ impl VodServer {
             Act::Vcr(VcrKind::FastForward) => self.sweep_forward(t, idx),
             Act::Vcr(VcrKind::Rewind) => self.sweep_backward(t, idx),
             Act::Vcr(VcrKind::Pause) => unreachable!("a pause is `Paused`, not a sweep"),
-            Act::EndPause => self.resume(t, idx, false, VcrKind::Pause),
+            Act::EndPause => self.resume(t, idx, VcrKind::Pause),
             Act::Degraded => self.degraded_tick(t, idx),
         }
     }
@@ -959,46 +977,110 @@ impl VodServer {
             self.consume_enrolled(t, idx);
         } else if let Retry::Granted(lease) = self.core.retry_degraded(ledger) {
             sess.lease = Some(lease);
-            sess.state = SessionState::Dedicated;
-            sess.piggyback_phase = 0;
+            self.transition(idx, SessionState::Dedicated);
         }
     }
 
-    /// Enrol session `idx` in `stream`'s partition as of tick `since`:
-    /// `self.accounted` for a session that first consumes with the next
-    /// stream phase, the current tick `t` for one that enrols after this
-    /// tick's stream phase and still takes this tick's segment — a
-    /// starting batch, a degraded rejoin — which the caller follows with
-    /// [`Self::consume_enrolled`]. Parks the finish wake-up.
-    fn enrol(&mut self, idx: u32, stream: StreamId, since: u64) {
+    // ---- the scheduler's view of a state change ----------------------------
+
+    /// The one place a session's state is written. What the scheduler
+    /// keeps about a session follows its state, so it is kept here: the
+    /// wheel holds one entry per passive session plus the accounted stale
+    /// ones, the active list every session that works each minute.
+    fn transition(&mut self, idx: u32, next: SessionState<Enrolment>) {
+        self.unpark(idx);
         let sess = self.sessions.live_mut(idx);
+        if matches!(next, SessionState::Dedicated) {
+            sess.scheme.phase = 0;
+        }
+        sess.state = next;
+        self.place(idx);
+    }
+
+    /// Session `idx` is in a state nothing is scheduled for yet — just
+    /// admitted, or just transitioned: park the state's wake-up, or list
+    /// the session to work every minute.
+    fn place(&mut self, idx: u32) {
+        match wake_at(&self.sessions.live(idx).state) {
+            Some(at) => self.wakeups.schedule(at, idx),
+            // Between ticks (and in the fault phase) the session goes on
+            // in index order. Mid-tick the session phase is rebuilding
+            // the list and keeps whoever it has just visited.
+            None if self.accounted == self.core.now => {
+                if let Err(at) = self.active.binary_search(&idx) {
+                    self.active.insert(at, idx);
+                }
+            }
+            None => {}
+        }
+    }
+
+    /// Session `idx` leaves its state, for another or for good. The
+    /// wake-up a passive state parked goes stale — it still fires, once,
+    /// as a no-op — unless it is the one firing now.
+    fn unpark(&mut self, idx: u32) {
+        if self.firing == Some(idx) {
+            self.firing = None;
+        } else if wake_at(&self.sessions.live(idx).state).is_some() {
+            self.wheel_stale += 1;
+        }
+    }
+
+    /// Session `idx` is about to be retired: out of its cohort, its
+    /// parked wake-up accounted for.
+    fn detach(&mut self, idx: u32) {
+        self.leave_cohort(idx);
+        self.unpark(idx);
+    }
+
+    /// Enrol session `idx` in `stream`'s partition as of tick `since`
+    /// ([`Self::enrolment`]), parking the finish wake-up. A session that
+    /// enrols as of the current tick `t`, after its stream phase — a
+    /// starting batch, a degraded rejoin — still takes this tick's
+    /// segment: the caller follows with [`Self::consume_enrolled`].
+    fn enrol(&mut self, idx: u32, stream: StreamId, since: u64) {
+        let sess = self.sessions.live(idx);
+        let enrolment = self.enrolment(sess.movie_idx, sess.position, stream, since);
+        self.transition(idx, SessionState::Shared(enrolment));
+    }
+
+    /// A place in `stream`'s partition for a reader of `movie_idx` at
+    /// `position` as of tick `since`: `self.accounted` for a session that
+    /// first consumes with the next stream phase, the current tick for one
+    /// that still takes this tick's segment. The cohort counts the reader
+    /// from here on; the caller owes it the `Shared` state.
+    fn enrolment(
+        &mut self,
+        movie_idx: usize,
+        position: u32,
+        stream: StreamId,
+        since: u64,
+    ) -> Enrolment {
         let s = self.streams.live_mut(stream.0);
-        let length = self.core.config.movies[sess.movie_idx].geometry.length;
+        let length = self.core.config.movies[movie_idx].geometry.length;
         // Where the session stands once this tick's delivery, if it takes
         // one (`since` a tick behind `accounted`), is counted: that is the
         // cohort it is in from now on.
-        let position = sess.position + arrears(sess.position, since, s.next_read, self.accounted);
+        let position = position + arrears(position, since, s.next_read, self.accounted);
         s.cohorts[(s.next_read - position) as usize] += 1;
         s.enrolled += 1;
         // One segment per tick from tick `accounted` on, the last of them
         // on this tick (the tick before `accounted` — already past by the
         // time the wheel sees it — when the delivery above was the last).
         let finish_at = self.accounted + u64::from(length - position) - 1;
-        sess.state = SessionState::Enrolled {
+        Enrolment {
             stream,
             since,
             finish_at,
-        };
-        self.wakeups.schedule(finish_at, idx);
+        }
     }
 
     /// Take session `idx`, if enrolled, out of its stream's cohort table,
     /// position and statistics brought up to date first. The caller
-    /// changes the state (and accounts the finish wake-up as stale unless
-    /// it is the one firing).
+    /// changes the state.
     fn leave_cohort(&mut self, idx: u32) {
         let sess = self.sessions.live_mut(idx);
-        let SessionState::Enrolled { stream, .. } = sess.state else {
+        let SessionState::Shared(Enrolment { stream, .. }) = sess.state else {
             return;
         };
         let s = self.streams.live_mut(stream.0);
@@ -1015,7 +1097,7 @@ impl VodServer {
     /// `t` had run.
     fn consume_enrolled(&mut self, t: u64, idx: u32) {
         let sess = self.sessions.live_mut(idx);
-        let SessionState::Enrolled { stream, since, .. } = sess.state else {
+        let SessionState::Shared(Enrolment { stream, since, .. }) = sess.state else {
             unreachable!("caller checked state")
         };
         debug_assert_eq!(since, t, "enrolled session not exactly one tick behind");
@@ -1055,9 +1137,7 @@ impl VodServer {
         }
         self.core.metrics.runtime.buffer_minutes += 1.0;
         if sess.position >= length {
-            // Not reached through the finish wake-up, which is still
-            // parked.
-            self.wheel_stale += 1;
+            // Not through the finish wake-up, which is still parked.
             self.finish_session(idx);
         }
     }
@@ -1068,7 +1148,7 @@ impl VodServer {
     /// new earliest finish.
     fn finish_enrolled(&mut self, idx: u32) {
         let sess = self.sessions.live_mut(idx);
-        let SessionState::Enrolled { stream, .. } = sess.state else {
+        let SessionState::Shared(Enrolment { stream, .. }) = sess.state else {
             unreachable!("caller checked state")
         };
         let length = self.core.config.movies[sess.movie_idx].geometry.length;
@@ -1093,12 +1173,12 @@ impl VodServer {
         read_forward(&mut self.core, sess);
         // Optional piggyback catch-up segment.
         if let Some(pb) = self.core.config.piggyback {
-            sess.piggyback_phase += 1;
-            let due = sess.piggyback_phase >= pb.catchup_period
+            sess.scheme.phase += 1;
+            let due = sess.scheme.phase >= pb.catchup_period
                 && sess.position < length
                 && matches!(sess.state, SessionState::Dedicated);
             if due {
-                sess.piggyback_phase = 0;
+                sess.scheme.phase = 0;
                 read_forward(&mut self.core, sess);
             }
         }
@@ -1125,7 +1205,7 @@ impl VodServer {
         }
         let sess = self.sessions.live_mut(idx);
         let length = self.core.config.movies[sess.movie_idx].geometry.length;
-        let SessionState::VcrActive { remaining, .. } = &mut sess.state else {
+        let SessionState::Vcr { remaining, .. } = &mut sess.state else {
             unreachable!("caller checked state")
         };
         let steps = (*remaining).min(self.core.config.vcr_rate);
@@ -1147,7 +1227,7 @@ impl VodServer {
             return;
         }
         if swept {
-            self.resume(t, idx, true, VcrKind::FastForward);
+            self.resume(t, idx, VcrKind::FastForward);
         }
     }
 
@@ -1158,7 +1238,7 @@ impl VodServer {
         }
         let sess = self.sessions.live_mut(idx);
         let movie = self.core.config.movies[sess.movie_idx].movie;
-        let SessionState::VcrActive { remaining, .. } = &mut sess.state else {
+        let SessionState::Vcr { remaining, .. } = &mut sess.state else {
             unreachable!("caller checked state")
         };
         let steps = (*remaining)
@@ -1180,7 +1260,7 @@ impl VodServer {
                 .read_via_lease(lease, movie, sess.position, &mut sess.stats);
         }
         if swept || sess.position == 0 {
-            self.resume(t, idx, true, VcrKind::Rewind);
+            self.resume(t, idx, VcrKind::Rewind);
         }
     }
 
@@ -1188,7 +1268,7 @@ impl VodServer {
     /// back to a dedicated stream (miss). The classification itself —
     /// covered ⇒ hit — is [`ResumeClass::classify`], shared with the
     /// simulator; the window probe is the live-stream join rule.
-    fn resume(&mut self, t: u64, idx: u32, holds_lease: bool, kind: VcrKind) {
+    fn resume(&mut self, t: u64, idx: u32, kind: VcrKind) {
         let (movie_idx, position) = {
             let sess = self.sessions.live(idx);
             (sess.movie_idx, sess.position)
@@ -1207,31 +1287,22 @@ impl VodServer {
             self.enrol(idx, stream, self.accounted);
             return;
         }
-        // Miss: continue on a dedicated stream.
-        if holds_lease {
-            let sess = self.sessions.live_mut(idx);
-            debug_assert!(sess.lease.is_some());
-            sess.state = SessionState::Dedicated;
-            sess.piggyback_phase = 0;
-            return;
+        // Miss: continue on a dedicated stream — the one a sweep holds. A
+        // paused viewer must acquire one now; if none is free the resume
+        // is starved: the session stays paused and retries the tick after
+        // next (recovery policy — the simulator instead drops the viewer;
+        // the *event* counted is the same).
+        let sess = self.sessions.live_mut(idx);
+        if sess.lease.is_none() {
+            sess.lease = self.core.try_lease();
         }
-        // Paused viewer resuming on a miss must acquire a stream now; if
-        // none is free the resume is starved: the session stays paused and
-        // retries the tick after next (recovery policy — the simulator
-        // instead drops the viewer; the *event* counted is the same).
-        match self.core.try_lease() {
-            Some(lease) => {
-                let sess = self.sessions.live_mut(idx);
-                sess.lease = Some(lease);
-                sess.state = SessionState::Dedicated;
-                sess.piggyback_phase = 0;
-            }
-            None => {
-                self.core.metrics.runtime.resume_starved += 1;
-                self.sessions.live_mut(idx).state = SessionState::Paused { until: t + 2 };
-                self.wakeups.schedule(t + 2, idx);
-            }
-        }
+        let next = if sess.lease.is_some() {
+            SessionState::Dedicated
+        } else {
+            self.core.metrics.runtime.resume_starved += 1;
+            SessionState::Paused { until: t + 2 }
+        };
+        self.transition(idx, next);
     }
 
     /// Any live stream of `movie_idx` a session at `position` can join:
@@ -1270,23 +1341,8 @@ impl VodServer {
 
     /// Session `idx` reached the end of the movie.
     fn finish_session(&mut self, idx: u32) {
-        self.retire(idx);
-        self.core.metrics.sessions_done += 1;
-    }
-
-    /// The one way a session leaves the server: out of its cohort, its
-    /// lease handed back, its slot given up, its final record booked and
-    /// published by the core. Returns that record.
-    fn retire(&mut self, idx: u32) -> DeliveryStats {
-        self.leave_cohort(idx);
-        let Some(mut sess) = self.sessions.retire(idx) else {
-            unreachable!("leave_cohort saw session {idx} live")
-        };
-        if let Some(lease) = sess.lease.take() {
-            self.core.release_lease(lease);
-        }
-        self.core.retire(SessionId(idx), sess.stats);
-        sess.stats
+        self.detach(idx);
+        self.core.finish(&mut self.sessions, idx);
     }
 }
 
@@ -1308,36 +1364,33 @@ impl DeliveryBackend for VodServer {
     fn open_session(&mut self, movie: MovieId) -> Result<SessionId, ServerError> {
         let movie_idx = self.core.movie_idx(movie)?;
         let geometry = self.core.config.movies[movie_idx].geometry;
-        // A stream whose window will cover position 0 when this session
-        // first consumes (the enrollment window of the paper's Figure 1).
-        let join = self.joinable_stream(movie_idx, 0);
+        if self.sessions.is_full() {
+            return Err(ServerError::SessionIdsExhausted);
+        }
         // The next restart instant ≥ now. A stream scheduled at `now` has
         // not started yet (ticks process start-of-minute events), so
         // `start_at == now` is valid and the session enrolls during the
         // coming tick.
         let t = geometry.restart_interval as u64;
         let start_at = self.core.now.div_ceil(t) * t;
-        let wait = if join.is_some() {
-            0
-        } else {
-            start_at - self.core.now
+        // A stream whose window will cover position 0 when this session
+        // first consumes (the enrollment window of the paper's Figure 1).
+        let (state, wait) = match self.joinable_stream(movie_idx, 0) {
+            Some(stream) => {
+                let cohort = self.enrolment(movie_idx, 0, stream, self.accounted);
+                (SessionState::Shared(cohort), 0)
+            }
+            None => (SessionState::Waiting { start_at }, start_at - self.core.now),
         };
-        let idx = self
-            .sessions
-            .insert(Session {
-                movie_idx,
-                position: 0,
-                state: SessionState::Waiting { start_at },
-                lease: None,
-                stats: DeliveryStats::default(),
-                piggyback_phase: 0,
-            })
-            .ok_or(ServerError::SessionIdsExhausted)?;
+        let idx = admit(
+            &mut self.sessions,
+            movie_idx,
+            0,
+            state,
+            Piggyback::default(),
+        )?;
         self.core.startup_waits.push(wait as f64);
-        match join {
-            Some(stream) => self.enrol(idx, stream, self.accounted),
-            None => self.wakeups.schedule(start_at, idx),
-        }
+        self.place(idx);
         Ok(SessionId(idx))
     }
 
@@ -1355,54 +1408,31 @@ impl DeliveryBackend for VodServer {
         movie: MovieId,
         position: u32,
     ) -> Result<(SessionId, Adoption), ServerError> {
-        let movie_idx = self.core.movie_idx(movie)?;
-        if position >= self.core.config.movies[movie_idx].geometry.length {
-            return Err(ServerError::InvalidState { operation: "adopt" });
-        }
-        if self.sessions.is_full() {
-            return Err(ServerError::SessionIdsExhausted);
-        }
-        let join = self.joinable_stream(movie_idx, position);
-        let lease = match join {
-            Some(_) => None,
-            None => match self.core.try_lease() {
-                Some(lease) => Some(lease),
-                None => {
-                    self.core.metrics.runtime.vcr_denied += 1;
-                    // The shard never observes the retry's resolution
-                    // (the ledger may re-admit elsewhere), so locally
-                    // the refusal is permanent; transient/permanent
-                    // classification of the *displaced session* lives in
-                    // the front tier's `FederationMetrics`.
-                    self.core.reserve.record_denials(1, false);
-                    return Err(ServerError::VcrDenied);
-                }
-            },
-        };
-        let idx = self
-            .sessions
-            .insert(Session {
-                movie_idx,
-                position,
-                state: SessionState::Dedicated,
-                lease,
-                stats: DeliveryStats::default(),
-                piggyback_phase: 0,
-            })
-            .ok_or(ServerError::SessionIdsExhausted)?;
-        let id = SessionId(idx);
-        match join {
+        let movie_idx = self.core.adoptable(&self.sessions, movie, position)?;
+        let (state, lease, how) = match self.joinable_stream(movie_idx, position) {
             Some(stream) => {
-                self.enrol(idx, stream, self.accounted);
-                Ok((id, Adoption::CohortJoin))
+                let cohort = self.enrolment(movie_idx, position, stream, self.accounted);
+                (SessionState::Shared(cohort), None, Adoption::CohortJoin)
             }
             None => {
-                // Session indices only grow, so the new one is maximal
-                // and the active list stays sorted by pushing.
-                self.active.push(idx);
-                Ok((id, Adoption::DedicatedStream))
+                let lease = self.core.try_lease().ok_or_else(|| self.core.deny_vcr())?;
+                (
+                    SessionState::Dedicated,
+                    Some(lease),
+                    Adoption::DedicatedStream,
+                )
             }
-        }
+        };
+        let idx = admit(
+            &mut self.sessions,
+            movie_idx,
+            position,
+            state,
+            Piggyback::default(),
+        )?;
+        self.sessions.live_mut(idx).lease = lease;
+        self.place(idx);
+        Ok((SessionId(idx), how))
     }
 
     /// Issue a VCR operation on a playing session. `magnitude` is the
@@ -1413,19 +1443,17 @@ impl DeliveryBackend for VodServer {
         kind: VcrKind,
         magnitude: u32,
     ) -> Result<(), ServerError> {
-        let (movie_idx, has_lease, enrolled) = {
-            let sess = resolve(&self.sessions, id)?;
-            let enrolled = match sess.state {
-                SessionState::Enrolled { .. } => true,
-                SessionState::Dedicated => false,
-                _ => return Err(ServerError::InvalidState { operation: "vcr" }),
-            };
-            (sess.movie_idx, sess.lease.is_some(), enrolled)
-        };
+        let sess = resolve(&self.sessions, id)?;
+        if !matches!(
+            sess.state,
+            SessionState::Shared(_) | SessionState::Dedicated
+        ) {
+            return Err(ServerError::InvalidState { operation: "vcr" });
+        }
         let idx = id.0;
+        let length = self.core.config.movies[sess.movie_idx].geometry.length;
         // FF/RW with viewing need a dedicated stream for phase 1.
-        let needs_lease = matches!(kind, VcrKind::FastForward | VcrKind::Rewind);
-        let new_lease = if needs_lease && !has_lease {
+        let new_lease = if !matches!(kind, VcrKind::Pause) && sess.lease.is_none() {
             // Starvation policy: while degraded sessions wait for streams
             // or failed streams shrink the pool, new phase-1 grants are
             // refused outright — playback (and recovery) has priority
@@ -1433,75 +1461,33 @@ impl DeliveryBackend for VodServer {
             // faults, so fault-free denial behavior is unchanged.
             if self.core.fault_mode && (self.core.degraded_count > 0 || self.core.disk.failed() > 0)
             {
-                self.core.metrics.runtime.vcr_denied += 1;
                 self.core.metrics.vcr_denied_degraded += 1;
-                self.core.reserve.record_denials(1, false);
-                return Err(ServerError::VcrDenied);
+                return Err(self.core.deny_vcr());
             }
-            match self.core.try_lease() {
-                Some(lease) => Some(lease),
-                None => {
-                    self.core.metrics.runtime.vcr_denied += 1;
-                    // Issue-time Erlang loss: the viewer stays in the
-                    // batch and never retries this request — permanent.
-                    self.core.reserve.record_denials(1, false);
-                    return Err(ServerError::VcrDenied);
-                }
-            }
+            // Issue-time Erlang loss: the viewer stays in the batch and
+            // never retries this request.
+            Some(self.core.try_lease().ok_or_else(|| self.core.deny_vcr())?)
         } else {
             None
         };
-        let length = self.core.config.movies[movie_idx].geometry.length;
         // Leave the partition, if enrolled: the position below is current
-        // from here on, and the finish wake-up goes stale.
-        if enrolled {
-            self.leave_cohort(idx);
-            self.wheel_stale += 1;
-        }
+        // from here on.
+        self.leave_cohort(idx);
         let sess = self.sessions.live_mut(idx);
-        if let Some(lease) = new_lease {
-            sess.lease = Some(lease);
+        if new_lease.is_some() {
+            sess.lease = new_lease;
         }
-        // A paused viewer consumes nothing: release any dedicated stream.
-        if matches!(kind, VcrKind::Pause) {
-            if let Some(lease) = sess.lease.take() {
-                self.core.release_lease(lease);
-            }
-        }
-        let position = sess.position;
-        if matches!(kind, VcrKind::Rewind) && magnitude >= position {
-            self.core.metrics.runtime.rw_truncated += 1;
-        }
-        let remaining = vod_runtime::truncate_sweep(kind, magnitude, position, length);
-        if matches!(kind, VcrKind::Pause) {
-            // A pause of `d` minutes shifts the viewing pattern by `d`:
-            // the session skips the next `d` ticks and resumes on the one
-            // after.
-            let until = self.core.now + u64::from(remaining);
-            sess.state = SessionState::Paused { until };
-            self.wakeups.schedule(until, idx);
-        } else {
-            sess.state = SessionState::VcrActive { kind, remaining };
-            if enrolled {
-                // Sweeping works every minute: onto the active list, in
-                // index order, between two ticks.
-                if let Err(at) = self.active.binary_search(&(idx)) {
-                    self.active.insert(at, idx);
-                }
-            }
-        }
+        // A pause of `d` minutes shifts the viewing pattern by `d`: the
+        // session skips the next `d` ticks and resumes on the one after.
+        let span = vod_runtime::truncate_sweep(kind, magnitude, sess.position, length);
+        let next = self.core.begin_vcr(sess, kind, magnitude, span);
+        self.transition(idx, next);
         Ok(())
     }
 
     /// Status snapshot of a session.
     fn session_status(&self, id: SessionId) -> Result<SessionStatus, ServerError> {
-        status_of(&self.sessions, id, |sess| match &sess.state {
-            SessionState::Waiting { start_at } => SessionStatus::Waiting(*start_at),
-            SessionState::Enrolled { .. } => SessionStatus::Shared,
-            SessionState::Dedicated => SessionStatus::Dedicated,
-            SessionState::VcrActive { .. } | SessionState::Paused { .. } => SessionStatus::InVcr,
-            SessionState::Degraded(_) => SessionStatus::Degraded,
-        })
+        status_of(&self.sessions, id, self.core.now)
     }
 
     /// Session playback position (next segment to consume).
@@ -1545,8 +1531,6 @@ impl DeliveryBackend for VodServer {
         // Findings are gathered per pass, then reported in a fixed order:
         // resources, streams, sessions, scheduler.
         let wheel_mode = !self.reference_scan;
-        let mut session_leases = 0u32;
-        let mut degraded = 0u32;
         let (mut waiting, mut paused, mut enrolled) = (0u64, 0u64, 0u64);
         // The recount of every stream's cohort table, flattened: stream
         // slot `i`'s offsets start at `first[i]`.
@@ -1557,15 +1541,11 @@ impl DeliveryBackend for VodServer {
             offsets += self.streams.at(i).map_or(0, |s| s.cohorts.len());
         }
         let mut readers = vec![0u32; offsets];
+        let mut recount = Recount::default();
         let mut session_faults = Vec::new();
         let mut scheduler_faults = Vec::new();
         let mut listed = self.active.iter().copied().peekable();
-        let (mut live, mut from_buffer, mut from_disk) = (0u64, 0u64, 0u64);
         for (idx, sess) in self.sessions.iter() {
-            live += 1;
-            from_buffer += sess.stats.from_buffer;
-            from_disk += sess.stats.from_disk;
-            session_leases += u32::from(sess.lease.is_some());
             // The active list covers exactly the sessions that work every
             // minute (entries may linger for sessions that closed or
             // paused since the last tick — they drop at the next rebuild
@@ -1574,6 +1554,7 @@ impl DeliveryBackend for VodServer {
                 listed.next();
             }
             let on_list = listed.peek().is_some_and(|&a| a == idx);
+            recount.see(idx, sess, false, &mut session_faults);
             match sess.state {
                 SessionState::Waiting { .. } => {
                     waiting += 1;
@@ -1586,14 +1567,14 @@ impl DeliveryBackend for VodServer {
                     paused += 1;
                     continue;
                 }
-                SessionState::Enrolled { stream, .. } => {
+                SessionState::Shared(Enrolment { stream, .. }) => {
                     enrolled += 1;
                     let slot = stream.0.index();
                     match self.streams.get(stream.0) {
                         Some(s) => {
                             let head = s.next_read;
                             let owed = sess.owed(head, self.accounted);
-                            from_buffer += u64::from(owed);
+                            recount.delivered.0 += u64::from(owed);
                             let position = sess.position + owed;
                             let filled = s.partition.len() as u32;
                             match head.checked_sub(position) {
@@ -1612,8 +1593,7 @@ impl DeliveryBackend for VodServer {
                     }
                     continue;
                 }
-                SessionState::Degraded(_) => degraded += 1,
-                SessionState::Dedicated | SessionState::VcrActive { .. } => {}
+                _ => {}
             }
             if !on_list && wheel_mode {
                 scheduler_faults.push(format!("actionable session {idx} missing from active list"));
@@ -1626,8 +1606,8 @@ impl DeliveryBackend for VodServer {
             stream_leases += u32::from(s.lease.is_some());
             partition_segments += s.partition.capacity();
             let i = sid.index();
-            let recount = &readers[first[i]..][..s.cohorts.len()];
-            let total: u32 = recount.iter().sum();
+            let counted = &readers[first[i]..][..s.cohorts.len()];
+            let total: u32 = counted.iter().sum();
             if total != s.enrolled {
                 stream_faults.push(format!(
                     "enrollment drift on stream {i}: {total} readers vs enrolled {}",
@@ -1641,7 +1621,7 @@ impl DeliveryBackend for VodServer {
                     s.enrolled
                 ));
             }
-            for (lag, (&found, &held)) in recount.iter().zip(s.cohorts.iter()).enumerate() {
+            for (lag, (&found, &held)) in counted.iter().zip(s.cohorts.iter()).enumerate() {
                 if found != held {
                     stream_faults.push(format!(
                         "cohort drift on stream {i}: {found} readers {lag} behind the head vs \
@@ -1651,47 +1631,24 @@ impl DeliveryBackend for VodServer {
             }
         }
 
-        let drift = self
-            .core
-            .resource_drift(stream_leases, session_leases, degraded);
-        let mut v = Vec::from_iter(drift.disk);
-        if let Some(in_use) = drift.leases {
-            v.push(format!(
-                "lease conservation broken: streams hold {stream_leases}, sessions hold \
-                 {session_leases}, disk says {in_use} in use"
-            ));
-        }
-        if let Some(in_use) = drift.reserve {
-            v.push(format!(
-                "reserve drift: sessions hold {session_leases} dedicated leases, reserve says \
-                 {in_use}"
-            ));
-        }
+        let mut findings = Vec::new();
         if partition_segments != self.pool.used() {
-            v.push(format!(
+            findings.push(format!(
                 "buffer accounting broken: partitions total {partition_segments} segments, \
                  pool says {} used",
                 self.pool.used()
             ));
         }
         if self.pool.overcommitted() != 0 {
-            v.push(format!(
+            findings.push(format!(
                 "buffer overcommitted between ticks: {} segments beyond budget",
                 self.pool.overcommitted()
             ));
         }
-        v.append(&mut stream_faults);
-        v.append(&mut session_faults);
-        v.extend(self.core.population_drift(
-            self.sessions.issued(),
-            live,
-            (from_buffer, from_disk),
-        ));
-        if let Some(counter) = drift.population {
-            v.push(format!(
-                "degraded population drift: {degraded} sessions vs counter {counter}"
-            ));
-        }
+        findings.append(&mut stream_faults);
+        findings.append(&mut session_faults);
+        let issued = self.sessions.issued();
+        let mut v = self.core.audit(stream_leases, issued, recount, findings);
         // Coherence of the wheel-mode scheduler structures: the active
         // list is strictly ascending and holds every session that works
         // each minute, and the wheel holds one entry per passive session
@@ -1744,7 +1701,11 @@ impl FaultPolicy for VodServer {
             self.core.metrics.playback.add(self.core.now as f64, -1.0);
             final_heads[sid.index()] = self.retire_stream(sid);
         }
-        self.degrade_stranded(revoked, &final_heads);
+        // A dedicated or sweeping session loses its stream and re-queues.
+        self.core.revoke_session_leases(&mut self.sessions, revoked);
+        if !dead.is_empty() {
+            self.degrade_orphans(&final_heads);
+        }
         dead.len() as u32
     }
 
@@ -1764,24 +1725,6 @@ impl FaultPolicy for VodServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl VodServer {
-        /// The audit's recount, for the cross-backend lease test:
-        /// `(stream leases, session-held leases, degraded sessions)`.
-        pub(crate) fn holders(&self) -> (u32, u32, u32) {
-            let streams = self
-                .streams
-                .iter()
-                .filter(|(_, s)| s.lease.is_some())
-                .count();
-            let live = || self.sessions.iter().map(|(_, s)| s);
-            let held = live().filter(|s| s.lease.is_some()).count();
-            let degraded = live()
-                .filter(|s| matches!(s.state, SessionState::Degraded(_)))
-                .count();
-            (streams as u32, held as u32, degraded as u32)
-        }
-    }
 
     /// A healthy server at `now = 6` with one session of each kind:
     /// enrolled in stream 0, sweeping on a dedicated lease, and waiting
@@ -1862,7 +1805,7 @@ mod tests {
             let bystander = s.open_session(MovieId(1)).unwrap();
             s.run(2);
             let stream_of = |s: &VodServer, id: SessionId| match s.sessions.live(id.0).state {
-                SessionState::Enrolled { stream, .. } => stream,
+                SessionState::Shared(Enrolment { stream, .. }) => stream,
                 _ => panic!("enrolled"),
             };
             let (stream, other_stream) = (stream_of(&s, straggler), stream_of(&s, other));
@@ -1910,8 +1853,20 @@ mod tests {
         assert_eq!(
             s.check_invariants(),
             [
-                "lease conservation broken: streams hold 1, sessions hold 0, disk says 2 in use",
-                "reserve drift: sessions hold 0 dedicated leases, reserve says 1",
+                "session 1 is serving without a lease",
+                "lease accounting broken: 1 pre-allocated + 0 session-held != disk 2",
+                "reserve accounting broken: sessions hold 0, reserve says 1",
+            ]
+        );
+        // ... and one held where nothing is served through it.
+        let (mut s, [enrolled, sweeping, _]) = busy();
+        let lease = s.sessions.live_mut(sweeping.0).lease.take();
+        s.sessions.live_mut(enrolled.0).lease = lease;
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "session 0 holds a lease in a non-serving state",
+                "session 1 is serving without a lease",
             ]
         );
     }
@@ -1936,7 +1891,8 @@ mod tests {
     #[test]
     fn audit_sees_enrollment_and_population_drift() {
         let (mut s, [enrolled, _, _]) = busy();
-        let SessionState::Enrolled { stream, .. } = s.sessions.live(enrolled.0).state else {
+        let SessionState::Shared(Enrolment { stream, .. }) = s.sessions.live(enrolled.0).state
+        else {
             panic!("enrolled");
         };
         s.streams.live_mut(stream.0).enrolled += 1;
@@ -1950,8 +1906,8 @@ mod tests {
         s.streams.live_mut(stream.0).enrolled -= 1;
         // The same slot, one generation on: a retired stream.
         let retired = ArenaId::from_parts(stream.0.index() as u32, stream.0.generation() + 1);
-        if let SessionState::Enrolled { stream, .. } = &mut s.sessions.live_mut(enrolled.0).state {
-            *stream = StreamId(retired);
+        if let SessionState::Shared(place) = &mut s.sessions.live_mut(enrolled.0).state {
+            place.stream = StreamId(retired);
         }
         assert_eq!(
             s.check_invariants(),
@@ -1968,7 +1924,7 @@ mod tests {
         s.core.degraded_count += 1;
         assert_eq!(
             s.check_invariants(),
-            ["degraded population drift: 0 sessions vs counter 1"]
+            ["degraded population drift: counted 0, tracked 1"]
         );
         // A session dropped behind the books' back: nothing is kept per
         // retired session, so the population clause is what sees it.
@@ -1983,8 +1939,7 @@ mod tests {
         );
         // ... and one whose record went missing with it.
         let (mut s, [enrolled, _, _]) = busy();
-        s.wheel_stale += 1;
-        s.leave_cohort(enrolled.0);
+        s.detach(enrolled.0);
         s.sessions.retire(enrolled.0);
         assert_eq!(
             s.check_invariants(),
@@ -2001,7 +1956,8 @@ mod tests {
     #[test]
     fn audit_sees_cohort_drift() {
         let (mut s, [enrolled, _, _]) = busy();
-        let SessionState::Enrolled { stream, .. } = s.sessions.live(enrolled.0).state else {
+        let SessionState::Shared(Enrolment { stream, .. }) = s.sessions.live(enrolled.0).state
+        else {
             panic!("enrolled");
         };
         // The one reader trails the head by one segment.
@@ -2034,8 +1990,8 @@ mod tests {
             let (mut s, [enrolled, _, _]) = busy();
             let sess = s.sessions.live_mut(enrolled.0);
             sess.position = position;
-            if let SessionState::Enrolled { since, .. } = &mut sess.state {
-                *since = 6;
+            if let SessionState::Shared(place) = &mut sess.state {
+                place.since = 6;
             }
             assert_eq!(
                 s.check_invariants(),

@@ -1,37 +1,55 @@
-//! Viewer sessions: state machine types.
+//! Viewer sessions: the one life-cycle the three delivery schemes share.
 //!
-//! The server (`crate::server`) drives these states tick by tick. Time is
-//! integer minutes; one tick displays one segment at normal playback.
+//! The paper follows one viewer: wait, play from something shared, VCR on
+//! a stream of one's own (phase 1), resume as a hit back into the shared
+//! resource or as a miss held on the stream (phase 2), release. The
+//! schemes differ only in what "shared" is — a buffer partition behind a
+//! batch stream (batching), the looping broadcast channels (pyramid),
+//! nothing at all (dedicated) — so the session record ([`Session`]), its
+//! states ([`SessionState`]) and the steps that do not depend on the
+//! scheme (next to [`ServerCore`](crate::ServerCore)) are written once.
+//! Time is integer minutes; one tick displays one segment.
 //!
 //! ```text
-//! Waiting ──restart──▶ Enrolled(stream) ──FF/RW──▶ VcrActive ──resume hit──▶ Enrolled
-//!                         │       │                    │
-//!                         │       └──PAU──▶ Paused ────┤
-//!                         │                            └─resume miss──▶ Dedicated ──piggyback──▶ Enrolled
-//!                         └──────────── end of movie ──▶ retired
-//!
-//! Enrolled/Dedicated/VcrActive ──fault (lost stream or partition)──▶ Degraded
-//!     Degraded ──window rejoin──▶ Enrolled      (bounded re-wait, the free path)
-//!     Degraded ──retry granted──▶ Dedicated     (backoff, stops at the timeout)
+//! Waiting ─────────────────── start ────────▶ Shared(E) | Dedicated
+//! Shared(E) | Dedicated ───── FF / RW ──────▶ Vcr
+//! Shared(E) | Dedicated ───── PAU ──────────▶ Paused
+//! Vcr | Paused ────────────── resume: hit ──▶ Shared(E)
+//! Vcr | Paused ────────────── resume: miss ─▶ Dedicated   (refused a stream: Degraded)
+//! Dedicated ───────────────── merge ────────▶ Shared(E)
+//! Shared(E) | Dedicated | Vcr ── fault ─────▶ Degraded
+//! Degraded ────────────────── rejoin ───────▶ Shared(E)
+//! Degraded ────────────────── retry granted ▶ Dedicated
+//! Degraded ────────────────── timeout ──────▶ Waiting     (dedicated only)
+//! Shared(E) | Dedicated | Vcr ── end ───────▶ retired
 //! ```
 //!
-//! `Waiting`, `Enrolled` and `Paused` are *passive*: nothing about such a
-//! session changes from one tick to the next except what the clock and
-//! its stream's read head already say, so the server does not visit it
-//! every tick. It parks one wake-up on the timer wheel — the restart
-//! instant, the tick the movie ends, the tick the pause ends — and an
-//! enrolled session's position and buffer count are worked out from
-//! `(position, since)` when somebody asks. `Dedicated`, `VcrActive`
-//! (a sweep) and `Degraded` sessions do work every minute and stay on
-//! the server's active list.
+//! | edge | batching | pyramid | dedicated |
+//! |---|---|---|---|
+//! | start | the next restart of the movie: enrols in the new stream's partition (a late arrival inside an enrolment window starts `Shared` at once) | the next segment-1 boundary: receives all channels | first in the FIFO when a stream is free: plays `Dedicated`, there is nothing to share |
+//! | `Shared(E)` carries | `{stream, since, finish_at}` | `()` — the reception front is on the record | uninhabited ([`Infallible`](std::convert::Infallible)) |
+//! | FF / RW | always on a lease (phase 1); every swept segment is read | free inside the received prefix, on a lease beyond the front; moves the position only | on the lease the viewing holds; moves the position only |
+//! | PAU | gives the lease back, leaves the partition | gives the lease back, keeps receiving | gives the lease back |
+//! | resume: hit | a live window covers the position | the position has been received | never |
+//! | resume: miss | stays on the sweep's lease; a paused viewer takes one, or stays `Paused` two more ticks | catch-up on the sweep's lease; with none, takes one or degrades | stays on the lease; a paused viewer takes one or degrades |
+//! | merge | piggyback into the window ahead | the front catches up with the position | never |
+//! | fault | lease revoked; partition evicted or its stream lost | lease revoked | lease revoked |
+//! | rejoin | a window covers the position (the only way back past the timeout) | the front covers it (likewise) | never |
+//! | timeout | keeps waiting for a window | keeps waiting for the front | back into the FIFO |
+//! | end | end of the movie, FF off it, `close_session` | end of the movie, FF off it | end of the movie, FF off it |
 //!
-//! `Degraded` only arises under an injected [`vod_runtime::FaultPlan`];
-//! a fault-free run never constructs it, so pre-fault behavior is
-//! bitwise unchanged.
+//! A session that ends is retired the same tick: its memory given back,
+//! its record published once (`ServerCore::finish`).
+//!
+//! Batching and pyramid construct `Degraded` only under an injected
+//! [`vod_runtime::FaultPlan`], so their fault-free behavior is bitwise
+//! what it was before faults existed; dedicated also degrades a paused
+//! viewer who finds the whole pool taken at resume.
 
 use vod_runtime::{ArenaId, RetryLedger, SessionStore};
 use vod_workload::VcrKind;
 
+use crate::disk::StreamLease;
 use crate::server::ServerError;
 
 /// Session identifier: the session's index in its server's
@@ -45,6 +63,105 @@ use crate::server::ServerError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionId(pub u32);
 
+/// Identifier of an active stream within the server: a generational
+/// handle into the stream arena. Stream slots *are* reused as streams
+/// retire, so a stale `StreamId` held across a retirement resolves to
+/// `None` rather than the slot's new occupant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct StreamId(pub ArenaId);
+
+/// Where a session currently gets its frames. `E` is what the scheme
+/// enrols a session *in* while it plays from the shared resource; see the
+/// module docs for each scheme's reading of every state.
+#[derive(Debug)]
+pub enum SessionState<E> {
+    /// Queued for a scheduled playback start.
+    Waiting {
+        /// Tick at which the session will start; for a session queued
+        /// first-come first-served, the first tick it could.
+        start_at: u64,
+    },
+    /// Playing from the shared resource (type-2 viewer or a post-resume
+    /// hit), holding no stream of its own.
+    Shared(E),
+    /// Playing through a dedicated disk stream (post-miss playback,
+    /// possibly on its way back into the shared resource).
+    Dedicated,
+    /// Sweeping (FF or RW with viewing).
+    Vcr {
+        /// Sweep direction; never [`VcrKind::Pause`].
+        kind: VcrKind,
+        /// Segments still to sweep.
+        remaining: u32,
+    },
+    /// Paused: consumes nothing and holds no stream.
+    Paused {
+        /// Tick at which playback resumes.
+        until: u64,
+    },
+    /// Lost its stream or its place in the shared resource to an injected
+    /// fault (or was refused a stream at a resume); re-queued with bounded
+    /// re-wait. Each tick the scheme first tries a free rejoin (the
+    /// shared resource covering the position), then follows the retry
+    /// ledger: past the policy's re-wait bound, dedicated-stream attempts
+    /// under exponential backoff until the retry timeout. Playback
+    /// position is preserved; the viewer is never dropped.
+    Degraded(RetryLedger),
+}
+
+impl<E> SessionState<E> {
+    /// The state in the vocabulary every scheme's callers share, asked at
+    /// tick `now`: a start date never reads as already past.
+    pub(crate) fn status(&self, now: u64) -> SessionStatus {
+        match *self {
+            SessionState::Waiting { start_at } => SessionStatus::Waiting(start_at.max(now)),
+            SessionState::Shared(_) => SessionStatus::Shared,
+            SessionState::Dedicated => SessionStatus::Dedicated,
+            SessionState::Vcr { .. } | SessionState::Paused { .. } => SessionStatus::InVcr,
+            SessionState::Degraded(_) => SessionStatus::Degraded,
+        }
+    }
+}
+
+/// One viewer's record: what every scheme keeps per session, plus the
+/// scheme's own `X` (batching's piggyback phase, pyramid's reception
+/// front, dedicated's admission stamp).
+pub(crate) struct Session<E, X> {
+    pub movie_idx: usize,
+    /// Next segment to consume.
+    pub position: u32,
+    pub state: SessionState<E>,
+    /// Dedicated disk lease, when holding one.
+    pub lease: Option<StreamLease>,
+    pub stats: DeliveryStats,
+    pub scheme: X,
+}
+
+/// A backend's live sessions.
+pub(crate) type Sessions<E, X> = SessionStore<Session<E, X>>;
+
+/// Admit a session of `movie_idx` at `position`, born in `state` and
+/// holding no stream yet: its id, unless every id has been issued.
+pub(crate) fn admit<E, X>(
+    sessions: &mut Sessions<E, X>,
+    movie_idx: usize,
+    position: u32,
+    state: SessionState<E>,
+    scheme: X,
+) -> Result<u32, ServerError> {
+    let stats = DeliveryStats::default();
+    sessions
+        .insert(Session {
+            movie_idx,
+            position,
+            state,
+            lease: None,
+            stats,
+            scheme,
+        })
+        .ok_or(ServerError::SessionIdsExhausted)
+}
+
 /// The live session behind `id`, or why there is none: it finished, or
 /// `sessions` never issued the id.
 pub(crate) fn resolve<T>(sessions: &SessionStore<T>, id: SessionId) -> Result<&T, ServerError> {
@@ -56,96 +173,17 @@ pub(crate) fn resolve<T>(sessions: &SessionStore<T>, id: SessionId) -> Result<&T
 }
 
 /// [`DeliveryBackend::session_status`](crate::DeliveryBackend::session_status)
-/// over a store: `live` maps a live session's state onto the shared
-/// vocabulary, and a retired id is [`SessionStatus::Done`].
-pub(crate) fn status_of<T>(
-    sessions: &SessionStore<T>,
+/// over a store, asked at tick `now`; a retired id is
+/// [`SessionStatus::Done`].
+pub(crate) fn status_of<E, X>(
+    sessions: &Sessions<E, X>,
     id: SessionId,
-    live: impl FnOnce(&T) -> SessionStatus,
+    now: u64,
 ) -> Result<SessionStatus, ServerError> {
     match resolve(sessions, id) {
-        Ok(sess) => Ok(live(sess)),
+        Ok(sess) => Ok(sess.state.status(now)),
         Err(ServerError::SessionFinished(_)) => Ok(SessionStatus::Done),
         Err(unknown) => Err(unknown),
-    }
-}
-
-/// Identifier of an active stream within the server: a generational
-/// handle into the stream arena. Stream slots *are* reused as streams
-/// retire, so a stale `StreamId` held across a retirement resolves to
-/// `None` rather than the slot's new occupant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StreamId(pub ArenaId);
-
-/// Where a session currently gets its frames.
-#[derive(Debug)]
-pub enum SessionState {
-    /// Queued for the next restart of the movie (type-1 viewer).
-    Waiting {
-        /// Tick at which the session will start.
-        start_at: u64,
-    },
-    /// Reading from a stream's buffer partition (type-2 viewer or a
-    /// post-resume hit).
-    Enrolled {
-        /// The stream whose partition serves this session.
-        stream: StreamId,
-        /// First tick whose delivery the session's stored position and
-        /// statistics do not include yet: since then it has consumed one
-        /// segment per tick the server has accounted, held back only by
-        /// the stream's read head.
-        since: u64,
-        /// Tick the session reaches the end of the movie if it never
-        /// stalls; its wheel wake-up is live only on this tick.
-        finish_at: u64,
-    },
-    /// Holding a dedicated disk stream (post-miss playback, possibly
-    /// piggybacking its way back into a partition).
-    Dedicated,
-    /// Sweeping (FF or RW with viewing) on a dedicated stream.
-    VcrActive {
-        /// Sweep direction; never [`VcrKind::Pause`].
-        kind: VcrKind,
-        /// Segments still to sweep.
-        remaining: u32,
-    },
-    /// Paused: consumes nothing and holds nothing.
-    Paused {
-        /// Tick at which playback resumes.
-        until: u64,
-    },
-    /// Lost its stream or partition to an injected fault; re-queued with
-    /// bounded re-wait. Each tick the server first tries a free batch
-    /// rejoin (a live window covering the position), then follows the
-    /// retry ledger: past the policy's re-wait bound, dedicated-stream
-    /// attempts under exponential backoff until the retry timeout, after
-    /// which only batch admission remains. Playback position is
-    /// preserved; the viewer is never dropped.
-    Degraded(RetryLedger),
-}
-
-impl SessionState {
-    /// Does nothing about the session change until a wake-up or a
-    /// request? (See the module docs.)
-    pub(crate) fn is_passive(&self) -> bool {
-        matches!(
-            self,
-            SessionState::Waiting { .. }
-                | SessionState::Enrolled { .. }
-                | SessionState::Paused { .. }
-        )
-    }
-
-    /// Is a wheel wake-up firing on tick `t` the one this state parked?
-    /// Anything else is a stale entry left behind by a state the session
-    /// has since left.
-    pub(crate) fn wakes_at(&self, t: u64) -> bool {
-        match *self {
-            SessionState::Waiting { start_at } => start_at == t,
-            SessionState::Enrolled { finish_at, .. } => finish_at == t,
-            SessionState::Paused { until } => until == t,
-            _ => false,
-        }
     }
 }
 
