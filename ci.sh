@@ -15,14 +15,16 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- ${CLIPPY_FLAGS}
 
-echo "== vod-lint (workspace semantic analyzer, see DESIGN.md §9/§14) =="
-mkdir -p results
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+
+echo "== vod-lint (workspace invariant checker, see DESIGN.md §9/§14) =="
 # The binary prints the per-rule summary table and exits non-zero on any
-# unsuppressed finding; the gate is exact — schema v3, zero findings, no
-# baseline to ratchet against.
-cargo run -p vod-lint --release -- --workspace --json results/LINT_REPORT.json
-grep -q '"version": 3' results/LINT_REPORT.json
-grep -q '"findings": \[\]' results/LINT_REPORT.json
+# unsuppressed finding. Its report carries no clock reading, so the
+# committed file (schema v4, six rules, zero findings) regenerates byte
+# for byte like every other gated result.
+cargo run -p vod-lint --release -- --workspace --json "$scratch/LINT_REPORT.json"
+cmp "$scratch/LINT_REPORT.json" results/LINT_REPORT.json
 # Dogfood: the linter's own sources pass the same gate standalone.
 cargo run -p vod-lint --release -- --root . crates/lint/src
 
@@ -39,17 +41,14 @@ cargo build --release
 # The tier-1 command as ROADMAP.md gives it. The root manifest's
 # `default-members` makes it cover the whole workspace, not the root
 # package alone: the proptests, the scan/queue/backend equivalence
-# suites, chaos_faults and the lint fixtures gate here (560 tests in
-# 1 m 15 s on 2 cores, debug build).
+# suites, chaos_faults and the lint fixtures gate here (debug build; it
+# is most of this script's wall time).
 cargo test -q
 
 echo "== benchmark/: the yardstick still compiles and its gate holds (all four workloads at --smoke size) =="
 # benchmark/ is its own workspace, so nothing above builds it; a library
 # API change would otherwise break it unnoticed.
 cargo test --release --manifest-path benchmark/Cargo.toml
-
-scratch="$(mktemp -d)"
-trap 'rm -rf "$scratch"' EXIT
 
 echo "== benchmark digests: every segment of the four workloads at --smoke size, seeds 42 and 2026, bit for bit =="
 # `stats_digest` hashes everything a segment's run observed (see
@@ -70,8 +69,16 @@ for seed in 42 2026; do
 done >"$scratch/SMOKE_DIGESTS.txt"
 cmp "$scratch/SMOKE_DIGESTS.txt" results/SMOKE_DIGESTS.txt
 
-# The four report bins below write to $scratch (`--out`); each must
-# regenerate its committed results/ file byte for byte.
+# Every report bin below writes to $scratch (`--out`) and must regenerate
+# its committed results/ file byte for byte. Each bin exits non-zero on a
+# violation of its own, and the `cmp` pins everything else the file says
+# (schema, cell count, `"ok": true`, zero violations per cell).
+
+echo "== paper figures, worked examples, reserve and catalog checks: seven text results =="
+for bin in fig7 fig8 fig9 example1 example2 reserve_check catalog_sim; do
+  cargo run --release --quiet -p vod-bench --bin "$bin" -- --out "$scratch/$bin.txt" >/dev/null
+  cmp "$scratch/$bin.txt" "results/$bin.txt"
+done
 
 echo "== cross-validation: model vs sim vs server =="
 cargo test --release -q --test cross_validation
@@ -80,35 +87,14 @@ cmp "$scratch/CROSS_VALIDATION.json" results/CROSS_VALIDATION.json
 
 echo "== chaos: 3-backend fault matrix (determinism + conservation, see DESIGN.md §10/§13) =="
 cargo run --release -p vod-bench --bin chaos -- --out "$scratch/CHAOS_REPORT.json"
-# The bin exits non-zero on any violation; belt-and-braces the written
-# report too: schema v2, all 54 cells present, every backend clean, and
-# per-tick monotonicity/conservation recorded zero violations.
-grep -q '"schema": 2' "$scratch/CHAOS_REPORT.json"
-grep -q '"ok": true' "$scratch/CHAOS_REPORT.json"
-test "$(grep -c '"seed"' "$scratch/CHAOS_REPORT.json")" -eq 54
-test "$(grep -c '"backend": "pyramid_broadcast"' "$scratch/CHAOS_REPORT.json")" -eq 18
-test "$(grep -c '"backend": "dedicated_stream"' "$scratch/CHAOS_REPORT.json")" -eq 18
-test "$(grep -c '"violations": 0' "$scratch/CHAOS_REPORT.json")" -eq 54
 cmp "$scratch/CHAOS_REPORT.json" results/CHAOS_REPORT.json
 
 echo "== federation: sharded-catalog chaos matrix (whole-shard outage failover, see DESIGN.md §15) =="
 cargo run --release -p vod-bench --bin federation -- --out "$scratch/FEDERATION_REPORT.json"
-# The bin exits non-zero on any violation or determinism break; verify
-# the written report too: schema v1, all 42 cells present, the 1-shard
-# empty-plan identity with run_harness held, and every cell's per-tick
-# conservation audit recorded zero violations.
-grep -q '"schema": 1' "$scratch/FEDERATION_REPORT.json"
-grep -q '"ok": true' "$scratch/FEDERATION_REPORT.json"
-grep -q '"identity_ok": true' "$scratch/FEDERATION_REPORT.json"
-test "$(grep -c '"seed"' "$scratch/FEDERATION_REPORT.json")" -eq 42
-test "$(grep -c '"violations": 0' "$scratch/FEDERATION_REPORT.json")" -eq 42
 cmp "$scratch/FEDERATION_REPORT.json" results/FEDERATION_REPORT.json
 
 echo "== backend_compare: all three DeliveryBackends over the full catalog × load grid (see DESIGN.md §12) =="
-# The bin exits non-zero on any violation or a cell with no startup waits.
 cargo run --release -p vod-bench --bin backend_compare -- --out "$scratch/BENCH_backend_compare.json"
-grep -q '"ok": true' "$scratch/BENCH_backend_compare.json"
-test "$(grep -c '"catalog"' "$scratch/BENCH_backend_compare.json")" -eq 36
 cmp "$scratch/BENCH_backend_compare.json" results/BENCH_backend_compare.json
 
 echo "== scale: wheel+arena engine smoke (downscaled; the headline results/BENCH_scale.json is --sessions 1000000 --ticks 40) =="

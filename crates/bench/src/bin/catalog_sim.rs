@@ -4,11 +4,12 @@
 //! hit probabilities per movie, plus reserve denial rates.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin catalog_sim -- [--streams N] [--threads N]
+//! cargo run --release -p vod-bench --bin catalog_sim -- [--streams N] [--threads N] [--out PATH]
 //! ```
 
 use std::sync::Arc;
 
+use vod_bench::report::emit_text;
 use vod_bench::table::{num, Table};
 use vod_model::{ModelOptions, SweepExecutor, VcrMix};
 use vod_sim::{run_catalog_seeded, CatalogConfig, MovieLoad};
@@ -19,6 +20,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut streams = 400u32;
     let mut exec = SweepExecutor::serial();
+    let mut out = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -36,6 +38,13 @@ fn main() {
                     std::process::exit(2);
                 });
                 exec = SweepExecutor::new(n);
+            }
+            "--out" => {
+                i += 1;
+                out = Some(args.get(i).unwrap_or_else(|| {
+                    eprintln!("catalog_sim: expected --out PATH");
+                    std::process::exit(2);
+                }));
             }
             other => {
                 eprintln!("catalog_sim: unknown argument `{other}`");
@@ -57,9 +66,9 @@ fn main() {
         &exec,
     )
     .expect("satisfiable");
-    println!(
+    let mut text = format!(
         "# Catalog simulation: Example-1 movies, stream budget {streams} \
-         (plan uses {} + {:.1} buffer min)",
+         (plan uses {} + {:.1} buffer min)\n",
         plan.total_streams(),
         plan.total_buffer()
     );
@@ -85,7 +94,7 @@ fn main() {
     };
     let free = run_catalog_seeded(&cfg, 2026);
 
-    println!("\n## planned vs simulated hit probability (shared catalog)");
+    text += "\n## planned vs simulated hit probability (shared catalog)\n";
     let mut t = Table::new(vec!["movie", "n*", "B*", "planned", "simulated", "resumes"]);
     for (a, r) in plan.allocations.iter().zip(&free.per_movie) {
         t.row(vec![
@@ -97,10 +106,10 @@ fn main() {
             r.runtime.resumes.trials().to_string(),
         ]);
     }
-    print!("{}", t.render());
+    text += &t.render();
 
-    println!(
-        "\n## shared VCR reserve (offered load {:.2} Erlangs, peak {:.0})",
+    text += &format!(
+        "\n## shared VCR reserve (offered load {:.2} Erlangs, peak {:.0})\n",
         free.runtime.dedicated_avg, free.runtime.dedicated_peak
     );
     let mut t = Table::new(vec!["reserve", "sim denial", "Erlang-B"]);
@@ -117,5 +126,6 @@ fn main() {
             num(erlang_b(cap, free.runtime.dedicated_avg), 4),
         ]);
     }
-    print!("{}", t.render());
+    text += &t.render();
+    emit_text("catalog_sim", out.map(String::as_str), &text);
 }

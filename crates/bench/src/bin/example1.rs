@@ -5,18 +5,23 @@
 //! ΣB = 113.5 minutes, Σn = 602 (628 streams saved).
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin example1
+//! cargo run --release -p vod-bench --bin example1 -- [--out PATH]
 //! ```
+//!
+//! Writes `results/example1.txt` unless `--out` names another file.
 
 use vod_bench::ex1::run;
+use vod_bench::report::{out_path, write_report};
 use vod_bench::table::{num, Table};
 use vod_model::VcrMix;
 
 fn main() {
+    let path = out_path("example1", "results/example1.txt");
     let out = run(VcrMix::paper_fig7d());
-    println!("# Example 1 (VCR mix assumption: P_FF=0.2, P_RW=0.2, P_PAU=0.6)");
-    println!(
-        "pure batching: {} I/O streams, hit probability 0",
+    let mut text =
+        String::from("# Example 1 (VCR mix assumption: P_FF=0.2, P_RW=0.2, P_PAU=0.6)\n");
+    text += &format!(
+        "pure batching: {} I/O streams, hit probability 0\n",
         out.pure_batching_streams
     );
     let mut t = Table::new(vec!["movie", "n*", "B*", "P(hit)", "paper (B*, n*)"]);
@@ -30,14 +35,15 @@ fn main() {
             p.to_string(),
         ]);
     }
-    print!("{}", t.render());
-    println!(
-        "TOTAL: {} streams + {:.1} buffer minutes  (paper: 602 + 113.5)",
+    text += &t.render();
+    text += &format!(
+        "TOTAL: {} streams + {:.1} buffer minutes  (paper: 602 + 113.5)\n",
         out.plan.total_streams(),
         out.plan.total_buffer()
     );
-    println!(
-        "saved {} I/O streams vs pure batching (paper: 628)",
+    text += &format!(
+        "saved {} I/O streams vs pure batching (paper: 628)\n",
         out.streams_saved()
     );
+    write_report("example1", &path, &text);
 }

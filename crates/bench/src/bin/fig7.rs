@@ -2,7 +2,7 @@
 //! against simulation.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin fig7 -- [--panel a|b|c|d] [--csv] [--fast] [--threads N]
+//! cargo run --release -p vod-bench --bin fig7 -- [--panel a|b|c|d] [--csv] [--fast] [--threads N] [--out PATH]
 //! ```
 //!
 //! Without `--panel`, all four panels are produced. `--threads N` fans the
@@ -11,6 +11,7 @@
 
 use vod_bench::ascii::{plot, Series};
 use vod_bench::fig7::{panel_data_with, Fig7Config, Panel};
+use vod_bench::report::emit_text;
 use vod_bench::table::{num, Table};
 use vod_model::SweepExecutor;
 
@@ -21,6 +22,7 @@ fn main() {
     let mut do_plot = false;
     let mut exec = SweepExecutor::serial();
     let mut cfg = Fig7Config::default();
+    let mut out = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -48,20 +50,25 @@ fn main() {
                 cfg.replications = 2;
                 cfg.horizon_movies = 15.0;
             }
+            "--out" => {
+                i += 1;
+                out = Some(args.get(i).unwrap_or_else(|| die("expected --out PATH")));
+            }
             other => die(&format!("unknown argument `{other}`")),
         }
         i += 1;
     }
 
+    let mut text = String::new();
     for panel in panels {
-        println!(
-            "# Figure {}: l = {}, gamma(2,4) durations, 1/lambda = 2 min, mix = {:?}",
+        text += &format!(
+            "# Figure {}: l = {}, gamma(2,4) durations, 1/lambda = 2 min, mix = {:?}\n",
             panel.label(),
             cfg.movie_len,
             panel.mix_tuple()
         );
         for (w, points) in panel_data_with(panel, &cfg, &exec) {
-            println!("## w = {w} minutes");
+            text += &format!("## w = {w} minutes\n");
             let mut t = Table::new(vec!["n", "B", "model", "sim", "ci95", "|diff|"]);
             for p in &points {
                 t.row(vec![
@@ -73,7 +80,7 @@ fn main() {
                     num((p.model - p.sim).abs(), 4),
                 ]);
             }
-            print!("{}", if csv { t.to_csv() } else { t.render() });
+            text += &if csv { t.to_csv() } else { t.render() };
             if do_plot {
                 let model = Series {
                     label: "model".into(),
@@ -83,11 +90,12 @@ fn main() {
                     label: "+sim".into(),
                     points: points.iter().map(|p| (p.n as f64, p.sim)).collect(),
                 };
-                print!("{}", plot(&[model, sim], 64, 16));
+                text += &plot(&[model, sim], 64, 16);
             }
-            println!();
+            text.push('\n');
         }
     }
+    emit_text("fig7", out.map(String::as_str), &text);
 }
 
 fn die(msg: &str) -> ! {

@@ -2,10 +2,11 @@
 //! 5-minute buffer steps at `P* = 0.5`.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin fig8 -- [--csv] [--step MINUTES] [--threads N]
+//! cargo run --release -p vod-bench --bin fig8 -- [--csv] [--step MINUTES] [--threads N] [--out PATH]
 //! ```
 
 use vod_bench::fig8::data_with;
+use vod_bench::report::emit_text;
 use vod_bench::table::{num, Table};
 use vod_model::{SweepExecutor, VcrMix};
 
@@ -14,6 +15,7 @@ fn main() {
     let mut csv = false;
     let mut step = 5.0;
     let mut exec = SweepExecutor::serial();
+    let mut out = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -33,15 +35,21 @@ fn main() {
                     .unwrap_or_else(|| die("expected --threads N"));
                 exec = SweepExecutor::new(n);
             }
+            "--out" => {
+                i += 1;
+                out = Some(args.get(i).unwrap_or_else(|| die("expected --out PATH")));
+            }
             other => die(&format!("unknown argument `{other}`")),
         }
         i += 1;
     }
 
-    println!("# Figure 8: feasible (B, n) pairs, P* = 0.5, {step}-minute buffer steps");
-    println!("# movies: (l=75, w=0.1, gamma mean 8), (l=60, w=0.5, exp mean 5), (l=90, w=0.25, exp mean 2)");
+    let mut text = format!(
+        "# Figure 8: feasible (B, n) pairs, P* = 0.5, {step}-minute buffer steps\n\
+         # movies: (l=75, w=0.1, gamma mean 8), (l=60, w=0.5, exp mean 5), (l=90, w=0.25, exp mean 2)\n"
+    );
     for series in data_with(VcrMix::paper_fig7d(), step, &exec) {
-        println!("## {}", series.movie);
+        text += &format!("## {}\n", series.movie);
         let mut t = Table::new(vec!["B", "n", "P(hit)", "feasible"]);
         for p in &series.points {
             t.row(vec![
@@ -55,15 +63,16 @@ fn main() {
                 },
             ]);
         }
-        print!("{}", if csv { t.to_csv() } else { t.render() });
+        text += &if csv { t.to_csv() } else { t.render() };
         let max_feasible = series
             .feasible()
             .map(|p| p.n_streams)
             .max()
             .map(|n| n.to_string())
             .unwrap_or_else(|| "none".into());
-        println!("max feasible n: {max_feasible}\n");
+        text += &format!("max feasible n: {max_feasible}\n\n");
     }
+    emit_text("fig8", out.map(String::as_str), &text);
 }
 
 fn die(msg: &str) -> ! {

@@ -2,11 +2,12 @@
 //! φ ∈ {3, 4, 6, 10, 11, 16} over the Example-1 catalog.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin fig9 -- [--csv] [--stride N] [--threads N]
+//! cargo run --release -p vod-bench --bin fig9 -- [--csv] [--stride N] [--threads N] [--out PATH]
 //! ```
 
 use vod_bench::ascii::{plot, Series};
 use vod_bench::fig9::{data_with, PAPER_PHIS};
+use vod_bench::report::emit_text;
 use vod_bench::table::{num, Table};
 use vod_model::{SweepExecutor, VcrMix};
 
@@ -16,6 +17,7 @@ fn main() {
     let mut do_plot = false;
     let mut stride = 20;
     let mut exec = SweepExecutor::serial();
+    let mut out = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -36,16 +38,21 @@ fn main() {
                     .unwrap_or_else(|| die("expected --threads N"));
                 exec = SweepExecutor::new(n);
             }
+            "--out" => {
+                i += 1;
+                out = Some(args.get(i).unwrap_or_else(|| die("expected --out PATH")));
+            }
             other => die(&format!("unknown argument `{other}`")),
         }
         i += 1;
     }
 
-    println!("# Figure 9: system cost C = C_n(phi*SumB + Sumn) vs total streams");
+    let mut text =
+        String::from("# Figure 9: system cost C = C_n(phi*SumB + Sumn) vs total streams\n");
     let curves = data_with(VcrMix::paper_fig7d(), stride, &exec);
     for (panel, (phi, curve)) in PAPER_PHIS.iter().zip(&curves).enumerate() {
         let letter = (b'a' + panel as u8) as char;
-        println!("## panel 9({letter}): phi = {phi}");
+        text += &format!("## panel 9({letter}): phi = {phi}\n");
         let mut t = Table::new(vec!["streams", "buffer", "cost"]);
         for p in &curve.points {
             t.row(vec![
@@ -54,7 +61,7 @@ fn main() {
                 num(p.cost, 1),
             ]);
         }
-        print!("{}", if csv { t.to_csv() } else { t.render() });
+        text += &if csv { t.to_csv() } else { t.render() };
         if do_plot {
             let series = Series {
                 label: format!("cost(phi={phi})"),
@@ -64,15 +71,16 @@ fn main() {
                     .map(|p| (p.total_streams as f64, p.cost))
                     .collect(),
             };
-            print!("{}", plot(&[series], 64, 14));
+            text += &plot(&[series], 64, 14);
         }
         if let Some(best) = curve.optimum() {
-            println!(
-                "optimum: {} streams, {:.1} buffer minutes, cost {:.1}\n",
+            text += &format!(
+                "optimum: {} streams, {:.1} buffer minutes, cost {:.1}\n\n",
                 best.total_streams, best.total_buffer, best.cost
             );
         }
     }
+    emit_text("fig9", out.map(String::as_str), &text);
 }
 
 fn die(msg: &str) -> ! {

@@ -8,11 +8,14 @@
 //!    the load.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin reserve_check
+//! cargo run --release -p vod-bench --bin reserve_check -- [--out PATH]
 //! ```
+//!
+//! Writes `results/reserve_check.txt` unless `--out` names another file.
 
 use std::sync::Arc;
 
+use vod_bench::report::{out_path, write_report};
 use vod_bench::table::{num, Table};
 use vod_dist::kinds::Gamma;
 use vod_model::{
@@ -24,6 +27,7 @@ use vod_sizing::{erlang_b, size_vcr_reserve, VcrLoad};
 use vod_workload::BehaviorModel;
 
 fn main() {
+    let path = out_path("reserve_check", "results/reserve_check.txt");
     let params = SystemParams::new(120.0, 24.0, 12, Rates::paper()).expect("valid");
     let behavior =
         BehaviorModel::uniform_dist((0.45, 0.45, 0.1), 25.0, Arc::new(Gamma::paper_fig7()));
@@ -35,14 +39,14 @@ fn main() {
     // Offered load from the uncapped system.
     let free = run_seeded(&cfg, 2024);
     let offered = free.runtime.dedicated_avg;
-    println!("# Reserve validation (l=120, B=24, n=12; mix 0.45/0.45/0.1)");
-    println!(
-        "uncapped run: offered load {offered:.2} Erlangs, peak {:.0}, hit ratio {:.3}\n",
+    let mut text = String::from("# Reserve validation (l=120, B=24, n=12; mix 0.45/0.45/0.1)\n");
+    text += &format!(
+        "uncapped run: offered load {offered:.2} Erlangs, peak {:.0}, hit ratio {:.3}\n\n",
         free.runtime.dedicated_peak,
         free.runtime.resumes.value()
     );
 
-    println!("## simulated denial rate vs Erlang-B");
+    text += "## simulated denial rate vs Erlang-B\n";
     let mut t = Table::new(vec![
         "reserve",
         "sim denial",
@@ -70,10 +74,10 @@ fn main() {
             },
         ]);
     }
-    print!("{}", t.render());
+    text += &t.render();
 
     // Analytic load build-up: model hit probability + hold times.
-    println!("\n## analytic load and reserve sizing");
+    text += "\n## analytic load and reserve sizing\n";
     let opts = ModelOptions::default();
     let p_hit = p_hit_single_dist(
         &params,
@@ -102,13 +106,14 @@ fn main() {
             p_hit,
         };
         let reserve = size_vcr_reserve(&load, 0.01).expect("valid target");
-        println!(
-            "{label:<15} E[miss hold] = {miss_hold:>6.1} min  offered = {:>6.1} E  reserve(1% denial) = {reserve}",
+        text += &format!(
+            "{label:<15} E[miss hold] = {miss_hold:>6.1} min  offered = {:>6.1} E  reserve(1% denial) = {reserve}\n",
             load.offered_erlangs()
         );
     }
-    println!(
+    text += &format!(
         "\n(model P(hit) = {p_hit:.3}; raising it — more buffer — or merging faster\n \
-         shrinks the reserve: the paper's cost-effectiveness loop, quantified)"
+         shrinks the reserve: the paper's cost-effectiveness loop, quantified)\n"
     );
+    write_report("reserve_check", &path, &text);
 }

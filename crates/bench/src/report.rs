@@ -24,17 +24,28 @@ pub fn out_path(bin: &str, default: &str) -> String {
     }
 }
 
-/// Write `json` to `path`, creating its directory, and say so. A failed
-/// write exits 1: a report that was not written must not look written.
-pub fn write_report(bin: &str, path: &str, json: &str) {
+/// Write `report` (JSON or text) to `path`, creating its directory, and
+/// say so. A failed write exits 1: a report that was not written must not
+/// look written.
+pub fn write_report(bin: &str, path: &str, report: &str) {
     if let Some(dir) = std::path::Path::new(path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
-    if let Err(e) = std::fs::write(path, json) {
+    if let Err(e) = std::fs::write(path, report) {
         eprintln!("{bin}: cannot write {path}: {e}");
         std::process::exit(1);
     }
     println!("wrote {path}");
+}
+
+/// Deliver the text of a bin that has flags of its own: to the file its
+/// `--out PATH` named (through [`write_report`]), to stdout without one —
+/// with other flags set the text is not the committed result.
+pub fn emit_text(bin: &str, out: Option<&str>, text: &str) {
+    match out {
+        Some(path) => write_report(bin, path, text),
+        None => print!("{text}"),
+    }
 }
 
 /// A matrix bin's verdict: print each failure as `<LABEL> FAILURE: …` on

@@ -99,18 +99,6 @@ impl Rates {
     pub fn gamma(&self) -> f64 {
         self.rewind / (self.playback + self.rewind)
     }
-
-    /// Movie minutes a fast-forwarding viewer must sweep to catch a target
-    /// currently `delta` minutes ahead (Eq. 1, FF branch).
-    pub fn ff_catchup_distance(&self, delta: f64) -> f64 {
-        self.alpha() * delta
-    }
-
-    /// Movie minutes a rewinding viewer must sweep to meet a target
-    /// currently `delta` minutes behind (Eq. 1, RW branch).
-    pub fn rw_catchup_distance(&self, delta: f64) -> f64 {
-        self.gamma() * delta
-    }
 }
 
 /// Buffers below this many movie minutes are the pure-batching case; see
@@ -268,15 +256,6 @@ mod tests {
         // α = 3/(3−1) = 1.5, γ = 3/(1+3) = 0.75.
         assert!((r.alpha() - 1.5).abs() < 1e-15);
         assert!((r.gamma() - 0.75).abs() < 1e-15);
-    }
-
-    #[test]
-    fn catchup_distances_match_eq1() {
-        let r = Rates::paper();
-        // Δ = 10 minutes ahead: FF must sweep 15 movie minutes.
-        assert!((r.ff_catchup_distance(10.0) - 15.0).abs() < 1e-12);
-        // Δ = 10 minutes behind: RW must sweep 7.5 movie minutes.
-        assert!((r.rw_catchup_distance(10.0) - 7.5).abs() < 1e-12);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 use rand::RngCore;
 
 use crate::duration::DurationDist;
-use crate::quad::adaptive_simpson;
 use crate::rng::u01;
 use crate::DistError;
 
@@ -41,29 +40,23 @@ impl<D: DurationDist> Truncated<D> {
         if mass <= 1e-12 {
             return Err(DistError::BadTruncation { lo, hi });
         }
-        // Mean and variance by numeric integration of the truncated tail
-        // function: E[X] = lo + ∫_lo^hi (1 − F_T(u)) du for the shifted
-        // variable; done directly on the truncated cdf below.
-        let cdf_t = |x: f64| ((base.cdf(x) - f_lo) / mass).clamp(0.0, 1.0);
-        let mean = lo + adaptive_simpson(|u| 1.0 - cdf_t(u), lo, hi, 1e-10);
-        // E[X²] = lo² + 2 ∫_lo^hi u (1 − F_T(u)) du.
-        let ex2 = lo * lo + 2.0 * adaptive_simpson(|u| u * (1.0 - cdf_t(u)), lo, hi, 1e-10);
-        let variance = (ex2 - mean * mean).max(0.0);
-        Ok(Self {
+        let mut t = Self {
             base,
             lo,
             hi,
             f_lo,
             s_hi: 1.0 - f_hi,
             mass,
-            mean,
-            variance,
-        })
-    }
-
-    /// The retained probability mass of the base distribution.
-    pub fn retained_mass(&self) -> f64 {
-        self.mass
+            mean: 0.0,
+            variance: 0.0,
+        };
+        // Both moments from the survival integrals, which read only the
+        // window fields set above: E[X] = ∫₀^hi S_T = A_T(hi), and by parts
+        // E[X²] = 2 ∫₀^hi u·S_T(u) du = 2·(hi·A_T(hi) − AA_T(hi)).
+        t.mean = t.survival_integral(hi);
+        let ex2 = 2.0 * (hi * t.mean - t.survival_integral2(hi));
+        t.variance = (ex2 - t.mean * t.mean).max(0.0);
+        Ok(t)
     }
 
     /// Borrow the base distribution.
@@ -149,7 +142,8 @@ impl<D: DurationDist> DurationDist for Truncated<D> {
 mod tests {
     use super::*;
     use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
-    use crate::kinds::{Exponential, Gamma};
+    use crate::kinds::{Exponential, Gamma, LogNormal, Weibull};
+    use crate::quad::adaptive_simpson;
     use crate::rng::seeded;
 
     #[test]
@@ -161,6 +155,41 @@ mod tests {
         let base = Exponential::with_mean(5.0).unwrap();
         // Window far in the tail holds no numerically measurable mass.
         assert!(Truncated::new(base, 400.0, 500.0).is_err());
+    }
+
+    /// The closed-form moments against the quadrature they replaced, kept
+    /// here as the oracle: `E[X] = lo + ∫ S_T`, `E[X²] = lo² + 2 ∫ u·S_T`
+    /// over `[lo, hi]`.
+    #[test]
+    fn moments_match_quadrature() {
+        fn check<D: DurationDist>(name: &str, make: impl Fn() -> D) {
+            for lo in [0.0, 2.0, 10.0] {
+                for hi in [12.0, 40.0, 120.0] {
+                    let t = Truncated::new(make(), lo, hi).unwrap();
+                    let s = |u: f64| 1.0 - t.cdf(u);
+                    let mean = lo + adaptive_simpson(s, lo, hi, 1e-12);
+                    let ex2 = lo * lo + 2.0 * adaptive_simpson(|u| u * s(u), lo, hi, 1e-12);
+                    assert!(
+                        (t.mean() - mean).abs() < 1e-9,
+                        "{name} [{lo}, {hi}]: mean {} vs {mean}",
+                        t.mean()
+                    );
+                    let variance = ex2 - mean * mean;
+                    assert!(
+                        (t.variance() - variance).abs() < 1e-9,
+                        "{name} [{lo}, {hi}]: variance {} vs {variance}",
+                        t.variance()
+                    );
+                }
+            }
+        }
+        check("exponential", || Exponential::with_mean(5.0).unwrap());
+        check("gamma(2,4)", Gamma::paper_fig7);
+        check("lognormal", || LogNormal::new(1.5, 0.6).unwrap());
+        // Its [10, 12] window keeps under 1 % of the base's mass.
+        let weibull = || Weibull::new(2.0, 4.0).unwrap();
+        assert!(Truncated::new(weibull(), 10.0, 12.0).unwrap().mass < 0.01);
+        check("weibull", weibull);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //!
 //! * **Special functions** — [`special`]: `ln Γ`, regularized incomplete
 //!   gamma `P(a,x)`/`Q(a,x)`, `erf`, the standard normal cdf.
-//! * **Quadrature** — [`quad`]: adaptive Simpson, Gauss–Legendre, and
-//!   breakpoint-aware integration for integrands with clamping kinks.
-//! * **Root finding** — [`root`]: bisection and Brent.
+//! * **Quadrature** — [`quad`]: adaptive Simpson and Gauss–Legendre.
+//! * **Root finding** — [`root`]: Brent's method.
 //! * **Randomness** — [`rng`]: seeded reproducible RNG, uniform/normal/
 //!   exponential primitives over `&mut dyn RngCore`.
 //! * **Duration distributions** — [`DurationDist`] and the implementations

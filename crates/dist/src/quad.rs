@@ -202,37 +202,6 @@ pub fn gauss_legendre_panels<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, pan
     acc
 }
 
-/// Integrate `f` over `[a, b]` splitting at the supplied interior
-/// breakpoints (kink locations), using adaptive Simpson on each piece.
-///
-/// Breakpoints outside `(a, b)` are ignored; they need not be sorted.
-pub fn integrate_with_breakpoints<F: FnMut(f64) -> f64>(
-    mut f: F,
-    a: f64,
-    b: f64,
-    breakpoints: &[f64],
-    tol: f64,
-) -> f64 {
-    if !interval_is_forward(a, b) {
-        return 0.0;
-    }
-    let mut cuts: Vec<f64> = breakpoints
-        .iter()
-        .copied()
-        .filter(|&x| x > a && x < b)
-        .collect();
-    cuts.sort_by(|p, q| p.total_cmp(q));
-    cuts.dedup();
-    let mut lo = a;
-    let mut acc = 0.0;
-    let piece_tol = tol / (cuts.len() + 1) as f64;
-    for &c in &cuts {
-        acc += adaptive_simpson(&mut f, lo, c, piece_tol);
-        lo = c;
-    }
-    acc + adaptive_simpson(&mut f, lo, b, piece_tol)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -325,19 +294,5 @@ mod tests {
         let want = 0.37f64.powi(2) / 2.0 + 0.63f64.powi(2) / 2.0;
         let many = gauss_legendre_panels(f, 0.0, 1.0, 64);
         assert!((many - want).abs() < 1e-6);
-    }
-
-    #[test]
-    fn breakpoints_restore_accuracy() {
-        let f = |x: f64| (x - 0.37f64).abs();
-        let want = 0.37f64.powi(2) / 2.0 + 0.63f64.powi(2) / 2.0;
-        let got = integrate_with_breakpoints(f, 0.0, 1.0, &[0.37], 1e-12);
-        assert!((got - want).abs() < 1e-12, "got {got} want {want}");
-    }
-
-    #[test]
-    fn breakpoints_outside_range_ignored() {
-        let got = integrate_with_breakpoints(|x| x, 0.0, 1.0, &[-3.0, 5.0], 1e-12);
-        assert!((got - 0.5).abs() < 1e-12);
     }
 }

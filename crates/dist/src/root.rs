@@ -1,4 +1,4 @@
-//! Scalar root finding: bisection and Brent's method.
+//! Scalar root finding: Brent's method.
 //!
 //! Used for distribution quantiles (inverting a cdf) and for the sizing
 //! solver (finding the `n` at which `P(hit)` crosses a target `P*`).
@@ -33,50 +33,6 @@ impl std::fmt::Display for RootError {
 }
 
 impl std::error::Error for RootError {}
-
-/// Plain bisection on `[a, b]`; requires a sign change. Converges linearly
-/// but unconditionally. `tol` is an absolute tolerance on `x`.
-pub fn bisect<F: FnMut(f64) -> f64>(mut f: F, a: f64, b: f64, tol: f64) -> Result<f64, RootError> {
-    let (mut lo, mut hi) = (a.min(b), a.max(b));
-    let mut flo = f(lo);
-    let fhi = f(hi);
-    if !flo.is_finite() {
-        return Err(RootError::NonFinite { at: lo });
-    }
-    if !fhi.is_finite() {
-        return Err(RootError::NonFinite { at: hi });
-    }
-    if crate::approx::exact_zero(flo) {
-        return Ok(lo);
-    }
-    if crate::approx::exact_zero(fhi) {
-        return Ok(hi);
-    }
-    if crate::approx::exact_eq(flo.signum(), fhi.signum()) {
-        return Err(RootError::NotBracketed { fa: flo, fb: fhi });
-    }
-    // 200 halvings take any finite interval below f64 resolution.
-    for _ in 0..200 {
-        let mid = 0.5 * (lo + hi);
-        if hi - lo <= tol || mid <= lo || mid >= hi {
-            return Ok(mid);
-        }
-        let fmid = f(mid);
-        if !fmid.is_finite() {
-            return Err(RootError::NonFinite { at: mid });
-        }
-        if crate::approx::exact_zero(fmid) {
-            return Ok(mid);
-        }
-        if crate::approx::exact_eq(fmid.signum(), flo.signum()) {
-            lo = mid;
-            flo = fmid;
-        } else {
-            hi = mid;
-        }
-    }
-    Ok(0.5 * (lo + hi))
-}
 
 /// Brent's method on `[a, b]`; requires a sign change. Combines bisection
 /// with secant and inverse quadratic interpolation — superlinear on smooth
@@ -171,12 +127,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bisect_finds_sqrt2() {
-        let r = bisect(|x| x * x - 2.0, 0.0, 2.0, 1e-12).unwrap();
-        assert!((r - std::f64::consts::SQRT_2).abs() < 1e-10);
-    }
-
-    #[test]
     fn brent_finds_sqrt2_fast() {
         let mut evals = 0;
         let r = brent(
@@ -196,10 +146,6 @@ mod tests {
     #[test]
     fn unbracketed_is_error() {
         assert!(matches!(
-            bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-9),
-            Err(RootError::NotBracketed { .. })
-        ));
-        assert!(matches!(
             brent(|x| x * x + 1.0, -1.0, 1.0, 1e-9),
             Err(RootError::NotBracketed { .. })
         ));
@@ -207,7 +153,7 @@ mod tests {
 
     #[test]
     fn endpoint_roots_returned_exactly() {
-        assert_eq!(bisect(|x| x, 0.0, 1.0, 1e-9).unwrap(), 0.0);
+        assert_eq!(brent(|x| x, 0.0, 1.0, 1e-9).unwrap(), 0.0);
         assert_eq!(brent(|x| x - 1.0, 0.0, 1.0, 1e-9).unwrap(), 1.0);
     }
 

@@ -159,11 +159,6 @@ pub fn std_normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
 }
 
-/// Standard normal probability density function `φ(x)`.
-pub fn std_normal_pdf(x: f64) -> f64 {
-    (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

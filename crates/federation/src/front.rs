@@ -234,11 +234,6 @@ impl Federation {
         self.specs.len()
     }
 
-    /// Whether shard `s` is currently up.
-    pub fn shard_up(&self, s: usize) -> bool {
-        self.shards[s].is_some()
-    }
-
     /// Current global tick.
     pub fn now(&self) -> u64 {
         self.now

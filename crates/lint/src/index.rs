@@ -1,12 +1,9 @@
-//! Workspace symbol index for the semantic rules.
+//! Workspace symbol index for `unchecked-sub`.
 //!
 //! Built in a first pass over every first-party file, then handed to the
-//! per-file rule pass. The index records the three symbol families the
-//! semantic rules reason about:
+//! per-file rule pass. The index records the two symbol families the
+//! rule resolves operand types through:
 //!
-//! * enum variant sets (exhaustiveness: `fault-exhaustive` compares each
-//!   handler's referenced variants against the full declared set, so
-//!   adding a `FaultKind` variant widens the requirement automatically);
 //! * struct field types (`unchecked-sub` resolves `self.field` and
 //!   `x.field` operands to integer types through them);
 //! * fn/method return types (`unchecked-sub` resolves `x.failed()`-style
@@ -20,12 +17,10 @@ use crate::parse::{parse_items, ParsedFile};
 use crate::tokenizer::tokenize;
 
 /// Symbol index over a set of files (the whole workspace, or a single
-/// fixture in tests — fixtures declare their own types, so the semantic
-/// rules are self-contained per file).
+/// fixture in tests — fixtures declare their own types, so the rule is
+/// self-contained per file).
 #[derive(Debug, Default)]
 pub struct WorkspaceIndex {
-    /// Enum name → declared variant names.
-    pub enums: BTreeMap<String, Vec<String>>,
     /// Struct name → field name → type text.
     pub struct_fields: BTreeMap<String, BTreeMap<String, String>>,
     /// fn/method name → set of return-type texts seen across the
@@ -36,9 +31,6 @@ pub struct WorkspaceIndex {
 impl WorkspaceIndex {
     /// Index one file's already-parsed items.
     pub fn add_parsed(&mut self, parsed: &ParsedFile) {
-        for e in &parsed.enums {
-            self.enums.insert(e.name.clone(), e.variants.clone());
-        }
         for s in &parsed.structs {
             let entry = self.struct_fields.entry(s.name.clone()).or_default();
             for (f, ty) in &s.fields {

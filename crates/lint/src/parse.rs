@@ -1,27 +1,15 @@
 //! Lightweight item-level parse layer over the token stream.
 //!
-//! The semantic rules need more shape than a flat token list — which fn
-//! a token lives in, what `Self` means there, which enum variants exist
-//! — but far less than a real AST. This module extracts exactly that:
-//! enum declarations with their variant names, struct declarations with
-//! their field types, and fn items with signature and body token ranges,
-//! resolved against the enclosing `impl` block's `Self` type. Everything
-//! is recovered by bracket matching; on malformed input the parser skips
-//! forward rather than erroring (the compiler owns syntax diagnostics,
-//! the linter only needs best-effort structure).
+//! `unchecked-sub` needs more shape than a flat token list — which fn a
+//! token lives in, what `Self` means there, what type a field has — but
+//! far less than a real AST. This module extracts exactly that: struct
+//! declarations with their field types, and fn items with signature and
+//! body token ranges, resolved against the enclosing `impl` block's
+//! `Self` type. Everything is recovered by bracket matching; on malformed
+//! input the parser skips forward rather than erroring (the compiler
+//! owns syntax diagnostics, the linter only needs best-effort structure).
 
 use crate::tokenizer::{TokKind, Token};
-
-/// One `enum` declaration: name, variant names, declaration line.
-#[derive(Debug, Clone)]
-pub struct EnumDef {
-    /// Enum type name.
-    pub name: String,
-    /// Variant names in declaration order.
-    pub variants: Vec<String>,
-    /// 1-indexed line of the `enum` keyword.
-    pub line: u32,
-}
 
 /// One `struct` declaration with named fields.
 #[derive(Debug, Clone)]
@@ -55,8 +43,6 @@ pub struct FnDef {
 /// Item-level structure of one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
-    /// All enum declarations.
-    pub enums: Vec<EnumDef>,
     /// All named-field struct declarations.
     pub structs: Vec<StructDef>,
     /// All fn items, including those nested in impl/trait blocks.
@@ -118,14 +104,6 @@ pub fn parse_items(tokens: &[Token]) -> ParsedFile {
                     let close = matching_close(tokens, body_open);
                     impl_stack.push((close, self_ty));
                     i = body_open + 1;
-                } else {
-                    i += 1;
-                }
-            }
-            "enum" => {
-                if let Some((def, next)) = parse_enum(tokens, i) {
-                    out.enums.push(def);
-                    i = next;
                 } else {
                     i += 1;
                 }
@@ -219,65 +197,6 @@ fn parse_impl_header(tokens: &[Token], at: usize) -> Option<(String, usize)> {
     }
     let _ = saw_for;
     None
-}
-
-/// Parse `enum Name [<...>] { Variant, Variant(..), Variant { .. } }`.
-fn parse_enum(tokens: &[Token], at: usize) -> Option<(EnumDef, usize)> {
-    let name_tok = tokens.get(at + 1)?;
-    if name_tok.kind != TokKind::Ident {
-        return None;
-    }
-    let mut i = at + 2;
-    while i < tokens.len() && tokens[i].text != "{" {
-        if tokens[i].text == ";" {
-            return None;
-        }
-        i += 1;
-    }
-    if i >= tokens.len() {
-        return None;
-    }
-    let close = matching_close(tokens, i);
-    let mut variants = Vec::new();
-    let mut j = i + 1;
-    // At depth 1: a variant is an ident at the start of a comma-separated
-    // entry, optionally followed by `(..)`/`{..}` payload or `= expr`.
-    let mut at_entry_start = true;
-    while j < close {
-        let t = &tokens[j];
-        match t.text.as_str() {
-            "," => {
-                at_entry_start = true;
-                j += 1;
-            }
-            "(" | "[" | "{" => {
-                j = matching_close(tokens, j) + 1;
-            }
-            "#" => {
-                // Variant attribute `#[...]`.
-                if tokens.get(j + 1).is_some_and(|n| n.text == "[") {
-                    j = matching_close(tokens, j + 1) + 1;
-                } else {
-                    j += 1;
-                }
-            }
-            _ => {
-                if at_entry_start && t.kind == TokKind::Ident {
-                    variants.push(t.text.clone());
-                    at_entry_start = false;
-                }
-                j += 1;
-            }
-        }
-    }
-    Some((
-        EnumDef {
-            name: name_tok.text.clone(),
-            variants,
-            line: tokens[at].line,
-        },
-        close + 1,
-    ))
 }
 
 /// Parse `struct Name [<...>] { field: Type, ... }`. Tuple and unit

@@ -15,9 +15,6 @@ pub struct Report {
     pub suppressed: usize,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Analyzer wall time in milliseconds, stamped by the CLI. Zero in
-    /// library use (tests pin the schema, not the timing).
-    pub wall_time_ms: u64,
 }
 
 impl Report {
@@ -29,7 +26,7 @@ impl Report {
     }
 
     /// Surviving findings per rule, over the full catalog (zeroes
-    /// included, so the report shape is stable as rules are added).
+    /// included, so the report shape does not depend on what fired).
     pub fn rule_counts(&self) -> Vec<(&'static str, usize)> {
         Rule::ALL
             .iter()
@@ -42,14 +39,14 @@ impl Report {
             .collect()
     }
 
-    /// Render the JSON report (schema v3: per-rule counts and analyzer
-    /// wall time on top of the v1 scalars; see DESIGN.md §14).
+    /// Render the JSON report (schema v4: the scalars, per-rule counts
+    /// over the six-rule catalog and the findings — nothing read from a
+    /// clock, so the committed file regenerates byte for byte).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        s.push_str("{\n  \"version\": 3,\n");
+        s.push_str("{\n  \"version\": 4,\n");
         s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         s.push_str(&format!("  \"suppressed\": {},\n", self.suppressed));
-        s.push_str(&format!("  \"wall_time_ms\": {},\n", self.wall_time_ms));
         s.push_str("  \"rule_counts\": {");
         for (i, (name, count)) in self.rule_counts().iter().enumerate() {
             if i > 0 {

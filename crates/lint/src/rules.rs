@@ -8,6 +8,7 @@
 
 use crate::index::WorkspaceIndex;
 use crate::parse::parse_items;
+use crate::semantic::unchecked_sub;
 use crate::tokenizer::{tokenize, Comment, TokKind, Token, TokenStream};
 
 /// The rule catalog. Names are stable: they appear in findings, reports,
@@ -23,19 +24,10 @@ pub enum Rule {
     QuantizeCast,
     /// Nondeterminism sources in the deterministic core.
     Nondet,
-    /// Undocumented `pub fn` in the numeric/runtime API crates.
-    PubFnDoc,
     /// Malformed suppression directive (unknown rule, or no justification).
     Suppression,
     /// Unguarded unsigned subtraction in the deterministic core.
     UncheckedSub,
-    /// Paired-counter mutation without its twin or an audit in scope.
-    CounterConservation,
-    /// Missing `FaultKind`/`BackendKind` coverage in a handler file, or
-    /// a wildcard arm that would swallow new variants.
-    FaultExhaustive,
-    /// Cross-domain tick/minute/segment arithmetic without conversion.
-    TimeDomain,
 }
 
 impl Rule {
@@ -46,12 +38,8 @@ impl Rule {
             Rule::NoPanic => "no-panic",
             Rule::QuantizeCast => "quantize-cast",
             Rule::Nondet => "nondet",
-            Rule::PubFnDoc => "pub-fn-doc",
             Rule::Suppression => "suppression",
             Rule::UncheckedSub => "unchecked-sub",
-            Rule::CounterConservation => "counter-conservation",
-            Rule::FaultExhaustive => "fault-exhaustive",
-            Rule::TimeDomain => "time-domain",
         }
     }
 
@@ -62,12 +50,8 @@ impl Rule {
             "no-panic" => Some(Rule::NoPanic),
             "quantize-cast" => Some(Rule::QuantizeCast),
             "nondet" => Some(Rule::Nondet),
-            "pub-fn-doc" => Some(Rule::PubFnDoc),
             "suppression" => Some(Rule::Suppression),
             "unchecked-sub" => Some(Rule::UncheckedSub),
-            "counter-conservation" => Some(Rule::CounterConservation),
-            "fault-exhaustive" => Some(Rule::FaultExhaustive),
-            "time-domain" => Some(Rule::TimeDomain),
             _ => None,
         }
     }
@@ -78,12 +62,8 @@ impl Rule {
         Rule::NoPanic,
         Rule::QuantizeCast,
         Rule::Nondet,
-        Rule::PubFnDoc,
         Rule::Suppression,
         Rule::UncheckedSub,
-        Rule::CounterConservation,
-        Rule::FaultExhaustive,
-        Rule::TimeDomain,
     ];
 }
 
@@ -120,10 +100,9 @@ pub struct FileClass {
     /// Library code path: `no-panic` applies. False for `src/bin/`,
     /// `main.rs`, and build scripts.
     pub library: bool,
-    /// Deterministic core (runtime/sim/server): `nondet` applies.
+    /// Deterministic core (runtime/sim/server/federation): `nondet` and
+    /// `unchecked-sub` apply.
     pub deterministic: bool,
-    /// Numeric/runtime API crate (dist/runtime): `pub-fn-doc` applies.
-    pub doc_required: bool,
 }
 
 /// Result of linting one file: surviving findings plus how many were
@@ -146,10 +125,10 @@ const ROUNDING_METHODS: &[&str] = &["floor", "round", "ceil", "trunc"];
 
 /// Lint one file's source text under the given classification, with a
 /// symbol index built from the file itself. Fixture tests and
-/// single-file CLI runs use this entry: the semantic rules resolve
-/// types and enum variant sets against the file's own declarations, so
-/// a fixture is self-contained. Workspace runs use
-/// [`lint_source_indexed`] with the cross-file index instead.
+/// single-file CLI runs use this entry: `unchecked-sub` resolves types
+/// against the file's own declarations, so a fixture is self-contained.
+/// Workspace runs use [`lint_source_indexed`] with the cross-file index
+/// instead.
 pub fn lint_source(file: &str, src: &str, class: FileClass) -> FileLint {
     let index = WorkspaceIndex::from_sources([src]);
     lint_source_indexed(file, src, class, &index)
@@ -181,13 +160,8 @@ pub fn lint_source_indexed(
     }
     if class.deterministic {
         rule_nondet(file, &stream, &in_test, &mut findings);
-    }
-    if class.doc_required {
-        rule_pub_fn_doc(file, src, &stream, &in_test, &mut findings);
-    }
-    if class.deterministic {
         let parsed = parse_items(&stream.tokens);
-        crate::semantic::run(
+        unchecked_sub::check(
             file,
             &stream.tokens,
             &parsed,
@@ -395,8 +369,7 @@ fn rule_float_cmp(
 /// Rule `no-panic`: panic-family calls in library code. `unwrap`/`expect`
 /// must be method calls (`.unwrap()`); `panic`/`todo`/`dbg`/`unimplemented`
 /// must be macro invocations (`panic!`). Plain `assert!` is allowed: it
-/// states an invariant, and `pub-fn-doc` plus clippy's `missing_panics_doc`
-/// force it to be documented.
+/// states an invariant.
 fn rule_no_panic(
     file: &str,
     s: &TokenStream,
@@ -513,76 +486,6 @@ fn rule_nondet(file: &str, s: &TokenStream, in_test: &dyn Fn(u32) -> bool, out: 
                 line: t.line,
                 rule: Rule::Nondet,
                 message,
-            });
-        }
-    }
-}
-
-/// Rule `pub-fn-doc`: every `pub fn` in the numeric/runtime API crates
-/// carries a `///` doc comment (domain and panic behaviour live there;
-/// clippy's `missing_panics_doc` enforces the `# Panics` section).
-/// `pub(crate)`/`pub(super)` items are internal and exempt.
-fn rule_pub_fn_doc(
-    file: &str,
-    src: &str,
-    s: &TokenStream,
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Finding>,
-) {
-    let lines: Vec<&str> = src.lines().collect();
-    for (i, t) in s.tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || t.text != "pub" || in_test(t.line) {
-            continue;
-        }
-        // Skip restricted visibility: pub(crate), pub(super), pub(in ...).
-        let mut j = i + 1;
-        if s.tokens.get(j).is_some_and(|n| n.text == "(") {
-            continue;
-        }
-        // Allow qualifiers between `pub` and `fn`.
-        while s
-            .tokens
-            .get(j)
-            .is_some_and(|n| matches!(n.text.as_str(), "const" | "async" | "unsafe" | "extern"))
-        {
-            j += 1;
-        }
-        if s.tokens.get(j).is_none_or(|n| n.text != "fn") {
-            continue;
-        }
-        let name = s
-            .tokens
-            .get(j + 1)
-            .map(|n| n.text.clone())
-            .unwrap_or_default();
-        // Walk upward over attributes and blank-free decoration to find a
-        // doc comment directly attached to this item.
-        let mut documented = false;
-        let mut l = t.line as usize - 1; // index of the `pub` line in `lines`
-        while l > 0 {
-            let prev = lines[l - 1].trim_start();
-            if prev.starts_with("///") || prev.starts_with("#[doc") || prev.starts_with("#![doc") {
-                documented = true;
-                break;
-            }
-            if prev.starts_with("#[")
-                || prev.starts_with(")]")
-                || prev.starts_with("]")
-                || prev.ends_with("]") && prev.starts_with("derive")
-            {
-                l -= 1;
-                continue;
-            }
-            break;
-        }
-        if !documented {
-            out.push(Finding {
-                file: file.to_string(),
-                line: t.line,
-                rule: Rule::PubFnDoc,
-                message: format!(
-                    "public fn `{name}` has no doc comment — document its domain and panics"
-                ),
             });
         }
     }

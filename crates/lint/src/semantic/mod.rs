@@ -1,39 +1,17 @@
-//! Semantic rule families (lint v2).
+//! The semantic rule family.
 //!
-//! Unlike the token rules in [`crate::rules`], these see structure: fn
-//! bodies from [`crate::parse`], cross-file symbol facts from
-//! [`crate::index`], and per-fn use-def/guard facts from
-//! [`crate::dataflow`]. Each family encodes one bug class this repo has
-//! actually shipped and fixed (see DESIGN.md §14):
+//! Unlike the token rules in [`crate::rules`], a semantic rule sees
+//! structure: fn bodies from [`crate::parse`], struct-field and
+//! return-type facts from [`crate::index`], and per-fn use-def/guard
+//! facts from [`crate::dataflow`]. One family lives here:
 //!
-//! | rule | bug class |
-//! |------|-----------|
-//! | `unchecked-sub` | PR 6 — unsigned subtraction underflow in the session hot path |
-//! | `counter-conservation` | PR 8 — `reserve.failed != disk.failed` fail-before-release parity |
-//! | `fault-exhaustive` | PR 5/8 — a new `FaultKind`/`BackendKind` variant silently unhandled |
-//! | `time-domain` | PR 2 — tick/minute/segment quantities mixed without conversion |
+//! | rule | bug class | what it alone catches |
+//! |------|-----------|-----------------------|
+//! | `unchecked-sub` | PR 6 — unsigned subtraction underflow in the session hot path | `length - position` in `truncate_sweep` (`crates/runtime/src/vcr.rs`) compiles, passes clippy and passes every other test — none issues a fast-forward from beyond the movie's end — and wraps in a release build the day a caller does |
+//!
+//! The three other semantic families this module once held were deleted
+//! when `rustc`'s match exhaustiveness and the `vod-server` unit tests
+//! were shown to reject the same edits; DESIGN.md §9 names them and
+//! records the probe for each.
 
-pub mod counters;
-pub mod faults;
-pub mod time_domain;
 pub mod unchecked_sub;
-
-use crate::index::WorkspaceIndex;
-use crate::parse::ParsedFile;
-use crate::rules::Finding;
-use crate::tokenizer::Token;
-
-/// Run every semantic family over one deterministic-core file.
-pub fn run(
-    file: &str,
-    tokens: &[Token],
-    parsed: &ParsedFile,
-    index: &WorkspaceIndex,
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Finding>,
-) {
-    unchecked_sub::check(file, tokens, parsed, index, in_test, out);
-    counters::check(file, tokens, parsed, in_test, out);
-    faults::check(file, tokens, parsed, index, in_test, out);
-    time_domain::check(file, tokens, parsed, in_test, out);
-}

@@ -9,12 +9,6 @@ use crate::rules::FileClass;
 /// them, so nondeterminism sources are banned outright.
 const DETERMINISTIC_CRATES: &[&str] = &["runtime", "sim", "server", "federation"];
 
-/// Crates whose public API carries the paper's numerics — plus the
-/// linter itself (dogfood: rule semantics live in the doc comments);
-/// every `pub fn` must document its domain (and panics, per clippy's
-/// `missing_panics_doc`).
-const DOC_REQUIRED_CRATES: &[&str] = &["dist", "runtime", "lint", "federation"];
-
 /// Classify a workspace-relative path (forward slashes) into the rule
 /// families that apply to it. Binaries (`src/bin/`, `main.rs`) keep the
 /// numeric rules but are exempt from `no-panic`: a CLI aborting on bad
@@ -28,7 +22,6 @@ pub fn classify(rel: &str) -> FileClass {
     FileClass {
         library: !is_bin,
         deterministic: DETERMINISTIC_CRATES.contains(&crate_of),
-        doc_required: DOC_REQUIRED_CRATES.contains(&crate_of),
     }
 }
 

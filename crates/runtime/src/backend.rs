@@ -185,8 +185,6 @@ impl PyramidGeometry {
     pub fn channel_of(&self, minute: u32) -> u32 {
         (0..self.channels)
             .rev()
-            // vod-lint: allow(time-domain) — segment_start returns the
-            // segment's first *minute*; minute-vs-minute despite the name.
             .find(|&c| minute >= self.segment_start(c))
             .unwrap_or(0)
     }

@@ -154,7 +154,6 @@ pub struct DiskSubsystem {
     /// `in_use + available + failed == capacity` — holds at all times.
     failed: u32,
     next_lease: u64,
-    reads: u64,
     /// Known movie lengths for bounds checking, dense by `MovieId.0`
     /// (catalog ids are small and contiguous); `None` = unregistered.
     lengths: Vec<Option<u32>>,
@@ -168,7 +167,6 @@ impl DiskSubsystem {
             active: LeaseSet::default(),
             failed: 0,
             next_lease: 0,
-            reads: 0,
             lengths: Vec::new(),
         }
     }
@@ -202,11 +200,6 @@ impl DiskSubsystem {
     /// Streams removed from service by injected faults.
     pub fn failed(&self) -> u32 {
         self.failed
-    }
-
-    /// Total segment reads served (for throughput accounting).
-    pub fn total_reads(&self) -> u64 {
-        self.reads
     }
 
     /// The pool's own conservation law, for the backends' audits: `None`
@@ -310,7 +303,6 @@ impl DiskSubsystem {
         if index >= length {
             return Err(DiskError::OutOfRange { index, length });
         }
-        self.reads += 1;
         Ok(generate_segment(movie, index))
     }
 }
@@ -351,7 +343,6 @@ mod tests {
         assert!(verify_segment(&seg));
         assert_eq!(seg.movie, MovieId(7));
         assert_eq!(seg.index, 55);
-        assert_eq!(d.total_reads(), 1);
     }
 
     #[test]
@@ -380,7 +371,6 @@ mod tests {
                 })
             );
         }
-        assert_eq!(d.total_reads(), 0);
     }
 
     #[test]

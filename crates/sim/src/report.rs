@@ -91,11 +91,6 @@ impl ReplicatedReport {
         self.dedicated_avg.push(run.runtime.dedicated_avg);
         self.total_ops += run.runtime.resumes.trials();
     }
-
-    /// Mean hit ratio for one kind across replications.
-    pub fn kind_mean(&self, kind: VcrKind) -> f64 {
-        self.per_kind[kind_index(kind)].mean()
-    }
 }
 
 #[cfg(test)]
@@ -128,7 +123,7 @@ mod tests {
         agg.push(&run);
         assert_eq!(agg.total_ops, 4);
         assert!((agg.overall.mean() - 0.5).abs() < 1e-12);
-        assert!((agg.kind_mean(VcrKind::FastForward) - 0.5).abs() < 1e-12);
+        assert!((agg.per_kind[0].mean() - 0.5).abs() < 1e-12);
         // RW never observed: its Welford stays empty.
         assert_eq!(agg.per_kind[1].count(), 0);
         assert!((agg.dedicated_avg.mean() - 2.0).abs() < 1e-12);

@@ -69,17 +69,6 @@ impl Zipf {
             Err(i) => i.min(self.len() - 1),
         }
     }
-
-    /// Smallest set of top ranks capturing at least `fraction` of the
-    /// mass — the "popular movies" the paper dedicates batching/buffering
-    /// resources to.
-    pub fn head_for_mass(&self, fraction: f64) -> usize {
-        assert!((0.0..=1.0).contains(&fraction));
-        match self.cumulative.binary_search_by(|c| c.total_cmp(&fraction)) {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.len()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,15 +111,5 @@ mod tests {
                 z.pmf(i)
             );
         }
-    }
-
-    #[test]
-    fn head_for_mass() {
-        let z = Zipf::new(100, 1.0);
-        let head = z.head_for_mass(0.5);
-        // Harmonic series: top ~10 of 100 carry half the mass at θ=1.
-        assert!((5..20).contains(&head), "head {head}");
-        assert_eq!(z.head_for_mass(1.0), 100);
-        assert_eq!(z.head_for_mass(0.0), 1);
     }
 }
