@@ -40,7 +40,7 @@ echo "== tier-1: build + every test in the workspace =="
 cargo build --release
 # The tier-1 command as ROADMAP.md gives it. The root manifest's
 # `default-members` makes it cover the whole workspace, not the root
-# package alone: the proptests, the scan/queue/backend equivalence
+# package alone: the proptests, the scan/backend equivalence
 # suites, chaos_faults and the lint fixtures gate here (debug build; it
 # is most of this script's wall time).
 cargo test -q
@@ -100,20 +100,10 @@ cmp "$scratch/BENCH_backend_compare.json" results/BENCH_backend_compare.json
 echo "== scale: wheel+arena engine smoke (downscaled; the headline results/BENCH_scale.json is --sessions 1000000 --ticks 40) =="
 cargo run --release -p vod-bench --bin scale -- --sessions 50000 --ticks 120 --out "$scratch/BENCH_scale.json"
 echo "== scale --plan storm: all three backends under the pool-scaled fault plan, audit after every tick, five movie lengths so most sessions finish (the headline results/BENCH_scale_storm.json is --sessions 100000 --ticks 600) =="
-# The bin asserts zero violations and zero verify failures itself. What
-# it reports, this checks: a finished session gives its slot back, so the
-# slots still resident at the end are bounded by the sessions still live
-# (twice that, plus the one chunk under the issue cursor) — not by the
-# 20 000 that passed through.
+# The bin asserts, per backend, zero violations, zero verify failures
+# and that finished sessions gave their slots back (`resident_slots ≤ 2 ×
+# concurrent_at_end + 64`: bounded by the sessions still live, not by the
+# 20 000 that passed through).
 cargo run --release -p vod-bench --bin scale -- --plan storm --sessions 20000 --ticks 600 --out "$scratch/BENCH_scale_storm.json"
-test "$(grep -c '"resident_slots"' "$scratch/BENCH_scale_storm.json")" -eq 3
-grep -o '"now": {[^}]*}' "$scratch/BENCH_scale_storm.json" | while read -r row; do
-  live="$(sed 's/.*"concurrent_at_end": \([0-9]*\).*/\1/' <<<"$row")"
-  slots="$(sed 's/.*"resident_slots": \([0-9]*\).*/\1/' <<<"$row")"
-  if [ "$slots" -gt $((2 * live + 64)) ]; then
-    echo "finished sessions are being retained: $slots slots resident for $live live sessions in $row"
-    exit 1
-  fi
-done
 
 echo "CI OK"

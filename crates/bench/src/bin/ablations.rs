@@ -19,6 +19,7 @@
 use std::time::Instant;
 
 use rand::RngCore;
+use vod_bench::report::Flags;
 use vod_bench::table::{num, Table};
 use vod_dist::kinds::Gamma;
 use vod_dist::rng::seeded;
@@ -30,26 +31,10 @@ use vod_server::{DeliveryBackend, HostedMovie, MovieId, ServerConfig, VodServer}
 use vod_workload::VcrKind;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut exec = SweepExecutor::serial();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                i += 1;
-                let n = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("ablations: expected --threads N");
-                    std::process::exit(2);
-                });
-                exec = SweepExecutor::new(n);
-            }
-            other => {
-                eprintln!("ablations: unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let flags = Flags::parse("ablations", "--threads N");
+    let exec = flags
+        .value("--threads")
+        .map_or_else(SweepExecutor::serial, SweepExecutor::new);
     eq19_vs_extended(&exec);
     decomposed_vs_oracle();
     oracle_convergence();

@@ -19,9 +19,10 @@
 
 use std::process::ExitCode;
 
-use vod_bench::report::{exit_code, fig7d_behavior, out_path, write_report};
+use vod_bench::report::{exit_code, fig7d_behavior, out_path, write_json};
 use vod_bench::table::{num, Table};
-use vod_runtime::{json_string_array, BackendKind, DegradePolicy, FaultPlan};
+use vod_runtime::json::{Json, Layout};
+use vod_runtime::{BackendKind, DegradePolicy, FaultPlan};
 use vod_server::{
     run_backend, BackendRun, HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload,
 };
@@ -62,25 +63,24 @@ fn harness_config(catalog: u32, interarrival: f64) -> HarnessConfig {
     }
 }
 
-fn json_cell(catalog: u32, interarrival: f64, seed: u64, run: &BackendRun, cost: f64) -> String {
-    format!(
-        "    {{\"catalog\": {catalog}, \"interarrival\": {interarrival}, \"seed\": {seed}, \
-         \"backend\": \"{}\", \"io_streams\": {}, \"buffer_segments\": {}, \
-         \"cost\": {cost:.3}, \"hit_ratio\": {:.6}, \
-         \"startup_wait_mean\": {:.6}, \"startup_wait_samples\": {}, \
-         \"sessions_opened\": {}, \"sessions_done\": {}, \"violations\": {}, \
-         \"metrics\": {}}}",
-        run.kind.name(),
-        run.io_streams,
-        run.buffer_segments,
-        run.outcome.metrics.hit_ratio(),
-        run.startup_wait_mean,
-        run.startup_wait_samples,
-        run.outcome.sessions_opened,
-        run.outcome.sessions_done,
-        run.outcome.violation_count,
-        run.outcome.metrics.to_json(),
-    )
+fn json_cell(catalog: u32, interarrival: f64, seed: u64, run: &BackendRun, cost: f64) -> Json {
+    let cell = [
+        ("catalog", catalog.into()),
+        ("interarrival", interarrival.into()),
+        ("seed", seed.into()),
+        ("backend", run.kind.name().into()),
+        ("io_streams", run.io_streams.into()),
+        ("buffer_segments", run.buffer_segments.into()),
+        ("cost", Json::Fixed(cost, 3)),
+        ("hit_ratio", Json::Fixed(run.outcome.metrics.hit_ratio(), 6)),
+        ("startup_wait_mean", Json::Fixed(run.startup_wait_mean, 6)),
+        ("startup_wait_samples", run.startup_wait_samples.into()),
+        ("sessions_opened", run.outcome.sessions_opened.into()),
+        ("sessions_done", run.outcome.sessions_done.into()),
+        ("violations", run.outcome.violation_count.into()),
+        ("metrics", run.outcome.metrics.json()),
+    ];
+    Json::object(Layout::Line, cell)
 }
 
 fn main() -> ExitCode {
@@ -89,7 +89,7 @@ fn main() -> ExitCode {
         .resource_cost()
         .expect("paper prices are valid");
     let mut failures = Vec::new();
-    let mut cells: Vec<String> = Vec::new();
+    let mut cells = Vec::new();
     let mut t = Table::new(vec![
         "catalog", "1/λ", "seed", "backend", "Σn", "ΣB", "cost $", "P(hit)", "wait μ", "opened",
         "done", "violat.",
@@ -146,13 +146,16 @@ fn main() -> ExitCode {
          scheduled start; pyramid's client-side buffer is not priced)\n"
     );
 
-    let json = format!(
-        "{{\n  \"ok\": {},\n  \"phi\": {:.6},\n  \"failures\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        failures.is_empty(),
-        prices.phi(),
-        json_string_array(&failures),
-        cells.join(",\n")
+    let json = [
+        ("ok", failures.is_empty().into()),
+        ("phi", Json::Fixed(prices.phi(), 6)),
+        ("failures", Json::strings(&failures)),
+        ("cells", Json::Array(Layout::Block, cells)),
+    ];
+    write_json(
+        "backend_compare",
+        &report_path,
+        &Json::object(Layout::Block, json),
     );
-    write_report("backend_compare", &report_path, &json);
     exit_code("BACKEND_COMPARE", &failures)
 }

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use vod_bench::report::emit_text;
+use vod_bench::report::{emit_text, Flags};
 use vod_bench::table::{num, Table};
 use vod_model::{ModelOptions, SweepExecutor, VcrMix};
 use vod_sim::{run_catalog_seeded, CatalogConfig, MovieLoad};
@@ -17,42 +17,12 @@ use vod_sizing::{allocate_min_buffer_with, erlang_b, example1_movies, Budgets};
 use vod_workload::BehaviorModel;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut streams = 400u32;
-    let mut exec = SweepExecutor::serial();
-    let mut out = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--streams" => {
-                i += 1;
-                streams = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("catalog_sim: expected --streams N");
-                    std::process::exit(2);
-                });
-            }
-            "--threads" => {
-                i += 1;
-                let n = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("catalog_sim: expected --threads N");
-                    std::process::exit(2);
-                });
-                exec = SweepExecutor::new(n);
-            }
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).unwrap_or_else(|| {
-                    eprintln!("catalog_sim: expected --out PATH");
-                    std::process::exit(2);
-                }));
-            }
-            other => {
-                eprintln!("catalog_sim: unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let flags = Flags::parse("catalog_sim", "--streams N --threads N --out PATH");
+    let streams = flags.value("--streams").unwrap_or(400u32);
+    let exec = flags
+        .value("--threads")
+        .map_or_else(SweepExecutor::serial, SweepExecutor::new);
+    let out = flags.value::<String>("--out");
 
     let movies = example1_movies(VcrMix::paper_fig7d());
     let opts = ModelOptions::default();
@@ -127,5 +97,5 @@ fn main() {
         ]);
     }
     text += &t.render();
-    emit_text("catalog_sim", out.map(String::as_str), &text);
+    emit_text("catalog_sim", out.as_deref(), &text);
 }

@@ -25,12 +25,11 @@
 
 use std::process::ExitCode;
 
-use vod_bench::report::{chaos_cell_server, exit_code, fig7d_behavior, out_path, write_report};
+use vod_bench::report::{chaos_cell_server, exit_code, fig7d_behavior, out_path, write_json};
 use vod_bench::table::{num, Table};
 use vod_model::{Rates, SystemParams};
-use vod_runtime::{
-    json_string_array, BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan,
-};
+use vod_runtime::json::{Json, Layout};
+use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{run_backend, BackendRun, HarnessConfig, MovieId, Workload};
 use vod_sim::{run_seeded, SimConfig};
 
@@ -118,26 +117,24 @@ fn sim_hit_ratio(plan: &FaultPlan, seed: u64, backend: BackendKind) -> f64 {
 /// One report cell. The incumbent's cells keep the v1 shape — no
 /// `"backend"` key — so they stay byte-identical across reports; the
 /// other backends' cells carry the discriminator.
-fn json_case(seed: u64, name: &str, plan: &FaultPlan, run: &BackendRun, sim_hit: f64) -> String {
-    let backend = match run.kind {
-        BackendKind::BatchingBuffering => String::new(),
-        kind => format!("\"backend\": \"{}\", ", kind.name()),
-    };
+fn json_case(seed: u64, name: &str, plan: &FaultPlan, run: &BackendRun, sim_hit: f64) -> Json {
     let out = &run.outcome;
-    format!(
-        "    {{\"seed\": {seed}, {backend}\"plan\": \"{name}\", \"plan_events\": {}, \
-         \"violations\": {}, \"violation_details\": {}, \
-         \"sessions_opened\": {}, \"sessions_done\": {}, \"degraded_at_end\": {}, \
-         \"sim_hit_ratio\": {:.6}, \"metrics\": {}}}",
-        plan.to_json(),
-        out.violation_count,
-        json_string_array(&out.violations),
-        out.sessions_opened,
-        out.sessions_done,
-        out.degraded_at_end,
-        sim_hit,
-        out.metrics.to_json(),
-    )
+    let mut cell = vec![
+        ("seed", seed.into()),
+        ("plan", name.into()),
+        ("plan_events", plan.json()),
+        ("violations", out.violation_count.into()),
+        ("violation_details", Json::strings(&out.violations)),
+        ("sessions_opened", out.sessions_opened.into()),
+        ("sessions_done", out.sessions_done.into()),
+        ("degraded_at_end", out.degraded_at_end.into()),
+        ("sim_hit_ratio", Json::Fixed(sim_hit, 6)),
+        ("metrics", out.metrics.json()),
+    ];
+    if run.kind != BackendKind::BatchingBuffering {
+        cell.insert(1, ("backend", run.kind.name().into()));
+    }
+    Json::object(Layout::Line, cell)
 }
 
 fn main() -> ExitCode {
@@ -204,13 +201,13 @@ fn main() -> ExitCode {
     print!("{}", t.render());
     println!("(faults counted in the measured window; srv/sim hit = resume hit ratio)\n");
 
-    let json = format!(
-        "{{\n  \"schema\": 2,\n  \"ok\": {},\n  \"failures\": {},\n  \"cases\": [\n{}\n  ]\n}}\n",
-        failures.is_empty(),
-        json_string_array(&failures),
-        json_cases.join(",\n")
-    );
-    write_report("chaos", &report_path, &json);
+    let report = [
+        ("schema", 2u64.into()),
+        ("ok", failures.is_empty().into()),
+        ("failures", Json::strings(&failures)),
+        ("cases", Json::Array(Layout::Block, json_cases)),
+    ];
+    write_json("chaos", &report_path, &Json::object(Layout::Block, report));
     if failures.is_empty() {
         println!("all chaos invariants held");
     }

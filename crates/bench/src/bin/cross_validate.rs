@@ -14,10 +14,11 @@
 //! cargo run --release -p vod-bench --bin cross_validate [-- --out PATH]
 //! ```
 
-use vod_bench::report::{fig7d_behavior, out_path, write_report};
+use vod_bench::report::{fig7d_behavior, out_path, write_json};
 use vod_bench::table::{num, Table};
 use vod_dist::kinds::Gamma;
 use vod_model::{p_hit_single_dist, ModelOptions, Rates, SystemParams, VcrMix};
+use vod_runtime::json::{Json, Layout};
 use vod_server::{HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload};
 use vod_sim::{run_seeded, SimConfig};
 
@@ -94,24 +95,25 @@ fn main() {
             num(srv_hit - model, 3),
             num(srv_hit - sim_hit, 3),
         ]);
-        json_cases.push(format!(
-            "    {{\"n\": {}, \"buffer\": {}, \"wait\": {}, \"model_p_hit\": {:.6}, \
-             \"sim\": {}, \"server\": {}}}",
-            case.n,
-            params.buffer(),
-            case.wait,
-            model,
-            sim.runtime.to_json(),
-            server.to_json()
-        ));
+        let cell = [
+            ("n", case.n.into()),
+            ("buffer", params.buffer().into()),
+            ("wait", case.wait.into()),
+            ("model_p_hit", Json::Fixed(model, 6)),
+            ("sim", sim.runtime.json()),
+            ("server", server.json()),
+        ];
+        json_cases.push(Json::object(Layout::Line, cell));
     }
     println!("# Three-way cross-validation (l = 120, w = 1, mix 0.2/0.2/0.6, seed {SEED})");
     print!("{}", t.render());
     println!("(model: continuous time; sim: continuous time, one seed; server: integer ticks)\n");
 
-    let json = format!(
-        "{{\n  \"seed\": {SEED},\n  \"cases\": [\n{}\n  ]\n}}\n",
-        json_cases.join(",\n")
+    let cases = Json::Array(Layout::Block, json_cases);
+    let json = [("seed", SEED.into()), ("cases", cases)];
+    write_json(
+        "cross_validate",
+        &report_path,
+        &Json::object(Layout::Block, json),
     );
-    write_report("cross_validate", &report_path, &json);
 }

@@ -23,15 +23,14 @@
 
 use std::process::ExitCode;
 
-use vod_bench::report::{chaos_cell_server, exit_code, fig7d_behavior, out_path, write_report};
+use vod_bench::report::{chaos_cell_server, exit_code, fig7d_behavior, out_path, write_json};
 use vod_bench::table::Table;
 use vod_federation::{
     run_federation, FederationConfig, FederationHarnessConfig, FederationOutcome, ShardSpec,
     WorkloadShape,
 };
-use vod_runtime::{
-    json_string_array, BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan,
-};
+use vod_runtime::json::{Json, Layout};
+use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{run_harness, HarnessConfig, MovieId, Workload};
 
 const STREAMS: u32 = 20;
@@ -138,7 +137,7 @@ fn shape_name(shape: WorkloadShape) -> &'static str {
 /// The matrix so far: verdict, JSON cells and the printed table.
 struct Report {
     failures: Vec<String>,
-    cells: Vec<String>,
+    cells: Vec<Json>,
     table: Table,
 }
 
@@ -196,20 +195,21 @@ impl Report {
             out.fed.denied_transient.to_string(),
             out.fed.denied_permanent.to_string(),
         ]);
-        self.cells.push(format!(
-            "    {{\"seed\": {seed}, \"shards\": {shards}, \"plan\": \"{plan_name}\", \
-             \"workload\": \"{shape}\", \"plan_events\": {}, \"violations\": {}, \
-             \"sessions_opened\": {}, \"sessions_denied\": {}, \"sessions_done\": {}, \
-             \"degraded_at_end\": {}, \"displaced_in_flight\": {}, \"federation\": {}}}",
-            plan.to_json(),
-            out.violation_count,
-            out.sessions_opened,
-            out.sessions_denied_admission,
-            out.sessions_done,
-            out.degraded_at_end,
-            out.displaced_in_flight,
-            out.fed.to_json(),
-        ));
+        let cell = [
+            ("seed", seed.into()),
+            ("shards", shards.into()),
+            ("plan", plan_name.into()),
+            ("workload", shape.into()),
+            ("plan_events", plan.json()),
+            ("violations", out.violation_count.into()),
+            ("sessions_opened", out.sessions_opened.into()),
+            ("sessions_denied", out.sessions_denied_admission.into()),
+            ("sessions_done", out.sessions_done.into()),
+            ("degraded_at_end", out.degraded_at_end.into()),
+            ("displaced_in_flight", out.displaced_in_flight.into()),
+            ("federation", out.fed.json()),
+        ];
+        self.cells.push(Json::object(Layout::Line, cell));
         out
     }
 }
@@ -287,16 +287,21 @@ fn main() -> ExitCode {
     let Report {
         failures, cells, ..
     } = report;
-    let json = format!(
-        "{{\n  \"schema\": 1,\n  \"ok\": {},\n  \"identity_ok\": {identity_ok},\n  \
-         \"failures\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        failures.is_empty(),
-        json_string_array(&failures),
-        cells.join(",\n")
+    let cell_count = cells.len();
+    let json = [
+        ("schema", 1u64.into()),
+        ("ok", failures.is_empty().into()),
+        ("identity_ok", identity_ok.into()),
+        ("failures", Json::strings(&failures)),
+        ("cells", Json::Array(Layout::Block, cells)),
+    ];
+    write_json(
+        "federation",
+        &report_path,
+        &Json::object(Layout::Block, json),
     );
-    write_report("federation", &report_path, &json);
     if failures.is_empty() {
-        println!("all federation invariants held ({} cells)", cells.len());
+        println!("all federation invariants held ({cell_count} cells)");
     }
     exit_code("FEDERATION", &failures)
 }

@@ -11,53 +11,27 @@
 
 use vod_bench::ascii::{plot, Series};
 use vod_bench::fig7::{panel_data_with, Fig7Config, Panel};
-use vod_bench::report::emit_text;
+use vod_bench::report::{emit_text, Flags};
 use vod_bench::table::{num, Table};
 use vod_model::SweepExecutor;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut panels = vec![Panel::A, Panel::B, Panel::C, Panel::D];
-    let mut csv = false;
-    let mut do_plot = false;
-    let mut exec = SweepExecutor::serial();
+    let usage = "--panel a|b|c|d --csv --plot --threads N --fast --out PATH";
+    let flags = Flags::parse("fig7", usage);
+    let all = vec![Panel::A, Panel::B, Panel::C, Panel::D];
+    let panels = flags.get("--panel", Panel::parse).map_or(all, |p| vec![p]);
+    let (csv, do_plot) = (flags.has("--csv"), flags.has("--plot"));
+    let exec = flags
+        .value("--threads")
+        .map_or_else(SweepExecutor::serial, SweepExecutor::new);
     let mut cfg = Fig7Config::default();
-    let mut out = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--panel" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .and_then(|s| Panel::parse(s))
-                    .unwrap_or_else(|| die("expected --panel a|b|c|d"));
-                panels = vec![p];
-            }
-            "--csv" => csv = true,
-            "--plot" => do_plot = true,
-            "--threads" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("expected --threads N"));
-                exec = SweepExecutor::new(n);
-            }
-            "--fast" => {
-                cfg.ns = vec![10, 30, 60, 100];
-                cfg.waits = vec![1.0];
-                cfg.replications = 2;
-                cfg.horizon_movies = 15.0;
-            }
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).unwrap_or_else(|| die("expected --out PATH")));
-            }
-            other => die(&format!("unknown argument `{other}`")),
-        }
-        i += 1;
+    if flags.has("--fast") {
+        cfg.ns = vec![10, 30, 60, 100];
+        cfg.waits = vec![1.0];
+        cfg.replications = 2;
+        cfg.horizon_movies = 15.0;
     }
+    let out = flags.value::<String>("--out");
 
     let mut text = String::new();
     for panel in panels {
@@ -95,10 +69,5 @@ fn main() {
             text.push('\n');
         }
     }
-    emit_text("fig7", out.map(String::as_str), &text);
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("fig7: {msg}");
-    std::process::exit(2);
+    emit_text("fig7", out.as_deref(), &text);
 }

@@ -6,43 +6,18 @@
 //! ```
 
 use vod_bench::fig8::data_with;
-use vod_bench::report::emit_text;
+use vod_bench::report::{emit_text, Flags};
 use vod_bench::table::{num, Table};
 use vod_model::{SweepExecutor, VcrMix};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut csv = false;
-    let mut step = 5.0;
-    let mut exec = SweepExecutor::serial();
-    let mut out = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--csv" => csv = true,
-            "--step" => {
-                i += 1;
-                step = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("expected --step MINUTES"));
-            }
-            "--threads" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("expected --threads N"));
-                exec = SweepExecutor::new(n);
-            }
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).unwrap_or_else(|| die("expected --out PATH")));
-            }
-            other => die(&format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
+    let flags = Flags::parse("fig8", "--csv --step MINUTES --threads N --out PATH");
+    let csv = flags.has("--csv");
+    let step = flags.value("--step").unwrap_or(5.0);
+    let exec = flags
+        .value("--threads")
+        .map_or_else(SweepExecutor::serial, SweepExecutor::new);
+    let out = flags.value::<String>("--out");
 
     let mut text = format!(
         "# Figure 8: feasible (B, n) pairs, P* = 0.5, {step}-minute buffer steps\n\
@@ -72,10 +47,5 @@ fn main() {
             .unwrap_or_else(|| "none".into());
         text += &format!("max feasible n: {max_feasible}\n\n");
     }
-    emit_text("fig8", out.map(String::as_str), &text);
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("fig8: {msg}");
-    std::process::exit(2);
+    emit_text("fig8", out.as_deref(), &text);
 }

@@ -7,45 +7,18 @@
 
 use vod_bench::ascii::{plot, Series};
 use vod_bench::fig9::{data_with, PAPER_PHIS};
-use vod_bench::report::emit_text;
+use vod_bench::report::{emit_text, Flags};
 use vod_bench::table::{num, Table};
 use vod_model::{SweepExecutor, VcrMix};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut csv = false;
-    let mut do_plot = false;
-    let mut stride = 20;
-    let mut exec = SweepExecutor::serial();
-    let mut out = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--csv" => csv = true,
-            "--plot" => do_plot = true,
-            "--stride" => {
-                i += 1;
-                stride = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("expected --stride N"));
-            }
-            "--threads" => {
-                i += 1;
-                let n = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("expected --threads N"));
-                exec = SweepExecutor::new(n);
-            }
-            "--out" => {
-                i += 1;
-                out = Some(args.get(i).unwrap_or_else(|| die("expected --out PATH")));
-            }
-            other => die(&format!("unknown argument `{other}`")),
-        }
-        i += 1;
-    }
+    let flags = Flags::parse("fig9", "--csv --plot --stride N --threads N --out PATH");
+    let (csv, do_plot) = (flags.has("--csv"), flags.has("--plot"));
+    let stride = flags.value("--stride").unwrap_or(20);
+    let exec = flags
+        .value("--threads")
+        .map_or_else(SweepExecutor::serial, SweepExecutor::new);
+    let out = flags.value::<String>("--out");
 
     let mut text =
         String::from("# Figure 9: system cost C = C_n(phi*SumB + Sumn) vs total streams\n");
@@ -80,10 +53,5 @@ fn main() {
             );
         }
     }
-    emit_text("fig9", out.map(String::as_str), &text);
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("fig9: {msg}");
-    std::process::exit(2);
+    emit_text("fig9", out.as_deref(), &text);
 }

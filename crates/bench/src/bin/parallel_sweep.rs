@@ -24,52 +24,45 @@
 //! `available_cores` field gives the rest of the context (a 1-core
 //! container cannot show a parallel speedup no matter the thread count).
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use vod_bench::report::write_report;
+use vod_bench::report::{write_json, Flags};
 use vod_dist::kinds::{Exponential, Gamma};
 use vod_model::{p_hit_single_dist, ModelOptions, Rates, SweepExecutor, SystemParams, VcrMix};
+use vod_runtime::json::{Json, Layout};
 use vod_sizing::{Catalog, MovieSpec};
 
 /// Timed repetitions per cell.
 const REPS: usize = 5;
 
 fn main() {
-    let mut threads = vec![2usize, 4];
-    let mut out_path = "results/BENCH_parallel_sweep.json".to_string();
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match (flag.as_str(), args.next()) {
-            ("--out", Some(path)) => out_path = path,
-            ("--threads", Some(n)) => match n.parse() {
-                Ok(n) => threads = vec![n],
-                Err(_) => usage(),
-            },
-            _ => usage(),
-        }
-    }
+    let flags = Flags::parse("parallel_sweep", "--threads N --out PATH");
+    let threads = flags
+        .value("--threads")
+        .map_or(vec![2usize, 4], |n| vec![n]);
+    let out_path = flags.value("--out");
+    let out_path = out_path.unwrap_or_else(|| "results/BENCH_parallel_sweep.json".to_string());
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("# parallel_sweep: {cores} core(s) available, best / median of {REPS}");
 
-    let tasks = [
+    let tasks = vec![
         bench_fig7_sweep(&threads),
         bench_catalog_sizing("catalog-sizing", 100, &threads),
         bench_catalog_sizing("catalog-sizing-1000", 1000, &threads),
     ];
-    let json = format!(
-        "{{\n  \"benchmark\": \"parallel_sweep\",\n  \"available_cores\": {cores},\n  \
-         \"reps\": {REPS},\n  \"tasks\": [\n{}\n  ]\n}}\n",
-        tasks.join(",\n")
+    let json = [
+        ("benchmark", "parallel_sweep".into()),
+        ("available_cores", cores.into()),
+        ("reps", REPS.into()),
+        ("tasks", Json::Array(Layout::Block, tasks)),
+    ];
+    write_json(
+        "parallel_sweep",
+        &out_path,
+        &Json::object(Layout::Block, json),
     );
-    write_report("parallel_sweep", &out_path, &json);
-}
-
-fn usage() -> ! {
-    eprintln!("parallel_sweep: expected [--threads N] [--out PATH]");
-    std::process::exit(2);
 }
 
 /// Run `work` [`REPS`] times: `(best ms, median ms, last result)`.
@@ -90,11 +83,11 @@ fn time<R>(mut work: impl FnMut() -> R) -> (f64, f64, R) {
 /// one. `size` is the task's `"points"` / `"movies"` line.
 fn bench_task<R>(
     task: &str,
-    size: (&str, usize),
+    size: (&'static str, usize),
     threads: &[usize],
     work: impl Fn(&SweepExecutor) -> R,
     same: impl Fn(&R, &R) -> bool,
-) -> String {
+) -> Json {
     let (serial_ms, serial_median_ms, serial) = time(|| work(&SweepExecutor::serial()));
     println!(
         "{task}: {} {}, serial {serial_ms:.1} / {serial_median_ms:.1} ms",
@@ -108,26 +101,27 @@ fn bench_task<R>(
         assert!(identical, "{task}: parallel diverged at {t} threads");
         let speedup = serial_ms / ms;
         println!("{task}: {t} threads {ms:.1} / {median_ms:.1} ms (speedup {speedup:.2}x)");
-        runs.push(format!(
-            "\n        {{ \"threads\": {t}, \"ms\": {ms:.3}, \"median_ms\": {median_ms:.3}, \
-             \"speedup\": {speedup:.3}, \"bitwise_identical\": {identical} }}"
-        ));
+        let run = [
+            ("threads", t.into()),
+            ("ms", Json::Fixed(ms, 3)),
+            ("median_ms", Json::Fixed(median_ms, 3)),
+            ("speedup", Json::Fixed(speedup, 3)),
+            ("bitwise_identical", identical.into()),
+        ];
+        runs.push(Json::object(Layout::Line, run));
     }
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "    {{\n      \"task\": \"{task}\",\n      \"{}\": {},\n      \
-         \"serial_ms\": {serial_ms:.3},\n      \"serial_median_ms\": {serial_median_ms:.3},\n      \
-         \"parallel\": [{}\n      ]\n    }}",
-        size.0,
-        size.1,
-        runs.join(",")
-    );
-    out
+    let json = [
+        ("task", task.into()),
+        (size.0, size.1.into()),
+        ("serial_ms", Json::Fixed(serial_ms, 3)),
+        ("serial_median_ms", Json::Fixed(serial_median_ms, 3)),
+        ("parallel", Json::Array(Layout::Block, runs)),
+    ];
+    Json::object(Layout::Block, json)
 }
 
 /// Figure-7(d)-style model sweep: P(hit) at every n on a fine grid.
-fn bench_fig7_sweep(threads: &[usize]) -> String {
+fn bench_fig7_sweep(threads: &[usize]) -> Json {
     let dist = Gamma::paper_fig7();
     let mix = VcrMix::paper_fig7d();
     let opts = ModelOptions::default();
@@ -171,7 +165,7 @@ fn synthetic_catalog(count: usize) -> Vec<MovieSpec> {
 
 /// Catalog sizing: one feasibility bisection per movie; two catalogs are
 /// the same when the plan at the middle stream total is, bit for bit.
-fn bench_catalog_sizing(task: &str, count: usize, threads: &[usize]) -> String {
+fn bench_catalog_sizing(task: &str, count: usize, threads: &[usize]) -> Json {
     let movies = synthetic_catalog(count);
     let opts = ModelOptions::default();
     let plan = |catalog: &Catalog<'_>| {

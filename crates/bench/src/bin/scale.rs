@@ -16,12 +16,14 @@
 //! tick. Per backend it reports events/sec, the audit's share of the
 //! wall, the slowest tick a fault landed on, the sessions still live at
 //! the end beside the session slots still resident (with `--ticks` past
-//! the movie length most viewers have left, and their memory with them),
+//! the movie length most viewers have left, and their memory with them —
+//! asserted: `resident_slots ≤ 2 × concurrent_at_end + 64`),
 //! and the violation count (must be 0), and writes
 //! `results/BENCH_scale_storm.json`;
-//! `--previous PATH` copies each backend's row out of an earlier storm
-//! file (or, without a plan, the timing lines out of an earlier headline
-//! file) so the new numbers sit beside the old ones.
+//! `--previous PATH` reads an earlier storm file and copies each
+//! backend's row out of it (or, without a plan, the three timing numbers
+//! of an earlier headline file) so the new numbers sit beside the old
+//! ones.
 //!
 //! ```sh
 //! cargo run --release -p vod-bench --bin scale -- \
@@ -31,54 +33,31 @@
 
 use std::time::Instant;
 
+use vod_bench::report::{write_json, Flags};
+use vod_runtime::json::{self, Json, Layout};
 use vod_runtime::BackendKind;
 use vod_server::{run_scale, run_scale_on, storm_plan, ScaleConfig};
 
 const SEED: u64 = 42;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = ScaleConfig {
-        sessions: 1_000_000,
-        ticks: 40,
-        movies: 16,
-        vcr_per_tick: 64,
+    let flags = Flags::parse(
+        "scale",
+        "--sessions N --ticks N --movies N --vcr-per-tick N --out PATH --previous PATH \
+         --plan none|storm",
+    );
+    let cfg = ScaleConfig {
+        sessions: flags.value("--sessions").unwrap_or(1_000_000),
+        ticks: flags.value("--ticks").unwrap_or(40),
+        movies: flags.value("--movies").unwrap_or(16),
+        vcr_per_tick: flags.value("--vcr-per-tick").unwrap_or(64),
     };
-    let mut out_path = None;
-    let mut storm = false;
-    let mut previous = None;
-    let mut i = 0;
-    while i < args.len() {
-        let flag = args[i].clone();
-        i += 1;
-        let value = args.get(i).unwrap_or_else(|| {
-            eprintln!("scale: expected a value after {flag}");
-            std::process::exit(2);
-        });
-        match flag.as_str() {
-            "--sessions" => cfg.sessions = parse(&flag, value),
-            "--ticks" => cfg.ticks = parse(&flag, value),
-            "--movies" => cfg.movies = parse(&flag, value),
-            "--vcr-per-tick" => cfg.vcr_per_tick = parse(&flag, value),
-            "--out" => out_path = Some(value.clone()),
-            "--previous" => previous = Some(value.clone()),
-            "--plan" => {
-                storm = match value.as_str() {
-                    "storm" => true,
-                    "none" => false,
-                    _ => {
-                        eprintln!("scale: expected --plan none|storm");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("scale: unknown argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
+    let plan = flags.get("--plan", |plan| match plan {
+        "storm" => Some(true),
+        "none" => Some(false),
+        _ => None,
+    });
+    let storm = plan.unwrap_or(false);
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
@@ -89,36 +68,41 @@ fn main() {
         cfg.vcr_per_tick,
         if storm { ", storm plan" } else { "" }
     );
-    let header = format!(
-        "  \"available_cores\": {cores},\n  \"seed\": {SEED},\n  \"sessions\": {},\n  \
-         \"ticks\": {},\n  \"movies\": {},\n  \"vcr_per_tick\": {},\n",
-        cfg.sessions, cfg.ticks, cfg.movies, cfg.vcr_per_tick
-    );
-    let previous = previous.map(|path| {
-        std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("scale: cannot read {path}: {e}");
-            std::process::exit(1);
-        })
+    let previous = flags.value::<String>("--previous").map(|path| {
+        let text = std::fs::read_to_string(&path).map_err(|e| e.to_string());
+        text.and_then(|text| json::parse(&text).map_err(|e| e.to_string()))
+            .unwrap_or_else(|e| {
+                eprintln!("scale: cannot read {path}: {e}");
+                std::process::exit(1);
+            })
     });
-    let (default_out, json) = if storm {
-        (
-            "results/BENCH_scale_storm.json",
-            storm_report(&cfg, &header, previous.as_deref()),
-        )
+    let (default_out, name, measured) = if storm {
+        let measured = storm_report(&cfg, previous.as_ref());
+        ("results/BENCH_scale_storm.json", "scale_storm", measured)
     } else {
-        (
-            "results/BENCH_scale.json",
-            headline_report(&cfg, &header, previous.as_deref()),
-        )
+        let measured = headline_report(&cfg, previous.as_ref());
+        ("results/BENCH_scale.json", "scale", measured)
     };
-    let out_path = out_path.unwrap_or_else(|| default_out.to_string());
-    vod_bench::report::write_report("scale", &out_path, &json);
+    let header = vec![
+        ("benchmark", name.into()),
+        ("available_cores", cores.into()),
+        ("seed", SEED.into()),
+        ("sessions", cfg.sessions.into()),
+        ("ticks", cfg.ticks.into()),
+        ("movies", cfg.movies.into()),
+        ("vcr_per_tick", cfg.vcr_per_tick.into()),
+    ];
+    let report = Json::object(Layout::Block, header.into_iter().chain(measured));
+    let out_path = flags
+        .value("--out")
+        .unwrap_or_else(|| default_out.to_string());
+    write_json("scale", &out_path, &report);
 }
 
-/// The fault-free batching run behind `results/BENCH_scale.json`, with
-/// the three measured lines of `previous` (top-level, one per line)
-/// repeated under `"previous"`.
-fn headline_report(cfg: &ScaleConfig, header: &str, previous: Option<&str>) -> String {
+/// What the fault-free batching run behind `results/BENCH_scale.json`
+/// adds to the shared header, with the three measured numbers of
+/// `previous` repeated under `"previous"`.
+fn headline_report(cfg: &ScaleConfig, previous: Option<&Json>) -> Vec<(&'static str, Json)> {
     let t0 = Instant::now();
     let out = run_scale(cfg, SEED);
     let elapsed = t0.elapsed().as_secs_f64();
@@ -135,25 +119,28 @@ fn headline_report(cfg: &ScaleConfig, header: &str, previous: Option<&str>) -> S
         out.events,
         peak_rss_kb as f64 / 1024.0
     );
-    let old = previous.map_or(String::new(), |p| {
-        let measured = ["elapsed_sec", "events_per_sec", "peak_rss_kb"].map(|key| {
-            let line = p.lines().find(|l| l.starts_with(&format!("  \"{key}\":")));
-            line.unwrap_or("").trim().trim_end_matches(',')
-        });
-        format!(",\n  \"previous\": {{{}}}", measured.join(", "))
-    });
-    format!(
-        "{{\n  \"benchmark\": \"scale\",\n{header}  \"concurrent_at_end\": {},\n  \
-         \"segments\": {},\n  \"vcr_accepted\": {},\n  \"events\": {},\n  \
-         \"verify_failures\": {},\n  \"elapsed_sec\": {elapsed:.3},\n  \
-         \"events_per_sec\": {events_per_sec:.0},\n  \"peak_rss_kb\": {peak_rss_kb}{old}\n}}\n",
-        out.concurrent_at_end, out.segments, out.vcr_accepted, out.events, out.verify_failures,
-    )
+    let mut measured = vec![
+        ("concurrent_at_end", out.concurrent_at_end.into()),
+        ("segments", out.segments.into()),
+        ("vcr_accepted", out.vcr_accepted.into()),
+        ("events", out.events.into()),
+        ("verify_failures", out.verify_failures.into()),
+        ("elapsed_sec", Json::Fixed(elapsed, 3)),
+        ("events_per_sec", Json::Fixed(events_per_sec, 0)),
+        ("peak_rss_kb", peak_rss_kb.into()),
+    ];
+    if let Some(previous) = previous {
+        let old = ["elapsed_sec", "events_per_sec", "peak_rss_kb"]
+            .into_iter()
+            .filter_map(|key| Some((key, previous.get(key)?.clone())));
+        measured.push(("previous", Json::object(Layout::Line, old)));
+    }
+    measured
 }
 
 /// The storm run on each backend: one `now` row per backend and, beside
 /// it, the same backend's `now` row from `previous`, matched by name.
-fn storm_report(cfg: &ScaleConfig, header: &str, previous: Option<&str>) -> String {
+fn storm_report(cfg: &ScaleConfig, previous: Option<&Json>) -> Vec<(&'static str, Json)> {
     let plan = storm_plan(&cfg.server_config(), cfg.ticks);
     let mut rows = Vec::new();
     for kind in BackendKind::ALL {
@@ -174,46 +161,51 @@ fn storm_report(cfg: &ScaleConfig, header: &str, previous: Option<&str>) -> Stri
         let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
         assert_eq!(out.verify_failures, 0, "{kind}: byte verification failed");
         assert_eq!(violations, 0, "{kind}: conservation audit fired");
-        let row = format!(
-            "{{\"backend\": \"{kind}\", \"events\": {}, \"events_per_sec\": {:.0}, \
-             \"elapsed_sec\": {elapsed:.3}, \"audit_share\": {:.3}, \
-             \"worst_fault_tick_ms\": {:.3}, \"degraded_entries\": {}, \
-             \"concurrent_at_end\": {}, \"resident_slots\": {}, \
-             \"violations\": {violations}}}",
-            out.events,
-            out.events as f64 / elapsed,
-            audit_s / elapsed,
-            worst_fault_tick_s * 1e3,
-            out.metrics.degraded_entries,
-            out.concurrent_at_end,
+        // A finished session gives its slot back: what is still resident is
+        // bounded by the sessions still live (twice that, plus the one
+        // chunk under the issue cursor), not by all that passed through.
+        assert!(
+            out.resident_slots <= 2 * out.concurrent_at_end + 64,
+            "{kind}: finished sessions are being retained: {} slots resident for {} live sessions",
             out.resident_slots,
+            out.concurrent_at_end
         );
-        println!("{row}");
-        // Rows hold no nested objects, so the old row ends at its first `}`.
-        let name = format!("{{\"backend\": \"{kind}\"");
-        let old = previous.and_then(|p| {
-            let from = &p[p.find(&name)?..];
-            Some(&from[..=from.find('}')?])
+        let row = [
+            ("backend", kind.name().into()),
+            ("events", out.events.into()),
+            (
+                "events_per_sec",
+                Json::Fixed(out.events as f64 / elapsed, 0),
+            ),
+            ("elapsed_sec", Json::Fixed(elapsed, 3)),
+            ("audit_share", Json::Fixed(audit_s / elapsed, 3)),
+            (
+                "worst_fault_tick_ms",
+                Json::Fixed(worst_fault_tick_s * 1e3, 3),
+            ),
+            ("degraded_entries", out.metrics.degraded_entries.into()),
+            ("concurrent_at_end", out.concurrent_at_end.into()),
+            ("resident_slots", out.resident_slots.into()),
+            ("violations", violations.into()),
+        ];
+        let row = Json::object(Layout::Line, row);
+        println!("{}", row.render());
+        let old_rows = previous.and_then(|p| p.get("backends")?.items());
+        let old = old_rows.into_iter().flatten().find_map(|old| {
+            let now = old.get("now")?;
+            (now.get("backend") == row.get("backend")).then_some(now.fields()?)
         });
-        rows.push(match old {
-            Some(old) => format!("    {{\"now\": {row},\n     \"previous\": {old}}}"),
-            None => format!("    {{\"now\": {row}}}"),
-        });
+        let mut pair = vec![("now", row)];
+        if let Some(old) = old {
+            pair.push(("previous", Json::object(Layout::Line, old.iter().cloned())));
+        }
+        rows.push(Json::object(Layout::Line, pair));
     }
-    let rows = rows.join(",\n");
-    format!(
-        "{{\n  \"benchmark\": \"scale_storm\",\n{header}  \"fault_events\": {},\n  \
-         \"peak_rss_kb\": {},\n  \"backends\": [\n{rows}\n  ]\n}}\n",
-        plan.len(),
-        peak_rss_kb().unwrap_or(0),
-    )
-}
-
-fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("scale: invalid value `{value}` for {flag}");
-        std::process::exit(2);
-    })
+    vec![
+        ("fault_events", plan.len().into()),
+        ("peak_rss_kb", peak_rss_kb().unwrap_or(0).into()),
+        ("backends", Json::Array(Layout::Block, rows)),
+    ]
 }
 
 /// Peak resident set size in KiB from `/proc/self/status` (`VmHWM`);

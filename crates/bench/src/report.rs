@@ -1,27 +1,87 @@
-//! What the report-writing bins share: the `--out PATH` flag, the write,
-//! the exit code, and the seeded single-movie cell the chaos and
-//! federation matrices are both built on.
+//! What the report-writing bins share: the `--out PATH` flag, the one
+//! argument loop of the bins with flags of their own, the write, the exit
+//! code, and the seeded single-movie cell the chaos and federation
+//! matrices are both built on.
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use vod_dist::kinds::Gamma;
+use vod_runtime::json::Json;
 use vod_server::{HostedMovie, MovieId, ServerConfig};
 use vod_workload::BehaviorModel;
 
-/// Parse a report bin's command line — `[--out PATH]` and nothing else —
-/// into the path to write (`default`, the committed file, without the
-/// flag). Anything else exits 2 with a one-line usage message.
-pub fn out_path(bin: &str, default: &str) -> String {
-    let mut args = std::env::args().skip(1);
-    match (args.next().as_deref(), args.next(), args.next()) {
-        (None, ..) => default.to_string(),
-        (Some("--out"), Some(path), None) => path,
-        _ => {
-            eprintln!("{bin}: expected [--out PATH]");
-            std::process::exit(2);
+/// The command line of a bin with flags of its own, checked against its
+/// usage line: `"--csv --threads N --out PATH"` declares the switch
+/// `--csv` and two flags that take a value.
+pub struct Flags {
+    bin: &'static str,
+    usage: &'static str,
+    given: Vec<(String, String)>,
+}
+
+impl Flags {
+    /// Parse the process arguments. A flag the usage line does not have
+    /// or a missing value exits 2 with a one-line message.
+    pub fn parse(bin: &'static str, usage: &'static str) -> Self {
+        let mut flags = Flags {
+            bin,
+            usage,
+            given: Vec::new(),
+        };
+        let mut args = std::env::args().skip(1);
+        while let Some(flag) = args.next() {
+            let value = match flags.takes(&flag) {
+                None => flags.die(&format!("unknown argument `{flag}`")),
+                Some("") => String::new(),
+                Some(_) => args.next().unwrap_or_else(|| flags.expected(&flag)),
+            };
+            flags.given.push((flag, value));
         }
+        flags
     }
+
+    /// What the usage line says follows `flag`: `""` for a switch, `None`
+    /// for a flag it does not have.
+    fn takes(&self, flag: &str) -> Option<&'static str> {
+        let mut words = self.usage.split(' ').skip_while(|w| *w != flag);
+        words.next().filter(|w| w.starts_with("--"))?;
+        Some(words.next().filter(|w| !w.starts_with("--")).unwrap_or(""))
+    }
+
+    /// Was `flag` given?
+    pub fn has(&self, flag: &str) -> bool {
+        self.given.iter().any(|(f, _)| f == flag)
+    }
+
+    /// The last value given for `flag`, read by `read`; a value `read`
+    /// refuses exits 2 naming what was expected.
+    pub fn get<T>(&self, flag: &str, read: impl Fn(&str) -> Option<T>) -> Option<T> {
+        let (_, value) = self.given.iter().rev().find(|(f, _)| f == flag)?;
+        Some(read(value).unwrap_or_else(|| self.expected(flag)))
+    }
+
+    /// [`Self::get`] through `FromStr`.
+    pub fn value<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.get(flag, |s| s.parse().ok())
+    }
+
+    fn expected(&self, flag: &str) -> ! {
+        let what = self.takes(flag).unwrap_or("");
+        self.die(&format!("expected {flag} {what}"))
+    }
+
+    fn die(&self, message: &str) -> ! {
+        eprintln!("{}: {message}", self.bin);
+        std::process::exit(2);
+    }
+}
+
+/// A report bin's command line — `[--out PATH]` and nothing else — as
+/// the path to write (`default`, the committed file, without the flag).
+pub fn out_path(bin: &'static str, default: &str) -> String {
+    let out = Flags::parse(bin, "--out PATH").value("--out");
+    out.unwrap_or_else(|| default.to_string())
 }
 
 /// Write `report` (JSON or text) to `path`, creating its directory, and
@@ -36,6 +96,12 @@ pub fn write_report(bin: &str, path: &str, report: &str) {
         std::process::exit(1);
     }
     println!("wrote {path}");
+}
+
+/// [`write_report`] for a JSON document: its rendering and a final
+/// newline.
+pub fn write_json(bin: &str, path: &str, report: &Json) {
+    write_report(bin, path, &format!("{}\n", report.render()));
 }
 
 /// Deliver the text of a bin that has flags of its own: to the file its

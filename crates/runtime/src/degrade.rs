@@ -11,6 +11,8 @@
 //! driver-agnostic: `vod-server` applies them on its integer tick grid, and
 //! `vod-sim` mirrors the capacity effects in continuous time.
 
+use crate::json::{self, Json, Layout};
+
 /// One kind of injected fault. All parameters are integers on the virtual
 /// tick grid, so a plan has a single meaning on every driver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,20 +85,24 @@ impl FaultKind {
         }
     }
 
-    fn json_params(&self) -> String {
+    /// The kind's own parameters, named, in the order the JSON carries
+    /// them: what the writer emits and all the reader accepts.
+    fn params(&self) -> Vec<(&'static str, u64)> {
         match *self {
-            FaultKind::DiskStreamLoss { count } => format!("\"count\":{count}"),
+            FaultKind::DiskStreamLoss { count } => vec![("count", count.into())],
             FaultKind::DiskOutage {
                 count,
                 recover_after,
-            } => format!("\"count\":{count},\"recover_after\":{recover_after}"),
+            } => vec![("count", count.into()), ("recover_after", recover_after)],
             FaultKind::DiskSlowdown { period, duration } => {
-                format!("\"period\":{period},\"duration\":{duration}")
+                vec![("period", period.into()), ("duration", duration)]
             }
-            FaultKind::BufferShrink { segments } => format!("\"segments\":{segments}"),
-            FaultKind::BufferRestore { segments } => format!("\"segments\":{segments}"),
-            FaultKind::ShardOutage { shard } => format!("\"shard\":{shard}"),
-            FaultKind::ShardRecovery { shard } => format!("\"shard\":{shard}"),
+            FaultKind::BufferShrink { segments } | FaultKind::BufferRestore { segments } => {
+                vec![("segments", segments.into())]
+            }
+            FaultKind::ShardOutage { shard } | FaultKind::ShardRecovery { shard } => {
+                vec![("shard", shard.into())]
+            }
         }
     }
 }
@@ -112,14 +118,67 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
-    /// JSON object (stable key order) for chaos reports.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"at\":{},\"kind\":\"{}\",{}}}",
-            self.at,
-            self.kind.tag(),
-            self.kind.json_params()
+    /// The report object: `at`, `kind`, then the kind's parameters.
+    pub fn json(&self) -> Json {
+        let head = [("at", self.at.into()), ("kind", self.kind.tag().into())];
+        let params = self.kind.params().into_iter();
+        Json::object(
+            Layout::Compact,
+            head.into_iter().chain(params.map(|(k, v)| (k, v.into()))),
         )
+    }
+
+    /// [`Self::json`] as text (stable key order) for chaos reports.
+    pub fn to_json(&self) -> String {
+        self.json().render()
+    }
+
+    /// Read one event back. Each kind accepts exactly `at`, `kind` and
+    /// its own parameters (the reader has already refused a repeated key).
+    fn from_json(event: &Json) -> Result<Self, String> {
+        let fields = event.fields().ok_or("event is not an object")?;
+        let tag = event.get("kind").and_then(Json::as_str);
+        let tag = tag.ok_or("event missing string `kind`")?;
+        let wide = |name: &str| {
+            let value = event.get(name).and_then(Json::as_u64);
+            value.ok_or_else(|| format!("`{tag}` event missing unsigned integer `{name}`"))
+        };
+        let narrow = |name: &str| {
+            u32::try_from(wide(name)?).map_err(|_| format!("`{name}` out of u32 range"))
+        };
+        let kind = match tag {
+            "disk_stream_loss" => FaultKind::DiskStreamLoss {
+                count: narrow("count")?,
+            },
+            "disk_outage" => FaultKind::DiskOutage {
+                count: narrow("count")?,
+                recover_after: wide("recover_after")?,
+            },
+            "disk_slowdown" => FaultKind::DiskSlowdown {
+                period: narrow("period")?,
+                duration: wide("duration")?,
+            },
+            "buffer_shrink" => FaultKind::BufferShrink {
+                segments: narrow("segments")?,
+            },
+            "buffer_restore" => FaultKind::BufferRestore {
+                segments: narrow("segments")?,
+            },
+            "shard_outage" => FaultKind::ShardOutage {
+                shard: narrow("shard")?,
+            },
+            "shard_recovery" => FaultKind::ShardRecovery {
+                shard: narrow("shard")?,
+            },
+            other => return Err(format!("unknown fault kind `{other}`")),
+        };
+        let at = wide("at")?;
+        let own = kind.params();
+        let known = |key: &str| key == "at" || key == "kind" || own.iter().any(|(k, _)| *k == key);
+        match fields.iter().find(|(key, _)| !known(key)) {
+            Some((key, _)) => Err(format!("`{tag}` event has no field `{key}`")),
+            None => Ok(FaultEvent { at, kind }),
+        }
     }
 }
 
@@ -289,168 +348,30 @@ impl FaultPlan {
         Self::new(plan)
     }
 
-    /// JSON array of events (one line, stable key order) so chaos reports
-    /// embed the exact plan they ran.
+    /// The report array of events, in schedule order.
+    pub fn json(&self) -> Json {
+        let events = self.events.iter().map(FaultEvent::json);
+        Json::Array(Layout::Compact, events.collect())
+    }
+
+    /// [`Self::json`] as text (one line, stable key order) so chaos
+    /// reports embed the exact plan they ran.
     pub fn to_json(&self) -> String {
-        let body = self
-            .events
-            .iter()
-            .map(FaultEvent::to_json)
-            .collect::<Vec<_>>()
-            .join(",");
-        format!("[{body}]")
+        self.json().render()
     }
 
     /// Parse a plan back from the JSON [`FaultPlan::to_json`] emits
-    /// (whitespace-tolerant). Round-tripping is the serde-stability
-    /// contract of the chaos reports: `from_json(to_json(p)) == p` for
-    /// every plan, and unknown kinds or malformed fields are errors
-    /// rather than silent drops.
+    /// (whitespace-tolerant), through [`json::parse`]. Round-tripping is
+    /// the serde-stability contract of the chaos reports:
+    /// `from_json(to_json(p)) == p` for every plan, and unknown kinds,
+    /// unknown or repeated fields and malformed values are errors rather
+    /// than silent drops.
     pub fn from_json(input: &str) -> Result<Self, String> {
-        let mut c = Cursor {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        c.eat(b'[')?;
-        let mut events = Vec::new();
-        if !c.peek_is(b']') {
-            loop {
-                events.push(parse_event(&mut c)?);
-                if c.peek_is(b',') {
-                    c.eat(b',')?;
-                } else {
-                    break;
-                }
-            }
-        }
-        c.eat(b']')?;
-        c.skip_ws();
-        if c.pos != c.bytes.len() {
-            return Err(format!("trailing input at byte {}", c.pos));
-        }
-        Ok(Self::new(events))
+        let document = json::parse(input).map_err(|e| e.to_string())?;
+        let events = document.items().ok_or("expected an array of events")?;
+        let events: Result<Vec<_>, _> = events.iter().map(FaultEvent::from_json).collect();
+        events.map(Self::new)
     }
-}
-
-/// Minimal JSON scanner for [`FaultPlan::from_json`]: just enough for the
-/// flat integer objects the emitter writes, kept dependency-free.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Cursor<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek_is(&mut self, b: u8) -> bool {
-        self.skip_ws();
-        self.bytes.get(self.pos) == Some(&b)
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|&b| b != b'"') {
-            self.pos += 1;
-        }
-        let s = String::from_utf8_lossy(&self.bytes[start..self.pos]).into_owned();
-        self.eat(b'"')?;
-        Ok(s)
-    }
-
-    fn integer(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected integer at byte {start}"));
-        }
-        String::from_utf8_lossy(&self.bytes[start..self.pos])
-            .parse::<u64>()
-            .map_err(|e| format!("integer at byte {start}: {e}"))
-    }
-}
-
-/// Parse one `{"at":…,"kind":"…",…}` object into a [`FaultEvent`].
-fn parse_event(c: &mut Cursor<'_>) -> Result<FaultEvent, String> {
-    c.eat(b'{')?;
-    let mut at: Option<u64> = None;
-    let mut tag: Option<String> = None;
-    let mut params: Vec<(String, u64)> = Vec::new();
-    loop {
-        let key = c.string()?;
-        c.eat(b':')?;
-        match key.as_str() {
-            "at" => at = Some(c.integer()?),
-            "kind" => tag = Some(c.string()?),
-            _ => params.push((key, c.integer()?)),
-        }
-        if c.peek_is(b',') {
-            c.eat(b',')?;
-        } else {
-            break;
-        }
-    }
-    c.eat(b'}')?;
-    let at = at.ok_or_else(|| "event missing `at`".to_string())?;
-    let tag = tag.ok_or_else(|| "event missing `kind`".to_string())?;
-    let get = |name: &str| -> Result<u64, String> {
-        params
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("`{tag}` event missing `{name}`"))
-    };
-    let narrow = |v: u64, name: &str| -> Result<u32, String> {
-        u32::try_from(v).map_err(|_| format!("`{name}` out of u32 range: {v}"))
-    };
-    let kind = match tag.as_str() {
-        "disk_stream_loss" => FaultKind::DiskStreamLoss {
-            count: narrow(get("count")?, "count")?,
-        },
-        "disk_outage" => FaultKind::DiskOutage {
-            count: narrow(get("count")?, "count")?,
-            recover_after: get("recover_after")?,
-        },
-        "disk_slowdown" => FaultKind::DiskSlowdown {
-            period: narrow(get("period")?, "period")?,
-            duration: get("duration")?,
-        },
-        "buffer_shrink" => FaultKind::BufferShrink {
-            segments: narrow(get("segments")?, "segments")?,
-        },
-        "buffer_restore" => FaultKind::BufferRestore {
-            segments: narrow(get("segments")?, "segments")?,
-        },
-        "shard_outage" => FaultKind::ShardOutage {
-            shard: narrow(get("shard")?, "shard")?,
-        },
-        "shard_recovery" => FaultKind::ShardRecovery {
-            shard: narrow(get("shard")?, "shard")?,
-        },
-        other => return Err(format!("unknown fault kind `{other}`")),
-    };
-    Ok(FaultEvent { at, kind })
 }
 
 /// SplitMix64 step: the standard finalizer-mix generator, inlined so this
@@ -740,42 +661,8 @@ mod tests {
 
     #[test]
     fn json_round_trips_every_kind() {
-        let plan = FaultPlan::new(vec![
-            FaultEvent {
-                at: 3,
-                kind: FaultKind::DiskStreamLoss { count: 2 },
-            },
-            FaultEvent {
-                at: 5,
-                kind: FaultKind::DiskOutage {
-                    count: 1,
-                    recover_after: 9,
-                },
-            },
-            FaultEvent {
-                at: 7,
-                kind: FaultKind::DiskSlowdown {
-                    period: 2,
-                    duration: 10,
-                },
-            },
-            FaultEvent {
-                at: 9,
-                kind: FaultKind::BufferShrink { segments: 4 },
-            },
-            FaultEvent {
-                at: 11,
-                kind: FaultKind::BufferRestore { segments: 4 },
-            },
-            FaultEvent {
-                at: 13,
-                kind: FaultKind::ShardOutage { shard: 1 },
-            },
-            FaultEvent {
-                at: 17,
-                kind: FaultKind::ShardRecovery { shard: 1 },
-            },
-        ]);
+        // All seven kinds (see the generator's own test above).
+        let plan = FaultPlan::generate_federation(7, 1440, 14, 4);
         let parsed = FaultPlan::from_json(&plan.to_json());
         assert_eq!(parsed, Ok(plan));
         assert_eq!(FaultPlan::from_json("[]"), Ok(FaultPlan::empty()));
@@ -794,29 +681,23 @@ mod tests {
 
     #[test]
     fn from_json_rejects_malformed_input() {
-        assert!(FaultPlan::from_json("").is_err());
-        assert!(
-            FaultPlan::from_json("[{\"at\":1}]").is_err(),
-            "missing kind"
-        );
-        assert!(
-            FaultPlan::from_json("[{\"kind\":\"disk_stream_loss\",\"count\":1}]").is_err(),
-            "missing at"
-        );
-        assert!(
-            FaultPlan::from_json("[{\"at\":1,\"kind\":\"warp_core_breach\"}]").is_err(),
-            "unknown kind"
-        );
-        assert!(
-            FaultPlan::from_json("[{\"at\":1,\"kind\":\"shard_outage\"}]").is_err(),
-            "missing param"
-        );
-        assert!(
-            FaultPlan::from_json("[{\"at\":1,\"kind\":\"shard_outage\",\"shard\":4294967296}]")
-                .is_err(),
-            "u32 overflow"
-        );
-        assert!(FaultPlan::from_json("[] trailing").is_err(), "trailing");
+        for (bad, why) in [
+            ("", "no array"),
+            ("[{\"at\":1}]", "missing kind"),
+            (
+                "[{\"kind\":\"disk_stream_loss\",\"count\":1}]",
+                "missing at",
+            ),
+            ("[{\"at\":1,\"kind\":\"warp_core_breach\"}]", "unknown kind"),
+            ("[{\"at\":1,\"kind\":\"shard_outage\"}]", "missing param"),
+            (
+                "[{\"at\":1,\"kind\":\"shard_outage\",\"shard\":4294967296}]",
+                "u32 overflow",
+            ),
+            ("[] trailing", "trailing"),
+        ] {
+            assert!(FaultPlan::from_json(bad).is_err(), "{why}");
+        }
     }
 
     #[test]

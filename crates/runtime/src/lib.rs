@@ -22,6 +22,8 @@
 //! * [`RuntimeMetrics`] — the unified measurement vocabulary
 //!   `ServerMetrics` and `SimReport` are built on, with JSON export so
 //!   bench bins can diff server-vs-sim-vs-model directly.
+//! * [`json`] — the one JSON value, writer and strict reader every
+//!   report in the workspace goes through.
 //! * [`FaultPlan`] / [`DegradePolicy`] — deterministic, virtual-time
 //!   fault schedules and the graceful-degradation knobs (bounded re-wait,
 //!   retry backoff, batch-admission fallback) both drivers honor.
@@ -56,6 +58,7 @@
 mod arena;
 mod backend;
 mod degrade;
+pub mod json;
 mod metrics;
 mod quantize;
 mod reserve;
@@ -67,7 +70,7 @@ mod windows;
 pub use arena::{Arena, ArenaId};
 pub use backend::{BackendKind, PyramidGeometry, ReceptionFront};
 pub use degrade::{DegradePolicy, FaultEvent, FaultKind, FaultPlan, RetryLedger, RetryStep};
-pub use metrics::{escape_json, json_string_array, kind_index, FederationMetrics, RuntimeMetrics};
+pub use metrics::{kind_index, FederationMetrics, RuntimeMetrics};
 pub use quantize::QuantizedGeometry;
 pub use reserve::StreamReserve;
 pub use store::{SessionStore, CHUNK as SESSION_CHUNK};

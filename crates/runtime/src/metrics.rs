@@ -3,6 +3,8 @@
 
 use vod_workload::{Ratio, VcrKind};
 
+use crate::json::{Json, Layout};
+
 /// Index of a [`VcrKind`] in per-kind arrays: `[FF, RW, PAU]`.
 pub fn kind_index(kind: VcrKind) -> usize {
     match kind {
@@ -12,33 +14,25 @@ pub fn kind_index(kind: VcrKind) -> usize {
     }
 }
 
-/// Escape `s` for embedding in a JSON string literal — the one escaper
-/// every report writer uses for violation and failure text.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Names of the numbers in the report `before` that are smaller in the
+/// same-shaped report `after` (nested ones dotted): every `u64` and `f64`
+/// field except the `windowed` names.
+fn backwards(before: &Json, after: &Json, windowed: &[&str], prefix: &str, bad: &mut Vec<String>) {
+    let (Some(before), Some(after)) = (before.fields(), after.fields()) else {
+        return;
+    };
+    for ((key, old), (_, new)) in before.iter().zip(after) {
+        let went_back = match (old, new) {
+            (Json::U64(old), Json::U64(new)) => new < old,
+            (Json::F64(old), Json::F64(new)) => new < old,
+            _ => false,
+        };
+        if went_back && !windowed.contains(&key.as_ref()) {
+            bad.push(format!("{prefix}{key}"));
+        } else if old.fields().is_some() {
+            backwards(old, new, windowed, &format!("{prefix}{key}."), bad);
         }
     }
-    out
-}
-
-/// `items` as a one-line JSON array of escaped string literals.
-pub fn json_string_array(items: &[String]) -> String {
-    let quoted: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", escape_json(s)))
-        .collect();
-    format!("[{}]", quoted.join(","))
 }
 
 /// Mechanism-level counters with **one meaning each**, measured
@@ -155,177 +149,68 @@ impl RuntimeMetrics {
         }
     }
 
-    /// Merge another run's counters into this one (occupancy statistics
-    /// are not mergeable without their time bases; the incoming
-    /// `dedicated_avg`/`dedicated_peak` are combined as max).
-    pub fn merge(&mut self, other: &RuntimeMetrics) {
-        self.resumes.merge(&other.resumes);
-        for k in 0..3 {
-            self.resumes_by_kind[k].merge(&other.resumes_by_kind[k]);
-        }
-        self.ff_end += other.ff_end;
-        self.rw_truncated += other.rw_truncated;
-        self.vcr_denied += other.vcr_denied;
-        self.resume_starved += other.resume_starved;
-        self.acquisition_attempts += other.acquisition_attempts;
-        self.restart_failures += other.restart_failures;
-        self.buffer_minutes += other.buffer_minutes;
-        self.disk_minutes += other.disk_minutes;
-        self.dedicated_avg = self.dedicated_avg.max(other.dedicated_avg);
-        self.dedicated_peak = self.dedicated_peak.max(other.dedicated_peak);
-        self.denied_transient += other.denied_transient;
-        self.denied_permanent += other.denied_permanent;
-        self.faults_injected += other.faults_injected;
-        self.degraded_entries += other.degraded_entries;
-        self.degraded_rejoined += other.degraded_rejoined;
-        self.degraded_dedicated += other.degraded_dedicated;
-        self.rewait_minutes += other.rewait_minutes;
-        self.stall_minutes += other.stall_minutes;
-    }
-
     /// Counters in `later` that went *backwards* relative to `self`
-    /// (field names). Every cumulative counter must be non-decreasing
-    /// tick over tick; the chaos harness checks this each tick.
-    /// Occupancy statistics (`dedicated_avg`/`dedicated_peak`) are
-    /// time-averaged/windowed, not cumulative, and are excluded.
-    pub fn monotone_violations(&self, later: &RuntimeMetrics) -> Vec<&'static str> {
+    /// (field names, nested ones dotted: `per_kind.pau.trials`). Every
+    /// cumulative number [`Self::json`] reports must be non-decreasing
+    /// tick over tick; the chaos harness checks this each tick. The
+    /// ratios are derived and the occupancy statistics
+    /// (`dedicated_avg`/`dedicated_peak`) are time-averaged/windowed, not
+    /// cumulative, and are excluded.
+    pub fn monotone_violations(&self, later: &RuntimeMetrics) -> Vec<String> {
+        let windowed = ["hit_ratio", "ratio", "dedicated_avg", "dedicated_peak"];
         let mut bad = Vec::new();
-        let u64_fields: [(&'static str, u64, u64); 16] = [
-            ("resume_hits", self.resumes.hits(), later.resumes.hits()),
-            (
-                "resume_trials",
-                self.resumes.trials(),
-                later.resumes.trials(),
-            ),
-            ("ff_end", self.ff_end, later.ff_end),
-            ("rw_truncated", self.rw_truncated, later.rw_truncated),
-            ("vcr_denied", self.vcr_denied, later.vcr_denied),
-            ("resume_starved", self.resume_starved, later.resume_starved),
-            (
-                "acquisition_attempts",
-                self.acquisition_attempts,
-                later.acquisition_attempts,
-            ),
-            (
-                "restart_failures",
-                self.restart_failures,
-                later.restart_failures,
-            ),
-            (
-                "denied_transient",
-                self.denied_transient,
-                later.denied_transient,
-            ),
-            (
-                "denied_permanent",
-                self.denied_permanent,
-                later.denied_permanent,
-            ),
-            (
-                "faults_injected",
-                self.faults_injected,
-                later.faults_injected,
-            ),
-            (
-                "degraded_entries",
-                self.degraded_entries,
-                later.degraded_entries,
-            ),
-            (
-                "degraded_rejoined",
-                self.degraded_rejoined,
-                later.degraded_rejoined,
-            ),
-            (
-                "degraded_dedicated",
-                self.degraded_dedicated,
-                later.degraded_dedicated,
-            ),
-            (
-                "ff_trials",
-                self.resumes_by_kind[0].trials(),
-                later.resumes_by_kind[0].trials(),
-            ),
-            (
-                "rw_trials",
-                self.resumes_by_kind[1].trials(),
-                later.resumes_by_kind[1].trials(),
-            ),
-        ];
-        for (name, before, after) in u64_fields {
-            if after < before {
-                bad.push(name);
-            }
-        }
-        let f64_fields: [(&'static str, f64, f64); 4] = [
-            ("buffer_minutes", self.buffer_minutes, later.buffer_minutes),
-            ("disk_minutes", self.disk_minutes, later.disk_minutes),
-            ("rewait_minutes", self.rewait_minutes, later.rewait_minutes),
-            ("stall_minutes", self.stall_minutes, later.stall_minutes),
-        ];
-        for (name, before, after) in f64_fields {
-            if after < before {
-                bad.push(name);
-            }
-        }
+        backwards(&self.json(), &later.json(), &windowed, "", &mut bad);
         bad
     }
 
-    /// JSON object (one line, stable key order) for bench bins that diff
-    /// server-vs-sim-vs-model runs.
-    pub fn to_json(&self) -> String {
-        let kinds = ["ff", "rw", "pau"];
-        let per_kind = kinds
-            .iter()
-            .zip(&self.resumes_by_kind)
-            .map(|(label, r)| {
-                format!(
-                    "\"{label}\":{{\"hits\":{},\"trials\":{},\"ratio\":{}}}",
-                    r.hits(),
-                    r.trials(),
-                    r.value()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            concat!(
-                "{{\"schema_version\":{},",
-                "\"hit_ratio\":{},\"resume_hits\":{},\"resume_trials\":{},",
-                "\"per_kind\":{{{}}},\"ff_end\":{},\"rw_truncated\":{},",
-                "\"vcr_denied\":{},\"resume_starved\":{},",
-                "\"acquisition_attempts\":{},\"restart_failures\":{},",
-                "\"buffer_minutes\":{},\"disk_minutes\":{},",
-                "\"dedicated_avg\":{},\"dedicated_peak\":{},",
-                "\"denied_transient\":{},\"denied_permanent\":{},",
-                "\"faults_injected\":{},\"degraded_entries\":{},",
-                "\"degraded_rejoined\":{},\"degraded_dedicated\":{},",
-                "\"rewait_minutes\":{},\"stall_minutes\":{}}}"
-            ),
-            Self::SCHEMA_VERSION,
-            self.hit_ratio(),
-            self.resumes.hits(),
-            self.resumes.trials(),
-            per_kind,
-            self.ff_end,
-            self.rw_truncated,
-            self.vcr_denied,
-            self.resume_starved,
-            self.acquisition_attempts,
-            self.restart_failures,
-            self.buffer_minutes,
-            self.disk_minutes,
-            self.dedicated_avg,
-            self.dedicated_peak,
-            self.denied_transient,
-            self.denied_permanent,
-            self.faults_injected,
-            self.degraded_entries,
-            self.degraded_rejoined,
-            self.degraded_dedicated,
-            self.rewait_minutes,
-            self.stall_minutes,
+    /// The report object: every counter named once, in the frozen key
+    /// order (`schema_version` first so consumers can sniff the shape).
+    pub fn json(&self) -> Json {
+        let ratio = |r: &Ratio| {
+            let (hits, trials) = (r.hits().into(), r.trials().into());
+            let fields = [
+                ("hits", hits),
+                ("trials", trials),
+                ("ratio", r.value().into()),
+            ];
+            Json::object(Layout::Compact, fields)
+        };
+        let [ff, rw, pau] = &self.resumes_by_kind;
+        let per_kind = [("ff", ratio(ff)), ("rw", ratio(rw)), ("pau", ratio(pau))];
+        Json::object(
+            Layout::Compact,
+            [
+                ("schema_version", Self::SCHEMA_VERSION.into()),
+                ("hit_ratio", self.hit_ratio().into()),
+                ("resume_hits", self.resumes.hits().into()),
+                ("resume_trials", self.resumes.trials().into()),
+                ("per_kind", Json::object(Layout::Compact, per_kind)),
+                ("ff_end", self.ff_end.into()),
+                ("rw_truncated", self.rw_truncated.into()),
+                ("vcr_denied", self.vcr_denied.into()),
+                ("resume_starved", self.resume_starved.into()),
+                ("acquisition_attempts", self.acquisition_attempts.into()),
+                ("restart_failures", self.restart_failures.into()),
+                ("buffer_minutes", self.buffer_minutes.into()),
+                ("disk_minutes", self.disk_minutes.into()),
+                ("dedicated_avg", self.dedicated_avg.into()),
+                ("dedicated_peak", self.dedicated_peak.into()),
+                ("denied_transient", self.denied_transient.into()),
+                ("denied_permanent", self.denied_permanent.into()),
+                ("faults_injected", self.faults_injected.into()),
+                ("degraded_entries", self.degraded_entries.into()),
+                ("degraded_rejoined", self.degraded_rejoined.into()),
+                ("degraded_dedicated", self.degraded_dedicated.into()),
+                ("rewait_minutes", self.rewait_minutes.into()),
+                ("stall_minutes", self.stall_minutes.into()),
+            ],
         )
+    }
+
+    /// [`Self::json`] as text (one line, stable key order) for bench bins
+    /// that diff server-vs-sim-vs-model runs.
+    pub fn to_json(&self) -> String {
+        self.json().render()
     }
 }
 
@@ -408,119 +293,64 @@ impl FederationMetrics {
 
     /// Counters in `later` that went backwards relative to `self` (every
     /// federation counter is cumulative; there are no windowed fields).
-    pub fn monotone_violations(&self, later: &FederationMetrics) -> Vec<&'static str> {
-        let fields: [(&'static str, u64, u64); 12] = [
-            (
-                "admissions_routed",
-                self.admissions_routed,
-                later.admissions_routed,
-            ),
-            (
-                "admissions_rerouted",
-                self.admissions_rerouted,
-                later.admissions_rerouted,
-            ),
-            (
-                "admissions_denied",
-                self.admissions_denied,
-                later.admissions_denied,
-            ),
-            ("shard_outages", self.shard_outages, later.shard_outages),
-            (
-                "shard_recoveries",
-                self.shard_recoveries,
-                later.shard_recoveries,
-            ),
-            (
-                "displaced_total",
-                self.displaced_total,
-                later.displaced_total,
-            ),
-            (
-                "readmitted_cohort",
-                self.readmitted_cohort,
-                later.readmitted_cohort,
-            ),
-            (
-                "readmitted_dedicated",
-                self.readmitted_dedicated,
-                later.readmitted_dedicated,
-            ),
-            (
-                "denied_transient",
-                self.denied_transient,
-                later.denied_transient,
-            ),
-            (
-                "denied_permanent",
-                self.denied_permanent,
-                later.denied_permanent,
-            ),
-            (
-                "readmit_refusals",
-                self.readmit_refusals,
-                later.readmit_refusals,
-            ),
-            ("rewait_ticks", self.rewait_ticks, later.rewait_ticks),
-        ];
+    pub fn monotone_violations(&self, later: &FederationMetrics) -> Vec<String> {
         let mut bad = Vec::new();
-        for (name, before, after) in fields {
-            if after < before {
-                bad.push(name);
-            }
-        }
+        backwards(&self.json(), &later.json(), &[], "", &mut bad);
         bad
     }
 
-    /// JSON object (one line, stable key order) for the federation bench.
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"schema_version\":{},",
-                "\"admissions_routed\":{},\"admissions_rerouted\":{},",
-                "\"admissions_denied\":{},\"shard_outages\":{},",
-                "\"shard_recoveries\":{},\"displaced_total\":{},",
-                "\"readmitted_cohort\":{},\"readmitted_dedicated\":{},",
-                "\"denied_transient\":{},\"denied_permanent\":{},",
-                "\"readmit_refusals\":{},\"rewait_ticks\":{}}}"
-            ),
-            Self::SCHEMA_VERSION,
-            self.admissions_routed,
-            self.admissions_rerouted,
-            self.admissions_denied,
-            self.shard_outages,
-            self.shard_recoveries,
-            self.displaced_total,
-            self.readmitted_cohort,
-            self.readmitted_dedicated,
-            self.denied_transient,
-            self.denied_permanent,
-            self.readmit_refusals,
-            self.rewait_ticks,
+    /// The report object: every counter named once, in the frozen key
+    /// order.
+    pub fn json(&self) -> Json {
+        Json::object(
+            Layout::Compact,
+            [
+                ("schema_version", Self::SCHEMA_VERSION.into()),
+                ("admissions_routed", self.admissions_routed.into()),
+                ("admissions_rerouted", self.admissions_rerouted.into()),
+                ("admissions_denied", self.admissions_denied.into()),
+                ("shard_outages", self.shard_outages.into()),
+                ("shard_recoveries", self.shard_recoveries.into()),
+                ("displaced_total", self.displaced_total.into()),
+                ("readmitted_cohort", self.readmitted_cohort.into()),
+                ("readmitted_dedicated", self.readmitted_dedicated.into()),
+                ("denied_transient", self.denied_transient.into()),
+                ("denied_permanent", self.denied_permanent.into()),
+                ("readmit_refusals", self.readmit_refusals.into()),
+                ("rewait_ticks", self.rewait_ticks.into()),
+            ],
         )
+    }
+
+    /// [`Self::json`] as text (one line, stable key order) for the
+    /// federation bench.
+    pub fn to_json(&self) -> String {
+        self.json().render()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     /// Every character a violation message can carry leaves the report
-    /// valid JSON: quote, backslash, newline and a raw control byte.
+    /// valid JSON — quote, backslash, newline and a raw control byte — in
+    /// exactly the bytes the gated reports have always had.
     #[test]
     fn escaper_handles_quote_backslash_newline_and_control_bytes() {
         let nasty = "lease \"drift\" at C:\\pool\nnext\u{1}line\ttab\r";
+        let text = Json::strings(&[nasty.to_string(), "ok".to_string()]).render();
         assert_eq!(
-            escape_json(nasty),
-            "lease \\\"drift\\\" at C:\\\\pool\\nnext\\u0001line\\ttab\\r"
+            text,
+            "[\"lease \\\"drift\\\" at C:\\\\pool\\nnext\\u0001line\\ttab\\r\",\"ok\"]"
         );
-        assert_eq!(escape_json("plain text"), "plain text");
+        assert!(!text.chars().any(|c| (c as u32) < 0x20));
         assert_eq!(
-            json_string_array(&[nasty.to_string(), "ok".to_string()]),
-            format!("[\"{}\",\"ok\"]", escape_json(nasty))
+            json::parse(&text).unwrap().items().unwrap()[0].as_str(),
+            Some(nasty)
         );
-        assert_eq!(json_string_array(&[]), "[]");
-        assert!(!escape_json(nasty).chars().any(|c| (c as u32) < 0x20));
+        assert_eq!(Json::strings(&[]).render(), "[]");
     }
 
     #[test]
@@ -593,41 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters() {
-        let mut a = RuntimeMetrics::new();
-        a.record_resume(VcrKind::Rewind, true);
-        a.vcr_denied = 2;
-        a.dedicated_avg = 1.5;
-        let mut b = RuntimeMetrics::new();
-        b.record_resume(VcrKind::Rewind, false);
-        b.vcr_denied = 3;
-        b.dedicated_avg = 0.5;
-        a.merge(&b);
-        assert_eq!(a.resumes.trials(), 2);
-        assert_eq!(a.vcr_denied, 5);
-        assert_eq!(a.dedicated_avg, 1.5);
-    }
-
-    #[test]
-    fn merge_sums_fault_fields() {
-        let mut a = RuntimeMetrics::new();
-        a.denied_transient = 1;
-        a.faults_injected = 2;
-        a.rewait_minutes = 3.0;
-        let mut b = RuntimeMetrics::new();
-        b.denied_transient = 4;
-        b.denied_permanent = 5;
-        b.degraded_entries = 6;
-        b.rewait_minutes = 1.5;
-        a.merge(&b);
-        assert_eq!(a.denied_transient, 5);
-        assert_eq!(a.denied_permanent, 5);
-        assert_eq!(a.faults_injected, 2);
-        assert_eq!(a.degraded_entries, 6);
-        assert_eq!(a.rewait_minutes, 4.5);
-    }
-
-    #[test]
     fn monotone_violations_flags_regressions_only() {
         let mut before = RuntimeMetrics::new();
         before.vcr_denied = 3;
@@ -641,9 +436,14 @@ mod tests {
         after.vcr_denied = 2;
         after.stall_minutes = -1.0;
         let bad = before.monotone_violations(&after);
-        assert!(bad.contains(&"vcr_denied"));
-        assert!(bad.contains(&"stall_minutes"));
-        assert_eq!(bad.len(), 2);
+        assert_eq!(bad, ["vcr_denied", "stall_minutes"]);
+        // The list is the report's own, so no counter can be forgotten
+        // (the hand-kept one had lost the pause trials).
+        before.record_resume(VcrKind::Pause, true);
+        let bad = before.monotone_violations(&RuntimeMetrics::new());
+        let pau = ["per_kind.pau.hits", "per_kind.pau.trials"];
+        assert_eq!(bad[..2], ["resume_hits", "resume_trials"]);
+        assert_eq!(bad[2..4], pau);
     }
 
     #[test]
@@ -657,11 +457,15 @@ mod tests {
             j.starts_with("{\"schema_version\":2,"),
             "schema marker must lead so consumers can sniff the shape: {j}"
         );
-        assert!(j.contains("\"denied_transient\":0"));
-        assert!(j.contains("\"stall_minutes\":0"));
-        assert!(j.contains("\"hit_ratio\":1"));
-        assert!(j.contains("\"buffer_minutes\":12.5"));
-        assert!(j.contains("\"ff\":{\"hits\":1,\"trials\":1"));
+        let read = json::parse(&j).unwrap();
+        assert_eq!(read, m.json(), "the reader gives back what was written");
+        assert_eq!(read.get("denied_transient").unwrap().as_u64(), Some(0));
+        assert_eq!(read.get("stall_minutes").unwrap().as_f64(), Some(0.0));
+        assert_eq!(read.get("hit_ratio").unwrap().as_f64(), Some(1.0));
+        assert_eq!(read.get("buffer_minutes").unwrap().as_f64(), Some(12.5));
+        let ff = read.get("per_kind").unwrap().get("ff").unwrap();
+        assert_eq!(ff.get("hits").unwrap().as_u64(), Some(1));
+        assert_eq!(ff.get("trials").unwrap().as_u64(), Some(1));
         // Identical metrics serialize identically (the determinism check
         // the cross-validation harness relies on).
         let mut m2 = RuntimeMetrics::new();

@@ -72,6 +72,10 @@ fn fault_plan_round_trips_through_json() {
     // Whitespace tolerance on the way back in.
     let spaced = json.replace(',', " , ").replace('{', " { ");
     assert_eq!(FaultPlan::from_json(&spaced).unwrap(), plan);
+    // An escaped spelling of a known kind is that kind.
+    let escaped = json.replace("disk_stream_loss", r"disk\u005fstream_loss");
+    assert_ne!(escaped, json);
+    assert_eq!(FaultPlan::from_json(&escaped).unwrap(), plan);
     // The empty plan is `[]` both ways.
     assert_eq!(FaultPlan::empty().to_json(), "[]");
     assert_eq!(FaultPlan::from_json("[]").unwrap(), FaultPlan::empty());
@@ -92,14 +96,18 @@ fn generated_plans_round_trip_bitwise() {
 #[test]
 fn malformed_plans_are_errors_not_silent_drops() {
     for bad in [
-        "",                                                  // no array
-        "[",                                                 // unterminated
-        r#"[{"at":5,"kind":"disk_stream_loss","count":3}"#,  // missing ]
-        r#"[{"at":5,"kind":"warp_core_breach","count":3}]"#, // unknown kind
-        r#"[{"kind":"disk_stream_loss","count":3}]"#,        // missing at
-        r#"[{"at":5,"kind":"disk_stream_loss"}]"#,           // missing params
-        r#"[{"at":5,"kind":"shard_outage","shard":1}] []"#,  // trailing input
-        r#"[{"at":-5,"kind":"shard_outage","shard":1}]"#,    // negative tick
+        "",                                                                    // no array
+        "[",                                                                   // unterminated
+        r#"[{"at":5,"kind":"disk_stream_loss","count":3}"#,                    // missing ]
+        r#"[{"at":5,"kind":"warp_core_breach","count":3}]"#,                   // unknown kind
+        r#"[{"kind":"disk_stream_loss","count":3}]"#,                          // missing at
+        r#"[{"at":5,"kind":"disk_stream_loss"}]"#,                             // missing params
+        r#"[{"at":5,"kind":"shard_outage","shard":1}] []"#,                    // trailing input
+        r#"[{"at":-5,"kind":"shard_outage","shard":1}]"#,                      // negative tick
+        r#"[{"at":5,"kind":"disk_stream_loss","count":4,"bogus":7}]"#,         // unknown key
+        r#"[{"at":5,"kind":"disk_stream_loss","count":4,"recover_after":3}]"#, // another kind's key
+        r#"[{"at":5,"at":9,"kind":"disk_stream_loss","count":4}]"#,            // repeated key
+        r#"[{"at":5,"kind":"disk_stream_loss","count":4,"count":1}]"#,         // repeated parameter
     ] {
         assert!(FaultPlan::from_json(bad).is_err(), "must reject: {bad:?}");
     }
@@ -136,14 +144,9 @@ fn runtime_metrics_json_schema_and_key_order_are_frozen() {
         "rewait_minutes",
         "stall_minutes",
     ];
-    let mut cursor = 0;
-    for key in keys {
-        let needle = format!("\"{key}\":");
-        let found = json[cursor..]
-            .find(&needle)
-            .unwrap_or_else(|| panic!("{key} missing or out of order"));
-        cursor += found + needle.len();
-    }
+    let read = vod_runtime::json::parse(&json).unwrap();
+    let written: Vec<&str> = read.fields().unwrap().iter().map(|(k, _)| &**k).collect();
+    assert_eq!(written, keys);
     assert!(json.starts_with("{\"schema_version\":2,"));
 }
 

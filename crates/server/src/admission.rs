@@ -2,8 +2,8 @@
 //!
 //! `vod-sizing` answers *how many streams and buffer minutes each popular
 //! movie should get*; this module turns such a [`ResourcePlan`] into a
-//! runnable [`ServerConfig`], adding the VCR reserve the plan's hit
-//! probability makes affordable.
+//! runnable [`ServerConfig`], adding the VCR reserve the caller sized
+//! (`vod_sizing::size_vcr_reserve`).
 //!
 //! The produced config is the common currency of every
 //! [`DeliveryBackend`](crate::DeliveryBackend): admission *policy*
@@ -17,33 +17,6 @@ use vod_sizing::ResourcePlan;
 
 use crate::content::MovieId;
 use crate::server::{HostedMovie, ServerConfig};
-
-/// Size a VCR stream reserve from the plan: with hit probability `p_hit`
-/// each VCR operation holds a dedicated stream only briefly, and (1 −
-/// p_hit) of them hold it until the end of the movie. A crude Little's-law
-/// bound on concurrent holds is
-///
-/// ```text
-/// reserve ≈ ops_per_min · (E[phase1] + (1 − p_hit) · E[residual movie])
-/// ```
-///
-/// The default helper uses the conservative per-movie worst hit
-/// probability from the plan.
-pub fn vcr_reserve_estimate(
-    plan: &ResourcePlan,
-    vcr_ops_per_minute: f64,
-    mean_phase1_minutes: f64,
-    mean_residual_minutes: f64,
-) -> u32 {
-    let worst_hit = plan
-        .allocations
-        .iter()
-        .map(|a| a.p_hit)
-        .fold(1.0f64, f64::min);
-    let holds =
-        vcr_ops_per_minute * (mean_phase1_minutes + (1.0 - worst_hit) * mean_residual_minutes);
-    holds.ceil().max(1.0) as u32
-}
 
 /// Build a provisioned [`ServerConfig`] from a sizing plan.
 ///
@@ -93,16 +66,6 @@ mod tests {
                 },
             ],
         }
-    }
-
-    #[test]
-    fn reserve_scales_with_miss_rate() {
-        let p = plan();
-        let low = vcr_reserve_estimate(&p, 1.0, 3.0, 0.0);
-        let high = vcr_reserve_estimate(&p, 1.0, 3.0, 60.0);
-        assert!(high > low);
-        // Worst hit probability is 0.6: residual term = 0.4 · 60 = 24.
-        assert_eq!(high, (3.0f64 + 24.0).ceil() as u32);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 
 use rand::RngCore;
 use vod_dist::rng::{exponential, seeded, SeededRng};
-use vod_runtime::{
-    json_string_array, BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, RuntimeMetrics,
-};
+use vod_runtime::json::{Json, Layout};
+use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, RuntimeMetrics};
 use vod_workload::{BehaviorModel, VcrKind};
 
 use crate::backend::{make_backend, DeliveryBackend};
@@ -335,26 +334,17 @@ impl ChaosOutcome {
     /// `metrics`). The shape is frozen by the serde-stability suite:
     /// report consumers may parse positionally.
     pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"schema_version\":{},",
-                "\"violations\":{},",
-                "\"violation_details\":{},",
-                "\"sessions_opened\":{},",
-                "\"sessions_done\":{},",
-                "\"degraded_at_end\":{},",
-                "\"ticks\":{},",
-                "\"metrics\":{}}}"
-            ),
-            Self::SCHEMA_VERSION,
-            self.violation_count,
-            json_string_array(&self.violations),
-            self.sessions_opened,
-            self.sessions_done,
-            self.degraded_at_end,
-            self.ticks,
-            self.metrics.to_json(),
-        )
+        let fields = [
+            ("schema_version", Self::SCHEMA_VERSION.into()),
+            ("violations", self.violation_count.into()),
+            ("violation_details", Json::strings(&self.violations)),
+            ("sessions_opened", self.sessions_opened.into()),
+            ("sessions_done", self.sessions_done.into()),
+            ("degraded_at_end", self.degraded_at_end.into()),
+            ("ticks", self.ticks.into()),
+            ("metrics", self.metrics.json()),
+        ];
+        Json::object(Layout::Compact, fields).render()
     }
 }
 

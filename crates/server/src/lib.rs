@@ -45,7 +45,7 @@ mod pyramid;
 mod server;
 mod session;
 
-pub use admission::{config_from_plan, vcr_reserve_estimate};
+pub use admission::config_from_plan;
 pub use backend::{make_backend, Adoption, DeliveryBackend};
 pub use buffer::{BroadcastSlot, BufferError, BufferPool, Partition};
 pub use content::{checksum, generate_segment, verify_segment, MovieId, Segment, SEGMENT_BYTES};

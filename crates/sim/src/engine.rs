@@ -105,95 +105,64 @@ struct Viewer {
     sweep: Option<Sweep>,
 }
 
-/// The engine's pending-event set.
+/// The engine's pending-event set: pops in ascending `(time, seq)`,
+/// exactly the order one global `BinaryHeap<Ev>` would (pinned against
+/// that heap, push for push and pop for pop, by this module's proptest).
 ///
-/// Both variants pop events in exactly the same order — ascending
-/// `(time, seq)` — so the engine's behavior is bitwise independent of
-/// which one drives it (pinned by `tests/queue_equivalence.rs`).
-///
-/// The wheel variant buckets events by `floor(time)` minute; everything
-/// past the minute the cursor is on waits in a [`TimerWheel`] slot.
-/// Pushes into future minutes are O(1) instead of O(log pending), and an
-/// idle stretch fast-forwards through the wheel's occupancy bitmaps
-/// instead of popping through a million-entry heap. On each minute change
-/// the drained bucket is sorted once into `run`; only events pushed into
-/// the minute already being played go through the small `late` heap.
-/// Ordering is preserved because every event in `run` or `late` has
+/// Events are bucketed by `floor(time)` minute; everything past the
+/// minute the cursor is on waits in a [`TimerWheel`] slot. Pushes into
+/// future minutes are O(1) instead of O(log pending), and an idle stretch
+/// fast-forwards through the wheel's occupancy bitmaps instead of popping
+/// through a million-entry heap. On each minute change the drained bucket
+/// is sorted once into `run`; only events pushed into the minute already
+/// being played (or before it) go through the small `late` heap. Ordering
+/// is preserved because every event in `run` or `late` has
 /// `floor(time) ≤ minute` while every event still in the wheel has
 /// `floor(time) > minute` — so the earlier of the two heads is the
 /// global minimum.
-enum EventQueue {
-    /// The historical single global heap (reference scheduler).
-    Heap(BinaryHeap<Ev>),
-    /// Minute-bucketed wheel + sorted current minute (the default).
-    Wheel {
-        wheel: TimerWheel<Ev>,
-        /// The bucket of `minute`, latest first: `pop()` takes the
-        /// earliest off the back.
-        run: Vec<Ev>,
-        /// Events pushed into `minute` while it plays.
-        late: BinaryHeap<Ev>,
-        /// The minute bucket `run` was drained from.
-        minute: u64,
-    },
+struct EventQueue {
+    wheel: TimerWheel<Ev>,
+    /// The bucket of `minute`, latest first: `pop()` takes the earliest
+    /// off the back.
+    run: Vec<Ev>,
+    /// Events pushed into `minute` while it plays.
+    late: BinaryHeap<Ev>,
+    /// The minute bucket `run` was drained from.
+    minute: u64,
 }
 
 impl EventQueue {
-    fn new(reference_heap: bool) -> Self {
-        if reference_heap {
-            EventQueue::Heap(BinaryHeap::new())
-        } else {
-            EventQueue::Wheel {
-                wheel: TimerWheel::new(),
-                run: Vec::new(),
-                late: BinaryHeap::new(),
-                minute: 0,
-            }
+    fn new() -> Self {
+        EventQueue {
+            wheel: TimerWheel::new(),
+            run: Vec::new(),
+            late: BinaryHeap::new(),
+            minute: 0,
         }
     }
 
     fn push(&mut self, ev: Ev) {
-        match self {
-            EventQueue::Heap(heap) => heap.push(ev),
-            EventQueue::Wheel {
-                wheel,
-                late,
-                minute,
-                ..
-            } => {
-                let tick = TimerWheel::<Ev>::tick_of(ev.time);
-                if tick <= *minute {
-                    late.push(ev);
-                } else {
-                    wheel.schedule(tick, ev);
-                }
-            }
+        let tick = TimerWheel::<Ev>::tick_of(ev.time);
+        if tick <= self.minute {
+            self.late.push(ev);
+        } else {
+            self.wheel.schedule(tick, ev);
         }
     }
 
     fn pop(&mut self) -> Option<Ev> {
-        match self {
-            EventQueue::Heap(heap) => heap.pop(),
-            EventQueue::Wheel {
-                wheel,
-                run,
-                late,
-                minute,
-            } => {
-                if run.is_empty() && late.is_empty() {
-                    let due = wheel.next_due()?;
-                    *minute = due;
-                    wheel.drain_tick_into(due, run);
-                    // `Ord for Ev` is inverted: ascending = latest first.
-                    run.sort_unstable();
-                }
-                // The greater head under the inverted order is the earlier.
-                if late.peek() > run.last() {
-                    late.pop()
-                } else {
-                    run.pop()
-                }
-            }
+        if self.run.is_empty() && self.late.is_empty() {
+            let due = self.wheel.next_due()?;
+            self.minute = due;
+            self.wheel.drain_tick_into(due, &mut self.run);
+            // `Ord for Ev` is inverted: ascending = latest first.
+            self.run.sort_unstable();
+        }
+        // The greater head under the inverted order is the earlier.
+        if self.late.peek() > self.run.last() {
+            self.late.pop()
+        } else {
+            self.run.pop()
         }
     }
 }
@@ -247,7 +216,7 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(cfg: &'a CatalogConfig, seed: u64, reference_heap: bool) -> Self {
+    fn new(cfg: &'a CatalogConfig, seed: u64) -> Self {
         let windows: Vec<PartitionWindows> = cfg
             .movies
             .iter()
@@ -270,7 +239,7 @@ impl<'a> Engine<'a> {
         Self {
             cfg,
             rng: seeded(seed),
-            queue: EventQueue::new(reference_heap),
+            queue: EventQueue::new(),
             seq: 0,
             viewers: Arena::new(),
             base_windows: windows.clone(),
@@ -920,22 +889,7 @@ pub fn run_catalog_seeded(cfg: &CatalogConfig, seed: u64) -> CatalogReport {
     // vod-lint: allow(no-panic) — documented panic: an invalid config is a
     // caller bug, and callers can pre-check with `cfg.validate()`.
     cfg.validate().expect("invalid simulation configuration");
-    Engine::new(cfg, seed, false).run()
-}
-
-/// [`run_catalog_seeded`] with the historical single-global-heap event
-/// queue instead of the timer wheel. Exists solely so the equivalence
-/// suite can pin the two queues against each other.
-///
-/// # Panics
-///
-/// Panics if `cfg.validate()` rejects the configuration, like
-/// [`run_catalog_seeded`].
-#[doc(hidden)]
-pub fn run_catalog_seeded_reference(cfg: &CatalogConfig, seed: u64) -> CatalogReport {
-    // vod-lint: allow(no-panic) — same documented panic as `run_catalog_seeded`.
-    cfg.validate().expect("invalid simulation configuration");
-    Engine::new(cfg, seed, true).run()
+    Engine::new(cfg, seed).run()
 }
 
 /// Run one single-movie simulation (deterministic default seed 0).
@@ -985,10 +939,55 @@ pub fn partition_hit_for_tests(cfg: &SimConfig, t: f64, p: f64) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BinaryHeap;
+
+    use proptest::prelude::*;
+
+    use super::{Ev, EvKind, EventQueue};
+
     /// Every queue move copies an `Ev`; the sweep parameters ride in the
     /// `Viewer`, not in the event.
     #[test]
     fn event_fits_half_a_cache_line() {
-        assert!(std::mem::size_of::<super::Ev>() <= 32);
+        assert!(std::mem::size_of::<Ev>() <= 32);
+    }
+
+    proptest! {
+        /// The reference: one plain `BinaryHeap<Ev>` under the same `Ord`,
+        /// given the same pushes and pops. A push lands, relative to the
+        /// last popped time, in the past, at that very instant (ties fall
+        /// to `seq`), inside the minute being played, minutes ahead or 10⁶
+        /// minutes ahead. The engine's output is a function of pop order
+        /// alone, so equal pop order is equal simulation.
+        #[test]
+        fn queue_pops_in_global_heap_order(
+            ops in proptest::collection::vec((0u8..8, 0u8..5, 0.0f64..1.0), 400),
+        ) {
+            let (mut queue, mut heap) = (EventQueue::new(), BinaryHeap::new());
+            let (mut now, mut seq) = (0.0f64, 0u64);
+            for (op, place, frac) in ops {
+                if op < 5 {
+                    let time = match place {
+                        0 => (now - 3.0 * frac).max(0.0),
+                        1 => now,
+                        2 => now.floor() + frac,
+                        3 => now + 1.0 + 240.0 * frac,
+                        _ => now + 1e6 * (1.0 + frac),
+                    };
+                    seq += 1;
+                    let kind = || EvKind::Arrival { movie: 0 };
+                    queue.push(Ev { time, seq, kind: kind() });
+                    heap.push(Ev { time, seq, kind: kind() });
+                } else {
+                    let (got, want) = (queue.pop(), heap.pop());
+                    prop_assert_eq!(got.as_ref().map(|e| e.seq), want.as_ref().map(|e| e.seq));
+                    now = want.map_or(now, |e| e.time);
+                }
+            }
+            while let Some(want) = heap.pop() {
+                prop_assert_eq!(queue.pop().map(|e| e.seq), Some(want.seq));
+            }
+            prop_assert!(queue.pop().is_none());
+        }
     }
 }

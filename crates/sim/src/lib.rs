@@ -39,8 +39,6 @@ mod federation;
 mod report;
 
 pub use config::{CatalogConfig, MovieLoad, SimConfig};
-#[doc(hidden)]
-pub use engine::run_catalog_seeded_reference;
 pub use engine::{
     hit_ratio_over_replications, partition_hit_for_tests, run, run_catalog_seeded,
     run_replications, run_seeded,

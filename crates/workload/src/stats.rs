@@ -133,12 +133,6 @@ impl Ratio {
         let p = self.value();
         z * (p * (1.0 - p) / self.trials as f64).sqrt()
     }
-
-    /// Merge another tracker.
-    pub fn merge(&mut self, other: &Ratio) {
-        self.hits += other.hits;
-        self.trials += other.trials;
-    }
 }
 
 /// Time-weighted average of a piecewise-constant signal (e.g. "streams in

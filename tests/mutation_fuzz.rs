@@ -1,6 +1,7 @@
-//! Seeded mutation fuzz over the three places text from outside the
-//! program enters it: `FaultPlan::from_json`, the trace-CSV reader and
-//! `vodplan`'s `parse_args`. Each case takes a *valid* input, applies a
+//! Seeded mutation fuzz over the places text from outside the program
+//! enters it: the JSON reader (`vod_runtime::json::parse`, behind `scale
+//! --previous`) and `FaultPlan::from_json` on top of it, the trace-CSV
+//! reader and `vodplan`'s `parse_args`. Each case takes a *valid* input, applies a
 //! few byte-level mutations (overwrite, bit flip, delete, insert,
 //! truncate, splice an over-long number) and requires an answer — `Err`,
 //! or an `Ok` that holds exactly what the text said — never a panic and
@@ -13,7 +14,8 @@ use rand::RngCore;
 
 use vod_prealloc::cli::parse_args;
 use vod_prealloc::dist::rng::seeded;
-use vod_prealloc::runtime::FaultPlan;
+use vod_prealloc::runtime::json::{self, Json};
+use vod_prealloc::runtime::{FaultPlan, RuntimeMetrics};
 use vod_prealloc::workload::{read_csv, write_csv, TraceError, VcrKind, VcrTraceRecord};
 
 /// One to three seeded byte-level mutations of `input`.
@@ -104,6 +106,19 @@ proptest! {
         }
     }
 
+    /// A mutated report is refused at an offset inside it, or reads as a
+    /// document that its own rendering gives back.
+    #[test]
+    fn json_report_survives_mutation(plan_seed in 0u64..64, seed in 0u64..u64::MAX) {
+        let plan = FaultPlan::generate_federation(plan_seed, 1440, 14, 4).json();
+        let fields = [("plan", plan), ("note", "é \"q\"\n".into()), ("metrics", RuntimeMetrics::new().json())];
+        let text = lossy(&mutate(Json::object(json::Layout::Block, fields).render().as_bytes(), seed));
+        match json::parse(&text) {
+            Err(e) => prop_assert!(e.offset <= text.len(), "{} outside {:?}", e, text),
+            Ok(read) => prop_assert_eq!(json::parse(&read.render()), Ok(read)),
+        }
+    }
+
     /// A mutated trace is refused with a line number inside the input,
     /// or yields at most one record per data line.
     #[test]
@@ -151,4 +166,22 @@ fn vodplan_default_stream_budget_cannot_wrap() {
     .map(String::from);
     let refused = parse_args(&args).expect_err("a 2 × u32::MAX stream budget");
     assert!(refused.0.contains("exceeds u32::MAX"), "{refused}");
+}
+
+/// Every committed `results/*.json` is one well-formed JSON document —
+/// the timing files no `cmp` gate regenerates included.
+#[test]
+fn every_committed_json_result_parses() {
+    let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut seen = 0;
+    for entry in std::fs::read_dir(results).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_some_and(|e| e == "json") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let read = json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(read.fields().is_some(), "{}: not an object", path.display());
+            seen += 1;
+        }
+    }
+    assert!(seen >= 9, "only {seen} JSON results found");
 }

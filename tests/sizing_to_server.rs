@@ -7,10 +7,10 @@
 use rand::RngCore;
 use vod_prealloc::dist::rng::seeded;
 use vod_prealloc::model::{ModelOptions, VcrMix};
-use vod_prealloc::server::{
-    config_from_plan, vcr_reserve_estimate, DeliveryBackend, MovieId, VodServer,
+use vod_prealloc::server::{config_from_plan, DeliveryBackend, MovieId, VodServer};
+use vod_prealloc::sizing::{
+    allocate_min_buffer, example1_movies, size_vcr_reserve, Budgets, VcrLoad,
 };
-use vod_prealloc::sizing::{allocate_min_buffer, example1_movies, Budgets};
 use vod_prealloc::workload::VcrKind;
 
 #[test]
@@ -33,7 +33,15 @@ fn planned_catalog_serves_cleanly() {
     }
 
     let lengths: Vec<u32> = movies.iter().map(|m| m.length as u32).collect();
-    let reserve = vcr_reserve_estimate(&plan, 0.5, 3.0, 30.0);
+    // Half an operation a minute, 3 minutes of sweep, a miss holding 30
+    // more, at the plan's worst hit probability: 2 % Erlang-B denial.
+    let load = VcrLoad {
+        ops_per_minute: 0.5,
+        mean_phase1: 3.0,
+        mean_miss_hold: 30.0,
+        p_hit: plan.allocations.iter().map(|a| a.p_hit).fold(1.0, f64::min),
+    };
+    let reserve = size_vcr_reserve(&load, 0.02).expect("valid target");
     assert!(reserve >= 1);
     let config = config_from_plan(&plan, &lengths, reserve);
     let mut server = VodServer::new(config);
