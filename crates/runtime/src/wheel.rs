@@ -113,6 +113,17 @@ impl<T> TimerWheel<T> {
         time as u64
     }
 
+    /// Which of `parts` equal slices of tick `tick` a continuous event
+    /// time falls in (floor; a time before the tick or NaN saturates to
+    /// slice 0, a time past it to the last slice). Monotone in `time`, so
+    /// a caller ordering one tick's events can scatter them by slice
+    /// first. Like [`Self::tick_of`] this is event-queue bucketing, not
+    /// partition-geometry quantization.
+    pub fn slice_of(time: f64, tick: u64, parts: usize) -> usize {
+        let slice = ((time - tick as f64) * parts as f64) as usize;
+        slice.min(parts.saturating_sub(1))
+    }
+
     /// Schedule `item` for tick `due`. A `due` behind the cursor is
     /// clamped to the cursor, so the item fires on the next drain.
     pub fn schedule(&mut self, due: u64, item: T) {
@@ -328,5 +339,19 @@ mod tests {
         assert_eq!(TimerWheel::<()>::tick_of(0.0), 0);
         assert_eq!(TimerWheel::<()>::tick_of(41.999), 41);
         assert_eq!(TimerWheel::<()>::tick_of(-3.0), 0);
+    }
+
+    #[test]
+    fn slice_of_floors_and_saturates() {
+        let slice = |time| TimerWheel::<()>::slice_of(time, 41, 256);
+        assert_eq!(slice(41.0), 0);
+        assert_eq!(slice(41.5), 128);
+        assert_eq!(slice(f64::from_bits(42.0f64.to_bits() - 1)), 255);
+        assert_eq!(slice(42.0), 255);
+        assert_eq!(slice(f64::INFINITY), 255);
+        assert_eq!(slice(40.999), 0);
+        assert_eq!(slice(f64::NAN), 0);
+        // The saturated last tick holds every time from 2^64 up.
+        assert_eq!(TimerWheel::<()>::slice_of(1e300, u64::MAX, 256), 255);
     }
 }

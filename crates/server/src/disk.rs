@@ -282,11 +282,10 @@ impl DiskSubsystem {
 
     /// Read one segment through a lease.
     ///
-    /// `#[inline]` for the reason given on [`generate_segment`]: the lease
-    /// read verifies what it reads, and whether the two generator chains
-    /// land in one function was up to where the codegen-unit split put
-    /// this one — out of line it cost a dedicated-stream minute a quarter
-    /// more, and the placement changes with unrelated edits.
+    /// `#[inline]`: the lease read verifies what it reads, and with the
+    /// generator in view the caller pays for neither chain (see
+    /// [`verify_segment`](crate::verify_segment)); that should not hinge
+    /// on which codegen unit this lands in.
     #[inline]
     pub fn read(
         &mut self,

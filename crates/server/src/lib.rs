@@ -48,7 +48,7 @@ mod session;
 pub use admission::config_from_plan;
 pub use backend::{make_backend, Adoption, DeliveryBackend};
 pub use buffer::{BroadcastSlot, BufferError, BufferPool, Partition};
-pub use content::{checksum, generate_segment, verify_segment, MovieId, Segment, SEGMENT_BYTES};
+pub use content::{generate_segment, verify_segment, MovieId, Segment, SEGMENT_BYTES};
 pub use core::ServerCore;
 pub use dedicated::DedicatedServer;
 pub use disk::{DiskError, DiskSubsystem, StreamLease};

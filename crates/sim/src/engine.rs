@@ -30,12 +30,14 @@ use crate::{CatalogConfig, CatalogReport, SimConfig, SimReport};
 
 /// Scheduled event. Ordered by time then sequence number (FIFO ties).
 /// At most 32 bytes (pinned by a test): every queue move copies one.
+#[derive(Clone, Copy)]
 struct Ev {
     time: f64,
     seq: u64,
     kind: EvKind,
 }
 
+#[derive(Clone, Copy)]
 enum EvKind {
     /// A new viewer for `movie` arrives (the next arrival of that movie
     /// is scheduled on pop).
@@ -111,12 +113,13 @@ struct Viewer {
 ///
 /// Events are bucketed by `floor(time)` minute; everything past the
 /// minute the cursor is on waits in a [`TimerWheel`] slot. Pushes into
-/// future minutes are O(1) instead of O(log pending), and an idle stretch
-/// fast-forwards through the wheel's occupancy bitmaps instead of popping
-/// through a million-entry heap. On each minute change the drained bucket
-/// is sorted once into `run`; only events pushed into the minute already
-/// being played (or before it) go through the small `late` heap. Ordering
-/// is preserved because every event in `run` or `late` has
+/// future minutes are O(1) instead of O(log pending). An idle stretch is
+/// not free: the wheel crosses it one 64-minute window at a time, so
+/// [`EventQueue::pop`] takes the horizon and never crosses to a minute
+/// past it. On each minute change the drained bucket is ordered once
+/// into `run`; only events pushed into the minute already being played
+/// (or before it) go through the small `late` heap. Ordering is
+/// preserved because every event in `run` or `late` has
 /// `floor(time) ≤ minute` while every event still in the wheel has
 /// `floor(time) > minute` — so the earlier of the two heads is the
 /// global minimum.
@@ -125,17 +128,26 @@ struct EventQueue {
     /// The bucket of `minute`, latest first: `pop()` takes the earliest
     /// off the back.
     run: Vec<Ev>,
+    /// The bucket as drained, while `order_run` scatters it into `run`.
+    scratch: Vec<Ev>,
     /// Events pushed into `minute` while it plays.
     late: BinaryHeap<Ev>,
     /// The minute bucket `run` was drained from.
     minute: u64,
 }
 
+/// Slices of a minute `order_run` scatters a bucket over.
+const SLICES: usize = 256;
+/// Buckets shorter than this are comparison-sorted whole: the scatter's
+/// two passes over 256 counters cost more than they save.
+const SCATTER_MIN: usize = 64;
+
 impl EventQueue {
     fn new() -> Self {
         EventQueue {
             wheel: TimerWheel::new(),
             run: Vec::new(),
+            scratch: Vec::new(),
             late: BinaryHeap::new(),
             minute: 0,
         }
@@ -150,19 +162,62 @@ impl EventQueue {
         }
     }
 
-    fn pop(&mut self) -> Option<Ev> {
+    /// The earliest pending event, or `None` once every pending event
+    /// lies in a minute past `horizon` (such an event stays queued).
+    fn pop(&mut self, horizon: f64) -> Option<Ev> {
         if self.run.is_empty() && self.late.is_empty() {
-            let due = self.wheel.next_due()?;
+            let due = self.wheel.next_due().filter(|&due| due as f64 <= horizon)?;
             self.minute = due;
             self.wheel.drain_tick_into(due, &mut self.run);
-            // `Ord for Ev` is inverted: ascending = latest first.
-            self.run.sort_unstable();
+            self.order_run();
         }
         // The greater head under the inverted order is the earlier.
         if self.late.peek() > self.run.last() {
             self.late.pop()
         } else {
             self.run.pop()
+        }
+    }
+
+    /// Sort `run`, the bucket of `minute` as the wheel drained it,
+    /// ascending under the inverted `Ord for Ev` — latest first. A
+    /// minute of a busy catalog holds hundreds of events spread evenly
+    /// over it, so a counting-sort scatter on the slice of the minute
+    /// each falls in leaves the comparison sort one or two events per
+    /// slice to order: O(n) where sorting the bucket whole was
+    /// O(n log n) — and still that, not worse, should a whole bucket
+    /// crowd into one slice. `(time, seq)` has one sorted order, so the
+    /// result is the one `sort_unstable` on the whole bucket gave.
+    fn order_run(&mut self) {
+        if self.run.len() < SCATTER_MIN {
+            self.run.sort_unstable();
+            return;
+        }
+        let slice = |ev: &Ev| TimerWheel::<Ev>::slice_of(ev.time, self.minute, SLICES);
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&self.run);
+        // `ends[s]`: one past the last slot of slice `s`, later slices first.
+        let mut ends = [0usize; SLICES];
+        for ev in &self.scratch {
+            ends[slice(ev)] += 1;
+        }
+        let mut end = 0;
+        for count in ends.iter_mut().rev() {
+            end += *count;
+            *count = end;
+        }
+        // Each slice fills from its end: the wheel drains in push order,
+        // so events at one instant land latest `seq` first — in order.
+        for ev in &self.scratch {
+            let slot = &mut ends[slice(ev)];
+            *slot -= 1;
+            self.run[*slot] = *ev;
+        }
+        // `ends[s]` is now where slice `s` starts, and `s − 1` follows it.
+        let mut end = self.run.len();
+        for start in ends {
+            self.run[start..end].sort_unstable();
+            end = start;
         }
     }
 }
@@ -274,7 +329,7 @@ impl<'a> Engine<'a> {
         for movie in 0..self.cfg.movies.len() {
             self.push(0.0, EvKind::Arrival { movie });
         }
-        while let Some(ev) = self.queue.pop() {
+        while let Some(ev) = self.queue.pop(horizon) {
             if ev.time > horizon {
                 break;
             }
@@ -942,6 +997,7 @@ mod tests {
     use std::collections::BinaryHeap;
 
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
 
     use super::{Ev, EvKind, EventQueue};
 
@@ -952,42 +1008,110 @@ mod tests {
         assert!(std::mem::size_of::<Ev>() <= 32);
     }
 
+    /// The reference: one plain `BinaryHeap<Ev>` under the same `Ord`,
+    /// given the same pushes and pops, compared pop for pop.
+    struct Pair {
+        queue: EventQueue,
+        heap: BinaryHeap<Ev>,
+        seq: u64,
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            Pair {
+                queue: EventQueue::new(),
+                heap: BinaryHeap::new(),
+                seq: 0,
+            }
+        }
+
+        fn push(&mut self, time: f64) {
+            self.seq += 1;
+            let ev = Ev {
+                time,
+                seq: self.seq,
+                kind: EvKind::Arrival { movie: 0 },
+            };
+            self.queue.push(ev);
+            self.heap.push(ev);
+        }
+
+        /// Pop both; the popped time when they agree.
+        fn pop(&mut self) -> Result<Option<f64>, TestCaseError> {
+            let (got, want) = (self.queue.pop(f64::INFINITY), self.heap.pop());
+            prop_assert_eq!(got.map(|e| e.seq), want.map(|e| e.seq));
+            Ok(want.map(|e| e.time))
+        }
+
+        fn drain(&mut self) -> Result<(), TestCaseError> {
+            while self.pop()?.is_some() {}
+            prop_assert!(self.queue.pop(f64::INFINITY).is_none());
+            Ok(())
+        }
+    }
+
     proptest! {
-        /// The reference: one plain `BinaryHeap<Ev>` under the same `Ord`,
-        /// given the same pushes and pops. A push lands, relative to the
-        /// last popped time, in the past, at that very instant (ties fall
-        /// to `seq`), inside the minute being played, minutes ahead or 10⁶
-        /// minutes ahead. The engine's output is a function of pop order
-        /// alone, so equal pop order is equal simulation.
+        /// A push lands, relative to the last popped time, in the past, at
+        /// that very instant (ties fall to `seq`), inside the minute being
+        /// played, minutes ahead or 10⁶ minutes ahead. The engine's output
+        /// is a function of pop order alone, so equal pop order is equal
+        /// simulation.
         #[test]
         fn queue_pops_in_global_heap_order(
             ops in proptest::collection::vec((0u8..8, 0u8..5, 0.0f64..1.0), 400),
         ) {
-            let (mut queue, mut heap) = (EventQueue::new(), BinaryHeap::new());
-            let (mut now, mut seq) = (0.0f64, 0u64);
+            let mut pair = Pair::new();
+            let mut now = 0.0f64;
             for (op, place, frac) in ops {
                 if op < 5 {
-                    let time = match place {
+                    pair.push(match place {
                         0 => (now - 3.0 * frac).max(0.0),
                         1 => now,
                         2 => now.floor() + frac,
                         3 => now + 1.0 + 240.0 * frac,
                         _ => now + 1e6 * (1.0 + frac),
-                    };
-                    seq += 1;
-                    let kind = || EvKind::Arrival { movie: 0 };
-                    queue.push(Ev { time, seq, kind: kind() });
-                    heap.push(Ev { time, seq, kind: kind() });
+                    });
                 } else {
-                    let (got, want) = (queue.pop(), heap.pop());
-                    prop_assert_eq!(got.as_ref().map(|e| e.seq), want.as_ref().map(|e| e.seq));
-                    now = want.map_or(now, |e| e.time);
+                    now = pair.pop()?.unwrap_or(now);
                 }
             }
-            while let Some(want) = heap.pop() {
-                prop_assert_eq!(queue.pop().map(|e| e.seq), Some(want.seq));
+            pair.drain()?;
+        }
+
+        /// One minute holding thousands of events — the bucket the
+        /// counting-sort scatter orders (the 400 operations above never
+        /// file 64 into one minute): instants shared by many events,
+        /// the minute's first instant and the last `f64` before the next
+        /// minute, and pushes into the minute while it plays.
+        #[test]
+        fn a_crowded_minute_pops_in_global_heap_order(
+            minute in prop_oneof![Just(7.0f64), Just(4800.0), Just(1e6)],
+            times in proptest::collection::vec((0u8..6, 0.0f64..1.0), 2_500),
+            late in proptest::collection::vec(0.0f64..1.0, 50),
+        ) {
+            let mut pair = Pair::new();
+            let last = f64::from_bits((minute + 1.0).to_bits() - 1);
+            let instant = |place: u8, frac: f64| match place {
+                0 => minute,
+                1 => last,
+                // A few shared instants: ties fall to `seq`.
+                2 => minute + (frac * 4.0).floor() / 4.0,
+                _ => (minute + frac).min(last),
+            };
+            pair.push(0.5);
+            for &(place, frac) in &times {
+                pair.push(instant(place, frac));
             }
-            prop_assert!(queue.pop().is_none());
+            pair.push(minute + 1.0);
+            prop_assert_eq!(pair.pop()?, Some(0.5));
+            for frac in late {
+                // Each pop plays the crowded minute; the push lands in it,
+                // before or after the playhead.
+                pair.pop()?;
+                pair.pop()?;
+                pair.push(instant(3, frac));
+            }
+            pair.drain()?;
         }
     }
 }

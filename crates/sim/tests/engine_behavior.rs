@@ -257,3 +257,29 @@ fn trace_collection_works() {
     let frac = ff / report.trace.len() as f64;
     assert!((frac - 0.2).abs() < 0.06, "FF fraction {frac}");
 }
+
+/// The run ends at the horizon, not at the first event past it: the next
+/// arrival of a near-idle movie lies ~10¹⁵ minutes out, and crossing the
+/// event queue's wheel to it (64 minutes a step) would take hours.
+#[test]
+fn a_far_future_event_does_not_outlast_the_horizon() {
+    let mut cfg = config(60.0, 20, (0.2, 0.2, 0.6));
+    cfg.horizon = 1000.0;
+    cfg.warmup = 0.0;
+    let run_at = |mean_interarrival: f64| {
+        let cfg = SimConfig {
+            mean_interarrival,
+            ..cfg.clone()
+        };
+        cfg.validate().unwrap();
+        run_seeded(&cfg, 5)
+    };
+    let started = std::time::Instant::now();
+    let far = run_at(1e15);
+    assert!(
+        started.elapsed().as_secs_f64() < 1.0,
+        "crossed the wheel to the first event past the horizon"
+    );
+    assert_eq!(far.viewers_arrived, 1);
+    assert_eq!(far, run_at(1e6));
+}

@@ -1,0 +1,76 @@
+#!/usr/bin/env bash
+# Paired A/B of one benchmark workload: the working tree against a parent
+# commit, alternating which side runs first (EXPERIMENTS.md "Run-to-run
+# spread" says why single runs on this container mean nothing).
+#
+#   ./paired_bench.sh <parent-ref> <workload> [pairs=10] [seconds=20] [seed=42]
+#
+# The parent is unpacked with `git archive` into a temp dir and built
+# there, so neither this tree nor `.git` is touched; both binaries are
+# copied aside before the first run. Prints work_per_s per pair with the
+# change/parent ratio and the pairs the change won; each side's median
+# and quartiles of work_per_s, setup_s and peak_rss_mib; and whether the
+# three exact metrics (hit_ratio, served_share, provisioned_cost) read
+# the same on every run of both.
+set -euo pipefail
+cd "$(dirname "$0")"
+
+if [ $# -lt 2 ]; then
+  awk 'NR > 1 && !/^#/ { exit } NR > 1' "$0" >&2
+  exit 2
+fi
+parent="$1" workload="$2" pairs="${3:-10}" seconds="${4:-20}" seed="${5:-42}"
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/parent"
+git archive "$parent" | tar -x -C "$tmp/parent"
+echo "== building $parent and the working tree ==" >&2
+(cd "$tmp/parent" && cargo build --release --quiet --manifest-path benchmark/Cargo.toml)
+cargo build --release --quiet --manifest-path benchmark/Cargo.toml
+cp "$tmp/parent/benchmark/target/release/vod-benchmark" "$tmp/bench-parent"
+cp benchmark/target/release/vod-benchmark "$tmp/bench-change"
+
+# One run; the last stdout line is the one-line JSON summary.
+run() { # side dir
+  (cd "$2" && "$tmp/bench-$1" run --workload "$workload" --seed "$seed" \
+    --seconds "$seconds" --trace 0 | tail -n 1) >>"$tmp/$1.jsonl"
+}
+for ((i = 0; i < pairs; i++)); do
+  if ((i % 2 == 0)); then
+    run parent "$tmp/parent" && run change "$PWD"
+  else
+    run change "$PWD" && run parent "$tmp/parent"
+  fi
+  echo "pair $((i + 1))/$pairs done" >&2
+done
+
+metric() { # side name -> one value per run
+  sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" "$tmp/$1.jsonl"
+}
+echo "== $workload, seed $seed, $pairs alternating pairs of --seconds $seconds: work_per_s =="
+paste <(metric parent work_per_s) <(metric change work_per_s) | awk '
+  { printf "pair %2d   parent %10.0f   change %10.0f   ratio %.3f\n", NR, $1, $2, $2 / $1
+    if ($2 > $1) wins++; else if ($2 == $1) ties++ }
+  END { printf "change won %d of %d pairs (%d ties)\n", wins, NR, ties }'
+# Median and quartiles of each side (linear interpolation between order statistics).
+for name in work_per_s setup_s peak_rss_mib; do
+  for side in parent change; do
+    metric "$side" "$name" | sort -g | awk -v what="$name $side" '
+      function quantile(q,    h, lo) { h = (NR - 1) * q; lo = int(h); return v[lo + 1] + (h - lo) * (v[lo + 2 > NR ? NR : lo + 2] - v[lo + 1]) }
+      { v[NR] = $1 }
+      END { printf "%-22s median %12.6g   q1 %12.6g   q3 %12.6g   (q3-q1)/median %.3f\n", what,
+              quantile(0.5), quantile(0.25), quantile(0.75), (quantile(0.75) - quantile(0.25)) / quantile(0.5) }'
+  done
+done
+for name in hit_ratio served_share provisioned_cost; do
+  values="$( (metric parent "$name"; metric change "$name") | sort -u | tr '\n' ' ')"
+  if [ "$(wc -w <<<"$values")" -eq 1 ]; then
+    echo "$name: $values— equal on all $((2 * pairs)) runs"
+  else
+    echo "$name: DIFFERS across runs: $values"
+  fi
+done
+for side in parent change; do
+  echo "$side: $(grep -c '"correct":true' "$tmp/$side.jsonl") of $pairs runs correct, failed operations: $(sed -n 's/.*"failed":\([0-9]*\).*/\1/p' "$tmp/$side.jsonl" | sort -u | tr '\n' ' ')"
+done
