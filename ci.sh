@@ -81,7 +81,6 @@ for bin in fig7 fig8 fig9 example1 example2 reserve_check catalog_sim; do
 done
 
 echo "== cross-validation: model vs sim vs server =="
-cargo test --release -q --test cross_validation
 cargo run --release -p vod-bench --bin cross_validate -- --out "$scratch/CROSS_VALIDATION.json"
 cmp "$scratch/CROSS_VALIDATION.json" results/CROSS_VALIDATION.json
 

@@ -19,7 +19,7 @@
 
 use std::process::ExitCode;
 
-use vod_bench::report::{exit_code, fig7d_behavior, out_path, write_json};
+use vod_bench::report::{exit_code, out_path, write_json};
 use vod_bench::table::{num, Table};
 use vod_runtime::json::{Json, Layout};
 use vod_runtime::{BackendKind, DegradePolicy, FaultPlan};
@@ -27,6 +27,7 @@ use vod_server::{
     run_backend, BackendRun, HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload,
 };
 use vod_sizing::HardwareSpec;
+use vod_workload::BehaviorModel;
 
 const MOVIE_LEN: u32 = 120;
 const STREAMS_PER_MOVIE: u32 = 20;
@@ -54,7 +55,7 @@ fn harness_config(catalog: u32, interarrival: f64) -> HarnessConfig {
             ..ServerConfig::provisioned(movies, VCR_RESERVE)
         },
         workload: Workload {
-            behavior: fig7d_behavior(),
+            behavior: BehaviorModel::paper_fig7d(),
             mean_interarrival: interarrival,
             warmup: WARMUP,
             measure: MEASURE,

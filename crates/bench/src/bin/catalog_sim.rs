@@ -49,7 +49,7 @@ fn main() {
         .map(|(m, a)| MovieLoad {
             params: m.params_for_streams(a.n_streams).expect("feasible"),
             mean_interarrival: 3.0,
-            behavior: BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::clone(&m.dist)),
+            behavior: BehaviorModel::paper_fig7d_over(Arc::clone(&m.dist)),
         })
         .collect();
     let cfg = CatalogConfig {

@@ -25,13 +25,14 @@
 
 use std::process::ExitCode;
 
-use vod_bench::report::{chaos_cell_server, exit_code, fig7d_behavior, out_path, write_json};
+use vod_bench::report::{chaos_cell_server, exit_code, out_path, write_json};
 use vod_bench::table::{num, Table};
 use vod_model::{Rates, SystemParams};
 use vod_runtime::json::{Json, Layout};
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{run_backend, BackendRun, HarnessConfig, MovieId, Workload};
 use vod_sim::{run_seeded, SimConfig};
+use vod_workload::BehaviorModel;
 
 const MOVIE_LEN: f64 = 120.0;
 const STREAMS: u32 = 20;
@@ -43,7 +44,7 @@ fn harness_config() -> HarnessConfig {
     HarnessConfig {
         server: chaos_cell_server(),
         workload: Workload {
-            behavior: fig7d_behavior(),
+            behavior: BehaviorModel::paper_fig7d(),
             mean_interarrival: 2.0,
             warmup: WARMUP,
             measure: MEASURE,
@@ -106,7 +107,7 @@ fn plans() -> Vec<(&'static str, FaultPlan)> {
 fn sim_hit_ratio(plan: &FaultPlan, seed: u64, backend: BackendKind) -> f64 {
     let params = SystemParams::from_wait(MOVIE_LEN, 1.0, STREAMS, Rates::paper())
         .expect("valid configuration");
-    let mut cfg = SimConfig::new(params, fig7d_behavior());
+    let mut cfg = SimConfig::new(params, BehaviorModel::paper_fig7d());
     cfg.horizon = (WARMUP + MEASURE) as f64;
     cfg.warmup = WARMUP as f64;
     cfg.faults = plan.clone();

@@ -14,13 +14,14 @@
 //! cargo run --release -p vod-bench --bin cross_validate [-- --out PATH]
 //! ```
 
-use vod_bench::report::{fig7d_behavior, out_path, write_json};
+use vod_bench::report::{out_path, write_json};
 use vod_bench::table::{num, Table};
 use vod_dist::kinds::Gamma;
 use vod_model::{p_hit_single_dist, ModelOptions, Rates, SystemParams, VcrMix};
 use vod_runtime::json::{Json, Layout};
 use vod_server::{HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload};
 use vod_sim::{run_seeded, SimConfig};
+use vod_workload::BehaviorModel;
 
 /// One validated configuration: Figure 7(d)'s mixed workload along the
 /// `w = 1` column.
@@ -61,7 +62,7 @@ fn main() {
         )
         .total;
 
-        let mut sim_cfg = SimConfig::new(params, fig7d_behavior());
+        let mut sim_cfg = SimConfig::new(params, BehaviorModel::paper_fig7d());
         sim_cfg.horizon = 40.0 * MOVIE_LEN;
         sim_cfg.warmup = 2.0 * MOVIE_LEN;
         let sim = run_seeded(&sim_cfg, SEED);
@@ -74,7 +75,7 @@ fn main() {
                 ..ServerConfig::provisioned(vec![movie], 80)
             },
             workload: Workload {
-                behavior: fig7d_behavior(),
+                behavior: BehaviorModel::paper_fig7d(),
                 mean_interarrival: sim_cfg.mean_interarrival,
                 warmup: sim_cfg.warmup as u64,
                 measure: (sim_cfg.horizon - sim_cfg.warmup) as u64,

@@ -23,7 +23,7 @@
 
 use std::process::ExitCode;
 
-use vod_bench::report::{chaos_cell_server, exit_code, fig7d_behavior, out_path, write_json};
+use vod_bench::report::{chaos_cell_server, exit_code, out_path, write_json};
 use vod_bench::table::Table;
 use vod_federation::{
     run_federation, FederationConfig, FederationHarnessConfig, FederationOutcome, ShardSpec,
@@ -32,6 +32,7 @@ use vod_federation::{
 use vod_runtime::json::{Json, Layout};
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{run_harness, HarnessConfig, MovieId, Workload};
+use vod_workload::BehaviorModel;
 
 const STREAMS: u32 = 20;
 const WARMUP: u64 = 240;
@@ -60,7 +61,7 @@ fn federation_config(shards: usize) -> FederationConfig {
 /// leg.
 fn workload<M>(movie: M) -> Workload<M> {
     Workload {
-        behavior: fig7d_behavior(),
+        behavior: BehaviorModel::paper_fig7d(),
         mean_interarrival: 2.0,
         warmup: WARMUP,
         measure: MEASURE,

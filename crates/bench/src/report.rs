@@ -4,12 +4,9 @@
 //! matrices are both built on.
 
 use std::process::ExitCode;
-use std::sync::Arc;
 
-use vod_dist::kinds::Gamma;
 use vod_runtime::json::Json;
 use vod_server::{HostedMovie, MovieId, ServerConfig};
-use vod_workload::BehaviorModel;
 
 /// The command line of a bin with flags of its own, checked against its
 /// usage line: `"--csv --threads N --out PATH"` declares the switch
@@ -125,13 +122,6 @@ pub fn exit_code(label: &str, failures: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// The Fig. 7(d) viewer every server-side matrix drives: VCR mix
-/// 0.2 / 0.2 / 0.6, 30 minutes of play between interactions, the paper's
-/// Gamma durations.
-pub fn fig7d_behavior() -> BehaviorModel {
-    BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7()))
 }
 
 /// The single-movie server of a chaos-matrix cell (`l = 120`, `w = 1`,

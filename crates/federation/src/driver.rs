@@ -12,7 +12,7 @@
 use rand::RngCore;
 use vod_runtime::{FaultPlan, FederationMetrics, RuntimeMetrics};
 use vod_server::{ArrivalShape, Driver, SessionStatus, Target, Workload};
-use vod_workload::VcrKind;
+use vod_workload::{VcrKind, Zipf};
 
 use crate::front::{FedSessionId, Federation, FederationConfig};
 
@@ -28,6 +28,8 @@ pub enum WorkloadShape {
     /// Zipf-distributed movie popularity whose skew drifts linearly
     /// from `start_skew` to `end_skew` across the horizon: the hot set
     /// migrates, stressing placement maps sized for the initial skew.
+    /// Skews are finite; one below 0 (popularity rising with rank) is read
+    /// as 0, uniform.
     ZipfDrift {
         /// Skew exponent at tick 0.
         start_skew: f64,
@@ -121,18 +123,8 @@ impl ArrivalShape<usize> for WorkloadShape {
                 minute as f64 / horizon as f64
             };
             let skew = start_skew + (end_skew - start_skew) * frac;
-            let weights: Vec<f64> = (0..workload.movies.len())
-                .map(|r| 1.0 / ((r + 1) as f64).powf(skew))
-                .collect();
-            let total: f64 = weights.iter().sum();
-            let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 * total;
-            let mut acc = 0.0;
-            for (r, w) in weights.iter().enumerate() {
-                acc += w;
-                if u < acc {
-                    return workload.movies[r];
-                }
-            }
+            let ranks = Zipf::new(workload.movies.len(), skew.max(0.0));
+            return workload.movies[ranks.sample(rng)];
         }
         workload.round_robin(arrival)
     }

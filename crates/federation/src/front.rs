@@ -398,10 +398,11 @@ impl Federation {
 
     /// Take shard `s` down: retire its finished-session count, displace
     /// every session living on it into the ledger, in fed-id order, and
-    /// drop the backend. A second outage on an already-dark shard is a
-    /// no-op (uncounted).
+    /// drop the backend. A second outage on an already-dark shard, or one
+    /// of a shard the federation does not have (the plan is outside
+    /// input), is a no-op (uncounted).
     fn shard_outage(&mut self, s: usize) {
-        let Some(shard) = self.shards[s].take() else {
+        let Some(shard) = self.shards.get_mut(s).and_then(Option::take) else {
             return;
         };
         self.metrics.shard_outages += 1;
@@ -436,10 +437,10 @@ impl Federation {
 
     /// Cold-restart shard `s` after an outage: a fresh backend armed
     /// with the remaining slice of the global plan, time-shifted onto
-    /// the new incarnation's local clock. Recovery of an up shard is a
-    /// no-op (uncounted).
+    /// the new incarnation's local clock. Recovery of an up shard, or of
+    /// one the federation does not have, is a no-op (uncounted).
     fn shard_recovery(&mut self, s: usize) {
-        if self.shards[s].is_some() {
+        if !matches!(self.shards.get(s), Some(None)) {
             return;
         }
         let mut shard = make_backend(self.specs[s].backend, &self.specs[s].server);

@@ -4,9 +4,6 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
-use std::sync::Arc;
-
-use vod_dist::kinds::Gamma;
 use vod_federation::{
     run_federation, shards_from_split, Federation, FederationConfig, FederationHarnessConfig,
     ShardSpec, WorkloadShape,
@@ -14,10 +11,6 @@ use vod_federation::{
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload};
 use vod_workload::BehaviorModel;
-
-fn behavior() -> BehaviorModel {
-    BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7()))
-}
 
 fn single_movie_server() -> ServerConfig {
     single_movie_server_with_reserve(40)
@@ -54,7 +47,7 @@ fn replicated_config_with_reserve(shards: usize, vcr_reserve: u32) -> Federation
 fn harness_cfg(warmup: u64, measure: u64) -> FederationHarnessConfig {
     FederationHarnessConfig {
         workload: Workload {
-            behavior: behavior(),
+            behavior: BehaviorModel::paper_fig7d(),
             mean_interarrival: 2.0,
             warmup,
             measure,
@@ -69,7 +62,7 @@ fn single_shard_empty_plan_is_bitwise_identical_to_harness() {
     let plain = HarnessConfig {
         server: single_movie_server(),
         workload: Workload {
-            behavior: behavior(),
+            behavior: BehaviorModel::paper_fig7d(),
             mean_interarrival: 2.0,
             warmup: 240,
             measure: 1200,
@@ -176,6 +169,28 @@ fn outage_without_replica_or_recovery_denies_permanently() {
         "arrivals after the outage had nowhere to go"
     );
     assert_eq!(outcome.displaced_in_flight, 0);
+}
+
+/// A plan is text from outside and cannot know how many shards it will
+/// meet. Events for shard 7 of a one-shard federation do nothing and
+/// count nothing — in particular the late "recovery" of shard 7 does not
+/// make shard 0's real outage look recoverable.
+#[test]
+fn a_plan_naming_an_absent_shard_is_inert() {
+    let plan = FaultPlan::from_json(
+        r#"[{"at":2,"kind":"shard_outage","shard":7},
+            {"at":3,"kind":"shard_recovery","shard":7},
+            {"at":100,"kind":"shard_outage","shard":0},
+            {"at":299,"kind":"shard_recovery","shard":7}]"#,
+    )
+    .unwrap();
+    let outcome = run_federation(replicated_config(1), &plan, &harness_cfg(0, 300), 13);
+    assert_eq!(outcome.violation_count, 0, "{:?}", outcome.violations);
+    assert_eq!(outcome.fed.shard_outages, 1, "only shard 0's");
+    assert_eq!(outcome.fed.shard_recoveries, 0);
+    assert!(outcome.fed.displaced_total > 0);
+    assert_eq!(outcome.fed.denied_transient, 0, "nothing is recoverable");
+    assert_eq!(outcome.fed.denied_permanent, outcome.fed.displaced_total);
 }
 
 #[test]

@@ -10,9 +10,6 @@
 
 #![allow(clippy::unwrap_used)]
 
-use std::sync::Arc;
-
-use vod_dist::kinds::Gamma;
 use vod_federation::{FedSessionId, Federation, FederationConfig, ShardSpec, WorkloadShape};
 use vod_runtime::{BackendKind, DegradePolicy, FaultPlan, SESSION_CHUNK};
 use vod_server::{
@@ -35,7 +32,7 @@ fn server() -> ServerConfig {
 
 fn workload<M>(movies: Vec<M>) -> Workload<M> {
     Workload {
-        behavior: BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7())),
+        behavior: BehaviorModel::paper_fig7d(),
         mean_interarrival: 0.5,
         warmup: 0,
         measure: MOVIE_LENGTHS_RUN * u64::from(MOVIE_LENGTH),

@@ -246,29 +246,7 @@ impl FaultPlan {
         for i in 0..events {
             let at = lo + splitmix64(&mut state) % span;
             let roll = splitmix64(&mut state);
-            let kind = match i % 5 {
-                0 => FaultKind::DiskStreamLoss {
-                    count: 1 + (roll % 2) as u32,
-                },
-                1 => FaultKind::DiskOutage {
-                    count: 1 + (roll % 2) as u32,
-                    recover_after: 5 + roll % 40,
-                },
-                2 => FaultKind::DiskSlowdown {
-                    period: 2 + (roll % 2) as u32,
-                    duration: 10 + roll % 50,
-                },
-                3 => {
-                    let segments = 1 + (roll % 8) as u32;
-                    shrunk += segments;
-                    FaultKind::BufferShrink { segments }
-                }
-                _ => {
-                    let segments = shrunk.max(1);
-                    shrunk = 0;
-                    FaultKind::BufferRestore { segments }
-                }
-            };
+            let kind = capacity_fault(i % 5, roll, &mut shrunk);
             plan.push(FaultEvent { at, kind });
         }
         Self::new(plan)
@@ -295,42 +273,12 @@ impl FaultPlan {
             let at = lo + splitmix64(&mut state) % span;
             let roll = splitmix64(&mut state);
             let (at, kind) = match i % 7 {
-                0 => (
-                    at,
-                    FaultKind::DiskStreamLoss {
-                        count: 1 + (roll % 2) as u32,
-                    },
-                ),
-                1 => (
-                    at,
-                    FaultKind::DiskOutage {
-                        count: 1 + (roll % 2) as u32,
-                        recover_after: 5 + roll % 40,
-                    },
-                ),
-                2 => (
-                    at,
-                    FaultKind::DiskSlowdown {
-                        period: 2 + (roll % 2) as u32,
-                        duration: 10 + roll % 50,
-                    },
-                ),
-                3 => {
-                    let segments = 1 + (roll % 8) as u32;
-                    shrunk += segments;
-                    (at, FaultKind::BufferShrink { segments })
-                }
-                4 => {
-                    let segments = shrunk.max(1);
-                    shrunk = 0;
-                    (at, FaultKind::BufferRestore { segments })
-                }
                 5 => {
                     let shard = (roll % u64::from(shards)) as u32;
                     last_outage = Some((at, shard));
                     (at, FaultKind::ShardOutage { shard })
                 }
-                _ => {
+                6 => {
                     // Recovery of the most recent outage, strictly after
                     // it; with no outage yet the event is a harmless
                     // recovery of an already-up shard.
@@ -342,6 +290,7 @@ impl FaultPlan {
                         FaultKind::ShardRecovery { shard },
                     )
                 }
+                arm => (at, capacity_fault(arm, roll, &mut shrunk)),
             };
             plan.push(FaultEvent { at, kind });
         }
@@ -383,6 +332,36 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The generators' capacity fault number `arm` of five — stream loss,
+/// outage, slowdown, buffer shrink, buffer restore — at small, recoverable
+/// magnitudes drawn from `roll`. A restore gives back what the shrinks
+/// since the last one took (`shrunk`), so the budget trends back up.
+fn capacity_fault(arm: u32, roll: u64, shrunk: &mut u32) -> FaultKind {
+    match arm {
+        0 => FaultKind::DiskStreamLoss {
+            count: 1 + (roll % 2) as u32,
+        },
+        1 => FaultKind::DiskOutage {
+            count: 1 + (roll % 2) as u32,
+            recover_after: 5 + roll % 40,
+        },
+        2 => FaultKind::DiskSlowdown {
+            period: 2 + (roll % 2) as u32,
+            duration: 10 + roll % 50,
+        },
+        3 => {
+            let segments = 1 + (roll % 8) as u32;
+            *shrunk += segments;
+            FaultKind::BufferShrink { segments }
+        }
+        _ => {
+            let segments = (*shrunk).max(1);
+            *shrunk = 0;
+            FaultKind::BufferRestore { segments }
+        }
+    }
 }
 
 /// Knobs for a driver's graceful-degradation state machine. All delays are

@@ -651,7 +651,7 @@ pub(crate) fn apply_faults<B: FaultPolicy>(backend: &mut B) {
                     // fire: the earliest one lands next tick.
                     *core
                         .recovery_due
-                        .entry(now + recover_after.max(1))
+                        .entry(now.saturating_add(recover_after.max(1)))
                         .or_insert(0) += applied;
                 }
                 core.metrics.leases_revoked += revoked.len() as u64;
@@ -674,7 +674,7 @@ pub(crate) fn apply_faults<B: FaultPolicy>(backend: &mut B) {
                 // `period ≤ 1` serves every tick: a no-op, which leaves a
                 // slowdown already running in force.
                 if period > 1 {
-                    core.slowdown = (period, now + duration);
+                    core.slowdown = (period, now.saturating_add(duration));
                 }
                 true
             }
@@ -713,33 +713,62 @@ mod tests {
         }
     }
 
-    /// An outage that recovers "after 0 ticks" — `FaultPlan::from_json`
-    /// accepts it — recovers on the next tick, on every backend. Filed
-    /// under the fault's own tick it would never fire (pyramid and
-    /// dedicated did that) and the streams stayed failed for good.
-    #[test]
-    fn outage_with_zero_recovery_delay_recovers_next_tick() {
-        let plan =
-            FaultPlan::from_json(r#"[{"at":3,"kind":"disk_outage","count":2,"recover_after":0}]"#)
-                .unwrap();
+    /// Arm every backend with `plan`, open four sessions, tick to `ticks`
+    /// with a clean audit after each.
+    fn ride_out(plan: &str, ticks: u64, check: impl Fn(&ServerCore, BackendKind)) {
+        let plan = FaultPlan::from_json(plan).unwrap();
         for kind in BackendKind::ALL {
             let mut backend = make_backend(kind, &config());
             backend.inject_faults(plan.clone(), DegradePolicy::default());
             for _ in 0..4 {
                 backend.open_session(MovieId(0)).unwrap();
             }
-            for _ in 0..4 {
+            for _ in 0..ticks {
                 backend.tick();
+                assert_eq!(backend.check_invariants(), Vec::<String>::new(), "{kind:?}");
             }
-            assert_eq!(
-                backend.core().disk.failed(),
-                2,
-                "{kind:?}: the outage is on"
-            );
-            backend.tick();
-            assert_eq!(backend.core().disk.failed(), 0, "{kind:?}: one tick later");
-            assert_eq!(backend.check_invariants(), Vec::<String>::new(), "{kind:?}");
+            check(backend.core(), kind);
         }
+    }
+
+    /// An outage that recovers "after 0 ticks" — `FaultPlan::from_json`
+    /// accepts it — recovers on the next tick, on every backend. Filed
+    /// under the fault's own tick it would never fire (pyramid and
+    /// dedicated did that) and the streams stayed failed for good.
+    #[test]
+    fn outage_with_zero_recovery_delay_recovers_next_tick() {
+        let plan = r#"[{"at":3,"kind":"disk_outage","count":2,"recover_after":0}]"#;
+        ride_out(plan, 4, |core, kind| {
+            assert_eq!(core.disk.failed(), 2, "{kind:?}: the outage is on");
+        });
+        ride_out(plan, 5, |core, kind| {
+            assert_eq!(core.disk.failed(), 0, "{kind:?}: one tick later");
+        });
+    }
+
+    /// `from_json` takes any `u64`: an outage that recovers after
+    /// `u64::MAX` ticks never recovers. An unchecked `now + recover_after`
+    /// panics in a debug build and files the recovery in the past in release.
+    #[test]
+    fn outage_with_the_longest_recovery_delay_stays_failed() {
+        let plan =
+            r#"[{"at":3,"kind":"disk_outage","count":2,"recover_after":18446744073709551615}]"#;
+        ride_out(plan, 12, |core, kind| {
+            assert_eq!(core.disk.failed(), 2, "{kind:?}");
+            assert!(core.recovery_due.contains_key(&u64::MAX), "{kind:?}");
+        });
+    }
+
+    /// The same for a slowdown of `u64::MAX` ticks: it stays in force
+    /// (a wrapped `until` lies in the past and ends it the tick it begins).
+    #[test]
+    fn slowdown_with_the_longest_duration_stays_in_force() {
+        let plan =
+            r#"[{"at":3,"kind":"disk_slowdown","period":3,"duration":18446744073709551615}]"#;
+        ride_out(plan, 13, |core, kind| {
+            assert_eq!((core.now, core.slowdown), (13, (3, u64::MAX)), "{kind:?}");
+            assert!(core.disk_stalled(), "{kind:?}: 13 is not a multiple of 3");
+        });
     }
 
     /// Exhaust the reserve, lose more streams than the free pool holds

@@ -17,7 +17,6 @@
 
 use rand::RngCore;
 use vod_dist::rng::{exponential, seeded, SeededRng};
-use vod_runtime::json::{Json, Layout};
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, RuntimeMetrics};
 use vod_workload::{BehaviorModel, VcrKind};
 
@@ -323,31 +322,6 @@ pub struct ChaosOutcome {
     pub ticks: u64,
 }
 
-impl ChaosOutcome {
-    /// Outcome schema version; bump on any key change in
-    /// [`to_json`](Self::to_json).
-    pub const SCHEMA_VERSION: u32 = 1;
-
-    /// Serialize to a single-line JSON object with a pinned key order
-    /// (`schema_version`, `violations`, `violation_details`,
-    /// `sessions_opened`, `sessions_done`, `degraded_at_end`, `ticks`,
-    /// `metrics`). The shape is frozen by the serde-stability suite:
-    /// report consumers may parse positionally.
-    pub fn to_json(&self) -> String {
-        let fields = [
-            ("schema_version", Self::SCHEMA_VERSION.into()),
-            ("violations", self.violation_count.into()),
-            ("violation_details", Json::strings(&self.violations)),
-            ("sessions_opened", self.sessions_opened.into()),
-            ("sessions_done", self.sessions_done.into()),
-            ("degraded_at_end", self.degraded_at_end.into()),
-            ("ticks", self.ticks.into()),
-            ("metrics", self.metrics.json()),
-        ];
-        Json::object(Layout::Compact, fields).render()
-    }
-}
-
 /// One [`run_backend`] run: the [`ChaosOutcome`] plus the provisioning
 /// and startup-wait observables the cost comparison needs.
 #[derive(Debug, Clone, PartialEq)]
@@ -629,10 +603,6 @@ pub fn run_scale_on(
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use vod_dist::kinds::Gamma;
-
     use super::*;
 
     fn config() -> HarnessConfig {
@@ -643,11 +613,7 @@ mod tests {
                 ..ServerConfig::provisioned(vec![movie], 40)
             },
             workload: Workload {
-                behavior: BehaviorModel::uniform_dist(
-                    (0.2, 0.2, 0.6),
-                    30.0,
-                    Arc::new(Gamma::paper_fig7()),
-                ),
+                behavior: BehaviorModel::paper_fig7d(),
                 mean_interarrival: 2.0,
                 warmup: 240,
                 measure: 1200,
@@ -663,38 +629,6 @@ mod tests {
         let b = run_harness(&cfg, 7);
         assert_eq!(a, b, "same seed must reproduce bitwise-identical metrics");
         assert!(a.resumes.trials() > 50, "workload actually exercised VCR");
-    }
-
-    #[test]
-    fn chaos_outcome_json_shape_is_pinned() {
-        let outcome = ChaosOutcome {
-            metrics: RuntimeMetrics::new(),
-            violation_count: 2,
-            violations: vec!["t=3: lease \"drift\"".to_string(), "t=4: x\\y".to_string()],
-            sessions_opened: 10,
-            sessions_done: 7,
-            degraded_at_end: 1,
-            ticks: 60,
-        };
-        let json = outcome.to_json();
-        let expected_prefix = concat!(
-            "{\"schema_version\":1,",
-            "\"violations\":2,",
-            "\"violation_details\":[\"t=3: lease \\\"drift\\\"\",\"t=4: x\\\\y\"],",
-            "\"sessions_opened\":10,",
-            "\"sessions_done\":7,",
-            "\"degraded_at_end\":1,",
-            "\"ticks\":60,",
-            "\"metrics\":{\"schema_version\":2,"
-        );
-        assert!(
-            json.starts_with(expected_prefix),
-            "pinned key order/escaping changed:\n{json}"
-        );
-        assert!(
-            json.ends_with("}}"),
-            "metrics object must close the outcome"
-        );
     }
 
     #[test]

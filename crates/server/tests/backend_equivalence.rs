@@ -9,9 +9,6 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
-use std::sync::Arc;
-
-use vod_dist::kinds::Gamma;
 use vod_dist::rng::{exponential, seeded};
 use vod_runtime::{BackendKind, DegradePolicy, FaultPlan, RuntimeMetrics};
 use vod_server::{
@@ -28,11 +25,7 @@ fn config() -> HarnessConfig {
             ..ServerConfig::provisioned(vec![movie], 40)
         },
         workload: Workload {
-            behavior: BehaviorModel::uniform_dist(
-                (0.2, 0.2, 0.6),
-                30.0,
-                Arc::new(Gamma::paper_fig7()),
-            ),
+            behavior: BehaviorModel::paper_fig7d(),
             mean_interarrival: 2.0,
             warmup: 240,
             measure: 1200,

@@ -5,10 +5,7 @@
 
 #![allow(clippy::unwrap_used)]
 
-use std::sync::Arc;
-
 use proptest::prelude::*;
-use vod_dist::kinds::Gamma;
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
     make_backend, run_backend, run_harness, ChaosOutcome, DeliveryBackend, DeliveryStats, Driver,
@@ -392,11 +389,7 @@ fn harness_config() -> HarnessConfig {
             ..ServerConfig::provisioned(vec![movie], 40)
         },
         workload: Workload {
-            behavior: BehaviorModel::uniform_dist(
-                (0.2, 0.2, 0.6),
-                30.0,
-                Arc::new(Gamma::paper_fig7()),
-            ),
+            behavior: BehaviorModel::paper_fig7d(),
             mean_interarrival: 2.0,
             warmup: 120,
             measure: 600,
@@ -450,11 +443,7 @@ fn tight_config() -> HarnessConfig {
             ..ServerConfig::provisioned(vec![movie], 2)
         },
         workload: Workload {
-            behavior: BehaviorModel::uniform_dist(
-                (0.2, 0.2, 0.6),
-                30.0,
-                Arc::new(Gamma::paper_fig7()),
-            ),
+            behavior: BehaviorModel::paper_fig7d(),
             mean_interarrival: 2.0,
             warmup: 30,
             measure: 150,

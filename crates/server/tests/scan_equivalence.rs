@@ -10,12 +10,10 @@
 //! `set_reference_scan` exactly so this suite can hold that line.
 
 #![allow(clippy::unwrap_used)]
-use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::RngCore;
 
-use vod_dist::kinds::Gamma;
 use vod_dist::rng::seeded;
 use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
 use vod_server::{
@@ -34,11 +32,7 @@ fn config(piggyback: bool) -> HarnessConfig {
             ..base
         },
         workload: Workload {
-            behavior: BehaviorModel::uniform_dist(
-                (0.2, 0.2, 0.6),
-                30.0,
-                Arc::new(Gamma::paper_fig7()),
-            ),
+            behavior: BehaviorModel::paper_fig7d(),
             mean_interarrival: 2.0,
             warmup: 240,
             measure: 1200,

@@ -176,30 +176,20 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-    use vod_dist::kinds::Exponential;
     use vod_model::Rates;
 
     fn movie() -> MovieLoad {
         MovieLoad {
             params: SystemParams::new(60.0, 30.0, 5, Rates::paper()).unwrap(),
             mean_interarrival: 2.0,
-            behavior: BehaviorModel::uniform_dist(
-                (0.2, 0.2, 0.6),
-                20.0,
-                Arc::new(Exponential::with_mean(5.0).unwrap()),
-            ),
+            behavior: BehaviorModel::paper_fig7d(),
         }
     }
 
     #[test]
     fn sim_config_validation() {
         let params = SystemParams::new(60.0, 30.0, 5, Rates::paper()).unwrap();
-        let behavior = BehaviorModel::uniform_dist(
-            (0.2, 0.2, 0.6),
-            20.0,
-            Arc::new(Exponential::with_mean(5.0).unwrap()),
-        );
+        let behavior = BehaviorModel::paper_fig7d();
         let mut cfg = SimConfig::new(params, behavior);
         assert!(cfg.validate().is_ok());
         cfg.mean_interarrival = 0.0;
@@ -236,11 +226,7 @@ mod tests {
     #[test]
     fn single_movie_conversion_preserves_fields() {
         let params = SystemParams::new(60.0, 30.0, 5, Rates::paper()).unwrap();
-        let behavior = BehaviorModel::uniform_dist(
-            (0.2, 0.2, 0.6),
-            20.0,
-            Arc::new(Exponential::with_mean(5.0).unwrap()),
-        );
+        let behavior = BehaviorModel::paper_fig7d();
         let mut cfg = SimConfig::new(params, behavior);
         cfg.dedicated_capacity = Some(7);
         cfg.collect_trace = true;

@@ -24,7 +24,7 @@ use vod_runtime::{
     plan_vcr, Arena, ArenaId, BackendKind, FaultKind, PartitionWindows, PyramidGeometry,
     StreamReserve, TimerWheel,
 };
-use vod_workload::{VcrKind, VcrTraceRecord, Welford};
+use vod_workload::{VcrKind, VcrTraceRecord};
 
 use crate::{CatalogConfig, CatalogReport, SimConfig, SimReport};
 
@@ -978,11 +978,6 @@ pub fn run_replications(
         agg.push(&report);
     }
     agg
-}
-
-/// Convenience: a [`Welford`] of per-replication overall hit ratios.
-pub fn hit_ratio_over_replications(cfg: &SimConfig, base_seed: u64, replications: u32) -> Welford {
-    run_replications(cfg, base_seed, replications).overall
 }
 
 /// Expose the O(1) membership test for property tests (the semantics

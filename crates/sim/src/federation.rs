@@ -139,15 +139,12 @@ pub fn run_federation_seeded(
 mod tests {
     use super::*;
     use crate::config::SimConfig;
-    use std::sync::Arc;
-    use vod_dist::kinds::Gamma;
     use vod_model::{Rates, SystemParams};
     use vod_workload::BehaviorModel;
 
     fn shard_cfg() -> SimConfig {
         let params = SystemParams::new(60.0, 30.0, 10, Rates::paper()).unwrap();
-        let behavior =
-            BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7()));
+        let behavior = BehaviorModel::paper_fig7d();
         SimConfig {
             horizon: 400.0,
             warmup: 40.0,

@@ -8,19 +8,12 @@
 //! methodology (Figure 7).
 //!
 //! ```no_run
-//! use std::sync::Arc;
-//! use vod_dist::kinds::Gamma;
 //! use vod_model::{Rates, SystemParams};
 //! use vod_sim::{run_seeded, SimConfig};
 //! use vod_workload::BehaviorModel;
 //!
 //! let params = SystemParams::new(120.0, 60.0, 20, Rates::paper()).unwrap();
-//! let behavior = BehaviorModel::uniform_dist(
-//!     (0.2, 0.2, 0.6),
-//!     30.0,
-//!     Arc::new(Gamma::paper_fig7()),
-//! );
-//! let report = run_seeded(&SimConfig::new(params, behavior), 42);
+//! let report = run_seeded(&SimConfig::new(params, BehaviorModel::paper_fig7d()), 42);
 //! println!("simulated P(hit) = {:.3}", report.runtime.hit_ratio());
 //! ```
 //!
@@ -39,9 +32,6 @@ mod federation;
 mod report;
 
 pub use config::{CatalogConfig, MovieLoad, SimConfig};
-pub use engine::{
-    hit_ratio_over_replications, partition_hit_for_tests, run, run_catalog_seeded,
-    run_replications, run_seeded,
-};
+pub use engine::{partition_hit_for_tests, run, run_catalog_seeded, run_replications, run_seeded};
 pub use federation::{run_federation_seeded, FederationSimReport};
 pub use report::{CatalogReport, ReplicatedReport, SimReport};

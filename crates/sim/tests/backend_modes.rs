@@ -14,11 +14,7 @@ use vod_workload::BehaviorModel;
 
 fn base_config(backend: BackendKind) -> CatalogConfig {
     let params = SystemParams::new(120.0, 60.0, 20, Rates::paper()).unwrap();
-    let behavior = BehaviorModel::uniform_dist(
-        (0.2, 0.2, 0.6),
-        30.0,
-        Arc::new(Exponential::with_mean(5.0).unwrap()),
-    );
+    let behavior = BehaviorModel::paper_fig7d_over(Arc::new(Exponential::with_mean(5.0).unwrap()));
     let mut cfg: CatalogConfig = SimConfig::new(params, behavior).into();
     cfg.backend = backend;
     cfg
@@ -72,11 +68,7 @@ fn dedicated_backend_misses_every_resume_except_ff_end() {
 #[test]
 fn dedicated_backend_queues_on_a_capped_reserve() {
     let params = SystemParams::new(120.0, 60.0, 20, Rates::paper()).unwrap();
-    let behavior = BehaviorModel::uniform_dist(
-        (0.2, 0.2, 0.6),
-        30.0,
-        Arc::new(Exponential::with_mean(5.0).unwrap()),
-    );
+    let behavior = BehaviorModel::paper_fig7d_over(Arc::new(Exponential::with_mean(5.0).unwrap()));
     let cfg = CatalogConfig {
         movies: vec![MovieLoad {
             params,

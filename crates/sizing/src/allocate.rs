@@ -1,19 +1,20 @@
 //! Multi-movie resource allocation — the paper's §5 Step 3 optimization:
 //!
 //! ```text
-//! minimize   Σ B_i        (equivalently Σ (φ B_i + n_i) for min-cost)
+//! minimize   Σ B_i
 //! subject to Σ n_i ≤ n_s,  Σ B_i ≤ B_s,  P_i(B_i, n_i) ≥ P_i*
 //! ```
 //!
-//! Along each movie's wait-bound line `B_i = l_i − n_i w_i` (Eq. 2), both
-//! objectives are *linear* in the integer stream counts `n_i`, the
+//! Along each movie's wait-bound line `B_i = l_i − n_i w_i` (Eq. 2), the
+//! objective is *linear* in the integer stream counts `n_i`, the
 //! feasibility constraint is a per-movie box `1 ≤ n_i ≤ n_max,i`
 //! (the feasible set is a prefix in `n`, see [`crate::feasible`]), and the
 //! only coupling is the shared stream budget. The exact optimum is
 //! therefore a greedy water-fill: hand streams to movies in decreasing
-//! order of per-stream benefit (`w_i` for min-buffer, `φ·w_i − 1` stream
-//! units for min-cost). A brute-force test verifies optimality on small
-//! instances.
+//! order of the buffer each one saves, `w_i`. The minimum of
+//! `Σ (φ B_i + n_i)` is the lowest point of [`crate::cost_curve`], which
+//! prices this split at every stream total. Brute-force tests verify both
+//! optima on small instances.
 
 use vod_model::{HitMemo, ModelOptions, SweepExecutor};
 
@@ -72,14 +73,6 @@ struct Candidate<'a> {
     movie: &'a MovieSpec,
     n_max: u32,
     memo: HitMemo,
-}
-
-#[cfg(test)]
-fn candidates<'a>(
-    movies: &'a [MovieSpec],
-    opts: &ModelOptions,
-) -> Result<Vec<Candidate<'a>>, SizingError> {
-    candidates_with(movies, opts, &SweepExecutor::serial())
 }
 
 fn candidates_with<'a>(
@@ -163,7 +156,7 @@ impl<'a> Catalog<'a> {
         if n_total < self.cands.len() as u32 || n_total > self.max_total_streams() {
             return None;
         }
-        Some(water_fill(&self.cands, n_total, |m| m.max_wait, true))
+        Some(water_fill(&self.cands, n_total))
     }
 
     /// Total buffer implied by a per-movie stream split (Eq. 2).
@@ -192,26 +185,17 @@ impl<'a> Catalog<'a> {
 }
 
 /// Greedy water-fill: start every movie at `n_i = 1` and hand out the
-/// remaining stream budget in decreasing order of `benefit(movie)` (the
-/// objective improvement per extra stream), never exceeding `n_max,i`.
-/// Movies with non-positive benefit keep `n_i = 1`.
-fn water_fill(
-    cands: &[Candidate<'_>],
-    stream_budget: u32,
-    benefit: impl Fn(&MovieSpec) -> f64,
-    fill_exactly: bool,
-) -> Vec<u32> {
+/// remaining stream budget in decreasing order of `w_i` (the buffer
+/// minutes one more stream saves), never exceeding `n_max,i`.
+fn water_fill(cands: &[Candidate<'_>], stream_budget: u32) -> Vec<u32> {
     let m = cands.len() as u32;
     let mut ns: Vec<u32> = vec![1; cands.len()];
     let mut remaining = stream_budget.saturating_sub(m);
     let mut order: Vec<usize> = (0..cands.len()).collect();
-    order.sort_by(|&a, &b| benefit(cands[b].movie).total_cmp(&benefit(cands[a].movie)));
+    order.sort_by(|&a, &b| cands[b].movie.max_wait.total_cmp(&cands[a].movie.max_wait));
     for &idx in &order {
         if remaining == 0 {
             break;
-        }
-        if !fill_exactly && benefit(cands[idx].movie) <= 0.0 {
-            break; // sorted: everything after is also non-positive
         }
         let room = cands[idx].n_max - ns[idx];
         let take = room.min(remaining);
@@ -275,7 +259,7 @@ pub fn allocate_min_buffer_with(
     let cands = candidates_with(movies, opts, exec)?;
     // Minimizing Σ B = Σ l_i − Σ n_i w_i ⇒ maximize Σ n_i w_i: benefit per
     // stream is w_i (always positive, so fill the budget).
-    let ns = water_fill(&cands, budgets.streams, |m| m.max_wait, true);
+    let ns = water_fill(&cands, budgets.streams);
     let plan = build_plan(&cands, &ns, opts)?;
     if let Some(bs) = budgets.buffer {
         let total = plan.total_buffer();
@@ -287,74 +271,6 @@ pub fn allocate_min_buffer_with(
         }
     }
     Ok(plan)
-}
-
-/// Cost-aware variant: minimize `C_b Σ B_i + C_n Σ n_i` (Eq. 23). A stream
-/// granted to movie `i` saves `w_i` buffer minutes, so its net benefit is
-/// `C_b w_i − C_n`; streams are only spent where that is positive.
-pub fn allocate_min_cost(
-    movies: &[MovieSpec],
-    budgets: Budgets,
-    prices: &ResourceCost,
-    opts: &ModelOptions,
-) -> Result<ResourcePlan, SizingError> {
-    allocate_min_cost_with(movies, budgets, prices, opts, &SweepExecutor::serial())
-}
-
-/// [`allocate_min_cost`] with the per-movie feasibility work fanned
-/// across `exec`; the plan is bitwise identical to the serial one.
-pub fn allocate_min_cost_with(
-    movies: &[MovieSpec],
-    budgets: Budgets,
-    prices: &ResourceCost,
-    opts: &ModelOptions,
-    exec: &SweepExecutor,
-) -> Result<ResourcePlan, SizingError> {
-    if movies.is_empty() {
-        return Err(SizingError::NoMovies);
-    }
-    if budgets.streams < movies.len() as u32 {
-        return Err(SizingError::StreamBudgetTooSmall {
-            needed: movies.len() as u32,
-            available: budgets.streams,
-        });
-    }
-    let cands = candidates_with(movies, opts, exec)?;
-    let ns = water_fill(
-        &cands,
-        budgets.streams,
-        |m| prices.buffer_per_minute() * m.max_wait - prices.per_stream(),
-        false,
-    );
-    let plan = build_plan(&cands, &ns, opts)?;
-    if let Some(bs) = budgets.buffer {
-        let total = plan.total_buffer();
-        if total > bs + 1e-9 {
-            return Err(SizingError::BufferBudgetTooSmall {
-                needed: total,
-                available: bs,
-            });
-        }
-    }
-    Ok(plan)
-}
-
-/// Minimum total buffer achievable with *exactly* `n_total` streams spread
-/// over the catalog (used to trace the Figure-9 cost curves). Returns
-/// `None` when `n_total` is below the movie count or above `Σ n_max,i`.
-pub fn min_buffer_at_stream_total(
-    movies: &[MovieSpec],
-    n_total: u32,
-    opts: &ModelOptions,
-) -> Result<Option<ResourcePlan>, SizingError> {
-    if movies.is_empty() {
-        return Err(SizingError::NoMovies);
-    }
-    let catalog = Catalog::new(movies, opts)?;
-    // fill_exactly fills the whole budget unless boxes bind first; the
-    // range was checked against Σ n_max inside min_buffer_split, so the
-    // fill is exact.
-    catalog.plan_at_stream_total(n_total, opts)
 }
 
 #[cfg(test)]
@@ -416,11 +332,6 @@ mod tests {
         // Determinism: a second parallel run agrees exactly.
         let again = allocate_min_buffer_with(&movies, budgets, &o, &exec).unwrap();
         assert_plans_bitwise_equal(&par, &again);
-
-        let prices = ResourceCost::new(3.0, 1.0).unwrap();
-        let serial = allocate_min_cost(&movies, budgets, &prices, &o).unwrap();
-        let par = allocate_min_cost_with(&movies, budgets, &prices, &o, &exec).unwrap();
-        assert_plans_bitwise_equal(&serial, &par);
     }
 
     #[test]
@@ -445,8 +356,8 @@ mod tests {
     fn greedy_matches_brute_force_min_buffer() {
         let movies = toy_movies();
         let o = opts();
-        let cands = candidates(&movies, &o).unwrap();
-        let maxes: Vec<u32> = cands.iter().map(|c| c.n_max).collect();
+        let catalog = Catalog::new(&movies, &o).unwrap();
+        let maxes: Vec<u32> = (0..movies.len()).map(|i| catalog.n_max(i)).collect();
         for budget in [3u32, 10, 25, 60, 200] {
             let Ok(plan) = allocate_min_buffer(
                 &movies,
@@ -485,21 +396,13 @@ mod tests {
     fn greedy_matches_brute_force_min_cost() {
         let movies = toy_movies();
         let o = opts();
-        let cands = candidates(&movies, &o).unwrap();
-        let maxes: Vec<u32> = cands.iter().map(|c| c.n_max).collect();
+        let catalog = Catalog::new(&movies, &o).unwrap();
+        let maxes: Vec<u32> = (0..movies.len()).map(|i| catalog.n_max(i)).collect();
         for phi in [0.2, 0.9, 2.0, 11.0] {
             let prices = ResourceCost::new(phi, 1.0).unwrap();
             let budget = 60u32;
-            let plan = allocate_min_cost(
-                &movies,
-                Budgets {
-                    streams: budget,
-                    buffer: None,
-                },
-                &prices,
-                &o,
-            )
-            .unwrap();
+            let curve = crate::cost_curve_with_catalog(&catalog, prices, 3, budget, 1);
+            let cheapest = curve.optimum().unwrap().cost;
             let mut best = f64::INFINITY;
             for na in 1..=maxes[0] {
                 for nb in 1..=maxes[1] {
@@ -515,9 +418,8 @@ mod tests {
                 }
             }
             assert!(
-                (plan.cost(&prices) - best).abs() < 1e-9,
-                "phi {phi}: greedy {} vs brute {best}",
-                plan.cost(&prices)
+                (cheapest - best).abs() < 1e-9,
+                "phi {phi}: greedy {cheapest} vs brute {best}"
             );
         }
     }
@@ -575,9 +477,10 @@ mod tests {
         // More streams ⇒ no more buffer needed: minΣB is non-increasing.
         let movies = toy_movies();
         let o = opts();
+        let catalog = Catalog::new(&movies, &o).unwrap();
         let mut prev = f64::INFINITY;
         for n in (3..=60).step_by(7) {
-            if let Some(plan) = min_buffer_at_stream_total(&movies, n, &o).unwrap() {
+            if let Some(plan) = catalog.plan_at_stream_total(n, &o).unwrap() {
                 let b = plan.total_buffer();
                 assert!(b <= prev + 1e-9, "n={n}: {b} > {prev}");
                 assert_eq!(plan.total_streams(), n);

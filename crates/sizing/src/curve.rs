@@ -3,7 +3,7 @@
 //!
 //! Each point fixes a total stream count `N`, lets the allocator find the
 //! minimum total buffer that still meets every movie's `(w_i, P_i*)`
-//! targets (see [`crate::min_buffer_at_stream_total`]), and prices the
+//! targets ([`Catalog::min_buffer_split`]), and prices the
 //! result with Eq. 23. The curve's minimum is the optimal system sizing
 //! for that price regime.
 

@@ -74,29 +74,6 @@ pub fn scan_by_buffer_step_with(
     exec.try_map(&grid, |&n| evaluate(movie, n, opts))
 }
 
-/// Scan every integer `n` in `[n_lo, n_hi]`.
-pub fn scan_by_streams(
-    movie: &MovieSpec,
-    n_lo: u32,
-    n_hi: u32,
-    opts: &ModelOptions,
-) -> Result<Vec<FeasiblePoint>, ModelError> {
-    scan_by_streams_with(movie, n_lo, n_hi, opts, &SweepExecutor::serial())
-}
-
-/// [`scan_by_streams`] fanning the per-`n` model evaluations across
-/// `exec`. Results are bitwise identical to the serial scan.
-pub fn scan_by_streams_with(
-    movie: &MovieSpec,
-    n_lo: u32,
-    n_hi: u32,
-    opts: &ModelOptions,
-    exec: &SweepExecutor,
-) -> Result<Vec<FeasiblePoint>, ModelError> {
-    let ns: Vec<u32> = (n_lo.max(1)..=n_hi.min(movie.max_streams())).collect();
-    exec.try_map(&ns, |&n| evaluate(movie, n, opts))
-}
-
 fn evaluate(movie: &MovieSpec, n: u32, opts: &ModelOptions) -> Result<FeasiblePoint, ModelError> {
     let p = movie.hit_probability(n, opts)?;
     Ok(FeasiblePoint {
@@ -171,11 +148,19 @@ mod tests {
         .unwrap()
     }
 
+    /// Every integer `n` in `[1, l/w]`, evaluated one by one: what the
+    /// bisection is checked against.
+    fn scan_every_n(m: &MovieSpec, opts: &ModelOptions) -> Vec<FeasiblePoint> {
+        (1..=m.max_streams())
+            .map(|n| evaluate(m, n, opts).unwrap())
+            .collect()
+    }
+
     #[test]
     fn feasible_set_is_a_prefix_in_n() {
         // Validates the monotonicity the bisection relies on.
         let m = small_movie();
-        let pts = scan_by_streams(&m, 1, m.max_streams(), &ModelOptions::default()).unwrap();
+        let pts = scan_every_n(&m, &ModelOptions::default());
         let mut seen_infeasible = false;
         for p in &pts {
             if !p.feasible {
@@ -195,8 +180,7 @@ mod tests {
     fn bisection_matches_scan() {
         let m = small_movie();
         let opts = ModelOptions::default();
-        let scan_max = scan_by_streams(&m, 1, m.max_streams(), &opts)
-            .unwrap()
+        let scan_max = scan_every_n(&m, &opts)
             .iter()
             .filter(|p| p.feasible)
             .map(|p| p.n_streams)
@@ -264,18 +248,6 @@ mod tests {
     fn parallel_scans_match_serial_bitwise() {
         let m = small_movie();
         let o = ModelOptions::default();
-        let serial = scan_by_streams(&m, 1, 40, &o).unwrap();
-        for threads in [2usize, 4] {
-            let exec = SweepExecutor::new(threads);
-            let par = scan_by_streams_with(&m, 1, 40, &o, &exec).unwrap();
-            assert_eq!(par.len(), serial.len());
-            for (a, b) in par.iter().zip(&serial) {
-                assert_eq!(a.n_streams, b.n_streams);
-                assert_eq!(a.buffer.to_bits(), b.buffer.to_bits());
-                assert_eq!(a.p_hit.to_bits(), b.p_hit.to_bits(), "n={}", a.n_streams);
-                assert_eq!(a.feasible, b.feasible);
-            }
-        }
         let exec = SweepExecutor::new(4);
         let s1 = scan_by_buffer_step(&m, 5.0, &o).unwrap();
         let s4 = scan_by_buffer_step_with(&m, 5.0, &o, &exec).unwrap();

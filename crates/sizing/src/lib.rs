@@ -6,9 +6,8 @@
 //! maximum-wait and minimum-hit-probability targets at minimum cost?*
 //!
 //! * [`MovieSpec`] — one movie's length, QoS targets, and VCR behavior.
-//! * [`feasible`](scan_by_streams) — feasible `(B, n)` sets (Figure 8).
-//! * [`allocate_min_buffer`] / [`allocate_min_cost`] — the §5 Step-3
-//!   optimizer (Example 1).
+//! * [`feasible`](scan_by_buffer_step) — feasible `(B, n)` sets (Figure 8).
+//! * [`allocate_min_buffer`] — the §5 Step-3 optimizer (Example 1).
 //! * [`ResourceCost`] / [`HardwareSpec`] — Eq. 23 and Example 2's price
 //!   derivation.
 //! * [`cost_curve`] — Figure 9's cost-vs-streams curves and their optima.
@@ -37,7 +36,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
 
 mod allocate;
-mod backend_cost;
 mod cost;
 mod curve;
 mod error;
@@ -48,16 +46,14 @@ mod reserve;
 mod shard;
 
 pub use allocate::{
-    allocate_min_buffer, allocate_min_buffer_with, allocate_min_cost, allocate_min_cost_with,
-    min_buffer_at_stream_total, Budgets, Catalog, MovieAllocation, ResourcePlan,
+    allocate_min_buffer, allocate_min_buffer_with, Budgets, Catalog, MovieAllocation, ResourcePlan,
 };
-pub use backend_cost::BackendResources;
 pub use cost::{HardwareSpec, ResourceCost};
 pub use curve::{cost_curve, cost_curve_with_catalog, CostCurve, CostPoint};
 pub use error::SizingError;
 pub use feasible::{
     max_feasible_streams, max_feasible_streams_memo, scan_by_buffer_step, scan_by_buffer_step_with,
-    scan_by_streams, scan_by_streams_with, FeasiblePoint,
+    FeasiblePoint,
 };
 pub use movie::{example1_movies, MovieSpec};
 pub use procurement::{procurement, Procurement};

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use vod_dist::DurationDist;
-use vod_model::{p_hit, ModelError, ModelOptions, Rates, SystemParams, VcrDists, VcrMix};
+use vod_model::{p_hit_single_dist, ModelError, ModelOptions, Rates, SystemParams, VcrMix};
 
 /// Everything the sizing machinery needs to know about one popular movie:
 /// its length, the quality-of-service targets (`w_i`, `P_i*`), and the VCR
@@ -20,11 +20,8 @@ pub struct MovieSpec {
     pub target_hit: f64,
     /// VCR request type mix.
     pub mix: VcrMix,
-    /// VCR duration distribution (applied to all three VCR types; see
-    /// [`MovieSpec::with_dists`] for per-type laws).
+    /// VCR duration distribution (applied to all three VCR types).
     pub dist: Arc<dyn DurationDist>,
-    /// Optional per-type overrides `(ff, rw, pause)`.
-    per_type: Option<[Arc<dyn DurationDist>; 3]>,
     /// Display rates.
     pub rates: Rates,
 }
@@ -81,20 +78,8 @@ impl MovieSpec {
             target_hit,
             mix,
             dist,
-            per_type: None,
             rates,
         })
-    }
-
-    /// Override the duration law per VCR type.
-    pub fn with_dists(
-        mut self,
-        ff: Arc<dyn DurationDist>,
-        rw: Arc<dyn DurationDist>,
-        pause: Arc<dyn DurationDist>,
-    ) -> Self {
-        self.per_type = Some([ff, rw, pause]);
-        self
     }
 
     /// Streams needed under *pure batching* (`B = 0`): `⌈l/w⌉` restarts to
@@ -124,15 +109,7 @@ impl MovieSpec {
     /// Evaluate `P(hit)` at `n` streams (Eq. 22 with this movie's mix).
     pub fn hit_probability(&self, n: u32, opts: &ModelOptions) -> Result<f64, ModelError> {
         let params = self.params_for_streams(n)?;
-        let dists = match &self.per_type {
-            Some([ff, rw, pa]) => VcrDists {
-                ff: ff.as_ref(),
-                rw: rw.as_ref(),
-                pause: pa.as_ref(),
-            },
-            None => VcrDists::uniform(self.dist.as_ref()),
-        };
-        Ok(p_hit(&params, &dists, &self.mix, opts).total)
+        Ok(p_hit_single_dist(&params, self.dist.as_ref(), &self.mix, opts).total)
     }
 }
 

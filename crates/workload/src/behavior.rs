@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use rand::RngCore;
+use vod_dist::kinds::Gamma;
 use vod_dist::rng::{exponential, u01};
 use vod_dist::DurationDist;
 
@@ -127,6 +128,20 @@ impl BehaviorModel {
         )
     }
 
+    /// The viewer of the paper's §4 validation: the Fig. 7(d) mix
+    /// 0.2 / 0.2 / 0.6 (`VcrMix::paper_fig7d` on the model side) over
+    /// Gamma(2, 4) durations, 30 playback minutes between interactions.
+    /// Every leg of the model ↔ sim ↔ server check takes its viewer here.
+    pub fn paper_fig7d() -> Self {
+        Self::paper_fig7d_over(Arc::new(Gamma::paper_fig7()))
+    }
+
+    /// [`paper_fig7d`](Self::paper_fig7d)'s mix and think time over
+    /// another duration law (a catalog movie's own, a fitted trace).
+    pub fn paper_fig7d_over(dist: Arc<dyn DurationDist>) -> Self {
+        Self::uniform_dist((0.2, 0.2, 0.6), 30.0, dist)
+    }
+
     /// Mean playback minutes between interactions.
     pub fn mean_play_between(&self) -> f64 {
         self.mean_play_between
@@ -166,7 +181,7 @@ impl BehaviorModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vod_dist::kinds::{Exponential, Gamma};
+    use vod_dist::kinds::Exponential;
     use vod_dist::rng::seeded;
 
     fn model(mix: (f64, f64, f64)) -> BehaviorModel {
@@ -181,7 +196,7 @@ mod tests {
 
     #[test]
     fn mix_frequencies_respected() {
-        let m = model((0.2, 0.2, 0.6));
+        let m = BehaviorModel::paper_fig7d();
         let mut rng = seeded(8);
         let mut counts = [0usize; 3];
         let n = 100_000;
@@ -238,11 +253,11 @@ mod tests {
 
     #[test]
     fn interaction_gaps_exponential() {
-        let m = model((0.2, 0.2, 0.6));
+        let m = BehaviorModel::paper_fig7d();
         let mut rng = seeded(7);
         let n = 50_000;
         let s: f64 = (0..n).map(|_| m.next_interaction_gap(&mut rng)).sum();
-        assert!((s / n as f64 - 20.0).abs() < 0.5);
+        assert!((s / n as f64 - 30.0).abs() < 0.5);
     }
 
     #[test]

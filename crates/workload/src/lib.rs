@@ -1,28 +1,25 @@
 //! # vod-workload — workload substrate
 //!
-//! Generates and summarizes the workloads the paper's §4 experiments run:
-//! Poisson viewer arrivals, per-viewer VCR interaction behavior (type mix
-//! plus general duration distributions), Zipf catalog popularity for the
-//! server's admission experiments, CSV trace persistence (so measured VCR
-//! durations can be fitted back into the model via
-//! `vod_dist::kinds::Empirical`), and streaming statistics for replicated
-//! simulation runs.
+//! Describes and summarizes the workloads the paper's §4 experiments run:
+//! per-viewer VCR interaction behavior (type mix plus general duration
+//! distributions; [`BehaviorModel::paper_fig7d`] is the paper's viewer),
+//! Zipf catalog popularity for the server's admission experiments, CSV
+//! trace persistence (so measured VCR durations can be fitted back into
+//! the model via `vod_dist::kinds::Empirical`), and streaming statistics
+//! for replicated simulation runs. Arrivals are drawn where they are
+//! consumed (`vod_server::Driver`, the `vod-sim` engine), not here.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
 
-mod arrival;
 mod behavior;
 mod popularity;
-mod script;
 mod stats;
 mod trace;
 
-pub use arrival::{ArrivalProcess, Deterministic, Poisson, UniformJitter};
 pub use behavior::{BehaviorModel, VcrKind, VcrRequest};
 pub use popularity::Zipf;
-pub use script::{generate_script, LoadAction, ScriptedEvent};
 pub use stats::{Histogram, Ratio, TimeWeighted, Welford};
 pub use trace::{read_csv, write_csv, TraceError, VcrTraceRecord, CSV_HEADER};

@@ -14,7 +14,6 @@ use vod_dist::rng::u01;
 pub struct Zipf {
     /// Cumulative probabilities per rank (ascending).
     cumulative: Vec<f64>,
-    theta: f64,
 }
 
 impl Zipf {
@@ -33,7 +32,7 @@ impl Zipf {
         for c in &mut cumulative {
             *c /= total;
         }
-        Self { cumulative, theta }
+        Self { cumulative }
     }
 
     /// Number of items.
@@ -44,11 +43,6 @@ impl Zipf {
     /// Always false (constructor requires ≥ 1 item).
     pub fn is_empty(&self) -> bool {
         self.cumulative.is_empty()
-    }
-
-    /// The skew exponent.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 
     /// Probability of rank `i` (0-based).

@@ -60,11 +60,9 @@ fn main() {
 
     // Cross-check with the simulator.
     let params = movie.params_for_streams(n).expect("feasible n");
-    let behavior = BehaviorModel::uniform_dist(
-        (0.2, 0.2, 0.6),
-        30.0, // a VCR interaction every ~30 playback minutes
-        Arc::new(Gamma::paper_fig7()),
-    );
+    // The same viewer on the sim side: that mix over that gamma, a VCR
+    // interaction every ~30 playback minutes.
+    let behavior = BehaviorModel::paper_fig7d();
     let agg = run_replications(&SimConfig::new(params, behavior), 7, 4);
     println!(
         "  simulated P(hit) = {:.3} ± {:.3} (4 replications)",

@@ -22,7 +22,7 @@ fn main() {
     let true_dist = Gamma::paper_fig7();
 
     // 1. Observe the system: collect a VCR trace from the simulator.
-    let behavior = BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(true_dist));
+    let behavior = BehaviorModel::paper_fig7d_over(Arc::new(true_dist));
     let mut cfg = SimConfig::new(params, behavior);
     cfg.collect_trace = true;
     cfg.horizon = 200.0 * 120.0;

@@ -19,7 +19,6 @@
 //! `RuntimeMetrics` bitwise (`PartialEq` over every counter and f64).
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use std::sync::Arc;
 
 use vod_prealloc::dist::kinds::Gamma;
 use vod_prealloc::model::{p_hit_single_dist, ModelOptions, Rates, SystemParams, VcrMix};
@@ -33,12 +32,8 @@ use vod_prealloc::workload::BehaviorModel;
 const MOVIE_LEN: f64 = 120.0;
 const SEED: u64 = 2026;
 
-fn behavior() -> BehaviorModel {
-    BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(Gamma::paper_fig7()))
-}
-
 fn sim_config(params: SystemParams, horizon_lengths: f64) -> SimConfig {
-    let mut cfg = SimConfig::new(params, behavior());
+    let mut cfg = SimConfig::new(params, BehaviorModel::paper_fig7d());
     cfg.horizon = horizon_lengths * MOVIE_LEN;
     cfg.warmup = 2.0 * MOVIE_LEN;
     cfg
@@ -54,7 +49,7 @@ fn harness_config(params: &SystemParams, n: u32, sim_cfg: &SimConfig) -> Harness
             ..ServerConfig::provisioned(vec![movie], 80)
         },
         workload: Workload {
-            behavior: behavior(),
+            behavior: BehaviorModel::paper_fig7d(),
             mean_interarrival: sim_cfg.mean_interarrival,
             warmup: sim_cfg.warmup as u64,
             measure: (sim_cfg.horizon - sim_cfg.warmup) as u64,

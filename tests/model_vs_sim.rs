@@ -138,7 +138,7 @@ fn curves_fall_with_n_in_both_model_and_sim() {
     for n in [15u32, 45, 90] {
         let params = SystemParams::from_wait(120.0, 1.0, n, Rates::paper()).expect("valid");
         let model = p_hit_single_dist(&params, &dist, &VcrMix::paper_fig7d(), &opts).total;
-        let behavior = BehaviorModel::uniform_dist((0.2, 0.2, 0.6), 30.0, Arc::new(dist));
+        let behavior = BehaviorModel::paper_fig7d_over(Arc::new(dist));
         let mut cfg = SimConfig::new(params, behavior);
         cfg.horizon = 20.0 * 120.0;
         let sim = run_replications(&cfg, 5, 2).overall.mean();

@@ -3,20 +3,30 @@
 //! --previous`) and `FaultPlan::from_json` on top of it, the trace-CSV
 //! reader and `vodplan`'s `parse_args`. Each case takes a *valid* input, applies a
 //! few byte-level mutations (overwrite, bit flip, delete, insert,
-//! truncate, splice an over-long number) and requires an answer — `Err`,
-//! or an `Ok` that holds exactly what the text said — never a panic and
-//! never a counter that wrapped on the way in.
+//! truncate, splice an over-long number, raise a number to `u64::MAX`) and
+//! requires an answer — `Err`, or an `Ok` that holds exactly what the text
+//! said — never a panic and never a counter that wrapped on the way in.
+//! A fault plan that parses is also armed and run: what was read must not
+//! panic or break conservation where it is used, either.
 
 #![allow(clippy::unwrap_used)]
 
 use proptest::prelude::*;
 use rand::RngCore;
 
+use vod_federation::{
+    run_federation, FederationConfig, FederationHarnessConfig, ShardSpec, WorkloadShape,
+};
 use vod_prealloc::cli::parse_args;
 use vod_prealloc::dist::rng::seeded;
 use vod_prealloc::runtime::json::{self, Json};
-use vod_prealloc::runtime::{FaultPlan, RuntimeMetrics};
-use vod_prealloc::workload::{read_csv, write_csv, TraceError, VcrKind, VcrTraceRecord};
+use vod_prealloc::runtime::{BackendKind, DegradePolicy, FaultPlan, RuntimeMetrics};
+use vod_prealloc::server::{
+    run_backend, HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload,
+};
+use vod_prealloc::workload::{
+    read_csv, write_csv, BehaviorModel, TraceError, VcrKind, VcrTraceRecord,
+};
 
 /// One to three seeded byte-level mutations of `input`.
 fn mutate(input: &[u8], seed: u64) -> Vec<u8> {
@@ -25,14 +35,23 @@ fn mutate(input: &[u8], seed: u64) -> Vec<u8> {
     for _ in 0..1 + rng.next_u64() % 3 {
         let at = (rng.next_u64() % (out.len() as u64 + 1)) as usize;
         let byte = rng.next_u64() as u8;
-        match rng.next_u64() % 6 {
+        match rng.next_u64() % 7 {
             0 if at < out.len() => out[at] = byte,
             1 if at < out.len() => out[at] ^= 1 << (byte % 8),
             2 if at < out.len() => drop(out.remove(at)),
             3 => out.insert(at, byte),
             4 => out.truncate(at),
             // 2^64 + 4: a parser that wraps reads it as 4.
-            _ => drop(out.splice(at..at, *b"18446744073709551620")),
+            5 => drop(out.splice(at..at, *b"18446744073709551620")),
+            // The first number from `at` on becomes `u64::MAX`: the parser
+            // must take it where the field is that wide, and so must
+            // whatever adds to the field afterwards.
+            _ => {
+                let digit = |b: &&u8| b.is_ascii_digit();
+                let start = at + out[at..].iter().take_while(|b| !digit(b)).count();
+                let end = start + out[start..].iter().take_while(digit).count();
+                drop(out.splice(start..end, *b"18446744073709551615"));
+            }
         }
     }
     out
@@ -42,12 +61,10 @@ fn lossy(bytes: &[u8]) -> String {
     String::from_utf8_lossy(bytes).into_owned()
 }
 
-/// Longest run of ASCII digits in `text`.
-fn longest_digit_run(text: &str) -> usize {
+/// Does every run of ASCII digits in `text` spell a number a `u64` holds?
+fn numbers_fit_u64(text: &str) -> bool {
     text.split(|c: char| !c.is_ascii_digit())
-        .map(str::len)
-        .max()
-        .unwrap_or(0)
+        .all(|run| run.is_empty() || run.parse::<u64>().is_ok())
 }
 
 fn trace() -> Vec<u8> {
@@ -88,6 +105,27 @@ fn vodplan_args() -> Vec<String> {
     .to_vec()
 }
 
+/// Ticks an armed plan is run for, and the horizon it is generated over.
+const ARMED_TICKS: u64 = 40;
+
+/// One 120-minute movie on 20 streams and a 100-minute buffer, VCR reserve 40.
+fn small_server() -> ServerConfig {
+    let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
+    ServerConfig::provisioned(vec![movie], 40)
+}
+
+/// The paper's viewer arriving every two minutes for `movie`, all
+/// [`ARMED_TICKS`] measured.
+fn armed_workload<M>(movie: M) -> Workload<M> {
+    Workload {
+        behavior: BehaviorModel::paper_fig7d(),
+        mean_interarrival: 2.0,
+        warmup: 0,
+        measure: ARMED_TICKS,
+        movies: vec![movie],
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2000))]
 
@@ -100,7 +138,7 @@ proptest! {
         match FaultPlan::from_json(&text) {
             Err(_) => {}
             Ok(plan) => {
-                prop_assert!(longest_digit_run(&text) < 20, "overflow accepted: {}", text);
+                prop_assert!(numbers_fit_u64(&text), "overflow accepted: {}", text);
                 prop_assert_eq!(FaultPlan::from_json(&plan.to_json()), Ok(plan));
             }
         }
@@ -147,6 +185,36 @@ proptest! {
             if let Some(text) = flag("--threads") {
                 prop_assert_eq!(text.parse::<u128>().ok(), Some(opts.threads as u128));
             }
+        }
+    }
+}
+
+proptest! {
+    // One mutated plan in fifty-five parses: this many cases arm 360 of
+    // them.
+    #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+    /// A mutated plan that parses can be armed and run: no panic and a clean
+    /// audit after every tick, on one backend and behind a two-shard front
+    /// tier — the plan was written for four shards, so half its whole-shard
+    /// events name a shard that is not there.
+    #[test]
+    fn a_plan_that_parses_can_be_armed_and_ticked(plan_seed in 0u64..64, seed in 0u64..u64::MAX) {
+        let valid = FaultPlan::generate_federation(plan_seed, ARMED_TICKS, 14, 4).to_json();
+        let text = lossy(&mutate(valid.as_bytes(), seed));
+        if let Ok(plan) = FaultPlan::from_json(&text) {
+            let (kind, policy) = (BackendKind::BatchingBuffering, DegradePolicy::default());
+            let (server, workload) = (small_server(), armed_workload(MovieId(0)));
+            let run = run_backend(&HarnessConfig { server, workload }, kind, seed, &plan, policy);
+            prop_assert_eq!(run.outcome.violations, Vec::<String>::new(), "backend, plan {}", text);
+            let front = FederationConfig {
+                shards: vec![ShardSpec { backend: kind, server: small_server() }; 2],
+                placement: vec![vec![(0, MovieId(0)), (1, MovieId(0))]],
+                policy,
+            };
+            let (workload, shape) = (armed_workload(0), WorkloadShape::RoundRobin);
+            let run = run_federation(front, &plan, &FederationHarnessConfig { workload, shape }, seed);
+            prop_assert_eq!(run.violations, Vec::<String>::new(), "federation, plan {}", text);
         }
     }
 }
