@@ -12,6 +12,7 @@
 //! `vod-sim` mirrors the capacity effects in continuous time.
 
 use crate::json::{self, Json, Layout};
+use crate::{splitmix64, GOLDEN_GAMMA};
 
 /// One kind of injected fault. All parameters are integers on the virtual
 /// tick grid, so a plan has a single meaning on every driver.
@@ -233,7 +234,7 @@ impl FaultPlan {
     }
 
     /// Generate a random plan of `events` faults over `[horizon/8, horizon)`
-    /// from `seed`, using an inline SplitMix64 generator (integer-only, so
+    /// from `seed`, using a [`splitmix64`] generator (integer-only, so
     /// the plan is identical on every platform). The mix cycles through all
     /// five fault kinds with small, recoverable magnitudes; `BufferRestore`
     /// events are paired after shrinks so the budget trends back up.
@@ -244,8 +245,8 @@ impl FaultPlan {
         let mut plan = Vec::new();
         let mut shrunk: u32 = 0;
         for i in 0..events {
-            let at = lo + splitmix64(&mut state) % span;
-            let roll = splitmix64(&mut state);
+            let at = lo + draw(&mut state) % span;
+            let roll = draw(&mut state);
             let kind = capacity_fault(i % 5, roll, &mut shrunk);
             plan.push(FaultEvent { at, kind });
         }
@@ -270,8 +271,8 @@ impl FaultPlan {
         let mut shrunk: u32 = 0;
         let mut last_outage: Option<(u64, u32)> = None;
         for i in 0..events {
-            let at = lo + splitmix64(&mut state) % span;
-            let roll = splitmix64(&mut state);
+            let at = lo + draw(&mut state) % span;
+            let roll = draw(&mut state);
             let (at, kind) = match i % 7 {
                 5 => {
                     let shard = (roll % u64::from(shards)) as u32;
@@ -323,15 +324,12 @@ impl FaultPlan {
     }
 }
 
-/// SplitMix64 step: the standard finalizer-mix generator, inlined so this
-/// crate stays dependency-free while fault-plan generation remains seeded
-/// and platform-independent.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+/// The generators' draw: [`splitmix64`] of the state, which then
+/// advances by the golden-ratio step.
+fn draw(state: &mut u64) -> u64 {
+    let drawn = splitmix64(*state);
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    drawn
 }
 
 /// The generators' capacity fault number `arm` of five — stream loss,

@@ -77,3 +77,21 @@ pub use store::{SessionStore, CHUNK as SESSION_CHUNK};
 pub use vcr::{plan_vcr, truncate_sweep, ResumeClass, SweepPlan};
 pub use wheel::TimerWheel;
 pub use windows::PartitionWindows;
+
+/// SplitMix64: one step of the standard finalizer-mix generator — small,
+/// fast, well-mixed, integer-only, so everything seeded with it is
+/// identical on every platform. The one copy behind the synthetic segment
+/// bytes, the fault-plan generators and the federation mirror's per-shard
+/// seeds. `#[inline(always)]` because the integrity kernel chains it: a
+/// call across the crate boundary would cost every verified segment.
+#[inline(always)]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GOLDEN_GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// SplitMix64's increment, 2⁶⁴/φ: the step a generator that keeps its own
+/// state advances by after each [`splitmix64`] draw.
+const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;

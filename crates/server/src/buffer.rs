@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::content::{verify_segment, MovieId, Segment};
+use crate::content::{MovieId, Segment};
 
 /// Errors from buffer accounting.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,22 +107,13 @@ impl BufferPool {
     }
 }
 
-/// A stored segment and the tick its bytes were last verified on, with
-/// the outcome: the deliveries of one stored segment within one tick
-/// share one verification. The stamp lives and dies with the entry.
-#[derive(Debug)]
-struct Stored {
-    seg: Segment,
-    verified: Option<(u64, bool)>,
-}
-
 /// One stream's ring of recent segments.
 #[derive(Debug)]
 pub struct Partition {
     movie: MovieId,
     capacity: usize,
     /// Segments in display order; back = most recent (the stream front).
-    ring: VecDeque<Stored>,
+    ring: VecDeque<Segment>,
 }
 
 impl Partition {
@@ -174,20 +165,17 @@ impl Partition {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
         }
-        self.ring.push_back(Stored {
-            seg,
-            verified: None,
-        });
+        self.ring.push_back(seg);
     }
 
     /// The newest segment index retained (the stream's display front).
     pub fn front_index(&self) -> Option<u32> {
-        self.ring.back().map(|s| s.seg.index)
+        self.ring.back().map(|s| s.index)
     }
 
     /// The oldest segment index retained (the trailing edge).
     pub fn tail_index(&self) -> Option<u32> {
-        self.ring.front().map(|s| s.seg.index)
+        self.ring.front().map(|s| s.index)
     }
 
     /// Does the window currently cover `index`?
@@ -204,35 +192,14 @@ impl Partition {
         if !self.covers(index) {
             return None;
         }
-        self.ring.get((index - lo) as usize).map(|s| &s.seg)
-    }
-
-    /// Byte-verify the stored segment `index` for a delivery on `tick`;
-    /// `None` when the window does not cover it. The first delivery of
-    /// an entry on a tick regenerates and compares the payload and
-    /// records the outcome on the entry; every further delivery of that
-    /// entry on that tick reports the recorded outcome, pass or fail.
-    pub fn verify_once(&mut self, index: u32, tick: u64) -> Option<bool> {
-        let stored = self.stored_mut(index)?;
-        match stored.verified {
-            Some((on, ok)) if on == tick => Some(ok),
-            _ => {
-                let ok = verify_segment(&stored.seg);
-                stored.verified = Some((tick, ok));
-                Some(ok)
-            }
-        }
-    }
-
-    fn stored_mut(&mut self, index: u32) -> Option<&mut Stored> {
-        let lo = self.tail_index()?;
-        self.ring.get_mut(index.checked_sub(lo)? as usize)
+        self.ring.get((index - lo) as usize)
     }
 
     /// Test hook: flip one payload byte of the stored segment `index`.
     #[cfg(test)]
     pub(crate) fn corrupt(&mut self, index: u32) {
-        self.stored_mut(index).expect("covered").seg.data[0] ^= 0xFF;
+        let seg = self.ring.iter_mut().find(|s| s.index == index);
+        seg.expect("covered").data[0] ^= 0xFF;
     }
 }
 
@@ -341,32 +308,6 @@ mod tests {
         assert!(!part.covers(5));
         assert_eq!(part.get(3).unwrap().index, 3);
         assert!(part.get(1).is_none());
-    }
-
-    #[test]
-    fn one_verification_per_entry_per_tick() {
-        let mut part = Partition::new(MovieId(1), 2);
-        part.advance(seg(0));
-        part.advance(seg(1));
-        assert_eq!(part.verify_once(2, 5), None, "not covered");
-        assert_eq!(part.verify_once(0, 5), Some(true));
-        // The outcome recorded on tick 5 is what tick 5 reports; tick 6
-        // looks at the bytes again.
-        part.corrupt(0);
-        assert_eq!(part.verify_once(0, 5), Some(true));
-        assert_eq!(part.verify_once(0, 6), Some(false));
-        assert_eq!(part.verify_once(0, 6), Some(false));
-        assert_eq!(part.verify_once(1, 6), Some(true), "per entry");
-        // A failure is not sticky either.
-        part.corrupt(0);
-        assert_eq!(part.verify_once(0, 7), Some(true));
-        // Eviction takes the stamp with the entry: segment 2 moves into
-        // the ring on the tick segment 0 was stamped on.
-        part.corrupt(0);
-        assert_eq!(part.verify_once(0, 8), Some(false));
-        part.advance(seg(2));
-        assert_eq!(part.verify_once(0, 8), None);
-        assert_eq!(part.verify_once(2, 8), Some(true));
     }
 
     #[test]

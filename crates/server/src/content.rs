@@ -9,6 +9,8 @@
 //! received exactly the right bytes — turning the data path into its own
 //! checker.
 
+use vod_runtime::splitmix64;
+
 /// Bytes of synthetic payload per movie minute. Small enough to keep
 /// experiments cheap, large enough that corruption or misindexing cannot
 /// collide by accident.
@@ -28,14 +30,6 @@ pub struct Segment {
     /// Payload bytes, inline: staging, verifying or dropping a segment
     /// never touches the allocator.
     pub data: [u8; SEGMENT_BYTES],
-}
-
-/// SplitMix64 — small, fast, well-mixed; the standard choice for seeding.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Payload words per segment.

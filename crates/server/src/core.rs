@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use vod_runtime::{
     DegradePolicy, FaultKind, FaultPlan, RetryLedger, RetryStep, RuntimeMetrics, StreamReserve,
 };
-use vod_workload::{TimeWeighted, VcrKind, Welford};
+use vod_workload::{VcrKind, Welford};
 
 use crate::backend::DeliveryBackend;
 use crate::content::{verify_segment, MovieId};
@@ -305,9 +305,9 @@ impl ServerCore {
     }
 
     /// `sess` resumes where nothing shared covers its position, holding no
-    /// stream: onto a dedicated stream of its own (`true`) or — refused —
-    /// into the degraded re-wait, that refusal pending.
-    pub(crate) fn resume_on_own_stream<E, X>(&mut self, sess: &mut Session<E, X>) -> bool {
+    /// stream: onto a dedicated stream of its own or — refused — into the
+    /// degraded re-wait, that refusal pending.
+    pub(crate) fn resume_on_own_stream<E, X>(&mut self, sess: &mut Session<E, X>) {
         sess.lease = self.try_lease();
         sess.state = if sess.lease.is_some() {
             SessionState::Dedicated
@@ -315,7 +315,6 @@ impl ServerCore {
             self.metrics.runtime.resume_starved += 1;
             SessionState::Degraded(self.enter_degraded(1))
         };
-        sess.lease.is_some()
     }
 
     /// One retry-ledger tick of a degraded session the scheme could not
@@ -465,14 +464,12 @@ impl ServerCore {
     /// The one walk that strips revoked session leases: every session
     /// holding a lease in `revoked` (ids, strictly descending) loses it —
     /// dead at the disk already, so only the reserve gets its slot back —
-    /// and degrades; a sweep it was carrying is aborted. Returns how many
-    /// sessions that was.
+    /// and degrades; a sweep it was carrying is aborted.
     pub(crate) fn revoke_session_leases<E, X>(
         &mut self,
         sessions: &mut Sessions<E, X>,
         revoked: &[u64],
-    ) -> u32 {
-        let mut stripped = 0;
+    ) {
         for (_, sess) in sessions.iter_mut() {
             if sess.lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
                 sess.lease = None;
@@ -483,10 +480,8 @@ impl ServerCore {
                 // Revocation, not a refused acquisition: nothing pending
                 // to classify yet.
                 sess.state = SessionState::Degraded(self.enter_degraded(0));
-                stripped += 1;
             }
         }
-        stripped
     }
 
     /// Assemble a backend's `check_invariants`: the disk's own law, the
@@ -561,14 +556,11 @@ impl ServerCore {
 
     /// [`DeliveryBackend::reset_metrics`].
     pub(crate) fn reset_metrics(&mut self) {
-        let now = self.now as f64;
         let rt = &self.metrics.runtime;
         self.delivered_before_reset.0 += rt.buffer_minutes as u64;
         self.delivered_before_reset.1 += rt.disk_minutes as u64;
-        let playing = self.metrics.playback.current();
         self.metrics = ServerMetrics::new();
-        self.metrics.playback = TimeWeighted::new(now, playing);
-        self.reserve.rebaseline(now);
+        self.reserve.rebaseline(self.now as f64);
         self.startup_waits = Welford::default();
     }
 
@@ -1065,6 +1057,8 @@ mod tests {
                 let (_, how) = walk.backend.adopt_session(MovieId(0), 6).unwrap();
                 assert_eq!(how, Adoption::DedicatedStream, "{kind:?}");
             }
+            // A refusal is a VCR denial on every scheme.
+            let denied = walk.backend.runtime_metrics().vcr_denied;
             let mut adopt = |movie, at| walk.backend.adopt_session(MovieId(movie), at);
             assert!(
                 matches!(adopt(0, 6), Err(ServerError::VcrDenied)),
@@ -1079,6 +1073,8 @@ mod tests {
                 matches!(adopt(9, 6), Err(ServerError::UnknownMovie(_))),
                 "{kind:?}"
             );
+            let refused = walk.backend.runtime_metrics().vcr_denied - denied;
+            assert_eq!(refused, 1, "{kind:?}");
             walk.tick(3);
             walk.id = joined;
             assert_eq!(

@@ -101,13 +101,11 @@ impl DedicatedServer {
         }
     }
 
-    /// Session `idx` starts (or resumes) playing on `lease`: one more
-    /// playing stream.
+    /// Session `idx` starts (or resumes) playing on `lease`.
     fn play(&mut self, idx: u32, lease: StreamLease) {
         let sess = self.sessions.live_mut(idx);
         sess.lease = Some(lease);
         sess.state = SessionState::Dedicated;
-        self.core.metrics.playback.add(self.core.now as f64, 1.0);
     }
 
     /// Grant queued sessions in FIFO order while streams remain.
@@ -128,13 +126,6 @@ impl DedicatedServer {
             self.active.push(idx);
         }
     }
-
-    /// Session `idx` reached the end of the movie: retired by the core,
-    /// and one playing stream fewer.
-    fn finish(&mut self, idx: u32) {
-        self.core.finish(&mut self.sessions, idx);
-        self.core.metrics.playback.add(self.core.now as f64, -1.0);
-    }
 }
 
 impl FaultPolicy for DedicatedServer {
@@ -142,9 +133,7 @@ impl FaultPolicy for DedicatedServer {
 
     fn leases_revoked(&mut self, revoked: &[u64]) -> u32 {
         // Every lease is a playing session's.
-        let stripped = self.core.revoke_session_leases(&mut self.sessions, revoked);
-        let now = self.core.now as f64;
-        self.core.metrics.playback.add(now, -f64::from(stripped));
+        self.core.revoke_session_leases(&mut self.sessions, revoked);
         0
     }
 
@@ -191,9 +180,6 @@ impl DeliveryBackend for DedicatedServer {
         if !matches!(sess.state, SessionState::Dedicated) {
             return Err(ServerError::InvalidState { operation: "vcr" });
         }
-        if matches!(kind, VcrKind::Pause) {
-            self.core.metrics.playback.add(self.core.now as f64, -1.0);
-        }
         // A sweep rides the stream the viewing already holds.
         sess.state = self.core.begin_vcr(sess, kind, magnitude, magnitude.max(1));
         Ok(())
@@ -212,12 +198,9 @@ impl DeliveryBackend for DedicatedServer {
         // A migration places immediately or refuses: the FIFO queue is
         // for fresh admissions, and queueing a displaced session here
         // would hide it from the front tier's failover ledger.
-        let Some(lease) = self.core.try_lease() else {
-            // Locally permanent — the ledger may resolve the displaced
-            // session elsewhere; see `FederationMetrics`.
-            self.core.reserve.record_denials(1, false);
-            return Err(ServerError::VcrDenied);
-        };
+        // Locally permanent — the ledger may resolve the displaced
+        // session elsewhere; see `FederationMetrics`.
+        let lease = self.core.try_lease().ok_or_else(|| self.core.deny_vcr())?;
         let state = SessionState::Dedicated;
         let stamp = Admission { opened_at: COUNTED };
         let idx = admit(&mut self.sessions, movie_idx, position, state, stamp)?;
@@ -248,7 +231,7 @@ impl DeliveryBackend for DedicatedServer {
                 SessionState::Dedicated => {
                     let more = consume_one(sess, &mut self.core);
                     if !more {
-                        self.finish(idx);
+                        self.core.finish(&mut self.sessions, idx);
                     }
                     more
                 }
@@ -257,7 +240,7 @@ impl DeliveryBackend for DedicatedServer {
                     match self.core.sweep_position(sess, length) {
                         Swept::Going => true,
                         Swept::OffTheEnd => {
-                            self.finish(idx);
+                            self.core.finish(&mut self.sessions, idx);
                             false
                         }
                         Swept::Landed(kind) => {
@@ -279,9 +262,7 @@ impl DeliveryBackend for DedicatedServer {
                         .metrics
                         .runtime
                         .record_resume(VcrKind::Pause, false);
-                    if self.core.resume_on_own_stream(sess) {
-                        self.core.metrics.playback.add(self.core.now as f64, 1.0);
-                    }
+                    self.core.resume_on_own_stream(sess);
                     true
                 }
                 SessionState::Degraded(ledger) => {

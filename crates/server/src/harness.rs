@@ -424,8 +424,8 @@ fn drive(
 /// Workload shape for [`run_scale`]: a mass-batching population, the
 /// million-session north star's stress case. Every session is opened
 /// before the first tick, so each movie's cohort enrolls into one
-/// restart en masse at tick 0 — the worst case for the restart memo and
-/// the timer wheel's bulk drain.
+/// restart en masse at tick 0 — the worst case for the per-session
+/// restart lookup and the timer wheel's bulk drain.
 #[derive(Debug, Clone)]
 pub struct ScaleConfig {
     /// Concurrent sessions to open before the first tick.

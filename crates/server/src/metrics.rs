@@ -1,7 +1,6 @@
 //! Server-wide counters.
 
 use vod_runtime::RuntimeMetrics;
-use vod_workload::TimeWeighted;
 
 /// Aggregated server metrics: the shared mechanism-level vocabulary
 /// ([`RuntimeMetrics`] — identical in meaning to the simulator's) plus
@@ -16,8 +15,6 @@ pub struct ServerMetrics {
     pub runtime: RuntimeMetrics,
     /// Byte-verification failures (must stay 0).
     pub verify_failures: u64,
-    /// Playback (scheduled restart) streams in use over time.
-    pub playback: TimeWeighted,
     /// Sessions completed.
     pub sessions_done: u64,
     /// Sessions closed early by the client.
@@ -42,7 +39,6 @@ impl ServerMetrics {
         Self {
             runtime: RuntimeMetrics::new(),
             verify_failures: 0,
-            playback: TimeWeighted::new(0.0, 0.0),
             sessions_done: 0,
             sessions_closed_early: 0,
             piggyback_merges: 0,

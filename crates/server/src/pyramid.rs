@@ -12,6 +12,9 @@
 //! viewers arrive — the scheme trades the batching design's server-side
 //! partitions for client-side buffer (the bound
 //! [`PyramidGeometry::client_buffer_bound`] is reported by the bench).
+//! Every delivery is byte-verified: off the staging slot when that
+//! minute is on the air this tick, else as a replay from the client's
+//! prefix.
 //!
 //! VCR follows the interactive-bandwidth accounting of arXiv:1706.06642:
 //! RW and Pause resume inside the received prefix and are always hits
@@ -30,10 +33,11 @@
 //! not on the air stalls only that delivery — other channels keep
 //! broadcasting, and clients keep free playback inside their
 //! already-received prefix; a broken channel stalls exactly the sessions
-//! whose playout front has crossed into its segment. Because each
-//! channel loops phase-locked to the global clock, every stall is
-//! boundary-aligned by construction: recovery rejoins the wheel
-//! mid-cycle and the missed minutes return on their next loop.
+//! whose playout front has crossed into its segment, and a stall is
+//! counted there, per session (`stall_minutes`) — nothing is kept per
+//! channel. Because each channel loops phase-locked to the global clock,
+//! every stall is boundary-aligned by construction: recovery rejoins the
+//! wheel mid-cycle and the missed minutes return on their next loop.
 //!
 //! Reception bookkeeping is **exact**: each session carries a
 //! [`ReceptionFront`] bitmap fed by the minutes actually staged, so the
@@ -50,7 +54,7 @@
 //! — which reaches every position once the channels are back.
 
 use vod_runtime::{BackendKind, PyramidGeometry, ReceptionFront, SessionStore, TimerWheel};
-use vod_workload::{TimeWeighted, VcrKind};
+use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
 use crate::buffer::{BroadcastSlot, BufferPool};
@@ -71,21 +75,9 @@ struct PyramidMovie {
     leases: Vec<Option<StreamLease>>,
     /// One staging segment per channel (the minute being broadcast).
     slots: Vec<BroadcastSlot>,
-    /// Per-channel count of ticks the channel's scheduled *real* minute
-    /// was not broadcast (dead lease, off-period slowdown tick, or
-    /// unfunded staging slot). Phase-locked to the wheel: padding slots
-    /// never count.
-    channel_stall: Vec<u64>,
     /// Bitset over the movie's minutes, rebuilt each tick: the minutes on
     /// the air this tick — every receiving client's recorder ORs it in.
     staged: Vec<u64>,
-    /// Bitsets over the movie's minutes, cleared each tick: the minutes
-    /// byte-verified for a delivery this tick, and those that failed.
-    /// What a minute is delivered from (its channel's staging slot or the
-    /// client's replay) is fixed for the tick, so its deliveries share
-    /// one verification and one recorded outcome.
-    verified: Vec<u64>,
-    failed: Vec<u64>,
 }
 
 /// A broadcast client. `Waiting` is for the next segment-1 boundary;
@@ -107,21 +99,11 @@ type BroadcastSession = Session<(), ReceptionFront>;
 /// prefix (canonical bytes, re-verified).
 fn consume_from_broadcast(
     sess: &mut BroadcastSession,
-    movies: &mut [PyramidMovie],
+    movies: &[PyramidMovie],
     core: &mut ServerCore,
 ) {
-    let position = sess.position;
-    let m = &mut movies[sess.movie_idx];
-    let (word, bit) = ((position / 64) as usize, 1u64 << (position % 64));
-    if m.verified[word] & bit == 0 {
-        let ok = verify_delivery(m, position);
-        m.verified[word] |= bit;
-        if !ok {
-            m.failed[word] |= bit;
-        }
-    }
     sess.stats.from_buffer += 1;
-    if m.failed[word] & bit != 0 {
+    if !verify_delivery(&movies[sess.movie_idx], sess.position) {
         sess.stats.verify_failures += 1;
         core.metrics.verify_failures += 1;
     }
@@ -129,11 +111,17 @@ fn consume_from_broadcast(
     core.metrics.runtime.buffer_minutes += 1.0;
 }
 
-/// The one verification all of this tick's deliveries of minute
-/// `position` share.
+/// Byte-verify one delivery of minute `position`. Most deliveries are
+/// replays (a minute is on the air about `k/l` of the time), so the
+/// `staged` bit decides before the channel is looked up.
 fn verify_delivery(m: &PyramidMovie, position: u32) -> bool {
-    let channel = m.geometry.channel_of(position) as usize;
-    match m.slots.get(channel).and_then(|s| s.current()) {
+    let on_air = m.staged[(position / 64) as usize] & (1 << (position % 64)) != 0;
+    let slot = || {
+        m.slots
+            .get(m.geometry.channel_of(position) as usize)?
+            .current()
+    };
+    match on_air.then(slot).flatten() {
         Some(seg) if seg.index == position => verify_segment(seg),
         // Client-buffered replay: the segment was verified at reception;
         // re-derive and re-verify the canonical bytes.
@@ -197,17 +185,13 @@ impl PyramidServer {
                 // stays down (the movie stalls) rather than panicking.
                 leases: (0..channels).map(|_| core.disk.acquire().ok()).collect(),
                 slots: (0..channels).map(|_| BroadcastSlot::new(m.movie)).collect(),
-                channel_stall: vec![0; channels],
                 staged: vec![0; words],
-                verified: vec![0; words],
-                failed: vec![0; words],
             });
         }
         // Staging budget: exactly one segment per channel. This *is* the
         // backend's `ΣB`.
         let mut pool = BufferPool::new(total_channels as usize);
         let _ = pool.reserve(total_channels as usize);
-        core.metrics.playback = TimeWeighted::new(0.0, f64::from(core.disk.in_use()));
         Self {
             core,
             pool,
@@ -227,9 +211,9 @@ impl PyramidServer {
     /// its staging slot is funded — a buffer-shrink overcommit of `o`
     /// segments defunds the last `o` slots in global (movie, channel)
     /// order, so which channels a squeeze silences is deterministic. An
-    /// off-air channel whose scheduled minute is *real* counts one
-    /// boundary-aligned stall tick against that channel alone; padding
-    /// minutes never count.
+    /// off-air channel stages nothing; what that costs is counted where
+    /// it is felt, as a stall of each session whose playout front has
+    /// reached the missing minute.
     fn broadcast(&mut self) {
         let core = &mut self.core;
         let stalled = core.disk_stalled();
@@ -237,17 +221,10 @@ impl PyramidServer {
         let funded = total.saturating_sub(self.pool.overcommitted());
         let mut slot_index: usize = 0;
         for m in &mut self.movies {
-            let mut restored: u32 = 0;
             for lease in m.leases.iter_mut().filter(|l| l.is_none()) {
                 if let Ok(fresh) = core.disk.acquire() {
                     *lease = Some(fresh);
-                    restored += 1;
                 }
-            }
-            if restored > 0 {
-                core.metrics
-                    .playback
-                    .add(core.now as f64, f64::from(restored));
             }
             for ci in 0..m.leases.len() {
                 let slot_funded = slot_index < funded;
@@ -268,10 +245,7 @@ impl PyramidServer {
                         }
                         m.slots[ci].store(seg);
                     }
-                    None => {
-                        m.slots[ci].clear();
-                        m.channel_stall[ci] += 1;
-                    }
+                    None => m.slots[ci].clear(),
                 }
             }
         }
@@ -282,7 +256,6 @@ impl FaultPolicy for PyramidServer {
     const RESERVE_FAILS_FIRST: bool = false;
 
     fn leases_revoked(&mut self, revoked: &[u64]) -> u32 {
-        let now = self.core.now as f64;
         let mut channels_lost: u32 = 0;
         for lease in self.movies.iter_mut().flat_map(|m| m.leases.iter_mut()) {
             if lease.as_ref().is_some_and(|l| l.revoked_in(revoked)) {
@@ -290,10 +263,6 @@ impl FaultPolicy for PyramidServer {
                 channels_lost += 1;
             }
         }
-        self.core
-            .metrics
-            .playback
-            .add(now, -f64::from(channels_lost));
         self.core.revoke_session_leases(&mut self.sessions, revoked);
         channels_lost
     }
@@ -428,8 +397,6 @@ impl DeliveryBackend for PyramidServer {
         }
         for m in &mut self.movies {
             m.staged.fill(0);
-            m.verified.fill(0);
-            m.failed.fill(0);
             for seg in m.slots.iter().filter_map(|s| s.current()) {
                 m.staged[(seg.index / 64) as usize] |= 1 << (seg.index % 64);
             }
@@ -460,7 +427,7 @@ impl DeliveryBackend for PyramidServer {
                     false
                 }
                 SessionState::Shared(()) if sess.scheme.received(sess.position) => {
-                    consume_from_broadcast(sess, &mut self.movies, &mut self.core);
+                    consume_from_broadcast(sess, &self.movies, &mut self.core);
                     let ended = sess.position >= length;
                     if ended {
                         self.core.finish(&mut self.sessions, idx);
@@ -479,7 +446,7 @@ impl DeliveryBackend for PyramidServer {
                     // The broadcast front caught up: merge back.
                     self.core.metrics.piggyback_merges += 1;
                     merge_back(sess, &mut self.core);
-                    consume_from_broadcast(sess, &mut self.movies, &mut self.core);
+                    consume_from_broadcast(sess, &self.movies, &mut self.core);
                     true
                 }
                 SessionState::Dedicated => {
@@ -683,9 +650,8 @@ mod tests {
         assert_eq!(rt.disk_minutes, 0.0);
     }
 
-    /// Shared verification stores the outcome, never "assume ok": every
-    /// delivery of a corrupt staged minute counts, on the server and on
-    /// its session, and nothing carries into the next tick.
+    /// Every delivery of a corrupt staged minute counts, on the server
+    /// and on its session, and nothing carries into the next tick.
     #[test]
     fn every_delivery_of_a_corrupt_staged_minute_counts() {
         let mut s = PyramidServer::new(config());
@@ -911,7 +877,7 @@ mod tests {
         let rt = s.runtime_metrics();
         assert!(
             rt.stall_minutes > 0.0,
-            "per-channel stall accounting must record the outage"
+            "the outage must show as stalled session minutes"
         );
     }
 

@@ -230,8 +230,9 @@ impl ActiveStream {
     /// cohort `d` behind it takes position `old_head − d`, and the one
     /// level with it (`d = 0`) takes the segment just read or, when the
     /// stream stood still (`!reads`), stalls. With `verify`, each
-    /// occupied ring entry is verified once for all of its readers.
-    fn deliver(&mut self, t: u64, old_head: u32, reads: bool, verify: bool) -> Delivered {
+    /// occupied ring entry is verified for its readers — once, as the
+    /// walk visits each offset once.
+    fn deliver(&mut self, old_head: u32, reads: bool, verify: bool) -> Delivered {
         let stalled = if reads { 0 } else { self.cohorts[0] };
         let mut corrupt = Vec::new();
         if verify {
@@ -240,7 +241,8 @@ impl ActiveStream {
                     continue;
                 }
                 let position = old_head.checked_sub(lag as u32);
-                match position.and_then(|at| self.partition.verify_once(at, t)) {
+                let stored = position.and_then(|at| self.partition.get(at));
+                match stored.map(verify_segment) {
                     Some(true) => {}
                     Some(false) => corrupt.extend(position),
                     // vod-lint: allow(no-panic) — a cohort outside the window
@@ -466,11 +468,6 @@ pub struct VodServer {
     /// the stream phase on. An enrolled session's stored position is
     /// `accounted − since` ticks old.
     accounted: u64,
-    /// Per-movie memo of "the stream that restarted at this tick",
-    /// replacing the per-waking-session stream scan with one scan per
-    /// restart batch. Valid within one tick's session phase (streams do
-    /// not start or retire there); reset by `advance_sessions`.
-    restart_memo: Vec<Option<Option<StreamId>>>,
     /// Per movie, every live stream's join window in ascending slot
     /// order, rebuilt by `advance_streams`. Streams start, advance and
     /// retire only in the stream phase and in `apply_faults`, both ahead
@@ -482,8 +479,8 @@ pub struct VodServer {
     due: Vec<u32>,
     next_active: Vec<u32>,
     /// Test-only oracle mode: process sessions with the historical full
-    /// 0..n scan (no wheel, no memos, every enrolled session advanced and
-    /// accounted one tick at a time). Set at construction time via
+    /// 0..n scan (no wheel, every enrolled session advanced and accounted
+    /// one tick at a time). Set at construction time via
     /// `set_reference_scan`; the equivalence suite pins wheel mode
     /// against it bit for bit.
     reference_scan: bool,
@@ -510,7 +507,6 @@ impl VodServer {
             wheel_stale: 0,
             firing: None,
             accounted: 0,
-            restart_memo: vec![None; n_movies],
             join_table: vec![Vec::new(); n_movies],
             due: Vec::new(),
             next_active: Vec::new(),
@@ -519,8 +515,8 @@ impl VodServer {
     }
 
     /// Test-only oracle switch: process sessions with the historical full
-    /// 0..n scan instead of the timer wheel + active list (memos off too,
-    /// and every delivery accounted per session instead of per cohort).
+    /// 0..n scan instead of the timer wheel + active list (and every
+    /// delivery accounted per session instead of per cohort).
     /// Flip it right after construction, before any session opens — the
     /// equivalence suite pins the two modes against each other bit for
     /// bit.
@@ -657,10 +653,6 @@ impl VodServer {
                 .min_by_key(|(id, s)| (s.enrolled, s.started, id.index()))
                 .map(|(id, _)| id);
             let Some(sid) = victim else { break };
-            let held_lease = self.streams.get(sid).is_some_and(|s| s.lease.is_some());
-            if held_lease {
-                self.core.metrics.playback.add(self.core.now as f64, -1.0);
-            }
             self.core.metrics.partitions_evicted += 1;
             final_heads[sid.index()] = self.retire_stream(sid);
         }
@@ -681,7 +673,6 @@ impl VodServer {
                         // Release the disk lease as soon as displaying ends.
                         if let Some(lease) = s.lease.take() {
                             self.core.disk.release(lease);
-                            self.core.metrics.playback.add(self.core.now as f64, -1.0);
                         }
                         // Keep the frozen partition until its trailing
                         // readers finish.
@@ -723,7 +714,6 @@ impl VodServer {
                 self.core.metrics.runtime.restart_failures += 1;
                 continue;
             }
-            self.core.metrics.playback.add(t as f64, 1.0);
             let stream = ActiveStream {
                 movie_idx,
                 started: t,
@@ -770,7 +760,7 @@ impl VodServer {
                 // Before the read, when the readers' positions are taken.
                 let old_head = s.next_read - u32::from(reads);
                 let verify = !self.reference_scan;
-                let delivered = s.deliver(t, old_head, reads, verify);
+                let delivered = s.deliver(old_head, reads, verify);
                 if verify {
                     // The reference scan accounts each of these per session.
                     // Whole numbers far below 2⁵³: adding a cohort's size
@@ -821,9 +811,6 @@ impl VodServer {
     /// stream phase (`Enrolled`). Reference mode (`set_reference_scan`)
     /// still runs the full scan as the equivalence oracle.
     fn advance_sessions(&mut self, t: u64) {
-        for memo in self.restart_memo.iter_mut() {
-            *memo = None;
-        }
         if self.reference_scan {
             // Nobody is admitted during a tick; whoever finishes drops
             // out of the store, not out of this list.
@@ -911,24 +898,9 @@ impl VodServer {
             Act::Nothing => {}
             Act::StartWaiting => {
                 // The restart happened earlier in this tick; enroll in the
-                // stream that just started. The whole batch shares one
-                // answer, so wheel mode memoizes the scan per movie
-                // (streams neither start nor retire during the session
-                // phase, which keeps the memo valid for the entire tick).
+                // stream that just started.
                 let movie_idx = self.sessions.live(idx).movie_idx;
-                let stream = if self.reference_scan {
-                    self.find_restarted_stream(movie_idx, t)
-                } else {
-                    match self.restart_memo[movie_idx] {
-                        Some(cached) => cached,
-                        None => {
-                            let found = self.find_restarted_stream(movie_idx, t);
-                            self.restart_memo[movie_idx] = Some(found);
-                            found
-                        }
-                    }
-                };
-                let Some(stream) = stream else {
+                let Some(stream) = self.find_restarted_stream(movie_idx, t) else {
                     // The scheduled restart failed to start (under-provisioned
                     // disk or buffer, counted in `restart_failures`). The
                     // batch keeps waiting for the next restart instant
@@ -1120,14 +1092,7 @@ impl VodServer {
             self.core.metrics.runtime.stall_minutes += 1.0;
             return;
         }
-        // Partitions are immutable during the session phase, so every
-        // delivery of one ring entry this tick shares the entry's one
-        // verification (the reference oracle recomputes every read).
-        let outcome = if self.reference_scan {
-            s.partition.get(position).map(verify_segment)
-        } else {
-            s.partition.verify_once(position, t)
-        };
+        let outcome = s.partition.get(position).map(verify_segment);
         // vod-lint: allow(no-panic) — the window never moves past a reader
         // (it trails the head by at most what it joined with); see above.
         let verified = outcome.expect("buffer underrun: window moved past an enrolled session");
@@ -1698,7 +1663,6 @@ impl FaultPolicy for VodServer {
             .collect();
         let mut final_heads = vec![None; self.streams.slot_count()];
         for &sid in &dead {
-            self.core.metrics.playback.add(self.core.now as f64, -1.0);
             final_heads[sid.index()] = self.retire_stream(sid);
         }
         // A dedicated or sweeping session loses its stream and re-queues.
@@ -1781,12 +1745,11 @@ mod tests {
         assert_eq!(s.check_invariants(), Vec::<String>::new());
     }
 
-    /// Shared verification stores the outcome, never "assume ok": every
-    /// delivery of a corrupt ring entry counts, on the server and on its
-    /// session, exactly as the recompute-everything, session-by-session
-    /// reference scan counts them — the cohort delivery finds the readers
-    /// of a failed entry, at whatever offset of whichever stream — and no
-    /// outcome outlives its tick.
+    /// Every delivery of a corrupt ring entry counts, on the server and
+    /// on its session, exactly as the session-by-session reference scan
+    /// counts them — the cohort delivery finds the readers of a failed
+    /// entry, at whatever offset of whichever stream — and no outcome
+    /// outlives its tick.
     #[test]
     fn every_delivery_of_a_corrupt_ring_entry_counts() {
         for reference in [false, true] {

@@ -347,10 +347,6 @@ impl<'a> Engine<'a> {
         self.report.runtime.dedicated_peak = self.reserve.peak();
         self.report.runtime.denied_transient = self.reserve.denied_transient();
         self.report.runtime.denied_permanent = self.reserve.denied_permanent();
-        let measured = horizon - self.cfg.warmup;
-        for m in &mut self.report.per_movie {
-            m.measured_minutes = measured;
-        }
         self.report
     }
 

@@ -17,10 +17,11 @@
 //! * Every other (capacity) fault routes to shard `at % shards`,
 //!   matching the front tier's distribution rule.
 //!
-//! Per-shard seeds derive from the run seed by the same splitmix step
-//! the fault generator uses, so the mirror is deterministic end to end.
+//! Per-shard seeds derive from the run seed by the same [`splitmix64`]
+//! step the fault generator uses, so the mirror is deterministic end to
+//! end.
 
-use vod_runtime::{FaultEvent, FaultKind, FaultPlan};
+use vod_runtime::{splitmix64, FaultEvent, FaultKind, FaultPlan};
 
 use crate::{run_seeded, SimConfig, SimReport};
 
@@ -45,15 +46,6 @@ impl FederationSimReport {
             self.hits as f64 / self.trials as f64
         }
     }
-}
-
-/// Splitmix64 step — the same mixer `FaultPlan::generate` seeds with,
-/// reused to derive independent per-shard seeds from one run seed.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Project the global plan onto shard `s`'s local plan (see the module
@@ -97,7 +89,7 @@ fn shard_plan(global: &FaultPlan, s: u32, shards: u32, all_streams: u32) -> Faul
 
 /// Run every shard's simulation under the projected global `plan` and
 /// aggregate. `shards[s]` is shard `s`'s own configuration (its slice
-/// of the catalog/budget); each runs with seed `splitmix(seed ^ s)`.
+/// of the catalog/budget); each runs with seed [`splitmix64`]`(seed ^ s)`.
 ///
 /// # Panics
 ///
@@ -123,7 +115,7 @@ pub fn run_federation_seeded(
             .n_streams()
             .saturating_add(local.dedicated_capacity.unwrap_or(0));
         local.faults = shard_plan(plan, s as u32, n, all_streams);
-        let report = run_seeded(&local, splitmix(seed ^ s as u64));
+        let report = run_seeded(&local, splitmix64(seed ^ s as u64));
         hits += report.runtime.resumes.hits();
         trials += report.runtime.resumes.trials();
         per_shard.push(report);

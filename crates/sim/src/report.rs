@@ -25,8 +25,6 @@ pub struct SimReport {
     pub type2_fraction: Ratio,
     /// Per-operation trace (empty unless `collect_trace`).
     pub trace: Vec<VcrTraceRecord>,
-    /// Simulated minutes measured (horizon − warmup).
-    pub measured_minutes: f64,
 }
 
 impl SimReport {
