@@ -17,9 +17,8 @@
 //! simulator) and moments (for workload construction and tests) complete
 //! the trait.
 
-use rand::RngCore;
-
 use crate::quad::adaptive_simpson;
+use crate::rng::SeededRng;
 use crate::root::brent;
 
 /// A probability distribution over non-negative VCR-operation durations,
@@ -93,8 +92,10 @@ pub trait DurationDist: std::fmt::Debug + Send + Sync {
     /// Variance of the distribution.
     fn variance(&self) -> f64;
 
-    /// Draw one variate.
-    fn sample(&self, rng: &mut dyn RngCore) -> f64;
+    /// Draw one variate from the workspace's one generator. It is named
+    /// concretely, not as a type parameter, so the trait stays object-safe
+    /// and every `next_u64` inside a sampler is a direct call.
+    fn sample(&self, rng: &mut SeededRng) -> f64;
 
     /// An interval `[lo, hi]` outside of which the distribution has
     /// (essentially) no mass; used to bracket quantile searches and to

@@ -3,9 +3,8 @@
 //! becomes a piecewise-linear function of the system geometry, so model
 //! results can be verified by hand.
 
-use rand::RngCore;
-
 use crate::duration::{require_non_negative, DurationDist};
+use crate::rng::SeededRng;
 use crate::DistError;
 
 /// Point mass at `value`.
@@ -62,7 +61,7 @@ impl DurationDist for Deterministic {
         0.0
     }
 
-    fn sample(&self, _rng: &mut dyn RngCore) -> f64 {
+    fn sample(&self, _rng: &mut SeededRng) -> f64 {
         self.value
     }
 

@@ -11,10 +11,8 @@
 //! running integrals of the survival function exactly integrable in closed
 //! form piece by piece.
 
-use rand::RngCore;
-
 use crate::duration::DurationDist;
-use crate::rng::u01;
+use crate::rng::{u01, SeededRng};
 use crate::DistError;
 
 /// Piecewise-linear empirical distribution built from samples.
@@ -204,7 +202,7 @@ impl DurationDist for Empirical {
         self.variance
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+    fn sample(&self, rng: &mut SeededRng) -> f64 {
         // Inverse-transform on the piecewise-linear cdf.
         self.quantile(u01(rng))
     }

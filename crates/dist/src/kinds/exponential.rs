@@ -1,10 +1,8 @@
 //! Exponential distribution — used by the paper (§4, §5 Example 1) for VCR
 //! durations of movies 2 and 3 (means 5 and 2 minutes).
 
-use rand::RngCore;
-
 use crate::duration::{require_positive, DurationDist};
-use crate::rng::u01_open;
+use crate::rng::{u01_open, SeededRng};
 use crate::DistError;
 
 /// Exponential distribution with the given mean (`rate = 1/mean`).
@@ -81,7 +79,7 @@ impl DurationDist for Exponential {
         self.mean * self.mean
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+    fn sample(&self, rng: &mut SeededRng) -> f64 {
         -self.mean * u01_open(rng).ln()
     }
 

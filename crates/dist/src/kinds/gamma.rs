@@ -4,26 +4,51 @@
 //! paper writes as `(α = 2, γ = 4)`, i.e. shape 2 and scale 4 in modern
 //! notation ([`Gamma::paper_fig7`]).
 
-use rand::RngCore;
-
 use crate::duration::{require_positive, DurationDist};
-use crate::rng::{std_normal, u01_open};
+use crate::rng::{std_normal, u01_open, SeededRng};
 use crate::special::{gamma_p, gamma_q, ln_gamma};
 use crate::DistError;
 
 /// Gamma distribution with shape `k` and scale `θ` (mean `kθ`).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 pub struct Gamma {
     shape: f64,
     scale: f64,
+    /// Marsaglia–Tsang's `d = k′ − 1/3` and `c = 1/√(9d)` for the shape
+    /// `k′` the rejection loop runs at (`k + 1` below 1), computed once
+    /// here rather than once per draw. Derived from `shape`, so `Debug`
+    /// and `PartialEq` leave them out.
+    d: f64,
+    c: f64,
+}
+
+impl std::fmt::Debug for Gamma {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Gamma")
+            .field("shape", &self.shape)
+            .field("scale", &self.scale)
+            .finish()
+    }
+}
+
+impl PartialEq for Gamma {
+    fn eq(&self, other: &Self) -> bool {
+        (self.shape, self.scale) == (other.shape, other.scale)
+    }
 }
 
 impl Gamma {
     /// Construct from shape `k > 0` and scale `θ > 0`.
     pub fn new(shape: f64, scale: f64) -> Result<Self, DistError> {
+        let shape = require_positive("shape", shape)?;
+        let scale = require_positive("scale", scale)?;
+        let boosted = if shape < 1.0 { shape + 1.0 } else { shape };
+        let d = boosted - 1.0 / 3.0;
         Ok(Self {
-            shape: require_positive("shape", shape)?,
-            scale: require_positive("scale", scale)?,
+            shape,
+            scale,
+            d,
+            c: 1.0 / (9.0 * d).sqrt(),
         })
     }
 
@@ -100,8 +125,15 @@ impl DurationDist for Gamma {
         self.shape * self.scale * self.scale
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        self.scale * sample_standard_gamma(self.shape, rng)
+    fn sample(&self, rng: &mut SeededRng) -> f64 {
+        let standard = if self.shape < 1.0 {
+            // Johnk-style boost: Gamma(k) = Gamma(k + 1) · U^{1/k}.
+            let boost = u01_open(rng).powf(1.0 / self.shape);
+            boost * marsaglia_tsang(self.d, self.c, rng)
+        } else {
+            marsaglia_tsang(self.d, self.c, rng)
+        };
+        self.scale * standard
     }
 
     fn support_hint(&self) -> (f64, f64) {
@@ -109,17 +141,9 @@ impl DurationDist for Gamma {
     }
 }
 
-/// Marsaglia–Tsang sampling of a standard Gamma(shape, 1) variate.
-///
-/// For `shape < 1` the Johnk-style boost `Gamma(k) = Gamma(k+1) · U^{1/k}`
-/// is applied.
-fn sample_standard_gamma(shape: f64, rng: &mut dyn RngCore) -> f64 {
-    if shape < 1.0 {
-        let boost = u01_open(rng).powf(1.0 / shape);
-        return boost * sample_standard_gamma(shape + 1.0, rng);
-    }
-    let d = shape - 1.0 / 3.0;
-    let c = 1.0 / (9.0 * d).sqrt();
+/// Marsaglia–Tsang sampling of a standard Gamma(k, 1) variate, `k ≥ 1`,
+/// from its precomputed `d = k − 1/3` and `c = 1/√(9d)`.
+fn marsaglia_tsang(d: f64, c: f64, rng: &mut SeededRng) -> f64 {
     loop {
         let x = std_normal(rng);
         let v = 1.0 + c * x;
@@ -151,6 +175,15 @@ mod tests {
         assert_eq!(d.shape(), 2.0);
         assert_eq!(d.scale(), 4.0);
         assert_eq!(d.mean(), 8.0);
+    }
+
+    /// The cached sampler constants are not part of the value.
+    #[test]
+    fn debug_and_eq_see_shape_and_scale_only() {
+        let d = Gamma::paper_fig7();
+        assert_eq!(format!("{d:?}"), "Gamma { shape: 2.0, scale: 4.0 }");
+        assert_eq!(d, Gamma::with_shape_mean(2.0, 8.0).unwrap());
+        assert_ne!(d, Gamma::new(2.0, 4.5).unwrap());
     }
 
     #[test]

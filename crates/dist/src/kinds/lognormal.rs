@@ -2,10 +2,8 @@
 //! human "dwell time" measurements; included to exercise the model's
 //! generality claim with a distribution the paper never tried.
 
-use rand::RngCore;
-
 use crate::duration::{require_positive, DurationDist};
-use crate::rng::std_normal;
+use crate::rng::{std_normal, SeededRng};
 use crate::special::std_normal_cdf;
 use crate::DistError;
 
@@ -103,7 +101,7 @@ impl DurationDist for LogNormal {
         ((s2).exp_m1()) * (2.0 * self.mu + s2).exp()
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+    fn sample(&self, rng: &mut SeededRng) -> f64 {
         (self.mu + self.sigma * std_normal(rng)).exp()
     }
 

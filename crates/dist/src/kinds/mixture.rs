@@ -5,10 +5,8 @@
 //! models this while keeping every quantity the analytic model needs in
 //! closed form (all are linear in the mixture weights).
 
-use rand::RngCore;
-
 use crate::duration::DurationDist;
-use crate::rng::u01;
+use crate::rng::{u01, SeededRng};
 use crate::DistError;
 
 /// Convex combination of component distributions.
@@ -105,7 +103,7 @@ impl DurationDist for Mixture {
         }) - mean * mean
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+    fn sample(&self, rng: &mut SeededRng) -> f64 {
         let mut u = u01(rng);
         for (w, c) in self.weights.iter().zip(&self.components) {
             if u < *w {

@@ -4,10 +4,8 @@
 //! for reserve sizing; a power tail exercises both far harder than the
 //! paper's exponential/gamma choices.
 
-use rand::RngCore;
-
 use crate::duration::{require_positive, DurationDist};
-use crate::rng::u01_open;
+use crate::rng::{u01_open, SeededRng};
 use crate::DistError;
 
 /// Lomax distribution (Pareto type II anchored at 0):
@@ -125,7 +123,7 @@ impl DurationDist for Pareto {
         }
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+    fn sample(&self, rng: &mut SeededRng) -> f64 {
         // Inverse transform: x = σ [(1−u)^{−1/α} − 1].
         self.scale * (u01_open(rng).powf(-1.0 / self.shape) - 1.0)
     }

@@ -5,10 +5,8 @@
 //! most the whole movie); `Truncated` makes that restriction explicit for
 //! base distributions with unbounded support.
 
-use rand::RngCore;
-
 use crate::duration::DurationDist;
-use crate::rng::u01;
+use crate::rng::{u01, SeededRng};
 use crate::DistError;
 
 /// `base` conditioned on the event `lo ≤ X ≤ hi`.
@@ -126,7 +124,7 @@ impl<D: DurationDist> DurationDist for Truncated<D> {
         self.variance
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+    fn sample(&self, rng: &mut SeededRng) -> f64 {
         // Inverse transform through the base quantile: exact, no rejection
         // loop even for narrow windows.
         let u = self.f_lo + u01(rng) * self.mass;

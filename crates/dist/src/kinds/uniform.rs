@@ -2,10 +2,8 @@
 //! maximally "spread" VCR-duration model and in tests where the closed
 //! forms are trivial to check by hand.
 
-use rand::RngCore;
-
 use crate::duration::DurationDist;
-use crate::rng::u01;
+use crate::rng::{u01, SeededRng};
 use crate::DistError;
 
 /// Uniform distribution on `[lo, hi]`, `0 ≤ lo < hi`.
@@ -106,7 +104,7 @@ impl DurationDist for Uniform {
         w * w / 12.0
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+    fn sample(&self, rng: &mut SeededRng) -> f64 {
         self.lo + self.width() * u01(rng)
     }
 

@@ -2,10 +2,8 @@
 //! shape parameter interpolates between heavy-tailed (`k < 1`) and
 //! near-deterministic (`k ≫ 1`) VCR behavior.
 
-use rand::RngCore;
-
 use crate::duration::{require_positive, DurationDist};
-use crate::rng::u01_open;
+use crate::rng::{u01_open, SeededRng};
 use crate::special::{gamma_p, ln_gamma};
 use crate::DistError;
 
@@ -91,7 +89,7 @@ impl DurationDist for Weibull {
         self.scale * self.scale * (g2 - g1 * g1)
     }
 
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+    fn sample(&self, rng: &mut SeededRng) -> f64 {
         self.scale * (-u01_open(rng).ln()).powf(1.0 / self.shape)
     }
 

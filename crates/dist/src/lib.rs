@@ -10,7 +10,8 @@
 //! * **Quadrature** — [`quad`]: adaptive Simpson and Gauss–Legendre.
 //! * **Root finding** — [`root`]: Brent's method.
 //! * **Randomness** — [`rng`]: seeded reproducible RNG, uniform/normal/
-//!   exponential primitives over `&mut dyn RngCore`.
+//!   exponential primitives over `&mut SeededRng`, the workspace's one
+//!   generator.
 //! * **Duration distributions** — [`DurationDist`] and the implementations
 //!   in [`kinds`]: Exponential, Gamma, Uniform, Deterministic, Weibull,
 //!   LogNormal, Mixture, Empirical (trace-fitted), and a Truncated

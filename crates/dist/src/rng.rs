@@ -1,8 +1,11 @@
 //! Randomness helpers.
 //!
-//! Distribution sampling takes a `&mut dyn RngCore` so that trait objects of
-//! [`crate::DurationDist`] stay object-safe; these helpers derive uniform
-//! and normal variates from the raw 64-bit stream.
+//! Every sampler in the workspace draws on the one generator, [`SeededRng`],
+//! and takes it as `&mut SeededRng`: each `next_u64` is then a direct call
+//! the compiler can inline, not a virtual one. [`crate::DurationDist`] stays
+//! object-safe — its `sample` names the concrete generator, not a type
+//! parameter. These helpers derive uniform, normal and exponential variates
+//! from the raw 64-bit stream.
 
 use rand::RngCore;
 use rand::SeedableRng;
@@ -19,7 +22,7 @@ pub fn seeded(seed: u64) -> SeededRng {
 
 /// Uniform variate on `[0, 1)` with 53 bits of precision.
 #[inline]
-pub fn u01(rng: &mut dyn RngCore) -> f64 {
+pub fn u01(rng: &mut SeededRng) -> f64 {
     // Take the top 53 bits; this yields every representable multiple of
     // 2^-53 in [0, 1) with equal probability.
     (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -27,7 +30,7 @@ pub fn u01(rng: &mut dyn RngCore) -> f64 {
 
 /// Uniform variate on the *open* interval `(0, 1)`; safe to pass to `ln`.
 #[inline]
-pub fn u01_open(rng: &mut dyn RngCore) -> f64 {
+pub fn u01_open(rng: &mut SeededRng) -> f64 {
     loop {
         let u = u01(rng);
         if u > 0.0 {
@@ -37,7 +40,7 @@ pub fn u01_open(rng: &mut dyn RngCore) -> f64 {
 }
 
 /// Standard normal variate via the Marsaglia polar method.
-pub fn std_normal(rng: &mut dyn RngCore) -> f64 {
+pub fn std_normal(rng: &mut SeededRng) -> f64 {
     loop {
         let u = 2.0 * u01(rng) - 1.0;
         let v = 2.0 * u01(rng) - 1.0;
@@ -49,7 +52,8 @@ pub fn std_normal(rng: &mut dyn RngCore) -> f64 {
 }
 
 /// Exponential variate with the given mean, by inversion.
-pub fn exponential(rng: &mut dyn RngCore, mean: f64) -> f64 {
+#[inline]
+pub fn exponential(rng: &mut SeededRng, mean: f64) -> f64 {
     debug_assert!(mean > 0.0);
     -mean * u01_open(rng).ln()
 }

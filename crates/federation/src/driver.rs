@@ -9,7 +9,7 @@
 //! flash-crowd [`WorkloadShape`]s, handed to the driver as its
 //! [`ArrivalShape`] hook.
 
-use rand::RngCore;
+use vod_dist::rng::SeededRng;
 use vod_runtime::{FaultPlan, FederationMetrics, RuntimeMetrics};
 use vod_server::{ArrivalShape, Driver, SessionStatus, Target, Workload};
 use vod_workload::{VcrKind, Zipf};
@@ -106,7 +106,7 @@ impl ArrivalShape<usize> for WorkloadShape {
         workload: &Workload<usize>,
         arrival: u64,
         minute: u64,
-        rng: &mut dyn RngCore,
+        rng: &mut SeededRng,
     ) -> usize {
         if let Some((_, movie)) = self.crowd_at(minute) {
             return movie;

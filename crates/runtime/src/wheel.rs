@@ -1,12 +1,12 @@
 //! Hierarchical timer wheel keyed on the virtual-time tick grid.
 //!
-//! Both drivers used to find "what happens at tick `t`" by scanning every
-//! session (`vod-server`) or popping a single global `BinaryHeap`
-//! (`vod-sim`). The wheel makes the schedule-side of that O(1): an item
-//! scheduled for tick `due` is filed into one of [`LEVELS`] wheels of
-//! [`SLOTS`] slots each — level 0 resolves single ticks, level `l`
-//! resolves runs of `64^l` ticks — and cascades down one level each time
-//! the cursor crosses a level boundary (Varghese–Lauck hashed wheels).
+//! The server's backends used to find "what happens at tick `t`" by
+//! scanning every session. The wheel makes the schedule side of that
+//! O(1): an item scheduled for tick `due` is filed into one of
+//! [`LEVELS`] wheels of [`SLOTS`] slots each — level 0 resolves single
+//! ticks, level `l` resolves runs of `64^l` ticks — and cascades down one
+//! level each time the cursor crosses a level boundary (Varghese–Lauck
+//! hashed wheels).
 //! Per-level `u64` occupancy bitmaps make "next scheduled tick" a couple
 //! of `trailing_zeros` instructions.
 //!
@@ -56,7 +56,7 @@ impl<T> Level<T> {
 /// The cursor starts at tick 0 and only moves forward, one
 /// [`TimerWheel::drain_tick`] call at a time. Scheduling in the past is
 /// clamped to the cursor — the item fires on the very next drain — which
-/// mirrors how both drivers treat "due now": start-of-minute events
+/// mirrors how the server treats "due now": start-of-minute events
 /// scheduled at the current minute run within the current tick.
 pub struct TimerWheel<T> {
     /// Next undrained tick.
@@ -102,26 +102,6 @@ impl<T> TimerWheel<T> {
     /// True when nothing is scheduled.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Bucket a continuous event time onto the integer tick grid (floor;
-    /// negative or NaN inputs saturate to tick 0 under Rust's float→int
-    /// `as` semantics). This is event-queue bucketing — *which wheel slot
-    /// an event lands in* — not partition-geometry quantization; geometry
-    /// rounding stays single-sourced in the quantize module.
-    pub fn tick_of(time: f64) -> u64 {
-        time as u64
-    }
-
-    /// Which of `parts` equal slices of tick `tick` a continuous event
-    /// time falls in (floor; a time before the tick or NaN saturates to
-    /// slice 0, a time past it to the last slice). Monotone in `time`, so
-    /// a caller ordering one tick's events can scatter them by slice
-    /// first. Like [`Self::tick_of`] this is event-queue bucketing, not
-    /// partition-geometry quantization.
-    pub fn slice_of(time: f64, tick: u64, parts: usize) -> usize {
-        let slice = ((time - tick as f64) * parts as f64) as usize;
-        slice.min(parts.saturating_sub(1))
     }
 
     /// Schedule `item` for tick `due`. A `due` behind the cursor is
@@ -332,26 +312,5 @@ mod tests {
         assert_eq!(w.drain_tick(127).len(), 0);
         w.schedule(130, "second");
         assert_eq!(w.drain_tick(130), vec!["first", "second"]);
-    }
-
-    #[test]
-    fn tick_of_floors_and_saturates() {
-        assert_eq!(TimerWheel::<()>::tick_of(0.0), 0);
-        assert_eq!(TimerWheel::<()>::tick_of(41.999), 41);
-        assert_eq!(TimerWheel::<()>::tick_of(-3.0), 0);
-    }
-
-    #[test]
-    fn slice_of_floors_and_saturates() {
-        let slice = |time| TimerWheel::<()>::slice_of(time, 41, 256);
-        assert_eq!(slice(41.0), 0);
-        assert_eq!(slice(41.5), 128);
-        assert_eq!(slice(f64::from_bits(42.0f64.to_bits() - 1)), 255);
-        assert_eq!(slice(42.0), 255);
-        assert_eq!(slice(f64::INFINITY), 255);
-        assert_eq!(slice(40.999), 0);
-        assert_eq!(slice(f64::NAN), 0);
-        // The saturated last tick holds every time from 2^64 up.
-        assert_eq!(TimerWheel::<()>::slice_of(1e300, u64::MAX, 256), 255);
     }
 }

@@ -69,7 +69,7 @@ pub trait ArrivalShape<M: Copy> {
         workload: &Workload<M>,
         arrival: u64,
         _minute: u64,
-        _rng: &mut dyn RngCore,
+        _rng: &mut SeededRng,
     ) -> M {
         workload.round_robin(arrival)
     }

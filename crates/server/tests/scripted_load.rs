@@ -4,7 +4,7 @@
 //! sustained realistic traffic.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use rand::RngCore;
+use vod_dist::rng::SeededRng;
 use vod_server::{
     ArrivalShape, DeliveryBackend, Driver, HostedMovie, MovieId, ServerConfig, VodServer, Workload,
 };
@@ -14,7 +14,7 @@ use vod_workload::{BehaviorModel, Zipf};
 struct Popularity(Zipf);
 
 impl ArrivalShape<MovieId> for Popularity {
-    fn pick_movie(&self, w: &Workload<MovieId>, _: u64, _: u64, rng: &mut dyn RngCore) -> MovieId {
+    fn pick_movie(&self, w: &Workload<MovieId>, _: u64, _: u64, rng: &mut SeededRng) -> MovieId {
         w.movies[self.0.sample(rng)]
     }
 }

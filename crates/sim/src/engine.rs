@@ -14,64 +14,19 @@
 //! The mechanism semantics — window membership, VCR sweep rules, the
 //! dedicated reserve, the metric vocabulary — live in `vod-runtime`;
 //! this engine is a thin event-loop driver over them: it owns the clock,
-//! the heap, and the viewer population, never the rules.
+//! the event queue, and the viewer population, never the rules.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use vod_dist::rng::{exponential, seeded, SeededRng};
 use vod_runtime::{
     plan_vcr, Arena, ArenaId, BackendKind, FaultKind, PartitionWindows, PyramidGeometry,
-    StreamReserve, TimerWheel,
+    StreamReserve,
 };
 use vod_workload::{VcrKind, VcrTraceRecord};
 
+use crate::queue::{Ev, EvKind, EventQueue};
 use crate::{CatalogConfig, CatalogReport, SimConfig, SimReport};
-
-/// Scheduled event. Ordered by time then sequence number (FIFO ties).
-/// At most 32 bytes (pinned by a test): every queue move copies one.
-#[derive(Clone, Copy)]
-struct Ev {
-    time: f64,
-    seq: u64,
-    kind: EvKind,
-}
-
-#[derive(Clone, Copy)]
-enum EvKind {
-    /// A new viewer for `movie` arrives (the next arrival of that movie
-    /// is scheduled on pop).
-    Arrival { movie: usize },
-    /// A queued (type-1) viewer starts at a restart instant.
-    Start { viewer: ArenaId },
-    /// A playing viewer issues a VCR operation.
-    Vcr { viewer: ArenaId },
-    /// The viewer's VCR operation (its [`Viewer::sweep`]) completes.
-    VcrEnd { viewer: ArenaId },
-    /// A viewer reaches the end of the movie in normal playback.
-    Finish { viewer: ArenaId },
-}
-
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-impl Eq for Ev {}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap: invert so earliest time pops first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
 
 /// A VCR operation in flight; the viewer resumes at `end_pos`.
 #[derive(Clone, Copy)]
@@ -107,121 +62,6 @@ struct Viewer {
     sweep: Option<Sweep>,
 }
 
-/// The engine's pending-event set: pops in ascending `(time, seq)`,
-/// exactly the order one global `BinaryHeap<Ev>` would (pinned against
-/// that heap, push for push and pop for pop, by this module's proptest).
-///
-/// Events are bucketed by `floor(time)` minute; everything past the
-/// minute the cursor is on waits in a [`TimerWheel`] slot. Pushes into
-/// future minutes are O(1) instead of O(log pending). An idle stretch is
-/// not free: the wheel crosses it one 64-minute window at a time, so
-/// [`EventQueue::pop`] takes the horizon and never crosses to a minute
-/// past it. On each minute change the drained bucket is ordered once
-/// into `run`; only events pushed into the minute already being played
-/// (or before it) go through the small `late` heap. Ordering is
-/// preserved because every event in `run` or `late` has
-/// `floor(time) ≤ minute` while every event still in the wheel has
-/// `floor(time) > minute` — so the earlier of the two heads is the
-/// global minimum.
-struct EventQueue {
-    wheel: TimerWheel<Ev>,
-    /// The bucket of `minute`, latest first: `pop()` takes the earliest
-    /// off the back.
-    run: Vec<Ev>,
-    /// The bucket as drained, while `order_run` scatters it into `run`.
-    scratch: Vec<Ev>,
-    /// Events pushed into `minute` while it plays.
-    late: BinaryHeap<Ev>,
-    /// The minute bucket `run` was drained from.
-    minute: u64,
-}
-
-/// Slices of a minute `order_run` scatters a bucket over.
-const SLICES: usize = 256;
-/// Buckets shorter than this are comparison-sorted whole: the scatter's
-/// two passes over 256 counters cost more than they save.
-const SCATTER_MIN: usize = 64;
-
-impl EventQueue {
-    fn new() -> Self {
-        EventQueue {
-            wheel: TimerWheel::new(),
-            run: Vec::new(),
-            scratch: Vec::new(),
-            late: BinaryHeap::new(),
-            minute: 0,
-        }
-    }
-
-    fn push(&mut self, ev: Ev) {
-        let tick = TimerWheel::<Ev>::tick_of(ev.time);
-        if tick <= self.minute {
-            self.late.push(ev);
-        } else {
-            self.wheel.schedule(tick, ev);
-        }
-    }
-
-    /// The earliest pending event, or `None` once every pending event
-    /// lies in a minute past `horizon` (such an event stays queued).
-    fn pop(&mut self, horizon: f64) -> Option<Ev> {
-        if self.run.is_empty() && self.late.is_empty() {
-            let due = self.wheel.next_due().filter(|&due| due as f64 <= horizon)?;
-            self.minute = due;
-            self.wheel.drain_tick_into(due, &mut self.run);
-            self.order_run();
-        }
-        // The greater head under the inverted order is the earlier.
-        if self.late.peek() > self.run.last() {
-            self.late.pop()
-        } else {
-            self.run.pop()
-        }
-    }
-
-    /// Sort `run`, the bucket of `minute` as the wheel drained it,
-    /// ascending under the inverted `Ord for Ev` — latest first. A
-    /// minute of a busy catalog holds hundreds of events spread evenly
-    /// over it, so a counting-sort scatter on the slice of the minute
-    /// each falls in leaves the comparison sort one or two events per
-    /// slice to order: O(n) where sorting the bucket whole was
-    /// O(n log n) — and still that, not worse, should a whole bucket
-    /// crowd into one slice. `(time, seq)` has one sorted order, so the
-    /// result is the one `sort_unstable` on the whole bucket gave.
-    fn order_run(&mut self) {
-        if self.run.len() < SCATTER_MIN {
-            self.run.sort_unstable();
-            return;
-        }
-        let slice = |ev: &Ev| TimerWheel::<Ev>::slice_of(ev.time, self.minute, SLICES);
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&self.run);
-        // `ends[s]`: one past the last slot of slice `s`, later slices first.
-        let mut ends = [0usize; SLICES];
-        for ev in &self.scratch {
-            ends[slice(ev)] += 1;
-        }
-        let mut end = 0;
-        for count in ends.iter_mut().rev() {
-            end += *count;
-            *count = end;
-        }
-        // Each slice fills from its end: the wheel drains in push order,
-        // so events at one instant land latest `seq` first — in order.
-        for ev in &self.scratch {
-            let slot = &mut ends[slice(ev)];
-            *slot -= 1;
-            self.run[*slot] = *ev;
-        }
-        // `ends[s]` is now where slice `s` starts, and `s − 1` follows it.
-        let mut end = self.run.len();
-        for start in ends {
-            self.run[start..end].sort_unstable();
-            end = start;
-        }
-    }
-}
-
 struct Engine<'a> {
     cfg: &'a CatalogConfig,
     rng: SeededRng,
@@ -244,8 +84,9 @@ struct Engine<'a> {
     /// Next unapplied event in `cfg.faults` (events are time-sorted).
     fault_cursor: usize,
     /// Pending outage recoveries: (due time, reserve streams to restore,
-    /// pyramid channels to bring back up).
-    recoveries: Vec<(f64, u32, u32)>,
+    /// pyramid channels to bring back up), in ascending due time and push
+    /// order among equal ones — the order they apply in.
+    recoveries: VecDeque<(f64, u32, u32)>,
     /// Buffer segments currently removed by shrink faults.
     buffer_delta: f64,
     /// Pyramid mirror of the server's per-channel degradation: total
@@ -301,7 +142,7 @@ impl<'a> Engine<'a> {
             windows,
             reserve: StreamReserve::new(cfg.dedicated_capacity),
             fault_cursor: 0,
-            recoveries: Vec::new(),
+            recoveries: VecDeque::new(),
             buffer_delta: 0.0,
             pyr_channels_total,
             pyr_channels_down: 0,
@@ -334,7 +175,16 @@ impl<'a> Engine<'a> {
                 break;
             }
             self.ensure_warm(ev.time);
+            let pushed = self.seq;
             self.apply_faults_until(ev.time);
+            if self.seq != pushed {
+                // A recovery admitted a queued viewer at its due instant,
+                // which may precede `ev`: file `ev` back (same `seq`, so
+                // its place among equal times holds) and take the earliest.
+                // Recoveries and faults still due apply at that pop.
+                self.queue.push(ev);
+                continue;
+            }
             match ev.kind {
                 EvKind::Arrival { movie } => self.on_arrival(ev.time, movie),
                 EvKind::Start { viewer } => self.on_start(ev.time, viewer),
@@ -369,27 +219,35 @@ impl<'a> Engine<'a> {
     /// resume classification or a stream acquisition — and those happen
     /// only at events, so applying lazily at each event pop is exact.
     /// Recoveries apply before new faults at the same instant, the same
-    /// ordering the server's tick uses.
+    /// ordering the server's tick uses, and among themselves in due order.
+    /// A recovery that admits a queued viewer is an event of its own: the
+    /// pass stops there, so the reserve's clock never runs backwards and
+    /// the FIFO queue is served in order.
     fn apply_faults_until(&mut self, t: f64) {
-        let mut i = 0;
-        while i < self.recoveries.len() {
-            if self.recoveries[i].0 <= t {
-                let (due, count, channels) = self.recoveries.swap_remove(i);
-                if channels > 0 {
-                    self.pyr_advance(due);
-                    self.pyr_channels_down = self.pyr_channels_down.saturating_sub(channels);
+        while let Some(&(due, count, channels)) = self.recoveries.front() {
+            if due > t {
+                break;
+            }
+            self.recoveries.pop_front();
+            if channels > 0 {
+                self.pyr_advance(due);
+                self.pyr_channels_down = self.pyr_channels_down.saturating_sub(channels);
+            }
+            self.reserve.recover_streams(count);
+            if self.cfg.backend == BackendKind::DedicatedStream {
+                // Each recovered stream can admit one queued viewer, at the
+                // recovery instant — the continuous-time twin of the
+                // server's drain-after-recover tick.
+                let pushed = self.seq;
+                for _ in 0..count {
+                    self.grant_queued(due);
                 }
-                self.reserve.recover_streams(count);
-                if self.cfg.backend == BackendKind::DedicatedStream {
-                    // Each recovered stream can admit one queued viewer,
-                    // at the recovery instant — the continuous-time twin
-                    // of the server's drain-after-recover tick.
-                    for _ in 0..count {
-                        self.grant_queued(due);
-                    }
+                if self.seq != pushed {
+                    // An admitted viewer starts at `due` and may act before
+                    // `t` and before the next recovery: end the pass, and
+                    // `run` takes events from the queue again.
+                    return;
                 }
-            } else {
-                i += 1;
             }
         }
         while let Some(ev) = self.cfg.faults.events().get(self.fault_cursor) {
@@ -417,8 +275,9 @@ impl<'a> Engine<'a> {
                     let failed = self.reserve.fail_streams(count);
                     let spilled = self.take_channels_down(at, count.saturating_sub(failed));
                     if failed > 0 || spilled > 0 {
-                        self.recoveries
-                            .push((at + recover_after.max(1) as f64, failed, spilled));
+                        let due = at + recover_after.max(1) as f64;
+                        let behind = self.recoveries.partition_point(|r| r.0 <= due);
+                        self.recoveries.insert(behind, (due, failed, spilled));
                     }
                 }
                 FaultKind::DiskSlowdown { period, duration } => {
@@ -981,128 +840,4 @@ pub fn run_replications(
 #[doc(hidden)]
 pub fn partition_hit_for_tests(cfg: &SimConfig, t: f64, p: f64) -> bool {
     PartitionWindows::from_params(&cfg.params).covers(t, p)
-}
-
-#[cfg(test)]
-mod tests {
-    use std::collections::BinaryHeap;
-
-    use proptest::prelude::*;
-    use proptest::test_runner::TestCaseError;
-
-    use super::{Ev, EvKind, EventQueue};
-
-    /// Every queue move copies an `Ev`; the sweep parameters ride in the
-    /// `Viewer`, not in the event.
-    #[test]
-    fn event_fits_half_a_cache_line() {
-        assert!(std::mem::size_of::<Ev>() <= 32);
-    }
-
-    /// The reference: one plain `BinaryHeap<Ev>` under the same `Ord`,
-    /// given the same pushes and pops, compared pop for pop.
-    struct Pair {
-        queue: EventQueue,
-        heap: BinaryHeap<Ev>,
-        seq: u64,
-    }
-
-    impl Pair {
-        fn new() -> Self {
-            Pair {
-                queue: EventQueue::new(),
-                heap: BinaryHeap::new(),
-                seq: 0,
-            }
-        }
-
-        fn push(&mut self, time: f64) {
-            self.seq += 1;
-            let ev = Ev {
-                time,
-                seq: self.seq,
-                kind: EvKind::Arrival { movie: 0 },
-            };
-            self.queue.push(ev);
-            self.heap.push(ev);
-        }
-
-        /// Pop both; the popped time when they agree.
-        fn pop(&mut self) -> Result<Option<f64>, TestCaseError> {
-            let (got, want) = (self.queue.pop(f64::INFINITY), self.heap.pop());
-            prop_assert_eq!(got.map(|e| e.seq), want.map(|e| e.seq));
-            Ok(want.map(|e| e.time))
-        }
-
-        fn drain(&mut self) -> Result<(), TestCaseError> {
-            while self.pop()?.is_some() {}
-            prop_assert!(self.queue.pop(f64::INFINITY).is_none());
-            Ok(())
-        }
-    }
-
-    proptest! {
-        /// A push lands, relative to the last popped time, in the past, at
-        /// that very instant (ties fall to `seq`), inside the minute being
-        /// played, minutes ahead or 10⁶ minutes ahead. The engine's output
-        /// is a function of pop order alone, so equal pop order is equal
-        /// simulation.
-        #[test]
-        fn queue_pops_in_global_heap_order(
-            ops in proptest::collection::vec((0u8..8, 0u8..5, 0.0f64..1.0), 400),
-        ) {
-            let mut pair = Pair::new();
-            let mut now = 0.0f64;
-            for (op, place, frac) in ops {
-                if op < 5 {
-                    pair.push(match place {
-                        0 => (now - 3.0 * frac).max(0.0),
-                        1 => now,
-                        2 => now.floor() + frac,
-                        3 => now + 1.0 + 240.0 * frac,
-                        _ => now + 1e6 * (1.0 + frac),
-                    });
-                } else {
-                    now = pair.pop()?.unwrap_or(now);
-                }
-            }
-            pair.drain()?;
-        }
-
-        /// One minute holding thousands of events — the bucket the
-        /// counting-sort scatter orders (the 400 operations above never
-        /// file 64 into one minute): instants shared by many events,
-        /// the minute's first instant and the last `f64` before the next
-        /// minute, and pushes into the minute while it plays.
-        #[test]
-        fn a_crowded_minute_pops_in_global_heap_order(
-            minute in prop_oneof![Just(7.0f64), Just(4800.0), Just(1e6)],
-            times in proptest::collection::vec((0u8..6, 0.0f64..1.0), 2_500),
-            late in proptest::collection::vec(0.0f64..1.0, 50),
-        ) {
-            let mut pair = Pair::new();
-            let last = f64::from_bits((minute + 1.0).to_bits() - 1);
-            let instant = |place: u8, frac: f64| match place {
-                0 => minute,
-                1 => last,
-                // A few shared instants: ties fall to `seq`.
-                2 => minute + (frac * 4.0).floor() / 4.0,
-                _ => (minute + frac).min(last),
-            };
-            pair.push(0.5);
-            for &(place, frac) in &times {
-                pair.push(instant(place, frac));
-            }
-            pair.push(minute + 1.0);
-            prop_assert_eq!(pair.pop()?, Some(0.5));
-            for frac in late {
-                // Each pop plays the crowded minute; the push lands in it,
-                // before or after the playhead.
-                pair.pop()?;
-                pair.pop()?;
-                pair.push(instant(3, frac));
-            }
-            pair.drain()?;
-        }
-    }
 }

@@ -29,6 +29,7 @@
 mod config;
 mod engine;
 mod federation;
+mod queue;
 mod report;
 
 pub use config::{CatalogConfig, MovieLoad, SimConfig};

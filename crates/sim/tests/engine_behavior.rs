@@ -259,8 +259,8 @@ fn trace_collection_works() {
 }
 
 /// The run ends at the horizon, not at the first event past it: the next
-/// arrival of a near-idle movie lies ~10¹⁵ minutes out, and crossing the
-/// event queue's wheel to it (64 minutes a step) would take hours.
+/// arrival of a near-idle movie lies ~10¹⁵ minutes out, and a queue that
+/// walked the idle minutes to it (64 a step, say) would take hours.
 #[test]
 fn a_far_future_event_does_not_outlast_the_horizon() {
     let mut cfg = config(60.0, 20, (0.2, 0.2, 0.6));

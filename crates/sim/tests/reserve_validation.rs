@@ -8,7 +8,8 @@ use std::sync::Arc;
 
 use vod_dist::kinds::Gamma;
 use vod_model::{Rates, SystemParams};
-use vod_sim::{run_seeded, SimConfig};
+use vod_runtime::{BackendKind, FaultEvent, FaultKind, FaultPlan};
+use vod_sim::{run_catalog_seeded, run_seeded, CatalogConfig, SimConfig};
 use vod_sizing::erlang_b;
 use vod_workload::BehaviorModel;
 
@@ -86,6 +87,73 @@ fn generous_reserve_never_denies() {
     // the free run exactly.
     assert_eq!(run.runtime.resumes.trials(), free.runtime.resumes.trials());
     assert_eq!(run.runtime.resumes.hits(), free.runtime.resumes.hits());
+}
+
+/// Two outages at tick 0 each take one free stream of a `capacity`-stream
+/// dedicated reserve; they come back at minute 45 and minute 40 — the
+/// later-pushed recovery is due first.
+fn outage_config(movies: usize, mean_interarrival: f64, capacity: u32) -> CatalogConfig {
+    let params = SystemParams::new(120.0, 100.0, 20, Rates::paper()).expect("valid");
+    let mut cfg: CatalogConfig = SimConfig::new(params, BehaviorModel::paper_fig7d()).into();
+    cfg.movies = vec![cfg.movies[0].clone(); movies];
+    for movie in &mut cfg.movies {
+        movie.mean_interarrival = mean_interarrival;
+    }
+    cfg.backend = BackendKind::DedicatedStream;
+    cfg.dedicated_capacity = Some(capacity);
+    cfg.horizon = 400.0;
+    cfg.warmup = 0.0;
+    cfg.faults = FaultPlan::new(
+        [45, 40]
+            .map(|recover_after| FaultEvent {
+                at: 0,
+                kind: FaultKind::DiskOutage {
+                    count: 1,
+                    recover_after,
+                },
+            })
+            .to_vec(),
+    );
+    cfg
+}
+
+/// Recoveries that fall due between two event pops apply in `due` order,
+/// and a viewer one of them admits starts — and acts — before the event
+/// whose pop applied it and before the next recovery. Out of order, the
+/// reserve's occupancy integral ran backwards (a debug build panicked, a
+/// release build folded a negative interval into `dedicated_avg`) and the
+/// FIFO start queue was served out of arrival order.
+#[test]
+fn outage_recoveries_keep_time_and_fifo_order() {
+    for seed in 0..50 {
+        let run = run_catalog_seeded(&outage_config(1, 30.0, 2), seed);
+        let avg = run.runtime.dedicated_avg;
+        assert!(
+            (0.0..=2.0).contains(&avg),
+            "seed {seed}: dedicated_avg {avg}"
+        );
+
+        // One viewer per movie, all arriving at minute 0 in movie order:
+        // movie 0's viewer takes the third stream, the one the outages
+        // leave, and every later movie's viewer queues behind the one
+        // before it. Its only wait is its start minute, so FIFO service
+        // is a wait that never decreases with the movie index.
+        let run = run_catalog_seeded(&outage_config(8, 1e9, 3), seed);
+        let waits: Vec<_> = run.per_movie[1..].iter().map(|m| &m.wait).collect();
+        let started = waits.iter().take_while(|w| w.count() == 1).count();
+        assert!(started >= 2, "seed {seed}: both recoveries admit a viewer");
+        assert!(
+            waits[started..].iter().all(|w| w.count() == 0),
+            "seed {seed}: a viewer started ahead of one queued before it"
+        );
+        for pair in waits[..started].windows(2) {
+            assert!(
+                pair[0].mean() <= pair[1].mean(),
+                "seed {seed}: start order {:?}",
+                waits.iter().map(|w| w.mean()).collect::<Vec<_>>()
+            );
+        }
+    }
 }
 
 #[test]

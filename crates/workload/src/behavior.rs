@@ -9,9 +9,8 @@
 
 use std::sync::Arc;
 
-use rand::RngCore;
 use vod_dist::kinds::Gamma;
-use vod_dist::rng::{exponential, u01};
+use vod_dist::rng::{exponential, u01, SeededRng};
 use vod_dist::DurationDist;
 
 /// The three interactive operations (paper §2: FF, RW, PAU with viewing).
@@ -157,12 +156,12 @@ impl BehaviorModel {
     }
 
     /// Sample the playback time until this viewer's next interaction.
-    pub fn next_interaction_gap(&self, rng: &mut dyn RngCore) -> f64 {
+    pub fn next_interaction_gap(&self, rng: &mut SeededRng) -> f64 {
         exponential(rng, self.mean_play_between)
     }
 
     /// Sample an interaction (kind + magnitude).
-    pub fn sample_request(&self, rng: &mut dyn RngCore) -> VcrRequest {
+    pub fn sample_request(&self, rng: &mut SeededRng) -> VcrRequest {
         let u = u01(rng);
         let kind = if u < self.p_ff {
             VcrKind::FastForward

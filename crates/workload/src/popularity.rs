@@ -6,8 +6,7 @@
 //! conventionally modelled as Zipf-like, which this module provides for
 //! the server crate's admission experiments.
 
-use rand::RngCore;
-use vod_dist::rng::u01;
+use vod_dist::rng::{u01, SeededRng};
 
 /// Zipf(θ) popularity over `n` ranked items: `P[rank i] ∝ 1/i^θ`.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,7 +55,7 @@ impl Zipf {
     }
 
     /// Sample a 0-based rank.
-    pub fn sample(&self, rng: &mut dyn RngCore) -> usize {
+    pub fn sample(&self, rng: &mut SeededRng) -> usize {
         let u = u01(rng);
         match self.cumulative.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(i) => i,
