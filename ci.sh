@@ -73,8 +73,8 @@ cmp "$scratch/SMOKE_DIGESTS.txt" results/SMOKE_DIGESTS.txt
 # violation of its own, and the `cmp` pins everything else the file says
 # (schema, cell count, `"ok": true`, zero violations per cell).
 
-echo "== paper figures, worked examples, reserve and catalog checks: seven text results =="
-for bin in fig7 fig8 fig9 example1 example2 reserve_check catalog_sim; do
+echo "== paper figures, worked examples, reserve and catalog checks, ablations: eight text results =="
+for bin in fig7 fig8 fig9 example1 example2 reserve_check catalog_sim ablations; do
   cargo run --release --quiet -p vod-bench --bin "$bin" -- --out "$scratch/$bin.txt" >/dev/null
   cmp "$scratch/$bin.txt" "results/$bin.txt"
 done

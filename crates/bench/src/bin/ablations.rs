@@ -9,17 +9,21 @@
 //! 5. Piggyback merge-back on/off in the data-path server.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin ablations -- [--threads N]
+//! cargo run --release -p vod-bench --bin ablations -- [--threads N] [--out PATH]
 //! ```
 //!
-//! `--threads N` parallelizes the table-generation sweeps; the timing
-//! ablations (2 and 3) stay serial so their measured durations are
-//! meaningful.
+//! The tables go to `--out PATH` (`results/ablations.txt` is this bin's
+//! output with `--out` and no other flag), or to stdout without it. They
+//! hold no wall-clock reading, so the file regenerates byte for byte: the
+//! timing columns of ablations 2 and 3 (the oracle's speedup and its run
+//! time) go to stderr. `--threads N` parallelizes the table-generation
+//! sweeps; the timing ablations stay serial so their measured durations
+//! are meaningful.
 
 use std::time::Instant;
 
 use rand::RngCore;
-use vod_bench::report::Flags;
+use vod_bench::report::{emit_text, Flags};
 use vod_bench::table::{num, Table};
 use vod_dist::kinds::Gamma;
 use vod_dist::rng::seeded;
@@ -31,18 +35,24 @@ use vod_server::{DeliveryBackend, HostedMovie, MovieId, ServerConfig, VodServer}
 use vod_workload::VcrKind;
 
 fn main() {
-    let flags = Flags::parse("ablations", "--threads N");
+    let flags = Flags::parse("ablations", "--threads N --out PATH");
     let exec = flags
         .value("--threads")
         .map_or_else(SweepExecutor::serial, SweepExecutor::new);
-    eq19_vs_extended(&exec);
-    decomposed_vs_oracle();
-    oracle_convergence();
-    piggyback_on_off();
+    let out: Option<String> = flags.value("--out");
+    let text = [
+        eq19_vs_extended(&exec),
+        decomposed_vs_oracle(),
+        oracle_convergence(),
+        piggyback_on_off(),
+    ]
+    .concat();
+    emit_text("ablations", out.as_deref(), &text);
 }
 
-fn eq19_vs_extended(exec: &SweepExecutor) {
-    println!("# Ablation 1: Eq.-19 jump cutoff vs extended summation (FF, gamma(2,4))");
+fn eq19_vs_extended(exec: &SweepExecutor) -> String {
+    let text =
+        String::from("# Ablation 1: Eq.-19 jump cutoff vs extended summation (FF, gamma(2,4))\n");
     let d = Gamma::paper_fig7();
     let mut t = Table::new(vec!["l", "B", "n", "paper eq19", "extended", "diff"]);
     let cases = [
@@ -74,23 +84,16 @@ fn eq19_vs_extended(exec: &SweepExecutor) {
     for row in rows {
         t.row(row);
     }
-    print!("{}", t.render());
-    println!("(the cutoff drops only partial-hit tails; differences stay small)\n");
+    text + &t.render() + "(the cutoff drops only partial-hit tails; differences stay small)\n\n"
 }
 
-fn decomposed_vs_oracle() {
-    println!("# Ablation 2: decomposed closed forms vs 2-D integration oracles");
+fn decomposed_vs_oracle() -> String {
+    let text = String::from("# Ablation 2: decomposed closed forms vs 2-D integration oracles\n");
     let d = Gamma::paper_fig7();
     let p = SystemParams::new(120.0, 60.0, 20, Rates::paper()).expect("valid");
     let opts = ModelOptions::default();
     let tol = 1e-9;
-    let mut t = Table::new(vec![
-        "component",
-        "decomposed",
-        "oracle",
-        "|diff|",
-        "speedup",
-    ]);
+    let mut t = Table::new(vec!["component", "decomposed", "oracle", "|diff|"]);
     type Eval<'a> = Box<dyn Fn() -> f64 + 'a>;
     let cases: Vec<(&str, Eval<'_>, Eval<'_>)> = vec![
         (
@@ -121,18 +124,17 @@ fn decomposed_vs_oracle() {
             num(a, 6),
             num(b, 6),
             format!("{:.1e}", (a - b).abs()),
-            format!(
-                "{:.0}x",
-                slow_t.as_secs_f64() / fast_t.as_secs_f64().max(1e-9)
-            ),
         ]);
+        eprintln!(
+            "ablation 2: {name} speedup {:.0}x",
+            slow_t.as_secs_f64() / fast_t.as_secs_f64().max(1e-9)
+        );
     }
-    print!("{}", t.render());
-    println!();
+    text + &t.render() + "\n"
 }
 
-fn oracle_convergence() {
-    println!("# Ablation 3: 2-D oracle vs closed form as the oracle's tolerance tightens (l=120, B=60, n=20)");
+fn oracle_convergence() -> String {
+    let text = String::from("# Ablation 3: 2-D oracle vs closed form as the oracle's tolerance tightens (l=120, B=60, n=20)\n");
     let d = Gamma::paper_fig7();
     let p = SystemParams::new(120.0, 60.0, 20, Rates::paper()).expect("valid");
     let opts = ModelOptions::default();
@@ -160,7 +162,6 @@ fn oracle_convergence() {
         "oracle tol",
         "oracle",
         "|diff|",
-        "oracle time",
     ]);
     for (name, closed, oracle) in cases {
         for tol in [1e-6, 1e-9, 1e-12] {
@@ -172,16 +173,20 @@ fn oracle_convergence() {
                 format!("{tol:.0e}"),
                 num(v, 10),
                 format!("{:.1e}", (v - closed).abs()),
-                format!("{:?}", t0.elapsed()),
             ]);
+            eprintln!(
+                "ablation 3: {name} tol {tol:.0e} oracle time {:?}",
+                t0.elapsed()
+            );
         }
     }
-    print!("{}", t.render());
-    println!("(the closed form has no tolerance; the oracle's error shrinks onto it)\n");
+    text + &t.render()
+        + "(the closed form has no tolerance; the oracle's error shrinks onto it)\n\n"
 }
 
-fn piggyback_on_off() {
-    println!("# Ablation 5: piggyback merge-back on/off (server, random VCR load)");
+fn piggyback_on_off() -> String {
+    let text =
+        String::from("# Ablation 5: piggyback merge-back on/off (server, random VCR load)\n");
     let mut t = Table::new(vec![
         "piggyback",
         "merges",
@@ -224,6 +229,6 @@ fn piggyback_on_off() {
             num(rt.buffer_minutes, 0),
         ]);
     }
-    print!("{}", t.render());
-    println!("(merging back releases dedicated streams: lower avg dedicated, fewer disk reads)");
+    text + &t.render()
+        + "(merging back releases dedicated streams: lower avg dedicated, fewer disk reads)\n"
 }

@@ -36,7 +36,8 @@
 //!   can price alternatives to the paper's design on the same axes and
 //!   the chaos gate can audit them.
 //! * [`TimerWheel`] / [`Arena`] — the million-session engine substrate:
-//!   a hierarchical timer wheel over the virtual-time grid with a
+//!   the one scheduler both drivers use, a calendar ring of per-tick
+//!   buckets over the virtual-time grid with a
 //!   `BTreeMap`-equivalent drain order, and a generational slab whose
 //!   slot reuse matches a linear free-slot scan, so both drivers'
 //!   schedulers are O(1) per wakeup without perturbing a single bit of

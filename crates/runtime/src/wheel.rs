@@ -1,57 +1,36 @@
-//! Hierarchical timer wheel keyed on the virtual-time tick grid.
+//! Calendar ring keyed on the virtual-time tick grid: the one scheduler
+//! both drivers use.
 //!
 //! The server's backends used to find "what happens at tick `t`" by
-//! scanning every session. The wheel makes the schedule side of that
-//! O(1): an item scheduled for tick `due` is filed into one of
-//! [`LEVELS`] wheels of [`SLOTS`] slots each — level 0 resolves single
-//! ticks, level `l` resolves runs of `64^l` ticks — and cascades down one
-//! level each time the cursor crosses a level boundary (Varghese–Lauck
-//! hashed wheels).
-//! Per-level `u64` occupancy bitmaps make "next scheduled tick" a couple
-//! of `trailing_zeros` instructions.
+//! scanning every session, and the sim kept every future event in one
+//! heap. The ring makes both O(1) per item: an item due fewer than
+//! `RING` ticks past the cursor is filed once, into the bucket of its
+//! tick (`due % RING`); one due later waits in a small ordered `far` map and
+//! moves into its bucket, once, when the cursor comes within `RING`
+//! ticks of it. A `RING`-bit occupancy bitmap makes "next scheduled tick"
+//! a few `trailing_zeros` instructions, however long the idle stretch.
 //!
 //! # Determinism contract
 //!
 //! [`TimerWheel::drain_tick`] returns items in exactly the order a
 //! `BTreeMap<u64, Vec<T>>` keyed by due tick would: ascending due tick,
-//! FIFO within a tick. Cascading between levels can physically reorder
-//! entries inside a slot, so every entry carries an internal monotone
-//! sequence number and each drained slot is sorted by it before being
-//! returned. A property test in `tests/prop_wheel_arena.rs` pins this
-//! equivalence against the map model under random schedules.
+//! FIFO within a tick. A bucket holds one tick in schedule order, and a
+//! far entry reaches its bucket as the cursor moves — before any later
+//! `schedule` can file into that bucket — so no entry carries a sequence
+//! number and no bucket is sorted. A property test in
+//! `tests/prop_wheel_arena.rs` pins this equivalence against the map
+//! model under random schedules.
 
-/// log2 of the slot count per level.
-const SLOT_BITS: u32 = 6;
-/// Slots per level (64, so one `u64` bitmap covers a level).
-const SLOTS: u64 = 1 << SLOT_BITS;
-/// Wheel levels; together they span `64^4 = 2^24` ticks before the
-/// overflow list takes over.
-const LEVELS: usize = 4;
+use std::collections::BTreeMap;
+use std::mem;
 
-/// One scheduled entry: payload plus its due tick and FIFO tiebreak.
-struct Entry<T> {
-    due: u64,
-    seq: u64,
-    item: T,
-}
+/// Ticks the ring spans: an item due fewer than `RING` ticks past the
+/// cursor goes straight into its tick's bucket.
+const RING: u64 = 256;
+/// `u64` words of the occupancy bitmap.
+const WORDS: usize = (RING / 64) as usize;
 
-/// One wheel level: 64 buckets plus an occupancy bitmap (bit `i` set ⇔
-/// bucket `i` non-empty).
-struct Level<T> {
-    occupied: u64,
-    slots: Vec<Vec<Entry<T>>>,
-}
-
-impl<T> Level<T> {
-    fn new() -> Self {
-        Self {
-            occupied: 0,
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-        }
-    }
-}
-
-/// Hierarchical timer wheel over the integer virtual-time grid.
+/// Calendar ring over the integer virtual-time grid.
 ///
 /// The cursor starts at tick 0 and only moves forward, one
 /// [`TimerWheel::drain_tick`] call at a time. Scheduling in the past is
@@ -59,16 +38,18 @@ impl<T> Level<T> {
 /// mirrors how the server treats "due now": start-of-minute events
 /// scheduled at the current minute run within the current tick.
 pub struct TimerWheel<T> {
-    /// Next undrained tick.
+    /// Next undrained tick; saturates at `u64::MAX`, which stays
+    /// drainable.
     now: u64,
-    /// Monotone schedule counter; the FIFO tiebreak within a tick.
-    seq: u64,
     /// Scheduled items not yet drained.
     len: usize,
-    levels: Vec<Level<T>>,
-    /// Items due beyond the top level's span; refiled as the top window
-    /// rolls over.
-    overflow: Vec<Entry<T>>,
+    /// `ring[d % RING]`: the items due at `d`, for every
+    /// `now ≤ d < now + RING`, in schedule order.
+    ring: Vec<Vec<T>>,
+    /// Bit `s % 64` of word `s / 64` is set iff `ring[s]` is non-empty.
+    occupied: [u64; WORDS],
+    /// Items due `RING` or more ticks past the cursor, by due tick.
+    far: BTreeMap<u64, Vec<T>>,
 }
 
 impl<T> Default for TimerWheel<T> {
@@ -82,10 +63,10 @@ impl<T> TimerWheel<T> {
     pub fn new() -> Self {
         Self {
             now: 0,
-            seq: 0,
             len: 0,
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
-            overflow: Vec::new(),
+            ring: (0..RING).map(|_| Vec::new()).collect(),
+            occupied: [0; WORDS],
+            far: BTreeMap::new(),
         }
     }
 
@@ -106,143 +87,93 @@ impl<T> TimerWheel<T> {
 
     /// Schedule `item` for tick `due`. A `due` behind the cursor is
     /// clamped to the cursor, so the item fires on the next drain.
+    #[inline]
     pub fn schedule(&mut self, due: u64, item: T) {
-        let due = due.max(self.now);
-        self.seq += 1;
-        let entry = Entry {
-            due,
-            seq: self.seq,
-            item,
-        };
-        self.file(entry);
+        let due = self.now.max(due);
+        if due - self.now < RING {
+            self.file(due).push(item);
+        } else {
+            self.far.entry(due).or_default().push(item);
+        }
         self.len += 1;
     }
 
-    /// Smallest level whose current window contains `due`, or `None` for
-    /// the overflow list.
-    fn level_for(&self, due: u64) -> Option<usize> {
-        (0..LEVELS).find(|&l| {
-            let shift = SLOT_BITS * (l as u32 + 1);
-            due >> shift == self.now >> shift
-        })
+    /// Mark the bucket of `due`, inside the window, occupied and return it.
+    fn file(&mut self, due: u64) -> &mut Vec<T> {
+        let slot = (due % RING) as usize;
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        &mut self.ring[slot]
     }
 
-    /// File an entry into the level/slot its due tick selects at the
-    /// current cursor position.
-    fn file(&mut self, entry: Entry<T>) {
-        match self.level_for(entry.due) {
-            Some(l) => {
-                let slot = ((entry.due >> (SLOT_BITS * l as u32)) & (SLOTS - 1)) as usize;
-                self.levels[l].occupied |= 1 << slot;
-                self.levels[l].slots[slot].push(entry);
+    /// Move the cursor to `now` (nothing due before it is left) and file
+    /// each far item the window now covers into its bucket. Each such
+    /// bucket last held a tick before `now`, already drained, so it is
+    /// empty.
+    fn advance_to(&mut self, now: u64) {
+        self.now = now;
+        while let Some(entry) = self.far.first_entry() {
+            if entry.key().saturating_sub(now) >= RING {
+                break;
             }
-            None => self.overflow.push(entry),
-        }
-    }
-
-    /// Move the cursor to `new_now`, cascading higher levels down when a
-    /// level boundary is crossed. Callers never skip past an un-cascaded
-    /// boundary: `new_now` stays within the current level-0 window plus
-    /// its closing boundary.
-    fn bump_to(&mut self, new_now: u64) {
-        debug_assert!(new_now > self.now && new_now <= (self.now | (SLOTS - 1)) + 1);
-        self.now = new_now;
-        if self.now.is_multiple_of(SLOTS) {
-            self.cascade();
-        }
-    }
-
-    /// The cursor just landed on a level-0 window boundary: pull every
-    /// level whose window also rolled over down one level (highest level
-    /// first, so entries hop at most once per call), and refile the
-    /// overflow list when the top window rolled.
-    fn cascade(&mut self) {
-        debug_assert!(self.now.is_multiple_of(SLOTS));
-        if self.now.is_multiple_of(1 << (SLOT_BITS * LEVELS as u32)) {
-            let overflow = std::mem::take(&mut self.overflow);
-            for entry in overflow {
-                self.file(entry);
-            }
-        }
-        for l in (1..LEVELS).rev() {
-            if !self.now.is_multiple_of(1 << (SLOT_BITS * l as u32)) {
-                continue;
-            }
-            let slot = ((self.now >> (SLOT_BITS * l as u32)) & (SLOTS - 1)) as usize;
-            if self.levels[l].occupied & (1 << slot) == 0 {
-                continue;
-            }
-            self.levels[l].occupied &= !(1 << slot);
-            let entries = std::mem::take(&mut self.levels[l].slots[slot]);
-            for entry in entries {
-                self.file(entry);
-            }
+            let (due, items) = entry.remove_entry();
+            let bucket = self.file(due);
+            debug_assert!(
+                bucket.is_empty(),
+                "a far item's bucket still holds an earlier lap"
+            );
+            *bucket = items;
         }
     }
 
     /// Remove and return every item due at or before tick `t`, in
     /// ascending due-tick order with FIFO schedule order within a tick
     /// (the `BTreeMap<u64, Vec<T>>` contract). Advances the cursor to
-    /// `t + 1`; a `t` behind the cursor returns nothing and moves nothing.
+    /// `t + 1` (saturating); a `t` behind the cursor returns nothing and
+    /// moves nothing. Visits only occupied buckets and far ticks, so a
+    /// drain across an idle stretch costs the same however long it is.
     pub fn drain_tick(&mut self, t: u64) -> Vec<T> {
         let mut out = Vec::new();
-        self.drain_tick_into(t, &mut out);
+        while let Some(due) = self.next_due().filter(|&due| due <= t) {
+            self.advance_to(due);
+            let slot = (due % RING) as usize;
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
+            // Taken, not swapped: the emptied slot keeps no capacity, so
+            // the ring holds no more memory than its pending items.
+            let mut bucket = mem::take(&mut self.ring[slot]);
+            self.len -= bucket.len();
+            if out.is_empty() {
+                out = bucket;
+            } else {
+                out.append(&mut bucket);
+            }
+        }
+        if t >= self.now {
+            self.advance_to(t.saturating_add(1));
+        }
         out
     }
 
-    /// [`TimerWheel::drain_tick`], appending to `out` so a per-tick
-    /// caller can keep one buffer's capacity.
-    pub fn drain_tick_into(&mut self, t: u64, out: &mut Vec<T>) {
-        while self.now <= t {
-            let base = self.now & !(SLOTS - 1);
-            let cursor_bit = (self.now - base) as u32;
-            let pending = self.levels[0].occupied & ((!0u64) << cursor_bit);
-            let next_occupied = (pending != 0).then(|| base + u64::from(pending.trailing_zeros()));
-            match next_occupied {
-                Some(due) if due <= t => {
-                    let slot = (due - base) as usize;
-                    self.levels[0].occupied &= !(1 << slot);
-                    let mut entries = std::mem::take(&mut self.levels[0].slots[slot]);
-                    entries.sort_unstable_by_key(|e| e.seq);
-                    self.len -= entries.len();
-                    out.extend(entries.into_iter().map(|e| e.item));
-                    self.now = due;
-                    self.bump_to(due + 1);
-                }
-                _ => {
-                    // Nothing more due inside this level-0 window.
-                    let window_last = base + (SLOTS - 1);
-                    if window_last > t {
-                        // `t + 1 ≤ window_last`: same window, no cascade.
-                        self.now = t + 1;
-                    } else {
-                        self.bump_to(window_last + 1);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Earliest scheduled due tick, if any. `drain_tick(next_due())`
-    /// fast-forwards an idle wheel without walking empty ticks one by one.
+    /// Earliest scheduled due tick, if any: the first occupied bucket at
+    /// or after the cursor's, going round the ring once, or else the far
+    /// map's first tick. `drain_tick(next_due())` fast-forwards an idle
+    /// wheel without walking empty ticks.
     pub fn next_due(&self) -> Option<u64> {
-        let base = self.now & !(SLOTS - 1);
-        let cursor_bit = (self.now - base) as u32;
-        let pending = self.levels[0].occupied & ((!0u64) << cursor_bit);
-        if pending != 0 {
-            return Some(base + u64::from(pending.trailing_zeros()));
-        }
-        // Higher levels: slot index is monotone in due within the open
-        // window, and level `l` entries are all earlier than level `l+1`
-        // entries, so the first occupied slot of the first occupied level
-        // holds the minimum.
-        for level in &self.levels[1..] {
-            if level.occupied != 0 {
-                let slot = level.occupied.trailing_zeros() as usize;
-                return level.slots[slot].iter().map(|e| e.due).min();
+        let start = (self.now % RING) as usize;
+        let low = !0u64 << (start % 64);
+        for step in 0..=WORDS {
+            let word = (start / 64 + step) % WORDS;
+            let bits = match step {
+                0 => self.occupied[word] & low,
+                WORDS => self.occupied[word] & !low,
+                _ => self.occupied[word],
+            };
+            if bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                let ahead = (slot + RING as usize - start) % RING as usize;
+                return Some(self.now + ahead as u64);
             }
         }
-        self.overflow.iter().map(|e| e.due).min()
+        self.far.keys().next().copied()
     }
 }
 
@@ -276,11 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn cascades_across_level_boundaries() {
+    fn drains_far_dues_in_order() {
         let mut w = TimerWheel::new();
-        // One item per level, plus overflow.
+        // One item inside the window, the rest one to many laps out.
         w.schedule(7, 7u64);
-        w.schedule(100, 100);
+        w.schedule(300, 300);
         w.schedule(5_000, 5_000);
         w.schedule(300_000, 300_000);
         w.schedule(20_000_000, 20_000_000);
@@ -294,7 +225,7 @@ mod tests {
             got,
             vec![
                 (7, 7),
-                (100, 100),
+                (300, 300),
                 (5_000, 5_000),
                 (300_000, 300_000),
                 (20_000_000, 20_000_000)
@@ -303,14 +234,52 @@ mod tests {
     }
 
     #[test]
-    fn fifo_survives_cascading() {
+    fn fifo_survives_the_far_map() {
         let mut w = TimerWheel::new();
-        // Same due tick reached via different initial levels: one filed
-        // while the tick was in a level-1 window, one filed after the
-        // cursor entered its level-0 window.
-        w.schedule(130, "first");
+        // Same due tick reached two ways: one filed while the tick was
+        // in the far map, one filed after the window reached it.
+        w.schedule(300, "first");
         assert_eq!(w.drain_tick(127).len(), 0);
-        w.schedule(130, "second");
-        assert_eq!(w.drain_tick(130), vec!["first", "second"]);
+        w.schedule(300, "second");
+        assert_eq!(w.drain_tick(300), vec!["first", "second"]);
+    }
+
+    /// A drain across a long idle stretch visits only what is scheduled,
+    /// and the cursor saturates rather than overflow at the last tick.
+    #[test]
+    fn a_long_drain_skips_the_idle_stretch() {
+        let mut w = TimerWheel::new();
+        w.schedule(1 << 40, "far");
+        assert_eq!(w.drain_tick(1 << 40), vec!["far"]);
+        assert_eq!(w.now(), (1 << 40) + 1);
+        w.schedule(u64::MAX, "last");
+        assert_eq!(w.drain_tick(u64::MAX), vec!["last"]);
+        assert_eq!(w.now(), u64::MAX);
+        w.schedule(3, "clamped");
+        assert_eq!(w.next_due(), Some(u64::MAX));
+        assert_eq!(w.drain_tick(u64::MAX), vec!["clamped"]);
+        assert!(w.is_empty());
+    }
+
+    /// A drained bucket is handed over whole: between laps the ring holds
+    /// no capacity for ticks with nothing pending.
+    #[test]
+    fn a_drained_slot_keeps_no_capacity() {
+        let mut w = TimerWheel::new();
+        for item in 0..100u32 {
+            w.schedule(5, item);
+        }
+        w.schedule(5 + RING, 100);
+        let slot = (5 % RING) as usize;
+        assert!(w.ring[slot].capacity() >= 100);
+        assert_eq!(w.drain_tick(5), (0..100).collect::<Vec<_>>());
+        // The cursor's move to tick 6 brings the far item into the window,
+        // and into the slot tick 5 just emptied: the slot holds that
+        // item's own buffer, not the hundred drained.
+        assert_eq!(w.ring[slot].len(), 1);
+        assert!(w.ring[slot].capacity() < 100);
+        assert_eq!(w.drain_tick(5 + RING), vec![100]);
+        assert_eq!(w.ring[slot].capacity(), 0);
+        assert!(w.is_empty());
     }
 }

@@ -1,7 +1,10 @@
-//! Property tests for the million-session engine substrate: the timer
-//! wheel's drain order against the `BTreeMap<u64, Vec<T>>` reference
-//! model it replaces, and the arena's generational-id liveness (no stale
-//! id ever resolves after evict/reuse).
+//! Property tests for the million-session engine substrate: the
+//! scheduler's drain order against the `BTreeMap<u64, Vec<T>>` reference
+//! model it replaces — items filed straight into the 256-tick ring, items
+//! that wait in the far map and reach their bucket laps later, drains
+//! that stay inside one lap and drains that cross many — and the arena's
+//! generational-id liveness (no stale id ever resolves after
+//! evict/reuse).
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use std::collections::BTreeMap;
@@ -22,9 +25,12 @@ fn wheel_ops() -> impl Strategy<Value = Vec<WheelOp>> {
         prop_oneof![
             (0u64..200_000).prop_map(|ahead| WheelOp::Schedule { ahead }),
             (0u64..64).prop_map(|ahead| WheelOp::Schedule { ahead }),
-            // Small hops (tick-by-tick server style) and long jumps
-            // across several level boundaries (sim style).
+            // Either side of the ring's edge: the window or the far map.
+            (0u64..512).prop_map(|ahead| WheelOp::Schedule { ahead }),
+            // Small hops (tick-by-tick server style), drains across a few
+            // ring laps, and long jumps (sim style).
             (0u64..100).prop_map(|ahead| WheelOp::Drain { ahead }),
+            (256u64..1_024).prop_map(|ahead| WheelOp::Drain { ahead }),
             (0u64..300_000).prop_map(|ahead| WheelOp::Drain { ahead }),
         ],
         100,
@@ -37,7 +43,7 @@ proptest! {
     /// Tentpole pin: under arbitrary schedules the wheel drains exactly
     /// what a due-keyed `BTreeMap` with FIFO buckets would — ascending
     /// due tick, schedule order within a tick — including items that
-    /// cascade down from every level and the overflow list.
+    /// move from the far map into a bucket that held an earlier lap.
     #[test]
     fn wheel_matches_btreemap_model(ops in wheel_ops()) {
         let mut wheel = TimerWheel::new();

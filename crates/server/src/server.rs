@@ -474,9 +474,8 @@ pub struct VodServer {
     /// of it within a tick, so the table is exact for the session phase
     /// and for every call between ticks.
     join_table: Vec<Vec<JoinWindow>>,
-    /// Spare buffers of `advance_sessions` (this tick's wakeups; the
-    /// next active list), kept for their capacity.
-    due: Vec<u32>,
+    /// Spare buffer of `advance_sessions` (the next active list), kept
+    /// for its capacity.
     next_active: Vec<u32>,
     /// Test-only oracle mode: process sessions with the historical full
     /// 0..n scan (no wheel, every enrolled session advanced and accounted
@@ -508,7 +507,6 @@ impl VodServer {
             firing: None,
             accounted: 0,
             join_table: vec![Vec::new(); n_movies],
-            due: Vec::new(),
             next_active: Vec::new(),
             reference_scan: false,
         }
@@ -823,9 +821,7 @@ impl VodServer {
             }
             return;
         }
-        let mut due = std::mem::take(&mut self.due);
-        due.clear();
-        self.wakeups.drain_tick_into(t, &mut due);
+        let mut due = self.wakeups.drain_tick(t);
         due.sort_unstable();
         let prev_active = std::mem::take(&mut self.active);
         let mut next_active = std::mem::take(&mut self.next_active);
@@ -880,7 +876,6 @@ impl VodServer {
         }
         self.active = next_active;
         self.next_active = prev_active;
-        self.due = due;
     }
 
     /// First live stream of `movie_idx` that restarted at tick `t`, in

@@ -1,4 +1,5 @@
-//! The engine's pending-event set: a calendar ring of per-minute buckets.
+//! The engine's pending-event set: per-minute buckets on the one
+//! scheduler, `vod_runtime::TimerWheel`.
 //!
 //! An event is filed once, into the bucket of the minute its time falls
 //! in, and ordered only when the cursor reaches that minute. A push is
@@ -7,11 +8,9 @@
 //! push for push and pop for pop by this module's proptests.
 
 use std::cmp::Ordering;
-use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
-use std::mem;
 
-use vod_runtime::ArenaId;
+use vod_runtime::{ArenaId, TimerWheel};
 
 /// Scheduled event. Ordered by time then sequence number (FIFO ties).
 /// At most 32 bytes (pinned by a test): every queue move copies one.
@@ -75,11 +74,6 @@ pub(crate) fn slice_of(time: f64, tick: u64, parts: usize) -> usize {
     slice.min(parts.saturating_sub(1))
 }
 
-/// Minutes the ring spans: an event fewer than `RING` minutes past the
-/// minute being played goes straight into its minute's bucket.
-const RING: u64 = 256;
-/// `u64` words of the ring's occupancy bitmap.
-const WORDS: usize = (RING / 64) as usize;
 /// Slices of a minute `order_run` scatters a bucket over.
 const SLICES: usize = 256;
 /// Buckets shorter than this are comparison-sorted whole: the scatter's
@@ -89,25 +83,19 @@ const SCATTER_MIN: usize = 64;
 /// Pops in ascending `(time, seq)`, exactly the order one global
 /// `BinaryHeap<Ev>` would.
 ///
-/// Every event past the minute the cursor is on waits in `ring`, at slot
-/// `minute % RING`, or — `RING` or more minutes ahead — in the small
-/// `far` heap, which hands it to the ring once the window reaches it. An
-/// idle stretch costs one bitmap scan however long it is; [`Self::pop`]
-/// still takes the horizon and never moves the cursor to a minute past
-/// it. On each minute change the drained bucket is ordered once into
-/// `run`; only events pushed into the minute already being played (or
-/// before it) go through the small `late` heap. Ordering is preserved
-/// because every event in `run` or `late` has `floor(time) ≤ minute`
-/// while every event in `ring` or `far` has `floor(time) > minute` — so
-/// the earlier of the two heads is the global minimum.
+/// Every event past the minute the cursor is on waits in `future`, in
+/// the bucket of its minute. An idle stretch costs one bitmap scan
+/// however long it is; [`Self::pop`] still takes the horizon and never
+/// moves the cursor to a minute past it. On each minute change the
+/// drained bucket is ordered once into `run`; only events pushed into the
+/// minute already being played (or before it) go through the small
+/// `late` heap. Ordering is preserved because every event in `run` or
+/// `late` has `floor(time) ≤ minute` while every event in `future` has
+/// `floor(time) > minute` — so the earlier of the two heads is the global
+/// minimum.
 pub(crate) struct EventQueue {
-    /// `ring[m % RING]`: the events of minute `m`, for every
-    /// `minute < m < minute + RING`, in push order.
-    ring: Vec<Vec<Ev>>,
-    /// Bit `s % 64` of word `s / 64` is set iff `ring[s]` is non-empty.
-    occupied: [u64; WORDS],
-    /// Events `RING` or more minutes past `minute`, earliest on top.
-    far: BinaryHeap<Ev>,
+    /// Events of the minutes past `minute`, each minute in push order.
+    future: TimerWheel<Ev>,
     /// The bucket of `minute`, latest first: `pop()` takes the earliest
     /// off the back.
     run: Vec<Ev>,
@@ -122,9 +110,7 @@ pub(crate) struct EventQueue {
 impl EventQueue {
     pub(crate) fn new() -> Self {
         EventQueue {
-            ring: (0..RING).map(|_| Vec::new()).collect(),
-            occupied: [0; WORDS],
-            far: BinaryHeap::new(),
+            future: TimerWheel::new(),
             run: Vec::new(),
             scratch: Vec::new(),
             late: BinaryHeap::new(),
@@ -138,29 +124,23 @@ impl EventQueue {
     #[inline]
     pub(crate) fn push(&mut self, ev: Ev) {
         let tick = tick_of(ev.time);
-        let ahead = tick.saturating_sub(self.minute);
-        if ahead == 0 {
+        if tick <= self.minute {
             self.late.push(ev);
-        } else if ahead < RING {
-            self.file(tick, ev);
         } else {
-            self.far.push(ev);
+            self.future.schedule(tick, ev);
         }
-    }
-
-    /// Put `ev` into the bucket of minute `tick`, inside the window.
-    fn file(&mut self, tick: u64, ev: Ev) {
-        let slot = (tick % RING) as usize;
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-        self.ring[slot].push(ev);
     }
 
     /// The earliest pending event, or `None` once every pending event
     /// lies in a minute past `horizon` (such an event stays queued).
     pub(crate) fn pop(&mut self, horizon: f64) -> Option<Ev> {
         if self.run.is_empty() && self.late.is_empty() {
-            let due = self.next_due().filter(|&due| due as f64 <= horizon)?;
-            self.advance_to(due);
+            let due = self
+                .future
+                .next_due()
+                .filter(|&due| due as f64 <= horizon)?;
+            self.minute = due;
+            self.run = self.future.drain_tick(due);
             self.order_run();
         }
         // The greater head under the inverted order is the earlier.
@@ -168,58 +148,6 @@ impl EventQueue {
             self.late.pop()
         } else {
             self.run.pop()
-        }
-    }
-
-    /// The earliest minute past `minute` with an event: the first
-    /// occupied slot after the cursor's, going round the ring once, or
-    /// else the far heap's top.
-    fn next_due(&self) -> Option<u64> {
-        let start = ((self.minute % RING + 1) % RING) as usize;
-        for step in 0..=WORDS {
-            let word = (start / 64 + step) % WORDS;
-            let low = !0u64 << (start % 64);
-            let bits = match step {
-                0 => self.occupied[word] & low,
-                WORDS => self.occupied[word] & !low,
-                _ => self.occupied[word],
-            };
-            if bits != 0 {
-                let slot = word * 64 + bits.trailing_zeros() as usize;
-                let ahead = (slot + RING as usize - start) % RING as usize;
-                return Some(self.minute + 1 + ahead as u64);
-            }
-        }
-        self.far.peek().map(|ev| tick_of(ev.time))
-    }
-
-    /// Move the cursor to `due`: its bucket becomes `run`, and every far
-    /// event the window now covers moves into the ring.
-    fn advance_to(&mut self, due: u64) {
-        self.minute = due;
-        let slot = (due % RING) as usize;
-        let bit = 1 << (slot % 64);
-        if self.occupied[slot / 64] & bit != 0 {
-            self.occupied[slot / 64] &= !bit;
-            // Taken, not swapped: the emptied slot keeps no capacity, so
-            // the ring holds no more memory than its pending events.
-            self.run = mem::take(&mut self.ring[slot]);
-        }
-        loop {
-            let Some(top) = self.far.peek_mut() else {
-                break;
-            };
-            let tick = tick_of(top.time);
-            debug_assert!(tick >= due, "a far event lies before the cursor");
-            if tick - due >= RING {
-                break;
-            }
-            let ev = PeekMut::pop(top);
-            if tick == due {
-                self.run.push(ev);
-            } else {
-                self.file(tick, ev);
-            }
         }
     }
 
@@ -273,7 +201,7 @@ mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
 
-    use super::{slice_of, tick_of, Ev, EvKind, EventQueue, RING};
+    use super::{slice_of, tick_of, Ev, EvKind, EventQueue};
 
     /// Every queue move copies an `Ev`; the sweep parameters ride in the
     /// `Viewer`, not in the event.
@@ -311,30 +239,20 @@ mod tests {
         }
     }
 
-    /// A drained slot gives its buffer to `run`: between laps the ring
-    /// holds no capacity for minutes with nothing pending.
+    /// Times from 2⁶⁴ minutes up all fall in the last minute,
+    /// `u64::MAX`, which a validated horizon of `1e300` reaches: the
+    /// queue plays it, a push into it while it plays included, in order.
     #[test]
-    fn a_drained_slot_keeps_no_capacity() {
+    fn the_last_minute_pops_in_order() {
         let mut queue = EventQueue::new();
-        for seq in 1..=100 {
-            queue.push(ev(5.0 + seq as f64 / 128.0, seq));
-        }
-        queue.push(ev(10.0, 101));
-        queue.push(ev(5.0 + RING as f64, 102));
-        let slot = 5 % RING as usize;
-        assert!(queue.ring[slot].capacity() >= 100);
-        assert_eq!(queue.pop(f64::INFINITY).map(|e| e.seq), Some(1));
-        assert_eq!(queue.ring[slot].capacity(), 0);
-        for _ in 2..=100 {
-            queue.pop(f64::INFINITY);
-        }
-        // Playing minute 10 brings the far event into the window, and into
-        // the slot minute 5 emptied one lap earlier.
-        assert_eq!(queue.pop(f64::INFINITY).map(|e| e.seq), Some(101));
-        assert_eq!(queue.ring[slot].len(), 1);
-        assert_eq!(queue.pop(f64::INFINITY).map(|e| e.seq), Some(102));
-        assert_eq!(queue.ring[slot].capacity(), 0);
-        assert!(queue.pop(f64::INFINITY).is_none());
+        queue.push(ev(2e25, 1));
+        queue.push(ev(1e25, 2));
+        assert_eq!(queue.pop(1e300).map(|e| e.seq), Some(2));
+        queue.push(ev(1.5e25, 3));
+        let rest: Vec<u64> = std::iter::from_fn(|| queue.pop(1e300))
+            .map(|e| e.seq)
+            .collect();
+        assert_eq!(rest, vec![3, 1]);
     }
 
     /// The reference: one plain `BinaryHeap<Ev>` under the same `Ord`,
@@ -393,9 +311,9 @@ mod tests {
     proptest! {
         /// A push lands, relative to the last popped time, in the past, at
         /// that very instant (ties fall to `seq`), inside the minute being
-        /// played, inside the ring, just past it (the far heap, handed to
-        /// the ring within a few hundred minutes and into slots that held
-        /// an earlier lap's minute) or 10⁶ minutes ahead — or it is the
+        /// played, inside the wheel's window, just past it (the far map,
+        /// handed to the window within a few hundred minutes and into
+        /// slots that held an earlier lap's minute) or 10⁶ minutes ahead — or it is the
         /// event just popped, pushed back. The engine's output is a
         /// function of pop order alone, so equal pop order is equal
         /// simulation.
@@ -405,7 +323,8 @@ mod tests {
         ) {
             let mut pair = Pair::new();
             let mut now = 0.0f64;
-            let ring = RING as f64;
+            // The wheel's window, in minutes.
+            let ring = 256.0;
             for (op, place, frac) in ops {
                 if op < 5 {
                     match place {
