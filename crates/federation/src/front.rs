@@ -47,6 +47,15 @@
 //! [`Federation::check_invariants`] audits
 //! [`FederationMetrics::conserved`] against the in-flight ledger after
 //! every tick, alongside each live shard's own conservation laws.
+//!
+//! # Two cores
+//!
+//! A federation of two or more shards keeps one helper thread and lends
+//! it the odd-indexed shards for every tick and every audit (see the
+//! `helper` module); everything it reports is identical to ticking and
+//! auditing the shards one after another.
+
+use std::cell::RefCell;
 
 use vod_runtime::{
     BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, FederationMetrics,
@@ -58,6 +67,8 @@ use vod_server::{
 };
 use vod_sizing::ShardPlan;
 use vod_workload::VcrKind;
+
+use crate::helper::{self, Helper, Job};
 
 /// One shard's construction recipe: the delivery scheme and the server
 /// configuration (catalog slice, stream pool, buffer budget) it runs.
@@ -122,7 +133,9 @@ pub struct Federation {
     specs: Vec<ShardSpec>,
     placement: Vec<Vec<(usize, MovieId)>>,
     policy: DegradePolicy,
-    shards: Vec<Option<Box<dyn DeliveryBackend>>>,
+    /// The shards, `None` while dark. Behind a `RefCell` so that the
+    /// audit, a `&self` call, can lend them to the helper.
+    shards: RefCell<Vec<Option<Box<dyn DeliveryBackend>>>>,
     /// Global tick each live shard incarnation was constructed at (local
     /// shard time = global − this).
     started_at: Vec<u64>,
@@ -145,6 +158,9 @@ pub struct Federation {
     baseline_down: u64,
     metrics: FederationMetrics,
     now: u64,
+    /// The thread that ticks and audits the odd-indexed shards; none for
+    /// a single shard.
+    helper: Option<Helper>,
 }
 
 impl Federation {
@@ -181,7 +197,7 @@ impl Federation {
         let fault_mode = !plan.is_empty();
         let n = config.shards.len();
         let mut fed = Self {
-            shards: Vec::with_capacity(n),
+            shards: RefCell::new(Vec::with_capacity(n)),
             started_at: vec![0; n],
             specs: config.shards,
             placement: config.placement,
@@ -196,11 +212,12 @@ impl Federation {
             baseline_down: 0,
             metrics: FederationMetrics::new(),
             now: 0,
+            helper: (n >= 2).then(Helper::spawn),
         };
         for s in 0..n {
             let mut shard = make_backend(fed.specs[s].backend, &fed.specs[s].server);
             shard.inject_faults(fed.local_plan(s, 0), fed.policy);
-            fed.shards.push(Some(shard));
+            fed.shards.get_mut().push(Some(shard));
         }
         fed
     }
@@ -250,7 +267,7 @@ impl Federation {
         }
         let mut skipped_dead = false;
         for &(s, local) in &self.placement[movie] {
-            let Some(shard) = self.shards[s].as_mut() else {
+            let Some(shard) = self.shards.get_mut()[s].as_mut() else {
                 skipped_dead = true;
                 continue;
             };
@@ -294,7 +311,7 @@ impl Federation {
             Some(FedState::Live { shard, local }) => {
                 // vod-lint: allow(no-panic) — a Live state always points at
                 // an up shard (audited by check_invariants every tick).
-                self.shards[shard]
+                self.shards.borrow()[shard]
                     .as_ref()
                     // vod-lint: allow(no-panic) — Live ⇒ shard up, audited
                     .expect("live session on up shard")
@@ -320,7 +337,7 @@ impl Federation {
         match self.sessions.get(id.0).map(|sess| sess.state) {
             Some(FedState::Live { shard, local }) => {
                 // vod-lint: allow(no-panic) — Live ⇒ shard up (see above).
-                self.shards[shard]
+                self.shards.get_mut()[shard]
                     .as_mut()
                     // vod-lint: allow(no-panic) — Live ⇒ shard up, audited
                     .expect("live session on up shard")
@@ -362,9 +379,10 @@ impl Federation {
             }
         }
         self.drain_ledger();
-        for (shard, routes) in self.shards.iter_mut().zip(&mut self.routes) {
+        let shards = self.shards.get_mut();
+        helper::run(self.helper.as_ref(), Job::Tick, shards);
+        for (shard, routes) in shards.iter_mut().zip(&mut self.routes) {
             let Some(shard) = shard else { continue };
-            shard.tick();
             for &(local, stats) in shard.finished_this_tick() {
                 if let Some(fed) = routes.retire(local.0) {
                     self.sessions.retire(fed);
@@ -402,7 +420,7 @@ impl Federation {
     /// of a shard the federation does not have (the plan is outside
     /// input), is a no-op (uncounted).
     fn shard_outage(&mut self, s: usize) {
-        let Some(shard) = self.shards.get_mut(s).and_then(Option::take) else {
+        let Some(shard) = self.shards.get_mut().get_mut(s).and_then(Option::take) else {
             return;
         };
         self.metrics.shard_outages += 1;
@@ -440,12 +458,12 @@ impl Federation {
     /// the new incarnation's local clock. Recovery of an up shard, or of
     /// one the federation does not have, is a no-op (uncounted).
     fn shard_recovery(&mut self, s: usize) {
-        if !matches!(self.shards.get(s), Some(None)) {
+        if !matches!(self.shards.get_mut().get(s), Some(None)) {
             return;
         }
         let mut shard = make_backend(self.specs[s].backend, &self.specs[s].server);
         shard.inject_faults(self.local_plan(s, self.now), self.policy);
-        self.shards[s] = Some(shard);
+        self.shards.get_mut()[s] = Some(shard);
         self.started_at[s] = self.now;
         self.metrics.shard_recoveries += 1;
     }
@@ -479,12 +497,12 @@ impl Federation {
                 && self.policy.recovery_wins
                 && self.placement[movie]
                     .iter()
-                    .any(|&(s, _)| self.started_at[s] == now && self.shards[s].is_some());
+                    .any(|&(s, _)| self.started_at[s] == now && self.shards.get_mut()[s].is_some());
             if now >= next_retry || last_chance {
                 let mut adopted = false;
                 for r in 0..self.placement[movie].len() {
                     let (s, local) = self.placement[movie][r];
-                    let Some(shard) = self.shards[s].as_mut() else {
+                    let Some(shard) = self.shards.get_mut()[s].as_mut() else {
                         continue;
                     };
                     match shard.adopt_session(local, position) {
@@ -525,8 +543,10 @@ impl Federation {
                 self.sessions.live_mut(i).state = FedState::Displaced {
                     position,
                     since,
-                    next_retry: now + backoff,
-                    backoff: (backoff * 2).min(self.policy.retry_backoff_cap.max(1)),
+                    next_retry: now.saturating_add(backoff),
+                    backoff: backoff
+                        .saturating_mul(2)
+                        .min(self.policy.retry_backoff_cap.max(1)),
                 };
             }
             keep.push(i);
@@ -538,9 +558,10 @@ impl Federation {
     /// served later: some hosting replica is up, or a shard recovery for
     /// one is still ahead in the plan.
     fn movie_recoverable(&self, movie: usize) -> bool {
+        let shards = self.shards.borrow();
         let hosted_up = self.placement[movie]
             .iter()
-            .any(|&(s, _)| self.shards[s].is_some());
+            .any(|&(s, _)| shards[s].is_some());
         if hosted_up {
             return true;
         }
@@ -559,11 +580,12 @@ impl Federation {
     /// carry over as the new `displaced_total` baseline so conservation
     /// keeps holding.
     pub fn reset_metrics(&mut self) {
-        for shard in self.shards.iter_mut().flatten() {
+        let shards = self.shards.get_mut();
+        for shard in shards.iter_mut().flatten() {
             shard.reset_metrics();
         }
         self.retired_done = 0;
-        self.baseline_down = self.shards.iter().filter(|s| s.is_none()).count() as u64;
+        self.baseline_down = shards.iter().filter(|s| s.is_none()).count() as u64;
         self.metrics = FederationMetrics {
             displaced_total: self.displaced.len() as u64,
             ..FederationMetrics::new()
@@ -578,6 +600,7 @@ impl Federation {
     /// Per-shard [`RuntimeMetrics`] snapshots (`None` for dark shards).
     pub fn per_shard_metrics(&self) -> Vec<Option<RuntimeMetrics>> {
         self.shards
+            .borrow()
             .iter()
             .map(|s| s.as_ref().map(|b| b.runtime_metrics()))
             .collect()
@@ -588,6 +611,7 @@ impl Federation {
     pub fn degraded_sessions(&self) -> u64 {
         let in_shard: u64 = self
             .shards
+            .borrow()
             .iter()
             .flatten()
             .map(|s| u64::from(s.degraded_sessions()))
@@ -600,6 +624,7 @@ impl Federation {
     pub fn sessions_finished(&self) -> u64 {
         let live: u64 = self
             .shards
+            .borrow()
             .iter()
             .flatten()
             .map(|s| s.sessions_finished())
@@ -614,7 +639,8 @@ impl Federation {
 
     /// Conservation audit, run by the driver after every tick:
     ///
-    /// 1. every live shard's own invariants (tagged `shard <s>:`),
+    /// 1. every live shard's own invariants (tagged `shard <s>:`, in shard
+    ///    order; the helper audits the shards it ticks),
     /// 2. the displaced-session ledger balances
     ///    ([`FederationMetrics::conserved`] against in-flight),
     /// 3. every `Live` session points at an up shard whose route table
@@ -622,14 +648,12 @@ impl Federation {
     ///    ledger lists exactly the `Displaced` sessions,
     /// 4. the outage/recovery counters explain the dark-shard population.
     pub fn check_invariants(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        for (s, shard) in self.shards.iter().enumerate() {
-            if let Some(shard) = shard {
-                for what in shard.check_invariants() {
-                    v.push(format!("shard {s}: {what}"));
-                }
-            }
-        }
+        let mut v = helper::run(
+            self.helper.as_ref(),
+            Job::Audit,
+            &mut self.shards.borrow_mut(),
+        );
+        let shards = self.shards.borrow();
         if !self.metrics.conserved(self.displaced.len() as u64) {
             v.push(format!(
                 "displaced ledger out of balance: {} displaced vs {} resolved + {} in flight",
@@ -648,7 +672,7 @@ impl Federation {
             match sess.state {
                 FedState::Live { shard, local } => {
                     live_states += 1;
-                    if self.shards[shard].is_none() {
+                    if shards[shard].is_none() {
                         v.push(format!("session {i} live on dark shard {shard}"));
                     } else if self.routes[shard].get(local.0) != Some(&i) {
                         v.push(format!(
@@ -677,7 +701,7 @@ impl Federation {
                 displaced_states
             ));
         }
-        let down = self.shards.iter().filter(|s| s.is_none()).count() as u64;
+        let down = shards.iter().filter(|s| s.is_none()).count() as u64;
         if self.metrics.shard_outages + self.baseline_down != self.metrics.shard_recoveries + down {
             v.push(format!(
                 "outage accounting: {} outages + {} baseline ≠ {} recoveries + {} down",
@@ -723,15 +747,24 @@ pub fn shards_from_split(
 /// provoked by corrupting exactly the state it certifies.
 #[cfg(test)]
 mod tests {
-    use vod_server::{HostedMovie, ServerCore};
+    use std::panic::{self, AssertUnwindSafe};
+
+    use vod_server::{Driver, HostedMovie, ServerCore, Target, Workload};
+    use vod_workload::BehaviorModel;
 
     use super::*;
+    use crate::WorkloadShape;
 
     /// Two 2-stream unicast shards. Movie 0 lives on both (shard 0
     /// first), movie 1 on shard 1 only. Two movie-1 viewers fill shard
     /// 1, then shard 0 goes dark at `t = 2` under two movie-0 viewers:
     /// both are displaced and nothing can adopt them.
     fn dark_shard_with_two_displaced() -> Federation {
+        dark_shard_under(DegradePolicy::default())
+    }
+
+    /// [`dark_shard_with_two_displaced`] under `policy`.
+    fn dark_shard_under(policy: DegradePolicy) -> Federation {
         let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
         let spec = ShardSpec {
             backend: BackendKind::DedicatedStream,
@@ -747,7 +780,7 @@ mod tests {
                 vec![(0, MovieId(0)), (1, MovieId(0))],
                 vec![(1, MovieId(0))],
             ],
-            policy: DegradePolicy::default(),
+            policy,
         };
         let plan = FaultPlan::new(vec![FaultEvent {
             at: 2,
@@ -765,8 +798,8 @@ mod tests {
         fed
     }
 
-    /// A shard whose own audit reports one violation; the front tier's
-    /// audit calls nothing else on it.
+    /// A shard whose own audit reports one violation and whose tick
+    /// panics; the front tier's audit calls nothing else on it.
     struct BrokenShard;
 
     impl DeliveryBackend for BrokenShard {
@@ -802,7 +835,7 @@ mod tests {
             unreachable!()
         }
         fn tick(&mut self) {
-            unreachable!()
+            panic!("a broken shard cannot tick");
         }
         fn buffer_segments(&self) -> u64 {
             unreachable!()
@@ -848,7 +881,7 @@ mod tests {
     #[test]
     fn audit_sees_shard_and_outage_drift() {
         let mut fed = dark_shard_with_two_displaced();
-        fed.shards[1] = Some(Box::new(BrokenShard));
+        fed.shards.get_mut()[1] = Some(Box::new(BrokenShard));
         assert_eq!(fed.check_invariants(), ["shard 1: lease accounting broken"]);
         let mut fed = dark_shard_with_two_displaced();
         let FedState::Live { local, .. } = fed.sessions.live(0).state else {
@@ -912,5 +945,183 @@ mod tests {
             SessionStatus::Dedicated
         );
         assert_eq!(fed.session_status(FedSessionId(0)), SessionStatus::Done);
+    }
+
+    /// A retry back-off of `u64::MAX` saturates: the displaced viewers'
+    /// one refused round is their last until the timeout resolves them.
+    #[test]
+    fn the_longest_backoff_never_retries_a_displaced_session() {
+        let mut fed = dark_shard_under(DegradePolicy {
+            retry_backoff: u64::MAX,
+            retry_backoff_cap: u64::MAX,
+            ..DegradePolicy::default()
+        });
+        assert_eq!(fed.federation_metrics().readmit_refusals, 2);
+        for _ in 0..40 {
+            fed.tick();
+            assert_eq!(fed.check_invariants(), Vec::<String>::new());
+        }
+        let metrics = fed.federation_metrics();
+        assert_eq!(metrics.readmit_refusals, 2);
+        assert_eq!(metrics.denied_transient, 2);
+    }
+
+    /// Two up shards and no sessions; shard 1, the one lent to the
+    /// helper, panics in its tick.
+    fn two_shards_with_a_broken_second() -> Federation {
+        let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
+        let server = ServerConfig::provisioned(vec![movie], 0);
+        let config = FederationConfig {
+            shards: vec![
+                ShardSpec {
+                    backend: BackendKind::BatchingBuffering,
+                    server,
+                };
+                2
+            ],
+            placement: vec![vec![(0, MovieId(0)), (1, MovieId(0))]],
+            policy: DegradePolicy::default(),
+        };
+        let mut fed = Federation::new(config, FaultPlan::empty());
+        fed.shards.get_mut()[1] = Some(Box::new(BrokenShard));
+        fed
+    }
+
+    #[test]
+    #[should_panic(expected = "a broken shard cannot tick")]
+    fn a_panic_on_the_helper_reaches_the_caller() {
+        two_shards_with_a_broken_second().tick();
+    }
+
+    /// The helper thread holds the other half of the shared state; once
+    /// the federation is dropped nobody does, because `Drop` joined the
+    /// thread — also after a panic on it.
+    #[test]
+    fn dropping_a_federation_joins_its_helper() {
+        let mut fed = two_shards_with_a_broken_second();
+        let shared = fed.helper.as_ref().unwrap().watch();
+        assert!(panic::catch_unwind(AssertUnwindSafe(|| fed.tick())).is_err());
+        assert!(
+            fed.shards.get_mut().iter().all(Option::is_some),
+            "lent shards came back"
+        );
+        assert!(shared.upgrade().is_some());
+        drop(fed);
+        assert!(shared.upgrade().is_none());
+    }
+
+    #[test]
+    fn a_single_shard_spawns_no_helper() {
+        let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
+        let config = FederationConfig {
+            shards: vec![ShardSpec {
+                backend: BackendKind::BatchingBuffering,
+                server: ServerConfig::provisioned(vec![movie], 0),
+            }],
+            placement: vec![vec![(0, MovieId(0))]],
+            policy: DegradePolicy::default(),
+        };
+        assert!(Federation::new(config, FaultPlan::empty()).helper.is_none());
+    }
+
+    /// The same federation twice — one lending its odd shards to the
+    /// helper, one ticking and auditing every shard on the front — under
+    /// one driver: every answer, every finished record and every audit
+    /// finding must agree, tick by tick.
+    struct LockStep {
+        threaded: Federation,
+        serial: Federation,
+    }
+
+    impl LockStep {
+        fn both<T: PartialEq + std::fmt::Debug>(
+            &mut self,
+            what: &str,
+            mut call: impl FnMut(&mut Federation) -> T,
+        ) -> T {
+            let (got, expected) = (call(&mut self.threaded), call(&mut self.serial));
+            assert_eq!(got, expected, "{what} at t={}", self.serial.now());
+            got
+        }
+    }
+
+    impl Target for LockStep {
+        type Movie = usize;
+        type Id = FedSessionId;
+        type Counters = ();
+
+        fn open(&mut self, movie: usize) -> Option<FedSessionId> {
+            self.both("open", |fed| fed.open_session(movie))
+        }
+
+        fn status(&mut self, id: FedSessionId) -> SessionStatus {
+            self.both("status", |fed| fed.session_status(id))
+        }
+
+        fn vcr(&mut self, id: FedSessionId, kind: VcrKind, magnitude: u32) {
+            self.both("vcr", |fed| {
+                format!("{:?}", fed.request_vcr(id, kind, magnitude))
+            });
+        }
+
+        fn tick(&mut self) {
+            self.both("finished_this_tick", |fed| {
+                fed.tick();
+                fed.finished_this_tick().to_vec()
+            });
+        }
+
+        fn reset_metrics(&mut self) {
+            self.both("reset_metrics", Federation::reset_metrics);
+        }
+
+        fn audit(&mut self, _last: &mut Option<()>) -> Vec<String> {
+            self.both("federation_metrics", |fed| fed.federation_metrics());
+            self.both("check_invariants", |fed| fed.check_invariants())
+        }
+    }
+
+    #[test]
+    fn lent_shards_tick_and_audit_like_the_serial_front() {
+        let movies: Vec<HostedMovie> = (0..4)
+            .map(|m| HostedMovie::from_allocation(MovieId(m), 120, 20, 100.0))
+            .collect();
+        let kinds = [
+            BackendKind::BatchingBuffering,
+            BackendKind::PyramidBroadcast,
+            BackendKind::DedicatedStream,
+            BackendKind::BatchingBuffering,
+        ];
+        let config = FederationConfig {
+            shards: kinds
+                .map(|backend| ShardSpec {
+                    backend,
+                    server: ServerConfig::provisioned(movies.clone(), 8),
+                })
+                .to_vec(),
+            placement: (0..4)
+                .map(|m| vec![(m % 4, MovieId(m as u32)), ((m + 1) % 4, MovieId(m as u32))])
+                .collect(),
+            policy: DegradePolicy::default(),
+        };
+        let workload = Workload {
+            behavior: BehaviorModel::paper_fig7d(),
+            mean_interarrival: 0.25,
+            warmup: 60,
+            measure: 300,
+            movies: vec![0, 1, 2, 3],
+        };
+        let plan = FaultPlan::generate_federation(31, workload.horizon(), 24, 4);
+        let mut pair = LockStep {
+            threaded: Federation::new(config.clone(), plan.clone()),
+            serial: Federation::new(config, plan),
+        };
+        assert!(pair.threaded.helper.is_some());
+        pair.serial.helper = None;
+        let tally = Driver::new(&workload, &WorkloadShape::RoundRobin, 2026).run(&mut pair);
+        assert_eq!(tally.violation_count, 0, "{:?}", tally.violations);
+        let metrics = pair.serial.federation_metrics();
+        assert!(metrics.shard_outages > 0 && metrics.displaced_total > 0);
+        assert!(pair.serial.sessions_finished() > 0);
     }
 }

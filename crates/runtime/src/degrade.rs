@@ -459,7 +459,7 @@ impl RetryLedger {
     pub fn enter(now: u64, policy: &DegradePolicy, pending: u64) -> Self {
         Self {
             since: now,
-            next_retry: now + policy.rewait_bound.max(1),
+            next_retry: now.saturating_add(policy.rewait_bound.max(1)),
             backoff: policy.retry_backoff.max(1),
             pending_denials: pending,
             retries_exhausted: false,
@@ -483,8 +483,11 @@ impl RetryLedger {
     /// The attempt made at tick `now` was refused: one more pending
     /// denial, and the back-off doubles (up to the cap) before the next.
     pub fn refuse(&mut self, now: u64, policy: &DegradePolicy) {
-        self.backoff = (self.backoff * 2).min(policy.retry_backoff_cap.max(1));
-        self.next_retry = now + self.backoff;
+        self.backoff = self
+            .backoff
+            .saturating_mul(2)
+            .min(policy.retry_backoff_cap.max(1));
+        self.next_retry = now.saturating_add(self.backoff);
         self.pending_denials += 1;
     }
 
@@ -682,6 +685,53 @@ mod tests {
         let p = DegradePolicy::default();
         assert!(p.rewait_bound < p.retry_timeout);
         assert!(p.retry_backoff <= p.retry_backoff_cap);
+    }
+
+    /// A re-wait bound of `u64::MAX` saturates: the first attempt is due
+    /// at the end of time, not at a wrapped tick.
+    #[test]
+    fn the_longest_rewait_bound_never_comes_due() {
+        let policy = DegradePolicy {
+            rewait_bound: u64::MAX,
+            ..DegradePolicy::default()
+        };
+        let ledger = RetryLedger::enter(10, &policy, 0);
+        assert_eq!(ledger.next_retry(), u64::MAX);
+        assert_eq!(ledger.step(11, &policy, None), RetryStep::Wait);
+    }
+
+    /// A back-off of `u64::MAX`, and a refusal just before the end of
+    /// time, both saturate: the next attempt is due at tick `u64::MAX`,
+    /// not at a wrapped tick.
+    #[test]
+    fn a_refusal_saturates_backoff_and_next_retry() {
+        let policy = DegradePolicy {
+            retry_backoff: u64::MAX,
+            retry_backoff_cap: u64::MAX,
+            retry_timeout: u64::MAX,
+            ..DegradePolicy::default()
+        };
+        let mut ledger = RetryLedger::enter(0, &policy, 0);
+        assert_eq!(
+            ledger.step(2, &policy, None),
+            RetryStep::Attempt { last_chance: false }
+        );
+        ledger.refuse(2, &policy);
+        assert_eq!(
+            (ledger.backoff(), ledger.next_retry()),
+            (u64::MAX, u64::MAX)
+        );
+        assert_eq!(ledger.step(3, &policy, None), RetryStep::Wait);
+        let policy = DegradePolicy::default();
+        let end = u64::MAX - 1;
+        let mut ledger = RetryLedger::enter(end - 2, &policy, 0);
+        assert_eq!(
+            ledger.step(end, &policy, None),
+            RetryStep::Attempt { last_chance: false }
+        );
+        ledger.refuse(end, &policy);
+        assert_eq!((ledger.backoff(), ledger.next_retry()), (2, u64::MAX));
+        assert_eq!(ledger.step(end, &policy, None), RetryStep::Wait);
     }
 
     /// The retry ledger's whole timeline under the default policy

@@ -68,7 +68,11 @@ pub enum Adoption {
 ///   the backend never issued is [`ServerError::UnknownSession`]. State,
 ///   audits and fault handling cost `O(live sessions)`, never
 ///   `O(sessions ever admitted)`.
-pub trait DeliveryBackend {
+/// * **Ownership** — a backend is `Send` and owns everything it touches,
+///   so a driver may move it to another thread between calls (the
+///   federation front lends shards to a helper thread for a tick or an
+///   audit) without changing anything it computes.
+pub trait DeliveryBackend: Send {
     /// Which scheme this is (names the row in comparison reports).
     fn kind(&self) -> BackendKind;
 

@@ -203,6 +203,9 @@ struct ActiveStream {
     next_read: u32,
 }
 
+/// `VodServer::join_cover` entry of a position no window holds.
+const NO_WINDOW: u32 = u32::MAX;
+
 /// One live stream as the join rule sees it: the positions `lo..=hi` a
 /// session can join it at ([`QuantizedGeometry::stream_join_range`] of
 /// its partition after this tick's stream phase; `lo > hi`: none).
@@ -474,6 +477,10 @@ pub struct VodServer {
     /// of it within a tick, so the table is exact for the session phase
     /// and for every call between ticks.
     join_table: Vec<Vec<JoinWindow>>,
+    /// Per movie and position, the index into the movie's `join_table`
+    /// row of the first window holding that position ([`NO_WINDOW`]:
+    /// none). Rebuilt with the table, so the join probe is one look-up.
+    join_cover: Vec<Vec<u32>>,
     /// Spare buffer of `advance_sessions` (the next active list), kept
     /// for its capacity.
     next_active: Vec<u32>,
@@ -496,6 +503,11 @@ impl VodServer {
             .sum::<u32>()
             .min(config.disk_streams);
         let n_movies = config.movies.len();
+        let join_cover = config
+            .movies
+            .iter()
+            .map(|m| vec![NO_WINDOW; m.geometry.length as usize])
+            .collect();
         Self {
             core: ServerCore::new(config, playback_reserved),
             pool,
@@ -507,6 +519,7 @@ impl VodServer {
             firing: None,
             accounted: 0,
             join_table: vec![Vec::new(); n_movies],
+            join_cover,
             next_active: Vec::new(),
             reference_scan: false,
         }
@@ -792,6 +805,15 @@ impl VodServer {
             let (lo, hi) = joinable.map_or((1, 0), RangeInclusive::into_inner);
             let stream = StreamId(id);
             self.join_table[s.movie_idx].push(JoinWindow { lo, hi, stream });
+        }
+        for (row, cover) in self.join_table.iter().zip(&mut self.join_cover) {
+            cover.fill(NO_WINDOW);
+            // Backwards, so the first window in slot order has the last say.
+            for (k, w) in row.iter().enumerate().rev() {
+                if w.lo <= w.hi {
+                    cover[w.lo as usize..=w.hi as usize].fill(k as u32);
+                }
+            }
         }
         self.accounted = t + 1;
     }
@@ -1267,12 +1289,13 @@ impl VodServer {
 
     /// Any live stream of `movie_idx` a session at `position` can join:
     /// the first window of the movie's join-table row that holds it — the
-    /// rule and the slot order of [`Self::joinable_stream_scan`], without
-    /// the walk over every other movie's streams.
+    /// rule and the slot order of [`Self::joinable_stream_scan`], looked up
+    /// in the movie's cover instead of walking any stream.
     fn joinable_stream(&self, movie_idx: usize, position: u32) -> Option<StreamId> {
-        let found = self.join_table[movie_idx]
-            .iter()
-            .find(|w| (w.lo..=w.hi).contains(&position))
+        let row = &self.join_table[movie_idx];
+        let found = self.join_cover[movie_idx]
+            .get(position as usize)
+            .and_then(|&k| row.get(k as usize))
             .map(|w| w.stream);
         debug_assert_eq!(
             found,

@@ -8,10 +8,11 @@
 # The parent is unpacked with `git archive` into a temp dir and built
 # there, so neither this tree nor `.git` is touched; both binaries are
 # copied aside before the first run. Prints work_per_s per pair with the
-# change/parent ratio and the pairs the change won; each side's median
-# and quartiles of work_per_s, setup_s and peak_rss_mib; and whether the
-# three exact metrics (hit_ratio, served_share, provisioned_cost) read
-# the same on every run of both.
+# change/parent ratio, the pairs the change won and each run's CPU
+# seconds (user + sys: a threaded gain spends a second core); each
+# side's median and quartiles of work_per_s, cpu_s, setup_s and
+# peak_rss_mib; and whether the three exact metrics (hit_ratio,
+# served_share, provisioned_cost) read the same on every run of both.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -31,10 +32,13 @@ cargo build --release --quiet --manifest-path benchmark/Cargo.toml
 cp "$tmp/parent/benchmark/target/release/vod-benchmark" "$tmp/bench-parent"
 cp benchmark/target/release/vod-benchmark "$tmp/bench-change"
 
-# One run; the last stdout line is the one-line JSON summary.
+# One run; the last stdout line is the one-line JSON summary, and its
+# user and system CPU seconds go to the side's .cpu file (the run's own
+# stderr stays on the terminal through fd 3).
 run() { # side dir
-  (cd "$2" && "$tmp/bench-$1" run --workload "$workload" --seed "$seed" \
-    --seconds "$seconds" --trace 0 | tail -n 1) >>"$tmp/$1.jsonl"
+  local TIMEFORMAT='%U %S'
+  { time (cd "$2" && "$tmp/bench-$1" run --workload "$workload" --seed "$seed" \
+    --seconds "$seconds" --trace 0 2>&3 | tail -n 1) >>"$tmp/$1.jsonl"; } 3>&2 2>>"$tmp/$1.cpu"
 }
 for ((i = 0; i < pairs; i++)); do
   if ((i % 2 == 0)); then
@@ -45,16 +49,22 @@ for ((i = 0; i < pairs; i++)); do
   echo "pair $((i + 1))/$pairs done" >&2
 done
 
-metric() { # side name -> one value per run
-  sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" "$tmp/$1.jsonl"
+metric() { # side name -> one value per run; cpu_s is user + sys
+  if [ "$2" = cpu_s ]; then
+    awk '{ print $1 + $2 }' "$tmp/$1.cpu"
+  else
+    sed -n "s/.*\"$2\":{\"value\":\([^,}]*\).*/\1/p" "$tmp/$1.jsonl"
+  fi
 }
-echo "== $workload, seed $seed, $pairs alternating pairs of --seconds $seconds: work_per_s =="
-paste <(metric parent work_per_s) <(metric change work_per_s) | awk '
-  { printf "pair %2d   parent %10.0f   change %10.0f   ratio %.3f\n", NR, $1, $2, $2 / $1
+echo "== $workload, seed $seed, $pairs alternating pairs of --seconds $seconds: work_per_s, cpu_s =="
+paste <(metric parent work_per_s) <(metric change work_per_s) \
+  <(metric parent cpu_s) <(metric change cpu_s) | awk '
+  { printf "pair %2d   parent %10.0f   change %10.0f   ratio %.3f   cpu_s parent %6.2f   change %6.2f\n",
+      NR, $1, $2, $2 / $1, $3, $4
     if ($2 > $1) wins++; else if ($2 == $1) ties++ }
   END { printf "change won %d of %d pairs (%d ties)\n", wins, NR, ties }'
 # Median and quartiles of each side (linear interpolation between order statistics).
-for name in work_per_s setup_s peak_rss_mib; do
+for name in work_per_s cpu_s setup_s peak_rss_mib; do
   for side in parent change; do
     metric "$side" "$name" | sort -g | awk -v what="$name $side" '
       function quantile(q,    h, lo) { h = (NR - 1) * q; lo = int(h); return v[lo + 1] + (h - lo) * (v[lo + 2 > NR ? NR : lo + 2] - v[lo + 1]) }
