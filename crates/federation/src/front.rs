@@ -140,7 +140,6 @@ pub struct Federation {
     /// shard time = global − this).
     started_at: Vec<u64>,
     plan: FaultPlan,
-    fault_mode: bool,
     sessions: SessionStore<FedSession>,
     /// Per shard incarnation, shard-local session index → fed id: how a
     /// finish the shard publishes finds its row. The shard admits
@@ -194,7 +193,6 @@ impl Federation {
         }
         let mut policy = config.policy;
         policy.recovery_wins = true;
-        let fault_mode = !plan.is_empty();
         let n = config.shards.len();
         let mut fed = Self {
             shards: RefCell::new(Vec::with_capacity(n)),
@@ -203,7 +201,6 @@ impl Federation {
             placement: config.placement,
             policy,
             plan,
-            fault_mode,
             sessions: SessionStore::new(),
             routes: (0..n).map(|_| SessionStore::new()).collect(),
             finished: Vec::new(),
@@ -231,13 +228,7 @@ impl Federation {
             self.plan
                 .events()
                 .iter()
-                .filter(|e| {
-                    !matches!(
-                        e.kind,
-                        FaultKind::ShardOutage { .. } | FaultKind::ShardRecovery { .. }
-                    ) && e.at % n == s as u64
-                        && e.at >= from
-                })
+                .filter(|e| e.lands_on(s as u64, n) && e.at >= from)
                 .map(|e| FaultEvent {
                     at: e.at - from,
                     kind: e.kind,
@@ -258,15 +249,18 @@ impl Federation {
 
     /// Route an admission for global movie `movie` through the placement
     /// map: the first up replica takes it. `None` means every replica is
-    /// dark and the admission was denied (counted, no session tracked).
+    /// dark and the admission was denied (counted, no session tracked),
+    /// or that the map has no such movie (not counted: a backend answers
+    /// an unhosted movie with an error, not a denial).
     pub fn open_session(&mut self, movie: usize) -> Option<FedSessionId> {
+        let replicas = self.placement.get(movie)?;
         if self.sessions.is_full() {
             // Fed ids are never reused; admission ends rather than wrap.
             self.metrics.admissions_denied += 1;
             return None;
         }
         let mut skipped_dead = false;
-        for &(s, local) in &self.placement[movie] {
+        for &(s, local) in replicas {
             let Some(shard) = self.shards.get_mut()[s].as_mut() else {
                 skipped_dead = true;
                 continue;
@@ -357,7 +351,7 @@ impl Federation {
     /// of the sessions it reports finished.
     pub fn tick(&mut self) {
         self.finished.clear();
-        if self.fault_mode {
+        if !self.plan.is_empty() {
             let events: Vec<FaultKind> = self
                 .plan
                 .events_at(self.now)
@@ -491,10 +485,10 @@ impl Federation {
                 unreachable!("ledger entry not displaced");
             };
             let timed_out = now.saturating_sub(since) >= self.policy.retry_timeout;
-            // Recovery wins a same-tick race: a recovery applied this
-            // tick re-opens the attempt even past the timeout.
+            // Recovery wins a same-tick race (`new` arms `recovery_wins`):
+            // a recovery applied this tick re-opens the attempt even past
+            // the timeout.
             let last_chance = timed_out
-                && self.policy.recovery_wins
                 && self.placement[movie]
                     .iter()
                     .any(|&(s, _)| self.started_at[s] == now && self.shards.get_mut()[s].is_some());
@@ -964,6 +958,20 @@ mod tests {
         let metrics = fed.federation_metrics();
         assert_eq!(metrics.readmit_refusals, 2);
         assert_eq!(metrics.denied_transient, 2);
+    }
+
+    /// A movie the placement map does not know is refused as a backend
+    /// refuses an unhosted one: no session, no panic, no counter moved.
+    #[test]
+    fn an_unknown_movie_is_refused_without_a_count() {
+        let mut fed = dark_shard_with_two_displaced();
+        let before = fed.federation_metrics();
+        for movie in [2, usize::MAX] {
+            assert_eq!(fed.open_session(movie), None);
+        }
+        assert_eq!(fed.federation_metrics(), before);
+        assert_eq!(fed.live_sessions(), 4);
+        assert_eq!(fed.check_invariants(), Vec::<String>::new());
     }
 
     /// Two up shards and no sessions; shard 1, the one lent to the

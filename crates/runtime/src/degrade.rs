@@ -86,6 +86,16 @@ impl FaultKind {
         }
     }
 
+    /// A whole-shard event ([`FaultKind::ShardOutage`] /
+    /// [`FaultKind::ShardRecovery`]): only a federation front interprets
+    /// it; below one it is inert and uncounted.
+    pub fn is_shard_event(&self) -> bool {
+        matches!(
+            self,
+            FaultKind::ShardOutage { .. } | FaultKind::ShardRecovery { .. }
+        )
+    }
+
     /// The kind's own parameters, named, in the order the JSON carries
     /// them: what the writer emits and all the reader accepts.
     fn params(&self) -> Vec<(&'static str, u64)> {
@@ -119,6 +129,13 @@ pub struct FaultEvent {
 }
 
 impl FaultEvent {
+    /// Whether a federation of `shards` shards routes this event to shard
+    /// `shard`: a capacity fault lands on shard `at % shards`, a
+    /// whole-shard event on none (the front keeps it).
+    pub fn lands_on(&self, shard: u64, shards: u64) -> bool {
+        !self.kind.is_shard_event() && self.at.checked_rem(shards) == Some(shard)
+    }
+
     /// The report object: `at`, `kind`, then the kind's parameters.
     pub fn json(&self) -> Json {
         let head = [("at", self.at.into()), ("kind", self.kind.tag().into())];
@@ -596,6 +613,27 @@ mod tests {
             "[{\"at\":7,\"kind\":\"disk_outage\",\"count\":2,\"recover_after\":11}]"
         );
         assert_eq!(FaultPlan::empty().to_json(), "[]");
+    }
+
+    /// A capacity fault lands on shard `at % shards`; a whole-shard event
+    /// on none; no federation has zero shards to divide by.
+    #[test]
+    fn capacity_faults_land_on_one_shard() {
+        let loss = FaultEvent {
+            at: 10,
+            kind: FaultKind::DiskStreamLoss { count: 1 },
+        };
+        let landed: Vec<u64> = (0..4).filter(|&s| loss.lands_on(s, 4)).collect();
+        assert_eq!(landed, [2]);
+        assert!(!loss.lands_on(0, 0));
+        for kind in [
+            FaultKind::ShardOutage { shard: 2 },
+            FaultKind::ShardRecovery { shard: 2 },
+        ] {
+            assert!(kind.is_shard_event());
+            assert!((0..4).all(|s| !FaultEvent { at: 10, kind }.lands_on(s, 4)));
+        }
+        assert!(!loss.kind.is_shard_event());
     }
 
     #[test]

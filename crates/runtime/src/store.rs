@@ -2,7 +2,7 @@
 //!
 //! A delivery server's sessions have one lifetime rule — admitted, served,
 //! finished — and every ordering argument in the drivers leans on the
-//! admission order: the active-list merge, the wheel's stale-entry
+//! admission order: the tick's ascending walk, the wheel's stale-entry
 //! accounting, fault-victim order and the unicast FIFO all tiebreak on the
 //! session index. [`Arena`](crate::Arena) keeps that order only while no
 //! slot is ever reused, which is why the servers never gave a finished

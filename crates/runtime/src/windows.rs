@@ -95,39 +95,6 @@ impl PartitionWindows {
         Self::new(self.movie_len, self.restart_interval, window_len.max(0.0))
     }
 
-    /// Like [`PartitionWindows::covers`], but the restarts whose absolute
-    /// index appears in `lost_restarts` produced no live partition (their
-    /// stream or buffer was lost to a fault), so their windows never
-    /// cover. The stream of candidate `k` started at `kT`, making `k` the
-    /// absolute restart index — the same `k` the closed-form range in
-    /// `covers` solves for. With an empty loss set this is exactly
-    /// `covers`, and adding indices to the set can only remove coverage
-    /// (the window-membership monotonicity invariant the fault proptests
-    /// pin).
-    pub fn covers_with_lost(&self, t: f64, p: f64, lost_restarts: &[u64]) -> bool {
-        let b = self.window_len;
-        if b <= 0.0 {
-            return false;
-        }
-        let l = self.movie_len;
-        let tt = self.restart_interval;
-        let hi_a = (p + b).min(l);
-        if hi_a < p {
-            return false;
-        }
-        // vod-lint: allow(quantize-cast) — same closed-form candidate-k bound as `covers`.
-        let k_min = ((t - hi_a) / tt - 1e-9).ceil().max(0.0);
-        // vod-lint: allow(quantize-cast) — same closed-form candidate-k bound as `covers`.
-        let k_max = ((t - p) / tt + 1e-9).floor();
-        if k_min > k_max {
-            return false;
-        }
-        // vod-lint: allow(quantize-cast) — k bounds are exact small non-negative
-        // integers by construction of ceil/floor above, not geometry quantization.
-        let (lo, hi) = (k_min as u64, k_max as u64);
-        (lo..=hi).any(|k| !lost_restarts.contains(&k))
-    }
-
     /// Reference oracle for [`PartitionWindows::covers`]: scan every live
     /// stream window explicitly. O(t/T); exists so property tests can
     /// check the closed-form candidate-`k` range against brute force.
@@ -262,32 +229,6 @@ mod tests {
         let w = windows();
         assert!(w.classify_resume(100.0, 95.0).is_hit());
         assert!(!w.classify_resume(100.0, 93.0).is_hit());
-    }
-
-    #[test]
-    fn lost_restarts_remove_coverage_only() {
-        let w = windows(); // T = 12, b = 6
-                           // At t = 100, p = 95 is covered only by the k = 8 stream (started
-                           // at 96... no: started at 8·12 = 96 > 100? k·T ≤ t, ages 100 − 12k;
-                           // p = 95 needs age ∈ [95, 101∧120] → k = 0 only (age 100).
-        assert!(w.covers_with_lost(100.0, 95.0, &[]));
-        assert!(!w.covers_with_lost(100.0, 95.0, &[0]), "sole window lost");
-        assert!(
-            w.covers_with_lost(100.0, 95.0, &[1, 2, 3]),
-            "others irrelevant"
-        );
-        // p = 0 at t = 100 is covered by the newest stream (k = 8, age 4).
-        assert!(!w.covers_with_lost(100.0, 0.0, &[8]));
-        // Never-covered positions stay uncovered regardless of the set.
-        assert!(!w.covers_with_lost(100.0, 93.0, &[]));
-        // Empty loss set ⇒ identical to `covers` across a grid.
-        for ti in 0..200 {
-            let t = ti as f64 * 0.9;
-            for pi in 0..120 {
-                let p = pi as f64;
-                assert_eq!(w.covers(t, p), w.covers_with_lost(t, p, &[]), "t={t} p={p}");
-            }
-        }
     }
 
     #[test]

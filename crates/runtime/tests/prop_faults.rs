@@ -1,12 +1,11 @@
 //! Property-based tests of the fault-injection semantics: arbitrary
 //! fault/op sequences on [`StreamReserve`] never violate stream
-//! conservation, and [`PartitionWindows::covers_with_lost`] only ever
-//! *removes* coverage relative to the fault-free membership test.
+//! conservation, and generated fault plans are well-formed.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use proptest::prelude::*;
 
-use vod_runtime::{FaultPlan, PartitionWindows, StreamReserve};
+use vod_runtime::{FaultPlan, StreamReserve};
 
 /// One step of an arbitrary reserve workload.
 #[derive(Debug, Clone, Copy)]
@@ -82,36 +81,6 @@ proptest! {
             prop_assert_eq!(r.fail_streams(*n), 0);
             prop_assert_eq!(r.failed(), 0);
         }
-    }
-
-    /// `covers_with_lost` is a *subset* of `covers`: losing restarts can
-    /// only remove coverage, never add it; the empty loss set is exactly
-    /// `covers`; and growing the loss set is monotone (coverage only
-    /// shrinks).
-    #[test]
-    fn lost_windows_only_remove_coverage(
-        l in 60.0f64..150.0,
-        bfrac in 0.0f64..1.0,
-        n in 1u32..40,
-        t in 0.0f64..600.0,
-        p_frac in 0.0f64..1.0,
-        lost in proptest::collection::vec(0u64..60, 12),
-        lost_len in 0usize..12,
-    ) {
-        let w = PartitionWindows::new(l, l / n as f64, bfrac * l / n as f64);
-        let p = p_frac * l;
-        let lost = &lost[..lost_len];
-        let plain = w.covers(t, p);
-        prop_assert_eq!(w.covers_with_lost(t, p, &[]), plain, "empty set == covers");
-        let with_lost = w.covers_with_lost(t, p, lost);
-        prop_assert!(!with_lost || plain, "losses cannot create coverage");
-        // Monotone: a superset of losses covers at most as much.
-        let mut more = lost.to_vec();
-        more.extend(0..8u64);
-        prop_assert!(
-            !w.covers_with_lost(t, p, &more) || with_lost,
-            "growing the loss set must not restore coverage"
-        );
     }
 
     /// Generated fault plans are well-formed: time-sorted, sized as

@@ -53,10 +53,6 @@ pub struct ServerCore {
     pub(crate) startup_waits: Welford,
     /// Injected fault schedule; empty unless `inject_faults` armed one.
     plan: FaultPlan,
-    /// True once a non-empty plan is injected; gates every fault-only
-    /// path, so a fault-free run stays bitwise identical to a never-armed
-    /// one and still fails loudly on impossible states.
-    pub(crate) fault_mode: bool,
     pub(crate) policy: DegradePolicy,
     /// Disk slowdown `(period, until)`: leases serve only on ticks
     /// divisible by `period`, through tick `until` exclusive — so a
@@ -192,7 +188,6 @@ impl ServerCore {
             movie_index,
             startup_waits: Welford::default(),
             plan: FaultPlan::empty(),
-            fault_mode: false,
             policy: DegradePolicy::default(),
             slowdown: (1, 0),
             recovery_due: BTreeMap::new(),
@@ -203,6 +198,13 @@ impl ServerCore {
             delivered_before_reset: (0, 0),
             finished: Vec::new(),
         }
+    }
+
+    /// True once a non-empty plan is injected; gates every fault-only
+    /// path, so a fault-free run stays bitwise identical to a never-armed
+    /// one and still fails loudly on impossible states.
+    pub(crate) fn fault_mode(&self) -> bool {
+        !self.plan.is_empty()
     }
 
     /// A tick begins: the finishes published during the last one have
@@ -576,7 +578,6 @@ impl ServerCore {
 
     /// [`DeliveryBackend::inject_faults`].
     pub(crate) fn inject_faults(&mut self, plan: FaultPlan, policy: DegradePolicy) {
-        self.fault_mode = !plan.is_empty();
         self.plan = plan;
         self.policy = policy;
     }
@@ -616,7 +617,7 @@ pub(crate) trait FaultPolicy: DeliveryBackend {
 /// strikes frees capacity before the new fault consumes it.
 pub(crate) fn apply_faults<B: FaultPolicy>(backend: &mut B) {
     let core = backend.core_mut();
-    if !core.fault_mode {
+    if !core.fault_mode() {
         return;
     }
     let now = core.now;

@@ -323,11 +323,11 @@ struct Enrolment {
 /// `Waiting`, `Shared` and `Paused` are *passive*: nothing about such a
 /// session changes from one tick to the next except what the clock and
 /// its stream's read head already say, so the server does not visit it
-/// every tick. It parks one wake-up on the timer wheel
+/// every tick. Its one timer-wheel entry waits for its wake-up
 /// ([`wake_at`]) and a `Shared` session's position and buffer count are
 /// worked out from `(position, since)` when somebody asks. `Dedicated`,
-/// sweeping and `Degraded` sessions do work every minute and stay on the
-/// server's active list.
+/// sweeping and `Degraded` sessions do work every minute: their entry is
+/// re-filed for the next tick each time it fires.
 type BatchSession = Session<Enrolment, Piggyback>;
 
 /// Ticks on the dedicated stream since the last catch-up segment.
@@ -446,25 +446,21 @@ pub struct VodServer {
     pool: BufferPool,
     streams: Arena<ActiveStream>,
     sessions: Sessions<Enrolment, Piggyback>,
-    /// Session indices in the states that work every minute (Dedicated /
-    /// Vcr / Degraded), ascending. Rebuilt each tick by the merge loop in
-    /// `advance_sessions` and added to by [`Self::place`]; passive
-    /// sessions (Waiting / Shared / Paused) park one wake-up in `wakeups`
-    /// instead, so a tick touches only the sessions whose state changes
-    /// on it. An entry may linger for a session that went passive or was
-    /// closed between ticks; the next rebuild drops it.
-    active: Vec<u32>,
-    /// Timer wheel of passive-session wake-ups ([`wake_at`]).
+    /// The one scheduler: every live session holds exactly one live entry
+    /// — a passive one (Waiting / Shared / Paused) at its [`wake_at`], one
+    /// that works every minute (Dedicated / Vcr / Degraded) at the next
+    /// tick whose session phase has not begun — so a tick touches only
+    /// the sessions whose state changes on it.
     wakeups: TimerWheel<u32>,
     /// Wheel entries known stale (their session left the state that
-    /// parked them — closed, finished early, issued a VCR request, or
-    /// degraded — before they fired; [`Self::unpark`] counts them); each
+    /// filed them — closed, finished, issued a VCR request, degraded,
+    /// resumed — before they fired; [`Self::unpark`] counts them); each
     /// fires once as a no-op, for a retired session too, and is dropped.
     /// Tracked so the invariant check can reconcile `wakeups.len()`
     /// exactly.
     wheel_stale: u64,
-    /// The session whose parked wake-up is firing, until the state that
-    /// parked it is left: that one departure leaves no stale entry.
+    /// The session whose live entry is firing, until it leaves the state
+    /// that filed it: that one departure leaves no stale entry.
     firing: Option<u32>,
     /// Ticks whose cohort deliveries are accounted: `now` between ticks
     /// and through the fault and stream phases, `now + 1` from the end of
@@ -481,9 +477,9 @@ pub struct VodServer {
     /// row of the first window holding that position ([`NO_WINDOW`]:
     /// none). Rebuilt with the table, so the join probe is one look-up.
     join_cover: Vec<Vec<u32>>,
-    /// Spare buffer of `advance_sessions` (the next active list), kept
-    /// for its capacity.
-    next_active: Vec<u32>,
+    /// Spare bitmap of `advance_sessions` (bit `k`: id `lo + k` is among
+    /// the tick's drained entries), kept for its capacity.
+    due_bits: Vec<u64>,
     /// Test-only oracle mode: process sessions with the historical full
     /// 0..n scan (no wheel, every enrolled session advanced and accounted
     /// one tick at a time). Set at construction time via
@@ -513,20 +509,19 @@ impl VodServer {
             pool,
             streams: Arena::new(),
             sessions: SessionStore::new(),
-            active: Vec::new(),
             wakeups: TimerWheel::new(),
             wheel_stale: 0,
             firing: None,
             accounted: 0,
             join_table: vec![Vec::new(); n_movies],
             join_cover,
-            next_active: Vec::new(),
+            due_bits: Vec::new(),
             reference_scan: false,
         }
     }
 
     /// Test-only oracle switch: process sessions with the historical full
-    /// 0..n scan instead of the timer wheel + active list (and every
+    /// 0..n scan instead of the timer wheel (and every
     /// delivery accounted per session instead of per cohort).
     /// Flip it right after construction, before any session opens — the
     /// equivalence suite pins the two modes against each other bit for
@@ -633,9 +628,6 @@ impl VodServer {
             _ => None,
         };
         let orphans: Vec<(u32, u32)> = self.sessions.iter().filter_map(orphaned).collect();
-        // The fault pass's bulk merge: the newcomers go on a list of their
-        // own, in index order, and the two sorted runs are merged once.
-        let mut listed = std::mem::take(&mut self.active);
         for (idx, head) in orphans {
             // The stream took its cohort table with it; what is left of
             // the enrolment is the session's own arrears and its finish
@@ -644,8 +636,6 @@ impl VodServer {
             let ledger = self.core.enter_degraded(0);
             self.transition(idx, SessionState::Degraded(ledger));
         }
-        self.active.append(&mut listed);
-        self.active.sort_unstable();
     }
 
     /// Evict whole partitions (victim order: fewest enrolled readers,
@@ -784,7 +774,7 @@ impl VodServer {
                         // broken, and serving a wrong segment silently would
                         // corrupt the data path, so abort loudly.
                         assert!(
-                            self.core.fault_mode,
+                            self.core.fault_mode(),
                             "buffer underrun: {} readers level with a stream that read \
                              nothing (enrollment invariant broken)",
                             delivered.stalled
@@ -822,9 +812,9 @@ impl VodServer {
 
     /// Process every session whose state can change at tick `t`.
     ///
-    /// Wheel mode walks the merged ascending-index stream of the active
-    /// list and the wakeups due at `t` — the same relative order as the
-    /// historical full `0..n` scan, which is bitwise-identical because
+    /// Wheel mode visits the sessions the entries due at `t` name, in
+    /// ascending index order and once each — the same relative order as
+    /// the historical full `0..n` scan, which is bitwise-identical because
     /// what the skipped sessions did in that scan either was a strict
     /// no-op (finished, not-yet-due `Waiting` and `Paused`) or touched
     /// nothing another session reads and is accounted per cohort in the
@@ -843,61 +833,58 @@ impl VodServer {
             }
             return;
         }
-        let mut due = self.wakeups.drain_tick(t);
-        due.sort_unstable();
-        let prev_active = std::mem::take(&mut self.active);
-        let mut next_active = std::mem::take(&mut self.next_active);
-        next_active.clear();
-        let (mut a, mut d) = (0usize, 0usize);
-        loop {
-            // A session in both sources went passive between ticks (its
-            // list entry lingers) or left a stale wake-up behind; either
-            // way at most one of the two entries acts. The list goes
-            // first, so a lingering entry is dropped before the wake-up
-            // that speaks for the session fires.
-            let from_wheel = match (prev_active.get(a), due.get(d)) {
-                (Some(&act), Some(&wake)) => wake < act,
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (None, None) => break,
-            };
-            let idx = if from_wheel {
-                let i = due[d];
-                d += 1;
-                i
-            } else {
-                let i = prev_active[a];
-                a += 1;
-                i
-            };
-            // The wake-up must be the one the session's state parked; a
-            // list entry must still work every minute. Neither holds for
-            // a session retired since the entry was filed.
-            let state = self.sessions.get(idx).map(|sess| &sess.state);
-            let entry_speaks = |state: &&SessionState<Enrolment>| match from_wheel {
-                true => wake_at(state) == Some(t),
-                false => wake_at(state).is_none(),
-            };
-            let Some(state) = state.filter(entry_speaks) else {
-                if from_wheel {
-                    // It fires once as a no-op and is accounted off.
-                    debug_assert!(self.wheel_stale > 0, "stale wakeup with no accounted entry");
-                    self.wheel_stale -= 1;
-                }
-                continue;
-            };
-            let act = Act::due(state, t);
-            self.firing = from_wheel.then_some(idx);
-            self.advance_session(t, idx, act);
-            debug_assert!(self.firing.is_none(), "a fired wake-up left its state");
-            // Whoever turned passive parked its own wake-up on the way;
-            // whoever finished is gone.
-            if (self.sessions.get(idx)).is_some_and(|sess| wake_at(&sess.state).is_none()) {
-                next_active.push(idx);
+        let due = self.wakeups.drain_tick(t);
+        let (Some(&lo), Some(&hi)) = (due.iter().min(), due.iter().max()) else {
+            return;
+        };
+        // Ascending and deduplicated without a sort: one bit per id of the
+        // span the entries name.
+        let mut bits = std::mem::take(&mut self.due_bits);
+        bits.clear();
+        bits.resize((hi - lo) as usize / 64 + 1, 0);
+        for &idx in &due {
+            let k = (idx - lo) as usize;
+            bits[k / 64] |= 1 << (k % 64);
+        }
+        let mut fired = 0;
+        for (w, &word) in bits.iter().enumerate() {
+            let mut word = word;
+            while word != 0 {
+                let idx = lo + (w * 64) as u32 + word.trailing_zeros();
+                word &= word - 1;
+                fired += u64::from(self.fire(t, idx));
             }
         }
-        self.active = next_active;
-        self.next_active = prev_active;
+        self.due_bits = bits;
+        // Every other entry drained was stale: it fired once as a no-op
+        // and is accounted off.
+        let stale = due.len() as u64 - fired;
+        debug_assert!(
+            self.wheel_stale >= stale,
+            "stale wakeup with no accounted entry"
+        );
+        self.wheel_stale -= stale;
+    }
+
+    /// Tick `t` drained an entry of session `idx`: if one of them is its
+    /// live entry, the session acts. The live entry is the one its state
+    /// filed — due now for a state that works every minute, at the
+    /// wake-up for a passive one — and no session retired since has one.
+    fn fire(&mut self, t: u64, idx: u32) -> bool {
+        let state = self.sessions.get(idx).map(|sess| &sess.state);
+        let Some(state) = state.filter(|state| wake_at(state).is_none_or(|at| at == t)) else {
+            return false;
+        };
+        let act = Act::due(state, t);
+        self.firing = Some(idx);
+        self.advance_session(t, idx, act);
+        // Still firing: it kept its state, one that works every minute (a
+        // passive state fires only to be left), and goes again next tick.
+        if self.firing.take().is_some() {
+            debug_assert!(wake_at(&self.sessions.live(idx).state).is_none());
+            self.wakeups.schedule(t + 1, idx);
+        }
+        true
     }
 
     /// First live stream of `movie_idx` that restarted at tick `t`, in
@@ -974,8 +961,8 @@ impl VodServer {
 
     /// The one place a session's state is written. What the scheduler
     /// keeps about a session follows its state, so it is kept here: the
-    /// wheel holds one entry per passive session plus the accounted stale
-    /// ones, the active list every session that works each minute.
+    /// wheel holds one live entry per session plus the accounted stale
+    /// ones.
     fn transition(&mut self, idx: u32, next: SessionState<Enrolment>) {
         self.unpark(idx);
         let sess = self.sessions.live_mut(idx);
@@ -987,36 +974,28 @@ impl VodServer {
     }
 
     /// Session `idx` is in a state nothing is scheduled for yet — just
-    /// admitted, or just transitioned: park the state's wake-up, or list
-    /// the session to work every minute.
+    /// admitted, or just transitioned: file its live entry. A passive
+    /// state's goes on its wake-up; a working state's on the first tick
+    /// whose session phase has not begun (`accounted`): the current one
+    /// between ticks and in the fault phase, the next one mid-tick.
     fn place(&mut self, idx: u32) {
-        match wake_at(&self.sessions.live(idx).state) {
-            Some(at) => self.wakeups.schedule(at, idx),
-            // Between ticks (and in the fault phase) the session goes on
-            // in index order. Mid-tick the session phase is rebuilding
-            // the list and keeps whoever it has just visited.
-            None if self.accounted == self.core.now => {
-                if let Err(at) = self.active.binary_search(&idx) {
-                    self.active.insert(at, idx);
-                }
-            }
-            None => {}
-        }
+        let at = wake_at(&self.sessions.live(idx).state).unwrap_or(self.accounted);
+        self.wakeups.schedule(at, idx);
     }
 
-    /// Session `idx` leaves its state, for another or for good. The
-    /// wake-up a passive state parked goes stale — it still fires, once,
-    /// as a no-op — unless it is the one firing now.
+    /// Session `idx` leaves its state, for another or for good. The entry
+    /// that state filed goes stale — it still fires, once, as a no-op —
+    /// unless it is the one firing now.
     fn unpark(&mut self, idx: u32) {
         if self.firing == Some(idx) {
             self.firing = None;
-        } else if wake_at(&self.sessions.live(idx).state).is_some() {
+        } else {
             self.wheel_stale += 1;
         }
     }
 
-    /// Session `idx` is about to be retired: out of its cohort, its
-    /// parked wake-up accounted for.
+    /// Session `idx` is about to be retired: out of its cohort, its live
+    /// entry accounted for.
     fn detach(&mut self, idx: u32) {
         self.leave_cohort(idx);
         self.unpark(idx);
@@ -1100,7 +1079,7 @@ impl VodServer {
             // and serving a wrong segment silently would corrupt the data
             // path, so abort loudly.
             assert!(
-                self.core.fault_mode,
+                self.core.fault_mode(),
                 "buffer underrun: session at {position} not covered by partition \
                  [{:?}, {:?}] (enrollment invariant broken)",
                 s.partition.tail_index(),
@@ -1442,7 +1421,8 @@ impl DeliveryBackend for VodServer {
             // refused outright — playback (and recovery) has priority
             // over fresh VCR service. Unreachable without injected
             // faults, so fault-free denial behavior is unchanged.
-            if self.core.fault_mode && (self.core.degraded_count > 0 || self.core.disk.failed() > 0)
+            if self.core.fault_mode()
+                && (self.core.degraded_count > 0 || self.core.disk.failed() > 0)
             {
                 self.core.metrics.vcr_denied_degraded += 1;
                 return Err(self.core.deny_vcr());
@@ -1509,12 +1489,10 @@ impl DeliveryBackend for VodServer {
     /// session is lost (every one admitted is live or was retired, and
     /// the live records plus the retired totals are the deliveries the
     /// counters saw); the degraded population matches the states; the
-    /// wheel holds exactly the passive sessions' wake-ups.
+    /// wheel holds one live entry per session plus the known stale ones.
     fn check_invariants(&self) -> Vec<String> {
         // Findings are gathered per pass, then reported in a fixed order:
         // resources, streams, sessions, scheduler.
-        let wheel_mode = !self.reference_scan;
-        let (mut waiting, mut paused, mut enrolled) = (0u64, 0u64, 0u64);
         // The recount of every stream's cohort table, flattened: stream
         // slot `i`'s offsets start at `first[i]`.
         let mut first = Vec::with_capacity(self.streams.slot_count());
@@ -1526,60 +1504,33 @@ impl DeliveryBackend for VodServer {
         let mut readers = vec![0u32; offsets];
         let mut recount = Recount::default();
         let mut session_faults = Vec::new();
-        let mut scheduler_faults = Vec::new();
-        let mut listed = self.active.iter().copied().peekable();
         for (idx, sess) in self.sessions.iter() {
-            // The active list covers exactly the sessions that work every
-            // minute (entries may linger for sessions that closed or
-            // paused since the last tick — they drop at the next rebuild
-            // — but a `Waiting` entry is always wrong).
-            while listed.peek().is_some_and(|&a| a < idx) {
-                listed.next();
-            }
-            let on_list = listed.peek().is_some_and(|&a| a == idx);
             recount.see(idx, sess, false, &mut session_faults);
-            match sess.state {
-                SessionState::Waiting { .. } => {
-                    waiting += 1;
-                    if on_list && wheel_mode {
-                        scheduler_faults.push(format!("waiting session {idx} on the active list"));
-                    }
-                    continue;
-                }
-                SessionState::Paused { .. } => {
-                    paused += 1;
-                    continue;
-                }
-                SessionState::Shared(Enrolment { stream, .. }) => {
-                    enrolled += 1;
-                    let slot = stream.0.index();
-                    match self.streams.get(stream.0) {
-                        Some(s) => {
-                            let head = s.next_read;
-                            let owed = sess.owed(head, self.accounted);
-                            recount.delivered.0 += u64::from(owed);
-                            let position = sess.position + owed;
-                            let filled = s.partition.len() as u32;
-                            match head.checked_sub(position) {
-                                Some(lag) if lag <= filled => {
-                                    readers[first[slot] + lag as usize] += 1;
-                                }
-                                _ => session_faults.push(format!(
-                                    "session {idx} at {position} outside stream {slot}'s window \
-                                     [{}, {head}]",
-                                    head.saturating_sub(filled)
-                                )),
-                            }
+            let SessionState::Shared(Enrolment { stream, .. }) = sess.state else {
+                continue;
+            };
+            let slot = stream.0.index();
+            match self.streams.get(stream.0) {
+                Some(s) => {
+                    let head = s.next_read;
+                    let owed = sess.owed(head, self.accounted);
+                    recount.delivered.0 += u64::from(owed);
+                    let position = sess.position + owed;
+                    let filled = s.partition.len() as u32;
+                    match head.checked_sub(position) {
+                        Some(lag) if lag <= filled => {
+                            readers[first[slot] + lag as usize] += 1;
                         }
-                        None => session_faults
-                            .push(format!("session {idx} enrolled in dead stream {slot}")),
+                        _ => session_faults.push(format!(
+                            "session {idx} at {position} outside stream {slot}'s window \
+                             [{}, {head}]",
+                            head.saturating_sub(filled)
+                        )),
                     }
-                    continue;
                 }
-                _ => {}
-            }
-            if !on_list && wheel_mode {
-                scheduler_faults.push(format!("actionable session {idx} missing from active list"));
+                None => {
+                    session_faults.push(format!("session {idx} enrolled in dead stream {slot}"))
+                }
             }
         }
         let mut stream_leases = 0u32;
@@ -1632,23 +1583,15 @@ impl DeliveryBackend for VodServer {
         findings.append(&mut session_faults);
         let issued = self.sessions.issued();
         let mut v = self.core.audit(stream_leases, issued, recount, findings);
-        // Coherence of the wheel-mode scheduler structures: the active
-        // list is strictly ascending and holds every session that works
-        // each minute, and the wheel holds one entry per passive session
-        // plus the known stale ones.
-        if wheel_mode {
-            if !self.active.windows(2).all(|w| w[0] < w[1]) {
-                v.push("active list not strictly ascending".to_string());
-            }
-            v.append(&mut scheduler_faults);
-            if waiting + paused + enrolled + self.wheel_stale != self.wakeups.len() as u64 {
-                v.push(format!(
-                    "wheel population drift: {waiting} waiting + {paused} paused + {enrolled} \
-                     enrolled + {} stale != {} scheduled",
-                    self.wheel_stale,
-                    self.wakeups.len()
-                ));
-            }
+        // The wheel holds one live entry per session plus the known stale
+        // ones.
+        let live = self.sessions.len() as u64;
+        if !self.reference_scan && live + self.wheel_stale != self.wakeups.len() as u64 {
+            v.push(format!(
+                "wheel population drift: {live} live + {} stale != {} scheduled",
+                self.wheel_stale,
+                self.wakeups.len()
+            ));
         }
         v
     }
@@ -1915,7 +1858,7 @@ mod tests {
             s.check_invariants(),
             [
                 "session population drift: 3 admitted != 2 live + 0 retired",
-                "wheel population drift: 0 waiting + 0 paused + 1 enrolled + 1 stale != 3 scheduled",
+                "wheel population drift: 2 live + 1 stale != 4 scheduled",
             ]
         );
         // ... and one whose record went missing with it.
@@ -1992,45 +1935,49 @@ mod tests {
 
     #[test]
     fn audit_sees_scheduler_drift() {
-        // Only the sweeping session works every minute.
-        let (mut s, _) = busy();
-        assert_eq!(s.active, [1]);
-        s.active.insert(0, 9);
-        assert_eq!(
-            s.check_invariants(),
-            [
-                "active list not strictly ascending",
-                "actionable session 1 missing from active list",
-            ]
-        );
-        let (mut s, _) = busy();
-        s.active.push(2);
-        assert_eq!(
-            s.check_invariants(),
-            ["waiting session 2 on the active list"]
-        );
-        let (mut s, _) = busy();
-        s.active.pop();
-        assert_eq!(
-            s.check_invariants(),
-            ["actionable session 1 missing from active list"]
-        );
-        // The sweeping session's finish wake-up, parked while it was
-        // enrolled, is the one stale entry.
+        // One live entry per session; the sweeping session's finish
+        // wake-up, parked while it was enrolled, is the one stale entry.
         let (mut s, _) = busy();
         s.wheel_stale += 1;
         assert_eq!(
             s.check_invariants(),
-            ["wheel population drift: 1 waiting + 0 paused + 1 enrolled + 2 stale != 3 scheduled"]
+            ["wheel population drift: 3 live + 2 stale != 4 scheduled"]
         );
-        // A paused session's wake-up is one of the scheduled ones.
+        // A working session whose entry was taken off the wheel: the
+        // sweeping session would never act again.
+        let (mut s, [_, sweeping, _]) = busy();
+        let mut old = std::mem::take(&mut s.wakeups);
+        while let Some(due) = old.next_due() {
+            for idx in old.drain_tick(due) {
+                if (due, idx) != (6, sweeping.0) {
+                    s.wakeups.schedule(due, idx);
+                }
+            }
+        }
+        assert_eq!(
+            s.check_invariants(),
+            ["wheel population drift: 3 live + 1 stale != 3 scheduled"]
+        );
+        // An extra entry no stale count accounts for.
         let (mut s, [enrolled, _, _]) = busy();
+        s.wakeups.schedule(7, enrolled.0);
+        assert_eq!(
+            s.check_invariants(),
+            ["wheel population drift: 3 live + 1 stale != 5 scheduled"]
+        );
+        // A paused session's wake-up is its live entry; the enrolled one
+        // it left behind goes stale.
+        let (mut s, [enrolled, sweeping, _]) = busy();
         s.request_vcr(enrolled, VcrKind::Pause, 3).unwrap();
         assert_eq!(s.check_invariants(), Vec::<String>::new());
         s.wheel_stale -= 1;
         assert_eq!(
             s.check_invariants(),
-            ["wheel population drift: 1 waiting + 1 paused + 0 enrolled + 1 stale != 4 scheduled"]
+            ["wheel population drift: 3 live + 1 stale != 5 scheduled"]
         );
+        // A working session that quits leaves its entry stale, accounted.
+        s.wheel_stale += 1;
+        s.close_session(sweeping).unwrap();
+        assert_eq!(s.check_invariants(), Vec::<String>::new());
     }
 }

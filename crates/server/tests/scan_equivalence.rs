@@ -1,6 +1,6 @@
 //! The wheel-scheduler equivalence gate: the event-driven session phase
-//! — timer wheel + active list, enrolled viewers delivered per cohort
-//! and brought up to date only when read — must be **bitwise identical**
+//! — one timer-wheel entry per session, enrolled viewers delivered per
+//! cohort and brought up to date only when read — must be **bitwise identical**
 //! to the historical full `0..n` scan it replaced, which visits every
 //! session on every tick and advances and accounts each enrolled one a
 //! tick at a time: same seeded workload, same metrics, same chaos outcome
@@ -276,6 +276,52 @@ fn every_session_matches_the_reference_scan_after_every_tick() {
     let cfg = config(true);
     for (_, plan) in plans() {
         lockstep(&cfg, 23, &plan);
+    }
+}
+
+/// Working sessions that quit or change state between ticks. A dedicated
+/// viewer that starts a sweep or a pause files its new state's entry
+/// beside the one it left, both due the same tick, and the two collapse
+/// into one visit; a sweeping or dedicated viewer that quits leaves its
+/// entry to fire once as a no-op. Each acts at most once a tick, exactly
+/// as the reference scan has it, and the audit's stale count stays exact.
+#[test]
+fn working_sessions_that_quit_or_switch_between_ticks_act_once() {
+    let movie = HostedMovie::from_allocation(MovieId(0), 30, 6, 18.0);
+    let server = ServerConfig {
+        piggyback: None,
+        ..ServerConfig::provisioned(vec![movie], 8)
+    };
+    let mut pair = Pair::new(&server, &FaultPlan::empty());
+    pair.tick();
+    // Position 20 is in no window yet: each adoption takes a dedicated
+    // stream.
+    for _ in 0..6 {
+        pair.adopt(MovieId(0), 20);
+    }
+    let enrolled = pair.open(MovieId(0));
+    let d = pair.sessions.clone();
+    assert_eq!(d.len(), 7);
+    for &id in &d[..6] {
+        assert_eq!(pair.status(id), SessionStatus::Dedicated);
+    }
+    pair.tick();
+    pair.vcr(d[0], VcrKind::FastForward, 6);
+    pair.vcr(d[1], VcrKind::Pause, 0);
+    pair.close(d[2]);
+    pair.vcr(d[3], VcrKind::Rewind, 4);
+    pair.close(d[3]);
+    pair.vcr(enrolled, VcrKind::FastForward, 2);
+    pair.tick();
+    assert_eq!(pair.status(d[0]), SessionStatus::InVcr);
+    pair.close(d[0]);
+    pair.vcr(d[4], VcrKind::Pause, 1);
+    pair.vcr(d[5], VcrKind::FastForward, 3);
+    for _ in 0..40 {
+        pair.tick();
+    }
+    for &id in &d {
+        assert_eq!(pair.status(id), SessionStatus::Done);
     }
 }
 

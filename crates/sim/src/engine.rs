@@ -256,11 +256,7 @@ impl<'a> Engine<'a> {
                 break;
             }
             self.fault_cursor += 1;
-            let shard_event = matches!(
-                ev.kind,
-                FaultKind::ShardOutage { .. } | FaultKind::ShardRecovery { .. }
-            );
-            if self.measuring() && !shard_event {
+            if self.measuring() && !ev.kind.is_shard_event() {
                 self.report.runtime.faults_injected += 1;
             }
             match ev.kind {

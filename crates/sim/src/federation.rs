@@ -14,8 +14,8 @@
 //!   nothing), recovering when the next [`FaultKind::ShardRecovery`]
 //!   for `s` is scheduled — or a permanent
 //!   [`FaultKind::DiskStreamLoss`] when none is.
-//! * Every other (capacity) fault routes to shard `at % shards`,
-//!   matching the front tier's distribution rule.
+//! * Every other (capacity) fault routes to shard `at % shards`
+//!   ([`FaultEvent::lands_on`]), the front tier's distribution rule.
 //!
 //! Per-shard seeds derive from the run seed by the same [`splitmix64`]
 //! step the fault generator uses, so the mirror is deterministic end to
@@ -69,19 +69,8 @@ fn shard_plan(global: &FaultPlan, s: u32, shards: u32, all_streams: u32) -> Faul
                 };
                 events.push(FaultEvent { at: e.at, kind });
             }
-            FaultKind::ShardOutage { .. } | FaultKind::ShardRecovery { .. } => {}
-            FaultKind::DiskStreamLoss { .. }
-            | FaultKind::DiskOutage { .. }
-            | FaultKind::DiskSlowdown { .. }
-            | FaultKind::BufferShrink { .. }
-            | FaultKind::BufferRestore { .. } => {
-                if e.at % u64::from(shards) == u64::from(s) {
-                    events.push(FaultEvent {
-                        at: e.at,
-                        kind: e.kind,
-                    });
-                }
-            }
+            _ if e.lands_on(u64::from(s), u64::from(shards)) => events.push(*e),
+            _ => {}
         }
     }
     FaultPlan::new(events)

@@ -11,8 +11,12 @@
 # change/parent ratio, the pairs the change won and each run's CPU
 # seconds (user + sys: a threaded gain spends a second core); each
 # side's median and quartiles of work_per_s, cpu_s, setup_s and
-# peak_rss_mib; and whether the three exact metrics (hit_ratio,
-# served_share, provisioned_cost) read the same on every run of both.
+# peak_rss_mib; per segment, each side's median and quartiles of its
+# rate and the pairs the change won (read from each run's --out
+# document: a backend-specific change shows on its segment, which the
+# end-to-end number averages away); and whether the three exact metrics
+# (hit_ratio, served_share, provisioned_cost) read the same on every run
+# of both.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -32,19 +36,21 @@ cargo build --release --quiet --manifest-path benchmark/Cargo.toml
 cp "$tmp/parent/benchmark/target/release/vod-benchmark" "$tmp/bench-parent"
 cp benchmark/target/release/vod-benchmark "$tmp/bench-change"
 
-# One run; the last stdout line is the one-line JSON summary, and its
-# user and system CPU seconds go to the side's .cpu file (the run's own
-# stderr stays on the terminal through fd 3).
-run() { # side dir
+# One run; the last stdout line is the one-line JSON summary, its user
+# and system CPU seconds go to the side's .cpu file (the run's own stderr
+# stays on the terminal through fd 3), and its full document to
+# side.pair.json.
+run() { # side dir pair
   local TIMEFORMAT='%U %S'
   { time (cd "$2" && "$tmp/bench-$1" run --workload "$workload" --seed "$seed" \
-    --seconds "$seconds" --trace 0 2>&3 | tail -n 1) >>"$tmp/$1.jsonl"; } 3>&2 2>>"$tmp/$1.cpu"
+    --seconds "$seconds" --trace 0 --out "$tmp/$1.$3.json" 2>&3 | tail -n 1) \
+    >>"$tmp/$1.jsonl"; } 3>&2 2>>"$tmp/$1.cpu"
 }
 for ((i = 0; i < pairs; i++)); do
   if ((i % 2 == 0)); then
-    run parent "$tmp/parent" && run change "$PWD"
+    run parent "$tmp/parent" "$i" && run change "$PWD" "$i"
   else
-    run change "$PWD" && run parent "$tmp/parent"
+    run change "$PWD" "$i" && run parent "$tmp/parent" "$i"
   fi
   echo "pair $((i + 1))/$pairs done" >&2
 done
@@ -63,15 +69,38 @@ paste <(metric parent work_per_s) <(metric change work_per_s) \
       NR, $1, $2, $2 / $1, $3, $4
     if ($2 > $1) wins++; else if ($2 == $1) ties++ }
   END { printf "change won %d of %d pairs (%d ties)\n", wins, NR, ties }'
-# Median and quartiles of each side (linear interpolation between order statistics).
+# Median and quartiles of one value per line (linear interpolation
+# between order statistics).
+summary() { # label
+  sort -g | awk -v what="$1" '
+    function quantile(q,    h, lo) { h = (NR - 1) * q; lo = int(h); return v[lo + 1] + (h - lo) * (v[lo + 2 > NR ? NR : lo + 2] - v[lo + 1]) }
+    { v[NR] = $1 }
+    END { printf "%-22s median %12.6g   q1 %12.6g   q3 %12.6g   (q3-q1)/median %.3f\n", what,
+            quantile(0.5), quantile(0.25), quantile(0.75), (quantile(0.75) - quantile(0.25)) / quantile(0.5) }'
+}
 for name in work_per_s cpu_s setup_s peak_rss_mib; do
   for side in parent change; do
-    metric "$side" "$name" | sort -g | awk -v what="$name $side" '
-      function quantile(q,    h, lo) { h = (NR - 1) * q; lo = int(h); return v[lo + 1] + (h - lo) * (v[lo + 2 > NR ? NR : lo + 2] - v[lo + 1]) }
-      { v[NR] = $1 }
-      END { printf "%-22s median %12.6g   q1 %12.6g   q3 %12.6g   (q3-q1)/median %.3f\n", what,
-              quantile(0.5), quantile(0.25), quantile(0.75), (quantile(0.75) - quantile(0.25)) / quantile(0.5) }'
+    metric "$side" "$name" | summary "$name $side"
   done
+done
+# Each segment's rate per run, pair order: the "rate" inside the
+# document's "segments" object, under the segment's name.
+segment_rates() { # side segment
+  for ((i = 0; i < pairs; i++)); do
+    awk -v want="$2" '
+      /"segments": \{/ { on = 1; next }
+      on && /^ *"[^"]+": \{$/ { name = $1; gsub(/[":]/, "", name); next }
+      on && name == want && /"rate": / { v = $2; sub(/,$/, "", v); print v }' "$tmp/$1.$i.json"
+  done
+}
+echo "== segment rates (work per wall-second of the segment) =="
+for segment in $(awk '/"segments": \{/ { on = 1; next } on && /^ *"[^"]+": \{$/ { gsub(/[ ":{]/, ""); print }' "$tmp/parent.0.json"); do
+  for side in parent change; do
+    segment_rates "$side" "$segment" | summary "$segment $side"
+  done
+  paste <(segment_rates parent "$segment") <(segment_rates change "$segment") | awk -v what="$segment" '
+    { if ($2 > $1) wins++; else if ($2 == $1) ties++ }
+    END { printf "%-22s change won %d of %d pairs (%d ties)\n", what, wins, NR, ties }'
 done
 for name in hit_ratio served_share provisioned_cost; do
   values="$( (metric parent "$name"; metric change "$name") | sort -u | tr '\n' ' ')"
