@@ -6,7 +6,8 @@
 //! probability/numerics, implemented from scratch:
 //!
 //! * **Special functions** — [`special`]: `ln Γ`, regularized incomplete
-//!   gamma `P(a,x)`/`Q(a,x)`, `erf`, the standard normal cdf.
+//!   gamma `P(a,x)`/`Q(a,x)`, Cody's rational `erf`/`erfc`, the standard
+//!   normal cdf.
 //! * **Quadrature** — [`quad`]: adaptive Simpson and Gauss–Legendre.
 //! * **Root finding** — [`root`]: Brent's method.
 //! * **Randomness** — [`rng`]: seeded reproducible RNG, uniform/normal/

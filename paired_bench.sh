@@ -14,9 +14,11 @@
 # peak_rss_mib; per segment, each side's median and quartiles of its
 # rate and the pairs the change won (read from each run's --out
 # document: a backend-specific change shows on its segment, which the
-# end-to-end number averages away); and whether the three exact metrics
-# (hit_ratio, served_share, provisioned_cost) read the same on every run
-# of both.
+# end-to-end number averages away); each end-to-end metric's
+# change/parent median ratio next to its BENCHMARK.json bound; and
+# whether the three exact metrics (hit_ratio, served_share,
+# provisioned_cost) read the same on every run of both — where they do
+# not, each side's distinct values and the largest relative gap.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -102,12 +104,35 @@ for segment in $(awk '/"segments": \{/ { on = 1; next } on && /^ *"[^"]+": \{$/ 
     { if ($2 > $1) wins++; else if ($2 == $1) ties++ }
     END { printf "%-22s change won %d of %d pairs (%d ties)\n", what, wins, NR, ties }'
 done
+# Each end-to-end metric against its BENCHMARK.json bound: the change's
+# median over the parent's, and how much worse that is in the metric's
+# own direction (a negative share is a gain).
+echo "== end-to-end medians against the BENCHMARK.json bounds =="
+sed -n 's/.*{"name": "\([a-z_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound": \([0-9.]*\)}.*/\1 \2 \3/p' \
+  BENCHMARK.json | while read -r name better bound; do
+  [ -n "$(metric parent "$name")" ] || continue
+  parent_median="$(metric parent "$name" | summary x | awk '{ print $3 }')"
+  change_median="$(metric change "$name" | summary x | awk '{ print $3 }')"
+  awk -v name="$name" -v better="$better" -v bound="$bound" -v p="$parent_median" -v c="$change_median" 'BEGIN {
+    if (p == 0) { printf "%-18s parent 0   change %g   (no ratio)\n", name, c; exit }
+    ratio = c / p
+    worse = better == "lower" ? ratio - 1 : 1 - ratio
+    printf "%-18s parent %12.6g   change %12.6g   change/parent %.4f   worse by %+.4f   bound %.3f (%s is better)   %s\n",
+      name, p, c, ratio, worse, bound, better, (worse > bound ? "OUTSIDE" : "inside") }'
+done
+# The exact metrics: equal on every run of both sides, or each side's
+# distinct values and the largest relative gap (smallest to largest).
 for name in hit_ratio served_share provisioned_cost; do
   values="$( (metric parent "$name"; metric change "$name") | sort -u | tr '\n' ' ')"
   if [ "$(wc -w <<<"$values")" -eq 1 ]; then
     echo "$name: $values— equal on all $((2 * pairs)) runs"
   else
-    echo "$name: DIFFERS across runs: $values"
+    echo "$name: differs across runs"
+    for side in parent change; do
+      echo "  $side: $(metric "$side" "$name" | sort -u | tr '\n' ' ')"
+    done
+    (metric parent "$name"; metric change "$name") | sort -g | awk 'NR == 1 { lo = $1 } { hi = $1 }
+      END { printf "  largest relative gap %.3g\n", (hi - lo) / (hi > -lo ? hi : -lo) }'
   fi
 done
 for side in parent change; do
