@@ -79,6 +79,13 @@ for bin in fig7 fig8 fig9 example1 example2 reserve_check catalog_sim ablations;
   cmp "$scratch/$bin.txt" "results/$bin.txt"
 done
 
+echo "== vodplan: the capacity plan of the catalog in src/bin/vodplan.rs's docs =="
+cargo run --release --quiet --bin vodplan -- \
+  --movie "thriller;l=120;w=0.5;p=0.6;dist=gamma:shape=2,scale=4" \
+  --movie "classic;l=90;w=1;p=0.5;dist=exp:mean=5" \
+  --streams 300 --phi 11 --vcr-rate 2 --denial 0.01 >"$scratch/vodplan.txt"
+cmp "$scratch/vodplan.txt" results/vodplan.txt
+
 echo "== cross-validation: model vs sim vs server =="
 cargo run --release -p vod-bench --bin cross_validate -- --out "$scratch/CROSS_VALIDATION.json"
 cmp "$scratch/CROSS_VALIDATION.json" results/CROSS_VALIDATION.json

@@ -1,12 +1,15 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the design choices DESIGN.md §4 calls out — the four
+//! this bin runs:
 //!
 //! 1. Eq.-19 jump cutoff vs the extended summation (FF).
 //! 2. Decomposed closed forms vs brute-force 2-D integration oracles
 //!    (accuracy + speed).
 //! 3. The 2-D oracles converging onto the closed forms as their quadrature
 //!    tolerance tightens.
-//! 4. Sizing: greedy water-fill vs per-movie independent choices.
 //! 5. Piggyback merge-back on/off in the data-path server.
+//!
+//! There is no ablation 4; the last one keeps its number so the committed
+//! tables do not move.
 //!
 //! ```sh
 //! cargo run --release -p vod-bench --bin ablations -- [--threads N] [--out PATH]

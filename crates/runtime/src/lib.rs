@@ -14,9 +14,8 @@
 //!   derivation the tick server hosts movies under, with a single
 //!   rounding step so the effective wait `w = T − b` always equals the
 //!   quantized model wait.
-//! * [`plan_vcr`] / [`ResumeClass`] — the VCR sweep-rate and
-//!   truncation-at-boundary rules and the single hit/miss resume
-//!   classification both drivers share.
+//! * [`plan_vcr`] — the VCR sweep-rate and truncation-at-boundary
+//!   rules both drivers share.
 //! * [`StreamReserve`] — the shared dedicated-stream pool accountant with
 //!   the paper's denial/starvation semantics.
 //! * [`RuntimeMetrics`] — the unified measurement vocabulary
@@ -75,7 +74,7 @@ pub use metrics::{kind_index, FederationMetrics, RuntimeMetrics};
 pub use quantize::QuantizedGeometry;
 pub use reserve::StreamReserve;
 pub use store::{SessionStore, CHUNK as SESSION_CHUNK};
-pub use vcr::{plan_vcr, truncate_sweep, ResumeClass, SweepPlan};
+pub use vcr::{plan_vcr, truncate_sweep, SweepPlan};
 pub use wheel::TimerWheel;
 pub use windows::PartitionWindows;
 

@@ -1,39 +1,8 @@
-//! VCR operation semantics: sweep rates, truncation at the movie
-//! boundaries, and the hit/miss resume classification.
+//! VCR operation semantics: sweep rates and truncation at the movie
+//! boundaries.
 
 use vod_model::Rates;
 use vod_workload::VcrKind;
-
-/// Outcome of classifying a resume position against live windows.
-///
-/// This is the single decision both drivers share: a resume is a
-/// [`ResumeClass::Hit`] iff the position is covered by a live partition
-/// window (the simulator asks [`crate::PartitionWindows::covers`], the
-/// server asks [`crate::QuantizedGeometry::stream_join_covers`] over its
-/// actual streams), and a miss sends the viewer to a dedicated stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResumeClass {
-    /// The position lands in a live window: rejoin batched service.
-    Hit,
-    /// No window covers the position: dedicated (phase-2) service.
-    Miss,
-}
-
-impl ResumeClass {
-    /// Classify from window coverage.
-    pub fn classify(covered: bool) -> Self {
-        if covered {
-            ResumeClass::Hit
-        } else {
-            ResumeClass::Miss
-        }
-    }
-
-    /// Is this a hit?
-    pub fn is_hit(self) -> bool {
-        matches!(self, ResumeClass::Hit)
-    }
-}
 
 /// A planned VCR sweep in continuous time: how long phase 1 lasts, where
 /// the viewer ends up, and whether a movie boundary truncated it.
@@ -161,12 +130,5 @@ mod tests {
         assert_eq!(truncate_sweep(VcrKind::FastForward, 50, 100, 120), 20);
         assert_eq!(truncate_sweep(VcrKind::Rewind, 30, 12, 120), 12);
         assert_eq!(truncate_sweep(VcrKind::Pause, 30, 12, 120), 30);
-    }
-
-    #[test]
-    fn classify() {
-        assert!(ResumeClass::classify(true).is_hit());
-        assert!(!ResumeClass::classify(false).is_hit());
-        assert_eq!(ResumeClass::classify(false), ResumeClass::Miss);
     }
 }

@@ -2,8 +2,6 @@
 
 use vod_model::SystemParams;
 
-use crate::vcr::ResumeClass;
-
 /// The periodic restart schedule of one movie and the buffer windows it
 /// drags along, in continuous movie-minutes.
 ///
@@ -62,6 +60,9 @@ impl PartitionWindows {
     }
 
     /// Is position `p` inside some live partition window at time `t`?
+    /// A resume at `p` is a hit iff it is: **the** hit/miss decision the
+    /// simulator applies and the server applies in quantized form
+    /// ([`crate::QuantizedGeometry::stream_join_covers`] over its streams).
     ///
     /// O(1): a window covers `p` iff an integer `k ≥ 0` has stream age
     /// `a = t − kT` in `[p, min(p + b, l)]`, so the candidate `k` range
@@ -136,13 +137,6 @@ impl PartitionWindows {
     /// nudge the membership test uses).
     pub fn enrollment_open(&self, t: f64) -> bool {
         self.latest_age(t) <= self.window_len + 1e-12
-    }
-
-    /// Classify a resume at position `p`, time `t`: [`ResumeClass::Hit`]
-    /// iff some live window covers `p`. This is **the** hit/miss decision
-    /// both the simulator and (in its quantized form) the server apply.
-    pub fn classify_resume(&self, t: f64, p: f64) -> ResumeClass {
-        ResumeClass::classify(self.covers(t, p))
     }
 }
 
@@ -222,13 +216,6 @@ mod tests {
         assert_eq!(w.next_restart_at(25.0), 36.0);
         assert!(w.enrollment_open(25.0));
         assert!(!w.enrollment_open(31.0)); // age 7 > b = 6
-    }
-
-    #[test]
-    fn classify_matches_covers() {
-        let w = windows();
-        assert!(w.classify_resume(100.0, 95.0).is_hit());
-        assert!(!w.classify_resume(100.0, 93.0).is_hit());
     }
 
     #[test]

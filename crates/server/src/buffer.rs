@@ -203,57 +203,6 @@ impl Partition {
     }
 }
 
-/// One broadcast channel's staging slot: the single segment the channel
-/// is transmitting this tick. Pyramid fast broadcasting retains no
-/// trailing window server-side — clients buffer ahead instead — so a
-/// channel's buffer demand is exactly one segment, reserved against the
-/// shared [`BufferPool`] like any partition. Unlike [`Partition`], the
-/// slot is cyclic: a channel loops its segment forever, so consecutive
-/// stores jump backwards at every cycle boundary by design.
-#[derive(Debug)]
-pub struct BroadcastSlot {
-    movie: MovieId,
-    current: Option<Segment>,
-}
-
-impl BroadcastSlot {
-    /// Empty staging slot for `movie`'s channel.
-    pub fn new(movie: MovieId) -> Self {
-        Self {
-            movie,
-            current: None,
-        }
-    }
-
-    /// Owning movie.
-    pub fn movie(&self) -> MovieId {
-        self.movie
-    }
-
-    /// Stage the segment the channel broadcasts this tick, replacing the
-    /// previous one. Panics if fed a segment for the wrong movie.
-    pub fn store(&mut self, seg: Segment) {
-        assert_eq!(seg.movie, self.movie, "segment for wrong movie");
-        self.current = Some(seg);
-    }
-
-    /// Empty the slot (the channel's schedule slot is padding this tick).
-    pub fn clear(&mut self) {
-        self.current = None;
-    }
-
-    /// The staged segment, if the channel broadcast one this tick.
-    pub fn current(&self) -> Option<&Segment> {
-        self.current.as_ref()
-    }
-
-    /// Test hook: flip one payload byte of the staged segment.
-    #[cfg(test)]
-    pub(crate) fn corrupt(&mut self) {
-        self.current.as_mut().expect("staged segment").data[0] ^= 0xFF;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

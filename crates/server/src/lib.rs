@@ -47,7 +47,7 @@ mod session;
 
 pub use admission::config_from_plan;
 pub use backend::{make_backend, Adoption, DeliveryBackend};
-pub use buffer::{BroadcastSlot, BufferError, BufferPool, Partition};
+pub use buffer::{BufferError, BufferPool, Partition};
 pub use content::{generate_segment, verify_segment, MovieId, Segment, SEGMENT_BYTES};
 pub use core::ServerCore;
 pub use dedicated::DedicatedServer;

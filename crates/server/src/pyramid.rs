@@ -3,7 +3,7 @@
 //!
 //! Each hosted movie permanently occupies `k` disk streams — one per
 //! geometric segment channel of its [`PyramidGeometry`] — and one
-//! staging segment per channel ([`BroadcastSlot`]). Channels loop their
+//! staging segment per channel (its *slot*). Channels loop their
 //! segments phase-locked to the global clock; clients join at the next
 //! segment-1 boundary (startup wait ≤ one segment-1 period, scheduled on
 //! the shared `TimerWheel`), record all channels concurrently, and play
@@ -57,8 +57,7 @@ use vod_runtime::{BackendKind, PyramidGeometry, ReceptionFront, SessionStore, Ti
 use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
-use crate::buffer::{BroadcastSlot, BufferPool};
-use crate::content::{verify_segment, MovieId};
+use crate::content::{verify_segment, MovieId, Segment};
 use crate::core::{apply_faults, FaultPolicy, Recount, Retry, ServerCore, Swept};
 use crate::disk::StreamLease;
 use crate::server::{HostedMovie, ServerConfig, ServerError};
@@ -73,8 +72,11 @@ struct PyramidMovie {
     /// One lease per channel; `None` while a fault holds the channel
     /// down (only that channel's deliveries stall).
     leases: Vec<Option<StreamLease>>,
-    /// One staging segment per channel (the minute being broadcast).
-    slots: Vec<BroadcastSlot>,
+    /// One staging segment per channel: the minute it broadcasts this
+    /// tick, `None` on a padding or off-air tick. A slot is cyclic — a
+    /// channel loops its segment forever, so consecutive stores jump
+    /// backwards at every cycle boundary by design.
+    slots: Vec<Option<Segment>>,
     /// Bitset over the movie's minutes, rebuilt each tick: the minutes on
     /// the air this tick — every receiving client's recorder ORs it in.
     staged: Vec<u64>,
@@ -119,7 +121,7 @@ fn verify_delivery(m: &PyramidMovie, position: u32) -> bool {
     let slot = || {
         m.slots
             .get(m.geometry.channel_of(position) as usize)?
-            .current()
+            .as_ref()
     };
     match on_air.then(slot).flatten() {
         Some(seg) if seg.index == position => verify_segment(seg),
@@ -144,7 +146,9 @@ pub struct PyramidServer {
     /// whatever the channel pre-allocation leaves over, mirroring the
     /// batching server's reserve derivation.
     core: ServerCore,
-    pool: BufferPool,
+    /// Staging segments the buffer budget funds: one per channel (`Σk`,
+    /// the backend's `ΣB`) until a buffer-shrink fault takes some away.
+    staging_budget: usize,
     movies: Vec<PyramidMovie>,
     sessions: Sessions<(), ReceptionFront>,
     /// Waiting-session wakeups keyed by their boundary tick.
@@ -184,17 +188,13 @@ impl PyramidServer {
                 // channel pre-allocation is a sizing bug; the channel
                 // stays down (the movie stalls) rather than panicking.
                 leases: (0..channels).map(|_| core.disk.acquire().ok()).collect(),
-                slots: (0..channels).map(|_| BroadcastSlot::new(m.movie)).collect(),
+                slots: vec![None; channels],
                 staged: vec![0; words],
             });
         }
-        // Staging budget: exactly one segment per channel. This *is* the
-        // backend's `ΣB`.
-        let mut pool = BufferPool::new(total_channels as usize);
-        let _ = pool.reserve(total_channels as usize);
         Self {
             core,
-            pool,
+            staging_budget: total_channels as usize,
             movies,
             sessions: SessionStore::new(),
             wakeups: TimerWheel::new(),
@@ -218,7 +218,7 @@ impl PyramidServer {
         let core = &mut self.core;
         let stalled = core.disk_stalled();
         let total: usize = self.movies.iter().map(|m| m.slots.len()).sum();
-        let funded = total.saturating_sub(self.pool.overcommitted());
+        let funded = total.min(self.staging_budget);
         let mut slot_index: usize = 0;
         for m in &mut self.movies {
             for lease in m.leases.iter_mut().filter(|l| l.is_none()) {
@@ -231,7 +231,7 @@ impl PyramidServer {
                 slot_index += 1;
                 let Some(minute) = m.geometry.broadcast_minute(ci as u32, core.now) else {
                     // Padding tick: nothing real was scheduled here.
-                    m.slots[ci].clear();
+                    m.slots[ci] = None;
                     continue;
                 };
                 let on_air = m.leases[ci]
@@ -243,9 +243,10 @@ impl PyramidServer {
                         if !verify_segment(&seg) {
                             core.metrics.verify_failures += 1;
                         }
-                        m.slots[ci].store(seg);
+                        assert_eq!(seg.movie, m.movie, "segment for wrong movie");
+                        m.slots[ci] = Some(seg);
                     }
-                    None => m.slots[ci].clear(),
+                    None => m.slots[ci] = None,
                 }
             }
         }
@@ -269,9 +270,9 @@ impl FaultPolicy for PyramidServer {
 
     fn buffer_resized(&mut self, grow: bool, segments: usize) -> bool {
         if grow {
-            self.pool.grow(segments);
+            self.staging_budget += segments;
         } else {
-            self.pool.shrink(segments);
+            self.staging_budget = self.staging_budget.saturating_sub(segments);
         }
         true
     }
@@ -384,7 +385,7 @@ impl DeliveryBackend for PyramidServer {
         self.broadcast();
         #[cfg(test)]
         if let Some((movie, channel)) = self.corrupt_staged.take() {
-            self.movies[movie].slots[channel].corrupt();
+            tests::corrupt(&mut self.movies[movie].slots[channel]);
         }
         // Boundary joins: sessions whose segment-1 boundary is this tick
         // start receiving now.
@@ -397,7 +398,7 @@ impl DeliveryBackend for PyramidServer {
         }
         for m in &mut self.movies {
             m.staged.fill(0);
-            for seg in m.slots.iter().filter_map(|s| s.current()) {
+            for seg in m.slots.iter().flatten() {
                 m.staged[(seg.index / 64) as usize] |= 1 << (seg.index % 64);
             }
         }
@@ -540,7 +541,7 @@ impl DeliveryBackend for PyramidServer {
         if now > 0 {
             for (mi, m) in self.movies.iter().enumerate() {
                 for (ci, slot) in m.slots.iter().enumerate() {
-                    if let Some(seg) = slot.current() {
+                    if let Some(seg) = slot {
                         let scheduled = m.geometry.broadcast_minute(ci as u32, now - 1);
                         if scheduled != Some(seg.index) {
                             findings.push(format!(
@@ -559,13 +560,6 @@ impl DeliveryBackend for PyramidServer {
                 "reserve failure accounting leads the disk: reserve {} > disk {}",
                 reserve.failed(),
                 disk.failed()
-            ));
-        }
-        let staging: usize = self.movies.iter().map(|m| m.slots.len()).sum();
-        if self.pool.used() != staging {
-            findings.push(format!(
-                "staging accounting broken: pool reserves {}, channels need {staging}",
-                self.pool.used()
             ));
         }
         let mut recount = Recount::default();
@@ -604,7 +598,7 @@ impl DeliveryBackend for PyramidServer {
     }
 
     fn buffer_segments(&self) -> u64 {
-        self.pool.budget() as u64
+        self.staging_budget as u64
     }
 
     fn live_sessions(&self) -> usize {
@@ -622,6 +616,11 @@ mod tests {
 
     use super::*;
     use crate::server::HostedMovie;
+
+    /// Test hook: flip one payload byte of a staged segment.
+    pub(super) fn corrupt(slot: &mut Option<Segment>) {
+        slot.as_mut().expect("staged segment").data[0] ^= 0xFF;
+    }
 
     fn config() -> ServerConfig {
         let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
@@ -844,10 +843,8 @@ mod tests {
             if matches!(s.session_status(id).unwrap(), SessionStatus::Done) {
                 break;
             }
-            for slot in &s.movies[0].slots {
-                if let Some(seg) = slot.current() {
-                    truth.record(seg.index);
-                }
+            for seg in s.movies[0].slots.iter().flatten() {
+                truth.record(seg.index);
             }
             let sess = s.sessions.get(id.0).unwrap();
             assert!(
@@ -931,7 +928,7 @@ mod tests {
         );
         let mut s = busy();
         let wrong = crate::content::generate_segment(MovieId(0), 119);
-        s.movies[0].slots[0].store(wrong);
+        s.movies[0].slots[0] = Some(wrong);
         assert_eq!(
             s.check_invariants(),
             ["movie 0 channel 0 staged minute 119 off the wheel phase (scheduled Some(0))"]
@@ -953,12 +950,6 @@ mod tests {
         assert_eq!(
             s.check_invariants(),
             ["reserve accounting broken: sessions hold 1, reserve says 2"]
-        );
-        let mut s = busy();
-        s.pool.release(1);
-        assert_eq!(
-            s.check_invariants(),
-            ["staging accounting broken: pool reserves 6, channels need 7"]
         );
     }
 

@@ -24,9 +24,7 @@
 
 use std::ops::RangeInclusive;
 
-use vod_runtime::{
-    Arena, ArenaId, BackendKind, QuantizedGeometry, ResumeClass, SessionStore, TimerWheel,
-};
+use vod_runtime::{Arena, ArenaId, BackendKind, QuantizedGeometry, SessionStore, TimerWheel};
 use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
@@ -189,13 +187,12 @@ struct ActiveStream {
     /// Disk lease; dropped (released) once the stream finishes displaying.
     lease: Option<StreamLease>,
     partition: Partition,
-    enrolled: u32,
     /// The enrolled readers by how far they trail the read head:
     /// `cohorts[d]` sessions are at position `next_read − d`. A reader
     /// in lock-step with the stream sits at `d = 0` between ticks; the
     /// deepest joinable offset is the partition capacity (the tail of a
     /// finished stream's frozen window), hence `capacity + 1` entries.
-    /// Sums to `enrolled`.
+    /// The table is the one count of the stream's readers.
     cohorts: Box<[u32]>,
     /// Next segment index this stream reads from disk. Equal to the
     /// stream's age on every fault-free tick; a disk-slowdown fault lets
@@ -228,6 +225,11 @@ struct Delivered {
 }
 
 impl ActiveStream {
+    /// How many sessions read this stream's partition.
+    fn readers(&self) -> u32 {
+        self.cohorts.iter().sum()
+    }
+
     /// The enrolled readers consume tick `t`'s segments, a cohort at a
     /// time. `old_head` is the read head before this tick's read; the
     /// cohort `d` behind it takes position `old_head − d`, and the one
@@ -237,6 +239,7 @@ impl ActiveStream {
     /// walk visits each offset once.
     fn deliver(&mut self, old_head: u32, reads: bool, verify: bool) -> Delivered {
         let stalled = if reads { 0 } else { self.cohorts[0] };
+        let consumed = self.cohorts[usize::from(!reads)..].iter().sum();
         let mut corrupt = Vec::new();
         if verify {
             for lag in usize::from(!reads)..self.cohorts.len() {
@@ -267,7 +270,7 @@ impl ActiveStream {
             self.cohorts[1..].rotate_left(1);
         }
         Delivered {
-            consumed: self.enrolled - stalled,
+            consumed,
             stalled,
             corrupt,
         }
@@ -651,7 +654,7 @@ impl VodServer {
             let victim = self
                 .streams
                 .iter()
-                .min_by_key(|(id, s)| (s.enrolled, s.started, id.index()))
+                .min_by_key(|(id, s)| (s.readers(), s.started, id.index()))
                 .map(|(id, _)| id);
             let Some(sid) = victim else { break };
             self.core.metrics.partitions_evicted += 1;
@@ -677,7 +680,7 @@ impl VodServer {
                         }
                         // Keep the frozen partition until its trailing
                         // readers finish.
-                        s.enrolled == 0
+                        s.readers() == 0
                     } else {
                         false
                     }
@@ -720,7 +723,6 @@ impl VodServer {
                 started: t,
                 lease: Some(lease),
                 partition: Partition::new(hosted.movie, geometry.partition_capacity as usize),
-                enrolled: 0,
                 cohorts: vec![0; geometry.partition_capacity as usize + 1].into_boxed_slice(),
                 next_read: 0,
             };
@@ -757,7 +759,7 @@ impl VodServer {
                 s.partition.advance(seg);
                 s.next_read += 1;
             }
-            if s.enrolled > 0 {
+            if s.cohorts.iter().any(|&c| c > 0) {
                 // Before the read, when the readers' positions are taken.
                 let old_head = s.next_read - u32::from(reads);
                 let verify = !self.reference_scan;
@@ -1031,7 +1033,6 @@ impl VodServer {
         // cohort it is in from now on.
         let position = position + arrears(position, since, s.next_read, self.accounted);
         s.cohorts[(s.next_read - position) as usize] += 1;
-        s.enrolled += 1;
         // One segment per tick from tick `accounted` on, the last of them
         // on this tick (the tick before `accounted` — already past by the
         // time the wheel sees it — when the delivery above was the last).
@@ -1054,7 +1055,6 @@ impl VodServer {
         let s = self.streams.live_mut(stream.0);
         sess.sync(s.next_read, self.accounted);
         s.cohorts[(s.next_read - sess.position) as usize] -= 1;
-        s.enrolled -= 1;
     }
 
     /// Deliver tick `t`'s segment to enrolled session `idx` on its own:
@@ -1226,20 +1226,19 @@ impl VodServer {
     }
 
     /// Resume to normal playback: join a covering partition (hit) or fall
-    /// back to a dedicated stream (miss). The classification itself —
-    /// covered ⇒ hit — is [`ResumeClass::classify`], shared with the
-    /// simulator; the window probe is the live-stream join rule.
+    /// back to a dedicated stream (miss). Covered ⇒ hit, the rule the
+    /// simulator applies through [`vod_runtime::PartitionWindows::covers`];
+    /// the window probe is the live-stream join rule.
     fn resume(&mut self, t: u64, idx: u32, kind: VcrKind) {
         let (movie_idx, position) = {
             let sess = self.sessions.live(idx);
             (sess.movie_idx, sess.position)
         };
         let joinable = self.joinable_stream(movie_idx, position);
-        let class = ResumeClass::classify(joinable.is_some());
         self.core
             .metrics
             .runtime
-            .record_resume(kind, class.is_hit());
+            .record_resume(kind, joinable.is_some());
         if let Some(stream) = joinable {
             let lease = self.sessions.live_mut(idx).lease.take();
             if let Some(lease) = lease {
@@ -1541,20 +1540,6 @@ impl DeliveryBackend for VodServer {
             partition_segments += s.partition.capacity();
             let i = sid.index();
             let counted = &readers[first[i]..][..s.cohorts.len()];
-            let total: u32 = counted.iter().sum();
-            if total != s.enrolled {
-                stream_faults.push(format!(
-                    "enrollment drift on stream {i}: {total} readers vs enrolled {}",
-                    s.enrolled
-                ));
-            }
-            let tabled: u32 = s.cohorts.iter().sum();
-            if tabled != s.enrolled {
-                stream_faults.push(format!(
-                    "cohort drift on stream {i}: cohorts hold {tabled} readers vs enrolled {}",
-                    s.enrolled
-                ));
-            }
             for (lag, (&found, &held)) in counted.iter().zip(s.cohorts.iter()).enumerate() {
                 if found != held {
                     stream_faults.push(format!(
@@ -1819,15 +1804,6 @@ mod tests {
         else {
             panic!("enrolled");
         };
-        s.streams.live_mut(stream.0).enrolled += 1;
-        assert_eq!(
-            s.check_invariants(),
-            [
-                "enrollment drift on stream 0: 1 readers vs enrolled 2",
-                "cohort drift on stream 0: cohorts hold 1 readers vs enrolled 2",
-            ]
-        );
-        s.streams.live_mut(stream.0).enrolled -= 1;
         // The same slot, one generation on: a retired stream.
         let retired = ArenaId::from_parts(stream.0.index() as u32, stream.0.generation() + 1);
         if let SessionState::Shared(place) = &mut s.sessions.live_mut(enrolled.0).state {
@@ -1836,7 +1812,6 @@ mod tests {
         assert_eq!(
             s.check_invariants(),
             [
-                "enrollment drift on stream 0: 0 readers vs enrolled 1",
                 "cohort drift on stream 0: 0 readers 1 behind the head vs cohort of 1",
                 "session 0 enrolled in dead stream 0",
                 // What it is owed cannot be worked out without the stream.
@@ -1890,10 +1865,7 @@ mod tests {
         s.streams.live_mut(stream.0).cohorts[3] += 1;
         assert_eq!(
             s.check_invariants(),
-            [
-                "cohort drift on stream 0: cohorts hold 2 readers vs enrolled 1",
-                "cohort drift on stream 0: 0 readers 3 behind the head vs cohort of 1",
-            ]
+            ["cohort drift on stream 0: 0 readers 3 behind the head vs cohort of 1"]
         );
         // The right total at the wrong offset delivers the wrong segment.
         s.streams.live_mut(stream.0).cohorts[1] -= 1;
@@ -1920,7 +1892,6 @@ mod tests {
             assert_eq!(
                 s.check_invariants(),
                 [
-                    "enrollment drift on stream 0: 0 readers vs enrolled 1".to_string(),
                     "cohort drift on stream 0: 0 readers 1 behind the head vs cohort of 1"
                         .to_string(),
                     format!("session 0 at {derived} outside stream 0's window [1, 6]"),

@@ -152,24 +152,10 @@ impl SimConfig {
         }
     }
 
-    /// Validate cross-field invariants. Called by the engine.
+    /// Validate cross-field invariants: the one-movie
+    /// [`CatalogConfig::validate`], which the engine calls.
     pub fn validate(&self) -> Result<(), String> {
-        if !(self.mean_interarrival.is_finite() && self.mean_interarrival > 0.0) {
-            return Err(format!(
-                "mean_interarrival must be positive, got {}",
-                self.mean_interarrival
-            ));
-        }
-        if !(self.horizon.is_finite() && self.horizon > 0.0) {
-            return Err(format!("horizon must be positive, got {}", self.horizon));
-        }
-        if !(self.warmup.is_finite() && self.warmup >= 0.0 && self.warmup < self.horizon) {
-            return Err(format!(
-                "warmup must be in [0, horizon), got {} (horizon {})",
-                self.warmup, self.horizon
-            ));
-        }
-        Ok(())
+        CatalogConfig::from(self.clone()).validate()
     }
 }
 

@@ -711,9 +711,7 @@ impl<'a> Engine<'a> {
         // reception front has passed the resume position. Unicast — every
         // resume re-seeks the private stream: always a miss.
         let hit = match self.cfg.backend {
-            BackendKind::BatchingBuffering => {
-                self.windows[movie].classify_resume(t, end_pos).is_hit()
-            }
+            BackendKind::BatchingBuffering => self.windows[movie].covers(t, end_pos),
             BackendKind::PyramidBroadcast => {
                 let elapsed = self.pyr_elapsed(t, viewer);
                 self.geometries[movie].received_by_continuous(elapsed, end_pos)
@@ -829,11 +827,4 @@ pub fn run_replications(
         agg.push(&report);
     }
     agg
-}
-
-/// Expose the O(1) membership test for property tests (the semantics
-/// live in [`vod_runtime::PartitionWindows`]).
-#[doc(hidden)]
-pub fn partition_hit_for_tests(cfg: &SimConfig, t: f64, p: f64) -> bool {
-    PartitionWindows::from_params(&cfg.params).covers(t, p)
 }

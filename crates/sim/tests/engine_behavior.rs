@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use vod_dist::kinds::{Exponential, Gamma};
 use vod_model::{p_hit_single_dist, ModelOptions, Rates, SystemParams, VcrMix};
-use vod_sim::{partition_hit_for_tests, run_replications, run_seeded, SimConfig};
+use vod_runtime::PartitionWindows;
+use vod_sim::{run_replications, run_seeded, SimConfig};
 use vod_workload::{BehaviorModel, VcrKind};
 
 fn behavior(mix: (f64, f64, f64)) -> BehaviorModel {
@@ -79,21 +80,15 @@ fn full_buffer_geometry_covers_all_but_end_sliver() {
     // At t = 500 (age offset 8 within the 12-minute period) the oldest
     // live stream has age 116, so [0, 116] is covered and (116, 120] is
     // not; at an exact restart instant (t = 504) everything is covered.
-    let cfg = config(120.0, 10, (1.0, 0.0, 0.0));
+    let w = PartitionWindows::from_params(&config(120.0, 10, (1.0, 0.0, 0.0)).params);
     for i in 0..=100 {
         let p = i as f64 * 1.16;
-        assert!(
-            partition_hit_for_tests(&cfg, 500.0, p),
-            "position {p} uncovered at t=500"
-        );
+        assert!(w.covers(500.0, p), "position {p} uncovered at t=500");
     }
-    assert!(!partition_hit_for_tests(&cfg, 500.0, 118.0));
+    assert!(!w.covers(500.0, 118.0));
     for i in 0..=100 {
         let p = i as f64 * 1.2;
-        assert!(
-            partition_hit_for_tests(&cfg, 504.0, p),
-            "position {p} uncovered at t=504"
-        );
+        assert!(w.covers(504.0, p), "position {p} uncovered at t=504");
     }
 }
 
@@ -105,6 +100,7 @@ fn partition_geometry_matches_window_arithmetic() {
     let cfg = config(60.0, 10, (1.0, 0.0, 0.0));
     assert_eq!(cfg.params.partition_len(), 6.0);
     assert_eq!(cfg.params.restart_interval(), 12.0);
+    let w = PartitionWindows::from_params(&cfg.params);
     let t = 600.0;
     for (p, want) in [
         (0.0, true),   // age-0 stream front
@@ -115,11 +111,7 @@ fn partition_geometry_matches_window_arithmetic() {
         (20.0, true),
         (118.5, true), // inside [114,120] of the age-120 stream
     ] {
-        assert_eq!(
-            partition_hit_for_tests(&cfg, t, p),
-            want,
-            "position {p} at t={t}"
-        );
+        assert_eq!(w.covers(t, p), want, "position {p} at t={t}");
     }
 }
 

@@ -8,7 +8,8 @@ use proptest::prelude::*;
 
 use vod_dist::kinds::Exponential;
 use vod_model::{Rates, SystemParams};
-use vod_sim::{partition_hit_for_tests, run_seeded, SimConfig};
+use vod_runtime::PartitionWindows;
+use vod_sim::{run_seeded, SimConfig};
 use vod_workload::BehaviorModel;
 
 fn any_config() -> impl Strategy<Value = SimConfig> {
@@ -90,7 +91,8 @@ proptest! {
         let tt = cfg.params.restart_interval();
         let b = cfg.params.partition_len();
         let p = p_frac * l;
-        let fast = partition_hit_for_tests(&cfg, t, p);
+        let windows = PartitionWindows::from_params(&cfg.params);
+        let fast = windows.covers(t, p);
         let mut slow = false;
         let mut k = 0.0f64;
         while k * tt <= t {
@@ -108,8 +110,7 @@ proptest! {
         // Tolerate boundary-epsilon disagreement by re-checking with a
         // nudged position when the verdicts differ.
         if fast != slow {
-            let nudged = partition_hit_for_tests(&cfg, t, p + 1e-6)
-                || partition_hit_for_tests(&cfg, t, (p - 1e-6).max(0.0));
+            let nudged = windows.covers(t, p + 1e-6) || windows.covers(t, (p - 1e-6).max(0.0));
             prop_assert!(
                 nudged == slow || (p % tt).abs() < 1e-6,
                 "fast {fast} vs slow {slow} at t={t} p={p}"

@@ -36,6 +36,13 @@ pub enum SizingError {
         /// Offending value.
         value: f64,
     },
+    /// A VCR offered load is not a finite, non-negative number of
+    /// Erlangs, or no reserve of at most 10⁶ streams meets the denial
+    /// target under it.
+    VcrLoadOutOfRange {
+        /// The offered load in Erlangs.
+        erlangs: f64,
+    },
     /// A federation split asked for zero shards, or more shards than
     /// movies (every shard must host at least one movie).
     ShardCountInvalid {
@@ -69,6 +76,12 @@ impl std::fmt::Display for SizingError {
                     "cost parameter `{name}` = {value} must be finite and > 0"
                 )
             }
+            SizingError::VcrLoadOutOfRange { erlangs } => write!(
+                f,
+                "VCR offered load {erlangs} Erlangs out of range (need a finite load ≥ 0 \
+                 that at most {} reserved streams can carry)",
+                crate::reserve::MAX_RESERVE
+            ),
             SizingError::ShardCountInvalid { shards, movies } => write!(
                 f,
                 "shard count {shards} invalid for {movies} movies (need 1 ≤ shards ≤ movies)"

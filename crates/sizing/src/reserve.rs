@@ -61,8 +61,17 @@ impl VcrLoad {
     }
 }
 
+/// The largest reserve [`size_vcr_reserve`] tries before giving up.
+pub(crate) const MAX_RESERVE: u32 = 1_000_000;
+
 /// Smallest reserve size whose Erlang-B blocking is at most
-/// `target_denial`. Errors on a non-probability target.
+/// `target_denial`. Errors on a non-probability target, on an offered
+/// load that is not finite and non-negative, and when no reserve of at
+/// most 10⁶ streams meets the target.
+///
+/// One pass of the [`erlang_b`] recurrence, keeping `B(c − 1)`: the same
+/// floating-point sequence as calling `erlang_b(c, a)` for each `c`, so
+/// the same `c`, in linear rather than quadratic time.
 pub fn size_vcr_reserve(load: &VcrLoad, target_denial: f64) -> Result<u32, SizingError> {
     if !(target_denial.is_finite() && 0.0 < target_denial && target_denial < 1.0) {
         return Err(SizingError::InvalidCost {
@@ -71,16 +80,20 @@ pub fn size_vcr_reserve(load: &VcrLoad, target_denial: f64) -> Result<u32, Sizin
         });
     }
     let a = load.offered_erlangs();
-    let mut c = 0u32;
-    // Erlang-B decreases monotonically in c and → 0; the loop terminates
-    // near a + O(√a) for any sane target.
-    while erlang_b(c, a) > target_denial {
-        c += 1;
-        if c > 1_000_000 {
-            break; // unreachable for finite loads; guards against NaN creep
-        }
+    let out_of_range = SizingError::VcrLoadOutOfRange { erlangs: a };
+    if !(a.is_finite() && a >= 0.0) {
+        return Err(out_of_range);
     }
-    Ok(c)
+    // B(0) = 1; Erlang-B decreases monotonically in c and → 0, near
+    // c = a + O(√a) for any sane target.
+    let mut b = 1.0;
+    for c in 0..=MAX_RESERVE {
+        if b <= target_denial {
+            return Ok(c);
+        }
+        b = a * b / (f64::from(c + 1) + a * b);
+    }
+    Err(out_of_range)
 }
 
 #[cfg(test)]
@@ -164,5 +177,55 @@ mod tests {
         assert!(size_vcr_reserve(&load, 0.0).is_err());
         assert!(size_vcr_reserve(&load, 1.0).is_err());
         assert!(size_vcr_reserve(&load, f64::NAN).is_err());
+    }
+
+    /// A load of exactly `a` Erlangs.
+    fn erlangs(a: f64) -> VcrLoad {
+        VcrLoad {
+            ops_per_minute: a,
+            mean_phase1: 1.0,
+            mean_miss_hold: 0.0,
+            p_hit: 0.0,
+        }
+    }
+
+    #[test]
+    fn bad_loads_rejected() {
+        for a in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, -1e-300] {
+            assert_eq!(
+                size_vcr_reserve(&erlangs(a), 0.01).map_err(|e| e.to_string()),
+                Err(format!(
+                    "VCR offered load {a} Erlangs out of range (need a finite load ≥ 0 that \
+                     at most 1000000 reserved streams can carry)"
+                ))
+            );
+        }
+    }
+
+    #[test]
+    fn one_pass_matches_the_from_scratch_loop() {
+        for a in [0.0, 1e-3, 0.5, 1.0, 2.5, 10.0, 15.2, 99.9, 1e3] {
+            for target in [1e-9, 1e-4, 0.01, 0.05, 0.5, 0.999] {
+                let mut c = 0;
+                while erlang_b(c, a) > target {
+                    c += 1;
+                }
+                assert_eq!(
+                    size_vcr_reserve(&erlangs(a), target),
+                    Ok(c),
+                    "a {a} target {target}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_load_past_the_largest_reserve_is_an_error() {
+        // 2·10⁶ Erlangs need about 2·10⁶ streams, past the 10⁶ guard.
+        let refused = size_vcr_reserve(&erlangs(2e6), 0.01);
+        assert!(
+            matches!(refused, Err(SizingError::VcrLoadOutOfRange { .. })),
+            "{refused:?}"
+        );
     }
 }

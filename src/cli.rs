@@ -168,7 +168,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
                 buffer = Some(
                     take(&mut i)?
                         .parse()
-                        .map_err(|_| CliError("--buffer needs a number".into()))?,
+                        .ok()
+                        .filter(|b: &f64| !b.is_nan())
+                        .ok_or_else(|| CliError("--buffer needs a number".into()))?,
                 )
             }
             "--phi" => {
@@ -179,7 +181,9 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--vcr-rate" => {
                 vcr_rate = take(&mut i)?
                     .parse()
-                    .map_err(|_| CliError("--vcr-rate needs a number".into()))?
+                    .ok()
+                    .filter(|r: &f64| r.is_finite() && *r >= 0.0)
+                    .ok_or_else(|| CliError("--vcr-rate needs a finite number ≥ 0".into()))?
             }
             "--denial" => {
                 denial = take(&mut i)?
@@ -380,6 +384,24 @@ mod tests {
     }
 
     #[test]
+    fn hostile_rates_and_buffers_are_refused_at_parse_time() {
+        let with = |flag: &str, value: &str| {
+            let movie = "a;l=60;w=1;p=0.5;dist=exp:mean=5";
+            parse_args(&args(&["--movie", movie, flag, value])).map_err(|e| e.0)
+        };
+        for rate in ["nan", "inf", "-inf", "-1"] {
+            let refused = with("--vcr-rate", rate).expect_err(rate);
+            assert_eq!(refused, "--vcr-rate needs a finite number ≥ 0");
+        }
+        assert_eq!(with("--vcr-rate", "0").unwrap().vcr_ops_per_minute, 0.0);
+        assert_eq!(
+            with("--buffer", "nan").unwrap_err(),
+            "--buffer needs a number"
+        );
+        assert_eq!(with("--buffer", "12").unwrap().buffer, Some(12.0));
+    }
+
+    #[test]
     fn parse_args_rejects_junk() {
         assert!(parse_args(&args(&["--bogus"])).is_err());
         assert!(parse_args(&args(&[])).is_err());
@@ -427,5 +449,31 @@ mod tests {
         assert!(report.contains("VCR reserve"), "{report}");
         assert!(report.contains("hardware (1997 prices)"), "{report}");
         assert!(report.contains('a') && report.contains('b'));
+    }
+
+    /// The report of the catalog in `src/bin/vodplan.rs`'s docs is
+    /// `results/vodplan.txt`, byte for byte (`ci.sh` checks the binary).
+    #[test]
+    fn the_committed_report_regenerates() {
+        let o = parse_args(&args(&[
+            "--movie",
+            "thriller;l=120;w=0.5;p=0.6;dist=gamma:shape=2,scale=4",
+            "--movie",
+            "classic;l=90;w=1;p=0.5;dist=exp:mean=5",
+            "--streams",
+            "300",
+            "--phi",
+            "11",
+            "--vcr-rate",
+            "2",
+            "--denial",
+            "0.01",
+        ]))
+        .unwrap();
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/results/vodplan.txt");
+        assert_eq!(
+            run(&o).unwrap(),
+            std::fs::read_to_string(committed).unwrap()
+        );
     }
 }

@@ -1,10 +1,10 @@
 //! Seeded mutation fuzz over the places text from outside the program
 //! enters it: the JSON reader (`vod_runtime::json::parse`, behind `scale
 //! --previous`) and `FaultPlan::from_json` on top of it, the trace-CSV
-//! reader and `vodplan`'s `parse_args`. Each case takes a *valid* input, applies a
-//! few byte-level mutations (overwrite, bit flip, delete, insert,
-//! truncate, splice an over-long number, raise a number to `u64::MAX`) and
-//! requires an answer — `Err`, or an `Ok` that holds exactly what the text
+//! reader and `vodplan`'s `parse_args` (and, for hostile numbers, `run`).
+//! Each case takes a *valid* input, applies a few byte-level mutations
+//! (overwrite, bit flip, delete, insert, truncate, splice an over-long
+//! number, raise a number to `u64::MAX`) and requires an answer — `Err`, or an `Ok` that holds exactly what the text
 //! said — never a panic and never a counter that wrapped on the way in.
 //! A fault plan that parses is also armed and run: what was read must not
 //! panic or break conservation where it is used, either.
@@ -17,7 +17,7 @@ use rand::RngCore;
 use vod_federation::{
     run_federation, FederationConfig, FederationHarnessConfig, ShardSpec, WorkloadShape,
 };
-use vod_prealloc::cli::parse_args;
+use vod_prealloc::cli::{parse_args, run};
 use vod_prealloc::dist::rng::seeded;
 use vod_prealloc::runtime::json::{self, Json};
 use vod_prealloc::runtime::{BackendKind, DegradePolicy, FaultPlan, RuntimeMetrics};
@@ -234,6 +234,20 @@ fn vodplan_default_stream_budget_cannot_wrap() {
     .map(String::from);
     let refused = parse_args(&args).expect_err("a 2 × u32::MAX stream budget");
     assert!(refused.0.contains("exceeds u32::MAX"), "{refused}");
+}
+
+/// Each numeric `vodplan` flag set to a hostile value is refused by
+/// `parse_args` or by `run`, or planned: never a panic.
+#[test]
+fn every_numeric_vodplan_flag_survives_hostile_values() {
+    for flag in ["--vcr-rate", "--buffer", "--phi", "--denial"] {
+        for value in ["nan", "inf", "-inf", "-1", "0", "1e300"] {
+            let args =
+                ["--movie", "a;l=60;w=1;p=0.5;dist=exp:mean=5", flag, value].map(String::from);
+            let answer = std::panic::catch_unwind(|| parse_args(&args).map(|opts| run(&opts)));
+            assert!(answer.is_ok(), "`{flag} {value}` panicked");
+        }
+    }
 }
 
 /// Every committed `results/*.json` is one well-formed JSON document —
