@@ -79,6 +79,12 @@ for bin in fig7 fig8 fig9 example1 example2 reserve_check catalog_sim ablations;
   cmp "$scratch/$bin.txt" "results/$bin.txt"
 done
 
+echo "== the same five sweeps fanned across two threads (--threads, their one other flag): byte for byte =="
+for bin in fig7 fig8 fig9 catalog_sim ablations; do
+  cargo run --release --quiet -p vod-bench --bin "$bin" -- --threads 2 --out "$scratch/$bin-threads2.txt" >/dev/null
+  cmp "$scratch/$bin-threads2.txt" "results/$bin.txt"
+done
+
 echo "== vodplan: the capacity plan of the catalog in src/bin/vodplan.rs's docs =="
 cargo run --release --quiet --bin vodplan -- \
   --movie "thriller;l=120;w=0.5;p=0.6;dist=gamma:shape=2,scale=4" \

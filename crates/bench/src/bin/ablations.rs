@@ -26,7 +26,7 @@
 use std::time::Instant;
 
 use rand::RngCore;
-use vod_bench::report::{emit_text, Flags};
+use vod_bench::report::{emit_text, sweep_flags};
 use vod_bench::table::{num, Table};
 use vod_dist::kinds::Gamma;
 use vod_dist::rng::seeded;
@@ -38,11 +38,7 @@ use vod_server::{DeliveryBackend, HostedMovie, MovieId, ServerConfig, VodServer}
 use vod_workload::VcrKind;
 
 fn main() {
-    let flags = Flags::parse("ablations", "--threads N --out PATH");
-    let exec = flags
-        .value("--threads")
-        .map_or_else(SweepExecutor::serial, SweepExecutor::new);
-    let out: Option<String> = flags.value("--out");
+    let (exec, out) = sweep_flags("ablations");
     let text = [
         eq19_vs_extended(&exec),
         decomposed_vs_oracle(),

@@ -4,32 +4,30 @@
 //! hit probabilities per movie, plus reserve denial rates.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin catalog_sim -- [--streams N] [--threads N] [--out PATH]
+//! cargo run --release -p vod-bench --bin catalog_sim -- [--threads N] [--out PATH]
 //! ```
 
 use std::sync::Arc;
 
-use vod_bench::report::{emit_text, Flags};
+use vod_bench::report::{emit_text, sweep_flags};
 use vod_bench::table::{num, Table};
-use vod_model::{ModelOptions, SweepExecutor, VcrMix};
+use vod_model::{ModelOptions, VcrMix};
 use vod_sim::{run_catalog_seeded, CatalogConfig, MovieLoad};
 use vod_sizing::{allocate_min_buffer_with, erlang_b, example1_movies, Budgets};
 use vod_workload::BehaviorModel;
 
+/// The catalog's stream budget.
+const STREAMS: u32 = 400;
+
 fn main() {
-    let flags = Flags::parse("catalog_sim", "--streams N --threads N --out PATH");
-    let streams = flags.value("--streams").unwrap_or(400u32);
-    let exec = flags
-        .value("--threads")
-        .map_or_else(SweepExecutor::serial, SweepExecutor::new);
-    let out = flags.value::<String>("--out");
+    let (exec, out) = sweep_flags("catalog_sim");
 
     let movies = example1_movies(VcrMix::paper_fig7d());
     let opts = ModelOptions::default();
     let plan = allocate_min_buffer_with(
         &movies,
         Budgets {
-            streams,
+            streams: STREAMS,
             buffer: None,
         },
         &opts,
@@ -37,7 +35,7 @@ fn main() {
     )
     .expect("satisfiable");
     let mut text = format!(
-        "# Catalog simulation: Example-1 movies, stream budget {streams} \
+        "# Catalog simulation: Example-1 movies, stream budget {STREAMS} \
          (plan uses {} + {:.1} buffer min)\n",
         plan.total_streams(),
         plan.total_buffer()

@@ -2,28 +2,22 @@
 //! 5-minute buffer steps at `P* = 0.5`.
 //!
 //! ```sh
-//! cargo run --release -p vod-bench --bin fig8 -- [--csv] [--step MINUTES] [--threads N] [--out PATH]
+//! cargo run --release -p vod-bench --bin fig8 -- [--threads N] [--out PATH]
 //! ```
 
-use vod_bench::fig8::data_with;
-use vod_bench::report::{emit_text, Flags};
+use vod_bench::fig8::{data, BUFFER_STEP};
+use vod_bench::report::{emit_text, sweep_flags};
 use vod_bench::table::{num, Table};
-use vod_model::{SweepExecutor, VcrMix};
+use vod_model::VcrMix;
 
 fn main() {
-    let flags = Flags::parse("fig8", "--csv --step MINUTES --threads N --out PATH");
-    let csv = flags.has("--csv");
-    let step = flags.value("--step").unwrap_or(5.0);
-    let exec = flags
-        .value("--threads")
-        .map_or_else(SweepExecutor::serial, SweepExecutor::new);
-    let out = flags.value::<String>("--out");
+    let (exec, out) = sweep_flags("fig8");
 
     let mut text = format!(
-        "# Figure 8: feasible (B, n) pairs, P* = 0.5, {step}-minute buffer steps\n\
+        "# Figure 8: feasible (B, n) pairs, P* = 0.5, {BUFFER_STEP}-minute buffer steps\n\
          # movies: (l=75, w=0.1, gamma mean 8), (l=60, w=0.5, exp mean 5), (l=90, w=0.25, exp mean 2)\n"
     );
-    for series in data_with(VcrMix::paper_fig7d(), step, &exec) {
+    for series in data(VcrMix::paper_fig7d(), &exec) {
         text += &format!("## {}\n", series.movie);
         let mut t = Table::new(vec!["B", "n", "P(hit)", "feasible"]);
         for p in &series.points {
@@ -38,7 +32,7 @@ fn main() {
                 },
             ]);
         }
-        text += &if csv { t.to_csv() } else { t.render() };
+        text += &t.render();
         let max_feasible = series
             .feasible()
             .map(|p| p.n_streams)

@@ -31,17 +31,6 @@ pub enum Panel {
 }
 
 impl Panel {
-    /// Parse `a|b|c|d` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "a" | "ff" => Some(Panel::A),
-            "b" | "rw" => Some(Panel::B),
-            "c" | "pau" => Some(Panel::C),
-            "d" | "mix" => Some(Panel::D),
-            _ => None,
-        }
-    }
-
     /// The VCR mix of this panel.
     pub fn mix(self) -> VcrMix {
         match self {
@@ -49,16 +38,6 @@ impl Panel {
             Panel::B => VcrMix::rw_only(),
             Panel::C => VcrMix::pause_only(),
             Panel::D => VcrMix::paper_fig7d(),
-        }
-    }
-
-    /// The mix as a `(ff, rw, pau)` tuple for the behavior model.
-    pub fn mix_tuple(self) -> (f64, f64, f64) {
-        match self {
-            Panel::A => (1.0, 0.0, 0.0),
-            Panel::B => (0.0, 1.0, 0.0),
-            Panel::C => (0.0, 0.0, 1.0),
-            Panel::D => (0.2, 0.2, 0.6),
         }
     }
 
@@ -121,24 +100,21 @@ impl Default for Fig7Config {
     }
 }
 
-/// Generate one curve (fixed `w`) of a Figure-7 panel.
-pub fn curve(panel: Panel, cfg: &Fig7Config, w: f64) -> Vec<Fig7Point> {
-    curve_with(panel, cfg, w, &SweepExecutor::serial())
-}
-
-/// [`curve`] fanning the per-`n` model evaluation and seeded simulation
-/// across `exec`. Each point's simulation seed derives only from `cfg.seed`
-/// and its own `n`, so the output is bitwise identical to the serial curve.
-pub fn curve_with(panel: Panel, cfg: &Fig7Config, w: f64, exec: &SweepExecutor) -> Vec<Fig7Point> {
+/// Generate one curve (fixed `w`) of a Figure-7 panel, fanning the per-`n`
+/// model evaluation and seeded simulation across `exec`. Each point's
+/// simulation seed derives only from `cfg.seed` and its own `n`, so the
+/// output is bitwise identical to the serial curve.
+pub fn curve(panel: Panel, cfg: &Fig7Config, w: f64, exec: &SweepExecutor) -> Vec<Fig7Point> {
     let dist = Gamma::paper_fig7();
     let opts = ModelOptions::default();
+    let mix = panel.mix();
     let pts = exec.map(&cfg.ns, |&n| {
         let Ok(params) = SystemParams::from_wait(cfg.movie_len, w, n, Rates::paper()) else {
             return None; // n·w exceeds l: no such configuration
         };
-        let model = p_hit_single_dist(&params, &dist, &panel.mix(), &opts).total;
-        let behavior =
-            BehaviorModel::uniform_dist(panel.mix_tuple(), cfg.mean_play_between, Arc::new(dist));
+        let model = p_hit_single_dist(&params, &dist, &mix, &opts).total;
+        let tuple = (mix.ff(), mix.rw(), mix.pause());
+        let behavior = BehaviorModel::uniform_dist(tuple, cfg.mean_play_between, Arc::new(dist));
         let mut sim_cfg = SimConfig::new(params, behavior);
         sim_cfg.horizon = cfg.horizon_movies * cfg.movie_len;
         let agg = run_replications(&sim_cfg, cfg.seed.wrapping_add(n as u64), cfg.replications);
@@ -153,21 +129,16 @@ pub fn curve_with(panel: Panel, cfg: &Fig7Config, w: f64, exec: &SweepExecutor) 
     pts.into_iter().flatten().collect()
 }
 
-/// Generate all curves of a panel, keyed by `w`.
-pub fn panel_data(panel: Panel, cfg: &Fig7Config) -> Vec<(f64, Vec<Fig7Point>)> {
-    panel_data_with(panel, cfg, &SweepExecutor::serial())
-}
-
-/// [`panel_data`] with an executor; curves run in sequence, points within
-/// each curve in parallel.
-pub fn panel_data_with(
+/// Generate all curves of a panel, keyed by `w`; curves run in sequence,
+/// points within each curve across `exec`.
+pub fn panel_data(
     panel: Panel,
     cfg: &Fig7Config,
     exec: &SweepExecutor,
 ) -> Vec<(f64, Vec<Fig7Point>)> {
     cfg.waits
         .iter()
-        .map(|&w| (w, curve_with(panel, cfg, w, exec)))
+        .map(|&w| (w, curve(panel, cfg, w, exec)))
         .collect()
 }
 
@@ -186,7 +157,7 @@ mod tests {
             horizon_movies: 15.0,
             ..Default::default()
         };
-        let pts = curve(Panel::A, &cfg, 1.0);
+        let pts = curve(Panel::A, &cfg, 1.0, &SweepExecutor::serial());
         assert_eq!(pts.len(), 2);
         assert!(pts[0].model > pts[1].model, "P(hit) must fall with n");
         for p in &pts {
@@ -208,11 +179,11 @@ mod tests {
             horizon_movies: 8.0,
             ..Default::default()
         };
-        let serial = curve(Panel::D, &cfg, 1.0);
+        let serial = curve(Panel::D, &cfg, 1.0, &SweepExecutor::serial());
         assert_eq!(serial.len(), 3, "n = 130 must be skipped");
         let exec = SweepExecutor::new(4);
-        let par = curve_with(Panel::D, &cfg, 1.0, &exec);
-        let again = curve_with(Panel::D, &cfg, 1.0, &exec);
+        let par = curve(Panel::D, &cfg, 1.0, &exec);
+        let again = curve(Panel::D, &cfg, 1.0, &exec);
         for other in [&par, &again] {
             assert_eq!(other.len(), serial.len());
             for (a, b) in serial.iter().zip(other) {
@@ -223,12 +194,5 @@ mod tests {
                 assert_eq!(a.sim_ci.to_bits(), b.sim_ci.to_bits(), "n={}", a.n);
             }
         }
-    }
-
-    #[test]
-    fn panel_parse() {
-        assert_eq!(Panel::parse("a"), Some(Panel::A));
-        assert_eq!(Panel::parse("MIX"), Some(Panel::D));
-        assert_eq!(Panel::parse("x"), None);
     }
 }

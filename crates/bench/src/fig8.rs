@@ -3,7 +3,10 @@
 //! movie at `P* = 0.5`, scanned in 5-minute buffer steps.
 
 use vod_model::{ModelOptions, SweepExecutor, VcrMix};
-use vod_sizing::{example1_movies, scan_by_buffer_step_with, FeasiblePoint, MovieSpec};
+use vod_sizing::{example1_movies, scan_by_buffer_step, FeasiblePoint};
+
+/// The figure's buffer step, in minutes.
+pub const BUFFER_STEP: f64 = 5.0;
 
 /// Feasible-set scan for one movie.
 #[derive(Debug, Clone)]
@@ -21,36 +24,17 @@ impl Fig8Series {
     }
 }
 
-/// Generate the Figure-8 data: one series per Example-1 movie. The paper
-/// does not state the VCR mix used; pass the assumption explicitly (the
-/// experiment records use the Figure-7d mix).
-pub fn data(mix: VcrMix, buffer_step: f64) -> Vec<Fig8Series> {
-    data_for(&example1_movies(mix), buffer_step)
-}
-
-/// [`data`] with an executor for the per-point model evaluations.
-pub fn data_with(mix: VcrMix, buffer_step: f64, exec: &SweepExecutor) -> Vec<Fig8Series> {
-    data_for_with(&example1_movies(mix), buffer_step, exec)
-}
-
-/// Same scan for an arbitrary catalog.
-pub fn data_for(movies: &[MovieSpec], buffer_step: f64) -> Vec<Fig8Series> {
-    data_for_with(movies, buffer_step, &SweepExecutor::serial())
-}
-
-/// [`data_for`] fanning each movie's scan points across `exec`; output is
-/// bitwise identical to the serial scan.
-pub fn data_for_with(
-    movies: &[MovieSpec],
-    buffer_step: f64,
-    exec: &SweepExecutor,
-) -> Vec<Fig8Series> {
+/// Generate the Figure-8 data: one series per Example-1 movie, each
+/// movie's scan points fanned across `exec` (bitwise identical to the
+/// serial scan). The paper does not state the VCR mix used; pass the
+/// assumption explicitly (the experiment records use the Figure-7d mix).
+pub fn data(mix: VcrMix, exec: &SweepExecutor) -> Vec<Fig8Series> {
     let opts = ModelOptions::default();
-    movies
+    example1_movies(mix)
         .iter()
         .map(|m| Fig8Series {
             movie: m.name.clone(),
-            points: scan_by_buffer_step_with(m, buffer_step, &opts, exec)
+            points: scan_by_buffer_step(m, BUFFER_STEP, &opts, exec)
                 // vod-lint: allow(no-panic) — the fig8 example movies are fixed
                 // in-range constants from the paper.
                 .expect("valid example movies"),
@@ -64,7 +48,7 @@ mod tests {
 
     #[test]
     fn three_series_with_feasible_heads() {
-        let series = data(VcrMix::paper_fig7d(), 15.0);
+        let series = data(VcrMix::paper_fig7d(), &SweepExecutor::serial());
         assert_eq!(series.len(), 3);
         for s in &series {
             assert!(!s.points.is_empty(), "{} empty", s.movie);

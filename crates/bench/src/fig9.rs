@@ -6,36 +6,23 @@
 //! inward — exactly the qualitative claim of §5.
 
 use vod_model::{ModelOptions, SweepExecutor, VcrMix};
-use vod_sizing::{
-    cost_curve_with_catalog, example1_movies, Catalog, CostCurve, MovieSpec, ResourceCost,
-};
+use vod_sizing::{cost_curve_with_catalog, example1_movies, Catalog, CostCurve, ResourceCost};
 
 /// The φ values of the six panels, in the paper's order (a)–(f).
 pub const PAPER_PHIS: [f64; 6] = [3.0, 4.0, 6.0, 10.0, 11.0, 16.0];
 
-/// Generate the Figure-9 curves for the Example-1 catalog.
-pub fn data(mix: VcrMix, stride: u32) -> Vec<CostCurve> {
-    data_for(&example1_movies(mix), stride)
-}
+/// The figure's step along the stream axis.
+const STRIDE: u32 = 20;
 
-/// [`data`] with an executor for the catalog's per-movie bisections.
-pub fn data_with(mix: VcrMix, stride: u32, exec: &SweepExecutor) -> Vec<CostCurve> {
-    data_for_with(&example1_movies(mix), stride, exec)
-}
-
-/// Same sweep for an arbitrary catalog.
-pub fn data_for(movies: &[MovieSpec], stride: u32) -> Vec<CostCurve> {
-    data_for_with(movies, stride, &SweepExecutor::serial())
-}
-
-/// [`data_for`] building the catalog frontier in parallel. The φ-sweep
-/// itself is pure arithmetic over the precomputed frontier, so only the
-/// per-movie feasibility bisections fan out; results are bitwise identical
-/// to the serial sweep.
-pub fn data_for_with(movies: &[MovieSpec], stride: u32, exec: &SweepExecutor) -> Vec<CostCurve> {
+/// Generate the Figure-9 curves for the Example-1 catalog, building the
+/// catalog frontier across `exec`. The φ-sweep itself is pure arithmetic
+/// over the precomputed frontier, so only the per-movie feasibility
+/// bisections fan out; results are bitwise identical to the serial sweep.
+pub fn data(mix: VcrMix, exec: &SweepExecutor) -> Vec<CostCurve> {
+    let movies = example1_movies(mix);
     let opts = ModelOptions::default();
     // vod-lint: allow(no-panic) — the fig9 catalog is the paper's fixed example set.
-    let catalog = Catalog::new_with(movies, &opts, exec).expect("satisfiable catalog");
+    let catalog = Catalog::new_with(&movies, &opts, exec).expect("satisfiable catalog");
     let n_lo = movies.len() as u32;
     let n_hi = catalog.max_total_streams();
     PAPER_PHIS
@@ -47,7 +34,7 @@ pub fn data_for_with(movies: &[MovieSpec], stride: u32, exec: &SweepExecutor) ->
                 ResourceCost::from_phi(phi).expect("valid phi"),
                 n_lo,
                 n_hi,
-                stride,
+                STRIDE,
             )
         })
         .collect()
@@ -59,7 +46,7 @@ mod tests {
 
     #[test]
     fn optimum_moves_inward_as_memory_cheapens() {
-        let curves = data(VcrMix::paper_fig7d(), 10);
+        let curves = data(VcrMix::paper_fig7d(), &SweepExecutor::serial());
         assert_eq!(curves.len(), 6);
         let opt_streams: Vec<u32> = curves
             .iter()

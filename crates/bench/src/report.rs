@@ -5,12 +5,13 @@
 
 use std::process::ExitCode;
 
+use vod_model::SweepExecutor;
 use vod_runtime::json::Json;
 use vod_server::{HostedMovie, MovieId, ServerConfig};
 
 /// The command line of a bin with flags of its own, checked against its
-/// usage line: `"--csv --threads N --out PATH"` declares the switch
-/// `--csv` and two flags that take a value.
+/// usage line: `"--threads N --out PATH"` declares two flags, each of
+/// which takes a value.
 pub struct Flags {
     bin: &'static str,
     usage: &'static str,
@@ -28,27 +29,21 @@ impl Flags {
         };
         let mut args = std::env::args().skip(1);
         while let Some(flag) = args.next() {
-            let value = match flags.takes(&flag) {
-                None => flags.die(&format!("unknown argument `{flag}`")),
-                Some("") => String::new(),
-                Some(_) => args.next().unwrap_or_else(|| flags.expected(&flag)),
-            };
+            if flags.takes(&flag).is_none() {
+                flags.die(&format!("unknown argument `{flag}`"));
+            }
+            let value = args.next().unwrap_or_else(|| flags.expected(&flag));
             flags.given.push((flag, value));
         }
         flags
     }
 
-    /// What the usage line says follows `flag`: `""` for a switch, `None`
-    /// for a flag it does not have.
+    /// What the usage line says follows `flag`; `None` for a flag it does
+    /// not have.
     fn takes(&self, flag: &str) -> Option<&'static str> {
         let mut words = self.usage.split(' ').skip_while(|w| *w != flag);
         words.next().filter(|w| w.starts_with("--"))?;
-        Some(words.next().filter(|w| !w.starts_with("--")).unwrap_or(""))
-    }
-
-    /// Was `flag` given?
-    pub fn has(&self, flag: &str) -> bool {
-        self.given.iter().any(|(f, _)| f == flag)
+        words.next()
     }
 
     /// The last value given for `flag`, read by `read`; a value `read`
@@ -101,9 +96,20 @@ pub fn write_json(bin: &str, path: &str, report: &Json) {
     write_report(bin, path, &format!("{}\n", report.render()));
 }
 
-/// Deliver the text of a bin that has flags of its own: to the file its
-/// `--out PATH` named (through [`write_report`]), to stdout without one —
-/// with other flags set the text is not the committed result.
+/// The command line of a text bin that fans a sweep out —
+/// `[--threads N] [--out PATH]` — as its executor (serial without
+/// `--threads`) and the path [`emit_text`] writes to.
+pub fn sweep_flags(bin: &'static str) -> (SweepExecutor, Option<String>) {
+    let flags = Flags::parse(bin, "--threads N --out PATH");
+    let exec = flags.value("--threads");
+    (
+        exec.map_or_else(SweepExecutor::serial, SweepExecutor::new),
+        flags.value("--out"),
+    )
+}
+
+/// Deliver the text of a [`sweep_flags`] bin: to the file its
+/// `--out PATH` named (through [`write_report`]), to stdout without one.
 pub fn emit_text(bin: &str, out: Option<&str>, text: &str) {
     match out {
         Some(path) => write_report(bin, path, text),

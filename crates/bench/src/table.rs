@@ -1,8 +1,8 @@
-//! Minimal fixed-width table / CSV rendering for experiment output.
+//! Minimal fixed-width table rendering for experiment output.
 
 use std::fmt::Write as _;
 
-/// A simple column-aligned table with an optional CSV rendering.
+/// A simple column-aligned table.
 #[derive(Debug, Clone)]
 pub struct Table {
     headers: Vec<String>,
@@ -68,17 +68,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as CSV (no quoting — cells are numeric/identifiers here).
-    pub fn to_csv(&self) -> String {
-        let mut out = self.headers.join(",");
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// Format a float with fixed precision, trimming to a compact cell.
@@ -98,13 +87,6 @@ mod tests {
         let s = t.render();
         assert!(s.contains("  n     p"), "got:\n{s}");
         assert!(s.lines().count() == 4);
-    }
-
-    #[test]
-    fn csv_round() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec![num(1.25, 2), num(3.0, 1)]);
-        assert_eq!(t.to_csv(), "a,b\n1.25,3.0\n");
     }
 
     #[test]

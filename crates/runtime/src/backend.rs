@@ -358,13 +358,6 @@ impl ReceptionFront {
         }
     }
 
-    /// Raw bitmap lookup: was `minute` itself ever received (even beyond
-    /// a hole)? Playout logic should use [`received`](Self::received);
-    /// this exists for invariant audits and front reconstruction.
-    pub fn has(&self, minute: u32) -> bool {
-        minute < self.length && self.bits[(minute / 64) as usize] & (1u64 << (minute % 64)) != 0
-    }
-
     /// Is `minute` inside the contiguous received prefix? This is the
     /// playout-safe notion of "received": true iff `minute <`
     /// [`front`](Self::front).
@@ -536,7 +529,6 @@ mod tests {
         rx.record(5);
         rx.record(129);
         assert_eq!(rx.front(), 2);
-        assert!(rx.has(5) && rx.has(129));
         assert!(!rx.received(5) && !rx.received(129));
         // Filling the hole connects the island through in one step.
         rx.record(3);

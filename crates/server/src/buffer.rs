@@ -10,34 +10,6 @@ use std::collections::VecDeque;
 
 use crate::content::{MovieId, Segment};
 
-/// Errors from buffer accounting.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BufferError {
-    /// The pool cannot cover another partition of the requested size.
-    Exhausted {
-        /// Segments requested.
-        requested: usize,
-        /// Segments still unallocated.
-        available: usize,
-    },
-}
-
-impl std::fmt::Display for BufferError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BufferError::Exhausted {
-                requested,
-                available,
-            } => write!(
-                f,
-                "buffer pool exhausted: requested {requested} segments, {available} available"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for BufferError {}
-
 /// Global buffer accounting in segments (movie minutes).
 #[derive(Debug)]
 pub struct BufferPool {
@@ -88,16 +60,14 @@ impl BufferPool {
         self.used.saturating_sub(self.budget)
     }
 
-    /// Reserve space for a partition of `capacity` segments.
-    pub fn reserve(&mut self, capacity: usize) -> Result<(), BufferError> {
+    /// Reserve space for a partition of `capacity` segments; `false`, and
+    /// nothing reserved, when fewer are available.
+    pub fn reserve(&mut self, capacity: usize) -> bool {
         if capacity > self.available() {
-            return Err(BufferError::Exhausted {
-                requested: capacity,
-                available: self.available(),
-            });
+            return false;
         }
         self.used += capacity;
-        Ok(())
+        true
     }
 
     /// Return a partition's reservation.
@@ -124,11 +94,6 @@ impl Partition {
             capacity,
             ring: VecDeque::with_capacity(capacity),
         }
-    }
-
-    /// Owning movie.
-    pub fn movie(&self) -> MovieId {
-        self.movie
     }
 
     /// Configured capacity in segments.
@@ -215,10 +180,10 @@ mod tests {
     #[test]
     fn pool_accounting() {
         let mut p = BufferPool::new(10);
-        p.reserve(4).unwrap();
-        p.reserve(6).unwrap();
+        assert!(p.reserve(4));
+        assert!(p.reserve(6));
         assert_eq!(p.available(), 0);
-        assert!(matches!(p.reserve(1), Err(BufferError::Exhausted { .. })));
+        assert!(!p.reserve(1));
         p.release(6);
         assert_eq!(p.available(), 6);
         assert_eq!(p.used(), 4);
@@ -227,12 +192,12 @@ mod tests {
     #[test]
     fn shrink_and_grow_track_overcommit() {
         let mut p = BufferPool::new(10);
-        p.reserve(8).unwrap();
+        assert!(p.reserve(8));
         assert_eq!(p.shrink(4), 4);
         assert_eq!(p.budget(), 6);
         assert_eq!(p.overcommitted(), 2);
         assert_eq!(p.available(), 0, "no headroom while overcommitted");
-        assert!(matches!(p.reserve(1), Err(BufferError::Exhausted { .. })));
+        assert!(!p.reserve(1));
         p.release(4); // evicting a partition clears the overcommit
         assert_eq!(p.overcommitted(), 0);
         assert_eq!(p.available(), 2);

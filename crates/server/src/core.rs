@@ -256,21 +256,16 @@ impl ServerCore {
     }
 
     /// Take one dedicated stream — reserve and disk in lockstep — counting
-    /// the attempt. `None`: the reserve (or, never in a provisioned
-    /// server, the disk itself) is exhausted.
+    /// the attempt. `None`: the reserve or the disk is exhausted. The disk
+    /// is asked first, so the reserve is charged only for a stream that is
+    /// granted: a charge rolled back at the same instant would still have
+    /// raised `dedicated_peak`.
     pub(crate) fn try_lease(&mut self) -> Option<StreamLease> {
         self.metrics.runtime.acquisition_attempts += 1;
-        let now = self.now as f64;
-        if !self.reserve.try_acquire(now) {
+        if self.disk.available() == 0 || !self.reserve.try_acquire(self.now as f64) {
             return None;
         }
-        match self.disk.acquire() {
-            Ok(lease) => Some(lease),
-            Err(_) => {
-                self.reserve.release(now);
-                None
-            }
-        }
+        self.disk.acquire()
     }
 
     /// Hand a dedicated stream back to disk and reserve.
@@ -362,7 +357,7 @@ impl ServerCore {
         let verified = self
             .disk
             .read(lease, movie, position)
-            .is_ok_and(|seg| verify_segment(&seg));
+            .is_some_and(|seg| verify_segment(&seg));
         stats.from_disk += 1;
         if !verified {
             stats.verify_failures += 1;
@@ -762,6 +757,43 @@ mod tests {
             assert_eq!((core.now, core.slowdown), (13, (3, u64::MAX)), "{kind:?}");
             assert!(core.disk_stalled(), "{kind:?}: 13 is not a multiple of 3");
         });
+    }
+
+    /// The disk runs out of streams while the reserve still has room: a
+    /// 9-stream outage and a 1-stream loss leave the reserve's failure
+    /// ledger one stream behind the disk's. The request the disk refuses
+    /// must not be charged to the reserve, not even for the instant before
+    /// a rollback — `dedicated_peak` counts only streams some session held.
+    #[test]
+    fn a_disk_refusal_leaves_the_reserve_peak_alone() {
+        let movie = HostedMovie::from_allocation(MovieId(0), 30, 3, 15.0);
+        let cfg = ServerConfig {
+            disk_streams: 10,
+            ..ServerConfig::provisioned(vec![movie], 0)
+        };
+        let mut s = PyramidServer::new(cfg);
+        let outage = FaultKind::DiskOutage {
+            count: 9,
+            recover_after: 50,
+        };
+        let loss = FaultKind::DiskStreamLoss { count: 1 };
+        let faults = [(1, outage), (2, loss)].map(|(at, kind)| FaultEvent { at, kind });
+        s.inject_faults(FaultPlan::new(faults.to_vec()), DegradePolicy::default());
+        for _ in 0..52 {
+            s.tick();
+        }
+        let ids: Vec<_> = (0..8)
+            .map(|_| s.open_session(MovieId(0)).unwrap())
+            .collect();
+        for _ in 0..6 {
+            s.tick();
+        }
+        let granted = ids
+            .iter()
+            .filter(|&&id| s.request_vcr(id, VcrKind::FastForward, 25).is_ok())
+            .count();
+        assert_eq!(granted, 6, "the disk has six free streams");
+        assert_eq!(s.runtime_metrics().dedicated_peak, 6.0);
     }
 
     /// Exhaust the reserve, lose more streams than the free pool holds

@@ -31,41 +31,6 @@ impl StreamLease {
     }
 }
 
-/// Errors from the disk subsystem.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiskError {
-    /// All provisioned streams are in use.
-    Saturated {
-        /// Provisioned capacity.
-        capacity: u32,
-    },
-    /// A read past the end of the movie.
-    OutOfRange {
-        /// Requested minute.
-        index: u32,
-        /// Movie length in minutes.
-        length: u32,
-    },
-    /// Read attempted with a stale (already released) lease.
-    StaleLease,
-}
-
-impl std::fmt::Display for DiskError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DiskError::Saturated { capacity } => {
-                write!(f, "disk saturated: all {capacity} streams leased")
-            }
-            DiskError::OutOfRange { index, length } => {
-                write!(f, "segment {index} out of range (movie length {length})")
-            }
-            DiskError::StaleLease => write!(f, "read through a released lease"),
-        }
-    }
-}
-
-impl std::error::Error for DiskError {}
-
 /// The live lease ids. Ids are handed out in increasing order and old
 /// leases die, so the set is a bitmap over the id sequence with the dead
 /// ids at either end trimmed off: membership — asked once per read — is a
@@ -215,16 +180,15 @@ impl DiskSubsystem {
         })
     }
 
-    /// Acquire a stream lease.
-    pub fn acquire(&mut self) -> Result<StreamLease, DiskError> {
+    /// Acquire a stream lease; `None` while every provisioned stream is
+    /// leased or failed.
+    pub fn acquire(&mut self) -> Option<StreamLease> {
         if self.in_use() + self.failed >= self.capacity {
-            return Err(DiskError::Saturated {
-                capacity: self.capacity,
-            });
+            return None;
         }
         self.next_lease += 1;
         self.active.insert(self.next_lease);
-        Ok(StreamLease {
+        Some(StreamLease {
             id: self.next_lease,
         })
     }
@@ -235,8 +199,7 @@ impl DiskSubsystem {
     /// granted stream is the cheapest to lose). Returns the revoked lease
     /// ids — strictly descending, which [`StreamLease::revoked_in`]
     /// searches on — so the server can degrade their holders; reads
-    /// through a revoked lease fail with [`DiskError::StaleLease`] from
-    /// here on.
+    /// through a revoked lease return `None` from here on.
     /// At most `capacity − failed` streams can fail in total.
     pub fn fail_streams(&mut self, count: u32) -> Vec<u64> {
         // Same total-order discipline as `StreamReserve`: every difference
@@ -280,29 +243,25 @@ impl DiskSubsystem {
         self.active.remove(lease.id);
     }
 
-    /// Read one segment through a lease.
+    /// Read one segment through a lease; `None` through a released or
+    /// revoked lease and past the end of the movie.
     ///
     /// `#[inline]`: the lease read verifies what it reads, and with the
     /// generator in view the caller pays for neither chain (see
     /// [`verify_segment`](crate::verify_segment)); that should not hinge
     /// on which codegen unit this lands in.
     #[inline]
-    pub fn read(
-        &mut self,
-        lease: &StreamLease,
-        movie: MovieId,
-        index: u32,
-    ) -> Result<Segment, DiskError> {
+    pub fn read(&mut self, lease: &StreamLease, movie: MovieId, index: u32) -> Option<Segment> {
         if !self.active.contains(lease.id) {
-            return Err(DiskError::StaleLease);
+            return None;
         }
         // A movie never registered has no segments: length 0.
         let slot = self.lengths.get(movie.0 as usize);
         let length = slot.copied().flatten().unwrap_or(0);
         if index >= length {
-            return Err(DiskError::OutOfRange { index, length });
+            return None;
         }
-        Ok(generate_segment(movie, index))
+        Some(generate_segment(movie, index))
     }
 }
 
@@ -326,11 +285,11 @@ mod tests {
         let mut d = DiskSubsystem::new(2);
         let a = d.acquire().unwrap();
         let _b = d.acquire().unwrap();
-        assert!(matches!(d.acquire(), Err(DiskError::Saturated { .. })));
+        assert_eq!(d.acquire(), None);
         assert_eq!(d.in_use(), 2);
         d.release(a);
         assert_eq!(d.available(), 1);
-        assert!(d.acquire().is_ok());
+        assert!(d.acquire().is_some());
     }
 
     #[test]
@@ -349,10 +308,7 @@ mod tests {
         let mut d = DiskSubsystem::new(1);
         d.register_movie(MovieId(7), 120);
         let lease = d.acquire().unwrap();
-        assert!(matches!(
-            d.read(&lease, MovieId(7), 120),
-            Err(DiskError::OutOfRange { .. })
-        ));
+        assert_eq!(d.read(&lease, MovieId(7), 120), None);
     }
 
     #[test]
@@ -362,13 +318,7 @@ mod tests {
         let lease = d.acquire().unwrap();
         // Beyond the dense table, and a hole inside it.
         for movie in [MovieId(8), MovieId(3)] {
-            assert_eq!(
-                d.read(&lease, movie, 0),
-                Err(DiskError::OutOfRange {
-                    index: 0,
-                    length: 0
-                })
-            );
+            assert_eq!(d.read(&lease, movie, 0), None);
         }
     }
 
@@ -386,14 +336,15 @@ mod tests {
         assert_eq!(d.in_use(), 1);
         assert_eq!(d.available(), 0);
         assert_eq!(d.in_use() + d.available() + d.failed(), d.capacity());
-        assert!(matches!(d.acquire(), Err(DiskError::Saturated { .. })));
-        assert!(
-            matches!(d.read(&b, MovieId(1), 0), Err(DiskError::StaleLease)),
+        assert_eq!(d.acquire(), None);
+        assert_eq!(
+            d.read(&b, MovieId(1), 0),
+            None,
             "revoked lease must be dead"
         );
-        assert!(d.read(&a, MovieId(1), 0).is_ok(), "survivor still serves");
+        assert!(d.read(&a, MovieId(1), 0).is_some(), "survivor still serves");
         assert_eq!(d.recover_streams(2), 2);
-        assert!(d.acquire().is_ok());
+        assert!(d.acquire().is_some());
         assert_eq!(d.recover_streams(5), 1, "recovery capped at failed");
         assert_eq!(d.failed(), 0);
     }
@@ -444,10 +395,7 @@ mod tests {
         assert_eq!(d.fail_streams(3), vec![e.id()]);
         assert_eq!((d.in_use(), d.available(), d.failed()), (0, 0, 6));
         assert!(conserved(&d));
-        assert!(matches!(
-            d.read(&e, MovieId(1), 0),
-            Err(DiskError::StaleLease)
-        ));
+        assert_eq!(d.read(&e, MovieId(1), 0), None);
         // Full recovery restores the whole pool.
         assert_eq!(d.recover_streams(u32::MAX), 6);
         assert_eq!((d.in_use(), d.available(), d.failed()), (0, 6, 0));
@@ -461,10 +409,7 @@ mod tests {
         let a = d.acquire().unwrap();
         let id_copy = StreamLease { id: a.id() };
         d.release(a);
-        assert!(matches!(
-            d.read(&id_copy, MovieId(1), 0),
-            Err(DiskError::StaleLease)
-        ));
+        assert_eq!(d.read(&id_copy, MovieId(1), 0), None);
     }
 
     /// `kill_stream` in the batching server releases the very lease
@@ -565,8 +510,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random acquire/release/fail/recover/read sequences against the
-        /// `Vec` model: same `Result`s, same `in_use/available/failed`,
-        /// same *order* of revoked ids, `StaleLease` on every released or
+        /// `Vec` model: same grants, same `in_use/available/failed`,
+        /// same *order* of revoked ids, no read through a released or
         /// revoked lease.
         #[test]
         fn lease_table_matches_vec_model(
@@ -584,7 +529,7 @@ mod tests {
                     Op::Acquire => {
                         let full = m.active.len() as u32 + m.failed >= capacity;
                         match d.acquire() {
-                            Ok(lease) => {
+                            Some(lease) => {
                                 prop_assert!(!full, "granted past capacity");
                                 m.next += 1;
                                 prop_assert_eq!(lease.id(), m.next);
@@ -592,10 +537,7 @@ mod tests {
                                 issued.push(m.next);
                                 held.push(lease);
                             }
-                            Err(e) => {
-                                prop_assert!(full, "refused with room left");
-                                prop_assert_eq!(e, DiskError::Saturated { capacity });
-                            }
+                            None => prop_assert!(full, "refused with room left"),
                         }
                     }
                     Op::Release(k) if !held.is_empty() => {
@@ -620,13 +562,10 @@ mod tests {
                     Op::Read(k) if !issued.is_empty() => {
                         let id = issued[k % issued.len()];
                         let got = d.read(&StreamLease { id }, MovieId(0), (k % 12) as u32);
-                        if !m.active.contains(&id) {
-                            prop_assert_eq!(got, Err(DiskError::StaleLease));
-                        } else if k % 12 >= 10 {
-                            let out = DiskError::OutOfRange { index: (k % 12) as u32, length: 10 };
-                            prop_assert_eq!(got, Err(out));
+                        if !m.active.contains(&id) || k % 12 >= 10 {
+                            prop_assert_eq!(got, None);
                         } else {
-                            prop_assert_eq!(got, Ok(generate_segment(MovieId(0), (k % 12) as u32)));
+                            prop_assert_eq!(got, Some(generate_segment(MovieId(0), (k % 12) as u32)));
                         }
                     }
                     Op::Release(_) | Op::Read(_) => {}

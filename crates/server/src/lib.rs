@@ -47,11 +47,11 @@ mod session;
 
 pub use admission::config_from_plan;
 pub use backend::{make_backend, Adoption, DeliveryBackend};
-pub use buffer::{BufferError, BufferPool, Partition};
+pub use buffer::{BufferPool, Partition};
 pub use content::{generate_segment, verify_segment, MovieId, Segment, SEGMENT_BYTES};
 pub use core::ServerCore;
 pub use dedicated::DedicatedServer;
-pub use disk::{DiskError, DiskSubsystem, StreamLease};
+pub use disk::{DiskSubsystem, StreamLease};
 #[doc(hidden)]
 pub use harness::run_reference_scan;
 pub use harness::{

@@ -187,7 +187,7 @@ impl PyramidServer {
                 // A config whose stream pool cannot even cover the
                 // channel pre-allocation is a sizing bug; the channel
                 // stays down (the movie stalls) rather than panicking.
-                leases: (0..channels).map(|_| core.disk.acquire().ok()).collect(),
+                leases: (0..channels).map(|_| core.disk.acquire()).collect(),
                 slots: vec![None; channels],
                 staged: vec![0; words],
             });
@@ -222,9 +222,7 @@ impl PyramidServer {
         let mut slot_index: usize = 0;
         for m in &mut self.movies {
             for lease in m.leases.iter_mut().filter(|l| l.is_none()) {
-                if let Ok(fresh) = core.disk.acquire() {
-                    *lease = Some(fresh);
-                }
+                *lease = core.disk.acquire();
             }
             for ci in 0..m.leases.len() {
                 let slot_funded = slot_index < funded;
@@ -237,7 +235,7 @@ impl PyramidServer {
                 let on_air = m.leases[ci]
                     .as_ref()
                     .filter(|_| !stalled && slot_funded)
-                    .and_then(|lease| core.disk.read(lease, m.movie, minute).ok());
+                    .and_then(|lease| core.disk.read(lease, m.movie, minute));
                 match on_air {
                     Some(seg) => {
                         if !verify_segment(&seg) {

@@ -37,7 +37,6 @@ use crate::session::{
     admit, resolve, status_of, DeliveryStats, Session, SessionId, SessionState, SessionStatus,
     Sessions, StreamId,
 };
-use crate::{BufferError, DiskError};
 
 /// One movie hosted under static partitioning: identity plus the
 /// quantized `(T, b)` schedule derived in `vod-runtime`.
@@ -145,10 +144,6 @@ pub enum ServerError {
     },
     /// No disk stream available for the request.
     VcrDenied,
-    /// Underlying disk failure (indicates a server bug).
-    Disk(DiskError),
-    /// Underlying buffer failure (indicates under-provisioning).
-    Buffer(BufferError),
 }
 
 impl std::fmt::Display for ServerError {
@@ -162,24 +157,11 @@ impl std::fmt::Display for ServerError {
                 write!(f, "session state does not allow `{operation}`")
             }
             ServerError::VcrDenied => write!(f, "no I/O stream available for VCR service"),
-            ServerError::Disk(e) => write!(f, "disk: {e}"),
-            ServerError::Buffer(e) => write!(f, "buffer: {e}"),
         }
     }
 }
 
 impl std::error::Error for ServerError {}
-
-impl From<DiskError> for ServerError {
-    fn from(e: DiskError) -> Self {
-        ServerError::Disk(e)
-    }
-}
-impl From<BufferError> for ServerError {
-    fn from(e: BufferError) -> Self {
-        ServerError::Buffer(e)
-    }
-}
 
 struct ActiveStream {
     movie_idx: usize,
@@ -702,18 +684,11 @@ impl VodServer {
             if !t.is_multiple_of(geometry.restart_interval as u64) {
                 continue;
             }
-            let lease = match self.core.disk.acquire() {
-                Ok(l) => l,
-                Err(_) => {
-                    self.core.metrics.runtime.restart_failures += 1;
-                    continue;
-                }
+            let Some(lease) = self.core.disk.acquire() else {
+                self.core.metrics.runtime.restart_failures += 1;
+                continue;
             };
-            if self
-                .pool
-                .reserve(geometry.partition_capacity as usize)
-                .is_err()
-            {
+            if !self.pool.reserve(geometry.partition_capacity as usize) {
                 self.core.disk.release(lease);
                 self.core.metrics.runtime.restart_failures += 1;
                 continue;
@@ -1783,7 +1758,7 @@ mod tests {
     #[test]
     fn audit_sees_buffer_drift() {
         let (mut s, _) = busy();
-        s.pool.reserve(1).unwrap();
+        assert!(s.pool.reserve(1));
         assert_eq!(
             s.check_invariants(),
             ["buffer accounting broken: partitions total 5 segments, pool says 6 used"]

@@ -796,11 +796,6 @@ pub fn run_catalog_seeded(cfg: &CatalogConfig, seed: u64) -> CatalogReport {
     Engine::new(cfg, seed).run()
 }
 
-/// Run one single-movie simulation (deterministic default seed 0).
-pub fn run(cfg: &SimConfig) -> SimReport {
-    run_seeded(cfg, 0)
-}
-
 /// Run one single-movie simulation with an explicit seed.
 pub fn run_seeded(cfg: &SimConfig, seed: u64) -> SimReport {
     let catalog: CatalogConfig = cfg.clone().into();

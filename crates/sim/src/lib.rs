@@ -33,6 +33,6 @@ mod queue;
 mod report;
 
 pub use config::{CatalogConfig, MovieLoad, SimConfig};
-pub use engine::{run, run_catalog_seeded, run_replications, run_seeded};
+pub use engine::{run_catalog_seeded, run_replications, run_seeded};
 pub use federation::{run_federation_seeded, FederationSimReport};
 pub use report::{CatalogReport, ReplicatedReport, SimReport};

@@ -28,18 +28,10 @@ pub struct FeasiblePoint {
 /// Scan the feasible frontier in steps of `buffer_step` minutes of buffer
 /// (Figure 8 uses 5-minute steps). Points whose implied `n` is not a
 /// positive integer are snapped to the nearest integer `n` (the paper's
-/// `w` values are chosen so 5-minute steps give integral `n`).
+/// `w` values are chosen so 5-minute steps give integral `n`). The
+/// per-point model evaluations fan out across `exec`; results are bitwise
+/// identical to the serial scan.
 pub fn scan_by_buffer_step(
-    movie: &MovieSpec,
-    buffer_step: f64,
-    opts: &ModelOptions,
-) -> Result<Vec<FeasiblePoint>, ModelError> {
-    scan_by_buffer_step_with(movie, buffer_step, opts, &SweepExecutor::serial())
-}
-
-/// [`scan_by_buffer_step`] fanning the per-point model evaluations across
-/// `exec`. Results are bitwise identical to the serial scan.
-pub fn scan_by_buffer_step_with(
     movie: &MovieSpec,
     buffer_step: f64,
     opts: &ModelOptions,
@@ -232,7 +224,8 @@ mod tests {
     #[test]
     fn buffer_step_scan_covers_range() {
         let m = small_movie();
-        let pts = scan_by_buffer_step(&m, 5.0, &ModelOptions::default()).unwrap();
+        let pts = scan_by_buffer_step(&m, 5.0, &ModelOptions::default(), &SweepExecutor::serial())
+            .unwrap();
         // 60/5 = 12 steps plus the n=1 endpoint.
         assert!(pts.len() >= 12);
         assert_eq!(pts[0].buffer, 0.0);
@@ -249,14 +242,14 @@ mod tests {
         let m = small_movie();
         let o = ModelOptions::default();
         let exec = SweepExecutor::new(4);
-        let s1 = scan_by_buffer_step(&m, 5.0, &o).unwrap();
-        let s4 = scan_by_buffer_step_with(&m, 5.0, &o, &exec).unwrap();
+        let s1 = scan_by_buffer_step(&m, 5.0, &o, &SweepExecutor::serial()).unwrap();
+        let s4 = scan_by_buffer_step(&m, 5.0, &o, &exec).unwrap();
         assert_eq!(s1.len(), s4.len());
         for (a, b) in s1.iter().zip(&s4) {
             assert_eq!(a.p_hit.to_bits(), b.p_hit.to_bits());
         }
         // Determinism: two runs at the same thread count agree exactly.
-        let again = scan_by_buffer_step_with(&m, 5.0, &o, &exec).unwrap();
+        let again = scan_by_buffer_step(&m, 5.0, &o, &exec).unwrap();
         for (a, b) in s4.iter().zip(&again) {
             assert_eq!(a.p_hit.to_bits(), b.p_hit.to_bits());
         }
@@ -298,7 +291,8 @@ mod tests {
             Rates::paper(),
         )
         .unwrap();
-        let pts = scan_by_buffer_step(&m, 0.1, &ModelOptions::default()).unwrap();
+        let pts = scan_by_buffer_step(&m, 0.1, &ModelOptions::default(), &SweepExecutor::serial())
+            .unwrap();
         assert!(
             pts.len() <= 7,
             "expected ≤ 7 deduped points, got {}",

@@ -72,7 +72,19 @@ fn three_way(n: u32, wait: f64) -> (f64, RuntimeMetrics, RuntimeMetrics) {
     .total;
     let sim_cfg = sim_config(params, 40.0);
     let sim = run_seeded(&sim_cfg, SEED).runtime;
-    let server = run_harness(&harness_config(&params, n, &sim_cfg), SEED);
+    let harness = harness_config(&params, n, &sim_cfg);
+    // The server sweeps `vcr_rate` segments a tick, the model and the sim
+    // at `Rates::paper()`'s multiples of playback: the legs compare only
+    // while the two agree.
+    let (rates, vcr_rate) = (Rates::paper(), f64::from(harness.server.vcr_rate));
+    assert_eq!(
+        (vcr_rate, vcr_rate),
+        (
+            rates.fast_forward() / rates.playback(),
+            rates.rewind() / rates.playback()
+        )
+    );
+    let server = run_harness(&harness, SEED);
     (model, sim, server)
 }
 
