@@ -10,7 +10,7 @@
 //!   closed forms in `G(y) = ∫₀^y F(αs) ds = H(αy)/α`, and the outer
 //!   integral over `V_c` has an exact antiderivative in `H` and
 //!   `HH = ∫H` in every region (DESIGN.md §3), so one evaluation is a
-//!   handful of `H`/`HH` calls per partition.
+//!   handful of points per partition, each one call for `(F, H, HH)`.
 //! * [`p_hit_ff_direct`] — a brute-force 2-D integration of the exact
 //!   conditional hit probability. Algebraically equal to the extended-mode
 //!   decomposition; used by tests and the ablation bench as an oracle.
@@ -54,8 +54,8 @@ pub fn p_hit_ff(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOpti
     let k = Kernel::new(dist);
 
     // Eq. (20): P(end) = ∫₀^l (1 − F(l − V_c)) (1/l) dV_c = 1 − H(l)/l,
-    // and `k.h` is the deficit H(l) − l.
-    let end = -k.h(l) / l;
+    // and `k.at` gives the deficit H(l) − l.
+    let end = -k.at(l).1 / l;
 
     if params.is_pure_batching() {
         // No partitions to resume into (paper §3.1: "the hit probability
@@ -121,11 +121,13 @@ pub fn p_hit_ff(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOpti
 fn jump_term(k: &Kernel<'_>, alpha: f64, l: f64, b: f64, c: f64) -> f64 {
     // At a window edge y minutes ahead: the catch-up sweep αy clamped to
     // the movie end, H and HH there, the antiderivative uH − HH of uF(u),
-    // and G(y), which is not clamped.
+    // and G(y), which is not clamped: it needs a point of its own only
+    // past the movie end (below 0 both H are 0).
     let edge = |y: f64| {
         let u = (alpha * y).clamp(0.0, l);
-        let (h, hh) = (k.h(u), k.hh(u));
-        (u, h, hh, u * h - hh, k.h(alpha * y) / alpha)
+        let (_, h, hh) = k.at(u);
+        let g = if alpha * y > l { k.at(alpha * y).1 } else { h };
+        (u, h, hh, u * h - hh, g / alpha)
     };
     let (u0, h0, hh0, m0, g0) = edge(c - b);
     let (u1, h1, hh1, m1, g1) = edge(c);

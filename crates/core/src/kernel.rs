@@ -25,7 +25,9 @@ use vod_dist::DurationDist;
 
 /// Deficits `F − 1`, `H − y`, `HH − y²/2` of the displacement `scale·X` for
 /// a duration `X ~ dist`. At and below 0, where `F = H = HH = 0`, they are
-/// `−1`, `0`, `0` (no term evaluates `h` or `hh` below 0 beyond rounding).
+/// `−1`, `0`, `0` (no term evaluates a point below 0 beyond rounding).
+/// Each point costs one call into the duration law
+/// ([`Kernel::at`]), which hands back all three.
 pub(crate) struct Kernel<'a> {
     dist: &'a dyn DurationDist,
     scale: f64,
@@ -54,27 +56,16 @@ impl<'a> Kernel<'a> {
         }
     }
 
-    /// `F(x) − 1`.
-    pub(crate) fn f(&self, x: f64) -> f64 {
-        self.cdf(x) - 1.0
-    }
-
-    /// `H(y) − y`, `H(y) = ∫₀^y F(u) du`.
-    pub(crate) fn h(&self, y: f64) -> f64 {
-        if y <= 0.0 {
-            0.0
-        } else {
-            -self.scale * self.dist.survival_integral(y / self.scale)
+    /// The deficits `(F(x) − 1, H(x) − x, HH(x) − x²/2)` at one point, from
+    /// one [`DurationDist::cdf_and_survival_integrals`] call: every term
+    /// the model writes asks for two or three of them at the same `x`.
+    /// `H(y) = ∫₀^y F(u) du`, `HH(y) = ∫₀^y H(u) du`.
+    pub(crate) fn at(&self, x: f64) -> (f64, f64, f64) {
+        if x <= 0.0 {
+            return (-1.0, 0.0, 0.0);
         }
-    }
-
-    /// `HH(y) − y²/2`, `HH(y) = ∫₀^y H(u) du`.
-    pub(crate) fn hh(&self, y: f64) -> f64 {
-        if y <= 0.0 {
-            0.0
-        } else {
-            -self.scale * self.scale * self.dist.survival_integral2(y / self.scale)
-        }
+        let (f, a, aa) = self.dist.cdf_and_survival_integrals(x / self.scale);
+        (f - 1.0, -self.scale * a, -self.scale * self.scale * aa)
     }
 
     /// Within-partition hit mass shared by FF (`rate = α`, Eqs. 4–8) and RW
@@ -91,10 +82,15 @@ impl<'a> Kernel<'a> {
     /// `u < rate·b` it is `H(u)/rate + (b − u/rate)·F(u)` (Eq. 8), whose
     /// antiderivative in `u` is `2HH(u)/rate + (b − u/rate)·H(u)`. At
     /// `F ≡ 1` the double integral is 1.
+    ///
+    /// One point serves both terms: where `rate·b > l` the first term's
+    /// weight `(l − rate·b)₊` is 0 and `H(u)` stands in for `H(rate·b)`,
+    /// which changes at most the sign of a zero that `1 +` absorbs.
     pub(crate) fn within(&self, l: f64, b: f64, rate: f64) -> f64 {
         let u = l.min(rate * b);
-        let full = (l - rate * b).max(0.0) * self.h(rate * b) / rate;
-        let partial = 2.0 * self.hh(u) / rate + (b - u / rate) * self.h(u);
+        let (_, h, hh) = self.at(u);
+        let full = (l - rate * b).max(0.0) * h / rate;
+        let partial = 2.0 * hh / rate + (b - u / rate) * h;
         1.0 + (full + partial) / (b * l)
     }
 }

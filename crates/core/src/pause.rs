@@ -80,9 +80,10 @@ pub fn p_hit_pause(params: &SystemParams, dist: &dyn DurationDist, _opts: &Model
             break;
         }
         // k = 0.
-        let (f_base, h_base) = (k.f(base), k.h(base));
-        at_b += k.h(base + b) - h_base - b * f_base;
-        swept += k.hh(base + b) - k.hh(base) - b * h_base - 0.5 * b * b * f_base;
+        let (f_base, h_base, hh_base) = k.at(base);
+        let (_, h_end, hh_end) = k.at(base + b);
+        at_b += h_end - h_base - b * f_base;
+        swept += hh_end - hh_base - b * h_base - 0.5 * b * b * f_base;
         // k = 1..n.
         for kk in 1..=n {
             let kt = kk as f64 * t;
@@ -90,11 +91,12 @@ pub fn p_hit_pause(params: &SystemParams, dist: &dyn DurationDist, _opts: &Model
             let gap = (l - kt).clamp(0.0, b);
             let w = b - gap;
             let top = y + gap;
-            let (h_lo, h_y, h_top, f_top) = (k.h(y - b), k.h(y), k.h(top), k.f(top));
+            let (_, h_lo, hh_lo) = k.at(y - b);
+            let (_, h_y, hh_y) = k.at(y);
+            let (f_top, h_top, hh_top) = k.at(top);
             at_b += w * f_top - 2.0 * h_y + h_top + h_lo;
-            swept += k.hh(top) - 2.0 * k.hh(y) + k.hh(y - b) - b * (h_y - h_lo)
-                + w * h_top
-                + 0.5 * w * w * f_top;
+            swept +=
+                hh_top - 2.0 * hh_y + hh_lo - b * (h_y - h_lo) + w * h_top + 0.5 * w * w * f_top;
         }
         base += l;
     }

@@ -84,7 +84,8 @@ pub fn p_hit_rw(params: &SystemParams, dist: &dyn DurationDist, _opts: &ModelOpt
     // second difference is a combination of cdf differences).
     let jj = |kk: f64| {
         let u = kk.min(l);
-        2.0 * k.hh(u) + (l + kk - 2.0 * u) * k.h(u)
+        let (_, h, hh) = k.at(u);
+        2.0 * hh + (l + kk - 2.0 * u) * h
     };
     let mut jumps = Vec::new();
     // The i-th partition contributes only while γ(il/n − b) < l, i.e.

@@ -66,6 +66,22 @@ pub trait DurationDist: std::fmt::Debug + Send + Sync {
     /// subtraction benign.
     fn survival_integral2(&self, y: f64) -> f64;
 
+    /// `(F(y), A(y), AA(y))` at one point: what the model asks at every
+    /// point it evaluates. The default is the three calls above. A kind
+    /// whose three share their special functions (one `ln y`, one
+    /// incomplete gamma per shape, one set of `Φ` values) overrides it, and
+    /// then its [`DurationDist::survival_integral`] and
+    /// [`DurationDist::survival_integral2`] are projections of it, so each
+    /// formula is written once (a projection without the override would
+    /// recurse). Either way the triple is bitwise the three calls.
+    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
+        (
+            self.cdf(y),
+            self.survival_integral(y),
+            self.survival_integral2(y),
+        )
+    }
+
     /// `H(y) = ∫₀^y F(u) du = y − A(y)`, the running integral of the cdf.
     /// For `y ≤ 0` this is 0.
     fn cdf_integral(&self, y: f64) -> f64 {
@@ -230,6 +246,27 @@ pub(crate) fn require_non_negative(name: &str, v: f64) -> Result<f64, crate::Dis
             name: name.to_string(),
             value: v,
             requirement: "finite and >= 0",
+        })
+    }
+}
+
+/// Shared validation helper for a kind that caches constants derived from
+/// its parameters: every cached constant must be finite, or the parameter
+/// `name` (= `value`) is refused with `requirement`. A constant that
+/// overflowed would otherwise surface as a NaN far from its cause.
+pub(crate) fn require_finite_constants(
+    name: &str,
+    value: f64,
+    constants: &[f64],
+    requirement: &'static str,
+) -> Result<(), crate::DistError> {
+    if constants.iter().all(|c| c.is_finite()) {
+        Ok(())
+    } else {
+        Err(crate::DistError::InvalidParameter {
+            name: name.to_string(),
+            value,
+            requirement,
         })
     }
 }

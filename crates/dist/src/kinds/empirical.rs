@@ -11,7 +11,7 @@
 //! running integrals of the survival function exactly integrable in closed
 //! form piece by piece.
 
-use crate::duration::DurationDist;
+use crate::duration::{require_finite_constants, DurationDist};
 use crate::rng::{u01, SeededRng};
 use crate::DistError;
 
@@ -112,6 +112,12 @@ impl Empirical {
             ex2 += df * (x0 * x0 + x0 * x1 + x1 * x1) / 3.0;
         }
         let variance = (ex2 - mean * mean).max(0.0);
+        require_finite_constants(
+            "sample",
+            xs.last().copied().unwrap_or(0.0),
+            &[acc2, ex2],
+            "small enough that the second moment is finite",
+        )?;
 
         Ok(Self {
             xs: bx,
@@ -243,6 +249,8 @@ mod tests {
         assert!(Empirical::from_samples(&[]).is_err());
         assert!(Empirical::from_samples(&[1.0, -2.0]).is_err());
         assert!(Empirical::from_samples(&[1.0, f64::NAN]).is_err());
+        // Finite samples whose cached second moment overflows.
+        assert!(Empirical::from_samples(&[1.0, 1e200]).is_err());
     }
 
     #[test]

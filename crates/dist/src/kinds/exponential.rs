@@ -1,7 +1,7 @@
 //! Exponential distribution — used by the paper (§4, §5 Example 1) for VCR
 //! durations of movies 2 and 3 (means 5 and 2 minutes).
 
-use crate::duration::{require_positive, DurationDist};
+use crate::duration::{require_finite_constants, require_positive, DurationDist};
 use crate::rng::{u01_open, SeededRng};
 use crate::DistError;
 
@@ -13,22 +13,22 @@ pub struct Exponential {
 }
 
 impl Exponential {
-    /// Construct from the mean duration in movie minutes.
+    /// Construct from the mean duration in movie minutes (refused where
+    /// the rate `1/mean` overflows).
     pub fn with_mean(mean: f64) -> Result<Self, DistError> {
         let mean = require_positive("mean", mean)?;
-        Ok(Self {
-            mean,
-            rate: 1.0 / mean,
-        })
+        let rate = 1.0 / mean;
+        require_finite_constants("mean", mean, &[rate], "such that 1/mean is finite")?;
+        Ok(Self { mean, rate })
     }
 
-    /// Construct from the rate `λ` (events per minute).
+    /// Construct from the rate `λ` (events per minute; refused where the
+    /// mean `1/λ` overflows).
     pub fn with_rate(rate: f64) -> Result<Self, DistError> {
         let rate = require_positive("rate", rate)?;
-        Ok(Self {
-            mean: 1.0 / rate,
-            rate,
-        })
+        let mean = 1.0 / rate;
+        require_finite_constants("rate", rate, &[mean], "such that 1/rate is finite")?;
+        Ok(Self { mean, rate })
     }
 
     /// The rate parameter `λ`.
@@ -56,19 +56,22 @@ impl DurationDist for Exponential {
     }
 
     fn survival_integral(&self, y: f64) -> f64 {
-        if y <= 0.0 {
-            return 0.0;
-        }
-        // ∫₀^y e^{−λu} du = (1 − e^{−λy})/λ
-        self.cdf(y) / self.rate
+        self.cdf_and_survival_integrals(y).1
     }
 
     fn survival_integral2(&self, y: f64) -> f64 {
+        self.cdf_and_survival_integrals(y).2
+    }
+
+    /// `F(y) = 1 − e^{−λy}`, `A(y) = ∫₀^y e^{−λu} du = F(y)/λ` and
+    /// `AA(y) = ∫₀^y (1 − e^{−λu})/λ du = (y − A(y))/λ`: one `exp_m1`.
+    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
         if y <= 0.0 {
-            return 0.0;
+            return (0.0, 0.0, 0.0);
         }
-        // ∫₀^y (1 − e^{−λu})/λ du = (y − A(y))/λ
-        (y - self.survival_integral(y)) / self.rate
+        let f = self.cdf(y);
+        let a = f / self.rate;
+        (f, a, (y - a) / self.rate)
     }
 
     fn mean(&self) -> f64 {
@@ -109,6 +112,9 @@ mod tests {
         assert!(Exponential::with_mean(0.0).is_err());
         assert!(Exponential::with_mean(-1.0).is_err());
         assert!(Exponential::with_mean(f64::NAN).is_err());
+        // Subnormal: the cached reciprocal would be infinite.
+        assert!(Exponential::with_mean(1e-320).is_err());
+        assert!(Exponential::with_rate(1e-320).is_err());
     }
 
     #[test]

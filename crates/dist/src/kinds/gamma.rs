@@ -4,9 +4,9 @@
 //! paper writes as `(α = 2, γ = 4)`, i.e. shape 2 and scale 4 in modern
 //! notation ([`Gamma::paper_fig7`]).
 
-use crate::duration::{require_positive, DurationDist};
+use crate::duration::{require_finite_constants, require_positive, DurationDist};
 use crate::rng::{std_normal, u01_open, SeededRng};
-use crate::special::{gamma_p, gamma_q, ln_gamma};
+use crate::special::{gamma_pq, ln_gamma};
 use crate::DistError;
 
 /// Gamma distribution with shape `k` and scale `θ` (mean `kθ`).
@@ -20,6 +20,10 @@ pub struct Gamma {
     /// and `PartialEq` leave them out.
     d: f64,
     c: f64,
+    /// `ln Γ(k)`, `ln Γ(k + 1)`, `ln Γ(k + 2)`: the three incomplete gammas
+    /// of `(F, A, AA)` at one point share `ln t` and these (derived, so
+    /// also left out of `Debug` and `PartialEq`).
+    ln_gamma: [f64; 3],
 }
 
 impl std::fmt::Debug for Gamma {
@@ -42,6 +46,13 @@ impl Gamma {
     pub fn new(shape: f64, scale: f64) -> Result<Self, DistError> {
         let shape = require_positive("shape", shape)?;
         let scale = require_positive("scale", scale)?;
+        let ln_gamma = [shape, shape + 1.0, shape + 2.0].map(ln_gamma);
+        require_finite_constants(
+            "shape",
+            shape,
+            &ln_gamma,
+            "such that ln Γ(shape) and ln Γ(shape + 2) are finite",
+        )?;
         let boosted = if shape < 1.0 { shape + 1.0 } else { shape };
         let d = boosted - 1.0 / 3.0;
         Ok(Self {
@@ -49,6 +60,7 @@ impl Gamma {
             scale,
             d,
             c: 1.0 / (9.0 * d).sqrt(),
+            ln_gamma,
         })
     }
 
@@ -84,7 +96,7 @@ impl DurationDist for Gamma {
         }
         let k = self.shape;
         // f(x) = x^{k−1} e^{−x/θ} / (θ^k Γ(k)), evaluated in log space.
-        let log_pdf = (k - 1.0) * x.ln() - x / self.scale - k * self.scale.ln() - ln_gamma(k);
+        let log_pdf = (k - 1.0) * x.ln() - x / self.scale - k * self.scale.ln() - self.ln_gamma[0];
         log_pdf.exp()
     }
 
@@ -92,29 +104,35 @@ impl DurationDist for Gamma {
         if x <= 0.0 {
             0.0
         } else {
-            gamma_p(self.shape, x / self.scale)
+            let t = x / self.scale;
+            gamma_pq(self.shape, t, t.ln(), self.ln_gamma[0]).0
         }
     }
 
     fn survival_integral(&self, y: f64) -> f64 {
-        if y <= 0.0 {
-            return 0.0;
-        }
-        // y·S(y) + M₁(y) with the partial moment M₁(y) = kθ·P(k+1, y/θ).
-        let t = y / self.scale;
-        y * gamma_q(self.shape, t) + self.shape * self.scale * gamma_p(self.shape + 1.0, t)
+        self.cdf_and_survival_integrals(y).1
     }
 
     fn survival_integral2(&self, y: f64) -> f64 {
+        self.cdf_and_survival_integrals(y).2
+    }
+
+    /// `F(y) = P(k, t)` with `t = y/θ`; `A(y) = y·S(y) + M₁(y)` and
+    /// `AA(y) = ½[y²S(y) + 2y·M₁(y) − M₂(y)]` with the partial moments
+    /// `M₁(y) = kθ·P(k+1, t)`, `M₂(y) = k(k+1)θ²·P(k+2, t)`: one `ln t`
+    /// and one expansion per shape.
+    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
         if y <= 0.0 {
-            return 0.0;
+            return (0.0, 0.0, 0.0);
         }
-        // ½[y²S(y) + 2y·M₁(y) − M₂(y)], M₂(y) = k(k+1)θ²·P(k+2, y/θ).
         let (k, s) = (self.shape, self.scale);
         let t = y / s;
-        let m1 = k * s * gamma_p(k + 1.0, t);
-        let m2 = k * (k + 1.0) * s * s * gamma_p(k + 2.0, t);
-        0.5 * (y * y * gamma_q(k, t) + 2.0 * y * m1 - m2)
+        let ln_t = t.ln();
+        let [g0, g1, g2] = self.ln_gamma;
+        let (p0, q0) = gamma_pq(k, t, ln_t, g0);
+        let m1 = k * s * gamma_pq(k + 1.0, t, ln_t, g1).0;
+        let m2 = k * (k + 1.0) * s * s * gamma_pq(k + 2.0, t, ln_t, g2).0;
+        (p0, y * q0 + m1, 0.5 * (y * y * q0 + 2.0 * y * m1 - m2))
     }
 
     fn mean(&self) -> f64 {

@@ -2,21 +2,41 @@
 //! human "dwell time" measurements; included to exercise the model's
 //! generality claim with a distribution the paper never tried.
 
-use crate::duration::{require_positive, DurationDist};
+use crate::duration::{require_finite_constants, require_positive, DurationDist};
 use crate::rng::{std_normal, SeededRng};
 use crate::special::std_normal_cdf;
 use crate::DistError;
 
 /// Lognormal distribution: `ln X ~ N(mu, sigma²)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 pub struct LogNormal {
     mu: f64,
     sigma: f64,
+    /// The raw moments `E[X] = e^{μ+σ²/2}` and `E[X²] = e^{2μ+2σ²}`, the
+    /// coefficients of the partial moments in `A` and `AA`. Derived from
+    /// the parameters, so `Debug` and `PartialEq` leave them out.
+    moments: [f64; 2],
+}
+
+impl std::fmt::Debug for LogNormal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LogNormal")
+            .field("mu", &self.mu)
+            .field("sigma", &self.sigma)
+            .finish()
+    }
+}
+
+impl PartialEq for LogNormal {
+    fn eq(&self, other: &Self) -> bool {
+        (self.mu, self.sigma) == (other.mu, other.sigma)
+    }
 }
 
 impl LogNormal {
     /// Construct from the log-space location `mu` (any finite value) and
-    /// log-space scale `sigma > 0`.
+    /// log-space scale `sigma > 0`. Parameters whose second moment
+    /// `e^{2μ+2σ²}` overflows are refused.
     pub fn new(mu: f64, sigma: f64) -> Result<Self, DistError> {
         if !mu.is_finite() {
             return Err(DistError::InvalidParameter {
@@ -25,10 +45,18 @@ impl LogNormal {
                 requirement: "finite",
             });
         }
-        Ok(Self {
-            mu,
-            sigma: require_positive("sigma", sigma)?,
-        })
+        let sigma = require_positive("sigma", sigma)?;
+        let moments = [
+            (mu + sigma * sigma / 2.0).exp(),
+            (2.0 * mu + 2.0 * sigma * sigma).exp(),
+        ];
+        require_finite_constants(
+            "sigma",
+            sigma,
+            &moments,
+            "such that E[X²] = exp(2·mu + 2·sigma²) is finite",
+        )?;
+        Ok(Self { mu, sigma, moments })
     }
 
     /// Construct from the *real-space* mean and coefficient of variation
@@ -70,30 +98,35 @@ impl DurationDist for LogNormal {
     }
 
     fn survival_integral(&self, y: f64) -> f64 {
-        if y <= 0.0 {
-            return 0.0;
-        }
-        // y·S(y) + M₁(y) with z = (ln y − μ)/σ, S = Φ(−z) and the partial
-        // expectation M₁(y) = e^{μ+σ²/2} Φ(z − σ).
-        let z = (y.ln() - self.mu) / self.sigma;
-        y * std_normal_cdf(-z)
-            + (self.mu + self.sigma * self.sigma / 2.0).exp() * std_normal_cdf(z - self.sigma)
+        self.cdf_and_survival_integrals(y).1
     }
 
     fn survival_integral2(&self, y: f64) -> f64 {
+        self.cdf_and_survival_integrals(y).2
+    }
+
+    /// With `z = (ln y − μ)/σ`: `F(y) = Φ(z)`, `S(y) = Φ(−z)`, and the
+    /// partial moments `M_r(y) = e^{rμ + r²σ²/2} Φ(z − rσ)` give
+    /// `A(y) = y·S(y) + M₁(y)` and `AA(y) = ½[y²S(y) + 2y·M₁(y) − M₂(y)]`:
+    /// one `ln y` and four `Φ` values.
+    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
         if y <= 0.0 {
-            return 0.0;
+            return (0.0, 0.0, 0.0);
         }
-        // ½[y²S(y) + 2y·M₁(y) − M₂(y)], M_r(y) = e^{rμ + r²σ²/2} Φ(z − rσ).
-        let (mu, s) = (self.mu, self.sigma);
-        let z = (y.ln() - mu) / s;
-        let m1 = (mu + s * s / 2.0).exp() * std_normal_cdf(z - s);
-        let m2 = (2.0 * mu + 2.0 * s * s).exp() * std_normal_cdf(z - 2.0 * s);
-        0.5 * (y * y * std_normal_cdf(-z) + 2.0 * y * m1 - m2)
+        let s = self.sigma;
+        let z = (y.ln() - self.mu) / s;
+        let survival = std_normal_cdf(-z);
+        let m1 = self.moments[0] * std_normal_cdf(z - s);
+        let m2 = self.moments[1] * std_normal_cdf(z - 2.0 * s);
+        (
+            std_normal_cdf(z),
+            y * survival + m1,
+            0.5 * (y * y * survival + 2.0 * y * m1 - m2),
+        )
     }
 
     fn mean(&self) -> f64 {
-        (self.mu + self.sigma * self.sigma / 2.0).exp()
+        self.moments[0]
     }
 
     fn variance(&self) -> f64 {

@@ -90,6 +90,19 @@ impl DurationDist for Mixture {
         self.weighted(|c| c.survival_integral2(y))
     }
 
+    /// Each component's triple, weighted and summed in component order from
+    /// `-0.0` as `f64`'s `Sum` in `weighted` does, so it is bitwise the
+    /// three weighted sums.
+    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
+        self.weights
+            .iter()
+            .zip(&self.components)
+            .fold((-0.0, -0.0, -0.0), |(f, a, aa), (w, c)| {
+                let (cf, ca, caa) = c.cdf_and_survival_integrals(y);
+                (f + w * cf, a + w * ca, aa + w * caa)
+            })
+    }
+
     fn mean(&self) -> f64 {
         self.weighted(|c| c.mean())
     }

@@ -54,6 +54,9 @@ impl<D: DurationDist> Truncated<D> {
         t.mean = t.survival_integral(hi);
         let ex2 = 2.0 * (hi * t.mean - t.survival_integral2(hi));
         t.variance = (ex2 - t.mean * t.mean).max(0.0);
+        if !(t.mean.is_finite() && ex2.is_finite()) {
+            return Err(DistError::BadTruncation { lo, hi });
+        }
         Ok(t)
     }
 
@@ -153,6 +156,9 @@ mod tests {
         let base = Exponential::with_mean(5.0).unwrap();
         // Window far in the tail holds no numerically measurable mass.
         assert!(Truncated::new(base, 400.0, 500.0).is_err());
+        // A window so wide that the cached second moment overflows.
+        let base = crate::kinds::Uniform::new(0.0, 1e300).unwrap();
+        assert!(Truncated::new(base, 0.0, 1e300).is_err());
     }
 
     /// The closed-form moments against the quadrature they replaced, kept

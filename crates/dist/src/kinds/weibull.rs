@@ -2,25 +2,78 @@
 //! shape parameter interpolates between heavy-tailed (`k < 1`) and
 //! near-deterministic (`k ≫ 1`) VCR behavior.
 
-use crate::duration::{require_positive, DurationDist};
+use crate::duration::{require_finite_constants, require_positive, DurationDist};
 use crate::rng::{u01_open, SeededRng};
-use crate::special::{gamma_p, ln_gamma};
+use crate::special::{gamma_pq, ln_gamma};
 use crate::DistError;
 
 /// Weibull distribution with shape `k` and scale `λ`:
 /// `F(x) = 1 − exp(−(x/λ)^k)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Clone, Copy)]
 pub struct Weibull {
     shape: f64,
     scale: f64,
+    /// The shapes `a = 1/k, 1 + 1/k, 1 + 2/k` of the three incomplete
+    /// gammas in `(F, A, AA)`, with `ln Γ(a)` and the coefficients
+    /// `λ/k·Γ(1/k)`, `λ·Γ(1 + 1/k)` (the mean), `λ²·Γ(1 + 2/k)` they are
+    /// multiplied by. Derived from the parameters, so `Debug` and
+    /// `PartialEq` leave them out.
+    a: [f64; 3],
+    ln_gamma_a: [f64; 3],
+    coef: [f64; 3],
+}
+
+impl std::fmt::Debug for Weibull {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Weibull")
+            .field("shape", &self.shape)
+            .field("scale", &self.scale)
+            .finish()
+    }
+}
+
+impl PartialEq for Weibull {
+    fn eq(&self, other: &Self) -> bool {
+        (self.shape, self.scale) == (other.shape, other.scale)
+    }
 }
 
 impl Weibull {
-    /// Construct from shape `k > 0` and scale `λ > 0`.
+    /// Construct from shape `k > 0` and scale `λ > 0`. A shape so small
+    /// that `Γ(1 + 2/k)` overflows (`k` below about 0.0117), or a scale so
+    /// large that `λ²·Γ(1 + 2/k)` does, is refused: the second moment the
+    /// model needs would not be a number.
     pub fn new(shape: f64, scale: f64) -> Result<Self, DistError> {
+        let shape = require_positive("shape", shape)?;
+        let scale = require_positive("scale", scale)?;
+        let a = [1.0 / shape, 1.0 + 1.0 / shape, 1.0 + 2.0 / shape];
+        // `ln_gamma` wants a finite argument; 1/k is infinite for a
+        // subnormal k.
+        let ln_gamma_a = a.map(|a| if a.is_finite() { ln_gamma(a) } else { a });
+        let gamma_a = ln_gamma_a.map(f64::exp);
+        require_finite_constants(
+            "shape",
+            shape,
+            &gamma_a,
+            "such that Γ(1/shape) and Γ(1 + 2/shape) are finite",
+        )?;
+        let coef = [
+            scale / shape * gamma_a[0],
+            scale * gamma_a[1],
+            scale * scale * gamma_a[2],
+        ];
+        require_finite_constants(
+            "scale",
+            scale,
+            &coef,
+            "such that scale² · Γ(1 + 2/shape) is finite",
+        )?;
         Ok(Self {
-            shape: require_positive("shape", shape)?,
-            scale: require_positive("scale", scale)?,
+            shape,
+            scale,
+            a,
+            ln_gamma_a,
+            coef,
         })
     }
 
@@ -54,38 +107,40 @@ impl DurationDist for Weibull {
     }
 
     fn survival_integral(&self, y: f64) -> f64 {
-        if y <= 0.0 {
-            return 0.0;
-        }
-        // ∫₀^y exp(−(u/λ)^k) du; substituting t = (u/λ)^k gives
-        // (λ/k) γ(1/k, (y/λ)^k) = (λ/k) Γ(1/k) P(1/k, (y/λ)^k).
-        let k = self.shape;
-        let t = (y / self.scale).powf(k);
-        (self.scale / k) * ln_gamma(1.0 / k).exp() * gamma_p(1.0 / k, t)
+        self.cdf_and_survival_integrals(y).1
     }
 
     fn survival_integral2(&self, y: f64) -> f64 {
+        self.cdf_and_survival_integrals(y).2
+    }
+
+    /// With `t = (y/λ)^k`: `F(y) = 1 − e^{−t}`; `A(y) = ∫₀^y e^{−(u/λ)^k}
+    /// du`, which the substitution `t = (u/λ)^k` turns into
+    /// `(λ/k) Γ(1/k) P(1/k, t)`; and `AA(y) = ½[y²S(y) + 2y·M₁(y) −
+    /// M₂(y)]` with `M_r(y) = ∫₀^y u^r dF(u) = λ^r Γ(1 + r/k) P(1 + r/k,
+    /// t)`. One `t`, one `ln t`, one expansion per shape.
+    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
         if y <= 0.0 {
-            return 0.0;
+            return (0.0, 0.0, 0.0);
         }
-        // ½[y²S(y) + 2y·M₁(y) − M₂(y)]; substituting t = (u/λ)^k in
-        // ∫₀^y u^r dF(u) gives M_r(y) = λ^r Γ(1 + r/k) P(1 + r/k, (y/λ)^k).
-        let k = self.shape;
-        let t = (y / self.scale).powf(k);
-        let moment = |r: f64| {
-            let a = 1.0 + r / k;
-            self.scale.powf(r) * ln_gamma(a).exp() * gamma_p(a, t)
-        };
-        0.5 * (y * y * (-t).exp() + 2.0 * y * moment(1.0) - moment(2.0))
+        let t = (y / self.scale).powf(self.shape);
+        let ln_t = t.ln();
+        let term = |i: usize| self.coef[i] * gamma_pq(self.a[i], t, ln_t, self.ln_gamma_a[i]).0;
+        let (a, m1, m2) = (term(0), term(1), term(2));
+        (
+            -(-t).exp_m1(),
+            a,
+            0.5 * (y * y * (-t).exp() + 2.0 * y * m1 - m2),
+        )
     }
 
     fn mean(&self) -> f64 {
-        self.scale * ln_gamma(1.0 + 1.0 / self.shape).exp()
+        self.coef[1]
     }
 
     fn variance(&self) -> f64 {
-        let g1 = ln_gamma(1.0 + 1.0 / self.shape).exp();
-        let g2 = ln_gamma(1.0 + 2.0 / self.shape).exp();
+        let g1 = self.ln_gamma_a[1].exp();
+        let g2 = self.ln_gamma_a[2].exp();
         self.scale * self.scale * (g2 - g1 * g1)
     }
 

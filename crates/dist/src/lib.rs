@@ -6,8 +6,8 @@
 //! probability/numerics, implemented from scratch:
 //!
 //! * **Special functions** — [`special`]: `ln Γ`, regularized incomplete
-//!   gamma `P(a,x)`/`Q(a,x)`, Cody's rational `erf`/`erfc`, the standard
-//!   normal cdf.
+//!   gamma `P(a,x)`/`Q(a,x)` (as one pair from one expansion), Cody's
+//!   rational `erf`/`erfc`, the standard normal cdf.
 //! * **Quadrature** — [`quad`]: adaptive Simpson and Gauss–Legendre.
 //! * **Root finding** — [`root`]: Brent's method.
 //! * **Randomness** — [`rng`]: seeded reproducible RNG, uniform/normal/
@@ -18,7 +18,8 @@
 //!   LogNormal, Mixture, Empirical (trace-fitted), and a Truncated
 //!   adapter. Each exposes the cdf `F` **and** its first two running
 //!   integrals `H(y) = ∫₀^y F(u) du`, `HH(y) = ∫₀^y H(u) du` in closed form
-//!   — the three quantities the ICDE'97 model is built from.
+//!   — the three quantities the ICDE'97 model is built from, which
+//!   [`DurationDist::cdf_and_survival_integrals`] hands over in one call.
 //! * **Specs** — [`spec`]: compact textual descriptions
 //!   (`"gamma:shape=2,scale=4"`) used by experiment configs.
 //!

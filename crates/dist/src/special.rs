@@ -64,43 +64,47 @@ pub fn ln_gamma(x: f64) -> f64 {
 /// `P(a, x) = γ(a, x) / Γ(a)` for `a > 0`, `x ≥ 0`.
 ///
 /// `P(a, ·)` is the cdf of a Gamma(shape `a`, scale 1) random variable.
-/// Chooses between the power series (fast for `x < a + 1`) and the
-/// continued-fraction complement (for `x ≥ a + 1`).
+/// The first component of [`gamma_pq`].
 pub fn gamma_p(a: f64, x: f64) -> f64 {
-    debug_assert!(a > 0.0, "gamma_p domain: a > 0, got {a}");
-    debug_assert!(x >= 0.0, "gamma_p domain: x >= 0, got {x}");
-    if x <= 0.0 {
-        return 0.0;
-    }
-    if x.is_infinite() {
-        return 1.0;
-    }
-    if x < a + 1.0 {
-        gamma_p_series(a, x)
-    } else {
-        1.0 - gamma_q_contfrac(a, x)
-    }
+    gamma_pq(a, x, x.ln(), ln_gamma(a)).0
 }
 
 /// Regularized upper incomplete gamma function `Q(a, x) = 1 − P(a, x)`.
+/// The second component of [`gamma_pq`].
 pub fn gamma_q(a: f64, x: f64) -> f64 {
-    debug_assert!(a > 0.0, "gamma_q domain: a > 0, got {a}");
-    debug_assert!(x >= 0.0, "gamma_q domain: x >= 0, got {x}");
+    gamma_pq(a, x, x.ln(), ln_gamma(a)).1
+}
+
+/// `(P(a, x), Q(a, x))` from one expansion, for `a > 0`, `x ≥ 0`, given
+/// `ln_x = x.ln()` and `ln_gamma_a = ln_gamma(a)`. A caller that needs
+/// several shapes at one `x` (the partial moments of a Gamma or Weibull)
+/// takes the logarithm once and caches `ln Γ(a)`; with those two arguments
+/// as [`gamma_p`] and [`gamma_q`] compute them, the pair is bitwise theirs.
+///
+/// Below `x = a + 1` the power series gives `P` and `Q = 1 − P`; from
+/// there on the continued fraction gives `Q` and `P = 1 − Q`.
+pub fn gamma_pq(a: f64, x: f64, ln_x: f64, ln_gamma_a: f64) -> (f64, f64) {
+    debug_assert!(a > 0.0, "gamma_pq domain: a > 0, got {a}");
+    debug_assert!(x >= 0.0, "gamma_pq domain: x >= 0, got {x}");
     if x <= 0.0 {
-        return 1.0;
+        return (0.0, 1.0);
     }
     if x.is_infinite() {
-        return 0.0;
+        return (1.0, 0.0);
     }
+    // ln(x^a e^{−x} / Γ(a)), the prefactor both expansions share.
+    let log_prefix = a * ln_x - x - ln_gamma_a;
     if x < a + 1.0 {
-        1.0 - gamma_p_series(a, x)
+        let p = gamma_p_series(a, x, log_prefix);
+        (p, 1.0 - p)
     } else {
-        gamma_q_contfrac(a, x)
+        let q = gamma_q_contfrac(a, x, log_prefix);
+        (1.0 - q, q)
     }
 }
 
 /// Series expansion of P(a, x): `γ(a,x) = x^a e^{-x} Σ_{n≥0} x^n Γ(a)/Γ(a+1+n)`.
-fn gamma_p_series(a: f64, x: f64) -> f64 {
+fn gamma_p_series(a: f64, x: f64, log_prefix: f64) -> f64 {
     let mut ap = a;
     let mut sum = 1.0 / a;
     let mut del = sum;
@@ -112,12 +116,11 @@ fn gamma_p_series(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    let log_prefix = a * x.ln() - x - ln_gamma(a);
     (sum * log_prefix.exp()).clamp(0.0, 1.0)
 }
 
 /// Continued fraction for Q(a, x) via the modified Lentz algorithm.
-fn gamma_q_contfrac(a: f64, x: f64) -> f64 {
+fn gamma_q_contfrac(a: f64, x: f64, log_prefix: f64) -> f64 {
     let mut b = x + 1.0 - a;
     let mut c = 1.0 / TINY;
     let mut d = 1.0 / b.max(TINY);
@@ -140,7 +143,6 @@ fn gamma_q_contfrac(a: f64, x: f64) -> f64 {
             break;
         }
     }
-    let log_prefix = a * x.ln() - x - ln_gamma(a);
     (h * log_prefix.exp()).clamp(0.0, 1.0)
 }
 

@@ -11,7 +11,9 @@
 # change/parent ratio, the pairs the change won and each run's CPU
 # seconds (user + sys: a threaded gain spends a second core); each
 # side's median and quartiles of work_per_s, cpu_s, setup_s and
-# peak_rss_mib; per segment, each side's median and quartiles of its
+# peak_rss_mib, and beside the last the repetition count (the harness
+# keeps every repetition's segments, so an RSS move that follows the
+# count is that storage, not a leak); per segment, each side's median and quartiles of its
 # rate and the pairs the change won (read from each run's --out
 # document: a backend-specific change shows on its segment, which the
 # end-to-end number averages away); each end-to-end metric's
@@ -84,6 +86,15 @@ for name in work_per_s cpu_s setup_s peak_rss_mib; do
   for side in parent change; do
     metric "$side" "$name" | summary "$name $side"
   done
+done
+# Each run's repetition count: workloads.<w>.reps of its --out document.
+reps() { # side
+  for ((i = 0; i < pairs; i++)); do
+    sed -n 's/^ *"reps": \([0-9]*\),*$/\1/p' "$tmp/$1.$i.json"
+  done
+}
+for side in parent change; do
+  reps "$side" | summary "reps $side"
 done
 # Each segment's rate per run, pair order: the "rate" inside the
 # document's "segments" object, under the segment's name.

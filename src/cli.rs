@@ -363,6 +363,17 @@ mod tests {
     }
 
     #[test]
+    fn a_weibull_whose_gamma_constants_overflow_is_refused_at_parse_time() {
+        // 1/shape is infinite at 1e-320; Γ(1 + 2/shape) = Γ(2001) overflows
+        // at 0.001. Either would reach the planner as a NaN moment.
+        for shape in ["1e-320", "0.001"] {
+            let spec = format!("m;l=60;w=0.5;p=0.5;dist=weibull:shape={shape},scale=2");
+            let e = parse_movie(&spec).unwrap_err();
+            assert!(e.0.contains("parameter `shape`"), "{shape}: {}", e.0);
+        }
+    }
+
+    #[test]
     fn parse_args_defaults() {
         let o = parse_args(&args(&["--movie", "a;l=60;w=0.5;p=0.5;dist=exp:mean=5"])).unwrap();
         assert_eq!(o.streams, 120); // pure batching default
