@@ -121,13 +121,14 @@ pub fn p_hit_ff(params: &SystemParams, dist: &dyn DurationDist, opts: &ModelOpti
 fn jump_term(k: &Kernel<'_>, alpha: f64, l: f64, b: f64, c: f64) -> f64 {
     // At a window edge y minutes ahead: the catch-up sweep αy clamped to
     // the movie end, H and HH there, the antiderivative uH − HH of uF(u),
-    // and G(y), which is not clamped: it needs a point of its own only
-    // past the movie end (below 0 both H are 0).
+    // and G(y) = H(αy)/α. One point serves G too: below 0 both H are 0,
+    // and past the movie end (u = l) every G is weighted by a region of
+    // zero width (l − u₂, u₂ − u₁, u₁ − u₀), so H(u) standing in for
+    // H(αy) changes at most the sign of a zero.
     let edge = |y: f64| {
         let u = (alpha * y).clamp(0.0, l);
         let (_, h, hh) = k.at(u);
-        let g = if alpha * y > l { k.at(alpha * y).1 } else { h };
-        (u, h, hh, u * h - hh, g / alpha)
+        (u, h, hh, u * h - hh, h / alpha)
     };
     let (u0, h0, hh0, m0, g0) = edge(c - b);
     let (u1, h1, hh1, m1, g1) = edge(c);

@@ -148,6 +148,13 @@ impl Empirical {
             Err(i) => i.saturating_sub(1),
         }
     }
+
+    /// `F(x)` on segment `i` (`xs[i] <= x < xs[i + 1]`): linear between the
+    /// breakpoints.
+    fn cdf_on(&self, i: usize, x: f64) -> f64 {
+        let t = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i]);
+        self.fs[i] + t * (self.fs[i + 1] - self.fs[i])
+    }
 }
 
 impl DurationDist for Empirical {
@@ -167,37 +174,40 @@ impl DurationDist for Empirical {
         if x >= self.max_value() {
             return 1.0;
         }
-        let i = self.segment(x);
-        let t = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i]);
-        self.fs[i] + t * (self.fs[i + 1] - self.fs[i])
+        self.cdf_on(self.segment(x), x)
     }
 
     fn survival_integral(&self, y: f64) -> f64 {
-        if y <= self.xs[0] {
-            return y.max(0.0);
-        }
-        if y >= self.max_value() {
-            return self.a_s[self.a_s.len() - 1];
-        }
-        let i = self.segment(y);
-        // Trapezoid from xs[i] to y on a linear survival segment.
-        self.a_s[i] + (1.0 - 0.5 * (self.fs[i] + self.cdf(y))) * (y - self.xs[i])
+        self.cdf_and_survival_integrals(y).1
     }
 
     fn survival_integral2(&self, y: f64) -> f64 {
+        self.cdf_and_survival_integrals(y).2
+    }
+
+    /// Below `x₀` the survival function is 1 and above `x_k` it is 0; in
+    /// between, one segment search serves all three: on a linear survival
+    /// segment `A` grows by a trapezoid and `AA` by a cubic from the
+    /// precomputed values at `xs[i]`.
+    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
         if y <= self.xs[0] {
             let y = y.max(0.0);
-            return 0.5 * y * y;
+            return (0.0, y, 0.5 * y * y);
         }
         let last = self.xs.len() - 1;
         if y >= self.max_value() {
-            return self.aas[last] + (y - self.max_value()) * self.a_s[last];
+            let aa = self.aas[last] + (y - self.max_value()) * self.a_s[last];
+            return (1.0, self.a_s[last], aa);
         }
         let i = self.segment(y);
-        // Cubic from xs[i] to y on a linear survival segment.
+        let f = self.cdf_on(i, y);
         let d = y - self.xs[i];
-        let df = self.cdf(y) - self.fs[i];
-        self.aas[i] + d * self.a_s[i] + (0.5 * (1.0 - self.fs[i]) - df / 6.0) * d * d
+        let df = f - self.fs[i];
+        (
+            f,
+            self.a_s[i] + (1.0 - 0.5 * (self.fs[i] + f)) * d,
+            self.aas[i] + d * self.a_s[i] + (0.5 * (1.0 - self.fs[i]) - df / 6.0) * d * d,
+        )
     }
 
     fn mean(&self) -> f64 {

@@ -50,9 +50,15 @@ impl LogNormal {
             (mu + sigma * sigma / 2.0).exp(),
             (2.0 * mu + 2.0 * sigma * sigma).exp(),
         ];
+        // Blame mu where e^{2μ} alone overflows, sigma otherwise.
+        let (name, value) = if (2.0 * mu).exp().is_finite() {
+            ("sigma", sigma)
+        } else {
+            ("mu", mu)
+        };
         require_finite_constants(
-            "sigma",
-            sigma,
+            name,
+            value,
             &moments,
             "such that E[X²] = exp(2·mu + 2·sigma²) is finite",
         )?;
@@ -61,12 +67,28 @@ impl LogNormal {
 
     /// Construct from the *real-space* mean and coefficient of variation
     /// (`cv = σ_X / mean_X`), the parameterization workload configs use.
+    /// A `cv` whose `ln(1 + cv²)` is 0 or infinite, or a `mean` such that
+    /// `E[X²] = mean²·(1 + cv²)` overflows, is refused under the name the
+    /// caller typed, not as the derived `mu` or `sigma`.
     pub fn with_mean_cv(mean: f64, cv: f64) -> Result<Self, DistError> {
         let mean = require_positive("mean", mean)?;
         let cv = require_positive("cv", cv)?;
         let sigma2 = (1.0 + cv * cv).ln();
+        if !(sigma2.is_finite() && sigma2 > 0.0) {
+            return Err(DistError::InvalidParameter {
+                name: "cv".into(),
+                value: cv,
+                requirement: "such that ln(1 + cv²) is finite and > 0",
+            });
+        }
         let mu = mean.ln() - sigma2 / 2.0;
-        Self::new(mu, sigma2.sqrt())
+        // mu and sigma are finite and sigma > 0 here, so the only refusal
+        // left is the overflow of E[X²].
+        Self::new(mu, sigma2.sqrt()).map_err(|_| DistError::InvalidParameter {
+            name: "mean".into(),
+            value: mean,
+            requirement: "such that E[X²] = mean²·(1 + cv²) is finite",
+        })
     }
 
     /// Log-space location `mu`.
@@ -155,6 +177,23 @@ mod tests {
         assert!((d.mean() - 8.0).abs() < 1e-10);
         let cv = d.variance().sqrt() / d.mean();
         assert!((cv - 0.5).abs() < 1e-10);
+    }
+
+    #[test]
+    fn an_overflowing_second_moment_names_the_parameter_typed() {
+        let named = |r: Result<LogNormal, DistError>| match r {
+            Err(DistError::InvalidParameter { name, .. }) => name,
+            other => panic!("expected a refusal, got {other:?}"),
+        };
+        // 2·mu alone overflows e^x; sigma is modest.
+        assert_eq!(named(LogNormal::new(400.0, 0.5)), "mu");
+        // 2·sigma² does; mu is 0.
+        assert_eq!(named(LogNormal::new(0.0, 19.0)), "sigma");
+        // Through the spec parameterization: the mean, not the derived sigma.
+        assert_eq!(named(LogNormal::with_mean_cv(1e200, 0.7)), "mean");
+        // ln(1 + cv²) is 0 (cv² below an ulp of 1) or infinite.
+        assert_eq!(named(LogNormal::with_mean_cv(4.0, 1e-9)), "cv");
+        assert_eq!(named(LogNormal::with_mean_cv(4.0, 1e200)), "cv");
     }
 
     #[test]

@@ -9,6 +9,14 @@
 //! a subnormal-scale point, both sides of the incomplete gamma's
 //! `x < a + 1` switch, far out, and `+∞`. A NaN pin matches any NaN (its
 //! payload is the platform's, not the formula's).
+//!
+//! Gamma(k, 4) at `y` evaluates `P(a, y/4)` for `a = k, k + 1, k + 2`:
+//! Gamma(2, 4) takes the series at `y = 0.3, 3, 8` and the continued
+//! fraction at `y = 40, 10⁶`; Gamma(9, 4) at `y = 40` (`x = 10`) takes the
+//! continued fraction for `a = 9` and the series for `a = 10, 11`. The
+//! empirical law (64 Gamma(2, 4) quantiles, support ≈ [0.52, 27.7]) has
+//! `y = 0.3` below its first breakpoint, `3` and `8` inside a segment and
+//! `40` beyond its last.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use vod_dist::kinds::{
@@ -22,7 +30,7 @@ const POINTS: [f64; 9] = [-1.0, 0.0, 1e-300, 0.3, 3.0, 8.0, 40.0, 1e6, f64::INFI
 
 /// `[F, A, AA]` bits per kind, one row per point of [`POINTS`].
 #[rustfmt::skip]
-const PINNED: [(&str, [[u64; 3]; 9]); 6] = [
+const PINNED: [(&str, [[u64; 3]; 9]); 7] = [
     ("exp", [
         [0x0000000000000000, 0x0000000000000000, 0x0000000000000000], // -1e0: 0e0 0e0 0e0
         [0x0000000000000000, 0x0000000000000000, 0x0000000000000000], // 0e0: 0e0 0e0 0e0
@@ -89,6 +97,17 @@ const PINNED: [(&str, [[u64; 3]; 9]); 6] = [
         [0x3ff0000000000000, 0x4028666666666666, 0x416744eca6666666], // 1e6: 1e0 1.22e1 1.21997812e7
         [0x3ff0000000000000, 0xfff8000000000000, 0xfff8000000000000], // inf: 1e0 NaN NaN
     ]),
+    ("empirical", [
+        [0x0000000000000000, 0x0000000000000000, 0x0000000000000000], // -1e0: 0e0 0e0 0e0
+        [0x0000000000000000, 0x0000000000000000, 0x0000000000000000], // 0e0: 0e0 0e0 0e0
+        [0x0000000000000000, 0x01a56e1fc2f8f359, 0x0000000000000000], // 1e-300: 0e0 1e-300 0e0
+        [0x0000000000000000, 0x3fd3333333333333, 0x3fa70a3d70a3d70a], // 3e-1: 0e0 3e-1 4.5e-2
+        [0x3fc587a76157c163, 0x4006925d63fe8e62, 0x40117771b18002d2], // 3e0: 1.6820232632700102e-1 2.8214671909388906e0 4.366644643247769e0
+        [0x3fe30dc0f81073a0, 0x40177149129bf1a8, 0x403af9654ad13942], // 8e0: 5.954289288525736e-1 5.860630312698426e0 2.6974201847152706e1
+        [0x3ff0000000000000, 0x401f8456c0dc2643, 0x4070e5a085212535], // 4e1: 1e0 7.879237187802178e0 2.703516894621601e2
+        [0x3ff0000000000000, 0x401f8456c0dc2643, 0x415e0e8617ae25cb], // 1e6: 1e0 7.879237187802178e0 7.879192370004128e6
+        [0x3ff0000000000000, 0x401f8456c0dc2643, 0x7ff0000000000000], // inf: 1e0 7.879237187802178e0 inf
+    ]),
 ];
 
 fn mixture() -> Mixture {
@@ -102,6 +121,15 @@ fn mixture() -> Mixture {
     .unwrap()
 }
 
+/// An empirical law fitted to 64 quantiles of Gamma(2, 4).
+fn empirical() -> Empirical {
+    let g = Gamma::new(2.0, 4.0).unwrap();
+    let samples: Vec<f64> = (0..64)
+        .map(|i| g.quantile((i as f64 + 0.5) / 64.0))
+        .collect();
+    Empirical::from_samples(&samples).unwrap()
+}
+
 /// The kinds of [`PINNED`], in its order.
 fn pinned_kinds() -> Vec<Box<dyn DurationDist>> {
     vec![
@@ -111,6 +139,7 @@ fn pinned_kinds() -> Vec<Box<dyn DurationDist>> {
         Box::new(Weibull::new(1.5, 6.0).unwrap()),
         Box::new(LogNormal::with_mean_cv(4.0, 0.7).unwrap()),
         Box::new(mixture()),
+        Box::new(empirical()),
     ]
 }
 
@@ -142,22 +171,40 @@ fn the_triple_and_the_three_calls_are_the_pinned_bits() {
     }
 }
 
+/// `[F, A, AA]` bits of [`empirical`] at `y = 0.6 + 1.7·k`, `k = 0 … 15`:
+/// every point inside a segment, where the triple shares one segment
+/// search and one interpolated `F` between all three.
+#[rustfmt::skip]
+const EMPIRICAL_INTERIOR: [[u64; 3]; 16] = [
+    [0x3f687fab6f757963, 0x3fe3323ef39581b1, 0x3fc70a2412fbb2a2], // 6e-1: 2.990565142382427e-3 5.998835332393836e-1 1.799969761554126e-1
+    [0x3fbb8f92f3badba7, 0x4001bdd6e487354e, 0x4004cdbf8b24751f], // 2.3e0: 1.0765951586186749e-1 2.217695031524875e0 2.600462996530623e0
+    [0x3fd0ac02cd794ba1, 0x400cdbf75b7128de, 0x401e5aea10ce1ee1], // 4e0: 2.604987150745562e-1 3.607405390158518e0 7.5887835145765346e0
+    [0x3fda96681d91beba, 0x4012ecd6c740c0f0, 0x402d6d99345149e7], // 5.699999999999999e0: 4.1543009650829854e-1 4.7312880643150805e0 1.4714059481547293e1
+    [0x3fe1af76907d633e, 0x40166bbe7c80c7e0, 0x4037887d6d21792e], // 7.3999999999999995e0: 5.526688406053848e-1 5.605218835220484e0 2.3533163853332717e1
+    [0x3fe54f37379774ff, 0x4019105679b9fce0, 0x4040d35183c9e264], // 9.1e0: 6.659198842786792e-1 6.265954877831263e0 3.365092513425478e1
+    [0x3fe82acd89ec84d4, 0x401b04e404c5fd03, 0x40465eba2d22439f], // 1.0799999999999999e1: 7.552249616457183e-1 6.754776072105645e0 4.4740056649904766e1
+    [0x3fea5c49d115ee56, 0x401c7095fe4a8d0e, 0x404c45513061b426], // 1.25e1: 8.23765667314954e-1 7.10994717912696e0 5.6541540191370856e1
+    [0x3fec007f44fa0055, 0x401d749485b9bc7e, 0x405136d2b4cfa0c8], // 1.42e1: 8.750606867979608e-1 7.363847817861027e0 6.885661049152543e1
+    [0x3fed34f8abee8297, 0x401e2b8b3fc4ad3e, 0x4054624fc35760c7], // 1.5899999999999999e1: 9.127162321129444e-1 7.542523380641169e0 8.153611835034381e1
+    [0x3fee167124983dae, 0x401eaa11591199f4, 0x40579e157f9d6575], // 1.76e1: 9.402394976368009e-1 7.666081802081397e0 9.447006216402754e1
+    [0x3feeb6b4250c963d, 0x401effec98ba62ce, 0x405ae504bc6a5393], // 1.93e1: 9.598026965729286e-1 7.7499259818802795e0 1.075784140623421e2
+    [0x3fef28b45314cc79, 0x401f3897b9b8281d, 0x405e336f91f0469d], // 2.1e1: 9.737187979393546e-1 7.8052662867212605e0 1.2080368469681203e2
+    [0x3fef80c1909d0c20, 0x401f5caeb640586b, 0x4060c35e43acad80], // 2.27e1: 9.844672989351047e-1 7.84051022308095e0 1.3410525687910194e2
+    [0x3fefac22d72e2f60, 0x401f731cd805f3b3, 0x40626e87519301ae], // 2.4400000000000002e1: 9.897627070181265e-1 7.8624147180207045e0 1.4745401838981837e2
+    [0x3fefd7841dbf529f, 0x401f80531accb77c, 0x40641aa2bd584394], // 2.61e1: 9.950581151011483e-1 7.87531701921932e0 1.6083236567725237e2
+];
+
 #[test]
-fn the_pinned_points_cover_both_incomplete_gamma_branches() {
-    // Gamma(k, 4) at y evaluates P(a, y/4) for a = k, k + 1, k + 2.
-    let (mut series, mut fraction) = (false, false);
-    for k in [2.0, 9.0] {
-        for y in POINTS.iter().filter(|y| y.is_finite() && **y > 0.0) {
-            for a in [k, k + 1.0, k + 2.0] {
-                if y / 4.0 < a + 1.0 {
-                    series = true;
-                } else {
-                    fraction = true;
-                }
-            }
+fn the_empirical_triple_is_the_pinned_bits_inside_its_segments() {
+    let d = empirical();
+    for (k, pins) in EMPIRICAL_INTERIOR.iter().enumerate() {
+        let y = 0.6 + 1.7 * k as f64;
+        let (f, a, aa) = d.cdf_and_survival_integrals(y);
+        for (i, v) in [f, a, aa].into_iter().enumerate() {
+            assert_eq!(v.to_bits(), pins[i], "at {y:e}: component {i} {v:e}");
         }
+        assert_eq!(d.cdf(y).to_bits(), pins[0], "cdf at {y:e}");
     }
-    assert!(series && fraction);
 }
 
 #[test]
@@ -182,13 +229,8 @@ fn gamma_pq_is_gamma_p_and_gamma_q_bit_for_bit() {
 
 #[test]
 fn the_default_triple_is_the_three_calls() {
-    let g = Gamma::new(2.0, 4.0).unwrap();
-    let samples: Vec<f64> = (0..64)
-        .map(|i| g.quantile((i as f64 + 0.5) / 64.0))
-        .collect();
     let kinds: Vec<Box<dyn DurationDist>> = vec![
         Box::new(Deterministic::new(7.0).unwrap()),
-        Box::new(Empirical::from_samples(&samples).unwrap()),
         Box::new(Pareto::new(3.0, 10.0).unwrap()),
         Box::new(Truncated::new(Exponential::with_mean(6.0).unwrap(), 1.0, 25.0).unwrap()),
         Box::new(Uniform::new(0.0, 16.0).unwrap()),

@@ -374,6 +374,13 @@ mod tests {
     }
 
     #[test]
+    fn a_lognormal_whose_second_moment_overflows_names_the_mean() {
+        // E[X²] = mean²·(1 + cv²) overflows; the derived sigma is 0.63.
+        let e = parse_movie("m;l=60;w=0.5;p=0.5;dist=lognormal:mean=1e200,cv=0.7").unwrap_err();
+        assert!(e.0.contains("parameter `mean`"), "{}", e.0);
+    }
+
+    #[test]
     fn parse_args_defaults() {
         let o = parse_args(&args(&["--movie", "a;l=60;w=0.5;p=0.5;dist=exp:mean=5"])).unwrap();
         assert_eq!(o.streams, 120); // pure batching default
