@@ -35,7 +35,7 @@ impl std::fmt::Display for ModelError {
                 name,
                 value,
                 requirement,
-            } => write!(f, "parameter `{name}` = {value} must be {requirement}"),
+            } => write!(f, "parameter `{name}` = {value:?} must be {requirement}"),
             ModelError::BufferExceedsMovie { buffer, movie_len } => write!(
                 f,
                 "buffer B = {buffer} min exceeds movie length l = {movie_len} min"

@@ -9,13 +9,15 @@
 //! running integral `HH(y) = ∫₀^y H(u) du` (the model's outer integral
 //! over the viewer position `V_c` is then exact, see DESIGN.md §3).
 //!
-//! The trait's primitives are the *survival* integrals
-//! `A(y) = ∫₀^y (1 − F) = y − H(y)` and `AA(y) = ∫₀^y A = y²/2 − HH(y)`:
-//! they stay of order `mean` and `mean·y` where `H` and `HH` grow like `y`
-//! and `y²/2`, and the model differences them over windows much shorter
-//! than `y`. `H` and `HH` are provided from them. Sampling (for the
-//! simulator) and moments (for workload construction and tests) complete
-//! the trait.
+//! A kind supplies the integrals one way: the triple `(F, A, AA)` of
+//! [`DurationDist::cdf_and_survival_integrals`], with the *survival*
+//! integrals `A(y) = ∫₀^y (1 − F) = y − H(y)` and
+//! `AA(y) = ∫₀^y A = y²/2 − HH(y)`: they stay of order `mean` and `mean·y`
+//! where `H` and `HH` grow like `y` and `y²/2`, and the model differences
+//! them over windows much shorter than `y`. `A`, `AA`, `H` and `HH` alone
+//! are provided from the triple. The cdf alone (which the model also asks
+//! by itself), sampling (for the simulator) and moments (for workload
+//! construction and tests) complete the trait.
 
 use crate::quad::adaptive_simpson;
 use crate::rng::SeededRng;
@@ -40,46 +42,33 @@ use crate::root::brent;
 /// The trait is object-safe: the model and the simulator both work with
 /// `&dyn DurationDist`.
 pub trait DurationDist: std::fmt::Debug + Send + Sync {
-    /// Probability density at `x` (0 for `x < 0`). Distributions with atoms
-    /// (e.g. [`crate::kinds::Deterministic`]) return 0 everywhere and are
-    /// described entirely by their cdf.
-    fn pdf(&self, x: f64) -> f64;
-
     /// Cumulative distribution function `F(x) = P[X ≤ x]`.
     fn cdf(&self, x: f64) -> f64;
 
-    /// `A(y) = ∫₀^y (1 − F(u)) du = E[min(X, y)]`, the running integral of
-    /// the survival function (the limited expected value).
-    ///
-    /// For `y ≤ 0` this is 0. In terms of the partial moment
-    /// `M₁(y) = E[X; X ≤ y]` it reads `y·(1 − F(y)) + M₁(y)`, a sum of
-    /// non-negative terms, which is how the built-in distributions evaluate
-    /// it in closed form.
-    fn survival_integral(&self, y: f64) -> f64;
-
-    /// `AA(y) = ∫₀^y A(u) du = y²/2 − ½·E[(y − X)₊²]`, the second running
-    /// integral of the survival function.
-    ///
-    /// For `y ≤ 0` this is 0. With the partial moments
-    /// `M_r(y) = E[X^r; X ≤ y]` it reads
-    /// `½[y²(1 − F(y)) + 2y·M₁(y) − M₂(y)]`; `M₂ ≤ y·M₁` keeps the one
-    /// subtraction benign.
-    fn survival_integral2(&self, y: f64) -> f64;
-
     /// `(F(y), A(y), AA(y))` at one point: what the model asks at every
-    /// point it evaluates. The default is the three calls above. A kind
-    /// whose three share their special functions (one `ln y`, one
-    /// incomplete gamma per shape, one set of `Φ` values) overrides it, and
-    /// then its [`DurationDist::survival_integral`] and
-    /// [`DurationDist::survival_integral2`] are projections of it, so each
-    /// formula is written once (a projection without the override would
-    /// recurse). Either way the triple is bitwise the three calls.
-    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
-        (
-            self.cdf(y),
-            self.survival_integral(y),
-            self.survival_integral2(y),
-        )
+    /// point it evaluates. `F(y)` is bitwise [`DurationDist::cdf`];
+    /// `A(y) = ∫₀^y (1 − F(u)) du = E[min(X, y)]` is the running integral
+    /// of the survival function (the limited expected value) and
+    /// `AA(y) = ∫₀^y A(u) du = y²/2 − ½·E[(y − X)₊²]` its second.
+    ///
+    /// For `y ≤ 0` both integrals are 0; at `y = +∞` the triple is
+    /// `(1, mean, +∞)`. With the partial moments `M_r(y) = E[X^r; X ≤ y]`
+    /// the integrals read `A(y) = y·(1 − F(y)) + M₁(y)` and
+    /// `AA(y) = ½[y²(1 − F(y)) + 2y·M₁(y) − M₂(y)]`, sums of non-negative
+    /// terms but for the one subtraction `M₂ ≤ y·M₁` keeps benign; the
+    /// built-in kinds write all three here once, sharing their special
+    /// functions (one `ln y`, one incomplete gamma per shape, one set of
+    /// `Φ` values).
+    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64);
+
+    /// `A(y)`, the middle of [`DurationDist::cdf_and_survival_integrals`].
+    fn survival_integral(&self, y: f64) -> f64 {
+        self.cdf_and_survival_integrals(y).1
+    }
+
+    /// `AA(y)`, the last of [`DurationDist::cdf_and_survival_integrals`].
+    fn survival_integral2(&self, y: f64) -> f64 {
+        self.cdf_and_survival_integrals(y).2
     }
 
     /// `H(y) = ∫₀^y F(u) du = y − A(y)`, the running integral of the cdf.
@@ -173,7 +162,7 @@ pub fn numeric_cdf_integral2(dist: &dyn DurationDist, y: f64) -> f64 {
 }
 
 /// Test helper shared by every kind: at each `y` the four integrals agree
-/// with the numeric references to `1e-6`, and central differences
+/// with the numeric references to `1e-8`, and central differences
 /// reproduce `HH' = H` and `AA' = A`.
 #[cfg(test)]
 pub(crate) fn assert_integrals_consistent(dist: &dyn DurationDist, ys: &[f64]) {
@@ -198,9 +187,9 @@ pub(crate) fn assert_integrals_consistent(dist: &dyn DurationDist, ys: &[f64]) {
             ("A", dist.survival_integral(y), y - h),
             ("AA", dist.survival_integral2(y), 0.5 * y * y - hh),
         ] {
-            // 1e-6, plus the f64 resolution of the O(y²) values far out.
+            // 1e-8, plus the f64 resolution of the O(y²) values far out.
             assert!(
-                (analytic - numeric).abs() <= 1e-6 + 4.0 * f64::EPSILON * y * y,
+                (analytic - numeric).abs() <= 1e-8 + 4.0 * f64::EPSILON * y * y,
                 "{dist:?} y={y}: {name} analytic {analytic} vs numeric {numeric}"
             );
         }

@@ -34,7 +34,7 @@ impl std::fmt::Display for DistError {
                 name,
                 value,
                 requirement,
-            } => write!(f, "parameter `{name}` = {value} must be {requirement}"),
+            } => write!(f, "parameter `{name}` = {value:?} must be {requirement}"),
             DistError::Empty(what) => write!(f, "{what} must not be empty"),
             DistError::BadWeights(msg) => write!(f, "bad mixture weights: {msg}"),
             DistError::ParseError(msg) => write!(f, "cannot parse distribution spec: {msg}"),

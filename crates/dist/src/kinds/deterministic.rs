@@ -28,13 +28,6 @@ impl Deterministic {
 }
 
 impl DurationDist for Deterministic {
-    fn pdf(&self, _x: f64) -> f64 {
-        // The law has an atom; it admits no density. Model code never
-        // integrates pdf directly (it uses the cdf), so 0 is the honest
-        // answer.
-        0.0
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         if x >= self.value {
             1.0
@@ -43,14 +36,14 @@ impl DurationDist for Deterministic {
         }
     }
 
-    fn survival_integral(&self, y: f64) -> f64 {
-        y.clamp(0.0, self.value)
-    }
-
-    fn survival_integral2(&self, y: f64) -> f64 {
-        // ∫₀^y min(u, v) du.
+    /// `A(y) = min(y, v)` and `AA(y) = ∫₀^y min(u, v) du` (both 0 below 0).
+    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
         let inside = y.clamp(0.0, self.value);
-        0.5 * inside * inside + self.value * (y - self.value).max(0.0)
+        (
+            self.cdf(y),
+            inside,
+            0.5 * inside * inside + self.value * (y - self.value).max(0.0),
+        )
     }
 
     fn mean(&self) -> f64 {

@@ -7,7 +7,7 @@
 //!
 //! Representation: a piecewise-*linear* cdf through the sample order
 //! statistics (equivalently, a histogram density between consecutive order
-//! statistics). The smoothing keeps `pdf` well-defined and makes the
+//! statistics). The smoothing gives the law a density and makes the
 //! running integrals of the survival function exactly integrable in closed
 //! form piece by piece.
 
@@ -158,15 +158,6 @@ impl Empirical {
 }
 
 impl DurationDist for Empirical {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < self.xs[0] || x >= self.max_value() {
-            return 0.0;
-        }
-        let i = self.segment(x);
-        let dx = self.xs[i + 1] - self.xs[i];
-        (self.fs[i + 1] - self.fs[i]) / dx
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         if x <= self.xs[0] {
             return 0.0;
@@ -175,14 +166,6 @@ impl DurationDist for Empirical {
             return 1.0;
         }
         self.cdf_on(self.segment(x), x)
-    }
-
-    fn survival_integral(&self, y: f64) -> f64 {
-        self.cdf_and_survival_integrals(y).1
-    }
-
-    fn survival_integral2(&self, y: f64) -> f64 {
-        self.cdf_and_survival_integrals(y).2
     }
 
     /// Below `x₀` the survival function is 1 and above `x_k` it is 0; in
@@ -250,7 +233,7 @@ impl DurationDist for Empirical {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
+    use crate::duration::assert_integrals_consistent;
     use crate::kinds::Gamma;
     use crate::rng::seeded;
 
@@ -289,20 +272,14 @@ mod tests {
     #[test]
     fn cdf_integral_consistent_with_numeric() {
         let d = Empirical::from_samples(&[2.0, 4.0, 4.5, 8.0, 16.0]).unwrap();
-        for &y in &[1.0, 3.0, 4.2, 9.0, 20.0] {
-            let analytic = d.cdf_integral(y);
-            let numeric = numeric_cdf_integral(&d, y);
-            assert!(
-                (analytic - numeric).abs() < 1e-7,
-                "y={y}: {analytic} vs {numeric}"
-            );
-        }
+        assert_integrals_consistent(&d, &[1.0, 3.0, 4.2, 9.0, 20.0]);
     }
 
     #[test]
     fn cdf_integral2_matches_numeric() {
-        let d = Empirical::from_samples(&[2.0, 4.0, 4.5, 8.0, 16.0]).unwrap();
-        assert_integrals_consistent(&d, &[1.0, 3.0, 4.2, 9.0, 20.0]);
+        // The repeated sample 3 merges two breakpoints into one.
+        let d = Empirical::from_samples(&[5.0, 1.0, 3.0, 9.0, 3.0, 7.0]).unwrap();
+        assert_integrals_consistent(&d, &[0.5, 2.0, 3.0, 6.0, 9.0, 12.0]);
     }
 
     #[test]

@@ -38,14 +38,6 @@ impl Exponential {
 }
 
 impl DurationDist for Exponential {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < 0.0 {
-            0.0
-        } else {
-            self.rate * (-self.rate * x).exp()
-        }
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             0.0
@@ -53,14 +45,6 @@ impl DurationDist for Exponential {
             // expm1 avoids cancellation for small rate*x.
             -(-self.rate * x).exp_m1()
         }
-    }
-
-    fn survival_integral(&self, y: f64) -> f64 {
-        self.cdf_and_survival_integrals(y).1
-    }
-
-    fn survival_integral2(&self, y: f64) -> f64 {
-        self.cdf_and_survival_integrals(y).2
     }
 
     /// `F(y) = 1 − e^{−λy}`, `A(y) = ∫₀^y e^{−λu} du = F(y)/λ` and
@@ -104,7 +88,7 @@ impl DurationDist for Exponential {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
+    use crate::duration::assert_integrals_consistent;
     use crate::rng::seeded;
 
     #[test]
@@ -128,22 +112,16 @@ mod tests {
 
     #[test]
     fn cdf_integral_matches_numeric() {
-        let d = Exponential::with_mean(8.0).unwrap();
-        for &y in &[0.5, 1.0, 7.7, 30.0, 120.0] {
-            let analytic = d.cdf_integral(y);
-            let numeric = numeric_cdf_integral(&d, y);
-            assert!(
-                (analytic - numeric).abs() < 1e-7,
-                "y={y}: {analytic} vs {numeric}"
-            );
-        }
+        // A short mean: every point but the first lies past the bulk.
+        let d = Exponential::with_rate(2.0).unwrap();
+        assert_integrals_consistent(&d, &[0.5, 1.0, 7.7, 30.0, 120.0]);
     }
 
     #[test]
     fn cdf_integral2_matches_numeric() {
         let d = Exponential::with_mean(8.0).unwrap();
         // 500 lies beyond the 50-mean support hint.
-        assert_integrals_consistent(&d, &[0.5, 1.0, 7.7, 120.0, 500.0]);
+        assert_integrals_consistent(&d, &[0.5, 1.0, 7.7, 30.0, 120.0, 500.0]);
     }
 
     #[test]

@@ -90,16 +90,6 @@ impl Gamma {
 }
 
 impl DurationDist for Gamma {
-    fn pdf(&self, x: f64) -> f64 {
-        if x <= 0.0 {
-            return 0.0;
-        }
-        let k = self.shape;
-        // f(x) = x^{k−1} e^{−x/θ} / (θ^k Γ(k)), evaluated in log space.
-        let log_pdf = (k - 1.0) * x.ln() - x / self.scale - k * self.scale.ln() - self.ln_gamma[0];
-        log_pdf.exp()
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         if x <= 0.0 {
             0.0
@@ -109,14 +99,6 @@ impl DurationDist for Gamma {
         }
     }
 
-    fn survival_integral(&self, y: f64) -> f64 {
-        self.cdf_and_survival_integrals(y).1
-    }
-
-    fn survival_integral2(&self, y: f64) -> f64 {
-        self.cdf_and_survival_integrals(y).2
-    }
-
     /// `F(y) = P(k, t)` with `t = y/θ`; `A(y) = y·S(y) + M₁(y)` and
     /// `AA(y) = ½[y²S(y) + 2y·M₁(y) − M₂(y)]` with the partial moments
     /// `M₁(y) = kθ·P(k+1, t)`, `M₂(y) = k(k+1)θ²·P(k+2, t)`: one `ln t`
@@ -124,6 +106,9 @@ impl DurationDist for Gamma {
     fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
         if y <= 0.0 {
             return (0.0, 0.0, 0.0);
+        }
+        if y.is_infinite() {
+            return (1.0, self.mean(), f64::INFINITY);
         }
         let (k, s) = (self.shape, self.scale);
         let t = y / s;
@@ -184,7 +169,7 @@ fn marsaglia_tsang(d: f64, c: f64, rng: &mut SeededRng) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
+    use crate::duration::assert_integrals_consistent;
     use crate::rng::seeded;
 
     #[test]
@@ -205,19 +190,6 @@ mod tests {
     }
 
     #[test]
-    fn pdf_integrates_to_cdf() {
-        let d = Gamma::new(2.0, 4.0).unwrap();
-        for &y in &[1.0, 4.0, 8.0, 20.0, 60.0] {
-            let by_pdf = crate::quad::adaptive_simpson(|x| d.pdf(x), 0.0, y, 1e-11);
-            assert!(
-                (by_pdf - d.cdf(y)).abs() < 1e-8,
-                "y={y}: ∫pdf={by_pdf} cdf={}",
-                d.cdf(y)
-            );
-        }
-    }
-
-    #[test]
     fn erlang2_closed_form() {
         // Gamma(2, θ) cdf = 1 − (1 + x/θ) e^{−x/θ}.
         let d = Gamma::new(2.0, 4.0).unwrap();
@@ -230,19 +202,12 @@ mod tests {
 
     #[test]
     fn cdf_integral_matches_numeric() {
+        // A cdf steep at 0 and a near-normal one.
         for dist in [
-            Gamma::new(2.0, 4.0).unwrap(),
-            Gamma::new(0.7, 3.0).unwrap(),
-            Gamma::new(5.0, 1.5).unwrap(),
+            Gamma::new(0.3, 10.0).unwrap(),
+            Gamma::new(20.0, 0.5).unwrap(),
         ] {
-            for &y in &[0.5, 2.0, 8.0, 40.0, 120.0] {
-                let analytic = dist.cdf_integral(y);
-                let numeric = numeric_cdf_integral(&dist, y);
-                assert!(
-                    (analytic - numeric).abs() < 1e-6,
-                    "{dist:?} y={y}: {analytic} vs {numeric}"
-                );
-            }
+            assert_integrals_consistent(&dist, &[0.5, 2.0, 8.0, 40.0, 120.0]);
         }
     }
 
@@ -254,7 +219,7 @@ mod tests {
             Gamma::new(5.0, 1.5).unwrap(),
         ] {
             // 400 lies beyond every support hint above.
-            assert_integrals_consistent(&dist, &[0.5, 2.0, 8.0, 120.0, 400.0]);
+            assert_integrals_consistent(&dist, &[0.5, 2.0, 8.0, 40.0, 120.0, 400.0]);
         }
     }
 

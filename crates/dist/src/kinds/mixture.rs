@@ -74,25 +74,13 @@ impl Mixture {
 }
 
 impl DurationDist for Mixture {
-    fn pdf(&self, x: f64) -> f64 {
-        self.weighted(|c| c.pdf(x))
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         self.weighted(|c| c.cdf(x))
     }
 
-    fn survival_integral(&self, y: f64) -> f64 {
-        self.weighted(|c| c.survival_integral(y))
-    }
-
-    fn survival_integral2(&self, y: f64) -> f64 {
-        self.weighted(|c| c.survival_integral2(y))
-    }
-
     /// Each component's triple, weighted and summed in component order from
-    /// `-0.0` as `f64`'s `Sum` in `weighted` does, so it is bitwise the
-    /// three weighted sums.
+    /// `-0.0` as `f64`'s `Sum` in `weighted` does, so `F` is bitwise
+    /// [`Mixture`]'s `cdf`.
     fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
         self.weights
             .iter()
@@ -148,8 +136,8 @@ impl DurationDist for Mixture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
-    use crate::kinds::{Deterministic, Exponential, Gamma};
+    use crate::duration::assert_integrals_consistent;
+    use crate::kinds::{Deterministic, Exponential, Gamma, Uniform};
     use crate::rng::seeded;
 
     fn bimodal() -> Mixture {
@@ -206,15 +194,16 @@ mod tests {
 
     #[test]
     fn cdf_integral_matches_numeric() {
-        let m = bimodal();
-        for &y in &[1.0, 8.0, 30.0, 80.0] {
-            let analytic = m.cdf_integral(y);
-            let numeric = numeric_cdf_integral(&m, y);
-            assert!(
-                (analytic - numeric).abs() < 1e-6,
-                "y={y}: {analytic} vs {numeric}"
-            );
-        }
+        // An atom inside a bounded support.
+        let m = Mixture::new(vec![
+            (
+                0.4,
+                Box::new(Deterministic::new(3.0).unwrap()) as Box<dyn DurationDist>,
+            ),
+            (0.6, Box::new(Uniform::new(1.0, 9.0).unwrap())),
+        ])
+        .unwrap();
+        assert_integrals_consistent(&m, &[1.0, 3.0, 5.0, 9.0, 20.0]);
     }
 
     #[test]

@@ -15,8 +15,10 @@ pub struct Truncated<D> {
     base: D,
     lo: f64,
     hi: f64,
-    /// F_base(lo)
+    /// The base's `(F, A, AA)` at `lo`.
     f_lo: f64,
+    a_lo: f64,
+    aa_lo: f64,
     /// 1 − F_base(hi)
     s_hi: f64,
     /// Mass retained: F_base(hi) − F_base(lo).
@@ -32,7 +34,7 @@ impl<D: DurationDist> Truncated<D> {
         if !(lo.is_finite() && hi.is_finite() && lo >= 0.0 && hi > lo) {
             return Err(DistError::BadTruncation { lo, hi });
         }
-        let f_lo = base.cdf(lo);
+        let (f_lo, a_lo, aa_lo) = base.cdf_and_survival_integrals(lo);
         let f_hi = base.cdf(hi);
         let mass = f_hi - f_lo;
         if mass <= 1e-12 {
@@ -43,16 +45,19 @@ impl<D: DurationDist> Truncated<D> {
             lo,
             hi,
             f_lo,
+            a_lo,
+            aa_lo,
             s_hi: 1.0 - f_hi,
             mass,
             mean: 0.0,
             variance: 0.0,
         };
-        // Both moments from the survival integrals, which read only the
-        // window fields set above: E[X] = ∫₀^hi S_T = A_T(hi), and by parts
-        // E[X²] = 2 ∫₀^hi u·S_T(u) du = 2·(hi·A_T(hi) − AA_T(hi)).
-        t.mean = t.survival_integral(hi);
-        let ex2 = 2.0 * (hi * t.mean - t.survival_integral2(hi));
+        // Both moments from the survival integrals, which at `hi` read only
+        // the window fields set above: E[X] = ∫₀^hi S_T = A_T(hi), and by
+        // parts E[X²] = 2 ∫₀^hi u·S_T(u) du = 2·(hi·A_T(hi) − AA_T(hi)).
+        let (_, mean, aa_hi) = t.cdf_and_survival_integrals(hi);
+        t.mean = mean;
+        let ex2 = 2.0 * (hi * t.mean - aa_hi);
         t.variance = (ex2 - t.mean * t.mean).max(0.0);
         if !(t.mean.is_finite() && ex2.is_finite()) {
             return Err(DistError::BadTruncation { lo, hi });
@@ -67,14 +72,6 @@ impl<D: DurationDist> Truncated<D> {
 }
 
 impl<D: DurationDist> DurationDist for Truncated<D> {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < self.lo || x > self.hi {
-            0.0
-        } else {
-            self.base.pdf(x) / self.mass
-        }
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         if x <= self.lo {
             0.0
@@ -85,38 +82,34 @@ impl<D: DurationDist> DurationDist for Truncated<D> {
         }
     }
 
-    fn survival_integral(&self, y: f64) -> f64 {
-        if y <= self.lo {
-            return y.max(0.0);
-        }
-        let d = y.min(self.hi) - self.lo;
-        // On [lo, hi] the survival function is (S_base(u) − S_base(hi))/mass,
-        // before lo it is 1 and beyond hi it is 0.
-        self.lo
-            + (self.base.survival_integral(self.lo + d)
-                - self.base.survival_integral(self.lo)
-                - d * self.s_hi)
-                / self.mass
-    }
-
-    fn survival_integral2(&self, y: f64) -> f64 {
+    /// Before `lo` the survival function is 1, on `[lo, hi]` it is
+    /// `(S_base(u) − S_base(hi))/mass` and beyond `hi` it is 0. So `A_T`
+    /// is `lo` plus the base's `A` over the window less the mass above
+    /// `hi`; `AA_T` is the quadratic up to `lo`, then the base's `AA` minus
+    /// the quadratic that removes the base's own `A(lo)` and the mass above
+    /// `hi`; beyond `hi`, `A_T` stays at the mean. With `d = min(y, hi) − lo`,
+    /// `A_T` reads the base at `lo + d`, which can differ from `min(y, hi)`
+    /// in the last bit (`lo = 0.1`, `y = 0.41`), so it asks the base twice.
+    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
         if y <= self.lo {
             let y = y.max(0.0);
-            return 0.5 * y * y;
+            return (0.0, y, 0.5 * y * y);
         }
         let y_in = y.min(self.hi);
         let d = y_in - self.lo;
-        // ∫₀^y A_T: the quadratic up to lo, then the base's AA minus the
-        // quadratic that removes the base's own A(lo) and the mass above hi;
-        // beyond hi, A_T stays at the mean.
-        0.5 * self.lo * self.lo
+        let (f_in, _, aa_in) = self.base.cdf_and_survival_integrals(y_in);
+        let f = if y >= self.hi {
+            1.0
+        } else {
+            ((f_in - self.f_lo) / self.mass).clamp(0.0, 1.0)
+        };
+        let a = self.lo
+            + (self.base.survival_integral(self.lo + d) - self.a_lo - d * self.s_hi) / self.mass;
+        let aa = 0.5 * self.lo * self.lo
             + self.lo * d
-            + (self.base.survival_integral2(y_in)
-                - self.base.survival_integral2(self.lo)
-                - d * self.base.survival_integral(self.lo)
-                - 0.5 * d * d * self.s_hi)
-                / self.mass
-            + (y - y_in) * self.survival_integral(self.hi)
+            + (aa_in - self.aa_lo - d * self.a_lo - 0.5 * d * d * self.s_hi) / self.mass
+            + (y - y_in) * self.mean;
+        (f, a, aa)
     }
 
     fn mean(&self) -> f64 {
@@ -142,7 +135,7 @@ impl<D: DurationDist> DurationDist for Truncated<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
+    use crate::duration::assert_integrals_consistent;
     use crate::kinds::{Exponential, Gamma, LogNormal, Weibull};
     use crate::quad::adaptive_simpson;
     use crate::rng::seeded;
@@ -220,20 +213,14 @@ mod tests {
     #[test]
     fn cdf_integral_matches_numeric() {
         let t = Truncated::new(Exponential::with_mean(6.0).unwrap(), 2.0, 20.0).unwrap();
-        for &y in &[1.0, 2.5, 10.0, 20.0, 35.0] {
-            let analytic = t.cdf_integral(y);
-            let numeric = numeric_cdf_integral(&t, y);
-            assert!(
-                (analytic - numeric).abs() < 1e-7,
-                "y={y}: {analytic} vs {numeric}"
-            );
-        }
+        assert_integrals_consistent(&t, &[1.0, 2.5, 10.0, 20.0, 35.0]);
     }
 
     #[test]
     fn cdf_integral2_matches_numeric() {
-        let t = Truncated::new(Exponential::with_mean(6.0).unwrap(), 2.0, 20.0).unwrap();
-        assert_integrals_consistent(&t, &[1.0, 2.5, 10.0, 20.0, 35.0]);
+        // Below, inside and beyond a window that starts off the dyadics.
+        let t = Truncated::new(Gamma::paper_fig7(), 0.1, 30.0).unwrap();
+        assert_integrals_consistent(&t, &[0.05, 0.41, 3.0, 30.0, 40.0]);
     }
 
     #[test]

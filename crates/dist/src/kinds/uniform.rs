@@ -49,14 +49,6 @@ impl Uniform {
 }
 
 impl DurationDist for Uniform {
-    fn pdf(&self, x: f64) -> f64 {
-        if x < self.lo || x > self.hi {
-            0.0
-        } else {
-            1.0 / self.width()
-        }
-    }
-
     fn cdf(&self, x: f64) -> f64 {
         if x <= self.lo {
             0.0
@@ -67,31 +59,30 @@ impl DurationDist for Uniform {
         }
     }
 
-    fn survival_integral(&self, y: f64) -> f64 {
-        if y <= 0.0 {
-            0.0
-        } else if y <= self.lo {
-            y
-        } else if y <= self.hi {
-            let d = y - self.lo;
-            y - d * d / (2.0 * self.width())
-        } else {
-            self.mean()
-        }
-    }
-
-    fn survival_integral2(&self, y: f64) -> f64 {
+    /// Before `lo` the survival function is 1 (`A = y`, `AA = y²/2`); on
+    /// the support it falls linearly, so with `d = y − lo` `A` loses
+    /// `d²/2w` and `AA` loses `d³/6w`; beyond `hi`, `A` is the mean and
+    /// `AA` grows from `AA(hi) = hi²/2 − w²/6` at that slope.
+    fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
         let w = self.width();
         if y <= 0.0 {
-            0.0
+            (0.0, 0.0, 0.0)
         } else if y <= self.lo {
-            0.5 * y * y
+            (0.0, y, 0.5 * y * y)
         } else if y <= self.hi {
             let d = y - self.lo;
-            0.5 * y * y - d * d * d / (6.0 * w)
+            (
+                d / w,
+                y - d * d / (2.0 * w),
+                0.5 * y * y - d * d * d / (6.0 * w),
+            )
         } else {
-            // AA(hi) = hi²/2 − w²/6, then A is the mean beyond the support.
-            0.5 * self.hi * self.hi - w * w / 6.0 + self.mean() * (y - self.hi)
+            let mean = self.mean();
+            (
+                1.0,
+                mean,
+                0.5 * self.hi * self.hi - w * w / 6.0 + mean * (y - self.hi),
+            )
         }
     }
 
@@ -121,7 +112,7 @@ impl DurationDist for Uniform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::duration::{assert_integrals_consistent, numeric_cdf_integral};
+    use crate::duration::assert_integrals_consistent;
     use crate::rng::seeded;
 
     #[test]
@@ -144,14 +135,7 @@ mod tests {
     #[test]
     fn cdf_integral_all_pieces() {
         let d = Uniform::new(2.0, 6.0).unwrap();
-        for &y in &[0.0, 1.0, 2.0, 3.5, 6.0, 9.0] {
-            let analytic = d.cdf_integral(y);
-            let numeric = numeric_cdf_integral(&d, y);
-            assert!(
-                (analytic - numeric).abs() < 1e-8,
-                "y={y}: {analytic} vs {numeric}"
-            );
-        }
+        assert_integrals_consistent(&d, &[0.0, 1.0, 2.0, 3.5, 6.0, 9.0]);
     }
 
     #[test]

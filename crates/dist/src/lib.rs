@@ -18,8 +18,10 @@
 //!   LogNormal, Mixture, Empirical (trace-fitted), and a Truncated
 //!   adapter. Each exposes the cdf `F` **and** its first two running
 //!   integrals `H(y) = ∫₀^y F(u) du`, `HH(y) = ∫₀^y H(u) du` in closed form
-//!   — the three quantities the ICDE'97 model is built from, which
-//!   [`DurationDist::cdf_and_survival_integrals`] hands over in one call.
+//!   — the three quantities the ICDE'97 model is built from. A kind
+//!   writes them once, in [`DurationDist::cdf_and_survival_integrals`],
+//!   which hands them over in one call (as `F` and the survival integrals
+//!   `A = y − H`, `AA = y²/2 − HH`).
 //! * **Specs** — [`spec`]: compact textual descriptions
 //!   (`"gamma:shape=2,scale=4"`) used by experiment configs.
 //!
@@ -170,6 +172,22 @@ mod trait_tests {
             assert!(
                 (mean - want).abs() < 0.05 * want.max(1.0),
                 "{d:?}: sample mean {mean} vs analytic {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn at_infinity_the_triple_is_one_the_mean_and_infinity() {
+        // Pareto's AA has its own forms at α = 1 and 2; below 1 the mean
+        // is infinite.
+        let paretos = [0.7, 1.0, 1.5, 2.0, 3.0]
+            .map(|a| Box::new(kinds::Pareto::new(a, 10.0).unwrap()) as Box<dyn DurationDist>);
+        for d in all_kinds().into_iter().chain(paretos) {
+            let (f, a, aa) = d.cdf_and_survival_integrals(f64::INFINITY);
+            let mean = d.mean();
+            assert!(
+                f == 1.0 && aa == f64::INFINITY && (a == mean || (a - mean).abs() <= 1e-12 * mean),
+                "{d:?}: (F, A, AA)(+∞) = ({f}, {a}, {aa}), mean {mean}"
             );
         }
     }

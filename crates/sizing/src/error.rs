@@ -73,7 +73,7 @@ impl std::fmt::Display for SizingError {
             SizingError::InvalidCost { name, value } => {
                 write!(
                     f,
-                    "cost parameter `{name}` = {value} must be finite and > 0"
+                    "cost parameter `{name}` = {value:?} must be finite and > 0"
                 )
             }
             SizingError::VcrLoadOutOfRange { erlangs } => write!(

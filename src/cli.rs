@@ -370,6 +370,12 @@ mod tests {
             let spec = format!("m;l=60;w=0.5;p=0.5;dist=weibull:shape={shape},scale=2");
             let e = parse_movie(&spec).unwrap_err();
             assert!(e.0.contains("parameter `shape`"), "{shape}: {}", e.0);
+            // The value reads as typed, not as 320 positional zeros.
+            assert!(
+                e.0.contains(&format!("= {shape} ")) && e.0.len() < 160,
+                "{shape}: {}",
+                e.0
+            );
         }
     }
 
