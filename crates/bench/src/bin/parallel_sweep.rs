@@ -21,8 +21,8 @@
 //! and `speedup` is best serial over best parallel: on a shared machine
 //! the second core is not always ours, and a single reading taken while
 //! a neighbour holds it says 1.0× whatever the code does. The recorded
-//! `available_cores` field gives the rest of the context (a 1-core
-//! container cannot show a parallel speedup no matter the thread count).
+//! `available_cores` and `cpu_model` give the rest of the context (a
+//! 1-core container cannot show a parallel speedup at any thread count).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -33,8 +33,9 @@ use vod_model::{p_hit_single_dist, ModelOptions, Rates, SweepExecutor, SystemPar
 use vod_runtime::json::{Json, Layout};
 use vod_sizing::{Catalog, MovieSpec};
 
-/// Timed repetitions per cell.
-const REPS: usize = 5;
+/// Timed repetitions per cell: enough that the best one falls in a stretch
+/// where the second core is free.
+const REPS: usize = 10;
 
 fn main() {
     let flags = Flags::parse("parallel_sweep", "--threads N --out PATH");
@@ -55,6 +56,7 @@ fn main() {
     let json = [
         ("benchmark", "parallel_sweep".into()),
         ("available_cores", cores.into()),
+        ("cpu_model", cpu_model().as_str().into()),
         ("reps", REPS.into()),
         ("tasks", Json::Array(Layout::Block, tasks)),
     ];
@@ -63,6 +65,18 @@ fn main() {
         &out_path,
         &Json::object(Layout::Block, json),
     );
+}
+
+/// The processor's model name, as Linux reports it; `unknown` elsewhere.
+fn cpu_model() -> String {
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    cpuinfo
+        .lines()
+        .find_map(|line| line.strip_prefix("model name")?.split_once(':'))
+        .map_or_else(
+            || "unknown".to_string(),
+            |(_, name)| name.trim().to_string(),
+        )
 }
 
 /// Run `work` [`REPS`] times: `(best ms, median ms, last result)`.

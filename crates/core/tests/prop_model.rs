@@ -216,11 +216,11 @@ fn regression_rw_jump_cap_slow_rewind() {
         "RW total out of range: {total}"
     );
     // The sum must run until the geometric termination condition
-    // (γ(il/n − b) ≥ l, here 39 terms), not stop at the old 2n + 8 = 34
+    // (γ(il/n − b) ≥ l, here 39 terms), not stop at a fixed 2n + 8 = 34
     // iteration cap.
     assert!(
         rw.jumps.len() > 34,
-        "jump sum truncated at the old cap: {} terms",
+        "jump sum truncated at 2n + 8: {} terms",
         rw.jumps.len()
     );
 }

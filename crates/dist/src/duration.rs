@@ -52,8 +52,9 @@ pub trait DurationDist: std::fmt::Debug + Send + Sync {
     /// `AA(y) = ∫₀^y A(u) du = y²/2 − ½·E[(y − X)₊²]` its second.
     ///
     /// For `y ≤ 0` both integrals are 0; at `y = +∞` the triple is
-    /// `(1, mean, +∞)`. With the partial moments `M_r(y) = E[X^r; X ≤ y]`
-    /// the integrals read `A(y) = y·(1 − F(y)) + M₁(y)` and
+    /// `(1, mean, +∞)`, or `(1, 0, 0)` for the point mass at 0. With the
+    /// partial moments `M_r(y) = E[X^r; X ≤ y]` the integrals read
+    /// `A(y) = y·(1 − F(y)) + M₁(y)` and
     /// `AA(y) = ½[y²(1 − F(y)) + 2y·M₁(y) − M₂(y)]`, sums of non-negative
     /// terms but for the one subtraction `M₂ ≤ y·M₁` keeps benign; the
     /// built-in kinds write all three here once, sharing their special

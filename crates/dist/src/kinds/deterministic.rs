@@ -37,13 +37,16 @@ impl DurationDist for Deterministic {
     }
 
     /// `A(y) = min(y, v)` and `AA(y) = ∫₀^y min(u, v) du` (both 0 below 0).
+    /// The point mass at 0 has `AA ≡ 0`, `+∞` included, where `v·(y − v)`
+    /// would read `0·∞`.
     fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
         let inside = y.clamp(0.0, self.value);
-        (
-            self.cdf(y),
-            inside,
-            0.5 * inside * inside + self.value * (y - self.value).max(0.0),
-        )
+        let beyond = if self.value > 0.0 {
+            self.value * (y - self.value).max(0.0)
+        } else {
+            0.0
+        };
+        (self.cdf(y), inside, 0.5 * inside * inside + beyond)
     }
 
     fn mean(&self) -> f64 {

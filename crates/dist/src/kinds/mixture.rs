@@ -64,12 +64,18 @@ impl Mixture {
         &self.weights
     }
 
-    fn weighted<F: Fn(&dyn DurationDist) -> f64>(&self, f: F) -> f64 {
+    /// The components with a positive weight: a zero-weight one adds
+    /// nothing, and `0 · ∞` (its `AA(+∞)`, an infinite mean) would be NaN.
+    fn parts(&self) -> impl Iterator<Item = (f64, &dyn DurationDist)> {
         self.weights
             .iter()
             .zip(&self.components)
-            .map(|(w, c)| w * f(c.as_ref()))
-            .sum()
+            .filter(|(w, _)| **w > 0.0)
+            .map(|(w, c)| (*w, c.as_ref()))
+    }
+
+    fn weighted<F: Fn(&dyn DurationDist) -> f64>(&self, f: F) -> f64 {
+        self.parts().map(|(w, c)| w * f(c)).sum()
     }
 }
 
@@ -82,13 +88,10 @@ impl DurationDist for Mixture {
     /// `-0.0` as `f64`'s `Sum` in `weighted` does, so `F` is bitwise
     /// [`Mixture`]'s `cdf`.
     fn cdf_and_survival_integrals(&self, y: f64) -> (f64, f64, f64) {
-        self.weights
-            .iter()
-            .zip(&self.components)
-            .fold((-0.0, -0.0, -0.0), |(f, a, aa), (w, c)| {
-                let (cf, ca, caa) = c.cdf_and_survival_integrals(y);
-                (f + w * cf, a + w * ca, aa + w * caa)
-            })
+        self.parts().fold((-0.0, -0.0, -0.0), |(f, a, aa), (w, c)| {
+            let (cf, ca, caa) = c.cdf_and_survival_integrals(y);
+            (f + w * cf, a + w * ca, aa + w * caa)
+        })
     }
 
     fn mean(&self) -> f64 {

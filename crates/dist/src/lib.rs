@@ -179,10 +179,22 @@ mod trait_tests {
     #[test]
     fn at_infinity_the_triple_is_one_the_mean_and_infinity() {
         // Pareto's AA has its own forms at α = 1 and 2; below 1 the mean
-        // is infinite.
+        // is infinite. A zero-weight component must not add its 0·∞.
         let paretos = [0.7, 1.0, 1.5, 2.0, 3.0]
             .map(|a| Box::new(kinds::Pareto::new(a, 10.0).unwrap()) as Box<dyn DurationDist>);
-        for d in all_kinds().into_iter().chain(paretos) {
+        let idle = kinds::Mixture::new(vec![
+            (
+                1.0,
+                Box::new(kinds::Exponential::with_mean(2.0).unwrap()) as Box<dyn DurationDist>,
+            ),
+            (0.0, Box::new(kinds::Gamma::new(4.0, 3.0).unwrap())),
+        ])
+        .unwrap();
+        for d in all_kinds()
+            .into_iter()
+            .chain(paretos)
+            .chain([Box::new(idle) as _])
+        {
             let (f, a, aa) = d.cdf_and_survival_integrals(f64::INFINITY);
             let mean = d.mean();
             assert!(
@@ -190,6 +202,12 @@ mod trait_tests {
                 "{d:?}: (F, A, AA)(+∞) = ({f}, {a}, {aa}), mean {mean}"
             );
         }
+        // The point mass at 0 never sweeps: AA ≡ 0.
+        let zero = kinds::Deterministic::new(0.0).unwrap();
+        assert_eq!(
+            zero.cdf_and_survival_integrals(f64::INFINITY),
+            (1.0, 0.0, 0.0)
+        );
     }
 
     #[test]

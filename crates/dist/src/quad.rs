@@ -244,7 +244,7 @@ mod tests {
         // Simpson sample point misses: the Richardson test sees zeros
         // everywhere and would accept 0 unless the first MIN_DEPTH levels
         // are forced to subdivide. Keying forcing on
-        // `DEFAULT_MAX_DEPTH - depth` (the old formula) disabled the guard
+        // `DEFAULT_MAX_DEPTH - depth` would disable the guard
         // entirely for any entry depth ≤ DEFAULT_MAX_DEPTH − MIN_DEPTH.
         let spike = |x: f64| (1.0 - (x - 0.3f64).abs() / 0.03).max(0.0);
         let want = 0.03; // triangle area: ½ · 0.06 · 1

@@ -1,8 +1,7 @@
 //! Generational slab arena for session/stream/viewer storage.
 //!
-//! Both drivers used to keep their populations in `Vec<Option<T>>` with
-//! raw `usize` indices. That layout has two scale problems the
-//! million-session north star runs into: freed slots are either never
+//! A population kept in `Vec<Option<T>>` behind raw `usize` indices has
+//! two scale problems at a million sessions: freed slots are either never
 //! reused (unbounded growth) or reused with *dangling* indices — a stale
 //! index silently resolves to whatever took the slot. [`Arena`] keeps the
 //! dense `Vec` layout and the deterministic slot order but tags every

@@ -3,10 +3,10 @@
 //! The paper's whole argument rests on one set of rules: streams restart
 //! every `T = l/n` minutes, each live stream drags a `b = B/n`-minute
 //! partition window behind it, and a VCR viewer's resume is a **hit** iff
-//! the resume position lands inside some live window. The repo used to
-//! state those rules three times — once in the analytic model, once in
-//! the event simulator, and once in the tick server — which let them
-//! drift. This crate owns them once, as pure driver-agnostic types:
+//! the resume position lands inside some live window. The analytic
+//! model, the event simulator and the tick server all apply those rules;
+//! this crate states them once, as pure driver-agnostic types, so the
+//! three cannot drift apart:
 //!
 //! * [`PartitionWindows`] — continuous-time window geometry with the O(1)
 //!   "is position `p` buffered at time `t`" membership test.

@@ -12,7 +12,7 @@ use std::ops::RangeInclusive;
 /// wait `w = (l − B)/n` (the paper's Eq. 2), with `b = T − w`. Quantizing
 /// `T` and `b` independently (each with its own `.round()`) lets the
 /// effective wait `T − b` disagree with the rounded model wait — e.g.
-/// `l = 120, n = 50, B = 95` used to yield `T = 2, b = 2`, an effective
+/// `l = 120, n = 50, B = 95` would yield `T = 2, b = 2`, an effective
 /// wait of 0 where the model promises 0.5. This type therefore rounds
 /// **once**, on the quantity the paper actually promises the viewer:
 ///

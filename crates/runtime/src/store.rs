@@ -116,6 +116,13 @@ impl<T> SessionStore<T> {
         id < self.next
     }
 
+    /// The ids the directory spans, from its first chunk's first id up to
+    /// the issue cursor: every live id lies inside, none outside is live.
+    /// An audit can mark the ids a list names in one flat bitmap over it.
+    pub fn id_window(&self) -> std::ops::Range<u32> {
+        self.first_chunk * STRIDE..self.next
+    }
+
     /// Is the id space spent? [`insert`](Self::insert) refuses from here
     /// on; admission paths that take resources first check this first.
     pub fn is_full(&self) -> bool {

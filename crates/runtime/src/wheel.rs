@@ -1,9 +1,8 @@
 //! Calendar ring keyed on the virtual-time tick grid: the one scheduler
 //! both drivers use.
 //!
-//! The server's backends used to find "what happens at tick `t`" by
-//! scanning every session, and the sim kept every future event in one
-//! heap. The ring makes both O(1) per item: an item due fewer than
+//! "What happens at tick `t`" costs O(1) per item, not a scan of every
+//! session or a heap of every future event: an item due fewer than
 //! `RING` ticks past the cursor is filed once, into the bucket of its
 //! tick (`due % RING`); one due later waits in a small ordered `far` map and
 //! moves into its bucket, once, when the cursor comes within `RING`

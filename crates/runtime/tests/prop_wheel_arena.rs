@@ -1,6 +1,6 @@
 //! Property tests for the million-session engine substrate: the
-//! scheduler's drain order against the `BTreeMap<u64, Vec<T>>` reference
-//! model it replaces — items filed straight into the 256-tick ring, items
+//! scheduler's drain order against a `BTreeMap<u64, Vec<T>>` reference
+//! model — items filed straight into the 256-tick ring, items
 //! that wait in the far map and reach their bucket laps later, drains
 //! that stay inside one lap and drains that cross many — and the arena's
 //! generational-id liveness (no stale id ever resolves after

@@ -39,7 +39,9 @@ use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
 use crate::content::MovieId;
-use crate::core::{apply_faults, FaultPolicy, Recount, Retry, ServerCore, Swept};
+use crate::core::{
+    apply_faults, audit_walk, FaultPolicy, Marks, Recount, Retry, ServerCore, Swept,
+};
 use crate::disk::StreamLease;
 use crate::server::{ServerConfig, ServerError};
 use crate::session::{
@@ -300,20 +302,14 @@ impl DeliveryBackend for DedicatedServer {
     }
 
     fn check_invariants(&self) -> Vec<String> {
-        // Queue conservation: the FIFO and the active walk partition the
-        // live population — every `Waiting` session sits in the queue
-        // exactly once and holds no lease; nothing else queues. The
-        // entries are put in index order and matched against the sessions
-        // in one walk; what they say about the queue is reported ahead of
-        // what the walk says about the sessions.
-        let mut queued: Vec<u32> = self.queue.iter().copied().collect();
-        // Arrival order but for the few re-queued after starving: a handful
-        // of ascending runs, which the adaptive stable sort merges in one pass.
-        queued.sort();
-        let mut entries = queued
-            .chunk_by(|a, b| a == b)
-            .map(|run| (run[0], run.len()))
-            .peekable();
+        // Queue and walk conservation: the FIFO and the active walk
+        // partition the live population — every `Waiting` session sits in
+        // the queue exactly once and holds no lease, every other one is on
+        // the walk exactly once. One tally per session slot over both
+        // lists stands in for a sort; what the entries say about the queue
+        // is reported ahead of what the walk over the sessions says.
+        let (front, back) = self.queue.as_slices();
+        let mut lists = Marks::new(&self.sessions, [[front, back], [&self.active, &[]]]);
         let mut findings = Vec::new();
         // The reserve accounts the *whole* pool here, so its failure
         // ledger must track the disk's exactly — this is the audit that
@@ -342,21 +338,23 @@ impl DeliveryBackend for DedicatedServer {
         let mut recount = Recount::default();
         let mut faults = Vec::new();
         for (idx, sess) in self.sessions.iter() {
-            // Entries below `idx` name nobody live.
-            while let Some((stray, count)) = entries.next_if(|&(entry, _)| entry < idx) {
-                entry_found(stray, count, None);
+            let waiting = matches!(sess.state, SessionState::Waiting { .. });
+            let [queued, walked] = lists.count(idx);
+            match queued {
+                0 if waiting => faults.push(format!("queued session {idx} missing from the FIFO")),
+                0 => {}
+                1 if waiting && sess.lease.is_none() => {}
+                count => entry_found(idx, count, Some(sess)),
             }
-            match entries.next_if(|&(entry, _)| entry == idx) {
-                Some((_, count)) => entry_found(idx, count, Some(sess)),
-                None if matches!(sess.state, SessionState::Waiting { .. }) => {
-                    faults.push(format!("queued session {idx} missing from the FIFO"));
-                }
-                None => {}
-            }
+            audit_walk(&mut faults, idx, sess, walked);
             recount.see(idx, sess, false, &mut faults);
         }
-        for (stray, count) in entries {
+        let [queue_strays, walk_strays] = lists.strays(&self.sessions);
+        for (stray, count) in queue_strays {
             entry_found(stray, count, None);
+        }
+        for (stray, _) in walk_strays {
+            faults.push(format!("active walk entry {stray} names no live session"));
         }
         findings.append(&mut faults);
         self.core
@@ -513,8 +511,8 @@ mod tests {
         for _ in 0..70 {
             s.tick();
             // Includes `reserve.failed == disk.failed`: with every
-            // stream in use at the fault tick, the old fail-then-release
-            // order left the reserve failure ledger at 0.
+            // stream in use at the fault tick, a fail-then-release order
+            // leaves the reserve failure ledger at 0.
             let violations = s.check_invariants();
             assert!(violations.is_empty(), "{violations:?}");
         }
@@ -641,6 +639,38 @@ mod tests {
             [
                 "queued session 2 holds a lease",
                 "session 2 holds a lease in a non-serving state",
+            ]
+        );
+    }
+
+    #[test]
+    fn audit_sees_walk_drift() {
+        let mut s = busy();
+        s.active.retain(|&idx| idx != 0);
+        assert_eq!(
+            s.check_invariants(),
+            ["session 0 is missing from the active walk"]
+        );
+        let mut s = busy();
+        s.active.push(1);
+        assert_eq!(
+            s.check_invariants(),
+            ["session 1 is on the active walk 2 times"]
+        );
+        let mut s = busy();
+        s.active.push(2);
+        assert_eq!(
+            s.check_invariants(),
+            ["session 2 is waiting on the active walk"]
+        );
+        let mut s = busy();
+        s.active.push(7);
+        s.queue.push_back(7);
+        assert_eq!(
+            s.check_invariants(),
+            [
+                "queue entry 7 is not a queued session",
+                "active walk entry 7 names no live session",
             ]
         );
     }

@@ -41,10 +41,10 @@
 //!
 //! Reception bookkeeping is **exact**: each session carries a
 //! [`ReceptionFront`] bitmap fed by the minutes actually staged, so the
-//! bookkept front can never lead the truly-broadcast front (the
-//! conservative per-movie-freeze model of PR 7 could lead by up to
-//! `d − 1` after recovery; the regression test
-//! `recovered_front_never_leads_schedule` pins the fix). A session that
+//! bookkept front can never lead the truly-broadcast front (a
+//! conservative per-movie-freeze model can lead by up to `d − 1` after
+//! recovery; `recovered_front_never_leads_schedule` pins that the bitmap
+//! does not). A session that
 //! outruns its front (fault stall or revoked catch-up lease) enters
 //! `Degraded` and follows the [`RetryLedger`](vod_runtime::RetryLedger): bounded re-wait,
 //! dedicated-stream retries under exponential backoff whose denials are
@@ -58,7 +58,9 @@ use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
 use crate::content::{verify_segment, MovieId, Segment};
-use crate::core::{apply_faults, FaultPolicy, Recount, Retry, ServerCore, Swept};
+use crate::core::{
+    apply_faults, audit_walk, FaultPolicy, Marks, Recount, Retry, ServerCore, Swept,
+};
 use crate::disk::StreamLease;
 use crate::server::{HostedMovie, ServerConfig, ServerError};
 use crate::session::{
@@ -560,11 +562,14 @@ impl DeliveryBackend for PyramidServer {
                 disk.failed()
             ));
         }
+        let mut walked = Marks::new(&self.sessions, [[&self.active, &[]]]);
         let mut recount = Recount::default();
         let mut faults = Vec::new();
         for (idx, sess) in self.sessions.iter() {
             // A sweep inside the received prefix rides free.
             recount.see(idx, sess, true, &mut faults);
+            let [on_walk] = walked.count(idx);
+            audit_walk(&mut faults, idx, sess, on_walk);
             // Prefix-coverage audit: the incremental front must equal a
             // from-scratch recount of the reception bitmap, and a
             // receiving session can never have consumed past it.
@@ -589,6 +594,10 @@ impl DeliveryBackend for PyramidServer {
                     sess.position
                 ));
             }
+        }
+        let [strays] = walked.strays(&self.sessions);
+        for (stray, _) in strays {
+            faults.push(format!("active walk entry {stray} names no live session"));
         }
         findings.append(&mut faults);
         self.core
@@ -809,8 +818,8 @@ mod tests {
     #[test]
     fn recovered_front_never_leads_schedule() {
         use vod_runtime::FaultEvent;
-        // Multi-channel geometry (d = 40, k = 2): PR 7's closed-form
-        // bookkeeping could lead the real front by up to d − 1 = 39
+        // Multi-channel geometry (d = 40, k = 2): closed-form per-movie
+        // bookkeeping can lead the real front by up to d − 1 = 39
         // after an outage recovered. The exact bitmap may not lead the
         // truly-staged schedule by even one minute, on any tick.
         let movie = HostedMovie::from_allocation(MovieId(0), 120, 2, 20.0);
@@ -1006,6 +1015,34 @@ mod tests {
                 format!("session 0 reception front 121 drifted from bitmap recount {front}"),
                 "session 0 reception front 121 beyond movie length 120".to_string(),
             ]
+        );
+    }
+
+    #[test]
+    fn audit_sees_walk_drift() {
+        let mut s = busy();
+        s.active.retain(|&idx| idx != 1);
+        assert_eq!(
+            s.check_invariants(),
+            ["session 1 is missing from the active walk"]
+        );
+        let mut s = busy();
+        s.active.push(0);
+        assert_eq!(
+            s.check_invariants(),
+            ["session 0 is on the active walk 2 times"]
+        );
+        let mut s = busy();
+        s.sessions.live_mut(0).state = SessionState::Waiting { start_at: 12 };
+        assert_eq!(
+            s.check_invariants(),
+            ["session 0 is waiting on the active walk"]
+        );
+        let mut s = busy();
+        s.active.push(7);
+        assert_eq!(
+            s.check_invariants(),
+            ["active walk entry 7 names no live session"]
         );
     }
 }

@@ -701,8 +701,8 @@ impl VodServer {
                 cohorts: vec![0; geometry.partition_capacity as usize + 1].into_boxed_slice(),
                 next_read: 0,
             };
-            // Lowest-index-first slot reuse — the arena's insert order
-            // matches the free-slot scan this replaces.
+            // The arena reuses the lowest free slot: eviction victims and
+            // restart enrolment tiebreak on the slot index.
             self.streams.insert(stream);
         }
     }

@@ -1,5 +1,5 @@
-//! The shared workload `Driver`'s contract where the harness loop and
-//! the federation loop used to disagree, pinned against a fake `Target`
+//! The shared workload `Driver`'s contract on the points where a harness
+//! loop and a federation loop can disagree, pinned against a fake `Target`
 //! that refuses every k-th admission: an arrival's interaction-gap draw
 //! happens whether or not it was admitted, a refused arrival still takes
 //! its round-robin turn, and the whole run is bitwise repeatable.

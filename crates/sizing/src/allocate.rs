@@ -12,7 +12,7 @@
 //! only coupling is the shared stream budget. The exact optimum is
 //! therefore a greedy water-fill: hand streams to movies in decreasing
 //! order of the buffer each one saves, `w_i`. The minimum of
-//! `Σ (φ B_i + n_i)` is the lowest point of [`crate::cost_curve`], which
+//! `Σ (φ B_i + n_i)` is the lowest point of [`crate::cost_curve_with_catalog`], which
 //! prices this split at every stream total. Brute-force tests verify both
 //! optima on small instances.
 

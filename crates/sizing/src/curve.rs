@@ -7,9 +7,7 @@
 //! result with Eq. 23. The curve's minimum is the optimal system sizing
 //! for that price regime.
 
-use vod_model::ModelOptions;
-
-use crate::{Catalog, MovieSpec, ResourceCost, SizingError};
+use crate::{Catalog, ResourceCost};
 
 /// One point on a cost curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -38,25 +36,10 @@ impl CostCurve {
     }
 }
 
-/// Trace the cost curve over total stream counts `[n_lo, n_hi]` with the
-/// given stride. Points where `n_total` is outside the feasible range are
-/// skipped.
-pub fn cost_curve(
-    movies: &[MovieSpec],
-    prices: ResourceCost,
-    n_lo: u32,
-    n_hi: u32,
-    stride: u32,
-    opts: &ModelOptions,
-) -> Result<CostCurve, SizingError> {
-    let catalog = Catalog::new(movies, opts)?;
-    Ok(cost_curve_with_catalog(
-        &catalog, prices, n_lo, n_hi, stride,
-    ))
-}
-
-/// [`cost_curve`] against a prebuilt [`Catalog`], so a φ-sweep (Figure 9's
-/// six panels) pays for the feasibility bisections once.
+/// Trace the cost curve of a prebuilt [`Catalog`] over total stream counts
+/// `[n_lo, n_hi]` with the given stride; points where `n_total` is outside
+/// the feasible range are skipped. A φ-sweep (Figure 9's six panels) pays
+/// for the feasibility bisections once.
 pub fn cost_curve_with_catalog(
     catalog: &Catalog<'_>,
     prices: ResourceCost,
@@ -84,9 +67,10 @@ pub fn cost_curve_with_catalog(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MovieSpec;
     use std::sync::Arc;
     use vod_dist::kinds::Exponential;
-    use vod_model::{Rates, VcrMix};
+    use vod_model::{ModelOptions, Rates, VcrMix};
 
     fn toy_movies() -> Vec<MovieSpec> {
         let mk = |name: &str, l: f64, w: f64, mean: f64| {
@@ -108,7 +92,8 @@ mod tests {
     fn curve_buffer_decreases_with_streams() {
         let movies = toy_movies();
         let prices = ResourceCost::from_phi(6.0).unwrap();
-        let curve = cost_curve(&movies, prices, 2, 60, 3, &ModelOptions::default()).unwrap();
+        let catalog = Catalog::new(&movies, &ModelOptions::default()).unwrap();
+        let curve = cost_curve_with_catalog(&catalog, prices, 2, 60, 3);
         assert!(curve.points.len() > 3);
         for w in curve.points.windows(2) {
             assert!(w[1].total_buffer <= w[0].total_buffer + 1e-9);
@@ -120,14 +105,14 @@ mod tests {
         // φ large ⇒ buffer dominates cost ⇒ optimum at max streams
         // (the paper's Example 2 observation for φ ≈ 11).
         let movies = toy_movies();
-        let o = ModelOptions::default();
-        let hi = cost_curve(&movies, ResourceCost::from_phi(16.0).unwrap(), 2, 60, 1, &o).unwrap();
+        let catalog = Catalog::new(&movies, &ModelOptions::default()).unwrap();
+        let hi = cost_curve_with_catalog(&catalog, ResourceCost::from_phi(16.0).unwrap(), 2, 60, 1);
         let hi_opt = hi.optimum().unwrap().total_streams;
         let max_point = hi.points.last().unwrap().total_streams;
         assert_eq!(hi_opt, max_point, "φ=16 optimum should sit at max n");
 
         // φ small ⇒ streams dominate ⇒ optimum strictly inside the range.
-        let lo = cost_curve(&movies, ResourceCost::from_phi(0.3).unwrap(), 2, 60, 1, &o).unwrap();
+        let lo = cost_curve_with_catalog(&catalog, ResourceCost::from_phi(0.3).unwrap(), 2, 60, 1);
         let lo_opt = lo.optimum().unwrap().total_streams;
         assert!(
             lo_opt < max_point,
@@ -139,7 +124,8 @@ mod tests {
     fn cost_equals_eq23() {
         let movies = toy_movies();
         let prices = ResourceCost::new(750.0, 70.0).unwrap();
-        let curve = cost_curve(&movies, prices, 10, 10, 1, &ModelOptions::default()).unwrap();
+        let catalog = Catalog::new(&movies, &ModelOptions::default()).unwrap();
+        let curve = cost_curve_with_catalog(&catalog, prices, 10, 10, 1);
         let p = curve.points[0];
         assert!((p.cost - (750.0 * p.total_buffer + 70.0 * p.total_streams as f64)).abs() < 1e-9);
     }

@@ -10,7 +10,7 @@
 //! * [`allocate_min_buffer`] — the §5 Step-3 optimizer (Example 1).
 //! * [`ResourceCost`] / [`HardwareSpec`] — Eq. 23 and Example 2's price
 //!   derivation.
-//! * [`cost_curve`] — Figure 9's cost-vs-streams curves and their optima.
+//! * [`cost_curve_with_catalog`] — Figure 9's cost-vs-streams curves and their optima.
 //!
 //! ```no_run
 //! use vod_model::{ModelOptions, VcrMix};
@@ -49,7 +49,7 @@ pub use allocate::{
     allocate_min_buffer, allocate_min_buffer_with, Budgets, Catalog, MovieAllocation, ResourcePlan,
 };
 pub use cost::{HardwareSpec, ResourceCost};
-pub use curve::{cost_curve, cost_curve_with_catalog, CostCurve, CostPoint};
+pub use curve::{cost_curve_with_catalog, CostCurve, CostPoint};
 pub use error::SizingError;
 pub use feasible::{
     max_feasible_streams, max_feasible_streams_memo, scan_by_buffer_step, FeasiblePoint,

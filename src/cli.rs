@@ -434,8 +434,9 @@ mod tests {
 
     #[test]
     fn residue_buffer_does_not_yield_a_zero_buffer_plan() {
-        // 62.7 − 110·0.57 = 7e-15: the plan used to stop at 110 streams,
-        // "0.0" buffer minutes and a garbage P(hit) of 0.556.
+        // 62.7 − 110·0.57 = 7e-15: a plan that takes the residue for a
+        // zero buffer stops at 110 streams, "0.0" buffer minutes and a
+        // garbage P(hit) of 0.556.
         let o = parse_args(&args(&[
             "--movie",
             "m;l=62.7;w=0.57;p=0.5;dist=gamma:shape=2,mean=3",
