@@ -46,8 +46,10 @@ cargo test -q
 
 echo "== benchmark/: the yardstick still compiles and its gate holds (all four workloads at --smoke size) =="
 # benchmark/ is its own workspace, so nothing above builds it; a library
-# API change would otherwise break it unnoticed.
-cargo test --release --manifest-path benchmark/Cargo.toml
+# API change would otherwise break it unnoticed. `--locked`: a workspace
+# manifest edit that would rewrite the frozen benchmark/Cargo.lock fails
+# here instead of changing it silently.
+cargo test --release --locked --manifest-path benchmark/Cargo.toml
 
 echo "== benchmark digests: every segment of the four workloads at --smoke size, seeds 42 and 2026, bit for bit =="
 # `stats_digest` hashes everything a segment's run observed (see
@@ -58,7 +60,7 @@ echo "== benchmark digests: every segment of the four workloads at --smoke size,
 for seed in 42 2026; do
   for workload in plan-catalog serve-vcr serve-storm federation; do
     out="$scratch/smoke-$workload-$seed.json"
-    cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- \
+    cargo run --release --quiet --locked --manifest-path benchmark/Cargo.toml -- \
       run --smoke --seed "$seed" --workload "$workload" --trace 0 --out "$out" >/dev/null
     awk -v run="$seed $workload" '
       /^        "[a-z]+": \{$/ { segment = $1; gsub(/[":]/, "", segment) }

@@ -1,10 +1,11 @@
 //! Million-session scale benchmark for the timer-wheel + arena engine.
 //!
 //! Opens `--sessions` concurrent sessions (default one million) against
-//! a [`vod_server::VodServer`], mass-enrolls them at tick 0, drives
-//! `--ticks` virtual minutes of lockstep delivery with a seeded VCR
-//! sprinkle, and writes events/sec and peak RSS to
-//! `results/BENCH_scale.json`. The virtual-time driver
+//! a [`vod_server::VodServer`] hosting [`ScaleConfig::MOVIES`] movies,
+//! mass-enrolls them at tick 0, drives `--ticks` virtual minutes of
+//! lockstep delivery with a seeded sprinkle of
+//! [`ScaleConfig::VCR_PER_TICK`] VCR operations a tick, and writes
+//! events/sec and peak RSS to `results/BENCH_scale.json`. The virtual-time driver
 //! ([`vod_server::run_scale`]) is deterministic; only the wall-clock and
 //! memory measurements taken here vary by machine, which is why they
 //! live in this bin (exempt from the determinism lint wall) and not in
@@ -27,8 +28,7 @@
 //!
 //! ```sh
 //! cargo run --release -p vod-bench --bin scale -- \
-//!     [--sessions N] [--ticks N] [--movies N] [--vcr-per-tick N] [--out PATH] \
-//!     [--plan none|storm] [--previous PATH]
+//!     [--sessions N] [--ticks N] [--out PATH] [--plan none|storm] [--previous PATH]
 //! ```
 
 use std::time::Instant;
@@ -43,14 +43,11 @@ const SEED: u64 = 42;
 fn main() {
     let flags = Flags::parse(
         "scale",
-        "--sessions N --ticks N --movies N --vcr-per-tick N --out PATH --previous PATH \
-         --plan none|storm",
+        "--sessions N --ticks N --out PATH --previous PATH --plan none|storm",
     );
     let cfg = ScaleConfig {
         sessions: flags.value("--sessions").unwrap_or(1_000_000),
         ticks: flags.value("--ticks").unwrap_or(40),
-        movies: flags.value("--movies").unwrap_or(16),
-        vcr_per_tick: flags.value("--vcr-per-tick").unwrap_or(64),
     };
     let plan = flags.get("--plan", |plan| match plan {
         "storm" => Some(true),
@@ -64,8 +61,8 @@ fn main() {
         "# scale: {} sessions x {} ticks, {} movies, {} VCR ops/tick, {cores} core(s){}",
         cfg.sessions,
         cfg.ticks,
-        cfg.movies,
-        cfg.vcr_per_tick,
+        ScaleConfig::MOVIES,
+        ScaleConfig::VCR_PER_TICK,
         if storm { ", storm plan" } else { "" }
     );
     let previous = flags.value::<String>("--previous").map(|path| {
@@ -89,8 +86,8 @@ fn main() {
         ("seed", SEED.into()),
         ("sessions", cfg.sessions.into()),
         ("ticks", cfg.ticks.into()),
-        ("movies", cfg.movies.into()),
-        ("vcr_per_tick", cfg.vcr_per_tick.into()),
+        ("movies", ScaleConfig::MOVIES.into()),
+        ("vcr_per_tick", ScaleConfig::VCR_PER_TICK.into()),
     ];
     let report = Json::object(Layout::Block, header.into_iter().chain(measured));
     let out_path = flags
@@ -141,7 +138,7 @@ fn headline_report(cfg: &ScaleConfig, previous: Option<&Json>) -> Vec<(&'static 
 /// The storm run on each backend: one `now` row per backend and, beside
 /// it, the same backend's `now` row from `previous`, matched by name.
 fn storm_report(cfg: &ScaleConfig, previous: Option<&Json>) -> Vec<(&'static str, Json)> {
-    let plan = storm_plan(&cfg.server_config(), cfg.ticks);
+    let plan = storm_plan(&ScaleConfig::server_config(), cfg.ticks);
     let mut rows = Vec::new();
     for kind in BackendKind::ALL {
         let (mut audit_s, mut worst_fault_tick_s, mut violations) = (0.0f64, 0.0f64, 0u64);

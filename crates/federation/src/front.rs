@@ -13,13 +13,14 @@
 //! # Failover
 //!
 //! Taking a shard down drains its live sessions through a displaced
-//! ledger that follows the same [`DegradePolicy`] vocabulary the
-//! in-shard degradation machinery uses: each displaced session retries
-//! re-admission on the surviving replicas of its movie (in placement
-//! order) under exponential backoff — joining an in-window batch cohort
-//! where one covers its position ([`Adoption::CohortJoin`]), falling
-//! back to borrowing a surviving shard's dedicated-stream reserve
-//! ([`Adoption::DedicatedStream`]) — until the retry timeout resolves it
+//! ledger that reads the same retry constants the in-shard
+//! [`RetryLedger`](vod_runtime::RetryLedger) does: each displaced session
+//! retries re-admission on the surviving replicas of its movie (in
+//! placement order) at once, then under exponential backoff — joining an
+//! in-window batch cohort where one covers its position
+//! ([`Adoption::CohortJoin`]), falling back to borrowing a surviving
+//! shard's dedicated-stream reserve ([`Adoption::DedicatedStream`]) —
+//! until the retry timeout resolves it
 //! to a transient denial (the movie is still recoverable: a replica up,
 //! or a shard recovery still scheduled) or a permanent one. The front
 //! tier arms [`DegradePolicy::recovery_wins`] for itself and its shards:
@@ -59,7 +60,7 @@ use std::cell::RefCell;
 
 use vod_runtime::{
     BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, FederationMetrics,
-    RuntimeMetrics, SessionStore,
+    RuntimeMetrics, SessionStore, RETRY_BACKOFF, RETRY_BACKOFF_CAP, RETRY_TIMEOUT,
 };
 use vod_server::{
     config_from_plan, make_backend, Adoption, DeliveryBackend, DeliveryStats, MovieId,
@@ -89,10 +90,19 @@ pub struct FederationConfig {
     /// replicas in failover-preference order (first entry is the
     /// primary). Every movie needs at least one replica.
     pub placement: Vec<Vec<(usize, MovieId)>>,
-    /// Degradation vocabulary for the displaced ledger and the shards.
-    /// [`DegradePolicy::recovery_wins`] is forced on by the front tier.
+    /// Inert: the displaced ledger and the shards follow `vod_runtime`'s
+    /// retry constants, and the front arms every shard with
+    /// [`DegradePolicy::recovery_wins`] on, whatever this says. Struct
+    /// literals that name it still compile.
     pub policy: DegradePolicy,
 }
+
+/// The policy the front arms every shard with: after a whole-shard
+/// recovery the recovery-vs-timeout race is the norm, and recovery wins
+/// it.
+const SHARD_POLICY: DegradePolicy = DegradePolicy {
+    recovery_wins: true,
+};
 
 /// Handle to a federated session (stable across displacement and
 /// re-admission — the shard-local [`SessionId`] behind it changes).
@@ -132,7 +142,6 @@ struct FedSession {
 pub struct Federation {
     specs: Vec<ShardSpec>,
     placement: Vec<Vec<(usize, MovieId)>>,
-    policy: DegradePolicy,
     /// The shards, `None` while dark. Behind a `RefCell` so that the
     /// audit, a `&self` call, can lend them to the helper.
     shards: RefCell<Vec<Option<Box<dyn DeliveryBackend>>>>,
@@ -191,15 +200,12 @@ impl Federation {
                 );
             }
         }
-        let mut policy = config.policy;
-        policy.recovery_wins = true;
         let n = config.shards.len();
         let mut fed = Self {
             shards: RefCell::new(Vec::with_capacity(n)),
             started_at: vec![0; n],
             specs: config.shards,
             placement: config.placement,
-            policy,
             plan,
             sessions: SessionStore::new(),
             routes: (0..n).map(|_| SessionStore::new()).collect(),
@@ -213,7 +219,7 @@ impl Federation {
         };
         for s in 0..n {
             let mut shard = make_backend(fed.specs[s].backend, &fed.specs[s].server);
-            shard.inject_faults(fed.local_plan(s, 0), fed.policy);
+            shard.inject_faults(fed.local_plan(s, 0), SHARD_POLICY);
             fed.shards.get_mut().push(Some(shard));
         }
         fed
@@ -421,7 +427,6 @@ impl Federation {
         self.retired_done += shard.sessions_finished();
         self.routes[s] = SessionStore::new();
         let now = self.now;
-        let backoff = self.policy.retry_backoff.max(1);
         for (fed, sess) in self.sessions.iter_mut() {
             let FedState::Live { shard: home, local } = sess.state else {
                 continue;
@@ -440,7 +445,7 @@ impl Federation {
                 position,
                 since: now,
                 next_retry: now,
-                backoff,
+                backoff: RETRY_BACKOFF,
             };
             self.displaced.push(fed);
             self.metrics.displaced_total += 1;
@@ -456,7 +461,7 @@ impl Federation {
             return;
         }
         let mut shard = make_backend(self.specs[s].backend, &self.specs[s].server);
-        shard.inject_faults(self.local_plan(s, self.now), self.policy);
+        shard.inject_faults(self.local_plan(s, self.now), SHARD_POLICY);
         self.shards.get_mut()[s] = Some(shard);
         self.started_at[s] = self.now;
         self.metrics.shard_recoveries += 1;
@@ -484,10 +489,10 @@ impl Federation {
                 // Displaced sessions (audited by check_invariants).
                 unreachable!("ledger entry not displaced");
             };
-            let timed_out = now.saturating_sub(since) >= self.policy.retry_timeout;
-            // Recovery wins a same-tick race (`new` arms `recovery_wins`):
-            // a recovery applied this tick re-opens the attempt even past
-            // the timeout.
+            let timed_out = now.saturating_sub(since) >= RETRY_TIMEOUT;
+            // Recovery wins a same-tick race, as on the shards
+            // (`SHARD_POLICY`): a recovery applied this tick re-opens the
+            // attempt even past the timeout.
             let last_chance = timed_out
                 && self.placement[movie]
                     .iter()
@@ -538,9 +543,7 @@ impl Federation {
                     position,
                     since,
                     next_retry: now.saturating_add(backoff),
-                    backoff: backoff
-                        .saturating_mul(2)
-                        .min(self.policy.retry_backoff_cap.max(1)),
+                    backoff: backoff.saturating_mul(2).min(RETRY_BACKOFF_CAP),
                 };
             }
             keep.push(i);
@@ -754,11 +757,6 @@ mod tests {
     /// 1, then shard 0 goes dark at `t = 2` under two movie-0 viewers:
     /// both are displaced and nothing can adopt them.
     fn dark_shard_with_two_displaced() -> Federation {
-        dark_shard_under(DegradePolicy::default())
-    }
-
-    /// [`dark_shard_with_two_displaced`] under `policy`.
-    fn dark_shard_under(policy: DegradePolicy) -> Federation {
         let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
         let spec = ShardSpec {
             backend: BackendKind::DedicatedStream,
@@ -774,7 +772,7 @@ mod tests {
                 vec![(0, MovieId(0)), (1, MovieId(0))],
                 vec![(1, MovieId(0))],
             ],
-            policy,
+            policy: DegradePolicy::default(),
         };
         let plan = FaultPlan::new(vec![FaultEvent {
             at: 2,
@@ -941,23 +939,32 @@ mod tests {
         assert_eq!(fed.session_status(FedSessionId(0)), SessionStatus::Done);
     }
 
-    /// A retry back-off of `u64::MAX` saturates: the displaced viewers'
-    /// one refused round is their last until the timeout resolves them.
+    /// The displaced ledger's schedule, tick by tick: a round at once on
+    /// the outage tick, then the back-off doubling from 1 to the cap of 8
+    /// *after* each round is scheduled, until the timeout 32 ticks after
+    /// the outage resolves both viewers. Shard 1 is full throughout and
+    /// still hosts movie 0, so each round refuses both and both resolve
+    /// transient.
     #[test]
-    fn the_longest_backoff_never_retries_a_displaced_session() {
-        let mut fed = dark_shard_under(DegradePolicy {
-            retry_backoff: u64::MAX,
-            retry_backoff_cap: u64::MAX,
-            ..DegradePolicy::default()
-        });
-        assert_eq!(fed.federation_metrics().readmit_refusals, 2);
-        for _ in 0..40 {
+    fn the_displaced_ledger_retries_on_its_schedule_until_the_timeout() {
+        let mut fed = dark_shard_with_two_displaced();
+        let rounds = [2, 3, 5, 9, 17, 25, 33];
+        // The t = 2 round ran inside the fixture.
+        let mut refusals = 2;
+        while fed.now() <= 34 {
+            let now = fed.now();
             fed.tick();
             assert_eq!(fed.check_invariants(), Vec::<String>::new());
+            if rounds.contains(&now) {
+                refusals += 2;
+            }
+            let metrics = fed.federation_metrics();
+            assert_eq!(metrics.readmit_refusals, refusals, "t={now}");
+            let resolved = if now < 34 { 0 } else { 2 };
+            assert_eq!(metrics.denied_transient, resolved, "t={now}");
         }
-        let metrics = fed.federation_metrics();
-        assert_eq!(metrics.readmit_refusals, 2);
-        assert_eq!(metrics.denied_transient, 2);
+        assert_eq!(fed.federation_metrics().denied_permanent, 0);
+        assert!(fed.displaced.is_empty());
     }
 
     /// A movie the placement map does not know is refused as a backend

@@ -17,7 +17,8 @@
 //!   (inert below the front tier) take entire shards dark and
 //!   cold-restart them mid-run.
 //! * **Failover with conserved accounting** — live sessions displaced
-//!   by an outage drain through a [`DegradePolicy`]-shaped ledger:
+//!   by an outage drain through a ledger on the retry constants of
+//!   [`RetryLedger`]:
 //!   cohort re-join on a surviving replica, dedicated-stream borrowing,
 //!   bounded backoff-and-retry, and timeout into transient/permanent
 //!   denial. Every displaced session ends in exactly one bucket;
@@ -29,7 +30,7 @@
 //! `run_harness` — the federation layer provably adds zero behavior
 //! until shards or faults are added.
 //!
-//! [`DegradePolicy`]: vod_runtime::DegradePolicy
+//! [`RetryLedger`]: vod_runtime::RetryLedger
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -8,7 +8,7 @@ use vod_federation::{
     run_federation, shards_from_split, Federation, FederationConfig, FederationHarnessConfig,
     ShardSpec, WorkloadShape,
 };
-use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan};
+use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, RETRY_TIMEOUT};
 use vod_server::{run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload};
 use vod_workload::BehaviorModel;
 
@@ -197,19 +197,18 @@ fn a_plan_naming_an_absent_shard_is_inert() {
 fn recovery_wins_the_same_tick_timeout_race() {
     // Hand-worked timeline (satellite: recovery-vs-timeout order pin).
     // Outage at t=100 displaces sessions with `since = 100`; the ledger
-    // timeout (default retry_timeout = 32) expires at t = 132 — the
+    // timeout (`RETRY_TIMEOUT` = 32) expires at t = 132 — the
     // exact tick the shard recovery lands. The front tier arms
     // `recovery_wins`, recoveries are applied before the ledger drains,
     // so the displaced sessions get a last-chance adoption against the
     // just-recovered shard instead of resolving denied.
-    let timeout = DegradePolicy::default().retry_timeout;
     let plan = FaultPlan::new(vec![
         FaultEvent {
             at: 100,
             kind: FaultKind::ShardOutage { shard: 0 },
         },
         FaultEvent {
-            at: 100 + timeout,
+            at: 100 + RETRY_TIMEOUT,
             kind: FaultKind::ShardRecovery { shard: 0 },
         },
     ]);
@@ -242,14 +241,13 @@ fn recovery_wins_the_same_tick_timeout_race() {
 fn recovery_one_tick_late_loses_the_race() {
     // Same timeline shifted by one tick: the timeout resolves first and
     // the denials are transient (a recovery is still scheduled).
-    let timeout = DegradePolicy::default().retry_timeout;
     let plan = FaultPlan::new(vec![
         FaultEvent {
             at: 100,
             kind: FaultKind::ShardOutage { shard: 0 },
         },
         FaultEvent {
-            at: 100 + timeout + 1,
+            at: 100 + RETRY_TIMEOUT + 1,
             kind: FaultKind::ShardRecovery { shard: 0 },
         },
     ]);

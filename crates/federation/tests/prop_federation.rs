@@ -53,9 +53,6 @@ proptest! {
         plan_seed in 0u64..u64::MAX,
         run_seed in 0u64..u64::MAX,
         events in 0u32..10,
-        retry_timeout in 4u64..40,
-        retry_backoff in 1u64..4,
-        recovery_tag in 0u32..2,
     ) {
         let config = FederationConfig {
             shards: (0..shards)
@@ -65,12 +62,7 @@ proptest! {
                 })
                 .collect(),
             placement: vec![(0..shards).map(|s| (s, MovieId(0))).collect()],
-            policy: DegradePolicy {
-                retry_timeout,
-                retry_backoff,
-                recovery_wins: recovery_tag == 1,
-                ..DegradePolicy::default()
-            },
+            policy: DegradePolicy::default(),
         };
         let cfg = FederationHarnessConfig {
             workload: Workload {

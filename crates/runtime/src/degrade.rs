@@ -1,15 +1,19 @@
-//! Deterministic fault injection and graceful-degradation policy knobs.
+//! Deterministic fault injection and the graceful-degradation schedule.
 //!
 //! The paper's sizing model assumes pre-allocated disk streams and buffer
 //! partitions always deliver; the only failure it prices is a resume miss
 //! costing a dedicated stream. This module supplies the vocabulary for the
 //! failures the model omits: a [`FaultPlan`] schedules faults at virtual-time
 //! tick boundaries (so every run is reproducible from `(seed, plan)` alone),
-//! and a [`DegradePolicy`] parameterizes how a driver responds — bounded
-//! re-wait for batch viewers, deterministic retry backoff for dedicated
-//! streams, and a timeout that falls back to batch admission. The types are
-//! driver-agnostic: `vod-server` applies them on its integer tick grid, and
-//! `vod-sim` mirrors the capacity effects in continuous time.
+//! and a [`RetryLedger`] says how a driver responds — a bounded re-wait
+//! ([`REWAIT_BOUND`]), retries for a dedicated stream under a back-off from
+//! [`RETRY_BACKOFF`] doubling to [`RETRY_BACKOFF_CAP`], and a timeout
+//! ([`RETRY_TIMEOUT`]) that falls back to batch admission. The schedule is
+//! one set of constants: the paper never tunes how a viewer who lost a
+//! stream retries. [`DegradePolicy`] keeps the one choice drivers make
+//! differently. The types are driver-agnostic: `vod-server` applies them on
+//! its integer tick grid, and `vod-sim` mirrors the capacity effects in
+//! continuous time.
 
 use crate::json::{self, Json, Layout};
 use crate::{splitmix64, GOLDEN_GAMMA};
@@ -379,33 +383,36 @@ fn capacity_fault(arm: u32, roll: u64, shrunk: &mut u32) -> FaultKind {
     }
 }
 
-/// Knobs for a driver's graceful-degradation state machine. All delays are
-/// virtual-time ticks, so the policy is deterministic by construction.
+/// Ticks a degraded session waits batch-only before its first
+/// dedicated-stream retry.
+pub const REWAIT_BOUND: u64 = 2;
+/// Initial back-off (ticks) between dedicated-stream retries; each
+/// refusal doubles it before the next retry is scheduled.
+pub const RETRY_BACKOFF: u64 = 1;
+/// Back-off cap (ticks); doubling stops here.
+pub const RETRY_BACKOFF_CAP: u64 = 8;
+/// Ticks after degradation entry when dedicated retries stop for good.
+pub const RETRY_TIMEOUT: u64 = 32;
+
+/// The one degradation choice drivers make differently. All delays of the
+/// state machine are the virtual-time constants of this module, so the
+/// schedule is deterministic by construction.
 ///
 /// The server applies it to sessions whose stream or partition was lost:
 ///
-/// 1. For the first [`DegradePolicy::rewait_bound`] ticks the session only
-///    waits for a live partition window to sweep back over its position
-///    (batch rejoin — free, and structurally bounded by one restart
-///    interval `T` when restarts keep succeeding).
+/// 1. For the first [`REWAIT_BOUND`] ticks the session only waits for a
+///    live partition window to sweep back over its position (batch
+///    rejoin — free, and structurally bounded by one restart interval `T`
+///    when restarts keep succeeding).
 /// 2. After the bound, the session additionally retries dedicated-stream
-///    acquisition with exponential backoff from
-///    [`DegradePolicy::retry_backoff`] up to
-///    [`DegradePolicy::retry_backoff_cap`].
-/// 3. After [`DegradePolicy::retry_timeout`] ticks degraded, retries stop
-///    (their denials resolve as permanent) and the session falls back to
-///    pure batch admission: it keeps waiting for a window rejoin and is
-///    never dropped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///    acquisition with exponential backoff from [`RETRY_BACKOFF`] up to
+///    [`RETRY_BACKOFF_CAP`].
+/// 3. After [`RETRY_TIMEOUT`] ticks degraded, retries stop (their denials
+///    resolve as permanent) and the session falls back to pure batch
+///    admission: it keeps waiting for a window rejoin and is never
+///    dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DegradePolicy {
-    /// Ticks a degraded session waits batch-only before dedicated retries.
-    pub rewait_bound: u64,
-    /// Initial backoff (ticks) between dedicated-stream retries.
-    pub retry_backoff: u64,
-    /// Backoff cap (ticks); doubling stops here.
-    pub retry_backoff_cap: u64,
-    /// Ticks after degradation entry when dedicated retries stop for good.
-    pub retry_timeout: u64,
     /// Resolution order when a capacity recovery lands on the very tick a
     /// session's retry timeout expires: with `recovery_wins` the session
     /// gets one last lease attempt against the just-recovered capacity
@@ -415,18 +422,6 @@ pub struct DegradePolicy {
     /// federation front tier arms this for the shards it owns — after a
     /// whole-shard recovery the race is the norm, not the edge.
     pub recovery_wins: bool,
-}
-
-impl Default for DegradePolicy {
-    fn default() -> Self {
-        Self {
-            rewait_bound: 2,
-            retry_backoff: 1,
-            retry_backoff_cap: 8,
-            retry_timeout: 32,
-            recovery_wins: false,
-        }
-    }
 }
 
 /// What a degraded session's [`RetryLedger`] allows on one tick.
@@ -447,10 +442,11 @@ pub enum RetryStep {
     TimedOut,
 }
 
-/// The retry ledger of one degraded session under a [`DegradePolicy`]:
-/// bounded re-wait, then dedicated-stream attempts under a back-off that
-/// doubles up to the cap, until the timeout. Refused attempts stay
-/// *pending* until the sequence resolves — transient when an attempt is
+/// The retry ledger of one degraded session: the [`REWAIT_BOUND`]
+/// re-wait, then dedicated-stream attempts under a back-off that doubles
+/// up to [`RETRY_BACKOFF_CAP`], until [`RETRY_TIMEOUT`]; a
+/// [`DegradePolicy`] settles a recovery on the timeout tick. Refused
+/// attempts stay *pending* until the sequence resolves — transient when an attempt is
 /// finally granted, permanent when the session rejoins for free, quits or
 /// times out — and [`RetryLedger::resolve`] hands each of them out exactly
 /// once. Pure state: the driver owns the stream pool and the denial
@@ -473,11 +469,11 @@ impl RetryLedger {
     /// A session degraded at tick `now`, carrying `pending` refusals
     /// already awaiting classification (1 when a refused acquisition
     /// caused the degradation, 0 when a fault took the resource outright).
-    pub fn enter(now: u64, policy: &DegradePolicy, pending: u64) -> Self {
+    pub fn enter(now: u64, pending: u64) -> Self {
         Self {
             since: now,
-            next_retry: now.saturating_add(policy.rewait_bound.max(1)),
-            backoff: policy.retry_backoff.max(1),
+            next_retry: now.saturating_add(REWAIT_BOUND),
+            backoff: RETRY_BACKOFF,
             pending_denials: pending,
             retries_exhausted: false,
         }
@@ -488,7 +484,7 @@ impl RetryLedger {
     pub fn step(&self, now: u64, policy: &DegradePolicy, recovered_at: Option<u64>) -> RetryStep {
         if self.retries_exhausted || now < self.next_retry {
             RetryStep::Wait
-        } else if now.saturating_sub(self.since) < policy.retry_timeout {
+        } else if now.saturating_sub(self.since) < RETRY_TIMEOUT {
             RetryStep::Attempt { last_chance: false }
         } else if policy.recovery_wins && recovered_at == Some(now) {
             RetryStep::Attempt { last_chance: true }
@@ -499,11 +495,8 @@ impl RetryLedger {
 
     /// The attempt made at tick `now` was refused: one more pending
     /// denial, and the back-off doubles (up to the cap) before the next.
-    pub fn refuse(&mut self, now: u64, policy: &DegradePolicy) {
-        self.backoff = self
-            .backoff
-            .saturating_mul(2)
-            .min(policy.retry_backoff_cap.max(1));
+    pub fn refuse(&mut self, now: u64) {
+        self.backoff = self.backoff.saturating_mul(2).min(RETRY_BACKOFF_CAP);
         self.next_retry = now.saturating_add(self.backoff);
         self.pending_denials += 1;
     }
@@ -720,65 +713,34 @@ mod tests {
 
     #[test]
     fn default_policy_orders_its_phases() {
-        let p = DegradePolicy::default();
-        assert!(p.rewait_bound < p.retry_timeout);
-        assert!(p.retry_backoff <= p.retry_backoff_cap);
+        let ledger = RetryLedger::enter(0, 0);
+        assert!(ledger.next_retry() < RETRY_TIMEOUT);
+        assert!(ledger.backoff() <= RETRY_BACKOFF_CAP);
     }
 
-    /// A re-wait bound of `u64::MAX` saturates: the first attempt is due
-    /// at the end of time, not at a wrapped tick.
-    #[test]
-    fn the_longest_rewait_bound_never_comes_due() {
-        let policy = DegradePolicy {
-            rewait_bound: u64::MAX,
-            ..DegradePolicy::default()
-        };
-        let ledger = RetryLedger::enter(10, &policy, 0);
-        assert_eq!(ledger.next_retry(), u64::MAX);
-        assert_eq!(ledger.step(11, &policy, None), RetryStep::Wait);
-    }
-
-    /// A back-off of `u64::MAX`, and a refusal just before the end of
-    /// time, both saturate: the next attempt is due at tick `u64::MAX`,
-    /// not at a wrapped tick.
+    /// A refusal just before the end of time saturates: the next attempt
+    /// is due at tick `u64::MAX`, not at a wrapped tick.
     #[test]
     fn a_refusal_saturates_backoff_and_next_retry() {
-        let policy = DegradePolicy {
-            retry_backoff: u64::MAX,
-            retry_backoff_cap: u64::MAX,
-            retry_timeout: u64::MAX,
-            ..DegradePolicy::default()
-        };
-        let mut ledger = RetryLedger::enter(0, &policy, 0);
-        assert_eq!(
-            ledger.step(2, &policy, None),
-            RetryStep::Attempt { last_chance: false }
-        );
-        ledger.refuse(2, &policy);
-        assert_eq!(
-            (ledger.backoff(), ledger.next_retry()),
-            (u64::MAX, u64::MAX)
-        );
-        assert_eq!(ledger.step(3, &policy, None), RetryStep::Wait);
         let policy = DegradePolicy::default();
         let end = u64::MAX - 1;
-        let mut ledger = RetryLedger::enter(end - 2, &policy, 0);
+        let mut ledger = RetryLedger::enter(end - 2, 0);
         assert_eq!(
             ledger.step(end, &policy, None),
             RetryStep::Attempt { last_chance: false }
         );
-        ledger.refuse(end, &policy);
+        ledger.refuse(end);
         assert_eq!((ledger.backoff(), ledger.next_retry()), (2, u64::MAX));
         assert_eq!(ledger.step(end, &policy, None), RetryStep::Wait);
     }
 
-    /// The retry ledger's whole timeline under the default policy
-    /// (re-wait 2, back-off 1 doubling to 8, timeout 32), hand-worked:
-    /// what is due on every tick, with every attempt refused.
+    /// The retry ledger's whole timeline (re-wait 2, back-off 1 doubling
+    /// to 8, timeout 32), hand-worked: what is due on every tick, with
+    /// every attempt refused.
     #[test]
     fn retry_ledger_timeline() {
         let policy = DegradePolicy::default();
-        let mut ledger = RetryLedger::enter(10, &policy, 0);
+        let mut ledger = RetryLedger::enter(10, 0);
         // (tick an attempt is due, back-off after its refusal)
         let attempts = [(12, 2), (14, 4), (18, 8), (26, 8), (34, 8)];
         let mut due = attempts.iter().copied().peekable();
@@ -787,7 +749,7 @@ mod tests {
                 Some(&(at, backoff)) if at == now => {
                     let step = ledger.step(now, &policy, None);
                     assert_eq!(step, RetryStep::Attempt { last_chance: false });
-                    ledger.refuse(now, &policy);
+                    ledger.refuse(now);
                     assert_eq!(ledger.backoff(), backoff);
                     assert_eq!(ledger.next_retry(), now + backoff);
                     due.next();
@@ -823,12 +785,9 @@ mod tests {
             (true, Some(34), RetryStep::Attempt { last_chance: true }),
         ];
         for (recovery_wins, recovered_at, expected) in cases {
-            let policy = DegradePolicy {
-                recovery_wins,
-                ..DegradePolicy::default()
-            };
+            let policy = DegradePolicy { recovery_wins };
             // Entered with the refusal that caused the degradation pending.
-            let ledger = RetryLedger::enter(2, &policy, 1);
+            let ledger = RetryLedger::enter(2, 1);
             assert_eq!(ledger.pending_denials(), 1);
             assert_eq!(
                 ledger.step(33, &policy, recovered_at),

@@ -23,9 +23,10 @@
 //!   bench bins can diff server-vs-sim-vs-model directly.
 //! * [`json`] — the one JSON value, writer and strict reader every
 //!   report in the workspace goes through.
-//! * [`FaultPlan`] / [`DegradePolicy`] — deterministic, virtual-time
-//!   fault schedules and the graceful-degradation knobs (bounded re-wait,
-//!   retry backoff, batch-admission fallback) both drivers honor.
+//! * [`FaultPlan`] / [`RetryLedger`] — deterministic, virtual-time fault
+//!   schedules and the one graceful-degradation schedule (bounded re-wait,
+//!   retry backoff, batch-admission fallback) both drivers honor;
+//!   [`DegradePolicy`] says who wins a recovery on the timeout tick.
 //! * [`BackendKind`] / [`PyramidGeometry`] / [`ReceptionFront`] — the
 //!   delivery-backend vocabulary: which scheme a driver runs
 //!   (batching+buffering, pyramid fast broadcasting, dedicated unicast),
@@ -69,7 +70,10 @@ mod windows;
 
 pub use arena::{Arena, ArenaId};
 pub use backend::{BackendKind, PyramidGeometry, ReceptionFront};
-pub use degrade::{DegradePolicy, FaultEvent, FaultKind, FaultPlan, RetryLedger, RetryStep};
+pub use degrade::{
+    DegradePolicy, FaultEvent, FaultKind, FaultPlan, RetryLedger, RetryStep, RETRY_BACKOFF,
+    RETRY_BACKOFF_CAP, RETRY_TIMEOUT, REWAIT_BOUND,
+};
 pub use metrics::{kind_index, FederationMetrics, RuntimeMetrics};
 pub use quantize::QuantizedGeometry;
 pub use reserve::StreamReserve;

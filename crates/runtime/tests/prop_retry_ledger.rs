@@ -1,12 +1,14 @@
-//! Property-based test of [`RetryLedger`]: under an arbitrary policy and
-//! an arbitrary pattern of grants and recoveries the ledger honours the
+//! Property-based test of [`RetryLedger`]: under either policy and an
+//! arbitrary pattern of grants and recoveries the ledger honours the
 //! re-wait bound, backs off monotonically up to the cap, and hands every
 //! refusal out for classification exactly once.
 
 #![allow(clippy::unwrap_used)]
 use proptest::prelude::*;
 
-use vod_runtime::{DegradePolicy, RetryLedger, RetryStep};
+use vod_runtime::{
+    DegradePolicy, RetryLedger, RetryStep, RETRY_BACKOFF_CAP, RETRY_TIMEOUT, REWAIT_BOUND,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -14,10 +16,6 @@ proptest! {
     #[test]
     fn ledger_bounds_backoff_and_resolves_each_refusal_once(
         since in 0u64..50,
-        rewait_bound in 0u64..6,
-        retry_backoff in 0u64..5,
-        retry_backoff_cap in 0u64..20,
-        retry_timeout in 0u64..80,
         recovery_wins in 0u32..2,
         pending in 0u64..2,
         // Bit `i`: the `i`-th attempt is granted / tick `since + i` sees a recovery.
@@ -25,14 +23,9 @@ proptest! {
         recoveries in 0u64..u64::MAX,
     ) {
         let policy = DegradePolicy {
-            rewait_bound,
-            retry_backoff,
-            retry_backoff_cap,
-            retry_timeout,
             recovery_wins: recovery_wins == 1,
         };
-        let cap = retry_backoff_cap.max(1);
-        let mut ledger = RetryLedger::enter(since, &policy, pending);
+        let mut ledger = RetryLedger::enter(since, pending);
         let (mut refusals, mut resolved, mut attempts) = (0u64, 0u64, 0u32);
         let mut finished = false;
         for now in since..since + 200 {
@@ -46,13 +39,13 @@ proptest! {
             match step {
                 RetryStep::Wait => {}
                 RetryStep::TimedOut => {
-                    prop_assert!(age >= retry_timeout);
+                    prop_assert!(age >= RETRY_TIMEOUT);
                     resolved += ledger.time_out();
                     finished = true;
                 }
                 RetryStep::Attempt { last_chance } => {
-                    prop_assert!(age >= rewait_bound.max(1), "attempt inside the re-wait bound");
-                    prop_assert_eq!(last_chance, age >= retry_timeout);
+                    prop_assert!(age >= REWAIT_BOUND, "attempt inside the re-wait bound");
+                    prop_assert_eq!(last_chance, age >= RETRY_TIMEOUT);
                     if last_chance {
                         prop_assert!(policy.recovery_wins && recovered_at == Some(now));
                     }
@@ -65,9 +58,9 @@ proptest! {
                         break;
                     }
                     let (before, next_before) = (ledger.backoff(), ledger.next_retry());
-                    ledger.refuse(now, &policy);
+                    ledger.refuse(now);
                     refusals += 1;
-                    prop_assert_eq!(ledger.backoff(), (before * 2).min(cap));
+                    prop_assert_eq!(ledger.backoff(), (before * 2).min(RETRY_BACKOFF_CAP));
                     prop_assert!(ledger.next_retry() > next_before, "next_retry not increasing");
                     prop_assert_eq!(ledger.next_retry(), now + ledger.backoff());
                     prop_assert_eq!(ledger.pending_denials(), pending + refusals);

@@ -28,7 +28,7 @@ use crate::backend::DeliveryBackend;
 use crate::content::{verify_segment, MovieId};
 use crate::disk::{DiskSubsystem, StreamLease};
 use crate::metrics::ServerMetrics;
-use crate::server::{ServerConfig, ServerError};
+use crate::server::{ServerConfig, ServerError, VCR_RATE};
 use crate::session::{DeliveryStats, Session, SessionId, SessionState, Sessions};
 
 /// State and accounting common to every [`DeliveryBackend`]; see the
@@ -303,10 +303,7 @@ impl ServerCore {
     /// Core over `config`'s catalog and stream pool, with `preallocated`
     /// of the streams set aside for the scheme's normal playback and the
     /// rest forming the dedicated reserve.
-    pub(crate) fn new(mut config: ServerConfig, preallocated: u32) -> Self {
-        // A sweep that moves nothing would never end: a zero rate is
-        // served as 1, here, where the config enters.
-        config.vcr_rate = config.vcr_rate.max(1);
+    pub(crate) fn new(config: ServerConfig, preallocated: u32) -> Self {
         let mut disk = DiskSubsystem::new(config.disk_streams);
         let mut movie_index = BTreeMap::new();
         for (i, m) in config.movies.iter().enumerate() {
@@ -422,7 +419,7 @@ impl ServerCore {
     pub(crate) fn enter_degraded(&mut self, pending: u64) -> RetryLedger {
         self.degraded_count += 1;
         self.metrics.runtime.degraded_entries += 1;
-        RetryLedger::enter(self.now, &self.policy, pending)
+        RetryLedger::enter(self.now, pending)
     }
 
     /// A session leaves the degraded population and its ledger resolves:
@@ -465,7 +462,7 @@ impl ServerCore {
                     self.metrics.runtime.degraded_dedicated += 1;
                     return Retry::Granted(lease);
                 }
-                ledger.refuse(self.now, &self.policy);
+                ledger.refuse(self.now);
                 if !last_chance {
                     return Retry::Wait;
                 }
@@ -562,7 +559,7 @@ impl ServerCore {
     }
 
     /// One tick of a sweep that moves the playhead without reading what it
-    /// passes (pyramid, dedicated): `vcr_rate` segments, clamped to the
+    /// passes (pyramid, dedicated): [`VCR_RATE`] segments, clamped to the
     /// movie, and a minute of disk service if a lease carries it. FF off
     /// the end releases the viewer — the model's P(end) path, counted as
     /// a hit for comparability.
@@ -571,7 +568,7 @@ impl ServerCore {
             unreachable!("caller checked state")
         };
         let kind = *kind;
-        let step = self.config.vcr_rate.min(*remaining);
+        let step = VCR_RATE.min(*remaining);
         *remaining -= step;
         let landed = *remaining == 0;
         sess.position = match kind {
@@ -995,13 +992,12 @@ mod tests {
         // own copy of the walk never did), degrades the holder the same
         // tick and gives the reserve its slot back.
         for kind in BackendKind::ALL {
-            let mut walk = Walk::new(kind, &fast(config()), 0);
-            walk.run(DegradePolicy::default(), &sweeping());
+            let mut walk = sweeper(kind);
             let lost = Do::Lose {
                 recover_after: None,
             };
             let revoked = ("revoked", lost, [SessionStatus::Degraded; 3], [false; 3]);
-            walk.run(DegradePolicy::default(), &[revoked]);
+            walk.run(&[revoked]);
             let metrics = &walk.backend.core().metrics;
             assert_eq!(metrics.sweeps_aborted, 1, "{kind:?}");
             assert_eq!(metrics.leases_revoked, 1, "{kind:?}");
@@ -1022,28 +1018,35 @@ mod tests {
     /// its own — on batching, pyramid, dedicated.
     type Row = (&'static str, Do, [SessionStatus; 3], [bool; 3]);
 
-    /// `config` with sweeps fast enough to leave every window and front
-    /// far behind in two ticks.
-    fn fast(config: ServerConfig) -> ServerConfig {
+    /// [`config`]'s movie length and one-tick wait, but with restarts 60
+    /// ticks apart, each dragging a 59-tick window: a sweep that starts
+    /// just after a restart holds the newest lease until the next one.
+    fn sparse() -> ServerConfig {
+        let movie = HostedMovie::from_allocation(MovieId(0), 120, 2, 118.0);
         ServerConfig {
-            vcr_rate: 25,
-            ..config
+            piggyback: None,
+            ..ServerConfig::provisioned(vec![movie], 10)
         }
     }
 
-    /// A session sweeping on a stream of its own, so far ahead (under
-    /// [`fast`]) that nothing lets it straight back in if it loses it.
-    fn sweeping() -> [Row; 4] {
-        use SessionStatus::{Dedicated, InVcr, Shared, Waiting};
+    /// A session sweeping on a stream of its own, so far ahead that
+    /// nothing lets it straight back in if it loses it: admitted 4 ticks
+    /// into [`sparse`] (the first window takes it at once), then 24 ticks
+    /// into an FF from position 2. At `t = 30` it is at position 74, ahead
+    /// of every window and of its pyramid reception front, on the newest
+    /// lease.
+    fn sweeper(kind: BackendKind) -> Walk {
+        use SessionStatus::{Dedicated, InVcr, Shared};
         let (on, off) = (true, false);
+        let mut walk = Walk::new(kind, &sparse(), 4);
         #[rustfmt::skip]
-        let script = [
-            ("admit", Do::Open, [Waiting(0), Shared, Dedicated], [off, off, on]),
+        walk.run(&[
+            ("admit", Do::Open, [Shared, Shared, Dedicated], [off, off, on]),
             ("playback", Do::Tick(2), [Shared, Shared, Dedicated], [off, off, on]),
-            ("FF", Do::Vcr(VcrKind::FastForward, [100; 3]), [InVcr; 3], [on; 3]),
-            ("sweep", Do::Tick(2), [InVcr; 3], [on; 3]),
-        ];
-        script
+            ("FF", Do::Vcr(VcrKind::FastForward, [115; 3]), [InVcr; 3], [on; 3]),
+            ("sweep", Do::Tick(24), [InVcr; 3], [on; 3]),
+        ]);
+        walk
     }
 
     /// One step of a life-cycle script.
@@ -1092,7 +1095,7 @@ mod tests {
         /// Run `script`; after each step the session is in the row's
         /// state, holds a stream iff the row says it is served through
         /// one, and the audit is clean.
-        fn run(&mut self, policy: DegradePolicy, script: &[Row]) {
+        fn run(&mut self, script: &[Row]) {
             for (what, step, status, serving) in script {
                 match *step {
                     Do::Open => self.id = self.backend.open_session(MovieId(0)).unwrap(),
@@ -1119,7 +1122,7 @@ mod tests {
                             None => FaultKind::DiskStreamLoss { count },
                         };
                         let plan = FaultPlan::new(vec![FaultEvent { at: core.now, kind }]);
-                        self.backend.inject_faults(plan, policy);
+                        self.backend.inject_faults(plan, DegradePolicy::default());
                         self.tick(1);
                     }
                 }
@@ -1147,7 +1150,7 @@ mod tests {
             // streams up and no window over position 0.
             let mut walk = Walk::new(kind, &config, 17);
             #[rustfmt::skip]
-            walk.run(DegradePolicy::default(), &[
+            walk.run(&[
                 ("admit", Do::Open, [Waiting(0), Shared, Dedicated], [off, off, on]),
                 ("shared playback", Do::Tick(4), [Shared, Shared, Dedicated], [off, off, on]),
                 // Into the window of the stream ahead; inside the received prefix.
@@ -1178,15 +1181,9 @@ mod tests {
             // every window and front, so nothing lets the holder straight
             // back in. While the outage lasts it re-waits; the first retry
             // after the recovery is granted.
-            let fast = fast(config.clone());
-            let policy = DegradePolicy {
-                retry_timeout: 8,
-                ..DegradePolicy::default()
-            };
-            let mut walk = Walk::new(kind, &fast, 0);
-            walk.run(policy, &sweeping());
+            let mut walk = sweeper(kind);
             #[rustfmt::skip]
-            walk.run(policy, &[
+            walk.run(&[
                 ("revoked lease", Do::Lose { recover_after: Some(3) }, [Degraded; 3], [off; 3]),
                 ("granted retry", Do::Leave([Degraded; 3], 6), [Dedicated; 3], [on; 3]),
             ]);
@@ -1199,12 +1196,11 @@ mod tests {
             // The streams never come back: past the retry timeout the
             // shared resource is all that is left — the window or the front
             // that reaches the position, or, with nothing shared, the FIFO.
-            let mut walk = Walk::new(kind, &fast, 0);
-            walk.run(policy, &sweeping());
+            let mut walk = sweeper(kind);
             #[rustfmt::skip]
-            walk.run(policy, &[
+            walk.run(&[
                 ("revoked lease", Do::Lose { recover_after: None }, [Degraded; 3], [off; 3]),
-                ("timeout", Do::Tick(9), [Degraded, Degraded, Waiting(0)], [off; 3]),
+                ("timeout", Do::Tick(33), [Degraded, Degraded, Waiting(0)], [off; 3]),
                 ("free rejoin", Do::Leave([Degraded, Degraded, Done], 50), [Shared, Shared, Waiting(0)], [off; 3]),
             ]);
             let rt = walk.backend.runtime_metrics();
@@ -1251,34 +1247,6 @@ mod tests {
                 [Shared, Dedicated, Dedicated][walk.column],
                 "{kind:?}"
             );
-        }
-    }
-
-    /// `vcr_rate` is a public field: a zero there is served as 1 (a sweep
-    /// that moves nothing would hold its stream for ever — batching's did).
-    /// An accepted FF and an accepted RW both leave `InVcr` within
-    /// `magnitude` ticks and the viewing runs to its end.
-    #[test]
-    fn a_zero_vcr_rate_is_served_as_one() {
-        use SessionStatus::{Dedicated, Done, InVcr, Shared};
-        let config = ServerConfig {
-            vcr_rate: 0,
-            ..config()
-        };
-        let (on, off) = (true, false);
-        for kind in BackendKind::ALL {
-            let mut walk = Walk::new(kind, &config, 0);
-            #[rustfmt::skip]
-            walk.run(DegradePolicy::default(), &[
-                ("playback", Do::Open, [SessionStatus::Waiting(0), Shared, Dedicated], [off, off, on]),
-                ("playback", Do::Tick(10), [Shared, Shared, Dedicated], [off, off, on]),
-                ("FF", Do::Vcr(VcrKind::FastForward, [5; 3]), [InVcr; 3], [on, off, on]),
-                ("FF lands", Do::Leave([InVcr; 3], 5), [Shared, Shared, Dedicated], [off, off, on]),
-                ("RW", Do::Vcr(VcrKind::Rewind, [4; 3]), [InVcr; 3], [on, off, on]),
-                ("RW lands", Do::Leave([InVcr; 3], 4), [Shared, Shared, Dedicated], [off, off, on]),
-                ("the end", Do::Leave([Shared, Shared, Dedicated], 400), [Done; 3], [off; 3]),
-            ]);
-            assert_eq!(walk.backend.degraded_sessions(), 0, "{kind:?}");
         }
     }
 }

@@ -489,20 +489,18 @@ mod tests {
             }
         };
         let mut s = DedicatedServer::new(cfg);
-        // Long timeout: the revoked holders stay in the retry loop until
-        // the outage recovers, so their refusals resolve transient.
-        let policy = DegradePolicy {
-            retry_timeout: 200,
-            ..DegradePolicy::default()
-        };
+        // The outage recovers at t = 17. The two queued viewers take the
+        // streams back and finish at 27, so the revoked holders' retry at
+        // 29, inside their timeout at 37, wins a stream: their refusals
+        // resolve transient.
         let plan = FaultPlan::new(vec![FaultEvent {
             at: 5,
             kind: FaultKind::DiskOutage {
                 count: 2,
-                recover_after: 20,
+                recover_after: 12,
             },
         }]);
-        s.inject_faults(plan, policy);
+        s.inject_faults(plan, DegradePolicy::default());
         let a = s.open_session(MovieId(0)).unwrap();
         s.tick();
         let b = s.open_session(MovieId(0)).unwrap();

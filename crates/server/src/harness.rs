@@ -433,12 +433,6 @@ pub struct ScaleConfig {
     /// Ticks to drive after opening (each live session consumes one
     /// segment per tick).
     pub ticks: u64,
-    /// Hosted movies. Sessions are assigned in contiguous blocks —
-    /// block `m` is movie `m`'s batching cohort.
-    pub movies: u32,
-    /// Sessions issued a seeded-random VCR operation each tick
-    /// (denials count as issued, like the chaos harness).
-    pub vcr_per_tick: u32,
 }
 
 /// What one [`run_scale`] run measured. Pure virtual-time observables:
@@ -470,17 +464,23 @@ pub struct ScaleOutcome {
 }
 
 impl ScaleConfig {
-    /// The server a scale run provisions: `movies` copies of the harness
-    /// geometry (l = 120, n = 20, B = 100 — restarts every 6 ticks with
-    /// 5-tick enrollment windows, so a tick-0 cohort stays in lockstep
-    /// on one ring entry per movie) plus a VCR reserve sized to the
-    /// sprinkle.
-    pub fn server_config(&self) -> ServerConfig {
-        let movies = (0..self.movies)
+    /// Hosted movies. Sessions are assigned in contiguous blocks —
+    /// block `m` is movie `m`'s batching cohort.
+    pub const MOVIES: u32 = 16;
+    /// Sessions issued a seeded-random VCR operation each tick
+    /// (denials count as issued, like the chaos harness).
+    pub const VCR_PER_TICK: u32 = 64;
+
+    /// The server a scale run provisions: [`Self::MOVIES`] copies of the
+    /// harness geometry (l = 120, n = 20, B = 100 — restarts every 6
+    /// ticks with 5-tick enrollment windows, so a tick-0 cohort stays in
+    /// lockstep on one ring entry per movie) plus a VCR reserve of four
+    /// streams per operation of the sprinkle.
+    pub fn server_config() -> ServerConfig {
+        let movies = (0..Self::MOVIES)
             .map(|m| HostedMovie::from_allocation(MovieId(m), 120, 20, 100.0))
             .collect();
-        let vcr_reserve = self.vcr_per_tick.saturating_mul(4).clamp(8, 4096);
-        ServerConfig::provisioned(movies, vcr_reserve)
+        ServerConfig::provisioned(movies, Self::VCR_PER_TICK * 4)
     }
 }
 
@@ -528,7 +528,7 @@ pub fn storm_plan(server: &ServerConfig, ticks: u64) -> FaultPlan {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.sessions` or `cfg.movies` is zero.
+/// Panics if `cfg.sessions` is zero.
 pub fn run_scale(cfg: &ScaleConfig, seed: u64) -> ScaleOutcome {
     let (kind, plan) = (BackendKind::BatchingBuffering, FaultPlan::empty());
     run_scale_on(cfg, kind, seed, &plan, &mut |server| server.tick())
@@ -542,7 +542,7 @@ pub fn run_scale(cfg: &ScaleConfig, seed: u64) -> ScaleOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `cfg.sessions` or `cfg.movies` is zero.
+/// Panics if `cfg.sessions` is zero.
 pub fn run_scale_on(
     cfg: &ScaleConfig,
     kind: BackendKind,
@@ -550,21 +550,18 @@ pub fn run_scale_on(
     plan: &FaultPlan,
     advance: &mut dyn FnMut(&mut dyn DeliveryBackend),
 ) -> ScaleOutcome {
-    // vod-lint: allow(no-panic) — a zero-session or zero-movie scale run is a
-    // caller bug; the driver cannot size a server around it.
-    assert!(
-        cfg.sessions > 0 && cfg.movies > 0,
-        "scale run needs at least one session and one movie"
-    );
-    let mut server = make_backend(kind, &cfg.server_config());
+    // vod-lint: allow(no-panic) — a zero-session scale run is a caller
+    // bug; the driver cannot size a server around it.
+    assert!(cfg.sessions > 0, "scale run needs at least one session");
+    let mut server = make_backend(kind, &ScaleConfig::server_config());
     server.inject_faults(plan.clone(), DegradePolicy::default());
     let mut rng = seeded(seed);
     // Contiguous block assignment: adjacent session indices share a
     // movie, so the per-tick delivery walk switches movies only
-    // `cfg.movies` times per tick.
+    // `ScaleConfig::MOVIES` times per tick.
     let ids: Vec<SessionId> = (0..cfg.sessions)
         .map(|i| {
-            let movie = MovieId((i * u64::from(cfg.movies) / cfg.sessions) as u32);
+            let movie = MovieId((i * u64::from(ScaleConfig::MOVIES) / cfg.sessions) as u32);
             // vod-lint: allow(no-panic) — the movie id is derived from the
             // hosted range above; a miss is a driver bug.
             server.open_session(movie).expect("movie hosted")
@@ -572,7 +569,7 @@ pub fn run_scale_on(
         .collect();
     let mut vcr_accepted: u64 = 0;
     for _ in 0..cfg.ticks {
-        for _ in 0..cfg.vcr_per_tick {
+        for _ in 0..ScaleConfig::VCR_PER_TICK {
             let target = ids[(rng.next_u64() % cfg.sessions) as usize];
             let kind = match rng.next_u64() % 3 {
                 0 => VcrKind::FastForward,
@@ -644,8 +641,6 @@ mod tests {
         let cfg = ScaleConfig {
             sessions: 3000,
             ticks: 30,
-            movies: 4,
-            vcr_per_tick: 20,
         };
         let a = run_scale(&cfg, 42);
         let b = run_scale(&cfg, 42);
@@ -664,13 +659,14 @@ mod tests {
     /// faults actually bite, and the run reproduces bitwise.
     #[test]
     fn scale_storm_keeps_every_backend_conserved() {
+        // With fewer sessions over the scale run's 16 movies and 64 VCR
+        // operations a tick, batching and pyramid keep enough free streams
+        // that no lease is revoked and nothing degrades.
         let cfg = ScaleConfig {
-            sessions: 3000,
+            sessions: 10_000,
             ticks: 120,
-            movies: 4,
-            vcr_per_tick: 20,
         };
-        let plan = storm_plan(&cfg.server_config(), cfg.ticks);
+        let plan = storm_plan(&ScaleConfig::server_config(), cfg.ticks);
         assert_eq!(plan.len(), 15);
         for kind in BackendKind::ALL {
             let run = || {

@@ -61,5 +61,5 @@ pub use harness::{
 };
 pub use metrics::ServerMetrics;
 pub use pyramid::PyramidServer;
-pub use server::{HostedMovie, PiggybackConfig, ServerConfig, ServerError, VodServer};
+pub use server::{HostedMovie, PiggybackConfig, ServerConfig, ServerError, VodServer, VCR_RATE};
 pub use session::{DeliveryStats, SessionId, SessionState, SessionStatus, StreamId};

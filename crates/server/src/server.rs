@@ -75,16 +75,23 @@ impl HostedMovie {
     }
 }
 
-/// Piggybacking configuration (the paper's phase-2 fallback, after
-/// [1, 7, 9]): a dedicated post-miss session displays slightly faster,
-/// gaining one segment every `catchup_period` ticks until it re-enters a
-/// partition window.
+/// Piggybacking (the paper's phase-2 fallback, after [1, 7, 9]): a
+/// dedicated post-miss session displays slightly faster, gaining one
+/// segment every [`PiggybackConfig::CATCHUP_PERIOD`] ticks until it
+/// re-enters a partition window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PiggybackConfig {
+pub struct PiggybackConfig;
+
+impl PiggybackConfig {
     /// Ticks between catch-up segments; 20 ≈ a 5% display-rate increase,
     /// the range the piggybacking literature considers imperceptible.
-    pub catchup_period: u32,
+    pub const CATCHUP_PERIOD: u32 = 20;
 }
+
+/// Display rate of FF and RW in segments per tick: the paper's
+/// `R_FF = R_RW = 3` playback rates (`Rates::paper()`), the one rate it
+/// measures at.
+pub const VCR_RATE: u32 = 3;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -95,8 +102,6 @@ pub struct ServerConfig {
     pub buffer_budget: usize,
     /// Hosted movies.
     pub movies: Vec<HostedMovie>,
-    /// Display rate of FF and RW in segments per tick.
-    pub vcr_rate: u32,
     /// Piggyback merge-back; `None` disables it.
     pub piggyback: Option<PiggybackConfig>,
 }
@@ -115,8 +120,7 @@ impl ServerConfig {
             disk_streams: disk,
             buffer_budget: buffer,
             movies,
-            vcr_rate: 3,
-            piggyback: Some(PiggybackConfig { catchup_period: 20 }),
+            piggyback: Some(PiggybackConfig),
         }
     }
 }
@@ -1108,9 +1112,9 @@ impl VodServer {
         let length = self.core.config.movies[sess.movie_idx].geometry.length;
         read_forward(&mut self.core, sess);
         // Optional piggyback catch-up segment.
-        if let Some(pb) = self.core.config.piggyback {
+        if self.core.config.piggyback.is_some() {
             sess.scheme.phase += 1;
-            let due = sess.scheme.phase >= pb.catchup_period
+            let due = sess.scheme.phase >= PiggybackConfig::CATCHUP_PERIOD
                 && sess.position < length
                 && matches!(sess.state, SessionState::Dedicated);
             if due {
@@ -1144,7 +1148,7 @@ impl VodServer {
         let SessionState::Vcr { remaining, .. } = &mut sess.state else {
             unreachable!("caller checked state")
         };
-        let steps = (*remaining).min(self.core.config.vcr_rate);
+        let steps = (*remaining).min(VCR_RATE);
         *remaining -= steps;
         let swept = *remaining == 0;
         for _ in 0..steps {
@@ -1177,9 +1181,7 @@ impl VodServer {
         let SessionState::Vcr { remaining, .. } = &mut sess.state else {
             unreachable!("caller checked state")
         };
-        let steps = (*remaining)
-            .min(self.core.config.vcr_rate)
-            .min(sess.position);
+        let steps = (*remaining).min(VCR_RATE).min(sess.position);
         // Both differences clamp at zero: `steps` is bounded by both
         // operands today, but a rewind past the start must never wrap
         // the residual sweep into billions of segments.

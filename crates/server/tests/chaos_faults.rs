@@ -61,7 +61,6 @@ fn failed_restart_rewaits_batch_to_next_interval() {
         disk_streams: 3,
         buffer_budget: 2,
         movies: vec![movie],
-        vcr_rate: 3,
         piggyback: None,
     });
     run_checked(&mut server, 3); // t = 0 stream is live, holding the pool
@@ -154,11 +153,11 @@ fn outage_revokes_leases_then_dedicated_retry_succeeds() {
 
 /// The same-tick recovery-vs-timeout race, resolved for recovery. The
 /// timeline is exact: outage degrades the viewer at 12, retries fail at
-/// 14 and 16 (backoff 1 → 2 → 4), and with `retry_timeout = 8` the next
-/// retry, the timeout expiry, *and* the outage recovery
-/// (`recover_after: 8`) all land on tick 20. With `recovery_wins` the
-/// session gets one last lease attempt against the just-returned
-/// streams before the timeout resolves — and it must succeed, because
+/// 14, 16, 20, 28 and 36 (backoff 2 → 4 → 8 → 8 → 8), and the next
+/// retry, the timeout expiry (`RETRY_TIMEOUT` = 32) *and* the outage
+/// recovery (`recover_after: 32`) all land on tick 44. With
+/// `recovery_wins` the session gets one last lease attempt against the
+/// just-returned streams before the timeout resolves — and it must succeed, because
 /// the streams that came back are exactly what it was retrying for.
 #[test]
 fn recovery_landing_on_the_timeout_tick_wins_the_race() {
@@ -172,13 +171,11 @@ fn recovery_landing_on_the_timeout_tick_wins_the_race() {
             at: 12,
             kind: FaultKind::DiskOutage {
                 count: 100,
-                recover_after: 8, // recovery at 20 == since 12 + timeout 8
+                recover_after: 32, // recovery at 44 == since 12 + timeout 32
             },
         }]),
         DegradePolicy {
-            retry_timeout: 8,
             recovery_wins: true,
-            ..DegradePolicy::default()
         },
     );
     let viewer = server.open_session(MovieId(0)).unwrap();
@@ -187,7 +184,7 @@ fn recovery_landing_on_the_timeout_tick_wins_the_race() {
         server.session_status(viewer).unwrap(),
         SessionStatus::Degraded
     );
-    run_checked(&mut server, 8); // retries refused at 14/16; race tick 20
+    run_checked(&mut server, 32); // retries refused at 14..36; race tick 44
     assert_eq!(
         server.session_status(viewer).unwrap(),
         SessionStatus::Dedicated,
@@ -196,8 +193,8 @@ fn recovery_landing_on_the_timeout_tick_wins_the_race() {
     let rt = server.runtime_metrics();
     assert_eq!(rt.degraded_dedicated, 1);
     assert_eq!(
-        rt.denied_transient, 2,
-        "the 14/16 refusals classify as transient once the last chance lands"
+        rt.denied_transient, 5,
+        "the five refusals classify as transient once the last chance lands"
     );
     assert_eq!(rt.denied_permanent, 0);
     let stats = run_to_finish(&mut server, 40, viewer);
@@ -224,16 +221,13 @@ fn default_policy_resolves_timeout_before_same_tick_recovery() {
             at: 12,
             kind: FaultKind::DiskOutage {
                 count: 100,
-                recover_after: 8,
+                recover_after: 32,
             },
         }]),
-        DegradePolicy {
-            retry_timeout: 8,
-            ..DegradePolicy::default()
-        },
+        DegradePolicy::default(),
     );
     let viewer = server.open_session(MovieId(0)).unwrap();
-    run_checked(&mut server, 21); // same timeline through the race tick
+    run_checked(&mut server, 45); // same timeline through the race tick
     assert_eq!(
         server.session_status(viewer).unwrap(),
         SessionStatus::Degraded,
@@ -243,8 +237,8 @@ fn default_policy_resolves_timeout_before_same_tick_recovery() {
     assert_eq!(rt.degraded_dedicated, 0);
     assert_eq!(rt.denied_transient, 0);
     assert_eq!(
-        rt.denied_permanent, 2,
-        "the 14/16 refusals resolve permanent at the timeout"
+        rt.denied_permanent, 5,
+        "the five refusals resolve permanent at the timeout"
     );
     let stats = run_to_finish(&mut server, 60, viewer); // a later restart's window covers position 12
     assert_eq!(server.session_status(viewer).unwrap(), SessionStatus::Done);

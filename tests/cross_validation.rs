@@ -24,7 +24,7 @@ use vod_prealloc::dist::kinds::Gamma;
 use vod_prealloc::model::{p_hit_single_dist, ModelOptions, Rates, SystemParams, VcrMix};
 use vod_prealloc::runtime::RuntimeMetrics;
 use vod_prealloc::server::{
-    run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload,
+    run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload, VCR_RATE,
 };
 use vod_prealloc::sim::{run_seeded, SimConfig};
 use vod_prealloc::workload::BehaviorModel;
@@ -73,10 +73,10 @@ fn three_way(n: u32, wait: f64) -> (f64, RuntimeMetrics, RuntimeMetrics) {
     let sim_cfg = sim_config(params, 40.0);
     let sim = run_seeded(&sim_cfg, SEED).runtime;
     let harness = harness_config(&params, n, &sim_cfg);
-    // The server sweeps `vcr_rate` segments a tick, the model and the sim
+    // The server sweeps `VCR_RATE` segments a tick, the model and the sim
     // at `Rates::paper()`'s multiples of playback: the legs compare only
     // while the two agree.
-    let (rates, vcr_rate) = (Rates::paper(), f64::from(harness.server.vcr_rate));
+    let (rates, vcr_rate) = (Rates::paper(), f64::from(VCR_RATE));
     assert_eq!(
         (vcr_rate, vcr_rate),
         (
