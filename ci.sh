@@ -113,10 +113,11 @@ cmp "$scratch/BENCH_backend_compare.json" results/BENCH_backend_compare.json
 echo "== scale: wheel+arena engine smoke (downscaled; the headline results/BENCH_scale.json is --sessions 1000000 --ticks 40) =="
 cargo run --release -p vod-bench --bin scale -- --sessions 50000 --ticks 120 --out "$scratch/BENCH_scale.json"
 echo "== scale --plan storm: all three backends under the pool-scaled fault plan, audit after every tick, five movie lengths so most sessions finish (the headline results/BENCH_scale_storm.json is --sessions 100000 --ticks 600) =="
-# The bin asserts, per backend, zero violations, zero verify failures
-# and that finished sessions gave their slots back (`resident_slots ≤ 2 ×
-# concurrent_at_end + 64`: bounded by the sessions still live, not by the
-# 20 000 that passed through).
+# The bin asserts, per backend, zero violations, zero verify failures,
+# at least one lease revoked by the plan (`leases_revoked > 0`: the
+# revocation path ran) and that finished sessions gave their slots back
+# (`resident_slots ≤ 2 × concurrent_at_end + 64`: bounded by the sessions
+# still live, not by the 20 000 that passed through).
 cargo run --release -p vod-bench --bin scale -- --plan storm --sessions 20000 --ticks 600 --out "$scratch/BENCH_scale_storm.json"
 
 echo "CI OK"

@@ -15,7 +15,9 @@
 //! each of the three delivery backends under the pool-scaled
 //! [`vod_server::storm_plan`], with `check_invariants` after **every**
 //! tick. Per backend it reports events/sec, the audit's share of the
-//! wall, the slowest tick a fault landed on, the sessions still live at
+//! wall, the slowest tick a fault landed on, the leases the plan revoked
+//! (must be > 0: the bin exits non-zero on a backend whose revocation
+//! path the storm never reached), the sessions still live at
 //! the end beside the session slots still resident (with `--ticks` past
 //! the movie length most viewers have left, and their memory with them —
 //! asserted: `resident_slots ≤ 2 × concurrent_at_end + 64`),
@@ -158,6 +160,9 @@ fn storm_report(cfg: &ScaleConfig, previous: Option<&Json>) -> Vec<(&'static str
         let elapsed = t0.elapsed().as_secs_f64().max(1e-9);
         assert_eq!(out.verify_failures, 0, "{kind}: byte verification failed");
         assert_eq!(violations, 0, "{kind}: conservation audit fired");
+        // The storm must take leases from their holders on every backend,
+        // or the revocation path goes untimed.
+        assert!(out.leases_revoked > 0, "{kind}: the storm revoked no lease");
         // A finished session gives its slot back: what is still resident is
         // bounded by the sessions still live (twice that, plus the one
         // chunk under the issue cursor), not by all that passed through.
@@ -180,6 +185,7 @@ fn storm_report(cfg: &ScaleConfig, previous: Option<&Json>) -> Vec<(&'static str
                 "worst_fault_tick_ms",
                 Json::Fixed(worst_fault_tick_s * 1e3, 3),
             ),
+            ("leases_revoked", out.leases_revoked.into()),
             ("degraded_entries", out.metrics.degraded_entries.into()),
             ("concurrent_at_end", out.concurrent_at_end.into()),
             ("resident_slots", out.resident_slots.into()),

@@ -5,8 +5,14 @@
 //! implies a buffer `B = l − n·w` (Eq. 2); the pair is *feasible* when the
 //! model's `P(hit) ≥ P*`. Because the buffered fraction `B/l = 1 − wn/l`
 //! falls with `n`, `P(hit)` is decreasing in `n` along the wait-bound line
-//! and the feasible set is (numerically verified in tests) a prefix
-//! `n ≤ n_max`; [`max_feasible_streams`] finds the boundary by bisection.
+//! and the feasible set is a prefix `n ≤ n_max` (checked against a scan
+//! of every `n` for nine of the ten duration kinds in tests);
+//! [`max_feasible_streams`] finds the boundary by bisection. It never
+//! opens at the costly top of the line: `⌊l/w⌋ + 1` stands in as the
+//! first infeasible point, unevaluated. A Deterministic duration
+//! resonates with the partition spacing, so its `P(hit)` is not monotone
+//! and the bisection returns a feasible `n` whose successor is
+//! infeasible, not necessarily the largest one.
 
 use vod_model::{HitMemo, ModelError, ModelOptions, SweepExecutor};
 
@@ -77,7 +83,8 @@ fn evaluate(movie: &MovieSpec, n: u32, opts: &ModelOptions) -> Result<FeasiblePo
 }
 
 /// Largest `n` with `P(hit) ≥ P*` (the minimum-buffer feasible point),
-/// found by bisection over the integer range `[1, l/w]`.
+/// found by bisection over the integer range `[1, ⌊l/w⌋]` — exact where
+/// `P(hit)` falls along the line (see the module docs).
 ///
 /// Returns `None` when even `n = 1` (maximum buffer) misses the target —
 /// the movie's QoS pair `(w, P*)` is unsatisfiable with this behavior.
@@ -93,27 +100,46 @@ pub fn max_feasible_streams(
 /// plan building, repeated sweeps over the same catalog) never recompute
 /// an `n` the bisection already visited. The memo must belong to this
 /// `(movie, opts)` context.
+///
+/// The top of the line, `n = ⌊l/w⌋`, is the costliest point to evaluate
+/// (one evaluation is O(n)) and almost never feasible, so the search does
+/// not open there: `⌊l/w⌋ + 1` stands in as its infeasible end and is
+/// never evaluated, and `⌊l/w⌋` itself is evaluated only when
+/// `⌊l/w⌋ − 1` turned out feasible (see `last_true`).
 pub fn max_feasible_streams_memo(
     movie: &MovieSpec,
     opts: &ModelOptions,
     memo: &HitMemo,
 ) -> Result<Option<u32>, ModelError> {
-    let p_at = |n: u32| memo.get_or_try_insert(n, || movie.hit_probability(n, opts));
-    let mut lo = 1u32;
-    let mut hi = movie.max_streams();
-    if p_at(lo)? < movie.target_hit {
+    last_true(movie.max_streams(), |n| {
+        let p = memo.get_or_try_insert(n, || movie.hit_probability(n, opts))?;
+        Ok(p >= movie.target_hit)
+    })
+}
+
+/// The last `n` in `[1, hi]` where `holds` is true, for a predicate that
+/// is true on a prefix of `[1, hi]` and false after it; `None` when it is
+/// false at `n = 1`.
+///
+/// Bisection with `hi + 1` as the first false point, a sentinel that is
+/// never evaluated (nor computed: `hi` may be `u32::MAX`). Each `n` is
+/// evaluated at most once, never outside `[1, hi]`, at most
+/// `1 + ⌈log₂ hi⌉` times in all, and `hi` only when `hi − 1` held (or
+/// `hi = 1`) — the one case where no other point can decide it.
+fn last_true<E>(hi: u32, mut holds: impl FnMut(u32) -> Result<bool, E>) -> Result<Option<u32>, E> {
+    if hi == 0 || !holds(1)? {
         return Ok(None);
     }
-    if p_at(hi)? >= movie.target_hit {
-        return Ok(Some(hi));
-    }
-    // Invariant: P(lo) ≥ P*, P(hi) < P*.
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if p_at(mid)? >= movie.target_hit {
+    // Invariant: holds(lo), and every n past `hi` fails (hi + 1 by the
+    // sentinel). The upper midpoint is in (lo, hi], so hi + 1 is never
+    // formed.
+    let (mut lo, mut hi) = (1u32, hi);
+    while hi > lo {
+        let mid = lo + (hi - lo).div_ceil(2);
+        if holds(mid)? {
             lo = mid;
         } else {
-            hi = mid;
+            hi = mid - 1;
         }
     }
     Ok(Some(lo))
@@ -323,5 +349,180 @@ mod tests {
             (20..=119).contains(&n_max),
             "movie-2 max feasible n = {n_max}"
         );
+    }
+
+    /// Runs `last_true` over `[1, hi]` with the prefix predicate `n ≤ k`,
+    /// recording every point it evaluates.
+    fn search_prefix(hi: u32, k: u32) -> (Option<u32>, Vec<u32>) {
+        let mut seen = Vec::new();
+        let found = last_true(hi, |n| {
+            seen.push(n);
+            Ok::<_, ()>(n <= k)
+        })
+        .unwrap();
+        (found, seen)
+    }
+
+    #[test]
+    fn search_finds_the_last_true_point_of_every_monotone_predicate() {
+        // A monotone predicate on [1, hi] is true exactly on [1, k] for
+        // some k in 0..=hi; k = 0 is "false everywhere".
+        for hi in 1..=12u32 {
+            for k in 0..=hi {
+                let (found, seen) = search_prefix(hi, k);
+                assert_eq!(found, (k > 0).then_some(k), "hi={hi} k={k}");
+                let mut distinct = seen.clone();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert_eq!(distinct.len(), seen.len(), "hi={hi} k={k}: {seen:?}");
+                assert!(
+                    seen.iter().all(|n| (1..=hi).contains(n)),
+                    "hi={hi} k={k}: {seen:?}"
+                );
+                // hi can only be decided by evaluating it once hi − 1 held
+                // (or when it is the only point).
+                if seen.contains(&hi) {
+                    assert!(hi == 1 || k + 1 >= hi, "hi={hi} k={k}: {seen:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn search_reaches_u32_max_without_overflow() {
+        for k in [0, 1, 2, 1 << 31, u32::MAX - 2, u32::MAX - 1, u32::MAX] {
+            let (found, seen) = search_prefix(u32::MAX, k);
+            assert_eq!(found, (k > 0).then_some(k), "k={k}");
+            assert!(seen.len() <= 33, "k={k}: {} evaluations", seen.len());
+        }
+    }
+
+    /// One movie per `DurationDist` kind with `l/w ≤ 60` (the scan below
+    /// evaluates every `n` in a debug build).
+    fn one_movie_per_kind() -> Vec<MovieSpec> {
+        use vod_dist::kinds::{
+            Deterministic, Empirical, Gamma, LogNormal, Mixture, Pareto, Truncated, Uniform,
+            Weibull,
+        };
+        use vod_dist::DurationDist;
+        let samples: Vec<f64> = (1..=40).map(|i| 0.25 * f64::from(i)).collect();
+        let dists: Vec<(&str, Arc<dyn DurationDist>)> = vec![
+            ("exp", Arc::new(Exponential::with_mean(4.0).unwrap())),
+            ("gamma", Arc::new(Gamma::with_shape_mean(2.0, 3.0).unwrap())),
+            ("weibull", Arc::new(Weibull::new(1.5, 3.0).unwrap())),
+            (
+                "lognormal",
+                Arc::new(LogNormal::with_mean_cv(3.0, 0.7).unwrap()),
+            ),
+            (
+                "pareto",
+                Arc::new(Pareto::with_shape_mean(3.0, 3.0).unwrap()),
+            ),
+            ("uniform", Arc::new(Uniform::new(0.5, 6.0).unwrap())),
+            ("deterministic", Arc::new(Deterministic::new(3.0).unwrap())),
+            (
+                "empirical",
+                Arc::new(Empirical::from_samples(&samples).unwrap()),
+            ),
+            (
+                "mixture",
+                Arc::new(
+                    Mixture::new(vec![
+                        (0.6, Box::new(Exponential::with_mean(2.0).unwrap())),
+                        (0.4, Box::new(Gamma::with_shape_mean(3.0, 6.0).unwrap())),
+                    ])
+                    .unwrap(),
+                ),
+            ),
+            (
+                "truncated",
+                Arc::new(Truncated::new(Exponential::with_mean(4.0).unwrap(), 0.1, 12.0).unwrap()),
+            ),
+        ];
+        dists
+            .into_iter()
+            .enumerate()
+            .map(|(i, (name, dist))| {
+                let (l, w) = (24.0 + 2.0 * i as f64, 0.5 + 0.05 * i as f64);
+                let mix = VcrMix::paper_fig7d();
+                MovieSpec::new(name, l, w, 0.5, mix, dist, Rates::paper()).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn search_matches_the_scan_for_every_kind() {
+        let opts = ModelOptions::default();
+        let mut movies = one_movie_per_kind();
+        let mut any_target = movies[0].clone();
+        any_target.target_hit = 0.0;
+        let mut unsatisfiable = movies[0].clone();
+        unsatisfiable.target_hit = 0.9999;
+        movies.extend([any_target, unsatisfiable]);
+        let mut interior = 0;
+        for m in &movies {
+            assert!(
+                m.max_streams() <= 60,
+                "{}: l/w = {}",
+                m.name,
+                m.max_streams()
+            );
+            let scan = scan_every_n(m, &opts);
+            let found = max_feasible_streams(m, &opts).unwrap();
+            if m.name == "deterministic" {
+                // A fixed duration resonates with the partition spacing, so
+                // P(hit) is not monotone along the line and the feasible set
+                // is no prefix: bisection lands on *a* feasible point whose
+                // successor is infeasible, not on the largest one.
+                let n = found.unwrap() as usize;
+                assert!(scan[n - 1].feasible && !scan[n].feasible, "{}", m.name);
+                let last = scan.iter().rposition(|p| p.feasible).unwrap() + 1;
+                assert!(last > n, "{}: the scan's last feasible n is {last}", m.name);
+                continue;
+            }
+            let expect = scan
+                .iter()
+                .filter(|p| p.feasible)
+                .map(|p| p.n_streams)
+                .max();
+            assert_eq!(found, expect, "{}", m.name);
+            interior += usize::from(expect.is_some_and(|n| n < m.max_streams()));
+        }
+        let [.., any_target, unsatisfiable] = &movies[..] else {
+            unreachable!()
+        };
+        let top = any_target.max_streams();
+        assert_eq!(max_feasible_streams(any_target, &opts).unwrap(), Some(top));
+        assert_eq!(max_feasible_streams(unsatisfiable, &opts).unwrap(), None);
+        assert_eq!(interior, 9, "the target binds inside the line");
+    }
+
+    #[test]
+    fn the_plan_catalog_search_never_evaluates_the_top_of_the_line() {
+        // The four movies of the benchmark's plan-catalog workload, built
+        // as `vodplan` builds them from the argv.
+        let specs = [
+            (60.0, 0.5, "exp:mean=2"),
+            (61.2, 0.52, "gamma:shape=2,mean=2.25"),
+            (62.4, 0.54, "weibull:shape=1.5,scale=2.5"),
+            (63.6, 0.56, "lognormal:mean=2.75,cv=0.7"),
+        ];
+        let opts = ModelOptions::default();
+        for (l, w, dist) in specs {
+            let dist = Arc::from(vod_dist::parse_spec(dist).unwrap());
+            let mix = VcrMix::paper_fig7d();
+            let m = MovieSpec::new("m", l, w, 0.5, mix, dist, Rates::paper()).unwrap();
+            let memo = HitMemo::new();
+            let n_max = max_feasible_streams_memo(&m, &opts, &memo)
+                .unwrap()
+                .unwrap();
+            let top = m.max_streams();
+            assert!(n_max < top, "l={l}: n_max {n_max} = ⌊l/w⌋");
+            // A miss that fails to compute leaves the memo as it was: Err
+            // means ⌊l/w⌋ was never stored.
+            let held = memo.get_or_try_insert(top, || Err(())).is_ok();
+            assert!(!held, "l={l}: the memo holds P(hit) at ⌊l/w⌋ = {top}");
+            assert!(memo.len() <= 8, "l={l}: {} evaluations", memo.len());
+        }
     }
 }

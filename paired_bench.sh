@@ -13,7 +13,9 @@
 # side's median and quartiles of work_per_s, cpu_s, setup_s and
 # peak_rss_mib, and beside the last the repetition count (the harness
 # keeps every repetition's segments, so an RSS move that follows the
-# count is that storage, not a leak); per segment, each side's median and quartiles of its
+# count is that storage, not a leak) and a line fitted through every
+# run's (reps, peak_rss_mib) that reads that storage in KiB per
+# repetition; per segment, each side's median and quartiles of its
 # rate and the pairs the change won (read from each run's --out
 # document: a backend-specific change shows on its segment, which the
 # end-to-end number averages away); each end-to-end metric's
@@ -96,6 +98,26 @@ reps() { # side
 for side in parent change; do
   reps "$side" | summary "reps $side"
 done
+# peak_rss_mib against the repetition count, one least-squares line
+# through every run of both sides: the slope is what the harness keeps
+# per repetition. The change's median RSS moved along that line to the
+# parent's median count is what it would read at the parent's speed; a
+# value near the parent's median means an RSS move is that storage.
+median() { summary x | awk '{ print $3 }'; }
+parent_reps="$(reps parent | median)"
+change_reps="$(reps change | median)"
+change_rss="$(metric change peak_rss_mib | median)"
+parent_rss="$(metric parent peak_rss_mib | median)"
+paste <( (reps parent; reps change)) <( (metric parent peak_rss_mib; metric change peak_rss_mib)) | awk \
+  -v pr="$parent_reps" -v cr="$change_reps" -v crss="$change_rss" -v prss="$parent_rss" '
+  { n++; sx += $1; sy += $2; sxy += $1 * $2; sxx += $1 * $1 }
+  END {
+    d = n * sxx - sx * sx
+    if (d == 0) { print "peak_rss_mib vs reps: every run has the same count (no fit)"; exit }
+    slope = (n * sxy - sx * sy) / d; icept = (sy - slope * sx) / n
+    printf "peak_rss_mib vs reps   slope %.4f KiB/rep   intercept %.4f MiB   (%d runs)\n", slope * 1024, icept, n
+    printf "peak_rss_mib change at the parent median reps %.0f: predicted %.4f MiB   measured median %.4f MiB at %.0f reps   parent median %.4f MiB\n",
+      pr, crss - slope * (cr - pr), crss, cr, prss }'
 # Each segment's rate per run, pair order: the "rate" inside the
 # document's "segments" object, under the segment's name.
 segment_rates() { # side segment
