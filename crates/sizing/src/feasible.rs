@@ -102,10 +102,8 @@ pub fn max_feasible_streams(
 /// `(movie, opts)` context.
 ///
 /// The top of the line, `n = ⌊l/w⌋`, is the costliest point to evaluate
-/// (one evaluation is O(n)) and almost never feasible, so the search does
-/// not open there: `⌊l/w⌋ + 1` stands in as its infeasible end and is
-/// never evaluated, and `⌊l/w⌋` itself is evaluated only when
-/// `⌊l/w⌋ − 1` turned out feasible (see `last_true`).
+/// (one evaluation is O(n)) and almost never feasible: it is evaluated
+/// only when `⌊l/w⌋ − 1` turned out feasible (see `last_true`).
 pub fn max_feasible_streams_memo(
     movie: &MovieSpec,
     opts: &ModelOptions,
@@ -366,8 +364,9 @@ mod tests {
     #[test]
     fn search_finds_the_last_true_point_of_every_monotone_predicate() {
         // A monotone predicate on [1, hi] is true exactly on [1, k] for
-        // some k in 0..=hi; k = 0 is "false everywhere".
-        for hi in 1..=12u32 {
+        // some k in 0..=hi; k = 0 is "false everywhere". hi = 0 is the
+        // empty range.
+        for hi in 0..=12u32 {
             for k in 0..=hi {
                 let (found, seen) = search_prefix(hi, k);
                 assert_eq!(found, (k > 0).then_some(k), "hi={hi} k={k}");

@@ -84,6 +84,7 @@ summary() { # label
     END { printf "%-22s median %12.6g   q1 %12.6g   q3 %12.6g   (q3-q1)/median %.3f\n", what,
             quantile(0.5), quantile(0.25), quantile(0.75), (quantile(0.75) - quantile(0.25)) / quantile(0.5) }'
 }
+median() { summary x | awk '{ print $3 }'; }
 for name in work_per_s cpu_s setup_s peak_rss_mib; do
   for side in parent change; do
     metric "$side" "$name" | summary "$name $side"
@@ -103,7 +104,6 @@ done
 # per repetition. The change's median RSS moved along that line to the
 # parent's median count is what it would read at the parent's speed; a
 # value near the parent's median means an RSS move is that storage.
-median() { summary x | awk '{ print $3 }'; }
 parent_reps="$(reps parent | median)"
 change_reps="$(reps change | median)"
 change_rss="$(metric change peak_rss_mib | median)"
@@ -144,8 +144,8 @@ echo "== end-to-end medians against the BENCHMARK.json bounds =="
 sed -n 's/.*{"name": "\([a-z_]*\)", "unit": "[^"]*", "better": "\([a-z]*\)", "bound": \([0-9.]*\)}.*/\1 \2 \3/p' \
   BENCHMARK.json | while read -r name better bound; do
   [ -n "$(metric parent "$name")" ] || continue
-  parent_median="$(metric parent "$name" | summary x | awk '{ print $3 }')"
-  change_median="$(metric change "$name" | summary x | awk '{ print $3 }')"
+  parent_median="$(metric parent "$name" | median)"
+  change_median="$(metric change "$name" | median)"
   awk -v name="$name" -v better="$better" -v bound="$bound" -v p="$parent_median" -v c="$change_median" 'BEGIN {
     if (p == 0) { printf "%-18s parent 0   change %g   (no ratio)\n", name, c; exit }
     ratio = c / p
