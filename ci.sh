@@ -116,8 +116,9 @@ echo "== scale --plan storm: all three backends under the pool-scaled fault plan
 # The bin asserts, per backend, zero violations, zero verify failures,
 # at least one lease revoked by the plan (`leases_revoked > 0`: the
 # revocation path ran) and that finished sessions gave their slots back
-# (`resident_slots ≤ 2 × concurrent_at_end + 64`: bounded by the sessions
-# still live, not by the 20 000 that passed through).
+# (`resident_slots` inside 64 slots per 64-id chunk holding a live id,
+# plus the chunk being issued: bounded by the sessions still live, not by
+# the 20 000 that passed through).
 cargo run --release -p vod-bench --bin scale -- --plan storm --sessions 20000 --ticks 600 --out "$scratch/BENCH_scale_storm.json"
 
 echo "CI OK"

@@ -20,7 +20,9 @@
 //! path the storm never reached), the sessions still live at
 //! the end beside the session slots still resident (with `--ticks` past
 //! the movie length most viewers have left, and their memory with them —
-//! asserted: `resident_slots ≤ 2 × concurrent_at_end + 64`),
+//! asserted: `resident_slots` stays inside the exact bound the live ids
+//! set, 64 slots for each 64-id chunk holding one plus the chunk still
+//! being issued, in whatever order the viewers left),
 //! and the violation count (must be 0), and writes
 //! `results/BENCH_scale_storm.json`;
 //! `--previous PATH` reads an earlier storm file and copies each
@@ -164,13 +166,14 @@ fn storm_report(cfg: &ScaleConfig, previous: Option<&Json>) -> Vec<(&'static str
         // or the revocation path goes untimed.
         assert!(out.leases_revoked > 0, "{kind}: the storm revoked no lease");
         // A finished session gives its slot back: what is still resident is
-        // bounded by the sessions still live (twice that, plus the one
-        // chunk under the issue cursor), not by all that passed through.
+        // bounded by the chunks the sessions still live sit in (plus the one
+        // under the issue cursor), not by all that passed through.
         assert!(
-            out.resident_slots <= 2 * out.concurrent_at_end + 64,
-            "{kind}: finished sessions are being retained: {} slots resident for {} live sessions",
+            out.resident_slots <= out.slot_bound,
+            "{kind}: finished sessions are being retained: {} slots resident, {} live sessions pin {}",
             out.resident_slots,
-            out.concurrent_at_end
+            out.concurrent_at_end,
+            out.slot_bound
         );
         let row = [
             ("backend", kind.name().into()),

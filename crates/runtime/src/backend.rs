@@ -275,123 +275,98 @@ impl PyramidGeometry {
     }
 }
 
-/// Exact per-client reception bookkeeping for the broadcast backend: a
-/// bitmap of the movie minutes actually received plus the contiguous
-/// prefix front derived from it.
+/// What one broadcast movie has put on the air: for each minute the last
+/// tick it was staged, and the prefix minimum of those ticks.
 ///
-/// The closed-form [`PyramidGeometry::received_by`] is exact only for a
-/// client whose reception ran uninterrupted from a segment-1 boundary.
-/// Under per-channel faults (a dead channel, an off-period slowdown
-/// tick, an unfunded staging slot) the real reception set develops holes
-/// that no elapsed-time formula can reproduce — modeling an outage as a
-/// global pause leaves the bookkept front leading the truly-broadcast
-/// front by up to `d − 1` minutes after recovery. This type records
-/// reality instead: [`record`](Self::record) marks each minute as the
-/// broadcast delivers it, and [`front`](Self::front) is always the exact
-/// contiguous prefix — it can never lead the schedule and never
-/// regresses (bits are only ever set).
+/// Under channel-transition invariance every client of a movie records
+/// the same channels from the tick it starts receiving, its `since`, so
+/// it holds minute `m` iff `m` was on the air at some tick `≥ since`.
+/// The closed-form [`PyramidGeometry::received_by`] is exact only for
+/// uninterrupted reception; under per-channel faults (a dead channel, an
+/// off-period slowdown tick, an unfunded staging slot) reception has
+/// holes no elapsed-time formula reproduces. This record logs what was
+/// really staged, once per movie per tick, so the front it reports for
+/// any client never leads the schedule and never regresses.
 ///
-/// Playout decisions (consume, resume hit, merge, FF classification)
-/// deliberately use the *contiguous* front ([`received`](Self::received)
-/// is `minute < front`), not the raw bitmap: minutes received beyond a
-/// hole are islands the client cannot play into without starving
-/// mid-island, so QoS stays defined by the front alone.
+/// Playout decisions use the *contiguous* prefix
+/// ([`received`](Self::received)): minutes received beyond a hole are
+/// islands the client cannot play into without starving mid-island.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReceptionFront {
-    length: u32,
-    bits: Vec<u64>,
-    front: u32,
+pub struct AirLog {
+    /// Per minute, one more than the last tick it was on the air; 0 for
+    /// never, which compares below every tick a client can join at.
+    last: Vec<u64>,
+    /// The running minimum of `last`: every minute up to `m` has been on
+    /// the air since tick `prefix_min[m] − 1`. Never increases with `m`.
+    prefix_min: Vec<u64>,
 }
 
-impl ReceptionFront {
-    /// Empty reception state for an `length`-minute movie.
+/// The running minimum of `last`, which `prefix_min` holds.
+fn running_min(last: &[u64]) -> impl Iterator<Item = u64> + '_ {
+    last.iter().scan(u64::MAX, |min, &tick| {
+        *min = tick.min(*min);
+        Some(*min)
+    })
+}
+
+impl AirLog {
+    /// Nothing on the air yet, for an `length`-minute movie.
     pub fn new(length: u32) -> Self {
         Self {
-            length,
-            bits: vec![0; (length as usize).div_ceil(64)],
-            front: 0,
+            last: vec![0; length as usize],
+            prefix_min: vec![0; length as usize],
         }
     }
 
-    /// Movie length this front tracks.
-    pub fn length(&self) -> u32 {
-        self.length
-    }
-
-    /// Record reception of `minute` (idempotent; out-of-range minutes
-    /// are ignored) and advance the contiguous front over any newly
-    /// connected run of received minutes.
-    pub fn record(&mut self, minute: u32) {
-        if minute >= self.length {
-            return;
-        }
-        self.bits[(minute / 64) as usize] |= 1u64 << (minute % 64);
-        self.advance_front();
-    }
-
-    /// [`record`](Self::record) for a whole tick's reception at once:
-    /// `mask` is a bitset over the movie's minutes (bit `m % 64` of word
-    /// `m / 64`), ORed in a word at a time; bits at or past the length
-    /// are ignored.
-    pub fn record_mask(&mut self, mask: &[u64]) {
-        for (word, &m) in self.bits.iter_mut().zip(mask) {
-            *word |= m;
-        }
-        if !self.length.is_multiple_of(64) {
-            if let Some(last) = self.bits.last_mut() {
-                *last &= (1u64 << (self.length % 64)) - 1;
+    /// Log the minutes on the air at `tick`, a later tick than any logged
+    /// before (minutes past the length are ignored), and refresh the
+    /// prefix minimum.
+    pub fn log(&mut self, tick: u64, minutes: impl IntoIterator<Item = u32>) {
+        for minute in minutes {
+            if let Some(last) = self.last.get_mut(minute as usize) {
+                *last = tick + 1;
             }
         }
-        self.advance_front();
-    }
-
-    /// Walk the front over the received run it now touches, a word's
-    /// run of ones at a time (no bit at or past the length is ever set,
-    /// so the walk stops there).
-    fn advance_front(&mut self) {
-        while self.front < self.length {
-            let run = (self.bits[(self.front / 64) as usize] >> (self.front % 64)).trailing_ones();
-            self.front += run;
-            if run == 0 || !self.front.is_multiple_of(64) {
-                break;
-            }
+        for (stored, min) in self.prefix_min.iter_mut().zip(running_min(&self.last)) {
+            *stored = min;
         }
     }
 
-    /// Is `minute` inside the contiguous received prefix? This is the
-    /// playout-safe notion of "received": true iff `minute <`
-    /// [`front`](Self::front).
-    pub fn received(&self, minute: u32) -> bool {
-        minute < self.front
+    /// Was `minute` on the air at `tick`, the last tick logged?
+    pub fn on_air(&self, tick: u64, minute: u32) -> bool {
+        self.last.get(minute as usize) == Some(&(tick + 1))
     }
 
-    /// The exact contiguous reception front: every minute `< front` is
-    /// received, minute `front` (if any) is not. Monotone non-decreasing
-    /// over a session's lifetime.
-    pub fn front(&self) -> u32 {
-        self.front
+    /// Has every minute up to `minute` been on the air at some tick
+    /// `≥ since`? The playout-safe "received" of a client receiving since
+    /// tick `since`, in O(1): true iff `minute <`
+    /// [`front(since)`](Self::front).
+    pub fn received(&self, since: u64, minute: u32) -> bool {
+        self.prefix_min
+            .get(minute as usize)
+            .is_some_and(|&on| on > since)
     }
 
-    /// Audit-sensitivity test hook for the backends that embed a front:
-    /// overwrite the incremental front, leaving the bitmap as it is.
+    /// The contiguous reception front of a client receiving since tick
+    /// `since`: every minute `< front` is received, minute `front` (if
+    /// any) is not.
+    pub fn front(&self, since: u64) -> u32 {
+        self.prefix_min.partition_point(|&on| on > since) as u32
+    }
+
+    /// Audit seam: the first minute whose stored prefix minimum differs
+    /// from a recount of the last-on-air ticks, if any.
+    pub fn drift(&self) -> Option<u32> {
+        let mut recount = running_min(&self.last).zip(&self.prefix_min);
+        let first = recount.position(|(min, &stored)| min != stored);
+        first.map(|m| m as u32)
+    }
+
+    /// Audit-sensitivity test hook: raise the stored prefix minimum at
+    /// `minute`, leaving the last-on-air ticks as they are.
     #[doc(hidden)]
-    pub fn force_front(&mut self, front: u32) {
-        self.front = front;
-    }
-
-    /// Recompute the front from the raw bitmap, a word at a time. Audit
-    /// seam: must always equal [`front`](Self::front) (the incremental
-    /// walk is exact).
-    pub fn audit_front(&self) -> u32 {
-        let mut f = 0u32;
-        for word in &self.bits {
-            let run = word.trailing_ones();
-            f += run;
-            if run < u64::BITS {
-                break;
-            }
-        }
-        f.min(self.length)
+    pub fn skew(&mut self, minute: u32) {
+        self.prefix_min[minute as usize] += 1;
     }
 }
 
@@ -516,67 +491,6 @@ mod tests {
         assert!(!g.received_by(1000, 120), "past the end is never received");
         assert!(g.received_by_continuous(16.5, 23.9));
         assert!(!g.received_by_continuous(16.5, 24.0));
-    }
-
-    #[test]
-    fn reception_front_tracks_contiguous_prefix_only() {
-        let mut rx = ReceptionFront::new(130);
-        assert_eq!(rx.front(), 0);
-        rx.record(0);
-        rx.record(1);
-        assert_eq!(rx.front(), 2);
-        // An island beyond a hole is recorded but never "received".
-        rx.record(5);
-        rx.record(129);
-        assert_eq!(rx.front(), 2);
-        assert!(!rx.received(5) && !rx.received(129));
-        // Filling the hole connects the island through in one step.
-        rx.record(3);
-        rx.record(4);
-        assert_eq!(rx.front(), 2, "minute 2 still missing");
-        rx.record(2);
-        assert_eq!(rx.front(), 6, "front jumps across the connected run");
-        assert!(rx.received(5));
-        assert_eq!(rx.audit_front(), rx.front());
-        // Idempotent and bounded.
-        rx.record(2);
-        rx.record(999);
-        assert_eq!(rx.front(), 6);
-        for m in 0..130 {
-            rx.record(m);
-        }
-        assert_eq!(rx.front(), 130);
-        assert!(!rx.received(130), "past the end is never received");
-        assert_eq!(rx.audit_front(), 130);
-    }
-
-    #[test]
-    fn reception_front_never_regresses() {
-        let mut rx = ReceptionFront::new(64);
-        let mut prev = 0;
-        // Adversarial order: record minutes in a scrambled pattern.
-        for step in 0..64u32 {
-            rx.record((step * 37) % 64);
-            assert!(rx.front() >= prev, "front regressed");
-            assert_eq!(rx.audit_front(), rx.front());
-            prev = rx.front();
-        }
-        assert_eq!(rx.front(), 64);
-    }
-
-    /// The audit must not go blind: clearing any bit below the front
-    /// (state no public call can produce) makes the from-scratch recount
-    /// stop exactly there, in either word and on the word boundary.
-    #[test]
-    fn audit_front_sees_a_cleared_bit_below_the_front() {
-        for hole in [0u32, 5, 63, 64, 65, 129] {
-            let mut rx = ReceptionFront::new(130);
-            (0..130).for_each(|m| rx.record(m));
-            assert_eq!((rx.front(), rx.audit_front()), (130, 130));
-            rx.bits[(hole / 64) as usize] &= !(1u64 << (hole % 64));
-            assert_eq!(rx.front(), 130, "the incremental front is now stale");
-            assert_eq!(rx.audit_front(), hole);
-        }
     }
 
     #[test]

@@ -27,14 +27,15 @@
 //!   schedules and the one graceful-degradation schedule (bounded re-wait,
 //!   retry backoff, batch-admission fallback) both drivers honor;
 //!   [`DegradePolicy`] says who wins a recovery on the timeout tick.
-//! * [`BackendKind`] / [`PyramidGeometry`] / [`ReceptionFront`] — the
+//! * [`BackendKind`] / [`PyramidGeometry`] / [`AirLog`] — the
 //!   delivery-backend vocabulary: which scheme a driver runs
 //!   (batching+buffering, pyramid fast broadcasting, dedicated unicast),
 //!   the integer-minute geometric segment schedule of the pyramid
-//!   scheme, and the exact per-client reception bitmap whose contiguous
-//!   front stays truthful under per-channel faults — so the cost model
-//!   can price alternatives to the paper's design on the same axes and
-//!   the chaos gate can audit them.
+//!   scheme, and the per-movie record of what that schedule really put
+//!   on the air, from which every client's contiguous reception front
+//!   follows by the tick it joined and stays truthful under per-channel
+//!   faults — so the cost model can price alternatives to the paper's
+//!   design on the same axes and the chaos gate can audit them.
 //! * [`TimerWheel`] / [`Arena`] — the million-session engine substrate:
 //!   the one scheduler both drivers use, a calendar ring of per-tick
 //!   buckets over the virtual-time grid with a
@@ -69,7 +70,7 @@ mod wheel;
 mod windows;
 
 pub use arena::{Arena, ArenaId};
-pub use backend::{BackendKind, PyramidGeometry, ReceptionFront};
+pub use backend::{AirLog, BackendKind, PyramidGeometry};
 pub use degrade::{
     DegradePolicy, FaultEvent, FaultKind, FaultPlan, RetryLedger, RetryStep, RETRY_BACKOFF,
     RETRY_BACKOFF_CAP, RETRY_TIMEOUT, REWAIT_BOUND,

@@ -103,9 +103,11 @@ impl<T> SessionStore<T> {
         self.issued
     }
 
-    /// Slots currently held in memory: resident chunks × [`CHUNK`]. At
-    /// most `2 × len() + CHUNK` once sessions retire roughly in the order
-    /// they came, whatever [`issued`](Self::issued) says.
+    /// Slots currently held in memory: resident chunks × [`CHUNK`] —
+    /// exactly one chunk for each that holds a live id, plus the chunk
+    /// under the issue cursor while it is not full, whatever
+    /// [`issued`](Self::issued) says. A few laggards scattered over the
+    /// ids pin a chunk each.
     pub fn resident_slots(&self) -> usize {
         self.resident * CHUNK
     }

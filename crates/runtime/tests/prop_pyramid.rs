@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use proptest::prelude::*;
 
-use vod_runtime::{PyramidGeometry, ReceptionFront};
+use vod_runtime::{AirLog, PyramidGeometry};
 
 fn any_geometry() -> impl Strategy<Value = PyramidGeometry> {
     (1u32..400, 1u32..12).prop_map(|(l, k)| PyramidGeometry::new(l, k))
@@ -120,15 +120,18 @@ proptest! {
 
     /// Per-channel loss ⇒ prefix-coverage monotonicity and
     /// stall-conservation: under an arbitrary per-tick channel up/down
-    /// schedule, a client's [`ReceptionFront`] (fed only from the up
-    /// channels) never retreats, always equals the exact contiguous
-    /// prefix of the minutes actually delivered, and a greedy player
-    /// that consumes one minute per tick inside the front accounts every
-    /// active tick as exactly one of {consumed, stalled}.
+    /// schedule, a movie's [`AirLog`] (fed only from the up channels)
+    /// gives every client, at a segment-1 boundary or at any later tick,
+    /// a front that never retreats and always equals the exact contiguous
+    /// prefix of the minutes delivered since it joined; and a greedy
+    /// player that joined at the boundary and consumes one minute per
+    /// tick inside its front accounts every active tick as exactly one of
+    /// {consumed, stalled}.
     #[test]
     fn lossy_channels_keep_front_monotone_and_conserve_stalls(
         g in any_geometry(),
         boundary_idx in 0u64..16,
+        late_joins in proptest::collection::vec(0u64..1024, 4),
         // Per-tick channel-down bitmasks, cycled over the run: bit `c`
         // set means channel `c` delivers nothing that tick.
         down_masks in proptest::collection::vec(0u16..(1 << 12), 512),
@@ -137,34 +140,46 @@ proptest! {
         // Two full broadcast cycles: long enough for recovery to refill
         // any hole the loss schedule punched.
         let ticks = 2 * u64::from(g.virtual_length().max(2));
-        let mut rx = ReceptionFront::new(g.length());
-        let mut got = vec![false; g.length() as usize];
+        let joins: Vec<u64> = std::iter::once(join)
+            .chain(late_joins.iter().map(|&late| join + late % ticks))
+            .collect();
+        let mut air = AirLog::new(g.length());
+        let mut got = vec![vec![false; g.length() as usize]; joins.len()];
+        let mut prev_front = vec![0u32; joins.len()];
         let mut pos = 0u32;
         let mut stalls = 0u64;
         let mut active_ticks = 0u64;
-        let mut prev_front = 0u32;
         for rel in 0..ticks {
             let t = join + rel;
             let mask = down_masks[(rel % down_masks.len() as u64) as usize];
-            for c in 0..g.channels() {
-                if mask & (1 << c) != 0 {
-                    continue; // channel down this tick: nothing received
+            // A channel down this tick delivers nothing.
+            let on_air: Vec<u32> = (0..g.channels())
+                .filter(|&c| mask & (1 << c) == 0)
+                .filter_map(|c| g.broadcast_minute(c, t))
+                .collect();
+            air.log(t, on_air.iter().copied());
+            prop_assert_eq!(air.drift(), None, "prefix minimum out of sync with the log");
+            for (k, &since) in joins.iter().enumerate() {
+                if t >= since {
+                    for &m in &on_air {
+                        got[k][m as usize] = true;
+                    }
                 }
-                if let Some(m) = g.broadcast_minute(c, t) {
-                    rx.record(m);
-                    got[m as usize] = true;
-                }
+                let front = air.front(since);
+                prop_assert!(
+                    front >= prev_front[k],
+                    "front retreated: {} -> {}", prev_front[k], front
+                );
+                prev_front[k] = front;
+                let brute_prefix =
+                    got[k].iter().position(|&m| !m).unwrap_or(g.length() as usize) as u32;
+                prop_assert_eq!(front, brute_prefix, "front != contiguous delivered prefix");
+                prop_assert!(front == 0 || air.received(since, front - 1));
+                prop_assert!(!air.received(since, front), "received past the front");
             }
-            let front = rx.front();
-            prop_assert!(front >= prev_front, "front retreated: {} -> {}", prev_front, front);
-            prev_front = front;
-            prop_assert_eq!(rx.audit_front(), front, "front out of sync with bitmap");
-            let brute_prefix =
-                got.iter().position(|&m| !m).unwrap_or(g.length() as usize) as u32;
-            prop_assert_eq!(front, brute_prefix, "front != contiguous delivered prefix");
             if pos < g.length() {
                 active_ticks += 1;
-                if rx.received(pos) {
+                if air.received(join, pos) {
                     pos += 1;
                 } else {
                     stalls += 1;
@@ -175,66 +190,5 @@ proptest! {
             u64::from(pos) + stalls, active_ticks,
             "every active tick is exactly one of consumed/stalled"
         );
-    }
-
-    /// The from-scratch recount at and around the 64-bit word seams:
-    /// any length (multiples of 64 or not), every minute received except
-    /// one hole placed on, just before, or just after a word boundary.
-    /// `audit_front` must stop at the hole, agree with the incremental
-    /// front, and reach `length` exactly once the hole fills — trailing
-    /// bits of the last word never count.
-    #[test]
-    fn audit_front_is_exact_across_word_boundaries(
-        length in 1u32..400,
-        seam in 0u32..6,
-        offset in 0u32..3,
-    ) {
-        // Holes at 63/64/65, 127/128/129, ... clamped into the movie.
-        let hole = (seam * 64 + 63 + offset).min(length - 1);
-        let mut rx = ReceptionFront::new(length);
-        for m in (0..length).rev().filter(|&m| m != hole) {
-            rx.record(m);
-        }
-        prop_assert_eq!(rx.front(), hole);
-        prop_assert_eq!(rx.audit_front(), hole);
-        rx.record(hole);
-        prop_assert_eq!(rx.front(), length, "all bits set");
-        prop_assert_eq!(rx.audit_front(), length);
-    }
-
-    /// `record_mask` ≡ the same minutes fed one by one to `record`, for
-    /// any sequence of ticks: equal bitmap, `front` and `audit_front`.
-    /// Lengths include non-multiples of 64; masks are a word longer than
-    /// the bitmap and set bits at and past `length`; each case ends by
-    /// closing a hole at a word seam so the front jumps across words.
-    #[test]
-    fn record_mask_equals_minute_by_minute_record(
-        length in 1u32..=300,
-        ticks in proptest::collection::vec(proptest::collection::vec(0u32..384, 8), 16),
-        seam in 0u32..5,
-    ) {
-        let words = (length as usize).div_ceil(64) + 1;
-        let mask_of = |minutes: &[u32]| {
-            let mut mask = vec![0u64; words];
-            for &m in minutes.iter().filter(|&&m| (m as usize) < words * 64) {
-                mask[(m / 64) as usize] |= 1 << (m % 64);
-            }
-            mask
-        };
-        let mut by_mask = ReceptionFront::new(length);
-        let mut by_minute = ReceptionFront::new(length);
-        // Everything but one minute next to a word seam, then that minute.
-        let hole = (seam * 64 + 63).min(length - 1);
-        let rest: Vec<u32> = (0..length + 70).filter(|&m| m != hole).collect();
-        let tail = [rest, vec![hole]];
-        for minutes in ticks.iter().chain(&tail) {
-            by_mask.record_mask(&mask_of(minutes));
-            for &m in minutes {
-                by_minute.record(m);
-            }
-            prop_assert_eq!(&by_mask, &by_minute);
-            prop_assert_eq!(by_mask.audit_front(), by_mask.front());
-        }
-        prop_assert_eq!(by_mask.front(), length);
     }
 }

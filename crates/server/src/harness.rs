@@ -17,7 +17,9 @@
 
 use rand::RngCore;
 use vod_dist::rng::{exponential, seeded, SeededRng};
-use vod_runtime::{BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, RuntimeMetrics};
+use vod_runtime::{
+    BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, RuntimeMetrics, SESSION_CHUNK,
+};
 use vod_workload::{BehaviorModel, VcrKind};
 
 use crate::backend::{make_backend, DeliveryBackend};
@@ -445,9 +447,13 @@ pub struct ScaleOutcome {
     /// Sessions still live (not `Done`) after the last tick.
     pub concurrent_at_end: u64,
     /// Session slots the backend still holds in memory after the last
-    /// tick ([`DeliveryBackend::session_slots`]): a multiple of the live
-    /// population, not of `sessions`.
+    /// tick ([`DeliveryBackend::session_slots`]): at most
+    /// [`slot_bound`](Self::slot_bound), whatever `sessions` was.
     pub resident_slots: u64,
+    /// [`SESSION_CHUNK`] slots for each chunk of ids holding one not
+    /// `Done`, plus the chunk being issued unless it is full: exact, in
+    /// whatever order the sessions finished.
+    pub slot_bound: u64,
     /// Segments delivered (buffer + disk), byte-verified.
     pub segments: u64,
     /// VCR operations accepted by the server.
@@ -600,10 +606,20 @@ pub fn run_scale_on(
     }
     let metrics = server.runtime_metrics();
     let segments = (metrics.buffer_minutes + metrics.disk_minutes) as u64;
+    // A fresh server issues ids 0, 1, 2, …: `ids[i]` sits in chunk
+    // `i / SESSION_CHUNK`, so the chunks come sorted, the open one last.
+    let open = (!ids.len().is_multiple_of(SESSION_CHUNK)).then_some(ids.len() / SESSION_CHUNK);
+    let mut chunks: Vec<usize> = (0..ids.len())
+        .filter(|&i| !matches!(server.session_status(ids[i]), Ok(SessionStatus::Done)))
+        .map(|i| i / SESSION_CHUNK)
+        .chain(open)
+        .collect();
+    chunks.dedup();
     ScaleOutcome {
         sessions: cfg.sessions,
         concurrent_at_end: cfg.sessions.saturating_sub(server.sessions_finished()),
         resident_slots: server.session_slots() as u64,
+        slot_bound: (chunks.len() * SESSION_CHUNK) as u64,
         segments,
         vcr_accepted,
         events: cfg.sessions + segments + vcr_accepted,
@@ -721,7 +737,30 @@ mod tests {
             out.concurrent_at_end,
             cfg.sessions
         );
-        assert!(out.resident_slots <= 2 * out.concurrent_at_end + 64);
+        assert!(out.resident_slots <= out.slot_bound);
+    }
+
+    /// A few laggards scattered over the id range each pin a chunk, so
+    /// what the slots are held to is the chunks the live ids sit in, not
+    /// a multiple of the live count: at 1 000 and 2 000 sessions the
+    /// storm leaves more than `2 × live + 64` slots resident on some
+    /// backend, and every backend stays inside the exact bound.
+    #[test]
+    fn scale_storm_slots_stay_inside_the_chunks_live_ids_pin() {
+        let mut scattered = 0;
+        for sessions in [1_000, 2_000] {
+            let cfg = ScaleConfig {
+                sessions,
+                ticks: 600,
+            };
+            let plan = storm_plan(&ScaleConfig::server_config(), cfg.ticks);
+            for kind in BackendKind::ALL {
+                let out = run_scale_on(&cfg, kind, 42, &plan, &mut |server| server.tick());
+                assert!(out.resident_slots <= out.slot_bound, "{kind} at {sessions}");
+                scattered += u32::from(out.resident_slots > 2 * out.concurrent_at_end + 64);
+            }
+        }
+        assert!(scattered > 0, "no run left its laggards scattered");
     }
 
     /// The unicast backend skips the six buffer events of the 15.

@@ -39,11 +39,13 @@
 //! every stall is boundary-aligned by construction: recovery rejoins the
 //! wheel mid-cycle and the missed minutes return on their next loop.
 //!
-//! Reception bookkeeping is **exact**: each session carries a
-//! [`ReceptionFront`] bitmap fed by the minutes actually staged, so the
-//! bookkept front can never lead the truly-broadcast front (a
+//! Reception bookkeeping is **exact** and kept per movie: every client
+//! of a movie records the same channels from the tick it starts
+//! receiving, so one [`AirLog`] per movie — the last tick each minute was
+//! actually staged — and one join tick per session give each client's
+//! contiguous front, which can never lead the truly-broadcast front (a
 //! conservative per-movie-freeze model can lead by up to `d − 1` after
-//! recovery; `recovered_front_never_leads_schedule` pins that the bitmap
+//! recovery; `recovered_front_never_leads_schedule` pins that the log
 //! does not). A session that
 //! outruns its front (fault stall or revoked catch-up lease) enters
 //! `Degraded` and follows the [`RetryLedger`](vod_runtime::RetryLedger): bounded re-wait,
@@ -53,7 +55,7 @@
 //! after the retry timeout a plain wait for the looping broadcast front
 //! — which reaches every position once the channels are back.
 
-use vod_runtime::{BackendKind, PyramidGeometry, ReceptionFront, SessionStore, TimerWheel};
+use vod_runtime::{AirLog, BackendKind, PyramidGeometry, SessionStore, TimerWheel};
 use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
@@ -79,9 +81,9 @@ struct PyramidMovie {
     /// channel loops its segment forever, so consecutive stores jump
     /// backwards at every cycle boundary by design.
     slots: Vec<Option<Segment>>,
-    /// Bitset over the movie's minutes, rebuilt each tick: the minutes on
-    /// the air this tick — every receiving client's recorder ORs it in.
-    staged: Vec<u64>,
+    /// What the slots have put on the air, logged once a tick: every
+    /// client's reception follows from it and the tick it joined.
+    air: AirLog,
 }
 
 /// A broadcast client. `Waiting` is for the next segment-1 boundary;
@@ -92,10 +94,9 @@ struct PyramidMovie {
 /// broadcast covers the position again; `Degraded` outran the front with
 /// no stream and rejoins free the moment the front passes its position —
 /// past the retry timeout, a plain wait for the looping front. The
-/// scheme's own field is the exact reception bookkeeping: every minute
-/// this client's recorder actually saw staged, and the contiguous front
-/// derived from it.
-type BroadcastSession = Session<(), ReceptionFront>;
+/// scheme's own field is the tick the client starts receiving: with its
+/// movie's [`AirLog`] it is the client's exact reception.
+type BroadcastSession = Session<(), u64>;
 
 /// Deliver minute `sess.position` to a receiving session from the
 /// broadcast: byte-verify through the staging slot when that exact
@@ -107,7 +108,7 @@ fn consume_from_broadcast(
     core: &mut ServerCore,
 ) {
     sess.stats.from_buffer += 1;
-    if !verify_delivery(&movies[sess.movie_idx], sess.position) {
+    if !verify_delivery(&movies[sess.movie_idx], sess.position, core.now) {
         sess.stats.verify_failures += 1;
         core.metrics.verify_failures += 1;
     }
@@ -116,10 +117,10 @@ fn consume_from_broadcast(
 }
 
 /// Byte-verify one delivery of minute `position`. Most deliveries are
-/// replays (a minute is on the air about `k/l` of the time), so the
-/// `staged` bit decides before the channel is looked up.
-fn verify_delivery(m: &PyramidMovie, position: u32) -> bool {
-    let on_air = m.staged[(position / 64) as usize] & (1 << (position % 64)) != 0;
+/// replays (a minute is on the air about `k/l` of the time), so the air
+/// log decides before the channel is looked up.
+fn verify_delivery(m: &PyramidMovie, position: u32, now: u64) -> bool {
+    let on_air = m.air.on_air(now, position);
     let slot = || {
         m.slots
             .get(m.geometry.channel_of(position) as usize)?
@@ -152,7 +153,7 @@ pub struct PyramidServer {
     /// the backend's `ΣB`) until a buffer-shrink fault takes some away.
     staging_budget: usize,
     movies: Vec<PyramidMovie>,
-    sessions: Sessions<(), ReceptionFront>,
+    sessions: Sessions<(), u64>,
     /// Waiting-session wakeups keyed by their boundary tick.
     wakeups: TimerWheel<u32>,
     /// Indices of the sessions past Waiting, in the order they got there.
@@ -182,7 +183,6 @@ impl PyramidServer {
         for m in &core.config.movies {
             let geometry = geometry_of(m);
             let channels = geometry.channels() as usize;
-            let words = (geometry.length() as usize).div_ceil(64);
             movies.push(PyramidMovie {
                 movie: m.movie,
                 geometry,
@@ -191,7 +191,7 @@ impl PyramidServer {
                 // stays down (the movie stalls) rather than panicking.
                 leases: (0..channels).map(|_| core.disk.acquire()).collect(),
                 slots: vec![None; channels],
-                staged: vec![0; words],
+                air: AirLog::new(geometry.length()),
             });
         }
         Self {
@@ -302,8 +302,7 @@ impl DeliveryBackend for PyramidServer {
                 start_at: now + wait,
             },
         };
-        let rx = ReceptionFront::new(geometry.length());
-        let idx = admit(&mut self.sessions, movie_idx, 0, state, rx)?;
+        let idx = admit(&mut self.sessions, movie_idx, 0, state, now + wait)?;
         self.core.startup_waits.push(wait as f64);
         if wait == 0 {
             self.active.push(idx);
@@ -327,14 +326,15 @@ impl DeliveryBackend for PyramidServer {
         ) {
             return Err(ServerError::InvalidState { operation: "vcr" });
         }
-        let length = sess.scheme.length();
+        let PyramidMovie { air, geometry, .. } = &self.movies[sess.movie_idx];
+        let length = geometry.length();
         // FF beyond the reception front costs a dedicated stream
         // (interactive-bandwidth accounting); everything else plays from
         // the client's prefix for free, and a paused viewer keeps
         // receiving.
         if matches!(kind, VcrKind::FastForward) && sess.lease.is_none() {
             let target = sess.position.saturating_add(magnitude).min(length);
-            if target < length && !sess.scheme.received(target) {
+            if target < length && !air.received(sess.scheme, target) {
                 // Issue-time Erlang loss: the viewer stays in the
                 // broadcast and never retries this request.
                 sess.lease = Some(self.core.try_lease().ok_or_else(|| self.core.deny_vcr())?);
@@ -366,13 +366,12 @@ impl DeliveryBackend for PyramidServer {
         // reception front sweeps past its position — the looping
         // channels guarantee that eventually happens.
         let lease = self.core.try_lease().ok_or_else(|| self.core.deny_vcr())?;
-        let rx = ReceptionFront::new(self.movies[movie_idx].geometry.length());
         let idx = admit(
             &mut self.sessions,
             movie_idx,
             position,
             SessionState::Dedicated,
-            rx,
+            self.core.now,
         )?;
         self.sessions.live_mut(idx).lease = Some(lease);
         self.active.push(idx);
@@ -396,25 +395,23 @@ impl DeliveryBackend for PyramidServer {
                 self.active.push(idx);
             }
         }
+        // Reception first: every receiving client records exactly the
+        // minutes staged this tick, so a front read from the log can never
+        // lead the truly-broadcast one — channels a fault holds off the
+        // air leave holes that fill on their next loop.
+        let now = self.core.now;
         for m in &mut self.movies {
-            m.staged.fill(0);
-            for seg in m.slots.iter().flatten() {
-                m.staged[(seg.index / 64) as usize] |= 1 << (seg.index % 64);
-            }
+            let staged = m.slots.iter().flatten().map(|seg| seg.index);
+            m.air.log(now, staged);
         }
         let stalled = self.core.disk_stalled();
         let mut i = 0;
         while i < self.active.len() {
             let idx = self.active[i];
             let sess = self.sessions.live_mut(idx);
-            // Reception first: every active session's recorder sees
-            // exactly the minutes staged this tick, so a bookkept front
-            // can never lead the truly-broadcast one — channels a fault
-            // holds off the air leave holes that fill on their next loop.
-            // (Nobody's turn reads another's recorder, so each records as
-            // its own turn begins.)
-            sess.scheme.record_mask(&self.movies[sess.movie_idx].staged);
-            let length = sess.scheme.length();
+            let PyramidMovie { air, geometry, .. } = &self.movies[sess.movie_idx];
+            let (since, length) = (sess.scheme, geometry.length());
+            let received = |minute| air.received(since, minute);
             // Does the session stay on the active walk?
             let stays = match &mut sess.state {
                 // A catch-up lease reads nothing on a slowdown's
@@ -427,7 +424,7 @@ impl DeliveryBackend for PyramidServer {
                     self.core.finish(&mut self.sessions, idx);
                     false
                 }
-                SessionState::Shared(()) if sess.scheme.received(sess.position) => {
+                SessionState::Shared(()) if received(sess.position) => {
                     consume_from_broadcast(sess, &self.movies, &mut self.core);
                     let ended = sess.position >= length;
                     if ended {
@@ -443,7 +440,7 @@ impl DeliveryBackend for PyramidServer {
                     self.core.metrics.runtime.stall_minutes += 1.0;
                     true
                 }
-                SessionState::Dedicated if sess.scheme.received(sess.position) => {
+                SessionState::Dedicated if received(sess.position) => {
                     // The broadcast front caught up: merge back.
                     self.core.metrics.piggyback_merges += 1;
                     merge_back(sess, &mut self.core);
@@ -469,7 +466,7 @@ impl DeliveryBackend for PyramidServer {
                         false
                     }
                     Swept::Landed(kind) => {
-                        let hit = sess.scheme.received(sess.position);
+                        let hit = received(sess.position);
                         self.core.metrics.runtime.record_resume(kind, hit);
                         if hit {
                             if sess.lease.is_some() {
@@ -492,7 +489,7 @@ impl DeliveryBackend for PyramidServer {
                 SessionState::Paused { .. } => {
                     // Reception continued throughout the pause, so the
                     // front moved past the resume position: free hit.
-                    let hit = sess.position >= length || sess.scheme.received(sess.position);
+                    let hit = sess.position >= length || received(sess.position);
                     self.core.metrics.runtime.record_resume(VcrKind::Pause, hit);
                     if hit {
                         sess.state = SessionState::Shared(());
@@ -503,7 +500,7 @@ impl DeliveryBackend for PyramidServer {
                 }
                 SessionState::Degraded(ledger) => {
                     self.core.metrics.runtime.rewait_minutes += 1.0;
-                    if sess.position >= length || sess.scheme.received(sess.position) {
+                    if sess.position >= length || received(sess.position) {
                         // The front swept past the starved position.
                         self.core.exit_degraded(ledger, false);
                         self.core.metrics.runtime.degraded_rejoined += 1;
@@ -554,6 +551,13 @@ impl DeliveryBackend for PyramidServer {
                 }
             }
         }
+        for (mi, m) in self.movies.iter().enumerate() {
+            if let Some(minute) = m.air.drift() {
+                findings.push(format!(
+                    "movie {mi} reception prefix at minute {minute} drifted from its on-air recount"
+                ));
+            }
+        }
         let (reserve, disk) = (&self.core.reserve, &self.core.disk);
         if reserve.failed() > disk.failed() {
             findings.push(format!(
@@ -570,28 +574,18 @@ impl DeliveryBackend for PyramidServer {
             recount.see(idx, sess, true, &mut faults);
             let [on_walk] = walked.count(idx);
             audit_walk(&mut faults, idx, sess, on_walk);
-            // Prefix-coverage audit: the incremental front must equal a
-            // from-scratch recount of the reception bitmap, and a
-            // receiving session can never have consumed past it.
-            let (front, length) = (sess.scheme.front(), sess.scheme.length());
-            if front != sess.scheme.audit_front() {
-                faults.push(format!(
-                    "session {idx} reception front {front} drifted from bitmap recount {}",
-                    sess.scheme.audit_front()
-                ));
-            }
-            if front > length {
-                faults.push(format!(
-                    "session {idx} reception front {front} beyond movie length {length}"
-                ));
-            }
+            // Prefix-coverage audit: a receiving session can never have
+            // consumed past its reception front.
+            let PyramidMovie { air, geometry, .. } = &self.movies[sess.movie_idx];
             if matches!(sess.state, SessionState::Shared(()))
-                && sess.position < length
-                && sess.position > front
+                && sess.position < geometry.length()
+                && sess.position > 0
+                && !air.received(sess.scheme, sess.position - 1)
             {
                 faults.push(format!(
-                    "session {idx} consumed to {} past its reception front {front}",
-                    sess.position
+                    "session {idx} consumed to {} past its reception front {}",
+                    sess.position,
+                    air.front(sess.scheme)
                 ));
             }
         }
@@ -820,7 +814,7 @@ mod tests {
         use vod_runtime::FaultEvent;
         // Multi-channel geometry (d = 40, k = 2): closed-form per-movie
         // bookkeeping can lead the real front by up to d − 1 = 39
-        // after an outage recovered. The exact bitmap may not lead the
+        // after an outage recovered. The air log may not lead the
         // truly-staged schedule by even one minute, on any tick.
         let movie = HostedMovie::from_allocation(MovieId(0), 120, 2, 20.0);
         let cfg = ServerConfig {
@@ -843,7 +837,7 @@ mod tests {
         // t = 0 is a segment-1 boundary: the session receives from the
         // first tick, exactly like the truth recorder below.
         let id = s.open_session(MovieId(0)).unwrap();
-        let mut truth = ReceptionFront::new(120);
+        let mut truth = vec![false; 120];
         let mut stalled_ticks = 0u64;
         for _ in 0..400 {
             s.tick();
@@ -851,21 +845,20 @@ mod tests {
                 break;
             }
             for seg in s.movies[0].slots.iter().flatten() {
-                truth.record(seg.index);
+                truth[seg.index as usize] = true;
             }
+            let truth_front = contiguous_prefix(&truth);
             let sess = s.sessions.get(id.0).unwrap();
+            let front = s.movies[0].air.front(sess.scheme);
             assert!(
-                sess.scheme.front() <= truth.front(),
-                "bookkept front {} leads the truly-staged front {}",
-                sess.scheme.front(),
-                truth.front()
+                front <= truth_front,
+                "bookkept front {front} leads the truly-staged front {truth_front}"
             );
             assert_eq!(
-                sess.scheme.front(),
-                truth.front(),
+                front, truth_front,
                 "recovery resync must re-anchor the bookkept front exactly"
             );
-            if sess.position < sess.scheme.front() || sess.position >= 120 {
+            if sess.position < front || sess.position >= 120 {
                 // playable or finished
             } else {
                 stalled_ticks += 1;
@@ -883,6 +876,88 @@ mod tests {
             rt.stall_minutes > 0.0,
             "the outage must show as stalled session minutes"
         );
+    }
+
+    /// How many minutes from the start a recorder holds without a hole.
+    fn contiguous_prefix(got: &[bool]) -> u32 {
+        got.iter().position(|&m| !m).unwrap_or(got.len()) as u32
+    }
+
+    /// The air log against a private recorder per session, in lock step:
+    /// two multi-channel movies under the storm plan (outages that revoke
+    /// channels, slowdowns, buffer squeezes), with joins on many ticks, FF
+    /// catch-ups and adopted sessions. Each recorder is fed its movie's
+    /// staged slots on every tick its session spends past `Waiting`; after
+    /// every tick each live session's front read from the log must equal
+    /// its recorder's contiguous prefix, and a receiving session must not
+    /// have played past that prefix.
+    #[test]
+    fn air_log_front_equals_a_per_session_recorder() {
+        let movies = vec![
+            HostedMovie::from_allocation(MovieId(0), 120, 2, 20.0),
+            HostedMovie::from_allocation(MovieId(1), 90, 6, 60.0),
+        ];
+        let cfg = ServerConfig::provisioned(movies, 8);
+        let plan = crate::harness::storm_plan(&cfg, 400);
+        let mut s = PyramidServer::new(cfg);
+        assert_eq!(s.movies[0].geometry.unit(), 40);
+        assert!(s.movies.iter().all(|m| m.geometry.channels() > 1));
+        s.inject_faults(plan, DegradePolicy::default());
+        let mut recorders = std::collections::BTreeMap::new();
+        let (mut adopted, mut caught_up) = (0, 0);
+        for t in 0..400u64 {
+            if t < 300 && t % 3 == 0 {
+                let mi = (t / 3 % 2) as usize;
+                let id = s.open_session(MovieId(mi as u32)).unwrap();
+                let length = s.movies[mi].geometry.length() as usize;
+                recorders.insert(id.0, (mi, vec![false; length]));
+            }
+            if t < 300 && t % 20 == 7 {
+                if let Ok((id, _)) = s.adopt_session(MovieId(0), 60) {
+                    recorders.insert(id.0, (0, vec![false; 120]));
+                    adopted += 1;
+                }
+            }
+            if t % 11 == 5 {
+                let (&id, (mi, _)) = recorders.iter().nth(t as usize % recorders.len()).unwrap();
+                let sess = s.sessions.live(id);
+                let (front, leased) = (s.movies[*mi].air.front(sess.scheme), sess.lease.is_some());
+                let jump = front.saturating_sub(sess.position) + 10;
+                let _ = s.request_vcr(SessionId(id), VcrKind::FastForward, jump);
+                caught_up += u32::from(!leased && s.sessions.live(id).lease.is_some());
+            }
+            s.tick();
+            recorders.retain(|&id, _| s.sessions.get(id).is_some());
+            for (&id, (mi, got)) in &mut recorders {
+                let sess = s.sessions.live(id);
+                if matches!(sess.state, SessionState::Waiting { .. }) {
+                    continue;
+                }
+                for seg in s.movies[*mi].slots.iter().flatten() {
+                    got[seg.index as usize] = true;
+                }
+                let (air, truth) = (&s.movies[*mi].air, contiguous_prefix(got));
+                assert_eq!(air.front(sess.scheme), truth, "tick {t} session {id}");
+                assert!(truth == 0 || air.received(sess.scheme, truth - 1));
+                assert!(!air.received(sess.scheme, truth), "tick {t} session {id}");
+                if matches!(sess.state, SessionState::Shared(()))
+                    && sess.position < got.len() as u32
+                {
+                    assert!(
+                        sess.position <= truth,
+                        "tick {t}: {id} played past its recorder"
+                    );
+                }
+            }
+            assert_eq!(s.check_invariants(), Vec::<String>::new(), "tick {t}");
+        }
+        let metrics = &s.core.metrics;
+        assert!(
+            adopted > 0 && caught_up > 0,
+            "{adopted} adopted, {caught_up} FF leases"
+        );
+        assert!(metrics.leases_revoked > 0 && metrics.runtime.stall_minutes > 0.0);
+        assert!(metrics.piggyback_merges > 0, "nobody merged back");
     }
 
     #[test]
@@ -990,7 +1065,7 @@ mod tests {
             ["degraded population drift: counted 0, tracked 1"]
         );
         let mut s = busy();
-        let front = s.sessions.live(0).scheme.front();
+        let front = s.movies[0].air.front(s.sessions.live(0).scheme);
         s.sessions.live_mut(0).position = front + 2;
         assert_eq!(
             s.check_invariants(),
@@ -1000,21 +1075,12 @@ mod tests {
             )]
         );
         s.sessions.live_mut(0).position = 0;
-        s.sessions.live_mut(0).scheme.force_front(front + 1);
+        s.movies[0].air.skew(front);
         assert_eq!(
             s.check_invariants(),
             [format!(
-                "session 0 reception front {} drifted from bitmap recount {front}",
-                front + 1
+                "movie 0 reception prefix at minute {front} drifted from its on-air recount"
             )]
-        );
-        s.sessions.live_mut(0).scheme.force_front(121);
-        assert_eq!(
-            s.check_invariants(),
-            [
-                format!("session 0 reception front 121 drifted from bitmap recount {front}"),
-                "session 0 reception front 121 beyond movie length 120".to_string(),
-            ]
         );
     }
 
