@@ -49,14 +49,12 @@
 //! [`FederationMetrics::conserved`] against the in-flight ledger after
 //! every tick, alongside each live shard's own conservation laws.
 //!
-//! # Two cores
+//! # One thread
 //!
-//! A federation of two or more shards keeps one helper thread and lends
-//! it the odd-indexed shards for every tick and every audit (see the
-//! `helper` module); everything it reports is identical to ticking and
-//! auditing the shards one after another.
-
-use std::cell::RefCell;
+//! The front ticks and audits every up shard itself, in shard order.
+//! The shards share nothing but the tick grid. Ticking half of them on a
+//! helper thread doubled the CPU time for 0–17 % more throughput on two
+//! cores, so there is no helper (DESIGN.md §15).
 
 use vod_runtime::{
     BackendKind, DegradePolicy, FaultEvent, FaultKind, FaultPlan, FederationMetrics,
@@ -68,8 +66,6 @@ use vod_server::{
 };
 use vod_sizing::ShardPlan;
 use vod_workload::VcrKind;
-
-use crate::helper::{self, Helper, Job};
 
 /// One shard's construction recipe: the delivery scheme and the server
 /// configuration (catalog slice, stream pool, buffer budget) it runs.
@@ -142,9 +138,8 @@ struct FedSession {
 pub struct Federation {
     specs: Vec<ShardSpec>,
     placement: Vec<Vec<(usize, MovieId)>>,
-    /// The shards, `None` while dark. Behind a `RefCell` so that the
-    /// audit, a `&self` call, can lend them to the helper.
-    shards: RefCell<Vec<Option<Box<dyn DeliveryBackend>>>>,
+    /// The shards, `None` while dark.
+    shards: Vec<Option<Box<dyn DeliveryBackend>>>,
     /// Global tick each live shard incarnation was constructed at (local
     /// shard time = global − this).
     started_at: Vec<u64>,
@@ -166,15 +161,12 @@ pub struct Federation {
     baseline_down: u64,
     metrics: FederationMetrics,
     now: u64,
-    /// The thread that ticks and audits the odd-indexed shards; none for
-    /// a single shard.
-    helper: Option<Helper>,
 }
 
 impl Federation {
     /// Build the front tier: construct every shard via
     /// [`make_backend`] and arm it with its slice of `plan` (non-shard
-    /// events routed by `at % shards`) under the federation's policy.
+    /// events routed by `at % shards`) under `SHARD_POLICY`.
     ///
     /// # Panics
     ///
@@ -202,7 +194,7 @@ impl Federation {
         }
         let n = config.shards.len();
         let mut fed = Self {
-            shards: RefCell::new(Vec::with_capacity(n)),
+            shards: Vec::with_capacity(n),
             started_at: vec![0; n],
             specs: config.shards,
             placement: config.placement,
@@ -215,12 +207,11 @@ impl Federation {
             baseline_down: 0,
             metrics: FederationMetrics::new(),
             now: 0,
-            helper: (n >= 2).then(Helper::spawn),
         };
         for s in 0..n {
             let mut shard = make_backend(fed.specs[s].backend, &fed.specs[s].server);
             shard.inject_faults(fed.local_plan(s, 0), SHARD_POLICY);
-            fed.shards.get_mut().push(Some(shard));
+            fed.shards.push(Some(shard));
         }
         fed
     }
@@ -267,7 +258,7 @@ impl Federation {
         }
         let mut skipped_dead = false;
         for &(s, local) in replicas {
-            let Some(shard) = self.shards.get_mut()[s].as_mut() else {
+            let Some(shard) = self.shards[s].as_mut() else {
                 skipped_dead = true;
                 continue;
             };
@@ -311,7 +302,7 @@ impl Federation {
             Some(FedState::Live { shard, local }) => {
                 // vod-lint: allow(no-panic) — a Live state always points at
                 // an up shard (audited by check_invariants every tick).
-                self.shards.borrow()[shard]
+                self.shards[shard]
                     .as_ref()
                     // vod-lint: allow(no-panic) — Live ⇒ shard up, audited
                     .expect("live session on up shard")
@@ -337,7 +328,7 @@ impl Federation {
         match self.sessions.get(id.0).map(|sess| sess.state) {
             Some(FedState::Live { shard, local }) => {
                 // vod-lint: allow(no-panic) — Live ⇒ shard up (see above).
-                self.shards.get_mut()[shard]
+                self.shards[shard]
                     .as_mut()
                     // vod-lint: allow(no-panic) — Live ⇒ shard up, audited
                     .expect("live session on up shard")
@@ -379,10 +370,9 @@ impl Federation {
             }
         }
         self.drain_ledger();
-        let shards = self.shards.get_mut();
-        helper::run(self.helper.as_ref(), Job::Tick, shards);
-        for (shard, routes) in shards.iter_mut().zip(&mut self.routes) {
+        for (shard, routes) in self.shards.iter_mut().zip(&mut self.routes) {
             let Some(shard) = shard else { continue };
+            shard.tick();
             for &(local, stats) in shard.finished_this_tick() {
                 if let Some(fed) = routes.retire(local.0) {
                     self.sessions.retire(fed);
@@ -420,7 +410,7 @@ impl Federation {
     /// of a shard the federation does not have (the plan is outside
     /// input), is a no-op (uncounted).
     fn shard_outage(&mut self, s: usize) {
-        let Some(shard) = self.shards.get_mut().get_mut(s).and_then(Option::take) else {
+        let Some(shard) = self.shards.get_mut(s).and_then(Option::take) else {
             return;
         };
         self.metrics.shard_outages += 1;
@@ -457,12 +447,12 @@ impl Federation {
     /// the new incarnation's local clock. Recovery of an up shard, or of
     /// one the federation does not have, is a no-op (uncounted).
     fn shard_recovery(&mut self, s: usize) {
-        if !matches!(self.shards.get_mut().get(s), Some(None)) {
+        if !matches!(self.shards.get(s), Some(None)) {
             return;
         }
         let mut shard = make_backend(self.specs[s].backend, &self.specs[s].server);
         shard.inject_faults(self.local_plan(s, self.now), SHARD_POLICY);
-        self.shards.get_mut()[s] = Some(shard);
+        self.shards[s] = Some(shard);
         self.started_at[s] = self.now;
         self.metrics.shard_recoveries += 1;
     }
@@ -496,12 +486,12 @@ impl Federation {
             let last_chance = timed_out
                 && self.placement[movie]
                     .iter()
-                    .any(|&(s, _)| self.started_at[s] == now && self.shards.get_mut()[s].is_some());
+                    .any(|&(s, _)| self.started_at[s] == now && self.shards[s].is_some());
             if now >= next_retry || last_chance {
                 let mut adopted = false;
                 for r in 0..self.placement[movie].len() {
                     let (s, local) = self.placement[movie][r];
-                    let Some(shard) = self.shards.get_mut()[s].as_mut() else {
+                    let Some(shard) = self.shards[s].as_mut() else {
                         continue;
                     };
                     match shard.adopt_session(local, position) {
@@ -555,10 +545,9 @@ impl Federation {
     /// served later: some hosting replica is up, or a shard recovery for
     /// one is still ahead in the plan.
     fn movie_recoverable(&self, movie: usize) -> bool {
-        let shards = self.shards.borrow();
         let hosted_up = self.placement[movie]
             .iter()
-            .any(|&(s, _)| shards[s].is_some());
+            .any(|&(s, _)| self.shards[s].is_some());
         if hosted_up {
             return true;
         }
@@ -577,12 +566,11 @@ impl Federation {
     /// carry over as the new `displaced_total` baseline so conservation
     /// keeps holding.
     pub fn reset_metrics(&mut self) {
-        let shards = self.shards.get_mut();
-        for shard in shards.iter_mut().flatten() {
+        for shard in self.shards.iter_mut().flatten() {
             shard.reset_metrics();
         }
         self.retired_done = 0;
-        self.baseline_down = shards.iter().filter(|s| s.is_none()).count() as u64;
+        self.baseline_down = self.shards.iter().filter(|s| s.is_none()).count() as u64;
         self.metrics = FederationMetrics {
             displaced_total: self.displaced.len() as u64,
             ..FederationMetrics::new()
@@ -597,7 +585,6 @@ impl Federation {
     /// Per-shard [`RuntimeMetrics`] snapshots (`None` for dark shards).
     pub fn per_shard_metrics(&self) -> Vec<Option<RuntimeMetrics>> {
         self.shards
-            .borrow()
             .iter()
             .map(|s| s.as_ref().map(|b| b.runtime_metrics()))
             .collect()
@@ -608,7 +595,6 @@ impl Federation {
     pub fn degraded_sessions(&self) -> u64 {
         let in_shard: u64 = self
             .shards
-            .borrow()
             .iter()
             .flatten()
             .map(|s| u64::from(s.degraded_sessions()))
@@ -621,7 +607,6 @@ impl Federation {
     pub fn sessions_finished(&self) -> u64 {
         let live: u64 = self
             .shards
-            .borrow()
             .iter()
             .flatten()
             .map(|s| s.sessions_finished())
@@ -637,7 +622,7 @@ impl Federation {
     /// Conservation audit, run by the driver after every tick:
     ///
     /// 1. every live shard's own invariants (tagged `shard <s>:`, in shard
-    ///    order; the helper audits the shards it ticks),
+    ///    order),
     /// 2. the displaced-session ledger balances
     ///    ([`FederationMetrics::conserved`] against in-flight),
     /// 3. every `Live` session points at an up shard whose route table
@@ -645,12 +630,16 @@ impl Federation {
     ///    ledger lists exactly the `Displaced` sessions,
     /// 4. the outage/recovery counters explain the dark-shard population.
     pub fn check_invariants(&self) -> Vec<String> {
-        let mut v = helper::run(
-            self.helper.as_ref(),
-            Job::Audit,
-            &mut self.shards.borrow_mut(),
-        );
-        let shards = self.shards.borrow();
+        let mut v = Vec::new();
+        for (s, shard) in self.shards.iter().enumerate() {
+            let Some(shard) = shard else { continue };
+            v.extend(
+                shard
+                    .check_invariants()
+                    .into_iter()
+                    .map(|what| format!("shard {s}: {what}")),
+            );
+        }
         if !self.metrics.conserved(self.displaced.len() as u64) {
             v.push(format!(
                 "displaced ledger out of balance: {} displaced vs {} resolved + {} in flight",
@@ -669,7 +658,7 @@ impl Federation {
             match sess.state {
                 FedState::Live { shard, local } => {
                     live_states += 1;
-                    if shards[shard].is_none() {
+                    if self.shards[shard].is_none() {
                         v.push(format!("session {i} live on dark shard {shard}"));
                     } else if self.routes[shard].get(local.0) != Some(&i) {
                         v.push(format!(
@@ -698,7 +687,7 @@ impl Federation {
                 displaced_states
             ));
         }
-        let down = shards.iter().filter(|s| s.is_none()).count() as u64;
+        let down = self.shards.iter().filter(|s| s.is_none()).count() as u64;
         if self.metrics.shard_outages + self.baseline_down != self.metrics.shard_recoveries + down {
             v.push(format!(
                 "outage accounting: {} outages + {} baseline ≠ {} recoveries + {} down",
@@ -744,9 +733,7 @@ pub fn shards_from_split(
 /// provoked by corrupting exactly the state it certifies.
 #[cfg(test)]
 mod tests {
-    use std::panic::{self, AssertUnwindSafe};
-
-    use vod_server::{Driver, HostedMovie, ServerCore, Target, Workload};
+    use vod_server::{Driver, HostedMovie, ServerCore, Workload};
     use vod_workload::BehaviorModel;
 
     use super::*;
@@ -790,8 +777,8 @@ mod tests {
         fed
     }
 
-    /// A shard whose own audit reports one violation and whose tick
-    /// panics; the front tier's audit calls nothing else on it.
+    /// A shard whose own audit reports one violation; the front tier's
+    /// audit calls nothing else on it.
     struct BrokenShard;
 
     impl DeliveryBackend for BrokenShard {
@@ -827,7 +814,7 @@ mod tests {
             unreachable!()
         }
         fn tick(&mut self) {
-            panic!("a broken shard cannot tick");
+            unreachable!()
         }
         fn buffer_segments(&self) -> u64 {
             unreachable!()
@@ -873,7 +860,7 @@ mod tests {
     #[test]
     fn audit_sees_shard_and_outage_drift() {
         let mut fed = dark_shard_with_two_displaced();
-        fed.shards.get_mut()[1] = Some(Box::new(BrokenShard));
+        fed.shards[1] = Some(Box::new(BrokenShard));
         assert_eq!(fed.check_invariants(), ["shard 1: lease accounting broken"]);
         let mut fed = dark_shard_with_two_displaced();
         let FedState::Live { local, .. } = fed.sessions.live(0).state else {
@@ -981,123 +968,11 @@ mod tests {
         assert_eq!(fed.check_invariants(), Vec::<String>::new());
     }
 
-    /// Two up shards and no sessions; shard 1, the one lent to the
-    /// helper, panics in its tick.
-    fn two_shards_with_a_broken_second() -> Federation {
-        let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
-        let server = ServerConfig::provisioned(vec![movie], 0);
-        let config = FederationConfig {
-            shards: vec![
-                ShardSpec {
-                    backend: BackendKind::BatchingBuffering,
-                    server,
-                };
-                2
-            ],
-            placement: vec![vec![(0, MovieId(0)), (1, MovieId(0))]],
-            policy: DegradePolicy::default(),
-        };
-        let mut fed = Federation::new(config, FaultPlan::empty());
-        fed.shards.get_mut()[1] = Some(Box::new(BrokenShard));
-        fed
-    }
-
+    /// A 4-shard mixed-backend federation under a whole-shard fault plan,
+    /// audited after every tick by the driver: no violation, and the
+    /// outages really displaced and the shards really finished viewers.
     #[test]
-    #[should_panic(expected = "a broken shard cannot tick")]
-    fn a_panic_on_the_helper_reaches_the_caller() {
-        two_shards_with_a_broken_second().tick();
-    }
-
-    /// The helper thread holds the other half of the shared state; once
-    /// the federation is dropped nobody does, because `Drop` joined the
-    /// thread — also after a panic on it.
-    #[test]
-    fn dropping_a_federation_joins_its_helper() {
-        let mut fed = two_shards_with_a_broken_second();
-        let shared = fed.helper.as_ref().unwrap().watch();
-        assert!(panic::catch_unwind(AssertUnwindSafe(|| fed.tick())).is_err());
-        assert!(
-            fed.shards.get_mut().iter().all(Option::is_some),
-            "lent shards came back"
-        );
-        assert!(shared.upgrade().is_some());
-        drop(fed);
-        assert!(shared.upgrade().is_none());
-    }
-
-    #[test]
-    fn a_single_shard_spawns_no_helper() {
-        let movie = HostedMovie::from_allocation(MovieId(0), 120, 20, 100.0);
-        let config = FederationConfig {
-            shards: vec![ShardSpec {
-                backend: BackendKind::BatchingBuffering,
-                server: ServerConfig::provisioned(vec![movie], 0),
-            }],
-            placement: vec![vec![(0, MovieId(0))]],
-            policy: DegradePolicy::default(),
-        };
-        assert!(Federation::new(config, FaultPlan::empty()).helper.is_none());
-    }
-
-    /// The same federation twice — one lending its odd shards to the
-    /// helper, one ticking and auditing every shard on the front — under
-    /// one driver: every answer, every finished record and every audit
-    /// finding must agree, tick by tick.
-    struct LockStep {
-        threaded: Federation,
-        serial: Federation,
-    }
-
-    impl LockStep {
-        fn both<T: PartialEq + std::fmt::Debug>(
-            &mut self,
-            what: &str,
-            mut call: impl FnMut(&mut Federation) -> T,
-        ) -> T {
-            let (got, expected) = (call(&mut self.threaded), call(&mut self.serial));
-            assert_eq!(got, expected, "{what} at t={}", self.serial.now());
-            got
-        }
-    }
-
-    impl Target for LockStep {
-        type Movie = usize;
-        type Id = FedSessionId;
-        type Counters = ();
-
-        fn open(&mut self, movie: usize) -> Option<FedSessionId> {
-            self.both("open", |fed| fed.open_session(movie))
-        }
-
-        fn status(&mut self, id: FedSessionId) -> SessionStatus {
-            self.both("status", |fed| fed.session_status(id))
-        }
-
-        fn vcr(&mut self, id: FedSessionId, kind: VcrKind, magnitude: u32) {
-            self.both("vcr", |fed| {
-                format!("{:?}", fed.request_vcr(id, kind, magnitude))
-            });
-        }
-
-        fn tick(&mut self) {
-            self.both("finished_this_tick", |fed| {
-                fed.tick();
-                fed.finished_this_tick().to_vec()
-            });
-        }
-
-        fn reset_metrics(&mut self) {
-            self.both("reset_metrics", Federation::reset_metrics);
-        }
-
-        fn audit(&mut self, _last: &mut Option<()>) -> Vec<String> {
-            self.both("federation_metrics", |fed| fed.federation_metrics());
-            self.both("check_invariants", |fed| fed.check_invariants())
-        }
-    }
-
-    #[test]
-    fn lent_shards_tick_and_audit_like_the_serial_front() {
+    fn a_mixed_federation_fails_over_with_a_clean_audit() {
         let movies: Vec<HostedMovie> = (0..4)
             .map(|m| HostedMovie::from_allocation(MovieId(m), 120, 20, 100.0))
             .collect();
@@ -1127,16 +1002,11 @@ mod tests {
             movies: vec![0, 1, 2, 3],
         };
         let plan = FaultPlan::generate_federation(31, workload.horizon(), 24, 4);
-        let mut pair = LockStep {
-            threaded: Federation::new(config.clone(), plan.clone()),
-            serial: Federation::new(config, plan),
-        };
-        assert!(pair.threaded.helper.is_some());
-        pair.serial.helper = None;
-        let tally = Driver::new(&workload, &WorkloadShape::RoundRobin, 2026).run(&mut pair);
+        let mut fed = Federation::new(config, plan);
+        let tally = Driver::new(&workload, &WorkloadShape::RoundRobin, 2026).run(&mut fed);
         assert_eq!(tally.violation_count, 0, "{:?}", tally.violations);
-        let metrics = pair.serial.federation_metrics();
+        let metrics = fed.federation_metrics();
         assert!(metrics.shard_outages > 0 && metrics.displaced_total > 0);
-        assert!(pair.serial.sessions_finished() > 0);
+        assert!(fed.sessions_finished() > 0);
     }
 }

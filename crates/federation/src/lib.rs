@@ -39,7 +39,6 @@
 
 mod driver;
 mod front;
-mod helper;
 
 pub use driver::{run_federation, FederationHarnessConfig, FederationOutcome, WorkloadShape};
 pub use front::{shards_from_split, FedSessionId, Federation, FederationConfig, ShardSpec};

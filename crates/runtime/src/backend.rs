@@ -239,19 +239,12 @@ impl PyramidGeometry {
         prefix.min(self.length)
     }
 
-    /// Has a client that joined `elapsed` ticks ago already received
-    /// `minute`? True for the streamed prefix `minute < elapsed` (each
+    /// Has a client that joined `elapsed` minutes ago (fractional, as the
+    /// event simulator keeps time) already received the minute at
+    /// `position`? True for the streamed prefix `position < elapsed` (each
     /// minute arrives no later than its playout deadline — the invariance
     /// property) and for any fully cycled segment
-    /// ([`PyramidGeometry::complete_prefix`]).
-    pub fn received_by(&self, elapsed: u64, minute: u32) -> bool {
-        minute < self.length
-            && (u64::from(minute) < elapsed || minute < self.complete_prefix(elapsed))
-    }
-
-    /// Continuous-time twin of [`PyramidGeometry::received_by`] for the
-    /// event simulator, with positions and elapsed reception time in
-    /// fractional minutes.
+    /// ([`PyramidGeometry::complete_prefix`]); never past the movie end.
     pub fn received_by_continuous(&self, elapsed: f64, position: f64) -> bool {
         if !(elapsed.is_finite() && position.is_finite()) || position < 0.0 {
             return false;
@@ -281,12 +274,12 @@ impl PyramidGeometry {
 /// Under channel-transition invariance every client of a movie records
 /// the same channels from the tick it starts receiving, its `since`, so
 /// it holds minute `m` iff `m` was on the air at some tick `≥ since`.
-/// The closed-form [`PyramidGeometry::received_by`] is exact only for
-/// uninterrupted reception; under per-channel faults (a dead channel, an
-/// off-period slowdown tick, an unfunded staging slot) reception has
-/// holes no elapsed-time formula reproduces. This record logs what was
-/// really staged, once per movie per tick, so the front it reports for
-/// any client never leads the schedule and never regresses.
+/// The closed form [`PyramidGeometry::received_by_continuous`] is exact
+/// only for uninterrupted reception; under per-channel faults (a dead
+/// channel, an off-period slowdown tick, an unfunded staging slot)
+/// reception has holes no elapsed-time formula reproduces. This record
+/// logs what was really staged, once per movie per tick, so the front it
+/// reports for any client never leads the schedule and never regresses.
 ///
 /// Playout decisions use the *contiguous* prefix
 /// ([`received`](Self::received)): minutes received beyond a hole are
@@ -482,13 +475,16 @@ mod tests {
         assert_eq!(g.complete_prefix(16), 24);
         assert_eq!(g.complete_prefix(64), 120);
         // Streamed prefix: minute 30 received once elapsed > 30.
-        assert!(!g.received_by(30, 30));
-        assert!(g.received_by(31, 30));
+        assert!(!g.received_by_continuous(30.0, 30.0));
+        assert!(g.received_by_continuous(31.0, 30.0));
         // Complete-segment prefix: after 16 ticks minutes 0..24 are all
         // buffered even though only 16 have played.
-        assert!(g.received_by(16, 23));
-        assert!(!g.received_by(16, 24));
-        assert!(!g.received_by(1000, 120), "past the end is never received");
+        assert!(g.received_by_continuous(16.0, 23.0));
+        assert!(!g.received_by_continuous(16.0, 24.0));
+        assert!(
+            !g.received_by_continuous(1000.0, 120.0),
+            "past the end is never received"
+        );
         assert!(g.received_by_continuous(16.5, 23.9));
         assert!(!g.received_by_continuous(16.5, 24.0));
     }

@@ -70,9 +70,9 @@ proptest! {
     /// Channel-transition invariance (the scheme's correctness theorem):
     /// a client joining at any segment-1 boundary and playing minute `p`
     /// during relative tick `p` has always fully received that minute
-    /// first — `received_by(elapsed + 1, position)` holds along the whole
-    /// straight-through playback path. Checked against the brute-force
-    /// schedule replay, not the closed form.
+    /// first: minute `p` has been on the air by relative tick `p + 1`
+    /// along the whole straight-through playback path. Checked against the
+    /// brute-force schedule replay, not the closed form.
     #[test]
     fn boundary_join_always_consumable(
         g in any_geometry(),
@@ -89,8 +89,9 @@ proptest! {
         }
     }
 
-    /// The closed-form front `received_by` never claims more than the
-    /// brute-force schedule delivers (soundness), and both grow to cover
+    /// The closed-form front `received_by_continuous`, the event
+    /// simulator's, never claims more than the brute-force schedule
+    /// delivers at whole-minute times (soundness), and both grow to cover
     /// the whole movie exactly once by `virtual_length` ticks.
     #[test]
     fn closed_form_front_is_sound(
@@ -101,7 +102,7 @@ proptest! {
         let join = boundary_idx * u64::from(g.unit());
         let got = brute_received(&g, join, elapsed);
         for p in 0..g.length() {
-            if g.received_by(elapsed, p) {
+            if g.received_by_continuous(elapsed as f64, f64::from(p)) {
                 prop_assert!(
                     got[p as usize],
                     "closed form claims minute {} by elapsed {}, schedule disagrees",
@@ -113,7 +114,7 @@ proptest! {
         let all = brute_received(&g, join, full);
         prop_assert!(all.iter().all(|&m| m), "full cycle must deliver every minute");
         prop_assert!(
-            (0..g.length()).all(|p| g.received_by(full, p)),
+            (0..g.length()).all(|p| g.received_by_continuous(full as f64, f64::from(p))),
             "closed form must agree the whole movie is in by one full cycle"
         );
     }

@@ -68,11 +68,10 @@ pub enum Adoption {
 ///   the backend never issued is [`ServerError::UnknownSession`]. State,
 ///   audits and fault handling cost `O(live sessions)`, never
 ///   `O(sessions ever admitted)`.
-/// * **Ownership** — a backend is `Send` and owns everything it touches,
-///   so a driver may move it to another thread between calls (the
-///   federation front lends shards to a helper thread for a tick or an
-///   audit) without changing anything it computes.
-pub trait DeliveryBackend: Send {
+/// * **Ownership** — a backend owns everything it touches and shares no
+///   state with another backend, so shards of one federation tick
+///   independently of each other.
+pub trait DeliveryBackend {
     /// Which scheme this is (names the row in comparison reports).
     fn kind(&self) -> BackendKind;
 

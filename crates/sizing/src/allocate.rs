@@ -7,9 +7,10 @@
 //!
 //! Along each movie's wait-bound line `B_i = l_i − n_i w_i` (Eq. 2), the
 //! objective is *linear* in the integer stream counts `n_i`, the
-//! feasibility constraint is a per-movie box `1 ≤ n_i ≤ n_max,i`
-//! (the feasible set is a prefix in `n`, see [`crate::feasible`]), and the
-//! only coupling is the shared stream budget. The exact optimum is
+//! feasibility constraint is a per-movie box `n_min,i ≤ n_i ≤ n_max,i`
+//! (the feasible set is an interval in `n`, and `n_min,i` is 1 unless
+//! `P(hit)` at one stream misses the target, see [`crate::feasible`]), and
+//! the only coupling is the shared stream budget. The exact optimum is
 //! therefore a greedy water-fill: hand streams to movies in decreasing
 //! order of the buffer each one saves, `w_i`. The minimum of
 //! `Σ (φ B_i + n_i)` is the lowest point of [`crate::cost_curve_with_catalog`], which
@@ -18,7 +19,7 @@
 
 use vod_model::{HitMemo, ModelOptions, SweepExecutor};
 
-use crate::{feasible::max_feasible_streams_memo, MovieSpec, ResourceCost, SizingError};
+use crate::{feasible::feasible_streams_memo, MovieSpec, ResourceCost, SizingError};
 
 /// Final allocation for one movie.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +72,7 @@ pub struct Budgets {
 /// plan builds draw from it instead of recomputing.
 struct Candidate<'a> {
     movie: &'a MovieSpec,
+    n_min: u32,
     n_max: u32,
     memo: HitMemo,
 }
@@ -84,12 +86,17 @@ fn candidates_with<'a>(
     // Each candidate owns its memo (one (movie, opts) context each).
     exec.try_map(movies, |movie| {
         let memo = HitMemo::new();
-        let n_max = max_feasible_streams_memo(movie, opts, &memo)
+        let (n_min, n_max) = feasible_streams_memo(movie, opts, &memo)
             .map_err(SizingError::Model)?
             .ok_or_else(|| SizingError::UnsatisfiableMovie {
                 movie: movie.name.clone(),
             })?;
-        Ok(Candidate { movie, n_max, memo })
+        Ok(Candidate {
+            movie,
+            n_min,
+            n_max,
+            memo,
+        })
     })
 }
 
@@ -150,10 +157,10 @@ impl<'a> Catalog<'a> {
     }
 
     /// Stream split minimizing total buffer at exactly `n_total` streams;
-    /// `None` when `n_total` is outside `[movie count, Σ n_max]`. No model
+    /// `None` when `n_total` is outside `[Σ n_min, Σ n_max]`. No model
     /// evaluations are performed.
     pub fn min_buffer_split(&self, n_total: u32) -> Option<Vec<u32>> {
-        if n_total < self.cands.len() as u32 || n_total > self.max_total_streams() {
+        if n_total < min_total_streams(&self.cands) || n_total > self.max_total_streams() {
             return None;
         }
         Some(water_fill(&self.cands, n_total))
@@ -184,13 +191,18 @@ impl<'a> Catalog<'a> {
     }
 }
 
-/// Greedy water-fill: start every movie at `n_i = 1` and hand out the
-/// remaining stream budget in decreasing order of `w_i` (the buffer
+/// `Σ n_min,i` — the smallest total stream count that meets every movie's
+/// target; the movie count unless one stream misses a target.
+fn min_total_streams(cands: &[Candidate<'_>]) -> u32 {
+    cands.iter().map(|c| c.n_min).sum()
+}
+
+/// Greedy water-fill: start every movie at `n_i = n_min,i` and hand out
+/// the remaining stream budget in decreasing order of `w_i` (the buffer
 /// minutes one more stream saves), never exceeding `n_max,i`.
 fn water_fill(cands: &[Candidate<'_>], stream_budget: u32) -> Vec<u32> {
-    let m = cands.len() as u32;
-    let mut ns: Vec<u32> = vec![1; cands.len()];
-    let mut remaining = stream_budget.saturating_sub(m);
+    let mut ns: Vec<u32> = cands.iter().map(|c| c.n_min).collect();
+    let mut remaining = stream_budget.saturating_sub(min_total_streams(cands));
     let mut order: Vec<usize> = (0..cands.len()).collect();
     order.sort_by(|&a, &b| cands[b].movie.max_wait.total_cmp(&cands[a].movie.max_wait));
     for &idx in &order {
@@ -250,13 +262,14 @@ pub fn allocate_min_buffer_with(
     if movies.is_empty() {
         return Err(SizingError::NoMovies);
     }
-    if budgets.streams < movies.len() as u32 {
+    let cands = candidates_with(movies, opts, exec)?;
+    let needed = min_total_streams(&cands);
+    if budgets.streams < needed {
         return Err(SizingError::StreamBudgetTooSmall {
-            needed: movies.len() as u32,
+            needed,
             available: budgets.streams,
         });
     }
-    let cands = candidates_with(movies, opts, exec)?;
     // Minimizing Σ B = Σ l_i − Σ n_i w_i ⇒ maximize Σ n_i w_i: benefit per
     // stream is w_i (always positive, so fill the budget).
     let ns = water_fill(&cands, budgets.streams);

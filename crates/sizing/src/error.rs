@@ -15,9 +15,11 @@ pub enum SizingError {
         /// Name of the offending movie.
         movie: String,
     },
-    /// Fewer streams than movies: every movie needs at least one stream.
+    /// Fewer streams than the movies need: every movie needs at least one
+    /// stream, and more where one stream misses its hit-probability target.
     StreamBudgetTooSmall {
-        /// Minimum streams needed (the movie count).
+        /// Minimum streams needed (`Σ n_min`, the movie count unless one
+        /// stream misses a target).
         needed: u32,
         /// Streams available.
         available: u32,
@@ -64,7 +66,7 @@ impl std::fmt::Display for SizingError {
             ),
             SizingError::StreamBudgetTooSmall { needed, available } => write!(
                 f,
-                "stream budget {available} below minimum {needed} (one per movie)"
+                "stream budget {available} below minimum {needed} (one per movie, more where one stream misses its target)"
             ),
             SizingError::BufferBudgetTooSmall { needed, available } => write!(
                 f,

@@ -3,16 +3,26 @@
 //!
 //! For a movie with wait bound `w`, every stream count `n ∈ [1, l/w]`
 //! implies a buffer `B = l − n·w` (Eq. 2); the pair is *feasible* when the
-//! model's `P(hit) ≥ P*`. Because the buffered fraction `B/l = 1 − wn/l`
-//! falls with `n`, `P(hit)` is decreasing in `n` along the wait-bound line
-//! and the feasible set is a prefix `n ≤ n_max` (checked against a scan
-//! of every `n` for nine of the ten duration kinds in tests);
-//! [`max_feasible_streams`] finds the boundary by bisection. It never
-//! opens at the costly top of the line: `⌊l/w⌋ + 1` stands in as the
-//! first infeasible point, unevaluated. A Deterministic duration
-//! resonates with the partition spacing, so its `P(hit)` is not monotone
-//! and the bisection returns a feasible `n` whose successor is
-//! infeasible, not necessarily the largest one.
+//! model's `P(hit) ≥ P*`. `P(hit)` is not monotone along this line: it
+//! rises from `n = 1` to a peak at a few streams (one stream has no
+//! stream ahead for a fast-forward to land behind) and only then falls as
+//! the buffered fraction `B/l = 1 − wn/l` shrinks. So the feasible set is
+//! an interval `[n_min, n_max]`, and `n_min` is 1 for most targets.
+//!
+//! [`max_feasible_streams`] finds `n_max` in two steps. When `n = 1`
+//! misses the target, it climbs `n = 2, 3, …` from the cheap end while
+//! `P(hit)` rises and stops at the first `n` that meets it; when the
+//! climb turns down first, the target is unsatisfiable. From the first
+//! feasible `n` it bisects up to the boundary. The bisection never opens
+//! at the costly top of the line: `⌊l/w⌋ + 1` stands in as the first
+//! infeasible point, unevaluated. Both steps are checked against a scan
+//! of every `n` for nine of the ten duration kinds in tests.
+//!
+//! A Deterministic duration resonates with the partition spacing, so its
+//! `P(hit)` has several peaks along the line. For it the search promises
+//! less: the `n` it returns is feasible and its successor is not (or it
+//! is `⌊l/w⌋`), but a later peak may hold larger feasible `n`; and a
+//! target that only a later peak meets is reported unsatisfiable.
 
 use vod_model::{HitMemo, ModelError, ModelOptions, SweepExecutor};
 
@@ -83,11 +93,13 @@ fn evaluate(movie: &MovieSpec, n: u32, opts: &ModelOptions) -> Result<FeasiblePo
 }
 
 /// Largest `n` with `P(hit) ≥ P*` (the minimum-buffer feasible point),
-/// found by bisection over the integer range `[1, ⌊l/w⌋]` — exact where
-/// `P(hit)` falls along the line (see the module docs).
+/// found by a climb from `n = 1` and a bisection over the integer range
+/// `[1, ⌊l/w⌋]` — exact where `P(hit)` has one peak along the line (see
+/// the module docs).
 ///
-/// Returns `None` when even `n = 1` (maximum buffer) misses the target —
-/// the movie's QoS pair `(w, P*)` is unsatisfiable with this behavior.
+/// Returns `None` when `P(hit)` turns down before any `n` meets the
+/// target — the movie's QoS pair `(w, P*)` is unsatisfiable with this
+/// behavior.
 pub fn max_feasible_streams(
     movie: &MovieSpec,
     opts: &ModelOptions,
@@ -109,29 +121,57 @@ pub fn max_feasible_streams_memo(
     opts: &ModelOptions,
     memo: &HitMemo,
 ) -> Result<Option<u32>, ModelError> {
-    last_true(movie.max_streams(), |n| {
-        let p = memo.get_or_try_insert(n, || movie.hit_probability(n, opts))?;
-        Ok(p >= movie.target_hit)
-    })
+    Ok(feasible_streams_memo(movie, opts, memo)?.map(|(_, n_max)| n_max))
 }
 
-/// The last `n` in `[1, hi]` where `holds` is true, for a predicate that
-/// is true on a prefix of `[1, hi]` and false after it; `None` when it is
-/// false at `n = 1`. `hi ≥ 1`: [`MovieSpec::max_streams`] is never 0.
+/// The feasible stream counts `(n_min, n_max)` of `movie`, or `None` when
+/// no `n` meets the target (see [`max_feasible_streams`]): the first `n`
+/// the climb from `n = 1` finds feasible, and the bisection's boundary
+/// above it. Every `hit_probability(n)` is drawn through `memo`.
+pub(crate) fn feasible_streams_memo(
+    movie: &MovieSpec,
+    opts: &ModelOptions,
+    memo: &HitMemo,
+) -> Result<Option<(u32, u32)>, ModelError> {
+    let p_hit = |n| memo.get_or_try_insert(n, || movie.hit_probability(n, opts));
+    let top = movie.max_streams();
+    // Climb while P(hit) rises, to the first n that holds.
+    let (mut n_min, mut p) = (1, p_hit(1)?);
+    while p < movie.target_hit {
+        if n_min == top {
+            return Ok(None);
+        }
+        let next = p_hit(n_min + 1)?;
+        if next <= p {
+            return Ok(None);
+        }
+        (n_min, p) = (n_min + 1, next);
+    }
+    let n_max = last_true(n_min, top, |n| Ok(p_hit(n)? >= movie.target_hit))?;
+    Ok(n_max.map(|n_max| (n_min, n_max)))
+}
+
+/// The last `n` in `[lo, hi]` where `holds` is true, for a predicate that
+/// is true on a prefix of `[lo, hi]` and false after it; `None` when it is
+/// false at `lo`. `1 ≤ lo ≤ hi`: [`MovieSpec::max_streams`] is never 0.
 ///
 /// Bisection with `hi + 1` as the first false point, a sentinel that is
 /// never evaluated (nor computed: `hi` may be `u32::MAX`). Each `n` is
-/// evaluated at most once, never outside `[1, hi]`, at most
-/// `1 + ⌈log₂ hi⌉` times in all, and `hi` only when `hi − 1` held (or
-/// `hi = 1`) — the one case where no other point can decide it.
-fn last_true<E>(hi: u32, mut holds: impl FnMut(u32) -> Result<bool, E>) -> Result<Option<u32>, E> {
-    if !holds(1)? {
+/// evaluated at most once, never outside `[lo, hi]`, at most
+/// `1 + ⌈log₂ (hi − lo + 1)⌉` times in all, and `hi` only when `hi − 1`
+/// held (or `hi = lo`) — the one case where no other point can decide it.
+fn last_true<E>(
+    lo: u32,
+    hi: u32,
+    mut holds: impl FnMut(u32) -> Result<bool, E>,
+) -> Result<Option<u32>, E> {
+    if !holds(lo)? {
         return Ok(None);
     }
     // Invariant: holds(lo), and every n past `hi` fails (hi + 1 by the
     // sentinel). The upper midpoint is in (lo, hi], so hi + 1 is never
     // formed.
-    let (mut lo, mut hi) = (1u32, hi);
+    let (mut lo, mut hi) = (lo, hi);
     while hi > lo {
         let mid = lo + (hi - lo).div_ceil(2);
         if holds(mid)? {
@@ -174,7 +214,8 @@ mod tests {
 
     #[test]
     fn feasible_set_is_a_prefix_in_n() {
-        // Validates the monotonicity the bisection relies on.
+        // Where n = 1 meets the target the feasible set is a prefix: what
+        // the bisection from n = 1 relies on.
         let m = small_movie();
         let pts = scan_every_n(&m, &ModelOptions::default());
         let mut seen_infeasible = false;
@@ -353,7 +394,7 @@ mod tests {
     /// recording every point it evaluates.
     fn search_prefix(hi: u32, k: u32) -> (Option<u32>, Vec<u32>) {
         let mut seen = Vec::new();
-        let found = last_true(hi, |n| {
+        let found = last_true(1, hi, |n| {
             seen.push(n);
             Ok::<_, ()>(n <= k)
         })
@@ -496,6 +537,29 @@ mod tests {
         assert_eq!(max_feasible_streams(any_target, &opts).unwrap(), Some(top));
         assert_eq!(max_feasible_streams(unsatisfiable, &opts).unwrap(), None);
         assert_eq!(interior, 9, "the target binds inside the line");
+        // One stream misses these targets while a few streams meet them:
+        // the feasible set is an interval that starts above n = 1, and the
+        // climb has to find it before the bisection can.
+        let cells = [
+            (120.0, 1.0, 0.8, 2, 23),
+            (60.0, 1.0, 0.8, 2, 10),
+            (120.0, 0.5, 0.85, 3, 33),
+            (90.0, 2.0, 0.75, 2, 11),
+        ];
+        for (l, w, target, first, last) in cells {
+            let dist = Arc::new(Exponential::with_mean(4.0).unwrap());
+            let mix = VcrMix::paper_fig7d();
+            let m = MovieSpec::new("climb", l, w, target, mix, dist, Rates::paper()).unwrap();
+            let feasible: Vec<u32> = scan_every_n(&m, &opts)
+                .iter()
+                .filter(|p| p.feasible)
+                .map(|p| p.n_streams)
+                .collect();
+            let cell = format!("(l, w, P*) = ({l}, {w}, {target})");
+            assert_eq!(feasible, (first..=last).collect::<Vec<_>>(), "{cell}");
+            let found = feasible_streams_memo(&m, &opts, &HitMemo::new()).unwrap();
+            assert_eq!(found, Some((first, last)), "{cell}");
+        }
     }
 
     #[test]

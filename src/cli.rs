@@ -459,6 +459,29 @@ mod tests {
     }
 
     #[test]
+    fn a_movie_that_one_stream_cannot_serve_still_gets_a_plan() {
+        // P(hit) is 0.689 at one stream and meets 0.8 at 2..=23 streams:
+        // the plan takes the largest feasible n the budget allows, never
+        // one below 2, and not an "unsatisfiable" error. Below two streams
+        // the budget, not the movie, is short.
+        let movie = "m;l=120;w=1;p=0.8;dist=exp:mean=4";
+        let plan_row = |streams: &str| {
+            let o = parse_args(&args(&["--movie", movie, "--streams", streams])).unwrap();
+            let report = run(&o).unwrap();
+            let row = report
+                .lines()
+                .find(|line| line.starts_with("m "))
+                .unwrap_or_else(|| panic!("no plan row in {report}"));
+            row.split_whitespace().map(String::from).collect::<Vec<_>>()
+        };
+        assert_eq!(plan_row("120"), ["m", "23", "97.0", "0.800", "1.00"]);
+        assert_eq!(plan_row("2"), ["m", "2", "118.0", "0.831", "1.00"]);
+        let short = parse_args(&args(&["--movie", movie, "--streams", "1"])).unwrap();
+        let refused = run(&short).unwrap_err().to_string();
+        assert!(refused.contains("below minimum 2"), "{refused}");
+    }
+
+    #[test]
     fn end_to_end_plan_renders() {
         let o = parse_args(&args(&[
             "--movie",
