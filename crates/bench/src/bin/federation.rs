@@ -172,11 +172,11 @@ impl Report {
                 out.violations.first().map_or("?", |v| v.as_str()),
             ));
         }
-        let resolved = out.fed.readmitted_cohort
-            + out.fed.readmitted_dedicated
-            + out.fed.denied_transient
-            + out.fed.denied_permanent;
-        if out.fed.displaced_total != resolved + out.displaced_in_flight {
+        if !out.fed.conserved(out.displaced_in_flight) {
+            let resolved = out.fed.readmitted_cohort
+                + out.fed.readmitted_dedicated
+                + out.fed.denied_transient
+                + out.fed.denied_permanent;
             self.failures.push(format!(
                 "{tag}: displaced ledger out of balance ({} displaced, {} resolved, {} in flight)",
                 out.fed.displaced_total, resolved, out.displaced_in_flight

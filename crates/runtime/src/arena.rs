@@ -183,11 +183,6 @@ impl<T> Arena<T> {
         self.slots.get(index).and_then(|s| s.value.as_ref())
     }
 
-    /// Mutable twin of [`Arena::at`].
-    pub fn at_mut(&mut self, index: usize) -> Option<&mut T> {
-        self.slots.get_mut(index).and_then(|s| s.value.as_mut())
-    }
-
     /// The current generational id of the occupant at `index`, if live.
     pub fn id_at(&self, index: usize) -> Option<ArenaId> {
         self.slots

@@ -77,9 +77,8 @@ mod tests {
         assert_eq!(cfg.movies[0].geometry.partition_capacity, 3); // 30/10
         assert_eq!(cfg.movies[1].geometry.restart_interval, 12); // 60/5
         assert_eq!(cfg.movies[1].geometry.partition_capacity, 4); // 20/5
-                                                                  // Provisioning covers every live stream plus the reserve.
-        let need: u32 = cfg.movies.iter().map(|m| m.max_live_streams()).sum();
-        assert_eq!(cfg.disk_streams, need + 8);
+        let live = cfg.movies.iter().map(|m| m.geometry.max_live_streams());
+        assert_eq!(cfg.disk_streams, live.sum::<u32>() + 8); // every live stream + the reserve
     }
 
     #[test]

@@ -154,7 +154,9 @@ pub struct PyramidServer {
     staging_budget: usize,
     movies: Vec<PyramidMovie>,
     sessions: Sessions<(), u64>,
-    /// Waiting-session wakeups keyed by their boundary tick.
+    /// Waiting-session wakeups keyed by their boundary tick: exactly one
+    /// per `Waiting` session, filed at admission and drained on the tick
+    /// it starts receiving.
     wakeups: TimerWheel<u32>,
     /// Indices of the sessions past Waiting, in the order they got there.
     active: Vec<u32>,
@@ -569,9 +571,11 @@ impl DeliveryBackend for PyramidServer {
         let mut walked = Marks::new(&self.sessions, [[&self.active, &[]]]);
         let mut recount = Recount::default();
         let mut faults = Vec::new();
+        let mut waiting = 0;
         for (idx, sess) in self.sessions.iter() {
             // A sweep inside the received prefix rides free.
             recount.see(idx, sess, true, &mut faults);
+            waiting += usize::from(matches!(sess.state, SessionState::Waiting { .. }));
             let [on_walk] = walked.count(idx);
             audit_walk(&mut faults, idx, sess, on_walk);
             // Prefix-coverage audit: a receiving session can never have
@@ -592,6 +596,13 @@ impl DeliveryBackend for PyramidServer {
         let [strays] = walked.strays(&self.sessions);
         for (stray, _) in strays {
             faults.push(format!("active walk entry {stray} names no live session"));
+        }
+        // One boundary wake-up per waiting session, drained as it joins.
+        if waiting != self.wakeups.len() {
+            faults.push(format!(
+                "wheel population drift: {waiting} waiting != {} scheduled",
+                self.wakeups.len()
+            ));
         }
         findings.append(&mut faults);
         self.core
@@ -1102,7 +1113,10 @@ mod tests {
         s.sessions.live_mut(0).state = SessionState::Waiting { start_at: 12 };
         assert_eq!(
             s.check_invariants(),
-            ["session 0 is waiting on the active walk"]
+            [
+                "session 0 is waiting on the active walk",
+                "wheel population drift: 1 waiting != 0 scheduled",
+            ]
         );
         let mut s = busy();
         s.active.push(7);
@@ -1110,5 +1124,24 @@ mod tests {
             s.check_invariants(),
             ["active walk entry 7 names no live session"]
         );
+    }
+
+    /// The boundary wheel holds one entry per waiting session.
+    #[test]
+    fn audit_sees_wheel_drift() {
+        // (120, 2, 20) waits for a segment-1 boundary; see
+        // `startup_wait_bounded_by_segment_one_period`.
+        let movie = HostedMovie::from_allocation(MovieId(0), 120, 2, 20.0);
+        let mut s = PyramidServer::new(ServerConfig::provisioned(vec![movie], 8));
+        s.tick();
+        let id = s.open_session(MovieId(0)).unwrap();
+        assert_eq!(s.check_invariants(), Vec::<String>::new());
+        let wheel = std::mem::take(&mut s.wakeups);
+        let drift = s.check_invariants();
+        assert_eq!(drift, ["wheel population drift: 1 waiting != 0 scheduled"]);
+        s.wakeups = wheel;
+        s.wakeups.schedule(s.movies[0].geometry.unit().into(), id.0);
+        let drift = s.check_invariants();
+        assert_eq!(drift, ["wheel population drift: 1 waiting != 2 scheduled"]);
     }
 }

@@ -62,17 +62,6 @@ impl HostedMovie {
             geometry: QuantizedGeometry::from_allocation(length, n_streams, buffer_minutes),
         }
     }
-
-    /// Maximum batching wait in minutes: `w = T − b`.
-    pub fn max_wait(&self) -> u32 {
-        self.geometry.max_wait()
-    }
-
-    /// Upper bound on simultaneously live streams (including partitions
-    /// lingering for trailing readers).
-    pub fn max_live_streams(&self) -> u32 {
-        self.geometry.max_live_streams()
-    }
 }
 
 /// Piggybacking (the paper's phase-2 fallback, after [1, 7, 9]): a
@@ -111,11 +100,11 @@ impl ServerConfig {
     /// restarts can never fail, leaving `vcr_reserve` streams for VCR
     /// service.
     pub fn provisioned(movies: Vec<HostedMovie>, vcr_reserve: u32) -> Self {
-        let disk: u32 = movies.iter().map(|m| m.max_live_streams()).sum::<u32>() + vcr_reserve;
-        let buffer: usize = movies
-            .iter()
-            .map(|m| (m.max_live_streams() * m.geometry.partition_capacity) as usize)
-            .sum();
+        let (mut disk, mut buffer) = (vcr_reserve, 0);
+        for g in movies.iter().map(|m| m.geometry) {
+            disk += g.max_live_streams();
+            buffer += (g.max_live_streams() * g.partition_capacity) as usize;
+        }
         Self {
             disk_streams: disk,
             buffer_budget: buffer,
@@ -184,19 +173,6 @@ struct ActiveStream {
     /// stream's age on every fault-free tick; a disk-slowdown fault lets
     /// it lag behind (the stream then serves only every k-th tick).
     next_read: u32,
-}
-
-/// `VodServer::join_cover` entry of a position no window holds.
-const NO_WINDOW: u32 = u32::MAX;
-
-/// One live stream as the join rule sees it: the positions `lo..=hi` a
-/// session can join it at ([`QuantizedGeometry::stream_join_range`] of
-/// its partition after this tick's stream phase; `lo > hi`: none).
-#[derive(Clone, Copy)]
-struct JoinWindow {
-    lo: u32,
-    hi: u32,
-    stream: StreamId,
 }
 
 /// What one stream's enrolled readers did on one tick.
@@ -378,34 +354,6 @@ impl BatchSession {
     }
 }
 
-/// What a session's state calls for on one tick.
-enum Act {
-    Nothing,
-    StartWaiting,
-    Enrolled,
-    Dedicated,
-    Vcr(VcrKind),
-    EndPause,
-    Degraded,
-}
-
-impl Act {
-    fn due(state: &SessionState<Enrolment>, t: u64) -> Self {
-        match *state {
-            SessionState::Waiting { start_at } if start_at == t => Act::StartWaiting,
-            SessionState::Waiting { .. } => Act::Nothing,
-            SessionState::Shared(_) => Act::Enrolled,
-            SessionState::Dedicated => Act::Dedicated,
-            SessionState::Vcr { kind, .. } => Act::Vcr(kind),
-            // The full pause has elapsed: resuming on exactly `until` is
-            // what makes a pause of d minutes shift the pattern by d.
-            SessionState::Paused { until } if until == t => Act::EndPause,
-            SessionState::Paused { .. } => Act::Nothing,
-            SessionState::Degraded(_) => Act::Degraded,
-        }
-    }
-}
-
 /// Read `sess`'s next segment via its own lease and advance.
 fn read_forward(core: &mut ServerCore, sess: &mut BatchSession) {
     let movie = core.config.movies[sess.movie_idx].movie;
@@ -456,16 +404,19 @@ pub struct VodServer {
     /// the stream phase on. An enrolled session's stored position is
     /// `accounted − since` ticks old.
     accounted: u64,
-    /// Per movie, every live stream's join window in ascending slot
-    /// order, rebuilt by `advance_streams`. Streams start, advance and
+    /// Per movie and position, the first live stream in slot order whose
+    /// join window ([`QuantizedGeometry::stream_join_range`] of its
+    /// partition) holds that position, or `None`: the join probe is one
+    /// look-up. Rewritten by `advance_streams`. Streams start, advance and
     /// retire only in the stream phase and in `apply_faults`, both ahead
-    /// of it within a tick, so the table is exact for the session phase
+    /// of it within a tick, so the cover is exact for the session phase
     /// and for every call between ticks.
-    join_table: Vec<Vec<JoinWindow>>,
-    /// Per movie and position, the index into the movie's `join_table`
-    /// row of the first window holding that position ([`NO_WINDOW`]:
-    /// none). Rebuilt with the table, so the join probe is one look-up.
-    join_cover: Vec<Vec<u32>>,
+    join_cover: Vec<Vec<Option<StreamId>>>,
+    /// Per movie, the stream `start_due_streams` started this tick, or
+    /// `None` (no restart due, or it failed): the stream a batch waiting
+    /// for this tick enrols in. The cover cannot say — on a disk-slowdown
+    /// tick the new stream reads nothing and covers no position yet.
+    restarted: Vec<Option<StreamId>>,
     /// Spare bitmap of `advance_sessions` (bit `k`: id `lo + k` is among
     /// the tick's drained entries), kept for its capacity.
     due_bits: Vec<u64>,
@@ -484,15 +435,15 @@ impl VodServer {
         let playback_reserved = config
             .movies
             .iter()
-            .map(|m| m.max_live_streams())
+            .map(|m| m.geometry.max_live_streams())
             .sum::<u32>()
             .min(config.disk_streams);
-        let n_movies = config.movies.len();
         let join_cover = config
             .movies
             .iter()
-            .map(|m| vec![NO_WINDOW; m.geometry.length as usize])
+            .map(|m| vec![None; m.geometry.length as usize])
             .collect();
+        let restarted = vec![None; config.movies.len()];
         Self {
             core: ServerCore::new(config, playback_reserved),
             pool,
@@ -502,8 +453,8 @@ impl VodServer {
             wheel_stale: 0,
             firing: None,
             accounted: 0,
-            join_table: vec![Vec::new(); n_movies],
             join_cover,
+            restarted,
             due_bits: Vec::new(),
             reference_scan: false,
         }
@@ -653,35 +604,28 @@ impl VodServer {
 
     fn retire_streams(&mut self) {
         for i in 0..self.streams.slot_count() {
-            let retire = match self.streams.at_mut(i) {
-                Some(s) => {
-                    let geometry = self.core.config.movies[s.movie_idx].geometry;
-                    // Displaying ends once every segment has been read —
-                    // `next_read` equals the stream's age on fault-free
-                    // ticks and lags it under a disk slowdown.
-                    if s.next_read >= geometry.length {
-                        // Release the disk lease as soon as displaying ends.
-                        if let Some(lease) = s.lease.take() {
-                            self.core.disk.release(lease);
-                        }
-                        // Keep the frozen partition until its trailing
-                        // readers finish.
-                        s.readers() == 0
-                    } else {
-                        false
-                    }
-                }
-                None => false,
+            let Some(id) = self.streams.id_at(i) else {
+                continue;
             };
-            if retire {
-                if let Some(s) = self.streams.id_at(i).and_then(|id| self.streams.remove(id)) {
-                    self.pool.release(s.partition.capacity());
-                }
+            let s = self.streams.live_mut(id);
+            // Displaying ends once every segment has been read — `next_read`
+            // equals the stream's age on fault-free ticks and lags it under
+            // a disk slowdown.
+            if s.next_read < self.core.config.movies[s.movie_idx].geometry.length {
+                continue;
+            }
+            if s.readers() == 0 {
+                self.retire_stream(id);
+            } else if let Some(lease) = s.lease.take() {
+                // Release the disk lease as soon as displaying ends; keep
+                // the frozen partition until its trailing readers finish.
+                self.core.disk.release(lease);
             }
         }
     }
 
     fn start_due_streams(&mut self, t: u64) {
+        self.restarted.fill(None);
         for movie_idx in 0..self.core.config.movies.len() {
             let hosted = self.core.config.movies[movie_idx];
             let geometry = hosted.geometry;
@@ -706,15 +650,15 @@ impl VodServer {
                 next_read: 0,
             };
             // The arena reuses the lowest free slot: eviction victims and
-            // restart enrolment tiebreak on the slot index.
-            self.streams.insert(stream);
+            // the join cover tiebreak on the slot index.
+            self.restarted[movie_idx] = Some(StreamId(self.streams.insert(stream)));
         }
     }
 
     fn advance_streams(&mut self, t: u64) {
         let stalled = self.core.disk_stalled();
-        for windows in &mut self.join_table {
-            windows.clear();
+        for cover in &mut self.join_cover {
+            cover.fill(None);
         }
         for i in 0..self.streams.slot_count() {
             let Some(id) = self.streams.id_at(i) else {
@@ -773,16 +717,10 @@ impl VodServer {
                 .partition
                 .front_index()
                 .and_then(|front| hosted.geometry.stream_join_range(front, filled));
-            let (lo, hi) = joinable.map_or((1, 0), RangeInclusive::into_inner);
-            let stream = StreamId(id);
-            self.join_table[s.movie_idx].push(JoinWindow { lo, hi, stream });
-        }
-        for (row, cover) in self.join_table.iter().zip(&mut self.join_cover) {
-            cover.fill(NO_WINDOW);
-            // Backwards, so the first window in slot order has the last say.
-            for (k, w) in row.iter().enumerate().rev() {
-                if w.lo <= w.hi {
-                    cover[w.lo as usize..=w.hi as usize].fill(k as u32);
+            if let Some((lo, hi)) = joinable.map(RangeInclusive::into_inner) {
+                // Slot order: a position already held keeps its first stream.
+                for held in &mut self.join_cover[s.movie_idx][lo as usize..=hi as usize] {
+                    held.get_or_insert(StreamId(id));
                 }
             }
         }
@@ -808,8 +746,7 @@ impl VodServer {
             let everyone: Vec<u32> = self.sessions.iter().map(|(idx, _)| idx).collect();
             for idx in everyone {
                 if let Some(sess) = self.sessions.get(idx) {
-                    let act = Act::due(&sess.state, t);
-                    self.advance_session(t, idx, act);
+                    self.advance_session(t, idx, sess.state);
                 }
             }
             return;
@@ -852,13 +789,12 @@ impl VodServer {
     /// filed — due now for a state that works every minute, at the
     /// wake-up for a passive one — and no session retired since has one.
     fn fire(&mut self, t: u64, idx: u32) -> bool {
-        let state = self.sessions.get(idx).map(|sess| &sess.state);
+        let state = self.sessions.get(idx).map(|sess| sess.state);
         let Some(state) = state.filter(|state| wake_at(state).is_none_or(|at| at == t)) else {
             return false;
         };
-        let act = Act::due(state, t);
         self.firing = Some(idx);
-        self.advance_session(t, idx, act);
+        self.advance_session(t, idx, state);
         // Still firing: it kept its state, one that works every minute (a
         // passive state fires only to be left), and goes again next tick.
         if self.firing.take().is_some() {
@@ -868,24 +804,14 @@ impl VodServer {
         true
     }
 
-    /// First live stream of `movie_idx` that restarted at tick `t`, in
-    /// slot order (at most one exists: `start_due_streams` starts one
-    /// stream per movie per due tick).
-    fn find_restarted_stream(&self, movie_idx: usize, t: u64) -> Option<StreamId> {
-        self.join_table[movie_idx]
-            .iter()
-            .map(|w| w.stream)
-            .find(|stream| self.streams.live(stream.0).started == t)
-    }
-
-    fn advance_session(&mut self, t: u64, idx: u32, act: Act) {
-        match act {
-            Act::Nothing => {}
-            Act::StartWaiting => {
+    /// What session `idx`, in `state`, does on tick `t`.
+    fn advance_session(&mut self, t: u64, idx: u32, state: SessionState<Enrolment>) {
+        match state {
+            SessionState::Waiting { start_at } if start_at == t => {
                 // The restart happened earlier in this tick; enroll in the
                 // stream that just started.
                 let movie_idx = self.sessions.live(idx).movie_idx;
-                let Some(stream) = self.find_restarted_stream(movie_idx, t) else {
+                let Some(stream) = self.restarted[movie_idx] else {
                     // The scheduled restart failed to start (under-provisioned
                     // disk or buffer, counted in `restart_failures`). The
                     // batch keeps waiting for the next restart instant
@@ -901,14 +827,23 @@ impl VodServer {
                 self.enrol(idx, stream, t);
                 self.consume_enrolled(t, idx);
             }
-            Act::Enrolled if self.reference_scan => self.consume_enrolled(t, idx),
-            Act::Enrolled => self.finish_enrolled(idx),
-            Act::Dedicated => self.consume_dedicated(idx),
-            Act::Vcr(VcrKind::FastForward) => self.sweep_forward(t, idx),
-            Act::Vcr(VcrKind::Rewind) => self.sweep_backward(t, idx),
-            Act::Vcr(VcrKind::Pause) => unreachable!("a pause is `Paused`, not a sweep"),
-            Act::EndPause => self.resume(t, idx, VcrKind::Pause),
-            Act::Degraded => self.degraded_tick(t, idx),
+            SessionState::Shared(_) if self.reference_scan => self.consume_enrolled(t, idx),
+            SessionState::Shared(_) => self.finish_enrolled(idx),
+            // A disk slowdown holds every lease read this tick.
+            SessionState::Dedicated | SessionState::Vcr { .. } if self.core.disk_stalled() => {
+                self.core.metrics.runtime.stall_minutes += 1.0;
+            }
+            SessionState::Dedicated => self.consume_dedicated(idx),
+            SessionState::Vcr { kind, .. } => match kind {
+                VcrKind::FastForward => self.sweep_forward(t, idx),
+                VcrKind::Rewind => self.sweep_backward(t, idx),
+                VcrKind::Pause => unreachable!("a pause is `Paused`, not a sweep"),
+            },
+            // The full pause has elapsed: resuming on exactly `until` is
+            // what makes a pause of d minutes shift the pattern by d.
+            SessionState::Paused { until } if until == t => self.resume(t, idx, VcrKind::Pause),
+            SessionState::Degraded(_) => self.degraded_tick(t, idx),
+            SessionState::Waiting { .. } | SessionState::Paused { .. } => {}
         }
     }
 
@@ -1104,10 +1039,6 @@ impl VodServer {
     /// Consume via the session's dedicated lease; piggyback toward the
     /// preceding partition when enabled.
     fn consume_dedicated(&mut self, idx: u32) {
-        if self.core.disk_stalled() {
-            self.core.metrics.runtime.stall_minutes += 1.0;
-            return;
-        }
         let sess = self.sessions.live_mut(idx);
         let length = self.core.config.movies[sess.movie_idx].geometry.length;
         read_forward(&mut self.core, sess);
@@ -1139,10 +1070,6 @@ impl VodServer {
     }
 
     fn sweep_forward(&mut self, t: u64, idx: u32) {
-        if self.core.disk_stalled() {
-            self.core.metrics.runtime.stall_minutes += 1.0;
-            return;
-        }
         let sess = self.sessions.live_mut(idx);
         let length = self.core.config.movies[sess.movie_idx].geometry.length;
         let SessionState::Vcr { remaining, .. } = &mut sess.state else {
@@ -1172,10 +1099,6 @@ impl VodServer {
     }
 
     fn sweep_backward(&mut self, t: u64, idx: u32) {
-        if self.core.disk_stalled() {
-            self.core.metrics.runtime.stall_minutes += 1.0;
-            return;
-        }
         let sess = self.sessions.live_mut(idx);
         let movie = self.core.config.movies[sess.movie_idx].movie;
         let SessionState::Vcr { remaining, .. } = &mut sess.state else {
@@ -1207,11 +1130,8 @@ impl VodServer {
     /// simulator applies through [`vod_runtime::PartitionWindows::covers`];
     /// the window probe is the live-stream join rule.
     fn resume(&mut self, t: u64, idx: u32, kind: VcrKind) {
-        let (movie_idx, position) = {
-            let sess = self.sessions.live(idx);
-            (sess.movie_idx, sess.position)
-        };
-        let joinable = self.joinable_stream(movie_idx, position);
+        let sess = self.sessions.live(idx);
+        let joinable = self.joinable_stream(sess.movie_idx, sess.position);
         self.core
             .metrics
             .runtime
@@ -1243,19 +1163,18 @@ impl VodServer {
     }
 
     /// Any live stream of `movie_idx` a session at `position` can join:
-    /// the first window of the movie's join-table row that holds it — the
-    /// rule and the slot order of [`Self::joinable_stream_scan`], looked up
-    /// in the movie's cover instead of walking any stream.
+    /// the first in slot order whose window holds it — the rule and the
+    /// slot order of [`Self::joinable_stream_scan`], looked up in the
+    /// movie's cover instead of walking any stream.
     fn joinable_stream(&self, movie_idx: usize, position: u32) -> Option<StreamId> {
-        let row = &self.join_table[movie_idx];
         let found = self.join_cover[movie_idx]
             .get(position as usize)
-            .and_then(|&k| row.get(k as usize))
-            .map(|w| w.stream);
+            .copied()
+            .flatten();
         debug_assert_eq!(
             found,
             self.joinable_stream_scan(movie_idx, position),
-            "join table drifted from the stream arena"
+            "join cover drifted from the stream arena"
         );
         found
     }

@@ -73,7 +73,7 @@ pub struct StreamId(pub ArenaId);
 /// Where a session currently gets its frames. `E` is what the scheme
 /// enrols a session *in* while it plays from the shared resource; see the
 /// module docs for each scheme's reading of every state.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub enum SessionState<E> {
     /// Queued for a scheduled playback start.
     Waiting {

@@ -86,6 +86,36 @@ fn failed_restart_rewaits_batch_to_next_interval() {
     assert_eq!(stats.verify_failures, 0);
 }
 
+/// A restart that starts on a disk-slowdown off-tick reads nothing: its
+/// empty partition covers no position, yet the batch waiting for it enrols
+/// there — it does not re-wait `T` as after a failed restart — and stalls
+/// for that one minute. Geometry as above (`T = 5, b = 2`), provisioned so
+/// every restart succeeds; the slowdown stalls `t = 5` only.
+#[test]
+fn restart_on_a_stalled_tick_enrols_the_waiting_batch() {
+    let movie = HostedMovie::from_allocation(MovieId(0), 10, 2, 4.0);
+    let mut server = VodServer::new(ServerConfig::provisioned(vec![movie], 1));
+    let plan = r#"[{"at":5,"kind":"disk_slowdown","period":2,"duration":1}]"#;
+    let plan = FaultPlan::from_json(plan).unwrap();
+    server.inject_faults(plan, DegradePolicy::default());
+    run_checked(&mut server, 3);
+    let viewer = server.open_session(MovieId(0)).unwrap();
+    let status = |server: &VodServer| server.session_status(viewer).unwrap();
+    let stalls = |server: &VodServer| server.runtime_metrics().stall_minutes;
+    assert_eq!(status(&server), SessionStatus::Waiting(5));
+    run_checked(&mut server, 3); // through t = 5
+    assert_eq!(
+        status(&server),
+        SessionStatus::Shared,
+        "enrolled, no re-wait"
+    );
+    assert_eq!(server.session_position(viewer).unwrap(), 0);
+    assert!((stalls(&server) - 1.0).abs() < 1e-9, "one stall minute");
+    let stats = run_to_finish(&mut server, 20, viewer);
+    assert_eq!((stats.total(), stats.verify_failures), (10, 0));
+    assert!((stalls(&server) - 1.0).abs() < 1e-9, "no stall after t = 5");
+}
+
 /// A disk outage that revokes in-use leases degrades the enrolled viewer,
 /// who retries with backoff and — once the outage recovers — finishes the
 /// movie on a dedicated stream. Timeline is exact: degrade at 12, failed

@@ -60,8 +60,10 @@ fn shard_plan(global: &FaultPlan, s: u32, shards: u32, all_streams: u32) -> Faul
                     .iter()
                     .find(|r| matches!(r.kind, FaultKind::ShardRecovery { shard: rs } if rs == s))
                     .map(|r| r.at);
+                // One on the outage's own tick darkens the shard for a
+                // minute: the engine reads `recover_after` 0 as 1.
                 let kind = match recover_at {
-                    Some(at) if at > e.at => FaultKind::DiskOutage {
+                    Some(at) if at >= e.at => FaultKind::DiskOutage {
                         count: all_streams,
                         recover_after: at - e.at,
                     },
@@ -179,16 +181,24 @@ mod tests {
             p0.events()[0].kind,
             FaultKind::DiskStreamLoss { count: 2 }
         ));
-        // Without a scheduled recovery the outage is permanent.
-        let no_recovery = FaultPlan::new(vec![FaultEvent {
+        // Without a scheduled recovery the outage is permanent; with one
+        // on its own tick, listed after it, the outage ends there.
+        let mut plan = FaultPlan::new(vec![FaultEvent {
             at: 10,
             kind: FaultKind::ShardOutage { shard: 0 },
         }]);
-        let p = shard_plan(&no_recovery, 0, 2, 16);
+        let p = shard_plan(&plan, 0, 2, 16);
         assert!(matches!(
             p.events()[0].kind,
             FaultKind::DiskStreamLoss { count: 16 }
         ));
+        plan.push(FaultEvent {
+            at: 10,
+            kind: FaultKind::ShardRecovery { shard: 0 },
+        });
+        let one_minute = r#"[{"at":10,"kind":"disk_outage","count":16,"recover_after":0}]"#;
+        let one_minute = FaultPlan::from_json(one_minute).unwrap();
+        assert_eq!(shard_plan(&plan, 0, 2, 16), one_minute);
     }
 
     #[test]

@@ -189,6 +189,37 @@ impl<'a> Catalog<'a> {
             Some(ns) => Ok(Some(build_plan(&self.cands, &ns, opts)?)),
         }
     }
+
+    /// The minimum-buffer plan that spends the whole stream budget, or the
+    /// budget it breaks: fewer streams than `Σ n_min`, or more buffer than
+    /// `budgets.buffer`.
+    fn min_buffer_plan(
+        &self,
+        budgets: Budgets,
+        opts: &ModelOptions,
+    ) -> Result<ResourcePlan, SizingError> {
+        let needed = min_total_streams(&self.cands);
+        if budgets.streams < needed {
+            return Err(SizingError::StreamBudgetTooSmall {
+                needed,
+                available: budgets.streams,
+            });
+        }
+        // Minimizing Σ B = Σ l_i − Σ n_i w_i ⇒ maximize Σ n_i w_i: benefit
+        // per stream is w_i (always positive, so fill the budget).
+        let ns = water_fill(&self.cands, budgets.streams);
+        let plan = build_plan(&self.cands, &ns, opts)?;
+        if let Some(bs) = budgets.buffer {
+            let total = plan.total_buffer();
+            if total > bs + 1e-9 {
+                return Err(SizingError::BufferBudgetTooSmall {
+                    needed: total,
+                    available: bs,
+                });
+            }
+        }
+        Ok(plan)
+    }
 }
 
 /// `Σ n_min,i` — the smallest total stream count that meets every movie's
@@ -259,31 +290,7 @@ pub fn allocate_min_buffer_with(
     opts: &ModelOptions,
     exec: &SweepExecutor,
 ) -> Result<ResourcePlan, SizingError> {
-    if movies.is_empty() {
-        return Err(SizingError::NoMovies);
-    }
-    let cands = candidates_with(movies, opts, exec)?;
-    let needed = min_total_streams(&cands);
-    if budgets.streams < needed {
-        return Err(SizingError::StreamBudgetTooSmall {
-            needed,
-            available: budgets.streams,
-        });
-    }
-    // Minimizing Σ B = Σ l_i − Σ n_i w_i ⇒ maximize Σ n_i w_i: benefit per
-    // stream is w_i (always positive, so fill the budget).
-    let ns = water_fill(&cands, budgets.streams);
-    let plan = build_plan(&cands, &ns, opts)?;
-    if let Some(bs) = budgets.buffer {
-        let total = plan.total_buffer();
-        if total > bs + 1e-9 {
-            return Err(SizingError::BufferBudgetTooSmall {
-                needed: total,
-                available: bs,
-            });
-        }
-    }
-    Ok(plan)
+    Catalog::new_with(movies, opts, exec)?.min_buffer_plan(budgets, opts)
 }
 
 #[cfg(test)]

@@ -116,7 +116,7 @@ pub fn max_feasible_streams(
 /// The top of the line, `n = ⌊l/w⌋`, is the costliest point to evaluate
 /// (one evaluation is O(n)) and almost never feasible: it is evaluated
 /// only when `⌊l/w⌋ − 1` turned out feasible (see `last_true`).
-pub fn max_feasible_streams_memo(
+fn max_feasible_streams_memo(
     movie: &MovieSpec,
     opts: &ModelOptions,
     memo: &HitMemo,

@@ -51,9 +51,7 @@ pub use allocate::{
 pub use cost::{HardwareSpec, ResourceCost};
 pub use curve::{cost_curve_with_catalog, CostCurve, CostPoint};
 pub use error::SizingError;
-pub use feasible::{
-    max_feasible_streams, max_feasible_streams_memo, scan_by_buffer_step, FeasiblePoint,
-};
+pub use feasible::{max_feasible_streams, scan_by_buffer_step, FeasiblePoint};
 pub use movie::{example1_movies, MovieSpec};
 pub use procurement::{procurement, Procurement};
 pub use reserve::{erlang_b, size_vcr_reserve, VcrLoad};
