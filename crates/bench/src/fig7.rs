@@ -9,11 +9,17 @@
 //! The probability of a hit is plotted as a function of the number of
 //! partitions `n`, one curve per maximum waiting time `w`; movie length
 //! `l = 120`, `R_FF = R_RW = 3 R_PB`.
+//!
+//! Panel (d)'s `w = 1` column is also where the model, the simulator and
+//! the tick server are held against each other ([`cross_validation_cells`]).
 
 use std::sync::Arc;
 
 use vod_dist::kinds::Gamma;
-use vod_model::{p_hit_single_dist, ModelOptions, Rates, SweepExecutor, SystemParams, VcrMix};
+use vod_model::{
+    p_hit_single_dist, ModelError, ModelOptions, Rates, SweepExecutor, SystemParams, VcrMix,
+};
+use vod_server::{HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload};
 use vod_sim::{run_replications, SimConfig};
 use vod_workload::BehaviorModel;
 
@@ -139,6 +145,80 @@ pub fn panel_data(
     cfg.waits
         .iter()
         .map(|&w| (w, curve(panel, cfg, w, exec)))
+        .collect()
+}
+
+/// Seed of every leg of the three-way cross-validation.
+pub const CROSS_SEED: u64 = 2026;
+
+/// Movie length of the three-way cross-validation, as in Figure 7.
+const CROSS_MOVIE_LEN: u32 = 120;
+
+/// One cell of the three-way cross-validation: one `(n, w)` point of
+/// panel (d)'s mixed workload, configured for the analytic model, the
+/// event simulator and the tick server's load harness alike.
+pub struct CrossCell {
+    /// Partitions / streams `n`.
+    pub n: u32,
+    /// Maximum wait `w`.
+    pub wait: f64,
+    /// The shared `(l, B, n)`.
+    pub params: SystemParams,
+    /// The simulator leg.
+    pub sim: SimConfig,
+    /// The tick-server leg.
+    pub harness: HarnessConfig,
+}
+
+impl CrossCell {
+    /// The analytic model's `P(hit)` for the cell.
+    pub fn model(&self) -> f64 {
+        let (dist, mix) = (Gamma::paper_fig7(), VcrMix::paper_fig7d());
+        p_hit_single_dist(&self.params, &dist, &mix, &ModelOptions::default()).total
+    }
+}
+
+/// The cells of the three-way cross-validation, `n = 20, 40, 60` along
+/// panel (d)'s `w = 1` column at `l = 120`, each simulated and served for
+/// `horizon_lengths` movie lengths, the first two of them warm-up.
+/// `cross_validate` runs them for 40 lengths; the determinism test runs
+/// its cell for 10.
+pub fn cross_validation_cells(horizon_lengths: f64) -> Result<Vec<CrossCell>, ModelError> {
+    let len = f64::from(CROSS_MOVIE_LEN);
+    let wait = 1.0;
+    [20, 40, 60]
+        .into_iter()
+        .map(|n| {
+            let params = SystemParams::from_wait(len, wait, n, Rates::paper())?;
+            let mut sim = SimConfig::new(params, BehaviorModel::paper_fig7d());
+            sim.horizon = horizon_lengths * len;
+            sim.warmup = 2.0 * len;
+            let movie =
+                HostedMovie::from_allocation(MovieId(0), CROSS_MOVIE_LEN, n, params.buffer());
+            let harness = HarnessConfig {
+                server: ServerConfig {
+                    // Piggyback off: merge-back would re-enroll missed
+                    // sessions through a mechanism the model does not
+                    // describe.
+                    piggyback: None,
+                    ..ServerConfig::provisioned(vec![movie], 80)
+                },
+                workload: Workload {
+                    behavior: BehaviorModel::paper_fig7d(),
+                    mean_interarrival: sim.mean_interarrival,
+                    warmup: sim.warmup as u64,
+                    measure: (sim.horizon - sim.warmup) as u64,
+                    movies: vec![MovieId(0)],
+                },
+            };
+            Ok(CrossCell {
+                n,
+                wait,
+                params,
+                sim,
+                harness,
+            })
+        })
         .collect()
 }
 

@@ -651,8 +651,7 @@ impl Federation {
                 self.displaced.len()
             ));
         }
-        let mut ledger = self.displaced.clone();
-        ledger.sort_unstable();
+        let mut ledger = self.sessions.tally(&self.displaced);
         let (mut displaced_states, mut live_states) = (0u64, 0usize);
         for (i, sess) in self.sessions.iter() {
             match sess.state {
@@ -668,7 +667,7 @@ impl Federation {
                 }
                 FedState::Displaced { .. } => {
                     displaced_states += 1;
-                    if ledger.binary_search(&i).is_err() {
+                    if ledger.take(i) == 0 {
                         v.push(format!("displaced session {i} missing from ledger"));
                     }
                 }

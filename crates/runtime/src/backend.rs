@@ -255,17 +255,6 @@ impl PyramidGeometry {
         position < elapsed.min(f64::from(self.length))
             || position < f64::from(self.complete_prefix(whole))
     }
-
-    /// Worst-case client-side buffer in movie minutes: everything ahead
-    /// of the playout point is at most the fully received prefix below
-    /// the last segment, `Σ_{c < k−1} len_c = d·(2^(k−1) − 1)` (an upper
-    /// bound; the bench reports it alongside the server-side cost, since
-    /// fast broadcasting's trade is exactly server buffer → client
-    /// buffer).
-    pub fn client_buffer_bound(&self) -> u32 {
-        self.segment_start(self.channels.saturating_sub(1))
-            .min(self.length)
-    }
 }
 
 /// What one broadcast movie has put on the air: for each minute the last
@@ -393,7 +382,6 @@ mod tests {
         assert_eq!(g.channel_of(0), 0);
         assert_eq!(g.channel_of(23), 1);
         assert_eq!(g.channel_of(56), 3);
-        assert_eq!(g.client_buffer_bound(), 56);
     }
 
     #[test]
@@ -496,6 +484,5 @@ mod tests {
         assert_eq!(PyramidGeometry::new(120, 0).channels(), 1);
         let single = PyramidGeometry::new(120, 1);
         assert_eq!(single.unit(), 120, "one channel loops the whole movie");
-        assert_eq!(single.client_buffer_bound(), 0);
     }
 }

@@ -46,8 +46,9 @@
 //! * [`SessionStore`] — where the servers and the federation front keep
 //!   their sessions: ids issued in admission order and never reused (so
 //!   every index-order argument holds), memory given back a chunk at a
-//!   time as sessions finish, and a finished id told apart from a
-//!   never-issued one without a tombstone.
+//!   time as sessions finish, a finished id told apart from a
+//!   never-issued one without a tombstone, and one [`IdTally`] through
+//!   which an audit reconciles a side list of ids with the live sessions.
 //!
 //! The drivers (`vod-server`, `vod-sim`) stay thin: they own event loops
 //! and data paths, never semantics.
@@ -78,7 +79,7 @@ pub use degrade::{
 pub use metrics::{kind_index, FederationMetrics, RuntimeMetrics};
 pub use quantize::QuantizedGeometry;
 pub use reserve::StreamReserve;
-pub use store::{SessionStore, CHUNK as SESSION_CHUNK};
+pub use store::{IdTally, SessionStore, CHUNK as SESSION_CHUNK};
 pub use vcr::{plan_vcr, truncate_sweep, SweepPlan};
 pub use wheel::TimerWheel;
 pub use windows::PartitionWindows;

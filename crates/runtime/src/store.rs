@@ -26,6 +26,11 @@
 //! viewer paused for ever pins its own chunk, not the window behind it.
 //! A look-up is the directory entry, then the slot — one dependent load
 //! more than indexing a flat `Vec`.
+//!
+//! A driver that keeps ids beside the store (a FIFO, an active walk, a
+//! ledger) audits them with [`SessionStore::tally`]: how often the list
+//! names each id, reconciled with the live sessions in one walk and no
+//! sort.
 
 use std::collections::VecDeque;
 
@@ -118,11 +123,32 @@ impl<T> SessionStore<T> {
         id < self.next
     }
 
-    /// The ids the directory spans, from its first chunk's first id up to
-    /// the issue cursor: every live id lies inside, none outside is live.
-    /// An audit can mark the ids a list names in one flat bitmap over it.
-    pub fn id_window(&self) -> std::ops::Range<u32> {
-        self.first_chunk * STRIDE..self.next
+    /// How often `ids` names each id: an exact count per id of the span
+    /// from the directory's first chunk up to the issue cursor — every
+    /// live id lies inside it, none outside is live — plus the entries
+    /// outside it. An audit reconciles a side list of ids (a FIFO, an
+    /// active walk, a ledger) with the live sessions through it: its walk
+    /// over the store [`take`](IdTally::take)s each live session's count
+    /// once, and what is left are the [`strays`](IdTally::strays).
+    pub fn tally<'a>(&self, ids: impl IntoIterator<Item = &'a u32>) -> IdTally {
+        let base = self.first_chunk * STRIDE;
+        let mut tally = IdTally {
+            base,
+            counts: vec![0; (base..self.next).len()],
+            inside: 0,
+            taken: 0,
+            outside: Vec::new(),
+        };
+        for &id in ids {
+            match tally.count_of(id) {
+                Some(count) => {
+                    *count += 1;
+                    tally.inside += 1;
+                }
+                None => tally.outside.push(id),
+            }
+        }
+        tally
     }
 
     /// Is the id space spent? [`insert`](Self::insert) refuses from here
@@ -260,6 +286,57 @@ impl<T> SessionStore<T> {
                     .zip(0..STRIDE)
                     .filter_map(move |(slot, at)| Some((number * STRIDE + at, slot.as_mut()?)))
             })
+    }
+}
+
+/// How often a list of ids names each id, built by
+/// [`SessionStore::tally`].
+pub struct IdTally {
+    /// First id of the counted span.
+    base: u32,
+    /// Entries per id of the span; [`take`](Self::take) clears one.
+    counts: Vec<u32>,
+    /// Entries inside the span, and those taken so far.
+    inside: u64,
+    taken: u64,
+    /// Entries outside the span, which name nobody live.
+    outside: Vec<u32>,
+}
+
+impl IdTally {
+    /// `id`'s count, inside the span. An id below `base` wraps past every
+    /// index the span has.
+    #[inline]
+    fn count_of(&mut self, id: u32) -> Option<&mut u32> {
+        self.counts.get_mut(id.wrapping_sub(self.base) as usize)
+    }
+
+    /// How often the list names live session `id`, cleared as it is read.
+    /// Take each live session once, before [`strays`](Self::strays).
+    #[inline]
+    pub fn take(&mut self, id: u32) -> u32 {
+        let n = self.count_of(id).map_or(0, std::mem::take);
+        self.taken += u64::from(n);
+        n
+    }
+
+    /// The entries left untaken — once every live session's count was
+    /// taken, those that name no live session — ascending, with how often
+    /// the list names each. When every entry inside the span was taken
+    /// (every healthy audit), the span is not scanned.
+    pub fn strays(mut self) -> Vec<(u32, u32)> {
+        self.outside.sort_unstable();
+        let mut strays: Vec<(u32, u32)> = self
+            .outside
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len() as u32))
+            .collect();
+        if self.taken < self.inside {
+            let left = self.counts.iter().zip(self.base..);
+            strays.extend(left.filter(|&(&n, _)| n > 0).map(|(&n, id)| (id, n)));
+            strays.sort_unstable();
+        }
+        strays
     }
 }
 

@@ -130,10 +130,12 @@ pub trait DeliveryBackend {
     /// Sessions admitted and not yet retired.
     fn live_sessions(&self) -> usize;
 
-    /// Session slots resident in memory — at most `2 × live_sessions() +`
-    /// [`SESSION_CHUNK`](vod_runtime::SESSION_CHUNK) under arrivals that
-    /// finish roughly in the order they came, however many sessions have
-    /// passed through.
+    /// Session slots resident in memory: exactly
+    /// [`SESSION_CHUNK`](vod_runtime::SESSION_CHUNK) for each chunk of
+    /// ids that holds a live session, plus the chunk being issued unless
+    /// it is full — in whatever order sessions finished, however many
+    /// have passed through ([`ScaleOutcome::slot_bound`](crate::ScaleOutcome::slot_bound)
+    /// computes it).
     fn session_slots(&self) -> usize;
 
     /// The sessions retired since the current tick began — finished in

@@ -155,131 +155,16 @@ impl Recount {
     }
 }
 
-/// Which ids `N` lists of session ids (a FIFO, an active walk) name: `N`
-/// bits per id of the store's
-/// [`id_window`](vod_runtime::SessionStore::id_window), one tally per session
-/// slot over all the lists, so an audit reconciles them with the live
-/// sessions in one flat array and no sort. The walk over the store reads
-/// each live session's bits; when fewer live sessions are found than bits
-/// were set, some entry names nobody live.
-pub(crate) struct Marks<const N: usize> {
-    base: u32,
-    words: Vec<u64>,
-    /// Per list: distinct entries inside the window.
-    marked: [usize; N],
-    /// Per list: live sessions found marked.
-    found: [usize; N],
-    /// Per list: entries named again after their first time (all empty on
-    /// a healthy server, which `any_repeated` says in one test).
-    repeated: [Vec<u32>; N],
-    any_repeated: bool,
-    /// Per list: entries outside the window, which name nobody live.
-    outside: [Vec<u32>; N],
-}
-
-impl<const N: usize> Marks<N> {
-    /// Mark `lists` against `sessions`' window. A list is given as the
-    /// slices it is stored in (a `VecDeque` has two).
-    pub(crate) fn new<E, X>(sessions: &Sessions<E, X>, lists: [[&[u32]; 2]; N]) -> Self {
-        // An id's bits never straddle two words.
-        const { assert!(64 % N == 0) };
-        let window = sessions.id_window();
-        let base = window.start;
-        let mut words = vec![0u64; (window.len() * N).div_ceil(64)];
-        let mut marked = [0; N];
-        let mut repeated: [Vec<u32>; N] = std::array::from_fn(|_| Vec::new());
-        let mut outside: [Vec<u32>; N] = std::array::from_fn(|_| Vec::new());
-        for (list, slices) in lists.into_iter().enumerate() {
-            for &idx in slices.into_iter().flatten() {
-                let at = idx.checked_sub(base).map(|d| d as usize * N + list);
-                match at.and_then(|at| Some((words.get_mut(at / 64)?, 1 << (at % 64)))) {
-                    Some((word, bit)) if *word & bit != 0 => repeated[list].push(idx),
-                    Some((word, bit)) => {
-                        *word |= bit;
-                        marked[list] += 1;
-                    }
-                    None => outside[list].push(idx),
-                }
-            }
-        }
-        Self {
-            base,
-            words,
-            marked,
-            found: [0; N],
-            any_repeated: repeated.iter().any(|r| !r.is_empty()),
-            repeated,
-            outside,
-        }
-    }
-
-    /// The word holding `idx`'s bits and their offset in it, inside the
-    /// window.
-    fn field(&self, idx: u32) -> Option<(usize, usize)> {
-        let at = idx.checked_sub(self.base)? as usize * N;
-        (at / 64 < self.words.len()).then_some((at / 64, at % 64))
-    }
-
-    /// How often each list names live session `idx`. Call it once per live
-    /// session, before [`strays`](Self::strays).
-    #[inline]
-    pub(crate) fn count(&mut self, idx: u32) -> [usize; N] {
-        let bits = self
-            .field(idx)
-            .map_or(0, |(word, at)| self.words[word] >> at);
-        std::array::from_fn(|list| {
-            let marked = (bits >> list & 1) as usize;
-            self.found[list] += marked;
-            if self.any_repeated {
-                marked + again(&self.repeated[list], idx)
-            } else {
-                marked
-            }
-        })
-    }
-
-    /// Per list, the entries that name no live session, ascending, with
-    /// how often the list names each.
-    pub(crate) fn strays<E, X>(&self, sessions: &Sessions<E, X>) -> [Vec<(u32, usize)>; N] {
-        std::array::from_fn(|list| {
-            let mut ids = self.outside[list].clone();
-            if self.found[list] < self.marked[list] {
-                for (w, &word) in self.words.iter().enumerate() {
-                    let mut rest = word;
-                    while rest != 0 {
-                        let bit = rest.trailing_zeros() as usize;
-                        rest &= !(1 << bit);
-                        let at = w * 64 + bit;
-                        let idx = self.base + (at / N) as u32;
-                        if at % N == list && sessions.get(idx).is_none() {
-                            ids.push(idx);
-                        }
-                    }
-                }
-            }
-            ids.sort_unstable();
-            ids.chunk_by(|a, b| a == b)
-                .map(|run| (run[0], run.len() + again(&self.repeated[list], run[0])))
-                .collect()
-        })
-    }
-}
-
-/// How often `repeated` names `idx`.
-fn again(repeated: &[u32], idx: u32) -> usize {
-    repeated.iter().filter(|&&r| r == idx).count()
-}
-
 /// The active-walk clause of the schemes that keep one (pyramid,
 /// dedicated): every live session past `Waiting` is on the walk exactly
 /// once, and a `Waiting` one is not on it. `walked` is how often the walk
-/// names session `idx`.
+/// names session `idx` (its [`IdTally`](vod_runtime::IdTally) count).
 #[inline]
 pub(crate) fn audit_walk<E, X>(
     faults: &mut Vec<String>,
     idx: u32,
     sess: &Session<E, X>,
-    walked: usize,
+    walked: u32,
 ) {
     let waiting = matches!(sess.state, SessionState::Waiting { .. });
     match walked {

@@ -39,9 +39,7 @@ use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
 use crate::content::MovieId;
-use crate::core::{
-    apply_faults, audit_walk, FaultPolicy, Marks, Recount, Retry, ServerCore, Swept,
-};
+use crate::core::{apply_faults, audit_walk, FaultPolicy, Recount, Retry, ServerCore, Swept};
 use crate::disk::StreamLease;
 use crate::server::{ServerConfig, ServerError};
 use crate::session::{
@@ -305,11 +303,11 @@ impl DeliveryBackend for DedicatedServer {
         // Queue and walk conservation: the FIFO and the active walk
         // partition the live population — every `Waiting` session sits in
         // the queue exactly once and holds no lease, every other one is on
-        // the walk exactly once. One tally per session slot over both
-        // lists stands in for a sort; what the entries say about the queue
-        // is reported ahead of what the walk over the sessions says.
-        let (front, back) = self.queue.as_slices();
-        let mut lists = Marks::new(&self.sessions, [[front, back], [&self.active, &[]]]);
+        // the walk exactly once. One id tally per list stands in for a
+        // sort; what the entries say about the queue is reported ahead of
+        // what the walk over the sessions says.
+        let mut queued = self.sessions.tally(&self.queue);
+        let mut walked = self.sessions.tally(&self.active);
         let mut findings = Vec::new();
         // The reserve accounts the *whole* pool here, so its failure
         // ledger must track the disk's exactly — this is the audit that
@@ -322,7 +320,7 @@ impl DeliveryBackend for DedicatedServer {
                 disk.failed()
             ));
         }
-        let mut entry_found = |idx: u32, count: usize, sess: Option<&UnicastSession>| {
+        let mut entry_found = |idx: u32, count: u32, sess: Option<&UnicastSession>| {
             if count > 1 {
                 findings.push(format!("session {idx} queued {count} times"));
             }
@@ -339,21 +337,19 @@ impl DeliveryBackend for DedicatedServer {
         let mut faults = Vec::new();
         for (idx, sess) in self.sessions.iter() {
             let waiting = matches!(sess.state, SessionState::Waiting { .. });
-            let [queued, walked] = lists.count(idx);
-            match queued {
+            match queued.take(idx) {
                 0 if waiting => faults.push(format!("queued session {idx} missing from the FIFO")),
                 0 => {}
                 1 if waiting && sess.lease.is_none() => {}
                 count => entry_found(idx, count, Some(sess)),
             }
-            audit_walk(&mut faults, idx, sess, walked);
+            audit_walk(&mut faults, idx, sess, walked.take(idx));
             recount.see(idx, sess, false, &mut faults);
         }
-        let [queue_strays, walk_strays] = lists.strays(&self.sessions);
-        for (stray, count) in queue_strays {
+        for (stray, count) in queued.strays() {
             entry_found(stray, count, None);
         }
-        for (stray, _) in walk_strays {
+        for (stray, _) in walked.strays() {
             faults.push(format!("active walk entry {stray} names no live session"));
         }
         findings.append(&mut faults);

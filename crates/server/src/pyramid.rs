@@ -10,8 +10,9 @@
 //! from their local prefix. Server cost is therefore **load-invariant**:
 //! `Σn = Σk + reserve`, `ΣB = Σk` staging segments, no matter how many
 //! viewers arrive — the scheme trades the batching design's server-side
-//! partitions for client-side buffer (the bound
-//! [`PyramidGeometry::client_buffer_bound`] is reported by the bench).
+//! partitions for client-side buffer (at most the prefix below the last
+//! segment, `d·(2^(k−1) − 1)` minutes, about half the movie; no report
+//! carries it).
 //! Every delivery is byte-verified: off the staging slot when that
 //! minute is on the air this tick, else as a replay from the client's
 //! prefix.
@@ -60,9 +61,7 @@ use vod_workload::VcrKind;
 
 use crate::backend::{Adoption, DeliveryBackend};
 use crate::content::{verify_segment, MovieId, Segment};
-use crate::core::{
-    apply_faults, audit_walk, FaultPolicy, Marks, Recount, Retry, ServerCore, Swept,
-};
+use crate::core::{apply_faults, audit_walk, FaultPolicy, Recount, Retry, ServerCore, Swept};
 use crate::disk::StreamLease;
 use crate::server::{HostedMovie, ServerConfig, ServerError};
 use crate::session::{
@@ -568,7 +567,7 @@ impl DeliveryBackend for PyramidServer {
                 disk.failed()
             ));
         }
-        let mut walked = Marks::new(&self.sessions, [[&self.active, &[]]]);
+        let mut walked = self.sessions.tally(&self.active);
         let mut recount = Recount::default();
         let mut faults = Vec::new();
         let mut waiting = 0;
@@ -576,8 +575,7 @@ impl DeliveryBackend for PyramidServer {
             // A sweep inside the received prefix rides free.
             recount.see(idx, sess, true, &mut faults);
             waiting += usize::from(matches!(sess.state, SessionState::Waiting { .. }));
-            let [on_walk] = walked.count(idx);
-            audit_walk(&mut faults, idx, sess, on_walk);
+            audit_walk(&mut faults, idx, sess, walked.take(idx));
             // Prefix-coverage audit: a receiving session can never have
             // consumed past its reception front.
             let PyramidMovie { air, geometry, .. } = &self.movies[sess.movie_idx];
@@ -593,8 +591,7 @@ impl DeliveryBackend for PyramidServer {
                 ));
             }
         }
-        let [strays] = walked.strays(&self.sessions);
-        for (stray, _) in strays {
+        for (stray, _) in walked.strays() {
             faults.push(format!("active walk entry {stray} names no live session"));
         }
         // One boundary wake-up per waiting session, drained as it joins.

@@ -104,30 +104,20 @@ pub fn max_feasible_streams(
     movie: &MovieSpec,
     opts: &ModelOptions,
 ) -> Result<Option<u32>, ModelError> {
-    max_feasible_streams_memo(movie, opts, &HitMemo::new())
-}
-
-/// [`max_feasible_streams`] drawing every `hit_probability(n)` evaluation
-/// through `memo`, so later phases of an allocation (greedy water-fill,
-/// plan building, repeated sweeps over the same catalog) never recompute
-/// an `n` the bisection already visited. The memo must belong to this
-/// `(movie, opts)` context.
-///
-/// The top of the line, `n = ⌊l/w⌋`, is the costliest point to evaluate
-/// (one evaluation is O(n)) and almost never feasible: it is evaluated
-/// only when `⌊l/w⌋ − 1` turned out feasible (see `last_true`).
-fn max_feasible_streams_memo(
-    movie: &MovieSpec,
-    opts: &ModelOptions,
-    memo: &HitMemo,
-) -> Result<Option<u32>, ModelError> {
-    Ok(feasible_streams_memo(movie, opts, memo)?.map(|(_, n_max)| n_max))
+    Ok(feasible_streams_memo(movie, opts, &HitMemo::new())?.map(|(_, n_max)| n_max))
 }
 
 /// The feasible stream counts `(n_min, n_max)` of `movie`, or `None` when
 /// no `n` meets the target (see [`max_feasible_streams`]): the first `n`
 /// the climb from `n = 1` finds feasible, and the bisection's boundary
-/// above it. Every `hit_probability(n)` is drawn through `memo`.
+/// above it. Every `hit_probability(n)` is drawn through `memo`, so later
+/// phases of an allocation (greedy water-fill, plan building, repeated
+/// sweeps over the same catalog) never recompute an `n` the bisection
+/// already visited; the memo must belong to this `(movie, opts)` context.
+///
+/// The top of the line, `n = ⌊l/w⌋`, is the costliest point to evaluate
+/// (one evaluation is O(n)) and almost never feasible: it is evaluated
+/// only when `⌊l/w⌋ − 1` turned out feasible (see `last_true`).
 pub(crate) fn feasible_streams_memo(
     movie: &MovieSpec,
     opts: &ModelOptions,
@@ -325,17 +315,20 @@ mod tests {
         let m = small_movie();
         let o = ModelOptions::default();
         let memo = HitMemo::new();
-        let first = max_feasible_streams_memo(&m, &o, &memo).unwrap();
+        let first = feasible_streams_memo(&m, &o, &memo).unwrap();
         let evals = memo.stats().1;
         assert!(evals > 0);
-        let second = max_feasible_streams_memo(&m, &o, &memo).unwrap();
+        let second = feasible_streams_memo(&m, &o, &memo).unwrap();
         assert_eq!(first, second);
         assert_eq!(
             memo.stats().1,
             evals,
             "repeat bisection must be served from the memo"
         );
-        assert_eq!(first, max_feasible_streams(&m, &o).unwrap());
+        assert_eq!(
+            first.map(|(_, n_max)| n_max),
+            max_feasible_streams(&m, &o).unwrap()
+        );
     }
 
     #[test]
@@ -578,9 +571,7 @@ mod tests {
             let mix = VcrMix::paper_fig7d();
             let m = MovieSpec::new("m", l, w, 0.5, mix, dist, Rates::paper()).unwrap();
             let memo = HitMemo::new();
-            let n_max = max_feasible_streams_memo(&m, &opts, &memo)
-                .unwrap()
-                .unwrap();
+            let (_, n_max) = feasible_streams_memo(&m, &opts, &memo).unwrap().unwrap();
             let top = m.max_streams();
             assert!(n_max < top, "l={l}: n_max {n_max} = ⌊l/w⌋");
             // A miss that fails to compute leaves the memo as it was: Err

@@ -20,59 +20,17 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 
-use vod_prealloc::dist::kinds::Gamma;
-use vod_prealloc::model::{p_hit_single_dist, ModelOptions, Rates, SystemParams, VcrMix};
+use vod_bench::fig7::{cross_validation_cells, CrossCell, CROSS_SEED as SEED};
+use vod_prealloc::model::Rates;
 use vod_prealloc::runtime::RuntimeMetrics;
-use vod_prealloc::server::{
-    run_harness, HarnessConfig, HostedMovie, MovieId, ServerConfig, Workload, VCR_RATE,
-};
-use vod_prealloc::sim::{run_seeded, SimConfig};
-use vod_prealloc::workload::BehaviorModel;
+use vod_prealloc::server::{run_harness, VCR_RATE};
+use vod_prealloc::sim::run_seeded;
 
-const MOVIE_LEN: f64 = 120.0;
-const SEED: u64 = 2026;
-
-fn sim_config(params: SystemParams, horizon_lengths: f64) -> SimConfig {
-    let mut cfg = SimConfig::new(params, BehaviorModel::paper_fig7d());
-    cfg.horizon = horizon_lengths * MOVIE_LEN;
-    cfg.warmup = 2.0 * MOVIE_LEN;
-    cfg
-}
-
-fn harness_config(params: &SystemParams, n: u32, sim_cfg: &SimConfig) -> HarnessConfig {
-    let movie = HostedMovie::from_allocation(MovieId(0), MOVIE_LEN as u32, n, params.buffer());
-    HarnessConfig {
-        server: ServerConfig {
-            // Piggyback off: merge-back would re-enroll missed sessions
-            // through a mechanism the model does not describe.
-            piggyback: None,
-            ..ServerConfig::provisioned(vec![movie], 80)
-        },
-        workload: Workload {
-            behavior: BehaviorModel::paper_fig7d(),
-            mean_interarrival: sim_cfg.mean_interarrival,
-            warmup: sim_cfg.warmup as u64,
-            measure: (sim_cfg.horizon - sim_cfg.warmup) as u64,
-            movies: vec![MovieId(0)],
-        },
-    }
-}
-
-/// Run all three legs for one `(n, w)` point of the Figure-7(d) mixed
+/// Run all three legs for one `(n, w)` cell of the Figure-7(d) mixed
 /// workload and return `(model, sim, server)` metrics.
-fn three_way(n: u32, wait: f64) -> (f64, RuntimeMetrics, RuntimeMetrics) {
-    let params =
-        SystemParams::from_wait(MOVIE_LEN, wait, n, Rates::paper()).expect("valid configuration");
-    let model = p_hit_single_dist(
-        &params,
-        &Gamma::paper_fig7(),
-        &VcrMix::paper_fig7d(),
-        &ModelOptions::default(),
-    )
-    .total;
-    let sim_cfg = sim_config(params, 40.0);
-    let sim = run_seeded(&sim_cfg, SEED).runtime;
-    let harness = harness_config(&params, n, &sim_cfg);
+fn three_way(cell: &CrossCell) -> (f64, RuntimeMetrics, RuntimeMetrics) {
+    let model = cell.model();
+    let sim = run_seeded(&cell.sim, SEED).runtime;
     // The server sweeps `VCR_RATE` segments a tick, the model and the sim
     // at `Rates::paper()`'s multiples of playback: the legs compare only
     // while the two agree.
@@ -84,14 +42,15 @@ fn three_way(n: u32, wait: f64) -> (f64, RuntimeMetrics, RuntimeMetrics) {
             rates.rewind() / rates.playback()
         )
     );
-    let server = run_harness(&harness, SEED);
+    let server = run_harness(&cell.harness, SEED);
     (model, sim, server)
 }
 
 #[test]
 fn three_way_agreement_w1_column() {
-    for n in [20u32, 40, 60] {
-        let (model, sim, server) = three_way(n, 1.0);
+    for cell in cross_validation_cells(40.0).unwrap() {
+        let n = cell.n;
+        let (model, sim, server) = three_way(&cell);
         let sim_hit = sim.hit_ratio();
         let srv_hit = server.hit_ratio();
         assert!(
@@ -124,16 +83,14 @@ fn three_way_agreement_w1_column() {
 
 #[test]
 fn same_seed_runs_are_bitwise_identical() {
-    let params =
-        SystemParams::from_wait(MOVIE_LEN, 1.0, 40, Rates::paper()).expect("valid configuration");
-    let sim_cfg = sim_config(params, 10.0);
-    let sim_a = run_seeded(&sim_cfg, SEED).runtime;
-    let sim_b = run_seeded(&sim_cfg, SEED).runtime;
+    let cells = cross_validation_cells(10.0).unwrap();
+    let cell = cells.iter().find(|c| c.n == 40).unwrap();
+    let sim_a = run_seeded(&cell.sim, SEED).runtime;
+    let sim_b = run_seeded(&cell.sim, SEED).runtime;
     assert_eq!(sim_a, sim_b, "simulator must be seed-deterministic");
 
-    let harness = harness_config(&params, 40, &sim_cfg);
-    let srv_a = run_harness(&harness, SEED);
-    let srv_b = run_harness(&harness, SEED);
+    let srv_a = run_harness(&cell.harness, SEED);
+    let srv_b = run_harness(&cell.harness, SEED);
     assert_eq!(srv_a, srv_b, "server harness must be seed-deterministic");
 
     // And the two legs report through the same vocabulary: spot-check
