@@ -2,7 +2,7 @@
 //! durations of movies 2 and 3 (means 5 and 2 minutes).
 
 use crate::duration::{require_finite_constants, require_positive, DurationDist};
-use crate::rng::{u01_open, SeededRng};
+use crate::rng::{exponential, SeededRng};
 use crate::DistError;
 
 /// Exponential distribution with the given mean (`rate = 1/mean`).
@@ -67,7 +67,7 @@ impl DurationDist for Exponential {
     }
 
     fn sample(&self, rng: &mut SeededRng) -> f64 {
-        -self.mean * u01_open(rng).ln()
+        exponential(rng, self.mean)
     }
 
     fn support_hint(&self) -> (f64, f64) {
