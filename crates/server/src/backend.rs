@@ -130,12 +130,14 @@ pub trait DeliveryBackend {
     /// Sessions admitted and not yet retired.
     fn live_sessions(&self) -> usize;
 
-    /// Session slots resident in memory: exactly
-    /// [`SESSION_CHUNK`](vod_runtime::SESSION_CHUNK) for each chunk of
-    /// ids that holds a live session, plus the chunk being issued unless
-    /// it is full — in whatever order sessions finished, however many
-    /// have passed through ([`ScaleOutcome::slot_bound`](crate::ScaleOutcome::slot_bound)
-    /// computes it).
+    /// Session slots resident in memory:
+    /// [`SESSION_CHUNK`](vod_runtime::SESSION_CHUNK) for the chunk of ids
+    /// being issued unless it is full and for each chunk with at least
+    /// half its ids live, one per live session in any other — at most
+    /// `2 × live + SESSION_CHUNK` and at most
+    /// [`ScaleOutcome::slot_bound`](crate::ScaleOutcome::slot_bound), in
+    /// whatever order sessions finished, however many have passed
+    /// through.
     fn session_slots(&self) -> usize;
 
     /// The sessions retired since the current tick began — finished in
