@@ -20,9 +20,9 @@
 //! path the storm never reached), the sessions still live at
 //! the end beside the session slots still resident (with `--ticks` past
 //! the movie length most viewers have left, and their memory with them —
-//! asserted: `resident_slots` stays inside the exact bound the live ids
-//! set, 64 slots for each 64-id chunk holding one plus the chunk still
-//! being issued, in whatever order the viewers left),
+//! asserted: `resident_slots` stays inside the bound the live ids set,
+//! 64 slots for each 64-id chunk holding one plus the chunk still being
+//! issued, in whatever order the viewers left),
 //! and the violation count (must be 0), and writes
 //! `results/BENCH_scale_storm.json`;
 //! `--previous PATH` reads an earlier storm file and copies each
