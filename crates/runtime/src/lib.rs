@@ -46,7 +46,8 @@
 //! * [`SessionStore`] — where the servers and the federation front keep
 //!   their sessions: ids issued in admission order and never reused (so
 //!   every index-order argument holds), memory given back a chunk at a
-//!   time as sessions finish, a finished id told apart from a
+//!   time as sessions finish (a sealed chunk under half live keeps its
+//!   live sessions only), a finished id told apart from a
 //!   never-issued one without a tombstone, and one [`IdTally`] through
 //!   which an audit reconciles a side list of ids with the live sessions.
 //!
